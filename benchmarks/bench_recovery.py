@@ -4,8 +4,9 @@ The paper notes that with ARUs "file systems do not need specialized
 recovery procedures"; the cost that remains is LLD's own summary
 scan.  This bench measures simulated recovery time as the log grows,
 with and without a checkpoint, and reports the speedup — plus the
-batched/parallel scan pipeline against the serial fallback on a large
-log, which is the headline number for the fast-path work.
+production scan pipeline (batched reads, pooled decode) against the
+serial reference recovery on a large log, which is the headline
+number for the fast-path work.
 
 Machine-readable results accumulate in
 ``benchmarks/results/BENCH_recovery.json``.
@@ -18,8 +19,10 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.harness.reporting import format_table
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
+from repro.lld.recovery_reference import reference_recover
 
 from benchmarks.conftest import full_scale, report_json, report_table
 
@@ -121,22 +124,24 @@ def build_long_log(target_segments: int):
 
 @pytest.mark.benchmark(group="recovery")
 def test_parallel_scan_speedup(benchmark):
-    """Batched/pipelined scan vs the serial fallback on a long log.
+    """Production scan pipeline vs the serial reference on a long log.
 
     Recovery performs no disk writes, so the same platter is recovered
-    twice; states must match byte for byte and the scan phase (reads +
-    decode) must be at least 1.5x faster in simulated time.
+    twice — once by ``reference_recover`` (one segment at a time),
+    once by ``recover``; states must match byte for byte and the scan
+    phase (reads + decode) must be at least 1.5x faster in simulated
+    time.
     """
 
     def run():
         disk = build_long_log(SCAN_SEGMENTS)
+        config = LLDConfig(checkpoint_slot_segments=2)
         out = {}
-        for label, parallel in (("serial", False), ("parallel", True)):
-            lld, report = recover(
-                disk.power_cycle(),
-                parallel=parallel,
-                checkpoint_slot_segments=2,
-            )
+        for label, recover_fn in (
+            ("serial", reference_recover),
+            ("parallel", recover),
+        ):
+            lld, report = recover_fn(disk.power_cycle(), config=config)
             out[label] = (
                 lld.checkpoints._serialize(lld._snapshot_checkpoint()),
                 report,
@@ -163,7 +168,7 @@ def test_parallel_scan_speedup(benchmark):
         "(simulated; wall ms is host time)",
         ["scan+decode ms", "total ms", "wall ms", "entries replayed"],
         {
-            "serial scan": [
+            "serial reference": [
                 serial_scan_ms,
                 serial_report.recovery_time_us / 1000.0,
                 serial_report.wall_seconds * 1000.0,

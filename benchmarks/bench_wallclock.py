@@ -12,8 +12,9 @@ implementations against the reference implementations kept in-tree —
   filled at ``add_block``, finished in place) vs
   :func:`repro.lld.segment.reference_seal` over an old-style
   copy-at-seal buffer — gated non-regressing, images byte-identical;
-* recovery: ``recover(replay="tuple")`` vs ``recover(replay="object")``
-  on the same platter — gated non-regressing, state identical;
+* recovery: ``recover`` vs the serial, object-based
+  :func:`~repro.lld.recovery_reference.reference_recover` on the same
+  platter — gated non-regressing, state identical;
 * write-storm / read-scan ops/sec — recorded for the trajectory.
 
 Results accumulate in ``benchmarks/results/BENCH_wallclock.json``;
@@ -31,8 +32,10 @@ from repro.disk.geometry import TRAILER_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.harness.reporting import format_table
 from repro.ld.types import FIRST, PhysAddr
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
+from repro.lld.recovery_reference import reference_recover
 from repro.lld.segment import SegmentBuffer, decode_segment, reference_seal
 from repro.lld.summary import (
     EntryKind,
@@ -323,7 +326,7 @@ def test_segment_assembly_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Recovery: tuple replay vs the object reference, real seconds
+# Recovery: the production pipeline vs the reference, real seconds
 # ----------------------------------------------------------------------
 
 
@@ -350,39 +353,29 @@ def _build_log(target_segments: int) -> SimulatedDisk:
 
 @pytest.mark.benchmark(group="wallclock")
 def test_recovery_scan_wallclock(benchmark):
-    """Tuple replay must not be slower than the object reference.
+    """Production recovery must not be slower than the reference.
 
     Both recoveries run over the same platter; the rebuilt persistent
     state must serialize identically (the fast path earns no speed by
     dropping correctness).
     """
     disk = _build_log(RECOVERY_SEGMENTS)
+    config = LLDConfig(checkpoint_slot_segments=2)
 
-    def run(replay: str):
-        lld, report = recover(
-            disk.power_cycle(),
-            replay=replay,
-            checkpoint_slot_segments=2,
-        )
-        return lld, report
+    def run(recover_fn):
+        return recover_fn(disk.power_cycle(), config=config)
 
-    ref_lld, ref_report = run("object")
-    fast_lld, fast_report = run("tuple")
+    ref_lld, ref_report = run(reference_recover)
+    fast_lld, fast_report = run(recover)
     identical = ref_lld.checkpoints._serialize(
         ref_lld._snapshot_checkpoint()
     ) == fast_lld.checkpoints._serialize(fast_lld._snapshot_checkpoint())
-    assert identical, "tuple replay rebuilt different state"
+    assert identical, "production recovery rebuilt different state"
     assert fast_report.entries_replayed == ref_report.entries_replayed
-    # Replay representation must not change *simulated* time.  The two
-    # recoveries start at different absolute clock values (power_cycle
-    # keeps the clock running), so allow float-subtraction jitter.
-    assert (
-        abs(fast_report.recovery_time_us - ref_report.recovery_time_us) < 0.01
-    ), "replay representation changed simulated time"
 
-    ref_s = _best_seconds(lambda: run("object"), repeats=3)
-    fast_s = _best_seconds(lambda: run("tuple"), repeats=3)
-    benchmark.pedantic(lambda: run("tuple"), rounds=1, iterations=1)
+    ref_s = _best_seconds(lambda: run(reference_recover), repeats=3)
+    fast_s = _best_seconds(lambda: run(recover), repeats=3)
+    benchmark.pedantic(lambda: run(recover), rounds=1, iterations=1)
 
     segs = fast_report.segments_replayed
     speedup = ref_s / fast_s
@@ -391,8 +384,8 @@ def test_recovery_scan_wallclock(benchmark):
         f"Wall clock — recovery of a {segs}-segment log (best-of-3)",
         ["wall ms", "segments/sec"],
         {
-            "object replay (reference)": [ref_s * 1000.0, segs / ref_s],
-            "tuple replay": [fast_s * 1000.0, segs / fast_s],
+            "reference_recover": [ref_s * 1000.0, segs / ref_s],
+            "recover": [fast_s * 1000.0, segs / fast_s],
         },
     )
     report_table("wallclock_recovery", table)
@@ -407,19 +400,12 @@ def test_recovery_scan_wallclock(benchmark):
         "speedup": round(speedup, 2),
         "gate": RECOVERY_SPEEDUP_GATE,
         "identical": identical,
-        # Same tolerance as the assertion above: the two runs start
-        # the absolute simulated clock at different magnitudes, so
-        # float summation can differ in the last ulp.
-        "simulated_us_identical": (
-            abs(fast_report.recovery_time_us - ref_report.recovery_time_us)
-            < 0.01
-        ),
     }
     _save()
     benchmark.extra_info["recovery_speedup"] = round(speedup, 2)
     assert speedup >= RECOVERY_SPEEDUP_GATE, (
-        f"tuple replay regressed to {speedup:.2f}x of the object "
-        f"reference (gate {RECOVERY_SPEEDUP_GATE}x)"
+        f"recovery regressed to {speedup:.2f}x of reference_recover "
+        f"(gate {RECOVERY_SPEEDUP_GATE}x)"
     )
 
 

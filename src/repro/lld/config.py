@@ -2,7 +2,7 @@
 
 The :class:`~repro.lld.lld.LLD` constructor grew a knob per PR
 (write-behind depth, group commit, cleaner thresholds, cache size,
-recovery parallelism…).  This module consolidates them: construct an
+recovery workers…).  This module consolidates them: construct an
 :class:`LLDConfig` and pass it as ``LLD(disk, config=cfg)``, or keep
 using the historical keyword arguments — ``LLD(disk,
 writeback_depth=8)`` — which :meth:`LLDConfig.from_kwargs` folds into
@@ -36,8 +36,7 @@ class LLDConfig:
       ``cleaner_policy``
     * write pipeline: ``writeback_depth``, ``group_commit``,
       ``group_commit_max_parked``, ``group_commit_timeout_us``
-    * recovery: ``recovery_parallel``, ``recovery_workers``,
-      ``recovery_executor``, ``recovery_mode``,
+    * recovery: ``recovery_workers``, ``recovery_mode``,
       ``restore_tail_window``, ``restore_drain_segments``
     * observability: ``metrics``, ``recorder_events``,
       ``flight_dump_path``
@@ -56,14 +55,9 @@ class LLDConfig:
     group_commit: bool = False
     group_commit_max_parked: int = 8
     group_commit_timeout_us: float = 10_000.0
-    recovery_parallel: bool = True
+    #: Decode lanes of the recovery scan: host threads for the
+    #: CRC + summary decode, and the overlap the cost model charges.
     recovery_workers: int = 4
-    #: Worker pool flavor for the parallel scan's CRC+decode lanes:
-    #: ``"thread"`` (GIL-bound but cheap to start) or ``"process"``
-    #: (a ``multiprocessing`` pool that wins wall-clock time on large
-    #: scans).  Simulated time is identical either way — the pool
-    #: flavor is a host-side detail the cost model never sees.
-    recovery_executor: str = "thread"
     #: ``"eager"`` replays the whole log before the volume opens (the
     #: classic scan); ``"instant"`` opens the volume right after the
     #: checkpoint + summary-index pass and replays segments on demand
@@ -123,10 +117,6 @@ class LLDConfig:
         if self.recovery_workers < 1:
             raise ValueError(
                 f"recovery_workers must be >= 1, got {self.recovery_workers}"
-            )
-        if self.recovery_executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown recovery_executor: {self.recovery_executor!r}"
             )
         if self.recovery_mode not in ("eager", "instant"):
             raise ValueError(f"unknown recovery_mode: {self.recovery_mode!r}")

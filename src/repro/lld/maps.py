@@ -23,7 +23,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.records import BlockVersion, ChainRoot, ListVersion
 from repro.core.versions import VersionState
-from repro.ld.types import BlockId, ListId
 
 #: How far past the current dense range an identifier may land while
 #: still being stored densely (the gap is filled with None).  Beyond
@@ -105,17 +104,19 @@ class _RootTable:
             for ident in sorted(self._sparse):
                 yield ident, self._sparse[ident]
 
+    def persistent_items(self) -> Iterator[Tuple[int, object]]:
+        """Iterate (id, persistent record) for every id that has one."""
+        for ident, root in self.items():
+            if root.persistent is not None:
+                yield ident, root.persistent
+
 
 class BlockNumberMap(_RootTable):
     """Logical block id -> chain root (persistent record + alternatives)."""
 
     __slots__ = ()
 
-    def persistent_blocks(self) -> Iterator[Tuple[BlockId, BlockVersion]]:
-        """Iterate (id, persistent record) for all persistent blocks."""
-        for block_id, root in self.items():
-            if root.persistent is not None:
-                yield BlockId(block_id), root.persistent
+    persistent_blocks = _RootTable.persistent_items
 
     def install_persistent(self, record: BlockVersion) -> None:
         """Install a persistent record (recovery / checkpoint load)."""
@@ -129,11 +130,7 @@ class ListTable(_RootTable):
 
     __slots__ = ()
 
-    def persistent_lists(self) -> Iterator[Tuple[ListId, ListVersion]]:
-        """Iterate (id, persistent record) for all persistent lists."""
-        for list_id, root in self.items():
-            if root.persistent is not None:
-                yield ListId(list_id), root.persistent
+    persistent_lists = _RootTable.persistent_items
 
     def install_persistent(self, record: ListVersion) -> None:
         """Install a persistent record (recovery / checkpoint load)."""

@@ -23,53 +23,36 @@ Recovery is always to the most recent *persistent* version
 The result is a fully operational :class:`~repro.lld.lld.LLD` plus a
 :class:`RecoveryReport` describing what was found.
 
-Two scan implementations share the classification rules:
-
-* The **batched pipeline** (default, ``parallel=True``) reads
-  trailers — or, when segments are small enough that streaming beats
-  seeking, whole segments in one sequential sweep — via
-  :meth:`~repro.disk.simdisk.SimulatedDisk.read_many`, then
-  CRC-checks and decodes the replay candidates on a
-  ``concurrent.futures`` worker pool (``zlib.crc32`` releases the
-  GIL, so the host-side work overlaps on multi-core machines) while
-  the simulated CPU cost is charged at the critical-path share via
-  :meth:`~repro.disk.clock.CostMeter.charge` ``lanes``.
-* The **serial fallback** (``parallel=False``) peeks and decodes one
-  segment at a time, exactly as a minimal implementation would.
-
-Both rebuild byte-identical logical-disk state; the pipeline is just
-faster, which the differential tests and ``bench_recovery`` pin down.
-
-Wall-clock fast paths (host speed; simulated time is unaffected):
-
-* The decode pool flavor is selectable via the ``recovery_executor``
-  config knob: ``"thread"`` (default) or ``"process"``, a
-  ``multiprocessing`` pool that sidesteps the GIL for the Python-side
-  summary decode and falls back to threads when the host cannot spawn
-  processes.  Either flavor charges the same simulated ``lanes``.
-* Replay consumes the raw summary field tuples
-  (:attr:`~repro.lld.segment.DecodedSegment.entry_tuples`) through
-  :meth:`_ReplayState.apply_tuple` — no ``SummaryEntry``/``EntryKind``
-  objects on the hot path.  ``recover(replay="object")`` keeps the
-  original object-based replay as a differential reference; the
-  crash-sweep identity tests run both and compare state.
+:func:`recover` runs that procedure as **one pipeline**, each rule
+written once: :func:`_scan` (steps 1–2) → :func:`_resolve_outcomes`
+(step 3) → :class:`ReplayRules` (steps 4 and 6) → :func:`_install`
+(step 5).  ``mode`` changes two things and nothing else: *what the
+scan reads and how it decodes* (eager: whole bodies, whole-segment
+CRC, decoded on a thread pool and charged at the critical-path share;
+instant: one tail window per segment, summary CRC), and *where the
+records live and when replay runs* (eager: plain dicts, replayed
+before the volume opens, then bulk-installed; instant: the live
+tables, replayed on demand by a :class:`RestoreController` behind a
+log-order watermark).  docs/RECOVERY.md tells the whole story;
+:func:`repro.lld.recovery_reference.reference_recover` is the
+differential oracle and shares none of this module's rule code.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Set, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.records import BlockVersion, ListVersion
 from repro.core.versions import VersionState
-from repro.disk.geometry import TRAILER_SIZE, DiskGeometry
+from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
-from repro.errors import MediaError
-from repro.ld.types import ARU_NONE, SYSTEM_ID_BASE, BlockId, ListId, PhysAddr
+from repro.errors import DiskFullError
+from repro.ld.types import SYSTEM_ID_BASE, PhysAddr
 from repro.lld.checkpoint import CheckpointData
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.segment import (
     DecodedSegment,
@@ -87,8 +70,6 @@ from repro.lld.summary import (
     KIND_NEW_LIST,
     KIND_PREPARE,
     KIND_WRITE,
-    EntryKind,
-    SummaryEntry,
 )
 from repro.lld.usage import QUARANTINE_SEQ, SegmentState
 
@@ -124,16 +105,9 @@ class RecoveryReport:
     max_xid: int = 0
     orphan_blocks_freed: List[int] = dataclasses.field(default_factory=list)
     recovery_time_us: float = 0.0
-    #: Scan implementation actually used and its worker count.
-    parallel: bool = False
+    #: Decode lanes the scan was allowed (host threads, and the
+    #: simulated overlap charged for them).
     workers: int = 1
-    #: Decode pool flavor actually used by the batched scan:
-    #: ``"thread"``, ``"process"``, or ``"serial"`` when no pool ran
-    #: (serial scan, or a single candidate).
-    executor: str = "serial"
-    #: Replay representation used: ``"tuple"`` (fast path) or
-    #: ``"object"`` (the reference implementation).
-    replay: str = "tuple"
     #: Simulated microseconds per phase: ``scan`` (classification
     #: reads), ``decode`` (CRC + summary decode), ``replay`` (the two
     #: passes and the orphan sweep), ``install`` (tables, usage,
@@ -181,724 +155,550 @@ class RecoveryReport:
         return self.recovery_time_us
 
 
-def peek_trailer_seq(disk: SimulatedDisk, seg: int) -> Optional[int]:
-    """Read just a segment's trailer and return its log sequence
-    number, or None when the trailer is not a valid LLD trailer.
+# ======================================================================
+# Replay: the per-entry rules, and the two places records can live
+# ======================================================================
 
-    This does not checksum the body; callers must fully decode any
-    segment whose contents they intend to replay.
+
+class _PersistentRecords:
+    """Mapping view (id -> record) of a live table's persistent slots.
+
+    Instant restore's record store: the volume serves from these very
+    tables while replay catches up, so a replayed entry is visible to
+    traffic the moment it is applied.  Alternative records chained off
+    the same roots by live traffic are never touched.  (Eager recovery
+    needs no counterpart: nothing observes its records before the log
+    is replayed, so they live in a plain ``dict``.)
     """
-    geometry = disk.geometry
-    raw = disk.read(seg, geometry.segment_size - TRAILER_SIZE, TRAILER_SIZE)
-    parsed = parse_trailer(raw)
-    return None if parsed is None else parsed[0]
+
+    def __init__(self, table) -> None:
+        self._table = table
+        self.items = table.persistent_items
+
+    def get(self, ident: int):
+        root = self._table.root(ident)
+        return root.persistent if root is not None else None
+
+    def __setitem__(self, ident: int, record) -> None:
+        self._table.root(ident, create=True).persistent = record
+
+    def __delitem__(self, ident: int) -> None:
+        root = self._table.root(ident)
+        root.persistent = None
+        self._table.drop_if_empty(ident)
 
 
-class _ReplayState:
-    """Mutable table state during replay (plain dicts for speed)."""
+class ReplayRules:
+    """The log replay rules, written once.
 
-    def __init__(self) -> None:
-        # block id -> [allocated, addr(seg,slot) | None, successor|0,
-        #              list_id|0, timestamp]
-        self.blocks: Dict[int, List] = {}
-        self.lists: Dict[int, List] = {}
-        self.max_block = 0
-        self.max_list = 0
-        self.max_aru = 0
+    ``blocks`` and ``lists`` map ids to persistent
+    :class:`BlockVersion` / :class:`ListVersion` records and say where
+    those live — two plain dicts, or :class:`_PersistentRecords` views
+    of the live tables; the rules themselves (one per summary entry
+    kind, plus the orphan sweep) do not care.  A persistent record is
+    always allocated — deallocation removes it — so presence is the
+    allocation test.  Entries arrive as the raw field tuples of
+    :func:`~repro.lld.summary.decode_entry_tuples`:
+    ``(kind, aru_tag, timestamp, a[, b[, c]])``.
+
+    ``committed`` is the set of ARU tags whose entries replay;
+    ``report`` is where replayed/discarded work is counted.
+    """
+
+    def __init__(
+        self, blocks, lists, committed: Set[int], report: RecoveryReport
+    ) -> None:
+        self.blocks = blocks
+        self.lists = lists
+        self.committed = committed
+        self.report = report
+        self.discarded_arus: Set[int] = set()
+        self.orphans_freed: Set[int] = set()
 
     def load_checkpoint(self, ckpt: CheckpointData) -> None:
+        """Seed the records with the checkpoint's persistent state."""
         for blk in ckpt.blocks:
-            addr = (blk.segment, blk.slot) if blk.has_addr else None
-            self.blocks[blk.block_id] = [
-                True,
-                addr,
-                blk.successor,
-                blk.list_id,
-                blk.timestamp,
-            ]
+            self.blocks[blk.block_id] = BlockVersion(
+                blk.block_id,
+                VersionState.PERSISTENT,
+                address=(
+                    PhysAddr(blk.segment, blk.slot) if blk.has_addr else None
+                ),
+                successor=blk.successor or None,
+                list_id=blk.list_id or None,
+                timestamp=blk.timestamp,
+            )
         for lst in ckpt.lists:
-            self.lists[lst.list_id] = [
-                True,
-                lst.first,
-                lst.last,
-                lst.count,
-                lst.timestamp,
-            ]
+            self.lists[lst.list_id] = ListVersion(
+                lst.list_id,
+                VersionState.PERSISTENT,
+                first=lst.first or None,
+                last=lst.last or None,
+                count=lst.count,
+                timestamp=lst.timestamp,
+            )
 
-    # -- entry application -------------------------------------------
-    #
-    # Two entry representations funnel into one set of replay rules:
-    # ``apply`` takes the reference ``SummaryEntry`` objects,
-    # ``apply_tuple`` the raw field tuples of the batch decoder.  The
-    # non-trivial rules (delete, link, unlink) live in shared helpers
-    # taking plain ints, so the two paths cannot drift.
+    def replay_segment(self, decoded: DecodedSegment) -> None:
+        """Redo one segment's entries in log order.
 
-    def apply(self, entry: SummaryEntry, segment_no: int) -> bool:
-        """Apply one summary entry (reference path); False on conflict."""
-        kind = entry.kind
-        if kind is EntryKind.WRITE:
-            blk = self.blocks.get(entry.a)
-            if blk is None or not blk[0]:
-                return False
-            blk[1] = (segment_no, entry.b)
-            blk[4] = entry.timestamp
-            return True
-        if kind is EntryKind.ALLOC_BLOCK:
-            self.blocks[entry.a] = [True, None, 0, 0, entry.timestamp]
-            if entry.a < SYSTEM_ID_BASE:
-                self.max_block = max(self.max_block, entry.a)
-            return True
-        if kind is EntryKind.DELETE_BLOCK:
-            return self._apply_delete_block(entry.a)
-        if kind is EntryKind.NEW_LIST:
-            self.lists[entry.a] = [True, 0, 0, 0, entry.timestamp]
-            if entry.a < SYSTEM_ID_BASE:
-                self.max_list = max(self.max_list, entry.a)
-            return True
-        if kind is EntryKind.DELETE_LIST:
-            return self._apply_delete_list(entry.a)
-        if kind is EntryKind.LINK:
-            return self._apply_link(entry.a, entry.b, entry.c, entry.timestamp)
-        return True  # COMMIT entries carry no table state
-
-    def apply_tuple(self, fields: Tuple[int, ...], segment_no: int) -> bool:
-        """Apply one raw entry tuple (fast path); False on conflict.
-
-        ``fields`` is ``(kind, aru_tag, timestamp, a[, b[, c]])``
-        exactly as :func:`~repro.lld.summary.decode_entry_tuples`
-        unpacked it.
+        Simple entries (tag 0) always apply; an entry tagged with an
+        ARU applies only if that ARU committed — the undo of
+        uncommitted ARUs, by never redoing them.
         """
+        report = self.report
+        report.segments_replayed += 1
+        segment_no = decoded.segment_no
+        committed = self.committed
+        discarded_arus = self.discarded_arus
+        apply = self.apply
+        replayed = discarded = conflicts = 0
+        for fields in decoded.entry_tuples:
+            tag = fields[1]
+            if tag and tag not in committed and fields[0] != KIND_COMMIT:
+                discarded += 1
+                discarded_arus.add(tag)
+            elif apply(fields, segment_no):
+                replayed += 1
+            else:
+                conflicts += 1
+        report.entries_replayed += replayed
+        report.entries_discarded += discarded
+        report.replay_conflicts += conflicts
+
+    def apply(self, fields: Tuple[int, ...], segment_no: int) -> bool:
+        """Apply one summary entry; False on conflict."""
         kind = fields[0]
         if kind == KIND_WRITE:
-            blk = self.blocks.get(fields[3])
-            if blk is None or not blk[0]:
+            rec = self.blocks.get(fields[3])
+            if rec is None:
                 return False
-            blk[1] = (segment_no, fields[4])
-            blk[4] = fields[2]
+            rec.address = PhysAddr(segment_no, fields[4])
+            rec.timestamp = fields[2]
             return True
         if kind == KIND_ALLOC_BLOCK:
-            a = fields[3]
-            self.blocks[a] = [True, None, 0, 0, fields[2]]
-            if a > self.max_block and a < SYSTEM_ID_BASE:
-                self.max_block = a
+            self.blocks[fields[3]] = BlockVersion(
+                fields[3], VersionState.PERSISTENT, timestamp=fields[2]
+            )
             return True
         if kind == KIND_DELETE_BLOCK:
-            return self._apply_delete_block(fields[3])
+            return self._delete_block(fields[3])
         if kind == KIND_NEW_LIST:
-            a = fields[3]
-            self.lists[a] = [True, 0, 0, 0, fields[2]]
-            if a > self.max_list and a < SYSTEM_ID_BASE:
-                self.max_list = a
+            self.lists[fields[3]] = ListVersion(
+                fields[3], VersionState.PERSISTENT, timestamp=fields[2]
+            )
             return True
         if kind == KIND_DELETE_LIST:
-            return self._apply_delete_list(fields[3])
+            return self._delete_list(fields[3])
         if kind == KIND_LINK:
-            return self._apply_link(fields[3], fields[4], fields[5], fields[2])
-        return True  # COMMIT entries carry no table state
+            return self._link(fields[3], fields[4], fields[5], fields[2])
+        return True  # COMMIT/PREPARE/DECIDE carry no table state
 
-    def _apply_delete_block(self, block_id: int) -> bool:
-        blk = self.blocks.get(block_id)
-        if blk is None or not blk[0]:
+    def _delete_block(self, block_id: int) -> bool:
+        rec = self.blocks.get(block_id)
+        if rec is None:
             return False
-        list_id = blk[3]
-        if list_id:
-            lst = self.lists.get(list_id)
-            if lst is not None and lst[0]:
-                self._unlink(lst, block_id)
+        if rec.list_id is not None:
+            lst = self.lists.get(rec.list_id)
+            if lst is not None:
+                self._unlink(lst, block_id, rec.successor)
         del self.blocks[block_id]
         return True
 
-    def _apply_delete_list(self, list_id: int) -> bool:
+    def _delete_list(self, list_id: int) -> bool:
         lst = self.lists.get(list_id)
-        if lst is None or not lst[0]:
+        if lst is None:
             return False
-        cursor = lst[1]
-        while cursor:
+        cursor = lst.first
+        while cursor is not None:
             member = self.blocks.get(cursor)
-            nxt = member[2] if member else 0
-            if member is not None:
-                del self.blocks[cursor]
-            cursor = nxt
+            if member is None:
+                break
+            del self.blocks[cursor]
+            cursor = member.successor
         del self.lists[list_id]
         return True
 
-    def _apply_link(
+    def _link(
         self, list_id: int, block_id: int, pred_id: int, timestamp: int
     ) -> bool:
         lst = self.lists.get(list_id)
         blk = self.blocks.get(block_id)
-        if lst is None or not lst[0] or blk is None or not blk[0]:
+        if lst is None or blk is None:
             return False
-        if blk[3]:
+        if blk.list_id is not None:
             return False  # already in a list
         if pred_id == 0:
-            blk[2] = lst[1]
-            if not lst[1]:
-                lst[2] = block_id
-            lst[1] = block_id
+            blk.successor = lst.first
+            if lst.first is None:
+                lst.last = block_id
+            lst.first = block_id
         else:
             pred = self.blocks.get(pred_id)
-            if pred is None or not pred[0] or pred[3] != list_id:
+            if pred is None or pred.list_id != list_id:
                 return False
-            blk[2] = pred[2]
-            pred[2] = block_id
-            if lst[2] == pred_id:
-                lst[2] = block_id
-        blk[3] = list_id
-        lst[3] += 1
-        lst[4] = timestamp
+            blk.successor = pred.successor
+            pred.successor = block_id
+            if lst.last == pred_id:
+                lst.last = block_id
+        blk.list_id = list_id
+        lst.count += 1
+        lst.timestamp = timestamp
         return True
 
-    def _unlink(self, lst: List, block_id: int) -> None:
-        """Remove ``block_id`` from list state ``lst`` (best effort)."""
-        target = self.blocks.get(block_id)
-        successor = target[2] if target else 0
-        if lst[1] == block_id:
-            lst[1] = successor
-            if lst[2] == block_id:
-                lst[2] = 0
-            lst[3] -= 1
+    def _unlink(self, lst: ListVersion, block_id: int, successor) -> None:
+        """Remove ``block_id`` from list record ``lst`` (best effort)."""
+        if lst.first == block_id:
+            lst.first = successor
+            if lst.last == block_id:
+                lst.last = None
+            lst.count -= 1
             return
-        cursor = lst[1]
-        while cursor:
+        cursor = lst.first
+        while cursor is not None:
             node = self.blocks.get(cursor)
             if node is None:
                 return
-            if node[2] == block_id:
-                node[2] = successor
-                if lst[2] == block_id:
-                    lst[2] = cursor
-                lst[3] -= 1
+            if node.successor == block_id:
+                node.successor = successor
+                if lst.last == block_id:
+                    lst.last = cursor
+                lst.count -= 1
                 return
-            cursor = node[2]
+            cursor = node.successor
 
-    # -- consistency sweep -------------------------------------------
+    def sweep_orphans(self, below: Optional[int] = None) -> List[int]:
+        """Free allocated blocks that are members of no list.
 
-    def sweep_orphans(self) -> List[int]:
-        """Free allocated blocks that are members of no list."""
+        Such blocks were allocated by ARUs that never committed.
+        ``below`` restricts the sweep to ids under it: an instant
+        restore passes the block counter at open, because ids handed
+        out by live traffic since then may legitimately sit in
+        unfolded committed versions the persistent walk cannot see.
+        (Traffic can never link an older block into a list — blocks
+        are only ever inserted at allocation — so membership computed
+        from the persistent chains is exact for the ids considered.)
+        """
         members: Set[int] = set()
-        for lst in self.lists.values():
-            cursor = lst[1]
-            while cursor and cursor not in members:
+        for _lid, lst in self.lists.items():
+            cursor = lst.first
+            while cursor is not None and cursor not in members:
                 members.add(cursor)
                 node = self.blocks.get(cursor)
-                cursor = node[2] if node else 0
+                cursor = node.successor if node is not None else None
         orphans = [
             bid
-            for bid, blk in self.blocks.items()
-            if blk[0] and bid not in members and not blk[3]
+            for bid, rec in self.blocks.items()
+            if (below is None or bid < below)
+            and bid not in members
+            and rec.list_id is None
         ]
         for bid in orphans:
             del self.blocks[bid]
         return orphans
 
+    def finish(self, sweep_orphans: bool, below: Optional[int] = None) -> None:
+        """Close the books once the last segment is replayed: run the
+        consistency sweep and report what was undone and freed."""
+        if sweep_orphans:
+            self.orphans_freed.update(self.sweep_orphans(below))
+        self.report.arus_discarded = len(self.discarded_arus)
+        self.report.discarded_aru_ids = sorted(self.discarded_arus)
+        self.report.orphan_blocks_freed = sorted(self.orphans_freed)
 
-def _charge_decode(lld: LLD, raw_kb: float, entries: int, lanes: int) -> None:
-    """Charge CRC + summary-decode CPU time for a decode attempt.
-
-    ``lanes`` > 1 models the worker pool overlapping the work: the
-    counters record everything, the clock only advances the
-    critical-path share.
-    """
-    if raw_kb:
-        lld.meter.charge("crc_kb_us", raw_kb, lanes=lanes)
-    if entries:
-        lld.meter.charge("decode_entry_us", entries, lanes=lanes)
+    def live_counts(self) -> Dict[int, int]:
+        """Live data slots per segment, from the records' addresses."""
+        counts: Dict[int, int] = {}
+        for _bid, rec in self.blocks.items():
+            if rec.address is not None:
+                seg = rec.address.segment
+                counts[seg] = counts.get(seg, 0) + 1
+        return counts
 
 
-def _scan_serial(
+# ======================================================================
+# The pipeline stages: scan, resolve outcomes, install
+# ======================================================================
+
+
+@dataclasses.dataclass
+class _Scan:
+    """What the scan found, in the orders the install depends on."""
+
+    #: Decoded segments newer than the checkpoint, in log (seq) order.
+    replayable: List[DecodedSegment]
+    #: Segments the checkpoint roster attests: seg -> (seq, live,
+    #: total), in ascending segment order.
+    ckpt_segments: Dict[int, Tuple[int, int, int]]
+    #: Free space (never written, torn, corrupt or stale), ascending.
+    invalid: List[int]
+    #: Retired media (roster sentinel or I/O error now), ascending.
+    quarantined: List[int]
+
+
+def _scan(
     lld: LLD,
-    disk: SimulatedDisk,
     ckpt: CheckpointData,
-    reserved: int,
     report: RecoveryReport,
-) -> Tuple[
-    List[DecodedSegment],
-    Dict[int, Tuple[int, int, int]],
-    List[int],
-    List[int],
-]:
-    """One-segment-at-a-time scan: trailer peek, then body decode."""
-    geometry = disk.geometry
-    clock = disk.clock
-    raw_kb = geometry.segment_size / 1024.0
-    replayable: List[DecodedSegment] = []
-    ckpt_segments: Dict[int, Tuple[int, int, int]] = {}
-    invalid: List[int] = []
-    quarantined: List[int] = []
-    decode_us = 0.0
-    scan_start = clock.now_us
-    for seg in range(reserved, geometry.num_segments):
-        report.segments_scanned += 1
-        roster = ckpt.segments.get(seg)
-        if roster is not None and roster[0] == QUARANTINE_SEQ:
-            # An earlier scrub retired this segment; whatever the
-            # platter holds now must never be trusted — don't read it.
-            quarantined.append(seg)
-            continue
-        try:
-            trailer_seq = peek_trailer_seq(disk, seg)
-        except MediaError:
-            # The hardware reports the fault, so the retirement can be
-            # made permanent (unlike a failed CRC, which could just be
-            # a torn rewrite of a freed segment).
-            report.segments_unreadable += 1
-            quarantined.append(seg)
-            continue
-        if trailer_seq is None:
-            report.segments_invalid += 1
-            invalid.append(seg)
-            continue
-        if trailer_seq > ckpt.last_log_seq:
-            try:
-                raw = disk.read_segment(seg)
-            except MediaError:
-                report.segments_unreadable += 1
-                quarantined.append(seg)
-                continue
-            mark = clock.now_us
-            decoded = decode_segment(raw, geometry, seg)
-            _charge_decode(
-                lld, raw_kb, decoded.entry_count if decoded else 0, lanes=1
-            )
-            decode_us += clock.now_us - mark
-            if decoded is None:
-                # Valid-looking trailer but a torn/corrupt body.
-                report.segments_invalid += 1
-                invalid.append(seg)
-                continue
-            replayable.append(decoded)
-        elif roster is not None and roster[0] == trailer_seq:
-            ckpt_segments[seg] = roster
-        else:
-            # Valid trailer but freed before the checkpoint: stale.
-            invalid.append(seg)
-    report.phase_us["scan"] = clock.now_us - scan_start - decode_us
-    report.phase_us["decode"] = decode_us
-    return replayable, ckpt_segments, invalid, quarantined
-
-
-#: Geometry handed to decode worker processes once at pool start, so
-#: each task ships only (segment number, raw bytes).
-_POOL_GEOMETRY: Optional[DiskGeometry] = None
-
-
-def _decode_pool_init(
-    block_size: int, segment_size: int, num_segments: int
-) -> None:
-    global _POOL_GEOMETRY
-    _POOL_GEOMETRY = DiskGeometry(block_size, segment_size, num_segments)
-
-
-def _decode_pool_task(item: Tuple[int, bytes]):
-    """Decode one segment in a worker process.
-
-    Returns the picklable essence of a :class:`DecodedSegment` — the
-    parent reattaches the raw body it already holds, so the large
-    image crosses the process boundary only once (parent → child).
-    """
-    seg, raw = item
-    decoded = decode_segment(raw, _POOL_GEOMETRY, seg)
-    if decoded is None:
-        return None
-    return (
-        decoded.seq,
-        decoded.block_count,
-        decoded.entry_tuples,
-        decoded.summary_start,
-        decoded.summary_len,
-    )
-
-
-def _decode_with_processes(
-    geometry: DiskGeometry,
-    bodies: Dict[int, bytes],
-    decodable: List[int],
-    lanes: int,
-) -> Optional[List[Optional[DecodedSegment]]]:
-    """Decode candidates on a ``multiprocessing`` pool.
-
-    Returns the decoded list (entries aligned with ``decodable``), or
-    None when the host cannot run a process pool — the caller falls
-    back to threads.  Wall-clock only: the simulated cost charge is
-    identical for every pool flavor.
-    """
-    try:
-        with ProcessPoolExecutor(
-            max_workers=lanes,
-            initializer=_decode_pool_init,
-            initargs=(
-                geometry.block_size,
-                geometry.segment_size,
-                geometry.num_segments,
-            ),
-        ) as pool:
-            packed = list(
-                pool.map(
-                    _decode_pool_task,
-                    [(seg, bodies[seg]) for seg in decodable],
-                    chunksize=max(1, len(decodable) // (lanes * 4) or 1),
-                )
-            )
-    except (OSError, ImportError, BrokenProcessPool):
-        return None
-    out: List[Optional[DecodedSegment]] = []
-    for seg, item in zip(decodable, packed):
-        if item is None:
-            out.append(None)
-            continue
-        seq, nblocks, entry_tuples, summary_start, summary_len = item
-        out.append(
-            DecodedSegment(
-                segment_no=seg,
-                seq=seq,
-                entry_tuples=entry_tuples,
-                block_count=nblocks,
-                raw=bodies[seg],
-                geometry=geometry,
-                summary_start=summary_start,
-                summary_len=summary_len,
-            )
-        )
-    return out
-
-
-def _scan_batched(
-    lld: LLD,
-    disk: SimulatedDisk,
-    ckpt: CheckpointData,
-    reserved: int,
-    report: RecoveryReport,
+    instant: bool,
     workers: int,
-    executor: str = "thread",
-) -> Tuple[
-    List[DecodedSegment],
-    Dict[int, Tuple[int, int, int]],
-    List[int],
-    List[int],
-]:
-    """Batched, pipelined scan.
+) -> _Scan:
+    """Classify every log segment and decode the replay candidates.
 
-    Phase 1 (scan): one :meth:`read_many` batch fetches either every
-    trailer or — when the geometry makes streaming a whole segment
-    cheaper than seeking past it — every segment body in a single
-    sequential sweep.  Phase 2 (decode): replay candidates are
-    CRC-checked and decoded on a thread pool; simulated CPU cost is
-    charged at the critical-path share (``lanes``).
+    Trailer-first: only segments newer than the checkpoint need more
+    than their trailer; checkpoint-covered segments are attested by
+    the roster, everything else is free space.  This is what makes
+    checkpoints shrink recovery *time*, not just replay work.
 
-    Classification is rule-for-rule identical to :func:`_scan_serial`,
-    and statuses are resolved in ascending segment order, so the
-    rebuilt state (including the usage free-list order) matches the
-    serial scan byte for byte.
+    ``instant`` picks the read plan and the decoder, never the
+    classification: eager must end up holding whole bodies (checked
+    by the whole-segment CRC), instant reads one tail window per
+    segment (checked by the summary CRC).
     """
-    geometry = disk.geometry
+    disk = lld.disk
     clock = disk.clock
-    segment_size = geometry.segment_size
-    model = disk.timer.model
+    size = disk.geometry.segment_size
     scan_start = clock.now_us
-
-    segs = list(range(reserved, geometry.num_segments))
-    report.segments_scanned += len(segs)
+    segs = range(lld.checkpoints.reserved_segments, disk.geometry.num_segments)
+    report.segments_scanned = len(segs)
+    scan = _Scan([], {}, [], [])
 
     # Segments the checkpoint roster records as quarantined are never
     # read: whatever the platter holds must not be trusted.
-    status: Dict[int, str] = {}
+    scan_segs = []
     for seg in segs:
         roster = ckpt.segments.get(seg)
         if roster is not None and roster[0] == QUARANTINE_SEQ:
-            status[seg] = "quarantined"
-    scan_segs = [seg for seg in segs if seg not in status]
+            scan.quarantined.append(seg)
+        else:
+            scan_segs.append(seg)
 
-    # Streaming a segment costs its transfer time; skipping to the
-    # next trailer costs a seek.  When the transfer is cheaper, the
-    # fastest scan reads *everything* in one sequential sweep (and the
-    # replay candidates then need no second read at all).
-    random_cost = (
-        model.avg_seek_us + model.avg_rotational_us + model.controller_overhead_us
-    )
-    sweep_bodies = model.transfer_us(segment_size) <= random_cost
-
-    bodies: Dict[int, bytes] = {}
-    trailer_by_seg: Dict[int, Optional[bytes]] = {}
-    if sweep_bodies:
-        results = disk.read_many(
-            [(seg, 0, segment_size) for seg in scan_segs], errors="none"
-        )
-        for seg, body in zip(scan_segs, results):
-            if body is not None:
-                bodies[seg] = body
-                trailer_by_seg[seg] = body[segment_size - TRAILER_SIZE :]
-            else:
-                trailer_by_seg[seg] = None
+    if instant:
+        window = min(size, max(TRAILER_SIZE, lld.config.restore_tail_window))
     else:
-        results = disk.read_many(
-            [
-                (seg, segment_size - TRAILER_SIZE, TRAILER_SIZE)
-                for seg in scan_segs
-            ],
-            errors="none",
+        # Streaming a segment costs its transfer time; skipping to the
+        # next trailer costs a seek.  When the transfer is cheaper, the
+        # fastest scan reads *everything* in one sequential sweep (and
+        # the replay candidates then need no second read at all).
+        model = disk.timer.model
+        random_cost = (
+            model.avg_seek_us
+            + model.avg_rotational_us
+            + model.controller_overhead_us
         )
-        for seg, raw in zip(scan_segs, results):
-            trailer_by_seg[seg] = raw
+        window = size if model.transfer_us(size) <= random_cost else TRAILER_SIZE
+    windows = disk.read_many(
+        [(seg, size - window, window) for seg in scan_segs], errors="none"
+    )
 
-    # Classify in ascending segment order (the order determines the
-    # rebuilt free list, so it must match the serial scan).
-    ckpt_segments: Dict[int, Tuple[int, int, int]] = {}
-    candidates: List[int] = []
-    for seg in scan_segs:
-        raw_trailer = trailer_by_seg[seg]
-        if raw_trailer is None:
+    candidates: Dict[int, bytes] = {}
+    for seg, raw in zip(scan_segs, windows):
+        if raw is None:
             # Hardware-reported fault: retire the segment permanently
             # (a failed CRC could just be a torn rewrite; an I/O error
             # cannot).
             report.segments_unreadable += 1
-            status[seg] = "quarantined"
+            scan.quarantined.append(seg)
             continue
-        parsed = parse_trailer(raw_trailer)
+        parsed = parse_trailer(raw[window - TRAILER_SIZE :])
         if parsed is None:
             report.segments_invalid += 1
-            status[seg] = "invalid"
+            scan.invalid.append(seg)
             continue
         trailer_seq = parsed[0]
         roster = ckpt.segments.get(seg)
         if trailer_seq > ckpt.last_log_seq:
-            status[seg] = "candidate"
-            candidates.append(seg)
+            candidates[seg] = raw
         elif roster is not None and roster[0] == trailer_seq:
-            ckpt_segments[seg] = roster
-            status[seg] = "ckpt"
+            scan.ckpt_segments[seg] = roster
         else:
             # Valid trailer but freed before the checkpoint: stale.
-            status[seg] = "invalid"
+            scan.invalid.append(seg)
 
-    # Fetch candidate bodies not already in hand, as one batch whose
-    # contiguous runs coalesce into sequential transfers.
-    missing = [seg for seg in candidates if seg not in bodies]
-    if missing:
-        results = disk.read_many(
-            [(seg, 0, segment_size) for seg in missing], errors="none"
+    if candidates and not instant and window < size:
+        # Candidate bodies, as one batch whose contiguous runs
+        # coalesce into sequential transfers.
+        bodies = disk.read_many(
+            [(seg, 0, size) for seg in candidates], errors="none"
         )
-        for seg, body in zip(missing, results):
+        for seg, body in zip(list(candidates), bodies):
             if body is None:
                 report.segments_unreadable += 1
-                status[seg] = "quarantined"
+                scan.quarantined.append(seg)
+                del candidates[seg]
             else:
-                bodies[seg] = body
-    decodable = [seg for seg in candidates if seg in bodies]
+                candidates[seg] = body
     report.phase_us["scan"] = clock.now_us - scan_start
 
-    # Decode pipeline: CRC + summary parse per candidate, overlapped
-    # across workers.  decode_segment is pure, so threads share
-    # nothing; results are collected in submission order.
     decode_start = clock.now_us
-    lanes = max(1, min(workers, len(decodable)))
-    decoded_list: Optional[List[Optional[DecodedSegment]]] = None
-    pool_flavor = "serial"
-    if lanes > 1 and executor == "process":
-        decoded_list = _decode_with_processes(geometry, bodies, decodable, lanes)
-        if decoded_list is not None:
-            pool_flavor = "process"
-    if decoded_list is None and lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            decoded_list = list(
-                pool.map(
-                    lambda seg: decode_segment(
-                        bodies[seg], geometry, seg
-                    ),
-                    decodable,
-                )
-            )
-        pool_flavor = "thread"
-    if decoded_list is None:
-        decoded_list = [
-            decode_segment(bodies[seg], geometry, seg)
-            for seg in decodable
-        ]
-    report.executor = pool_flavor
-    replayable: List[DecodedSegment] = []
-    total_entries = 0
-    for seg, decoded in zip(decodable, decoded_list):
-        if decoded is None:
-            # Valid-looking trailer but a torn/corrupt body.
-            report.segments_invalid += 1
-            status[seg] = "invalid"
-        else:
-            total_entries += decoded.entry_count
-            replayable.append(decoded)
-    _charge_decode(
-        lld,
-        len(decodable) * segment_size / 1024.0,
-        total_entries,
-        lanes=lanes,
-    )
+    decode = _decode_tails if instant else _decode_bodies
+    scan.replayable = decode(lld, candidates, workers, scan, report)
     report.phase_us["decode"] = clock.now_us - decode_start
 
-    invalid = [seg for seg in segs if status.get(seg) == "invalid"]
-    quarantined = [seg for seg in segs if status.get(seg) == "quarantined"]
-    return replayable, ckpt_segments, invalid, quarantined
+    # Ascending segment order fixes the rebuilt free-list order.
+    scan.invalid.sort()
+    scan.quarantined.sort()
+    return scan
 
 
-def recover(
-    disk: SimulatedDisk,
-    sweep_orphans: bool = True,
-    parallel: Optional[bool] = None,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    replay: str = "tuple",
-    config=None,
-    decided_xids: Optional[Set[int]] = None,
-    mode: Optional[str] = None,
-    **lld_kwargs,
-) -> Tuple[LLD, RecoveryReport]:
-    """Recover an :class:`LLD` instance from a (crashed) disk.
+def _decode_bodies(
+    lld: LLD,
+    bodies: Dict[int, bytes],
+    workers: int,
+    scan: _Scan,
+    report: RecoveryReport,
+) -> List[DecodedSegment]:
+    """Eager decoder: whole-segment CRC + summary parse per candidate,
+    overlapped across a thread pool.
 
-    Accepts the same keyword arguments as :class:`LLD` (mode,
-    visibility, cost model, ...) or a prebuilt
-    :class:`~repro.lld.config.LLDConfig` via ``config=``.
-    ``sweep_orphans=False`` skips the consistency sweep, exposing the
-    paper's intermediate state where blocks allocated by undone ARUs
-    remain allocated.
-
-    ``mode`` selects the recovery strategy (default: the config's
-    ``recovery_mode`` knob).  ``"eager"`` replays the whole log before
-    returning; ``"instant"`` loads the checkpoint, indexes the pending
-    log suffix from per-segment tail reads, and returns an *open*
-    volume immediately — requests touching a block or list whose
-    covering log suffix is not yet applied trigger redo-on-demand,
-    and a background sweep (auto-draining
-    ``restore_drain_segments`` per operation, or explicitly via
-    :meth:`~repro.lld.lld.LLD.restore_drain` /
-    :meth:`~repro.lld.lld.LLD.complete_restore`) drains the rest in
-    log order.  Once drained, the final state is byte-identical to
-    eager recovery (see docs/RECOVERY.md).
-
-    ``decided_xids`` supplies coordinator decisions from *another*
-    volume's log: a participant shard of a sharded volume
-    (:mod:`repro.shard`) rolls a PREPARE-tagged ARU forward iff its
-    transaction id appears in its own log/checkpoint or in this set,
-    and discards it otherwise (presumed abort).
-
-    ``parallel=True`` (the config default) uses the batched,
-    pipelined scan; ``parallel=False`` falls back to the serial
-    one-segment-at-a-time scan.  Both produce identical logical-disk
-    state; ``workers`` bounds the decode pool (and the simulated
-    overlap) of the pipeline.  When omitted, both come from the
-    config's ``recovery_parallel`` / ``recovery_workers`` knobs, as
-    does ``executor`` (``"thread"`` or ``"process"``, the host-side
-    decode pool flavor — wall-clock only, never simulated time).
-
-    ``replay`` selects the replay representation: ``"tuple"`` (the
-    wall-clock fast path over raw summary field tuples, the default)
-    or ``"object"`` (the original ``SummaryEntry``-based replay, kept
-    as a differential reference).  Both rebuild identical state.
+    :func:`decode_segment` is pure, so the threads share nothing;
+    results are collected in submission order.  ``lanes`` > 1 models
+    the pool overlapping the work in simulated time: the counters
+    record everything, the clock only advances the critical-path
+    share.
     """
-    from repro.lld.config import LLDConfig
+    geometry = lld.disk.geometry
+    lanes = max(1, min(workers, len(bodies)))
 
-    cost_model = lld_kwargs.pop("cost_model", None)
-    cfg = LLDConfig.from_kwargs(config, **lld_kwargs)
-    if parallel is None:
-        parallel = cfg.recovery_parallel
-    if workers is None:
-        workers = cfg.recovery_workers
-    if executor is None:
-        executor = cfg.recovery_executor
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown recovery executor: {executor!r}")
-    if replay not in ("tuple", "object"):
-        raise ValueError(f"unknown replay mode: {replay!r}")
-    if mode is None:
-        mode = cfg.recovery_mode
-    if mode not in ("eager", "instant"):
-        raise ValueError(f"unknown recovery mode: {mode!r}")
-    if mode == "instant":
-        return _recover_instant(
-            disk, sweep_orphans, workers, cfg, cost_model, decided_xids
-        )
-    wall_start = time.perf_counter()
-    start_us = disk.clock.now_us
-    batches_before = disk.timer.batches
-    runs_before = disk.timer.batched_runs
-    lld = LLD(disk, cost_model=cost_model, config=cfg, _defer_init=True)
-    lld.obs.record(
-        "recovery.start", parallel=parallel, workers=workers, executor=executor
-    )
-    lld.obs.metrics.counter("lld.recovery.recoveries").inc()
-    ckpt = lld.checkpoints.load()
-    report = RecoveryReport(
-        checkpoint_seq=ckpt.ckpt_seq,
-        parallel=parallel,
-        workers=workers,
-        replay=replay,
-    )
+    def decode(seg: int) -> Optional[DecodedSegment]:
+        return decode_segment(bodies[seg], geometry, seg)
 
-    state = _ReplayState()
-    state.load_checkpoint(ckpt)
-    state.max_block = ckpt.next_block_id - 1
-    state.max_list = ckpt.next_list_id - 1
-    state.max_aru = ckpt.next_aru_id - 1
-
-    # ---- scan segments ---------------------------------------------
-    # Trailer-first scan: only segments newer than the checkpoint need
-    # their bodies read and checksummed; checkpoint-covered segments
-    # are attested by the roster, everything else is free space.  This
-    # is what makes checkpoints shrink recovery *time*, not just
-    # replay work.
-    reserved = lld.checkpoints.reserved_segments
-    if parallel:
-        replayable, ckpt_segments, invalid, quarantined = _scan_batched(
-            lld, disk, ckpt, reserved, report, workers, executor
-        )
+    if lanes > 1:
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            results = list(pool.map(decode, bodies))
     else:
-        replayable, ckpt_segments, invalid, quarantined = _scan_serial(
-            lld, disk, ckpt, reserved, report
-        )
-    report.segments_quarantined = len(quarantined)
-    replayable.sort(key=lambda d: d.seq)
+        results = [decode(seg) for seg in bodies]
+    decoded: List[DecodedSegment] = []
+    for seg, result in zip(bodies, results):
+        if result is None:
+            # Valid-looking trailer but a torn/corrupt body.
+            report.segments_invalid += 1
+            scan.invalid.append(seg)
+        else:
+            decoded.append(result)
+    if bodies:
+        raw_kb = len(bodies) * geometry.segment_size / 1024.0
+        lld.meter.charge("crc_kb_us", raw_kb, lanes=lanes)
+    entries = sum(d.entry_count for d in decoded)
+    if entries:
+        lld.meter.charge("decode_entry_us", entries, lanes=lanes)
+    decoded.sort(key=lambda d: d.seq)
+    return decoded
 
-    # ---- pass 1: committed ARUs and coordinator decisions ----------
-    # COMMIT records commit their tag outright.  PREPARE records park
-    # their tag on a coordinator transaction id, which commits iff a
-    # DECIDE record for that xid is durable — in this volume's own
-    # checkpoint or log (the coordinator shard resolves itself), or in
-    # the ``decided_xids`` the sharded recovery read from shard 0.
-    replay_start = disk.clock.now_us
+
+def _decode_tails(
+    lld: LLD,
+    tails: Dict[int, bytes],
+    workers: int,
+    scan: _Scan,
+    report: RecoveryReport,
+) -> List[DecodedSegment]:
+    """Instant decoder: summaries from the tail windows alone.
+
+    A summary longer than its window costs one follow-up batched read
+    of exactly the missing bytes.  Only the summary CRC is charged
+    here; the per-entry decode cost is charged when a segment is
+    replayed, to whoever triggers that.
+    """
+    disk = lld.disk
+    geometry = disk.geometry
+    size = geometry.segment_size
+    decoded: List[DecodedSegment] = []
+    short: List[Tuple[int, int]] = []
+    for seg, tail in tails.items():
+        result = decode_segment_tail(tail, geometry, seg)
+        if isinstance(result, int):
+            short.append((seg, result))
+        elif result is None:
+            report.segments_invalid += 1
+            scan.invalid.append(seg)
+        else:
+            decoded.append(result)
+    if short:
+        longer = disk.read_many(
+            [(seg, size - needed, needed) for seg, needed in short],
+            errors="none",
+        )
+        for (seg, _needed), tail in zip(short, longer):
+            if tail is None:
+                report.segments_unreadable += 1
+                scan.quarantined.append(seg)
+                continue
+            result = decode_segment_tail(tail, geometry, seg)
+            if result is None or isinstance(result, int):
+                report.segments_invalid += 1
+                scan.invalid.append(seg)
+            else:
+                decoded.append(result)
+    decoded.sort(key=lambda d: d.seq)
+    tail_kb = sum((d.summary_len + TRAILER_SIZE) / 1024.0 for d in decoded)
+    if tail_kb:
+        lanes = max(1, min(workers, len(decoded)))
+        lld.meter.charge("crc_kb_us", tail_kb, lanes=lanes)
+    return decoded
+
+
+@dataclasses.dataclass
+class _Outcomes:
+    """Every ARU's fate and the id counters, settled before replay."""
+
+    #: ARU tags whose entries replay: COMMIT found, or PREPARE whose
+    #: transaction id was decided.
+    committed: Set[int]
+    #: Coordinator decisions this volume itself holds (checkpoint set
+    #: plus every DECIDE in its log).
+    own_decided: Set[int]
+    next_block_id: int
+    next_list_id: int
+    next_aru_id: int
+
+
+def _resolve_outcomes(
+    ckpt: CheckpointData,
+    replayable: Iterable[DecodedSegment],
+    decided_xids: Optional[Set[int]],
+    report: RecoveryReport,
+) -> _Outcomes:
+    """First pass over the log suffix: who committed, and the counters.
+
+    COMMIT records commit their tag outright.  PREPARE records park
+    their tag on a coordinator transaction id, which commits iff a
+    DECIDE record for that xid is durable — in this volume's own
+    checkpoint or log (the coordinator shard resolves itself), or in
+    the ``decided_xids`` the sharded recovery read from the decision
+    shards.  Resolution covers the whole suffix before any entry is
+    replayed (and, under instant restore, before the volume opens),
+    so a prepared ARU is never visible undecided.
+
+    ALLOC_BLOCK/NEW_LIST entries always carry tag 0 and always apply,
+    so the id counters are exact from this pass alone.  System-range
+    ids (replica mirrors) are forced, not counter-allocated; they
+    never advance the counters.
+    """
     committed: Set[int] = set()
     prepared: Dict[int, int] = {}
     own_decided: Set[int] = set(ckpt.decided_xids)
-    if replay == "tuple":
-        max_aru = state.max_aru
-        for decoded in replayable:
-            for fields in decoded.entry_tuples:
-                kind = fields[0]
-                if kind == KIND_COMMIT:
-                    tag = fields[1]
-                    committed.add(tag)
-                    if tag > max_aru:
-                        max_aru = tag
-                elif kind == KIND_PREPARE:
-                    tag = fields[1]
-                    prepared[tag] = fields[4]
-                    if tag > max_aru:
-                        max_aru = tag
-                elif kind == KIND_DECIDE:
-                    own_decided.add(fields[3])
-        state.max_aru = max_aru
-    else:
-        for decoded in replayable:
-            for entry in decoded.entries:
-                if entry.kind is EntryKind.COMMIT:
-                    committed.add(entry.aru_tag)
-                    state.max_aru = max(state.max_aru, entry.aru_tag)
-                elif entry.kind is EntryKind.PREPARE:
-                    prepared[entry.aru_tag] = entry.b
-                    state.max_aru = max(state.max_aru, entry.aru_tag)
-                elif entry.kind is EntryKind.DECIDE:
-                    own_decided.add(entry.a)
+    max_aru = ckpt.next_aru_id - 1
+    max_block = ckpt.next_block_id - 1
+    max_list = ckpt.next_list_id - 1
+    for decoded in replayable:
+        for fields in decoded.entry_tuples:
+            kind = fields[0]
+            tag = fields[1]
+            if tag > max_aru:
+                max_aru = tag
+            if kind == KIND_COMMIT:
+                committed.add(tag)
+            elif kind == KIND_PREPARE:
+                prepared[tag] = fields[4]
+            elif kind == KIND_DECIDE:
+                own_decided.add(fields[3])
+            elif kind == KIND_ALLOC_BLOCK:
+                if max_block < fields[3] < SYSTEM_ID_BASE:
+                    max_block = fields[3]
+            elif kind == KIND_NEW_LIST:
+                if max_list < fields[3] < SYSTEM_ID_BASE:
+                    max_list = fields[3]
     decided = own_decided | (decided_xids or set())
-    report.arus_prepared = len(prepared)
-    report.xids_decided = sorted(own_decided)
     rolled_forward: Set[int] = set()
     undecided: Set[int] = set()
     for tag, xid in prepared.items():
@@ -907,110 +707,44 @@ def recover(
             rolled_forward.add(xid)
         else:
             undecided.add(xid)
+    report.arus_prepared = len(prepared)
+    report.xids_decided = sorted(own_decided)
     report.xids_rolled_forward = sorted(rolled_forward)
     report.xids_discarded = sorted(undecided)
-    report.max_xid = max(
-        [0, *prepared.values(), *own_decided]
-    )
+    report.max_xid = max([0, *prepared.values(), *own_decided])
     report.arus_committed = len(committed)
+    return _Outcomes(
+        committed=committed,
+        own_decided=own_decided,
+        next_block_id=max_block + 1,
+        next_list_id=max_list + 1,
+        next_aru_id=max_aru + 1,
+    )
 
-    # ---- pass 2: replay ---------------------------------------------
-    discarded_arus: Set[int] = set()
-    if replay == "tuple":
-        # Fast path: raw field tuples, local counters, no attribute
-        # traffic in the inner loop.
-        replayed = discarded = conflicts = 0
-        max_aru = state.max_aru
-        apply_tuple = state.apply_tuple
-        for decoded in replayable:
-            report.segments_replayed += 1
-            segment_no = decoded.segment_no
-            for fields in decoded.entry_tuples:
-                tag = fields[1]
-                if tag > max_aru:
-                    max_aru = tag
-                if tag and tag not in committed and fields[0] != KIND_COMMIT:
-                    discarded += 1
-                    discarded_arus.add(tag)
-                    continue
-                if apply_tuple(fields, segment_no):
-                    replayed += 1
-                else:
-                    conflicts += 1
-        state.max_aru = max_aru
-        report.entries_replayed += replayed
-        report.entries_discarded += discarded
-        report.replay_conflicts += conflicts
-    else:
-        for decoded in replayable:
-            report.segments_replayed += 1
-            for entry in decoded.entries:
-                state.max_aru = max(state.max_aru, entry.aru_tag)
-                tag = entry.aru_tag
-                if (
-                    tag
-                    and tag not in committed
-                    and entry.kind is not EntryKind.COMMIT
-                ):
-                    report.entries_discarded += 1
-                    discarded_arus.add(tag)
-                    continue
-                if state.apply(entry, decoded.segment_no):
-                    report.entries_replayed += 1
-                else:
-                    report.replay_conflicts += 1
-    report.arus_discarded = len(discarded_arus)
-    report.discarded_aru_ids = sorted(discarded_arus)
 
-    # ---- consistency sweep ------------------------------------------
-    if sweep_orphans:
-        report.orphan_blocks_freed = sorted(state.sweep_orphans())
-    report.phase_us["replay"] = disk.clock.now_us - replay_start
-
-    # ---- install tables ----------------------------------------------
-    install_start = disk.clock.now_us
-    for bid, blk in state.blocks.items():
-        record = BlockVersion(
-            BlockId(bid),
-            VersionState.PERSISTENT,
-            allocated=True,
-            address=PhysAddr(*blk[1]) if blk[1] is not None else None,
-            successor=BlockId(blk[2]) if blk[2] else None,
-            list_id=ListId(blk[3]) if blk[3] else None,
-            timestamp=blk[4],
-        )
-        lld.bmap.install_persistent(record)
-    for lid, lst in state.lists.items():
-        record = ListVersion(
-            ListId(lid),
-            VersionState.PERSISTENT,
-            allocated=True,
-            first=BlockId(lst[1]) if lst[1] else None,
-            last=BlockId(lst[2]) if lst[2] else None,
-            count=lst[3],
-            timestamp=lst[4],
-        )
-        lld.ltable.install_persistent(record)
-
-    # ---- rebuild usage ------------------------------------------------
-    live_counts: Dict[int, int] = {}
-    for _bid, blk in state.blocks.items():
-        if blk[1] is not None:
-            live_counts[blk[1][0]] = live_counts.get(blk[1][0], 0) + 1
-    max_seq = ckpt.last_log_seq
-    for seg in invalid:
-        lld.usage.restore(seg, SegmentState.FREE, -1, 0, 0)
-    for seg in quarantined:
+def _install(
+    lld: LLD,
+    ckpt: CheckpointData,
+    scan: _Scan,
+    outcomes: _Outcomes,
+    live_counts: Dict[int, int],
+) -> None:
+    """Rebuild the usage table, the counters and the fresh buffer."""
+    usage = lld.usage
+    for seg in scan.invalid:
+        usage.restore(seg, SegmentState.FREE, -1, 0, 0)
+    for seg in scan.quarantined:
         # Failed media stays retired; addresses still pointing here
         # are tombstones for lost blocks (reads raise
         # UnrecoverableBlockError instead of returning garbage).
-        lld.usage.restore(seg, SegmentState.QUARANTINED, -1, 0, 0)
-    for seg, (seq, _live, total) in ckpt_segments.items():
-        lld.usage.restore(
+        usage.restore(seg, SegmentState.QUARANTINED, -1, 0, 0)
+    for seg, (seq, _live, total) in scan.ckpt_segments.items():
+        usage.restore(
             seg, SegmentState.DIRTY, seq, live_counts.get(seg, 0), total
         )
-    for decoded in replayable:
-        lld.usage.restore(
+    max_seq = ckpt.last_log_seq
+    for decoded in scan.replayable:
+        usage.restore(
             decoded.segment_no,
             SegmentState.DIRTY,
             decoded.seq,
@@ -1019,35 +753,152 @@ def recover(
         )
         max_seq = max(max_seq, decoded.seq)
 
-    # ---- counters and the fresh buffer -------------------------------
-    lld._next_block_id = state.max_block + 1
-    lld._next_list_id = state.max_list + 1
-    lld.arus.set_next_id(state.max_aru + 1)
+    lld._next_block_id = outcomes.next_block_id
+    lld._next_list_id = outcomes.next_list_id
+    lld.arus.set_next_id(outcomes.next_aru_id)
     lld._next_seq = max_seq + 1
     lld._last_written_seq = max_seq
     lld._ckpt_seq = ckpt.ckpt_seq
-    lld._commit_on_disk = committed
+    lld._commit_on_disk = outcomes.committed
     # The coordinator's decision memory survives recovery: checkpoint
     # set plus every DECIDE found in the log (never the borrowed
     # ``decided_xids`` — those belong to the volume that logged them).
-    lld._decided_xids = own_decided
+    lld._decided_xids = outcomes.own_decided
     try:
         lld._open_new_buffer()
-    except Exception:
+    except DiskFullError:
         # A completely full disk recovers with no open buffer; the
         # lazy buffer machinery opens one when (and if) space allows
         # — deletions can still run via the emergency reserve.
         pass
-    report.phase_us["install"] = disk.clock.now_us - install_start
 
-    report.recovery_time_us = disk.clock.now_us - start_us
+
+def recover(
+    disk: SimulatedDisk,
+    sweep_orphans: bool = True,
+    workers: Optional[int] = None,
+    config: Optional[LLDConfig] = None,
+    decided_xids: Optional[Set[int]] = None,
+    mode: Optional[str] = None,
+    **lld_kwargs,
+) -> Tuple[LLD, RecoveryReport]:
+    """Recover an :class:`LLD` instance from a (crashed) disk.
+
+    Accepts the same keyword arguments as :class:`LLD` (visibility,
+    cost model, ...) or a prebuilt
+    :class:`~repro.lld.config.LLDConfig` via ``config=``.
+    ``sweep_orphans=False`` skips the consistency sweep, exposing the
+    paper's intermediate state where blocks allocated by undone ARUs
+    remain allocated.
+
+    ``mode`` (default: the config's ``recovery_mode``) is ``"eager"``
+    — replay the whole log, then return — or ``"instant"`` — return an
+    *open* volume right after the scan; requests replay the log prefix
+    they need on demand and a background sweep
+    (``restore_drain_segments`` per operation,
+    :meth:`~repro.lld.lld.LLD.restore_drain`,
+    :meth:`~repro.lld.lld.LLD.complete_restore`) drains the rest.
+    Once drained the state is byte-identical to eager recovery.
+
+    ``decided_xids`` supplies coordinator decisions from *another*
+    volume's log: a participant shard of a sharded volume
+    (:mod:`repro.shard`) rolls a PREPARE-tagged ARU forward iff its
+    transaction id appears in its own log/checkpoint or in this set,
+    and discards it otherwise (presumed abort).
+
+    ``workers`` bounds the scan's decode pool and the simulated
+    overlap charged for it (default: the config's
+    ``recovery_workers``); the rebuilt state is the same for any
+    value.
+    """
+    cost_model = lld_kwargs.pop("cost_model", None)
+    cfg = LLDConfig.from_kwargs(config, **lld_kwargs)
+    if workers is None:
+        workers = cfg.recovery_workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode is None:
+        mode = cfg.recovery_mode
+    if mode not in ("eager", "instant"):
+        raise ValueError(f"unknown recovery mode: {mode!r}")
+    instant = mode == "instant"
+
+    wall_start = time.perf_counter()
+    clock = disk.clock
+    start_us = clock.now_us
+    batches_before = disk.timer.batches
+    runs_before = disk.timer.batched_runs
+    lld = LLD(disk, cost_model=cost_model, config=cfg, _defer_init=True)
+    lld.obs.record("recovery.start", mode=mode, workers=workers)
+    metrics = lld.obs.metrics
+    metrics.counter("lld.recovery.recoveries").inc()
+    if instant:
+        metrics.counter("lld.recovery.instant_restores").inc()
+    ckpt = lld.checkpoints.load()
+    report = RecoveryReport(
+        checkpoint_seq=ckpt.ckpt_seq, workers=workers, mode=mode
+    )
+
+    scan = _scan(lld, ckpt, report, instant, workers)
+    report.segments_quarantined = len(scan.quarantined)
+
+    replay_start = clock.now_us
+    outcomes = _resolve_outcomes(ckpt, scan.replayable, decided_xids, report)
+    if instant:
+        # Replay runs later, on demand, on the live tables.
+        rules = ReplayRules(
+            _PersistentRecords(lld.bmap),
+            _PersistentRecords(lld.ltable),
+            outcomes.committed,
+            report,
+        )
+    else:
+        rules = ReplayRules({}, {}, outcomes.committed, report)
+        rules.load_checkpoint(ckpt)
+        for decoded in scan.replayable:
+            rules.replay_segment(decoded)
+        rules.finish(sweep_orphans)
+    report.phase_us["replay"] = clock.now_us - replay_start
+
+    install_start = clock.now_us
+    if instant:
+        rules.load_checkpoint(ckpt)
+        # Provisional live counts — the roster's for checkpointed
+        # segments, every written slot for pending ones — until the
+        # restore completes and recounts from the final addresses
+        # (verify_lld knows).
+        live_counts = {
+            seg: roster[1] for seg, roster in scan.ckpt_segments.items()
+        }
+        for decoded in scan.replayable:
+            live_counts[decoded.segment_no] = decoded.block_count
+    else:
+        for record in rules.blocks.values():
+            lld.bmap.install_persistent(record)
+        for record in rules.lists.values():
+            lld.ltable.install_persistent(record)
+        live_counts = rules.live_counts()
+    _install(lld, ckpt, scan, outcomes, live_counts)
+    if instant:
+        lld._restore = RestoreController(
+            lld, rules, scan.replayable, sweep_orphans, set(live_counts)
+        )
+    report.phase_us["install"] = clock.now_us - install_start
+
+    report.recovery_time_us = clock.now_us - start_us
     report.ttfr_us = report.recovery_time_us
     report.wall_seconds = time.perf_counter() - wall_start
     report.read_batches = disk.timer.batches - batches_before
     report.batched_runs = disk.timer.batched_runs - runs_before
     for phase, us in report.phase_us.items():
-        lld.obs.metrics.counter(f"lld.recovery.{phase}_us").add(us)
+        metrics.counter(f"lld.recovery.{phase}_us").add(us)
         lld.obs.record("recovery.phase", phase=phase, us=round(us, 3))
+    if instant:
+        lld.obs.record(
+            "restore.open",
+            pending_segments=len(scan.replayable),
+            ttfr_us=round(report.ttfr_us, 3),
+        )
     lld.obs.record(
         "recovery.done",
         segments_replayed=report.segments_replayed,
@@ -1055,6 +906,10 @@ def recover(
         arus_discarded=report.arus_discarded,
         total_us=round(report.recovery_time_us, 3),
     )
+    if instant and not scan.replayable:
+        # Nothing to drain: run the consistency sweep and collapse to
+        # normal operation before the first request.
+        lld._restore.complete()
     return lld, report
 
 
@@ -1066,8 +921,8 @@ def recover(
 class RestoreController:
     """Redo-on-demand replay engine behind an instantly-restored LLD.
 
-    Phase A of :func:`_recover_instant` installs the checkpoint tables
-    and decodes every pending segment's *summary* from a tail window;
+    ``recover(mode="instant")`` installs the checkpoint tables and
+    decodes every pending segment's *summary* from a tail window;
     this controller then owns the pending suffix.  The **watermark**
     is the number of pending segments (in log-sequence order) whose
     entries have been applied to the live persistent records.  The
@@ -1093,15 +948,15 @@ class RestoreController:
     def __init__(
         self,
         lld: LLD,
-        report: RecoveryReport,
+        rules: ReplayRules,
         pending: List[DecodedSegment],
-        committed: Set[int],
         sweep_orphans: bool,
+        restore_era: Set[int],
     ) -> None:
         self.lld = lld
-        self.report = report
+        self.rules = rules
+        self.report = rules.report
         self.pending = pending
-        self.committed = committed
         self.sweep_orphans = sweep_orphans
         #: Pending segments fully applied (index of the next to apply).
         self.watermark = 0
@@ -1109,15 +964,12 @@ class RestoreController:
         #: id -> last pending position whose entries name the id.
         self.block_index: Dict[int, int] = {}
         self.list_index: Dict[int, int] = {}
-        #: Counter values at open: ids at or above these were handed
-        #: out by live traffic and are never restore-era state.
-        self.open_next_block = 0
-        self.open_next_list = 0
+        #: Block counter at open: ids at or above it were handed out
+        #: by live traffic and are never restore-era state.
+        self.open_next_block = lld._next_block_id
         #: Dirty segments whose live counts are provisional until the
         #: sweep completes (checkpoint roster + pending suffix).
-        self.restore_era: Set[int] = set()
-        self.discarded_arus: Set[int] = set()
-        self.orphans_freed: Set[int] = set()
+        self.restore_era = restore_era
         #: Simulated µs spent applying entries after the volume opened.
         self.apply_us = 0.0
         #: Watermark-invariant violations (must stay empty; verify_lld
@@ -1157,14 +1009,11 @@ class RestoreController:
 
     def tick(self) -> None:
         """Background sweep quantum: auto-drain per public operation."""
-        if self.done:
-            return
         step = self.lld.config.restore_drain_segments
-        if step and self.watermark < len(self.pending):
-            self._advance(
-                min(len(self.pending), self.watermark + step) - 1
-            )
-        if step and self.watermark >= len(self.pending):
+        if self.done or not step:
+            return
+        self.drain(step)
+        if not self.pending_count:
             # The sweep just retired the last pending segment: run
             # the completion pass so the volume collapses back to
             # normal operation without an explicit call.
@@ -1172,12 +1021,9 @@ class RestoreController:
 
     def drain(self, max_segments: Optional[int] = None) -> None:
         """Apply up to ``max_segments`` pending segments in log order."""
-        if max_segments is None:
+        if max_segments is None or max_segments > self.pending_count:
             max_segments = self.pending_count
-        if max_segments > 0 and self.watermark < len(self.pending):
-            self._advance(
-                min(len(self.pending), self.watermark + max_segments) - 1
-            )
+        self._advance(self.watermark + max_segments - 1)
 
     def ensure_block(self, block_id: int) -> None:
         """Drain every pending entry that could affect ``block_id``.
@@ -1194,32 +1040,21 @@ class RestoreController:
         if self.done:
             return
         bid = int(block_id)
-        advanced = False
-        pos = self.block_index.get(bid, -1)
-        if pos >= self.watermark:
-            advanced = self._advance(pos)
-        rec = self._blk(bid)
+        blocks = self.rules.blocks
+        advanced = self._advance(self.block_index.get(bid, -1))
+        rec = blocks.get(bid)
         if rec is not None and rec.list_id is not None:
-            lpos = self.list_index.get(int(rec.list_id), -1)
-            if lpos >= self.watermark:
-                advanced = self._advance(lpos) or advanced
-        if advanced:
-            self._c_on_demand.inc()
-            self.report.on_demand_replays += 1
-        if self.block_index.get(bid, -1) >= self.watermark:
-            self.violations.append(
-                f"block {bid} served below the replay watermark"
-            )
+            advanced |= self._advance(self.list_index.get(rec.list_id, -1))
+        self._served("block", bid, self.block_index, advanced)
         if self.sweep_orphans and bid < self.open_next_block:
-            rec = self._blk(bid)
+            rec = blocks.get(bid)
             if (
                 rec is not None
-                and rec.allocated
                 and rec.list_id is None
                 and rec.successor is None
             ):
-                self._drop_block(bid)
-                self.orphans_freed.add(bid)
+                del blocks[bid]
+                self.rules.orphans_freed.add(bid)
 
     def ensure_list(self, list_id: int) -> None:
         """Drain every pending entry that could affect ``list_id``.
@@ -1232,14 +1067,19 @@ class RestoreController:
         if self.done:
             return
         lid = int(list_id)
-        pos = self.list_index.get(lid, -1)
-        if pos >= self.watermark:
-            if self._advance(pos):
-                self._c_on_demand.inc()
-                self.report.on_demand_replays += 1
-        if self.list_index.get(lid, -1) >= self.watermark:
+        advanced = self._advance(self.list_index.get(lid, -1))
+        self._served("list", lid, self.list_index, advanced)
+
+    def _served(
+        self, kind: str, ident: int, index: Dict[int, int], advanced: bool
+    ) -> None:
+        """Count an on-demand replay; check the watermark invariant."""
+        if advanced:
+            self._c_on_demand.inc()
+            self.report.on_demand_replays += 1
+        if index.get(ident, -1) >= self.watermark:
             self.violations.append(
-                f"list {lid} served below the replay watermark"
+                f"{kind} {ident} served below the replay watermark"
             )
 
     def complete(self) -> None:
@@ -1255,523 +1095,48 @@ class RestoreController:
         if self.done:
             return
         lld = self.lld
-        if self.watermark < len(self.pending):
-            self._advance(len(self.pending) - 1)
+        self._advance(len(self.pending) - 1)
         start = lld.clock.now_us
-        if self.sweep_orphans:
-            self._sweep_restore_orphans()
-        live_counts: Dict[int, int] = {}
-        for _bid, rec in lld.bmap.persistent_blocks():
-            if rec.address is not None:
-                seg = rec.address.segment
-                live_counts[seg] = live_counts.get(seg, 0) + 1
+        self.rules.finish(self.sweep_orphans, below=self.open_next_block)
+        live_counts = self.rules.live_counts()
         for seg in self.restore_era:
             if lld.usage.state(seg) is SegmentState.DIRTY:
                 lld.usage.set_live(seg, live_counts.get(seg, 0))
         self.apply_us += lld.clock.now_us - start
-        report = self.report
-        report.orphan_blocks_freed = sorted(
-            set(report.orphan_blocks_freed) | self.orphans_freed
-        )
-        report.background_sweep_us = self.apply_us
-        report.arus_discarded = len(self.discarded_arus)
-        report.discarded_aru_ids = sorted(self.discarded_arus)
+        self.report.background_sweep_us = self.apply_us
         self.done = True
         self._g_pending.set(0)
         self._g_watermark.set(self.watermark)
         lld._restore = None
         lld.obs.record(
             "restore.complete",
-            on_demand_replays=report.on_demand_replays,
+            on_demand_replays=self.report.on_demand_replays,
             sweep_us=round(self.apply_us, 3),
         )
 
-    # -- record plumbing ---------------------------------------------
-
-    def _blk(self, block_id: int) -> Optional[BlockVersion]:
-        root = self.lld.bmap.root(BlockId(block_id))
-        return root.persistent if root is not None else None
-
-    def _lst(self, list_id: int) -> Optional[ListVersion]:
-        root = self.lld.ltable.root(ListId(list_id))
-        return root.persistent if root is not None else None
-
-    def _drop_block(self, block_id: int) -> None:
-        ident = BlockId(block_id)
-        root = self.lld.bmap.root(ident)
-        if root is not None:
-            root.persistent = None
-            self.lld.bmap.drop_if_empty(ident)
-
-    def _drop_list(self, list_id: int) -> None:
-        ident = ListId(list_id)
-        root = self.lld.ltable.root(ident)
-        if root is not None:
-            root.persistent = None
-            self.lld.ltable.drop_if_empty(ident)
-
-    # -- log application ---------------------------------------------
-
     def _advance(self, pos: int) -> bool:
-        """Apply pending segments through position ``pos`` (inclusive).
+        """Apply pending segments through position ``pos`` (inclusive);
+        False when the watermark is already past it.
 
         Strict log-order prefix: segments are applied whole, in
-        sequence order, with exactly eager recovery's per-entry rules
-        (commit filtering included).  The summary-decode CPU cost is
-        charged here, to whoever triggered the advance — a foreground
-        requester pays for its own redo-on-demand.
+        sequence order, by the same :class:`ReplayRules` eager
+        recovery runs (commit filtering included).  The
+        summary-decode CPU cost is charged here, to whoever triggered
+        the advance — a foreground requester pays for its own
+        redo-on-demand.
         """
         if pos < self.watermark or self.done:
             return False
         lld = self.lld
         clock = lld.clock
-        report = self.report
-        committed = self.committed
         start = clock.now_us
         while self.watermark <= pos:
             decoded = self.pending[self.watermark]
-            report.segments_replayed += 1
-            segment_no = decoded.segment_no
             if decoded.entry_count:
                 lld.meter.charge("decode_entry_us", decoded.entry_count)
-            for fields in decoded.entry_tuples:
-                tag = fields[1]
-                if tag and tag not in committed and fields[0] != KIND_COMMIT:
-                    report.entries_discarded += 1
-                    self.discarded_arus.add(tag)
-                    continue
-                if self._apply(fields, segment_no):
-                    report.entries_replayed += 1
-                else:
-                    report.replay_conflicts += 1
+            self.rules.replay_segment(decoded)
             self.watermark += 1
         self.apply_us += clock.now_us - start
         self._g_watermark.set(self.watermark)
         self._g_pending.set(self.pending_count)
         return True
-
-    def _apply(self, fields: Tuple[int, ...], segment_no: int) -> bool:
-        """One entry, by eager recovery's rules, on the live records."""
-        lld = self.lld
-        kind = fields[0]
-        if kind == KIND_WRITE:
-            rec = self._blk(fields[3])
-            if rec is None or not rec.allocated:
-                return False
-            rec.address = PhysAddr(segment_no, fields[4])
-            rec.timestamp = fields[2]
-            return True
-        if kind == KIND_ALLOC_BLOCK:
-            bid = BlockId(fields[3])
-            root = lld.bmap.root(bid, create=True)
-            root.persistent = BlockVersion(
-                bid,
-                VersionState.PERSISTENT,
-                allocated=True,
-                timestamp=fields[2],
-            )
-            return True
-        if kind == KIND_DELETE_BLOCK:
-            return self._apply_delete_block(fields[3])
-        if kind == KIND_NEW_LIST:
-            lid = ListId(fields[3])
-            root = lld.ltable.root(lid, create=True)
-            root.persistent = ListVersion(
-                lid,
-                VersionState.PERSISTENT,
-                allocated=True,
-                count=0,
-                timestamp=fields[2],
-            )
-            return True
-        if kind == KIND_DELETE_LIST:
-            return self._apply_delete_list(fields[3])
-        if kind == KIND_LINK:
-            return self._apply_link(fields[3], fields[4], fields[5], fields[2])
-        return True  # COMMIT/PREPARE/DECIDE carry no table state
-
-    def _apply_delete_block(self, block_id: int) -> bool:
-        rec = self._blk(block_id)
-        if rec is None or not rec.allocated:
-            return False
-        if rec.list_id is not None:
-            lst = self._lst(int(rec.list_id))
-            if lst is not None and lst.allocated:
-                self._unlink(lst, block_id)
-        self._drop_block(block_id)
-        return True
-
-    def _apply_delete_list(self, list_id: int) -> bool:
-        lst = self._lst(list_id)
-        if lst is None or not lst.allocated:
-            return False
-        cursor = lst.first
-        while cursor is not None:
-            member = self._blk(int(cursor))
-            nxt = member.successor if member is not None else None
-            if member is not None:
-                self._drop_block(int(cursor))
-            cursor = nxt
-        self._drop_list(list_id)
-        return True
-
-    def _apply_link(
-        self, list_id: int, block_id: int, pred_id: int, timestamp: int
-    ) -> bool:
-        lst = self._lst(list_id)
-        blk = self._blk(block_id)
-        if lst is None or not lst.allocated or blk is None or not blk.allocated:
-            return False
-        if blk.list_id is not None:
-            return False  # already in a list
-        ident = BlockId(block_id)
-        if pred_id == 0:
-            blk.successor = lst.first
-            if lst.first is None:
-                lst.last = ident
-            lst.first = ident
-        else:
-            pred = self._blk(pred_id)
-            if pred is None or not pred.allocated or pred.list_id != list_id:
-                return False
-            blk.successor = pred.successor
-            pred.successor = ident
-            if lst.last == pred_id:
-                lst.last = ident
-        blk.list_id = ListId(list_id)
-        lst.count += 1
-        lst.timestamp = timestamp
-        return True
-
-    def _unlink(self, lst: ListVersion, block_id: int) -> None:
-        """Remove ``block_id`` from list record ``lst`` (best effort)."""
-        target = self._blk(block_id)
-        successor = target.successor if target is not None else None
-        if lst.first == block_id:
-            lst.first = successor
-            if lst.last == block_id:
-                lst.last = None
-            lst.count -= 1
-            return
-        cursor = lst.first
-        while cursor is not None:
-            node = self._blk(int(cursor))
-            if node is None:
-                return
-            if node.successor == block_id:
-                node.successor = successor
-                if lst.last == block_id:
-                    lst.last = cursor
-                lst.count -= 1
-                return
-            cursor = node.successor
-
-    # -- consistency sweep -------------------------------------------
-
-    def _sweep_restore_orphans(self) -> None:
-        """Eager recovery's orphan sweep, on the persistent records.
-
-        Restricted to restore-era ids (below the open-time counters):
-        ids handed out by live traffic may legitimately sit in
-        unfolded committed versions the persistent walk cannot see.
-        Traffic can never link a restore-era block into a list (blocks
-        are only ever inserted at allocation), so membership computed
-        from the persistent chains is exact for the ids considered.
-        """
-        lld = self.lld
-        members: Set[int] = set()
-        for _lid, rec in lld.ltable.persistent_lists():
-            cursor = rec.first
-            while cursor is not None and int(cursor) not in members:
-                members.add(int(cursor))
-                node = self._blk(int(cursor))
-                cursor = node.successor if node is not None else None
-        orphans = [
-            int(bid)
-            for bid, rec in lld.bmap.persistent_blocks()
-            if rec.allocated
-            and int(bid) < self.open_next_block
-            and int(bid) not in members
-            and rec.list_id is None
-        ]
-        for bid in orphans:
-            self._drop_block(bid)
-        self.orphans_freed.update(orphans)
-
-
-def _recover_instant(
-    disk: SimulatedDisk,
-    sweep_orphans: bool,
-    workers: int,
-    cfg,
-    cost_model,
-    decided_xids: Optional[Set[int]],
-) -> Tuple[LLD, RecoveryReport]:
-    """Instant-restore phase A: open the volume without reading bodies.
-
-    Loads the checkpoint, classifies every log segment from one
-    batched *tail-window* read (trailer + summary validated by the
-    summary CRC — the same acceptance rule the eager scans use, so
-    both modes replay exactly the same set of segments), resolves
-    committed ARUs and 2PC decisions over the full pending suffix,
-    installs the checkpoint tables and counters, and opens the volume
-    with a :class:`RestoreController` holding the undecoded-body
-    pending segments.  Time to first request is the simulated time of
-    this function alone.
-    """
-    wall_start = time.perf_counter()
-    clock = disk.clock
-    start_us = clock.now_us
-    batches_before = disk.timer.batches
-    runs_before = disk.timer.batched_runs
-    lld = LLD(disk, cost_model=cost_model, config=cfg, _defer_init=True)
-    lld.obs.record(
-        "recovery.start",
-        parallel=True,
-        workers=workers,
-        executor="serial",
-        mode="instant",
-    )
-    m = lld.obs.metrics
-    m.counter("lld.recovery.recoveries").inc()
-    m.counter("lld.recovery.instant_restores").inc()
-    ckpt = lld.checkpoints.load()
-    report = RecoveryReport(
-        checkpoint_seq=ckpt.ckpt_seq,
-        parallel=True,
-        workers=workers,
-        replay="tuple",
-        mode="instant",
-    )
-
-    # ---- scan: batched tail windows --------------------------------
-    geometry = disk.geometry
-    segment_size = geometry.segment_size
-    reserved = lld.checkpoints.reserved_segments
-    scan_start = clock.now_us
-    segs = list(range(reserved, geometry.num_segments))
-    report.segments_scanned = len(segs)
-    status: Dict[int, str] = {}
-    for seg in segs:
-        roster = ckpt.segments.get(seg)
-        if roster is not None and roster[0] == QUARANTINE_SEQ:
-            status[seg] = "quarantined"
-    scan_segs = [seg for seg in segs if seg not in status]
-    window = min(segment_size, max(TRAILER_SIZE, cfg.restore_tail_window))
-    tails = disk.read_many(
-        [(seg, segment_size - window, window) for seg in scan_segs],
-        errors="none",
-    )
-    ckpt_segments: Dict[int, Tuple[int, int, int]] = {}
-    candidates: List[Tuple[int, bytes]] = []
-    for seg, tail in zip(scan_segs, tails):
-        if tail is None:
-            report.segments_unreadable += 1
-            status[seg] = "quarantined"
-            continue
-        parsed = parse_trailer(tail[window - TRAILER_SIZE :])
-        if parsed is None:
-            report.segments_invalid += 1
-            status[seg] = "invalid"
-            continue
-        trailer_seq = parsed[0]
-        roster = ckpt.segments.get(seg)
-        if trailer_seq > ckpt.last_log_seq:
-            status[seg] = "candidate"
-            candidates.append((seg, tail))
-        elif roster is not None and roster[0] == trailer_seq:
-            ckpt_segments[seg] = roster
-            status[seg] = "ckpt"
-        else:
-            # Valid trailer but freed before the checkpoint: stale.
-            status[seg] = "invalid"
-
-    # ---- decode: summaries from the tails --------------------------
-    decode_start = clock.now_us
-    decoded_by_seg: Dict[int, DecodedSegment] = {}
-    followup: List[Tuple[int, int]] = []
-    for seg, tail in candidates:
-        result = decode_segment_tail(tail, geometry, seg)
-        if result is None:
-            report.segments_invalid += 1
-            status[seg] = "invalid"
-        elif isinstance(result, int):
-            followup.append((seg, result))
-        else:
-            decoded_by_seg[seg] = result
-    if followup:
-        raws = disk.read_many(
-            [(seg, segment_size - needed, needed) for seg, needed in followup],
-            errors="none",
-        )
-        for (seg, _needed), raw in zip(followup, raws):
-            if raw is None:
-                report.segments_unreadable += 1
-                status[seg] = "quarantined"
-                continue
-            result = decode_segment_tail(raw, geometry, seg)
-            if result is None or isinstance(result, int):
-                report.segments_invalid += 1
-                status[seg] = "invalid"
-            else:
-                decoded_by_seg[seg] = result
-    pending = sorted(decoded_by_seg.values(), key=lambda d: d.seq)
-    lanes = max(1, min(workers, len(pending)))
-    tail_kb = sum(
-        (d.summary_len + TRAILER_SIZE) / 1024.0 for d in pending
-    )
-    _charge_decode(lld, tail_kb, 0, lanes=lanes)
-    report.phase_us["scan"] = decode_start - scan_start
-    report.phase_us["decode"] = clock.now_us - decode_start
-
-    # ---- pass 1: committed ARUs, decisions, counter bounds ---------
-    # Exactly eager recovery's resolution, over the whole pending
-    # suffix — 2PC decided-xid resolution completes *before* the
-    # volume opens, so a participant's prepared ARUs are never visible
-    # undecided.  ALLOC/NEW_LIST entries always carry tag 0 and always
-    # apply, so the final id counters are exact already.
-    replay_start = clock.now_us
-    committed: Set[int] = set()
-    prepared: Dict[int, int] = {}
-    own_decided: Set[int] = set(ckpt.decided_xids)
-    max_aru = ckpt.next_aru_id - 1
-    max_block = ckpt.next_block_id - 1
-    max_list = ckpt.next_list_id - 1
-    for decoded in pending:
-        for fields in decoded.entry_tuples:
-            kind = fields[0]
-            tag = fields[1]
-            if tag > max_aru:
-                max_aru = tag
-            if kind == KIND_COMMIT:
-                committed.add(tag)
-            elif kind == KIND_PREPARE:
-                prepared[tag] = fields[4]
-            elif kind == KIND_DECIDE:
-                own_decided.add(fields[3])
-            elif kind == KIND_ALLOC_BLOCK:
-                # System-range ids (replica mirrors) are forced, not
-                # counter-allocated; they never advance the counters.
-                if fields[3] > max_block and fields[3] < SYSTEM_ID_BASE:
-                    max_block = fields[3]
-            elif kind == KIND_NEW_LIST:
-                if fields[3] > max_list and fields[3] < SYSTEM_ID_BASE:
-                    max_list = fields[3]
-    decided = own_decided | (decided_xids or set())
-    report.arus_prepared = len(prepared)
-    report.xids_decided = sorted(own_decided)
-    rolled_forward: Set[int] = set()
-    undecided: Set[int] = set()
-    for tag, xid in prepared.items():
-        if xid in decided:
-            committed.add(tag)
-            rolled_forward.add(xid)
-        else:
-            undecided.add(xid)
-    report.xids_rolled_forward = sorted(rolled_forward)
-    report.xids_discarded = sorted(undecided)
-    report.max_xid = max([0, *prepared.values(), *own_decided])
-    report.arus_committed = len(committed)
-    report.phase_us["replay"] = clock.now_us - replay_start
-
-    # ---- install: checkpoint tables, usage, counters ---------------
-    install_start = clock.now_us
-    for blk in ckpt.blocks:
-        lld.bmap.install_persistent(
-            BlockVersion(
-                BlockId(blk.block_id),
-                VersionState.PERSISTENT,
-                allocated=True,
-                address=(
-                    PhysAddr(blk.segment, blk.slot) if blk.has_addr else None
-                ),
-                successor=BlockId(blk.successor) if blk.successor else None,
-                list_id=ListId(blk.list_id) if blk.list_id else None,
-                timestamp=blk.timestamp,
-            )
-        )
-    for lst in ckpt.lists:
-        lld.ltable.install_persistent(
-            ListVersion(
-                ListId(lst.list_id),
-                VersionState.PERSISTENT,
-                allocated=True,
-                first=BlockId(lst.first) if lst.first else None,
-                last=BlockId(lst.last) if lst.last else None,
-                count=lst.count,
-                timestamp=lst.timestamp,
-            )
-        )
-    invalid = [seg for seg in segs if status.get(seg) == "invalid"]
-    quarantined = [seg for seg in segs if status.get(seg) == "quarantined"]
-    report.segments_quarantined = len(quarantined)
-    max_seq = ckpt.last_log_seq
-    for seg in invalid:
-        lld.usage.restore(seg, SegmentState.FREE, -1, 0, 0)
-    for seg in quarantined:
-        lld.usage.restore(seg, SegmentState.QUARANTINED, -1, 0, 0)
-    for seg, (seq, live, total) in ckpt_segments.items():
-        lld.usage.restore(seg, SegmentState.DIRTY, seq, live, total)
-    for decoded in pending:
-        # Provisional: every written slot counted live until the sweep
-        # recomputes from the final addresses (verify_lld knows).
-        lld.usage.restore(
-            decoded.segment_no,
-            SegmentState.DIRTY,
-            decoded.seq,
-            decoded.block_count,
-            decoded.block_count,
-        )
-        if decoded.seq > max_seq:
-            max_seq = decoded.seq
-    lld._next_block_id = max_block + 1
-    lld._next_list_id = max_list + 1
-    lld.arus.set_next_id(max_aru + 1)
-    lld._next_seq = max_seq + 1
-    lld._last_written_seq = max_seq
-    lld._ckpt_seq = ckpt.ckpt_seq
-    lld._commit_on_disk = committed
-    lld._decided_xids = own_decided
-
-    controller = RestoreController(
-        lld, report, pending, committed, sweep_orphans
-    )
-    controller.open_next_block = lld._next_block_id
-    controller.open_next_list = lld._next_list_id
-    controller.restore_era = set(ckpt_segments) | {
-        d.segment_no for d in pending
-    }
-    lld._restore = controller
-    try:
-        lld._open_new_buffer()
-    except Exception:
-        # A completely full disk recovers with no open buffer; the
-        # lazy buffer machinery opens one when (and if) space allows.
-        pass
-    report.phase_us["install"] = clock.now_us - install_start
-
-    report.recovery_time_us = clock.now_us - start_us
-    report.ttfr_us = report.recovery_time_us
-    report.wall_seconds = time.perf_counter() - wall_start
-    report.read_batches = disk.timer.batches - batches_before
-    report.batched_runs = disk.timer.batched_runs - runs_before
-    for phase, us in report.phase_us.items():
-        lld.obs.metrics.counter(f"lld.recovery.{phase}_us").add(us)
-        lld.obs.record("recovery.phase", phase=phase, us=round(us, 3))
-    lld.obs.record(
-        "restore.open",
-        pending_segments=len(pending),
-        ttfr_us=round(report.ttfr_us, 3),
-    )
-    lld.obs.record(
-        "recovery.done",
-        segments_replayed=report.segments_replayed,
-        arus_committed=report.arus_committed,
-        arus_discarded=report.arus_discarded,
-        total_us=round(report.recovery_time_us, 3),
-    )
-    if not pending:
-        # Nothing to drain: run the consistency sweep and collapse to
-        # normal operation before the first request.
-        controller.complete()
-    return lld, report

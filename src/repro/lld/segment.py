@@ -445,39 +445,30 @@ class DecodedSegment:
 
 
 def decode_segment(
-    raw, geometry: DiskGeometry, segment_no: int, check: str = "full"
+    raw, geometry: DiskGeometry, segment_no: int
 ) -> Optional[DecodedSegment]:
     """Validate and parse a raw segment image.
 
     Returns None if the segment is not a valid LLD segment (never
     written, torn, or corrupted) — recovery treats such segments as
-    free space.  With ``check="full"`` (the default) one CRC-32 pass
-    over the whole image (C-backed ``zlib.crc32``) validates
-    everything, data slots included; ``check="summary"`` validates
-    only the summary CRC (summary bytes plus trailer), which is the
-    rule recovery classification uses so that eager and instant
-    restore accept exactly the same set of segments.  The summary is
-    then batch-decoded into field tuples in a single pass.
+    free space.  One CRC-32 pass over the whole image (C-backed
+    ``zlib.crc32``) validates everything, data slots included
+    (:func:`decode_segment_tail` is the summary-CRC-only variant that
+    needs no body).  The summary is then batch-decoded into field
+    tuples in a single pass.
     """
-    if check not in ("full", "summary"):
-        raise ValueError(f"unknown check mode {check!r}")
     if len(raw) != geometry.segment_size:
         return None
     view = memoryview(raw)
     parsed = parse_trailer(view[geometry.segment_size - TRAILER_SIZE :])
     if parsed is None:
         return None
-    seq, nentries, nblocks, summary_len, summary_crc, crc = parsed
+    seq, nentries, nblocks, summary_len, _summary_crc, crc = parsed
     summary_start = geometry.segment_size - TRAILER_SIZE - summary_len
     if summary_start < nblocks * geometry.block_size:
         return None
-    if check == "full":
-        if zlib.crc32(view[: geometry.segment_size - _CRC_END]) != crc:
-            return None
-    else:
-        checked = view[summary_start : geometry.segment_size - _SUMMARY_CRC_END]
-        if zlib.crc32(checked) != summary_crc:
-            return None
+    if zlib.crc32(view[: geometry.segment_size - _CRC_END]) != crc:
+        return None
     try:
         entry_tuples = decode_entry_tuples(
             view[summary_start : summary_start + summary_len]
@@ -505,9 +496,7 @@ def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
     (at least :data:`TRAILER_SIZE`).  Returns:
 
     * ``None`` — not a valid LLD segment (bad magic/version, summary
-      CRC mismatch, structural violation), same verdict
-      :func:`decode_segment` with ``check="summary"`` would reach on
-      the full image;
+      CRC mismatch, structural violation);
     * an ``int`` — the tail is valid so far but too short to hold the
       whole summary; the value is the tail length (bytes from the
       segment end) needed to decode it; or

@@ -1,25 +1,19 @@
 """``recover``: the one entry point for crash recovery.
 
-Single volumes and sharded arrays historically recovered through two
-different functions (:func:`repro.lld.recovery.recover` and
-:func:`repro.shard.recovery.recover_sharded`) with two different
-calling conventions.  This module unifies them: pass **one** disk
-image and you get a recovered :class:`~repro.lld.lld.LLD`; pass a
-**sequence** of member images (in shard order, ``None`` for a lost
-member) and you get a reassembled
-:class:`~repro.shard.sharded.ShardedLLD`, degraded around any lost
-members when the array is replicated.
+Pass **one** disk image and you get a recovered
+:class:`~repro.lld.lld.LLD`; pass a **sequence** of member images
+(in shard order, ``None`` for a lost member) and you get a
+reassembled :class:`~repro.shard.sharded.ShardedLLD`, degraded around
+any lost members when the array is replicated.
 
 The two report types share a surface — ``mode``, ``shards``,
 ``dead_shards``, ``recovery_time_us``, ``ttfr_us``, ``parallel_us``,
 ``serial_us``, ``wall_seconds``, and the xid-resolution fields — so
 callers can log either without caring which shape came back.
 
-The old entry points remain importable for one release:
-``recover_sharded`` forwards here with a ``DeprecationWarning``; the
-single-volume ``repro.lld.recovery.recover`` stays as the internal
-per-volume implementation (this function *is* it for a single
-image, with identical arguments and results).
+``repro.lld.recovery.recover`` is the per-volume implementation
+(this function *is* it for a single image, with identical arguments
+and results).
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ def recover(
             factor, repair pacing).  Only meaningful for a sequence
             of images; rejected for a single one.
         workers: Host threads for concurrent member recoveries (and
-            for a single volume's parallel scan).  Host-side only —
+            for a single volume's decode lanes).  Host-side only —
             simulated results are identical for any value.
         **kwargs: Forwarded to the per-volume recovery (scan knobs,
             cost model, ...).

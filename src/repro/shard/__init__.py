@@ -10,15 +10,14 @@ volumes via a two-phase coordinator commit, and — with an
 entity on ring peer shards so the array serves reads and writes
 through the loss of any ``replication_factor - 1`` members and
 rebuilds them online (:meth:`ShardedLLD.repair`).
-:func:`repro.recovery.recover` (or the deprecated
-:func:`recover_sharded`) scans every surviving shard in parallel and
-rolls each shard's prepared state forward or discards it according
-to the union of the decision shards' DECIDE records.  See
+:func:`repro.recovery.recover` scans every surviving shard in
+parallel and rolls each shard's prepared state forward or discards it
+according to the union of the decision shards' DECIDE records.  See
 ``docs/SHARDING.md``.
 """
 
 from repro.shard.config import ArrayConfig
-from repro.shard.recovery import ShardRecoveryReport, recover_sharded
+from repro.shard.recovery import ShardRecoveryReport
 from repro.shard.sharded import (
     ShardedLLD,
     build_sharded,
@@ -34,7 +33,6 @@ __all__ = [
     "ShardRecoveryReport",
     "build_sharded",
     "mirror_id",
-    "recover_sharded",
     "shard_of",
     "to_global",
     "to_local",

@@ -1,7 +1,8 @@
 """Crash recovery for sharded volumes.
 
-:func:`recover_sharded` rebuilds a :class:`~repro.shard.sharded.ShardedLLD`
-from the member disks of a crashed array.  The decision shards —
+:func:`repro.recovery.recover`, given a sequence of member disks,
+rebuilds a :class:`~repro.shard.sharded.ShardedLLD` from a crashed
+array (this module is its sharded half).  The decision shards —
 shard 0 for an unreplicated array; shards ``0 .. k-1`` with
 replication factor k — are recovered first, in ascending order, each
 fed the union of the decided-xid sets surfaced so far; participants
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -102,30 +102,6 @@ def _scan_decode_us(report: RecoveryReport) -> float:
     )
 
 
-def recover_sharded(
-    disks: Sequence[Optional[SimulatedDisk]],
-    workers: Optional[int] = None,
-    array_config: Optional[ArrayConfig] = None,
-    **recover_kwargs,
-) -> Tuple[ShardedLLD, ShardRecoveryReport]:
-    """Deprecated alias of :func:`repro.recovery.recover`.
-
-    The unified entry point dispatches on its first argument (one
-    disk → single volume, a sequence → sharded array), so the split
-    between ``recover`` and ``recover_sharded`` is no longer needed.
-    This shim forwards unchanged and will be removed next release.
-    """
-    warnings.warn(
-        "recover_sharded is deprecated; call repro.recovery.recover "
-        "with the list of member disks instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _recover_sharded(
-        disks, workers=workers, array_config=array_config, **recover_kwargs
-    )
-
-
 def _recover_sharded(
     disks: Sequence[Optional[SimulatedDisk]],
     workers: Optional[int] = None,
@@ -156,7 +132,7 @@ def _recover_sharded(
         The reassembled volume and a :class:`ShardRecoveryReport`.
     """
     if not disks:
-        raise ValueError("recover_sharded needs at least one disk")
+        raise ValueError("repro.recover needs at least one member disk")
     wall_start = time.perf_counter()
     n = len(disks)
     acfg = ArrayConfig.from_kwargs(array_config)

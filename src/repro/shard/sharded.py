@@ -337,8 +337,7 @@ class ShardedLLD(LogicalDisk):
             known; derived from the surviving mirrors otherwise.
 
     Build fresh arrays with :func:`build_sharded`; reassemble crashed
-    ones with :func:`repro.recover.recover` (or the legacy
-    :func:`repro.shard.recovery.recover_sharded`).
+    ones with :func:`repro.recovery.recover`.
     """
 
     def __init__(

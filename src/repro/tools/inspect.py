@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import LDError, MediaError
 from repro.fs.filesystem import MinixFS
 from repro.lld.checkpoint import CheckpointManager, default_slot_segments
-from repro.lld.recovery import peek_trailer_seq, recover
-from repro.lld.segment import decode_segment
+from repro.lld.recovery import recover
+from repro.lld.segment import decode_segment, parse_trailer
 from repro.lld.summary import EntryKind
 from repro.lld.usage import QUARANTINE_SEQ
 
@@ -117,19 +118,20 @@ def describe_segments(
             shown += 1
             continue
         try:
-            seq = peek_trailer_seq(disk, seg)
+            raw = disk.read_segment(seg)
         except MediaError:
             lines.append(f"  segment {seg:4d}: UNREADABLE (media fault)")
             shown += 1
             continue
-        if seq is None:
+        trailer = parse_trailer(raw[geo.segment_size - TRAILER_SIZE :])
+        if trailer is None:
             lines.append(f"  segment {seg:4d}: invalid trailer")
             shown += 1
             continue
-        decoded = decode_segment(disk.read_segment(seg), geo, seg)
+        decoded = decode_segment(raw, geo, seg)
         if decoded is None:
             lines.append(
-                f"  segment {seg:4d}: seq {seq} — TORN/CORRUPT "
+                f"  segment {seg:4d}: seq {trailer[0]} — TORN/CORRUPT "
                 "(checksum failed)"
             )
             shown += 1

@@ -210,8 +210,11 @@ class TestReadManyMixedFaults:
 
     def test_recovery_classifier_consumes_holes(self):
         """An unreadable segment surfaces as a quarantined segment in
-        the recovery report, not as an aborted scan."""
+        the recovery report, not as an aborted scan — by the batched
+        production scan and the serial reference scan alike."""
+        from repro.lld.config import LLDConfig
         from repro.lld.recovery import recover
+        from repro.lld.recovery_reference import reference_recover
 
         disk, lld = small_lld(num_segments=24)
         build_sequential_blocks(lld, 40)
@@ -220,12 +223,9 @@ class TestReadManyMixedFaults:
         )
         disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
         survivor = disk.power_cycle()
-        for parallel in (False, True):
-            recovered, report = recover(
-                survivor,
-                checkpoint_slot_segments=1,
-                parallel=parallel,
-            )
+        config = LLDConfig(checkpoint_slot_segments=1)
+        for recover_fn in (reference_recover, recover):
+            recovered, report = recover_fn(survivor, config=config)
             assert report.segments_unreadable == 1
             assert report.segments_quarantined == 1
             assert victim in recovered.usage.quarantined_segments()

@@ -18,13 +18,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import recover
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DeadlockError, DiskCrashedError, TransactionAborted
 from repro.frontend import FrontEnd, FrontendConfig, RequestRejected
 from repro.lld.verify import verify_lld
-from repro.shard.recovery import recover_sharded
 from repro.shard.sharded import build_sharded
 from repro.workloads.openloop import (
     OpenLoopConfig,
@@ -381,7 +381,7 @@ class TestCrashDuringLoad(CrashStorm):
         readings = []
         for _attempt in range(2):
             disks = [SimulatedDisk.load_image(path) for path in paths]
-            recovered, _report = recover_sharded(disks)
+            recovered, _report = recover(disks)
             self.check_recovered(
                 recovered, tenants, hot, max_commits=len(handles)
             )

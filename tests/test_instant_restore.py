@@ -21,13 +21,13 @@ pinned here:
 
 import pytest
 
+from repro import recover
 from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
 from repro.lld.lld import LLD
-from repro.lld.recovery import recover
 from repro.lld.verify import verify_lld
 
 from tests.test_recovery_parallel import (
@@ -332,8 +332,6 @@ class TestShardedInstantRestore:
         return vol, blocks
 
     def test_cross_shard_decisions_resolved_before_open(self):
-        from repro.shard.recovery import recover_sharded
-
         probe = FaultInjector()
         from tests.test_shard import build_swept, run_rounds, setup_baseline
 
@@ -343,10 +341,10 @@ class TestShardedInstantRestore:
         for crash_after in range(total // 3, total + 1, 7):
             vol, blocks = self.crashed_array(crash_after)
             disks = [shard.disk.power_cycle() for shard in vol.shards]
-            eager_vol, eager_report = recover_sharded(
+            eager_vol, eager_report = recover(
                 [disk.power_cycle() for disk in disks]
             )
-            instant_vol, instant_report = recover_sharded(
+            instant_vol, instant_report = recover(
                 [disk.power_cycle() for disk in disks], mode="instant"
             )
             assert instant_report.ttfr_us <= instant_report.parallel_us
@@ -375,7 +373,7 @@ class TestShardedInstantRestore:
         still restoring: every request serves correct data, nothing
         violates the watermark, and the sweep completes under load."""
         from repro.frontend.scheduler import FrontEnd, FrontendConfig
-        from repro.shard import build_sharded, recover_sharded
+        from repro.shard import build_sharded
 
         shards = 3
         vol = build_sharded(
@@ -389,7 +387,7 @@ class TestShardedInstantRestore:
             vol.write(block, bytes([index + 1]) * 32)
         vol.flush()
 
-        recovered, report = recover_sharded(
+        recovered, report = recover(
             [shard.disk.power_cycle() for shard in vol.shards],
             mode="instant",
             restore_drain_segments=0,

@@ -137,18 +137,16 @@ class TestIntegration:
         ld.flush()
         ld.write_checkpoint()
         survivor = ld.disk.power_cycle()
-        cfg = LLDConfig(
-            checkpoint_slot_segments=2, recovery_parallel=False
-        )
+        cfg = LLDConfig(checkpoint_slot_segments=2, recovery_workers=2)
         ld2, report = recover(survivor, config=cfg)
-        assert report.parallel is False
-        assert ld2.config.recovery_parallel is False
+        assert report.workers == 2
+        assert ld2.config.recovery_workers == 2
         assert ld2.read(ld2.list_blocks(lst)[0]).startswith(b"payload")
         survivor2 = ld.disk.power_cycle()
         ld3, report3 = recover(
-            survivor2, checkpoint_slot_segments=2, recovery_parallel=True
+            survivor2, checkpoint_slot_segments=2, recovery_workers=3
         )
-        assert report3.parallel is True
+        assert report3.workers == 3
 
     def test_recovered_lld_keeps_flight_dump_path(self, tmp_path):
         ld = make_lld()

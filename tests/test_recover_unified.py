@@ -1,10 +1,9 @@
 """The unified ``recover`` dispatcher and shared report surface.
 
-``repro.recover`` now accepts either one disk image (single volume)
-or a sequence of member images (sharded array, ``None`` for a lost
-member) and returns the matching volume type, with both report
-shapes exposing the same fields.  The old split entry points remain
-as one-release deprecation shims.
+``repro.recover`` accepts either one disk image (single volume) or a
+sequence of member images (sharded array, ``None`` for a lost member)
+and returns the matching volume type, with both report shapes
+exposing the same fields.
 """
 
 import dataclasses
@@ -19,7 +18,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.lld.lld import LLD
 from repro.lld.recovery import RecoveryReport
 from repro.shard.config import ArrayConfig
-from repro.shard.recovery import ShardRecoveryReport, recover_sharded
+from repro.shard.recovery import ShardRecoveryReport
 from repro.shard.sharded import ShardedLLD, build_sharded
 
 
@@ -95,6 +94,10 @@ class TestDispatch:
         with pytest.raises(TypeError):
             recover(["not", "disks"])
 
+    def test_empty_sequence_error_names_the_public_entry_point(self):
+        with pytest.raises(ValueError, match="repro.recover"):
+            recover([])
+
     def test_array_config_rejected_for_single_disk(self):
         disk, _, _ = crashed_volume(rounds=1)
         with pytest.raises(ValueError):
@@ -140,13 +143,6 @@ class TestSharedReportSurface:
 
 
 class TestDeprecationShims:
-    def test_recover_sharded_warns_and_still_works(self):
-        disks, blocks, want = crashed_array()
-        with pytest.warns(DeprecationWarning):
-            volume, report = recover_sharded(disks)
-        assert isinstance(volume, ShardedLLD)
-        assert volume.read(blocks[0]).startswith(want)
-
     def test_unified_entry_does_not_warn(self):
         disks, _, _ = crashed_array()
         with warnings.catch_warnings():

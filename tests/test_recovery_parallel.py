@@ -1,11 +1,14 @@
-"""Differential test: the batched/parallel recovery scan must rebuild
-byte-identical logical-disk state to the serial fallback.
+"""Differential test: production recovery (batched scan, pooled decode,
+tuple replay) must rebuild byte-identical logical-disk state to
+:func:`~repro.lld.recovery_reference.reference_recover` (serial scan,
+object replay, no shared rule code).
 
 Recovery performs no disk writes, so the same crashed platter can be
-recovered repeatedly; we recover it once with each scan and compare
-the serialized persistent state, the rebuilt usage table, and the
-report's classification counters at every crash point of a canonical
-meta-data-heavy workload (whole-write drops and torn writes alike).
+recovered repeatedly; we recover it once with each implementation and
+compare the serialized persistent state, the rebuilt usage table, and
+the report's classification counters at every crash point of a
+canonical meta-data-heavy workload (whole-write drops and torn writes
+alike).
 """
 
 import pytest
@@ -15,8 +18,12 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
+from repro.lld.recovery_reference import reference_recover
+
+CONFIG = LLDConfig(checkpoint_slot_segments=2)
 
 
 def build(injector=None, num_segments=96):
@@ -73,18 +80,16 @@ def state_fingerprint(lld, report):
 
 
 def assert_equivalent(disk):
-    """Recover twice (serial, parallel) and compare the rebuilt state."""
-    serial_lld, serial_report = recover(
-        disk.power_cycle(), parallel=False, checkpoint_slot_segments=2
+    """Recover twice (reference, production) and compare the rebuilt
+    state."""
+    reference_lld, reference_report = reference_recover(
+        disk.power_cycle(), config=CONFIG
     )
-    parallel_lld, parallel_report = recover(
-        disk.power_cycle(), parallel=True, checkpoint_slot_segments=2
+    lld, report = recover(disk.power_cycle(), config=CONFIG)
+    assert state_fingerprint(lld, report) == state_fingerprint(
+        reference_lld, reference_report
     )
-    assert parallel_report.parallel and not serial_report.parallel
-    serial_state = state_fingerprint(serial_lld, serial_report)
-    parallel_state = state_fingerprint(parallel_lld, parallel_report)
-    assert parallel_state == serial_state
-    return serial_lld, parallel_lld
+    return reference_lld, lld
 
 
 def total_writes():
@@ -133,15 +138,14 @@ class TestParallelSerialEquivalence:
         disk.injector.add_media_fault(
             MediaFault(segment_no=written[len(written) // 2], kind="corrupt")
         )
-        serial_lld, _ = assert_equivalent(disk)
-        assert serial_lld is not None
+        assert_equivalent(disk)
 
     def test_parallel_data_readable(self):
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        _serial, parallel_lld = assert_equivalent(disk)
-        mounted = MinixFS.mount(parallel_lld)
+        _reference, lld = assert_equivalent(disk)
+        mounted = MinixFS.mount(lld)
         for name in mounted.listdir("/"):
             mounted.read_file(f"/{name}")
 
@@ -152,10 +156,7 @@ class TestParallelSerialEquivalence:
         states = []
         for workers in (1, 2, 8):
             lld, report = recover(
-                disk.power_cycle(),
-                parallel=True,
-                workers=workers,
-                checkpoint_slot_segments=2,
+                disk.power_cycle(), workers=workers, config=CONFIG
             )
             states.append(state_fingerprint(lld, report))
         assert states[0] == states[1] == states[2]

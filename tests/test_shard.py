@@ -6,21 +6,20 @@ The sweep is the point of this file: a workload of cross-shard ARUs
 crashed at every global segment-write index it produces — with whole
 writes dropped and with byte-granularity torn writes, so the
 coordinator's DECIDE record itself gets cut mid-record — and after
-:func:`repro.shard.recovery.recover_sharded` every shard must read
-back the *same* transaction's payload: all-or-nothing across volumes
-at every crash point.
+:func:`repro.recover` every shard must read back the *same*
+transaction's payload: all-or-nothing across volumes at every crash
+point.
 """
 
 import pytest
 
+from repro import recover
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.geometry import DiskGeometry
 from repro.errors import BadARUError, DiskCrashedError
-from repro.lld.recovery import recover
 from repro.shard import (
     ShardedLLD,
     build_sharded,
-    recover_sharded,
     shard_of,
     to_global,
     to_local,
@@ -118,7 +117,7 @@ class TestShardedBasics:
         assert info["commits_cross_shard"] == 1
         assert info["xids_issued"] == 1
         # 2PC returns durable: a crash right now keeps the writes.
-        vol2, _report = recover_sharded(
+        vol2, _report = recover(
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         for block in blocks:
@@ -181,7 +180,7 @@ class TestShardedBasics:
         vol.write_checkpoint()
         assert vol.sharding_info()["decided_pending"] == 0
         # Still recoverable after the global checkpoint.
-        vol2, _report = recover_sharded(
+        vol2, _report = recover(
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         for block in blocks:
@@ -377,7 +376,7 @@ class TestCrossShardCrashSweep:
             # When the budget outlives the workload there is no crash,
             # but recovering the cleanly powered-off array must yield
             # the fully committed state — check it, then stop.
-            recovered, report = recover_sharded(
+            recovered, report = recover(
                 [shard.disk.power_cycle() for shard in vol.shards]
             )
             round_no = self.recovered_round(recovered, blocks)
@@ -420,7 +419,7 @@ class TestParallelShardRecovery:
                 vol.write(block, payload(round_no, list_index), aru=aru)
             vol.end_aru(aru)
         vol.flush()
-        recovered, report = recover_sharded(
+        recovered, report = recover(
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         assert report.shards == 4
@@ -445,7 +444,7 @@ class TestParallelShardRecovery:
                 vol.write(block, b"x" * 8, aru=aru)
             vol.end_aru(aru)
         next_xid = vol._next_xid
-        recovered, _report = recover_sharded(
+        recovered, _report = recover(
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         assert recovered._next_xid == next_xid
@@ -485,7 +484,7 @@ class TestFilesystemOnShardedVolume:
         assert vol.sharding_info()["commits_cross_shard"] > 0
         assert fsck(fs).clean
 
-        recovered, report = recover_sharded(
+        recovered, report = recover(
             [disk.power_cycle() for disk in disks]
         )
         assert report.shards == 4

@@ -15,13 +15,13 @@ Two properties:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import recover
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.lld.lld import LLD
-from repro.lld.recovery import recover
-from repro.shard import build_sharded, recover_sharded
+from repro.shard import build_sharded
 
 
 def build_single(num_segments=48):
@@ -135,7 +135,7 @@ class TestStripingInvisible:
         single2, _r1 = recover(
             single.disk.power_cycle(), checkpoint_slot_segments=2
         )
-        array2, _r2 = recover_sharded(
+        array2, _r2 = recover(
             [shard.disk.power_cycle() for shard in array.shards]
         )
         assert readback(single2, single_blocks) == expected
@@ -217,7 +217,7 @@ class TestRandomCrashPoints:
             crashed = False
         except DiskCrashedError:
             blocks = expected_blocks
-        recovered, report = recover_sharded(
+        recovered, report = recover(
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         contents = [recovered.read(b)[:24] for b in blocks]

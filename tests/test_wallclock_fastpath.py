@@ -2,12 +2,13 @@
 reference implementations.
 
 The fast paths (zero-copy segment assembly, the tuple summary
-decoder, tuple-dispatch replay, the process decode pool, the dense
-root tables) exist purely for wall-clock speed; every observable —
-platter bytes, decoded fields, recovered state, simulated time — must
-be byte-identical to the original code, which is kept in-tree as
-oracles (:func:`repro.lld.segment.reference_seal`,
-:func:`repro.lld.summary.decode_entries`, ``recover(replay="object")``).
+decoder, tuple-dispatch replay, the dense root tables) exist purely
+for wall-clock speed; every observable — platter bytes, decoded
+fields, recovered state — must be byte-identical to the original
+code, which is kept in-tree as oracles
+(:func:`repro.lld.segment.reference_seal`,
+:func:`repro.lld.summary.decode_entries`,
+:func:`repro.lld.recovery_reference.reference_recover`).
 """
 
 import random
@@ -17,11 +18,10 @@ import pytest
 from repro.core.records import ChainRoot
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.geometry import DiskGeometry
-from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
 from repro.ld.types import BlockId
-from repro.lld.lld import LLD
+from repro.lld.config import LLDConfig
 from repro.lld.maps import _DENSE_SLACK, BlockNumberMap, ListTable
 from repro.lld.recovery import recover
 from repro.lld.segment import SegmentBuffer, decode_segment, reference_seal
@@ -31,6 +31,13 @@ from repro.lld.summary import (
     decode_entries,
     decode_entry_tuples,
     encode_entries,
+)
+
+from tests.test_recovery_parallel import (
+    CONFIG,
+    assert_equivalent,
+    build,
+    workload,
 )
 
 
@@ -275,68 +282,8 @@ class TestDenseRootTables:
 
 
 # ----------------------------------------------------------------------
-# Recovery: tuple replay and the process pool vs the object oracle
+# Recovery: the production pipeline vs the reference recovery
 # ----------------------------------------------------------------------
-
-
-def build(injector=None, num_segments=96):
-    geo = DiskGeometry.small(num_segments=num_segments)
-    disk = SimulatedDisk(geo, injector=injector)
-    return disk, LLD(disk, checkpoint_slot_segments=2)
-
-
-def workload(fs):
-    for index in range(60):
-        path = f"/f{index}"
-        fs.create(path)
-        fs.write_file(path, f"payload-{index}".encode() * (index % 4 + 1))
-        if index % 4 == 1:
-            fs.rename(path, f"/r{index}")
-        if index % 5 == 2:
-            try:
-                fs.unlink(f"/f{index - 1}")
-            except Exception:
-                pass
-        if index % 3 == 0:
-            fs.sync()
-    fs.sync()
-
-
-def state_fingerprint(lld, report):
-    """Everything recovery rebuilds, in comparable form."""
-    return {
-        "checkpoint": lld.checkpoints._serialize(lld._snapshot_checkpoint()),
-        "free_count": lld.usage.free_count,
-        "dirty": sorted(lld.usage.dirty_segments()),
-        "buffer_segment": (
-            lld._buffer.segment_no if lld._buffer is not None else None
-        ),
-        "next_block": lld._next_block_id,
-        "next_list": lld._next_list_id,
-        "next_seq": lld._next_seq,
-        "commit_on_disk": set(lld._commit_on_disk),
-        "report": (
-            report.checkpoint_seq,
-            report.segments_scanned,
-            report.segments_replayed,
-            report.segments_invalid,
-            report.segments_unreadable,
-            report.entries_replayed,
-            report.entries_discarded,
-            report.replay_conflicts,
-            report.arus_committed,
-            report.arus_discarded,
-            tuple(report.discarded_aru_ids),
-            tuple(report.orphan_blocks_freed),
-        ),
-    }
-
-
-def _recover_fingerprint(disk, **kwargs):
-    lld, report = recover(
-        disk.power_cycle(), checkpoint_slot_segments=2, **kwargs
-    )
-    return state_fingerprint(lld, report), report
 
 
 class TestReplayByteIdentity:
@@ -344,26 +291,15 @@ class TestReplayByteIdentity:
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        tuple_state, tuple_report = _recover_fingerprint(disk, replay="tuple")
-        object_state, object_report = _recover_fingerprint(
-            disk, replay="object"
-        )
-        assert tuple_report.replay == "tuple"
-        assert object_report.replay == "object"
-        assert tuple_state == object_state
-        # Simulated recovery time is identical too (tolerance only for
-        # float summation order: the two runs start the absolute clock
-        # at different magnitudes).
-        assert abs(
-            tuple_report.recovery_time_us - object_report.recovery_time_us
-        ) < 0.01
+        assert_equivalent(disk)
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_crash_sweep_tuple_vs_object(self, torn):
-        """Sampled crash sweep: at every sampled crash point, tuple
-        replay and object replay rebuild identical state from the same
-        platter (test_recovery_parallel.py runs the exhaustive sweep
-        for serial-vs-parallel; the replay codecs share its workload)."""
+        """Sampled crash sweep: at every sampled crash point,
+        production (tuple replay) and the reference (object replay)
+        rebuild identical state from the same platter
+        (test_recovery_parallel.py runs the exhaustive sweep over the
+        same workload)."""
         probe, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
@@ -380,61 +316,33 @@ class TestReplayByteIdentity:
                 continue  # the budget outlived the workload
             except DiskCrashedError:
                 pass
-            tuple_state, _ = _recover_fingerprint(disk, replay="tuple")
-            object_state, _ = _recover_fingerprint(disk, replay="object")
-            assert tuple_state == object_state, (
-                f"replay divergence at crash_after={crash_after} torn={torn}"
-            )
+            assert_equivalent(disk)
 
     def test_data_readable_after_tuple_replay(self):
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        lld, report = recover(disk.power_cycle(), checkpoint_slot_segments=2)
-        assert report.replay == "tuple"
+        lld, _report = recover(disk.power_cycle(), config=CONFIG)
         mounted = MinixFS.mount(lld)
         for name in mounted.listdir("/"):
             mounted.read_file(f"/{name}")
 
     def test_invalid_replay_and_executor_rejected(self):
+        """The scan/replay/pool selectors are gone: recovery has one
+        pipeline, and asking for another is a ``TypeError`` that names
+        the knobs that do exist."""
         disk, ld = build()
         ld.flush()
-        with pytest.raises(ValueError):
-            recover(disk.power_cycle(), replay="bogus")
-        with pytest.raises(ValueError):
-            recover(disk.power_cycle(), executor="fibers")
-
-
-class TestProcessExecutor:
-    def test_process_pool_state_matches_threads(self):
-        disk, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        thread_state, thread_report = _recover_fingerprint(
-            disk, parallel=True, executor="thread"
-        )
-        process_state, process_report = _recover_fingerprint(
-            disk, parallel=True, executor="process"
-        )
-        assert thread_report.executor == "thread"
-        if process_report.executor != "process":
-            pytest.skip("process pool unavailable on this host (fell back)")
-        assert process_state == thread_state
-
-    def test_executor_config_default(self):
-        from repro.lld.config import LLDConfig
-
-        disk, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        cfg = LLDConfig(recovery_executor="process", checkpoint_slot_segments=2)
-        state_cfg, report = _recover_fingerprint(disk, parallel=True, config=cfg)
-        state_default, _ = _recover_fingerprint(disk, parallel=True)
-        assert report.executor in ("process", "thread")  # thread = fallback
-        assert state_cfg == state_default
-
-    def test_invalid_executor_config_rejected(self):
-        from repro.lld.config import LLDConfig
-
-        with pytest.raises(ValueError):
-            LLDConfig(recovery_executor="fibers").validate()
+        for removed in (
+            {"parallel": False},
+            {"replay": "object"},
+            {"executor": "process"},
+            {"recovery_parallel": False},
+            {"recovery_executor": "process"},
+        ):
+            with pytest.raises(TypeError, match="valid: .*recovery_workers"):
+                recover(disk.power_cycle(), **removed)
+        with pytest.raises(TypeError):
+            LLDConfig(recovery_executor="process")
+        with pytest.raises(TypeError):
+            LLDConfig(recovery_parallel=False)
