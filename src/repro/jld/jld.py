@@ -49,10 +49,9 @@ from repro.ld.interface import LogicalDisk
 from repro.ld.types import ARU_NONE, ARUId, BlockId, FIRST, ListId, PhysAddr, Predecessor
 from repro.lld.cache import BlockCache
 from repro.lld.checkpoint import (
-    BlockSnapshot,
+    FLAG_HAS_ADDR,
     CheckpointData,
     CheckpointManager,
-    ListSnapshot,
 )
 from repro.lld.segment import SegmentBuffer, decode_segment
 from repro.lld.summary import EntryKind, SummaryEntry, entry_size
@@ -893,25 +892,19 @@ class JLD(LogicalDisk):
 
     def _snapshot(self) -> CheckpointData:
         blocks = [
-            BlockSnapshot(
-                block_id=int(block_id),
-                successor=int(block.successor) if block.successor else 0,
-                list_id=int(block.list_id) if block.list_id else 0,
-                timestamp=block.timestamp,
-                segment=block.home.segment,
-                slot=block.home.slot,
-                has_addr=block.written,
+            (
+                block_id,
+                block.successor or 0,
+                block.list_id or 0,
+                block.timestamp,
+                block.home.segment,
+                block.home.slot,
+                FLAG_HAS_ADDR if block.written else 0,
             )
             for block_id, block in self.blocks.items()
         ]
         lists = [
-            ListSnapshot(
-                list_id=int(list_id),
-                first=int(lst.first) if lst.first else 0,
-                last=int(lst.last) if lst.last else 0,
-                count=lst.count,
-                timestamp=lst.timestamp,
-            )
+            (list_id, lst.first or 0, lst.last or 0, lst.count, lst.timestamp)
             for list_id, lst in self.lists.items()
         ]
         return CheckpointData(
@@ -1019,18 +1012,18 @@ def recover_jld(disk: SimulatedDisk, sweep_orphans: bool = True, **kwargs):
     jld.arus.set_next_id(ckpt.next_aru_id)
     jld.blocks.clear()
     jld.lists.clear()
-    for snap in ckpt.blocks:
-        block = _Block(PhysAddr(snap.segment, snap.slot), snap.timestamp)
-        block.successor = BlockId(snap.successor) if snap.successor else None
-        block.list_id = ListId(snap.list_id) if snap.list_id else None
-        block.written = snap.has_addr
-        jld.blocks[BlockId(snap.block_id)] = block
-    for snap in ckpt.lists:
-        lst = _List(snap.timestamp)
-        lst.first = BlockId(snap.first) if snap.first else None
-        lst.last = BlockId(snap.last) if snap.last else None
-        lst.count = snap.count
-        jld.lists[ListId(snap.list_id)] = lst
+    for block_id, successor, list_id, ts, segment, slot, flags in ckpt.blocks:
+        block = _Block(PhysAddr(segment, slot), ts)
+        block.successor = BlockId(successor) if successor else None
+        block.list_id = ListId(list_id) if list_id else None
+        block.written = bool(flags & FLAG_HAS_ADDR)
+        jld.blocks[BlockId(block_id)] = block
+    for list_id, first, last, count, ts in ckpt.lists:
+        lst = _List(ts)
+        lst.first = BlockId(first) if first else None
+        lst.last = BlockId(last) if last else None
+        lst.count = count
+        jld.lists[ListId(list_id)] = lst
 
     # Scan the journal ring.
     decoded_segments = []

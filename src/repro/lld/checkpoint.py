@@ -16,7 +16,13 @@ Two checkpoint slots at the front of the partition are written
 alternately (classic LFS style), so a torn checkpoint write always
 leaves the previous checkpoint intact.  Each slot spans a fixed
 number of reserved segments sized at initialization for the
-worst-case table size.
+worst-case table size; a write covers only the bytes the checkpoint
+occupies (see :meth:`CheckpointManager.write`).
+
+The tables travel as plain tuples in wire order (:data:`BlockRow`,
+:data:`ListRow`) from the logical disk's snapshot to the packed
+image and back: a checkpoint visits every persistent record, so
+there is no per-record object on the way.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
-from repro.errors import DiskFullError
+from repro.errors import DiskFullError, MediaError
 
 CKPT_MAGIC = b"LCKP"
 CKPT_VERSION = 2
@@ -36,49 +42,33 @@ CKPT_VERSION = 2
 #: magic(4s) version(H) pad(H) ckpt_seq(Q) last_log_seq(Q) next_block(Q)
 #: next_list(Q) next_aru(Q) n_blocks(Q) n_lists(Q) n_segs(Q) n_decided(Q)
 #: total_len(Q) crc(Q)
-_HEADER_FMT = "<4sHHQQQQQQQQQQQ"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_HEADER = struct.Struct("<4sHHQQQQQQQQQQQ")
+_CRC = struct.Struct("<Q")
 
 #: one decided coordinator transaction id (cross-volume commit)
-_DECIDED_FMT = "<Q"
-_DECIDED_SIZE = struct.calcsize(_DECIDED_FMT)
+_DECIDED = struct.Struct("<Q")
 
 #: block_id succ list_id timestamp segment slot flags
-_BLOCK_FMT = "<QQQQIIB"
-_BLOCK_SIZE = struct.calcsize(_BLOCK_FMT)
-_FLAG_HAS_ADDR = 0x1
+_BLOCK = struct.Struct("<QQQQIIB")
+#: Bit of a block row's ``flags``: the block has a physical address.
+FLAG_HAS_ADDR = 0x1
 
 #: list_id first last count timestamp
-_LIST_FMT = "<QQQQQ"
-_LIST_SIZE = struct.calcsize(_LIST_FMT)
+_LIST = struct.Struct("<QQQQQ")
 
 #: segment seq live total
-_SEG_FMT = "<IQII"
-_SEG_SIZE = struct.calcsize(_SEG_FMT)
+_SEG = struct.Struct("<IQII")
 
+#: A checkpoint's tail is written rounded up to the unit a disk tears
+#: on, so the write never ends inside a sector.
+_SECTOR = 512
 
-@dataclasses.dataclass
-class BlockSnapshot:
-    """Persistent block record as stored in a checkpoint."""
-
-    block_id: int
-    successor: int  # 0 = none
-    list_id: int  # 0 = none
-    timestamp: int
-    segment: int
-    slot: int
-    has_addr: bool
-
-
-@dataclasses.dataclass
-class ListSnapshot:
-    """Persistent list record as stored in a checkpoint."""
-
-    list_id: int
-    first: int  # 0 = none
-    last: int  # 0 = none
-    count: int
-    timestamp: int
+#: One persistent block record in wire order: ``(block_id, successor,
+#: list_id, timestamp, segment, slot, flags)``; 0 stands for "none".
+BlockRow = Tuple[int, int, int, int, int, int, int]
+#: One persistent list record in wire order: ``(list_id, first, last,
+#: count, timestamp)``; 0 stands for "none".
+ListRow = Tuple[int, int, int, int, int]
 
 
 @dataclasses.dataclass
@@ -90,8 +80,8 @@ class CheckpointData:
     next_block_id: int
     next_list_id: int
     next_aru_id: int
-    blocks: List[BlockSnapshot]
-    lists: List[ListSnapshot]
+    blocks: List[BlockRow]
+    lists: List[ListRow]
     #: segment -> (log seq, live slots, total slots)
     segments: Dict[int, Tuple[int, int, int]]
     #: Coordinator transaction ids (cross-volume commits) decided by
@@ -101,6 +91,17 @@ class CheckpointData:
     #: global (all-shard) checkpoint proves every prepare is covered.
     #: Empty on non-coordinator and single-volume disks.
     decided_xids: List[int] = dataclasses.field(default_factory=list)
+
+    @property
+    def total_len(self) -> int:
+        """Bytes the serialized checkpoint occupies, header included."""
+        return (
+            _HEADER.size
+            + len(self.blocks) * _BLOCK.size
+            + len(self.lists) * _LIST.size
+            + len(self.segments) * _SEG.size
+            + len(self.decided_xids) * _DECIDED.size
+        )
 
     @classmethod
     def empty(cls) -> "CheckpointData":
@@ -126,9 +127,9 @@ def default_slot_segments(geometry: DiskGeometry) -> int:
     """
     max_blocks = geometry.max_data_blocks * geometry.num_segments
     payload = (
-        _HEADER_SIZE
-        + max_blocks * (_BLOCK_SIZE + _LIST_SIZE)
-        + geometry.num_segments * _SEG_SIZE
+        _HEADER.size
+        + max_blocks * (_BLOCK.size + _LIST.size)
+        + geometry.num_segments * _SEG.size
     )
     slots = -(-payload // geometry.segment_size)  # ceil division
     # Never let the checkpoint region eat the partition.
@@ -156,53 +157,58 @@ class CheckpointManager:
     # Writing
     # ------------------------------------------------------------------
 
-    def write(self, data: CheckpointData) -> None:
+    def write(self, data: CheckpointData) -> Tuple[int, int]:
         """Serialize and write a checkpoint to the next slot.
+
+        Only the bytes the checkpoint occupies are written: whole
+        segments first, then the tail rounded up to a sector.  The
+        slot is reserved for the worst case, so whatever an older,
+        longer checkpoint (or a torn write) left beyond ``total_len``
+        stays on the platter; the loader never reads it, and the CRC
+        covers exactly ``[0, total_len)``, so a write torn anywhere
+        leaves a slot that fails its CRC and the other slot wins.
+
+        Returns:
+            ``(payload bytes, bytes handed to the disk)``.
 
         Raises:
             DiskFullError: If the serialized checkpoint exceeds the
                 reserved slot (tables larger than provisioned).
         """
         payload = self._serialize(data)
-        slot_bytes = self.slot_segments * self.geometry.segment_size
+        seg_size = self.geometry.segment_size
+        slot_bytes = self.slot_segments * seg_size
         if len(payload) > slot_bytes:
             raise DiskFullError(
                 f"checkpoint needs {len(payload)} bytes but the slot holds "
                 f"{slot_bytes}; reserve more checkpoint segments"
             )
-        padded = payload + b"\x00" * (slot_bytes - len(payload))
         base = self._slot_base(data.ckpt_seq)
-        seg_size = self.geometry.segment_size
-        for index in range(self.slot_segments):
-            chunk = padded[index * seg_size : (index + 1) * seg_size]
-            self.disk.write_segment(base + index, chunk)
+        whole, tail = divmod(len(payload), seg_size)
+        for index in range(whole):
+            self.disk.write_segment(
+                base + index, payload[index * seg_size : (index + 1) * seg_size]
+            )
+        written = whole * seg_size
+        if tail:
+            padded = min(-(-tail // _SECTOR) * _SECTOR, seg_size)
+            self.disk.write_at(
+                base + whole, 0, payload[written:] + bytes(padded - tail)
+            )
+            written += padded
         self.last_written_seq = data.ckpt_seq
+        return len(payload), written
 
     def _serialize(self, data: CheckpointData) -> bytes:
-        body = bytearray()
-        for blk in data.blocks:
-            flags = _FLAG_HAS_ADDR if blk.has_addr else 0
-            body += struct.pack(
-                _BLOCK_FMT,
-                blk.block_id,
-                blk.successor,
-                blk.list_id,
-                blk.timestamp,
-                blk.segment,
-                blk.slot,
-                flags,
-            )
-        for lst in data.lists:
-            body += struct.pack(
-                _LIST_FMT, lst.list_id, lst.first, lst.last, lst.count, lst.timestamp
-            )
-        for seg, (seq, live, total) in sorted(data.segments.items()):
-            body += struct.pack(_SEG_FMT, seg, seq, live, total)
-        for xid in sorted(data.decided_xids):
-            body += struct.pack(_DECIDED_FMT, xid)
-        total_len = _HEADER_SIZE + len(body)
-        header = struct.pack(
-            _HEADER_FMT,
+        block, lst, seg = _BLOCK.pack, _LIST.pack, _SEG.pack
+        parts = [block(*row) for row in data.blocks]
+        parts += [lst(*row) for row in data.lists]
+        parts += [
+            seg(number, *entry) for number, entry in sorted(data.segments.items())
+        ]
+        parts += map(_DECIDED.pack, sorted(data.decided_xids))
+        body = b"".join(parts)
+        head = _HEADER.pack(
             CKPT_MAGIC,
             CKPT_VERSION,
             0,
@@ -215,12 +221,11 @@ class CheckpointManager:
             len(data.lists),
             len(data.segments),
             len(data.decided_xids),
-            total_len,
-            0,  # crc placeholder
-        )
-        crc = zlib.crc32(header[:-8] + bytes(body))
-        header = header[:-8] + struct.pack("<Q", crc)
-        return header + bytes(body)
+            _HEADER.size + len(body),
+            0,  # the CRC covers everything but itself
+        )[: -_CRC.size]
+        crc = zlib.crc32(body, zlib.crc32(head))
+        return b"".join((head, _CRC.pack(crc), body))
 
     # ------------------------------------------------------------------
     # Loading
@@ -237,101 +242,69 @@ class CheckpointManager:
         return best
 
     def _load_slot(self, slot: int) -> Optional[CheckpointData]:
+        """Parse one slot; None when it holds no valid checkpoint.
+
+        Only a media fault makes a slot "not a checkpoint"; a retired
+        handle, a lost shard or a bug must not look like an empty disk.
+        """
         base = slot * self.slot_segments
         seg_size = self.geometry.segment_size
         try:
             first = self.disk.read_segment(base)
-        except Exception:
+        except MediaError:
             return None
-        if len(first) < _HEADER_SIZE:
+        if len(first) < _HEADER.size:
             return None
-        try:
-            (
-                magic,
-                version,
-                _pad,
-                ckpt_seq,
-                last_log_seq,
-                next_block,
-                next_list,
-                next_aru,
-                n_blocks,
-                n_lists,
-                n_segs,
-                n_decided,
-                total_len,
-                crc,
-            ) = struct.unpack_from(_HEADER_FMT, first, 0)
-        except struct.error:
-            return None
+        (
+            magic,
+            version,
+            _pad,
+            ckpt_seq,
+            last_log_seq,
+            next_block,
+            next_list,
+            next_aru,
+            n_blocks,
+            n_lists,
+            n_segs,
+            n_decided,
+            total_len,
+            crc,
+        ) = _HEADER.unpack_from(first)
         if magic != CKPT_MAGIC or version != CKPT_VERSION:
             return None
-        if total_len < _HEADER_SIZE or total_len > self.slot_segments * seg_size:
+        if not _HEADER.size <= total_len <= self.slot_segments * seg_size:
             return None
-        raw = bytearray(first)
-        chunk = 1
-        while len(raw) < total_len:
-            try:
-                raw += self.disk.read_segment(base + chunk)
-            except Exception:
-                return None
-            chunk += 1
-        raw = bytes(raw[:total_len])
-        check = raw[: _HEADER_SIZE - 8] + raw[_HEADER_SIZE:]
-        if zlib.crc32(check) != crc:
+        chunks = [first]
+        try:
+            for index in range(1, -(-total_len // seg_size)):
+                chunks.append(self.disk.read_segment(base + index))
+        except MediaError:
             return None
-        expected = (
-            _HEADER_SIZE
-            + n_blocks * _BLOCK_SIZE
-            + n_lists * _LIST_SIZE
-            + n_segs * _SEG_SIZE
-            + n_decided * _DECIDED_SIZE
-        )
-        if expected != total_len:
+        raw = memoryview(b"".join(chunks))[:total_len]
+        body = raw[_HEADER.size :]
+        if zlib.crc32(body, zlib.crc32(raw[: _HEADER.size - _CRC.size])) != crc:
             return None
-        offset = _HEADER_SIZE
-        blocks: List[BlockSnapshot] = []
-        for _ in range(n_blocks):
-            bid, succ, lid, ts, seg, slot_no, flags = struct.unpack_from(
-                _BLOCK_FMT, raw, offset
-            )
-            offset += _BLOCK_SIZE
-            blocks.append(
-                BlockSnapshot(
-                    block_id=bid,
-                    successor=succ,
-                    list_id=lid,
-                    timestamp=ts,
-                    segment=seg,
-                    slot=slot_no,
-                    has_addr=bool(flags & _FLAG_HAS_ADDR),
-                )
-            )
-        lists: List[ListSnapshot] = []
-        for _ in range(n_lists):
-            lid, first_b, last_b, count, ts = struct.unpack_from(
-                _LIST_FMT, raw, offset
-            )
-            offset += _LIST_SIZE
-            lists.append(ListSnapshot(lid, first_b, last_b, count, ts))
-        segments: Dict[int, Tuple[int, int, int]] = {}
-        for _ in range(n_segs):
-            seg, seq, live, total = struct.unpack_from(_SEG_FMT, raw, offset)
-            offset += _SEG_SIZE
-            segments[seg] = (seq, live, total)
-        decided: List[int] = []
-        for _ in range(n_decided):
-            (xid,) = struct.unpack_from(_DECIDED_FMT, raw, offset)
-            offset += _DECIDED_SIZE
-            decided.append(xid)
+        blocks_end = n_blocks * _BLOCK.size
+        lists_end = blocks_end + n_lists * _LIST.size
+        segs_end = lists_end + n_segs * _SEG.size
+        if segs_end + n_decided * _DECIDED.size != len(body):
+            return None
         return CheckpointData(
             ckpt_seq=ckpt_seq,
             last_log_seq=last_log_seq,
             next_block_id=next_block,
             next_list_id=next_list,
             next_aru_id=next_aru,
-            blocks=blocks,
-            lists=lists,
-            segments=segments,
-            decided_xids=decided,
+            blocks=list(_BLOCK.iter_unpack(body[:blocks_end])),
+            lists=list(_LIST.iter_unpack(body[blocks_end:lists_end])),
+            segments={
+                seg: (seq, live, total)
+                for seg, seq, live, total in _SEG.iter_unpack(
+                    body[lists_end:segs_end]
+                )
+            },
+            decided_xids=[
+                xid for (xid,) in _DECIDED.iter_unpack(body[segs_end:])
+            ],
         )

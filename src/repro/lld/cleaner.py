@@ -23,6 +23,7 @@ leaves either the old or the new copy reachable.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import List, Optional
 
 from repro.core.versions import VersionState
@@ -33,7 +34,7 @@ from repro.lld.summary import KIND_WRITE
 
 @dataclasses.dataclass
 class CleanReport:
-    """What one cleaning pass accomplished."""
+    """What one cleaner run accomplished."""
 
     victims: List[int]
     blocks_copied: int
@@ -41,6 +42,9 @@ class CleanReport:
     #: Victims that turned out to be unreadable/corrupt; they were
     #: handed to the scrubber instead of freed.
     damaged: List[int] = dataclasses.field(default_factory=list)
+    #: Evacuation passes the run took (one, unless the workspace
+    #: budget truncated a pass or a victim was damaged).
+    passes: int = 0
 
 
 class SegmentCleaner:
@@ -82,16 +86,19 @@ class SegmentCleaner:
             if live >= self.lld.geometry.max_data_blocks:
                 continue
             candidates.append((self._score(live, seq), live, seg))
-        candidates.sort()
-        return [seg for _score, _live, seg in candidates[:count]]
+        return [seg for _score, _live, seg in heapq.nsmallest(count, candidates)]
 
     def clean(self, target_free: int) -> CleanReport:
         """Clean until at least ``target_free`` segments are free.
 
-        Runs as many bounded passes as keep making progress: each
-        pass evacuates only as much live data as the current free
-        workspace can absorb, frees its victims, and thereby enlarges
-        the next pass's budget.  Returns an empty report when nothing
+        A pass is sized to finish the run — enough victims that what
+        they release, less the segments their copies fill and the
+        buffer the closing flush re-opens, covers the shortfall — and
+        each pass ends in one checkpoint.  A pass evacuates only as
+        much live data as the current free workspace can absorb, so
+        on a tight disk (or after a damaged victim) further bounded
+        passes run while they keep making progress, each enlarging
+        the next one's budget.  Returns an empty report when nothing
         can be cleaned (no victims, an unsafe moment, or a disk
         genuinely full of live data).
         """
@@ -104,7 +111,9 @@ class SegmentCleaner:
         all_victims: list = []
         total_copied = 0
         total_freed = 0
+        passes = 0
         damaged_all: set = set()
+        slots = lld.geometry.max_data_blocks
         while lld.usage.free_count < target_free:
             # Flushing first lands any pending commit records, which
             # is what makes checkpointing possible again.
@@ -115,31 +124,38 @@ class SegmentCleaner:
                 # evacuation copies would *consume* scarce space.
                 break
             needed = target_free - lld.usage.free_count
-            candidates = self.select_victims(needed, exclude=frozenset(damaged_all))
+            # The budget below caps the copies at free_count - 1
+            # segments, so needed + 1 + (free_count - 1) = target_free
+            # victims always cover the shortfall; no pass wants more.
+            candidates = self.select_victims(
+                target_free, exclude=frozenset(damaged_all)
+            )
             if not candidates:
                 break
             # Bound the evacuation volume by the workspace we have:
             # copies consume free segments before the victims are
             # released, so an over-ambitious pass could wedge the
             # disk.
-            budget_slots = max(
-                1, (lld.usage.free_count - 1) * lld.geometry.max_data_blocks
-            )
+            budget_slots = max(1, (lld.usage.free_count - 1) * slots)
             victims = []
-            copy_load = 0
+            copy_load = consumed = 0
             for seg in candidates:
                 live = lld.usage.live_slots(seg)
                 if victims and copy_load + live > budget_slots:
                     break
                 victims.append(seg)
                 copy_load += live
+                consumed = -(-copy_load // slots)  # segments the copies fill
+                # Enough once the victims cover the shortfall, their
+                # copies and the buffer the closing flush re-opens.
+                if len(victims) - consumed - 1 >= needed:
+                    break
             # A pass must be net-positive: segments released must
             # exceed segments consumed by the copies, or cleaning
             # would eat the last workspace for nothing.
-            slots = lld.geometry.max_data_blocks
-            consumed = -(-copy_load // slots) if copy_load else 0
             if len(victims) - consumed < 1:
                 break
+            passes += 1
             free_before = lld.usage.free_count
             was_cleaning = lld._cleaning
             lld._cleaning = True
@@ -182,11 +198,10 @@ class SegmentCleaner:
                     all_victims += victims
                     total_copied += copied
                     break
-                lld._ckpt_seq += 1
                 for seg in victims:
                     lld.cache.invalidate_segment(seg)
                     lld.usage.free_segment(seg)
-                lld.checkpoints.write(lld._snapshot_checkpoint())
+                lld._write_checkpoint()
             finally:
                 lld._cleaning = was_cleaning
             all_victims += victims
@@ -211,7 +226,7 @@ class SegmentCleaner:
             finally:
                 lld._cleaning = was_cleaning
         return CleanReport(
-            all_victims, total_copied, total_freed, sorted(damaged_all)
+            all_victims, total_copied, total_freed, sorted(damaged_all), passes
         )
 
     def _evacuate(self, seg: int, raw: Optional[bytes] = None) -> Optional[int]:

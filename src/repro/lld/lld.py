@@ -69,10 +69,9 @@ from repro.ld.types import (
 from repro.lld.cache import BlockCache
 from repro.lld.config import LLDConfig
 from repro.lld.checkpoint import (
-    BlockSnapshot,
+    FLAG_HAS_ADDR,
     CheckpointData,
     CheckpointManager,
-    ListSnapshot,
     default_slot_segments,
 )
 from repro.lld.maps import BlockNumberMap, ListTable
@@ -221,7 +220,16 @@ class LLD(LogicalDisk):
         m = self.obs.metrics
         self._op_counters: Dict[str, object] = {}
         self._c_segments_flushed = m.counter("lld.segments.flushed")
-        self._c_cleanings = m.counter("lld.cleaner.passes")
+        self._cleaner_counters = {
+            name: m.counter(f"lld.cleaner.{name}")
+            for name in (
+                "runs", "passes", "segments_freed", "blocks_copied", "damaged"
+            )
+        }
+        self._ckpt_counters = {
+            name: m.counter(f"lld.checkpoint.{name}")
+            for name in ("writes", "payload_bytes", "bytes_written")
+        }
         self._c_commit_groups_flushed = m.counter(
             "lld.group_commit.groups_flushed"
         )
@@ -249,7 +257,7 @@ class LLD(LogicalDisk):
         }
         self._h_commit_us = m.histogram("lld.commit_us")
         self._h_flush_us = m.histogram("lld.flush_us")
-        self._h_cleaner_us = m.histogram("lld.cleaner.pass_us")
+        self._h_cleaner_us = m.histogram("lld.cleaner.run_us")
 
         if not _defer_init:
             self._open_new_buffer()
@@ -1098,13 +1106,7 @@ class LLD(LogicalDisk):
                     "cannot checkpoint: unfolded committed state or an "
                     "active sequential-mode ARU still references the log"
                 )
-            self._ckpt_seq += 1
-            try:
-                self.checkpoints.write(self._snapshot_checkpoint())
-            except DiskCrashedError:
-                self._mark_dead("disk_crashed_mid_checkpoint")
-                raise
-            self.obs.record("checkpoint", seq=self._ckpt_seq)
+            self._write_checkpoint()
 
     def checkpoint_safe(self) -> bool:
         """True when the persistent tables fully capture the log
@@ -1696,13 +1698,17 @@ class LLD(LogicalDisk):
         try:
             cleaner = SegmentCleaner(self, policy=self.cleaner_policy)
             report = cleaner.clean(target_free=self.clean_high_water)
-            self._c_cleanings.inc()
+            self._cleaner_counters["runs"].inc()
+            counts = {
+                "passes": report.passes,
+                "segments_freed": report.segments_freed,
+                "blocks_copied": report.blocks_copied,
+                "damaged": len(report.damaged),
+            }
+            for name, count in counts.items():
+                self._cleaner_counters[name].add(count)
             self.obs.record(
-                "cleaner.pass",
-                victims=len(report.victims),
-                blocks_copied=report.blocks_copied,
-                segments_freed=report.segments_freed,
-                damaged=len(report.damaged),
+                "cleaner.pass", victims=len(report.victims), **counts
             )
             self._h_cleaner_us.observe(self.clock.now_us - pass_start_us)
         finally:
@@ -1935,27 +1941,28 @@ class LLD(LogicalDisk):
     # ==================================================================
 
     def _snapshot_checkpoint(self) -> CheckpointData:
-        """Serialize the persistent state (call only after a flush)."""
+        """The persistent state as checkpoint rows (call only after a
+        flush)."""
+        # One literal tuple per row (no concatenation): this loop
+        # visits every persistent record on every checkpoint.
         blocks = [
-            BlockSnapshot(
-                block_id=int(block_id),
-                successor=int(rec.successor) if rec.successor is not None else 0,
-                list_id=int(rec.list_id) if rec.list_id is not None else 0,
-                timestamp=rec.timestamp,
-                segment=rec.address.segment if rec.address else 0,
-                slot=rec.address.slot if rec.address else 0,
-                has_addr=rec.address is not None,
+            (
+                block_id,
+                rec.successor or 0,
+                rec.list_id or 0,
+                rec.timestamp,
+                addr.segment,
+                addr.slot,
+                FLAG_HAS_ADDR,
+            )
+            if (addr := rec.address) is not None
+            else (
+                block_id, rec.successor or 0, rec.list_id or 0, rec.timestamp, 0, 0, 0
             )
             for block_id, rec in self.bmap.persistent_blocks()
         ]
         lists = [
-            ListSnapshot(
-                list_id=int(list_id),
-                first=int(rec.first) if rec.first is not None else 0,
-                last=int(rec.last) if rec.last is not None else 0,
-                count=rec.count,
-                timestamp=rec.timestamp,
-            )
+            (list_id, rec.first or 0, rec.last or 0, rec.count, rec.timestamp)
             for list_id, rec in self.ltable.persistent_lists()
         ]
         return CheckpointData(
@@ -1969,6 +1976,22 @@ class LLD(LogicalDisk):
             segments=self.usage.snapshot(),
             decided_xids=sorted(self._decided_xids),
         )
+
+    def _write_checkpoint(self) -> None:
+        """Write the next checkpoint from the current tables — the one
+        place a checkpoint is issued (``write_checkpoint``, the cleaner
+        and the scrubber).  Callers have flushed and hold
+        ``checkpoint_safe()``."""
+        self._ckpt_seq += 1
+        try:
+            payload, written = self.checkpoints.write(self._snapshot_checkpoint())
+        except DiskCrashedError:
+            self._mark_dead("disk_crashed_mid_checkpoint")
+            raise
+        self._ckpt_counters["writes"].inc()
+        self._ckpt_counters["payload_bytes"].add(payload)
+        self._ckpt_counters["bytes_written"].add(written)
+        self.obs.record("checkpoint", ckpt_seq=self._ckpt_seq, bytes=written)
 
     def _check_alive(self) -> None:
         if self._dead or self.disk.crashed:
@@ -2022,7 +2045,7 @@ class LLD(LogicalDisk):
 
     @property
     def cleanings(self) -> int:
-        return self._c_cleanings.value
+        return self._cleaner_counters["runs"].value
 
     @property
     def scrub_stats(self) -> Dict[str, int]:
@@ -2055,6 +2078,17 @@ class LLD(LogicalDisk):
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "free_segments": self.usage.free_count,
+            "cleaner": {
+                name: counter.value
+                for name, counter in self._cleaner_counters.items()
+            },
+            "checkpoint": {
+                **{
+                    name: counter.value
+                    for name, counter in self._ckpt_counters.items()
+                },
+                "last_seq": self._ckpt_seq,
+            },
             "scrub": {
                 **self.scrub_stats,
                 "pending_segments": len(self._scrub_pending),

@@ -105,10 +105,16 @@ class _RootTable:
                 yield ident, self._sparse[ident]
 
     def persistent_items(self) -> Iterator[Tuple[int, object]]:
-        """Iterate (id, persistent record) for every id that has one."""
-        for ident, root in self.items():
-            if root.persistent is not None:
+        """Iterate (id, persistent record) for every id that has one,
+        in :meth:`items` order (walked flat: every checkpoint visits
+        every record)."""
+        for ident, root in enumerate(self._dense):
+            if root is not None and root.persistent is not None:
                 yield ident, root.persistent
+        for ident in sorted(self._sparse):
+            record = self._sparse[ident].persistent
+            if record is not None:
+                yield ident, record
 
 
 class BlockNumberMap(_RootTable):

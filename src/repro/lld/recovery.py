@@ -51,7 +51,7 @@ from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError
 from repro.ld.types import SYSTEM_ID_BASE, PhysAddr
-from repro.lld.checkpoint import CheckpointData
+from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.segment import (
@@ -217,25 +217,25 @@ class ReplayRules:
 
     def load_checkpoint(self, ckpt: CheckpointData) -> None:
         """Seed the records with the checkpoint's persistent state."""
-        for blk in ckpt.blocks:
-            self.blocks[blk.block_id] = BlockVersion(
-                blk.block_id,
+        for block_id, successor, list_id, ts, segment, slot, flags in ckpt.blocks:
+            self.blocks[block_id] = BlockVersion(
+                block_id,
                 VersionState.PERSISTENT,
                 address=(
-                    PhysAddr(blk.segment, blk.slot) if blk.has_addr else None
+                    PhysAddr(segment, slot) if flags & FLAG_HAS_ADDR else None
                 ),
-                successor=blk.successor or None,
-                list_id=blk.list_id or None,
-                timestamp=blk.timestamp,
+                successor=successor or None,
+                list_id=list_id or None,
+                timestamp=ts,
             )
-        for lst in ckpt.lists:
-            self.lists[lst.list_id] = ListVersion(
-                lst.list_id,
+        for list_id, first, last, count, ts in ckpt.lists:
+            self.lists[list_id] = ListVersion(
+                list_id,
                 VersionState.PERSISTENT,
-                first=lst.first or None,
-                last=lst.last or None,
-                count=lst.count,
-                timestamp=lst.timestamp,
+                first=first or None,
+                last=last or None,
+                count=count,
+                timestamp=ts,
             )
 
     def replay_segment(self, decoded: DecodedSegment) -> None:

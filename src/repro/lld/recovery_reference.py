@@ -27,7 +27,7 @@ from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError, MediaError
 from repro.ld.types import SYSTEM_ID_BASE, BlockId, ListId, PhysAddr
-from repro.lld.checkpoint import CheckpointData
+from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import RecoveryReport
@@ -50,23 +50,11 @@ class _ReplayState:
         self.max_aru = 0
 
     def load_checkpoint(self, ckpt: CheckpointData) -> None:
-        for blk in ckpt.blocks:
-            addr = (blk.segment, blk.slot) if blk.has_addr else None
-            self.blocks[blk.block_id] = [
-                True,
-                addr,
-                blk.successor,
-                blk.list_id,
-                blk.timestamp,
-            ]
-        for lst in ckpt.lists:
-            self.lists[lst.list_id] = [
-                True,
-                lst.first,
-                lst.last,
-                lst.count,
-                lst.timestamp,
-            ]
+        for block_id, successor, list_id, ts, segment, slot, flags in ckpt.blocks:
+            addr = (segment, slot) if flags & FLAG_HAS_ADDR else None
+            self.blocks[block_id] = [True, addr, successor, list_id, ts]
+        for list_id, first, last, count, ts in ckpt.lists:
+            self.lists[list_id] = [True, first, last, count, ts]
         self.max_block = ckpt.next_block_id - 1
         self.max_list = ckpt.next_list_id - 1
         self.max_aru = ckpt.next_aru_id - 1

@@ -210,8 +210,7 @@ class Scrubber:
             report.segments_quarantined += 1
         lld.flush()
         if lld.checkpoint_safe():
-            lld._ckpt_seq += 1
-            lld.checkpoints.write(lld._snapshot_checkpoint())
+            lld._write_checkpoint()
             report.checkpointed = True
         return report
 

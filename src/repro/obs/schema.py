@@ -50,6 +50,24 @@ STATS_SCHEMA = {
     "cache_hits": INT,
     "cache_misses": INT,
     "free_segments": INT,
+    # A run is one cleaner invocation (``cleanings`` == ``runs``), a
+    # pass one evacuation round inside it; a pass that frees its
+    # victims ends in exactly one checkpoint.
+    "cleaner": {
+        "runs": INT,
+        "passes": INT,
+        "segments_freed": INT,
+        "blocks_copied": INT,
+        "damaged": INT,
+    },
+    # ``payload_bytes`` is what the checkpoints occupy, ``bytes_written``
+    # what reached the disk (payload rounded up to a sector).
+    "checkpoint": {
+        "writes": INT,
+        "payload_bytes": INT,
+        "bytes_written": INT,
+        "last_seq": INT,
+    },
     "scrub": {
         "scrubs": INT,
         "segments_quarantined": INT,

@@ -45,6 +45,7 @@ def describe_checkpoints(
         else default_slot_segments(disk.geometry)
     )
     manager = CheckpointManager(disk, slots)
+    reserved = slots * disk.geometry.segment_size
     lines = [f"checkpoint region: 2 slots x {slots} segment(s)"]
     for slot in range(2):
         parsed = manager._load_slot(slot)
@@ -60,7 +61,8 @@ def describe_checkpoints(
             f"  slot {slot}: ckpt_seq={parsed.ckpt_seq} "
             f"last_log_seq={parsed.last_log_seq} "
             f"blocks={len(parsed.blocks)} lists={len(parsed.lists)} "
-            f"segments={len(parsed.segments)}{decided}"
+            f"segments={len(parsed.segments)}{decided} "
+            f"total_len={parsed.total_len} of {reserved} reserved"
         )
     best = manager.load()
     lines.append(f"  newest valid checkpoint: seq {best.ckpt_seq}")

@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.ld.types import BlockId
-from repro.lld.checkpoint import (
-    BlockSnapshot,
-    CheckpointData,
-    CheckpointManager,
-    ListSnapshot,
-)
+from repro.lld.checkpoint import CheckpointData, CheckpointManager
 from repro.lld.segment import SegmentBuffer, decode_segment
 from repro.lld.summary import EntryKind, SummaryEntry
 
@@ -94,28 +89,27 @@ class TestSegmentCodecProperties:
         assert decode_segment(bytes(image), GEO, 0) is None
 
 
+#: Checkpoint rows in wire order (see repro.lld.checkpoint.BlockRow/ListRow).
 _snapshot_blocks = st.lists(
-    st.builds(
-        BlockSnapshot,
-        block_id=st.integers(1, 2**40),
-        successor=st.integers(0, 2**40),
-        list_id=st.integers(0, 2**40),
-        timestamp=st.integers(0, 2**40),
-        segment=st.integers(0, 2**20),
-        slot=st.integers(0, 2**20),
-        has_addr=st.booleans(),
+    st.tuples(
+        st.integers(1, 2**40),  # block_id
+        st.integers(0, 2**40),  # successor
+        st.integers(0, 2**40),  # list_id
+        st.integers(0, 2**40),  # timestamp
+        st.integers(0, 2**20),  # segment
+        st.integers(0, 2**20),  # slot
+        st.integers(0, 1),  # flags
     ),
     max_size=30,
 )
 
 _snapshot_lists = st.lists(
-    st.builds(
-        ListSnapshot,
-        list_id=st.integers(1, 2**40),
-        first=st.integers(0, 2**40),
-        last=st.integers(0, 2**40),
-        count=st.integers(0, 2**30),
-        timestamp=st.integers(0, 2**40),
+    st.tuples(
+        st.integers(1, 2**40),  # list_id
+        st.integers(0, 2**40),  # first
+        st.integers(0, 2**40),  # last
+        st.integers(0, 2**30),  # count
+        st.integers(0, 2**40),  # timestamp
     ),
     max_size=30,
 )

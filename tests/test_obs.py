@@ -230,7 +230,7 @@ class TestLLDIntegration:
         assert "cleaner.pass" in kinds
         assert "scrub.pass" in kinds
         assert ld.obs.metrics.value("lld.scrub.scrubs") == 1
-        assert ld.obs.metrics.value("lld.cleaner.passes") == ld.cleanings
+        assert ld.obs.metrics.value("lld.cleaner.runs") == ld.cleanings
 
     def test_recovery_events_and_phase_counters(self):
         ld = make_lld()

@@ -24,6 +24,15 @@ FROZEN_PATHS = [
     "arus_committed:int",
     "cache_hits:int",
     "cache_misses:int",
+    "checkpoint.bytes_written:int",
+    "checkpoint.last_seq:int",
+    "checkpoint.payload_bytes:int",
+    "checkpoint.writes:int",
+    "cleaner.blocks_copied:int",
+    "cleaner.damaged:int",
+    "cleaner.passes:int",
+    "cleaner.runs:int",
+    "cleaner.segments_freed:int",
     "cleanings:int",
     "cpu_counts.*:number",
     "cpu_us.*:number",

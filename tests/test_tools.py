@@ -6,6 +6,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import CorruptionError
 from repro.fs import MinixFS
+from repro.lld.checkpoint import CheckpointManager
 from repro.lld.lld import LLD
 from repro.tools.inspect import (
     describe_checkpoints,
@@ -83,6 +84,11 @@ class TestInspect:
         text = describe_checkpoints(disk, slot_segments=2)
         assert "ckpt_seq=1" in text
         assert "newest valid checkpoint: seq 1" in text
+        # Each slot's real size beside its reservation.
+        reserved = 2 * disk.geometry.segment_size
+        total_len = CheckpointManager(disk, 2).load().total_len
+        assert 0 < total_len < reserved
+        assert f"total_len={total_len} of {reserved} reserved" in text
 
     def test_describe_segments(self, populated):
         disk, _image = populated
