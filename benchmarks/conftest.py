@@ -55,8 +55,8 @@ def merge_report_json(name: str, section: str, payload: dict) -> pathlib.Path:
     """Set one top-level ``section`` of ``BENCH_<name>.json`` in place.
 
     Lets several benchmark tests contribute to one artifact (the
-    front-end file carries the saturation sweep, the thread-vs-async
-    comparison and the maintenance-interference run) without the last
+    front-end file carries the saturation sweep, the 2048-client
+    flood and the maintenance-interference run) without the last
     writer clobbering the others; a missing or unreadable file starts
     fresh.
     """

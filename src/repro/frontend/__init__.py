@@ -8,14 +8,9 @@ queues their transaction bodies on per-shard execution lanes over a
 transaction layer (:mod:`repro.txn`), and applies backpressure when
 the volume's write-behind queue or group-commit window saturates.
 
-Two lane implementations share one API, one admission policy and one
-stats schema — pick with ``FrontendConfig(lane_impl=...)`` and build
-via :func:`make_frontend`:
-
-* :class:`~repro.frontend.scheduler.FrontEnd` — worker threads per
-  lane (``"thread"``),
-* :class:`~repro.frontend.asyncsched.AsyncFrontEnd` — one event loop
-  multiplexing thousands of open-loop clients (``"async"``).
+:class:`~repro.frontend.scheduler.FrontEnd` is the one scheduler —
+worker threads per lane, admitted requests parked in lane FIFOs rather
+than on threads; :func:`make_frontend` is its constructor.
 
 :class:`~repro.frontend.maintenance.MaintenanceDriver` runs cleaner
 and scrubber passes *during* a storm, so the benchmarks can measure
@@ -23,11 +18,10 @@ maintenance interference on the decomposed tail latencies.
 
 See ``docs/CONCURRENCY.md`` for the scheduling model and knobs, and
 ``benchmarks/bench_frontend.py`` for the saturation sweep and the
-thread-vs-async comparison that drive it with the open-loop generator
+2048-client flood that drive it with the open-loop generator
 (:mod:`repro.workloads.openloop`).
 """
 
-from repro.frontend.asyncsched import AsyncFrontEnd
 from repro.frontend.maintenance import MaintenanceDriver
 from repro.frontend.scheduler import (
     FrontEnd,
@@ -38,7 +32,6 @@ from repro.frontend.scheduler import (
 )
 
 __all__ = [
-    "AsyncFrontEnd",
     "FrontEnd",
     "FrontendConfig",
     "MaintenanceDriver",

@@ -11,11 +11,9 @@ clean` and :meth:`~repro.lld.lld.LLD.scrub` entry points (or their
 :class:`~repro.shard.sharded.ShardedLLD` array-wide twins).
 
 Each pass takes the volume's own lock, exactly like a foreground
-client call — which is precisely the interference being measured: on
-the thread front end, workers stall on the lock; on the async front
-end, storage-pool threads stall while the event loop keeps admitting
-and multiplexing.  The decomposed ``frontend.storage_us`` histogram
-is where the stalls land.
+client call — which is precisely the interference being measured:
+the front end's lane workers stall on the lock, and the decomposed
+``frontend.storage_us`` histogram is where the stalls land.
 
 A pass racing a deliberate crash (the fault-injection tests) can see
 the volume die mid-call; the driver records the failure and stops

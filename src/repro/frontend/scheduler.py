@@ -6,19 +6,14 @@ Scheduling model
 Every request is one transaction body (a callable taking a
 transaction).  Requests are tagged with a *tenant* and routed to an
 execution **lane** — one lane per shard of the underlying volume (a
-single-volume disk gets one lane).  Two lane implementations share
-this module's API, admission control and stats schema, selected by
-``FrontendConfig.lane_impl``:
-
-* ``"thread"`` (:class:`FrontEnd`, this module) — each lane owns a
-  small pool of worker threads that pop requests and run them through
-  :func:`~repro.txn.transactions.run_transaction`, so wait-die
-  retries, timestamp inheritance and lock cleanup are the transaction
-  layer's problem, exercised here under genuine thread contention.
-* ``"async"`` (:class:`~repro.frontend.asyncsched.AsyncFrontEnd`) —
-  one event loop multiplexes every lane; thousands of admitted
-  clients cost a parked task each, not a thread.  See that module for
-  the loop/handoff contract.
+single-volume disk gets one lane).  Each lane owns a small pool of
+worker threads that pop requests and run them through
+:func:`~repro.txn.transactions.run_transaction`, so wait-die retries,
+timestamp inheritance and lock cleanup are the transaction layer's
+problem, exercised here under genuine thread contention.  An admitted
+request waits in its lane's FIFO, not on a thread, so a handful of
+workers hold thousands of clients in flight (``docs/CONCURRENCY.md``
+records why this is the only lane implementation).
 
 Within a lane, tenants are served **round-robin**: each tenant has
 its own FIFO and the lane cycles through tenants with queued work, so
@@ -43,9 +38,6 @@ The last two read the cheap O(1) :attr:`~repro.lld.lld.LLD.
 writeback_queued` / :attr:`~repro.lld.lld.LLD.commits_parked` views —
 the storage layer's own saturation signals — so backpressure engages
 *before* the log falls behind rather than after latency explodes.
-Both lane implementations run the identical predicate
-(:meth:`_FrontEndBase._admissible`): the knob changes the scheduler,
-never the admission policy.
 
 Time bases and latency decomposition
 ------------------------------------
@@ -60,9 +52,7 @@ service time further decomposes via its
   (across every wait-die retry),
 * ``frontend.storage_us`` — wall time inside logical-disk calls,
 * ``frontend.sched_overhead_us`` — the remainder: scheduler and
-  transaction-layer bookkeeping, retry backoff sleeps, and (for the
-  async impl) event-loop latency.  This is the thread-vs-async
-  headline number.
+  transaction-layer bookkeeping and retry backoff sleeps.
 
 All three share the service clock, so per-request they sum to the
 observed service time (the overhead component is clamped at zero
@@ -89,9 +79,6 @@ from repro.txn.transactions import (
     run_transaction,
 )
 
-#: The lane implementations ``FrontendConfig.lane_impl`` accepts.
-LANE_IMPLS = ("thread", "async")
-
 
 class RequestRejected(LDError):
     """The front end shed this request (admission control)."""
@@ -102,14 +89,9 @@ class FrontendConfig:
     """Knobs for the scheduler (see module docstring for semantics).
 
     Attributes:
-        lane_impl: ``"thread"`` (worker threads per lane) or
-            ``"async"`` (one event loop multiplexing every lane).
-            Both honour every other knob identically.
-        workers_per_lane: Worker threads per shard lane (thread impl).
-            More than one means transactions of the *same* shard
-            genuinely contend on the lock manager, which is the
-            point.  The async impl reuses this as the sizing unit for
-            its sync-body thread pool.
+        workers_per_lane: Worker threads per shard lane.  More than
+            one means transactions of the *same* shard genuinely
+            contend on the lock manager, which is the point.
         max_inflight: Admission cap on requests queued or running
             across the whole front end.
         max_tenant_queue: Per-tenant queued-request cap (fairness:
@@ -129,14 +111,6 @@ class FrontendConfig:
             :meth:`FrontEnd.close` flush makes the run durable.
         admission_poll_s: How often a blocked submit re-samples the
             storage saturation signals (they have no wakeup hook).
-        async_txns_per_lane: Async impl only: transactions a lane
-            executes concurrently (admitted clients beyond this wait
-            queued on the loop, costing no thread).  The thread
-            impl's equivalent is ``workers_per_lane``.
-        storage_threads: Async impl only: threads in the LD-handoff
-            pool (0 derives ``lanes × workers_per_lane``).  Separate
-            from the sync-body pool so lock-blocked sync bodies can
-            never starve storage handoff.
     """
 
     workers_per_lane: int = 2
@@ -149,16 +123,8 @@ class FrontendConfig:
     retry_backoff_s: float = 0.001
     durable: bool = False
     admission_poll_s: float = 0.002
-    lane_impl: str = "thread"
-    async_txns_per_lane: int = 32
-    storage_threads: int = 0
 
     def validate(self) -> None:
-        if self.lane_impl not in LANE_IMPLS:
-            raise ValueError(
-                f"lane_impl must be one of {LANE_IMPLS}, "
-                f"got {self.lane_impl!r}"
-            )
         if self.workers_per_lane < 1:
             raise ValueError("workers_per_lane must be >= 1")
         if self.max_inflight < 1:
@@ -167,10 +133,6 @@ class FrontendConfig:
             raise ValueError("max_tenant_queue must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.async_txns_per_lane < 1:
-            raise ValueError("async_txns_per_lane must be >= 1")
-        if self.storage_threads < 0:
-            raise ValueError("storage_threads must be >= 0")
 
 
 class Request:
@@ -189,7 +151,6 @@ class Request:
         "started_at",
         "finished_at",
         "_done",
-        "_aevent",
     )
 
     def __init__(
@@ -209,9 +170,6 @@ class Request:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._done = threading.Event()
-        #: asyncio.Event for coroutine waiters; the async front end
-        #: attaches one on its loop at enqueue time.
-        self._aevent = None
 
     def wait(self, timeout: Optional[float] = None):
         """Block for the outcome; returns the body's result or
@@ -220,18 +178,6 @@ class Request:
             raise TimeoutError(
                 f"request {self.seq} ({self.tenant}) still {self.state}"
             )
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-    async def wait_async(self):
-        """Coroutine twin of :meth:`wait`, for clients living on the
-        async front end's event loop (never blocks the loop)."""
-        if self._aevent is None:
-            raise RuntimeError(
-                "request has no loop event (not on an async front end)"
-            )
-        await self._aevent.wait()
         if self.error is not None:
             raise self.error
         return self.result
@@ -287,14 +233,12 @@ class _Lane:
             self._cond.notify_all()
 
 
-class _FrontEndBase:
-    """Everything the lane implementations share: routing, admission,
-    instruments, request bookkeeping, the stats schema.
+class FrontEnd:
+    """The scheduler: routing, admission, lane workers, instruments.
 
-    Subclasses provide the scheduler itself: :meth:`_enqueue` (hand an
-    admitted request to its lane), :meth:`_queued_for` (a tenant's
-    queued count on a lane), :meth:`_worker_count` (execution slots,
-    for stats), and :meth:`close`.
+    Each lane owns ``workers_per_lane`` threads; an admitted request
+    queues on its tenant's FIFO and a lane worker runs it through
+    :func:`~repro.txn.transactions.run_transaction`.
 
     Args:
         ld: The volume — a :class:`~repro.shard.sharded.ShardedLLD`
@@ -343,8 +287,22 @@ class _FrontEndBase:
         self._tenant_done: Dict[str, int] = {}
         self._tenant_mutex = threading.Lock()
 
+        self._lanes = [_Lane(i) for i in range(self.n_lanes)]
+        self._workers = [
+            threading.Thread(
+                target=self._worker,
+                args=(lane,),
+                name=f"frontend-lane{lane.index}-w{w}",
+                daemon=True,
+            )
+            for lane in self._lanes
+            for w in range(self.config.workers_per_lane)
+        ]
+        for worker in self._workers:
+            worker.start()
+
     # ------------------------------------------------------------------
-    # Routing and admission (identical across lane implementations)
+    # Routing and admission
     # ------------------------------------------------------------------
 
     def shard_for_tenant(self, tenant: str) -> int:
@@ -364,36 +322,13 @@ class _FrontEndBase:
                 return True
         return False
 
-    def _queued_for(self, tenant: str, lane_index: int) -> int:
-        raise NotImplementedError
-
     def _admissible(self, tenant: str, lane_index: int) -> bool:
         return (
             self._inflight < self.config.max_inflight
-            and self._queued_for(tenant, lane_index)
+            and self._lanes[lane_index].queued_for(tenant)
             < self.config.max_tenant_queue
             and not self._storage_saturated()
         )
-
-    def _route(self, tenant: str, shard: Optional[int]) -> int:
-        if self._closed:
-            raise RuntimeError("front end is closed")
-        self._c_submitted.inc()
-        lane_index = (
-            self.shard_for_tenant(tenant) if shard is None else shard
-        )
-        if not 0 <= lane_index < self.n_lanes:
-            raise ValueError(f"no lane {lane_index}")
-        return lane_index
-
-    def _admit_locked(
-        self, tenant: str, body: Callable, lane_index: int
-    ) -> Request:
-        """Account one admission (caller holds ``self._admit``)."""
-        self._inflight += 1
-        self._g_inflight_max.update_max(self._inflight)
-        self._seq += 1
-        return Request(tenant, body, lane_index, self._seq)
 
     def _shed(self, why: str) -> RequestRejected:
         self._c_shed.inc()
@@ -415,14 +350,17 @@ class _FrontEndBase:
         immediately (:class:`RequestRejected`), which is what an
         open-loop arrival process needs: offered load beyond
         saturation shows up as explicit rejections, not as an
-        unbounded queue.
-
-        Thread-safe on both lane implementations; coroutine clients
-        on the async front end use
-        :meth:`~repro.frontend.asyncsched.AsyncFrontEnd.submit_async`
-        instead (same policy, never blocks the loop).
+        unbounded queue.  Thread-safe.
         """
-        lane_index = self._route(tenant, shard)
+        if self._closed:
+            raise RuntimeError("front end is closed")
+        lane_index = (
+            self.shard_for_tenant(tenant) if shard is None else shard
+        )
+        if not 0 <= lane_index < self.n_lanes:
+            raise ValueError(f"no lane {lane_index}")
+        # Counted only once routable, so submitted == admitted + shed.
+        self._c_submitted.inc()
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._admit:
             while not self._admissible(tenant, lane_index):
@@ -439,9 +377,12 @@ class _FrontEndBase:
                 # Timed wait: the storage saturation signals have no
                 # notify hook, so a blocked submit re-samples them.
                 self._admit.wait(timeout=budget)
-            request = self._admit_locked(tenant, body, lane_index)
+            self._inflight += 1
+            self._g_inflight_max.update_max(self._inflight)
+            self._seq += 1
+            request = Request(tenant, body, lane_index, self._seq)
         self._c_admitted.inc()
-        self._enqueue(request)
+        self._lanes[lane_index].push(request)
         return request
 
     def try_submit(
@@ -456,40 +397,58 @@ class _FrontEndBase:
         except RequestRejected:
             return None
 
-    def _enqueue(self, request: Request) -> None:
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
-    # Request bookkeeping (called by the lane implementations)
+    # Execution (lane worker threads)
     # ------------------------------------------------------------------
 
-    def _begin_request(self, request: Request) -> None:
-        """Mark a request running; observe its queue wait."""
+    def _worker(self, lane: _Lane) -> None:
+        while True:
+            request = lane.pop()
+            if request is None:
+                return
+            self._execute(request)
+
+    def _execute(self, request: Request) -> None:
         request.started_at = time.monotonic()
         request.state = "running"
         request.breakdown = TxnBreakdown()
         self._h_queue_wait.observe(
             (request.started_at - request.submitted_at) * 1e6
         )
+        try:
+            request.result = run_transaction(
+                self.manager,
+                request.body,
+                max_attempts=self.config.max_attempts,
+                durable=self.config.durable,
+                retry_backoff_s=self.config.retry_backoff_s,
+                breakdown=request.breakdown,
+            )
+            request.state = "done"
+        except TransactionAborted as exc:
+            request.error = exc
+            request.state = "gave_up"
+        except BaseException as exc:  # noqa: BLE001 — reported, not lost
+            request.error = exc
+            request.state = "failed"
+        finally:
+            self._finish_request(request)
 
     def _finish_request(self, request: Request) -> None:
         """Retire a request: outcome counters, latency decomposition,
-        fairness accounting, the admission wakeup, the done events."""
+        fairness accounting, the admission wakeup, the done event."""
         request.finished_at = time.monotonic()
         service_us = (request.finished_at - request.started_at) * 1e6
         self._h_service.observe(service_us)
         breakdown = request.breakdown
-        if breakdown is not None:
-            self._h_lock_wait.observe(breakdown.lock_wait_us)
-            self._h_storage.observe(breakdown.storage_us)
-            self._h_sched.observe(
-                max(
-                    0.0,
-                    service_us
-                    - breakdown.lock_wait_us
-                    - breakdown.storage_us,
-                )
+        self._h_lock_wait.observe(breakdown.lock_wait_us)
+        self._h_storage.observe(breakdown.storage_us)
+        self._h_sched.observe(
+            max(
+                0.0,
+                service_us - breakdown.lock_wait_us - breakdown.storage_us,
             )
+        )
         if request.state == "done":
             self._c_done.inc()
             with self._tenant_mutex:
@@ -504,8 +463,6 @@ class _FrontEndBase:
             self._inflight -= 1
             self._admit.notify_all()
         request._done.set()
-        if request._aevent is not None:
-            request._aevent.set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -527,9 +484,20 @@ class _FrontEndBase:
                 self._admit.wait(timeout=budget)
 
     def close(self, flush: bool = True) -> None:
-        raise NotImplementedError
+        """Drain, stop the lanes, and (by default) flush the volume
+        so every committed-in-memory ARU is durable."""
+        if self._closed:
+            return
+        self.drain()
+        self._closed = True
+        for lane in self._lanes:
+            lane.stop()
+        for worker in self._workers:
+            worker.join()
+        if flush:
+            self.ld.flush()
 
-    def __enter__(self) -> "_FrontEndBase":
+    def __enter__(self) -> "FrontEnd":
         return self
 
     def __exit__(self, _exc_type, _exc, _tb) -> bool:
@@ -540,24 +508,19 @@ class _FrontEndBase:
     # Introspection
     # ------------------------------------------------------------------
 
-    def _worker_count(self) -> int:
-        raise NotImplementedError
-
     def stats(self) -> dict:
         """Scheduler counters, per-tenant completions, the decomposed
         latency digests, transaction totals and the lock table's live
         sizes (the leak check: all ``txn.locks`` table sizes are 0
-        once drained).  Identical schema for both lane
-        implementations — :func:`repro.obs.schema.
-        validate_frontend_stats` freezes it."""
+        once drained).  :func:`repro.obs.schema.
+        validate_frontend_stats` freezes the schema."""
         with self._tenant_mutex:
             per_tenant = dict(sorted(self._tenant_done.items()))
         with self._admit:
             inflight = self._inflight
         return {
-            "lane_impl": self.config.lane_impl,
             "lanes": self.n_lanes,
-            "workers": self._worker_count(),
+            "workers": len(self._workers),
             "inflight": inflight,
             "inflight_max": self._g_inflight_max.value,
             "submitted": self._c_submitted.value,
@@ -578,115 +541,5 @@ class _FrontEndBase:
         }
 
 
-class FrontEnd(_FrontEndBase):
-    """The thread-per-lane scheduler (``lane_impl="thread"``).
-
-    Each lane owns ``workers_per_lane`` threads; an admitted request
-    queues on its tenant's FIFO and a lane worker runs it through
-    :func:`~repro.txn.transactions.run_transaction`.
-    """
-
-    def __init__(
-        self,
-        ld,
-        config: Optional[FrontendConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        super().__init__(ld, config, registry)
-        if self.config.lane_impl != "thread":
-            raise ValueError(
-                "FrontEnd is the thread lane implementation; build "
-                "lane_impl="
-                f"{self.config.lane_impl!r} via make_frontend()"
-            )
-        self._lanes = [_Lane(i) for i in range(self.n_lanes)]
-        self._workers = [
-            threading.Thread(
-                target=self._worker,
-                args=(lane,),
-                name=f"frontend-lane{lane.index}-w{w}",
-                daemon=True,
-            )
-            for lane in self._lanes
-            for w in range(self.config.workers_per_lane)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    def _queued_for(self, tenant: str, lane_index: int) -> int:
-        return self._lanes[lane_index].queued_for(tenant)
-
-    def _enqueue(self, request: Request) -> None:
-        self._lanes[request.shard].push(request)
-
-    def _worker_count(self) -> int:
-        return len(self._workers)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def _worker(self, lane: _Lane) -> None:
-        while True:
-            request = lane.pop()
-            if request is None:
-                return
-            self._execute(request)
-
-    def _execute(self, request: Request) -> None:
-        self._begin_request(request)
-        try:
-            request.result = run_transaction(
-                self.manager,
-                request.body,
-                max_attempts=self.config.max_attempts,
-                durable=self.config.durable,
-                retry_backoff_s=self.config.retry_backoff_s,
-                breakdown=request.breakdown,
-            )
-            request.state = "done"
-        except TransactionAborted as exc:
-            request.error = exc
-            request.state = "gave_up"
-        except BaseException as exc:  # noqa: BLE001 — reported, not lost
-            request.error = exc
-            request.state = "failed"
-        finally:
-            self._finish_request(request)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self, flush: bool = True) -> None:
-        """Drain, stop the lanes, and (by default) flush the volume
-        so every committed-in-memory ARU is durable."""
-        if self._closed:
-            return
-        self.drain()
-        self._closed = True
-        for lane in self._lanes:
-            lane.stop()
-        for worker in self._workers:
-            worker.join()
-        if flush:
-            self.ld.flush()
-
-
-def make_frontend(
-    ld,
-    config: Optional[FrontendConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
-):
-    """Build the front end ``config.lane_impl`` names.
-
-    The one constructor call sites need: both implementations share
-    the API, admission policy and stats schema, so callers hold a
-    front end and never care which scheduler runs underneath.
-    """
-    config = config or FrontendConfig()
-    if config.lane_impl == "async":
-        from repro.frontend.asyncsched import AsyncFrontEnd
-
-        return AsyncFrontEnd(ld, config, registry)
-    return FrontEnd(ld, config, registry)
+#: The constructor the benchmarks and the harness call.
+make_frontend = FrontEnd

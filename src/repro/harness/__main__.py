@@ -122,16 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write a metrics_<experiment>.json artifact per experiment",
     )
     parser.add_argument(
-        "--lane-impl",
-        choices=["thread", "async"],
-        default="thread",
-        help=(
-            "scheduler for the frontend experiment: worker threads "
-            "per lane, or one event loop multiplexing coroutine "
-            "clients (same offered load and stats schema)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -213,9 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_requests = 1200 if args.full else 300
         fe = run(
             "frontend",
-            lambda: run_frontend_experiment(
-                n_requests=n_requests, lane_impl=args.lane_impl
-            ),
+            lambda: run_frontend_experiment(n_requests=n_requests),
         )
         print(fe.summary)
         emitted("frontend", fe.metrics)

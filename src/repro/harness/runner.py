@@ -491,7 +491,6 @@ class FrontendResult:
     """Outcome of the concurrent front-end burst."""
 
     shards: int
-    lane_impl: str
     lanes: int
     workers: int
     offered: int
@@ -537,7 +536,6 @@ def run_frontend_experiment(
     max_inflight: int = 64,
     hot_fraction: float = 0.2,
     seed: int = 2026,
-    lane_impl: str = "thread",
 ) -> FrontendResult:
     """A short open-loop burst through the multi-tenant front end.
 
@@ -547,12 +545,6 @@ def run_frontend_experiment(
     reports admission/completion counts, ARU-commit latency
     percentiles from the shards' ``lld.commit_us`` histograms, and
     the lock table's final (leak-free) sizes.
-
-    ``lane_impl`` picks the scheduler: ``"thread"`` storms through
-    worker threads and :func:`run_openloop`; ``"async"`` storms the
-    event-loop lanes with coroutine clients and coroutine bodies via
-    :func:`run_openloop_async`.  Same offered load (the seeded plan
-    sequence is identical), same stats schema.
     """
     from repro.frontend import FrontendConfig, make_frontend
     from repro.shard.sharded import build_sharded
@@ -561,7 +553,6 @@ def run_frontend_experiment(
         provision_hot_block,
         provision_tenants,
         run_openloop,
-        run_openloop_async,
     )
 
     volume = build_sharded(
@@ -575,7 +566,6 @@ def run_frontend_experiment(
     frontend = make_frontend(
         volume,
         FrontendConfig(
-            lane_impl=lane_impl,
             workers_per_lane=workers_per_lane,
             max_inflight=max_inflight,
             writeback_high_water=8,
@@ -585,8 +575,7 @@ def run_frontend_experiment(
     )
     tenants = provision_tenants(volume, n_tenants, blocks_per_tenant=4)
     hot_block = provision_hot_block(volume)
-    runner = run_openloop_async if lane_impl == "async" else run_openloop
-    result = runner(
+    result = run_openloop(
         frontend,
         tenants,
         OpenLoopConfig(
@@ -603,7 +592,7 @@ def run_frontend_experiment(
     frontend_stats = frontend.stats()
     locks = frontend_stats["txn"]["locks"]
     summary = (
-        f"frontend[{lane_impl}]: {shards} shards x "
+        f"frontend: {shards} shards x "
         f"{frontend_stats['workers']} workers, "
         f"{n_tenants} tenants — offered {result.offered} "
         f"({rate:.0f}/s), admitted {result.admitted}, shed "
@@ -616,7 +605,6 @@ def run_frontend_experiment(
     )
     return FrontendResult(
         shards=shards,
-        lane_impl=lane_impl,
         lanes=frontend.n_lanes,
         workers=frontend_stats["workers"],
         offered=result.offered,

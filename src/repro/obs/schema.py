@@ -32,7 +32,6 @@ INT = "int"
 NUM = "number"
 BOOL = "bool"
 OPT_NUM = "number-or-null"
-STR = "str"
 
 #: The frozen schema.  Add keys freely in future PRs; renames and
 #: removals must update the snapshot test alongside this table.
@@ -164,12 +163,8 @@ LATENCY_SUMMARY_SCHEMA = {
     "p999_us": NUM,
 }
 
-#: The front-end ``stats()`` schema — identical for both lane
-#: implementations (``lane_impl="thread"`` and ``"async"``); the
-#: regression tests run each through this table, so the two
-#: schedulers cannot drift apart.
+#: The front-end ``stats()`` schema.
 FRONTEND_SCHEMA = {
-    "lane_impl": STR,
     "lanes": INT,
     "workers": INT,
     "inflight": INT,
@@ -201,7 +196,6 @@ FRONTEND_SCHEMA = {
             "resources_locked": INT,
             "locks_held": INT,
             "waiters": INT,
-            "async_waiters": INT,
         },
     },
 }
@@ -211,8 +205,6 @@ def _type_ok(sentinel: str, value) -> bool:
     # bool is a subclass of int, so it must be ruled on first.
     if sentinel == BOOL:
         return isinstance(value, bool)
-    if sentinel == STR:
-        return isinstance(value, str)
     if isinstance(value, bool):
         return False
     if sentinel == INT:

@@ -6,23 +6,13 @@ clients can easily add the missing pieces; this package does exactly
 that:
 
 * :mod:`repro.txn.locks` — a strict two-phase lock manager with
-  shared/exclusive modes and wait-die deadlock avoidance, serving
-  both thread waiters and event-loop (asyncio) waiters,
+  shared/exclusive modes and wait-die deadlock avoidance,
 * :mod:`repro.txn.transactions` — full ACID transactions: each
   transaction wraps an ARU (atomicity), acquires locks before every
   access (isolation), and flushes the logical disk at commit
-  (durability),
-* :mod:`repro.txn.asynctxn` — the event-loop twin: the same machine
-  as coroutines, with lock waits parked on futures and LD operations
-  handed off to a thread pool, sharing one manager (one id sequence,
-  one lock table) with the sync layer.
+  (durability).
 """
 
-from repro.txn.asynctxn import (
-    AsyncTransaction,
-    begin_async,
-    run_transaction_async,
-)
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.transactions import (
     Transaction,
@@ -33,14 +23,11 @@ from repro.txn.transactions import (
 )
 
 __all__ = [
-    "AsyncTransaction",
     "LockManager",
     "LockMode",
     "Transaction",
     "TransactionManager",
     "TxnBreakdown",
-    "begin_async",
     "run_batch",
     "run_transaction",
-    "run_transaction_async",
 ]

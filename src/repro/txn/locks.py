@@ -35,28 +35,20 @@ threads actually contend (``docs/CONCURRENCY.md`` discusses them):
   ``notify_all`` — under heavy traffic a waiter's effective timeout
   becomes unbounded, which is exactly when timeouts matter most.
 
-Waiters come in two kinds sharing one lock table.  Thread waiters
-block on the manager's :class:`threading.Condition`
-(:meth:`LockManager.acquire`); event-loop waiters park on an
-:class:`asyncio.Future` (:meth:`LockManager.acquire_async`) so one
-thread can multiplex thousands of waiting transactions.  Every state
-change wakes both kinds.  The async path has one extra failure mode
-the sync path cannot hit: a waiter's *task* can be cancelled (its
-``wait_for`` deadline fires, or the loop shuts down) between
-registering in ``state.waiters`` and being woken.  The waiter entry
-must be removed on that path too — a stale entry is indistinguishable
-from a live older waiter, so it would make younger requesters die
-against a ghost forever.  Both acquire paths therefore drop their
-waiter registration in a ``finally`` that re-acquires the mutex.
+A waiter blocks on the manager's :class:`threading.Condition` and
+registers in ``state.waiters``.  The registration must be removed on
+every exit from :meth:`LockManager.acquire` — grant, death, timeout —
+because a stale entry is indistinguishable from a live older waiter
+and would make younger requesters die against a ghost forever; the
+wait loop therefore drops it in a ``finally``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import threading
 import time
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, Set
 
 from repro.errors import DeadlockError, LockError
 
@@ -70,13 +62,6 @@ class LockMode(enum.Enum):
 
 def _conflicts(a: LockMode, b: LockMode) -> bool:
     return a is LockMode.EXCLUSIVE or b is LockMode.EXCLUSIVE
-
-
-def _resolve_quietly(future: "asyncio.Future") -> None:
-    """Resolve a wakeup future unless its waiter already left (timed
-    out, was cancelled, or won the lock on an earlier wakeup)."""
-    if not future.done():
-        future.set_result(None)
 
 
 class _LockState:
@@ -98,11 +83,6 @@ class LockManager:
         self._locks: Dict[Hashable, _LockState] = {}
         #: owner id -> priority timestamp (smaller = older = wins)
         self._owner_ts: Dict[int, int] = {}
-        #: Parked event-loop waiters: (loop, future) pairs resolved on
-        #: the next state change (the async analogue of notify_all).
-        self._async_waiters: List[
-            Tuple[asyncio.AbstractEventLoop, asyncio.Future]
-        ] = []
         self.timeout_s = timeout_s
         self.grants = 0
         self.waits = 0
@@ -114,24 +94,6 @@ class LockManager:
         with self._mutex:
             self._owner_ts[owner] = timestamp
 
-    # ------------------------------------------------------------------
-    # Wakeups (call with the mutex held)
-    # ------------------------------------------------------------------
-
-    def _wake_all_locked(self) -> None:
-        """Wake every waiter — blocked threads and parked coroutines.
-
-        Thread waiters wake through the condition; async waiters get
-        their futures resolved on their own loops via
-        ``call_soon_threadsafe`` (safe from any thread, including the
-        loop's own).
-        """
-        self._changed.notify_all()
-        if self._async_waiters:
-            parked, self._async_waiters = self._async_waiters, []
-            for loop, future in parked:
-                loop.call_soon_threadsafe(_resolve_quietly, future)
-
     def _drop_waiter_locked(self, owner: int, resource: Hashable) -> None:
         """Remove a waiter registration and wake anyone queued behind
         it (a departing older waiter may unblock younger requesters)."""
@@ -142,7 +104,7 @@ class LockManager:
         if not state.holders and not state.waiters:
             del self._locks[resource]
         else:
-            self._wake_all_locked()
+            self._changed.notify_all()
 
     def acquire(
         self, owner: int, resource: Hashable, mode: LockMode
@@ -199,71 +161,6 @@ class LockManager:
             finally:
                 if registered_wait:
                     self._drop_waiter_locked(owner, waiting_on)
-
-    async def acquire_async(
-        self, owner: int, resource: Hashable, mode: LockMode
-    ) -> float:
-        """:meth:`acquire` for event-loop callers: identical wait-die
-        semantics, but a conflicted requester parks on an
-        :class:`asyncio.Future` instead of blocking its thread, so one
-        loop can hold thousands of transactions in lock-wait at once.
-
-        Returns the wall-clock microseconds spent inside the call.
-        The lock *table* work itself runs under the manager's mutex on
-        the calling thread — microseconds, never held across an await.
-
-        Cancellation contract: if the waiting task is cancelled (its
-        own ``wait_for`` deadline, loop shutdown, ...) the waiter
-        entry is unregistered before ``CancelledError`` propagates.
-        Leaving it behind would make every younger requester die
-        against a ghost waiter forever.
-        """
-        start = time.monotonic()
-        deadline = start + self.timeout_s
-        loop = asyncio.get_running_loop()
-        registered_wait = False
-        try:
-            while True:
-                with self._mutex:
-                    if owner not in self._owner_ts:
-                        raise LockError(f"owner {owner} is not registered")
-                    state = self._locks.setdefault(resource, _LockState())
-                    if self._compatible(state, owner, mode):
-                        state.holders[owner] = self._merge_mode(
-                            state, owner, mode
-                        )
-                        self.grants += 1
-                        return (time.monotonic() - start) * 1e6
-                    self._check_wait_die(state, owner, mode)
-                    if not registered_wait:
-                        state.waiters[owner] = mode
-                        registered_wait = True
-                        self.waits += 1
-                    # Register the wakeup future under the mutex: a
-                    # release between this point and the await resolves
-                    # it via call_soon_threadsafe, which queues on this
-                    # loop and cannot be lost.
-                    wake: asyncio.Future = loop.create_future()
-                    self._async_waiters.append((loop, wake))
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.timeouts += 1
-                    raise LockError(
-                        f"timed out waiting for {mode.value} lock on "
-                        f"{resource!r}"
-                    )
-                try:
-                    await asyncio.wait_for(wake, timeout=remaining)
-                except asyncio.TimeoutError:
-                    self.timeouts += 1
-                    raise LockError(
-                        f"timed out waiting for {mode.value} lock on "
-                        f"{resource!r}"
-                    ) from None
-        finally:
-            if registered_wait:
-                with self._mutex:
-                    self._drop_waiter_locked(owner, resource)
 
     def _merge_mode(
         self, state: _LockState, owner: int, mode: LockMode
@@ -354,7 +251,7 @@ class LockManager:
             for resource in empty:
                 del self._locks[resource]
             self._owner_ts.pop(owner, None)
-            self._wake_all_locked()
+            self._changed.notify_all()
             return released
 
     def held_by(self, owner: int) -> Set[Hashable]:
@@ -397,5 +294,4 @@ class LockManager:
                 "waiters": sum(
                     len(state.waiters) for state in self._locks.values()
                 ),
-                "async_waiters": len(self._async_waiters),
             }

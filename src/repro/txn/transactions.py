@@ -31,12 +31,11 @@ class TxnBreakdown:
     """Where one request's wall-clock time went, across retries.
 
     The front end hands one instance per request to
-    :func:`run_transaction` (or the async runner); every attempt's
-    transaction accumulates into it, so at completion the request's
-    service time decomposes into **lock wait** (inside
-    :meth:`LockManager.acquire`), **storage** (inside the logical
-    disk's operations, commit and flush included) and a scheduling/
-    CPU remainder.  All values are host wall-clock microseconds — the
+    :func:`run_transaction`; every attempt's transaction accumulates
+    into it, so at completion the request's service time decomposes
+    into **lock wait** (inside :meth:`LockManager.acquire`),
+    **storage** (inside the logical disk's operations, commit and
+    flush included) and a scheduling/CPU remainder.  All values are host wall-clock microseconds — the
     same time base as the front end's service histograms, so the
     components of one request genuinely sum (the simulated-µs commit
     latency is a different, per-shard story).
@@ -162,7 +161,13 @@ class Transaction:
         return block_id
 
     def delete_block(self, block_id: BlockId) -> None:
-        """Delete a block under exclusive block and list locks."""
+        """Delete a block under an exclusive block lock.
+
+        The containing list is *not* locked — the LD interface has no
+        block -> list lookup — so a concurrent ``list_blocks`` of that
+        list is not repeatable across this transaction's commit (see
+        "Known isolation gaps" in ``docs/CONCURRENCY.md``).
+        """
         self._check_active()
         self._lock_block(block_id, LockMode.EXCLUSIVE)
         self._ld_call(self.ld.delete_block, block_id, aru=self.aru)
@@ -289,15 +294,6 @@ class TransactionManager:
         ts = txn_id if timestamp is None else timestamp
         self.locks.register(txn_id, ts)
         return Transaction(self, aru, txn_id, durable, ts, breakdown)
-
-    def next_txn_id(self) -> int:
-        """Allot the next transaction id (shared with the async
-        path, so sync and async transactions draw wait-die ages from
-        one ordered sequence)."""
-        with self._mutex:
-            txn_id = self._next_txn
-            self._next_txn += 1
-        return txn_id
 
     def _finished(self, txn: Transaction) -> None:
         with self._mutex:

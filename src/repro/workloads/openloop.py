@@ -25,7 +25,6 @@ counts depend on host speed, which is the nature of an open-loop rig.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import random
 import time
@@ -126,88 +125,36 @@ def provision_hot_block(ld, payload: int = 64) -> BlockId:
     return block
 
 
-@dataclasses.dataclass(frozen=True)
-class _RequestPlan:
-    """One request's deterministic structure.
-
-    Drawn from the seeded rng in a fixed order, so the *same* plan
-    sequence drives the thread and async swarms — the two lane
-    implementations see structurally identical offered load and the
-    comparison measures scheduling, not workload luck.
-    """
-
-    touched: List[BlockId]
-    is_read: bool
-    hit_hot: bool
-    hot_block: Optional[BlockId]
-    fill: bytes
-    payload: int
-
-
-def _make_plan(
+def _make_body(
     tenant: TenantState,
     hot_block: Optional[BlockId],
     rng: random.Random,
     config: OpenLoopConfig,
     stamp: int,
-) -> _RequestPlan:
-    return _RequestPlan(
-        touched=rng.sample(tenant.blocks, config.touches_per_request),
-        is_read=rng.random() < config.read_fraction,
-        hit_hot=hot_block is not None
-        and rng.random() < config.hot_fraction,
-        hot_block=hot_block,
-        fill=bytes([stamp & 0xFF]) * config.payload,
-        payload=config.payload,
-    )
-
-
-def _make_body(plan: _RequestPlan) -> Callable:
-    """One request's sync transaction body (pure closure: the body
-    may run several times under wait-die retries, so it derives
-    everything from its captured plan)."""
+) -> Callable:
+    """One request's transaction body.  Its structure is drawn from
+    the seeded rng here, in a fixed order; the body itself is a pure
+    closure, because it may run several times under wait-die retries.
+    """
+    touched = rng.sample(tenant.blocks, config.touches_per_request)
+    is_read = rng.random() < config.read_fraction
+    hit_hot = hot_block is not None and rng.random() < config.hot_fraction
+    fill = bytes([stamp & 0xFF]) * config.payload
+    payload = config.payload
 
     def body(txn):
         total = 0
-        for block in plan.touched:
+        for block in touched:
             data = txn.read(block)
             total += data[0] if data else 0
-            if not plan.is_read:
-                txn.write(block, plan.fill)
-        if plan.hit_hot:
+            if not is_read:
+                txn.write(block, fill)
+        if hit_hot:
             # Cross-tenant conflict point: exclusive via upgrade.
-            counter = int.from_bytes(txn.read(plan.hot_block)[:8], "little")
+            counter = int.from_bytes(txn.read(hot_block)[:8], "little")
             txn.write(
-                plan.hot_block,
-                (counter + 1)
-                .to_bytes(8, "little")
-                .ljust(plan.payload, b"\0"),
-            )
-        return total
-
-    return body
-
-
-def _make_async_body(plan: _RequestPlan) -> Callable:
-    """The coroutine twin of :func:`_make_body` — byte-for-byte the
-    same reads and writes, awaiting each operation so lock waits and
-    storage handoffs yield to the event loop."""
-
-    async def body(txn):
-        total = 0
-        for block in plan.touched:
-            data = await txn.read(block)
-            total += data[0] if data else 0
-            if not plan.is_read:
-                await txn.write(block, plan.fill)
-        if plan.hit_hot:
-            data = await txn.read(plan.hot_block)
-            counter = int.from_bytes(data[:8], "little")
-            await txn.write(
-                plan.hot_block,
-                (counter + 1)
-                .to_bytes(8, "little")
-                .ljust(plan.payload, b"\0"),
+                hot_block,
+                (counter + 1).to_bytes(8, "little").ljust(payload, b"\0"),
             )
         return total
 
@@ -241,9 +188,10 @@ def run_openloop(
             if delay > 0:
                 time.sleep(delay)
         tenant = tenants[names[rng.randrange(len(names))]]
-        plan = _make_plan(tenant, hot_block, rng, config, index)
         handle = frontend.try_submit(
-            _make_body(plan), tenant.name, shard=tenant.shard
+            _make_body(tenant, hot_block, rng, config, index),
+            tenant.name,
+            shard=tenant.shard,
         )
         if handle is None:
             shed += 1
@@ -268,108 +216,6 @@ def run_openloop(
         failed=sum(1 for h in handles if h.state == "failed"),
         wall_s=wall_s,
         achieved_tps=completed / wall_s if wall_s else 0.0,
-        hot_value=hot_value,
-        frontend=stats,
-    )
-
-
-def run_openloop_async(
-    frontend,
-    tenants: Dict[str, TenantState],
-    config: OpenLoopConfig,
-    hot_block: Optional[BlockId] = None,
-    admit_wait: bool = False,
-) -> OpenLoopResult:
-    """The coroutine-client swarm: same offered load, on the loop.
-
-    Each arrival spawns one client *coroutine* on the async front
-    end's event loop; the client admits itself via ``submit_async``
-    (shedding when saturated, matching the threaded generator's
-    ``try_submit`` contract — ``admit_wait=True`` makes saturated
-    clients poll-wait instead) and awaits its request's outcome.
-    Thousands of in-flight clients therefore cost one parked task
-    each, which is exactly the concurrency regime the bench pushes
-    past 2000.
-
-    The seeded rng draws the identical plan sequence as
-    :func:`run_openloop` — tenant choice, blocks touched, read/write
-    mix, hot-block hits — so a thread-lane run and an async-lane run
-    at the same seed offer structurally identical load.
-
-    ``frontend`` must be an :class:`~repro.frontend.asyncsched.
-    AsyncFrontEnd`; call from outside its loop (the swarm is driven
-    via ``run_on_loop``).
-    """
-    from repro.frontend.asyncsched import AsyncFrontEnd
-
-    if not isinstance(frontend, AsyncFrontEnd):
-        raise TypeError(
-            "run_openloop_async needs an AsyncFrontEnd "
-            "(lane_impl='async'); use run_openloop for thread lanes"
-        )
-    config.validate()
-    rng = random.Random(config.seed)
-    names = sorted(tenants)
-    interval = 1.0 / config.rate
-    counts = {"shed": 0, "done": 0, "gave_up": 0, "failed": 0}
-
-    async def client(tenant: TenantState, plan: _RequestPlan) -> None:
-        from repro.frontend.scheduler import RequestRejected
-
-        try:
-            request = await frontend.submit_async(
-                _make_async_body(plan),
-                tenant.name,
-                shard=tenant.shard,
-                wait=admit_wait,
-            )
-        except RequestRejected:
-            counts["shed"] += 1
-            return
-        try:
-            await request.wait_async()
-        except BaseException:  # noqa: BLE001 — tallied from state
-            pass
-        counts[request.state] += 1
-
-    async def swarm() -> float:
-        start = time.monotonic()
-        clients = []
-        for index in range(config.n_requests):
-            if config.pace:
-                due = start + index * interval
-                delay = due - time.monotonic()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-            tenant = tenants[names[rng.randrange(len(names))]]
-            plan = _make_plan(tenant, hot_block, rng, config, index)
-            clients.append(
-                asyncio.get_running_loop().create_task(
-                    client(tenant, plan)
-                )
-            )
-        await asyncio.gather(*clients)
-        return time.monotonic() - start
-
-    wall_s = frontend.run_on_loop(swarm()).result()
-    frontend.drain()
-    stats = frontend.stats()
-    hot_value = 0
-    if hot_block is not None:
-        hot_value = int.from_bytes(
-            frontend.ld.read(hot_block)[:8], "little"
-        )
-    admitted = config.n_requests - counts["shed"]
-    return OpenLoopResult(
-        offered=config.n_requests,
-        offered_rate=config.rate,
-        admitted=admitted,
-        shed=counts["shed"],
-        completed=counts["done"],
-        gave_up=counts["gave_up"],
-        failed=counts["failed"],
-        wall_s=wall_s,
-        achieved_tps=counts["done"] / wall_s if wall_s else 0.0,
         hot_value=hot_value,
         frontend=stats,
     )

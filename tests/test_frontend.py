@@ -1,4 +1,5 @@
-"""Front-end scheduler tests: admission, fairness, crash-mid-storm.
+"""Front-end scheduler tests: admission, fairness, crash-mid-storm,
+maintenance interference, the removed second scheduler.
 
 The unit half exercises the scheduler machinery on a single small
 volume: submit/wait plumbing, the in-flight cap, per-tenant queue
@@ -12,19 +13,31 @@ byte-identical image — twice, from the same saved disks.
 
 from __future__ import annotations
 
+import dataclasses
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import repro.frontend
+import repro.txn
 from repro import recover
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DeadlockError, DiskCrashedError, TransactionAborted
-from repro.frontend import FrontEnd, FrontendConfig, RequestRejected
+from repro.frontend import (
+    FrontEnd,
+    FrontendConfig,
+    MaintenanceDriver,
+    RequestRejected,
+)
 from repro.lld.verify import verify_lld
+from repro.obs.schema import validate_artifact, validate_frontend_stats
 from repro.shard.sharded import build_sharded
 from repro.workloads.openloop import (
     OpenLoopConfig,
@@ -41,7 +54,6 @@ def assert_no_leaks(stats: dict) -> None:
     assert locks["resources_locked"] == 0, locks
     assert locks["locks_held"] == 0, locks
     assert locks["waiters"] == 0, locks
-    assert locks["async_waiters"] == 0, locks
 
 
 def provisioned_frontend(config: FrontendConfig = None):
@@ -100,6 +112,15 @@ class TestSchedulerBasics:
             assert frontend.shard_for_tenant("alice") == home
             with pytest.raises(ValueError, match="no lane"):
                 frontend.submit(lambda txn: None, "alice", shard=7)
+
+    def test_bad_lane_raises_and_moves_no_counter(self):
+        frontend, _block = provisioned_frontend()
+        with frontend:
+            with pytest.raises(ValueError, match="no lane"):
+                frontend.submit(lambda txn: None, shard=99)
+            stats = frontend.stats()
+        assert stats["submitted"] == 0
+        assert stats["submitted"] == stats["admitted"] + stats["shed"]
 
     def test_config_validation(self):
         for bad in (
@@ -451,3 +472,113 @@ class TestOpenLoopIntegration:
         assert result.failed == 0
         assert result.hot_value >= 1
         assert_no_leaks(result.frontend)
+
+
+class TestMaintenanceInterference:
+    def test_cleaner_and_scrubber_mid_storm(self):
+        """Cleaner + scrubber passes *during* an open-loop storm:
+        every shard stays ``verify_lld``-clean, every request still
+        commits leak-free, and the decomposed latency stats remain
+        schema-valid (the exact surface ``python -m repro.obs.schema``
+        checks)."""
+        volume = build_sharded(
+            2,
+            geometry=DiskGeometry.small(num_segments=96),
+            checkpoint_slot_segments=2,
+            writeback_depth=4,
+        )
+        frontend = FrontEnd(
+            volume, FrontendConfig(max_inflight=256, max_tenant_queue=64)
+        )
+        tenants = provision_tenants(volume, 8, blocks_per_tenant=3)
+        hot = provision_hot_block(volume)
+        config = OpenLoopConfig(
+            rate=1e9,
+            n_requests=200,
+            n_tenants=8,
+            blocks_per_tenant=3,
+            hot_fraction=0.1,
+            seed=11,
+            pace=False,
+        )
+        with MaintenanceDriver(volume, interval_s=0.01) as driver:
+            result = run_openloop(frontend, tenants, config, hot_block=hot)
+        stats = frontend.stats()
+        frontend.close()
+        assert driver.error is None, driver.error
+        assert result.failed == 0
+        assert result.completed == result.admitted
+        assert_no_leaks(stats)
+        for shard in volume.shards:
+            assert verify_lld(shard) == []
+        assert validate_frontend_stats(stats) == []
+        artifact = {
+            "experiment": "interference",
+            "variants": {
+                "storm": {"stats": volume.stats(), "frontend": stats}
+            },
+        }
+        assert validate_artifact(artifact) == []
+        # The decomposition genuinely covered the storm.
+        assert stats["latency"]["storage"]["count"] == result.completed
+
+    def test_driver_records_a_crashed_volume_and_stops(self, monkeypatch):
+        """A volume that dies under the driver ends maintenance: the
+        failure lands in ``driver.error``, the thread exits on its
+        own, and nothing reaches ``threading.excepthook``."""
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        ld = make_lld(num_segments=96)
+        lst = ld.new_list()
+        for stamp in range(8):
+            ld.write(ld.new_block(lst), bytes([stamp]) * 64)
+        ld.flush()
+        driver = MaintenanceDriver(ld, interval_s=0.002).start()
+        try:
+            wait_until(lambda: driver.passes >= 1)
+            ld.disk.power_cycle()  # retires the handle under the driver
+            wait_until(lambda: driver.error is not None)
+            wait_until(
+                lambda: "frontend-maintenance"
+                not in {thread.name for thread in threading.enumerate()}
+            )
+        finally:
+            driver.stop()
+        assert isinstance(driver.error, DiskCrashedError), driver.error
+        assert escaped == []
+
+
+def test_second_scheduler_stays_removed():
+    """There is one lane implementation: the options that selected
+    the other are ``TypeError``s, the names that served it are gone,
+    and the front-end and transaction layers never import asyncio."""
+    for removed in (
+        {"lane_impl": "async"},
+        {"async_txns_per_lane": 1},
+        {"storage_threads": 1},
+    ):
+        with pytest.raises(TypeError):
+            FrontendConfig(**removed)
+    assert len(dataclasses.fields(FrontendConfig)) == 10
+    assert "AsyncFrontEnd" not in repro.frontend.__all__
+    assert not {
+        "AsyncTransaction",
+        "begin_async",
+        "run_transaction_async",
+    } & set(repro.txn.__all__)
+    for owner, name in (
+        (repro.frontend.Request, "wait_async"),
+        (repro.txn.LockManager, "acquire_async"),
+        (repro.txn.TransactionManager, "next_txn_id"),
+    ):
+        assert not hasattr(owner, name), name
+    probe = (
+        "import sys, repro.frontend, repro.txn; "
+        "sys.exit('asyncio' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+        timeout=60,
+    )
+    assert done.returncode == 0

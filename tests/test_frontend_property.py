@@ -1,16 +1,14 @@
 """Property-based fairness and admission tests for the front end.
 
-Two properties, each checked for **both** lane implementations
-(``lane_impl="thread"`` and ``"async"`` run the identical drawn
-schedule — the ISSUE's contract is that the knob changes the
-scheduler, never the invariants):
+Two properties:
 
 1. **Admission conservation.** For an arbitrary tenant mix and
    arrival order under arbitrary small caps, blocking submits all
    complete, the genuine concurrency (tracked *inside* the bodies,
    not just by the scheduler's own counter) never exceeds
    ``max_inflight``, per-tenant completion counts equal per-tenant
-   submissions, and the lock tables quiesce leak-free.
+   submissions, ``submitted == admitted + shed``, and the lock tables
+   quiesce leak-free.
 
 2. **Bursts never starve a neighbour.** However large a burst one
    greedy tenant fires while the lanes are wedged, the greedy tenant
@@ -30,8 +28,6 @@ from repro.frontend import FrontendConfig, make_frontend
 from repro.obs.schema import validate_frontend_stats
 from tests.conftest import make_lld
 from tests.test_frontend import assert_no_leaks, wait_until
-
-LANE_IMPLS = ("thread", "async")
 
 
 class ConcurrencyTracker:
@@ -93,46 +89,41 @@ def test_admission_conserves_and_never_overruns(
         for _ in range(burst)
     ]
     expected = Counter(f"t{tenant}" for tenant in arrivals)
-    per_impl = {}
-    for lane_impl in LANE_IMPLS:
-        ld, blocks = provisioned(n_tenants)
-        frontend = make_frontend(
-            ld,
-            FrontendConfig(
-                lane_impl=lane_impl,
-                max_inflight=max_inflight,
-                max_tenant_queue=max_tenant_queue,
-                async_txns_per_lane=4,
-            ),
-        )
-        tracker = ConcurrencyTracker()
+    ld, blocks = provisioned(n_tenants)
+    frontend = make_frontend(
+        ld,
+        FrontendConfig(
+            max_inflight=max_inflight,
+            max_tenant_queue=max_tenant_queue,
+        ),
+    )
+    tracker = ConcurrencyTracker()
 
-        def make_body(tenant):
-            def body(txn, block=blocks[tenant]):
-                with tracker:
-                    txn.write(block, txn.read(block)[:1] + b"x")
+    def make_body(tenant):
+        def body(txn, block=blocks[tenant]):
+            with tracker:
+                txn.write(block, txn.read(block)[:1] + b"x")
 
-            return body
+        return body
 
-        for tenant in arrivals:
-            # Blocking submit: saturated arrivals wait, never shed.
-            frontend.submit(make_body(tenant), f"t{tenant}")
-        frontend.drain()
-        stats = frontend.stats()
-        frontend.close()
+    for tenant in arrivals:
+        # Blocking submit: saturated arrivals wait, never shed.
+        frontend.submit(make_body(tenant), f"t{tenant}")
+    frontend.drain()
+    stats = frontend.stats()
+    frontend.close()
 
-        assert stats["shed"] == 0
-        assert stats["completed"] == len(arrivals)
-        assert stats["failed"] == 0 and stats["gave_up"] == 0
-        assert dict(stats["per_tenant_completed"]) == dict(expected)
-        # Neither the scheduler's own watermark nor the concurrency
-        # the bodies actually observed may exceed the cap.
-        assert stats["inflight_max"] <= max_inflight
-        assert tracker.peak <= max_inflight
-        assert_no_leaks(stats)
-        assert validate_frontend_stats(stats) == []
-        per_impl[lane_impl] = dict(stats["per_tenant_completed"])
-    assert per_impl["thread"] == per_impl["async"], per_impl
+    assert stats["shed"] == 0
+    assert stats["submitted"] == stats["admitted"] + stats["shed"]
+    assert stats["completed"] == len(arrivals)
+    assert stats["failed"] == 0 and stats["gave_up"] == 0
+    assert dict(stats["per_tenant_completed"]) == dict(expected)
+    # Neither the scheduler's own watermark nor the concurrency
+    # the bodies actually observed may exceed the cap.
+    assert stats["inflight_max"] <= max_inflight
+    assert tracker.peak <= max_inflight
+    assert_no_leaks(stats)
+    assert validate_frontend_stats(stats) == []
 
 
 @settings(
@@ -143,20 +134,15 @@ def test_admission_conserves_and_never_overruns(
 @given(
     burst=st.integers(1, 32),
     max_tenant_queue=st.integers(1, 4),
-    lane_impl=st.sampled_from(LANE_IMPLS),
 )
-def test_greedy_burst_cannot_starve_a_neighbour(
-    burst, max_tenant_queue, lane_impl
-):
+def test_greedy_burst_cannot_starve_a_neighbour(burst, max_tenant_queue):
     ld, blocks = provisioned(2)
     frontend = make_frontend(
         ld,
         FrontendConfig(
-            lane_impl=lane_impl,
             workers_per_lane=1,
             max_inflight=64,
             max_tenant_queue=max_tenant_queue,
-            async_txns_per_lane=1,
         ),
     )
     gate = threading.Event()
@@ -192,5 +178,6 @@ def test_greedy_burst_cannot_starve_a_neighbour(
     frontend.close()
     assert stats["completed"] == 2 + len(admitted_greedy)
     assert stats["shed"] == burst - len(admitted_greedy)
+    assert stats["submitted"] == stats["admitted"] + stats["shed"]
     assert stats["per_tenant_completed"]["polite"] == 1
     assert_no_leaks(stats)

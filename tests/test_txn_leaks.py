@@ -18,16 +18,11 @@ Each test here pins one of the historical bugs:
   being reported as corruption;
 * a young shared-lock stream could be granted over an older exclusive
   waiter indefinitely (wait-die only kills waits-for-older, and those
-  young readers never waited);
-* an async waiter whose task was cancelled at its deadline (or by
-  loop shutdown) left a stale entry in ``state.waiters`` — a ghost
-  indistinguishable from a live older waiter, killing every younger
-  requester forever.
+  young readers never waited).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -79,7 +74,6 @@ def assert_quiesced(locks: LockManager) -> None:
     assert snap["resources_locked"] == 0, snap
     assert snap["locks_held"] == 0, snap
     assert snap["waiters"] == 0, snap
-    assert snap["async_waiters"] == 0, snap
 
 
 def provisioned_manager():
@@ -322,97 +316,6 @@ class TestWaiterAwareWaitDie:
         writer.join(timeout=2.0)
         assert acquired.is_set()
         lm.release_all(1)
-        assert_quiesced(lm)
-
-
-class TestAsyncWaiterCancellation:
-    """The event-loop reentrancy fix: an async waiter that leaves
-    abnormally (cancelled task, timed-out ``wait_for``) must
-    unregister from the lock table before the exception propagates."""
-
-    async def park_waiter(self, lm: LockManager, owner: int, resource):
-        """Spawn ``acquire_async`` and wait until it is parked."""
-        task = asyncio.get_running_loop().create_task(
-            lm.acquire_async(owner, resource, LockMode.EXCLUSIVE)
-        )
-        deadline = time.monotonic() + 2.0
-        while lm.snapshot()["waiters"] == 0:
-            assert time.monotonic() < deadline, "waiter never parked"
-            await asyncio.sleep(0.001)
-        return task
-
-    def test_cancelled_waiter_leaves_no_stale_entry(self):
-        """THE regression: cancel a parked async waiter mid-wait; the
-        tables must be ghost-free, and a younger requester must not
-        die against the departed waiter's stale entry."""
-        lm = LockManager(timeout_s=30.0)
-        lm.register(1, 5)   # young holder
-        lm.register(2, 1)   # older waiter (allowed to wait), cancelled
-        lm.acquire(1, "r", LockMode.EXCLUSIVE)
-
-        async def scenario():
-            task = await self.park_waiter(lm, 2, "r")
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-
-        asyncio.run(scenario())
-        snap = lm.snapshot()
-        assert snap["waiters"] == 0, snap
-        assert snap["async_waiters"] == 0, snap
-        # A ghost entry for owner 2 (ts 1) would make this younger
-        # requester die against a waiter that no longer exists.
-        lm.release_all(1)
-        lm.register(3, 10)
-        lm.acquire(3, "r", LockMode.EXCLUSIVE)
-        lm.release_all(3)
-        lm.release_all(2)
-        assert_quiesced(lm)
-
-    def test_async_timeout_leaves_tables_clean(self):
-        """The deadline path: ``wait_for`` fires inside the loop; the
-        LockError must surface with the waiter already unregistered."""
-        lm = LockManager(timeout_s=0.05)
-        lm.register(1, 5)
-        lm.register(2, 1)
-        lm.acquire(1, "r", LockMode.EXCLUSIVE)
-
-        async def scenario():
-            with pytest.raises(LockError, match="timed out"):
-                await lm.acquire_async(2, "r", LockMode.EXCLUSIVE)
-
-        asyncio.run(scenario())
-        assert lm.timeouts == 1
-        snap = lm.snapshot()
-        assert snap["waiters"] == 0, snap
-        assert snap["async_waiters"] == 0, snap
-        lm.release_all(1)
-        lm.release_all(2)
-        assert_quiesced(lm)
-
-    def test_cross_thread_release_wakes_parked_waiter(self):
-        """The grant path: a release on a plain thread must wake the
-        parked coroutine via ``call_soon_threadsafe`` and let it win
-        the lock (no lost-wakeup window between park and await)."""
-        lm = LockManager(timeout_s=5.0)
-        lm.register(1, 5)
-        lm.register(2, 1)
-        lm.acquire(1, "r", LockMode.EXCLUSIVE)
-
-        async def scenario():
-            task = await self.park_waiter(lm, 2, "r")
-            releaser = threading.Thread(
-                target=lm.release_all, args=(1,), daemon=True
-            )
-            releaser.start()
-            waited_us = await asyncio.wait_for(task, timeout=5.0)
-            releaser.join(timeout=5.0)
-            return waited_us
-
-        waited_us = asyncio.run(scenario())
-        assert waited_us > 0.0
-        assert lm.held_by(2) == {"r"}
-        lm.release_all(2)
         assert_quiesced(lm)
 
 
