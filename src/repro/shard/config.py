@@ -1,8 +1,8 @@
 """`ArrayConfig`: every knob of a sharded array, in one frozen place.
 
 The array-level counterpart of :class:`~repro.lld.config.LLDConfig`:
-replication factor, replica placement policy and repair pacing live
-here (per-volume knobs stay in ``LLDConfig``), validated once with
+replication factor and repair pacing live here (per-volume knobs
+stay in ``LLDConfig``), validated once with
 the same contract — an unknown knob raises ``TypeError`` naming the
 valid ones, a bad value raises ``ValueError`` at construction, never
 deep inside a write path.
@@ -21,15 +21,12 @@ class ArrayConfig:
     Attributes:
         replication_factor: Copies of every block and list across the
             array, the home copy included.  1 (the default) is plain
-            striping with no redundancy — exactly the historical
-            behavior.  With factor k, each entity homed on shard *s*
-            is mirrored on the next k-1 ring peers, and the array
+            striping with no redundancy.  With factor k, each entity
+            homed on shard *s* is mirrored on the next k-1 ring peers
+            ``(s + 1) % n .. (s + k - 1) % n``, and the array
             tolerates the loss of any ``k - 1`` shards with no
             committed-ARU loss.  Requires at least
             ``replication_factor`` shards.
-        placement: Replica placement policy.  ``"ring"`` (the only
-            policy today) mirrors shard *s* on shards
-            ``(s + 1) % n .. (s + k - 1) % n``.
         repair_batch_ops: How many admit/copy operations one
             :meth:`~repro.shard.sharded.ShardedLLD.repair_step` call
             performs — the pacing knob that lets repair run in the
@@ -38,7 +35,6 @@ class ArrayConfig:
     """
 
     replication_factor: int = 1
-    placement: str = "ring"
     repair_batch_ops: int = 64
 
     def validate(self) -> "ArrayConfig":
@@ -48,8 +44,6 @@ class ArrayConfig:
                 "replication_factor must be >= 1, got "
                 f"{self.replication_factor}"
             )
-        if self.placement != "ring":
-            raise ValueError(f"unknown placement policy: {self.placement!r}")
         if self.repair_batch_ops < 1:
             raise ValueError(
                 f"repair_batch_ops must be >= 1, got {self.repair_batch_ops}"

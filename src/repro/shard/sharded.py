@@ -43,13 +43,28 @@ mirrored too, but with ordinary single-volume durability (the next
 flush) — replication is synchronous in order, asynchronous in
 durability, exactly like the home copy itself.
 
-Whole-shard loss (:class:`~repro.errors.ShardLostError`, injected
+Routing: one replica set
+------------------------
+
+Every routed operation works on *the live copies of a global id,
+home first*: ``(home, to_local(g))``, then ``(peer, mirror_id(g))``
+for each live ring peer.  An unreplicated, fully-live array is the
+case where that set has one member; there is no single-copy path.
+Mutations go through :meth:`ShardedLLD._mutate` (every live copy,
+home first), queries through :meth:`ShardedLLD._lookup` (the first
+live copy that can answer), whole-array operations and every phase
+of the commit protocol through :meth:`ShardedLLD._each`, and repair
+and resync through one list copier, :meth:`ShardedLLD._copy_list` —
+rebuilding a lost replica is the same read-the-survivors /
+write-the-target step, not a second protocol.
+
+A member that raises :class:`~repro.errors.ShardLostError` (injected
 with :class:`~repro.disk.faults.ShardLoss` or forced with
-:meth:`ShardedLLD.lose_shard`) fails the shard over to its replicas:
-reads are served from mirrors (counted as ``degraded_reads``),
-writes update the surviving mirrors only, and allocations homed on
-the dead shard draw local ids from a snapshot of its counters so
-global ids stay dense and unique.  :meth:`ShardedLLD.start_repair` /
+:meth:`ShardedLLD.lose_shard`) is failed over where it is met: reads
+are served from mirrors (counted as ``degraded_reads``), writes
+update the surviving copies only, and allocations homed on it draw
+local ids from a snapshot of its counters so global ids stay dense
+and unique.  :meth:`ShardedLLD.start_repair` /
 :meth:`ShardedLLD.repair_step` rebuild the lost member onto fresh
 media from the newest *committed* peer copies — repair never copies
 uncommitted data — paced by ``ArrayConfig.repair_batch_ops`` so it
@@ -90,7 +105,9 @@ Each shard owns a private :class:`~repro.disk.clock.SimClock` (an
 array of disks, each charging its own latencies); the volume manager
 advances a shard's clock to the global maximum before routing an
 operation to it, modelling one host serializing requests across the
-array.  :func:`build_sharded` shares a single
+array.  Array time never runs backwards: a lost member's last clock
+reading stays a floor under ``clock.now_us``.
+:func:`build_sharded` shares a single
 :class:`~repro.disk.faults.FaultInjector` across all shard disks, so
 a fault plan's ``after_writes`` counts one global write index over
 the whole array and a power failure halts every shard at once.
@@ -100,7 +117,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.clock import CostModel
 from repro.disk.faults import FaultInjector
@@ -153,20 +170,51 @@ def mirror_id(global_id: int) -> int:
 class _MaxClock:
     """Read-only clock view over the shard array: 'now' is the
     furthest live shard, matching how a host would observe the
-    array."""
+    array — and never earlier than ``floor_us``, the last reading of
+    the furthest member lost so far, so array time is monotone."""
 
     def __init__(self, shards: Sequence[Optional[LLD]]) -> None:
         self._shards = shards
+        self.floor_us = 0.0
 
     @property
     def now_us(self) -> float:
-        return max(
-            shard.clock.now_us for shard in self._shards if shard is not None
-        )
+        now = self.floor_us
+        for shard in self._shards:
+            if shard is not None and shard.clock.now_us > now:
+                now = shard.clock.now_us
+        return now
 
     @property
     def now_s(self) -> float:
         return self.now_us / 1e6
+
+
+def _holds_list(volume: LLD, local: int) -> bool:
+    """Whether a volume's committed view has the list."""
+    volume._restore_list(ListId(local))
+    view = volume._view_list(ListId(local), None)
+    return view is not None and view.allocated
+
+
+# Member-loop steps that are two calls on one volume.  They go through
+# the instance, so a method patched on the LLD class (the benchmark's
+# tracer does that) is the one that runs.
+
+
+def _end_aru_durably(volume: LLD, local: ARUId) -> None:
+    volume.end_aru(local)
+    volume.flush()
+
+
+def _decide(volume: LLD, xid: int) -> None:
+    volume.log_decision(xid)
+    volume.flush()
+
+
+def _forget_and_checkpoint(volume: LLD) -> None:
+    volume.clear_decisions()
+    volume.write_checkpoint()
 
 
 class _RepairJob:
@@ -174,13 +222,15 @@ class _RepairJob:
 
     The job copies, list by list, (a) the lost shard's *home* lists
     from their surviving mirrors and (b) the mirror lists the shard
-    held for its ring predecessors, from the live home copies.  Every
-    read uses the committed view (``aru=None``): repair never copies
-    uncommitted data.  Lists mutated while the job is in flight are
-    recorded in ``dirty`` and re-copied during the final step, which
-    runs at a quiescent moment (no active ARUs) so the committed view
-    it sees is final.  A crash mid-repair simply discards the
-    half-built volume; repair restarts from scratch and is idempotent.
+    held for its ring predecessors, from the live home copies — both
+    through :meth:`ShardedLLD._copy_list`, which reads the committed
+    view only: repair never copies uncommitted data.  Lists mutated
+    while the job is in flight are recorded in ``dirty`` and
+    re-copied during the final step, which runs at a quiescent moment
+    (no active ARUs) so the committed view it sees is final.  A crash
+    mid-repair — or the loss of the replacement itself — simply
+    discards the half-built volume; repair restarts from scratch and
+    is idempotent.
     """
 
     def __init__(self, array: "ShardedLLD", shard: int) -> None:
@@ -219,103 +269,20 @@ class _RepairJob:
                 mirror_lists |= arr._user_lists_on(h)
         return sorted(home_lists) + sorted(mirror_lists)
 
-    def _sync(self) -> None:
-        """Advance the under-repair volume's clock to array 'now'."""
-        target = self.array.clock.now_us
-        if target > self.lld.clock.now_us:
-            self.lld.clock.advance_us(target - self.lld.clock.now_us)
-
-    def _force_block(
-        self, list_id: ListId, predecessor: Predecessor, block_id: int
-    ) -> None:
-        """Admit a block under a forced id, clearing any stale
-        same-id leftover first (re-copies and diverged mirrors)."""
-        existing = self.lld._view_block(BlockId(block_id), None)
-        if existing is not None and existing.allocated:
-            self.lld.delete_block(BlockId(block_id))
-        self.lld.new_block(
-            list_id, predecessor=predecessor, block_id=BlockId(block_id)
-        )
-
     def copy_list(self, list_gid: int) -> int:
-        """Copy one list (home or mirror kind); returns ops spent."""
+        """Copy one list (home or mirror kind) from its live copies;
+        returns ops spent."""
         arr = self.array
-        home = shard_of(list_gid, arr.n)
-        self._sync()
-        if home == self.shard:
-            return self._copy_home(list_gid)
-        if self.shard in arr._peers(home):
-            return self._copy_mirror(list_gid, home)
-        return 1
-
-    def _drop_target_list(self, local: ListId) -> None:
-        view = self.lld._view_list(local, None)
-        if view is not None and view.allocated:
-            self.lld.delete_list(local)
-
-    def _copy_home(self, list_gid: int) -> int:
-        """Rebuild one of the lost shard's own lists from a mirror."""
-        arr = self.array
-        local = ListId(to_local(list_gid, arr.n))
-        self._drop_target_list(local)
-        source = None
-        for p in arr._alive_peers(self.shard):
-            peer = arr.shards[p]
-            peer._restore_list(ListId(mirror_id(list_gid)))
-            view = peer._view_list(ListId(mirror_id(list_gid)), None)
-            if view is not None and view.allocated:
-                source = p
-                break
-        if source is None:
+        if shard_of(list_gid, arr.n) == self.shard:
+            target_list = to_local(list_gid, arr.n)
+        else:
+            target_list = mirror_id(list_gid)
+        copied = arr._copy_list(arr._copies(list_gid), self.lld, target_list)
+        if copied is None:
             return 1  # deleted (or no surviving copy): nothing to admit
-        peer = arr.shards[source]
-        arr._sync_clock(source)
-        members = peer.list_blocks(ListId(mirror_id(list_gid)))
-        self.lld.new_list(list_id=local)
-        ops = 1
-        prev: Predecessor = FIRST
-        for member in members:
-            gid = int(member) - SYSTEM_ID_BASE
-            local_bid = to_local(gid, arr.n)
-            self._force_block(local, prev, local_bid)
-            self.lld.write(BlockId(local_bid), peer.read(BlockId(int(member))))
-            prev = BlockId(local_bid)
-            ops += 2
         self.lists_copied += 1
-        self.blocks_copied += len(members)
-        arr._lists_healed += 1
-        arr._blocks_healed += len(members)
-        return ops
-
-    def _copy_mirror(self, list_gid: int, home: int) -> int:
-        """Rebuild a mirror the lost shard held for a live home."""
-        arr = self.array
-        target_list = ListId(mirror_id(list_gid))
-        self._drop_target_list(target_list)
-        if not arr._alive(home):
-            return 1  # both copies gone: beyond the failure budget
-        home_lld = arr.shards[home]
-        home_local = ListId(to_local(list_gid, arr.n))
-        home_lld._restore_list(home_local)
-        view = home_lld._view_list(home_local, None)
-        if view is None or not view.allocated:
-            return 1  # deleted while queued
-        arr._sync_clock(home)
-        members = home_lld.list_blocks(home_local)
-        self.lld.new_list(list_id=target_list)
-        ops = 1
-        prev: Predecessor = FIRST
-        for member in members:
-            gid = to_global(int(member), home, arr.n)
-            self._force_block(target_list, prev, mirror_id(gid))
-            self.lld.write(BlockId(mirror_id(gid)), home_lld.read(member))
-            prev = BlockId(mirror_id(gid))
-            ops += 2
-        self.lists_copied += 1
-        self.blocks_copied += len(members)
-        arr._lists_healed += 1
-        arr._blocks_healed += len(members)
-        return ops
+        self.blocks_copied += copied
+        return 1 + 2 * copied
 
 
 class ShardedLLD(LogicalDisk):
@@ -328,8 +295,8 @@ class ShardedLLD(LogicalDisk):
             DECIDE records that make cross-shard commits atomic;
             with replication, shards ``1 .. k-1`` carry copies.
         array_config: :class:`~repro.shard.config.ArrayConfig`
-            (replication factor, placement, repair pacing); ``None``
-            means the unreplicated default.
+            (replication factor, repair pacing); ``None`` means the
+            unreplicated default.
         dead: shard index -> reason for members lost before assembly
             (recovery passes this for shards whose media is gone).
         dead_counters: shard index -> ``[next_block_id,
@@ -411,16 +378,10 @@ class ShardedLLD(LogicalDisk):
         self._replica_skips = 0
         self._repair: Optional[_RepairJob] = None
         self._resync_pending = False
-        self._update_plain()
 
     # ------------------------------------------------------------------
-    # Clock and routing helpers
+    # Replica sets, clock and failover
     # ------------------------------------------------------------------
-
-    def _update_plain(self) -> None:
-        # The unreplicated, fully-live array takes the historical
-        # single-copy fast paths untouched.
-        self._plain = self.rf == 1 and not self._dead
 
     def _first_alive(self) -> int:
         for index, shard in enumerate(self.shards):
@@ -438,24 +399,32 @@ class ShardedLLD(LogicalDisk):
     def _alive_peers(self, shard_index: int) -> List[int]:
         return [p for p in self._peers(shard_index) if self._alive(p)]
 
+    def _copies(self, gid: int) -> List[Tuple[int, int]]:
+        """The live copies of a global id as ``(shard, local id)``,
+        home first — the replica set everything routes through."""
+        home = shard_of(gid, self.n)
+        copies = [(home, to_local(gid, self.n))] if self._alive(home) else []
+        return copies + [(p, mirror_id(gid)) for p in self._alive_peers(home)]
+
+    def _global_id(self, local_id: int, shard_index: int) -> int:
+        """The global id behind a member-local id: mirrors live in
+        the system range, home entities below it."""
+        if local_id >= SYSTEM_ID_BASE:
+            return local_id - SYSTEM_ID_BASE
+        return to_global(local_id, shard_index, self.n)
+
     def _decision_shards(self) -> List[int]:
         """Shards carrying DECIDE records: 0 plus, with replication,
         enough ring successors to survive k-1 losses."""
         return list(range(min(max(self.rf, 1), self.n)))
 
-    def _sync_clock(self, shard_index: int) -> None:
-        """Advance one shard's clock to the array-wide 'now' before
+    def _sync_clock(self, volume: LLD) -> None:
+        """Advance one volume's clock to the array-wide 'now' before
         routing an operation to it (the host serializes requests)."""
-        shard = self.shards[shard_index]
-        if shard is None:
-            return
         target = self.clock.now_us
-        clock = shard.clock
+        clock = volume.clock
         if target > clock.now_us:
             clock.advance_us(target - clock.now_us)
-
-    def _shard_for_list(self, list_id: ListId) -> int:
-        return shard_of(list_id, self.n)
 
     def _local_aru(
         self, aru: Optional[ARUId], shard_index: int, create: bool
@@ -481,8 +450,9 @@ class ShardedLLD(LogicalDisk):
 
     def _mark_shard_lost(self, shard_index: int, reason: str = "lost") -> None:
         """Fail a member over to its replicas: snapshot its
-        allocation counters (ids handed out must never be reused),
-        drop the object and record the death."""
+        allocation counters (ids handed out must never be reused) and
+        its clock (array time must not run backwards), drop the
+        object and record the death."""
         if shard_index in self._dead:
             return
         shard = self.shards[shard_index]
@@ -491,13 +461,13 @@ class ShardedLLD(LogicalDisk):
                 int(shard._next_block_id),
                 int(shard._next_list_id),
             ]
+            self.clock.floor_us = max(self.clock.floor_us, shard.clock.now_us)
             try:
                 shard._mark_dead("shard lost")
             except Exception:
                 pass
         self.shards[shard_index] = None
         self._dead[shard_index] = reason
-        self._update_plain()
 
     def _take_dead_id(self, shard_index: int, kind: str) -> int:
         """Next local id for an allocation homed on a dead shard."""
@@ -539,6 +509,169 @@ class ShardedLLD(LogicalDisk):
         return [max_block + 1, max_list + 1]
 
     # ------------------------------------------------------------------
+    # The router: every routed operation is one of these three shapes
+    # ------------------------------------------------------------------
+
+    def _mutate(
+        self,
+        method,
+        aru: Optional[ARUId],
+        home: int,
+        home_args: tuple,
+        mirror_args: tuple,
+        what: str,
+        alloc: Optional[str] = None,
+    ):
+        """Apply one mutation to every live copy, home first.
+
+        ``method`` is the :class:`~repro.lld.lld.LLD` method, called
+        with ``home_args`` on the home copy — which validates, so its
+        ``BadBlockError``/``BadListError`` propagate before any
+        mirror is touched — and with ``mirror_args`` on each live
+        ring peer.  A copy that raises ``ShardLostError`` is failed
+        over; a mirror that rejects the operation (it diverged while
+        degraded) is counted in ``replica_skips``.  If no copy took
+        the mutation, that rejection or ``ShardLostError`` is raised.
+
+        ``alloc`` (``"block"``/``"list"``) marks an allocator: the
+        result is the new *global* id — drawn from the dead home's
+        counter snapshot when a mirror stands in for it — and mirrors
+        are admitted under the forced ``mirror_id`` of that id.
+        """
+        result = None
+        took = False
+        volume = self.shards[home]
+        if volume is not None:
+            try:
+                self._sync_clock(volume)
+                result = method(
+                    volume,
+                    *home_args,
+                    aru=self._local_aru(aru, home, create=True),
+                )
+                took = True
+            except ShardLostError:
+                self._mark_shard_lost(home)
+        peers = self._alive_peers(home) if self.rf > 1 else ()
+        forced = {}
+        if alloc is not None and (took or peers):
+            local = result if took else self._take_dead_id(home, alloc)
+            result = to_global(local, home, self.n)
+            forced[alloc + "_id"] = mirror_id(result)
+        bad: Optional[Exception] = None
+        for p in peers:
+            volume = self.shards[p]
+            try:
+                self._sync_clock(volume)
+                method(
+                    volume,
+                    *mirror_args,
+                    aru=self._local_aru(aru, p, create=True),
+                    **forced,
+                )
+                took = True
+            except ShardLostError:
+                self._mark_shard_lost(p)
+            except (BadBlockError, BadListError) as exc:
+                bad = exc
+                self._replica_skips += 1
+        if took:
+            return result
+        if bad is not None:
+            raise bad
+        raise self._no_replica(what, home, home_args)
+
+    def _no_replica(
+        self, what: str, home: int, home_args: tuple
+    ) -> ShardLostError:
+        """The error for an entity none of whose copies is reachable;
+        its global id is recovered from the home-local id leading
+        ``home_args`` (the hot path formats no message)."""
+        if home_args:
+            what = f"{what} {to_global(home_args[0], home, self.n)}"
+        return ShardLostError(home, f"{what}: no surviving replica")
+
+    def _lookup(
+        self,
+        method,
+        aru: Optional[ARUId],
+        home: int,
+        home_args: tuple,
+        mirror_args: tuple,
+        what: str,
+    ):
+        """Answer one query from the first live copy that can:
+        ``(shard it came from, result)``.
+
+        The home copy answers unless it is lost or — when a live peer
+        exists — its data is gone (``UnrecoverableBlockError``, a
+        quarantined segment); then the first mirror that has the
+        entity answers, counted in ``degraded_reads``.
+        """
+        volume = self.shards[home]
+        if volume is not None:
+            try:
+                self._sync_clock(volume)
+                return home, method(
+                    volume,
+                    *home_args,
+                    aru=self._local_aru(aru, home, create=False),
+                )
+            except ShardLostError:
+                self._mark_shard_lost(home)
+            except UnrecoverableBlockError:
+                if not self._alive_peers(home):
+                    raise
+        last: Optional[Exception] = None
+        for p in self._alive_peers(home):
+            volume = self.shards[p]
+            try:
+                self._sync_clock(volume)
+                result = method(
+                    volume,
+                    *mirror_args,
+                    aru=self._local_aru(aru, p, create=False),
+                )
+                self._degraded_reads += 1
+                return p, result
+            except ShardLostError:
+                self._mark_shard_lost(p)
+            except (
+                BadBlockError, BadListError, UnrecoverableBlockError
+            ) as exc:
+                last = exc
+        if last is not None:
+            raise last
+        raise self._no_replica(what, home, home_args)
+
+    def _each(
+        self,
+        call,
+        members: Optional[Iterable[int]] = None,
+        *args,
+        arus: Optional[Dict[int, ARUId]] = None,
+    ) -> Dict[int, object]:
+        """``call(volume, *args)`` on every live member of
+        ``members`` (default: all), in the order given, each clock
+        synced first; with ``arus`` the member's local ARU id leads
+        the arguments.  A member lost along the way is failed over
+        and left out of the returned ``{shard: result}``."""
+        results: Dict[int, object] = {}
+        for s in range(self.n) if members is None else members:
+            volume = self.shards[s]
+            if volume is None:
+                continue
+            try:
+                self._sync_clock(volume)
+                if arus is None:
+                    results[s] = call(volume, *args)
+                else:
+                    results[s] = call(volume, arus[s], *args)
+            except ShardLostError:
+                self._mark_shard_lost(s)
+        return results
+
+    # ------------------------------------------------------------------
     # Table enumeration helpers (restore-aware: a shard mid instant
     # restore names pending ids in its controller's indexes)
     # ------------------------------------------------------------------
@@ -552,74 +685,48 @@ class ShardedLLD(LogicalDisk):
 
     def _user_lists_on(self, shard_index: int) -> Set[int]:
         """Global ids of the client-visible lists homed on a shard."""
-        out: Set[int] = set()
         shard = self.shards[shard_index]
-        for local in self._list_ids_on(shard_index):
-            if local >= SYSTEM_ID_BASE:
-                continue
-            shard._restore_list(ListId(local))
-            view = shard._view_list(ListId(local), None)
-            if view is not None and view.allocated:
-                out.add(to_global(local, shard_index, self.n))
-        return out
+        return {
+            to_global(local, shard_index, self.n)
+            for local in self._list_ids_on(shard_index)
+            if local < SYSTEM_ID_BASE and _holds_list(shard, local)
+        }
 
     def _mirror_lists_on(self, peer: int, home: int) -> Set[int]:
         """Global ids of ``home``'s lists that ``peer`` mirrors."""
-        out: Set[int] = set()
-        shard = self.shards[peer]
-        for local in self._list_ids_on(peer):
-            if local < SYSTEM_ID_BASE:
-                continue
-            gid = local - SYSTEM_ID_BASE
-            if shard_of(gid, self.n) != home:
-                continue
-            shard._restore_list(ListId(local))
-            view = shard._view_list(ListId(local), None)
-            if view is not None and view.allocated:
-                out.add(gid)
-        return out
+        return {
+            local - SYSTEM_ID_BASE
+            for local in self._list_ids_on(peer)
+            if local >= SYSTEM_ID_BASE
+            and shard_of(local - SYSTEM_ID_BASE, self.n) == home
+            and _holds_list(self.shards[peer], local)
+        }
 
     def _list_of_block(self, gid: int) -> Optional[int]:
         """The global list id a block belongs to (committed view),
-        resolved from the home copy or, degraded, from a mirror."""
-        home = shard_of(gid, self.n)
-        if self._alive(home):
-            shard = self.shards[home]
-            local = BlockId(to_local(gid, self.n))
-            shard._restore_block(local)
-            view = shard._view_block(local, None)
+        resolved from the first live copy that knows it."""
+        for s, local in self._copies(gid):
+            shard = self.shards[s]
+            shard._restore_block(BlockId(local))
+            view = shard._view_block(BlockId(local), None)
             if view is not None and view.allocated and view.list_id:
-                return to_global(int(view.list_id), home, self.n)
-            return None
-        for p in self._alive_peers(home):
-            shard = self.shards[p]
-            local = BlockId(mirror_id(gid))
-            shard._restore_block(local)
-            view = shard._view_block(local, None)
-            if view is not None and view.allocated and view.list_id:
-                return int(view.list_id) - SYSTEM_ID_BASE
+                return self._global_id(int(view.list_id), s)
         return None
 
-    def _note_dirty_list(self, list_gid: int) -> None:
+    def _repair_covers(self, gid: int) -> bool:
+        """Whether a repair is running whose target is in ``gid``'s
+        replica set (a block and its list share one)."""
+        job = self._repair
+        if job is None:
+            return False
+        home = shard_of(gid, self.n)
+        return job.shard == home or job.shard in self._peers(home)
+
+    def _note_dirty_list(self, list_gid: Optional[int]) -> None:
         """Record that a list's replica set changed while its copy is
         (or may be) in flight on the repair target."""
-        job = self._repair
-        if job is None:
-            return
-        home = shard_of(list_gid, self.n)
-        if job.shard == home or job.shard in self._peers(home):
-            job.dirty.add(list_gid)
-
-    def _note_dirty_block(self, gid: int) -> None:
-        job = self._repair
-        if job is None:
-            return
-        home = shard_of(gid, self.n)
-        if job.shard != home and job.shard not in self._peers(home):
-            return
-        list_gid = self._list_of_block(gid)
-        if list_gid is not None:
-            job.dirty.add(list_gid)
+        if list_gid is not None and self._repair_covers(list_gid):
+            self._repair.dirty.add(list_gid)
 
     # ------------------------------------------------------------------
     # ARUs
@@ -650,29 +757,16 @@ class ShardedLLD(LogicalDisk):
             participants = self._arus.get(int(aru))
             if participants is None:
                 raise BadARUError(int(aru))
-            alive_parts = [
-                (s, local)
-                for s, local in sorted(participants.items())
-                if self._alive(s)
-            ]
-            if len(alive_parts) <= 1:
-                committed = not alive_parts
-                for shard_index, local in alive_parts:
-                    try:
-                        self._sync_clock(shard_index)
-                        self.shards[shard_index].end_aru(local)
-                        # On a replicated array a lone participant has
-                        # no second copy to survive on, so "acked"
-                        # must mean durable — flush immediately.  The
-                        # unreplicated array keeps the historical
-                        # durable-at-next-flush contract.
-                        if self.rf > 1:
-                            self.shards[shard_index].flush()
-                        committed = True
-                    except ShardLostError:
-                        self._mark_shard_lost(shard_index)
+            alive = [s for s in sorted(participants) if self._alive(s)]
+            if len(alive) <= 1:
+                # On a replicated array a lone participant has no
+                # second copy to survive on, so "acked" must mean
+                # durable — flush immediately.  The unreplicated
+                # array keeps the durable-at-next-flush contract.
+                commit = _end_aru_durably if self.rf > 1 else LLD.end_aru
+                committed = self._each(commit, alive, arus=participants)
                 del self._arus[int(aru)]
-                if not committed:
+                if alive and not committed:
                     raise ShardLostError(
                         min(self._dead),
                         f"ARU {int(aru)}: every participant lost "
@@ -683,29 +777,13 @@ class ShardedLLD(LogicalDisk):
             xid = self._next_xid
             self._next_xid += 1
             # Phase 1: prepare and flush every participant.  After
-            # this loop all the ARU's effects and every PREPARE are
+            # this all the ARU's effects and every PREPARE are
             # durable; none of them is committed.  A participant lost
             # here is dropped — its effects survive on its mirrors.
-            prepared: List[Tuple[int, ARUId]] = []
-            for shard_index, local in alive_parts:
-                if not self._alive(shard_index):
-                    continue
-                try:
-                    self._sync_clock(shard_index)
-                    self.shards[shard_index].prepare_commit(local, xid)
-                    prepared.append((shard_index, local))
-                except ShardLostError:
-                    self._mark_shard_lost(shard_index)
-            flushed: List[Tuple[int, ARUId]] = []
-            for shard_index, local in prepared:
-                if not self._alive(shard_index):
-                    continue
-                try:
-                    self._sync_clock(shard_index)
-                    self.shards[shard_index].flush()
-                    flushed.append((shard_index, local))
-                except ShardLostError:
-                    self._mark_shard_lost(shard_index)
+            prepared = self._each(
+                LLD.prepare_commit, alive, xid, arus=participants
+            )
+            flushed = self._each(LLD.flush, prepared)
             if not flushed:
                 del self._arus[int(aru)]
                 raise ShardLostError(
@@ -714,18 +792,7 @@ class ShardedLLD(LogicalDisk):
                 )
             # Phase 2: the commit point — a durable DECIDE record on
             # each surviving decision shard, ascending order.
-            decided = False
-            for shard_index in self._decision_shards():
-                if not self._alive(shard_index):
-                    continue
-                try:
-                    self._sync_clock(shard_index)
-                    self.shards[shard_index].log_decision(xid)
-                    self.shards[shard_index].flush()
-                    decided = True
-                except ShardLostError:
-                    self._mark_shard_lost(shard_index)
-            if not decided:
+            if not self._each(_decide, self._decision_shards(), xid):
                 del self._arus[int(aru)]
                 raise ShardLostError(
                     min(self._dead),
@@ -733,9 +800,9 @@ class ShardedLLD(LogicalDisk):
                 )
             # Phase 3: release.  Pure in-memory bookkeeping; a crash
             # from here on changes nothing (recovery rolls forward).
-            for shard_index, local in flushed:
-                if self._alive(shard_index):
-                    self.shards[shard_index].finish_prepared(int(local))
+            for s in flushed:
+                if self._alive(s):
+                    self.shards[s].finish_prepared(int(participants[s]))
             self._commits_cross += 1
             del self._arus[int(aru)]
 
@@ -744,14 +811,7 @@ class ShardedLLD(LogicalDisk):
             participants = self._arus.get(int(aru))
             if participants is None:
                 raise BadARUError(int(aru))
-            for shard_index, local in sorted(participants.items()):
-                if not self._alive(shard_index):
-                    continue
-                try:
-                    self._sync_clock(shard_index)
-                    self.shards[shard_index].abort_aru(local)
-                except ShardLostError:
-                    self._mark_shard_lost(shard_index)
+            self._each(LLD.abort_aru, sorted(participants), arus=participants)
             del self._arus[int(aru)]
 
     # ------------------------------------------------------------------
@@ -766,71 +826,20 @@ class ShardedLLD(LogicalDisk):
     ) -> BlockId:
         with self._lock:
             list_gid = int(list_id)
-            home = self._shard_for_list(list_id)
-            local_pred: Predecessor = (
-                FIRST
-                if predecessor is FIRST
-                else BlockId(to_local(predecessor, self.n))
+            if predecessor is FIRST:
+                home_pred = mirror_pred = FIRST
+            else:
+                home_pred = to_local(predecessor, self.n)
+                mirror_pred = mirror_id(predecessor)
+            gid = self._mutate(
+                LLD.new_block,
+                aru,
+                shard_of(list_gid, self.n),
+                (to_local(list_gid, self.n), home_pred),
+                (mirror_id(list_gid), mirror_pred),
+                "list",
+                alloc="block",
             )
-            if self._plain:
-                self._sync_clock(home)
-                local = self.shards[home].new_block(
-                    ListId(to_local(list_gid, self.n)),
-                    local_pred,
-                    aru=self._local_aru(aru, home, create=True),
-                )
-                return BlockId(to_global(local, home, self.n))
-            gid: Optional[int] = None
-            if self._alive(home):
-                try:
-                    self._sync_clock(home)
-                    local = self.shards[home].new_block(
-                        ListId(to_local(list_gid, self.n)),
-                        local_pred,
-                        aru=self._local_aru(aru, home, create=True),
-                    )
-                    gid = to_global(local, home, self.n)
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-            if gid is None:
-                # Home is dead: draw the local id from its counter
-                # snapshot so the global id stream stays dense, and
-                # let the mirrors validate and record the allocation.
-                if not self._alive_peers(home):
-                    raise ShardLostError(
-                        home, f"list {list_gid}: no surviving replica"
-                    )
-                gid = to_global(
-                    self._take_dead_id(home, "block"), home, self.n
-                )
-            mirror_pred: Predecessor = (
-                FIRST
-                if predecessor is FIRST
-                else BlockId(mirror_id(int(predecessor)))
-            )
-            admitted = self._alive(home)
-            bad: Optional[Exception] = None
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    self.shards[p].new_block(
-                        ListId(mirror_id(list_gid)),
-                        mirror_pred,
-                        aru=self._local_aru(aru, p, create=True),
-                        block_id=BlockId(mirror_id(gid)),
-                    )
-                    admitted = True
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, BadListError) as exc:
-                    bad = exc
-                    self._replica_skips += 1
-            if not admitted:
-                if bad is not None:
-                    raise bad
-                raise ShardLostError(
-                    home, f"list {list_gid}: no surviving replica"
-                )
             self._note_dirty_list(list_gid)
             return BlockId(gid)
 
@@ -839,150 +848,58 @@ class ShardedLLD(LogicalDisk):
     ) -> None:
         with self._lock:
             gid = int(block_id)
-            home = shard_of(gid, self.n)
-            if self._plain:
-                self._sync_clock(home)
-                self.shards[home].delete_block(
-                    BlockId(to_local(gid, self.n)),
-                    aru=self._local_aru(aru, home, create=True),
-                )
-                return
-            list_gid = self._list_of_block(gid)
-            deleted = False
-            bad: Optional[Exception] = None
-            if self._alive(home):
-                try:
-                    self._sync_clock(home)
-                    self.shards[home].delete_block(
-                        BlockId(to_local(gid, self.n)),
-                        aru=self._local_aru(aru, home, create=True),
-                    )
-                    deleted = True
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    self.shards[p].delete_block(
-                        BlockId(mirror_id(gid)),
-                        aru=self._local_aru(aru, p, create=True),
-                    )
-                    deleted = True
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, BadListError) as exc:
-                    bad = exc
-                    self._replica_skips += 1
-            if not deleted:
-                if bad is not None:
-                    raise bad
-                raise ShardLostError(
-                    home, f"block {gid}: no surviving replica"
-                )
-            if list_gid is not None:
-                self._note_dirty_list(list_gid)
+            # The block's list is unknowable once it is deleted, and
+            # only a repair covering it wants to know.
+            list_gid = (
+                self._list_of_block(gid) if self._repair_covers(gid) else None
+            )
+            self._mutate(
+                LLD.delete_block,
+                aru,
+                shard_of(gid, self.n),
+                (to_local(gid, self.n),),
+                (mirror_id(gid),),
+                "block",
+            )
+            self._note_dirty_list(list_gid)
 
     def write(
         self, block_id: BlockId, data: bytes, aru: Optional[ARUId] = None
     ) -> None:
         with self._lock:
             gid = int(block_id)
-            home = shard_of(gid, self.n)
-            if self._plain:
-                self._sync_clock(home)
-                self.shards[home].write(
-                    BlockId(to_local(gid, self.n)),
-                    data,
-                    aru=self._local_aru(aru, home, create=True),
-                )
-                return
-            wrote = False
-            bad: Optional[Exception] = None
-            if self._alive(home):
-                # Home validates first, so a bad id or oversized
-                # payload raises before any mirror is touched.
-                self._sync_clock(home)
-                try:
-                    self.shards[home].write(
-                        BlockId(to_local(gid, self.n)),
-                        data,
-                        aru=self._local_aru(aru, home, create=True),
-                    )
-                    wrote = True
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    self.shards[p].write(
-                        BlockId(mirror_id(gid)),
-                        data,
-                        aru=self._local_aru(aru, p, create=True),
-                    )
-                    wrote = True
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, BadListError) as exc:
-                    bad = exc
-                    self._replica_skips += 1
-            if not wrote:
-                if bad is not None:
-                    raise bad
-                raise ShardLostError(
-                    home, f"block {gid}: no surviving replica"
-                )
-            self._note_dirty_block(gid)
+            self._mutate(
+                LLD.write,
+                aru,
+                shard_of(gid, self.n),
+                (to_local(gid, self.n), data),
+                (mirror_id(gid), data),
+                "block",
+            )
+            if self._repair_covers(gid):
+                self._note_dirty_list(self._list_of_block(gid))
 
     def read(self, block_id: BlockId, aru: Optional[ARUId] = None) -> bytes:
         with self._lock:
             gid = int(block_id)
-            home = shard_of(gid, self.n)
-            if self._plain:
-                self._sync_clock(home)
-                return self.shards[home].read(
-                    BlockId(to_local(gid, self.n)),
-                    aru=self._local_aru(aru, home, create=False),
-                )
-            if self._alive(home):
-                try:
-                    self._sync_clock(home)
-                    return self.shards[home].read(
-                        BlockId(to_local(gid, self.n)),
-                        aru=self._local_aru(aru, home, create=False),
-                    )
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-                except UnrecoverableBlockError:
-                    # The home copy is gone (quarantined segment);
-                    # fall through to a replica if one exists.
-                    if not self._alive_peers(home):
-                        raise
-            last: Optional[Exception] = None
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    data = self.shards[p].read(
-                        BlockId(mirror_id(gid)),
-                        aru=self._local_aru(aru, p, create=False),
-                    )
-                    self._degraded_reads += 1
-                    return data
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, UnrecoverableBlockError) as exc:
-                    last = exc
-            if last is not None:
-                raise last
-            raise ShardLostError(home, f"block {gid}: no surviving replica")
+            return self._lookup(
+                LLD.read,
+                aru,
+                shard_of(gid, self.n),
+                (to_local(gid, self.n),),
+                (mirror_id(gid),),
+                "block",
+            )[1]
 
     def read_many(
         self, block_ids: Sequence[BlockId], aru: Optional[ARUId] = None
     ) -> List[bytes]:
+        """Batched read: blocks are grouped by home shard and each
+        live home serves its group with one ``LLD.read_many``.  A
+        group whose home is lost — or whose batch meets a lost shard
+        or unrecoverable block — is re-read block by block through
+        :meth:`read`, so every block still fails over on its own."""
         with self._lock:
-            if not self._plain:
-                # Degraded/replicated arrays route block-by-block so
-                # each read can fail over independently.
-                return [self.read(gid, aru=aru) for gid in block_ids]
             by_shard: Dict[int, List[Tuple[int, BlockId]]] = {}
             for index, gid in enumerate(block_ids):
                 by_shard.setdefault(shard_of(gid, self.n), []).append(
@@ -990,12 +907,20 @@ class ShardedLLD(LogicalDisk):
                 )
             results: List[Optional[bytes]] = [None] * len(block_ids)
             for s in sorted(by_shard):
-                self._sync_clock(s)
                 items = by_shard[s]
-                data = self.shards[s].read_many(
-                    [BlockId(to_local(gid, self.n)) for _i, gid in items],
-                    aru=self._local_aru(aru, s, create=False),
-                )
+                volume = self.shards[s]
+                data = None
+                if volume is not None:
+                    try:
+                        self._sync_clock(volume)
+                        data = volume.read_many(
+                            [to_local(gid, self.n) for _i, gid in items],
+                            aru=self._local_aru(aru, s, create=False),
+                        )
+                    except (ShardLostError, UnrecoverableBlockError):
+                        pass
+                if data is None:
+                    data = [self.read(gid, aru=aru) for _i, gid in items]
                 for (index, _gid), payload in zip(items, data):
                     results[index] = payload
             return results  # type: ignore[return-value]
@@ -1006,43 +931,11 @@ class ShardedLLD(LogicalDisk):
 
     def new_list(self, aru: Optional[ARUId] = None) -> ListId:
         with self._lock:
-            s = self._next_shard
-            self._next_shard = (s + 1) % self.n
-            if self._plain:
-                self._sync_clock(s)
-                local = self.shards[s].new_list(
-                    aru=self._local_aru(aru, s, create=True)
-                )
-                return ListId(to_global(local, s, self.n))
-            gid: Optional[int] = None
-            if self._alive(s):
-                try:
-                    self._sync_clock(s)
-                    local = self.shards[s].new_list(
-                        aru=self._local_aru(aru, s, create=True)
-                    )
-                    gid = to_global(local, s, self.n)
-                except ShardLostError:
-                    self._mark_shard_lost(s)
-            if gid is None:
-                if not self._alive_peers(s):
-                    raise ShardLostError(s, "new list: no surviving replica")
-                gid = to_global(self._take_dead_id(s, "list"), s, self.n)
-            created = self._alive(s)
-            for p in self._alive_peers(s):
-                try:
-                    self._sync_clock(p)
-                    self.shards[p].new_list(
-                        aru=self._local_aru(aru, p, create=True),
-                        list_id=ListId(mirror_id(gid)),
-                    )
-                    created = True
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, BadListError):
-                    self._replica_skips += 1
-            if not created:
-                raise ShardLostError(s, "new list: no surviving replica")
+            home = self._next_shard
+            self._next_shard = (home + 1) % self.n
+            gid = self._mutate(
+                LLD.new_list, aru, home, (), (), "new list", alloc="list"
+            )
             self._note_dirty_list(gid)
             return ListId(gid)
 
@@ -1051,45 +944,14 @@ class ShardedLLD(LogicalDisk):
     ) -> None:
         with self._lock:
             list_gid = int(list_id)
-            home = self._shard_for_list(list_id)
-            if self._plain:
-                self._sync_clock(home)
-                self.shards[home].delete_list(
-                    ListId(to_local(list_gid, self.n)),
-                    aru=self._local_aru(aru, home, create=True),
-                )
-                return
-            deleted = False
-            bad: Optional[Exception] = None
-            if self._alive(home):
-                try:
-                    self._sync_clock(home)
-                    self.shards[home].delete_list(
-                        ListId(to_local(list_gid, self.n)),
-                        aru=self._local_aru(aru, home, create=True),
-                    )
-                    deleted = True
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    self.shards[p].delete_list(
-                        ListId(mirror_id(list_gid)),
-                        aru=self._local_aru(aru, p, create=True),
-                    )
-                    deleted = True
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except (BadBlockError, BadListError) as exc:
-                    bad = exc
-                    self._replica_skips += 1
-            if not deleted:
-                if bad is not None:
-                    raise bad
-                raise ShardLostError(
-                    home, f"list {list_gid}: no surviving replica"
-                )
+            self._mutate(
+                LLD.delete_list,
+                aru,
+                shard_of(list_gid, self.n),
+                (to_local(list_gid, self.n),),
+                (mirror_id(list_gid),),
+                "list",
+            )
             self._note_dirty_list(list_gid)
 
     def list_blocks(
@@ -1097,47 +959,15 @@ class ShardedLLD(LogicalDisk):
     ) -> List[BlockId]:
         with self._lock:
             list_gid = int(list_id)
-            home = self._shard_for_list(list_id)
-            if self._plain:
-                self._sync_clock(home)
-                locals_ = self.shards[home].list_blocks(
-                    ListId(to_local(list_gid, self.n)),
-                    aru=self._local_aru(aru, home, create=False),
-                )
-                return [BlockId(to_global(b, home, self.n)) for b in locals_]
-            if self._alive(home):
-                try:
-                    self._sync_clock(home)
-                    locals_ = self.shards[home].list_blocks(
-                        ListId(to_local(list_gid, self.n)),
-                        aru=self._local_aru(aru, home, create=False),
-                    )
-                    return [
-                        BlockId(to_global(b, home, self.n)) for b in locals_
-                    ]
-                except ShardLostError:
-                    self._mark_shard_lost(home)
-            last: Optional[Exception] = None
-            for p in self._alive_peers(home):
-                try:
-                    self._sync_clock(p)
-                    members = self.shards[p].list_blocks(
-                        ListId(mirror_id(list_gid)),
-                        aru=self._local_aru(aru, p, create=False),
-                    )
-                    self._degraded_reads += 1
-                    return [
-                        BlockId(int(b) - SYSTEM_ID_BASE) for b in members
-                    ]
-                except ShardLostError:
-                    self._mark_shard_lost(p)
-                except BadListError as exc:
-                    last = exc
-            if last is not None:
-                raise last
-            raise ShardLostError(
-                home, f"list {list_gid}: no surviving replica"
+            source, members = self._lookup(
+                LLD.list_blocks,
+                aru,
+                shard_of(list_gid, self.n),
+                (to_local(list_gid, self.n),),
+                (mirror_id(list_gid),),
+                "list",
             )
+            return [BlockId(self._global_id(b, source)) for b in members]
 
     # ------------------------------------------------------------------
     # Durability
@@ -1145,14 +975,7 @@ class ShardedLLD(LogicalDisk):
 
     def flush(self) -> None:
         with self._lock:
-            for s in range(self.n):
-                if not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    self.shards[s].flush()
-                except ShardLostError:
-                    self._mark_shard_lost(s)
+            self._each(LLD.flush)
 
     @property
     def restore_active(self) -> bool:
@@ -1166,33 +989,18 @@ class ShardedLLD(LogicalDisk):
     def restore_drain(self, max_segments=None) -> int:
         """Drain pending restore segments on every shard (sum)."""
         with self._lock:
-            drained = 0
-            for s in range(self.n):
-                if not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    drained += self.shards[s].restore_drain(max_segments)
-                except ShardLostError:
-                    self._mark_shard_lost(s)
-            return drained
+            return sum(
+                self._each(LLD.restore_drain, None, max_segments).values()
+            )
 
     def complete_restore(self) -> None:
         """Finish every shard's in-progress instant restore; run a
         deferred replica resync once final table state exists."""
         with self._lock:
-            for s in range(self.n):
-                if not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    self.shards[s].complete_restore()
-                except ShardLostError:
-                    self._mark_shard_lost(s)
+            self._each(LLD.complete_restore)
             if self._resync_pending and not self._arus:
                 self._resync_pending = False
-                if self.rf > 1:
-                    self.resync()
+                self.resync()
 
     def write_checkpoint(self) -> None:
         """Checkpoint every shard (a global recovery bound).
@@ -1209,24 +1017,12 @@ class ShardedLLD(LogicalDisk):
         """
         with self._lock:
             self.flush()
-            decision = set(self._decision_shards())
-            for s in range(self.n):
-                if s in decision or not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    self.shards[s].write_checkpoint()
-                except ShardLostError:
-                    self._mark_shard_lost(s)
-            for s in sorted(decision, reverse=True):
-                if not self._alive(s):
-                    continue
-                try:
-                    self.shards[s].clear_decisions()
-                    self._sync_clock(s)
-                    self.shards[s].write_checkpoint()
-                except ShardLostError:
-                    self._mark_shard_lost(s)
+            decision = self._decision_shards()
+            self._each(
+                LLD.write_checkpoint,
+                [s for s in range(self.n) if s not in decision],
+            )
+            self._each(_forget_and_checkpoint, reversed(decision))
 
     # ------------------------------------------------------------------
     # Failure, repair and replica maintenance
@@ -1288,24 +1084,42 @@ class ShardedLLD(LogicalDisk):
         lists dirtied while the job ran, then installing the rebuilt
         volume — requires a quiescent moment (no active ARUs); until
         one occurs the step keeps the job open and returns False.
+
+        If the replacement itself is lost mid-repair the half-built
+        volume is discarded and the step returns False with no repair
+        active: the member stays lost (reads keep being served from
+        its mirrors) and :meth:`start_repair` may be called afresh.
+        A *source* lost mid-copy is failed over; the interrupted list
+        stays queued and later steps copy it from the remaining
+        sources.
         """
         with self._lock:
-            job = self._repair
-            if job is None:
-                return True
             budget = (
                 max_ops if max_ops is not None else self.config.repair_batch_ops
             )
-            while job.queue and budget > 0:
-                budget -= job.copy_list(job.queue.pop(0))
-            if job.queue:
+            if budget < 1:
+                raise ValueError(f"max_ops must be >= 1, got {budget}")
+            job = self._repair
+            if job is None:
+                return True
+            try:
+                while job.queue and budget > 0:
+                    budget -= job.copy_list(job.queue[0])
+                    del job.queue[0]
+                if job.queue or self._arus:
+                    return False  # dirty re-copy needs final committed state
+                while job.dirty:
+                    list_gid = next(iter(job.dirty))
+                    job.copy_list(list_gid)
+                    job.dirty.discard(list_gid)
+                self._install_repair(job)
+                return True
+            except ShardLostError as exc:
+                if exc.shard == job.shard:
+                    self._repair = None
+                else:
+                    self._mark_shard_lost(exc.shard)
                 return False
-            if self._arus:
-                return False  # dirty re-copy needs final committed state
-            while job.dirty:
-                job.copy_list(job.dirty.pop())
-            self._install_repair(job)
-            return True
 
     def repair(self, shard_index: Optional[int] = None) -> dict:
         """Rebuild a lost member synchronously (start + run to
@@ -1322,6 +1136,8 @@ class ShardedLLD(LogicalDisk):
             job = self._repair
             while not self.repair_step():
                 pass
+            if job.shard in self._dead:
+                raise ShardLostError(job.shard, "replacement lost mid-repair")
             return {
                 "lists_copied": job.lists_copied,
                 "blocks_copied": job.blocks_copied,
@@ -1336,31 +1152,77 @@ class ShardedLLD(LogicalDisk):
                 job.lld._next_block_id, counters[0]
             )
             job.lld._next_list_id = max(job.lld._next_list_id, counters[1])
-        job._sync()
+        self._sync_clock(job.lld)
         job.lld.flush()
         self.shards[job.shard] = job.lld
         del self._dead[job.shard]
         self._dead_counters.pop(job.shard, None)
         self._repair = None
         self._repairs_completed += 1
-        self._update_plain()
+
+    def _copy_list(
+        self,
+        sources: Sequence[Tuple[int, int]],
+        target: LLD,
+        target_list: int,
+    ) -> Optional[int]:
+        """Rebuild list ``target_list`` on ``target`` from the first
+        of ``sources`` (``(shard, list id)``) that holds an allocated
+        copy — the one copier behind repair and resync.
+
+        Every read uses the committed view (``aru=None``), so
+        uncommitted data is never copied.  A stale target list is
+        dropped first, then the list and each member are admitted
+        under forced ids (a home list's members get their local ids,
+        a mirror list's their ``mirror_id``) and the bytes copied.
+        Returns the number of blocks copied, or ``None`` when no
+        source has the list (deleted, or beyond the failure budget).
+        """
+        if _holds_list(target, target_list):
+            self._sync_clock(target)
+            target.delete_list(ListId(target_list))
+        for s, source_list in sources:
+            source = self.shards[s]
+            if _holds_list(source, source_list):
+                break
+        else:
+            return None
+        self._sync_clock(source)
+        members = source.list_blocks(ListId(source_list))
+        self._sync_clock(target)
+        target.new_list(list_id=ListId(target_list))
+        prev: Predecessor = FIRST
+        for member in members:
+            gid = self._global_id(int(member), s)
+            block = BlockId(
+                mirror_id(gid)
+                if target_list >= SYSTEM_ID_BASE
+                else to_local(gid, self.n)
+            )
+            stale = target._view_block(block, None)
+            if stale is not None and stale.allocated:
+                target.delete_block(block)
+            target.new_block(
+                ListId(target_list), predecessor=prev, block_id=block
+            )
+            self._sync_clock(source)
+            data = source.read(member)
+            self._sync_clock(target)
+            target.write(block, data)
+            prev = block
+        self._lists_healed += 1
+        self._blocks_healed += len(members)
+        return len(members)
 
     def scrub(self, segments: Optional[Sequence[int]] = None) -> dict:
         """Scrub every live shard; blocks the per-volume scrubber
-        declares lost are healed from their surviving replicas."""
+        declares lost are healed from their surviving replicas (each
+        member's right after its own scrub)."""
         with self._lock:
             reports: Dict[str, object] = {}
             for s in range(self.n):
-                if not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    report = self.shards[s].scrub(segments)
-                except ShardLostError:
-                    self._mark_shard_lost(s)
-                    continue
-                reports[str(s)] = report
-                if self.rf > 1:
+                for report in self._each(LLD.scrub, (s,), segments).values():
+                    reports[str(s)] = report
                     for local in list(report.lost_blocks):
                         self._heal_lost_block(s, int(local))
             return reports
@@ -1370,45 +1232,27 @@ class ShardedLLD(LogicalDisk):
         array-wide twin of :meth:`~repro.lld.lld.LLD.clean`, for
         maintenance drivers running during live traffic)."""
         with self._lock:
-            for s in range(self.n):
-                if not self._alive(s):
-                    continue
-                try:
-                    self._sync_clock(s)
-                    self.shards[s].clean()
-                except ShardLostError:
-                    self._mark_shard_lost(s)
+            self._each(LLD.clean)
 
     def _heal_lost_block(self, shard_index: int, local: int) -> bool:
-        """Rewrite one quarantined-beyond-salvage block from its
-        replica (committed data only — a replica never holds
+        """Rewrite one quarantined-beyond-salvage block from another
+        live copy (committed data only — a replica never holds
         uncommitted bytes for a committed-elsewhere block)."""
-        if local < SYSTEM_ID_BASE:
-            gid = to_global(local, shard_index, self.n)
-            sources = [
-                (p, BlockId(mirror_id(gid))) for p in self._alive_peers(shard_index)
-            ]
-        else:
-            gid = local - SYSTEM_ID_BASE
-            home = shard_of(gid, self.n)
-            if not self._alive(home):
-                return False
-            sources = [(home, BlockId(to_local(gid, self.n)))]
-        for source, source_id in sources:
-            try:
-                self._sync_clock(source)
-                data = self.shards[source].read(source_id)
-            except ShardLostError:
-                self._mark_shard_lost(source)
+        for source, source_id in self._copies(
+            self._global_id(local, shard_index)
+        ):
+            if source == shard_index:
                 continue
+            try:
+                got = self._each(LLD.read, (source,), BlockId(source_id))
             except (BadBlockError, UnrecoverableBlockError):
                 continue
-            try:
-                self._sync_clock(shard_index)
-                self.shards[shard_index].write(BlockId(local), data)
-            except ShardLostError:
-                self._mark_shard_lost(shard_index)
-                return False
+            if not got:
+                continue  # source lost along the way: try the next
+            if not self._each(
+                LLD.write, (shard_index,), BlockId(local), got[source]
+            ):
+                return False  # the damaged member itself is lost
             self._blocks_healed += 1
             return True
         return False
@@ -1439,7 +1283,7 @@ class ShardedLLD(LogicalDisk):
                 if not self._alive(home):
                     continue
                 for list_gid in sorted(self._user_lists_on(home)):
-                    self._sync_clock(home)
+                    self._sync_clock(self.shards[home])
                     members = self.shards[home].list_blocks(
                         ListId(to_local(list_gid, self.n))
                     )
@@ -1464,24 +1308,24 @@ class ShardedLLD(LogicalDisk):
     ) -> None:
         shard = self.shards[peer]
         target = ListId(mirror_id(list_gid))
-        shard._restore_list(target)
-        view = shard._view_list(target, None)
-        matches = view is not None and view.allocated
+        matches = _holds_list(shard, target)
         if matches:
-            self._sync_clock(peer)
+            self._sync_clock(shard)
             mirrored = [
                 int(b) - SYSTEM_ID_BASE for b in shard.list_blocks(target)
             ]
             matches = mirrored == gmembers
         if not matches:
-            self._rebuild_mirror_list(home, peer, list_gid, gmembers)
+            self._copy_list(
+                [(home, to_local(list_gid, self.n))], shard, target
+            )
             fixed["mirror_lists_rebuilt"] += 1
             return
         for gid in gmembers:
-            self._sync_clock(home)
+            self._sync_clock(self.shards[home])
             data = self.shards[home].read(BlockId(to_local(gid, self.n)))
             try:
-                self._sync_clock(peer)
+                self._sync_clock(shard)
                 copy = shard.read(BlockId(mirror_id(gid)))
             except UnrecoverableBlockError:
                 copy = None
@@ -1489,68 +1333,19 @@ class ShardedLLD(LogicalDisk):
                 shard.write(BlockId(mirror_id(gid)), data)
                 fixed["mirror_blocks_rewritten"] += 1
 
-    def _rebuild_mirror_list(
-        self,
-        home: int,
-        peer: int,
-        list_gid: int,
-        gmembers: Optional[List[int]] = None,
-    ) -> None:
-        """Rebuild one mirror list from the committed home copy."""
-        shard = self.shards[peer]
-        target = ListId(mirror_id(list_gid))
-        view = shard._view_list(target, None)
-        if view is not None and view.allocated:
-            self._sync_clock(peer)
-            shard.delete_list(target)
-        if gmembers is None:
-            self._sync_clock(home)
-            gmembers = [
-                to_global(int(b), home, self.n)
-                for b in self.shards[home].list_blocks(
-                    ListId(to_local(list_gid, self.n))
-                )
-            ]
-        self._sync_clock(peer)
-        shard.new_list(list_id=target)
-        prev: Predecessor = FIRST
-        for gid in gmembers:
-            stale = shard._view_block(BlockId(mirror_id(gid)), None)
-            if stale is not None and stale.allocated:
-                shard.delete_block(BlockId(mirror_id(gid)))
-            shard.new_block(
-                target, predecessor=prev, block_id=BlockId(mirror_id(gid))
-            )
-            self._sync_clock(home)
-            data = self.shards[home].read(BlockId(to_local(gid, self.n)))
-            self._sync_clock(peer)
-            shard.write(BlockId(mirror_id(gid)), data)
-            prev = BlockId(mirror_id(gid))
-        self._lists_healed += 1
-        self._blocks_healed += len(gmembers)
-
     def _drop_stray_mirrors(self, peer: int, fixed: Dict[str, int]) -> None:
         shard = self.shards[peer]
         for local in sorted(self._list_ids_on(peer)):
-            if local < SYSTEM_ID_BASE:
-                continue
-            shard._restore_list(ListId(local))
-            view = shard._view_list(ListId(local), None)
-            if view is None or not view.allocated:
+            if local < SYSTEM_ID_BASE or not _holds_list(shard, local):
                 continue
             list_gid = local - SYSTEM_ID_BASE
             home = shard_of(list_gid, self.n)
             if not self._alive(home):
                 continue  # surviving copy of a dead home: keep
-            stray = peer not in self._peers(home)
-            if not stray:
-                home_lld = self.shards[home]
-                home_local = ListId(to_local(list_gid, self.n))
-                home_lld._restore_list(home_local)
-                home_view = home_lld._view_list(home_local, None)
-                stray = home_view is None or not home_view.allocated
-            if stray:
-                self._sync_clock(peer)
+            if peer not in self._peers(home) or not _holds_list(
+                self.shards[home], to_local(list_gid, self.n)
+            ):
+                self._sync_clock(shard)
                 shard.delete_list(ListId(local))
                 fixed["stray_mirrors_deleted"] += 1
         # Mirror blocks orphaned by an ARU that never committed:
@@ -1564,7 +1359,7 @@ class ShardedLLD(LogicalDisk):
                 continue
             gid = block_id - SYSTEM_ID_BASE
             if self._alive(shard_of(gid, self.n)):
-                self._sync_clock(peer)
+                self._sync_clock(shard)
                 shard.delete_block(BlockId(block_id))
                 fixed["stray_mirrors_deleted"] += 1
 
@@ -1598,9 +1393,12 @@ class ShardedLLD(LogicalDisk):
     def stats(self) -> dict:
         """Per-shard stats under the frozen schema, plus a summed
         aggregate view (itself frozen-schema-conformant) and the
-        sharding counters.  Lost members have no stats to report."""
+        sharding counters.  Lost members have no stats to report, so
+        an array with no live member raises ``ShardLostError`` like
+        every other call; :meth:`sharding_info` still answers."""
         from repro.obs.aggregate import aggregate_stats
 
+        self._first_alive()
         per_shard = {
             str(index): shard.stats()
             for index, shard in enumerate(self.shards)

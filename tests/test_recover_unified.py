@@ -161,8 +161,8 @@ class TestArrayConfigValidation:
     def test_bad_values_are_value_errors(self):
         with pytest.raises(ValueError):
             ArrayConfig(replication_factor=0).validate()
-        with pytest.raises(ValueError):
-            ArrayConfig(placement="scatter").validate()
+        with pytest.raises(TypeError):  # option removed: ring is the rule
+            ArrayConfig(placement="scatter")
         with pytest.raises(ValueError):
             ArrayConfig(repair_batch_ops=0).validate()
 

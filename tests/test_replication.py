@@ -14,6 +14,9 @@ repair, and mid instant restore — and asserts byte identity of every
 acknowledged ARU after failover and again after heal.
 """
 
+import copy
+import random
+
 import pytest
 
 from repro.disk.faults import (
@@ -23,11 +26,17 @@ from repro.disk.faults import (
     ShardLoss,
 )
 from repro.disk.geometry import DiskGeometry
-from repro.errors import ConcurrencyError, ShardLostError
+from repro.disk.simdisk import SimulatedDisk
+from repro.errors import (
+    ConcurrencyError,
+    ShardLostError,
+    UnrecoverableBlockError,
+)
+from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 from repro.recovery import recover
 from repro.shard import ArrayConfig, ShardedLLD, build_sharded, mirror_id
-from repro.shard.sharded import shard_of
+from repro.shard.sharded import shard_of, to_global, to_local
 
 
 def build_array(n=3, rf=2, num_segments=48, injector=None, **kwargs):
@@ -74,16 +83,185 @@ def assert_all_sound(arr):
         assert not problems, (index, problems)
 
 
+class BareTwins:
+    """N bare LLDs driven the way one host drives N independent
+    disks — the reference an rf = 1 array is compared against.  Ids
+    are translated with ``shard_of``/``to_local``, new lists go
+    round-robin from shard 0, the addressed disk's clock is advanced
+    to the furthest disk's before every call, a global ARU begins a
+    local ARU on a disk at first touch, and a cross-disk commit is
+    spelled out as PREPARE / flush / DECIDE on disk 0 / release."""
+
+    def __init__(self, llds):
+        self.llds = llds
+        self.n = len(llds)
+        self.next_shard = 0
+        self.arus = {}
+        self.next_aru = 1
+        self.next_xid = 1
+
+    def on(self, s, aru=None):
+        """(disk ``s`` with its clock synced, local ARU or None)."""
+        lld = self.llds[s]
+        now = max(l.clock.now_us for l in self.llds)
+        if now > lld.clock.now_us:
+            lld.clock.advance_us(now - lld.clock.now_us)
+        if aru is None:
+            return lld, None
+        if s not in self.arus[aru]:
+            self.arus[aru][s] = lld.begin_aru()
+        return lld, self.arus[aru][s]
+
+    def local(self, gid):
+        return to_local(gid, self.n)
+
+    def new_list(self, aru=None):
+        s = self.next_shard
+        self.next_shard = (s + 1) % self.n
+        lld, local_aru = self.on(s, aru)
+        return to_global(lld.new_list(aru=local_aru), s, self.n)
+
+    def new_block(self, lst, predecessor=None, aru=None):
+        s = shard_of(lst, self.n)
+        lld, local_aru = self.on(s, aru)
+        if predecessor is None:
+            local = lld.new_block(self.local(lst), aru=local_aru)
+        else:
+            local = lld.new_block(
+                self.local(lst),
+                predecessor=self.local(predecessor),
+                aru=local_aru,
+            )
+        return to_global(local, s, self.n)
+
+    def write(self, blk, data, aru=None):
+        lld, local_aru = self.on(shard_of(blk, self.n), aru)
+        lld.write(self.local(blk), data, aru=local_aru)
+
+    def delete_block(self, blk, aru=None):
+        lld, local_aru = self.on(shard_of(blk, self.n), aru)
+        lld.delete_block(self.local(blk), aru=local_aru)
+
+    def delete_list(self, lst, aru=None):
+        lld, local_aru = self.on(shard_of(lst, self.n), aru)
+        lld.delete_list(self.local(lst), aru=local_aru)
+
+    def begin_aru(self):
+        aru = self.next_aru
+        self.next_aru += 1
+        self.arus[aru] = {}
+        return aru
+
+    def abort_aru(self, aru):
+        for s, local_aru in sorted(self.arus.pop(aru).items()):
+            self.on(s)[0].abort_aru(local_aru)
+
+    def end_aru(self, aru):
+        parts = sorted(self.arus.pop(aru).items())
+        if len(parts) <= 1:
+            for s, local_aru in parts:
+                self.on(s)[0].end_aru(local_aru)
+            return
+        xid = self.next_xid
+        self.next_xid += 1
+        for s, local_aru in parts:
+            self.on(s)[0].prepare_commit(local_aru, xid)
+        for s, _ in parts:
+            self.on(s)[0].flush()
+        coordinator = self.on(0)[0]
+        coordinator.log_decision(xid)
+        coordinator.flush()
+        for s, local_aru in parts:
+            self.llds[s].finish_prepared(int(local_aru))
+
+    def flush(self):
+        for s in range(self.n):
+            self.on(s)[0].flush()
+
+
+def drive_op_script(vol, seed, rounds=60):
+    """One seeded script of every mutating LD call — lists, blocks
+    with predecessors, writes, deletes, ARUs that commit (on one
+    shard or across several) and abort, a closing flush — against
+    anything with the array's call surface.  Returns the ids it was
+    handed, which must agree between the two drivers."""
+    rng = random.Random(seed)
+    lists, handed = {}, []
+    for round_no in range(rounds):
+        aru = vol.begin_aru() if rng.random() < 0.6 else None
+        before = copy.deepcopy(lists)
+        for _ in range(rng.randint(1, 4)):
+            choice = rng.random()
+            blocks = [blk for members in lists.values() for blk in members]
+            if choice < 0.2 or not lists:
+                lst = vol.new_list(aru=aru)
+                lists[lst] = []
+                handed.append(lst)
+            elif choice < 0.55:
+                lst = rng.choice(sorted(lists))
+                members = lists[lst]
+                if members and rng.random() < 0.5:
+                    blk = vol.new_block(
+                        lst, predecessor=rng.choice(members), aru=aru
+                    )
+                else:
+                    blk = vol.new_block(lst, aru=aru)
+                members.append(blk)
+                handed.append(blk)
+            elif choice < 0.85 and blocks:
+                blk = rng.choice(blocks)
+                vol.write(blk, b"r%d-b%d" % (round_no, blk), aru=aru)
+            elif choice < 0.95 and blocks:
+                blk = rng.choice(blocks)
+                next(m for m in lists.values() if blk in m).remove(blk)
+                vol.delete_block(blk, aru=aru)
+            elif len(lists) > 3:
+                lst = rng.choice(sorted(lists))
+                del lists[lst]
+                vol.delete_list(lst, aru=aru)
+        if aru is not None and rng.random() < 0.25:
+            vol.abort_aru(aru)
+            lists = before  # ids the aborted ARU drew are never reused
+        elif aru is not None:
+            vol.end_aru(aru)
+    vol.flush()
+    return handed
+
+
 class TestReplicatedBasics:
-    def test_rf1_is_byte_identical_plain_striping(self):
-        """An unreplicated array takes the historical fast paths."""
-        arr = build_array(rf=1)
-        assert arr._plain
-        contents = populate(arr)
-        assert_contents(arr, contents)
-        info = arr.sharding_info()
-        assert info["replication_factor"] == 1
-        assert info["redundancy_full"] is True
+    def test_rf1_is_byte_identical_plain_striping(self, tmp_path):
+        """Routing adds no write and no simulated microsecond: an
+        rf = 1 array leaves every member's platter and clock exactly
+        where the same calls, made directly on bare LLDs, leave
+        theirs."""
+        for seed in (1, 7, 2026):
+            arr = build_array(3, rf=1)
+            injector = FaultInjector()
+            twins = BareTwins(
+                [
+                    LLD(
+                        SimulatedDisk(
+                            arr.geometry, injector=injector, shard_index=i
+                        ),
+                        config=arr.shards[i].config,
+                    )
+                    for i in range(arr.n)
+                ]
+            )
+            assert drive_op_script(arr, seed) == drive_op_script(twins, seed)
+            for member, twin in zip(arr.shards, twins.llds):
+                where = (seed, member.disk.shard_index)
+                assert member.clock.now_us == twin.clock.now_us, where
+                assert member.disk.write_count == twin.disk.write_count, where
+                member.disk.save_image(tmp_path / "member.img")
+                twin.disk.save_image(tmp_path / "twin.img")
+                assert (tmp_path / "member.img").read_bytes() == (
+                    tmp_path / "twin.img"
+                ).read_bytes(), where
+            info = arr.sharding_info()
+            assert info["replication_factor"] == 1
+            assert info["commits_single_shard"] and info["commits_cross_shard"]
+            assert info["redundancy_full"] is True
 
     def test_mirrors_exist_on_ring_peers(self):
         arr = build_array(3, rf=2)
@@ -112,6 +290,25 @@ class TestReplicatedBasics:
     def test_rf_must_fit_shard_count(self):
         with pytest.raises(ValueError):
             build_array(2, rf=3)
+
+    def test_removed_surface_stays_removed(self):
+        """One router, one copier, two knobs (ISSUE 15)."""
+        import dataclasses
+
+        from repro.shard.sharded import _RepairJob
+
+        arr = build_array(rf=1)
+        for name in ("_plain", "_update_plain", "_rebuild_mirror_list"):
+            assert not hasattr(ShardedLLD, name), name
+            assert not hasattr(arr, name), name
+        for name in ("_copy_home", "_copy_mirror", "_force_block"):
+            assert not hasattr(_RepairJob, name), name
+        with pytest.raises(TypeError):
+            ArrayConfig(placement="ring")
+        assert [f.name for f in dataclasses.fields(ArrayConfig)] == [
+            "replication_factor",
+            "repair_batch_ops",
+        ]
 
     def test_stats_schema_includes_replication_counters(self):
         from repro.obs.schema import validate_sharded_stats
@@ -174,6 +371,110 @@ class TestDegradedOperation:
         for blk in lost:
             with pytest.raises(ShardLostError):
                 arr.read(blk)
+
+
+    def test_array_clock_is_monotone_across_loss_of_the_leader(self):
+        """Array time never runs backwards: losing the member whose
+        clock is furthest ahead leaves ``clock.now_us`` where it was."""
+        arr = build_array(3, rf=2)
+        contents = populate(arr)
+        arr.write(next(iter(contents)), b"one more")  # someone leads
+        clocks = [shard.clock.now_us for shard in arr.shards]
+        leader = clocks.index(max(clocks))
+        assert clocks.count(max(clocks)) == 1
+        before = arr.clock.now_us
+        arr.lose_shard(leader)
+        assert arr.clock.now_us == before
+        arr.flush()
+        assert arr.clock.now_us >= before
+
+    def test_all_dead_array_keeps_its_clock_and_its_error(self):
+        """With no live member ``clock.now_us`` is the floor the lost
+        members left, ``stats()`` raises ``ShardLostError`` like every
+        other call, and ``sharding_info()`` still answers."""
+        arr = build_array(3, rf=2)
+        contents = populate(arr)
+        before = arr.clock.now_us
+        for index in range(arr.n):
+            arr.lose_shard(index)
+        assert arr.clock.now_us == before
+        assert arr.clock.now_s == before / 1e6
+        with pytest.raises(ShardLostError):
+            arr.stats()
+        with pytest.raises(ShardLostError):
+            arr.read(next(iter(contents)))
+        assert arr.sharding_info()["dead_shards"] == arr.n
+
+
+class TestReadManyReplicated:
+    """``read_many`` batches per live home shard and falls back to
+    per-block ``read`` (which fails over) per shard, not per array."""
+
+    def test_healthy_array_batches_and_preserves_order(self):
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3)
+        order = sorted(contents, key=lambda blk: (blk * 7) % 11)
+        assert len({shard_of(blk, arr.n) for blk in order}) == arr.n
+        got = arr.read_many(order)
+        assert got == [arr.read(blk) for blk in order]
+        for blk, data in zip(order, got):
+            assert data.startswith(contents[blk])
+        assert arr.sharding_info()["degraded_reads"] == 0
+
+    def test_lost_home_is_served_from_mirrors_block_by_block(self):
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3)
+        order = sorted(contents)
+        arr.lose_shard(1)
+        orphaned = [blk for blk in order if shard_of(blk, arr.n) == 1]
+        assert orphaned
+        got = arr.read_many(order)
+        for blk, data in zip(order, got):
+            assert data.startswith(contents[blk])
+        assert arr.sharding_info()["degraded_reads"] == len(orphaned)
+
+    def test_loss_discovered_by_the_batch_fails_over(self):
+        """The injector loses the home without the array knowing: the
+        batch itself raises ShardLostError and the group is re-read."""
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3)
+        for shard in arr.shards:
+            shard.cache.invalidate_all()
+        arr.shards[0].disk.injector.lose_shard(0)
+        got = arr.read_many(sorted(contents))
+        for blk, data in zip(sorted(contents), got):
+            assert data.startswith(contents[blk])
+        assert arr.dead_shards == [0]
+        assert arr.sharding_info()["degraded_reads"] >= 1
+
+    def test_quarantined_home_segment_falls_back_to_replicas(self):
+        from repro.disk.faults import MediaFault
+
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3)
+        victim = next(iter(contents))
+        home = shard_of(victim, arr.n)
+        member = arr.shards[home]
+        root = member.bmap.root(to_local(victim, arr.n), create=False)
+        member.cache.invalidate_all()
+        member.disk.injector.add_media_fault(
+            MediaFault(
+                segment_no=root.persistent.address.segment,
+                kind="unreadable",
+                shard=home,
+            )
+        )
+        # The member's own scrub quarantines the segment and declares
+        # its blocks lost; the array-level heal is deliberately not run.
+        assert member.scrub().blocks_lost >= 1
+        with pytest.raises(UnrecoverableBlockError):
+            member.read(to_local(victim, arr.n))
+        order = sorted(contents)
+        got = arr.read_many(order)
+        for blk, data in zip(order, got):
+            assert data.startswith(contents[blk])
+        assert arr.dead_shards == []
+        assert arr.sharding_info()["degraded_reads"] >= 1
 
 
 class TestRepair:
@@ -280,6 +581,78 @@ class TestRepair:
         arr.start_repair(0)
         with pytest.raises(ConcurrencyError):
             arr.start_repair(2)
+
+    @pytest.mark.parametrize("max_ops", [0, -3])
+    def test_repair_step_rejects_a_non_positive_budget(self, max_ops):
+        """``while not repair_step(max_ops=n)`` with n == 0 would
+        spin forever; the per-call override is validated like
+        ``ArrayConfig.repair_batch_ops``."""
+        arr = build_array(3, rf=2)
+        populate(arr)
+        arr.lose_shard(0)
+        arr.start_repair(0)
+        with pytest.raises(ValueError):
+            arr.repair_step(max_ops=max_ops)
+        assert arr.repair_active
+        assert arr.repair_step(max_ops=1000)
+
+    def test_replacement_lost_mid_repair_ends_the_repair_not_the_array(self):
+        """The compound fault: the replacement's media dies while the
+        rebuild is in flight.  The half-built volume is discarded, the
+        member stays lost, and a fresh repair starts from scratch."""
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3, blocks_per_list=3)
+        arr.lose_shard(1)
+        arr.start_repair(1)
+        assert not arr.repair_step(max_ops=2)  # partial copy only
+        assert arr.repair_active
+        arr.lose_shard(1)  # the replacement this time
+        assert arr.repair_step() is False
+        assert not arr.repair_active
+        assert arr.dead_shards == [1]
+        assert arr.repair_step() is True  # nothing left to drive
+        assert_contents(arr, contents)  # still served from mirrors
+        arr.start_repair(1)
+        while not arr.repair_step(max_ops=4):
+            pass
+        assert arr.dead_shards == []
+        assert arr.sharding_info()["redundancy_full"] is True
+        assert arr.sharding_info()["repairs_completed"] == 1
+        assert_contents(arr, contents)
+        assert_all_sound(arr)
+
+    def test_synchronous_repair_reports_a_lost_replacement(self):
+        injector = FaultInjector()
+        arr = build_array(3, rf=2, injector=injector)
+        populate(arr, lists=3, blocks_per_list=3)
+        arr.lose_shard(1)
+        arr.start_repair(1)
+        injector.lose_shard(1)
+        with pytest.raises(ShardLostError):
+            arr.repair()
+        assert not arr.repair_active and arr.dead_shards == [1]
+
+    def test_source_lost_mid_repair_is_failed_over(self):
+        """rf = 3: a repair source dying mid-copy is failed over and
+        the interrupted list is copied from the remaining source."""
+        injector = FaultInjector()
+        arr = build_array(4, rf=3, injector=injector)
+        contents = populate(arr, lists=4, blocks_per_list=3)
+        for shard in arr.shards:
+            shard.cache.invalidate_all()
+        arr.lose_shard(1)
+        arr.start_repair(1)
+        injector.lose_shard(2)  # a mirror of shard 1; the array has not noticed
+        steps = 0
+        while not arr.repair_step(max_ops=4):
+            steps += 1
+            assert steps < 200, "repair did not converge"
+        assert arr.dead_shards == [2]
+        assert_contents(arr, contents)
+        arr.repair(2)
+        assert arr.sharding_info()["redundancy_full"] is True
+        assert_contents(arr, contents)
+        assert_all_sound(arr)
 
     def test_scrub_heals_lost_blocks_from_replicas(self):
         """The scrubber's per-volume 'lost' verdict is not final on a
