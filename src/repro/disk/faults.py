@@ -37,6 +37,7 @@ import dataclasses
 import random
 from typing import Dict, Optional, Sequence, Set, Tuple
 
+from repro.disk.geometry import SECTOR_SIZE
 from repro.errors import DiskCrashedError, MediaError, ShardLostError
 
 
@@ -65,7 +66,7 @@ class PowerCut:
     torn: bool = False
     seed: int = 0
     granularity: str = "sector"
-    sector_size: int = 512
+    sector_size: int = SECTOR_SIZE
 
     def __post_init__(self) -> None:
         if self.after_writes < 0:
@@ -92,7 +93,9 @@ class MediaFault:
 
     ``kind`` is ``"unreadable"`` (reads raise :class:`MediaError`) or
     ``"corrupt"`` (reads return bit-flipped data, exercising checksum
-    validation during recovery).  ``shard`` scopes the fault to one
+    validation during recovery; ``span`` = ``(start, end)`` confines
+    the rot to those bytes of the segment, e.g. to one summary chunk,
+    instead of the whole of it).  ``shard`` scopes the fault to one
     member disk of a sharded array; ``None`` (the default, and the
     only sensible value for a single disk) applies it to every disk
     sharing the injector.
@@ -101,6 +104,7 @@ class MediaFault:
     segment_no: int
     kind: str = "unreadable"
     shard: Optional[int] = None
+    span: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("unreadable", "corrupt"):
@@ -341,7 +345,10 @@ class FaultInjector:
             return data
         if fault.kind == "unreadable":
             raise MediaError(f"segment {segment_no} is unreadable")
-        return _flip_bits(data)
+        if fault.span is None:
+            return _flip_bits(data)
+        start, end = fault.span
+        return data[:start] + _flip_bits(data[start:end]) + data[end:]
 
     def power_cycle(self) -> None:
         """Restore power after a crash (the recovery path may now read).

@@ -3,9 +3,10 @@
 LLD writes the disk in large fixed-size segments.  The paper's
 prototype uses a 400 MB partition of 4 KB blocks written in 0.5 MB
 segments.  Each segment holds data blocks (filling from the front)
-and a *segment summary* (filling from the back, just before a
-fixed-size trailer).  The two grow toward each other; a segment is
-full when they would collide.  This flexible split is what lets the
+and a *segment summary* (filling from the back: one chunk of entries
+plus a fixed-size trailer per durability point).  The two grow toward
+each other; a segment is full when they would collide.  This flexible
+split is what lets the
 ARU-latency experiment of Section 5.3 fill whole segments with
 nothing but commit records (500,000 ARUs -> 24 segments).
 """
@@ -18,6 +19,11 @@ import dataclasses
 #: (magic, sequence number, entry count, block count, summary length,
 #: checksum).  See :mod:`repro.lld.segment` for the layout.
 TRAILER_SIZE = 40
+
+#: The unit a disk writes atomically and a power cut tears on.  Writes
+#: smaller than a segment (checkpoint tails, in-place summary chunks)
+#: are laid out on this grid, and segments are whole multiples of it.
+SECTOR_SIZE = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,6 +47,11 @@ class DiskGeometry:
         if self.segment_size < self.block_size + TRAILER_SIZE:
             raise ValueError(
                 "segment_size must hold at least one block plus the trailer"
+            )
+        if self.segment_size % SECTOR_SIZE:
+            raise ValueError(
+                f"segment_size must be a multiple of the {SECTOR_SIZE}-byte "
+                "sector"
             )
         if self.num_segments <= 0:
             raise ValueError("num_segments must be positive")

@@ -3,7 +3,8 @@
 LLD's write path is segment-at-a-time by construction ("segments that
 are filled in main memory and written to disk in single disk
 operations"), so the simulated disk exposes exactly that interface:
-whole-segment writes, whole-segment or intra-segment reads.  Contents
+whole-segment writes (plus :meth:`SimulatedDisk.write_at` for the few
+writes smaller than one), whole-segment or intra-segment reads.  Contents
 are stored sparsely per segment; latency is charged to the shared
 :class:`~repro.disk.clock.SimClock` through a
 :class:`~repro.disk.timing.DiskTimer`.
@@ -188,11 +189,12 @@ class SimulatedDisk:
     def write_at(self, segment_no: int, offset: int, data: bytes) -> None:
         """Write a byte range within a segment, in place.
 
-        LLD never needs this (it writes whole segments), but
-        overwrite-in-place clients such as :class:`repro.jld.JLD`
-        update home locations at block granularity.  The write counts
-        against crash plans like any other; a torn write keeps a
-        prefix.
+        LLD uses it for what is smaller than a segment: a flush
+        written in place (new data slots, then one summary chunk) and
+        a checkpoint's tail; overwrite-in-place clients such as
+        :class:`repro.jld.JLD` update home locations at block
+        granularity.  The write counts against crash plans like any
+        other; a torn write keeps a prefix.
         """
         if offset < 0 or offset + len(data) > self.geometry.segment_size:
             raise ValueError(

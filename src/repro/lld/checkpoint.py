@@ -32,7 +32,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.disk.geometry import DiskGeometry
+from repro.disk.geometry import SECTOR_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError, MediaError
 
@@ -58,10 +58,6 @@ _LIST = struct.Struct("<QQQQQ")
 
 #: segment seq live total
 _SEG = struct.Struct("<IQII")
-
-#: A checkpoint's tail is written rounded up to the unit a disk tears
-#: on, so the write never ends inside a sector.
-_SECTOR = 512
 
 #: One persistent block record in wire order: ``(block_id, successor,
 #: list_id, timestamp, segment, slot, flags)``; 0 stands for "none".
@@ -191,7 +187,7 @@ class CheckpointManager:
             )
         written = whole * seg_size
         if tail:
-            padded = min(-(-tail // _SECTOR) * _SECTOR, seg_size)
+            padded = min(-(-tail // SECTOR_SIZE) * SECTOR_SIZE, seg_size)
             self.disk.write_at(
                 base + whole, 0, payload[written:] + bytes(padded - tail)
             )

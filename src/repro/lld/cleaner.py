@@ -235,16 +235,18 @@ class SegmentCleaner:
         ``raw`` is the segment body when the caller already fetched it
         (the batched victim read); otherwise it is read here.  Returns
         the number of blocks copied, or None when the body fails
-        validation — a DIRTY segment only reaches the disk through a
-        successful write, so that means failed media, and the caller
-        must route the segment to the scrubber rather than free it.
+        validation or its chunk walk stops short of the slots the
+        usage table counted — every chunk of a DIRTY segment reached
+        the disk through a successful write, so that means failed
+        media, and the caller must route the segment to the scrubber
+        rather than free it.
         """
         lld = self.lld
         if raw is None:
             raw = lld.disk.read_segment(seg)
         lld.meter.charge("crc_kb_us", lld.geometry.segment_size / 1024.0)
         decoded = decode_segment(raw, lld.geometry, seg)
-        if decoded is None:
+        if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
             return None
         lld.meter.charge("decode_entry_us", decoded.entry_count)
         copied = 0

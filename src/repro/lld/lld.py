@@ -220,6 +220,7 @@ class LLD(LogicalDisk):
         m = self.obs.metrics
         self._op_counters: Dict[str, object] = {}
         self._c_segments_flushed = m.counter("lld.segments.flushed")
+        self._c_in_place_writes = m.counter("lld.segments.in_place_writes")
         self._cleaner_counters = {
             name: m.counter(f"lld.cleaner.{name}")
             for name in (
@@ -234,9 +235,10 @@ class LLD(LogicalDisk):
             "lld.group_commit.groups_flushed"
         )
         self._c_commits_grouped = m.counter("lld.group_commit.commits_grouped")
-        #: Fill accounting over every sealed segment: data and summary
-        #: bytes actually used, and the min/total fill ratio, so
-        #: partial-segment waste from eager flushes is visible.
+        #: Fill accounting over every segment that stopped growing:
+        #: data and summary bytes actually used, and the min/total
+        #: fill ratio, so partial-segment waste from eager flushes is
+        #: visible.
         self._c_fill_sealed = m.counter("lld.segments.sealed")
         self._c_fill_data_bytes = m.counter("lld.segments.data_bytes")
         self._c_fill_summary_bytes = m.counter("lld.segments.summary_bytes")
@@ -1067,11 +1069,13 @@ class LLD(LogicalDisk):
     def flush(self) -> None:
         """Durability barrier: park nothing, queue nothing.
 
-        Releases any parked commit group, seals and submits the
-        current segment buffer, then drains the write-behind queue —
-        after which everything committed is persistent.  An empty
-        buffer with an empty queue is a no-op: no phantom segment is
-        consumed.
+        Releases any parked commit group, sends what the current
+        segment buffer holds on its way (:meth:`_write_buffer`: the
+        segment closed and written whole, or its new slots and one
+        summary chunk written in place), then drains the write-behind
+        queue — after which everything committed is persistent.  A
+        buffer with nothing new and an empty queue is a no-op: no
+        phantom segment is consumed, no empty chunk written.
         """
         with self._lock:
             self._check_alive()
@@ -1535,7 +1539,7 @@ class LLD(LogicalDisk):
         self._ensure_buffer()
         new_blocks = 0 if self._buffer.contains_block(block_id) else 1
         if not self._buffer.has_room(new_blocks, _WRITE_ENTRY_SIZE):
-            self._write_buffer()
+            self._roll_buffer()
         addr = self._buffer.add_block(block_id, data)
         self.meter.charge("block_copy_us")
         self._buffer.add_entry(
@@ -1562,7 +1566,7 @@ class LLD(LogicalDisk):
                     self.geometry.usable_size,
                     f"summary entry {entry.kind.name}",
                 )
-            self._write_buffer()
+            self._roll_buffer()
         self._buffer.add_entry(entry)
 
     def _ensure_buffer(self) -> None:
@@ -1582,34 +1586,73 @@ class LLD(LogicalDisk):
                 return
         self._open_new_buffer()
 
-    def _write_buffer(self) -> None:
-        """Seal the current segment and hand it to the write path.
+    def _roll_buffer(self) -> None:
+        """Close the current segment and open the next, so the caller
+        can keep appending."""
+        self._close_buffer()
+        self._ensure_buffer()
 
-        With write-behind disabled the segment is written
+    def _write_buffer(self) -> None:
+        """Durability point: send what the buffer holds and the disk
+        does not on its way.
+
+        A segment no chunk of which is on disk yet is closed and
+        written whole iff streaming out the rest of it costs no more
+        than the two positionings that coming back to it will (one for
+        the next data slots, one for the chunk describing them) — asked
+        of the disk model, once per segment.  Otherwise the flush
+        writes in place — the new data slots, then one summary chunk —
+        and the buffer keeps filling behind it; every later flush of
+        that segment is then in place by necessity, the closing write
+        being chunk-sized itself.
+        """
+        buffer = self._buffer
+        if buffer is None or not buffer.has_unwritten:
+            return
+        if not buffer.in_place:
+            model = self.disk.timer.model
+            positioning_us = model.request_us(0, sequential=False)
+            if model.transfer_us(buffer.bytes_free()) <= 2 * positioning_us:
+                self._roll_buffer()
+                return
+        # Log order: whatever is parked goes out ahead of this chunk.
+        self._writeback.drain()
+        self._write_now([(buffer, buffer.seal(last=False))])
+
+    def _close_buffer(self) -> None:
+        """The current segment stops growing.
+
+        What it holds and the disk does not is sealed and handed to
+        the write path: with write-behind disabled it is written
         synchronously (the serial path); otherwise it parks in the
         queue and reaches the disk at the next drain — either
-        automatic (queue depth) or forced by a barrier.  Either way a
-        fresh buffer is opened so the caller can keep appending.
+        automatic (queue depth) or forced by a barrier.  No buffer is
+        open afterwards; an empty one is left as it is.
         """
         buffer = self._buffer
         if buffer is None or buffer.is_empty:
             return
         self._buffer = None
-        image = buffer.seal()
         self._account_fill(buffer)
-        self._writeback.submit(buffer, image)
-        self._ensure_buffer()
+        if buffer.has_unwritten:
+            self._writeback.submit(buffer, buffer.seal())
+        else:
+            # Every chunk is on disk already; nothing more to write.
+            self.usage.mark_written(buffer.segment_no, buffer.seq, 0)
 
     def _write_now(self, batch: List[Tuple[SegmentBuffer, bytearray]]) -> None:
-        """Write sealed segments to the disk — the only durability
+        """Write sealed chunks to the disk — the only durability
         point of the write path.
 
         ``batch`` is in log-sequence order (enforced by construction:
         buffers are sealed in order and the queue is FIFO), so an
-        ARU's data segments always precede the segment carrying its
-        commit record.  Only here do ``_last_written_seq``,
-        ``_commit_on_disk`` and the committed→persistent fold
-        advance; nothing queued is ever treated as durable.
+        ARU's data always precedes the chunk carrying its commit
+        record.  A closed segment none of which is on disk goes out as
+        its whole image, consecutive ones as one scatter-gather batch;
+        anything else is written in place.  Only here do
+        ``_last_written_seq``, ``_commit_on_disk`` and the
+        committed→persistent fold advance; nothing queued is ever
+        treated as durable.
         """
         if not batch:
             return
@@ -1617,46 +1660,78 @@ class LLD(LogicalDisk):
             self.usage.state(batch[0][0].segment_no) is SegmentState.QUEUED
         )
         try:
-            if len(batch) == 1:
-                buffer, image = batch[0]
-                self.disk.write_segment(buffer.segment_no, image)
-            else:
-                self.disk.write_many(
-                    [(buffer.segment_no, image) for buffer, image in batch]
-                )
+            whole: List[Tuple[int, bytearray]] = []
+            for buffer, image in batch:
+                if buffer.in_place or not buffer.is_sealed:
+                    self._write_whole(whole)
+                    whole = []
+                    # Data first: a chunk on disk vouches for its slots.
+                    view = memoryview(image)
+                    for start, end in buffer.unwritten_ranges():
+                        self.disk.write_at(
+                            buffer.segment_no, start, view[start:end]
+                        )
+                else:
+                    whole.append((buffer.segment_no, image))
+            self._write_whole(whole)
         except DiskCrashedError:
             self._mark_dead("disk_crashed_mid_write")
             raise
         for buffer, _image in batch:
+            segment_no = buffer.segment_no
             self._c_segments_flushed.inc()
             self._last_written_seq = max(self._last_written_seq, buffer.seq)
-            if self.usage.state(buffer.segment_no) is SegmentState.QUEUED:
+            if self.usage.state(segment_no) is SegmentState.QUEUED:
                 # Liveness was tracked while parked (later writes may
                 # have superseded slots); keep it, just flip durable.
-                self.usage.mark_durable(buffer.segment_no)
-            else:
+                self.usage.mark_durable(segment_no)
+            elif buffer.is_sealed:
                 self.usage.mark_written(
-                    buffer.segment_no, buffer.seq, buffer.block_count
+                    segment_no, buffer.seq, buffer.unwritten_block_count
+                )
+            else:
+                self.usage.mark_in_place(
+                    segment_no, buffer.seq, buffer.unwritten_block_count
                 )
             # Write-behind caching: blocks that just left the buffer
             # stay readable without a disk access (they were readable
             # for free while in memory; dropping them at the write
             # boundary would charge phantom re-reads for hot
             # meta-data).
-            for _block_id, slot, data in buffer.iter_blocks():
-                self.cache.put(PhysAddr(buffer.segment_no, slot), data)
-            for entry in buffer.entries:
+            for _block_id, slot, data in buffer.unwritten_blocks():
+                self.cache.put(PhysAddr(segment_no, slot), data)
+            for entry in buffer.unwritten_entries():
                 if entry.kind is EntryKind.COMMIT:
                     self._commit_on_disk.add(entry.aru_tag)
                     self._pending_commit_arus.discard(entry.aru_tag)
+            if not buffer.is_sealed:
+                self._c_in_place_writes.inc()
+                self.obs.record(
+                    "segment.write_in_place",
+                    segment=segment_no,
+                    log_seq=buffer.seq,
+                    blocks=buffer.unwritten_block_count,
+                    bytes=sum(e - s for s, e in buffer.unwritten_ranges()),
+                )
+                buffer.publish()
+                self._next_seq = buffer.seq + 1
         if queued:
             # Completion bookkeeping overlaps the streamed transfer of
             # the rest of the batch: charge the critical-path share.
             self.meter.charge("writeback_us", count=len(batch), lanes=len(batch))
         self._fold_committed()
 
+    def _write_whole(self, images: List[Tuple[int, bytearray]]) -> None:
+        """Write whole-segment images: one plain write, or one
+        scatter-gather batch for several."""
+        if len(images) == 1:
+            self.disk.write_segment(*images[0])
+        elif images:
+            self.disk.write_many(images)
+
     def _account_fill(self, buffer: SegmentBuffer) -> None:
-        """Record a sealed segment's fill for ``stats()["segments"]``."""
+        """Record the fill of a segment that stops growing for
+        ``stats()["segments"]``."""
         self._c_fill_sealed.inc()
         self._c_fill_data_bytes.add(
             buffer.block_count * self.geometry.block_size
@@ -1776,10 +1851,15 @@ class LLD(LogicalDisk):
         old.copy_from(version)
 
     def _retire_address(self, addr: PhysAddr) -> None:
-        """One physical slot is no longer referenced by any version."""
-        if self.usage.state(addr.segment) in (
-            SegmentState.DIRTY,
-            SegmentState.QUEUED,
+        """One physical slot is no longer referenced by any version.
+
+        Only slots the usage table has counted are uncounted: all of
+        an on-disk or queued segment's, and of the segment still being
+        filled those a chunk written in place already published."""
+        state = self.usage.state(addr.segment)
+        if state in (SegmentState.DIRTY, SegmentState.QUEUED) or (
+            state is SegmentState.CURRENT
+            and addr.slot < self.usage.total_slots(addr.segment)
         ):
             self.usage.retire_slot(addr.segment)
 
@@ -1981,7 +2061,15 @@ class LLD(LogicalDisk):
         """Write the next checkpoint from the current tables — the one
         place a checkpoint is issued (``write_checkpoint``, the cleaner
         and the scrubber).  Callers have flushed and hold
-        ``checkpoint_safe()``."""
+        ``checkpoint_safe()``.
+
+        A segment partly on disk stops growing here: the roster
+        attests whole segments and recovery classifies a segment by
+        its first chunk, so a segment must lie wholly on one side of a
+        checkpoint.  (Nothing is written for that; the next append
+        opens a fresh segment.)"""
+        if self._buffer is not None and self._buffer.in_place:
+            self._close_buffer()
         self._ckpt_seq += 1
         try:
             payload, written = self.checkpoints.write(self._snapshot_checkpoint())
@@ -2134,11 +2222,13 @@ class LLD(LogicalDisk):
         }
 
     def _segment_fill_stats(self) -> dict:
-        """Fill-ratio accounting over every segment sealed so far."""
+        """Fill-ratio accounting over every segment that stopped
+        growing so far, and the log writes that reached the disk."""
         sealed = self._c_fill_sealed.value
         return {
             "sealed": sealed,
             "flushed": self.segments_flushed,
+            "in_place_writes": self._c_in_place_writes.value,
             "data_bytes": self._c_fill_data_bytes.value,
             "summary_bytes": self._c_fill_summary_bytes.value,
             "avg_fill": (

@@ -594,8 +594,10 @@ def _decode_tails(
 ) -> List[DecodedSegment]:
     """Instant decoder: summaries from the tail windows alone.
 
-    A summary longer than its window costs one follow-up batched read
-    of exactly the missing bytes.  Only the summary CRC is charged
+    A chunk stack longer than its window costs a follow-up batched
+    read — one per round, for every still-unresolved segment at once —
+    of the longer tail the walk asked for; a closed segment asks for
+    exactly its missing bytes.  Only the summary CRCs are charged
     here; the per-entry decode cost is charged when a segment is
     replayed, to whoever triggers that.
     """
@@ -603,34 +605,34 @@ def _decode_tails(
     geometry = disk.geometry
     size = geometry.segment_size
     decoded: List[DecodedSegment] = []
-    short: List[Tuple[int, int]] = []
-    for seg, tail in tails.items():
-        result = decode_segment_tail(tail, geometry, seg)
-        if isinstance(result, int):
-            short.append((seg, result))
-        elif result is None:
-            report.segments_invalid += 1
-            scan.invalid.append(seg)
-        else:
-            decoded.append(result)
-    if short:
-        longer = disk.read_many(
-            [(seg, size - needed, needed) for seg, needed in short],
-            errors="none",
-        )
-        for (seg, _needed), tail in zip(short, longer):
-            if tail is None:
-                report.segments_unreadable += 1
-                scan.quarantined.append(seg)
-                continue
+    while tails:
+        short: List[Tuple[int, int]] = []
+        for seg, tail in tails.items():
             result = decode_segment_tail(tail, geometry, seg)
-            if result is None or isinstance(result, int):
+            if isinstance(result, int):
+                short.append((seg, result))
+            elif result is None:
                 report.segments_invalid += 1
                 scan.invalid.append(seg)
             else:
                 decoded.append(result)
+        if not short:
+            break
+        longer = disk.read_many(
+            [(seg, size - needed, needed) for seg, needed in short],
+            errors="none",
+        )
+        tails = {}
+        for (seg, _needed), tail in zip(short, longer):
+            if tail is None:
+                report.segments_unreadable += 1
+                scan.quarantined.append(seg)
+            else:
+                tails[seg] = tail
     decoded.sort(key=lambda d: d.seq)
-    tail_kb = sum((d.summary_len + TRAILER_SIZE) / 1024.0 for d in decoded)
+    tail_kb = sum(
+        (d.summary_len + d.chunk_count * TRAILER_SIZE) / 1024.0 for d in decoded
+    )
     if tail_kb:
         lanes = max(1, min(workers, len(decoded)))
         lld.meter.charge("crc_kb_us", tail_kb, lanes=lanes)
@@ -751,7 +753,7 @@ def _install(
             live_counts.get(decoded.segment_no, 0),
             decoded.block_count,
         )
-        max_seq = max(max_seq, decoded.seq)
+        max_seq = max(max_seq, decoded.last_seq)
 
     lld._next_block_id = outcomes.next_block_id
     lld._next_list_id = outcomes.next_list_id

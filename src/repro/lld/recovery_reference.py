@@ -368,7 +368,7 @@ def reference_recover(
             live_counts.get(decoded.segment_no, 0),
             decoded.block_count,
         )
-        max_seq = max(max_seq, decoded.seq)
+        max_seq = max(max_seq, decoded.last_seq)
     lld._next_block_id = state.max_block + 1
     lld._next_list_id = state.max_list + 1
     lld.arus.set_next_id(state.max_aru + 1)

@@ -9,12 +9,13 @@ segment must never be reused.
 
 :class:`Scrubber` sweeps the log with one batched
 :meth:`~repro.disk.simdisk.SimulatedDisk.read_many` scan, validating
-that every on-disk log segment is readable and that its trailer CRC
-still covers its body.  A DIRTY segment only ever reaches the platter
-through a successful whole-segment write, so a failed CRC here is
-media corruption, not a torn write — recovery cannot make that call
-(a reused-then-torn segment looks the same to it), but the live usage
-table can.
+that every on-disk log segment is readable and that its chunks' CRCs
+still cover every data slot the usage table counted.  Every chunk of
+a DIRTY segment reached the platter through a successful write —
+whole-segment or in place — so a failed CRC here, or a chunk walk
+that stops short of the counted slots, is media corruption, not a
+torn write — recovery cannot make that call (a reused-then-torn
+segment looks the same to it), but the live usage table can.
 
 For every damaged segment the scrubber salvages live blocks, in
 order of preference:
@@ -106,7 +107,7 @@ def find_log_copy(
             continue
         lld.meter.charge("crc_kb_us", geometry.segment_size / 1024.0)
         decoded = decode_segment(raw, geometry, seg)
-        if decoded is None:
+        if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
             lld._scrub_pending.add(seg)
             continue
         lld.meter.charge("decode_entry_us", decoded.entry_count)
@@ -189,7 +190,7 @@ class Scrubber:
                 continue
             lld.meter.charge("crc_kb_us", geometry.segment_size / 1024.0)
             decoded = decode_segment(raw, geometry, seg)
-            if decoded is None:
+            if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
                 report.damaged[seg] = "corrupt"
             else:
                 lld.meter.charge("decode_entry_us", decoded.entry_count)

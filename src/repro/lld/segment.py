@@ -1,22 +1,50 @@
 """In-memory segment buffers and the on-disk segment codec.
 
-A segment holds data blocks filling from the front and a summary
-filling toward a fixed-size trailer at the tail; the segment is full
-when the two regions would collide.  Rewriting a block that is
-already in the *current, unwritten* buffer overwrites it in place —
-its physical address has not been published to disk yet, so this is
-not a log violation — which is how LLD absorbs repeated meta-data
-updates (directory and i-node blocks) without writing a copy per
-update.
+A segment holds data blocks filling from the front and a stack of
+*summary chunks* growing down from the segment end; the segment is
+full when the two regions would collide::
 
-Trailer layout (see :data:`TRAILER_FMT`): magic, format version,
-sequence number, entry count, block count, summary length, CRC-32 of
-the summary region (summary bytes plus the trailer fields up to it),
-CRC-32 of the whole segment.  A torn segment write destroys the
-trailer and/or a checksum, so recovery detects and skips it.  The
-summary CRC lets recovery validate a segment's *summary* from a tail
-window alone — the basis of instant restore's redo-on-demand scan —
-while the whole-image CRC still guards data slots end to end.
+    0                                                  segment_size
+    | slot 0 | slot 1 | .. | slot n-1 |  free  | chunk 2 | chunk 1 | chunk 0 |
+                                                 entries | 40-byte trailer
+
+Every durability point adds one chunk ``[entries | trailer]`` below
+the previous one.  A segment that is never flushed early has exactly
+one chunk, ending at the segment end, and is written as one whole
+image; a flush that writes *in place* (see
+:meth:`repro.lld.lld.LLD.flush`) puts its new data slots and its one
+new chunk on disk with two small writes and the buffer keeps filling
+behind it.  Four invariants make a torn in-place write cost exactly
+the chunk it was writing:
+
+* **Consecutive sequence numbers.**  Every chunk takes its own log
+  sequence number and the chunks of one segment are numbered
+  consecutively, oldest (at the segment end) first.  A walker accepts
+  a chunk only if its number is its predecessor's plus one, so chunks
+  a previous incarnation of the physical segment left further down —
+  all numbered below the new first chunk — can never pass.
+* **A trailer never straddles a sector.**  The trailer is the commit
+  record of an in-place write and must reach the disk atomically
+  (:func:`chunk_end_below`).
+* **Data before chunk.**  A chunk is written after, and lies above,
+  the data slots it describes, and its summary CRC is the *last*
+  field of its trailer and covers everything before it: a valid
+  summary CRC implies the whole chunk and its data were written, which
+  is why instant restore may trust a summary without reading data.
+* **Published slots are never overwritten.**  Rewriting a block whose
+  slot is still unwritten overwrites it in the buffer — its physical
+  address has not been published to disk yet, so this is not a log
+  violation, and it is how LLD absorbs repeated meta-data updates
+  (directory and i-node blocks) without writing a copy per update.  A
+  block whose slot is already on disk takes a new slot.
+
+Trailer layout (see :data:`TRAILER_FMT`): magic, format version, flags
+(:data:`FLAG_LAST` = last chunk, segment closed), sequence number,
+entry count, block count and summary length *of this chunk*, CRC-32 of
+the chunk's data slots followed by its own bytes up to this field,
+CRC-32 of the chunk's own bytes up to this field (the summary CRC).
+Neither checksum covers the free gap between data and chunks, which
+after an in-place write holds stale platter bytes.
 
 Wall-clock fast path
 --------------------
@@ -24,24 +52,23 @@ Wall-clock fast path
 The buffer owns a preallocated ``bytearray`` segment image and fills
 it *as blocks arrive*: :meth:`SegmentBuffer.add_block` slice-assigns
 the caller's data (``bytes`` or ``memoryview``) straight into the
-image, so :meth:`SegmentBuffer.seal` only has to append the summary
-and trailer in place and hand the image out — no assembly copy of the
-data region at seal time and no final ``bytes(image)`` copy (the disk
-layer makes the single platter copy).  A sealed buffer refuses all
-further mutation, which is what makes returning the internal
-``bytearray`` alias-safe (``tests/test_wallclock_fastpath.py`` pins
-this).  :func:`reference_seal` keeps the original copy-everything
-assembly as a differential oracle: both must produce byte-identical
-images.
+image, so :meth:`SegmentBuffer.seal` only has to append the chunk in
+place and hand the image out — no assembly copy of the data region at
+seal time and no final ``bytes(image)`` copy (the disk layer makes the
+single platter copy).  A closed buffer refuses all further mutation,
+which is what makes returning the internal ``bytearray`` alias-safe
+(``tests/test_wallclock_fastpath.py`` pins this).
+:func:`reference_seal` keeps the original copy-everything assembly as
+a differential oracle: both must produce byte-identical images.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.disk.geometry import DiskGeometry, TRAILER_SIZE
+from repro.disk.geometry import SECTOR_SIZE, TRAILER_SIZE, DiskGeometry
 from repro.ld.types import BlockId, PhysAddr
 from repro.lld.summary import (
     SummaryEntry,
@@ -50,11 +77,15 @@ from repro.lld.summary import (
     encode_entries_into,
 )
 
-#: magic(4s) version(H) pad(H) seq(Q) nentries(I) nblocks(I)
-#: summary_len(I) summary_crc(I) crc(Q)
-TRAILER_FMT = "<4sHHQIIIIQ"
+#: magic(4s) version(H) flags(H) seq(Q) nentries(I) nblocks(I)
+#: summary_len(I) crc(Q) summary_crc(I)
+TRAILER_FMT = "<4sHHQIIIQI"
 TRAILER_MAGIC = b"LLDS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Trailer flag: this is the segment's last chunk (the segment was
+#: closed); a walker need not look below it.
+FLAG_LAST = 0x1
 
 #: Precompiled trailer codec (hot on the seal and recovery paths).
 TRAILER_STRUCT = struct.Struct(TRAILER_FMT)
@@ -63,32 +94,47 @@ _SUMMARY_CRC_STRUCT = struct.Struct("<I")
 
 assert TRAILER_STRUCT.size == TRAILER_SIZE
 
-#: Offset (from the segment end) of the summary CRC field and the
-#: whole-image CRC field.  The summary CRC covers
-#: ``[summary_start, segment_size - 12)`` — the summary bytes plus
-#: every trailer field before the two checksums; the whole-image CRC
-#: covers ``[0, segment_size - 8)``.
-_SUMMARY_CRC_END = 12
-_CRC_END = 8
+#: Offset (from the chunk end) of the whole-chunk CRC field and the
+#: summary CRC field.  For a chunk ``[start, end)`` the whole-chunk CRC
+#: covers the chunk's data slots, then ``[start, end - 12)``; the
+#: summary CRC covers ``[start, end - 4)``, the whole-chunk CRC
+#: included.
+_CRC_END = 12
+_SUMMARY_CRC_END = 4
 
 
-def parse_trailer(trailer) -> Optional[Tuple[int, int, int, int, int, int]]:
-    """Parse a raw segment trailer, validating magic and version.
+def chunk_end_below(start: int) -> int:
+    """Where the chunk stacked below one starting at ``start`` ends.
 
-    ``trailer`` is the final :data:`TRAILER_SIZE` bytes of a segment
-    (bytes or memoryview).  Returns ``(seq, nentries, nblocks,
-    summary_len, summary_crc, crc)`` or None if this is not an LLD
-    trailer.  Shared by :func:`decode_segment` and recovery's trailer
-    peek so both classify segments identically.
+    Right at ``start``, unless its trailer — the 40 bytes ending
+    there — would then cross a sector boundary: a trailer must reach
+    the disk atomically, so the chunk ends at that boundary instead.
+    The writer and every walker apply this same function, so the pad
+    is implicit in the layout.
+    """
+    boundary = (start - 1) // SECTOR_SIZE * SECTOR_SIZE
+    return boundary if start - TRAILER_SIZE < boundary else start
+
+
+def parse_trailer(trailer) -> Optional[Tuple[int, int, int, int, int, int, int]]:
+    """Parse a raw chunk trailer, validating magic and version.
+
+    ``trailer`` is the final :data:`TRAILER_SIZE` bytes of a chunk
+    (bytes or memoryview) — for the last bytes of a segment, its
+    oldest chunk, whose sequence number classifies the segment.
+    Returns ``(seq, flags, nentries, nblocks, summary_len, crc,
+    summary_crc)`` or None if this is not an LLD trailer.  Shared by
+    the decoders and recovery's trailer peek so all classify segments
+    identically.
     """
     if len(trailer) != TRAILER_SIZE:
         return None
-    magic, version, _pad, seq, nentries, nblocks, summary_len, summary_crc, crc = (
+    magic, version, flags, seq, nentries, nblocks, summary_len, crc, summary_crc = (
         TRAILER_STRUCT.unpack(trailer)
     )
     if magic != TRAILER_MAGIC or version != FORMAT_VERSION:
         return None
-    return seq, nentries, nblocks, summary_len, summary_crc, crc
+    return seq, flags, nentries, nblocks, summary_len, crc, summary_crc
 
 
 class SegmentBuffer:
@@ -96,8 +142,9 @@ class SegmentBuffer:
 
     Args:
         geometry: Partition layout.
-        seq: This segment's log sequence number (strictly increasing
-            across all segments ever written).
+        seq: The log sequence number of this segment's first chunk
+            (strictly increasing across all chunks ever written);
+            :meth:`publish` advances it for the next chunk.
         segment_no: The physical segment this buffer will be written
             to.
     """
@@ -113,6 +160,11 @@ class SegmentBuffer:
         "entries",
         "_summary_bytes",
         "_sealed",
+        "_written_slots",
+        "_written_entries",
+        "_written_summary",
+        "_chunk_start",
+        "_chunk_end",
     )
 
     def __init__(self, geometry: DiskGeometry, seq: int, segment_no: int) -> None:
@@ -131,17 +183,27 @@ class SegmentBuffer:
         self.entries: List[SummaryEntry] = []
         self._summary_bytes = 0
         self._sealed = False
+        #: How much of the buffer earlier chunks already put on disk.
+        self._written_slots = 0
+        self._written_entries = 0
+        self._written_summary = 0
+        #: Extent of the chunk sealed last / where the next one ends.
+        self._chunk_start = geometry.segment_size
+        self._chunk_end = geometry.segment_size
 
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
 
     def bytes_free(self) -> int:
-        """Bytes still available for data and summary combined."""
-        used = (
-            len(self._slot_data) * self.geometry.block_size + self._summary_bytes
+        """Bytes still available for data and summary combined (the
+        next chunk's trailer is already set aside)."""
+        return (
+            self._chunk_end
+            - TRAILER_SIZE
+            - len(self._slot_data) * self.geometry.block_size
+            - (self._summary_bytes - self._written_summary)
         )
-        return self.geometry.usable_size - used
 
     def has_room(self, new_blocks: int, entry_bytes: int) -> bool:
         """True if ``new_blocks`` data blocks plus ``entry_bytes`` of
@@ -156,13 +218,34 @@ class SegmentBuffer:
 
     @property
     def is_sealed(self) -> bool:
-        """True once :meth:`seal` has run; the buffer is then frozen."""
+        """True once :meth:`seal` closed the segment; the buffer is
+        then frozen."""
         return self._sealed
 
     @property
+    def in_place(self) -> bool:
+        """True once a chunk of this segment is on disk: whatever is
+        written next goes beside it, not as a whole image."""
+        return self._chunk_end < self.geometry.segment_size
+
+    @property
+    def has_unwritten(self) -> bool:
+        """True if blocks or entries arrived since the last published
+        chunk."""
+        return (
+            len(self._slot_data) > self._written_slots
+            or len(self.entries) > self._written_entries
+        )
+
+    @property
     def block_count(self) -> int:
-        """Number of distinct data blocks currently in the buffer."""
+        """Number of data slots currently in the buffer."""
         return len(self._slot_data)
+
+    @property
+    def unwritten_block_count(self) -> int:
+        """Number of data slots no chunk has put on disk yet."""
+        return len(self._slot_data) - self._written_slots
 
     @property
     def entry_count(self) -> int:
@@ -171,18 +254,15 @@ class SegmentBuffer:
 
     @property
     def summary_bytes(self) -> int:
-        """Encoded size of the summary accumulated so far."""
+        """Encoded size of the summary entries accumulated so far."""
         return self._summary_bytes
 
     @property
     def fill_ratio(self) -> float:
         """Fraction of the usable segment capacity occupied by data
-        blocks plus summary bytes — the quantity eager flushes waste."""
-        used = (
-            len(self._slot_data) * self.geometry.block_size
-            + self._summary_bytes
-        )
-        return used / self.geometry.usable_size if self.geometry.usable_size else 0.0
+        blocks plus summary chunks — the quantity eager flushes waste."""
+        usable = self.geometry.usable_size
+        return (usable - max(0, self.bytes_free())) / usable if usable else 0.0
 
     # ------------------------------------------------------------------
     # Filling
@@ -195,7 +275,8 @@ class SegmentBuffer:
         ``bytearray``): it is slice-assigned into the segment image
         immediately, so borrowed views are consumed before return and
         never retained.  The caller must have checked :meth:`has_room`
-        first when the block is new to this buffer.
+        first when the block is new to this buffer
+        (:meth:`contains_block`).
         """
         if self._sealed:
             raise RuntimeError("segment buffer is sealed")
@@ -204,8 +285,9 @@ class SegmentBuffer:
                 f"block data must be {self.geometry.block_size} bytes, "
                 f"got {len(data)}"
             )
-        slot = self._block_slot.get(block_id)
-        if slot is None:
+        slot = self._block_slot.get(block_id, -1)
+        if slot < self._written_slots:
+            # New to the buffer, or its slot is already on disk.
             slot = len(self._slot_data)
             if not self.has_room(1, 0):
                 raise RuntimeError("segment buffer overflow (missing room check)")
@@ -229,8 +311,9 @@ class SegmentBuffer:
         self._summary_bytes += size
 
     def contains_block(self, block_id: BlockId) -> bool:
-        """True if this buffer currently holds data for ``block_id``."""
-        return block_id in self._block_slot
+        """True if this buffer holds ``block_id`` in a slot not yet on
+        disk, i.e. rewriting the block needs no new slot."""
+        return self._block_slot.get(block_id, -1) >= self._written_slots
 
     def _slot_bytes(self, slot: int) -> bytes:
         """The slot's data as ``bytes``, zero-copy when the caller's
@@ -244,79 +327,132 @@ class SegmentBuffer:
         return data
 
     def get_block(self, block_id: BlockId) -> bytes:
-        """Read a block's data out of the unwritten buffer."""
+        """Read a block's newest data out of the buffer."""
         return self._slot_bytes(self._block_slot[block_id])
 
     def get_slot(self, slot: int) -> bytes:
-        """Read a data slot out of the unwritten buffer."""
+        """Read a data slot out of the buffer."""
         return self._slot_bytes(slot)
 
     def live_block_ids(self) -> Tuple[BlockId, ...]:
         """The distinct block ids placed in this buffer."""
         return tuple(self._block_slot.keys())
 
-    def iter_blocks(self):
-        """Yield (block id, slot, data) for every block in the buffer."""
-        for block_id, slot in self._block_slot.items():
-            yield block_id, slot, self._slot_bytes(slot)
+    def unwritten_blocks(self) -> Iterator[Tuple[BlockId, int, bytes]]:
+        """Yield (block id, slot, data) for every slot no chunk has
+        put on disk yet."""
+        for slot in range(self._written_slots, len(self._slot_data)):
+            yield self._slot_owner[slot], slot, self._slot_bytes(slot)
+
+    def unwritten_entries(self) -> List[SummaryEntry]:
+        """The summary entries no chunk has put on disk yet."""
+        if not self._written_entries:
+            return self.entries
+        return self.entries[self._written_entries :]
 
     # ------------------------------------------------------------------
     # Sealing
     # ------------------------------------------------------------------
 
-    def seal(self) -> bytearray:
-        """Finish the segment image in place and return it.
+    def seal(self, last: bool = True) -> bytearray:
+        """Finish the next chunk in the image in place; return the image.
 
-        The image is exactly ``geometry.segment_size`` bytes: data
-        slots (already in place, filled by :meth:`add_block`), summary
-        just before the trailer, CRC over everything.  The returned
-        object is the buffer's own ``bytearray`` — no copy — which is
-        safe because sealing freezes the buffer: any further
-        ``add_block``/``add_entry`` raises.  The disk layer stores an
-        immutable ``bytes`` snapshot of whatever it is handed.
+        The chunk — every entry added since the previous chunk, then
+        the trailer with both CRCs — goes right below the previous one
+        (at the segment end for the first).  The image is exactly
+        ``geometry.segment_size`` bytes and the returned object is the
+        buffer's own ``bytearray`` — no copy.
+
+        With ``last`` (the default) the segment is closed: the chunk
+        carries :data:`FLAG_LAST` and the buffer is frozen — any further
+        ``add_block``/``add_entry`` raises — which is what makes
+        handing out the alias safe; the disk layer stores an immutable
+        ``bytes`` snapshot of whatever it is handed.  Without it the
+        caller writes :meth:`unwritten_ranges` in place, calls
+        :meth:`publish`, and the buffer keeps filling.
         """
         if self._sealed:
             raise RuntimeError("segment buffer is sealed")
-        geo = self.geometry
         image = self._image
-        summary_len = self._summary_bytes
-        summary_start = geo.segment_size - TRAILER_SIZE - summary_len
-        end = encode_entries_into(self.entries, image, summary_start)
-        if end != summary_start + summary_len:
+        block_size = self.geometry.block_size
+        first_slot = self._written_slots
+        slots = len(self._slot_data)
+        entries = self.unwritten_entries()
+        summary_len = self._summary_bytes - self._written_summary
+        end = self._chunk_end
+        trailer = end - TRAILER_SIZE
+        start = trailer - summary_len
+        if encode_entries_into(entries, image, start) != trailer:
             raise RuntimeError("summary size accounting is inconsistent")
         TRAILER_STRUCT.pack_into(
             image,
-            geo.segment_size - TRAILER_SIZE,
+            trailer,
             TRAILER_MAGIC,
             FORMAT_VERSION,
-            0,
+            FLAG_LAST if last else 0,
             self.seq,
-            len(self.entries),
-            len(self._slot_data),
+            len(entries),
+            slots - first_slot,
             summary_len,
-            0,  # summary crc placeholder
             0,  # crc placeholder
+            0,  # summary crc placeholder
         )
-        summary_crc = zlib.crc32(
-            memoryview(image)[summary_start : geo.segment_size - _SUMMARY_CRC_END]
+        view = memoryview(image)
+        crc = zlib.crc32(
+            view[start : end - _CRC_END],
+            zlib.crc32(view[first_slot * block_size : slots * block_size]),
         )
+        _CRC_STRUCT.pack_into(image, end - _CRC_END, crc)
         _SUMMARY_CRC_STRUCT.pack_into(
-            image, geo.segment_size - _SUMMARY_CRC_END, summary_crc
+            image,
+            end - _SUMMARY_CRC_END,
+            zlib.crc32(view[start : end - _SUMMARY_CRC_END]),
         )
-        crc = zlib.crc32(memoryview(image)[: geo.segment_size - _CRC_END])
-        _CRC_STRUCT.pack_into(image, geo.segment_size - _CRC_END, crc)
-        self._sealed = True
+        self._chunk_start = start
+        self._sealed = last
         return image
+
+    def unwritten_ranges(self) -> List[Tuple[int, int]]:
+        """Byte ranges ``[start, end)`` of the image that put the chunk
+        sealed last on disk in place, in write order: its data slots
+        first (if it has any), then the chunk itself.
+
+        The chunk range is rounded out to the sector grid — down into
+        the free gap, but never below the data end, and up into the
+        previous chunk, whose bytes on disk are identical.
+        """
+        block_size = self.geometry.block_size
+        data_start = self._written_slots * block_size
+        data_end = len(self._slot_data) * block_size
+        ranges = [(data_start, data_end)] if data_end > data_start else []
+        ranges.append(
+            (
+                max(data_end, self._chunk_start // SECTOR_SIZE * SECTOR_SIZE),
+                -(-self._chunk_end // SECTOR_SIZE) * SECTOR_SIZE,
+            )
+        )
+        return ranges
+
+    def publish(self) -> None:
+        """The chunk sealed last is on disk: whatever arrives next forms
+        the next chunk, stacked below it, under the next sequence
+        number."""
+        self._written_slots = len(self._slot_data)
+        self._written_entries = len(self.entries)
+        self._written_summary = self._summary_bytes
+        self._chunk_end = chunk_end_below(self._chunk_start)
+        self.seq += 1
 
 
 def reference_seal(buffer: SegmentBuffer) -> bytes:
     """The pre-fast-path segment assembly, kept as a differential oracle.
 
-    Builds the image the original way — fresh ``bytearray``, one copy
-    per data slot at seal time, then summary, trailer and CRC — without
-    touching ``buffer``'s own image or sealed flag.  Must produce a
-    byte-identical image to :meth:`SegmentBuffer.seal`;
-    ``bench_wallclock.py`` gates the fast path against it and
+    Builds the whole-segment image the original way — fresh
+    ``bytearray``, one copy per data slot at seal time, then summary,
+    trailer and CRCs — without touching ``buffer``'s own image or
+    sealed flag.  Must produce a byte-identical image to
+    :meth:`SegmentBuffer.seal` on a buffer no chunk of which is on
+    disk; ``bench_wallclock.py`` gates the fast path against it and
     ``tests/test_wallclock_fastpath.py`` proves the identity.
     """
     geo = buffer.geometry
@@ -325,6 +461,7 @@ def reference_seal(buffer: SegmentBuffer) -> bytes:
     for slot in range(buffer.block_count):
         offset = slot * block_size
         image[offset : offset + block_size] = buffer._slot_bytes(slot)
+    data_end = buffer.block_count * block_size
     summary_len = buffer.summary_bytes
     summary_start = geo.segment_size - TRAILER_SIZE - summary_len
     end = encode_entries_into(buffer.entries, image, summary_start)
@@ -335,27 +472,37 @@ def reference_seal(buffer: SegmentBuffer) -> bytes:
         geo.segment_size - TRAILER_SIZE,
         TRAILER_MAGIC,
         FORMAT_VERSION,
-        0,
+        FLAG_LAST,
         buffer.seq,
         len(buffer.entries),
         buffer.block_count,
         summary_len,
-        0,  # summary crc placeholder
         0,  # crc placeholder
+        0,  # summary crc placeholder
     )
+    view = memoryview(image)
+    crc = zlib.crc32(
+        view[summary_start : geo.segment_size - _CRC_END],
+        zlib.crc32(view[:data_end]),
+    )
+    _CRC_STRUCT.pack_into(image, geo.segment_size - _CRC_END, crc)
     summary_crc = zlib.crc32(
-        memoryview(image)[summary_start : geo.segment_size - _SUMMARY_CRC_END]
+        view[summary_start : geo.segment_size - _SUMMARY_CRC_END]
     )
     _SUMMARY_CRC_STRUCT.pack_into(
         image, geo.segment_size - _SUMMARY_CRC_END, summary_crc
     )
-    crc = zlib.crc32(memoryview(image)[: geo.segment_size - _CRC_END])
-    _CRC_STRUCT.pack_into(image, geo.segment_size - _CRC_END, crc)
     return bytes(image)
 
 
 class DecodedSegment:
     """A validated on-disk segment, ready for recovery or cleaning.
+
+    One object per segment whatever its chunk count: the entries of
+    every valid chunk concatenated in log order, ``block_count`` the
+    data slots those chunks describe, ``seq`` the first (oldest)
+    chunk's sequence number — the one that classifies the segment —
+    and ``last_seq`` the newest's.
 
     Carries the summary as raw field tuples (``entry_tuples``, from
     :func:`repro.lld.summary.decode_entry_tuples`) — the wall-clock
@@ -370,12 +517,14 @@ class DecodedSegment:
     __slots__ = (
         "segment_no",
         "seq",
+        "last_seq",
         "entry_tuples",
         "block_count",
         "raw",
         "geometry",
         "summary_start",
-        "summary_len",
+        "closed",
+        "_summaries",
         "_entries",
     )
 
@@ -383,21 +532,29 @@ class DecodedSegment:
         self,
         segment_no: int,
         seq: int,
+        last_seq: int,
         entry_tuples: List[Tuple[int, ...]],
         block_count: int,
         raw,
         geometry: DiskGeometry,
         summary_start: int,
-        summary_len: int,
+        closed: bool,
+        summaries: List[Tuple[int, int]],
     ) -> None:
         self.segment_no = segment_no
         self.seq = seq
+        self.last_seq = last_seq
         self.entry_tuples = entry_tuples
         self.block_count = block_count
         self.raw = raw
         self.geometry = geometry
+        #: Segment offset where the newest valid chunk starts.
         self.summary_start = summary_start
-        self.summary_len = summary_len
+        #: True if the newest valid chunk carries :data:`FLAG_LAST`.
+        self.closed = closed
+        #: Per chunk, oldest first: (offset in ``raw``, length) of its
+        #: entries.
+        self._summaries = summaries
         self._entries: Optional[List[SummaryEntry]] = None
 
     @property
@@ -409,17 +566,27 @@ class DecodedSegment:
         """
         if self._entries is None:
             view = memoryview(self.raw)
-            self._entries = list(
-                decode_entries(
-                    view[self.summary_start : self.summary_start + self.summary_len]
-                )
-            )
+            self._entries = [
+                entry
+                for offset, length in self._summaries
+                for entry in decode_entries(view[offset : offset + length])
+            ]
         return self._entries
 
     @property
     def entry_count(self) -> int:
         """Number of summary entries (without materializing objects)."""
         return len(self.entry_tuples)
+
+    @property
+    def chunk_count(self) -> int:
+        """Number of valid chunks the walk found."""
+        return len(self._summaries)
+
+    @property
+    def summary_len(self) -> int:
+        """Encoded size of all valid chunks' entries together."""
+        return sum(length for _offset, length in self._summaries)
 
     def slot_data(self, slot: int) -> bytes:
         """Return the data of slot ``slot`` as ``bytes`` (a copy)."""
@@ -444,49 +611,116 @@ class DecodedSegment:
         ]
 
 
+def _walk_chunks(tail, geometry: DiskGeometry, segment_no: int, check_data: bool):
+    """Walk a segment's chunk stack down from the segment end.
+
+    ``tail`` is the last ``len(tail)`` bytes of the segment image (all
+    of it when ``check_data``).  A chunk is accepted only if its
+    trailer parses, its sequence number is its predecessor's plus one,
+    it does not reach into the data slots counted so far, its summary
+    CRC holds — and, with ``check_data``, its whole-chunk CRC over the
+    data slots it describes — and its entries decode to the promised
+    count.  The walk stops at the first chunk that fails any of these
+    (a torn or corrupted chunk ends its segment's history; so does a
+    stale one from an earlier incarnation of the physical segment) or
+    below a chunk flagged last.
+
+    Returns a :class:`DecodedSegment` of the accepted chunks, ``None``
+    if not even the first was valid, or — when the walk ran off the
+    front of ``tail`` before it could stop — the tail length (an
+    ``int``, bytes from the segment end) needed to continue.
+    """
+    size = geometry.segment_size
+    block_size = geometry.block_size
+    base = size - len(tail)  # segment offset of tail[0]
+    view = memoryview(tail)
+    end = size
+    slots = 0
+    first_seq = last_seq = None
+    closed = False
+    entry_tuples: List[Tuple[int, ...]] = []
+    summaries: List[Tuple[int, int]] = []
+    start = size
+    while not closed:
+        trailer = end - TRAILER_SIZE
+        if trailer < slots * block_size:
+            break
+        if trailer < base:
+            # A chain of unknown length runs off the window: ask for
+            # at least twice as much, so the rounds stay few.
+            return min(size, max(size - trailer, 2 * len(tail)))
+        parsed = parse_trailer(view[trailer - base : end - base])
+        if parsed is None:
+            break
+        seq, flags, nentries, nblocks, summary_len, crc, summary_crc = parsed
+        if last_seq is not None and seq != last_seq + 1:
+            break
+        chunk_start = trailer - summary_len
+        if chunk_start < (slots + nblocks) * block_size:
+            break
+        if chunk_start < base:
+            # A closed segment needs exactly this chunk and no more.
+            needed = size - chunk_start
+            if not flags & FLAG_LAST:
+                needed = min(size, max(needed, 2 * len(tail)))
+            return needed
+        chunk = view[chunk_start - base : end - base]
+        if zlib.crc32(chunk[: len(chunk) - _SUMMARY_CRC_END]) != summary_crc:
+            break
+        if check_data:
+            data = view[slots * block_size : (slots + nblocks) * block_size]
+            if zlib.crc32(chunk[: len(chunk) - _CRC_END], zlib.crc32(data)) != crc:
+                break
+        try:
+            tuples = decode_entry_tuples(chunk[:summary_len])
+        except ValueError:
+            break
+        if len(tuples) != nentries:
+            break
+        entry_tuples += tuples
+        summaries.append((chunk_start - base, summary_len))
+        slots += nblocks
+        if first_seq is None:
+            first_seq = seq
+        last_seq = seq
+        closed = bool(flags & FLAG_LAST)
+        start = chunk_start
+        end = chunk_end_below(chunk_start)
+    if first_seq is None:
+        return None
+    # Without a body, keep only the chunk stack.
+    raw_base = 0 if check_data else start - base
+    return DecodedSegment(
+        segment_no=segment_no,
+        seq=first_seq,
+        last_seq=last_seq,
+        entry_tuples=entry_tuples,
+        block_count=slots,
+        raw=tail if check_data else bytes(view[raw_base:]),
+        geometry=geometry,
+        summary_start=start,
+        closed=closed,
+        summaries=[(offset - raw_base, length) for offset, length in summaries],
+    )
+
+
 def decode_segment(
     raw, geometry: DiskGeometry, segment_no: int
 ) -> Optional[DecodedSegment]:
     """Validate and parse a raw segment image.
 
     Returns None if the segment is not a valid LLD segment (never
-    written, torn, or corrupted) — recovery treats such segments as
-    free space.  One CRC-32 pass over the whole image (C-backed
-    ``zlib.crc32``) validates everything, data slots included
-    (:func:`decode_segment_tail` is the summary-CRC-only variant that
-    needs no body).  The summary is then batch-decoded into field
-    tuples in a single pass.
+    written, or its first chunk torn or corrupted) — recovery treats
+    such segments as free space.  Otherwise the result covers every
+    chunk up to the first invalid one (see :func:`_walk_chunks`); each
+    is validated by a CRC-32 pass (C-backed ``zlib.crc32``) over its
+    data slots and its own bytes (:func:`decode_segment_tail` is the
+    summary-CRC-only variant that needs no body), and its summary is
+    batch-decoded into field tuples in a single pass.
     """
     if len(raw) != geometry.segment_size:
         return None
-    view = memoryview(raw)
-    parsed = parse_trailer(view[geometry.segment_size - TRAILER_SIZE :])
-    if parsed is None:
-        return None
-    seq, nentries, nblocks, summary_len, _summary_crc, crc = parsed
-    summary_start = geometry.segment_size - TRAILER_SIZE - summary_len
-    if summary_start < nblocks * geometry.block_size:
-        return None
-    if zlib.crc32(view[: geometry.segment_size - _CRC_END]) != crc:
-        return None
-    try:
-        entry_tuples = decode_entry_tuples(
-            view[summary_start : summary_start + summary_len]
-        )
-    except ValueError:
-        return None
-    if len(entry_tuples) != nentries:
-        return None
-    return DecodedSegment(
-        segment_no=segment_no,
-        seq=seq,
-        entry_tuples=entry_tuples,
-        block_count=nblocks,
-        raw=raw,
-        geometry=geometry,
-        summary_start=summary_start,
-        summary_len=summary_len,
-    )
+    return _walk_chunks(raw, geometry, segment_no, check_data=True)
 
 
 def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
@@ -496,51 +730,19 @@ def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
     (at least :data:`TRAILER_SIZE`).  Returns:
 
     * ``None`` — not a valid LLD segment (bad magic/version, summary
-      CRC mismatch, structural violation);
-    * an ``int`` — the tail is valid so far but too short to hold the
-      whole summary; the value is the tail length (bytes from the
-      segment end) needed to decode it; or
+      CRC mismatch or structural violation in the first chunk);
+    * an ``int`` — the tail is valid so far but too short to finish
+      the walk; the value is the tail length (bytes from the segment
+      end) to come back with; or
     * a :class:`DecodedSegment` **without a body**: ``raw`` holds only
-      the summary+trailer bytes and ``summary_start`` is relative to
-      it (0), so ``entry_tuples``/``entries`` work but
+      the chunk stack, so ``entry_tuples``/``entries`` work but
       ``slot_data``/``slot_view`` must not be called.
 
     This is instant restore's scan primitive: one small tail read per
-    segment replaces streaming the whole body through the CRC.
+    segment replaces streaming the whole body through the CRC.  It is
+    sound because a chunk is written after the data it describes and
+    its summary CRC is the last thing written.
     """
-    size = geometry.segment_size
-    if len(tail) < TRAILER_SIZE or len(tail) > size:
+    if len(tail) < TRAILER_SIZE or len(tail) > geometry.segment_size:
         return None
-    view = memoryview(tail)
-    parsed = parse_trailer(view[len(tail) - TRAILER_SIZE :])
-    if parsed is None:
-        return None
-    seq, nentries, nblocks, summary_len, summary_crc, _crc = parsed
-    summary_start = size - TRAILER_SIZE - summary_len
-    if summary_start < nblocks * geometry.block_size:
-        return None
-    needed = TRAILER_SIZE + summary_len
-    if len(tail) < needed:
-        return needed
-    tail_summary_start = len(tail) - needed
-    checked = view[tail_summary_start : len(tail) - _SUMMARY_CRC_END]
-    if zlib.crc32(checked) != summary_crc:
-        return None
-    try:
-        entry_tuples = decode_entry_tuples(
-            view[tail_summary_start : tail_summary_start + summary_len]
-        )
-    except ValueError:
-        return None
-    if len(entry_tuples) != nentries:
-        return None
-    return DecodedSegment(
-        segment_no=segment_no,
-        seq=seq,
-        entry_tuples=entry_tuples,
-        block_count=nblocks,
-        raw=bytes(view[tail_summary_start:]),
-        geometry=geometry,
-        summary_start=0,
-        summary_len=summary_len,
-    )
+    return _walk_chunks(tail, geometry, segment_no, check_data=False)

@@ -80,32 +80,47 @@ class SegmentUsage:
             if self._state[seg] is SegmentState.FREE:
                 self._state[seg] = SegmentState.CURRENT
                 self._live[seg] = 0
+                self._total[seg] = 0
                 self._seq[seg] = -1
                 self._free_count -= 1
                 return seg
         raise DiskFullError("no free segments remain")
 
+    def _publish(
+        self, seg: int, seq: int, live_slots: int, state: SegmentState
+    ) -> None:
+        """``live_slots`` more slots of ``seg`` are now spoken for.
+
+        Counts accrue, because a segment written in place is published
+        chunk by chunk; its sequence number stays its first chunk's,
+        the one recovery classifies it by."""
+        self._state[seg] = state
+        if self._seq[seg] < 0:
+            self._seq[seg] = seq
+        self._live[seg] += live_slots
+        self._total[seg] += live_slots
+
     def mark_written(self, seg: int, seq: int, live_slots: int) -> None:
-        """Transition the current buffer's segment to on-disk state."""
-        self._state[seg] = SegmentState.DIRTY
-        self._seq[seg] = seq
-        self._live[seg] = live_slots
-        self._total[seg] = live_slots
+        """The buffer's segment stops growing: on-disk log state.
+        ``live_slots`` counts the slots this last write added."""
+        self._publish(seg, seq, live_slots, SegmentState.DIRTY)
+
+    def mark_in_place(self, seg: int, seq: int, live_slots: int) -> None:
+        """A chunk with ``live_slots`` new slots was written in place;
+        the segment stays the buffer's target and keeps filling."""
+        self._publish(seg, seq, live_slots, SegmentState.CURRENT)
 
     def mark_queued(self, seg: int, seq: int, live_slots: int) -> None:
         """Transition a sealed buffer's segment to write-behind state.
 
-        A QUEUED segment's image exists only in the write-behind
+        A QUEUED segment's last write exists only in the write-behind
         queue: its liveness is tracked (later writes may supersede
         slots while it waits), but it is invisible to
         :meth:`dirty_segments` — the cleaner, the scrubber and the
         log-copy salvage must never read it from the platter, because
-        nothing is there yet.
+        not everything is there yet.
         """
-        self._state[seg] = SegmentState.QUEUED
-        self._seq[seg] = seq
-        self._live[seg] = live_slots
-        self._total[seg] = live_slots
+        self._publish(seg, seq, live_slots, SegmentState.QUEUED)
 
     def mark_durable(self, seg: int) -> None:
         """A QUEUED segment's image reached the disk: now plain DIRTY."""
@@ -173,7 +188,8 @@ class SegmentUsage:
         self._live[seg] = live
 
     def total_slots(self, seg: int) -> int:
-        """Number of data slots written in ``seg`` (for readahead)."""
+        """Number of data slots written in ``seg`` (for readahead, and
+        what a sound segment's chunk walk must account for)."""
         return self._total[seg]
 
     def state(self, seg: int) -> SegmentState:

@@ -230,7 +230,12 @@ def _verify_usage(lld) -> List[str]:
             )
         live[addr.segment] = live.get(addr.segment, 0) + 1
     restore = getattr(lld, "_restore", None)
-    for seg, live_count, _seq in lld.usage.dirty_segments():
+    counted = list(lld.usage.dirty_segments())
+    if lld._buffer is not None and lld._buffer.in_place:
+        # The slots earlier flushes wrote in place are counted too.
+        seg = lld._buffer.segment_no
+        counted.append((seg, lld.usage.live_slots(seg), -1))
+    for seg, live_count, _seq in counted:
         if restore is not None and seg in restore.restore_era:
             # Mid-restore, restore-era live counts are provisional
             # (pending segments count every written slot live until

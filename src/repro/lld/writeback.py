@@ -11,7 +11,10 @@ protocol) forces a drain — every parked segment is issued through one
 scatter-gather :meth:`~repro.disk.simdisk.SimulatedDisk.write_many`
 batch, in log-sequence order.  Consecutively allocated segments are
 physically adjacent, so the batch coalesces into long sequential runs:
-one seek, then media-bandwidth streaming.
+one seek, then media-bandwidth streaming.  (A segment that earlier
+flushes already wrote in place parks only its closing chunk; that one
+goes out in place, between the batches of whole images on either side
+of it.)
 
 Ordering invariants the queue is responsible for:
 
@@ -115,7 +118,7 @@ class WritebackQueue:
         self._pending.append((buffer, image))
         self._by_segment[buffer.segment_no] = buffer
         self.lld.usage.mark_queued(
-            buffer.segment_no, buffer.seq, buffer.block_count
+            buffer.segment_no, buffer.seq, buffer.unwritten_block_count
         )
         self._c_submitted.inc()
         self._g_max_depth.update_max(len(self._pending))

@@ -96,6 +96,7 @@ STATS_SCHEMA = {
     "segments": {
         "sealed": INT,
         "flushed": INT,
+        "in_place_writes": INT,
         "data_bytes": INT,
         "summary_bytes": INT,
         "avg_fill": NUM,

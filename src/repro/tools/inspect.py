@@ -75,7 +75,8 @@ def describe_segments(
     entries: bool = False,
     limit: Optional[int] = None,
 ) -> str:
-    """Per-segment roster: trailer seq, block/entry counts, validity.
+    """Per-segment roster: chunk count and sequence range, block/entry
+    counts, validity.
 
     With ``entries=True`` every summary entry is listed (verbose).
     """
@@ -146,12 +147,26 @@ def describe_segments(
             decoded.block_count * geo.block_size + summary_bytes
         ) / geo.usable_size
         fills.append(fill)
+        chunks = decoded.chunk_count
+        span = (
+            f"seq {decoded.seq:6d}"
+            if chunks == 1
+            else f"seq {decoded.seq}..{decoded.last_seq} ({chunks} chunks)"
+        )
         lines.append(
-            f"  segment {seg:4d}: seq {decoded.seq:6d}  "
+            f"  segment {seg:4d}: {span}  "
             f"{decoded.block_count:3d} blocks  "
             f"{len(decoded.entries):4d} entries  {commits:3d} commits  "
             f"{fill * 100:5.1f}% full"
         )
+        data_end = decoded.block_count * geo.block_size
+        if not decoded.closed and any(raw[data_end : decoded.summary_start]):
+            # Bytes where the free gap should be: a chunk the walk
+            # rejected, or the start of one.
+            lines.append(
+                f"      chain ends after chunk {chunks} "
+                "(torn or stale below)"
+            )
         shown += 1
         if entries:
             for entry in decoded.entries:
@@ -239,7 +254,9 @@ def describe_restore(
     lines.append("  pending (log order):")
     for decoded in controller.pending:
         lines.append(
-            f"    segment {decoded.segment_no:4d}: seq {decoded.seq:6d}  "
+            f"    segment {decoded.segment_no:4d}: "
+            f"seq {decoded.seq}..{decoded.last_seq} "
+            f"({decoded.chunk_count} chunks)  "
             f"{decoded.block_count:3d} blocks  "
             f"{decoded.entry_count:4d} entries"
         )

@@ -55,3 +55,7 @@ class TestDiskGeometry:
     def test_rejects_zero_segments(self):
         with pytest.raises(ValueError):
             DiskGeometry(block_size=512, segment_size=8192, num_segments=0)
+
+    def test_rejects_segment_off_the_sector_grid(self):
+        with pytest.raises(ValueError):
+            DiskGeometry(block_size=500, segment_size=8000, num_segments=4)

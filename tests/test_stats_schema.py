@@ -76,6 +76,7 @@ FROZEN_PATHS = [
     "segments.avg_fill:number",
     "segments.data_bytes:int",
     "segments.flushed:int",
+    "segments.in_place_writes:int",
     "segments.min_fill:number-or-null",
     "segments.sealed:int",
     "segments.summary_bytes:int",
