@@ -7,8 +7,8 @@ needed history.  A checkpoint serializes the persistent state (the
 block-number-map, the list-table, the segment roster and the
 identifier counters) so that:
 
-* recovery loads the newest valid checkpoint and replays only
-  segments with a higher log sequence number, and
+* recovery loads the newest valid checkpoint, takes the segments its
+  roster lists on its word and reads only the ones written since, and
 * the cleaner may free any segment whose summary entries are covered
   by a checkpoint.
 
@@ -140,6 +140,11 @@ class CheckpointManager:
         self.geometry = disk.geometry
         self.slot_segments = slot_segments
         self.last_written_seq = 0
+        #: ``last_log_seq`` of that checkpoint: segments numbered above
+        #: it were written since.
+        self.last_log_seq = 0
+        #: Slots the last :meth:`load` found written but not valid.
+        self.damaged_slots: List[int] = []
 
     @property
     def reserved_segments(self) -> int:
@@ -193,6 +198,7 @@ class CheckpointManager:
             )
             written += padded
         self.last_written_seq = data.ckpt_seq
+        self.last_log_seq = data.last_log_seq
         return len(payload), written
 
     def _serialize(self, data: CheckpointData) -> bytes:
@@ -229,16 +235,23 @@ class CheckpointManager:
 
     def load(self) -> CheckpointData:
         """Return the newest valid checkpoint (or the empty one)."""
+        # A damaged slot may have held a newer checkpoint: segments the
+        # survivor's roster attests may have been freed and rewritten
+        # since, so recovery reads them all when this is not empty.
+        self.damaged_slots = []
         best = CheckpointData.empty()
         for slot in range(2):
             parsed = self._load_slot(slot)
             if parsed is not None and parsed.ckpt_seq > best.ckpt_seq:
                 best = parsed
         self.last_written_seq = best.ckpt_seq
+        self.last_log_seq = best.last_log_seq
         return best
 
     def _load_slot(self, slot: int) -> Optional[CheckpointData]:
-        """Parse one slot; None when it holds no valid checkpoint.
+        """Parse one slot; None when it holds no valid checkpoint —
+        never written (a header of zeros), or damaged and then listed
+        in :attr:`damaged_slots`.
 
         Only a media fault makes a slot "not a checkpoint"; a retired
         handle, a lost shard or a bug must not look like an empty disk.
@@ -248,8 +261,10 @@ class CheckpointManager:
         try:
             first = self.disk.read_segment(base)
         except MediaError:
-            return None
+            return self._damaged(slot)
         if len(first) < _HEADER.size:
+            return self._damaged(slot)
+        if not any(first[: _HEADER.size]):
             return None
         (
             magic,
@@ -268,24 +283,24 @@ class CheckpointManager:
             crc,
         ) = _HEADER.unpack_from(first)
         if magic != CKPT_MAGIC or version != CKPT_VERSION:
-            return None
+            return self._damaged(slot)
         if not _HEADER.size <= total_len <= self.slot_segments * seg_size:
-            return None
+            return self._damaged(slot)
         chunks = [first]
         try:
             for index in range(1, -(-total_len // seg_size)):
                 chunks.append(self.disk.read_segment(base + index))
         except MediaError:
-            return None
+            return self._damaged(slot)
         raw = memoryview(b"".join(chunks))[:total_len]
         body = raw[_HEADER.size :]
         if zlib.crc32(body, zlib.crc32(raw[: _HEADER.size - _CRC.size])) != crc:
-            return None
+            return self._damaged(slot)
         blocks_end = n_blocks * _BLOCK.size
         lists_end = blocks_end + n_lists * _LIST.size
         segs_end = lists_end + n_segs * _SEG.size
         if segs_end + n_decided * _DECIDED.size != len(body):
-            return None
+            return self._damaged(slot)
         return CheckpointData(
             ckpt_seq=ckpt_seq,
             last_log_seq=last_log_seq,
@@ -304,3 +319,7 @@ class CheckpointManager:
                 xid for (xid,) in _DECIDED.iter_unpack(body[segs_end:])
             ],
         )
+
+    def _damaged(self, slot: int) -> None:
+        self.damaged_slots.append(slot)
+        return None

@@ -212,6 +212,10 @@ class LLD(LogicalDisk):
         #: is in progress (set by ``recover(mode="instant")``); None
         #: in normal operation.
         self._restore = None
+        #: The report of the recovery that built this instance (None
+        #: for a freshly formatted volume); ``stats()["recovery"]``
+        #: quotes its scan accounting.
+        self._recovery_report = None
 
         # Statistics — registry-backed (docs/OBSERVABILITY.md names
         # every instrument).  The historical attributes (`op_counts`,
@@ -2063,12 +2067,23 @@ class LLD(LogicalDisk):
         and the scrubber).  Callers have flushed and hold
         ``checkpoint_safe()``.
 
-        A segment partly on disk stops growing here: the roster
-        attests whole segments and recovery classifies a segment by
-        its first chunk, so a segment must lie wholly on one side of a
-        checkpoint.  (Nothing is written for that; the next append
-        opens a fresh segment.)"""
-        if self._buffer is not None and self._buffer.in_place:
+        A checkpoint leaves no segment open.  One partly on disk stops
+        growing: the roster attests whole segments and recovery
+        classifies a segment by its first chunk, so a segment must lie
+        wholly on one side of a checkpoint.  (Nothing is written for
+        that; the next append opens a fresh segment.)"""
+        buffer = self._buffer
+        if buffer is not None and buffer.is_empty:
+            # Back to the pool, sequence number included.  Recovery
+            # walks the segments the roster does not list lowest first;
+            # a buffer the cleaner opened before it freed lower-numbered
+            # victims would be written out of that order, and a flushed
+            # write lost (docs/RECOVERY.md has the counter-example).
+            assert self._next_seq == buffer.seq + 1
+            self._buffer = None
+            self._next_seq = buffer.seq
+            self.usage.free_segment(buffer.segment_no)
+        elif buffer is not None and buffer.in_place:
             self._close_buffer()
         self._ckpt_seq += 1
         try:
@@ -2203,11 +2218,19 @@ class LLD(LogicalDisk):
         }
 
     def _restore_stats(self) -> dict:
-        """Instant-restore progress (all zeros/False after eager
-        recovery or once a restore has completed)."""
+        """How the recovery that built this volume read the disk
+        (blank and zeros on a formatted one) and instant-restore
+        progress (all zeros/False after eager recovery or once a
+        restore has completed)."""
         m = self.obs.metrics
         controller = self._restore
+        report = self._recovery_report
         return {
+            "scan_plan": report.scan_plan if report else "",
+            "scan_fallback": report.scan_fallback if report else "",
+            "segments_scanned": report.segments_scanned if report else 0,
+            "segments_attested": report.segments_attested if report else 0,
+            "segments_invalid": report.segments_invalid if report else 0,
             "restoring": controller is not None,
             "watermark": controller.watermark if controller else 0,
             "pending_segments": (

@@ -4,10 +4,10 @@ Recovery is always to the most recent *persistent* version
 (Section 3.1).  The procedure:
 
 1. Load the newest valid checkpoint (or start from the empty state).
-2. Scan every log segment; keep those whose trailer validates and
-   whose sequence number exceeds the checkpoint's.  Torn or
-   corrupted segments (interrupted writes, media faults) fail the
-   CRC and are treated as free space.
+2. Roll forward from it: read the segments its roster does not list,
+   lowest first, until none is newer than the checkpoint; keep those
+   whose trailer and CRC validate, the rest is free space.  Damage a
+   power cut alone cannot cause makes the scan read every segment.
 3. First pass over the surviving summaries: collect the set of ARU
    identifiers with a flushed COMMIT record.
 4. Second pass, in log order: replay entries.  Simple entries
@@ -27,10 +27,10 @@ The result is a fully operational :class:`~repro.lld.lld.LLD` plus a
 written once: :func:`_scan` (steps 1–2) → :func:`_resolve_outcomes`
 (step 3) → :class:`ReplayRules` (steps 4 and 6) → :func:`_install`
 (step 5).  ``mode`` changes two things and nothing else: *what the
-scan reads and how it decodes* (eager: whole bodies, whole-segment
-CRC, decoded on a thread pool and charged at the critical-path share;
-instant: one tail window per segment, summary CRC), and *where the
-records live and when replay runs* (eager: plain dicts, replayed
+scan reads of a segment and how it decodes* (eager: the whole body,
+whole-segment CRC, decoded on a thread pool and charged at the
+critical-path share; instant: one tail window, summary CRC), and *where
+the records live and when replay runs* (eager: plain dicts, replayed
 before the volume opens, then bulk-installed; instant: the live
 tables, replayed on demand by a :class:`RestoreController` behind a
 log-order watermark).  docs/RECOVERY.md tells the whole story;
@@ -71,7 +71,7 @@ from repro.lld.summary import (
     KIND_PREPARE,
     KIND_WRITE,
 )
-from repro.lld.usage import QUARANTINE_SEQ, SegmentState
+from repro.lld.usage import QUARANTINE_SEQ, WALK_BATCH, SegmentState
 
 
 @dataclasses.dataclass
@@ -79,7 +79,26 @@ class RecoveryReport:
     """What recovery found and did."""
 
     checkpoint_seq: int
+    #: The scan's read plan — ``"walk"``: roll forward from the
+    #: checkpoint through the segments its roster does not list,
+    #: lowest first, until a batch holds nothing newer; ``"full"``:
+    #: every segment read — and, for ``"full"``, what made the walk
+    #: give way to it (``""`` after a walk).
+    scan_plan: str = ""
+    scan_fallback: str = ""
+    #: How the scan accounts for the partition: ``segments_scanned``
+    #: tails were read, ``segments_attested`` segments were taken from
+    #: the checkpoint roster unread, the roster's quarantined segments
+    #: (``segments_quarantined - segments_unreadable``) are never
+    #: read, and the rest — all above ``scan_last_segment``, the
+    #: highest segment read — were left unread as free space.  Of
+    #: those read, ``segments_invalid`` were unusable (never written,
+    #: stale, torn or corrupt) and ``segments_unreadable`` failed with
+    #: an I/O error; the others are newer than the checkpoint and
+    #: sound, or (full plan only) match the roster.
     segments_scanned: int = 0
+    segments_attested: int = 0
+    scan_last_segment: int = -1
     segments_replayed: int = 0
     segments_invalid: int = 0
     segments_unreadable: int = 0
@@ -422,16 +441,16 @@ class ReplayRules:
 
 @dataclasses.dataclass
 class _Scan:
-    """What the scan found, in the orders the install depends on."""
+    """What the scan found.  A log segment in none of these is free
+    space: never written, torn, corrupt or stale, or beyond the end of
+    the walk and not read."""
 
     #: Decoded segments newer than the checkpoint, in log (seq) order.
     replayable: List[DecodedSegment]
     #: Segments the checkpoint roster attests: seg -> (seq, live,
-    #: total), in ascending segment order.
+    #: total).
     ckpt_segments: Dict[int, Tuple[int, int, int]]
-    #: Free space (never written, torn, corrupt or stale), ascending.
-    invalid: List[int]
-    #: Retired media (roster sentinel or I/O error now), ascending.
+    #: Retired media (roster sentinel or I/O error now).
     quarantined: List[int]
 
 
@@ -442,35 +461,43 @@ def _scan(
     instant: bool,
     workers: int,
 ) -> _Scan:
-    """Classify every log segment and decode the replay candidates.
+    """Find and decode the segments written since the checkpoint.
 
-    Trailer-first: only segments newer than the checkpoint need more
-    than their trailer; checkpoint-covered segments are attested by
-    the roster, everything else is free space.  This is what makes
-    checkpoints shrink recovery *time*, not just replay work.
+    One classification rule, two read plans.  The **walk** rolls
+    forward from the checkpoint: segments its roster attests are taken
+    on its word, unread; the others are read lowest first — the order
+    the allocator hands them out — a batch of tails at a time, until a
+    batch holds nothing newer than the checkpoint; the rest is free
+    space, unread.  Anything a crash could not have left falls back to
+    the **full** plan, which classifies every segment not yet read,
+    attested ones included (docs/RECOVERY.md, "The roll-forward walk").
 
-    ``instant`` picks the read plan and the decoder, never the
-    classification: eager must end up holding whole bodies (checked
-    by the whole-segment CRC), instant reads one tail window per
-    segment (checked by the summary CRC).
+    ``instant`` picks the window and the decoder, never the plan or
+    the classification: eager must end up holding whole bodies
+    (checked by the whole-segment CRC), instant reads one tail window
+    per segment (checked by the summary CRC).
     """
     disk = lld.disk
     clock = disk.clock
     size = disk.geometry.segment_size
     scan_start = clock.now_us
-    segs = range(lld.checkpoints.reserved_segments, disk.geometry.num_segments)
-    report.segments_scanned = len(segs)
-    scan = _Scan([], {}, [], [])
+    decode_us = 0.0
+    scan = _Scan([], {}, [])
 
-    # Segments the checkpoint roster records as quarantined are never
-    # read: whatever the platter holds must not be trusted.
-    scan_segs = []
-    for seg in segs:
+    # The roster settles some segments without a read: the ones it
+    # records as quarantined (whatever the platter holds must not be
+    # trusted), and on the walk the ones it attests.
+    attested: List[int] = []
+    unattested: List[int] = []
+    log_start = lld.checkpoints.reserved_segments
+    for seg in range(log_start, disk.geometry.num_segments):
         roster = ckpt.segments.get(seg)
-        if roster is not None and roster[0] == QUARANTINE_SEQ:
+        if roster is None:
+            unattested.append(seg)
+        elif roster[0] == QUARANTINE_SEQ:
             scan.quarantined.append(seg)
         else:
-            scan_segs.append(seg)
+            attested.append(seg)
 
     if instant:
         window = min(size, max(TRAILER_SIZE, lld.config.restore_tail_window))
@@ -486,57 +513,97 @@ def _scan(
             + model.controller_overhead_us
         )
         window = size if model.transfer_us(size) <= random_cost else TRAILER_SIZE
-    windows = disk.read_many(
-        [(seg, size - window, window) for seg in scan_segs], errors="none"
-    )
 
-    candidates: Dict[int, bytes] = {}
-    for seg, raw in zip(scan_segs, windows):
-        if raw is None:
-            # Hardware-reported fault: retire the segment permanently
-            # (a failed CRC could just be a torn rewrite; an I/O error
-            # cannot).
-            report.segments_unreadable += 1
-            scan.quarantined.append(seg)
-            continue
-        parsed = parse_trailer(raw[window - TRAILER_SIZE :])
-        if parsed is None:
-            report.segments_invalid += 1
-            scan.invalid.append(seg)
-            continue
-        trailer_seq = parsed[0]
-        roster = ckpt.segments.get(seg)
-        if trailer_seq > ckpt.last_log_seq:
-            candidates[seg] = raw
-        elif roster is not None and roster[0] == trailer_seq:
-            scan.ckpt_segments[seg] = roster
-        else:
-            # Valid trailer but freed before the checkpoint: stale.
-            scan.invalid.append(seg)
-
-    if candidates and not instant and window < size:
-        # Candidate bodies, as one batch whose contiguous runs
-        # coalesce into sequential transfers.
-        bodies = disk.read_many(
-            [(seg, 0, size) for seg in candidates], errors="none"
+    def classify(segs: List[int]) -> Tuple[Dict[int, bytes], str]:
+        """Read the tails of ``segs`` as one batch and sort them into
+        ``scan``; returns the replay candidates and the first anomaly."""
+        windows = disk.read_many(
+            [(seg, size - window, window) for seg in segs], errors="none"
         )
-        for seg, body in zip(list(candidates), bodies):
-            if body is None:
+        report.segments_scanned += len(segs)
+        report.scan_last_segment = max([report.scan_last_segment, *segs])
+        candidates: Dict[int, bytes] = {}
+        anomaly = ""
+        for seg, raw in zip(segs, windows):
+            if raw is None:
+                # Hardware-reported fault: retire the segment
+                # permanently (a failed CRC could just be a torn
+                # rewrite; an I/O error cannot).
                 report.segments_unreadable += 1
                 scan.quarantined.append(seg)
-                del candidates[seg]
-            else:
-                candidates[seg] = body
-    report.phase_us["scan"] = clock.now_us - scan_start
+                anomaly = anomaly or f"segment {seg} is unreadable"
+                continue
+            trailer = raw[window - TRAILER_SIZE :]
+            parsed = parse_trailer(trailer)
+            roster = ckpt.segments.get(seg)
+            if parsed is None or not parsed[0]:
+                # Blank, or not a trailer LLD wrote (sequence numbers
+                # start at 1).
+                if any(trailer):
+                    anomaly = anomaly or (
+                        f"segment {seg} ends in neither zeros nor a trailer"
+                    )
+            elif parsed[0] > ckpt.last_log_seq:
+                candidates[seg] = raw
+                continue
+            elif roster is not None and roster[0] == parsed[0]:
+                scan.ckpt_segments[seg] = roster
+                continue
+            # Else a valid trailer, but freed before the checkpoint.
+            report.segments_invalid += 1
+        return candidates, anomaly
 
-    decode_start = clock.now_us
-    decode = _decode_tails if instant else _decode_bodies
-    scan.replayable = decode(lld, candidates, workers, scan, report)
-    report.phase_us["decode"] = clock.now_us - decode_start
+    def decode_candidates(candidates: Dict[int, bytes]) -> Optional[int]:
+        """Fetch (eager) and decode ``candidates`` into
+        ``scan.replayable``; returns a segment lost on the way, if any."""
+        nonlocal decode_us
+        wanted = set(candidates)
+        if candidates and not instant and window < size:
+            # Candidate bodies, as one batch whose contiguous runs
+            # coalesce into sequential transfers.
+            bodies = disk.read_many(
+                [(seg, 0, size) for seg in candidates], errors="none"
+            )
+            for seg, body in zip(list(candidates), bodies):
+                if body is None:
+                    report.segments_unreadable += 1
+                    scan.quarantined.append(seg)
+                    del candidates[seg]
+                else:
+                    candidates[seg] = body
+        decode_start = clock.now_us
+        decode = _decode_tails if instant else _decode_bodies
+        decoded = decode(lld, candidates, workers, scan, report)
+        decode_us += clock.now_us - decode_start
+        scan.replayable += decoded
+        return min(wanted.difference(d.segment_no for d in decoded), default=None)
 
-    # Ascending segment order fixes the rebuilt free-list order.
-    scan.invalid.sort()
-    scan.quarantined.sort()
+    damaged = lld.checkpoints.damaged_slots
+    fallback = f"checkpoint slot {damaged[0]} is damaged" if damaged else ""
+    batch = max(WALK_BATCH, lld.config.writeback_depth + 1)
+    candidates: Dict[int, bytes] = {}
+    walked = 0
+    while not fallback and walked < len(unattested):
+        found, fallback = classify(unattested[walked : walked + batch])
+        walked += batch
+        candidates.update(found)
+        if not found:
+            break
+    lost = decode_candidates(candidates)
+    if lost is not None and not fallback:
+        fallback = f"segment {lost} is newer than the checkpoint but damaged"
+    if fallback:
+        found, _anomaly = classify(sorted(attested + unattested[walked:]))
+        decode_candidates(found)
+        scan.replayable.sort(key=lambda d: d.seq)
+    else:
+        for seg in attested:
+            scan.ckpt_segments[seg] = ckpt.segments[seg]
+        report.segments_attested = len(attested)
+    report.scan_plan = "full" if fallback else "walk"
+    report.scan_fallback = fallback
+    report.phase_us["scan"] = clock.now_us - scan_start - decode_us
+    report.phase_us["decode"] = decode_us
     return scan
 
 
@@ -572,7 +639,6 @@ def _decode_bodies(
         if result is None:
             # Valid-looking trailer but a torn/corrupt body.
             report.segments_invalid += 1
-            scan.invalid.append(seg)
         else:
             decoded.append(result)
     if bodies:
@@ -613,7 +679,6 @@ def _decode_tails(
                 short.append((seg, result))
             elif result is None:
                 report.segments_invalid += 1
-                scan.invalid.append(seg)
             else:
                 decoded.append(result)
         if not short:
@@ -732,9 +797,7 @@ def _install(
     live_counts: Dict[int, int],
 ) -> None:
     """Rebuild the usage table, the counters and the fresh buffer."""
-    usage = lld.usage
-    for seg in scan.invalid:
-        usage.restore(seg, SegmentState.FREE, -1, 0, 0)
+    usage = lld.usage  # fresh: every log segment starts out free
     for seg in scan.quarantined:
         # Failed media stays retired; addresses still pointing here
         # are tombstones for lost blocks (reads raise
@@ -841,8 +904,17 @@ def recover(
         checkpoint_seq=ckpt.ckpt_seq, workers=workers, mode=mode
     )
 
+    lld._recovery_report = report
     scan = _scan(lld, ckpt, report, instant, workers)
     report.segments_quarantined = len(scan.quarantined)
+    lld.obs.record(
+        "recovery.scan",
+        plan=report.scan_plan,
+        fallback=report.scan_fallback,
+        tails_read=report.segments_scanned,
+        attested=report.segments_attested,
+        last_segment=report.scan_last_segment,
+    )
 
     replay_start = clock.now_us
     outcomes = _resolve_outcomes(ckpt, scan.replayable, decided_xids, report)

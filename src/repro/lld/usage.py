@@ -10,6 +10,7 @@ The segment cleaner picks victims from this table.
 from __future__ import annotations
 
 import enum
+import heapq
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DiskFullError
@@ -32,6 +33,16 @@ class SegmentState(enum.Enum):
 #: so the all-ones value is wire-compatible with existing images.
 QUARANTINE_SEQ = (1 << 64) - 1
 
+#: Tails recovery's roll-forward walk reads at a time, at least.
+#: :meth:`SegmentUsage.take_free` hands segments out lowest first and
+#: they are written in that order, so a crash leaves the segments newer
+#: than the checkpoint as a gap-free prefix of the ones its roster does
+#: not list, and the first batch holding none of them lies beyond the
+#: log's end.  A batch is never smaller than one write-behind drain
+#: (``writeback_depth + 1`` segments), the unit a device that persists
+#: out of order could leave gaps in.
+WALK_BATCH = 8
+
 
 class SegmentUsage:
     """Per-segment state, live-slot counts and log sequence numbers."""
@@ -48,7 +59,10 @@ class SegmentUsage:
         self._live: List[int] = [0] * num_segments
         self._total: List[int] = [0] * num_segments
         self._seq: List[int] = [-1] * num_segments
-        self._free: List[int] = list(range(num_segments - 1, reserved - 1, -1))
+        #: Min-heap holding every free segment.  A free segment that is
+        #: quarantined or restored to another state leaves a stale
+        #: entry behind; :meth:`take_free` skips those by state.
+        self._free: List[int] = list(range(reserved, num_segments))
         self._free_count = len(self._free)
 
     # ------------------------------------------------------------------
@@ -61,7 +75,12 @@ class SegmentUsage:
         return self._free_count
 
     def take_free(self, reserve: int = 0) -> int:
-        """Allocate a free segment as the next buffer target.
+        """Allocate the lowest-numbered free segment as the next
+        buffer target.
+
+        Lowest first, because nothing is freed between checkpoints:
+        the segments written since one are then the lowest its roster
+        does not list, which is all recovery has to read.
 
         ``reserve`` segments are left untouchable: ordinary
         allocations keep them for the cleaner and for deletions, so
@@ -76,7 +95,7 @@ class SegmentUsage:
                 f"(reserve is {reserve})"
             )
         while self._free:
-            seg = self._free.pop()
+            seg = heapq.heappop(self._free)
             if self._state[seg] is SegmentState.FREE:
                 self._state[seg] = SegmentState.CURRENT
                 self._live[seg] = 0
@@ -142,7 +161,7 @@ class SegmentUsage:
         if self._state[seg] is SegmentState.RESERVED:
             raise ValueError(f"segment {seg} is reserved for checkpoints")
         if self._state[seg] is SegmentState.FREE:
-            self._free_count -= 1  # lazily dropped from _free by state
+            self._free_count -= 1  # its heap entry is now stale
         self._state[seg] = SegmentState.QUARANTINED
         self._live[seg] = 0
         self._total[seg] = 0
@@ -164,11 +183,11 @@ class SegmentUsage:
             raise ValueError(f"segment {seg} is quarantined (failed media)")
         if self._state[seg] is not SegmentState.FREE:
             self._free_count += 1
+            heapq.heappush(self._free, seg)
         self._state[seg] = SegmentState.FREE
         self._live[seg] = 0
         self._total[seg] = 0
         self._seq[seg] = -1
-        self._free.append(seg)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -211,7 +230,7 @@ class SegmentUsage:
         self._total[seg] = total
         now_free = state is SegmentState.FREE and seg >= self.reserved_count
         if now_free and not was_free:
-            self._free.append(seg)
+            heapq.heappush(self._free, seg)
             self._free_count += 1
         elif was_free and not now_free:
             self._free_count -= 1

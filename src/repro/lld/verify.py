@@ -11,7 +11,10 @@ other and returns a list of human-readable violations (empty = sound):
 3. every list version is well-formed in its own view: walking
    ``first`` by successors visits ``count`` distinct members, each
    claiming membership of that list, ending at ``last``,
-4. ARU shadow chains contain only SHADOW records owned by that ARU.
+4. ARU shadow chains contain only SHADOW records owned by that ARU,
+5. the free pool hands out the lowest free segment, and no batch of
+   free segments lies below one written since the last checkpoint —
+   the allocation order the next recovery's walk relies on.
 
 Tests and the torture example run this after workloads; it is also a
 useful debugging aid for anyone extending the write path.
@@ -24,7 +27,7 @@ from typing import Dict, List, Optional, Set
 from repro.core.records import BlockVersion, ListVersion
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE
-from repro.lld.usage import SegmentState
+from repro.lld.usage import WALK_BATCH, SegmentState
 
 
 def verify_lld(lld) -> List[str]:
@@ -35,6 +38,7 @@ def verify_lld(lld) -> List[str]:
     problems += _verify_usage(lld)
     problems += _verify_lists_well_formed(lld)
     problems += _verify_segment_states(lld)
+    problems += _verify_allocation_order(lld)
     problems += _verify_restore(lld)
     if problems:
         obs = getattr(lld, "obs", None)
@@ -94,6 +98,34 @@ def _verify_segment_states(lld) -> List[str]:
         problems.append(
             f"current buffer targets quarantined segment "
             f"{lld._buffer.segment_no}"
+        )
+    return problems
+
+
+def _verify_allocation_order(lld) -> List[str]:
+    """What the next recovery's walk rests on (docs/RECOVERY.md, "The
+    roll-forward walk"): segments are taken lowest first, so no batch
+    of free ones lies below a segment written since the last
+    checkpoint.  (None at all does, short of a recovery that found
+    damage in the middle of the log.)"""
+    usage = lld.usage
+    since = lld.checkpoints.last_log_seq
+    free: List[int] = []
+    newest = -1
+    for seg in range(usage.reserved_count, usage.num_segments):
+        state = usage.state(seg)
+        if state is SegmentState.FREE:
+            free.append(seg)
+        elif state is SegmentState.CURRENT or usage.seq_of(seg) > since:
+            newest = seg
+    problems: List[str] = []
+    if usage.free_count != len(free) or not set(free) <= set(usage._free):
+        problems.append("free pool out of step with the segment states")
+    below = sum(seg < newest for seg in free)
+    if below >= WALK_BATCH:
+        problems.append(
+            f"{below} free segments lie below segment {newest}, written "
+            "since the last checkpoint"
         )
     return problems
 

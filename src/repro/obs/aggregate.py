@@ -16,6 +16,9 @@ new counters aggregate automatically:
 * ``OPT_NUM`` leaves take the minimum of the non-``None`` values
   (``segments.min_fill`` is the array's worst fill), ``None`` if all
   are ``None``;
+* ``STR`` leaves list the distinct non-empty values, sorted and
+  joined by ``"; "`` (``recovery.scan_plan`` is ``"walk"`` when every
+  shard walked);
 * ``segments.avg_fill`` is re-derived as the sealed-segment-weighted
   mean, not the mean of means.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.schema import BOOL, INT, NUM, OPT_NUM, STATS_SCHEMA
+from repro.obs.schema import BOOL, INT, NUM, OPT_NUM, STATS_SCHEMA, STR
 
 
 def _aggregate(schema: dict, dicts: List[dict], path: str) -> dict:
@@ -52,6 +55,8 @@ def _aggregate(schema: dict, dicts: List[dict], path: str) -> dict:
         elif expected == OPT_NUM:
             present = [value for value in values if value is not None]
             result[key] = min(present) if present else None
+        elif expected == STR:
+            result[key] = "; ".join(sorted(set(values) - {""}))
         elif expected in (INT, NUM):
             result[key] = sum(values)
         else:

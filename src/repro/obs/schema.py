@@ -12,6 +12,7 @@ The schema language is deliberately tiny:
   or float; ``bool`` is never a valid ``INT``/``NUM``).
 * ``OPT_NUM`` — a number or ``None`` (e.g. ``segments.min_fill``
   before any segment sealed).
+* ``STR`` — a string (e.g. ``recovery.scan_plan``).
 * a dict — a nested section whose keys must match exactly…
 * …unless it contains the single key ``"*"``, which declares an open
   group: any keys, every value matching the ``"*"`` type (used for
@@ -32,6 +33,7 @@ INT = "int"
 NUM = "number"
 BOOL = "bool"
 OPT_NUM = "number-or-null"
+STR = "string"
 
 #: The frozen schema.  Add keys freely in future PRs; renames and
 #: removals must update the snapshot test alongside this table.
@@ -102,7 +104,16 @@ STATS_SCHEMA = {
         "avg_fill": NUM,
         "min_fill": OPT_NUM,
     },
+    # The ``scan_*``/``segments_*`` keys quote the RecoveryReport of
+    # the recovery that built the volume ("" and zeros on a formatted
+    # one): scanned + attested + unread free space + roster-quarantined
+    # = log segments.
     "recovery": {
+        "scan_plan": STR,
+        "scan_fallback": STR,
+        "segments_scanned": INT,
+        "segments_attested": INT,
+        "segments_invalid": INT,
         "restoring": BOOL,
         "watermark": INT,
         "pending_segments": INT,
@@ -206,6 +217,8 @@ def _type_ok(sentinel: str, value) -> bool:
     # bool is a subclass of int, so it must be ruled on first.
     if sentinel == BOOL:
         return isinstance(value, bool)
+    if sentinel == STR:
+        return isinstance(value, str)
     if isinstance(value, bool):
         return False
     if sentinel == INT:

@@ -50,7 +50,8 @@ def describe_checkpoints(
     for slot in range(2):
         parsed = manager._load_slot(slot)
         if parsed is None:
-            lines.append(f"  slot {slot}: invalid or empty")
+            state = "damaged" if slot in manager.damaged_slots else "never written"
+            lines.append(f"  slot {slot}: {state}")
             continue
         decided = (
             f" decided_xids={len(parsed.decided_xids)}"
@@ -218,6 +219,19 @@ def describe_metrics(
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def describe_scan(ld, report) -> str:
+    """One line on how recovery read the disk: the plan, and what the
+    roll-forward walk saved or why it gave way to the full scan."""
+    if report.scan_plan == "full":
+        return f"full ({report.scan_fallback})"
+    log_segments = ld.usage.num_segments - ld.usage.reserved_count
+    return (
+        f"walk, {report.segments_scanned} of {log_segments} tails read, "
+        f"{report.segments_attested} attested, ended after segment "
+        f"{report.scan_last_segment}"
+    )
+
+
 def describe_restore(
     disk: SimulatedDisk, slot_segments: Optional[int] = None
 ) -> str:
@@ -238,6 +252,7 @@ def describe_restore(
         "instant-restore preview (phase A only, nothing replayed):",
         f"  checkpoint seq     : {report.checkpoint_seq}",
         f"  time to first req  : {report.ttfr_us:.1f} simulated us",
+        f"  scan               : {describe_scan(ld, report)}",
     ]
     controller = ld._restore
     if controller is None:

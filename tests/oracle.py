@@ -1,0 +1,55 @@
+"""What recoveries of one platter must agree on.
+
+The start of the single oracle module ROADMAP item 1 asks for: the
+comparisons every recovery test makes, written once.  Two views of a
+``(volume, report)`` pair:
+
+* :func:`state_fingerprint` — everything recovery *rebuilds*.  Equal
+  across implementations (``recover`` in either mode,
+  ``reference_recover``), across repeated recoveries of one platter,
+  and across read plans.
+* :func:`read_plan` — how the scan *read the disk* to get there.
+  ``reference_recover`` reads every segment and ``recover`` walks, so
+  this is compared between eager and instant only: the mode never
+  changes the plan.
+"""
+
+
+def state_fingerprint(lld, report):
+    """Everything recovery rebuilds, in comparable form."""
+    return {
+        "checkpoint": lld.checkpoints._serialize(lld._snapshot_checkpoint()),
+        "free_count": lld.usage.free_count,
+        "dirty": sorted(lld.usage.dirty_segments()),
+        "buffer_segment": (
+            lld._buffer.segment_no if lld._buffer is not None else None
+        ),
+        "next_block": lld._next_block_id,
+        "next_list": lld._next_list_id,
+        "next_seq": lld._next_seq,
+        "commit_on_disk": set(lld._commit_on_disk),
+        "report": (
+            report.checkpoint_seq,
+            report.segments_replayed,
+            report.segments_unreadable,
+            report.entries_replayed,
+            report.entries_discarded,
+            report.replay_conflicts,
+            report.arus_committed,
+            report.arus_discarded,
+            tuple(report.discarded_aru_ids),
+            tuple(report.orphan_blocks_freed),
+        ),
+    }
+
+
+def read_plan(report):
+    """Which segments the scan read and what it made of them."""
+    return (
+        report.scan_plan,
+        report.scan_fallback,
+        report.segments_scanned,
+        report.segments_attested,
+        report.scan_last_segment,
+        report.segments_invalid,
+    )

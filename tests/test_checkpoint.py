@@ -26,7 +26,7 @@ from repro.lld.usage import QUARANTINE_SEQ
 from repro.lld.verify import verify_lld
 from repro.workloads.generator import overwrite_pressure
 
-from tests.test_recovery_parallel import state_fingerprint
+from tests.oracle import state_fingerprint
 
 SECTOR = 512
 

@@ -55,7 +55,7 @@ from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_segments
 
-from tests.test_recovery_parallel import state_fingerprint
+from tests.oracle import read_plan, state_fingerprint
 
 #: Coming back to a segment costs nothing on this disk, so every flush
 #: is written in place — also on the small test geometry, which the
@@ -166,6 +166,7 @@ def recoveries_agree(disk, config=SERIAL):
     want = state_fingerprint(reference, reference_report)
     assert state_fingerprint(eager, eager_report) == want
     assert state_fingerprint(instant, instant_report) == want
+    assert read_plan(instant_report) == read_plan(eager_report)
     # Recovery writes nothing, so recovering twice is recovering once.
     assert disk._segments == platter
     for ld in (reference, eager, instant):
@@ -415,7 +416,7 @@ class TestSegmentLifecycle:
         ld.flush()
         while ld.usage.state(first) is not SegmentState.FREE:
             assert SegmentCleaner(ld).clean(ld.usage.free_count + 1).victims
-        # The segment freed last is handed out first.  A first chunk
+        # The lowest free segment is handed out next.  A first chunk
         # shorter than the old one: old chunks lie untouched below it.
         ld.new_list()
         assert ld._buffer.segment_no == first

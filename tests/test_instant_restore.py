@@ -30,12 +30,8 @@ from repro.fs import MinixFS
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 
-from tests.test_recovery_parallel import (
-    build,
-    state_fingerprint,
-    total_writes,
-    workload,
-)
+from tests.oracle import read_plan, state_fingerprint
+from tests.test_recovery_parallel import build, total_writes, workload
 
 
 def recover_eager(disk):
@@ -62,6 +58,7 @@ def assert_identical_after_sweep(disk):
     assert state_fingerprint(instant_lld, instant_report) == (
         state_fingerprint(eager_lld, eager_report)
     )
+    assert read_plan(instant_report) == read_plan(eager_report)
     assert verify_lld(instant_lld) == []
     return eager_lld, instant_lld
 

@@ -6,9 +6,11 @@ object replay, no shared rule code).
 Recovery performs no disk writes, so the same crashed platter can be
 recovered repeatedly; we recover it once with each implementation and
 compare the serialized persistent state, the rebuilt usage table, and
-the report's classification counters at every crash point of a
-canonical meta-data-heavy workload (whole-write drops and torn writes
-alike).
+the report's replay counters (``tests/oracle.py``) at every crash point
+of a canonical meta-data-heavy workload (whole-write drops and torn
+writes alike).  How much of the disk each read to get there is not
+compared: the reference reads every segment, production rolls forward
+from the checkpoint.
 """
 
 import pytest
@@ -22,6 +24,8 @@ from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
+
+from tests.oracle import state_fingerprint
 
 CONFIG = LLDConfig(checkpoint_slot_segments=2)
 
@@ -47,36 +51,6 @@ def workload(fs):
         if index % 3 == 0:
             fs.sync()
     fs.sync()
-
-
-def state_fingerprint(lld, report):
-    """Everything recovery rebuilds, in comparable form."""
-    return {
-        "checkpoint": lld.checkpoints._serialize(lld._snapshot_checkpoint()),
-        "free_count": lld.usage.free_count,
-        "dirty": sorted(lld.usage.dirty_segments()),
-        "buffer_segment": (
-            lld._buffer.segment_no if lld._buffer is not None else None
-        ),
-        "next_block": lld._next_block_id,
-        "next_list": lld._next_list_id,
-        "next_seq": lld._next_seq,
-        "commit_on_disk": set(lld._commit_on_disk),
-        "report": (
-            report.checkpoint_seq,
-            report.segments_scanned,
-            report.segments_replayed,
-            report.segments_invalid,
-            report.segments_unreadable,
-            report.entries_replayed,
-            report.entries_discarded,
-            report.replay_conflicts,
-            report.arus_committed,
-            report.arus_discarded,
-            tuple(report.discarded_aru_ids),
-            tuple(report.orphan_blocks_freed),
-        ),
-    }
 
 
 def assert_equivalent(disk):

@@ -1,0 +1,712 @@
+"""Recovery rolls forward from the checkpoint instead of reading the
+tail of every segment on the disk.
+
+What this file pins, against ``reference_recover`` (which still reads
+every segment) wherever state is compared:
+
+1. The two write-side rules the walk rests on — ``take_free`` hands
+   out the lowest free segment, a checkpoint leaves no segment open —
+   and the lost flushed write that the second one prevents.
+2. Every way the walk gives way to the full scan, and the clean cases
+   in which it must not.
+3. A state machine over write / flush / checkpoint / clean / crash /
+   recover: eager, instant and reference recovery agree, recovering
+   twice is recovering once, ``verify_lld`` is clean, and segments are
+   handed out in the order the next walk will look for them.
+
+``python -m tests.test_rollforward_scan [examples]`` runs the state
+machine with more examples than tier-1's minute allows (CI does).
+"""
+
+import random
+import sys
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
+from repro.disk.geometry import SECTOR_SIZE, TRAILER_SIZE, DiskGeometry
+from repro.disk.simdisk import SimulatedDisk
+from repro.errors import DiskCrashedError
+from repro.lld.cleaner import SegmentCleaner
+from repro.lld.config import LLDConfig
+from repro.lld.lld import LLD
+from repro.lld.recovery import recover
+from repro.lld.recovery_reference import reference_recover
+from repro.lld.segment import parse_trailer
+from repro.lld.usage import (
+    QUARANTINE_SEQ,
+    WALK_BATCH,
+    SegmentState,
+    SegmentUsage,
+)
+from repro.lld.verify import verify_lld
+from repro.tools.inspect import describe_checkpoints, describe_restore
+
+from tests.oracle import read_plan, state_fingerprint
+from tests.test_inplace_flush import FREE_POSITIONING
+
+CONFIG = LLDConfig(checkpoint_slot_segments=2)
+RESERVED = 4
+
+
+def small_disk(num_segments=64, injector=None, model=None):
+    geometry = DiskGeometry.small(num_segments=num_segments)
+    if model is None:
+        return SimulatedDisk(geometry, injector=injector)
+    return SimulatedDisk(geometry, injector=injector, model=model)
+
+
+def recoveries_agree(disk, config=CONFIG):
+    """Reference, eager (twice) and instant recovery rebuild one sound
+    state from one platter and leave it as they found it; eager and
+    instant read the disk the same way.  Returns the second eager
+    volume and its report."""
+    platter = dict(disk._segments)
+    reference, reference_report = reference_recover(
+        disk.power_cycle(), config=config
+    )
+    want = state_fingerprint(reference, reference_report)
+    eager, eager_report = recover(disk.power_cycle(), config=config)
+    instant, instant_report = recover(
+        disk.power_cycle(), mode="instant", config=config
+    )
+    instant.complete_restore()
+    again, again_report = recover(disk.power_cycle(), config=config)
+    for volume, report in (
+        (eager, eager_report),
+        (instant, instant_report),
+        (again, again_report),
+    ):
+        assert state_fingerprint(volume, report) == want
+        assert read_plan(report) == read_plan(eager_report)
+        assert verify_lld(volume) == []
+    assert verify_lld(reference) == []
+    assert disk._segments == platter
+    accounts_for_the_partition(again, again_report)
+    return again, again_report
+
+
+def accounts_for_the_partition(volume, report):
+    """scanned + attested + left unread as free + roster-quarantined =
+    log segments."""
+    roster = volume.checkpoints.load().segments
+    retired = sum(seq == QUARANTINE_SEQ for seq, _live, _total in roster.values())
+    assert retired == report.segments_quarantined - report.segments_unreadable
+    log = range(volume.usage.reserved_count, volume.usage.num_segments)
+    unread = [
+        seg for seg in log if seg > report.scan_last_segment and seg not in roster
+    ]
+    assert (
+        report.segments_scanned + report.segments_attested + len(unread) + retired
+        == len(log)
+    )
+    if report.scan_plan == "walk":
+        assert report.scan_fallback == ""
+        assert report.segments_attested == len(roster) - retired
+        # Beyond the walk's end: free, and taken on trust.
+        assert all(volume.usage.state(seg) is SegmentState.FREE for seg in unread)
+    else:
+        assert report.scan_fallback
+        assert report.segments_attested == 0 and not unread
+    stats = volume.stats()["recovery"]
+    assert stats["scan_plan"] == report.scan_plan
+    assert stats["scan_fallback"] == report.scan_fallback
+    assert stats["segments_scanned"] == report.segments_scanned
+    assert stats["segments_attested"] == report.segments_attested
+    assert stats["segments_invalid"] == report.segments_invalid
+    (event,) = [
+        e for e in volume.obs.recorder.events() if e["event"] == "recovery.scan"
+    ]
+    assert event["plan"] == report.scan_plan
+    assert event["tails_read"] == report.segments_scanned
+
+
+def newer_than_checkpoint(disk, volume):
+    """Segments on the platter whose trailer is newer than the
+    checkpoint ``volume`` was recovered from (sound or not)."""
+    size = disk.geometry.segment_size
+    since = volume.checkpoints.last_log_seq
+    count = 0
+    for seg, raw in disk._segments.items():
+        parsed = parse_trailer(raw[size - TRAILER_SIZE :])
+        if seg >= RESERVED and parsed is not None and parsed[0] > since:
+            count += 1
+    return count
+
+
+def within_a_batch_of(scanned, written):
+    """The walk's cost: the segments written since the checkpoint,
+    rounded up to whole batches, and the batch that ends it."""
+    return scanned == (-(-written // WALK_BATCH) + 1) * WALK_BATCH
+
+
+def fill(ld, blocks, rounds, tag=0):
+    """``rounds`` segments' worth of writes: a rewrite of a block still
+    in the buffer takes no new slot, so each round is flushed (on this
+    disk model that closes the segment)."""
+    size = ld.geometry.block_size
+    for number in range(rounds):
+        for block in blocks:
+            ld.write(block, bytes([(tag + number) % 251]) * size)
+        ld.flush()
+
+
+def volume_with_suffix(disk, config=CONFIG, suffix_rounds=5):
+    """A checkpoint with a few attested segments under it and a flushed
+    log suffix of a few segments after it."""
+    ld = LLD(disk, config=config)
+    lst = ld.new_list()
+    blocks = [ld.new_block(lst) for _ in range(12)]
+    fill(ld, blocks, 4)
+    ld.write_checkpoint()
+    fill(ld, blocks, suffix_rounds, tag=100)
+    ld.flush()
+    return ld, blocks
+
+
+# ----------------------------------------------------------------------
+# 1. The write-side rules
+# ----------------------------------------------------------------------
+
+
+class TestLowestFirst:
+    def test_take_free_is_always_the_minimum(self):
+        rng = random.Random(19)
+        usage = SegmentUsage(48, reserved=4)
+        for step in range(2000):
+            free = [
+                seg for seg in range(4, 48) if usage.state(seg) is SegmentState.FREE
+            ]
+            assert usage.free_count == len(free)
+            taken = [
+                seg
+                for seg in range(4, 48)
+                if usage.state(seg) in (SegmentState.CURRENT, SegmentState.DIRTY)
+            ]
+            roll = rng.random()
+            if roll < 0.45 and free:
+                assert usage.take_free() == free[0]
+            elif roll < 0.6 and taken:
+                seg = rng.choice(taken)
+                usage.mark_written(seg, step + 1, 3)
+            elif roll < 0.8 and taken:
+                usage.free_segment(rng.choice(taken))
+            elif roll < 0.85 and free:
+                usage.free_segment(rng.choice(free))  # freeing twice is harmless
+            elif roll < 0.9 and free:
+                usage.quarantine(rng.choice(free))
+            elif roll < 0.95:
+                seg = rng.randrange(4, 48)
+                state = rng.choice([SegmentState.FREE, SegmentState.DIRTY])
+                usage.restore(seg, state, step + 1 if state is SegmentState.DIRTY else -1, 0)
+
+    def test_quarantined_free_segment_is_never_handed_out(self):
+        usage = SegmentUsage(16, reserved=2)
+        usage.quarantine(2)
+        usage.quarantine(4)
+        assert [usage.take_free() for _ in range(3)] == [3, 5, 6]
+        assert usage.free_count == 16 - 2 - 2 - 3
+
+    def test_running_allocator_agrees_with_the_recovered_one(self):
+        """The cleaner frees segments in its own order; the next ones
+        handed out are still the lowest, before and after a recovery."""
+        disk = small_disk(24)
+        ld = LLD(disk, config=CONFIG.replace(clean_low_water=4, clean_high_water=12))
+        lst = ld.new_list()
+        blocks = [ld.new_block(lst) for _ in range(10)]
+        while ld.cleanings < 2:
+            fill(ld, blocks, 1)
+        self.next_three_are_the_lowest(ld, blocks)
+        ld.flush()
+        survivor, _report = recoveries_agree(disk, ld.config)
+        self.next_three_are_the_lowest(survivor, blocks)
+
+    def next_three_are_the_lowest(self, volume, blocks):
+        free = [
+            seg
+            for seg in range(RESERVED, 24)
+            if volume.usage.state(seg) is SegmentState.FREE
+        ]
+        opened = volume._buffer.segment_no
+        taken = []
+        while len(taken) < 3:
+            fill(volume, blocks, 1)
+            now = volume._buffer.segment_no
+            if now != opened and now not in taken:
+                taken.append(now)
+        assert taken == free[:3]
+
+
+class TestCheckpointLeavesNoSegmentOpen:
+    CLEANING = CONFIG.replace(clean_low_water=4, clean_high_water=30)
+
+    def crashed_after_first_cleaner_checkpoint(self, seed):
+        """30 hot blocks and 3 cold ones on 64 segments; the first
+        cleaner run frees ~26 victims in one pass, having opened a
+        buffer for its copies *before* it freed them.  One flushed
+        write later, the power fails."""
+        rng = random.Random(seed)
+        disk = small_disk(64)
+        ld = LLD(disk, config=self.CLEANING)
+        size = disk.geometry.block_size
+        lst = ld.new_list()
+        cold = [ld.new_block(lst) for _ in range(3)]
+        hot = [ld.new_block(lst) for _ in range(30)]
+        fill(ld, cold, 1)
+        ld.flush()
+        number = 0
+        while ld.cleanings == 0:
+            ld.write(rng.choice(hot), bytes([number % 251]) * size)
+            number += 1
+        assert ld.stats()["cleaner"]["passes"] == 1
+        assert ld.stats()["checkpoint"]["writes"] == 1
+        ld.write(hot[0], b"\xab" * size)
+        ld.flush()
+        return disk, ld, hot
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_flushed_write_after_a_single_pass_clean_survives(self, seed):
+        """Without the rule the open buffer is segment 61, far above
+        the freed victims: the walk stops after segments 4-11 and the
+        flushed write is lost."""
+        disk, ld, hot = self.crashed_after_first_cleaner_checkpoint(seed)
+        survivor, report = recoveries_agree(disk, self.CLEANING)
+        assert report.scan_plan == "walk"
+        assert report.segments_replayed == 1
+        assert survivor.read(hot[0]) == b"\xab" * disk.geometry.block_size
+
+    def test_second_crash_with_no_checkpoint_in_between(self):
+        """A recovery writes no checkpoint, so the second walk starts
+        from the same roster and must find what both lives wrote."""
+        disk, _ld, hot = self.crashed_after_first_cleaner_checkpoint(3)
+        survivor, first = recoveries_agree(disk, self.CLEANING)
+        size = disk.geometry.block_size
+        checkpoints = survivor.stats()["checkpoint"]["last_seq"]
+        for number in range(5 * 15):
+            survivor.write(hot[number % 30], bytes([number % 199]) * size)
+        survivor.flush()
+        assert survivor.stats()["checkpoint"]["last_seq"] == checkpoints
+        again, second = recoveries_agree(survivor.disk, self.CLEANING)
+        assert second.scan_plan == "walk"
+        assert second.checkpoint_seq == first.checkpoint_seq
+        assert second.segments_replayed >= first.segments_replayed + 5
+        assert again.read(hot[74 % 30]) == bytes([74 % 199]) * size
+
+    def test_idle_checkpoint_returns_the_segment_and_its_number(self):
+        """Two volumes with the same history; one takes a checkpoint
+        while its open buffer is empty.  Its next segment is the one
+        the other writes, under the same sequence number."""
+        trailers = []
+        for idle_checkpoint in (False, True):
+            disk = small_disk(32)
+            ld = LLD(disk, config=CONFIG)
+            lst = ld.new_list()
+            blocks = [ld.new_block(lst) for _ in range(4)]
+            fill(ld, blocks, 1)
+            ld.flush()
+            assert ld._buffer is not None and ld._buffer.is_empty
+            opened, free, next_seq = (
+                ld._buffer.segment_no, ld.usage.free_count, ld._next_seq
+            )
+            if idle_checkpoint:
+                ld.write_checkpoint()
+                assert ld._buffer is None
+                assert ld.usage.state(opened) is SegmentState.FREE
+                assert ld.usage.free_count == free + 1
+                assert ld._next_seq == next_seq - 1
+                assert verify_lld(ld) == []
+            fill(ld, blocks, 1, tag=7)
+            ld.flush()
+            size = disk.geometry.segment_size
+            trailers.append(
+                (opened, parse_trailer(disk._segments[opened][size - TRAILER_SIZE :]))
+            )
+        assert trailers[0] == trailers[1]
+        assert trailers[0][1] is not None
+
+
+# ----------------------------------------------------------------------
+# 2. The walk and its fallbacks
+# ----------------------------------------------------------------------
+
+
+class TestWalk:
+    def test_never_written_disk(self):
+        _volume, report = recoveries_agree(small_disk(64))
+        assert read_plan(report) == ("walk", "", WALK_BATCH, 0, RESERVED + 7, 8)
+
+    def test_batch_covers_a_write_behind_drain(self):
+        config = CONFIG.replace(writeback_depth=11)
+        _volume, report = recoveries_agree(small_disk(64), config)
+        assert report.segments_scanned == 12
+
+    def test_clean_shutdown(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        ld.write_checkpoint()
+        dirty = len(list(ld.usage.dirty_segments()))
+        _volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "walk"
+        assert report.segments_attested == dirty
+        assert report.segments_scanned == WALK_BATCH
+        assert report.segments_replayed == 0
+
+    def test_log_suffix_after_a_checkpoint(self):
+        disk = small_disk(64)
+        volume_with_suffix(disk)
+        volume, report = recoveries_agree(disk)
+        written = newer_than_checkpoint(disk, volume)
+        assert report.scan_plan == "walk"
+        assert report.segments_replayed == written >= 3
+        assert within_a_batch_of(report.segments_scanned, written)
+        assert report.segments_scanned < 60 - report.segments_attested
+        assert "scan               : walk, " in describe_restore(disk, 2)
+        assert f"ended after segment {report.scan_last_segment}" in (
+            describe_restore(disk, 2)
+        )
+
+    @pytest.mark.parametrize("crash_after", range(5, 12))
+    def test_sector_torn_tail(self, crash_after):
+        """A torn whole-image write leaves the old tail in place — blank
+        or stale — which correctly ends the log: no fallback.  (Writes
+        0-3 are the segments under the checkpoint, 4 is the checkpoint.)"""
+        cut = PowerCut(after_writes=crash_after, torn=True, seed=crash_after)
+        disk = small_disk(64, FaultInjector(plan=FaultPlan(power_cut=cut)))
+        with pytest.raises(DiskCrashedError):
+            volume_with_suffix(disk, suffix_rounds=30)
+        volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "walk" and report.checkpoint_seq == 1
+        written = newer_than_checkpoint(disk, volume)
+        assert written == crash_after - 5 == report.segments_replayed
+        assert within_a_batch_of(report.segments_scanned, written)
+
+    def test_chunk_stack_as_newest_segment(self):
+        """Flushes written in place: the newest segment is a stack of
+        chunks with no closing one, and its first chunk classifies it."""
+        disk = small_disk(32, model=FREE_POSITIONING)
+        ld = LLD(disk, config=CONFIG)
+        lst = ld.new_list()
+        blocks = [ld.new_block(lst) for _ in range(6)]
+        fill(ld, blocks, 2)
+        ld.write_checkpoint()
+        for number in range(4):
+            ld.write(blocks[number], b"\x05" * disk.geometry.block_size)
+            ld.flush()
+        assert ld._buffer.in_place
+        assert ld.stats()["segments"]["in_place_writes"] >= 4
+        volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "walk"
+        assert report.segments_replayed == 1
+        assert report.segments_scanned == 2 * WALK_BATCH
+        assert volume.read(blocks[3])[0] == 5
+
+
+class TestFallback:
+    def suffix_segments(self, disk, ld):
+        since = ld.checkpoints.last_log_seq
+        return sorted(
+            seg for seg, _live, seq in ld.usage.dirty_segments() if seq > since
+        )
+
+    def test_unreadable_walked_tail(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        victim = self.suffix_segments(disk, ld)[1]
+        disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
+        volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == f"segment {victim} is unreadable"
+        assert report.segments_scanned == 60
+        assert volume.usage.state(victim) is SegmentState.QUARANTINED
+        assert f"scan               : full (segment {victim} is unreadable)" in (
+            describe_restore(disk, 2)
+        )
+
+    def test_rot_confined_to_a_walked_trailer(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        victim = self.suffix_segments(disk, ld)[1]
+        size = disk.geometry.segment_size
+        disk.injector.add_media_fault(
+            MediaFault(victim, "corrupt", span=(size - TRAILER_SIZE, size))
+        )
+        _volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == (
+            f"segment {victim} ends in neither zeros nor a trailer"
+        )
+
+    def test_rot_in_the_body_of_a_newer_segment(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        victim = self.suffix_segments(disk, ld)[1]
+        disk.injector.add_media_fault(MediaFault(victim, "corrupt", span=(0, 64)))
+        reference, _ = reference_recover(disk.power_cycle(), config=CONFIG)
+        eager, report = recover(disk.power_cycle(), config=CONFIG)
+        assert state_fingerprint(eager, report) == state_fingerprint(
+            reference, _
+        )
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == (
+            f"segment {victim} is newer than the checkpoint but damaged"
+        )
+        accounts_for_the_partition(eager, report)
+
+    def test_every_cut_inside_the_last_trailer_of_the_log(self):
+        """A byte-granular tear — which no real disk produces — inside
+        the trailer that ends the log, over a never-written tail: bytes
+        that are no trailer, a trailer numbered 0, or one whose
+        checksum fails.  A cut at either end of it is a clean tear."""
+        disk = small_disk(64)
+        ld, blocks = volume_with_suffix(disk)
+        before = dict(disk._segments)
+        fill(ld, blocks, 1, tag=50)
+        ld.flush()
+        (seg,) = [s for s in disk._segments if disk._segments[s] != before.get(s)]
+        assert seg not in before
+        after = disk._segments[seg]
+        end = len(after)
+        for cut in range(end - TRAILER_SIZE, end + 1):
+            disk._segments[seg] = after[:cut] + bytes(end - cut)
+            _volume, report = recoveries_agree(disk)
+            clean = cut in (end - TRAILER_SIZE, end)
+            assert report.scan_plan == ("walk" if clean else "full"), cut
+            if not clean:
+                assert report.scan_fallback.startswith(f"segment {seg} "), cut
+
+    def newest_checkpoint_is_the_second(self):
+        """Checkpoint 2 supersedes 1 after the cleaner freed and the
+        log rewrote segments checkpoint 1 attests."""
+        disk = small_disk(24)
+        ld = LLD(disk, config=CONFIG.replace(clean_low_water=4, clean_high_water=12))
+        lst = ld.new_list()
+        blocks = [ld.new_block(lst) for _ in range(10)]
+        fill(ld, blocks, 6)
+        ld.write_checkpoint()
+        old_roster = ld.checkpoints.load().segments
+        while ld.cleanings == 0:
+            fill(ld, blocks, 1, tag=30)
+        fill(ld, blocks, 8, tag=60)
+        ld.flush()
+        assert ld.stats()["checkpoint"]["last_seq"] == 2
+        rewritten = [
+            seg
+            for seg, (seq, _live, _total) in old_roster.items()
+            if ld.usage.seq_of(seg) > seq
+        ]
+        assert rewritten, "no attested segment was reused"
+        return disk, ld
+
+    def test_rotted_newest_checkpoint_slot(self):
+        disk, ld = self.newest_checkpoint_is_the_second()
+        slot_base = ld.checkpoints._slot_base(2)
+        disk.injector.add_media_fault(MediaFault(slot_base, "corrupt"))
+        _volume, report = recoveries_agree(disk, ld.config)
+        assert report.checkpoint_seq == 1
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == "checkpoint slot 0 is damaged"
+        assert "slot 0: damaged" in describe_checkpoints(disk.power_cycle(), 2)
+
+    def test_torn_newest_checkpoint_slot(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        injector = disk.injector
+        injector.crash_plan = PowerCut(after_writes=injector.writes_seen, torn=True)
+        injector._tear_point = lambda nbytes: SECTOR_SIZE
+        with pytest.raises(DiskCrashedError):
+            ld.write_checkpoint()
+        _volume, report = recoveries_agree(disk)
+        assert report.checkpoint_seq == 1
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == "checkpoint slot 0 is damaged"
+        text = describe_checkpoints(disk.power_cycle(), 2)
+        assert "slot 0: damaged" in text and "slot 1: ckpt_seq=1" in text
+
+    def test_dropped_checkpoint_write_is_no_damage(self):
+        disk = small_disk(64)
+        ld, _blocks = volume_with_suffix(disk)
+        injector = disk.injector
+        injector.crash_plan = PowerCut(after_writes=injector.writes_seen)
+        with pytest.raises(DiskCrashedError):
+            ld.write_checkpoint()
+        _volume, report = recoveries_agree(disk)
+        assert report.scan_plan == "walk"
+        assert "slot 0: never written" in describe_checkpoints(
+            disk.power_cycle(), 2
+        )
+
+    def test_segment_quarantined_in_memory_only(self):
+        """The previous recovery retired an unreadable segment and no
+        checkpoint has recorded that yet: the gap it leaves in the
+        allocation order is found the same way, by reading it."""
+        disk = small_disk(64)
+        ld, blocks = volume_with_suffix(disk)
+        victim = self.suffix_segments(disk, ld)[1]
+        disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
+        survivor, first = recoveries_agree(disk)
+        assert first.scan_plan == "full"
+        assert victim not in survivor.checkpoints.load().segments
+        fill(survivor, blocks, 5, tag=200)
+        survivor.flush()
+        assert survivor.stats()["checkpoint"]["last_seq"] == first.checkpoint_seq
+        again, second = recoveries_agree(survivor.disk)
+        assert second.scan_plan == "full"
+        assert second.scan_fallback == f"segment {victim} is unreadable"
+        assert second.segments_replayed > first.segments_replayed
+        assert again.read(blocks[0])[0] == 204
+
+
+# ----------------------------------------------------------------------
+# 3. The state machine
+# ----------------------------------------------------------------------
+
+
+class RollForwardMachine(RuleBasedStateMachine):
+    """write / flush / checkpoint / clean / crash / recover on a log
+    small enough to wrap.  A crash is an armed power cut (dropped or
+    sector-torn) that some later write trips over, or the plug pulled
+    between operations."""
+
+    BLOCKS = 12
+
+    @initialize(depth=st.sampled_from([0, 4]))
+    def format(self, depth):
+        self.config = CONFIG.replace(
+            writeback_depth=depth, clean_low_water=4, clean_high_water=10
+        )
+        self.disk = small_disk(24)
+        self.ld = LLD(self.disk, config=self.config)
+        lst = self.ld.new_list()
+        self.blocks = [self.ld.new_block(lst) for _ in range(self.BLOCKS)]
+        self.ld.flush()
+        #: block -> value it held at the last durability point, and
+        #: every value written since.
+        self.durable = {}
+        self.since = {}
+        self.recoveries = 0
+
+    def attempt(self, operation):
+        try:
+            operation()
+        except DiskCrashedError:
+            self.recover()
+
+    def put(self, index, value):
+        block = self.blocks[index]
+        self.ld.write(block, bytes([value]) * self.ld.geometry.block_size)
+        self.since.setdefault(block, []).append(value)
+
+    def settle(self):
+        self.ld.flush()
+        for block, values in self.since.items():
+            self.durable[block] = values[-1]
+        self.since = {}
+
+    @rule(index=st.integers(0, BLOCKS - 1), value=st.integers(1, 250))
+    def write(self, index, value):
+        self.attempt(lambda: self.put(index, value))
+
+    @rule(value=st.integers(1, 250), segments=st.integers(1, 4))
+    def burst(self, value, segments):
+        def many():
+            for _ in range(segments):
+                for index in range(self.BLOCKS):
+                    self.put(index, value)
+                self.settle()
+
+        self.attempt(many)
+
+    @rule()
+    def flush(self):
+        self.attempt(self.settle)
+
+    @rule()
+    def checkpoint(self):
+        def flush_and_checkpoint():
+            self.settle()
+            self.ld.write_checkpoint()
+
+        self.attempt(flush_and_checkpoint)
+
+    @rule(extra=st.integers(1, 6))
+    def clean(self, extra):
+        target = self.ld.usage.free_count + extra
+        self.attempt(lambda: SegmentCleaner(self.ld).clean(target))
+
+    @precondition(lambda self: self.disk.injector.crash_plan is None)
+    @rule(after=st.integers(0, 5), torn=st.booleans(), seed=st.integers(0, 99))
+    def arm_power_cut(self, after, torn, seed):
+        injector = self.disk.injector
+        injector.crash_plan = PowerCut(
+            after_writes=injector.writes_seen + after, torn=torn, seed=seed
+        )
+        injector._rng = random.Random(seed)
+
+    @rule()
+    def pull_the_plug(self):
+        self.recover()
+
+    def recover(self):
+        self.ld, report = recoveries_agree(self.disk, self.config)
+        self.disk = self.ld.disk
+        self.recoveries += 1
+        size = self.ld.geometry.block_size
+        for block in self.blocks:
+            value = self.ld.read(block)[0]
+            allowed = [self.durable.get(block, 0)] + self.since.get(block, [])
+            assert value in allowed, (int(block), value, allowed)
+            assert self.ld.read(block) == bytes([value]) * size
+            self.durable[block] = value
+        self.since = {}
+
+    @invariant()
+    def sound_and_in_allocation_order(self):
+        assert verify_lld(self.ld) == []
+        # The strict form of verify_lld's rule, which holds as long as
+        # no recovery found damage in the middle of the log: nothing
+        # free lies below a segment written since the checkpoint.
+        usage = self.ld.usage
+        since = self.ld.checkpoints.last_log_seq
+        states = {seg: usage.state(seg) for seg in range(RESERVED, 24)}
+        free = [s for s, state in states.items() if state is SegmentState.FREE]
+        newer = [
+            s
+            for s, state in states.items()
+            if state is SegmentState.CURRENT or usage.seq_of(s) > since
+        ]
+        assert not free or not newer or max(newer) < free[0], (free, newer)
+
+    def teardown(self):
+        if hasattr(self, "ld"):
+            self.recover()
+
+
+MACHINE_SETTINGS = settings(
+    max_examples=12,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestRollForwardMachine(RollForwardMachine.TestCase):
+    settings = MACHINE_SETTINGS
+
+
+if __name__ == "__main__":
+    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 400
+    run_state_machine_as_test(
+        RollForwardMachine,
+        settings=settings(MACHINE_SETTINGS, max_examples=examples),
+    )
+    print(f"roll-forward state machine: {examples} examples ok")

@@ -62,6 +62,11 @@ FROZEN_PATHS = [
     "recovery.on_demand_replays:int",
     "recovery.pending_segments:int",
     "recovery.restoring:bool",
+    "recovery.scan_fallback:string",
+    "recovery.scan_plan:string",
+    "recovery.segments_attested:int",
+    "recovery.segments_invalid:int",
+    "recovery.segments_scanned:int",
     "recovery.watermark:int",
     "scrub.blocks_lost:int",
     "scrub.blocks_salvaged:int",
