@@ -373,6 +373,9 @@ class ShardResult:
     sharded_parallel_ms: float
     sharded_serial_ms: float
     recovery_speedup: float
+    #: Run time: the members' own durations over what array time
+    #: advanced, summed over the fan-outs of the workload.
+    fanout_speedup: float
     summary: str
     metrics: Dict[str, dict] = dataclasses.field(default_factory=dict)
 
@@ -396,7 +399,9 @@ def run_shard_experiment(
     the recovered arrays read back identically block-for-block and
     (b) the simulated recovery time of the array's parallel,
     coordinator-first scan against the single volume and against
-    scanning the same shards serially.  ``replication_factor`` above
+    scanning the same shards serially, beside (c) what the same
+    overlap bought at run time (``sharding.fanout_serial_us`` over
+    ``fanout_elapsed_us``).  ``replication_factor`` above
     1 runs the array with replicated shards (every transaction then
     carries its mirror writes through the same two-phase commits).
     """
@@ -441,7 +446,13 @@ def run_shard_experiment(
         array_config=array_config,
     )
     sharded_blocks = populate(sharded)
-    cross = sharded.sharding_info()["commits_cross_shard"]
+    info = sharded.sharding_info()
+    cross = info["commits_cross_shard"]
+    fanout_speedup = (
+        info["fanout_serial_us"] / info["fanout_elapsed_us"]
+        if info["fanouts"]
+        else 1.0
+    )
 
     single_rec, single_report = recover(single.disk.power_cycle())
     sharded_rec, shard_report = recover(
@@ -464,7 +475,10 @@ def run_shard_experiment(
         f"({cross} two-phase commits) — recovered reads "
         f"{'identical' if identical else 'DIVERGED'}; recovery "
         f"single {single_ms:.1f} ms, array parallel {parallel_ms:.1f} ms "
-        f"(serial {serial_ms:.1f} ms, {speedup:.2f}x)"
+        f"(serial {serial_ms:.1f} ms, {speedup:.2f}x); run-time "
+        f"fan-outs {info['fanout_elapsed_us'] / 1000:.1f} ms "
+        f"(serial {info['fanout_serial_us'] / 1000:.1f} ms, "
+        f"{fanout_speedup:.2f}x)"
     )
     return ShardResult(
         shards=shards,
@@ -475,6 +489,7 @@ def run_shard_experiment(
         sharded_parallel_ms=parallel_ms,
         sharded_serial_ms=serial_ms,
         recovery_speedup=speedup,
+        fanout_speedup=fanout_speedup,
         summary=summary,
         metrics={
             "single": capture_metrics(single_rec),

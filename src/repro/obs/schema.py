@@ -160,6 +160,9 @@ SHARDING_SCHEMA = {
     "blocks_healed": INT,
     "lists_healed": INT,
     "replica_skips": INT,
+    "fanouts": INT,
+    "fanout_serial_us": NUM,
+    "fanout_elapsed_us": NUM,
     "redundancy_full": BOOL,
 }
 

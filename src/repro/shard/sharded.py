@@ -85,10 +85,11 @@ two-phase, presumed-abort protocol whose phases are:
    PREPAREs are durable.
 2. **Decide.** Each decision shard (shard 0 for an unreplicated
    array; shards ``0 .. min(k, N) - 1`` with replication factor k)
-   logs a DECIDE record for the xid and is flushed, in ascending
-   shard order.  The first durable DECIDE is the commit point:
-   recovery unions the decided sets of every surviving decision
-   shard, so the decision survives the loss of any k-1 shards.
+   logs a DECIDE record for the xid and is flushed (issued in
+   ascending order; acknowledged once all hold it).  The first
+   durable DECIDE is the commit point: recovery unions the decided
+   sets of every surviving decision shard, so the decision survives
+   the loss of any k-1 shards.
 3. **Release.** Each participant's parked state is released
    (:meth:`~repro.lld.lld.LLD.finish_prepared`) and folds to
    persistent.
@@ -102,10 +103,12 @@ Time and failures
 -----------------
 
 Each shard owns a private :class:`~repro.disk.clock.SimClock` (an
-array of disks, each charging its own latencies); the volume manager
-advances a shard's clock to the global maximum before routing an
-operation to it, modelling one host serializing requests across the
-array.  Array time never runs backwards: a lost member's last clock
+array of disks, each charging its own latencies); array time is the
+furthest member's.  A call that touches several members costs its
+**critical path**, not the sum (:class:`_FanOut`): one host CPU issues
+the calls in program order — the order every disk write and crash
+point keeps — and the disks work side by side; consecutive calls do
+not overlap.  Array time never runs backwards: a lost member's last
 reading stays a floor under ``clock.now_us``.
 :func:`build_sharded` shares a single
 :class:`~repro.disk.faults.FaultInjector` across all shard disks, so
@@ -119,7 +122,7 @@ import dataclasses
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.disk.clock import CostModel
+from repro.disk.clock import CostModel, SimClock
 from repro.disk.faults import FaultInjector
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
@@ -188,6 +191,49 @@ class _MaxClock:
     @property
     def now_s(self) -> float:
         return self.now_us / 1e6
+
+
+class _FanOut:
+    """Array time across one call that touches several members: its
+    critical path, not the sum.  One host CPU issues the members'
+    calls in program order and the disks work side by side: with
+    ``t0`` the array time when the fan-out starts, a member starts at
+    ``t0`` plus the simulated CPU the members before it charged —
+    their clock's advance less their disk's busy time, exact because
+    only its cost meter, its disk timer and this rule move a clock.
+    The join is implicit: array time is the furthest member and the
+    next call starts there.  One member: ``_sync_clock`` + the call."""
+
+    def __init__(self, array: "ShardedLLD") -> None:
+        self._array = array
+        self._t0 = self._start_us = array.clock.now_us
+        self._serial_us = 0.0
+        self._legs = 0
+        self._clock: Optional[SimClock] = None
+
+    def start(self, volume: LLD) -> None:
+        """The member before (if any) is done issuing: bring
+        ``volume``'s clock to where its call starts (never back)."""
+        if self._clock is not None:
+            took_us = self._clock.now_us - self._began_us
+            self._start_us += took_us - (self._timer.busy_us - self._busy_us)
+            self._serial_us += took_us
+            self._legs += 1
+        self._clock = clock = volume.clock
+        self._timer = timer = volume.disk.timer
+        if self._start_us > clock.now_us:
+            clock.advance_us(self._start_us - clock.now_us)
+        self._began_us = clock.now_us
+        self._busy_us = timer.busy_us
+
+    def join(self) -> None:
+        """Count what the overlap bought; the clocks need nothing."""
+        if self._legs:  # members before the last one: at least two
+            array = self._array
+            array._fanouts += 1
+            last_us = self._clock.now_us - self._began_us
+            array._fanout_serial_us += self._serial_us + last_us
+            array._fanout_elapsed_us += array.clock.now_us - self._t0
 
 
 def _holds_list(volume: LLD, local: int) -> bool:
@@ -376,6 +422,10 @@ class ShardedLLD(LogicalDisk):
         self._blocks_healed = 0
         self._lists_healed = 0
         self._replica_skips = 0
+        #: Fan-outs over >= 2 members: Σ member time vs array time.
+        self._fanouts = 0
+        self._fanout_serial_us = 0.0
+        self._fanout_elapsed_us = 0.0
         self._repair: Optional[_RepairJob] = None
         self._resync_pending = False
 
@@ -406,6 +456,14 @@ class ShardedLLD(LogicalDisk):
         copies = [(home, to_local(gid, self.n))] if self._alive(home) else []
         return copies + [(p, mirror_id(gid)) for p in self._alive_peers(home)]
 
+    def _covered(self, shard_index: int) -> bool:
+        """Whether what a member holds is reachable: every replica set
+        it is in (its own, its ``rf - 1`` homes') has a live member."""
+        return all(
+            self._alive(h % self.n) or self._alive_peers(h % self.n)
+            for h in range(shard_index - self.rf + 1, shard_index + 1)
+        )
+
     def _global_id(self, local_id: int, shard_index: int) -> int:
         """The global id behind a member-local id: mirrors live in
         the system range, home entities below it."""
@@ -420,7 +478,7 @@ class ShardedLLD(LogicalDisk):
 
     def _sync_clock(self, volume: LLD) -> None:
         """Advance one volume's clock to the array-wide 'now' before
-        routing an operation to it (the host serializes requests)."""
+        routing an operation to it alone: the one-member fan-out."""
         target = self.clock.now_us
         clock = volume.clock
         if target > clock.now_us:
@@ -540,10 +598,15 @@ class ShardedLLD(LogicalDisk):
         """
         result = None
         took = False
+        # A single copy has nothing to overlap with.
+        fan = _FanOut(self) if self.rf > 1 else None
         volume = self.shards[home]
         if volume is not None:
             try:
-                self._sync_clock(volume)
+                if fan is None:
+                    self._sync_clock(volume)
+                else:
+                    fan.start(volume)
                 result = method(
                     volume,
                     *home_args,
@@ -552,7 +615,7 @@ class ShardedLLD(LogicalDisk):
                 took = True
             except ShardLostError:
                 self._mark_shard_lost(home)
-        peers = self._alive_peers(home) if self.rf > 1 else ()
+        peers = self._alive_peers(home) if fan is not None else ()
         forced = {}
         if alloc is not None and (took or peers):
             local = result if took else self._take_dead_id(home, alloc)
@@ -561,8 +624,8 @@ class ShardedLLD(LogicalDisk):
         bad: Optional[Exception] = None
         for p in peers:
             volume = self.shards[p]
+            fan.start(volume)
             try:
-                self._sync_clock(volume)
                 method(
                     volume,
                     *mirror_args,
@@ -575,6 +638,8 @@ class ShardedLLD(LogicalDisk):
             except (BadBlockError, BadListError) as exc:
                 bad = exc
                 self._replica_skips += 1
+        if fan is not None:
+            fan.join()
         if took:
             return result
         if bad is not None:
@@ -651,24 +716,26 @@ class ShardedLLD(LogicalDisk):
         *args,
         arus: Optional[Dict[int, ARUId]] = None,
     ) -> Dict[int, object]:
-        """``call(volume, *args)`` on every live member of
-        ``members`` (default: all), in the order given, each clock
-        synced first; with ``arus`` the member's local ARU id leads
-        the arguments.  A member lost along the way is failed over
-        and left out of the returned ``{shard: result}``."""
+        """``call(volume, *args)`` on every live member of ``members``
+        (default: all), issued in that order as one fan-out (members
+        that must *finish* in order go one per call); with ``arus``
+        the member's local ARU id leads the arguments.  A member lost
+        on the way is failed over and left out of ``{shard: result}``."""
         results: Dict[int, object] = {}
+        fan = _FanOut(self)
         for s in range(self.n) if members is None else members:
             volume = self.shards[s]
             if volume is None:
                 continue
+            fan.start(volume)
             try:
-                self._sync_clock(volume)
                 if arus is None:
                     results[s] = call(volume, *args)
                 else:
                     results[s] = call(volume, arus[s], *args)
             except ShardLostError:
                 self._mark_shard_lost(s)
+        fan.join()
         return results
 
     # ------------------------------------------------------------------
@@ -751,13 +818,20 @@ class ShardedLLD(LogicalDisk):
         and flush the decision on every decision shard, release the
         parked state.  Participants or decision shards lost along the
         way are failed over; the commit succeeds as long as one
-        replica of everything (including the decision) survives.
+        replica of everything (including the decision) survives — a
+        participant lost with no copy left (:meth:`_covered`) raises.
         """
         with self._lock:
             participants = self._arus.get(int(aru))
             if participants is None:
                 raise BadARUError(int(aru))
             alive = [s for s in sorted(participants) if self._alive(s)]
+            for s in participants:
+                if s not in alive and not self._covered(s):
+                    self.abort_aru(aru)  # never half an ARU acknowledged
+                    raise ShardLostError(
+                        s, f"ARU {int(aru)}: participant has no replica left"
+                    )
             if len(alive) <= 1:
                 # On a replicated array a lone participant has no
                 # second copy to survive on, so "acked" must mean
@@ -779,16 +853,19 @@ class ShardedLLD(LogicalDisk):
             # Phase 1: prepare and flush every participant.  After
             # this all the ARU's effects and every PREPARE are
             # durable; none of them is committed.  A participant lost
-            # here is dropped — its effects survive on its mirrors.
+            # here is dropped if its effects survive on its mirrors;
+            # if not (all of them lost is the extreme case), no
+            # DECIDE is written: presumed abort.
             prepared = self._each(
                 LLD.prepare_commit, alive, xid, arus=participants
             )
             flushed = self._each(LLD.flush, prepared)
-            if not flushed:
+            lost = [s for s in alive if s not in flushed]
+            if not all(map(self._covered, lost)):
                 del self._arus[int(aru)]
                 raise ShardLostError(
                     min(self._dead),
-                    f"ARU {int(aru)}: every participant lost before commit",
+                    f"ARU {int(aru)}: participants lost before commit",
                 )
             # Phase 2: the commit point — a durable DECIDE record on
             # each surviving decision shard, ascending order.
@@ -895,10 +972,11 @@ class ShardedLLD(LogicalDisk):
         self, block_ids: Sequence[BlockId], aru: Optional[ARUId] = None
     ) -> List[bytes]:
         """Batched read: blocks are grouped by home shard and each
-        live home serves its group with one ``LLD.read_many``.  A
-        group whose home is lost — or whose batch meets a lost shard
-        or unrecoverable block — is re-read block by block through
-        :meth:`read`, so every block still fails over on its own."""
+        live home serves its group with one ``LLD.read_many``, the
+        groups as one fan-out.  A group whose home is lost — or whose
+        batch meets a lost shard or unrecoverable block — is re-read
+        block by block through :meth:`read`, so every block still
+        fails over on its own (in turn: that ends the fan-out)."""
         with self._lock:
             by_shard: Dict[int, List[Tuple[int, BlockId]]] = {}
             for index, gid in enumerate(block_ids):
@@ -906,13 +984,14 @@ class ShardedLLD(LogicalDisk):
                     (index, gid)
                 )
             results: List[Optional[bytes]] = [None] * len(block_ids)
+            fan = _FanOut(self)
             for s in sorted(by_shard):
                 items = by_shard[s]
                 volume = self.shards[s]
                 data = None
                 if volume is not None:
+                    fan.start(volume)
                     try:
-                        self._sync_clock(volume)
                         data = volume.read_many(
                             [to_local(gid, self.n) for _i, gid in items],
                             aru=self._local_aru(aru, s, create=False),
@@ -920,9 +999,12 @@ class ShardedLLD(LogicalDisk):
                     except (ShardLostError, UnrecoverableBlockError):
                         pass
                 if data is None:
+                    fan.join()
                     data = [self.read(gid, aru=aru) for _i, gid in items]
+                    fan = _FanOut(self)
                 for (index, _gid), payload in zip(items, data):
                     results[index] = payload
+            fan.join()
             return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -1013,7 +1095,8 @@ class ShardedLLD(LogicalDisk):
         highest shard first so shard 0 — the first recovery reads —
         holds a superset until the very end.  A crash anywhere in
         between leaves a superset of the needed decisions
-        recoverable, which is always safe.
+        recoverable, which is always safe — so the decision shards
+        go one per fan-out, ordered in time; the others overlap.
         """
         with self._lock:
             self.flush()
@@ -1022,7 +1105,8 @@ class ShardedLLD(LogicalDisk):
                 LLD.write_checkpoint,
                 [s for s in range(self.n) if s not in decision],
             )
-            self._each(_forget_and_checkpoint, reversed(decision))
+            for s in reversed(decision):
+                self._each(_forget_and_checkpoint, (s,))
 
     # ------------------------------------------------------------------
     # Failure, repair and replica maintenance
@@ -1387,6 +1471,9 @@ class ShardedLLD(LogicalDisk):
             "blocks_healed": self._blocks_healed,
             "lists_healed": self._lists_healed,
             "replica_skips": self._replica_skips,
+            "fanouts": self._fanouts,
+            "fanout_serial_us": self._fanout_serial_us,
+            "fanout_elapsed_us": self._fanout_elapsed_us,
             "redundancy_full": not self._dead and self._repair is None,
         }
 

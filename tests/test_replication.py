@@ -28,6 +28,7 @@ from repro.disk.faults import (
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import (
+    BadARUError,
     ConcurrencyError,
     ShardLostError,
     UnrecoverableBlockError,
@@ -77,6 +78,16 @@ def assert_contents(arr, contents):
         assert arr.read(blk).startswith(payload), blk
 
 
+def recover_survivors(arr):
+    """Power-cycle the live members and reassemble the array around
+    the lost ones."""
+    disks = [
+        shard.disk.power_cycle() if shard is not None else None
+        for shard in arr.shards
+    ]
+    return recover(disks, array_config=arr.config)[0]
+
+
 def assert_all_sound(arr):
     for index, shard in enumerate(arr.shards):
         problems = verify_lld(shard)
@@ -90,7 +101,10 @@ class BareTwins:
     round-robin from shard 0, the addressed disk's clock is advanced
     to the furthest disk's before every call, a global ARU begins a
     local ARU on a disk at first touch, and a cross-disk commit is
-    spelled out as PREPARE / flush / DECIDE on disk 0 / release."""
+    spelled out as PREPARE / flush / DECIDE on disk 0 / release.  A
+    step that goes to several disks costs its critical path
+    (``fan_out``: docs/SHARDING.md, "Array time", written again
+    here)."""
 
     def __init__(self, llds):
         self.llds = llds
@@ -111,6 +125,22 @@ class BareTwins:
         if s not in self.arus[aru]:
             self.arus[aru][s] = lld.begin_aru()
         return lld, self.arus[aru][s]
+
+    def fan_out(self, members):
+        """``(s, disk s)`` in turn: the host issues the calls one
+        after another, the disks work side by side — each disk
+        starts at the furthest clock of the moment the step began
+        plus the CPU (clock advance less disk busy time) of the
+        calls issued before its own."""
+        start = max(lld.clock.now_us for lld in self.llds)
+        for s in members:
+            lld = self.llds[s]
+            clock, timer = lld.clock, lld.disk.timer
+            if start > clock.now_us:
+                clock.advance_us(start - clock.now_us)
+            began, busy = clock.now_us, timer.busy_us
+            yield s, lld
+            start += (clock.now_us - began) - (timer.busy_us - busy)
 
     def local(self, gid):
         return to_local(gid, self.n)
@@ -153,30 +183,31 @@ class BareTwins:
         return aru
 
     def abort_aru(self, aru):
-        for s, local_aru in sorted(self.arus.pop(aru).items()):
-            self.on(s)[0].abort_aru(local_aru)
+        parts = self.arus.pop(aru)
+        for s, lld in self.fan_out(sorted(parts)):
+            lld.abort_aru(parts[s])
 
     def end_aru(self, aru):
-        parts = sorted(self.arus.pop(aru).items())
+        parts = self.arus.pop(aru)
         if len(parts) <= 1:
-            for s, local_aru in parts:
+            for s, local_aru in parts.items():
                 self.on(s)[0].end_aru(local_aru)
             return
         xid = self.next_xid
         self.next_xid += 1
-        for s, local_aru in parts:
-            self.on(s)[0].prepare_commit(local_aru, xid)
-        for s, _ in parts:
-            self.on(s)[0].flush()
+        for s, lld in self.fan_out(sorted(parts)):
+            lld.prepare_commit(parts[s], xid)
+        for _s, lld in self.fan_out(sorted(parts)):
+            lld.flush()
         coordinator = self.on(0)[0]
         coordinator.log_decision(xid)
         coordinator.flush()
-        for s, local_aru in parts:
+        for s, local_aru in sorted(parts.items()):
             self.llds[s].finish_prepared(int(local_aru))
 
     def flush(self):
-        for s in range(self.n):
-            self.on(s)[0].flush()
+        for _s, lld in self.fan_out(range(self.n)):
+            lld.flush()
 
 
 def drive_op_script(vol, seed, rounds=60):
@@ -230,10 +261,12 @@ def drive_op_script(vol, seed, rounds=60):
 
 class TestReplicatedBasics:
     def test_rf1_is_byte_identical_plain_striping(self, tmp_path):
-        """Routing adds no write and no simulated microsecond: an
-        rf = 1 array leaves every member's platter and clock exactly
-        where the same calls, made directly on bare LLDs, leave
-        theirs."""
+        """Routing adds no write, and no simulated microsecond
+        beyond the array's own model of time (one host issuing calls
+        in turn, disks working side by side): an rf = 1 array leaves
+        every member's platter, write count and clock exactly where
+        the same calls, made directly on bare LLDs under that model,
+        leave theirs."""
         for seed in (1, 7, 2026):
             arr = build_array(3, rf=1)
             injector = FaultInjector()
@@ -315,7 +348,18 @@ class TestReplicatedBasics:
 
         arr = build_array(3, rf=2)
         populate(arr)
-        assert validate_sharded_stats(arr.stats()) == []
+        stats = arr.stats()
+        assert validate_sharded_stats(stats) == []
+        # What the overlap bought: every replicated mutation and
+        # every commit phase is a fan-out; the members' own durations
+        # add up to at least what array time advanced.
+        info = stats["sharding"]
+        assert info["fanouts"] > 0
+        assert info["fanout_serial_us"] >= info["fanout_elapsed_us"] > 0
+        del info["fanout_elapsed_us"]
+        assert validate_sharded_stats(stats) == [
+            "sharding.fanout_elapsed_us: missing"
+        ]
 
 
 class TestDegradedOperation:
@@ -371,6 +415,102 @@ class TestDegradedOperation:
         for blk in lost:
             with pytest.raises(ShardLostError):
                 arr.read(blk)
+
+    @staticmethod
+    def _aru_on_every_shard(arr, touched=None):
+        """Preloaded blocks, one homed on each shard in shard order,
+        and an open ARU that has overwritten the first ``touched``
+        (default: all) of them: (aru, {block: old bytes})."""
+        old = {}
+        for _ in range(arr.n):
+            blk = arr.new_block(arr.new_list())
+            arr.write(blk, b"old-%d" % blk)
+            old[blk] = b"old-%d" % blk
+        arr.flush()
+        assert [shard_of(blk, arr.n) for blk in old] == list(range(arr.n))
+        aru = arr.begin_aru()
+        for blk in list(old)[:touched]:
+            arr.write(blk, b"new-%d" % blk, aru=aru)
+        return aru, old
+
+    @pytest.mark.parametrize("touched", [1, 2])
+    def test_unreplicated_commit_fails_when_a_participant_is_lost(
+        self, touched
+    ):
+        """rf = 1: a lost participant took its half of the ARU with
+        it, so ``end_aru`` may not acknowledge the rest (two
+        participants) — nor a commit of nothing (one)."""
+        arr = build_array(3, rf=1)
+        aru, old = self._aru_on_every_shard(arr, touched)
+        arr.lose_shard(0)
+        with pytest.raises(ShardLostError):
+            arr.end_aru(aru)
+        info = arr.sharding_info()
+        assert info["commits_single_shard"] == 0
+        assert info["commits_cross_shard"] == 0
+        for blk in list(old)[1:]:
+            assert arr.read(blk).startswith(old[blk]), blk
+        with pytest.raises(BadARUError):
+            arr.end_aru(aru)  # the ARU is gone, not left half open
+
+    def test_unreplicated_commit_fails_when_a_prepare_flush_is_lost(self):
+        """The same rule inside the protocol: a participant destroyed
+        by its own PREPARE flush leaves no copy, so no DECIDE is
+        written — the survivors' prepared halves are presumed
+        aborted."""
+
+        def run(losses=()):
+            injector = FaultInjector(plan=FaultPlan(shard_losses=losses))
+            arr = build_array(3, rf=1, injector=injector)
+            aru, old = self._aru_on_every_shard(arr)
+            return arr, aru, old, injector.writes_seen
+
+        arr, aru, old, before = run()
+        arr.end_aru(aru)
+        assert arr.sharding_info()["commits_cross_shard"] == 1
+        arr, aru, old, _ = run([ShardLoss(shard=1, after_writes=before + 1)])
+        with pytest.raises(ShardLostError):
+            arr.end_aru(aru)
+        assert arr.dead_shards == [1]
+        assert arr.sharding_info()["commits_cross_shard"] == 0
+        recovered = recover_survivors(arr)
+        for blk in old:
+            if shard_of(blk, arr.n) != 1:
+                assert recovered.read(blk).startswith(old[blk]), blk
+
+    def test_replicated_commit_survives_one_lost_participant(self):
+        """rf = 2, one loss: every replica set the lost member was in
+        still has a live member, so the ARU commits on the mirrors."""
+        arr = build_array(4, rf=2)
+        aru, old = self._aru_on_every_shard(arr)
+        arr.lose_shard(1)
+        arr.end_aru(aru)
+        assert arr.sharding_info()["commits_cross_shard"] == 1
+        for blk in old:
+            assert arr.read(blk).startswith(b"new-%d" % blk), blk
+
+    def test_replicated_commit_fails_past_the_failure_budget(self):
+        """rf = 2, two adjacent losses: the set {1, 2} has no live
+        member, so the commit raises and the survivors commit nothing
+        — now, or after recovering their platters."""
+        arr = build_array(4, rf=2)
+        aru, old = self._aru_on_every_shard(arr)
+        arr.lose_shard(1)
+        arr.lose_shard(2)
+        with pytest.raises(ShardLostError):
+            arr.end_aru(aru)
+        info = arr.sharding_info()
+        assert info["commits_cross_shard"] == 0
+        assert info["commits_single_shard"] == 0
+        arr.flush()
+        # block 1's only mirror was on shard 2: gone with both
+        survivors = [blk for blk in old if shard_of(blk, arr.n) != 1]
+        for blk in survivors:
+            assert arr.read(blk).startswith(old[blk]), blk
+        recovered = recover_survivors(arr)
+        assert recovered.dead_shards == [1, 2]
+        for blk in survivors:
+            assert recovered.read(blk).startswith(old[blk]), blk
 
 
     def test_array_clock_is_monotone_across_loss_of_the_leader(self):
