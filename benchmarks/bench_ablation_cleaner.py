@@ -13,6 +13,7 @@ import pytest
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.harness.reporting import format_table
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.workloads.generator import overwrite_pressure
 
@@ -27,10 +28,12 @@ def run_policy(policy: str, skewed: bool) -> dict:
     disk = SimulatedDisk(geo)
     lld = LLD(
         disk,
-        cleaner_policy=policy,
-        checkpoint_slot_segments=1,
-        clean_low_water=5,
-        clean_high_water=14,
+        config=LLDConfig(
+            cleaner_policy=policy,
+            checkpoint_slot_segments=1,
+            clean_low_water=5,
+            clean_high_water=14,
+        ),
     )
     # Working set ~55 % of the partition's data capacity.
     working_set = int(geo.max_data_blocks * (geo.num_segments - 2) * 0.55)

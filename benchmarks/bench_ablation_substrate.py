@@ -21,6 +21,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.harness.reporting import format_table
 from repro.jld import JLD
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.workloads.largefile import run_large_file
 from repro.workloads.smallfile import run_small_files
@@ -39,7 +40,10 @@ def build_fs(substrate: str, num_segments: int, n_inodes: int):
     )
     disk = SimulatedDisk(geo)
     if substrate == "lld":
-        ld = LLD(disk, checkpoint_slot_segments=2, cache_blocks=512)
+        ld = LLD(
+            disk,
+            config=LLDConfig(checkpoint_slot_segments=2, cache_blocks=512),
+        )
     else:
         ld = JLD(
             disk,

@@ -16,6 +16,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.harness.reporting import format_table
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 from benchmarks.conftest import full_scale, report_table
@@ -31,7 +32,10 @@ def run_policy(policy: Visibility) -> float:
     """ARU-heavy mixed workload; returns simulated ms per round."""
     geo = DiskGeometry.small(num_segments=256)
     disk = SimulatedDisk(geo)
-    lld = LLD(disk, visibility=policy, checkpoint_slot_segments=2)
+    lld = LLD(
+        disk,
+        config=LLDConfig(visibility=policy, checkpoint_slot_segments=2),
+    )
     lst = lld.new_list()
     blocks = []
     previous = FIRST

@@ -52,6 +52,7 @@ from repro.harness.runner import commit_latency_percentiles
 from repro.obs.schema import validate_frontend_stats
 from repro.shard.sharded import build_sharded
 from repro.disk.geometry import DiskGeometry
+from repro.lld.config import LLDConfig
 from repro.workloads.openloop import (
     OpenLoopConfig,
     provision_hot_block,
@@ -78,10 +79,12 @@ def run_point(
     volume = build_sharded(
         SHARDS,
         geometry=DiskGeometry.small(num_segments=128),
-        checkpoint_slot_segments=2,
-        writeback_depth=4,
-        group_commit=True,
-        group_commit_max_parked=8,
+        config=LLDConfig(
+            checkpoint_slot_segments=2,
+            writeback_depth=4,
+            group_commit=True,
+            group_commit_max_parked=8,
+        ),
     )
     frontend = FrontEnd(
         volume,
@@ -227,7 +230,7 @@ def test_tenant_fairness_under_flood():
     volume = build_sharded(
         SHARDS,
         geometry=DiskGeometry.small(num_segments=96),
-        checkpoint_slot_segments=2,
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
     frontend = FrontEnd(
         volume,
@@ -310,10 +313,12 @@ def run_swarm(
     volume = build_sharded(
         SHARDS,
         geometry=DiskGeometry.small(num_segments=192),
-        checkpoint_slot_segments=2,
-        writeback_depth=4,
-        group_commit=True,
-        group_commit_max_parked=8,
+        config=LLDConfig(
+            checkpoint_slot_segments=2,
+            writeback_depth=4,
+            group_commit=True,
+            group_commit_max_parked=8,
+        ),
     )
     frontend = FrontEnd(
         volume,

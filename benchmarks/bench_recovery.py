@@ -43,7 +43,7 @@ def _save() -> None:
 def build_populated(checkpoint: bool):
     geo = DiskGeometry.small(num_segments=256)
     disk = SimulatedDisk(geo)
-    lld = LLD(disk, checkpoint_slot_segments=2)
+    lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     fs = MinixFS.mkfs(lld, n_inodes=N_FILES + 128)
     for index in range(N_FILES):
         path = f"/f{index}"
@@ -62,7 +62,8 @@ def test_recovery_with_and_without_checkpoint(benchmark):
         for label, checkpoint in (("no checkpoint", False), ("checkpoint", True)):
             disk = build_populated(checkpoint)
             lld, report = recover(
-                disk.power_cycle(), checkpoint_slot_segments=2
+                disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             fs = MinixFS.mount(lld)
             assert fs.exists(f"/f{N_FILES - 1}")
@@ -108,8 +109,14 @@ def build_long_log(target_segments: int):
         num_segments=target_segments + 36, block_size=1024
     )
     disk = SimulatedDisk(geo)
-    lld = LLD(disk, checkpoint_slot_segments=2, clean_low_water=2,
-              clean_high_water=4)
+    lld = LLD(
+        disk,
+        config=LLDConfig(
+            checkpoint_slot_segments=2,
+            clean_low_water=2,
+            clean_high_water=4,
+        ),
+    )
     lst = lld.new_list()
     previous = FIRST
     index = 0
@@ -244,7 +251,7 @@ def test_instant_restore_ttfr(benchmark):
             num_segments=RESTORE_SEGMENTS + 40,
         )
         disk = SimulatedDisk(geo)
-        lld = LLD(disk, checkpoint_slot_segments=2)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lst = lld.new_list()
         previous = FIRST
         index = 0
@@ -257,14 +264,17 @@ def test_instant_restore_ttfr(benchmark):
         target = previous  # deepest block: worst-case on-demand replay
 
         eager_lld, eager_report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=2
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         instant_lld, instant_report = recover(
             disk.power_cycle(),
             mode="instant",
-            checkpoint_slot_segments=2,
-            restore_drain_segments=0,
-            restore_tail_window=RESTORE_TAIL_WINDOW,
+            config=LLDConfig(
+                checkpoint_slot_segments=2,
+                restore_drain_segments=0,
+                restore_tail_window=RESTORE_TAIL_WINDOW,
+            ),
         )
         before_us = instant_lld.clock.now_us
         served = instant_lld.read(target)
@@ -376,18 +386,22 @@ def test_sharded_recovery_speedup(benchmark):
 
     def run():
         single_geo = DiskGeometry.small(num_segments=256)
-        single = LLD(SimulatedDisk(single_geo), checkpoint_slot_segments=2)
+        single = LLD(
+            SimulatedDisk(single_geo),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         single_blocks = build_transactional(single)
 
         array = build_sharded(
             N_SHARDS,
             geometry=DiskGeometry.small(num_segments=256 // N_SHARDS),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         array_blocks = build_transactional(array)
 
         single_rec, single_report = recover(
-            single.disk.power_cycle(), checkpoint_slot_segments=2
+            single.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         array_rec, shard_report = recover_any(
             [shard.disk.power_cycle() for shard in array.shards]

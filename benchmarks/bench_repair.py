@@ -15,7 +15,9 @@ import time
 import pytest
 
 from repro.disk.geometry import DiskGeometry
+from repro.lld.config import LLDConfig
 from repro.shard import build_sharded
+from repro.shard.config import ArrayConfig
 
 from benchmarks.conftest import full_scale, report_json, report_table
 
@@ -29,8 +31,8 @@ def build_populated():
     vol = build_sharded(
         N_SHARDS,
         geometry=DiskGeometry.small(num_segments=128),
-        checkpoint_slot_segments=2,
-        replication_factor=2,
+        config=LLDConfig(checkpoint_slot_segments=2),
+        array_config=ArrayConfig(replication_factor=2),
     )
     blocks = []
     for _ in range(N_LISTS):

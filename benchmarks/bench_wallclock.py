@@ -335,9 +335,11 @@ def _build_log(target_segments: int) -> SimulatedDisk:
     disk = SimulatedDisk(geo)
     lld = LLD(
         disk,
-        checkpoint_slot_segments=2,
-        clean_low_water=2,
-        clean_high_water=4,
+        config=LLDConfig(
+            checkpoint_slot_segments=2,
+            clean_low_water=2,
+            clean_high_water=4,
+        ),
     )
     lst = lld.new_list()
     previous = FIRST
@@ -426,7 +428,7 @@ def test_write_storm_and_read_scan_ops(benchmark):
 
     def storm():
         disk = SimulatedDisk(geo)
-        lld = LLD(disk, checkpoint_slot_segments=2)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lst = lld.new_list()
         blocks = []
         payload = b"w" * 900

@@ -29,6 +29,7 @@ import pytest
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.harness.reporting import format_table
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 
@@ -54,7 +55,7 @@ def build_lld(num_segments, block_size=4096, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments, block_size=block_size)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return LLD(disk, **kwargs)
+    return LLD(disk, config=LLDConfig(**kwargs))
 
 
 # ======================================================================

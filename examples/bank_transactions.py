@@ -15,7 +15,7 @@ Run:  python examples/bank_transactions.py
 import random
 import threading
 
-from repro import make_system, recover
+from repro import LLDConfig, make_system, recover
 from repro.errors import TransactionAborted
 from repro.txn import TransactionManager, run_transaction
 
@@ -30,7 +30,10 @@ def read_balance(reader, block) -> int:
 
 
 def main() -> None:
-    system = make_system(num_segments=256, checkpoint_slot_segments=2)
+    system = make_system(
+        num_segments=256,
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
     ld = system.ld
     manager = TransactionManager(ld, lock_timeout_s=5.0)
 
@@ -95,7 +98,8 @@ def main() -> None:
     # --- durability across a crash -----------------------------------
     print("\n-- simulated power failure --")
     recovered, _report = recover(
-        system.disk.power_cycle(), checkpoint_slot_segments=2
+        system.disk.power_cycle(),
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
     recovered_total = sum(
         read_balance(recovered.read, account) for account in accounts

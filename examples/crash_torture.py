@@ -20,11 +20,12 @@ Run:  python examples/crash_torture.py [rounds]
 import random
 import sys
 
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.usage import SegmentState
@@ -37,11 +38,10 @@ def torture_round(round_no: int) -> dict:
     crash_after = rng.randrange(1, 40)
     torn = rng.random() < 0.5
     geometry = DiskGeometry.small(num_segments=128)
-    injector = FaultInjector(
-        CrashPlan(after_writes=crash_after, torn=torn, seed=round_no)
-    )
+    cut = PowerCut(after_writes=crash_after, torn=torn, seed=round_no)
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(geometry, injector=injector)
-    ld = LLD(disk, checkpoint_slot_segments=2)
+    ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     fs = MinixFS.mkfs(ld, n_inodes=512)
 
     synced_model = {}
@@ -58,7 +58,10 @@ def torture_round(round_no: int) -> dict:
     except DiskCrashedError:
         crashed = True
 
-    ld2, report = recover(disk.power_cycle(), checkpoint_slot_segments=2)
+    ld2, report = recover(
+        disk.power_cycle(),
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
     fs2 = MinixFS.mount(ld2)
 
     check = fsck(fs2)

@@ -11,21 +11,23 @@ workload *without* ARUs can be left inconsistent.
 Run:  python examples/filesystem_no_fsck.py
 """
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
 
 def build(crash_after_writes, use_arus):
     geometry = DiskGeometry.small(num_segments=128)
-    injector = FaultInjector(CrashPlan(after_writes=crash_after_writes))
+    cut = PowerCut(after_writes=crash_after_writes)
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(geometry, injector=injector)
     mode = "concurrent" if use_arus else "sequential"
-    ld = LLD(disk, aru_mode=mode, checkpoint_slot_segments=2)
+    ld = LLD(disk, config=LLDConfig(aru_mode=mode, checkpoint_slot_segments=2))
     return disk, MinixFS.mkfs(ld, n_inodes=512, use_arus=use_arus)
 
 
@@ -55,7 +57,8 @@ def crash_and_check(use_arus, crash_after) -> bool:
         pass
     mode = "concurrent" if use_arus else "sequential"
     ld, _report = recover(
-        disk.power_cycle(), aru_mode=mode, checkpoint_slot_segments=2
+        disk.power_cycle(),
+        config=LLDConfig(aru_mode=mode, checkpoint_slot_segments=2),
     )
     mounted = MinixFS.mount(ld, use_arus=use_arus)
     report = fsck(mounted)

@@ -8,12 +8,15 @@ BeginARU/EndARU are all-or-nothing across a crash.
 Run:  python examples/quickstart.py
 """
 
-from repro import make_system, recover
+from repro import LLDConfig, make_system, recover
 from repro.errors import BadBlockError
 
 
 def main() -> None:
-    system = make_system(num_segments=128, checkpoint_slot_segments=2)
+    system = make_system(
+        num_segments=128,
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
     ld = system.ld
 
     # --- plain logical-disk usage -----------------------------------
@@ -52,7 +55,8 @@ def main() -> None:
 
     print("\n-- simulated power failure --")
     recovered_ld, report = recover(
-        system.disk.power_cycle(), checkpoint_slot_segments=2
+        system.disk.power_cycle(),
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
     print(f"recovery scanned {report.segments_scanned} segments, "
           f"replayed {report.entries_replayed} log entries, "

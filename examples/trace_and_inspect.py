@@ -15,6 +15,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.jld import JLD
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.tools.inspect import describe_checkpoints, describe_disk, describe_fs
 from repro.trace import Trace, TraceRecorder, replay_trace
@@ -22,7 +23,10 @@ from repro.trace import Trace, TraceRecorder, replay_trace
 
 def build_lld():
     geo = DiskGeometry.small(num_segments=96)
-    return LLD(SimulatedDisk(geo), checkpoint_slot_segments=2)
+    return LLD(
+        SimulatedDisk(geo),
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
 
 
 def build_jld():

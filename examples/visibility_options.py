@@ -11,12 +11,14 @@ The semantics of Read determine how isolated concurrent ARUs are:
 Run:  python examples/visibility_options.py
 """
 
-from repro import Visibility, make_system
+from repro import LLDConfig, Visibility, make_system
 
 
 def show(policy: Visibility) -> None:
-    system = make_system(num_segments=64, visibility=policy,
-                         checkpoint_slot_segments=2)
+    system = make_system(
+        num_segments=64,
+        config=LLDConfig(visibility=policy, checkpoint_slot_segments=2),
+    )
     ld = system.ld
     lst = ld.new_list()
     block = ld.new_block(lst)

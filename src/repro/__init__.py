@@ -99,18 +99,18 @@ def make_system(
     block_size: int = 4096,
     segment_size: Optional[int] = None,
     substrate: str = "lld",
-    aru_mode: str = "concurrent",
-    visibility: Visibility = Visibility.ARU_LOCAL,
     cost_model: Optional[CostModel] = None,
     disk_model: DiskModel = HP_C3010,
-    **ld_kwargs,
+    config: Optional[LLDConfig] = None,
 ) -> System:
     """Build a ready-to-use simulated disk + logical-disk pair.
 
     The defaults give a small, fast log-structured system for
     experimentation; pass ``num_segments=800, segment_size=512 * 1024``
     for the paper's 400 MB partition, or ``substrate="jld"`` for the
-    journaling implementation (concurrent-only).
+    journaling implementation (concurrent-only; of ``config`` it takes
+    the knobs it shares with LLD: ``visibility``, ``cache_blocks``,
+    ``conflict_policy``).
     """
     geometry = DiskGeometry(
         block_size=block_size,
@@ -118,22 +118,18 @@ def make_system(
         num_segments=num_segments,
     )
     disk = SimulatedDisk(geometry, model=disk_model)
+    cfg = config or LLDConfig()
     if substrate == "lld":
-        ld: LogicalDisk = LLD(
-            disk,
-            cost_model=cost_model,
-            aru_mode=aru_mode,
-            visibility=visibility,
-            **ld_kwargs,
-        )
+        ld: LogicalDisk = LLD(disk, cost_model=cost_model, config=cfg)
     elif substrate == "jld":
-        if aru_mode != "concurrent":
+        if cfg.aru_mode != "concurrent":
             raise ValueError("JLD supports only concurrent ARUs")
         ld = JLD(
             disk,
             cost_model=cost_model,
-            visibility=visibility,
-            **ld_kwargs,
+            visibility=cfg.visibility,
+            cache_blocks=cfg.cache_blocks,
+            conflict_policy=cfg.conflict_policy,
         )
     else:
         raise ValueError(f"unknown substrate {substrate!r}")

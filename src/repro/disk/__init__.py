@@ -16,14 +16,13 @@ reproduce as relative shapes.
 """
 
 from repro.disk.clock import CostModel, SimClock
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.disk.timing import DiskModel, HP_C3010
 
 __all__ = [
     "CostModel",
-    "CrashPlan",
     "DiskGeometry",
     "DiskModel",
     "FaultInjector",

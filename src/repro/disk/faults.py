@@ -2,10 +2,12 @@
 
 ARUs exist to protect clients against power failures and partial
 media failures (Section 3 of the paper).  This module provides the
-failure machinery the tests and torture examples use, consolidated
-behind one declarative surface:
+failure machinery the tests and torture examples use, behind one
+declarative surface — ``FaultInjector(plan=FaultPlan(...))`` is the
+only way a fault is scheduled (a bare ``FaultInjector()`` injects
+none until one is armed on it):
 
-* :class:`FaultPlan` is the unified fault schedule: an optional
+* :class:`FaultPlan` is the fault schedule: an optional
   :class:`PowerCut`, any number of :class:`MediaFault` entries
   (optionally scoped to one shard of an array), and any number of
   :class:`ShardLoss` entries (whole-shard media destruction).
@@ -13,7 +15,6 @@ behind one declarative surface:
   writes, optionally *tearing* the final write so only a prefix of
   the segment reaches the platter — the classic interrupted-write
   failure a log-structured recovery scan must tolerate.
-  :class:`CrashPlan` is the backward-compatible alias for it.
 * :class:`MediaFault` marks individual segments as unreadable or
   silently corrupted, modelling partial media failures.  With a
   ``shard`` it applies to one member disk of a sharded array only.
@@ -41,7 +42,7 @@ from repro.disk.geometry import SECTOR_SIZE
 from repro.errors import DiskCrashedError, MediaError, ShardLostError
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class PowerCut:
     """Deterministic power-failure schedule.
 
@@ -75,16 +76,6 @@ class PowerCut:
             raise ValueError(f"unknown tear granularity {self.granularity!r}")
         if self.sector_size < 1:
             raise ValueError("sector_size must be >= 1")
-
-
-class CrashPlan(PowerCut):
-    """Backward-compatible name for :class:`PowerCut`.
-
-    Existing call sites construct ``CrashPlan(after_writes=...)``
-    directly and hand it to :class:`FaultInjector`; both keep working
-    unchanged.  New code should build a :class:`FaultPlan` with a
-    ``power_cut`` instead.
-    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,18 +123,14 @@ class ShardLoss:
             raise ValueError("after_writes must be >= 0")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class FaultPlan:
-    """The unified, declarative fault schedule.
+    """The declarative fault schedule.
 
     One object describes everything the injector can do to a disk (or
     a shard array sharing one injector): at most one power cut, any
     number of per-segment media faults (each optionally scoped to one
     shard), and any number of whole-shard losses.
-
-    ``FaultInjector(plan=FaultPlan(...))`` replaces the older
-    ``FaultInjector(crash_plan=..., media_faults=...)`` spelling,
-    which remains supported as a shim.
     """
 
     power_cut: Optional[PowerCut] = None
@@ -170,39 +157,31 @@ class FaultInjector:
     what to do.
     """
 
-    def __init__(
-        self,
-        crash_plan: Optional[PowerCut] = None,
-        media_faults: Optional[Dict[int, MediaFault]] = None,
-        plan: Optional[FaultPlan] = None,
-    ) -> None:
-        if plan is not None:
-            if crash_plan is not None or media_faults:
-                raise ValueError(
-                    "pass either a FaultPlan or the legacy "
-                    "crash_plan/media_faults arguments, not both"
-                )
-            crash_plan = plan.power_cut
-        self.crash_plan = crash_plan
-        #: Unscoped media faults, keyed by segment (legacy surface —
-        #: shard-scoped faults live in ``_scoped_faults``).
-        self.media_faults: Dict[int, MediaFault] = dict(media_faults or {})
+    def __init__(self, *, plan: Optional[FaultPlan] = None) -> None:
+        plan = plan or FaultPlan()
+        #: The armed power cut (None: none, or already spent).  Tests
+        #: re-arm a running disk by assigning a new :class:`PowerCut`.
+        self.crash_plan: Optional[PowerCut] = plan.power_cut
+        #: Unscoped media faults, keyed by segment (shard-scoped
+        #: faults live in ``_scoped_faults``).
+        self.media_faults: Dict[int, MediaFault] = {}
         self._scoped_faults: Dict[Tuple[int, int], MediaFault] = {}
         #: Shard losses not yet triggered, keyed by shard.
         self._pending_losses: Dict[int, ShardLoss] = {}
         #: Shards whose media is destroyed; survives power_cycle().
         self.lost_shards: Set[int] = set()
-        if plan is not None:
-            for fault in plan.media_faults:
-                self.add_media_fault(fault)
-            for loss in plan.shard_losses:
-                if loss.after_writes is None:
-                    self.lost_shards.add(loss.shard)
-                else:
-                    self._pending_losses[loss.shard] = loss
+        for fault in plan.media_faults:
+            self.add_media_fault(fault)
+        for loss in plan.shard_losses:
+            if loss.after_writes is None:
+                self.lost_shards.add(loss.shard)
+            else:
+                self._pending_losses[loss.shard] = loss
         self.writes_seen = 0
         self.crashed = False
-        self._rng = random.Random(crash_plan.seed if crash_plan else 0)
+        self._rng = random.Random(
+            plan.power_cut.seed if plan.power_cut else 0
+        )
 
     # ------------------------------------------------------------------
     # Media faults

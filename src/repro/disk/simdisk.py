@@ -138,7 +138,7 @@ class SimulatedDisk:
         Failure semantics are identical to issuing the writes one at
         a time with :meth:`write_segment`: the fault injector gates
         every physical write individually, in submission order, so an
-        active :class:`~repro.disk.faults.CrashPlan` ticks once per
+        active :class:`~repro.disk.faults.PowerCut` ticks once per
         segment and the crashing write is dropped or torn exactly as
         it would be un-batched.  Writes earlier in the batch are
         durable (and charged to the clock) before the power loss is

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.disk.geometry import DiskGeometry
 from repro.harness.reporting import format_deltas, format_table
 from repro.harness.variants import VARIANTS, Variant, build_variant, paper_geometry
+from repro.lld.config import LLDConfig
 from repro.workloads.arulat import ARULatencyResult, run_aru_latency
 from repro.workloads.largefile import LargeFileResult, run_large_file
 from repro.workloads.smallfile import SmallFileResult, run_small_files
@@ -123,7 +124,7 @@ def run_figure6(
         cache_blocks = max(64, min(2048, file_size // geo.block_size // 4))
         _disk, ld, fs = build_variant(
             VARIANTS[name], geometry=geo, n_inodes=64,
-            cache_blocks=cache_blocks,
+            config=LLDConfig(cache_blocks=cache_blocks),
         )
         results[name] = run_large_file(fs, file_size=file_size)
         metrics[name] = capture_metrics(ld)
@@ -198,7 +199,7 @@ def run_scrub_experiment(
         num_segments=128
     )
     disk = SimulatedDisk(geo)
-    ld = LLD(disk, checkpoint_slot_segments=2)
+    ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     rng = random.Random(seed)
     lst = ld.new_list()
     blocks = [ld.new_block(lst) for _ in range(max(1, n_blocks // 2))]
@@ -290,19 +291,18 @@ def run_writepath_experiment(
     against the default serial write path and then with the
     write-behind queue and group commit enabled, and reports the
     simulated-time speedup and segment savings.  This is the harness
-    front end for the ``writeback_depth`` / ``group_commit*``
-    constructor knobs (any :func:`~repro.harness.variants.
-    build_variant` call forwards them to :class:`~repro.lld.lld.LLD`).
+    front end for the ``writeback_depth`` / ``group_commit*`` knobs of
+    :class:`~repro.lld.config.LLDConfig`.
     """
     from repro.disk.simdisk import SimulatedDisk
     from repro.lld.lld import LLD
 
-    def storm(**lld_kwargs: object) -> "tuple[float, LLD]":
+    def storm(config: LLDConfig) -> "tuple[float, LLD]":
         geo = geometry if geometry is not None else DiskGeometry.small(
             num_segments=n_arus + 64, block_size=1024
         )
         disk = SimulatedDisk(geo)
-        ld = LLD(disk, checkpoint_slot_segments=2, **lld_kwargs)
+        ld = LLD(disk, config=config)
         lst = ld.new_list()
         start = ld.clock.now_us
         for i in range(n_arus):
@@ -310,17 +310,20 @@ def run_writepath_experiment(
             block = ld.new_block(lst, aru=aru)
             ld.write(block, bytes([i & 0xFF]) * geo.block_size, aru=aru)
             ld.end_aru(aru)
-            if not lld_kwargs.get("group_commit"):
+            if not config.group_commit:
                 ld.flush()  # a serial durable commit = flush per ARU
         ld.flush()
         return ld.clock.now_us - start, ld
 
-    serial_us, serial_ld = storm()
+    serial = LLDConfig(checkpoint_slot_segments=2)
+    serial_us, serial_ld = storm(serial)
     pipelined_us, pipelined_ld = storm(
-        writeback_depth=writeback_depth,
-        group_commit=True,
-        group_commit_max_parked=group_commit_max_parked,
-        group_commit_timeout_us=1e12,
+        serial.replace(
+            writeback_depth=writeback_depth,
+            group_commit=True,
+            group_commit_max_parked=group_commit_max_parked,
+            group_commit_timeout_us=1e12,
+        )
     )
     serial_segments = serial_ld.stats()["segments"]["flushed"]
     pipelined_segments = pipelined_ld.stats()["segments"]["flushed"]
@@ -435,14 +438,15 @@ def run_shard_experiment(
         ld.flush()
         return blocks
 
-    single = LLD(SimulatedDisk(geometry), checkpoint_slot_segments=2)
+    config = LLDConfig(checkpoint_slot_segments=2)
+    single = LLD(SimulatedDisk(geometry), config=config)
     single_blocks = populate(single)
 
     array_config = ArrayConfig(replication_factor=replication_factor)
     sharded = build_sharded(
         shards,
         geometry=shard_geometry,
-        checkpoint_slot_segments=2,
+        config=config,
         array_config=array_config,
     )
     sharded_blocks = populate(sharded)
@@ -573,10 +577,12 @@ def run_frontend_experiment(
     volume = build_sharded(
         shards,
         geometry=DiskGeometry.small(num_segments=96),
-        checkpoint_slot_segments=2,
-        writeback_depth=4,
-        group_commit=True,
-        group_commit_max_parked=8,
+        config=LLDConfig(
+            checkpoint_slot_segments=2,
+            writeback_depth=4,
+            group_commit=True,
+            group_commit_max_parked=8,
+        ),
     )
     frontend = make_frontend(
         volume,

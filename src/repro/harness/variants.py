@@ -91,13 +91,10 @@ def build_variant(
     disk_model: DiskModel = HP_C3010,
     config: Optional[LLDConfig] = None,
     shards: int = 1,
-    **lld_kwargs,
 ) -> Tuple[Union[SimulatedDisk, list], Union[LLD, "ShardedLLD"], MinixFS]:
     """Build (disk, ld, fs) for one Table 1 variant.
 
-    Knobs route through :class:`~repro.lld.config.LLDConfig`: pass a
-    prebuilt ``config=`` or the historical LLD keyword arguments; the
-    variant's ARU mode always wins.
+    Knobs come in ``config``; the variant's ARU mode always wins.
 
     ``shards > 1`` stripes the volume over that many member LLDs
     (:class:`~repro.shard.sharded.ShardedLLD`) behind the same
@@ -108,9 +105,7 @@ def build_variant(
     disk.
     """
     geo = geometry if geometry is not None else paper_geometry(0.25)
-    cfg = LLDConfig.from_kwargs(config, **lld_kwargs).replace(
-        aru_mode=variant.aru_mode
-    )
+    cfg = (config or LLDConfig()).replace(aru_mode=variant.aru_mode)
     if shards > 1:
         from repro.shard.sharded import ShardedLLD, build_sharded
 

@@ -1,13 +1,11 @@
 """`LLDConfig`: every LLD tuning knob in one validated dataclass.
 
-The :class:`~repro.lld.lld.LLD` constructor grew a knob per PR
-(write-behind depth, group commit, cleaner thresholds, cache size,
-recovery workers…).  This module consolidates them: construct an
-:class:`LLDConfig` and pass it as ``LLD(disk, config=cfg)``, or keep
-using the historical keyword arguments — ``LLD(disk,
-writeback_depth=8)`` — which :meth:`LLDConfig.from_kwargs` folds into
-a config for you.  Either way :meth:`LLDConfig.validate` is the single
-place knob values are checked.
+Construct an :class:`LLDConfig` and pass it as ``LLD(disk,
+config=cfg)`` — to ``recover``, ``build_sharded``, ``build_variant``
+and ``make_system`` likewise.  That is the only way a knob reaches a
+volume: none of them takes a knob by name, so a misspelled one is
+Python's own ``TypeError`` from this dataclass's constructor.  Values
+are checked in ``__post_init__``: a config that exists is valid.
 
 ``aru_mode`` and ``visibility`` live here too (they are constructor
 knobs), but ``cost_model`` does not: it is a collaborating object
@@ -21,6 +19,7 @@ import dataclasses
 from typing import Optional
 
 from repro.core.visibility import Visibility
+from repro.disk.geometry import TRAILER_SIZE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,8 +35,8 @@ class LLDConfig:
       ``cleaner_policy``
     * write pipeline: ``writeback_depth``, ``group_commit``,
       ``group_commit_max_parked``, ``group_commit_timeout_us``
-    * recovery: ``recovery_workers``, ``recovery_mode``,
-      ``restore_tail_window``, ``restore_drain_segments``
+    * recovery: ``restore_tail_window``, ``restore_drain_segments``
+      (mode and decode lanes are arguments of ``recover()``)
     * observability: ``metrics``, ``recorder_events``,
       ``flight_dump_path``
     """
@@ -55,15 +54,6 @@ class LLDConfig:
     group_commit: bool = False
     group_commit_max_parked: int = 8
     group_commit_timeout_us: float = 10_000.0
-    #: Decode lanes of the recovery scan: host threads for the
-    #: CRC + summary decode, and the overlap the cost model charges.
-    recovery_workers: int = 4
-    #: ``"eager"`` replays the whole log before the volume opens (the
-    #: classic scan); ``"instant"`` opens the volume right after the
-    #: checkpoint + summary-index pass and replays segments on demand
-    #: per touched block/list, with a background sweep draining the
-    #: rest in log order (see docs/RECOVERY.md).
-    recovery_mode: str = "eager"
     #: Bytes read from each segment's tail during the instant-restore
     #: scan (must cover the trailer; summaries longer than the window
     #: trigger a follow-up batched read of exactly the missing bytes).
@@ -75,11 +65,14 @@ class LLDConfig:
     recorder_events: int = 256
     flight_dump_path: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "LLDConfig":
         """Raise ``ValueError`` for any out-of-range knob.
 
-        This is the single validation point: the LLD constructor,
-        ``recover()`` and ``build_variant`` all funnel through it.
+        Runs at construction (and so in :meth:`replace`); returns
+        self.
         """
         if self.aru_mode not in ("concurrent", "sequential"):
             raise ValueError(f"unknown aru_mode: {self.aru_mode!r}")
@@ -114,14 +107,6 @@ class LLDConfig:
                 "group_commit_timeout_us must be > 0, got "
                 f"{self.group_commit_timeout_us}"
             )
-        if self.recovery_workers < 1:
-            raise ValueError(
-                f"recovery_workers must be >= 1, got {self.recovery_workers}"
-            )
-        if self.recovery_mode not in ("eager", "instant"):
-            raise ValueError(f"unknown recovery_mode: {self.recovery_mode!r}")
-        from repro.disk.geometry import TRAILER_SIZE
-
         if self.restore_tail_window < TRAILER_SIZE:
             raise ValueError(
                 f"restore_tail_window must be >= {TRAILER_SIZE}, got "
@@ -138,29 +123,6 @@ class LLDConfig:
             )
         return self
 
-    @classmethod
-    def from_kwargs(
-        cls, config: Optional["LLDConfig"] = None, **kwargs
-    ) -> "LLDConfig":
-        """The backward-compatible kwargs shim.
-
-        Starts from ``config`` (or the defaults), applies any
-        historical keyword arguments as overrides, and validates.
-        Unknown keywords raise ``TypeError`` with the valid knob
-        names, exactly as a misspelled constructor argument used to.
-        """
-        base = config if config is not None else cls()
-        if not kwargs:
-            return base.validate()
-        valid = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise TypeError(
-                f"unknown LLD config knob(s): {', '.join(unknown)} "
-                f"(valid: {', '.join(sorted(valid))})"
-            )
-        return dataclasses.replace(base, **kwargs).validate()
-
     def replace(self, **changes) -> "LLDConfig":
-        """A copy with ``changes`` applied, re-validated."""
-        return dataclasses.replace(self, **changes).validate()
+        """A copy with ``changes`` applied (validated like any other)."""
+        return dataclasses.replace(self, **changes)

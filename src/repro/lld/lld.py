@@ -93,13 +93,8 @@ class LLD(LogicalDisk):
         config: An :class:`~repro.lld.config.LLDConfig` carrying
             every tuning knob — ARU semantics, read cache,
             checkpointing, cleaner thresholds, the write pipeline,
-            recovery parallelism and observability.  See that class
-            for per-knob documentation.
-        **kwargs: The historical keyword arguments (``aru_mode=``,
-            ``writeback_depth=``, ``group_commit=``, …) are still
-            accepted and are applied as overrides on top of
-            ``config`` via :meth:`LLDConfig.from_kwargs`; validation
-            happens there, in one place.
+            restore pacing and observability.  See that class for
+            per-knob documentation; ``None`` means the defaults.
     """
 
     def __init__(
@@ -108,9 +103,8 @@ class LLD(LogicalDisk):
         cost_model: Optional[CostModel] = None,
         config: Optional[LLDConfig] = None,
         _defer_init: bool = False,
-        **kwargs,
     ) -> None:
-        cfg = LLDConfig.from_kwargs(config, **kwargs)
+        cfg = config or LLDConfig()
         self.config = cfg
         self.disk = disk
         self.geometry = disk.geometry

@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.records import BlockVersion, ListVersion
 from repro.core.versions import VersionState
+from repro.disk.clock import CostModel
 from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError
@@ -72,6 +73,12 @@ from repro.lld.summary import (
     KIND_WRITE,
 )
 from repro.lld.usage import QUARANTINE_SEQ, WALK_BATCH, SegmentState
+
+
+#: Decode lanes of the recovery scan unless ``recover(workers=)`` says
+#: otherwise: host threads for the CRC + summary decode, and the
+#: overlap the cost model charges.
+DEFAULT_WORKERS = 4
 
 
 @dataclasses.dataclass
@@ -845,18 +852,16 @@ def recover(
     config: Optional[LLDConfig] = None,
     decided_xids: Optional[Set[int]] = None,
     mode: Optional[str] = None,
-    **lld_kwargs,
+    cost_model: Optional[CostModel] = None,
 ) -> Tuple[LLD, RecoveryReport]:
     """Recover an :class:`LLD` instance from a (crashed) disk.
 
-    Accepts the same keyword arguments as :class:`LLD` (visibility,
-    cost model, ...) or a prebuilt
-    :class:`~repro.lld.config.LLDConfig` via ``config=``.
+    ``config`` and ``cost_model`` are what :class:`LLD` takes.
     ``sweep_orphans=False`` skips the consistency sweep, exposing the
     paper's intermediate state where blocks allocated by undone ARUs
     remain allocated.
 
-    ``mode`` (default: the config's ``recovery_mode``) is ``"eager"``
+    ``mode`` is ``"eager"`` (the default, also for ``None``)
     — replay the whole log, then return — or ``"instant"`` — return an
     *open* volume right after the scan; requests replay the log prefix
     they need on demand and a background sweep
@@ -872,18 +877,15 @@ def recover(
     and discards it otherwise (presumed abort).
 
     ``workers`` bounds the scan's decode pool and the simulated
-    overlap charged for it (default: the config's
-    ``recovery_workers``); the rebuilt state is the same for any
-    value.
+    overlap charged for it (default :data:`DEFAULT_WORKERS`); the
+    rebuilt state is the same for any value.
     """
-    cost_model = lld_kwargs.pop("cost_model", None)
-    cfg = LLDConfig.from_kwargs(config, **lld_kwargs)
     if workers is None:
-        workers = cfg.recovery_workers
+        workers = DEFAULT_WORKERS
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if mode is None:
-        mode = cfg.recovery_mode
+        mode = "eager"
     if mode not in ("eager", "instant"):
         raise ValueError(f"unknown recovery mode: {mode!r}")
     instant = mode == "instant"
@@ -893,7 +895,7 @@ def recover(
     start_us = clock.now_us
     batches_before = disk.timer.batches
     runs_before = disk.timer.batched_runs
-    lld = LLD(disk, cost_model=cost_model, config=cfg, _defer_init=True)
+    lld = LLD(disk, cost_model=cost_model, config=config, _defer_init=True)
     lld.obs.record("recovery.start", mode=mode, workers=workers)
     metrics = lld.obs.metrics
     metrics.counter("lld.recovery.recoveries").inc()

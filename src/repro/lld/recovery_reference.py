@@ -195,12 +195,11 @@ def reference_recover(
     nothing, so the same platter can be recovered by both and the
     results compared.
     """
-    cfg = (config if config is not None else LLDConfig()).validate()
     wall_start = time.perf_counter()
     geometry = disk.geometry
     clock = disk.clock
     start_us = clock.now_us
-    lld = LLD(disk, config=cfg, _defer_init=True)
+    lld = LLD(disk, config=config, _defer_init=True)
     ckpt = lld.checkpoints.load()
     report = RecoveryReport(checkpoint_seq=ckpt.ckpt_seq)
     state = _ReplayState()

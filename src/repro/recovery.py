@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
+from repro.disk.clock import CostModel
 from repro.disk.simdisk import SimulatedDisk
+from repro.lld.config import LLDConfig
 from repro.lld.recovery import recover as _recover_volume
 from repro.shard.config import ArrayConfig
 from repro.shard.recovery import _recover_sharded
@@ -32,10 +34,11 @@ def recover(
     ],
     *,
     mode: Optional[str] = None,
-    config=None,
+    config: Optional[LLDConfig] = None,
     array_config: Optional[ArrayConfig] = None,
     workers: Optional[int] = None,
-    **kwargs,
+    cost_model: Optional[CostModel] = None,
+    sweep_orphans: bool = True,
 ) -> Tuple[object, object]:
     """Recover a volume — single or sharded — from crashed media.
 
@@ -55,8 +58,9 @@ def recover(
         workers: Host threads for concurrent member recoveries (and
             for a single volume's decode lanes).  Host-side only —
             simulated results are identical for any value.
-        **kwargs: Forwarded to the per-volume recovery (scan knobs,
-            cost model, ...).
+        cost_model: CPU cost model of every recovered volume.
+        sweep_orphans: ``False`` skips the per-volume consistency
+            sweep (see :func:`repro.lld.recovery.recover`).
 
     Returns:
         ``(volume, report)`` — :class:`~repro.lld.lld.LLD` +
@@ -66,19 +70,18 @@ def recover(
         sequence; both reports expose the shared surface above.
     """
     if isinstance(image_or_images, SimulatedDisk):
-        if array_config is not None:
-            acfg = ArrayConfig.from_kwargs(array_config)
-            if acfg != ArrayConfig():
-                raise ValueError(
-                    "array_config applies to a sharded array; a single "
-                    "disk image recovers as a single volume"
-                )
+        if array_config is not None and array_config != ArrayConfig():
+            raise ValueError(
+                "array_config applies to a sharded array; a single "
+                "disk image recovers as a single volume"
+            )
         return _recover_volume(
             image_or_images,
             mode=mode,
             config=config,
             workers=workers,
-            **kwargs,
+            cost_model=cost_model,
+            sweep_orphans=sweep_orphans,
         )
     images = list(image_or_images)
     if any(
@@ -95,5 +98,6 @@ def recover(
         array_config=array_config,
         mode=mode,
         config=config,
-        **kwargs,
+        cost_model=cost_model,
+        sweep_orphans=sweep_orphans,
     )

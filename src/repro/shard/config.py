@@ -2,16 +2,14 @@
 
 The array-level counterpart of :class:`~repro.lld.config.LLDConfig`:
 replication factor and repair pacing live here (per-volume knobs
-stay in ``LLDConfig``), validated once with
-the same contract — an unknown knob raises ``TypeError`` naming the
-valid ones, a bad value raises ``ValueError`` at construction, never
-deep inside a write path.
+stay in ``LLDConfig``), with the same contract — an unknown knob is
+the constructor's ``TypeError``, a bad value raises ``ValueError`` at
+construction, never deep inside a write path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,8 +35,11 @@ class ArrayConfig:
     replication_factor: int = 1
     repair_batch_ops: int = 64
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "ArrayConfig":
-        """Validate every knob; returns self for chaining."""
+        """Raise ``ValueError`` for any out-of-range knob; returns self."""
         if self.replication_factor < 1:
             raise ValueError(
                 "replication_factor must be >= 1, got "
@@ -50,27 +51,6 @@ class ArrayConfig:
             )
         return self
 
-    @classmethod
-    def from_kwargs(
-        cls, config: Optional["ArrayConfig"] = None, **kwargs
-    ) -> "ArrayConfig":
-        """Build from a base config plus keyword overrides.
-
-        Mirrors :meth:`LLDConfig.from_kwargs`: unknown keywords raise
-        ``TypeError`` with the valid knob names.
-        """
-        base = config if config is not None else cls()
-        if not kwargs:
-            return base.validate()
-        valid = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise TypeError(
-                f"unknown array config knob(s): {', '.join(unknown)} "
-                f"(valid: {', '.join(sorted(valid))})"
-            )
-        return dataclasses.replace(base, **kwargs).validate()
-
     def replace(self, **changes) -> "ArrayConfig":
-        """A copy with ``changes`` applied, re-validated."""
-        return dataclasses.replace(self, **changes).validate()
+        """A copy with ``changes`` applied (validated like any other)."""
+        return dataclasses.replace(self, **changes)

@@ -45,8 +45,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.disk.clock import CostModel
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import ShardLostError
+from repro.lld.config import LLDConfig
 from repro.lld.recovery import RecoveryReport, recover
 from repro.shard.config import ArrayConfig
 from repro.shard.sharded import ShardedLLD
@@ -106,7 +108,10 @@ def _recover_sharded(
     disks: Sequence[Optional[SimulatedDisk]],
     workers: Optional[int] = None,
     array_config: Optional[ArrayConfig] = None,
-    **recover_kwargs,
+    mode: Optional[str] = None,
+    config: Optional[LLDConfig] = None,
+    cost_model: Optional[CostModel] = None,
+    sweep_orphans: bool = True,
 ) -> Tuple[ShardedLLD, ShardRecoveryReport]:
     """Recover every surviving shard and reassemble the array.
 
@@ -124,9 +129,8 @@ def _recover_sharded(
             the configuration the array ran with (in particular the
             replication factor, which determines the decision
             shards); ``None`` means unreplicated.
-        **recover_kwargs: Forwarded to every per-shard
-            :func:`repro.lld.recovery.recover` call (config, cost
-            model, scan knobs, mode, ...).
+        mode, config, cost_model, sweep_orphans: Passed to every
+            per-shard :func:`repro.lld.recovery.recover` call alike.
 
     Returns:
         The reassembled volume and a :class:`ShardRecoveryReport`.
@@ -135,7 +139,7 @@ def _recover_sharded(
         raise ValueError("repro.recover needs at least one member disk")
     wall_start = time.perf_counter()
     n = len(disks)
-    acfg = ArrayConfig.from_kwargs(array_config)
+    acfg = array_config or ArrayConfig()
     decision = list(range(min(max(acfg.replication_factor, 1), n)))
 
     shards: List[Optional[object]] = [None] * n
@@ -150,7 +154,12 @@ def _recover_sharded(
             return
         try:
             lld, report = recover(
-                disk, decided_xids=set(decided_now), **recover_kwargs
+                disk,
+                decided_xids=set(decided_now),
+                mode=mode,
+                config=config,
+                cost_model=cost_model,
+                sweep_orphans=sweep_orphans,
             )
         except ShardLostError as exc:
             dead[index] = str(exc)

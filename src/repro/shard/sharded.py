@@ -118,7 +118,6 @@ the whole array and a power failure halts every shard at once.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -364,7 +363,7 @@ class ShardedLLD(LogicalDisk):
             raise ValueError("a sharded volume needs at least one shard")
         self.shards: List[Optional[LLD]] = list(shards)
         self.n = len(self.shards)
-        self.config = ArrayConfig.from_kwargs(array_config)
+        self.config = array_config or ArrayConfig()
         self.rf = self.config.replication_factor
         if self.rf > self.n:
             raise ValueError(
@@ -1514,7 +1513,6 @@ def build_sharded(
     config: Optional[LLDConfig] = None,
     injector: Optional[FaultInjector] = None,
     array_config: Optional[ArrayConfig] = None,
-    **kwargs,
 ) -> ShardedLLD:
     """Build a fresh N-shard volume.
 
@@ -1524,10 +1522,9 @@ def build_sharded(
     plan counts a single global write index and power failure is
     simultaneous across the array; each disk knows its shard index,
     so shard-scoped faults and whole-shard loss hit the right member.
-    Each shard gets a private clock.  Remaining keyword arguments are
-    split by name: :class:`~repro.shard.config.ArrayConfig` knobs
-    (``replication_factor=``, …) configure the array, everything else
-    configures every member LLD alike via ``LLDConfig.from_kwargs``.
+    Each shard gets a private clock.  ``config`` configures every
+    member LLD alike; ``array_config`` the array (replication factor,
+    repair pacing).
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -1535,18 +1532,14 @@ def build_sharded(
         num_segments=64
     )
     shared = injector if injector is not None else FaultInjector()
-    array_knobs = {field.name for field in dataclasses.fields(ArrayConfig)}
-    overrides = {k: kwargs.pop(k) for k in list(kwargs) if k in array_knobs}
-    acfg = ArrayConfig.from_kwargs(array_config, **overrides)
-    cfg = LLDConfig.from_kwargs(config, **kwargs)
     shards = [
         LLD(
             SimulatedDisk(
                 geo, model=disk_model, injector=shared, shard_index=index
             ),
             cost_model=cost_model,
-            config=cfg,
+            config=config,
         )
         for index in range(num_shards)
     ]
-    return ShardedLLD(shards, array_config=acfg)
+    return ShardedLLD(shards, array_config=array_config)

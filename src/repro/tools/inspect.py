@@ -15,6 +15,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import LDError, MediaError
 from repro.fs.filesystem import MinixFS
 from repro.lld.checkpoint import CheckpointManager, default_slot_segments
+from repro.lld.config import LLDConfig
 from repro.lld.recovery import recover
 from repro.lld.segment import decode_segment, parse_trailer
 from repro.lld.summary import EntryKind
@@ -200,10 +201,9 @@ def describe_metrics(
     import json
 
     survivor = disk.power_cycle()
-    kwargs = {}
-    if slot_segments is not None:
-        kwargs["checkpoint_slot_segments"] = slot_segments
-    ld, report = recover(survivor, **kwargs)
+    ld, report = recover(
+        survivor, config=LLDConfig(checkpoint_slot_segments=slot_segments)
+    )
     payload = {
         "recovery": {
             "segments_replayed": report.segments_replayed,
@@ -244,10 +244,10 @@ def describe_restore(
     the per-segment work still outstanding.
     """
     survivor = disk.power_cycle()
-    kwargs = {"restore_drain_segments": 0}
-    if slot_segments is not None:
-        kwargs["checkpoint_slot_segments"] = slot_segments
-    ld, report = recover(survivor, mode="instant", **kwargs)
+    config = LLDConfig(
+        checkpoint_slot_segments=slot_segments, restore_drain_segments=0
+    )
+    ld, report = recover(survivor, mode="instant", config=config)
     lines = [
         "instant-restore preview (phase A only, nothing replayed):",
         f"  checkpoint seq     : {report.checkpoint_seq}",
@@ -303,10 +303,9 @@ def describe_fs(
             f"(checkpoint seq {jreport['checkpoint_seq']})"
         ]
     else:
-        kwargs = {}
-        if slot_segments is not None:
-            kwargs["checkpoint_slot_segments"] = slot_segments
-        ld, report = recover(survivor, **kwargs)
+        ld, report = recover(
+            survivor, config=LLDConfig(checkpoint_slot_segments=slot_segments)
+        )
         lines = [
             f"recovered: {report.entries_replayed} entries from "
             f"{report.segments_replayed} segments "

@@ -7,6 +7,7 @@ import pytest
 from repro.disk.clock import CostModel, SimClock
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 
@@ -24,14 +25,17 @@ def disk(geometry) -> SimulatedDisk:
 @pytest.fixture
 def lld(disk) -> LLD:
     """A concurrent-ARU LLD on the small partition."""
-    return LLD(disk, checkpoint_slot_segments=2)
+    return LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
 
 
 @pytest.fixture
 def old_lld(geometry) -> LLD:
     """A sequential-ARU ("old") LLD on its own small partition."""
     disk = SimulatedDisk(geometry)
-    return LLD(disk, aru_mode="sequential", checkpoint_slot_segments=2)
+    return LLD(
+        disk,
+        config=LLDConfig(aru_mode="sequential", checkpoint_slot_segments=2),
+    )
 
 
 def make_lld(num_segments: int = 64, **kwargs) -> LLD:
@@ -39,4 +43,4 @@ def make_lld(num_segments: int = 64, **kwargs) -> LLD:
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return LLD(disk, **kwargs)
+    return LLD(disk, config=LLDConfig(**kwargs))

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.disk.faults import FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.disk.timing import coalesce_runs
@@ -19,6 +19,7 @@ from repro.jld import JLD
 from repro.ld.types import FIRST, PhysAddr
 from repro.lld.cache import BlockCache
 from repro.lld.cleaner import SegmentCleaner
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.workloads.generator import overwrite_pressure
 
@@ -31,7 +32,7 @@ def small_lld(num_segments=24, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 1)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 class TestCoalesceRuns:
@@ -123,9 +124,8 @@ class TestDiskReadMany:
         assert serial_us - batched_us == pytest.approx(3 * random_cost)
 
     def test_media_fault_raises_by_default(self):
-        injector = FaultInjector(
-            media_faults={5: MediaFault(segment_no=5, kind="unreadable")}
-        )
+        fault = MediaFault(segment_no=5, kind="unreadable")
+        injector = FaultInjector(plan=FaultPlan(media_faults=[fault]))
         disk = SimulatedDisk(
             DiskGeometry.small(num_segments=16), injector=injector
         )
@@ -133,9 +133,8 @@ class TestDiskReadMany:
             disk.read_many([(4, 0, 8), (5, 0, 8)])
 
     def test_media_fault_none_policy_isolates_failure(self):
-        injector = FaultInjector(
-            media_faults={5: MediaFault(segment_no=5, kind="unreadable")}
-        )
+        fault = MediaFault(segment_no=5, kind="unreadable")
+        injector = FaultInjector(plan=FaultPlan(media_faults=[fault]))
         disk = SimulatedDisk(
             DiskGeometry.small(num_segments=16), injector=injector
         )
@@ -158,11 +157,13 @@ class TestReadManyMixedFaults:
 
     def _faulted_disk(self):
         injector = FaultInjector(
-            media_faults={
-                2: MediaFault(2, "unreadable"),
-                5: MediaFault(5, "corrupt"),
-                7: MediaFault(7, "unreadable"),
-            }
+            plan=FaultPlan(
+                media_faults=[
+                    MediaFault(2, "unreadable"),
+                    MediaFault(5, "corrupt"),
+                    MediaFault(7, "unreadable"),
+                ]
+            )
         )
         disk = SimulatedDisk(
             DiskGeometry.small(num_segments=16), injector=injector

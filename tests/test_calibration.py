@@ -21,6 +21,7 @@ import pytest
 
 from repro.harness.reporting import percent_difference
 from repro.harness.variants import VARIANTS, build_variant, paper_geometry
+from repro.lld.config import LLDConfig
 from repro.workloads.arulat import run_aru_latency
 from repro.workloads.largefile import run_large_file
 from repro.workloads.smallfile import run_small_files
@@ -46,8 +47,10 @@ def figure6():
     for name in ("old", "new"):
         # Cache well below the file size, as in the paper's testbed.
         _d, _l, fs = build_variant(
-            VARIANTS[name], geometry=paper_geometry(0.15), n_inodes=64,
-            cache_blocks=512,
+            VARIANTS[name],
+            geometry=paper_geometry(0.15),
+            n_inodes=64,
+            config=LLDConfig(cache_blocks=512),
         )
         results[name] = run_large_file(fs, file_size=8 * 1024 * 1024)
     return results

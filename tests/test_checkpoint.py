@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, DiskFullError, ShardLostError
@@ -21,6 +21,7 @@ from repro.lld.checkpoint import (
     default_slot_segments,
 )
 from repro.lld.cleaner import SegmentCleaner
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.usage import QUARANTINE_SEQ
 from repro.lld.verify import verify_lld
@@ -60,7 +61,7 @@ def tear_next_write(disk, surviving):
     """Cut power inside the disk's next write, keeping exactly
     ``surviving`` bytes of it (0 drops the write whole)."""
     injector = disk.injector
-    injector.crash_plan = CrashPlan(after_writes=injector.writes_seen, torn=True)
+    injector.crash_plan = PowerCut(after_writes=injector.writes_seen, torn=True)
     injector._tear_point = lambda nbytes: surviving
 
 
@@ -268,7 +269,7 @@ def checkpointed_lld(n_blocks):
     """An LLD with ``n_blocks`` blocks, checkpoint 1 on disk and a
     flushed log suffix after it: what checkpoint 2 is written over."""
     disk = SimulatedDisk(TEAR_GEO)
-    ld = LLD(disk, checkpoint_slot_segments=TEAR_SLOTS)
+    ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=TEAR_SLOTS))
     lst = ld.new_list()
     blocks = [ld.new_block(lst) for _ in range(n_blocks)]
     for index, block in enumerate(blocks):
@@ -289,7 +290,9 @@ def recovered_fingerprints(disk):
     prints = []
     for mode in ("eager", "instant"):
         ld, report = recover(
-            disk.power_cycle(), mode=mode, checkpoint_slot_segments=TEAR_SLOTS
+            disk.power_cycle(),
+            mode=mode,
+            config=LLDConfig(checkpoint_slot_segments=TEAR_SLOTS),
         )
         ld.complete_restore()
         assert report.checkpoint_seq == 1
@@ -336,7 +339,7 @@ class TestTornCheckpointWrite:
             # ``durable`` whole segments reach the platter, then the
             # next write of the checkpoint is dropped.
             injector = disk.injector
-            injector.crash_plan = CrashPlan(
+            injector.crash_plan = PowerCut(
                 after_writes=injector.writes_seen + durable
             )
             with pytest.raises(DiskCrashedError):
@@ -353,9 +356,11 @@ class TestTornCheckpointWrite:
         disk = SimulatedDisk(DiskGeometry.small(num_segments=24))
         ld = LLD(
             disk,
-            checkpoint_slot_segments=1,
-            clean_low_water=3,
-            clean_high_water=6,
+            config=LLDConfig(
+                checkpoint_slot_segments=1,
+                clean_low_water=3,
+                clean_high_water=6,
+            ),
         )
         overwrite_pressure(ld, working_set_blocks=40, n_writes=300)
         assert ld.cleanings > 0
@@ -477,7 +482,7 @@ def reference_serialize(data, blocks, lists):
 class TestCodecMatchesReference:
     def test_lld_state(self):
         disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
-        ld = LLD(disk, checkpoint_slot_segments=2)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         first, second = ld.new_list(), ld.new_list()
         ld.new_list()  # stays empty
         blocks = [ld.new_block(first) for _ in range(40)]
@@ -539,7 +544,7 @@ class TestCodecMatchesReference:
 class TestCleanerRunsCheckpointOnce:
     def test_roomy_log_reaches_high_water_in_one_pass(self):
         disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
-        ld = LLD(disk, checkpoint_slot_segments=1)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=1))
         blocks = overwrite_pressure(ld, working_set_blocks=100, n_writes=500)
         ld.flush()
         writes_before = ld.stats()["checkpoint"]["writes"]
@@ -554,7 +559,7 @@ class TestCleanerRunsCheckpointOnce:
 
     def test_every_run_of_a_storm_on_a_roomy_log_is_one_pass(self):
         disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
-        ld = LLD(disk, checkpoint_slot_segments=1)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=1))
         high_water = ld.clean_high_water
         after_run = []
         run_cleaner = ld._run_cleaner
@@ -583,9 +588,11 @@ class TestCleanerRunsCheckpointOnce:
         disk = SimulatedDisk(DiskGeometry.small(num_segments=24))
         ld = LLD(
             disk,
-            checkpoint_slot_segments=1,
-            clean_low_water=3,
-            clean_high_water=6,
+            config=LLDConfig(
+                checkpoint_slot_segments=1,
+                clean_low_water=3,
+                clean_high_water=6,
+            ),
         )
         blocks = overwrite_pressure(ld, working_set_blocks=200, n_writes=3000)
         stats = ld.stats()

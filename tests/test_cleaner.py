@@ -7,6 +7,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError
 from repro.ld.types import FIRST
 from repro.lld.cleaner import SegmentCleaner
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.workloads.generator import overwrite_pressure
@@ -18,7 +19,7 @@ def small_lld(num_segments=24, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 1)
     kwargs.setdefault("clean_low_water", 3)
     kwargs.setdefault("clean_high_water", 6)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 def fill_pattern(lld, lst, count, tag):
@@ -46,7 +47,8 @@ class TestCleaning:
         assert lld.cleanings > 0
         lld.flush()
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1, clean_low_water=3
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1, clean_low_water=3),
         )
         for index, block in enumerate(blocks):
             assert lld2.read(block).startswith(f"block-{index}-".encode())

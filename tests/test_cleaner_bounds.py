@@ -13,6 +13,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.ld.types import FIRST
 from repro.lld.cleaner import SegmentCleaner
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 
@@ -22,7 +23,7 @@ def build(num_segments=32, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 1)
     kwargs.setdefault("clean_low_water", 3)
     kwargs.setdefault("clean_high_water", 8)
-    return LLD(disk, **kwargs)
+    return LLD(disk, config=LLDConfig(**kwargs))
 
 
 def make_garbage(lld, lst, n_blocks, rewrite=True):

@@ -49,26 +49,26 @@ class TestWriteAt:
             disk.write_at(0, -1, b"x")
 
     def test_counts_against_crash_plan(self):
-        from repro.disk.faults import CrashPlan, FaultInjector
+        from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 
+        cut = PowerCut(after_writes=1)
         disk = SimulatedDisk(
             DiskGeometry.small(num_segments=8),
-            injector=FaultInjector(CrashPlan(after_writes=1)),
+            injector=FaultInjector(plan=FaultPlan(power_cut=cut)),
         )
         disk.write_at(0, 0, b"first")
         with pytest.raises(DiskCrashedError):
             disk.write_at(0, 10, b"second")
 
     def test_torn_write_at_keeps_prefix(self):
-        from repro.disk.faults import CrashPlan, FaultInjector
+        from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 
+        # Byte granularity: an 8-byte write is sub-sector, so the
+        # default sector-granular model drops it whole.
+        cut = PowerCut(after_writes=0, torn=True, seed=4, granularity="byte")
         disk = SimulatedDisk(
             DiskGeometry.small(num_segments=8),
-            injector=FaultInjector(
-                # Byte granularity: an 8-byte write is sub-sector, so
-                # the default sector-granular model drops it whole.
-                CrashPlan(after_writes=0, torn=True, seed=4, granularity="byte")
-            ),
+            injector=FaultInjector(plan=FaultPlan(power_cut=cut)),
         )
         with pytest.raises(DiskCrashedError):
             disk.write_at(0, 0, b"abcdefgh")

@@ -20,13 +20,14 @@ from repro.errors import (
 )
 from repro.jld import JLD
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 
 def _lld(**kwargs):
     geo = DiskGeometry.small(num_segments=96)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return LLD(SimulatedDisk(geo), **kwargs)
+    return LLD(SimulatedDisk(geo), config=LLDConfig(**kwargs))
 
 
 def _jld(**kwargs):
@@ -235,7 +236,10 @@ class TestDurabilityConformance:
         if kind == "lld":
             from repro.lld.recovery import recover
 
-            ld, _ = recover(disk.power_cycle(), checkpoint_slot_segments=2)
+            ld, _ = recover(
+                disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
+            )
         else:
             from repro.jld import recover_jld
 

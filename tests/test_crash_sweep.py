@@ -9,12 +9,13 @@ implementations, asserting the recovery contract at each point.
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, LDError
 from repro.fs import MinixFS, fsck
 from repro.jld import JLD, recover_jld
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
@@ -23,7 +24,7 @@ def build(substrate, injector=None):
     geo = DiskGeometry.small(num_segments=96)
     disk = SimulatedDisk(geo, injector=injector)
     if substrate == "lld":
-        ld = LLD(disk, checkpoint_slot_segments=2)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     else:
         ld = JLD(disk, journal_segments=6, checkpoint_slot_segments=2)
     return disk, ld
@@ -31,7 +32,10 @@ def build(substrate, injector=None):
 
 def recover_any(substrate, disk):
     if substrate == "lld":
-        ld, _report = recover(disk.power_cycle(), checkpoint_slot_segments=2)
+        ld, _report = recover(
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
     else:
         ld, _report = recover_jld(
             disk.power_cycle(), journal_segments=6, checkpoint_slot_segments=2
@@ -78,9 +82,10 @@ class TestExhaustiveCrashSweep:
         limit = total_writes(substrate)
         assert limit > 10, "workload too small to be interesting"
         for crash_after in range(1, limit + 1):
-            injector = FaultInjector(
-                CrashPlan(after_writes=crash_after, torn=torn, seed=crash_after)
+            cut = PowerCut(
+                after_writes=crash_after, torn=torn, seed=crash_after
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             disk, ld = build(substrate, injector=injector)
             fs = MinixFS.mkfs(ld, n_inodes=256)
             crashed = True

@@ -16,14 +16,15 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import LDError
 from repro.jld import JLD
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 
 def build_pair():
     geo = DiskGeometry.small(num_segments=96)
     lld = LLD(
-        SimulatedDisk(geo), checkpoint_slot_segments=2,
-        conflict_policy="raise",
+        SimulatedDisk(geo),
+        config=LLDConfig(checkpoint_slot_segments=2, conflict_policy="raise"),
     )
     jld = JLD(
         SimulatedDisk(geo), journal_segments=8, checkpoint_slot_segments=2,

@@ -6,6 +6,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, DiskFullError
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.verify import verify_lld
@@ -15,7 +16,7 @@ def tiny(num_segments=20, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 1)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 def fill(lld, lst):
@@ -60,7 +61,8 @@ class TestDiskFull:
         blocks = fill(lld, lst)
         survivors = lld.list_blocks(lst)
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         assert lld2.list_blocks(lst) == survivors
         assert verify_lld(lld2) == []
@@ -89,7 +91,8 @@ class TestDiskFull:
             lld.read(base)
         # ... and the durable image is the consistent pre-commit one.
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         assert lld2.read(base).startswith(b"pre-commit truth")
         for block in doomed:

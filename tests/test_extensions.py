@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.txn import TransactionManager, run_batch
 from repro.workloads.postmark import run_postmark
 
@@ -110,7 +111,8 @@ class TestGroupCommit:
         from repro.lld.recovery import recover
 
         recovered, _ = recover(
-            ld.disk.power_cycle(), checkpoint_slot_segments=2
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         for account in accounts:
             assert int.from_bytes(
@@ -137,7 +139,8 @@ class TestGroupCommit:
         from repro.lld.recovery import recover
 
         recovered, _ = recover(
-            ld.disk.power_cycle(), checkpoint_slot_segments=2
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert recovered.read(block).startswith(b"good-result")
 

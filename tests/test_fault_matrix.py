@@ -14,6 +14,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.jld import JLD, recover_jld
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
@@ -21,7 +22,7 @@ from repro.lld.recovery import recover
 def populated_lld():
     geo = DiskGeometry.small(num_segments=64)
     disk = SimulatedDisk(geo)
-    lld = LLD(disk, checkpoint_slot_segments=1)
+    lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=1))
     lst = lld.new_list()
     blocks = []
     previous = FIRST
@@ -46,7 +47,8 @@ class TestLLDFaultMatrix:
         victim = lld.checkpoints._slot_base(lld._ckpt_seq + 1)
         disk.injector.add_media_fault(MediaFault(victim, kind))
         lld2, report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         assert report.checkpoint_seq == 1
         assert lld2.list_blocks(lst) == blocks + [post]
@@ -60,7 +62,8 @@ class TestLLDFaultMatrix:
         live_slot = lld.checkpoints._slot_base(lld._ckpt_seq)
         disk.injector.add_media_fault(MediaFault(live_slot, kind))
         lld2, report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         assert report.checkpoint_seq == 0  # fell back to empty
         # Pre-checkpoint history is still in the (uncleaned) log in
@@ -77,7 +80,8 @@ class TestLLDFaultMatrix:
         victim = lld.bmap.root(post).persistent.address.segment
         disk.injector.add_media_fault(MediaFault(victim, kind))
         lld2, report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         assert (
             report.segments_unreadable + report.segments_invalid >= 1

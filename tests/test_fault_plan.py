@@ -1,16 +1,16 @@
 """The unified :class:`FaultPlan` fault surface.
 
-One declarative object now carries every fault the injector can
-apply — power cuts, per-segment media faults (optionally scoped to
-one shard of an array), and whole-shard losses.  The legacy
-spellings (``CrashPlan``, ``FaultInjector(crash_plan=...,
-media_faults=...)``) remain as shims and must behave identically.
+One declarative, immutable object carries every fault the injector
+can apply — power cuts, per-segment media faults (optionally scoped
+to one shard of an array), and whole-shard losses — and
+``FaultInjector(plan=...)`` is the only way to schedule one.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.disk.faults import (
-    CrashPlan,
     FaultInjector,
     FaultPlan,
     MediaFault,
@@ -24,6 +24,7 @@ from repro.errors import (
     MediaError,
     ShardLostError,
 )
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 
@@ -54,12 +55,13 @@ class TestFaultPlanSurface:
                 shard_losses=[ShardLoss(shard=1), ShardLoss(shard=1)]
             )
 
-    def test_plan_and_legacy_arguments_are_exclusive(self):
-        with pytest.raises(ValueError):
-            FaultInjector(
-                crash_plan=CrashPlan(after_writes=1),
-                plan=FaultPlan(),
-            )
+    def test_plans_are_immutable(self):
+        """Their ``__post_init__`` checks cannot be bypassed by
+        assigning afterwards."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PowerCut(after_writes=1).after_writes = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FaultPlan().shard_losses = [ShardLoss(1), ShardLoss(1)]
 
     def test_media_fault_kind_validated(self):
         with pytest.raises(ValueError):
@@ -70,28 +72,6 @@ class TestFaultPlanSurface:
             ShardLoss(shard=-1)
         with pytest.raises(ValueError):
             ShardLoss(shard=0, after_writes=-1)
-
-
-class TestCrashPlanShim:
-    def test_crashplan_is_a_powercut(self):
-        plan = CrashPlan(after_writes=3, torn=True, seed=7)
-        assert isinstance(plan, PowerCut)
-        assert plan.after_writes == 3
-
-    def test_legacy_and_plan_spellings_crash_identically(self):
-        for build in (
-            lambda: FaultInjector(crash_plan=CrashPlan(after_writes=2)),
-            lambda: FaultInjector(
-                plan=FaultPlan(power_cut=PowerCut(after_writes=2))
-            ),
-        ):
-            disk = make_disk(injector=build())
-            seg = b"x" * disk.geometry.segment_size
-            disk.write_segment(0, seg)
-            disk.write_segment(1, seg)
-            with pytest.raises(DiskCrashedError):
-                disk.write_segment(2, seg)
-                disk.write_segment(3, seg)
 
 
 class TestScopedMediaFaults:
@@ -147,9 +127,8 @@ class TestShardLossSemantics:
 
     def test_loss_survives_power_cycle(self):
         """Power restoration does not resurrect destroyed media."""
-        injector = FaultInjector(
-            crash_plan=CrashPlan(after_writes=1),
-        )
+        cut = PowerCut(after_writes=1)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         injector.lose_shard(1)
         disk1 = make_disk(injector=injector, shard_index=1)
         injector.power_cycle()
@@ -172,7 +151,8 @@ class TestShardLossSemantics:
         assert not issubclass(ShardLostError, MediaError)
 
     def test_power_cycled_disk_keeps_its_shard_index(self):
-        injector = FaultInjector(crash_plan=CrashPlan(after_writes=1))
+        cut = PowerCut(after_writes=1)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk = make_disk(injector=injector, shard_index=2)
         seg = b"d" * disk.geometry.segment_size
         disk.write_segment(0, seg)
@@ -201,7 +181,7 @@ class TestLLDUnderFaultPlan:
             plan=FaultPlan(power_cut=PowerCut(after_writes=4))
         )
         disk = make_disk(injector=injector, num_segments=32)
-        lld = LLD(disk, checkpoint_slot_segments=2)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lst = lld.new_list()
         blk = lld.new_block(lst)
         with pytest.raises(DiskCrashedError):

@@ -2,17 +2,24 @@
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault, _flip_bits
+from repro.disk.faults import (
+    FaultInjector,
+    FaultPlan,
+    MediaFault,
+    PowerCut,
+    _flip_bits,
+)
 from repro.errors import DiskCrashedError, MediaError
 
 
-class TestCrashPlan:
+class TestPowerCut:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
-            CrashPlan(after_writes=-1)
+            PowerCut(after_writes=-1)
 
     def test_zero_budget_crashes_first_write(self):
-        injector = FaultInjector(CrashPlan(after_writes=0))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         assert injector.on_write(0, 1000) == 0
         assert injector.crashed
 
@@ -26,17 +33,16 @@ class TestMediaFault:
 class TestTearGranularity:
     def test_rejects_unknown_granularity(self):
         with pytest.raises(ValueError):
-            CrashPlan(after_writes=0, torn=True, granularity="nibble")
+            PowerCut(after_writes=0, torn=True, granularity="nibble")
 
     def test_rejects_bad_sector_size(self):
         with pytest.raises(ValueError):
-            CrashPlan(after_writes=0, torn=True, sector_size=0)
+            PowerCut(after_writes=0, torn=True, sector_size=0)
 
     def test_default_tear_is_sector_aligned(self):
         for seed in range(20):
-            injector = FaultInjector(
-                CrashPlan(after_writes=0, torn=True, seed=seed)
-            )
+            cut = PowerCut(after_writes=0, torn=True, seed=seed)
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             surviving = injector.on_write(0, 64 * 1024)
             assert 0 < surviving < 64 * 1024
             assert surviving % 512 == 0
@@ -44,15 +50,15 @@ class TestTearGranularity:
     def test_sub_sector_write_dropped_whole(self):
         # A write no larger than one sector cannot tear: real disks
         # commit sectors atomically.
-        injector = FaultInjector(CrashPlan(after_writes=0, torn=True, seed=1))
+        plan = FaultPlan(power_cut=PowerCut(after_writes=0, torn=True, seed=1))
+        injector = FaultInjector(plan=plan)
         assert injector.on_write(0, 512) == 0
-        injector = FaultInjector(CrashPlan(after_writes=0, torn=True, seed=1))
+        injector = FaultInjector(plan=plan)
         assert injector.on_write(0, 8) == 0
 
     def test_custom_sector_size(self):
-        injector = FaultInjector(
-            CrashPlan(after_writes=0, torn=True, seed=2, sector_size=4096)
-        )
+        cut = PowerCut(after_writes=0, torn=True, seed=2, sector_size=4096)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         surviving = injector.on_write(0, 64 * 1024)
         assert 0 < surviving < 64 * 1024
         assert surviving % 4096 == 0
@@ -62,11 +68,10 @@ class TestTearGranularity:
         # want to explore every possible tear point.
         unaligned = False
         for seed in range(20):
-            injector = FaultInjector(
-                CrashPlan(
-                    after_writes=0, torn=True, seed=seed, granularity="byte"
-                )
+            cut = PowerCut(
+                after_writes=0, torn=True, seed=seed, granularity="byte"
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             surviving = injector.on_write(0, 1000)
             assert 1 <= surviving < 1000
             unaligned = unaligned or surviving % 512 != 0
@@ -80,24 +85,28 @@ class TestFaultInjector:
         assert injector.on_read(0, b"abc") == b"abc"
 
     def test_crash_after_n_writes(self):
-        injector = FaultInjector(CrashPlan(after_writes=2))
+        cut = PowerCut(after_writes=2)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         assert injector.on_write(0, 100) is None
         assert injector.on_write(1, 100) is None
         assert injector.on_write(2, 100) == 0  # dropped whole
         assert injector.crashed
 
     def test_torn_write_keeps_prefix(self):
-        injector = FaultInjector(CrashPlan(after_writes=0, torn=True, seed=3))
+        cut = PowerCut(after_writes=0, torn=True, seed=3)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         surviving = injector.on_write(0, 1000)
         assert 1 <= surviving < 1000
 
     def test_torn_write_deterministic(self):
-        a = FaultInjector(CrashPlan(after_writes=0, torn=True, seed=9))
-        b = FaultInjector(CrashPlan(after_writes=0, torn=True, seed=9))
+        plan = FaultPlan(power_cut=PowerCut(after_writes=0, torn=True, seed=9))
+        a = FaultInjector(plan=plan)
+        b = FaultInjector(plan=plan)
         assert a.on_write(0, 4096) == b.on_write(0, 4096)
 
     def test_io_after_crash_raises(self):
-        injector = FaultInjector(CrashPlan(after_writes=0))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         injector.on_write(0, 10)
         with pytest.raises(DiskCrashedError):
             injector.on_write(1, 10)
@@ -105,14 +114,17 @@ class TestFaultInjector:
             injector.on_read(0, b"x")
 
     def test_power_cycle_restores_io(self):
-        injector = FaultInjector(CrashPlan(after_writes=0))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         injector.on_write(0, 10)
         injector.power_cycle()
         assert injector.on_read(0, b"x") == b"x"
         assert injector.on_write(1, 10) is None  # plan cleared
 
     def test_unreadable_media_fault(self):
-        injector = FaultInjector(media_faults={3: MediaFault(3, "unreadable")})
+        injector = FaultInjector(
+            plan=FaultPlan(media_faults=[MediaFault(3, "unreadable")])
+        )
         with pytest.raises(MediaError):
             injector.on_read(3, b"data")
         assert injector.on_read(4, b"data") == b"data"

@@ -26,10 +26,11 @@ import pytest
 import repro.frontend
 import repro.txn
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DeadlockError, DiskCrashedError, TransactionAborted
+from repro.lld.config import LLDConfig
 from repro.frontend import (
     FrontEnd,
     FrontendConfig,
@@ -102,7 +103,7 @@ class TestSchedulerBasics:
         volume = build_sharded(
             4,
             geometry=DiskGeometry.small(num_segments=24),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         with FrontEnd(volume) as frontend:
             assert frontend.n_lanes == 4
@@ -278,8 +279,7 @@ class CrashStorm:
             self.SHARDS,
             geometry=DiskGeometry.small(num_segments=96),
             injector=injector,
-            checkpoint_slot_segments=2,
-            writeback_depth=4,
+            config=LLDConfig(checkpoint_slot_segments=2, writeback_depth=4),
         )
 
     def provision(self, volume):
@@ -368,14 +368,13 @@ class TestCrashDuringLoad(CrashStorm):
         """Kill the array a few disk writes into the storm; the locks
         must quiesce, and recovery (run twice from the same saved
         disks) must be all-or-nothing and byte-identical."""
-        injector = FaultInjector(
-            CrashPlan(
-                after_writes=self.setup_writes() + delta,
-                torn=True,
-                seed=delta,
-                granularity="byte",
-            )
+        cut = PowerCut(
+            after_writes=self.setup_writes() + delta,
+            torn=True,
+            seed=delta,
+            granularity="byte",
         )
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         volume = self.build(injector)
         tenants, hot = self.provision(volume)
         handles, stats = self.storm(volume, tenants, hot)
@@ -443,7 +442,7 @@ class TestOpenLoopIntegration:
         volume = build_sharded(
             2,
             geometry=DiskGeometry.small(num_segments=64),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         frontend = FrontEnd(
             volume,
@@ -484,8 +483,7 @@ class TestMaintenanceInterference:
         volume = build_sharded(
             2,
             geometry=DiskGeometry.small(num_segments=96),
-            checkpoint_slot_segments=2,
-            writeback_depth=4,
+            config=LLDConfig(checkpoint_slot_segments=2, writeback_depth=4),
         )
         frontend = FrontEnd(
             volume, FrontendConfig(max_inflight=256, max_tenant_queue=64)

@@ -11,6 +11,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS, fsck
 from repro.jld import JLD, recover_jld
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.workloads.generator import random_fs_ops, verify_against_model
@@ -20,7 +21,7 @@ def _make(kind):
     geo = DiskGeometry.small(num_segments=160)
     disk = SimulatedDisk(geo)
     if kind == "lld":
-        ld = LLD(disk, checkpoint_slot_segments=2)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     else:
         ld = JLD(disk, journal_segments=8, checkpoint_slot_segments=2)
     return disk, MinixFS.mkfs(ld, n_inodes=256)
@@ -28,7 +29,10 @@ def _make(kind):
 
 def _recover_fs(kind, disk):
     if kind == "lld":
-        ld, _ = recover(disk.power_cycle(), checkpoint_slot_segments=2)
+        ld, _ = recover(
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
     else:
         ld, _ = recover_jld(
             disk.power_cycle(), journal_segments=8,

@@ -9,27 +9,30 @@ and verify that claim with the (deliberately redundant) checker.
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
 
 def crashy_fs(after_writes, torn=False, seed=0, num_segments=96):
     geo = DiskGeometry.small(num_segments=num_segments)
-    injector = FaultInjector(
-        CrashPlan(after_writes=after_writes, torn=torn, seed=seed)
-    )
+    cut = PowerCut(after_writes=after_writes, torn=torn, seed=seed)
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(geo, injector=injector)
-    lld = LLD(disk, checkpoint_slot_segments=2)
+    lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     return disk, MinixFS.mkfs(lld, n_inodes=256)
 
 
 def recover_and_mount(disk):
-    lld, report = recover(disk.power_cycle(), checkpoint_slot_segments=2)
+    lld, report = recover(
+        disk.power_cycle(),
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
     return MinixFS.mount(lld), report
 
 
@@ -124,7 +127,7 @@ class TestCrashConsistency:
         mounted, _report = recover_and_mount(disk)
         assert fsck(mounted).clean
         # Continue working, then crash again via a new plan.
-        disk.injector.crash_plan = CrashPlan(after_writes=3)
+        disk.injector.crash_plan = PowerCut(after_writes=3)
         disk.injector.writes_seen = 0
         with pytest.raises(DiskCrashedError):
             churn(mounted, rounds=100, prefix="g")
@@ -148,7 +151,13 @@ class TestOldVariantLosesAtomicity:
         for pad_blocks in range(0, 16):
             geo = DiskGeometry.small(num_segments=96)
             disk = SimulatedDisk(geo)
-            lld = LLD(disk, aru_mode="sequential", checkpoint_slot_segments=2)
+            lld = LLD(
+                disk,
+                config=LLDConfig(
+                    aru_mode="sequential",
+                    checkpoint_slot_segments=2,
+                ),
+            )
             fs = MinixFS.mkfs(lld, n_inodes=256, use_arus=False)
             fs.create("/pad")
             fs.sync()
@@ -164,8 +173,10 @@ class TestOldVariantLosesAtomicity:
             # survive.
             lld2, _report = recover(
                 disk.power_cycle(),
-                aru_mode="sequential",
-                checkpoint_slot_segments=2,
+                config=LLDConfig(
+                    aru_mode="sequential",
+                    checkpoint_slot_segments=2,
+                ),
             )
             mounted = MinixFS.mount(lld2, use_arus=False)
             if not fsck(mounted).clean:

@@ -8,6 +8,7 @@ from repro.errors import (
     IsADirectoryFSError,
 )
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 
 from tests.conftest import make_lld
 
@@ -82,7 +83,8 @@ class TestHardLinks:
         from repro.lld.recovery import recover
 
         ld2, _ = recover(
-            fs.ld.disk.power_cycle(), checkpoint_slot_segments=2
+            fs.ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         fs2 = MinixFS.mount(ld2)
         assert fs2.stat("/alias").nlinks == 2

@@ -21,6 +21,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import FSError
 from repro.fs import MinixFS, fsck
 from repro.jld import JLD
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 
 NAMES = [f"n{index}" for index in range(8)]
@@ -37,7 +38,7 @@ class FSMachine(RuleBasedStateMachine):
         geo = DiskGeometry.small(num_segments=160)
         disk = SimulatedDisk(geo)
         if self.substrate == "lld":
-            ld = LLD(disk, checkpoint_slot_segments=2)
+            ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         else:
             ld = JLD(disk, journal_segments=8, checkpoint_slot_segments=2)
         self.fs = MinixFS.mkfs(ld, n_inodes=128)

@@ -22,11 +22,12 @@ pinned here:
 import pytest
 
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 
@@ -35,15 +36,17 @@ from tests.test_recovery_parallel import build, total_writes, workload
 
 
 def recover_eager(disk):
-    return recover(disk.power_cycle(), checkpoint_slot_segments=2)
+    return recover(
+        disk.power_cycle(),
+        config=LLDConfig(checkpoint_slot_segments=2),
+    )
 
 
 def recover_instant(disk, **kwargs):
     return recover(
         disk.power_cycle(),
         mode="instant",
-        checkpoint_slot_segments=2,
-        **kwargs,
+        config=LLDConfig(checkpoint_slot_segments=2, **kwargs),
     )
 
 
@@ -75,11 +78,10 @@ class TestInstantEagerIdentity:
         limit = total_writes()
         assert limit > 10, "workload too small to be interesting"
         for crash_after in range(1, limit + 1):
-            injector = FaultInjector(
-                CrashPlan(
-                    after_writes=crash_after, torn=torn, seed=crash_after
-                )
+            cut = PowerCut(
+                after_writes=crash_after, torn=torn, seed=crash_after
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             disk, ld = build(injector=injector)
             fs = MinixFS.mkfs(ld, n_inodes=256)
             try:
@@ -147,7 +149,7 @@ class TestOnDemandReplay:
         """A few multi-segment lists written directly through LLD."""
         geo = DiskGeometry.small(num_segments=64)
         disk = SimulatedDisk(geo)
-        ld = LLD(disk, checkpoint_slot_segments=2)
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lists, blocks = [], {}
         for l_index in range(4):
             lst = ld.new_list()
@@ -232,9 +234,8 @@ class TestSecondCrashDuringSweep:
     leave the platter exactly as the first crash did."""
 
     def crashed_disk(self, crash_after, torn=True):
-        injector = FaultInjector(
-            CrashPlan(after_writes=crash_after, torn=torn, seed=crash_after)
-        )
+        cut = PowerCut(after_writes=crash_after, torn=torn, seed=crash_after)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk, ld = build(injector=injector)
         fs = MinixFS.mkfs(ld, n_inodes=256)
         try:
@@ -252,15 +253,18 @@ class TestSecondCrashDuringSweep:
             mid, _report = recover(
                 survivor,
                 mode="instant",
-                checkpoint_slot_segments=2,
-                restore_drain_segments=0,
+                config=LLDConfig(
+                    checkpoint_slot_segments=2,
+                    restore_drain_segments=0,
+                ),
             )
             if mid.restore_active:
                 mid.restore_drain(max(1, mid._restore.pending_count // 2))
             # Second crash, mid-sweep: power-cycle the half-restored
             # volume's disk and recover it eagerly.
             again_lld, again_report = recover(
-                survivor.power_cycle(), checkpoint_slot_segments=2
+                survivor.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             assert state_fingerprint(again_lld, again_report) == baseline
 
@@ -281,23 +285,30 @@ class TestSecondCrashDuringSweep:
         disk = self.crashed_disk(60)
 
         eager_side = disk.power_cycle()
-        eager_lld, _ = recover(eager_side, checkpoint_slot_segments=2)
+        eager_lld, _ = recover(
+            eager_side,
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         traffic(eager_lld)
 
         instant_side = disk.power_cycle()
         instant_lld, _ = recover(
             instant_side,
             mode="instant",
-            checkpoint_slot_segments=2,
-            restore_drain_segments=1,
+            config=LLDConfig(
+                checkpoint_slot_segments=2,
+                restore_drain_segments=1,
+            ),
         )
         traffic(instant_lld)
 
         final_eager, re1 = recover(
-            eager_side.power_cycle(), checkpoint_slot_segments=2
+            eager_side.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         final_instant, re2 = recover(
-            instant_side.power_cycle(), checkpoint_slot_segments=2
+            instant_side.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert state_fingerprint(final_instant, re2) == state_fingerprint(
             final_eager, re1
@@ -312,14 +323,13 @@ class TestShardedInstantRestore:
             setup_baseline,
         )
 
-        injector = FaultInjector(
-            CrashPlan(
-                after_writes=crash_after,
-                torn=torn,
-                seed=crash_after,
-                granularity="byte",
-            )
+        cut = PowerCut(
+            after_writes=crash_after,
+            torn=torn,
+            seed=crash_after,
+            granularity="byte",
         )
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         vol = build_swept(injector)
         blocks = setup_baseline(vol)
         try:
@@ -376,7 +386,7 @@ class TestShardedInstantRestore:
         vol = build_sharded(
             shards,
             geometry=DiskGeometry.small(num_segments=48),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         lists = [vol.new_list() for _ in range(6)]
         blocks = [vol.new_block(lst) for lst in lists]
@@ -387,7 +397,7 @@ class TestShardedInstantRestore:
         recovered, report = recover(
             [shard.disk.power_cycle() for shard in vol.shards],
             mode="instant",
-            restore_drain_segments=0,
+            config=LLDConfig(restore_drain_segments=0),
         )
         assert recovered.restore_active
         frontend = FrontEnd(

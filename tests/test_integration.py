@@ -14,6 +14,7 @@ import pytest
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.txn.transactions import TransactionManager, run_transaction
@@ -24,7 +25,7 @@ def build(num_segments=192, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 class TestMultipleClients:
@@ -126,7 +127,8 @@ class TestLifecycles:
             fs.sync()
             expected = trace.expected  # model state at the sync point
             lld2, _report = recover(
-                disk.power_cycle(), checkpoint_slot_segments=2
+                disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             fs = MinixFS.mount(lld2)
             lld = lld2
@@ -149,7 +151,8 @@ class TestLifecycles:
         assert lld.cleanings > 0
         fs.sync()
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=2, clean_low_water=3
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2, clean_low_water=3),
         )
         fs2 = MinixFS.mount(lld2)
         assert fs2.read_file("/churn").startswith(b"round-199")
@@ -163,7 +166,8 @@ class TestLifecycles:
             fs.write_file(f"/f{index}", b"d" * 2000)
         fs.sync()
         _lld_before, report_before = recover(
-            disk.power_cycle(), checkpoint_slot_segments=2
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         # Same state, but checkpointed: replay work should collapse.
         disk2, lld2 = build()
@@ -173,7 +177,8 @@ class TestLifecycles:
             fs2.write_file(f"/f{index}", b"d" * 2000)
         lld2.write_checkpoint()
         _lld_after, report_after = recover(
-            disk2.power_cycle(), checkpoint_slot_segments=2
+            disk2.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert report_after.entries_replayed < report_before.entries_replayed
         assert report_after.segments_replayed == 0
@@ -188,8 +193,10 @@ class TestLifecycles:
         lld.flush()
         lld2, _ = recover(
             disk.power_cycle(),
-            checkpoint_slot_segments=2,
-            visibility=Visibility.MOST_RECENT_SHADOW,
+            config=LLDConfig(
+                checkpoint_slot_segments=2,
+                visibility=Visibility.MOST_RECENT_SHADOW,
+            ),
         )
         aru = lld2.begin_aru()
         lld2.write(block, b"v2", aru=aru)

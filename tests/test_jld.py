@@ -9,7 +9,7 @@ the transaction layer run on it unchanged.
 import pytest
 
 from repro.core.visibility import Visibility
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import (
@@ -240,7 +240,8 @@ class TestCrashRecovery:
             assert jld2.read(block).startswith(f"r14-b{index}".encode())
 
     def test_torn_journal_segment_discarded(self):
-        injector = FaultInjector(CrashPlan(after_writes=2, torn=True, seed=3))
+        cut = PowerCut(after_writes=2, torn=True, seed=3)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk, jld = make_jld(injector=injector)
         lst = jld.new_list()
         committed = []
@@ -273,7 +274,7 @@ class TestCrashRecovery:
             previous = block
         jld.flush()
         # Crash mid-apply: allow a couple of home writes through.
-        disk.injector.crash_plan = CrashPlan(after_writes=2)
+        disk.injector.crash_plan = PowerCut(after_writes=2)
         disk.injector.writes_seen = 0
         with pytest.raises(DiskCrashedError):
             jld.apply()
@@ -318,7 +319,8 @@ class TestClientsRunUnchanged:
         assert report.clean, [str(p) for p in report.problems]
 
     def test_fs_crash_consistency_on_jld(self):
-        injector = FaultInjector(CrashPlan(after_writes=6))
+        cut = PowerCut(after_writes=6)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk, jld = make_jld(num_segments=192, injector=injector)
         fs = MinixFS.mkfs(jld, n_inodes=256)
         with pytest.raises(DiskCrashedError):

@@ -8,7 +8,7 @@ committed ARUs are complete and everything else is invisible.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, LDError
@@ -31,9 +31,8 @@ class TestJLDCrashAtomicity:
         seed=st.integers(0, 50),
     )
     def test_all_or_nothing(self, schedule, crash_after, torn, seed):
-        injector = FaultInjector(
-            CrashPlan(after_writes=crash_after, torn=torn, seed=seed)
-        )
+        cut = PowerCut(after_writes=crash_after, torn=torn, seed=seed)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         geo = DiskGeometry.small(num_segments=64)
         disk = SimulatedDisk(geo, injector=injector)
         jld = JLD(disk, journal_segments=6, checkpoint_slot_segments=1)
@@ -111,7 +110,8 @@ class TestJLDCrashAtomicity:
         writes, checkpoint) must preserve all previously flushed
         data."""
         geo = DiskGeometry.small(num_segments=64)
-        injector = FaultInjector(CrashPlan(after_writes=crash_after, seed=seed))
+        cut = PowerCut(after_writes=crash_after, seed=seed)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk = SimulatedDisk(geo, injector=injector)
         jld = JLD(disk, journal_segments=4, checkpoint_slot_segments=1)
         written = []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BadBlockError, BadListError, DiskCrashedError
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 
 from tests.conftest import make_lld
 
@@ -163,16 +164,17 @@ class TestDeletes:
 
 class TestLifecycle:
     def test_dead_after_disk_crash(self):
-        from repro.disk.faults import CrashPlan, FaultInjector
+        from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
         from repro.disk.geometry import DiskGeometry
         from repro.disk.simdisk import SimulatedDisk
         from repro.lld.lld import LLD
 
         geo = DiskGeometry.small(64)
+        cut = PowerCut(after_writes=0)
         disk = SimulatedDisk(
-            geo, injector=FaultInjector(CrashPlan(after_writes=0))
+            geo, injector=FaultInjector(plan=FaultPlan(power_cut=cut))
         )
-        lld = LLD(disk, checkpoint_slot_segments=2)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lst = lld.new_list()
         block = lld.new_block(lst)
         lld.write(block, b"x")
@@ -195,10 +197,10 @@ class TestLifecycle:
         from repro.lld.lld import LLD
 
         with pytest.raises(ValueError):
-            LLD(disk, aru_mode="quantum")
+            LLD(disk, config=LLDConfig(aru_mode="quantum"))
 
     def test_rejects_bad_conflict_policy(self, disk):
         from repro.lld.lld import LLD
 
         with pytest.raises(ValueError):
-            LLD(disk, conflict_policy="pray")
+            LLD(disk, config=LLDConfig(conflict_policy="pray"))

@@ -1,8 +1,8 @@
 """Tests for the consolidated LLD configuration object.
 
-:class:`~repro.lld.config.LLDConfig` is the single validation point
-for every constructor knob; the historical keyword arguments survive
-as a shim through :meth:`LLDConfig.from_kwargs`.
+:class:`~repro.lld.config.LLDConfig` is the only way a knob reaches a
+volume and validates itself at construction, so an invalid config
+cannot exist.
 """
 
 import dataclasses
@@ -43,13 +43,13 @@ class TestValidation:
             {"writeback_depth": -1},
             {"group_commit_max_parked": 0},
             {"group_commit_timeout_us": 0},
-            {"recovery_workers": 0},
+            {"restore_drain_segments": -1},
             {"recorder_events": 0},
         ],
     )
     def test_bad_knobs_raise_value_error(self, changes):
         with pytest.raises(ValueError):
-            LLDConfig(**changes).validate()
+            LLDConfig(**changes)
 
     def test_replace_revalidates(self):
         cfg = LLDConfig()
@@ -63,9 +63,12 @@ class TestValidation:
 
 
 class TestKwargsShim:
+    """What the constructor contract still promises with the keyword
+    shim gone (kept under their historical ids)."""
+
     def test_unknown_kwarg_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unknown LLD config knob"):
-            LLDConfig.from_kwargs(None, cache_blox=17)
+        with pytest.raises(TypeError):
+            LLDConfig(cache_blox=17)
         with pytest.raises(TypeError):
             LLD(fresh_disk(), cache_blox=17)
 
@@ -73,36 +76,9 @@ class TestKwargsShim:
         # The historical error contract: bad knob values raise
         # ValueError straight from the constructor.
         with pytest.raises(ValueError):
-            LLD(fresh_disk(), aru_mode="quantum")
+            LLD(fresh_disk(), config=LLDConfig(aru_mode="quantum"))
         with pytest.raises(ValueError):
-            LLD(fresh_disk(), writeback_depth=-1)
-
-    def test_kwargs_and_config_are_equivalent(self):
-        by_kwargs = LLD(
-            fresh_disk(),
-            aru_mode="sequential",
-            cache_blocks=128,
-            checkpoint_slot_segments=2,
-            writeback_depth=4,
-        )
-        by_config = LLD(
-            fresh_disk(),
-            config=LLDConfig(
-                aru_mode="sequential",
-                cache_blocks=128,
-                checkpoint_slot_segments=2,
-                writeback_depth=4,
-            ),
-        )
-        assert by_kwargs.config == by_config.config
-        assert by_kwargs.concurrent is by_config.concurrent is False
-
-    def test_kwargs_overlay_a_base_config(self):
-        base = LLDConfig(cache_blocks=128, writeback_depth=4)
-        cfg = LLDConfig.from_kwargs(base, cache_blocks=16)
-        assert cfg.cache_blocks == 16
-        assert cfg.writeback_depth == 4  # untouched base knob survives
-        assert base.cache_blocks == 128  # base is not mutated
+            LLD(fresh_disk(), config=LLDConfig(writeback_depth=-1))
 
     def test_lld_records_its_config(self):
         ld = make_lld(group_commit=True, writeback_depth=2,
@@ -125,7 +101,9 @@ class TestIntegration:
 
     def test_build_variant_still_takes_kwargs(self):
         _disk, ld, _fs = build_variant(
-            VARIANTS["new"], n_inodes=64, cache_blocks=32
+            VARIANTS["new"],
+            n_inodes=64,
+            config=LLDConfig(cache_blocks=32),
         )
         assert ld.config.cache_blocks == 32
         assert ld.config.aru_mode == "concurrent"
@@ -137,15 +115,13 @@ class TestIntegration:
         ld.flush()
         ld.write_checkpoint()
         survivor = ld.disk.power_cycle()
-        cfg = LLDConfig(checkpoint_slot_segments=2, recovery_workers=2)
-        ld2, report = recover(survivor, config=cfg)
+        cfg = LLDConfig(checkpoint_slot_segments=2, cache_blocks=64)
+        ld2, report = recover(survivor, config=cfg, workers=2)
         assert report.workers == 2
-        assert ld2.config.recovery_workers == 2
+        assert ld2.config is cfg
         assert ld2.read(ld2.list_blocks(lst)[0]).startswith(b"payload")
         survivor2 = ld.disk.power_cycle()
-        ld3, report3 = recover(
-            survivor2, checkpoint_slot_segments=2, recovery_workers=3
-        )
+        ld3, report3 = recover(survivor2, config=cfg, workers=3)
         assert report3.workers == 3
 
     def test_recovered_lld_keeps_flight_dump_path(self, tmp_path):
@@ -154,6 +130,10 @@ class TestIntegration:
         survivor = ld.disk.power_cycle()
         dump = str(tmp_path / "dump.jsonl")
         ld2, _report = recover(
-            survivor, checkpoint_slot_segments=2, flight_dump_path=dump
+            survivor,
+            config=LLDConfig(
+                checkpoint_slot_segments=2,
+                flight_dump_path=dump,
+            ),
         )
         assert ld2.obs.dump_path == dump

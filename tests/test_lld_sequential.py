@@ -11,11 +11,12 @@ ARUs driving an fsck-free Minix).
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import ConcurrencyError, DiskCrashedError
 from repro.fs import MinixFS, fsck
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
@@ -23,7 +24,10 @@ from repro.lld.recovery import recover
 def build(injector=None, num_segments=96):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo, injector=injector)
-    return disk, LLD(disk, aru_mode="sequential", checkpoint_slot_segments=2)
+    return disk, LLD(
+        disk,
+        config=LLDConfig(aru_mode="sequential", checkpoint_slot_segments=2),
+    )
 
 
 class TestSequentialSemantics:
@@ -83,8 +87,11 @@ class TestSequentialRecovery:
         lld.end_aru(aru)
         lld.flush()
         lld2, report = recover(
-            disk.power_cycle(), aru_mode="sequential",
-            checkpoint_slot_segments=2,
+            disk.power_cycle(),
+            config=LLDConfig(
+                aru_mode="sequential",
+                checkpoint_slot_segments=2,
+            ),
         )
         assert report.arus_committed >= 1
         for index, block in enumerate(blocks):
@@ -108,8 +115,11 @@ class TestSequentialRecovery:
         assert lld.read(base).startswith(b"mid-aru-overwrite")
         # ... but recovery rolls them back wholesale.
         lld2, report = recover(
-            disk.power_cycle(), aru_mode="sequential",
-            checkpoint_slot_segments=2,
+            disk.power_cycle(),
+            config=LLDConfig(
+                aru_mode="sequential",
+                checkpoint_slot_segments=2,
+            ),
         )
         assert lld2.read(base).startswith(b"pre-aru")
         assert lld2.list_blocks(lst) == [base]
@@ -118,7 +128,8 @@ class TestSequentialRecovery:
 
     def test_crash_mid_aru_sweep_over_many_points(self):
         for crash_after in range(1, 12):
-            injector = FaultInjector(CrashPlan(after_writes=crash_after))
+            cut = PowerCut(after_writes=crash_after)
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             disk, lld = build(injector=injector)
             lst = lld.new_list()
             committed = []
@@ -133,8 +144,11 @@ class TestSequentialRecovery:
             except DiskCrashedError:
                 pass
             lld2, _report = recover(
-                disk.power_cycle(), aru_mode="sequential",
-                checkpoint_slot_segments=2,
+                disk.power_cycle(),
+                config=LLDConfig(
+                    aru_mode="sequential",
+                    checkpoint_slot_segments=2,
+                ),
             )
             survivors = lld2.list_blocks(lst)
             # Survivors are exactly a prefix of the committed rounds.
@@ -151,11 +165,16 @@ class TestSequentialARUsWithMinix:
 
     def test_fs_crash_consistency(self):
         for crash_after in (3, 7, 12, 19):
-            injector = FaultInjector(CrashPlan(after_writes=crash_after))
+            cut = PowerCut(after_writes=crash_after)
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             geo = DiskGeometry.small(num_segments=96)
             disk = SimulatedDisk(geo, injector=injector)
             lld = LLD(
-                disk, aru_mode="sequential", checkpoint_slot_segments=2
+                disk,
+                config=LLDConfig(
+                    aru_mode="sequential",
+                    checkpoint_slot_segments=2,
+                ),
             )
             fs = MinixFS.mkfs(lld, n_inodes=256, use_arus=True)
             try:
@@ -169,8 +188,11 @@ class TestSequentialARUsWithMinix:
             except DiskCrashedError:
                 pass
             lld2, _report = recover(
-                disk.power_cycle(), aru_mode="sequential",
-                checkpoint_slot_segments=2,
+                disk.power_cycle(),
+                config=LLDConfig(
+                    aru_mode="sequential",
+                    checkpoint_slot_segments=2,
+                ),
             )
             mounted = MinixFS.mount(lld2, use_arus=True)
             report = fsck(mounted)

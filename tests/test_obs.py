@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.verify import verify_lld
@@ -237,7 +238,10 @@ class TestLLDIntegration:
         self.workload(ld)
         ld.write_checkpoint()
         survivor = ld.disk.power_cycle()
-        ld2, report = recover(survivor, checkpoint_slot_segments=2)
+        ld2, report = recover(
+            survivor,
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         kinds = [event["event"] for event in ld2.obs.recorder.events()]
         assert kinds[0] == "recovery.start"
         assert "recovery.done" in kinds
@@ -266,14 +270,13 @@ def crash_workload(ld):
 
 def run_to_crash(crash_after, tmp_path=None, **lld_kwargs):
     """Run the workload into a torn-write crash; returns (disk, ld)."""
-    injector = FaultInjector(
-        CrashPlan(
-            after_writes=crash_after,
-            torn=True,
-            seed=crash_after,
-            granularity="byte",
-        )
+    cut = PowerCut(
+        after_writes=crash_after,
+        torn=True,
+        seed=crash_after,
+        granularity="byte",
     )
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(
         DiskGeometry.small(num_segments=96), injector=injector
     )
@@ -281,7 +284,9 @@ def run_to_crash(crash_after, tmp_path=None, **lld_kwargs):
         lld_kwargs["flight_dump_path"] = str(
             tmp_path / f"crash_{crash_after}.jsonl"
         )
-    ld = LLD(disk, checkpoint_slot_segments=2, **lld_kwargs)
+    ld = LLD(
+        disk, config=LLDConfig(checkpoint_slot_segments=2, **lld_kwargs)
+    )
     crashed = False
     try:
         crash_workload(ld)
@@ -293,7 +298,7 @@ def run_to_crash(crash_after, tmp_path=None, **lld_kwargs):
 def crash_budget():
     """(total segment writes, the workload's list id) with no crash."""
     disk = SimulatedDisk(DiskGeometry.small(num_segments=96))
-    ld = LLD(disk, checkpoint_slot_segments=2)
+    ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     crash_workload(ld)
     list_id = next(iter(ld.ltable.persistent_lists()))[0]
     return disk.write_count, list_id
@@ -339,10 +344,12 @@ class TestCrashDump:
 
             # Both survivors recover to the same state.
             rec_a, report_a = recover(
-                disk_a.power_cycle(), checkpoint_slot_segments=2
+                disk_a.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             rec_b, report_b = recover(
-                disk_b.power_cycle(), checkpoint_slot_segments=2
+                disk_b.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             assert verify_lld(rec_a) == []
             assert report_a.segments_replayed == report_b.segments_replayed
@@ -370,7 +377,8 @@ class TestCrashDump:
         after = {seg: bytes(data) for seg, data in disk._segments.items()}
         assert before == after
         recovered, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=2
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert verify_lld(recovered) == []
 

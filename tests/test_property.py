@@ -11,11 +11,12 @@ Three models are checked against reference implementations:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, LDError
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
@@ -24,7 +25,7 @@ def build_lld(num_segments=48, injector=None, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo, injector=injector)
     kwargs.setdefault("checkpoint_slot_segments", 1)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -195,9 +196,8 @@ class TestCrashAtomicity:
         every ARU that was committed *and* flushed must be complete,
         every other ARU must be invisible, and every flushed simple
         write must hold its last flushed value."""
-        injector = FaultInjector(
-            CrashPlan(after_writes=crash_after, torn=torn, seed=seed)
-        )
+        cut = PowerCut(after_writes=crash_after, torn=torn, seed=seed)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk, lld = build_lld(num_segments=64, injector=injector)
         flushed_files = {}  # aru serial -> [(block, payload)]
         pending_files = {}
@@ -255,7 +255,8 @@ class TestCrashAtomicity:
                 pass
 
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1),
         )
         # Every flushed committed ARU is complete.
         for parts in flushed_files.values():

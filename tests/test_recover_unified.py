@@ -12,9 +12,10 @@ import warnings
 import pytest
 
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import RecoveryReport
 from repro.shard.config import ArrayConfig
@@ -23,11 +24,12 @@ from repro.shard.sharded import ShardedLLD, build_sharded
 
 
 def crashed_volume(rounds=6):
-    injector = FaultInjector(crash_plan=CrashPlan(after_writes=10_000))
+    cut = PowerCut(after_writes=10_000)
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(
         DiskGeometry.small(num_segments=32), injector=injector
     )
-    lld = LLD(disk, checkpoint_slot_segments=2)
+    lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     lst = lld.new_list()
     blk = lld.new_block(lst)
     for round_no in range(rounds):
@@ -40,8 +42,8 @@ def crashed_array(n=3, rf=1, rounds=6):
     volume = build_sharded(
         n,
         DiskGeometry.small(num_segments=48),
-        checkpoint_slot_segments=2,
-        replication_factor=rf,
+        config=LLDConfig(checkpoint_slot_segments=2),
+        array_config=ArrayConfig(replication_factor=rf),
     )
     lst = volume.new_list()
     blocks = [volume.new_block(lst) for _ in range(n)]
@@ -152,19 +154,17 @@ class TestDeprecationShims:
 
 class TestArrayConfigValidation:
     def test_unknown_knob_is_a_type_error_naming_valid_knobs(self):
-        with pytest.raises(TypeError) as excinfo:
-            ArrayConfig.from_kwargs(replication=3)
-        message = str(excinfo.value)
-        assert "replication" in message
-        assert "replication_factor" in message
+        # Python's own TypeError now: it names the bad keyword.
+        with pytest.raises(TypeError, match="replication"):
+            ArrayConfig(replication=3)
 
     def test_bad_values_are_value_errors(self):
         with pytest.raises(ValueError):
-            ArrayConfig(replication_factor=0).validate()
+            ArrayConfig(replication_factor=0)
         with pytest.raises(TypeError):  # option removed: ring is the rule
             ArrayConfig(placement="scatter")
         with pytest.raises(ValueError):
-            ArrayConfig(repair_batch_ops=0).validate()
+            ArrayConfig(repair_batch_ops=0)
 
     def test_frozen(self):
         config = ArrayConfig()
@@ -176,9 +176,3 @@ class TestArrayConfigValidation:
         assert config.replace(replication_factor=2).replication_factor == 2
         with pytest.raises(ValueError):
             config.replace(replication_factor=-1)
-
-    def test_from_kwargs_layers_overrides_on_base(self):
-        base = ArrayConfig(replication_factor=2)
-        merged = ArrayConfig.from_kwargs(base, repair_batch_ops=8)
-        assert merged.replication_factor == 2
-        assert merged.repair_batch_ops == 8

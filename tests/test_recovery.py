@@ -9,11 +9,12 @@ allocations, which the consistency sweep reclaims).
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import BadBlockError, BadListError, DiskCrashedError
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
@@ -22,12 +23,16 @@ def fresh(num_segments=64, injector=None, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo, injector=injector)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
-def reboot(disk, **kwargs):
+def reboot(disk, sweep_orphans=True, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return recover(disk.power_cycle(), **kwargs)
+    return recover(
+        disk.power_cycle(),
+        sweep_orphans=sweep_orphans,
+        config=LLDConfig(**kwargs),
+    )
 
 
 class TestBasicRecovery:
@@ -193,7 +198,8 @@ class TestARUAtomicity:
 
 class TestTornWrites:
     def test_torn_final_segment_discarded(self):
-        injector = FaultInjector(CrashPlan(after_writes=2, torn=True, seed=11))
+        cut = PowerCut(after_writes=2, torn=True, seed=11)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk, lld = fresh(injector=injector)
         lst = lld.new_list()
         committed = []

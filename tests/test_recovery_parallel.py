@@ -15,7 +15,7 @@ from the checkpoint.
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector, MediaFault
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
@@ -33,7 +33,7 @@ CONFIG = LLDConfig(checkpoint_slot_segments=2)
 def build(injector=None, num_segments=96):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo, injector=injector)
-    return disk, LLD(disk, checkpoint_slot_segments=2)
+    return disk, LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
 
 
 def workload(fs):
@@ -85,9 +85,10 @@ class TestParallelSerialEquivalence:
         limit = total_writes()
         assert limit > 10, "workload too small to be interesting"
         for crash_after in range(1, limit + 1):
-            injector = FaultInjector(
-                CrashPlan(after_writes=crash_after, torn=torn, seed=crash_after)
+            cut = PowerCut(
+                after_writes=crash_after, torn=torn, seed=crash_after
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             disk, ld = build(injector=injector)
             fs = MinixFS.mkfs(ld, n_inodes=256)
             try:

@@ -27,9 +27,11 @@ from repro.disk.faults import (
 )
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
+from repro.lld.config import LLDConfig
 from repro.errors import (
     BadARUError,
     ConcurrencyError,
+    DiskFullError,
     ShardLostError,
     UnrecoverableBlockError,
 )
@@ -40,14 +42,13 @@ from repro.shard import ArrayConfig, ShardedLLD, build_sharded, mirror_id
 from repro.shard.sharded import shard_of, to_global, to_local
 
 
-def build_array(n=3, rf=2, num_segments=48, injector=None, **kwargs):
+def build_array(n=3, rf=2, num_segments=48, injector=None):
     return build_sharded(
         n,
         geometry=DiskGeometry.small(num_segments=num_segments),
         injector=injector,
-        checkpoint_slot_segments=2,
-        replication_factor=rf,
-        **kwargs,
+        config=LLDConfig(checkpoint_slot_segments=2),
+        array_config=ArrayConfig(replication_factor=rf),
     )
 
 
@@ -477,6 +478,42 @@ class TestDegradedOperation:
         for blk in old:
             if shard_of(blk, arr.n) != 1:
                 assert recovered.read(blk).startswith(old[blk]), blk
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DiskFullError,
+        reason="a participant PREPAREd and never DECIDEd keeps its tag "
+        "in _pending_commit_arus for good, so checkpoint_safe() stays "
+        "false, the cleaner frees nothing and the survivor runs to "
+        "DiskFullError with reclaimable space (ROADMAP item 1b)",
+    )
+    def test_survivor_of_a_failed_prepare_keeps_cleaning(self):
+        """rf = 1, two participants, the second destroyed by its own
+        PREPARE flush: ``end_aru`` raises, and the survivor must go on
+        reclaiming its log — overwriting four blocks forever fits any
+        disk."""
+
+        def run(losses=()):
+            injector = FaultInjector(plan=FaultPlan(shard_losses=losses))
+            arr = build_array(2, rf=1, num_segments=24, injector=injector)
+            aru, old = self._aru_on_every_shard(arr)
+            return arr, aru, old, injector.writes_seen
+
+        _, _, _, before = run()
+        arr, aru, old, _ = run([ShardLoss(shard=1, after_writes=before + 1)])
+        with pytest.raises(ShardLostError):
+            arr.end_aru(aru)
+        assert arr.dead_shards == [1]
+        survivor = arr.shards[0]
+        lst = arr.new_list()
+        assert shard_of(lst, arr.n) == 0
+        blocks = [arr.new_block(lst) for _ in range(4)]
+        # A flush seals a segment: three laps of the survivor's log.
+        for round_no in range(3 * survivor.geometry.num_segments):
+            for blk in blocks:
+                arr.write(blk, b"round-%03d" % round_no)
+            arr.flush()  # no DiskFullError
+        assert survivor.stats()["cleaner"]["segments_freed"] > 0
 
     def test_replicated_commit_survives_one_lost_participant(self):
         """rf = 2, one loss: every replica set the lost member was in

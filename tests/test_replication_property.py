@@ -10,8 +10,10 @@ only change *where* bytes land, never *what* the client sees.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.disk.geometry import DiskGeometry
+from repro.lld.config import LLDConfig
 from repro.recovery import recover
 from repro.shard import build_sharded
+from repro.shard.config import ArrayConfig
 
 N_SHARDS = 3
 
@@ -42,8 +44,8 @@ def build_array(rf):
     return build_sharded(
         N_SHARDS,
         geometry=DiskGeometry.small(num_segments=64),
-        checkpoint_slot_segments=2,
-        replication_factor=rf,
+        config=LLDConfig(checkpoint_slot_segments=2),
+        array_config=ArrayConfig(replication_factor=rf),
     )
 
 

@@ -16,6 +16,7 @@ from repro.disk.faults import FaultInjector, MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import MediaError, UnrecoverableBlockError
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.scrub import Scrubber, find_log_copy
@@ -27,7 +28,7 @@ def make(num_segments=64, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 def fill(lld, count, seed=0):
@@ -319,7 +320,10 @@ class TestScrubTorture:
         # (c) the repaired disk is internally sound and recovers.
         assert verify_lld(lld) == []
         survivor = disk.power_cycle()
-        recovered, rec_report = recover(survivor, checkpoint_slot_segments=2)
+        recovered, rec_report = recover(
+            survivor,
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         assert rec_report.segments_quarantined == len(victims)
         assert sorted(recovered.usage.quarantined_segments()) == sorted(
             victims

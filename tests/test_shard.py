@@ -14,9 +14,11 @@ point.
 import pytest
 
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.errors import BadARUError, DiskCrashedError
+from repro.lld.config import LLDConfig
+from repro.lld.recovery import recover as recover_volume
 from repro.shard import (
     ShardedLLD,
     build_sharded,
@@ -59,7 +61,7 @@ class TestShardedBasics:
         return build_sharded(
             n,
             geometry=DiskGeometry.small(num_segments=num_segments),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
 
     def test_lists_round_robin(self):
@@ -206,7 +208,8 @@ class TestPrepareDecideHooks:
         participant.flush()
         # Crash without any decision anywhere: presumed abort.
         recovered, report = recover(
-            participant.disk.power_cycle(), checkpoint_slot_segments=2
+            participant.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert recovered.read(block).startswith(b"before")
         assert report.arus_prepared == 1
@@ -219,9 +222,9 @@ class TestPrepareDecideHooks:
         participant.write(block, b"decided", aru=aru)
         participant.prepare_commit(aru, xid=7)
         participant.flush()
-        recovered, report = recover(
+        recovered, report = recover_volume(
             participant.disk.power_cycle(),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
             decided_xids={7},
         )
         assert recovered.read(block).startswith(b"decided")
@@ -237,7 +240,8 @@ class TestPrepareDecideHooks:
         coordinator.log_decision(3)
         coordinator.flush()
         recovered, report = recover(
-            coordinator.disk.power_cycle(), checkpoint_slot_segments=2
+            coordinator.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert recovered.read(block).startswith(b"self-decided")
         assert report.xids_decided == [3]
@@ -253,7 +257,8 @@ class TestPrepareDecideHooks:
         coordinator.flush()
         coordinator.write_checkpoint()
         recovered, report = recover(
-            coordinator.disk.power_cycle(), checkpoint_slot_segments=2
+            coordinator.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert 11 in recovered._decided_xids
         assert report.xids_decided == [11]
@@ -269,7 +274,8 @@ class TestPrepareDecideHooks:
         # And the volume checkpoints cleanly afterwards.
         participant.write_checkpoint()
         recovered, _report = recover(
-            participant.disk.power_cycle(), checkpoint_slot_segments=2
+            participant.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert recovered.read(block).startswith(b"released")
 
@@ -294,7 +300,7 @@ def build_swept(injector=None) -> ShardedLLD:
         N_SHARDS,
         geometry=DiskGeometry.small(num_segments=24),
         injector=injector,
-        checkpoint_slot_segments=2,
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
 
 
@@ -356,14 +362,13 @@ class TestCrossShardCrashSweep:
         # territory (covered by test_crash_sweep); the cross-shard
         # claim starts at the first transactional write.
         for crash_after in range(setup_writes + 1, total + 1):
-            injector = FaultInjector(
-                CrashPlan(
-                    after_writes=crash_after,
-                    torn=torn,
-                    seed=crash_after,
-                    granularity="byte",
-                )
+            cut = PowerCut(
+                after_writes=crash_after,
+                torn=torn,
+                seed=crash_after,
+                granularity="byte",
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             vol = build_swept(injector)
             blocks = setup_baseline(vol)
             assert blocks == expected_blocks
@@ -409,7 +414,7 @@ class TestParallelShardRecovery:
         vol = build_sharded(
             4,
             geometry=DiskGeometry.small(num_segments=48),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         lists = [vol.new_list() for _ in range(8)]
         blocks = [vol.new_block(lst) for lst in lists]
@@ -434,7 +439,7 @@ class TestParallelShardRecovery:
         vol = build_sharded(
             3,
             geometry=DiskGeometry.small(num_segments=32),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         lists = [vol.new_list() for _ in range(3)]
         blocks = [vol.new_block(lst) for lst in lists]

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import recover
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.shard import build_sharded
 
@@ -27,7 +28,7 @@ from repro.shard import build_sharded
 def build_single(num_segments=48):
     geo = DiskGeometry.small(num_segments=num_segments)
     disk = SimulatedDisk(geo)
-    return LLD(disk, checkpoint_slot_segments=2)
+    return LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
 
 
 def build_array(n, num_segments=48, injector=None):
@@ -35,7 +36,7 @@ def build_array(n, num_segments=48, injector=None):
         n,
         geometry=DiskGeometry.small(num_segments=num_segments),
         injector=injector,
-        checkpoint_slot_segments=2,
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
 
 
@@ -133,7 +134,8 @@ class TestStripingInvisible:
 
         # ... and still identical after crash + recovery of both.
         single2, _r1 = recover(
-            single.disk.power_cycle(), checkpoint_slot_segments=2
+            single.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         array2, _r2 = recover(
             [shard.disk.power_cycle() for shard in array.shards]
@@ -202,14 +204,13 @@ class TestRandomCrashPoints:
     )
     def test_recovers_to_a_consistent_round(self, offset, torn, seed):
         setup_writes, expected_blocks = baseline()
-        injector = FaultInjector(
-            CrashPlan(
-                after_writes=setup_writes + offset,
-                torn=torn,
-                seed=seed,
-                granularity="byte",
-            )
+        cut = PowerCut(
+            after_writes=setup_writes + offset,
+            torn=torn,
+            seed=seed,
+            granularity="byte",
         )
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         vol = build_array(N_SHARDS, num_segments=24, injector=injector)
         crashed = True
         try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import CorruptionError, DiskCrashedError
@@ -58,7 +58,9 @@ class TestReadWrite:
 
 class TestCrash:
     def test_dropped_write_leaves_old_content(self, geo):
-        disk = SimulatedDisk(geo, injector=FaultInjector(CrashPlan(after_writes=1)))
+        cut = PowerCut(after_writes=1)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
+        disk = SimulatedDisk(geo, injector=injector)
         disk.write_segment(0, _image(geo, 0x11))
         with pytest.raises(DiskCrashedError):
             disk.write_segment(0, _image(geo, 0x22))
@@ -66,9 +68,10 @@ class TestCrash:
         assert survivor.read_segment(0) == _image(geo, 0x11)
 
     def test_torn_write_mixes_content(self, geo):
+        cut = PowerCut(after_writes=1, torn=True, seed=5)
         disk = SimulatedDisk(
             geo,
-            injector=FaultInjector(CrashPlan(after_writes=1, torn=True, seed=5)),
+            injector=FaultInjector(plan=FaultPlan(power_cut=cut)),
         )
         disk.write_segment(0, _image(geo, 0x11))
         with pytest.raises(DiskCrashedError):
@@ -80,21 +83,27 @@ class TestCrash:
         assert data != _image(geo, 0x22)
 
     def test_crashed_property(self, geo):
-        disk = SimulatedDisk(geo, injector=FaultInjector(CrashPlan(after_writes=0)))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
+        disk = SimulatedDisk(geo, injector=injector)
         assert not disk.crashed
         with pytest.raises(DiskCrashedError):
             disk.write_segment(0, _image(geo, 1))
         assert disk.crashed
 
     def test_power_cycle_shares_clock(self, geo):
-        disk = SimulatedDisk(geo, injector=FaultInjector(CrashPlan(after_writes=0)))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
+        disk = SimulatedDisk(geo, injector=injector)
         with pytest.raises(DiskCrashedError):
             disk.write_segment(0, _image(geo, 1))
         survivor = disk.power_cycle()
         assert survivor.clock is disk.clock
 
     def test_reads_fail_while_crashed(self, geo):
-        disk = SimulatedDisk(geo, injector=FaultInjector(CrashPlan(after_writes=0)))
+        cut = PowerCut(after_writes=0)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
+        disk = SimulatedDisk(geo, injector=injector)
         with pytest.raises(DiskCrashedError):
             disk.write_segment(0, _image(geo, 1))
         with pytest.raises(DiskCrashedError):
@@ -111,8 +120,9 @@ class TestRetiredHandle:
     """
 
     def _crashed_disk(self, geo):
+        cut = PowerCut(after_writes=1)
         disk = SimulatedDisk(
-            geo, injector=FaultInjector(CrashPlan(after_writes=1))
+            geo, injector=FaultInjector(plan=FaultPlan(power_cut=cut))
         )
         disk.write_segment(0, _image(geo, 0x11))
         with pytest.raises(DiskCrashedError):

@@ -16,6 +16,7 @@ from repro.obs.schema import (
 )
 
 from tests.conftest import make_lld
+from repro.lld.config import LLDConfig
 
 #: The frozen surface.  Keep sorted; ``group.*`` marks an open group.
 FROZEN_PATHS = [
@@ -248,7 +249,7 @@ class TestShardedStatsShape:
         vol = build_sharded(
             n,
             geometry=DiskGeometry.small(num_segments=32),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         lists = [vol.new_list() for _ in range(n)]
         blocks = [vol.new_block(lst) for lst in lists]

@@ -13,6 +13,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError
 from repro.fs import MinixFS, fsck
 from repro.ld.types import FIRST
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.verify import verify_lld
@@ -24,7 +25,7 @@ def tight_lld(num_segments=28, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 1)
     kwargs.setdefault("clean_low_water", 3)
     kwargs.setdefault("clean_high_water", 6)
-    return disk, LLD(disk, **kwargs)
+    return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
 class TestCleanerDuringARUs:
@@ -84,7 +85,8 @@ class TestCleanerDuringARUs:
         assert lld.read(block).startswith(b"precious-shadow")
         # Crash check: the committed shadow survived all the churn.
         lld2, _report = recover(
-            disk.power_cycle(), checkpoint_slot_segments=1, clean_low_water=3
+            disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=1, clean_low_water=3),
         )
         assert lld2.read(block).startswith(b"precious-shadow")
 
@@ -119,7 +121,10 @@ class TestNearFullDisk:
         state stays consistent and bounded."""
         geo = DiskGeometry.small(num_segments=48)
         disk = SimulatedDisk(geo)
-        lld = LLD(disk, checkpoint_slot_segments=1, clean_low_water=3)
+        lld = LLD(
+            disk,
+            config=LLDConfig(checkpoint_slot_segments=1, clean_low_water=3),
+        )
         fs = MinixFS.mkfs(lld, n_inodes=64)
         fs.create("/cycle")
         for generation in range(10):
@@ -128,8 +133,11 @@ class TestNearFullDisk:
             if generation % 3 == 2:
                 lld.write_checkpoint()
             lld2, _report = recover(
-                disk.power_cycle(), checkpoint_slot_segments=1,
-                clean_low_water=3,
+                disk.power_cycle(),
+                config=LLDConfig(
+                    checkpoint_slot_segments=1,
+                    clean_low_water=3,
+                ),
             )
             lld = lld2
             fs = MinixFS.mount(lld)

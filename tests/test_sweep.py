@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.sweep import Sweep, SweepPoint
+from repro.lld.config import LLDConfig
 
 
 class TestGrid:
@@ -46,8 +47,12 @@ class TestRun:
         def measure(cache_blocks):
             geo = DiskGeometry.small(num_segments=64)
             ld = LLD(
-                SimulatedDisk(geo), cache_blocks=cache_blocks,
-                checkpoint_slot_segments=2, readahead=False,
+                SimulatedDisk(geo),
+                config=LLDConfig(
+                    cache_blocks=cache_blocks,
+                    checkpoint_slot_segments=2,
+                    readahead=False,
+                ),
             )
             lst = ld.new_list()
             blocks = []

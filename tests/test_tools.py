@@ -7,6 +7,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.errors import CorruptionError
 from repro.fs import MinixFS
 from repro.lld.checkpoint import CheckpointManager
+from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.tools.inspect import (
     describe_checkpoints,
@@ -22,7 +23,7 @@ def populated(tmp_path):
     """A disk image holding a small file system."""
     geo = DiskGeometry.small(num_segments=64)
     disk = SimulatedDisk(geo)
-    lld = LLD(disk, checkpoint_slot_segments=2)
+    lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     fs = MinixFS.mkfs(lld, n_inodes=64)
     fs.mkdir("/docs")
     fs.create("/docs/a.txt")
@@ -48,7 +49,10 @@ class TestImages:
 
         _disk, image = populated
         loaded = SimulatedDisk.load_image(image)
-        lld, _report = recover(loaded, checkpoint_slot_segments=2)
+        lld, _report = recover(
+            loaded,
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         fs = MinixFS.mount(lld)
         assert fs.read_file("/docs/a.txt") == b"hello" * 100
 
@@ -116,7 +120,7 @@ class TestInspect:
 
         geo = DiskGeometry.small(num_segments=64)
         disk = SimulatedDisk(geo)
-        lld = LLD(disk, checkpoint_slot_segments=2)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
         lst = lld.new_list()
         blocks = [lld.new_block(lst) for _ in range(30)]
         for block in blocks:
@@ -136,7 +140,7 @@ class TestInspect:
     def test_describe_fs_without_filesystem(self):
         geo = DiskGeometry.small(num_segments=32)
         disk = SimulatedDisk(geo)
-        lld = LLD(disk, checkpoint_slot_segments=1)
+        lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=1))
         lst = lld.new_list()
         block = lld.new_block(lst)
         lld.write(block, b"raw")
@@ -175,7 +179,7 @@ class TestLddumpSharded:
         vol = build_sharded(
             3,
             geometry=DiskGeometry.small(num_segments=24),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         lists = [vol.new_list() for _ in range(3)]
         blocks = [vol.new_block(lst) for lst in lists]

@@ -9,6 +9,7 @@ from repro.errors import (
     LockError,
     TransactionAborted,
 )
+from repro.lld.config import LLDConfig
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.transactions import TransactionManager, run_transaction
 
@@ -96,7 +97,8 @@ class TestTransactions:
         from repro.lld.recovery import recover
 
         lld2, _ = recover(
-            mgr.ld.disk.power_cycle(), checkpoint_slot_segments=2
+            mgr.ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert lld2.read(block).startswith(b"acid")
 

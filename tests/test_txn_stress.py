@@ -21,6 +21,7 @@ import threading
 import time
 
 from repro.disk.geometry import DiskGeometry
+from repro.lld.config import LLDConfig
 from repro.shard.sharded import build_sharded
 from repro.txn.transactions import TransactionManager, run_transaction
 from tests.conftest import make_lld
@@ -119,7 +120,7 @@ class TestBankTransfers:
         volume = build_sharded(
             4,
             geometry=DiskGeometry.small(num_segments=64),
-            checkpoint_slot_segments=2,
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         manager = TransactionManager(volume, lock_timeout_s=5.0)
         # One list per shard so random pairs routinely cross shards.

@@ -7,6 +7,7 @@ from repro.core.records import BlockVersion
 from repro.core.versions import VersionState
 from repro.fs import MinixFS
 from repro.ld.types import BlockId
+from repro.lld.config import LLDConfig
 from repro.lld.verify import verify_lld
 from repro.workloads.generator import overwrite_pressure, random_fs_ops
 
@@ -65,7 +66,8 @@ class TestVerifierOnHealthySystems:
         random_fs_ops(fs, n_ops=60, seed=1)
         fs.sync()
         lld2, _report = recover(
-            lld.disk.power_cycle(), checkpoint_slot_segments=2
+            lld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
         )
         assert verify_lld(lld2) == []
 

@@ -11,6 +11,7 @@ from repro.harness.reporting import (
     percent_difference,
 )
 from repro.harness.variants import VARIANTS, build_variant
+from repro.lld.config import LLDConfig
 from repro.workloads.arulat import run_aru_latency
 from repro.workloads.generator import (
     overwrite_pressure,
@@ -54,8 +55,10 @@ class TestLargeFileWorkload:
     def test_phases_and_shapes(self):
         # Cache far below the file size, as the harness arranges.
         _d, _l, fs = build_variant(
-            VARIANTS["new"], geometry=small_geometry(192), n_inodes=16,
-            cache_blocks=64,
+            VARIANTS["new"],
+            geometry=small_geometry(192),
+            n_inodes=16,
+            config=LLDConfig(cache_blocks=64),
         )
         result = run_large_file(fs, file_size=2 * 1024 * 1024)
         for phase in ("write1", "read1", "write2", "read2", "read3"):

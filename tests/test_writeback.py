@@ -19,9 +19,10 @@ and group commit preserves ARU all-or-nothing atomicity.
 
 import pytest
 
-from repro.disk.faults import CrashPlan, FaultInjector
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
+from repro.lld.config import LLDConfig
 from repro.errors import (
     BadBlockError,
     ConcurrencyError,
@@ -41,7 +42,7 @@ def make_disk(num_segments=64, injector=None):
 
 def make_lld(num_segments=64, injector=None, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return LLD(make_disk(num_segments, injector), **kwargs)
+    return LLD(make_disk(num_segments, injector), config=LLDConfig(**kwargs))
 
 
 def fill_blocks(ld, count, tag=b"blk"):
@@ -109,7 +110,8 @@ class TestWriteMany:
     def test_crash_mid_batch_tears_one_write_drops_the_rest(self):
         # after_writes=2: the write that crosses the budget — the
         # third — is the crashing one.
-        injector = FaultInjector(CrashPlan(after_writes=2, torn=True, seed=7))
+        cut = PowerCut(after_writes=2, torn=True, seed=7)
+        injector = FaultInjector(plan=FaultPlan(power_cut=cut))
         disk = make_disk(injector=injector)
         geo = disk.geometry
         images = [(seg, bytes([seg]) * geo.segment_size) for seg in (5, 6, 7, 8)]
@@ -131,12 +133,9 @@ class TestWriteMany:
         geo = DiskGeometry.small(num_segments=16)
         image = b"\xdd" * geo.segment_size
         for n in (1, 2, 3):
-            serial = SimulatedDisk(
-                geo, injector=FaultInjector(CrashPlan(after_writes=n, torn=False))
-            )
-            batched = SimulatedDisk(
-                geo, injector=FaultInjector(CrashPlan(after_writes=n, torn=False))
-            )
+            plan = FaultPlan(power_cut=PowerCut(after_writes=n, torn=False))
+            serial = SimulatedDisk(geo, injector=FaultInjector(plan=plan))
+            batched = SimulatedDisk(geo, injector=FaultInjector(plan=plan))
             with pytest.raises(DiskCrashedError):
                 for seg in (1, 2, 3, 4):
                     serial.write_segment(seg, image)
@@ -249,7 +248,8 @@ class TestWritebackQueue:
         data = fill_blocks(ld, 40)
         ld.flush()
         ld2, report = recover(
-            ld.disk.power_cycle(), checkpoint_slot_segments=2, writeback_depth=8
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2, writeback_depth=8),
         )
         assert_payloads(ld2, data)
         assert verify_lld(ld2) == []
@@ -259,7 +259,10 @@ class TestWritebackQueue:
         committed = fill_blocks(ld, 40, tag=b"old")
         ld.flush()
         fill_blocks(ld, 40, tag=b"new")  # parked, never drained
-        ld2, _report = recover(ld.disk.power_cycle(), checkpoint_slot_segments=2)
+        ld2, _report = recover(
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         assert_payloads(ld2, committed)
         assert verify_lld(ld2) == []
 
@@ -364,7 +367,10 @@ class TestGroupCommit:
         block = run_aru(ld, lst, b"ckpt")
         assert not ld.checkpoint_safe()
         ld.write_checkpoint()  # flush() inside releases the group
-        ld2, report = recover(ld.disk.power_cycle(), checkpoint_slot_segments=2)
+        ld2, report = recover(
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         assert ld2.read(block).startswith(b"ckpt")
 
     def test_sequential_mode_checkpoint_guard_still_raises(self):
@@ -386,7 +392,10 @@ class TestGroupCommit:
         ld.flush()
         block = run_aru(ld, lst, b"unreleased")
         assert ld.stats()["group_commit"]["parked"] == 1
-        ld2, _report = recover(ld.disk.power_cycle(), checkpoint_slot_segments=2)
+        ld2, _report = recover(
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
         from repro.errors import BadBlockError
 
         with pytest.raises(BadBlockError):
@@ -544,17 +553,17 @@ def lld_workload(ld):
 
 
 def sweep_configs():
-    serial = dict(writeback_depth=0, group_commit=False)
-    pipelined = dict(writeback_depth=4, group_commit=False)
-    return serial, pipelined
+    serial = LLDConfig(
+        checkpoint_slot_segments=2, writeback_depth=0, group_commit=False
+    )
+    return serial, serial.replace(writeback_depth=4)
 
 
 def run_sweep_instance(config, crash_after, torn):
-    injector = FaultInjector(
-        CrashPlan(after_writes=crash_after, torn=torn, seed=crash_after)
-    )
+    cut = PowerCut(after_writes=crash_after, torn=torn, seed=crash_after)
+    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = make_disk(injector=injector)
-    ld = LLD(disk, checkpoint_slot_segments=2, **config)
+    ld = LLD(disk, config=config)
     crashed = True
     try:
         lld_workload(ld)
@@ -575,11 +584,11 @@ class TestCrashSweepByteIdentity:
         # Total writes with no crash plan (identical by construction;
         # asserted below anyway).
         probe = make_disk()
-        ld = LLD(probe, checkpoint_slot_segments=2, **serial_cfg)
+        ld = LLD(probe, config=serial_cfg)
         lld_workload(ld)
         limit = probe.write_count
         probe2 = make_disk()
-        ld2 = LLD(probe2, checkpoint_slot_segments=2, **pipelined_cfg)
+        ld2 = LLD(probe2, config=pipelined_cfg)
         lld_workload(ld2)
         assert probe2.write_count == limit
         assert probe._segments == probe2._segments
@@ -601,7 +610,8 @@ class TestCrashSweepByteIdentity:
                 continue
             # And the pipelined platter recovers cleanly.
             recovered, _report = recover(
-                pipe_disk.power_cycle(), checkpoint_slot_segments=2
+                pipe_disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             assert verify_lld(recovered) == [], (torn, crash_after)
 
@@ -613,7 +623,8 @@ class TestCrashSweepGroupCommitAtomicity:
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_every_crash_point_is_atomic(self, torn):
-        config = dict(
+        config = LLDConfig(
+            checkpoint_slot_segments=2,
             writeback_depth=4,
             group_commit=True,
             group_commit_max_parked=3,
@@ -640,23 +651,25 @@ class TestCrashSweepGroupCommitAtomicity:
             return groups
 
         probe = make_disk(num_segments=96)
-        groups = workload(LLD(probe, checkpoint_slot_segments=2, **config))
+        groups = workload(LLD(probe, config=config))
         limit = probe.write_count
         assert limit > 5
 
         for crash_after in range(1, limit + 1):
-            injector = FaultInjector(
-                CrashPlan(after_writes=crash_after, torn=torn, seed=crash_after)
+            cut = PowerCut(
+                after_writes=crash_after, torn=torn, seed=crash_after
             )
+            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
             disk = make_disk(num_segments=96, injector=injector)
-            ld = LLD(disk, checkpoint_slot_segments=2, **config)
+            ld = LLD(disk, config=config)
             try:
                 workload(ld)
                 continue  # budget outlived the workload
             except DiskCrashedError:
                 pass
             recovered, _report = recover(
-                disk.power_cycle(), checkpoint_slot_segments=2
+                disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
             )
             assert verify_lld(recovered) == [], (torn, crash_after)
             for g, members in enumerate(groups):
