@@ -458,9 +458,14 @@ def run_shard_experiment(
         else 1.0
     )
 
-    single_rec, single_report = recover(single.disk.power_cycle())
+    # Recovered under the config they were written under: the
+    # checkpoint slots' size is not recorded on the platter.
+    single_rec, single_report = recover(
+        single.disk.power_cycle(), config=config
+    )
     sharded_rec, shard_report = recover(
         [shard.disk.power_cycle() for shard in sharded.shards],
+        config=config,
         array_config=array_config,
     )
 

@@ -11,6 +11,15 @@ provided, following the LFS literature the paper builds on:
   and favor older (colder) segments:
   ``(1 - u) * age / (1 + u)`` for utilization ``u``.
 
+Cleaning costs what is live.  A segment the usage table counts no
+live slot in has nothing to copy, and the checkpoint a pass ends in
+supersedes its summaries like any victim's, so it is freed without
+being read — every such segment, by whichever pass runs, since one
+checkpoint pays for all of them.  Only when the dead fall short of
+the target does the policy pick victims to copy from, and only those
+are read and validated (a fault under a dead segment is the
+scrubber's to find; docs/SIMULATION.md).
+
 Correctness protocol: a block slot is copied only if the persistent
 record still points at it *and* no committed record supersedes it (a
 newer copy is already in the log stream ahead of us).  Victims are
@@ -39,6 +48,9 @@ class CleanReport:
     victims: List[int]
     blocks_copied: int
     segments_freed: int
+    #: Of ``segments_freed``, the victims that held no live slot and
+    #: were freed without being read.
+    segments_freed_unread: int = 0
     #: Victims that turned out to be unreadable/corrupt; they were
     #: handed to the scrubber instead of freed.
     damaged: List[int] = dataclasses.field(default_factory=list)
@@ -66,9 +78,9 @@ class SegmentCleaner:
         age = max(1, self.lld._next_seq - seq)
         return -((1.0 - utilization) * age / (1.0 + utilization))
 
-    def select_victims(self, count: int, exclude: frozenset = frozenset()) -> List[int]:
-        """Pick up to ``count`` victim segments by policy score."""
-        candidates = []
+    def _eligible(self, exclude: frozenset):
+        """Yield (segment, live slots, seq) for every segment a pass
+        may take: on disk, not the buffer's, not queued, not excluded."""
         current = self.lld._buffer
         queued = self.lld._writeback.pending_segments()
         for seg, live, seq in self.lld.usage.dirty_segments():
@@ -81,26 +93,67 @@ class SegmentCleaner:
                 continue
             if seg in exclude:
                 continue
-            # A fully live segment frees no space; copying it would
-            # just thrash the log.
-            if live >= self.lld.geometry.max_data_blocks:
-                continue
-            candidates.append((self._score(live, seq), live, seg))
+            yield seg, live, seq
+
+    def select_victims(self, count: int, exclude: frozenset = frozenset()) -> List[int]:
+        """Pick up to ``count`` victim segments by policy score."""
+        # A fully live segment frees no space; copying it would just
+        # thrash the log.
+        slots = self.lld.geometry.max_data_blocks
+        candidates = [
+            (self._score(live, seq), live, seg)
+            for seg, live, seq in self._eligible(exclude)
+            if live < slots
+        ]
         return [seg for _score, _live, seg in heapq.nsmallest(count, candidates)]
+
+    def _size_pass(self, needed: int, exclude: frozenset) -> List[int]:
+        """The policy's victims for a pass that must gain ``needed``
+        segments, or [] when no affordable choice gains any.
+
+        The free workspace bounds what may be copied: copies consume
+        free segments before the victims are released, so an
+        over-ambitious pass could wedge the disk."""
+        lld = self.lld
+        slots = lld.geometry.max_data_blocks
+        free = lld.usage.free_count
+        # The budget caps the copies at free - 1 segments, so
+        # needed + 1 + (free - 1) victims always cover the shortfall;
+        # no pass wants more.
+        budget_slots = max(1, (free - 1) * slots)
+        victims: List[int] = []
+        copy_load = consumed = 0
+        for seg in self.select_victims(needed + free, exclude):
+            live = lld.usage.live_slots(seg)
+            if victims and copy_load + live > budget_slots:
+                break
+            victims.append(seg)
+            copy_load += live
+            consumed = -(-copy_load // slots)  # segments the copies fill
+            # Enough once the victims cover the shortfall, their
+            # copies and the buffer the closing flush re-opens.
+            if len(victims) - consumed - 1 >= needed:
+                break
+        # Net-positive or nothing: segments released must exceed
+        # segments consumed by the copies, or cleaning would eat the
+        # last workspace for nothing.
+        return victims if len(victims) - consumed >= 1 else []
 
     def clean(self, target_free: int) -> CleanReport:
         """Clean until at least ``target_free`` segments are free.
 
-        A pass is sized to finish the run — enough victims that what
-        they release, less the segments their copies fill and the
-        buffer the closing flush re-opens, covers the shortfall — and
-        each pass ends in one checkpoint.  A pass evacuates only as
-        much live data as the current free workspace can absorb, so
-        on a tight disk (or after a damaged victim) further bounded
-        passes run while they keep making progress, each enlarging
-        the next one's budget.  Returns an empty report when nothing
-        can be cleaned (no victims, an unsafe moment, or a disk
-        genuinely full of live data).
+        A pass frees every segment that holds no live slot, unread.
+        When those alone do not reach the target it also evacuates
+        the policy's victims — enough that what they release, less
+        the segments their copies fill and the buffer the closing
+        flush re-opens, covers the shortfall — and each pass ends in
+        one checkpoint.  A pass evacuates only as much live data as
+        the current free workspace can absorb, so on a tight disk (or
+        after a damaged victim) further bounded passes run while they
+        keep making progress, each enlarging the next one's budget.
+        Returns an empty report when nothing can be cleaned (no
+        victims, a moment no flush can make checkpoint-safe, or a
+        disk genuinely full of live data).
         """
         lld = self.lld
         if lld._restore is not None:
@@ -108,68 +161,49 @@ class SegmentCleaner:
             # unapplied summaries while an instant restore is pending;
             # finish it before reasoning about free space.
             lld.complete_restore()
-        all_victims: list = []
-        total_copied = 0
-        total_freed = 0
-        passes = 0
+        report = CleanReport([], 0, 0)
+        if lld._prepared_xids or (not lld.concurrent and lld.arus.active_count):
+            # A PREPAREd tag awaiting its DECIDE or an open sequential
+            # ARU: no flush makes a checkpoint safe, and flushing
+            # would only seal one more partly filled segment.
+            return report
         damaged_all: set = set()
-        slots = lld.geometry.max_data_blocks
         while lld.usage.free_count < target_free:
             # Flushing first lands any pending commit records, which
             # is what makes checkpointing possible again.
             lld.flush()
             if not lld.checkpoint_safe():
-                # Mid-commit (or an open sequential ARU): victims
-                # could not be freed afterwards anyway, and the
-                # evacuation copies would *consume* scarce space.
+                # Mid-commit: victims could not be freed afterwards
+                # anyway, and the evacuation copies would *consume*
+                # scarce space.
                 break
+            exclude = frozenset(damaged_all)
+            # The usage table already says these have nothing to copy,
+            # and the checkpoint below supersedes their summaries.
+            dead = [seg for seg, live, _seq in self._eligible(exclude) if not live]
             needed = target_free - lld.usage.free_count
-            # The budget below caps the copies at free_count - 1
-            # segments, so needed + 1 + (free_count - 1) = target_free
-            # victims always cover the shortfall; no pass wants more.
-            candidates = self.select_victims(
-                target_free, exclude=frozenset(damaged_all)
-            )
-            if not candidates:
+            # Copy only when the dead fall short.  The policy then
+            # sizes the pass over every candidate, as it always has;
+            # the dead it ranks low ride along at no cost.
+            picked = [] if len(dead) >= needed else self._size_pass(needed, exclude)
+            live = [seg for seg in picked if lld.usage.live_slots(seg)]
+            if not dead and not live:
                 break
-            # Bound the evacuation volume by the workspace we have:
-            # copies consume free segments before the victims are
-            # released, so an over-ambitious pass could wedge the
-            # disk.
-            budget_slots = max(1, (lld.usage.free_count - 1) * slots)
-            victims = []
-            copy_load = consumed = 0
-            for seg in candidates:
-                live = lld.usage.live_slots(seg)
-                if victims and copy_load + live > budget_slots:
-                    break
-                victims.append(seg)
-                copy_load += live
-                consumed = -(-copy_load // slots)  # segments the copies fill
-                # Enough once the victims cover the shortfall, their
-                # copies and the buffer the closing flush re-opens.
-                if len(victims) - consumed - 1 >= needed:
-                    break
-            # A pass must be net-positive: segments released must
-            # exceed segments consumed by the copies, or cleaning
-            # would eat the last workspace for nothing.
-            if len(victims) - consumed < 1:
-                break
-            passes += 1
+            report.passes += 1
             free_before = lld.usage.free_count
             was_cleaning = lld._cleaning
             lld._cleaning = True
             try:
-                # One scatter-gather read fetches every victim body;
-                # victims clustered on disk coalesce into sequential
-                # runs instead of paying one seek per segment.
+                # One scatter-gather read fetches every body to copy
+                # from; victims clustered on disk coalesce into
+                # sequential runs instead of paying one seek each.
                 bodies = lld.disk.read_many(
-                    [(seg, 0, lld.geometry.segment_size) for seg in victims],
+                    [(seg, 0, lld.geometry.segment_size) for seg in live],
                     errors="none",
                 )
                 copied = 0
                 damaged_now = []
-                for seg, raw in zip(victims, bodies):
+                for seg, raw in zip(live, bodies):
                     evacuated = (
                         None if raw is None else self._evacuate(seg, raw)
                     )
@@ -183,11 +217,14 @@ class SegmentCleaner:
                 if damaged_now:
                     damaged_all.update(damaged_now)
                     lld._scrub_pending.update(damaged_now)
-                    victims = [s for s in victims if s not in damaged_now]
-                    if not victims:
+                    live = [s for s in live if s not in damaged_now]
+                    if not dead and not live:
                         # Every victim was damaged; retry with the
                         # damaged set excluded from selection.
                         continue
+                victims = dead + live
+                report.victims += victims
+                report.blocks_copied += copied
                 # Make the copies durable, then supersede the victims'
                 # summary history with a checkpoint; only then is
                 # freeing them safe.
@@ -195,8 +232,6 @@ class SegmentCleaner:
                 if not lld.checkpoint_safe():
                     # An ARU committed mid-pass; keep the victims (the
                     # copies make the next pass free) and stop here.
-                    all_victims += victims
-                    total_copied += copied
                     break
                 for seg in victims:
                     lld.cache.invalidate_segment(seg)
@@ -204,9 +239,8 @@ class SegmentCleaner:
                 lld._write_checkpoint()
             finally:
                 lld._cleaning = was_cleaning
-            all_victims += victims
-            total_copied += copied
-            total_freed += len(victims)
+            report.segments_freed += len(victims)
+            report.segments_freed_unread += len(dead)
             if lld.usage.free_count <= free_before:
                 break  # no net progress: the survivors are too full
         if damaged_all:
@@ -225,9 +259,8 @@ class SegmentCleaner:
                 pass
             finally:
                 lld._cleaning = was_cleaning
-        return CleanReport(
-            all_victims, total_copied, total_freed, sorted(damaged_all), passes
-        )
+            report.damaged = sorted(damaged_all)
+        return report
 
     def _evacuate(self, seg: int, raw: Optional[bytes] = None) -> Optional[int]:
         """Copy every live block of ``seg`` into the current buffer.

@@ -222,7 +222,12 @@ class LLD(LogicalDisk):
         self._cleaner_counters = {
             name: m.counter(f"lld.cleaner.{name}")
             for name in (
-                "runs", "passes", "segments_freed", "blocks_copied", "damaged"
+                "runs",
+                "passes",
+                "segments_freed",
+                "segments_freed_unread",
+                "blocks_copied",
+                "damaged",
             )
         }
         self._ckpt_counters = {
@@ -1780,8 +1785,13 @@ class LLD(LogicalDisk):
             }
             for name, count in counts.items():
                 self._cleaner_counters[name].add(count)
+            unread = report.segments_freed_unread
+            self._cleaner_counters["segments_freed_unread"].add(unread)
             self.obs.record(
-                "cleaner.pass", victims=len(report.victims), **counts
+                "cleaner.pass",
+                victims=len(report.victims),
+                unread=unread,
+                **counts,
             )
             self._h_cleaner_us.observe(self.clock.now_us - pass_start_us)
         finally:

@@ -53,11 +53,13 @@ STATS_SCHEMA = {
     "free_segments": INT,
     # A run is one cleaner invocation (``cleanings`` == ``runs``), a
     # pass one evacuation round inside it; a pass that frees its
-    # victims ends in exactly one checkpoint.
+    # victims ends in exactly one checkpoint.  ``segments_freed_unread``
+    # are the victims among ``segments_freed`` that held no live slot.
     "cleaner": {
         "runs": INT,
         "passes": INT,
         "segments_freed": INT,
+        "segments_freed_unread": INT,
         "blocks_copied": INT,
         "damaged": INT,
     },

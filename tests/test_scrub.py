@@ -16,6 +16,7 @@ from repro.disk.faults import FaultInjector, MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import MediaError, UnrecoverableBlockError
+from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
@@ -359,25 +360,50 @@ class TestScrubTorture:
 
 
 class TestCleanerDamagedVictims:
-    def test_damaged_victim_routed_to_scrubber(self):
+    def churned(self):
+        """40 blocks, all but the last five overwritten: two dead
+        segments, and one that still holds the five."""
         disk, lld = make(num_segments=24)
-        blocks, expected = fill(lld, 40, seed=5)
-        # Overwrite most blocks so early segments become cheap victims.
+        blocks, _expected = fill(lld, 40, seed=5)
         for block in blocks[:-5]:
             lld.write(block, b"\x11" * lld.geometry.block_size)
         lld.flush()
         lld.read_many(blocks)
-        from repro.lld.cleaner import SegmentCleaner
+        dead = [seg for seg, live, _seq in lld.usage.dirty_segments() if not live]
+        assert len(dead) == 2
+        return disk, lld, blocks, dead
 
-        cleaner = SegmentCleaner(lld, policy="greedy")
-        victims = cleaner.select_victims(1)
-        assert victims
-        disk.injector.add_media_fault(MediaFault(victims[0], "corrupt"))
-        report = cleaner.clean(target_free=lld.usage.free_count + 1)
-        assert victims[0] in report.damaged
-        assert lld.usage.state(victims[0]) is SegmentState.QUARANTINED
+    def test_damaged_victim_routed_to_scrubber(self):
+        disk, lld, blocks, dead = self.churned()
+        victim = segment_of(lld, blocks[-1])
+        assert lld.usage.live_slots(victim) == 5
+        disk.injector.add_media_fault(MediaFault(victim, "corrupt"))
+        # More than the dead segments give: the victim is copied from.
+        report = SegmentCleaner(lld, policy="greedy").clean(
+            target_free=lld.usage.free_count + len(dead) + 1
+        )
+        assert victim in report.damaged
+        assert lld.usage.state(victim) is SegmentState.QUARANTINED
         # No data was harmed: every block still reads (possibly the
         # overwritten value).
+        for block in blocks:
+            lld.read(block)
+        assert verify_lld(lld) == []
+
+    def test_damaged_dead_victim_is_freed_unread(self):
+        """Nothing to copy, nothing to salvage, and the checkpoint
+        supersedes its summaries: the fault stays the scrubber's to
+        find, should the segment ever hold data again."""
+        disk, lld, blocks, dead = self.churned()
+        disk.injector.add_media_fault(MediaFault(dead[0], "corrupt"))
+        reads = disk.stats()["reads"]
+        report = SegmentCleaner(lld, policy="greedy").clean(
+            target_free=lld.usage.free_count + 1
+        )
+        assert disk.stats()["reads"] == reads
+        assert report.damaged == []
+        assert report.segments_freed_unread == len(dead)
+        assert lld.usage.state(dead[0]) is SegmentState.FREE
         for block in blocks:
             lld.read(block)
         assert verify_lld(lld) == []

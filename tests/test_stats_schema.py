@@ -34,6 +34,7 @@ FROZEN_PATHS = [
     "cleaner.passes:int",
     "cleaner.runs:int",
     "cleaner.segments_freed:int",
+    "cleaner.segments_freed_unread:int",
     "cleanings:int",
     "cpu_counts.*:number",
     "cpu_us.*:number",
