@@ -360,6 +360,12 @@ class SimulatedDisk:
     # Introspection
     # ------------------------------------------------------------------
 
+    @property
+    def head_offset(self) -> int:
+        """Where the head is: the partition byte offset at which the
+        last request of any kind ended (-1 before the first)."""
+        return self.timer.head_offset
+
     def stats(self) -> dict:
         """I/O statistics snapshot for the harness."""
         return {

@@ -115,6 +115,12 @@ class DiskTimer:
         self.write_batched_requests = 0
         self.write_batched_runs = 0
 
+    @property
+    def head_offset(self) -> int:
+        """Byte offset at which the last request ended (-1 before the
+        first): a request that starts here pays no positioning."""
+        return self._head_offset
+
     def access(self, offset: int, nbytes: int) -> float:
         """Charge one request at byte ``offset`` of size ``nbytes``.
 

@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.ld.interface import LogicalDisk
 from repro.ld.types import ARU_NONE, ARUId, BlockId, FIRST, ListId, PhysAddr, Predecessor
-from repro.lld.cache import BlockCache
+from repro.lld.cache import BlockCache, ReadStream
 from repro.lld.checkpoint import (
     FLAG_HAS_ADDR,
     CheckpointData,
@@ -191,6 +191,7 @@ class JLD(LogicalDisk):
         self.shadow_blocks: Dict[int, Dict[BlockId, _ShadowBlock]] = {}
         self.shadow_lists: Dict[int, Dict[ListId, _ShadowList]] = {}
         self.cache = BlockCache(cache_blocks)
+        self._read_stream = ReadStream(self.disk, self.cache)
 
         self._home_free: List[PhysAddr] = []
         for seg in range(self.geometry.num_segments - 1, self.home_base - 1, -1):
@@ -208,7 +209,6 @@ class JLD(LogicalDisk):
         self._pending_commit_arus: Set[int] = set()
         self._dead = False
         self._lock = threading.RLock()
-        self._last_read_key: Optional[Tuple[int, int]] = None
 
         self.journal_writes = 0
         self.home_writes = 0
@@ -926,23 +926,7 @@ class JLD(LogicalDisk):
         cached = self.cache.get(home)
         if cached is not None:
             return cached
-        offset = home.slot * self.geometry.block_size
-        block_size = self.geometry.block_size
-        sequential = self._last_read_key == (home.segment, home.slot - 1)
-        if sequential:
-            span = min(32, self.geometry.max_data_blocks - home.slot)
-            raw = self.disk.read(home.segment, offset, span * block_size)
-            for index in range(span):
-                self.cache.put(
-                    PhysAddr(home.segment, home.slot + index),
-                    raw[index * block_size : (index + 1) * block_size],
-                )
-            data = raw[:block_size]
-        else:
-            data = self.disk.read(home.segment, offset, block_size)
-            self.cache.put(home, data)
-        self._last_read_key = (home.segment, home.slot)
-        return data
+        return self._read_stream.read(home, self.geometry.max_data_blocks)
 
     # ==================================================================
     # Misc

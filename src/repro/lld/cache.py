@@ -1,4 +1,4 @@
-"""The block read cache.
+"""The block read cache and the read stream that fills it.
 
 Because LLD is append-only, a physical address never changes content
 while its segment is part of the log, so the cache is keyed by
@@ -6,20 +6,29 @@ physical address and needs no version logic: new versions of a block
 get new addresses.  The cleaner invalidates a whole segment's entries
 when it frees the segment.
 
-A simple sequential-readahead heuristic is layered on top: when two
-consecutive cache misses hit adjacent slots of the same segment, the
-rest of that segment is fetched in one disk request.  This is what
-makes sequentially-written files read at near disk bandwidth (read1
-of Figure 6) while randomly-laid-out data stays seek-bound (read2,
-read3).
+Every cache miss of a logical disk (LLD and the journaling baseline
+alike) reaches the platter through one :class:`ReadStream`, which asks
+the disk where its head is and the disk model what is cheaper: a miss
+just ahead of the head is read by a request that *starts at the head*
+and streams over the gap, anything else by a positioned read; a miss
+that continues where the stream's last fetch ended also fetches a
+bounded window ahead.  This is what makes sequentially-written files
+read at near disk bandwidth (read1 of Figure 6) and small files come
+back out of the log in write order at log speed (Figure 5), while
+randomly laid-out data stays seek-bound (read2, read3).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.ld.types import PhysAddr
+
+#: Blocks one readahead window fetches.  Bounded so the cost quantum
+#: stays small relative to a phase (a full-segment fetch would make
+#: throughput jumpy at small benchmark scales).
+READAHEAD_BLOCKS = 32
 
 
 class BlockCache:
@@ -103,3 +112,186 @@ class BlockCache:
         """Fraction of lookups served from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+class ReadStream:
+    """How a logical disk's cache misses reach the disk.
+
+    Two questions, one inequality.  Streaming over ``gap`` bytes to a
+    block is *worth it* when one request through gap and block costs
+    the disk model no more than the positioned read of the block
+    alone: ``request_us(gap + block, sequential=True) <=
+    request_us(block, sequential=False)``, which implies
+    ``transfer_us(gap) <= request_us(0, sequential=False)``, the
+    inequality :meth:`~repro.disk.timing.DiskTimer.access_batch` fuses
+    runs by.
+
+    *Where does the request start?*  Asked of the disk for every miss:
+    if the head is in the target's segment, at or before the target,
+    and the gap between them is worth streaming over, the miss is
+    *streamed* — one request that starts at the head, pays bytes and
+    no positioning.  Otherwise it is *positioned*: the read of the
+    target alone.  The position is the disk's, never a copy kept
+    here, so a segment write, a cleaner read or a checkpoint between
+    two misses makes the next one positioned, and no request that
+    starts at the head costs more simulated time than the read it
+    replaces.  Gap bytes are transferred and dropped, never cached:
+    they may be dead slots or stale platter.
+
+    *Is this a sequential reader?*  Asked of the stream itself, which
+    remembers where its last fetch ended (the end of the window, the
+    highest block of a batch) whoever has moved the head since.  A
+    miss *continues* the stream when it lies at or ahead of that
+    point, in its segment, within a gap worth streaming over.  It
+    fetches a window of :data:`READAHEAD_BLOCKS` blocks (never past
+    ``slot_limit``) when it continues the stream from exactly where
+    it ended (two adjacent misses, the evidence readahead always
+    required) or the miss before it continued the stream too; one
+    near miss alone buys no window, a random reader has those by
+    chance.
+
+    With ``readahead`` off every miss is the positioned read of one
+    block.  The counters (``stats()``) are plain ints and touch no
+    clock.
+    """
+
+    def __init__(self, disk, cache: BlockCache, readahead: bool = True) -> None:
+        self.disk = disk
+        self.cache = cache
+        self.readahead = readahead
+        self._block_size = disk.geometry.block_size
+        self._segment_size = disk.geometry.segment_size
+        #: Partition byte offset at which the stream's last fetch ended.
+        self._end = -1
+        #: Whether the last miss continued the stream.
+        self._continued = False
+        self.positioned = 0
+        self.streamed = 0
+        self.windows = 0
+        self.window_blocks = 0
+        self.gap_blocks = 0
+
+    def _gap(self, start: int, addr: PhysAddr) -> Optional[int]:
+        """Bytes from ``start`` to ``addr`` if ``start`` lies in its
+        segment, at or before it, and the gap is worth streaming over;
+        else ``None``."""
+        block_size = self._block_size
+        offset = addr.slot * block_size
+        gap = addr.segment * self._segment_size + offset - start
+        if not (0 <= gap <= offset and self.readahead):
+            return None
+        request_us = self.disk.timer.model.request_us
+        if request_us(gap + block_size, sequential=True) > request_us(
+            block_size, sequential=False
+        ):
+            return None
+        return gap
+
+    def _fetched(
+        self,
+        addr: PhysAddr,
+        blocks: int,
+        gap: Optional[int],
+        ahead: Optional[int],
+    ) -> None:
+        """Account for a request that reached ``addr`` over ``gap``
+        bytes from the head (``None``: positioned), ``ahead`` bytes
+        past the stream's end (``None``: elsewhere), and fetched
+        ``blocks`` blocks from it."""
+        block_size = self._block_size
+        self._end = (
+            addr.segment * self._segment_size
+            + (addr.slot + blocks) * block_size
+        )
+        self._continued = ahead is not None
+        if gap is None:
+            self.positioned += 1
+        else:
+            self.streamed += 1
+            self.gap_blocks += gap // block_size
+
+    def read(self, addr: PhysAddr, slot_limit: int) -> bytes:
+        """Fetch the block at ``addr`` and cache it (and its window).
+
+        ``slot_limit`` is the number of slots of ``addr.segment`` that
+        hold data.  Raises :class:`~repro.errors.MediaError` like the
+        disk does; a fault ends the evidence gathered so far.
+        """
+        block_size = self._block_size
+        gap = self._gap(self.disk.head_offset, addr)
+        ahead = self._gap(self._end, addr)
+        window = ahead is not None and (ahead == 0 or self._continued)
+        self._continued = False
+        if gap is None and not window:
+            # The common miss of a random reader, kept short: nothing
+            # to stream over, nothing to read ahead.
+            data = self.disk.read(
+                addr.segment, addr.slot * block_size, block_size
+            )
+            self._fetched(addr, 1, None, ahead)
+            self.cache.put(addr, data)
+            return data
+        skip = gap or 0
+        span = 1
+        if window:
+            span = max(1, min(READAHEAD_BLOCKS, slot_limit - addr.slot))
+        raw = self.disk.read(
+            addr.segment, addr.slot * block_size - skip, skip + span * block_size
+        )
+        self._fetched(addr, span, gap, ahead)
+        if window:
+            self.windows += 1
+            self.window_blocks += span
+        for index in range(span):
+            start = skip + index * block_size
+            self.cache.put(
+                PhysAddr(addr.segment, addr.slot + index),
+                raw[start : start + block_size],
+            )
+        return raw[skip : skip + block_size]
+
+    def read_many(
+        self, addrs: Iterable[PhysAddr]
+    ) -> Dict[PhysAddr, Optional[bytes]]:
+        """Fetch several missing blocks as one scatter-gather batch.
+
+        Maps each address to its data, or to ``None`` where the media
+        failed (what did arrive is cached).  The lowest address is
+        reached from the head under the rule of :meth:`read`; the disk
+        fuses the rest into runs by the same inequality, and each
+        block is counted by how it was reached.  A batch asks for what
+        it needs and opens no window.
+        """
+        block_size = self._block_size
+        ordered = sorted(addrs)
+        head = self.disk.head_offset
+        skip = self._gap(head, ordered[0]) or 0
+        requests = [
+            (addr.segment, addr.slot * block_size, block_size)
+            for addr in ordered
+        ]
+        segment, offset, nbytes = requests[0]
+        requests[0] = (segment, offset - skip, nbytes + skip)
+        raws = self.disk.read_many(requests, errors="none")
+        if raws[0] is not None:
+            raws[0] = raws[0][skip:]
+        self._continued = False
+        for addr, raw in zip(ordered, raws):
+            if raw is None:
+                continue
+            self.cache.put(addr, raw)
+            self._fetched(
+                addr, 1, self._gap(head, addr), self._gap(self._end, addr)
+            )
+            head = self._end
+        return dict(zip(ordered, raws))
+
+    def stats(self) -> Dict[str, int]:
+        """The ``read_stream`` section of a logical disk's ``stats()``."""
+        return {
+            "positioned": self.positioned,
+            "streamed": self.streamed,
+            "windows": self.windows,
+            "window_blocks": self.window_blocks,
+            "gap_blocks": self.gap_blocks,
+        }

@@ -66,7 +66,7 @@ from repro.ld.types import (
     Predecessor,
     SYSTEM_ID_BASE,
 )
-from repro.lld.cache import BlockCache
+from repro.lld.cache import BlockCache, ReadStream
 from repro.lld.config import LLDConfig
 from repro.lld.checkpoint import (
     FLAG_HAS_ADDR,
@@ -149,7 +149,9 @@ class LLD(LogicalDisk):
         self.committed_lists = StateChain()
         self.usage = SegmentUsage(self.geometry.num_segments, reserved=reserved)
         self.cache = BlockCache(cfg.cache_blocks)
-        self.readahead = cfg.readahead
+        self._read_stream = ReadStream(
+            self.disk, self.cache, readahead=cfg.readahead
+        )
         self.clean_low_water = cfg.clean_low_water
         self.clean_high_water = max(
             cfg.clean_high_water, cfg.clean_low_water + 1
@@ -186,7 +188,6 @@ class LLD(LogicalDisk):
         # boundary.
         self.clean_low_water = max(self.clean_low_water, self.segment_reserve + 1)
         self.clean_high_water = max(self.clean_high_water, self.clean_low_water + 1)
-        self._last_read_key: Optional[Tuple[int, int]] = None
         self._lock = threading.RLock()
         self._buffer: Optional[SegmentBuffer] = None
         self._writeback = WritebackQueue(self, cfg.writeback_depth)
@@ -890,8 +891,8 @@ class LLD(LogicalDisk):
         """
         if len(block_ids) == 1:
             # A singleton batch gains nothing from scatter-gather but
-            # would bypass the sequential-readahead heuristic of the
-            # single-read path; keep block-at-a-time callers fast.
+            # would never open the read stream's window; keep
+            # block-at-a-time callers fast.
             return [self.read(block_ids[0], aru)]
         with self._lock:
             self._check_alive()
@@ -931,26 +932,15 @@ class LLD(LogicalDisk):
                     continue
                 pending.setdefault(addr, []).append(index)
             if pending:
-                addrs = list(pending)
-                raws = self.disk.read_many(
-                    [
-                        (addr.segment, addr.slot * block_size, block_size)
-                        for addr in addrs
-                    ],
-                    errors="none",
-                )
-                for addr, raw in zip(addrs, raws):
+                found = self._read_stream.read_many(pending)
+                for addr, indexes in pending.items():
+                    raw = found[addr]
                     if raw is None:
                         # Media fault mid-batch: salvage (or raise
                         # UnrecoverableBlockError) per block, exactly
                         # like the single-read path would.
-                        raw = self._degraded_read(
-                            addr, block_ids[pending[addr][0]]
-                        )
-                    else:
-                        self.cache.put(addr, raw)
-                        self._last_read_key = (addr.segment, addr.slot)
-                    for index in pending[addr]:
+                        raw = self._degraded_read(addr, block_ids[indexes[0]])
+                    for index in indexes:
                         results[index] = raw
             return results  # type: ignore[return-value]
 
@@ -1872,7 +1862,7 @@ class LLD(LogicalDisk):
             self.usage.retire_slot(addr.segment)
 
     # ==================================================================
-    # The read path: cache and readahead
+    # The read path: cache and read stream
     # ==================================================================
 
     def _read_at(self, addr: PhysAddr, block_id: Optional[BlockId] = None) -> bytes:
@@ -1899,40 +1889,12 @@ class LLD(LogicalDisk):
             # The platter may return garbage for a quarantined segment
             # (silent corruption); never read through the address.
             return self._degraded_read(addr, block_id)
-        key = (addr.segment, addr.slot)
-        offset = addr.slot * self.geometry.block_size
-        sequential = (
-            self.readahead
-            and self._last_read_key == (addr.segment, addr.slot - 1)
-        )
         try:
-            if sequential:
-                total = self.usage.total_slots(addr.segment)
-                # Readahead window: bounded so the cost quantum stays
-                # small relative to a phase (a full-segment fetch would
-                # make throughput jumpy at small benchmark scales).
-                span = max(1, min(32, total - addr.slot))
-                raw = self.disk.read(
-                    addr.segment, offset, span * self.geometry.block_size
-                )
-                for index in range(span):
-                    chunk = raw[
-                        index * self.geometry.block_size : (index + 1)
-                        * self.geometry.block_size
-                    ]
-                    self.cache.put(
-                        PhysAddr(addr.segment, addr.slot + index), chunk
-                    )
-                data = raw[: self.geometry.block_size]
-            else:
-                data = self.disk.read(
-                    addr.segment, offset, self.geometry.block_size
-                )
-                self.cache.put(addr, data)
+            return self._read_stream.read(
+                addr, self.usage.total_slots(addr.segment)
+            )
         except MediaError:
             return self._degraded_read(addr, block_id)
-        self._last_read_key = key
-        return data
 
     def _degraded_read(self, addr: PhysAddr, block_id: Optional[BlockId]) -> bytes:
         """Media-fault fallback for a foreground read.
@@ -2185,6 +2147,7 @@ class LLD(LogicalDisk):
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "free_segments": self.usage.free_count,
+            "read_stream": self._read_stream.stats(),
             "cleaner": {
                 name: counter.value
                 for name, counter in self._cleaner_counters.items()

@@ -51,6 +51,17 @@ STATS_SCHEMA = {
     "cache_hits": INT,
     "cache_misses": INT,
     "free_segments": INT,
+    # How the foreground read path's cache misses reached the disk
+    # (:class:`repro.lld.cache.ReadStream`): every one is ``positioned``
+    # or ``streamed`` from the head over ``gap_blocks`` dropped blocks;
+    # ``windows`` of them read ahead, ``window_blocks`` in all.
+    "read_stream": {
+        "positioned": INT,
+        "streamed": INT,
+        "windows": INT,
+        "window_blocks": INT,
+        "gap_blocks": INT,
+    },
     # A run is one cleaner invocation (``cleanings`` == ``runs``), a
     # pass one evacuation round inside it; a pass that frees its
     # victims ends in exactly one checkpoint.  ``segments_freed_unread``

@@ -60,6 +60,11 @@ FROZEN_PATHS = [
     "obs.events_recorded:int",
     "obs.metrics_enabled:bool",
     "ops.*:int",
+    "read_stream.gap_blocks:int",
+    "read_stream.positioned:int",
+    "read_stream.streamed:int",
+    "read_stream.window_blocks:int",
+    "read_stream.windows:int",
     "recovery.instant_restores:int",
     "recovery.on_demand_replays:int",
     "recovery.pending_segments:int",
