@@ -2,11 +2,11 @@
 
 This package implements the version machinery of Section 3 — the
 shadow / committed / persistent block and list versions, the
-perpendicular in-memory record chains of Section 4, the per-ARU
-list-operation log, and the three read-visibility policies of
-Section 3.3.  The log-structured logical disk (:mod:`repro.lld`)
-drives these structures; they are kept separate so a different LD
-implementation could reuse them (the paper notes other LD
+perpendicular in-memory record chains of Section 4 and their tables,
+the per-ARU list-operation log, the three read-visibility policies of
+Section 3.3 — and :mod:`repro.core.engine`, which drives them behind
+a log sink and imports nothing of :mod:`repro.lld` or the disk, so a
+different LD implementation can reuse it (the paper notes other LD
 implementations "will have to utilize at least a meta-data update log
 ... to fully support multiple shadow states").
 """

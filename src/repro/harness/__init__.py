@@ -8,11 +8,8 @@ from repro.harness.runner import (
     run_figure6,
 )
 from repro.harness.reporting import format_table, percent_difference
-from repro.harness.sweep import Sweep, SweepPoint
 
 __all__ = [
-    "Sweep",
-    "SweepPoint",
     "VARIANTS",
     "Variant",
     "build_variant",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 def percent_difference(baseline: float, other: float) -> float:
@@ -65,12 +65,3 @@ def format_deltas(
         delta_rows,
         unit=f"% slower than '{baseline_name}'",
     )
-
-
-def expect_band(
-    value: float, low: float, high: float, label: str
-) -> Optional[str]:
-    """Return a complaint string when ``value`` is outside [low, high]."""
-    if low <= value <= high:
-        return None
-    return f"{label}: {value:.2f} outside expected band [{low}, {high}]"

@@ -34,11 +34,6 @@ ARU_NONE: ARUId = ARUId(0)
 SYSTEM_ID_BASE = 1 << 40
 
 
-def is_system_id(identifier: int) -> bool:
-    """Whether an id belongs to the reserved system range."""
-    return int(identifier) >= SYSTEM_ID_BASE
-
-
 class _First:
     """Sentinel: insert a new block at the beginning of its list."""
 

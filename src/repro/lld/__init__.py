@@ -8,8 +8,8 @@ can be reconstructed after a crash.  This package contains:
 
 * the on-disk formats (:mod:`repro.lld.summary`,
   :mod:`repro.lld.segment`, :mod:`repro.lld.checkpoint`),
-* the in-memory persistent tables (:mod:`repro.lld.maps`) and
-  segment usage accounting (:mod:`repro.lld.usage`),
+* segment usage accounting (:mod:`repro.lld.usage`) and the log
+  writer (:mod:`repro.lld.logwriter`),
 * the logical disk itself (:mod:`repro.lld.lld`), supporting both the
   paper's "new" prototype (concurrent ARUs) and the "old" baseline
   (sequential ARUs) via ``aru_mode``,

@@ -311,7 +311,7 @@ class SegmentCleaner:
                 continue
             data = decoded.slot_view(slot)
             ts = lld.clock.tick()
-            addr = lld._append_block_data(block_id, data, 0, ts)
+            addr = lld.log_write(block_id, data, 0, ts)
             persistent.address = addr
             copied += 1
         return copied

@@ -1,0 +1,447 @@
+"""The log writer: the one segment buffer being filled and the way
+its contents reach the disk.
+
+:class:`LogWriter` is the log-structured :class:`~repro.core.engine.LogSink`:
+it turns the version engine's records into summary entries, places
+block data in the current :class:`~repro.lld.segment.SegmentBuffer`,
+rolls to the next segment when one is full, decides at a durability
+point whether a segment streams out whole or is written in place,
+parks commit records under group commit, and — in :meth:`_write_now`,
+the only place bytes reach the platter — advances what is durable and
+has the engine fold it into the persistent tables.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Set, Tuple
+
+from repro.errors import DiskCrashedError, DiskFullError, SegmentOverflowError
+from repro.ld.types import PhysAddr
+from repro.lld.segment import SegmentBuffer
+from repro.lld.summary import EntryKind, SummaryEntry, entry_size
+from repro.lld.usage import SegmentState
+from repro.lld.writeback import WritebackQueue
+
+_WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
+
+
+class LogWriter:
+    """Owns ``_buffer``, ``_next_seq``, ``_last_written_seq``,
+    ``_commit_on_disk``, ``_pending_commit_arus``, the parked commit
+    group and the write-behind queue.  :class:`~repro.lld.lld.LLD`
+    extends it with the LD interface and supplies what it leaves
+    open: ``engine`` (whose ``fold`` runs when a write lands),
+    ``_run_cleaner()`` and ``_mark_dead(reason)``.
+    """
+
+    def __init__(self, disk, usage, cache, meter, obs, cfg) -> None:
+        self.disk = disk
+        self.geometry = disk.geometry
+        self.usage = usage
+        self.cache = cache
+        self.meter = meter
+        self.clock = meter.clock
+        self.obs = obs
+        self.config = cfg
+        self._buffer: Optional[SegmentBuffer] = None
+        self._next_seq = 1
+        self._last_written_seq = 0
+        self._commit_on_disk: Set[int] = set()
+        self._pending_commit_arus: Set[int] = set()
+        self._cleaning = False
+        self._emergency = False
+        #: Segments ordinary allocations may never consume: kept for
+        #: the cleaner and for deletions, so a full disk stays
+        #: recoverable instead of wedged.
+        self.segment_reserve = min(
+            2,
+            max(0, self.geometry.num_segments - usage.reserved_count - 2),
+        )
+        # Cleaning must fire while ordinary allocations still have
+        # headroom above the reserve, or the disk wedges at the
+        # boundary.
+        self.clean_low_water = max(cfg.clean_low_water, self.segment_reserve + 1)
+        self.clean_high_water = max(
+            cfg.clean_high_water, self.clean_low_water + 1
+        )
+        self._writeback = WritebackQueue(self, cfg.writeback_depth)
+        #: Commit records parked by ``end_aru`` under group commit:
+        #: (aru tag, op count, commit timestamp) in commit order.
+        self._parked_commits: List[Tuple[int, int, int]] = []
+        #: Simulated deadline by which the oldest parked commit must
+        #: be released (None while nothing is parked).
+        self._parked_deadline_us: Optional[float] = None
+
+        m = obs.metrics
+        self._c_segments_flushed = m.counter("lld.segments.flushed")
+        self._c_in_place_writes = m.counter("lld.segments.in_place_writes")
+        self._c_commit_groups_flushed = m.counter(
+            "lld.group_commit.groups_flushed"
+        )
+        self._c_commits_grouped = m.counter("lld.group_commit.commits_grouped")
+        #: Fill accounting over every segment that stopped growing:
+        #: data and summary bytes actually used, and the min/total
+        #: fill ratio, so partial-segment waste from eager flushes is
+        #: visible.
+        self._c_fill_sealed = m.counter("lld.segments.sealed")
+        self._c_fill_data_bytes = m.counter("lld.segments.data_bytes")
+        self._c_fill_summary_bytes = m.counter("lld.segments.summary_bytes")
+        self._c_fill_ratio_total = m.counter("lld.segments.fill_ratio_total")
+        self._g_fill_min = m.gauge("lld.segments.min_fill", initial=None)
+
+    # ==================================================================
+    # The engine's sink
+    # ==================================================================
+
+    @property
+    def log_seq(self) -> int:
+        return self._buffer.seq
+
+    def log_write(self, block_id, data, aru_tag, ts) -> PhysAddr:
+        """Place data in the current segment buffer (rolling it if
+        full) and emit the WRITE summary entry."""
+        self._ensure_buffer()
+        new_blocks = 0 if self._buffer.contains_block(block_id) else 1
+        if not self._buffer.has_room(new_blocks, _WRITE_ENTRY_SIZE):
+            self._roll_buffer()
+        addr = self._buffer.add_block(block_id, data)
+        self.meter.charge("block_copy_us")
+        self._buffer.add_entry(
+            SummaryEntry(EntryKind.WRITE, aru_tag, ts, int(block_id), addr.slot)
+        )
+        self.meter.charge("summary_entry_us")
+        return addr
+
+    def log_link(self, aru_tag, ts, list_id, block_id, predecessor) -> None:
+        self._emit_entry(
+            SummaryEntry(
+                EntryKind.LINK, aru_tag, ts, list_id, block_id, predecessor
+            )
+        )
+
+    def log_delete_block(self, aru_tag, ts, block_id, list_id) -> None:
+        self._emit_entry(
+            SummaryEntry(EntryKind.DELETE_BLOCK, aru_tag, ts, block_id, list_id)
+        )
+
+    def log_delete_list(self, aru_tag, ts, list_id) -> None:
+        self._emit_entry(
+            SummaryEntry(EntryKind.DELETE_LIST, aru_tag, ts, list_id)
+        )
+
+    def retire_address(self, addr: PhysAddr) -> None:
+        """One physical slot is no longer referenced by any version.
+
+        Only slots the usage table has counted are uncounted: all of
+        an on-disk or queued segment's, and of the segment still being
+        filled those a chunk written in place already published."""
+        state = self.usage.state(addr.segment)
+        if state in (SegmentState.DIRTY, SegmentState.QUEUED) or (
+            state is SegmentState.CURRENT
+            and addr.slot < self.usage.total_slots(addr.segment)
+        ):
+            self.usage.retire_slot(addr.segment)
+
+    # ==================================================================
+    # The segment buffer
+    # ==================================================================
+
+    def _emit_entry(self, entry: SummaryEntry) -> None:
+        """Append a summary entry, rolling the buffer when full.
+
+        Raises:
+            SegmentOverflowError: If the entry could not fit even an
+                *empty* segment's summary region — rolling the buffer
+                can never help, so the record is rejected up front
+                instead of consuming segments forever.
+        """
+        self._ensure_buffer()
+        size = entry.encoded_size()
+        if not self._buffer.has_room(0, size):
+            if size > self.geometry.usable_size:
+                raise SegmentOverflowError(
+                    size,
+                    self.geometry.usable_size,
+                    f"summary entry {entry.kind.name}",
+                )
+            self._roll_buffer()
+        self._buffer.add_entry(entry)
+
+    def _clean_if_low(self) -> None:
+        """Run the cleaner when free segments are at the low water
+        mark (and it is not what is running)."""
+        if not self._cleaning and self.usage.free_count <= self.clean_low_water:
+            self._run_cleaner()
+
+    def _ensure_buffer(self) -> None:
+        """(Re)open the current buffer, cleaning first if space is low.
+
+        May raise :class:`DiskFullError`, in which case no buffer is
+        open and the interrupted operation has had no effect on the
+        log — the instance stays usable, and deletions can free
+        space.
+        """
+        if self._buffer is not None:
+            return
+        self._clean_if_low()
+        # (The cleaner's own evacuation may already have opened one.)
+        if self._buffer is None:
+            self._open_new_buffer()
+
+    def _open_new_buffer(self) -> None:
+        """Start filling a fresh segment.
+
+        Ordinary allocations honor the segment reserve; the cleaner
+        and deletion paths may dip into it (they are the operations
+        that get a full disk *out* of that state)."""
+        reserve = (
+            0 if (self._cleaning or self._emergency) else self.segment_reserve
+        )
+        segment_no = self.usage.take_free(reserve=reserve)
+        self._buffer = SegmentBuffer(self.geometry, self._next_seq, segment_no)
+        self._next_seq += 1
+
+    def _roll_buffer(self) -> None:
+        """Close the current segment and open the next, so the caller
+        can keep appending."""
+        self._close_buffer()
+        self._ensure_buffer()
+
+    def _write_buffer(self) -> None:
+        """Durability point: send what the buffer holds and the disk
+        does not on its way.
+
+        A segment no chunk of which is on disk yet is closed and
+        written whole iff streaming out the rest of it costs no more
+        than the two positionings that coming back to it will (one for
+        the next data slots, one for the chunk describing them) — asked
+        of the disk model, once per segment.  Otherwise the flush
+        writes in place — the new data slots, then one summary chunk —
+        and the buffer keeps filling behind it; every later flush of
+        that segment is then in place by necessity, the closing write
+        being chunk-sized itself.
+        """
+        buffer = self._buffer
+        if buffer is None or not buffer.has_unwritten:
+            return
+        if not buffer.in_place:
+            model = self.disk.timer.model
+            positioning_us = model.request_us(0, sequential=False)
+            if model.transfer_us(buffer.bytes_free()) <= 2 * positioning_us:
+                self._roll_buffer()
+                return
+        # Log order: whatever is parked goes out ahead of this chunk.
+        self._writeback.drain()
+        self._write_now([(buffer, buffer.seal(last=False))])
+
+    def _close_buffer(self) -> None:
+        """The current segment stops growing.
+
+        What it holds and the disk does not is sealed and handed to
+        the write path: with write-behind disabled it is written
+        synchronously (the serial path); otherwise it parks in the
+        queue and reaches the disk at the next drain — either
+        automatic (queue depth) or forced by a barrier.  No buffer is
+        open afterwards; an empty one is left as it is.
+        """
+        buffer = self._buffer
+        if buffer is None or buffer.is_empty:
+            return
+        self._buffer = None
+        self._account_fill(buffer)
+        if buffer.has_unwritten:
+            self._writeback.submit(buffer, buffer.seal())
+        else:
+            # Every chunk is on disk already; nothing more to write.
+            self.usage.mark_written(buffer.segment_no, buffer.seq, 0)
+
+    def _account_fill(self, buffer: SegmentBuffer) -> None:
+        """Record the fill of a segment that stops growing for
+        ``stats()["segments"]``."""
+        self._c_fill_sealed.inc()
+        self._c_fill_data_bytes.add(
+            buffer.block_count * self.geometry.block_size
+        )
+        self._c_fill_summary_bytes.add(buffer.summary_bytes)
+        ratio = buffer.fill_ratio
+        self._c_fill_ratio_total.add(ratio)
+        self._g_fill_min.update_min(ratio)
+        self.obs.record(
+            "segment.seal",
+            segment=buffer.segment_no,
+            log_seq=buffer.seq,
+            blocks=buffer.block_count,
+            fill=round(ratio, 4),
+        )
+
+    def _segment_fill_stats(self) -> dict:
+        """Fill-ratio accounting over every segment that stopped
+        growing so far, and the log writes that reached the disk."""
+        sealed = self._c_fill_sealed.value
+        return {
+            "sealed": sealed,
+            "flushed": self._c_segments_flushed.value,
+            "in_place_writes": self._c_in_place_writes.value,
+            "data_bytes": self._c_fill_data_bytes.value,
+            "summary_bytes": self._c_fill_summary_bytes.value,
+            "avg_fill": (
+                (self._c_fill_ratio_total.value / sealed) if sealed else 0.0
+            ),
+            "min_fill": self._g_fill_min.value,
+        }
+
+    # ==================================================================
+    # Reaching the disk
+    # ==================================================================
+
+    def _write_now(self, batch: List[Tuple[SegmentBuffer, bytearray]]) -> None:
+        """Write sealed chunks to the disk — the only durability
+        point of the write path.
+
+        ``batch`` is in log-sequence order (enforced by construction:
+        buffers are sealed in order and the queue is FIFO), so an
+        ARU's data always precedes the chunk carrying its commit
+        record.  A closed segment none of which is on disk goes out as
+        its whole image, consecutive ones as one scatter-gather batch;
+        anything else is written in place.  Only here do
+        ``_last_written_seq``, ``_commit_on_disk`` and the
+        committed→persistent fold advance; nothing queued is ever
+        treated as durable.
+        """
+        if not batch:
+            return
+        queued = len(batch) > 1 or (
+            self.usage.state(batch[0][0].segment_no) is SegmentState.QUEUED
+        )
+        try:
+            whole: List[Tuple[int, bytearray]] = []
+            for buffer, image in batch:
+                if buffer.in_place or not buffer.is_sealed:
+                    self._write_whole(whole)
+                    whole = []
+                    # Data first: a chunk on disk vouches for its slots.
+                    view = memoryview(image)
+                    for start, end in buffer.unwritten_ranges():
+                        self.disk.write_at(
+                            buffer.segment_no, start, view[start:end]
+                        )
+                else:
+                    whole.append((buffer.segment_no, image))
+            self._write_whole(whole)
+        except DiskCrashedError:
+            self._mark_dead("disk_crashed_mid_write")
+            raise
+        for buffer, _image in batch:
+            segment_no = buffer.segment_no
+            self._c_segments_flushed.inc()
+            self._last_written_seq = max(self._last_written_seq, buffer.seq)
+            if self.usage.state(segment_no) is SegmentState.QUEUED:
+                # Liveness was tracked while parked (later writes may
+                # have superseded slots); keep it, just flip durable.
+                self.usage.mark_durable(segment_no)
+            elif buffer.is_sealed:
+                self.usage.mark_written(
+                    segment_no, buffer.seq, buffer.unwritten_block_count
+                )
+            else:
+                self.usage.mark_in_place(
+                    segment_no, buffer.seq, buffer.unwritten_block_count
+                )
+            # Write-behind caching: blocks that just left the buffer
+            # stay readable without a disk access (they were readable
+            # for free while in memory; dropping them at the write
+            # boundary would charge phantom re-reads for hot
+            # meta-data).
+            for _block_id, slot, data in buffer.unwritten_blocks():
+                self.cache.put(PhysAddr(segment_no, slot), data)
+            for entry in buffer.unwritten_entries():
+                if entry.kind is EntryKind.COMMIT:
+                    self._commit_on_disk.add(entry.aru_tag)
+                    self._pending_commit_arus.discard(entry.aru_tag)
+            if not buffer.is_sealed:
+                self._c_in_place_writes.inc()
+                self.obs.record(
+                    "segment.write_in_place",
+                    segment=segment_no,
+                    log_seq=buffer.seq,
+                    blocks=buffer.unwritten_block_count,
+                    bytes=sum(e - s for s, e in buffer.unwritten_ranges()),
+                )
+                buffer.publish()
+                self._next_seq = buffer.seq + 1
+        if queued:
+            # Completion bookkeeping overlaps the streamed transfer of
+            # the rest of the batch: charge the critical-path share.
+            self.meter.charge("writeback_us", count=len(batch), lanes=len(batch))
+        self.engine.fold(self._last_written_seq, self._commit_on_disk)
+
+    def _write_whole(self, images: List[Tuple[int, bytearray]]) -> None:
+        """Write whole-segment images: one plain write, or one
+        scatter-gather batch for several."""
+        if len(images) == 1:
+            self.disk.write_segment(*images[0])
+        elif images:
+            self.disk.write_many(images)
+
+    # ==================================================================
+    # Group commit: parking and releasing commit records
+    # ==================================================================
+
+    def _park_commit(self, aru_tag: int, op_count: int, ts: int) -> None:
+        """Hold an ARU's commit record for the current group."""
+        if not self._parked_commits:
+            self._parked_deadline_us = (
+                self.clock.now_us + self.config.group_commit_timeout_us
+            )
+        self._parked_commits.append((aru_tag, op_count, ts))
+
+    def _maybe_release_parked(self) -> None:
+        """Release the parked group if its timer budget expired."""
+        if (
+            self._parked_deadline_us is not None
+            and self.clock.now_us >= self._parked_deadline_us
+        ):
+            self._release_group()
+
+    def _release_parked(self) -> None:
+        """Emit every parked commit record into the log stream.
+
+        The records land *after* all of their ARUs' data and link
+        entries (those were appended at ``end_aru`` time), so log
+        order still implies commit-after-data.  Does not by itself
+        make anything durable — callers that need durability follow
+        with a drain (see :meth:`_release_group` / ``flush``).
+        """
+        if not self._parked_commits:
+            return
+        parked, self._parked_commits = self._parked_commits, []
+        self._parked_deadline_us = None
+        self._c_commit_groups_flushed.inc()
+        self._c_commits_grouped.add(len(parked))
+        self.obs.record("group_commit.release", commits=len(parked))
+        self._emergency = True
+        try:
+            # (summary_entry_us was already charged at end_aru time;
+            # emitting here is the deferred half of the same work.)
+            for aru_tag, op_count, ts in parked:
+                self._emit_entry(
+                    SummaryEntry(EntryKind.COMMIT, aru_tag, ts, op_count)
+                )
+        except DiskFullError:
+            # Parked ARUs are already committed in memory; losing the
+            # ability to write their commit records cannot be unwound.
+            self._mark_dead("group_commit_disk_full")
+            raise
+        finally:
+            self._emergency = False
+
+    def _release_group(self) -> None:
+        """Close the current commit group and make it durable — which
+        is all a ``flush`` is.
+
+        One segment write (plus a queue drain) now covers every
+        parked ARU — this is the N-commits-one-write payoff.
+        """
+        self._release_parked()
+        self._write_buffer()
+        self._writeback.drain()

@@ -279,7 +279,7 @@ class Scrubber:
         # and repoint the version.  An uncommitted tag is re-attached
         # so recovery keeps honoring the original commit record.
         ts = lld.clock.tick()
-        new_addr = lld._append_block_data(block_id, data, aru_tag, ts)
+        new_addr = lld.log_write(block_id, data, aru_tag, ts)
         version.address = new_addr
         if version.state is VersionState.COMMITTED:
             # Folding must wait until the relocated copy is durable.

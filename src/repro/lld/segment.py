@@ -334,10 +334,6 @@ class SegmentBuffer:
         """Read a data slot out of the buffer."""
         return self._slot_bytes(slot)
 
-    def live_block_ids(self) -> Tuple[BlockId, ...]:
-        """The distinct block ids placed in this buffer."""
-        return tuple(self._block_slot.keys())
-
     def unwritten_blocks(self) -> Iterator[Tuple[BlockId, int, bytes]]:
         """Yield (block id, slot, data) for every slot no chunk has
         put on disk yet."""

@@ -1,7 +1,7 @@
 """The bounded write-behind queue: pipelining segment writes.
 
 LLD fills segments in main memory precisely so the disk can stream
-them.  The serial write path (:meth:`~repro.lld.lld.LLD._write_buffer`
+them.  The serial write path (:meth:`~repro.lld.logwriter.LogWriter._write_buffer`
 straight to :meth:`~repro.disk.simdisk.SimulatedDisk.write_segment`)
 still paid one synchronous disk operation per sealed segment; this
 queue decouples sealing from writing.  A sealed segment is *submitted*
@@ -24,7 +24,7 @@ Ordering invariants the queue is responsible for:
   reaches the disk before its ARU's data segments.
 * **Durability only at drain points.**  ``_commit_on_disk``,
   ``_last_written_seq`` and the committed→persistent fold advance in
-  :meth:`LLD._write_now` — i.e. only when images actually reach the
+  :meth:`~repro.lld.logwriter.LogWriter._write_now` — i.e. only when images actually reach the
   platter.  Nothing queued is ever treated as durable.
 * **Readability while queued.**  A queued segment's blocks stay
   readable from the parked image (:meth:`get_buffer`); its usage

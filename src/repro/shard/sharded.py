@@ -238,7 +238,7 @@ class _FanOut:
 def _holds_list(volume: LLD, local: int) -> bool:
     """Whether a volume's committed view has the list."""
     volume._restore_list(ListId(local))
-    view = volume._view_list(ListId(local), None)
+    view = volume.engine.view(volume.ltable, ListId(local), None)
     return view is not None and view.allocated
 
 
@@ -774,7 +774,7 @@ class ShardedLLD(LogicalDisk):
         for s, local in self._copies(gid):
             shard = self.shards[s]
             shard._restore_block(BlockId(local))
-            view = shard._view_block(BlockId(local), None)
+            view = shard.engine.view(shard.bmap, BlockId(local), None)
             if view is not None and view.allocated and view.list_id:
                 return self._global_id(int(view.list_id), s)
         return None
@@ -1282,7 +1282,7 @@ class ShardedLLD(LogicalDisk):
                 if target_list >= SYSTEM_ID_BASE
                 else to_local(gid, self.n)
             )
-            stale = target._view_block(block, None)
+            stale = target.engine.view(target.bmap, block, None)
             if stale is not None and stale.allocated:
                 target.delete_block(block)
             target.new_block(
@@ -1437,7 +1437,7 @@ class ShardedLLD(LogicalDisk):
         for block_id, _root in list(shard.bmap.items()):
             if block_id < SYSTEM_ID_BASE:
                 continue
-            view = shard._view_block(BlockId(block_id), None)
+            view = shard.engine.view(shard.bmap, BlockId(block_id), None)
             if view is None or not view.allocated or view.list_id:
                 continue
             gid = block_id - SYSTEM_ID_BASE

@@ -7,7 +7,11 @@ from repro.errors import (
     BadARUError,
     BadBlockError,
     ConcurrencyError,
+    DiskCrashedError,
 )
+from repro.lld.config import LLDConfig
+from repro.lld.recovery import recover
+from repro.lld.verify import verify_lld
 
 from tests.conftest import make_lld
 
@@ -228,6 +232,42 @@ class TestConflicts:
         lld.end_aru(a)
         lld.end_aru(b)  # conflict silently skipped
         assert lld.stats()["ops"].get("replay_conflicts_skipped", 0) >= 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1(c): ConcurrencyError leaves the merge half "
+        "done — the loser's writes show and the volume never checkpoints",
+    )
+    def test_conflict_at_commit_shows_no_half_aru(self, setup):
+        """The loser of a conflict is refused *whole*.  B's write is
+        merged before the replay of its delete meets A's; whichever
+        way that is fixed (fail-stop, validate first, unwind), nothing
+        of B may show afterwards and the volume must stay sound."""
+        lld, lst, block = setup
+        other = lld.new_block(lst)
+        lld.write(other, b"before")
+        lld.flush()
+        a = lld.begin_aru()
+        b = lld.begin_aru()
+        lld.delete_block(block, aru=a)
+        lld.write(other, b"half of B", aru=b)
+        lld.delete_block(block, aru=b)
+        lld.end_aru(a)
+        with pytest.raises(ConcurrencyError):
+            lld.end_aru(b)
+        try:
+            seen = lld.read(other)
+        except DiskCrashedError:
+            # A fail-stop fix: recovery speaks for the volume.
+            lld, _report = recover(
+                lld.disk.power_cycle(),
+                config=LLDConfig(checkpoint_slot_segments=2),
+            )
+            seen = lld.read(other)
+        assert seen.startswith(b"before")
+        lld.flush()
+        assert verify_lld(lld) == []
+        lld.write_checkpoint()
 
 
 class TestSequentialMode:

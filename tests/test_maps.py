@@ -5,7 +5,7 @@ import pytest
 from repro.core.records import BlockVersion, ListVersion
 from repro.core.versions import VersionState
 from repro.ld.types import BlockId, ListId, PhysAddr
-from repro.lld.maps import BlockNumberMap, ListTable
+from repro.core.tables import BlockNumberMap, ListTable
 
 
 class TestBlockNumberMap:

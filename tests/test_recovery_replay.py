@@ -15,7 +15,7 @@ import pytest
 
 from repro.ld.types import SYSTEM_ID_BASE
 from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
-from repro.lld.maps import BlockNumberMap, ListTable
+from repro.core.tables import BlockNumberMap, ListTable
 from repro.lld.recovery import (
     RecoveryReport,
     ReplayRules,

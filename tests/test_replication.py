@@ -304,7 +304,8 @@ class TestReplicatedBasics:
         for blk in contents:
             home = shard_of(blk, arr.n)
             peer = (home + 1) % arr.n
-            view = arr.shards[peer]._view_block(mirror_id(blk), None)
+            shard = arr.shards[peer]
+            view = shard.engine.view(shard.bmap, mirror_id(blk), None)
             assert view is not None and view.allocated, blk
 
     def test_mutating_aru_is_always_cross_shard(self):

@@ -22,7 +22,7 @@ from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
 from repro.ld.types import BlockId
 from repro.lld.config import LLDConfig
-from repro.lld.maps import _DENSE_SLACK, BlockNumberMap, ListTable
+from repro.core.tables import _DENSE_SLACK, BlockNumberMap, ListTable
 from repro.lld.recovery import recover
 from repro.lld.segment import SegmentBuffer, decode_segment, reference_seal
 from repro.lld.summary import (

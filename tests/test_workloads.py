@@ -5,7 +5,6 @@ import pytest
 from repro.disk.geometry import DiskGeometry
 from repro.fs import MinixFS, fsck
 from repro.harness.reporting import (
-    expect_band,
     format_deltas,
     format_table,
     percent_difference,
@@ -138,6 +137,3 @@ class TestReporting:
         assert "other" in table
         assert "20.0" in table
 
-    def test_expect_band(self):
-        assert expect_band(5.0, 0.0, 10.0, "x") is None
-        assert "outside" in expect_band(15.0, 0.0, 10.0, "x")
