@@ -48,7 +48,7 @@ from benchmarks.conftest import (
 
 from repro.frontend import FrontEnd, FrontendConfig
 from repro.frontend.maintenance import MaintenanceDriver
-from repro.harness.runner import commit_latency_percentiles
+from repro.obs import merge_histogram_snapshots, percentile_from_snapshot
 from repro.obs.schema import validate_frontend_stats
 from repro.shard.sharded import build_sharded
 from repro.disk.geometry import DiskGeometry
@@ -66,6 +66,24 @@ MIN_CONCURRENT = 64
 MAX_INFLIGHT = 128
 #: The no-shed flood's client swarm.
 FLOOD_CLIENTS = 2048
+
+
+def commit_latency_percentiles(volume) -> dict:
+    """p50/p99/p999 of ARU commit latency (simulated µs) from the
+    array's existing ``lld.commit_us`` histograms — per-shard
+    distributions merged exactly (shared fixed buckets)."""
+    merged = merge_histogram_snapshots(
+        [
+            shard.obs.metrics.histogram("lld.commit_us").snapshot()
+            for shard in volume.shards
+        ]
+    )
+    return {
+        "p50": percentile_from_snapshot(merged, 0.50),
+        "p99": percentile_from_snapshot(merged, 0.99),
+        "p999": percentile_from_snapshot(merged, 0.999),
+        "count": merged["count"],
+    }
 
 
 def run_point(

@@ -335,6 +335,7 @@ def test_instant_restore_ttfr(benchmark):
     _save()
     benchmark.extra_info["ttfr_speedup"] = round(ttfr_speedup, 1)
     assert identical, "instant restore diverged from eager recovery"
+    assert on_demand > 0, "the first read replayed nothing on demand"
     assert instant_report.ttfr_us * 10.0 <= eager_report.ttfr_us, (
         f"instant TTFR only {ttfr_speedup:.1f}x better than eager "
         f"({eager_ttfr_ms:.1f} ms -> {instant_ttfr_ms:.1f} ms)"

@@ -78,6 +78,7 @@ def test_shard_repair_to_full_redundancy(benchmark):
     assert stats["dead_shards"] == 0
     assert stats["redundancy_full"]
     healed = stats["blocks_healed"] + stats["lists_healed"]
+    assert healed > 0
     healed_per_s = healed / repair_s if repair_s else 0.0
 
     repaired_read_s = time_reads(vol, blocks)

@@ -215,6 +215,9 @@ def test_commit_storm(benchmark):
         f"group commit only {speedup:.2f}x over flush-per-commit "
         f"({serial_ms:.1f} ms -> {grouped_ms:.1f} ms)"
     )
+    assert (
+        grouped_stats["segments_flushed"] < serial_stats["segments_flushed"]
+    )
 
 
 # ======================================================================

@@ -109,8 +109,7 @@ def make_system(
     experimentation; pass ``num_segments=800, segment_size=512 * 1024``
     for the paper's 400 MB partition, or ``substrate="jld"`` for the
     journaling implementation (concurrent-only; of ``config`` it takes
-    the knobs it shares with LLD: ``visibility``, ``cache_blocks``,
-    ``conflict_policy``).
+    the knobs it shares with LLD: ``visibility``, ``cache_blocks``).
     """
     geometry = DiskGeometry(
         block_size=block_size,
@@ -129,7 +128,6 @@ def make_system(
             cost_model=cost_model,
             visibility=cfg.visibility,
             cache_blocks=cfg.cache_blocks,
-            conflict_policy=cfg.conflict_policy,
         )
     else:
         raise ValueError(f"unknown substrate {substrate!r}")

@@ -18,7 +18,7 @@ test drives the engine with one that appends to a list.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Set, Tuple
+from typing import Optional, Protocol, Set, Tuple
 
 from repro.core.aru import ARURecord, ARUTable
 from repro.core.oplog import ListOp, ListOpKind
@@ -79,9 +79,9 @@ class VersionEngine:
         meter: Cost meter; ``meter.clock`` issues the timestamps.
         visibility: The read-visibility policy of Section 3.3.
         sink: The :class:`LogSink` records go to.
-        on_conflict: Called with a message when a commit finds the
-            committed state changed under the ARU: raise to refuse
-            the commit, return to skip the operation.
+
+    A commit that finds the committed state changed under the ARU
+    raises :class:`~repro.errors.ConcurrencyError`.
     """
 
     def __init__(
@@ -92,7 +92,6 @@ class VersionEngine:
         meter,
         visibility: Visibility,
         sink: LogSink,
-        on_conflict: Callable[[str], None],
     ) -> None:
         self.blocks = blocks
         self.lists = lists
@@ -101,7 +100,6 @@ class VersionEngine:
         self.clock = meter.clock
         self.visibility = visibility
         self.sink = sink
-        self.on_conflict = on_conflict
         self.concurrent = arus.concurrent
         self.committed_blocks = StateChain()
         self.committed_lists = StateChain()
@@ -442,11 +440,10 @@ class VersionEngine:
                 continue
             view = self.view(self.blocks, shadow.block_id, None)
             if view is None or not view.allocated:
-                self.on_conflict(
+                raise ConcurrencyError(
                     f"block {shadow.block_id} disappeared before ARU "
                     f"{aru} committed"
                 )
-                continue
             self.commit_write(shadow.block_id, shadow.data, int(aru))
         # 2. Shadow list records carry no information the log replay
         #    does not regenerate; discard them.
@@ -458,7 +455,9 @@ class VersionEngine:
             try:
                 self.apply(op, None, int(aru))
             except LDError as exc:
-                self.on_conflict(f"replaying {op} for ARU {aru}: {exc}")
+                raise ConcurrencyError(
+                    f"replaying {op} for ARU {aru}: {exc}"
+                ) from exc
         record.oplog.clear()
 
     def discard(self, record: ARURecord) -> None:

@@ -23,22 +23,10 @@ from repro.harness.runner import (
     run_aru_latency_experiment,
     run_figure5,
     run_figure6,
-    run_frontend_experiment,
-    run_scrub_experiment,
-    run_shard_experiment,
-    run_writepath_experiment,
 )
 from repro.harness.variants import paper_geometry
 
-EXPERIMENTS = (
-    "figure5",
-    "figure6",
-    "aru",
-    "scrub",
-    "writepath",
-    "shard",
-    "frontend",
-)
+EXPERIMENTS = ("figure5", "figure6", "aru")
 
 T = TypeVar("T")
 
@@ -74,15 +62,14 @@ def emit_metrics(directory: str, experiment: str, metrics: dict) -> str:
     """Write one experiment's observability artifact as JSON.
 
     Every per-variant ``stats`` block is validated against the frozen
-    schema (:mod:`repro.obs.schema`) before it is written — sharded
-    volumes against the per-shard + aggregate shape — so a schema
+    schema (:mod:`repro.obs.schema`) before it is written, so a schema
     drift fails the harness run rather than producing a silently
     unreadable artifact.
     """
-    from repro.obs.schema import validate_any_stats
+    from repro.obs.schema import validate_stats
 
     for label, entry in metrics.items():
-        problems = validate_any_stats(entry["stats"])
+        problems = validate_stats(entry["stats"])
         if problems:
             raise SystemExit(
                 f"metrics artifact for {experiment}/{label} violates the "
@@ -185,28 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "paper: 78.47 us, 24 segments)"
         )
         emitted("aru", result.metrics)
-    if "scrub" in chosen:
-        scrub = run("scrub", run_scrub_experiment)
-        print(scrub.summary)
-        emitted("scrub", scrub.metrics)
-    if "writepath" in chosen:
-        n_arus = 1000 if args.full else 200
-        wp = run("writepath", lambda: run_writepath_experiment(n_arus=n_arus))
-        print(wp.summary)
-        emitted("writepath", wp.metrics)
-    if "shard" in chosen:
-        rounds = 24 if args.full else 12
-        shard = run("shard", lambda: run_shard_experiment(rounds=rounds))
-        print(shard.summary)
-        emitted("shard", shard.metrics)
-    if "frontend" in chosen:
-        n_requests = 1200 if args.full else 300
-        fe = run(
-            "frontend",
-            lambda: run_frontend_experiment(n_requests=n_requests),
-        )
-        print(fe.summary)
-        emitted("frontend", fe.metrics)
     return 0
 
 

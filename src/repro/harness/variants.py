@@ -20,7 +20,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.disk.clock import CostModel
 from repro.disk.geometry import DiskGeometry
@@ -90,44 +90,13 @@ def build_variant(
     cost_model: Optional[CostModel] = None,
     disk_model: DiskModel = HP_C3010,
     config: Optional[LLDConfig] = None,
-    shards: int = 1,
-) -> Tuple[Union[SimulatedDisk, list], Union[LLD, "ShardedLLD"], MinixFS]:
+) -> Tuple[SimulatedDisk, LLD, MinixFS]:
     """Build (disk, ld, fs) for one Table 1 variant.
 
     Knobs come in ``config``; the variant's ARU mode always wins.
-
-    ``shards > 1`` stripes the volume over that many member LLDs
-    (:class:`~repro.shard.sharded.ShardedLLD`) behind the same
-    LogicalDisk API — ``geometry`` is then split across the shards
-    (``num_segments // shards``, floor 24 segments each) so the total
-    capacity stays comparable — and the first element of the returned
-    tuple is the *list* of member disks (shard order) instead of one
-    disk.
     """
     geo = geometry if geometry is not None else paper_geometry(0.25)
     cfg = (config or LLDConfig()).replace(aru_mode=variant.aru_mode)
-    if shards > 1:
-        from repro.shard.sharded import ShardedLLD, build_sharded
-
-        shard_geo = DiskGeometry(
-            block_size=geo.block_size,
-            segment_size=geo.segment_size,
-            num_segments=max(24, geo.num_segments // shards),
-        )
-        ld = build_sharded(
-            shards,
-            geometry=shard_geo,
-            cost_model=cost_model,
-            disk_model=disk_model,
-            config=cfg,
-        )
-        fs = MinixFS.mkfs(
-            ld,
-            n_inodes=n_inodes,
-            delete_policy=variant.delete_policy,
-            use_arus=variant.fs_uses_arus,
-        )
-        return [shard.disk for shard in ld.shards], ld, fs
     disk = SimulatedDisk(geo, model=disk_model)
     ld = LLD(disk, cost_model=cost_model, config=cfg)
     fs = MinixFS.mkfs(

@@ -148,8 +148,8 @@ class JLD(LogicalDisk):
         checkpoint_slot_segments: Segments per checkpoint slot.
         apply_low_water: Free journal segments that trigger an apply
             (+ checkpoint) pass.
-        cost_model / visibility / cache_blocks / conflict_policy: As
-            for :class:`repro.lld.lld.LLD`.
+        cost_model / visibility / cache_blocks: As for
+            :class:`repro.lld.lld.LLD`.
     """
 
     def __init__(
@@ -161,16 +161,12 @@ class JLD(LogicalDisk):
         cost_model: Optional[CostModel] = None,
         visibility: Visibility = Visibility.ARU_LOCAL,
         cache_blocks: int = 2048,
-        conflict_policy: str = "raise",
     ) -> None:
-        if conflict_policy not in ("raise", "skip"):
-            raise ValueError(f"unknown conflict_policy {conflict_policy!r}")
         self.disk = disk
         self.geometry = disk.geometry
         self.clock = disk.clock
         self.meter = CostMeter(self.clock, cost_model or CostModel())
         self.visibility = visibility
-        self.conflict_policy = conflict_policy
         self.concurrent = True  # interface parity with LLD
 
         self.checkpoints = CheckpointManager(disk, checkpoint_slot_segments)
@@ -250,18 +246,19 @@ class JLD(LogicalDisk):
                     continue
                 base = self.blocks.get(block_id)
                 if base is None or not base.allocated:
-                    self._conflict(
+                    raise ConcurrencyError(
                         f"block {block_id} disappeared before ARU "
                         f"{aru} committed"
                     )
-                    continue
                 self._journal_write(block_id, shadow.data, key)
             for op in record.oplog:
                 self.meter.charge("listop_replay_us")
                 try:
                     self._apply_list_op(op, None, key)
                 except LDError as exc:
-                    self._conflict(f"replaying {op} for ARU {aru}: {exc}")
+                    raise ConcurrencyError(
+                        f"replaying {op} for ARU {aru}: {exc}"
+                    ) from exc
             self._journal_entry(
                 SummaryEntry(
                     EntryKind.COMMIT, key, self.clock.tick(), record.op_count
@@ -281,11 +278,6 @@ class JLD(LogicalDisk):
             record.oplog.clear()
             self.shadow_blocks.pop(int(aru), None)
             self.shadow_lists.pop(int(aru), None)
-
-    def _conflict(self, message: str) -> None:
-        if self.conflict_policy == "raise":
-            raise ConcurrencyError(message)
-        self._count("replay_conflicts_skipped")
 
     # ==================================================================
     # Blocks and lists

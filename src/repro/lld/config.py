@@ -28,7 +28,7 @@ class LLDConfig:
 
     Field groups, in rough subsystem order:
 
-    * ARU semantics: ``aru_mode``, ``visibility``, ``conflict_policy``
+    * ARU semantics: ``aru_mode``, ``visibility``
     * read path: ``cache_blocks``, ``readahead``
     * checkpointing: ``checkpoint_slot_segments``
     * cleaner: ``clean_low_water``, ``clean_high_water``,
@@ -43,7 +43,6 @@ class LLDConfig:
 
     aru_mode: str = "concurrent"
     visibility: Visibility = Visibility.ARU_LOCAL
-    conflict_policy: str = "raise"
     cache_blocks: int = 2048
     readahead: bool = True
     checkpoint_slot_segments: Optional[int] = None
@@ -76,10 +75,6 @@ class LLDConfig:
         """
         if self.aru_mode not in ("concurrent", "sequential"):
             raise ValueError(f"unknown aru_mode: {self.aru_mode!r}")
-        if self.conflict_policy not in ("raise", "skip"):
-            raise ValueError(
-                f"unknown conflict_policy: {self.conflict_policy!r}"
-            )
         if self.cleaner_policy not in ("cost_benefit", "greedy"):
             raise ValueError(f"unknown cleaner policy: {self.cleaner_policy!r}")
         if self.cache_blocks < 0:

@@ -143,7 +143,6 @@ class LLD(LogWriter, LogicalDisk):
             self.meter,
             cfg.visibility,
             sink=self,
-            on_conflict=self._conflict,
         )
         self.concurrent = self.engine.concurrent
         self.visibility = cfg.visibility
@@ -481,11 +480,6 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._decided_xids.clear()
-
-    def _conflict(self, message: str) -> None:
-        if self.config.conflict_policy == "raise":
-            raise ConcurrencyError(message)
-        self._count("replay_conflicts_skipped")
 
     # ==================================================================
     # Public interface: blocks

@@ -53,8 +53,7 @@ class Observability:
     """One system's registry + recorder, plus the crash-dump hook.
 
     ``metrics=False`` swaps in the disabled-registry fast path (all
-    instruments become shared no-ops); the recorder stays on unless
-    ``recorder_events`` is 0-like via ``recorder_enabled=False`` —
+    instruments become shared no-ops); the recorder is always on —
     events are cheap and are what explains a failure after the fact.
     """
 
@@ -62,13 +61,10 @@ class Observability:
         self,
         metrics: bool = True,
         recorder_events: int = 256,
-        recorder_enabled: bool = True,
         dump_path: Optional[str] = None,
     ) -> None:
         self.metrics = MetricsRegistry(enabled=metrics)
-        self.recorder = FlightRecorder(
-            capacity=recorder_events, enabled=recorder_enabled
-        )
+        self.recorder = FlightRecorder(capacity=recorder_events)
         #: Where :meth:`crash_dump` writes the event tail (None
         #: disables automatic dumps).
         self.dump_path = dump_path

@@ -11,8 +11,8 @@ that explains a failure is always available.
 
 Like the registry (see :mod:`repro.obs.registry`), the recorder never
 touches the simulated clock: it reads ``clock.now_us`` for timestamps
-but never advances it and never draws ``tick()`` serials, so enabling
-or disabling it cannot change any simulated result.
+but never advances it and never draws ``tick()`` serials, so it
+cannot change any simulated result.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ class FlightRecorder:
     was recorded at (0.0 until a clock is bound).
     """
 
-    def __init__(self, capacity: int = 256, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
         self._clock = None
         self._seq = 0
         self._ring: Deque[Tuple[int, float, str, dict]] = deque(
@@ -47,13 +46,11 @@ class FlightRecorder:
         self._clock = clock
 
     def record(self, kind: str, /, **fields) -> None:
-        """Append one event; a disabled recorder drops it for free.
+        """Append one event.
 
         ``kind`` is positional-only so events may carry a field
         literally named ``kind`` (e.g. a quarantine's damage kind).
         """
-        if not self.enabled:
-            return
         self._seq += 1
         t_us = self._clock.now_us if self._clock is not None else 0.0
         self._ring.append((self._seq, t_us, kind, fields))
@@ -90,7 +87,6 @@ class FlightRecorder:
 
     def summary(self) -> dict:
         return {
-            "enabled": self.enabled,
             "capacity": self.capacity,
             "recorded": self.recorded,
             "dropped": self.dropped,

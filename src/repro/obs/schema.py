@@ -19,8 +19,7 @@ The schema language is deliberately tiny:
   the op/CPU counter groups, whose members depend on the workload).
 
 ``python -m repro.obs.schema FILE...`` validates harness metrics
-artifacts (or bare ``stats()`` dumps) against the schema — the CI
-metrics-smoke job runs exactly that.
+artifacts (or bare ``stats()`` dumps) against the schema.
 """
 
 from __future__ import annotations
@@ -369,9 +368,7 @@ def validate_artifact(payload: dict) -> List[str]:
     {"stats": ..., "metrics": ...}}}``; anything else is validated as
     a bare ``stats()`` dict.  Each stats entry may be a single-volume
     dict (the frozen schema) or a sharded-volume dict (per-shard +
-    aggregate + sharding), dispatched on shape.  A variant may also
-    carry a ``"frontend"`` entry — a front-end ``stats()`` dict,
-    validated against :data:`FRONTEND_SCHEMA`.
+    aggregate + sharding), dispatched on shape.
     """
     problems: List[str] = []
     if "variants" in payload:
@@ -386,13 +383,6 @@ def validate_artifact(payload: dict) -> List[str]:
                 f"variants.{label}.stats: {problem}"
                 for problem in validate_any_stats(entry["stats"])
             ]
-            if "frontend" in entry:
-                problems += [
-                    f"variants.{label}.frontend: {problem}"
-                    for problem in validate_frontend_stats(
-                        entry["frontend"]
-                    )
-                ]
     else:
         problems += validate_any_stats(payload)
     return problems

@@ -1,5 +1,7 @@
 """Tests for the command-line entry points and remaining disk APIs."""
 
+import json
+
 import pytest
 
 from repro.disk.geometry import DiskGeometry
@@ -8,19 +10,25 @@ from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
 from repro.harness.__main__ import main as harness_main
 from repro.jld import JLD
+from repro.obs.schema import validate_artifact
 from repro.tools.lddump import main as lddump_main
 
 
 class TestHarnessCLI:
-    def test_single_experiment(self, capsys):
-        assert harness_main(["aru"]) == 0
+    def test_single_experiment(self, capsys, tmp_path):
+        assert harness_main(["aru", "--metrics", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "ARU begin/end" in out
         assert "78.47" in out
+        payload = json.loads((tmp_path / "metrics_aru.json").read_text())
+        assert payload["experiment"] == "aru"
+        assert validate_artifact(payload) == []
 
     def test_rejects_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            harness_main(["figure7"])
+        # The harness runs the paper's evaluation and nothing else.
+        for name in ("figure7", "scrub", "writepath", "shard", "frontend"):
+            with pytest.raises(SystemExit):
+                harness_main([name])
 
 
 class TestWriteAt:

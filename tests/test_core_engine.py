@@ -52,16 +52,10 @@ class ListSink:
         self.retired.append(addr)
 
 
-def refuse(message):
-    raise ConcurrencyError(message)
-
-
 class Volume:
     """Engine + allocation: LD calls over a list-backed log."""
 
-    def __init__(
-        self, visibility=Visibility.ARU_LOCAL, concurrent=True, on_conflict=refuse
-    ):
+    def __init__(self, visibility=Visibility.ARU_LOCAL, concurrent=True):
         self.clock = SimClock()
         self.sink = ListSink()
         self.arus = ARUTable(concurrent=concurrent)
@@ -72,7 +66,6 @@ class Volume:
             CostMeter(self.clock, CostModel()),
             visibility,
             self.sink,
-            on_conflict,
         )
         self._next = {"block": 1, "list": 1}
 
@@ -263,22 +256,15 @@ class TestCommitAndAbort:
         assert volume.sink.retired == []
 
     def test_conflict_is_the_owner_s_call(self):
-        def race(**engine_kwargs):
-            volume = Volume(**engine_kwargs)
-            block = volume.new_block(volume.new_list())
-            first, second = volume.begin_aru(), volume.begin_aru()
-            volume.delete_block(block, aru=first)
-            volume.delete_block(block, aru=second)
-            volume.end_aru(first)
-            return volume, second
-
-        volume, loser = race()
+        """The engine itself refuses the loser of a structural conflict."""
+        volume = Volume()
+        block = volume.new_block(volume.new_list())
+        first, second = volume.begin_aru(), volume.begin_aru()
+        volume.delete_block(block, aru=first)
+        volume.delete_block(block, aru=second)
+        volume.end_aru(first)
         with pytest.raises(ConcurrencyError):
-            volume.end_aru(loser)
-        skipped = []
-        volume, loser = race(on_conflict=skipped.append)
-        volume.end_aru(loser)
-        assert len(skipped) == 1
+            volume.end_aru(second)
 
 
 class TestFold:

@@ -24,11 +24,10 @@ def build_pair():
     geo = DiskGeometry.small(num_segments=96)
     lld = LLD(
         SimulatedDisk(geo),
-        config=LLDConfig(checkpoint_slot_segments=2, conflict_policy="raise"),
+        config=LLDConfig(checkpoint_slot_segments=2),
     )
     jld = JLD(
-        SimulatedDisk(geo), journal_segments=8, checkpoint_slot_segments=2,
-        conflict_policy="raise",
+        SimulatedDisk(geo), journal_segments=8, checkpoint_slot_segments=2
     )
     return lld, jld
 

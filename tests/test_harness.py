@@ -7,8 +7,6 @@ from repro.harness.runner import (
     run_aru_latency_experiment,
     run_figure5,
     run_figure6,
-    run_scrub_experiment,
-    run_writepath_experiment,
 )
 from repro.harness.variants import VARIANTS, build_variant, paper_geometry
 
@@ -87,20 +85,3 @@ class TestRunners:
         )
         assert result.iterations == 1000
         assert result.latency_us > 0
-
-    def test_run_scrub_experiment(self):
-        result = run_scrub_experiment(n_blocks=60, n_faults=2)
-        assert result.segments_quarantined == 2
-        assert result.verify_problems == 0
-        # Nothing the scrubber salvaged may be missing afterwards.
-        assert result.blocks_intact + result.blocks_lost <= 60
-        assert "quarantined" in result.summary
-
-    def test_run_writepath_experiment(self):
-        result = run_writepath_experiment(n_arus=60)
-        # All 60 commits are grouped, so the pipeline writes far
-        # fewer (fuller) segments and must be faster, not just equal.
-        assert result.commits_grouped == 60
-        assert result.pipelined_segments < result.serial_segments
-        assert result.speedup > 1.0
-        assert "60 durable ARUs" in result.summary

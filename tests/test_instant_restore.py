@@ -30,6 +30,7 @@ from repro.fs import MinixFS
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
+from repro.obs.schema import validate_stats
 
 from tests.oracle import read_plan, state_fingerprint
 from tests.test_recovery_parallel import build, total_writes, workload
@@ -166,6 +167,7 @@ class TestOnDemandReplay:
         disk, lists, blocks = self.build_lists()
         ld, report = recover_instant(disk, restore_drain_segments=0)
         assert ld.restore_active
+        assert validate_stats(ld.stats()) == []  # mid-restore, too
         stats = ld.stats()["recovery"]
         assert stats["restoring"] and stats["watermark"] == 0
         assert stats["pending_segments"] > 0
@@ -184,6 +186,7 @@ class TestOnDemandReplay:
         ld.complete_restore()
         assert verify_lld(ld) == []
         assert ld.stats()["recovery"]["pending_segments"] == 0
+        assert validate_stats(ld.stats()) == []
 
     def test_background_sweep_drains_without_traffic(self):
         disk, lists, _blocks = self.build_lists()

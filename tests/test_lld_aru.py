@@ -220,19 +220,6 @@ class TestConflicts:
         with pytest.raises(ConcurrencyError):
             lld.end_aru(b)
 
-    def test_replay_conflict_skippable(self):
-        lld = make_lld(conflict_policy="skip")
-        lst = lld.new_list()
-        block = lld.new_block(lst)
-        lld.write(block, b"base")
-        a = lld.begin_aru()
-        b = lld.begin_aru()
-        lld.delete_block(block, aru=a)
-        lld.delete_block(block, aru=b)
-        lld.end_aru(a)
-        lld.end_aru(b)  # conflict silently skipped
-        assert lld.stats()["ops"].get("replay_conflicts_skipped", 0) >= 1
-
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 1(c): ConcurrencyError leaves the merge half "

@@ -198,9 +198,3 @@ class TestLifecycle:
 
         with pytest.raises(ValueError):
             LLD(disk, config=LLDConfig(aru_mode="quantum"))
-
-    def test_rejects_bad_conflict_policy(self, disk):
-        from repro.lld.lld import LLD
-
-        with pytest.raises(ValueError):
-            LLD(disk, config=LLDConfig(conflict_policy="pray"))

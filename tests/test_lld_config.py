@@ -35,7 +35,7 @@ class TestValidation:
         "changes",
         [
             {"aru_mode": "quantum"},
-            {"conflict_policy": "shrug"},
+            {"restore_tail_window": 0},
             {"cleaner_policy": "wishful"},
             {"cache_blocks": -1},
             {"checkpoint_slot_segments": 0},

@@ -132,12 +132,6 @@ class TestFlightRecorder:
         assert event["kind"] == "corrupt"
         assert event["seq"] == 1  # recorder's own sequence wins
 
-    def test_disabled_recorder_is_free(self):
-        recorder = FlightRecorder(enabled=False)
-        recorder.record("tick")
-        assert recorder.recorded == 0
-        assert list(recorder.events()) == []
-
     def test_dump_jsonl_roundtrip(self, tmp_path):
         recorder = FlightRecorder(capacity=4)
         for index in range(6):

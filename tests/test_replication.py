@@ -37,6 +37,7 @@ from repro.errors import (
 )
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
+from repro.obs.schema import validate_sharded_stats
 from repro.recovery import recover
 from repro.shard import ArrayConfig, ShardedLLD, build_sharded, mirror_id
 from repro.shard.sharded import shard_of, to_global, to_local
@@ -346,8 +347,6 @@ class TestReplicatedBasics:
         ]
 
     def test_stats_schema_includes_replication_counters(self):
-        from repro.obs.schema import validate_sharded_stats
-
         arr = build_array(3, rf=2)
         populate(arr)
         stats = arr.stats()
@@ -798,6 +797,7 @@ class TestRepair:
         assert arr.sharding_info()["repairs_completed"] == 1
         assert_contents(arr, contents)
         assert_all_sound(arr)
+        assert validate_sharded_stats(arr.stats()) == []
 
     def test_synchronous_repair_reports_a_lost_replacement(self):
         injector = FaultInjector()

@@ -370,10 +370,10 @@ class TestWalk:
         assert report.segments_replayed == written >= 3
         assert within_a_batch_of(report.segments_scanned, written)
         assert report.segments_scanned < 60 - report.segments_attested
-        assert "scan               : walk, " in describe_restore(disk, 2)
-        assert f"ended after segment {report.scan_last_segment}" in (
-            describe_restore(disk, 2)
-        )
+        preview = describe_restore(disk, 2)
+        assert "scan               : walk, " in preview
+        assert f"ended after segment {report.scan_last_segment}" in preview
+        assert "replay watermark   : 0 of " in preview
 
     @pytest.mark.parametrize("crash_after", range(5, 12))
     def test_sector_torn_tail(self, crash_after):

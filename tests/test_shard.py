@@ -453,6 +453,10 @@ class TestParallelShardRecovery:
             [shard.disk.power_cycle() for shard in vol.shards]
         )
         assert recovered._next_xid == next_xid
+        # The coordinator's decisions survived the crash with it.
+        info = recovered.sharding_info()
+        assert info["xids_issued"] > 0
+        assert info["decided_pending"] > 0
         # And new transactions keep working after recovery.
         aru = recovered.begin_aru()
         for block in blocks:
@@ -465,19 +469,16 @@ class TestParallelShardRecovery:
 class TestFilesystemOnShardedVolume:
     def test_minix_fs_end_to_end_with_crash(self):
         from repro.fs import MinixFS, fsck
-        from repro.harness.variants import VARIANTS, build_variant
 
-        disks, vol, fs = build_variant(
-            VARIANTS["new"],
+        vol = build_sharded(
+            4,
             geometry=DiskGeometry(
                 block_size=4096,
                 segment_size=512 * 1024,
-                num_segments=96,
+                num_segments=24,
             ),
-            n_inodes=256,
-            shards=4,
         )
-        assert isinstance(disks, list) and len(disks) == 4
+        fs = MinixFS.mkfs(vol, n_inodes=256)
         for index in range(20):
             fs.create(f"/f{index}")
             fs.write_file(f"/f{index}", f"content-{index}".encode() * 10)
@@ -490,7 +491,7 @@ class TestFilesystemOnShardedVolume:
         assert fsck(fs).clean
 
         recovered, report = recover(
-            [disk.power_cycle() for disk in disks]
+            [shard.disk.power_cycle() for shard in vol.shards]
         )
         assert report.shards == 4
         mounted = MinixFS.mount(recovered)

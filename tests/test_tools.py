@@ -156,6 +156,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "LD disk image" in out
         assert "checkpoint" in out
+        assert lddump_main([str(image), "--restore", "--ckpt-segments", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "instant-restore preview" in out
+        assert "scan               : walk, " in out
 
     def test_full_dump(self, populated, capsys):
         _disk, image = populated
@@ -169,6 +173,18 @@ class TestCLI:
     def test_missing_file(self, tmp_path, capsys):
         assert lddump_main([str(tmp_path / "nope.img")]) == 1
         assert "lddump:" in capsys.readouterr().err
+
+    def test_metrics_json(self, populated, capsys):
+        import json
+
+        from repro.obs.schema import validate_stats
+
+        _disk, image = populated
+        code = lddump_main([str(image), "--metrics", "--ckpt-segments", "2"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert validate_stats(payload["stats"]) == []
+        assert payload["recovery"]["checkpoint_seq"] >= 1
 
 
 class TestLddumpSharded:
