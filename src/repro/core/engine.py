@@ -127,6 +127,9 @@ class VersionEngine:
         if root is None:
             return None
         self.meter.charge("table_access_us")
+        if root.alt_head is None:
+            # No alternative record: no chain to walk, no hop to charge.
+            return root.persistent
         if ctx is not None:
             found = root.find(VersionState.SHADOW, ctx.aru_id, self.meter)
             if found is not None:

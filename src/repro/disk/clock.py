@@ -160,31 +160,52 @@ class CostMeter:
     The meter also keeps per-category counters so tests and the
     harness can assert *which* work dominates, not just how long it
     took.
+
+    Every simulated CPU microsecond passes through :meth:`charge`, so
+    it is kept to the arithmetic the model prescribes: the unit table
+    is read out of the (frozen) model once, and a single-lane charge
+    advances the clock by ``unit * count``, with no division.
     """
 
     def __init__(self, clock: SimClock, model: CostModel) -> None:
         self.clock = clock
         self.model = model
+        #: Cost category -> simulated µs per occurrence.
+        self._units = {
+            field.name: getattr(model, field.name)
+            for field in dataclasses.fields(model)
+        }
         self.counters: dict = {}
         self.charged_us: dict = {}
 
     def charge(self, category: str, count: float = 1, lanes: int = 1) -> None:
         """Charge ``count`` occurrences of the named cost category.
 
-        ``category`` must be a field name of :class:`CostModel`.
+        ``category`` must be a field name of :class:`CostModel`
+        (anything else raises ``AttributeError``).
 
         ``lanes`` models work overlapped across parallel workers (the
         pipelined recovery scan): the full ``count`` is recorded in
         the counters — the work really happened — but the clock only
         advances by the critical-path share ``count / lanes``.
         """
-        if lanes < 1:
+        try:
+            unit = self._units[category]
+        except KeyError:
+            raise AttributeError(
+                f"CostModel has no cost category {category!r}"
+            ) from None
+        if lanes == 1:
+            elapsed = unit * count
+        elif lanes > 1:
+            elapsed = unit * count / lanes
+        else:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
-        unit = getattr(self.model, category)
-        elapsed = unit * count / lanes
         self.clock.advance_us(elapsed)
-        self.counters[category] = self.counters.get(category, 0) + count
-        self.charged_us[category] = self.charged_us.get(category, 0.0) + elapsed
+        counters = self.counters
+        counters[category] = counters.get(category, 0) + count
+        charged = self.charged_us
+        charged[category] = charged.get(category, 0.0) + elapsed
 
     def total_charged_us(self) -> float:
         """Total CPU microseconds charged so far."""

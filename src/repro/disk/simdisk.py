@@ -345,16 +345,31 @@ class SimulatedDisk:
         again is allowed and yields another fresh view).
         """
         self.injector.power_cycle()
-        survivor = SimulatedDisk(
+        survivor = self._view(self.clock, self._segments)
+        self._retired = True
+        return survivor
+
+    def snapshot(self) -> "SimulatedDisk":
+        """A live copy of this platter, as a reboot onto it would see
+        it, that leaves this handle live too.
+
+        The copy has a clock of its own and a platter of its own, and
+        shares the fault injector, so media faults read the same.
+        Writes through either handle do not reach the other.
+        """
+        return self._view(SimClock(), dict(self._segments))
+
+    def _view(self, clock: SimClock, segments: Dict[int, bytes]) -> "SimulatedDisk":
+        """A new handle like this one over ``segments``."""
+        view = SimulatedDisk(
             self.geometry,
-            clock=self.clock,
+            clock=clock,
             model=self.timer.model,
             injector=self.injector,
             shard_index=self.shard_index,
         )
-        survivor._segments = self._segments
-        self._retired = True
-        return survivor
+        view._segments = segments
+        return view
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,8 +9,7 @@ segment summaries serialize it.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import NewType, Optional, Union
+from typing import NamedTuple, NewType, Optional, Union
 
 #: Logical block identifier (assigned by NewBlock, never reused).
 BlockId = NewType("BlockId", int)
@@ -55,16 +54,26 @@ FIRST = _First()
 Predecessor = Union[_First, BlockId]
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class PhysAddr:
-    """Physical location of a block: (segment number, data slot)."""
-
+class _PhysAddrFields(NamedTuple):
     segment: int
     slot: int
 
-    def __post_init__(self) -> None:
-        if self.segment < 0 or self.slot < 0:
-            raise ValueError(f"negative physical address {self!r}")
+
+class PhysAddr(_PhysAddrFields):
+    """Physical location of a block: (segment number, data slot).
+
+    An immutable tuple: it hashes, compares and orders as ``(segment,
+    slot)``, so it is its own key in the read cache.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, segment: int, slot: int) -> "PhysAddr":
+        if segment < 0 or slot < 0:
+            raise ValueError(
+                f"negative physical address PhysAddr(seg={segment}, slot={slot})"
+            )
+        return tuple.__new__(cls, (segment, slot))
 
     def __repr__(self) -> str:
         return f"PhysAddr(seg={self.segment}, slot={self.slot})"

@@ -21,7 +21,7 @@ randomly laid-out data stays seek-bound (read2, read3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from repro.ld.types import PhysAddr
 
@@ -32,7 +32,8 @@ READAHEAD_BLOCKS = 32
 
 
 class BlockCache:
-    """LRU cache of block data keyed by physical address.
+    """LRU cache of block data keyed by physical address (the
+    address itself: a tuple).
 
     A per-segment key index mirrors the entry map so the cleaner's
     :meth:`invalidate_segment` touches only that segment's entries
@@ -43,19 +44,18 @@ class BlockCache:
         if capacity_blocks < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity_blocks
-        self._entries: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
-        self._by_segment: Dict[int, Set[Tuple[int, int]]] = {}
+        self._entries: "OrderedDict[PhysAddr, bytes]" = OrderedDict()
+        self._by_segment: Dict[int, Set[PhysAddr]] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, addr: PhysAddr) -> Optional[bytes]:
         """Look up an address, refreshing its LRU position."""
-        key = (addr.segment, addr.slot)
-        data = self._entries.get(key)
+        data = self._entries.get(addr)
         if data is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._entries.move_to_end(addr)
         self.hits += 1
         return data
 
@@ -63,28 +63,26 @@ class BlockCache:
         """Insert (or refresh) an address."""
         if self.capacity == 0:
             return
-        key = (addr.segment, addr.slot)
-        self._entries[key] = data
-        self._entries.move_to_end(key)
-        self._by_segment.setdefault(key[0], set()).add(key)
+        self._entries[addr] = data
+        self._entries.move_to_end(addr)
+        self._by_segment.setdefault(addr.segment, set()).add(addr)
         while len(self._entries) > self.capacity:
             evicted, _data = self._entries.popitem(last=False)
             self._forget(evicted)
 
-    def _forget(self, key: Tuple[int, int]) -> None:
-        """Drop ``key`` from the per-segment index."""
-        keys = self._by_segment.get(key[0])
+    def _forget(self, addr: PhysAddr) -> None:
+        """Drop ``addr`` from the per-segment index."""
+        keys = self._by_segment.get(addr.segment)
         if keys is not None:
-            keys.discard(key)
+            keys.discard(addr)
             if not keys:
-                del self._by_segment[key[0]]
+                del self._by_segment[addr.segment]
 
     def invalidate(self, addr: PhysAddr) -> bool:
         """Drop one cached address (e.g. its home slot was freed)."""
-        key = (addr.segment, addr.slot)
-        if self._entries.pop(key, None) is None:
+        if self._entries.pop(addr, None) is None:
             return False
-        self._forget(key)
+        self._forget(addr)
         return True
 
     def invalidate_segment(self, segment_no: int) -> int:
@@ -161,6 +159,20 @@ class ReadStream:
         self.readahead = readahead
         self._block_size = disk.geometry.block_size
         self._segment_size = disk.geometry.segment_size
+        # The largest gap worth streaming over: the inequality above,
+        # solved once by bisection (the streamed request's cost only
+        # grows with the gap), so a miss compares integers.  Readahead
+        # off leaves the search empty: no gap (-1) is.
+        request_us = disk.timer.model.request_us
+        positioned_us = request_us(self._block_size, sequential=False)
+        worth, not_worth = -1, self._segment_size + 1 if readahead else 0
+        while not_worth - worth > 1:
+            gap = (worth + not_worth) // 2
+            if request_us(gap + self._block_size, sequential=True) <= positioned_us:
+                worth = gap
+            else:
+                not_worth = gap
+        self._max_gap = worth
         #: Partition byte offset at which the stream's last fetch ended.
         self._end = -1
         #: Whether the last miss continued the stream.
@@ -175,17 +187,9 @@ class ReadStream:
         """Bytes from ``start`` to ``addr`` if ``start`` lies in its
         segment, at or before it, and the gap is worth streaming over;
         else ``None``."""
-        block_size = self._block_size
-        offset = addr.slot * block_size
+        offset = addr.slot * self._block_size
         gap = addr.segment * self._segment_size + offset - start
-        if not (0 <= gap <= offset and self.readahead):
-            return None
-        request_us = self.disk.timer.model.request_us
-        if request_us(gap + block_size, sequential=True) > request_us(
-            block_size, sequential=False
-        ):
-            return None
-        return gap
+        return gap if 0 <= gap <= offset and gap <= self._max_gap else None
 
     def _fetched(
         self,

@@ -73,6 +73,19 @@ from repro.lld.usage import SegmentState, SegmentUsage
 from repro.obs import Observability
 
 
+class _OpCounters(dict):
+    """Operation name -> its ``lld.ops.<name>`` counter, registered
+    when the operation first runs (``stats()["ops"]`` lists those)."""
+
+    def __init__(self, metrics) -> None:
+        super().__init__()
+        self._metrics = metrics
+
+    def __missing__(self, name: str):
+        counter = self[name] = self._metrics.counter(f"lld.ops.{name}")
+        return counter
+
+
 class LLD(LogWriter, LogicalDisk):
     """Log-structured logical disk (LLD) with ARU support.
 
@@ -183,7 +196,7 @@ class LLD(LogWriter, LogicalDisk):
         # `segments_flushed`, `scrub_stats`, …) are read-only
         # properties over these counters.
         m = self.obs.metrics
-        self._op_counters: Dict[str, object] = {}
+        self._ops = _OpCounters(m)
         self._cleaner_counters = {
             name: m.counter(f"lld.cleaner.{name}")
             for name in (
@@ -297,7 +310,7 @@ class LLD(LogWriter, LogicalDisk):
             self.meter.charge("ld_call_us")
             self.meter.charge("aru_begin_us")
             self._maybe_release_parked()
-            self._count("begin_aru")
+            self._ops["begin_aru"].inc()
             record = self.arus.begin(self.clock.tick())
             self.obs.record("aru.begin", aru=int(record.aru_id))
             return record.aru_id
@@ -328,7 +341,7 @@ class LLD(LogWriter, LogicalDisk):
             self.meter.charge("ld_call_us")
             self.meter.charge("aru_commit_us")
             self._maybe_release_parked()
-            self._count("prepare_commit" if prepare else "end_aru")
+            self._ops["prepare_commit" if prepare else "end_aru"].inc()
             commit_start_us = self.clock.now_us
             record = self.arus.get(aru)
             tag = int(aru)
@@ -385,7 +398,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("abort_aru")
+            self._ops["abort_aru"].inc()
             if not self.concurrent:
                 raise ConcurrencyError(
                     "sequential-ARU mode cannot abort: operations were "
@@ -427,7 +440,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("log_decision")
+            self._ops["log_decision"].inc()
             self._emergency = True
             try:
                 self._emit_entry(
@@ -456,7 +469,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("finish_prepared")
+            self._ops["finish_prepared"].inc()
             tag = int(aru_tag)
             self._prepared_xids.pop(tag, None)
             self._commit_on_disk.add(tag)
@@ -506,7 +519,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("new_block")
+            self._ops["new_block"].inc()
             self._restore_list(list_id)
             if predecessor is not FIRST:
                 self._restore_block(predecessor)
@@ -571,7 +584,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("delete_block")
+            self._ops["delete_block"].inc()
             self._restore_block(block_id)
             record, ctx, tag = self.engine.context(aru)
             view = self.engine.view(self.bmap, block_id, ctx)
@@ -589,10 +602,12 @@ class LLD(LogWriter, LogicalDisk):
     ) -> None:
         """Write one block (shadow for ARUs, committed otherwise)."""
         with self._lock:
-            self._check_alive()
+            if self._dead or self.disk.crashed:
+                self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("write")
-            self._restore_block(block_id)
+            self._ops["write"].inc()
+            if self._restore is not None:
+                self._restore_block(block_id)
             if len(data) > self.geometry.block_size:
                 raise ValueError(
                     f"data ({len(data)} bytes) exceeds block size "
@@ -620,21 +635,35 @@ class LLD(LogWriter, LogicalDisk):
         Returns ``(data, addr)``: ``data`` for in-memory hits (shadow
         or buffered versions), ``addr`` for data that lives on disk,
         ``(None, None)`` for allocated-but-never-written blocks
-        (which read as zeros).  Charges the per-read CPU costs.
+        (which read as zeros).  Charges the per-read CPU costs; a
+        block with no alternative record walks (and charges) no hop.
         """
-        self.meter.charge("ld_call_us")
-        self._count("read")
+        if self._restore is not None:
+            self._restore_block(block_id)
+        meter = self.meter
+        meter.charge("ld_call_us")
+        self._ops["read"].inc()
         if aru is not None:
             self.arus.get(aru)  # validates the ARU
         root = self.bmap.root(block_id)
         if root is None:
             raise BadBlockError(int(block_id))
-        candidates = read_versions(root, aru, self.visibility, self.meter)
+        if root.alt_head is None:
+            version = root.persistent
+            if version is None:
+                raise BadBlockError(int(block_id))
+            if not version.allocated:
+                raise BadBlockError(int(block_id), "deallocated")
+            meter.charge("block_read_us")
+            if version.data is not None:
+                return version.data, None
+            return None, version.address
+        candidates = read_versions(root, aru, self.visibility, meter)
         if not candidates:
             raise BadBlockError(int(block_id))
         if not candidates[0].allocated:
             raise BadBlockError(int(block_id), "deallocated")
-        self.meter.charge("block_read_us")
+        meter.charge("block_read_us")
         for version in candidates:
             if not version.allocated:
                 break
@@ -645,17 +674,30 @@ class LLD(LogWriter, LogicalDisk):
         return None, None
 
     def read(self, block_id: BlockId, aru: Optional[ARUId] = None) -> bytes:
-        """Read one block under the configured visibility policy."""
+        """Read one block under the configured visibility policy.
+
+        On a media fault (or an address tombstoned into a quarantined
+        segment) the read degrades: salvage a surviving copy via
+        :meth:`_degraded_read`, or raise
+        :class:`~repro.errors.UnrecoverableBlockError`.
+        """
         with self._lock:
-            self._check_alive()
-            self._restore_block(block_id)
+            if self._dead or self.disk.crashed:
+                self._check_alive()
             data, addr = self._resolve_read(block_id, aru)
-            if data is not None:
-                return data
-            if addr is not None:
-                return self._read_at(addr, block_id)
-            # Allocated but never written: fresh blocks read as zeros.
-            return b"\x00" * self.geometry.block_size
+            if addr is None:
+                # A version held in memory, or a block allocated but
+                # never written: fresh blocks read as zeros.
+                return b"\x00" * self.geometry.block_size if data is None else data
+            data = self._read_resident(addr, block_id)
+            if data is None:
+                try:
+                    data = self._read_stream.read(
+                        addr, self.usage.total_slots(addr.segment)
+                    )
+                except MediaError:
+                    data = self._degraded_read(addr, block_id)
+            return data
 
     def read_many(
         self, block_ids: Sequence[BlockId], aru: Optional[ARUId] = None
@@ -677,41 +719,17 @@ class LLD(LogWriter, LogicalDisk):
             return [self.read(block_ids[0], aru)]
         with self._lock:
             self._check_alive()
-            block_size = self.geometry.block_size
+            zeros = b"\x00" * self.geometry.block_size
             results: List[Optional[bytes]] = [None] * len(block_ids)
             pending: Dict[PhysAddr, List[int]] = {}
             for index, block_id in enumerate(block_ids):
-                self._restore_block(block_id)
                 data, addr = self._resolve_read(block_id, aru)
-                if data is not None:
-                    results[index] = data
-                    continue
-                if addr is None:
-                    results[index] = b"\x00" * block_size
-                    continue
-                if (
-                    self._buffer is not None
-                    and addr.segment == self._buffer.segment_no
-                ):
-                    self.meter.charge("table_access_us")
-                    results[index] = self._buffer.get_slot(addr.slot)
-                    continue
-                cached = self.cache.get(addr)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-                queued = self._writeback.get_buffer(addr.segment)
-                if queued is not None:
-                    # Sealed but not yet on disk: serve from the
-                    # parked image rather than the stale platter.
-                    self.meter.charge("table_access_us")
-                    results[index] = queued.get_slot(addr.slot)
-                    continue
-                if self.usage.state(addr.segment) is SegmentState.QUARANTINED:
-                    # Never trust quarantined media; salvage or raise.
-                    results[index] = self._degraded_read(addr, block_id)
-                    continue
-                pending.setdefault(addr, []).append(index)
+                if addr is not None:
+                    data = self._read_resident(addr, block_id)
+                    if data is None:
+                        pending.setdefault(addr, []).append(index)
+                        continue
+                results[index] = zeros if data is None else data
             if pending:
                 found = self._read_stream.read_many(pending)
                 for addr, indexes in pending.items():
@@ -743,7 +761,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("new_list")
+            self._ops["new_list"].inc()
             self._restore_tick()
             record, ctx, _tag = self.engine.context(aru)
             if list_id is None:
@@ -779,7 +797,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("delete_list")
+            self._ops["delete_list"].inc()
             self._restore_list(list_id)
             record, ctx, tag = self.engine.context(aru)
             view = self.engine.view(self.ltable, list_id, ctx)
@@ -805,7 +823,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("list_blocks")
+            self._ops["list_blocks"].inc()
             self._restore_list(list_id)
             engine = self.engine
             _record, ctx, _tag = engine.context(aru)
@@ -845,7 +863,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("flush")
+            self._ops["flush"].inc()
             self._restore_tick()
             flush_start_us = self.clock.now_us
             self._release_group()
@@ -963,17 +981,15 @@ class LLD(LogWriter, LogicalDisk):
     # The read path: cache and read stream
     # ==================================================================
 
-    def _read_at(self, addr: PhysAddr, block_id: Optional[BlockId] = None) -> bytes:
-        """Fetch block data at a physical address.
-
-        On a media fault (or an address tombstoned into a quarantined
-        segment) the read degrades: salvage a surviving copy via
-        :meth:`_degraded_read`, or raise
-        :class:`~repro.errors.UnrecoverableBlockError`.
-        """
-        if self._buffer is not None and addr.segment == self._buffer.segment_no:
+    def _read_resident(self, addr: PhysAddr, block_id: BlockId) -> Optional[bytes]:
+        """The lookup chain every read at ``addr`` takes before the
+        read stream: the open segment buffer, the cache, the
+        write-behind queue, and salvage for a quarantined segment.
+        ``None``: the block has to come off the platter."""
+        buffer = self._buffer
+        if buffer is not None and addr.segment == buffer.segment_no:
             self.meter.charge("table_access_us")
-            return self._buffer.get_slot(addr.slot)
+            return buffer.get_slot(addr.slot)
         cached = self.cache.get(addr)
         if cached is not None:
             return cached
@@ -987,14 +1003,9 @@ class LLD(LogWriter, LogicalDisk):
             # The platter may return garbage for a quarantined segment
             # (silent corruption); never read through the address.
             return self._degraded_read(addr, block_id)
-        try:
-            return self._read_stream.read(
-                addr, self.usage.total_slots(addr.segment)
-            )
-        except MediaError:
-            return self._degraded_read(addr, block_id)
+        return None
 
-    def _degraded_read(self, addr: PhysAddr, block_id: Optional[BlockId]) -> bytes:
+    def _degraded_read(self, addr: PhysAddr, block_id: BlockId) -> bytes:
         """Media-fault fallback for a foreground read.
 
         Marks the segment for the next scrub pass, then tries to find
@@ -1005,21 +1016,16 @@ class LLD(LogWriter, LogicalDisk):
         :class:`~repro.errors.UnrecoverableBlockError` when every copy
         is gone.
         """
-        self._count("degraded_reads")
+        self._ops["degraded_reads"].inc()
         self._scrub_counters["degraded_reads"].inc()
         self.obs.record(
             "media.degraded_read",
             segment=addr.segment,
             slot=addr.slot,
-            block=int(block_id) if block_id is not None else None,
+            block=int(block_id),
         )
         if self.usage.state(addr.segment) is SegmentState.DIRTY:
             self._scrub_pending.add(addr.segment)
-        if block_id is None:
-            raise MediaError(
-                f"segment {addr.segment} failed and the block identity "
-                "is unknown; cannot salvage"
-            )
         from repro.lld.scrub import find_log_copy
 
         found = find_log_copy(self, block_id, exclude={addr.segment})
@@ -1049,7 +1055,7 @@ class LLD(LogWriter, LogicalDisk):
             # drain any in-progress instant restore first.
             self.complete_restore()
             self.meter.charge("ld_call_us")
-            self._count("scrub")
+            self._ops["scrub"].inc()
             report = Scrubber(self).scrub(segments)
             counters = self._scrub_counters
             counters["scrubs"].inc()
@@ -1080,7 +1086,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
-            self._count("clean")
+            self._ops["clean"].inc()
             if not self._cleaning:
                 self._run_cleaner()
 
@@ -1173,14 +1179,6 @@ class LLD(LogWriter, LogicalDisk):
         self._dead = True
         self.obs.record("lld.dead", reason=reason)
         self.obs.crash_dump(reason)
-
-    def _count(self, name: str) -> None:
-        counter = self._op_counters.get(name)
-        if counter is None:
-            counter = self._op_counters[name] = self.obs.metrics.counter(
-                f"lld.ops.{name}"
-            )
-        counter.inc()
 
     # ------------------------------------------------------------------
     # Historical counter attributes, as read-only registry views

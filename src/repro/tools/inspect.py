@@ -22,6 +22,13 @@ from repro.lld.summary import EntryKind
 from repro.lld.usage import QUARANTINE_SEQ
 
 
+def _survivor(disk: SimulatedDisk) -> SimulatedDisk:
+    """The platter of ``disk`` for a recovery to run on, leaving
+    ``disk`` live for the sections after it (a handle that is dead
+    already is power-cycled instead)."""
+    return disk.power_cycle() if disk.crashed else disk.snapshot()
+
+
 def describe_disk(disk: SimulatedDisk) -> str:
     """One-paragraph geometry and occupancy summary."""
     geo = disk.geometry
@@ -243,7 +250,7 @@ def describe_restore(
     first request: the replay watermark, the pending log suffix and
     the per-segment work still outstanding.
     """
-    survivor = disk.power_cycle()
+    survivor = _survivor(disk)
     config = LLDConfig(
         checkpoint_slot_segments=slot_segments, restore_drain_segments=0
     )
@@ -289,7 +296,7 @@ def describe_fs(
     ``substrate`` selects the recovery procedure: ``"lld"`` (default)
     or ``"jld"`` for images written by the journaling implementation.
     """
-    survivor = disk.power_cycle()
+    survivor = _survivor(disk)
     if substrate == "jld":
         from repro.jld import recover_jld
 

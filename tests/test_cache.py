@@ -46,6 +46,27 @@ class TestBlockCache:
         assert cache.get(PhysAddr(1, 0)) is None
         assert cache.get(PhysAddr(2, 0)) == b"z"
 
+    def test_invalidate_segment_drops_exactly_that_segment(self):
+        cache = BlockCache(64)
+        for segment in (3, 4, 5):
+            for slot in range(6):
+                cache.put(PhysAddr(segment, slot), bytes([segment, slot]))
+        cache.get(PhysAddr(4, 2))
+        assert cache.invalidate(PhysAddr(4, 5)) is True
+        assert cache.invalidate_segment(4) == 5
+        assert cache.invalidate_segment(4) == 0
+        assert len(cache) == 12
+        for segment in (3, 5):
+            for slot in range(6):
+                assert cache.get(PhysAddr(segment, slot)) == bytes(
+                    [segment, slot]
+                )
+        assert all(cache.get(PhysAddr(4, slot)) is None for slot in range(6))
+        # The address is its own key: a fresh, equal address finds it.
+        cache.put(PhysAddr(4, 1), b"again")
+        assert cache.get(PhysAddr(4, 1)) == b"again"
+        assert cache.invalidate_segment(4) == 1
+
     def test_invalidate_all(self):
         cache = BlockCache(8)
         cache.put(PhysAddr(1, 0), b"x")

@@ -105,3 +105,47 @@ class TestCostMeter:
         meter.reset_counters()
         assert meter.counters == {}
         assert clock.now_us == 2.0
+
+    def test_bad_lanes_and_negative_advances_rejected(self):
+        clock = SimClock(start_us=10.0)
+        meter = CostMeter(clock, CostModel())
+        with pytest.raises(ValueError):
+            meter.charge("ld_call_us", lanes=0)
+        with pytest.raises(ValueError):
+            meter.charge("ld_call_us", count=-1)
+        assert clock.now_us == 10.0
+        assert meter.counters == {}
+
+    def test_matches_the_model_charge_by_charge(self):
+        """Every charge leaves the clock, the counters and the charged
+        microseconds bit-identical (``==`` on floats) to applying
+        ``clock += unit * count / lanes`` step by step.  Each charge
+        is also made on a clock at zero, where a last-bit difference
+        in one advance cannot be rounded away by the running sum."""
+        import random
+
+        model = CostModel().scaled(1.37)
+        names = [field.name for field in dataclasses.fields(model)]
+        rng = random.Random(1996)
+        clock = SimClock(start_us=123.456)
+        meter = CostMeter(clock, model)
+        now, counters, charged = 123.456, {}, {}
+        for _ in range(4000):
+            category = rng.choice(names)
+            count = rng.choice(
+                [1, 1, 1, 2, rng.randrange(1, 200), rng.random() * 64]
+            )
+            if category == "crc_kb_us":
+                count = rng.randrange(1, 4096) / 1024
+            lanes = rng.choice([1, 1, 1, 2, 3, rng.randrange(1, 9)])
+            meter.charge(category, count, lanes)
+            elapsed = getattr(model, category) * count / lanes
+            now += elapsed
+            counters[category] = counters.get(category, 0) + count
+            charged[category] = charged.get(category, 0.0) + elapsed
+            assert clock.now_us == now
+            alone = SimClock()
+            CostMeter(alone, model).charge(category, count, lanes)
+            assert alone.now_us == elapsed
+        assert meter.counters == counters
+        assert meter.charged_us == charged

@@ -188,6 +188,22 @@ class TestRule:
         assert (stream.positioned, stream.streamed) == (2, 1)
         assert stream.gap_blocks == limit
 
+    @pytest.mark.parametrize(
+        "model",
+        [HP_C3010, FAST_SEEK, FREE_POSITIONING],
+        ids=["hp-c3010", "fast-seek", "free-positioning"],
+    )
+    def test_gap_decision_matches_the_inequality_byte_for_byte(self, model):
+        # The limit is solved once per stream; every integer gap up to
+        # a segment must still get the decision the inequality gives.
+        _disk, stream, _log = bare_stream(model, segment_kb=64)
+        target = PhysAddr(2, 64 * 1024 // BLOCK - 1)
+        end = target.segment * 64 * 1024 + target.slot * BLOCK
+        positioned_us = model.request_us(BLOCK, sequential=False)
+        for gap in range(target.slot * BLOCK + 1):
+            worth = model.request_us(gap + BLOCK, sequential=True) <= positioned_us
+            assert stream._gap(end - gap, target) == (gap if worth else None)
+
     def test_limit_on_the_papers_disk(self):
         # 10 blocks would cost 11 us more than positioning: both
         # requests pay the controller overhead.

@@ -162,6 +162,20 @@ class TestRetiredHandle:
         assert second.read_segment(0) == _image(geo, 0x11)
 
 
+class TestSnapshot:
+    def test_both_handles_stay_live_and_apart(self, geo):
+        disk = SimulatedDisk(geo)
+        disk.write_segment(0, _image(geo, 0x11))
+        copy = disk.snapshot()
+        assert not disk.crashed and not copy.crashed
+        assert copy.clock is not disk.clock
+        assert copy.read_segment(0) == _image(geo, 0x11)
+        copy.write_segment(0, _image(geo, 0x22))
+        disk.write_segment(1, _image(geo, 0x33))
+        assert disk.read_segment(0) == _image(geo, 0x11)
+        assert copy.read_segment(1) == bytes(geo.segment_size)
+
+
 class TestImagePersistence:
     def test_roundtrip(self, disk, geo, tmp_path):
         disk.write_segment(3, _image(geo, 0x5A))

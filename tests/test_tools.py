@@ -170,6 +170,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "a.txt" in out
 
+    def test_restore_preview_leaves_the_image_readable(self, populated, capsys):
+        _disk, image = populated
+        code = lddump_main(
+            [
+                str(image), "--restore", "--segments", "--fs",
+                "--ckpt-segments", "2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "instant-restore preview" in out
+        assert "log segments" in out and "entries" in out
+        assert "a.txt" in out
+        # Each section reads what it reads in a call of its own.
+        alone = []
+        for flag in ("--restore", "--segments", "--fs"):
+            assert lddump_main([str(image), flag, "--ckpt-segments", "2"]) == 0
+            alone.append(capsys.readouterr().out.strip().split("\n\n", 1)[1])
+        assert out.strip().split("\n\n", 1)[1] == "\n\n".join(alone)
+
     def test_missing_file(self, tmp_path, capsys):
         assert lddump_main([str(tmp_path / "nope.img")]) == 1
         assert "lddump:" in capsys.readouterr().err
