@@ -19,9 +19,10 @@ recovery tests rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.records import BlockVersion, ChainRoot, ListVersion
+from repro.core.records import ChainRoot
 from repro.core.versions import VersionState
 
 #: How far past the current dense range an identifier may land while
@@ -40,6 +41,9 @@ class _RootTable:
     """
 
     __slots__ = ("_dense", "_sparse", "_count")
+
+    #: Reads a record's identifier (set per table).
+    _id_of = None
 
     def __init__(self) -> None:
         self._dense: List[Optional[ChainRoot]] = []
@@ -70,6 +74,53 @@ class _RootTable:
                 self._sparse[ident] = found
             self._count += 1
         return found
+
+    def install_persistent(self, record) -> None:
+        """Install a persistent record (recovery / checkpoint load)."""
+        if record.state is not VersionState.PERSISTENT:
+            raise ValueError("only persistent records belong in the table directly")
+        self.root(self._id_of(record), create=True).persistent = record
+
+    def install_all(self, records: Iterable) -> None:
+        """Install persistent records (recovery, checkpoint load) in one
+        pass.
+
+        The same table as one ``install_persistent`` per record in the
+        same order: each identifier goes dense or sparse by the rule
+        :meth:`root` would apply at that point.  But the dense list
+        grows once, to its final size, not a slot at a time.
+        """
+        id_of = self._id_of
+        persistent = VersionState.PERSISTENT
+        sparse = self._sparse
+        size = len(self._dense)
+        placed = []
+        for record in records:
+            if record.state is not persistent:
+                raise ValueError("only persistent records belong in the table directly")
+            ident = id_of(record)
+            if 0 <= ident < size or (
+                0 <= ident < size + _DENSE_SLACK and ident not in sparse
+            ):
+                if ident >= size:
+                    size = ident + 1
+                placed.append((ident, record))
+                continue
+            root = sparse.get(ident)
+            if root is None:
+                root = sparse[ident] = ChainRoot()
+                self._count += 1
+            root.persistent = record
+        dense = self._dense
+        dense.extend([None] * (size - len(dense)))
+        created = 0
+        for ident, record in placed:
+            root = dense[ident]
+            if root is None:
+                root = dense[ident] = ChainRoot()
+                created += 1
+            root.persistent = record
+        self._count += created
 
     def drop_if_empty(self, ident: int) -> None:
         """Remove the table entry once no version remains."""
@@ -122,13 +173,8 @@ class BlockNumberMap(_RootTable):
 
     __slots__ = ()
 
+    _id_of = attrgetter("block_id")
     persistent_blocks = _RootTable.persistent_items
-
-    def install_persistent(self, record: BlockVersion) -> None:
-        """Install a persistent record (recovery / checkpoint load)."""
-        if record.state is not VersionState.PERSISTENT:
-            raise ValueError("only persistent records belong in the map directly")
-        self.root(record.block_id, create=True).persistent = record
 
 
 class ListTable(_RootTable):
@@ -136,10 +182,5 @@ class ListTable(_RootTable):
 
     __slots__ = ()
 
+    _id_of = attrgetter("list_id")
     persistent_lists = _RootTable.persistent_items
-
-    def install_persistent(self, record: ListVersion) -> None:
-        """Install a persistent record (recovery / checkpoint load)."""
-        if record.state is not VersionState.PERSISTENT:
-            raise ValueError("only persistent records belong in the table directly")
-        self.root(record.list_id, create=True).persistent = record

@@ -30,6 +30,7 @@ whose commit record never made it.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.aru import ARUTable
@@ -155,7 +156,9 @@ class LLD(LogWriter, LogicalDisk):
             self.arus,
             self.meter,
             cfg.visibility,
-            sink=self,
+            # Weak, like every reference back to this volume: a dropped
+            # volume is freed by refcount, not left for the collector.
+            sink=weakref.proxy(self),
         )
         self.concurrent = self.engine.concurrent
         self.visibility = cfg.visibility

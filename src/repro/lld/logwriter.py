@@ -13,6 +13,7 @@ has the engine fold it into the persistent tables.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Set, Tuple
 
 from repro.errors import DiskCrashedError, DiskFullError, SegmentOverflowError
@@ -64,7 +65,7 @@ class LogWriter:
         self.clean_high_water = max(
             cfg.clean_high_water, self.clean_low_water + 1
         )
-        self._writeback = WritebackQueue(self, cfg.writeback_depth)
+        self._writeback = WritebackQueue(weakref.proxy(self), cfg.writeback_depth)
         #: Commit records parked by ``end_aru`` under group commit:
         #: (aru tag, op count, commit timestamp) in commit order.
         self._parked_commits: List[Tuple[int, int, int]] = []

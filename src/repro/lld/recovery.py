@@ -31,9 +31,10 @@ scan reads of a segment and how it decodes* (eager: the whole body,
 whole-segment CRC, decoded on a thread pool and charged at the
 critical-path share; instant: one tail window, summary CRC), and *where
 the records live and when replay runs* (eager: plain dicts, replayed
-before the volume opens, then bulk-installed; instant: the live
-tables, replayed on demand by a :class:`RestoreController` behind a
-log-order watermark).  docs/RECOVERY.md tells the whole story;
+before the volume opens, then bulk-installed; instant: the checkpoint
+bulk-installed, then the live tables, replayed on demand by a
+:class:`RestoreController` behind a log-order watermark).
+docs/RECOVERY.md tells the whole story;
 :func:`repro.lld.recovery_reference.reference_recover` is the
 differential oracle and shares none of this module's rule code.
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -51,7 +53,7 @@ from repro.disk.clock import CostModel
 from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskFullError
-from repro.ld.types import SYSTEM_ID_BASE, PhysAddr
+from repro.ld.types import ARU_NONE, SYSTEM_ID_BASE, PhysAddr
 from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
@@ -189,12 +191,13 @@ class RecoveryReport:
 class _PersistentRecords:
     """Mapping view (id -> record) of a live table's persistent slots.
 
-    Instant restore's record store: the volume serves from these very
-    tables while replay catches up, so a replayed entry is visible to
-    traffic the moment it is applied.  Alternative records chained off
-    the same roots by live traffic are never touched.  (Eager recovery
-    needs no counterpart: nothing observes its records before the log
-    is replayed, so they live in a plain ``dict``.)
+    Instant restore's record store once the checkpoint is installed:
+    the volume serves from these very tables while replay catches up,
+    so a replayed entry is visible to traffic the moment it is applied.
+    Alternative records chained off the same roots by live traffic are
+    never touched.  (Until the volume opens nothing observes the
+    records, so both modes build them in a plain ``dict`` and install
+    the lot at once.)
     """
 
     def __init__(self, table) -> None:
@@ -243,25 +246,30 @@ class ReplayRules:
 
     def load_checkpoint(self, ckpt: CheckpointData) -> None:
         """Seed the records with the checkpoint's persistent state."""
+        blocks = self.blocks
+        lists = self.lists
+        persistent = VersionState.PERSISTENT
         for block_id, successor, list_id, ts, segment, slot, flags in ckpt.blocks:
-            self.blocks[block_id] = BlockVersion(
+            blocks[block_id] = BlockVersion(
                 block_id,
-                VersionState.PERSISTENT,
-                address=(
-                    PhysAddr(segment, slot) if flags & FLAG_HAS_ADDR else None
-                ),
-                successor=successor or None,
-                list_id=list_id or None,
-                timestamp=ts,
+                persistent,
+                ARU_NONE,
+                True,
+                PhysAddr(segment, slot) if flags & FLAG_HAS_ADDR else None,
+                successor or None,
+                list_id or None,
+                ts,
             )
         for list_id, first, last, count, ts in ckpt.lists:
-            self.lists[list_id] = ListVersion(
+            lists[list_id] = ListVersion(
                 list_id,
-                VersionState.PERSISTENT,
-                first=first or None,
-                last=last or None,
-                count=count,
-                timestamp=ts,
+                persistent,
+                ARU_NONE,
+                True,
+                first or None,
+                last or None,
+                count,
+                ts,
             )
 
     def replay_segment(self, decoded: DecodedSegment) -> None:
@@ -277,12 +285,23 @@ class ReplayRules:
         committed = self.committed
         discarded_arus = self.discarded_arus
         apply = self.apply
+        get_block = self.blocks.get
         replayed = discarded = conflicts = 0
         for fields in decoded.entry_tuples:
+            kind = fields[0]
             tag = fields[1]
-            if tag and tag not in committed and fields[0] != KIND_COMMIT:
+            if tag and tag not in committed and kind != KIND_COMMIT:
                 discarded += 1
                 discarded_arus.add(tag)
+            elif kind == KIND_WRITE:
+                # apply()'s WRITE rule, inline: the most common kind.
+                rec = get_block(fields[3])
+                if rec is None:
+                    conflicts += 1
+                else:
+                    rec.address = PhysAddr(segment_no, fields[4])
+                    rec.timestamp = fields[2]
+                    replayed += 1
             elif apply(fields, segment_no):
                 replayed += 1
             else:
@@ -920,25 +939,21 @@ def recover(
 
     replay_start = clock.now_us
     outcomes = _resolve_outcomes(ckpt, scan.replayable, decided_xids, report)
-    if instant:
-        # Replay runs later, on demand, on the live tables.
-        rules = ReplayRules(
-            _PersistentRecords(lld.bmap),
-            _PersistentRecords(lld.ltable),
-            outcomes.committed,
-            report,
-        )
-    else:
-        rules = ReplayRules({}, {}, outcomes.committed, report)
-        rules.load_checkpoint(ckpt)
+    rules = ReplayRules({}, {}, outcomes.committed, report)
+    rules.load_checkpoint(ckpt)
+    if not instant:
         for decoded in scan.replayable:
             rules.replay_segment(decoded)
         rules.finish(sweep_orphans)
     report.phase_us["replay"] = clock.now_us - replay_start
 
     install_start = clock.now_us
+    lld.bmap.install_all(rules.blocks.values())
+    lld.ltable.install_all(rules.lists.values())
     if instant:
-        rules.load_checkpoint(ckpt)
+        # Replay runs later, on demand, on the live tables.
+        rules.blocks = _PersistentRecords(lld.bmap)
+        rules.lists = _PersistentRecords(lld.ltable)
         # Provisional live counts — the roster's for checkpointed
         # segments, every written slot for pending ones — until the
         # restore completes and recounts from the final addresses
@@ -949,10 +964,6 @@ def recover(
         for decoded in scan.replayable:
             live_counts[decoded.segment_no] = decoded.block_count
     else:
-        for record in rules.blocks.values():
-            lld.bmap.install_persistent(record)
-        for record in rules.lists.values():
-            lld.ltable.install_persistent(record)
         live_counts = rules.live_counts()
     _install(lld, ckpt, scan, outcomes, live_counts)
     if instant:
@@ -1029,7 +1040,7 @@ class RestoreController:
         sweep_orphans: bool,
         restore_era: Set[int],
     ) -> None:
-        self.lld = lld
+        self.lld = weakref.proxy(lld)
         self.rules = rules
         self.report = rules.report
         self.pending = pending

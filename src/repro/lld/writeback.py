@@ -51,8 +51,8 @@ class WritebackQueue:
     """Bounded FIFO of sealed-but-unwritten segments.
 
     Args:
-        lld: The owning logical disk (drains call back into
-            ``lld._write_now``).
+        lld: The owning logical disk, as a weak proxy (drains call
+            back into ``lld._write_now``).
         depth: Maximum parked segments before an automatic drain.
             ``0`` disables write-behind entirely: submissions write
             through synchronously, byte-for-byte like the serial path.
