@@ -5,7 +5,14 @@ are filled in main memory and written to disk in single disk
 operations"), so the simulated disk exposes exactly that interface:
 whole-segment writes (plus :meth:`SimulatedDisk.write_at` for the few
 writes smaller than one), whole-segment or intra-segment reads.  Contents
-are stored sparsely per segment; latency is charged to the shared
+are stored sparsely per segment: a segment last written whole is one
+immutable ``bytes`` snapshot, so a whole-segment read hands it out
+without a copy; the first :meth:`~SimulatedDisk.write_at` into a segment
+turns it into a ``bytearray`` that this and every later in-place write
+update where they land, so a write costs the bytes it writes.  Reads
+always return ``bytes``; a reboot (:meth:`~SimulatedDisk.power_cycle`,
+:meth:`~SimulatedDisk.snapshot`) sees ``bytes`` entries only.  Latency
+is charged to the shared
 :class:`~repro.disk.clock.SimClock` through a
 :class:`~repro.disk.timing.DiskTimer`.
 
@@ -18,7 +25,7 @@ surviving bytes, which is what the recovery scan reads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.disk.clock import SimClock
 from repro.disk.faults import FaultInjector
@@ -57,7 +64,9 @@ class SimulatedDisk:
         self.timer = DiskTimer(self.clock, model)
         self.injector = injector if injector is not None else FaultInjector()
         self.shard_index = shard_index
-        self._segments: Dict[int, bytes] = {}
+        #: Written segments: ``bytes`` if last written whole, a
+        #: ``bytearray`` once written in place.
+        self._segments: Dict[int, Union[bytes, bytearray]] = {}
         self.write_count = 0
         self.read_count = 0
         #: Set when :meth:`power_cycle` hands the platter to a
@@ -194,39 +203,36 @@ class SimulatedDisk:
         a checkpoint's tail; overwrite-in-place clients such as
         :class:`repro.jld.JLD` update home locations at block
         granularity.  The write counts against crash plans like any
-        other; a torn write keeps a prefix.
+        other; a torn write keeps a prefix.  Only the bytes written are
+        copied: they are assigned into the segment's ``bytearray``.
         """
-        if offset < 0 or offset + len(data) > self.geometry.segment_size:
-            raise ValueError(
-                f"write [{offset}, {offset + len(data)}) out of segment bounds"
-            )
+        base = self.geometry.segment_offset(segment_no)  # bounds-check segment
+        end = offset + len(data)
+        if offset < 0 or end > self.geometry.segment_size:
+            raise ValueError(f"write [{offset}, {end}) out of segment bounds")
         self._check_retired(f"write into segment {segment_no}")
         surviving = self.injector.on_write(segment_no, len(data), shard=self.shard_index)
-        old = self._segments.get(
-            segment_no, b"\x00" * self.geometry.segment_size
-        )
         if surviving is None:
-            self._h_write_us.observe(
-                self.timer.access(
-                    self.geometry.segment_offset(segment_no) + offset,
-                    len(data),
-                )
-            )
-            self._segments[segment_no] = (
-                old[:offset] + bytes(data) + old[offset + len(data):]
-            )
+            self._h_write_us.observe(self.timer.access(base + offset, len(data)))
+            self._writable(segment_no)[offset:end] = data
             self.write_count += 1
             return
         if surviving > 0:
-            kept = bytes(data[:surviving])
-            self._segments[segment_no] = (
-                old[:offset] + kept + old[offset + len(kept):]
-            )
+            self._writable(segment_no)[offset : offset + surviving] = data[:surviving]
         from repro.errors import DiskCrashedError
 
         raise DiskCrashedError(
             f"power failure during write into segment {segment_no}"
         )
+
+    def _writable(self, segment_no: int) -> bytearray:
+        """The segment's platter entry as a ``bytearray``, turned into
+        one (zero-filled if never written) on the first in-place write."""
+        raw = self._segments.get(segment_no)
+        if raw.__class__ is not bytearray:
+            raw = bytearray(self.geometry.segment_size if raw is None else raw)
+            self._segments[segment_no] = raw
+        return raw
 
     def read_segment(self, segment_no: int) -> bytes:
         """Read one whole segment (zero-filled if never written)."""
@@ -246,7 +252,11 @@ class SimulatedDisk:
         raw = self.injector.on_read(segment_no, raw, shard=self.shard_index)
         self._h_read_us.observe(self.timer.access(base + offset, nbytes))
         self.read_count += 1
-        return raw[offset : offset + nbytes]
+        chunk = raw[offset : offset + nbytes]
+        # ``bytes`` whatever the entry: a slice of a ``bytes`` entry is
+        # one already (a whole-segment slice is the entry itself), a
+        # slice of a ``bytearray`` entry is copied out.
+        return chunk if chunk.__class__ is bytes else bytes(chunk)
 
     def read_many(
         self,
@@ -298,7 +308,8 @@ class SimulatedDisk:
                     raise
                 results.append(None)
                 continue
-            results.append(raw[offset : offset + nbytes])
+            chunk = raw[offset : offset + nbytes]
+            results.append(chunk if chunk.__class__ is bytes else bytes(chunk))
             ranges.append((geometry.segment_offset(segment_no) + offset, nbytes))
             self.read_count += 1
         if ranges:
@@ -343,9 +354,17 @@ class SimulatedDisk:
         the survivor's platter and fault injector, so any further I/O
         through it raises :class:`DiskCrashedError` (power-cycling it
         again is allowed and yields another fresh view).
+
+        Segments written in place become ``bytes`` snapshots again, in
+        the shared dict: recovery reads whole segments, and those reads
+        stay uncopied.
         """
         self.injector.power_cycle()
-        survivor = self._view(self.clock, self._segments)
+        segments = self._segments
+        for seg, raw in segments.items():
+            if raw.__class__ is bytearray:
+                segments[seg] = bytes(raw)
+        survivor = self._view(self.clock, segments)
         self._retired = True
         return survivor
 
@@ -355,11 +374,16 @@ class SimulatedDisk:
 
         The copy has a clock of its own and a platter of its own, and
         shares the fault injector, so media faults read the same.
-        Writes through either handle do not reach the other.
+        Writes through either handle do not reach the other: segments
+        written in place are copied, the immutable rest is shared.
         """
-        return self._view(SimClock(), dict(self._segments))
+        return self._view(
+            SimClock(), {seg: bytes(raw) for seg, raw in self._segments.items()}
+        )
 
-    def _view(self, clock: SimClock, segments: Dict[int, bytes]) -> "SimulatedDisk":
+    def _view(
+        self, clock: SimClock, segments: Dict[int, Union[bytes, bytearray]]
+    ) -> "SimulatedDisk":
         """A new handle like this one over ``segments``."""
         view = SimulatedDisk(
             self.geometry,

@@ -362,9 +362,10 @@ class SegmentBuffer:
         With ``last`` (the default) the segment is closed: the chunk
         carries :data:`FLAG_LAST` and the buffer is frozen — any further
         ``add_block``/``add_entry`` raises — which is what makes
-        handing out the alias safe; the disk layer stores an immutable
-        ``bytes`` snapshot of whatever it is handed.  Without it the
-        caller writes :meth:`unwritten_ranges` in place, calls
+        handing out the alias safe; the disk layer copies whatever it is
+        handed (a whole image into an immutable ``bytes`` snapshot, an
+        in-place range into its own copy of the segment).  Without it
+        the caller writes :meth:`unwritten_ranges` in place, calls
         :meth:`publish`, and the buffer keeps filling.
         """
         if self._sealed:

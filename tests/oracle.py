@@ -12,7 +12,16 @@ comparisons every recovery test makes, written once.  Two views of a
   ``reference_recover`` reads every segment and ``recover`` walks, so
   this is compared between eager and instant only: the mode never
   changes the plan.
+
+:func:`platter_bytes` is the platter as a test may keep it: a segment
+written in place is a live ``bytearray`` on the disk, so a copy taken
+with ``dict(disk._segments)`` would change along with the disk.
 """
+
+
+def platter_bytes(disk):
+    """Segment number -> a ``bytes`` copy of what the platter holds."""
+    return {seg: bytes(raw) for seg, raw in disk._segments.items()}
 
 
 def state_fingerprint(lld, report):

@@ -55,7 +55,7 @@ from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_segments
 
-from tests.oracle import read_plan, state_fingerprint
+from tests.oracle import platter_bytes, read_plan, state_fingerprint
 
 #: Coming back to a segment costs nothing on this disk, so every flush
 #: is written in place — also on the small test geometry, which the
@@ -154,7 +154,7 @@ def recoveries_agree(disk, config=SERIAL):
     """The three recoveries rebuild one sound state from one platter,
     and leave it as they found it.  Returns the instantly restored
     volume (swept, on the live disk handle) and the eager report."""
-    platter = dict(disk._segments)
+    platter = platter_bytes(disk)
     reference, reference_report = reference_recover(
         disk.power_cycle(), config=config
     )
@@ -168,7 +168,7 @@ def recoveries_agree(disk, config=SERIAL):
     assert state_fingerprint(instant, instant_report) == want
     assert read_plan(instant_report) == read_plan(eager_report)
     # Recovery writes nothing, so recovering twice is recovering once.
-    assert disk._segments == platter
+    assert platter_bytes(disk) == platter
     for ld in (reference, eager, instant):
         assert verify_lld(ld) == []
     return instant, eager_report
@@ -365,12 +365,13 @@ class TestTornTrailer:
             ld = LLD(disk, config=SERIAL)
         lst = ld.new_list()
         committed_write(ld, lst, 1)
-        before = dict(disk._segments)
+        before = platter_bytes(disk)
         block = committed_write(ld, lst, 2)
         assert (ld.stats()["segments"]["in_place_writes"] > 0) == in_place
         # The last write of that flush carries the newest trailer.
-        (seg,) = [s for s in disk._segments if disk._segments[s] != before.get(s)]
-        after = disk._segments[seg]
+        now = platter_bytes(disk)
+        (seg,) = [s for s in now if now[s] != before.get(s)]
+        after = now[seg]
         old = before.get(seg, bytes(len(after)))
         decoded = decode_segment(after, disk.geometry, seg)
         end = decoded.summary_start + decoded._summaries[-1][1] + TRAILER_SIZE

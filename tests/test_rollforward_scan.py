@@ -52,7 +52,7 @@ from repro.lld.usage import (
 from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_checkpoints, describe_restore
 
-from tests.oracle import read_plan, state_fingerprint
+from tests.oracle import platter_bytes, read_plan, state_fingerprint
 from tests.test_inplace_flush import FREE_POSITIONING
 
 CONFIG = LLDConfig(checkpoint_slot_segments=2)
@@ -71,7 +71,7 @@ def recoveries_agree(disk, config=CONFIG):
     state from one platter and leave it as they found it; eager and
     instant read the disk the same way.  Returns the second eager
     volume and its report."""
-    platter = dict(disk._segments)
+    platter = platter_bytes(disk)
     reference, reference_report = reference_recover(
         disk.power_cycle(), config=config
     )
@@ -91,7 +91,7 @@ def recoveries_agree(disk, config=CONFIG):
         assert read_plan(report) == read_plan(eager_report)
         assert verify_lld(volume) == []
     assert verify_lld(reference) == []
-    assert disk._segments == platter
+    assert platter_bytes(disk) == platter
     accounts_for_the_partition(again, again_report)
     return again, again_report
 
@@ -469,12 +469,13 @@ class TestFallback:
         checksum fails.  A cut at either end of it is a clean tear."""
         disk = small_disk(64)
         ld, blocks = volume_with_suffix(disk)
-        before = dict(disk._segments)
+        before = platter_bytes(disk)
         fill(ld, blocks, 1, tag=50)
         ld.flush()
-        (seg,) = [s for s in disk._segments if disk._segments[s] != before.get(s)]
+        now = platter_bytes(disk)
+        (seg,) = [s for s in now if now[s] != before.get(s)]
         assert seg not in before
-        after = disk._segments[seg]
+        after = now[seg]
         end = len(after)
         for cut in range(end - TRAILER_SIZE, end + 1):
             disk._segments[seg] = after[:cut] + bytes(end - cut)

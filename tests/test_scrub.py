@@ -24,6 +24,8 @@ from repro.lld.scrub import Scrubber, find_log_copy
 from repro.lld.usage import QUARANTINE_SEQ, SegmentState
 from repro.lld.verify import verify_lld
 
+from tests.oracle import platter_bytes
+
 
 def make(num_segments=64, **kwargs):
     geo = DiskGeometry.small(num_segments=num_segments)
@@ -178,7 +180,7 @@ class TestQuarantine:
         victim = segment_of(lld, blocks[0])
         disk.injector.add_media_fault(MediaFault(victim, "corrupt"))
         lld.scrub()
-        platter_before = disk._segments.get(victim)
+        platter_before = platter_bytes(disk).get(victim)
         for _round in range(8):
             for block in blocks:
                 lld.write(block, bytes([_round]) * lld.geometry.block_size)
@@ -186,7 +188,7 @@ class TestQuarantine:
         assert lld.usage.state(victim) is SegmentState.QUARANTINED
         # The platter bytes of the quarantined segment were never
         # rewritten by the log.
-        assert disk._segments.get(victim) == platter_before
+        assert platter_bytes(disk).get(victim) == platter_before
         for block in blocks:
             assert segment_of(lld, block) != victim
 
@@ -307,16 +309,17 @@ class TestScrubTorture:
                 assert exc.value.segment in victims
 
         # (b) quarantine survives heavy overwrite + cleaning pressure.
-        platter = {seg: disk._segments.get(seg) for seg in victims}
+        before = platter_bytes(disk)
         for _round in range(6):
             for block in blocks:
                 if int(block) in lost:
                     continue
                 lld.write(block, bytes([_round]) * lld.geometry.block_size)
             lld.flush()
+        after = platter_bytes(disk)
         for seg in victims:
             assert lld.usage.state(seg) is SegmentState.QUARANTINED
-            assert disk._segments.get(seg) == platter[seg]
+            assert after.get(seg) == before.get(seg)
 
         # (c) the repaired disk is internally sound and recovers.
         assert verify_lld(lld) == []

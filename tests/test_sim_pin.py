@@ -14,15 +14,29 @@ the ledger's single-volume workloads charge: cache misses streamed
 from the head and read ahead, reads through every version state, an
 eight-ARU wave with aborts and a deleting ARU, and a MinixFS
 create/read/unlink cycle.
+
+Two more runs pin the platter as well as the clock: a replicated
+two-shard array committing cross-shard ARUs, and a JLD applying its
+journal to home locations.  Their flushes, home writes and checkpoint
+tails are written in place, so they pin what ``SimulatedDisk.write_at``
+leaves on the platter.  For every member disk they check the clock,
+the meter, ``write_count`` and the SHA-256 of the platter (segment
+number, then bytes, in segment order); those constants were captured
+before the platter became writable in place.
 """
 
+import hashlib
 import random
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
+from repro.jld import JLD
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
+from repro.shard import ArrayConfig, build_sharded
+
+from tests.oracle import platter_bytes
 
 
 def reads_and_writes():
@@ -112,6 +126,89 @@ def minixfs_cycle():
     return disk.clock, ld.meter
 
 
+#: 128 KB segments: on the paper's disk a small flush is written in
+#: place, where a 64 KB segment is always written whole.
+IN_PLACE_GEOMETRY = DiskGeometry(
+    block_size=4096, segment_size=128 * 1024, num_segments=24
+)
+
+
+def replicated_array():
+    """Cross-shard ARUs on a replicated two-shard array: every durable
+    PREPARE and DECIDE is a flush written in place, then a checkpoint
+    of both members, whose tails are written in place too."""
+    volume = build_sharded(
+        2,
+        geometry=IN_PLACE_GEOMETRY,
+        config=LLDConfig(checkpoint_slot_segments=2),
+        array_config=ArrayConfig(replication_factor=2),
+    )
+    rng = random.Random(28)
+    lists = [volume.new_list() for _ in range(4)]
+    blocks = [volume.new_block(lists[index % 4]) for index in range(24)]
+    for index, block in enumerate(blocks):
+        volume.write(block, bytes([index]) * 4096)
+    volume.flush()
+    for number in range(30):
+        aru = volume.begin_aru()
+        for block in rng.sample(blocks, 3):
+            volume.write(block, bytes([number]) * (300 + 97 * number), aru=aru)
+        volume.end_aru(aru)
+        if number == 14:
+            volume.write_checkpoint()
+    volume.flush()
+    assert volume.stats()["sharding"]["commits_cross_shard"] > 0
+    for shard in volume.shards:
+        assert shard.stats()["segments"]["in_place_writes"] > 0
+    return [(shard.disk, shard.meter) for shard in volume.shards]
+
+
+def jld_apply():
+    """A JLD journaling plain writes and ARUs, then applying them: every
+    home write and every checkpoint tail is written in place."""
+    disk = SimulatedDisk(DiskGeometry.small(num_segments=48))
+    jld = JLD(disk, journal_segments=4, checkpoint_slot_segments=1)
+    rng = random.Random(11)
+    lst = jld.new_list()
+    blocks = [jld.new_block(lst) for _ in range(40)]
+    for wave in range(4):
+        for block in rng.sample(blocks, 12):
+            jld.write(block, bytes([wave]) * rng.randrange(16, 4096))
+        aru = jld.begin_aru()
+        for block in rng.sample(blocks, 4):
+            jld.write(block, bytes([100 + wave]) * 700, aru=aru)
+        jld.end_aru(aru)
+        jld.flush()
+        jld.apply()
+    jld.cache.invalidate_all()
+    for block in blocks[::5]:
+        jld.read(block)
+    assert jld.stats()["home_writes"] > 0
+    return [(disk, jld.meter)]
+
+
+def platter_sha256(disk):
+    """SHA-256 over segment number then bytes, in segment order."""
+    digest = hashlib.sha256()
+    for seg, raw in sorted(platter_bytes(disk).items()):
+        digest.update(seg.to_bytes(4, "little"))
+        digest.update(raw)
+    return digest.hexdigest()
+
+
+def members(run):
+    """Per member disk: the clock, the meter, writes and the platter."""
+    return [
+        (
+            disk.clock.now_us.hex(),
+            meter.counters,
+            disk.write_count,
+            platter_sha256(disk),
+        )
+        for disk, meter in run()
+    ]
+
+
 #: name -> (run, clock.now_us.hex(), meter.counters) at the end of it.
 PINS = {
     "reads_and_writes": (
@@ -191,3 +288,68 @@ def test_aru_wave():
 
 def test_minixfs_cycle():
     check("minixfs_cycle")
+
+
+#: name -> (run, per member: (clock.now_us.hex(), meter.counters,
+#: write_count, platter SHA-256)).
+ARRAY_MEMBER_COUNTERS = {
+    "aru_begin_us": 30,
+    "aru_commit_us": 30,
+    "block_copy_us": 204,
+    "chain_hop_us": 168,
+    "ld_call_us": 326,
+    "record_create_us": 208,
+    "record_transition_us": 208,
+    "summary_entry_us": 226,
+    "table_access_us": 304,
+}
+PLATTER_PINS = {
+    "replicated_array": (
+        replicated_array,
+        [
+            (
+                "0x1.dada8aaaaaab2p+20",
+                ARRAY_MEMBER_COUNTERS,
+                96,
+                "8f89228b8a8abdf61ce33b6937a384d8c644977ffac5da8b2056b60dd4447007",
+            ),
+            (
+                "0x1.dadaaaaaaaab2p+20",
+                ARRAY_MEMBER_COUNTERS,
+                96,
+                "91ee97abc79622f8a33737772d0704c2bb191055fe28ba648bc9dead20f5cde1",
+            ),
+        ],
+    ),
+    "jld_apply": (
+        jld_apply,
+        [
+            (
+                "0x1.7463c00000005p+20",
+                {
+                    "aru_begin_us": 4,
+                    "aru_commit_us": 4,
+                    "block_copy_us": 138,
+                    "block_read_us": 8,
+                    "ld_call_us": 125,
+                    "record_create_us": 16,
+                    "record_transition_us": 16,
+                    "summary_entry_us": 149,
+                    "table_access_us": 225,
+                },
+                68,
+                "842179071f8eae2f0e56948d9d97a9ce0f84bbcb81296b13fc26f4fd35f462c3",
+            ),
+        ],
+    ),
+}
+
+
+def test_replicated_array_platter():
+    run, want = PLATTER_PINS["replicated_array"]
+    assert members(run) == want
+
+
+def test_jld_apply_platter():
+    run, want = PLATTER_PINS["jld_apply"]
+    assert members(run) == want
