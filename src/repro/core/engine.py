@@ -33,6 +33,9 @@ from repro.errors import (
 )
 from repro.ld.types import ARU_NONE, ARUId, BlockId, ListId, PhysAddr
 
+_SHADOW = VersionState.SHADOW
+_COMMITTED = VersionState.COMMITTED
+
 
 class LogSink(Protocol):
     """What the engine needs of the log it records into.
@@ -103,6 +106,16 @@ class VersionEngine:
         self.concurrent = arus.concurrent
         self.committed_blocks = StateChain()
         self.committed_lists = StateChain()
+        self._charge = meter.charge
+        # What making and folding a record cost: the alternative-record
+        # machinery, or, in the old prototype, which updates its tables
+        # in place, a table access.
+        self._record_create = (
+            "record_create_us" if self.concurrent else "table_access_us"
+        )
+        self._record_transition = (
+            "record_transition_us" if self.concurrent else "table_access_us"
+        )
 
     # ------------------------------------------------------------------
     # Version lookup and creation
@@ -122,21 +135,33 @@ class VersionEngine:
         return record, (record if self.concurrent else None), int(aru)
 
     def view(self, table, ident: int, ctx: Optional[ARURecord]):
-        """Modification view: shadow (if in ARU) -> committed -> persistent."""
+        """Modification view: shadow (if in ARU) -> committed -> persistent.
+
+        Each walk of the same-identifier chain charges one hop per
+        record it visits (:meth:`ChainRoot.find`'s walks, written out)."""
         root = table.root(ident)
         if root is None:
             return None
-        self.meter.charge("table_access_us")
-        if root.alt_head is None:
+        charge = self._charge
+        charge("table_access_us")
+        head = root.alt_head
+        if head is None:
             # No alternative record: no chain to walk, no hop to charge.
             return root.persistent
         if ctx is not None:
-            found = root.find(VersionState.SHADOW, ctx.aru_id, self.meter)
-            if found is not None:
-                return found
-        found = root.find(VersionState.COMMITTED, ARU_NONE, self.meter)
-        if found is not None:
-            return found
+            owner = ctx.aru_id
+            node = head
+            while node is not None:
+                charge("chain_hop_us")
+                if node.state is _SHADOW and node.aru_id == owner:
+                    return node
+                node = node.next_same_id
+        node = head
+        while node is not None:
+            charge("chain_hop_us")
+            if node.state is _COMMITTED:
+                return node
+            node = node.next_same_id
         return root.persistent
 
     def visible(self, table, ident: int, aru: Optional[ARUId]):
@@ -147,30 +172,39 @@ class VersionEngine:
         candidates = read_versions(root, aru, self.visibility, self.meter)
         return candidates[0] if candidates else None
 
-    def _charge_record(self, category: str) -> None:
-        """Charge a record operation; the old prototype updates its
-        tables in place, so it pays only a table access."""
-        if self.concurrent:
-            self.meter.charge(category)
-        else:
-            self.meter.charge("table_access_us")
-
     def for_update(self, table, ident: int, ctx: Optional[ARURecord]):
         """Find or create the record to modify in the given state.
 
         Copies from the next-lower version (committed, then
-        persistent) per the standardized search of Section 3.3.
+        persistent) per the standardized search of Section 3.3.  The
+        walks charge one hop per record visited, as :meth:`view`'s.
         """
         root = table.root(ident, create=True)
-        state, owner = VersionState.COMMITTED, ARU_NONE
-        if ctx is not None:
-            state, owner = VersionState.SHADOW, ctx.aru_id
-        found = root.find(state, owner, self.meter)
-        if found is not None:
-            return found
+        charge = self._charge
         base = root.persistent
-        if ctx is not None:
-            base = root.find(VersionState.COMMITTED, ARU_NONE, self.meter) or base
+        if ctx is None:
+            state, owner = _COMMITTED, ARU_NONE
+            node = root.alt_head
+            while node is not None:
+                charge("chain_hop_us")
+                if node.state is _COMMITTED:
+                    return node
+                node = node.next_same_id
+        else:
+            state, owner = _SHADOW, ctx.aru_id
+            node = root.alt_head
+            while node is not None:
+                charge("chain_hop_us")
+                if node.state is _SHADOW and node.aru_id == owner:
+                    return node
+                node = node.next_same_id
+            node = root.alt_head
+            while node is not None:
+                charge("chain_hop_us")
+                if node.state is _COMMITTED:
+                    base = node
+                    break
+                node = node.next_same_id
         if table is self.blocks:
             version = BlockVersion(ident, state, owner, allocated=False)
             chain = self.committed_blocks if ctx is None else ctx.shadow_blocks
@@ -179,7 +213,7 @@ class VersionEngine:
             chain = self.committed_lists if ctx is None else ctx.shadow_lists
         if base is not None:
             version.copy_from(base)
-        self._charge_record("record_create_us")
+        charge(self._record_create)
         root.push_alt(version)
         chain.push(version)
         return version
@@ -205,7 +239,7 @@ class VersionEngine:
         shadow = self.for_update(self.blocks, block_id, ctx)
         shadow.data = data
         shadow.timestamp = self.clock.tick()
-        self.meter.charge("block_copy_us")
+        self._charge("block_copy_us")
 
     def commit_write(self, block_id: BlockId, data: bytes, aru_tag: int) -> None:
         """Append block data to the committed (merged) stream."""
@@ -286,7 +320,7 @@ class VersionEngine:
                 int(op.block_id),
                 int(op.predecessor) if op.predecessor is not None else 0,
             )
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
         lst = self.for_update(self.lists, op.list_id, ctx)
         blk = self.for_update(self.blocks, op.block_id, ctx)
         if op.predecessor is None:
@@ -329,7 +363,7 @@ class VersionEngine:
                 int(op.block_id),
                 int(list_id) if list_id is not None else 0,
             )
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
         blk = self.for_update(self.blocks, op.block_id, ctx)
         if list_id is not None:
             lst = self.for_update(self.lists, list_id, ctx)
@@ -359,7 +393,7 @@ class VersionEngine:
         ts = self.clock.tick()
         if ctx is None:
             self.sink.log_delete_list(aru_tag, ts, int(op.list_id))
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
         lst = self.for_update(self.lists, op.list_id, ctx)
         # Delete remaining members from the beginning of the list: no
         # predecessor searches (the improved deletion policy).
@@ -393,7 +427,7 @@ class VersionEngine:
             # Free-space bookkeeping happens when the deallocation
             # reaches the merged stream (shadow deallocations redo it
             # at replay).
-            self.meter.charge("block_dealloc_us")
+            self._charge("block_dealloc_us")
             blk.pending_segment = self.sink.log_seq
             blk.origin_aru = ARUId(aru_tag)
 
@@ -409,9 +443,10 @@ class VersionEngine:
             raise BadListError(int(list_id))
         if list_view.first == block_id:
             return None
+        charge = self._charge
         cursor = list_view.first
         while cursor is not None:
-            self.meter.charge("pred_search_step_us")
+            charge("pred_search_step_us")
             view = self.view(self.blocks, cursor, ctx)
             if view is None:
                 break
@@ -425,20 +460,22 @@ class VersionEngine:
     # ------------------------------------------------------------------
 
     def _drop_shadow_lists(self, record: ARURecord) -> None:
+        charge = self._charge
         for shadow in record.shadow_lists.drain():
             self.lists.root(shadow.list_id).remove_alt(shadow)
             self.lists.drop_if_empty(shadow.list_id)
-            self.meter.charge("record_transition_us")
+            charge("record_transition_us")
 
     def merge(self, record: ARURecord) -> None:
         """Merge an ARU's shadow state into the committed stream."""
         aru = record.aru_id
+        charge = self._charge
         # 1. Transition data-bearing shadow block records.  Blocks the
         #    ARU deleted or only re-linked are reconstructed by the
         #    list-operation log replay below.
         for shadow in record.shadow_blocks.drain():
             self.blocks.root(shadow.block_id).remove_alt(shadow)
-            self.meter.charge("record_transition_us")
+            charge("record_transition_us")
             if not shadow.allocated or shadow.data is None:
                 continue
             view = self.view(self.blocks, shadow.block_id, None)
@@ -454,7 +491,7 @@ class VersionEngine:
         # 3. Re-execute the list-operation log in the committed state,
         #    generating the summary link records (Section 4).
         for op in record.oplog:
-            self.meter.charge("listop_replay_us")
+            charge("listop_replay_us")
             try:
                 self.apply(op, None, int(aru))
             except LDError as exc:
@@ -465,10 +502,11 @@ class VersionEngine:
 
     def discard(self, record: ARURecord) -> None:
         """Drop an aborted ARU's shadow state."""
+        charge = self._charge
         for shadow in record.shadow_blocks.drain():
             self.blocks.root(shadow.block_id).remove_alt(shadow)
             self.blocks.drop_if_empty(shadow.block_id)
-            self.meter.charge("record_transition_us")
+            charge("record_transition_us")
         self._drop_shadow_lists(record)
         record.oplog.clear()
 
@@ -494,7 +532,7 @@ class VersionEngine:
         root = table.root(ident)
         root.remove_alt(version)
         chain.remove(version)
-        self._charge_record("record_transition_us")
+        self._charge(self._record_transition)
         old = root.persistent
         if is_block:
             # A dying record retires the data slot it occupies itself

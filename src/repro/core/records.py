@@ -227,6 +227,8 @@ class ChainRoot:
         For shadow lookups ``aru_id`` selects whose shadow; for
         committed lookups ``aru_id`` is ignored.  Charges one chain
         hop per record visited when a meter is supplied.
+        ``VersionEngine.view`` and ``for_update`` write this walk out
+        inline and must charge exactly as it does.
         """
         node = self.alt_head
         while node is not None:

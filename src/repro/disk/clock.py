@@ -18,6 +18,7 @@ performs, not out of hard-coded percentages.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 class SimClock:
@@ -45,9 +46,9 @@ class SimClock:
         return self._now_us / 1e6
 
     def advance_us(self, delta_us: float) -> None:
-        """Advance the clock by ``delta_us`` microseconds (>= 0)."""
-        if delta_us < 0:
-            raise ValueError(f"cannot advance clock backwards by {delta_us}")
+        """Advance the clock by ``delta_us`` microseconds (finite, >= 0)."""
+        if not 0 <= delta_us < math.inf:
+            raise ValueError(f"cannot advance clock by {delta_us}")
         self._now_us += delta_us
 
     def tick(self) -> int:
@@ -140,8 +141,26 @@ class CostModel:
     #: Scanning one directory entry out of the buffer cache.
     dirent_scan_us: float = 0.5
 
+    def __post_init__(self) -> None:
+        """Every cost is a finite, non-negative number of µs: a
+        single-unit charge adds its unit to the clock unchecked
+        (:meth:`CostMeter.charge`), so this is where the rule that
+        simulated time only goes forward holds for it."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(
+                    f"CostModel.{field.name} must be a number, got {value!r}"
+                )
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"CostModel.{field.name} must be finite and >= 0, "
+                    f"got {value!r}"
+                )
+
     def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every cost multiplied by ``factor``.
+        """Return a copy with every cost multiplied by ``factor``
+        (validated like any other model).
 
         Useful for modelling faster or slower CPUs relative to the
         paper's 70 MHz SPARC baseline.
@@ -154,6 +173,35 @@ class CostModel:
         )
 
 
+class _Units(dict):
+    """Cost category -> simulated µs per occurrence: every field of a
+    :class:`CostModel`, nothing else.  An unknown category raises
+    ``AttributeError``, as the ``getattr`` on the model once did."""
+
+    __slots__ = ()
+
+    def __missing__(self, category: str):
+        raise AttributeError(f"CostModel has no cost category {category!r}")
+
+
+class _Cells(dict):
+    """Cost category -> its cell ``[unit µs, count, charged µs]``.
+
+    A cell is made on the category's first charge, so the meter's
+    views list exactly the categories charged so far, in the order
+    they were first charged."""
+
+    __slots__ = ("_units",)
+
+    def __init__(self, units: _Units) -> None:
+        super().__init__()
+        self._units = units
+
+    def __missing__(self, category: str) -> list:
+        cell = self[category] = [self._units[category], 0, 0.0]
+        return cell
+
+
 class CostMeter:
     """Charges :class:`CostModel` costs to a :class:`SimClock`.
 
@@ -162,21 +210,20 @@ class CostMeter:
     took.
 
     Every simulated CPU microsecond passes through :meth:`charge`, so
-    it is kept to the arithmetic the model prescribes: the unit table
-    is read out of the (frozen) model once, and a single-lane charge
-    advances the clock by ``unit * count``, with no division.
+    it is kept to the arithmetic the model prescribes.  Each category
+    has one cell holding its unit (read out of the frozen model once),
+    its count and its charged µs; :attr:`counters` and
+    :attr:`charged_us` are read-only views of the cells.
     """
 
     def __init__(self, clock: SimClock, model: CostModel) -> None:
         self.clock = clock
         self.model = model
-        #: Cost category -> simulated µs per occurrence.
-        self._units = {
-            field.name: getattr(model, field.name)
+        self._units = _Units(
+            (field.name, getattr(model, field.name))
             for field in dataclasses.fields(model)
-        }
-        self.counters: dict = {}
-        self.charged_us: dict = {}
+        )
+        self._cells = _Cells(self._units)
 
     def charge(self, category: str, count: float = 1, lanes: int = 1) -> None:
         """Charge ``count`` occurrences of the named cost category.
@@ -188,13 +235,22 @@ class CostMeter:
         pipelined recovery scan): the full ``count`` is recorded in
         the counters — the work really happened — but the clock only
         advances by the critical-path share ``count / lanes``.
+
+        A single-unit charge, nearly every one, adds the unit to the
+        clock's field and to its cell: ``unit * 1`` is ``unit``, and
+        :class:`CostModel` has proved every unit finite and
+        non-negative.  Any other charge advances the clock through
+        :meth:`SimClock.advance_us` by ``unit * count``, divided by
+        ``lanes`` when there is more than one.
         """
-        try:
-            unit = self._units[category]
-        except KeyError:
-            raise AttributeError(
-                f"CostModel has no cost category {category!r}"
-            ) from None
+        if count == 1 and lanes == 1:
+            cell = self._cells[category]
+            unit = cell[0]
+            self.clock._now_us += unit
+            cell[1] += count
+            cell[2] += unit
+            return
+        unit = self._units[category]
         if lanes == 1:
             elapsed = unit * count
         elif lanes > 1:
@@ -202,16 +258,26 @@ class CostMeter:
         else:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.clock.advance_us(elapsed)
-        counters = self.counters
-        counters[category] = counters.get(category, 0) + count
-        charged = self.charged_us
-        charged[category] = charged.get(category, 0.0) + elapsed
+        cell = self._cells[category]
+        cell[1] += count
+        cell[2] += elapsed
+
+    @property
+    def counters(self) -> dict:
+        """Category -> occurrences charged, for every category charged
+        since construction or the last :meth:`reset_counters` (a copy)."""
+        return {category: cell[1] for category, cell in self._cells.items()}
+
+    @property
+    def charged_us(self) -> dict:
+        """Category -> simulated µs charged, over the same categories
+        as :attr:`counters` (a copy)."""
+        return {category: cell[2] for category, cell in self._cells.items()}
 
     def total_charged_us(self) -> float:
         """Total CPU microseconds charged so far."""
-        return sum(self.charged_us.values())
+        return sum(cell[2] for cell in self._cells.values())
 
     def reset_counters(self) -> None:
         """Zero the counters (does not rewind the clock)."""
-        self.counters.clear()
-        self.charged_us.clear()
+        self._cells.clear()

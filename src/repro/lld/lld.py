@@ -310,8 +310,8 @@ class LLD(LogWriter, LogicalDisk):
         """Start a new atomic recovery unit."""
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
-            self.meter.charge("aru_begin_us")
+            self._charge("ld_call_us")
+            self._charge("aru_begin_us")
             self._maybe_release_parked()
             self._ops["begin_aru"].inc()
             record = self.arus.begin(self.clock.tick())
@@ -341,8 +341,8 @@ class LLD(LogWriter, LogicalDisk):
         prepare = xid is not None
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
-            self.meter.charge("aru_commit_us")
+            self._charge("ld_call_us")
+            self._charge("aru_commit_us")
             self._maybe_release_parked()
             self._ops["prepare_commit" if prepare else "end_aru"].inc()
             commit_start_us = self.clock.now_us
@@ -382,7 +382,7 @@ class LLD(LogWriter, LogicalDisk):
             self._pending_commit_arus.add(tag)
             if prepare:
                 self._prepared_xids[tag] = xid
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
             self.arus.finish(aru, committed=True)
             if prepare:
                 self.obs.record("aru.prepare", aru=tag, xid=xid, ops=op_count)
@@ -400,7 +400,7 @@ class LLD(LogWriter, LogicalDisk):
         """Discard an ARU's shadow state (extension; see interface)."""
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["abort_aru"].inc()
             if not self.concurrent:
                 raise ConcurrencyError(
@@ -442,7 +442,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["log_decision"].inc()
             self._emergency = True
             try:
@@ -457,7 +457,7 @@ class LLD(LogWriter, LogicalDisk):
             finally:
                 self._emergency = False
             self._decided_xids.add(int(xid))
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
             self.obs.record("aru.decide", xid=int(xid))
 
     def finish_prepared(self, aru_tag: int) -> None:
@@ -471,7 +471,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["finish_prepared"].inc()
             tag = int(aru_tag)
             self._prepared_xids.pop(tag, None)
@@ -521,7 +521,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["new_block"].inc()
             self._restore_list(list_id)
             if predecessor is not FIRST:
@@ -556,9 +556,9 @@ class LLD(LogWriter, LogicalDisk):
                     self._next_block_id = max(
                         self._next_block_id, int(block_id) + 1
                     )
-            self.meter.charge("table_access_us")
+            self._charge("table_access_us")
             if ctx is not None:
-                self.meter.charge("aru_alloc_us")
+                self._charge("aru_alloc_us")
             ts = self.clock.tick()
             # Allocation always happens in the merged stream and is
             # committed immediately, even inside an ARU (Section 3.3),
@@ -568,7 +568,7 @@ class LLD(LogWriter, LogicalDisk):
                     EntryKind.ALLOC_BLOCK, 0, ts, int(block_id), int(list_id)
                 )
             )
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
             engine.allocate(self.bmap, block_id, ts)
             # The *insertion* into the list is part of the stream that
             # issued it: shadow state for concurrent ARUs, committed
@@ -586,7 +586,7 @@ class LLD(LogWriter, LogicalDisk):
         """Remove a block from its list and deallocate it."""
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["delete_block"].inc()
             self._restore_block(block_id)
             record, ctx, tag = self.engine.context(aru)
@@ -607,7 +607,7 @@ class LLD(LogWriter, LogicalDisk):
         with self._lock:
             if self._dead or self.disk.crashed:
                 self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["write"].inc()
             if self._restore is not None:
                 self._restore_block(block_id)
@@ -643,8 +643,8 @@ class LLD(LogWriter, LogicalDisk):
         """
         if self._restore is not None:
             self._restore_block(block_id)
-        meter = self.meter
-        meter.charge("ld_call_us")
+        charge = self._charge
+        charge("ld_call_us")
         self._ops["read"].inc()
         if aru is not None:
             self.arus.get(aru)  # validates the ARU
@@ -657,16 +657,16 @@ class LLD(LogWriter, LogicalDisk):
                 raise BadBlockError(int(block_id))
             if not version.allocated:
                 raise BadBlockError(int(block_id), "deallocated")
-            meter.charge("block_read_us")
+            charge("block_read_us")
             if version.data is not None:
                 return version.data, None
             return None, version.address
-        candidates = read_versions(root, aru, self.visibility, meter)
+        candidates = read_versions(root, aru, self.visibility, self.meter)
         if not candidates:
             raise BadBlockError(int(block_id))
         if not candidates[0].allocated:
             raise BadBlockError(int(block_id), "deallocated")
-        meter.charge("block_read_us")
+        charge("block_read_us")
         for version in candidates:
             if not version.allocated:
                 break
@@ -763,7 +763,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["new_list"].inc()
             self._restore_tick()
             record, ctx, _tag = self.engine.context(aru)
@@ -782,14 +782,14 @@ class LLD(LogWriter, LogicalDisk):
                     self._next_list_id = max(
                         self._next_list_id, int(list_id) + 1
                     )
-            self.meter.charge("table_access_us")
+            self._charge("table_access_us")
             if ctx is not None:
-                self.meter.charge("aru_alloc_us")
+                self._charge("aru_alloc_us")
             ts = self.clock.tick()
             self._emit_entry(
                 SummaryEntry(EntryKind.NEW_LIST, 0, ts, int(list_id))
             )
-            self.meter.charge("summary_entry_us")
+            self._charge("summary_entry_us")
             self.engine.allocate(self.ltable, list_id, ts)
             if record is not None:
                 record.op_count += 1
@@ -799,7 +799,7 @@ class LLD(LogWriter, LogicalDisk):
         """Deallocate a list and its remaining members (head-first)."""
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["delete_list"].inc()
             self._restore_list(list_id)
             record, ctx, tag = self.engine.context(aru)
@@ -825,7 +825,7 @@ class LLD(LogWriter, LogicalDisk):
         """Enumerate a list under the visibility policy."""
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["list_blocks"].inc()
             self._restore_list(list_id)
             engine = self.engine
@@ -865,7 +865,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["flush"].inc()
             self._restore_tick()
             flush_start_us = self.clock.now_us
@@ -991,7 +991,7 @@ class LLD(LogWriter, LogicalDisk):
         ``None``: the block has to come off the platter."""
         buffer = self._buffer
         if buffer is not None and addr.segment == buffer.segment_no:
-            self.meter.charge("table_access_us")
+            self._charge("table_access_us")
             return buffer.get_slot(addr.slot)
         cached = self.cache.get(addr)
         if cached is not None:
@@ -1000,7 +1000,7 @@ class LLD(LogWriter, LogicalDisk):
         if queued is not None:
             # Sealed but not yet on disk: serve from the parked image
             # (the platter holds stale bytes underneath it).
-            self.meter.charge("table_access_us")
+            self._charge("table_access_us")
             return queued.get_slot(addr.slot)
         if self.usage.state(addr.segment) is SegmentState.QUARANTINED:
             # The platter may return garbage for a quarantined segment
@@ -1057,7 +1057,7 @@ class LLD(LogWriter, LogicalDisk):
             # Scrub salvage decisions compare against final addresses;
             # drain any in-progress instant restore first.
             self.complete_restore()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["scrub"].inc()
             report = Scrubber(self).scrub(segments)
             counters = self._scrub_counters
@@ -1088,7 +1088,7 @@ class LLD(LogWriter, LogicalDisk):
         """
         with self._lock:
             self._check_alive()
-            self.meter.charge("ld_call_us")
+            self._charge("ld_call_us")
             self._ops["clean"].inc()
             if not self._cleaning:
                 self._run_cleaner()
@@ -1236,8 +1236,8 @@ class LLD(LogWriter, LogicalDisk):
         recorder = self.obs.recorder
         return {
             "ops": self.op_counts,
-            "cpu_us": dict(self.meter.charged_us),
-            "cpu_counts": dict(self.meter.counters),
+            "cpu_us": self.meter.charged_us,
+            "cpu_counts": self.meter.counters,
             "segments_flushed": self.segments_flushed,
             "cleanings": self.cleanings,
             "active_arus": self.arus.active_count,

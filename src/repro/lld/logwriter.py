@@ -41,6 +41,7 @@ class LogWriter:
         self.usage = usage
         self.cache = cache
         self.meter = meter
+        self._charge = meter.charge
         self.clock = meter.clock
         self.obs = obs
         self.config = cfg
@@ -106,11 +107,11 @@ class LogWriter:
         if not self._buffer.has_room(new_blocks, _WRITE_ENTRY_SIZE):
             self._roll_buffer()
         addr = self._buffer.add_block(block_id, data)
-        self.meter.charge("block_copy_us")
+        self._charge("block_copy_us")
         self._buffer.add_entry(
             SummaryEntry(EntryKind.WRITE, aru_tag, ts, int(block_id), addr.slot)
         )
-        self.meter.charge("summary_entry_us")
+        self._charge("summary_entry_us")
         return addr
 
     def log_link(self, aru_tag, ts, list_id, block_id, predecessor) -> None:
@@ -373,7 +374,7 @@ class LogWriter:
         if queued:
             # Completion bookkeeping overlaps the streamed transfer of
             # the rest of the batch: charge the critical-path share.
-            self.meter.charge("writeback_us", count=len(batch), lanes=len(batch))
+            self._charge("writeback_us", count=len(batch), lanes=len(batch))
         self.engine.fold(self._last_written_seq, self._commit_on_disk)
 
     def _write_whole(self, images: List[Tuple[int, bytearray]]) -> None:

@@ -29,6 +29,13 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance_us(-1.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_advance_non_finite_rejected(self, delta):
+        clock = SimClock(start_us=5.0)
+        with pytest.raises(ValueError):
+            clock.advance_us(delta)
+        assert clock.now_us == 5.0
+
     def test_now_s_converts_units(self):
         clock = SimClock()
         clock.advance_us(2_500_000)
@@ -71,6 +78,25 @@ class TestCostModel:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             CostModel().ld_call_us = 5.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -1])
+    def test_non_finite_or_negative_cost_rejected(self, value):
+        with pytest.raises(ValueError, match="chain_hop_us"):
+            CostModel(chain_hop_us=value)
+
+    @pytest.mark.parametrize("value", ["1.5", None, True])
+    def test_non_number_cost_rejected(self, value):
+        with pytest.raises(TypeError, match="chain_hop_us"):
+            CostModel(chain_hop_us=value)
+
+    def test_whole_numbers_and_zero_accepted(self):
+        model = CostModel(ld_call_us=3, chain_hop_us=0.0)
+        assert model.ld_call_us == 3 and model.chain_hop_us == 0.0
+
+    @pytest.mark.parametrize("factor", [-1, float("nan"), float("inf")])
+    def test_scaled_validates_like_construction(self, factor):
+        with pytest.raises(ValueError):
+            CostModel().scaled(factor)
 
 
 class TestCostMeter:
@@ -115,6 +141,50 @@ class TestCostMeter:
             meter.charge("ld_call_us", count=-1)
         assert clock.now_us == 10.0
         assert meter.counters == {}
+
+    @pytest.mark.parametrize("count", [float("nan"), float("inf")])
+    def test_non_finite_count_rejected(self, count):
+        clock = SimClock(start_us=10.0)
+        meter = CostMeter(clock, CostModel())
+        with pytest.raises(ValueError):
+            meter.charge("chain_hop_us", count)
+        assert clock.now_us == 10.0
+        assert meter.counters == {}
+
+    def test_a_category_appears_once_charged(self):
+        """Even with a count of zero; never before, and in the order
+        first charged."""
+        meter = CostMeter(SimClock(), CostModel(ld_call_us=2.0))
+        assert meter.counters == {} and meter.charged_us == {}
+        meter.charge("fs_call_us", 0)
+        meter.charge("ld_call_us")
+        meter.charge("ld_call_us", 2, lanes=2)
+        assert list(meter.counters.items()) == [
+            ("fs_call_us", 0),
+            ("ld_call_us", 3),
+        ]
+        assert list(meter.charged_us.items()) == [
+            ("fs_call_us", 0.0),
+            ("ld_call_us", 4.0),
+        ]
+
+    def test_views_are_read_only(self):
+        meter = CostMeter(SimClock(), CostModel())
+        meter.charge("ld_call_us")
+        meter.counters["ld_call_us"] = 99
+        meter.charged_us.clear()
+        assert meter.counters == {"ld_call_us": 1}
+        assert meter.charged_us == {"ld_call_us": 2.0}
+        with pytest.raises(AttributeError):
+            meter.counters = {}
+
+    def test_reset_counters_forgets_categories(self):
+        meter = CostMeter(SimClock(), CostModel())
+        meter.charge("ld_call_us")
+        meter.reset_counters()
+        assert meter.charged_us == {} and meter.total_charged_us() == 0
+        meter.charge("chain_hop_us")
+        assert meter.counters == {"chain_hop_us": 1}
 
     def test_matches_the_model_charge_by_charge(self):
         """Every charge leaves the clock, the counters and the charged

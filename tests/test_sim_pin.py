@@ -1,19 +1,29 @@
-"""Pins on the simulated clock: three small deterministic runs.
+"""Pins on the simulated clock: six small deterministic runs.
 
 Each run ends by checking ``clock.now_us.hex()`` and the meter's
-per-category ``counters`` against constants.  The constants were
-captured on the source *before* the change that removed per-call host
-work from ``CostMeter.charge``, ``PhysAddr``, the LLD read path and
-``ReadStream``, and that change left every one of them in place.  A
-later change meant to cost only host wall time must keep them too; a
-change that moves simulated time on purpose updates them and says
-why.
+per-category ``counters`` and ``charged_us`` against constants.  The
+first three runs' clock and counters were captured on the source
+*before* the change that removed per-call host work from
+``CostMeter.charge``, ``PhysAddr``, the LLD read path and
+``ReadStream``, and that change left every one of them in place; the
+other constants were captured before the meter kept one cell per cost
+category and the version engine walked its chains inline.  A later
+change meant to cost only host wall time must keep them too; a change
+that moves simulated time on purpose updates them and says why.
 
 The runs are small (a few hundred LD operations each) and cover what
 the ledger's single-volume workloads charge: cache misses streamed
 from the head and read ahead, reads through every version state, an
 eight-ARU wave with aborts and a deleting ARU, and a MinixFS
-create/read/unlink cycle.
+create/read/unlink cycle.  Three more cover the modes those skip: the
+sequential-ARU baseline, where a record costs a table access, and the
+two read-visibility options other than ``ARU_LOCAL``.
+
+The clock alone rarely sees a reordering: the default model's units
+are multiples of 0.5 µs, so two CPU charges swapped between disk
+requests sum to the same float.  So each single-volume run also pins
+the SHA-256 of its charge stream, every ``(category, count, lanes)``
+in order.
 
 Two more runs pin the platter as well as the clock: a replicated
 two-shard array committing cross-shard ARUs, and a JLD applying its
@@ -28,6 +38,10 @@ before the platter became writable in place.
 import hashlib
 import random
 
+import pytest
+
+from repro.core.visibility import Visibility
+from repro.disk.clock import CostMeter
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
@@ -104,6 +118,75 @@ def aru_wave():
         ld.flush()
     ld.list_blocks(lst)
     return disk.clock, ld.meter
+
+
+def sequential_arus():
+    """The old prototype: one ARU at a time, applied to the committed
+    state, where making or folding a record costs a table access;
+    simple reads between, inserts after a predecessor, deletes that
+    search for theirs."""
+    disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
+    ld = LLD(disk, config=LLDConfig(aru_mode="sequential"))
+    rng = random.Random(29)
+    lst = ld.new_list()
+    blocks = [ld.new_block(lst) for _ in range(24)]
+    for block in blocks:
+        ld.write(block, b"base")
+    ld.flush()
+    for number in range(12):
+        aru = ld.begin_aru()
+        for block in rng.sample(blocks, 3):
+            ld.write(block, bytes([number]) * 300, aru=aru)
+            ld.read(block, aru=aru)
+        fresh = ld.new_block(lst, blocks[number], aru=aru)
+        ld.write(fresh, b"fresh", aru=aru)
+        ld.read(rng.choice(blocks))
+        if number % 3 == 0:
+            ld.delete_block(fresh, aru=aru)
+        ld.end_aru(aru)
+        if number % 4 == 3:
+            ld.flush()
+    ld.list_blocks(lst)
+    ld.flush()
+    return disk.clock, ld.meter
+
+
+def visibility_wave(visibility):
+    """Four concurrent ARUs a wave writing overlapping blocks, so a
+    block carries several shadow records, read inside and outside the
+    ARUs and listed, under one read-visibility option."""
+    disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
+    ld = LLD(disk, config=LLDConfig(visibility=visibility))
+    rng = random.Random(30)
+    lst = ld.new_list()
+    blocks = [ld.new_block(lst) for _ in range(16)]
+    for block in blocks:
+        ld.write(block, b"base")
+    ld.flush()
+    for wave in range(3):
+        arus = [ld.begin_aru() for _ in range(4)]
+        for number, aru in enumerate(arus):
+            for block in rng.sample(blocks, 4):
+                ld.write(block, bytes([wave * 4 + number]) * 100, aru=aru)
+                ld.read(block, aru=aru)
+                ld.read(block)
+            ld.new_block(lst, aru=aru)
+            ld.list_blocks(lst, aru=aru)
+        ld.list_blocks(lst)
+        ld.abort_aru(arus[1])
+        for aru in (arus[3], arus[0], arus[2]):
+            ld.end_aru(aru)
+            ld.read(blocks[0])
+        ld.flush()
+    return disk.clock, ld.meter
+
+
+def newest_shadow_reads():
+    return visibility_wave(Visibility.MOST_RECENT_SHADOW)
+
+
+def committed_only_reads():
+    return visibility_wave(Visibility.COMMITTED_ONLY)
 
 
 def minixfs_cycle():
@@ -187,6 +270,22 @@ def jld_apply():
     return [(disk, jld.meter)]
 
 
+def charge_stream_sha256(run, monkeypatch):
+    """SHA-256 of every charge ``run`` makes, in order: one line of
+    ``category count lanes`` each, recorded before the meter sees it
+    (the recorder is in place before the volume is built)."""
+    digest = hashlib.sha256()
+    charge = CostMeter.charge
+
+    def recording(meter, category, count=1, lanes=1):
+        digest.update(f"{category} {count!r} {lanes!r}\n".encode())
+        charge(meter, category, count, lanes)
+
+    monkeypatch.setattr(CostMeter, "charge", recording)
+    run()
+    return digest.hexdigest()
+
+
 def platter_sha256(disk):
     """SHA-256 over segment number then bytes, in segment order."""
     digest = hashlib.sha256()
@@ -197,16 +296,20 @@ def platter_sha256(disk):
 
 
 def members(run):
-    """Per member disk: the clock, the meter, writes and the platter."""
-    return [
-        (
-            disk.clock.now_us.hex(),
-            meter.counters,
-            disk.write_count,
-            platter_sha256(disk),
+    """Per member disk: the clock, the meter, writes and the platter;
+    and, apart, the meter's charged microseconds."""
+    pinned, charged = [], []
+    for disk, meter in run():
+        pinned.append(
+            (
+                disk.clock.now_us.hex(),
+                meter.counters,
+                disk.write_count,
+                platter_sha256(disk),
+            )
         )
-        for disk, meter in run()
-    ]
+        charged.append(meter.charged_us)
+    return pinned, charged
 
 
 #: name -> (run, clock.now_us.hex(), meter.counters) at the end of it.
@@ -268,26 +371,61 @@ PINS = {
             "table_access_us": 876,
         },
     ),
+    "sequential_arus": (
+        sequential_arus,
+        "0x1.420eb1c71c71cp+17",
+        {
+            "aru_begin_us": 12,
+            "aru_commit_us": 12,
+            "block_copy_us": 72,
+            "block_dealloc_us": 4,
+            "block_read_us": 48,
+            "chain_hop_us": 383,
+            "ld_call_us": 191,
+            "pred_search_step_us": 78,
+            "summary_entry_us": 161,
+            "table_access_us": 537,
+        },
+    ),
+    "newest_shadow_reads": (
+        newest_shadow_reads,
+        "0x1.4fe3b1c71c71cp+17",
+        {
+            "aru_alloc_us": 12,
+            "aru_begin_us": 12,
+            "aru_commit_us": 9,
+            "block_copy_us": 100,
+            "block_read_us": 105,
+            "chain_hop_us": 1161,
+            "ld_call_us": 241,
+            "listop_log_us": 12,
+            "listop_replay_us": 9,
+            "record_create_us": 132,
+            "record_transition_us": 132,
+            "summary_entry_us": 115,
+            "table_access_us": 234,
+        },
+    ),
+    "committed_only_reads": (
+        committed_only_reads,
+        "0x1.4eb371c71c71cp+17",
+        {
+            "aru_alloc_us": 12,
+            "aru_begin_us": 12,
+            "aru_commit_us": 9,
+            "block_copy_us": 100,
+            "block_read_us": 105,
+            "chain_hop_us": 754,
+            "ld_call_us": 241,
+            "listop_log_us": 12,
+            "listop_replay_us": 9,
+            "record_create_us": 132,
+            "record_transition_us": 132,
+            "summary_entry_us": 115,
+            "table_access_us": 236,
+        },
+    ),
 }
-
-
-def check(name):
-    run, now_hex, counters = PINS[name]
-    clock, meter = run()
-    assert clock.now_us.hex() == now_hex
-    assert meter.counters == counters
-
-
-def test_reads_and_writes():
-    check("reads_and_writes")
-
-
-def test_aru_wave():
-    check("aru_wave")
-
-
-def test_minixfs_cycle():
-    check("minixfs_cycle")
 
 
 #: name -> (run, per member: (clock.now_us.hex(), meter.counters,
@@ -302,6 +440,17 @@ ARRAY_MEMBER_COUNTERS = {
     "record_transition_us": 208,
     "summary_entry_us": 226,
     "table_access_us": 304,
+}
+ARRAY_MEMBER_CHARGED_US = {
+    "aru_begin_us": 540.0,
+    "aru_commit_us": 900.0,
+    "block_copy_us": 11220.0,
+    "chain_hop_us": 252.0,
+    "ld_call_us": 652.0,
+    "record_create_us": 1664.0,
+    "record_transition_us": 1248.0,
+    "summary_entry_us": 678.0,
+    "table_access_us": 304.0,
 }
 PLATTER_PINS = {
     "replicated_array": (
@@ -344,12 +493,175 @@ PLATTER_PINS = {
     ),
 }
 
+#: name -> ``meter.charged_us`` at the end of the run (the
+#: ``stats()["cpu_us"]`` the benchmark's probe sums); for a platter
+#: pin, one per member.
+CHARGED_US = {
+    "reads_and_writes": {
+        "block_copy_us": 11165.0,
+        "block_read_us": 14200.0,
+        "chain_hop_us": 1323.0,
+        "ld_call_us": 1448.0,
+        "record_create_us": 2688.0,
+        "record_transition_us": 2016.0,
+        "summary_entry_us": 1581.0,
+        "table_access_us": 866.0,
+        "writeback_us": 96.0,
+    },
+    "aru_wave": {
+        "aru_alloc_us": 640.0,
+        "aru_begin_us": 432.0,
+        "aru_commit_us": 540.0,
+        "block_copy_us": 12815.0,
+        "block_dealloc_us": 105.0,
+        "block_read_us": 8400.0,
+        "chain_hop_us": 1335.0,
+        "ld_call_us": 970.0,
+        "listop_log_us": 36.0,
+        "listop_replay_us": 60.0,
+        "record_create_us": 2456.0,
+        "record_transition_us": 1842.0,
+        "summary_entry_us": 813.0,
+        "table_access_us": 533.0,
+    },
+    "minixfs_cycle": {
+        "aru_alloc_us": 3520.0,
+        "aru_begin_us": 1116.0,
+        "aru_commit_us": 1860.0,
+        "block_copy_us": 18260.0,
+        "block_dealloc_us": 300.0,
+        "block_read_us": 9840.0,
+        "chain_hop_us": 2254.5,
+        "dirent_scan_us": 2975.0,
+        "fs_call_us": 3575.0,
+        "ld_call_us": 1426.0,
+        "listop_log_us": 126.0,
+        "listop_replay_us": 252.0,
+        "record_create_us": 2456.0,
+        "record_transition_us": 1842.0,
+        "summary_entry_us": 1326.0,
+        "table_access_us": 876.0,
+    },
+    "sequential_arus": {
+        "aru_begin_us": 216.0,
+        "aru_commit_us": 360.0,
+        "block_copy_us": 3960.0,
+        "block_dealloc_us": 60.0,
+        "block_read_us": 1920.0,
+        "chain_hop_us": 574.5,
+        "ld_call_us": 382.0,
+        "pred_search_step_us": 312.0,
+        "summary_entry_us": 483.0,
+        "table_access_us": 537.0,
+    },
+    "newest_shadow_reads": {
+        "aru_alloc_us": 960.0,
+        "aru_begin_us": 216.0,
+        "aru_commit_us": 270.0,
+        "block_copy_us": 5500.0,
+        "block_read_us": 4200.0,
+        "chain_hop_us": 1741.5,
+        "ld_call_us": 482.0,
+        "listop_log_us": 36.0,
+        "listop_replay_us": 54.0,
+        "record_create_us": 1056.0,
+        "record_transition_us": 792.0,
+        "summary_entry_us": 345.0,
+        "table_access_us": 234.0,
+    },
+    "committed_only_reads": {
+        "aru_alloc_us": 960.0,
+        "aru_begin_us": 216.0,
+        "aru_commit_us": 270.0,
+        "block_copy_us": 5500.0,
+        "block_read_us": 4200.0,
+        "chain_hop_us": 1131.0,
+        "ld_call_us": 482.0,
+        "listop_log_us": 36.0,
+        "listop_replay_us": 54.0,
+        "record_create_us": 1056.0,
+        "record_transition_us": 792.0,
+        "summary_entry_us": 345.0,
+        "table_access_us": 236.0,
+    },
+    "replicated_array": [ARRAY_MEMBER_CHARGED_US, ARRAY_MEMBER_CHARGED_US],
+    "jld_apply": [
+        {
+            "aru_begin_us": 72.0,
+            "aru_commit_us": 120.0,
+            "block_copy_us": 7590.0,
+            "block_read_us": 320.0,
+            "ld_call_us": 250.0,
+            "record_create_us": 128.0,
+            "record_transition_us": 96.0,
+            "summary_entry_us": 447.0,
+            "table_access_us": 225.0,
+        },
+    ],
+}
+
+#: name -> :func:`charge_stream_sha256` of the run.  The default
+#: model's units are multiples of 0.5 µs, so two CPU charges swapped
+#: between disk requests usually leave the clock bit-identical; the
+#: stream does not.
+CHARGE_STREAMS = {
+    "reads_and_writes": "885a2268e279f57549853229f869959fa837a10d6f5af093ccbf8badbe5285b2",
+    "aru_wave": "4cac3afc1589bb9fde32652481d7cc9703fe1e513b20cee843c9aa6c9d15863e",
+    "minixfs_cycle": "a573270b145d4b21860a1384cf68f4ef1571537f5e92f52beb7dbf43e7031b80",
+    "sequential_arus": "b1ec93ec740d1cc61edd88b56674a38ead391d116173999bd9c470c395ccbaef",
+    "newest_shadow_reads": "0a03854b6b10e781537a6b7bd6f95c0d93e1798f13634cf2142521c0e3cdd68b",
+    "committed_only_reads": "1c6eaa48d528188cf42b2a431a671a63711a470dfd473cb422410c62bd77fccf",
+}
+
+
+def check(name):
+    run, now_hex, counters = PINS[name]
+    clock, meter = run()
+    assert clock.now_us.hex() == now_hex
+    assert meter.counters == counters
+    assert meter.charged_us == CHARGED_US[name]
+
+
+def test_reads_and_writes():
+    check("reads_and_writes")
+
+
+def test_aru_wave():
+    check("aru_wave")
+
+
+def test_minixfs_cycle():
+    check("minixfs_cycle")
+
+
+def test_sequential_arus():
+    check("sequential_arus")
+
+
+def test_newest_shadow_reads():
+    check("newest_shadow_reads")
+
+
+def test_committed_only_reads():
+    check("committed_only_reads")
+
+
+def check_platter(name):
+    run, want = PLATTER_PINS[name]
+    pinned, charged = members(run)
+    assert pinned == want
+    assert charged == CHARGED_US[name]
+
 
 def test_replicated_array_platter():
-    run, want = PLATTER_PINS["replicated_array"]
-    assert members(run) == want
+    check_platter("replicated_array")
 
 
 def test_jld_apply_platter():
-    run, want = PLATTER_PINS["jld_apply"]
-    assert members(run) == want
+    check_platter("jld_apply")
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_STREAMS))
+def test_charge_stream(name, monkeypatch):
+    run = PINS[name][0]
+    assert charge_stream_sha256(run, monkeypatch) == CHARGE_STREAMS[name]
