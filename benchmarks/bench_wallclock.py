@@ -9,7 +9,7 @@ implementations against the reference implementations kept in-tree —
   (batch, tuple-based) vs :func:`repro.lld.summary.decode_entries`
   (the reference object codec) — **gated at >= 2x entries/sec**;
 * segment assembly: zero-copy :meth:`SegmentBuffer.seal` (image
-  filled at ``add_block``, finished in place) vs
+  filled at ``append_write``, finished in place) vs
   :func:`repro.lld.segment.reference_seal` over an old-style
   copy-at-seal buffer — gated non-regressing, images byte-identical;
 * recovery: ``recover`` vs the serial, object-based
@@ -256,8 +256,8 @@ def test_segment_assembly_throughput(benchmark):
         for seg in range(N_ASSEMBLY_SEGMENTS):
             buf = SegmentBuffer(geometry, seq=seg + 1, segment_no=seg)
             for i, data in enumerate(payloads):
-                buf.add_block(i + 1, data)
-            for entry in entries:
+                buf.append_write(i + 1, data, i % 5, i)
+            for entry in entries[len(payloads) :]:
                 buf.add_entry(entry)
             images.append(buf.seal())
         return images

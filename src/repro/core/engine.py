@@ -533,6 +533,7 @@ class VersionEngine:
         root.remove_alt(version)
         chain.remove(version)
         self._charge(self._record_transition)
+        table.mark_changed(ident)
         old = root.persistent
         if is_block:
             # A dying record retires the data slot it occupies itself

@@ -15,12 +15,16 @@ identifiers outside the dense range (imported images, adversarial
 ids).  Iteration is in ascending identifier order, deterministic and
 identical across every scan/replay variant, which the differential
 recovery tests rely on.
+
+Each table also records which identifiers' persistent records changed
+since the last checkpoint (:attr:`_RootTable.changed`), so a checkpoint
+repacks only those rows (:class:`repro.lld.checkpoint.PackedRows`).
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.records import ChainRoot
 from repro.core.versions import VersionState
@@ -38,9 +42,18 @@ class _RootTable:
     len-1`` (identifier 0 is never used; the slot is a sacrificial
     placeholder that keeps indexing offset-free); ``_sparse`` catches
     outliers.  ``_count`` tracks live roots so ``__len__`` stays O(1).
+
+    ``changed`` holds the identifiers whose persistent record changed
+    since a checkpoint last packed the table, or None when every one
+    counts as changed: before the first checkpoint, and after recovery
+    installed the table (an instant restore replays into it in place
+    until the checkpoint that ends the restore).  On a live volume
+    exactly three places change a persistent record, and each calls
+    :meth:`mark_changed`: the version engine's fold, and the
+    relocations of the cleaner and of the scrubber.
     """
 
-    __slots__ = ("_dense", "_sparse", "_count")
+    __slots__ = ("_dense", "_sparse", "_count", "changed")
 
     #: Reads a record's identifier (set per table).
     _id_of = None
@@ -49,6 +62,19 @@ class _RootTable:
         self._dense: List[Optional[ChainRoot]] = []
         self._sparse: Dict[int, ChainRoot] = {}
         self._count = 0
+        self.changed: Optional[Set[int]] = None
+
+    def mark_changed(self, ident: int) -> None:
+        """Note that ``ident``'s persistent record changed (or went)."""
+        changed = self.changed
+        if changed is not None:
+            changed.add(ident)
+
+    @property
+    def dense_size(self) -> int:
+        """Identifiers ``0 .. dense_size - 1`` live in the dense range,
+        the part :meth:`items` walks first."""
+        return len(self._dense)
 
     def root(self, ident: int, create: bool = False) -> Optional[ChainRoot]:
         """Return the chain root for ``ident``.
@@ -80,6 +106,7 @@ class _RootTable:
         if record.state is not VersionState.PERSISTENT:
             raise ValueError("only persistent records belong in the table directly")
         self.root(self._id_of(record), create=True).persistent = record
+        self.changed = None
 
     def install_all(self, records: Iterable) -> None:
         """Install persistent records (recovery, checkpoint load) in one
@@ -121,6 +148,7 @@ class _RootTable:
                 created += 1
             root.persistent = record
         self._count += created
+        self.changed = None
 
     def drop_if_empty(self, ident: int) -> None:
         """Remove the table entry once no version remains."""

@@ -52,11 +52,11 @@ from repro.lld.checkpoint import (
     FLAG_HAS_ADDR,
     CheckpointData,
     CheckpointManager,
+    pack_block_rows,
+    pack_list_rows,
 )
 from repro.lld.segment import SegmentBuffer, decode_segment
-from repro.lld.summary import EntryKind, SummaryEntry, entry_size
-
-_WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
+from repro.lld.summary import EntryKind, SummaryEntry
 
 
 class JournalFullError(LDError):
@@ -408,6 +408,10 @@ class JLD(LogicalDisk):
     ) -> None:
         """Write a block: to the ARU's shadow overlay, or journal+
         pending for simple operations."""
+        if data.__class__ is not bytes:
+            # The caller keeps its buffer: what is written is the bytes
+            # it held at the call.
+            data = memoryview(data).tobytes()
         with self._lock:
             self._check_alive()
             self.meter.charge("ld_call_us")
@@ -784,17 +788,11 @@ class JLD(LogicalDisk):
 
     def _journal_write(self, block_id: BlockId, data: bytes, origin: int) -> None:
         """Write-ahead: redo payload + entry into the journal buffer."""
-        new_blocks = 0 if self._buffer.contains_block(block_id) else 1
-        if not self._buffer.has_room(new_blocks, _WRITE_ENTRY_SIZE):
+        ts = self.clock.tick()
+        if self._buffer.append_write(block_id, data, origin, ts) is None:
             self._seal_journal_segment()
-        addr = self._buffer.add_block(block_id, data)
+            self._buffer.append_write(block_id, data, origin, ts)
         self.meter.charge("block_copy_us")
-        self._buffer.add_entry(
-            SummaryEntry(
-                EntryKind.WRITE, origin, self.clock.tick(), int(block_id),
-                addr.slot,
-            )
-        )
         self.meter.charge("summary_entry_us")
         self.pending[block_id] = (data, origin)
         block = self.blocks.get(block_id)
@@ -883,7 +881,7 @@ class JLD(LogicalDisk):
             return applied
 
     def _snapshot(self) -> CheckpointData:
-        blocks = [
+        block_rows = pack_block_rows(
             (
                 block_id,
                 block.successor or 0,
@@ -894,19 +892,19 @@ class JLD(LogicalDisk):
                 FLAG_HAS_ADDR if block.written else 0,
             )
             for block_id, block in self.blocks.items()
-        ]
-        lists = [
+        )
+        list_rows = pack_list_rows(
             (list_id, lst.first or 0, lst.last or 0, lst.count, lst.timestamp)
             for list_id, lst in self.lists.items()
-        ]
+        )
         return CheckpointData(
             ckpt_seq=self._ckpt_seq,
             last_log_seq=self._next_seq - 2,
             next_block_id=self._next_block_id,
             next_list_id=self._next_list_id,
             next_aru_id=self.arus.next_id,
-            blocks=blocks,
-            lists=lists,
+            block_rows=block_rows,
+            list_rows=list_rows,
             segments={},
         )
 

@@ -19,10 +19,11 @@ number of reserved segments sized at initialization for the
 worst-case table size; a write covers only the bytes the checkpoint
 occupies (see :meth:`CheckpointManager.write`).
 
-The tables travel as plain tuples in wire order (:data:`BlockRow`,
-:data:`ListRow`) from the logical disk's snapshot to the packed
-image and back: a checkpoint visits every persistent record, so
-there is no per-record object on the way.
+The tables travel packed, as they lie in the image: one row per
+persistent record, in wire order (:data:`BlockRow`, :data:`ListRow`).
+A live volume keeps each table's rows between checkpoints
+(:class:`PackedRows`) and repacks only the rows whose records changed
+since the last one; a load hands back the bytes it read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.disk.geometry import SECTOR_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
@@ -67,17 +68,115 @@ BlockRow = Tuple[int, int, int, int, int, int, int]
 ListRow = Tuple[int, int, int, int, int]
 
 
+def pack_block_rows(rows: Iterable[BlockRow]) -> bytes:
+    """Block rows packed back to back, as the image holds them."""
+    pack = _BLOCK.pack
+    return b"".join([pack(*row) for row in rows])
+
+
+def pack_list_rows(rows: Iterable[ListRow]) -> bytes:
+    """List rows packed back to back, as the image holds them."""
+    pack = _LIST.pack
+    return b"".join([pack(*row) for row in rows])
+
+
+def pack_block_record(block_id: int, rec) -> bytes:
+    """The checkpoint row of a persistent block record."""
+    addr = rec.address
+    if addr is None:
+        return _BLOCK.pack(
+            block_id, rec.successor or 0, rec.list_id or 0, rec.timestamp, 0, 0, 0
+        )
+    return _BLOCK.pack(
+        block_id,
+        rec.successor or 0,
+        rec.list_id or 0,
+        rec.timestamp,
+        addr[0],
+        addr[1],
+        FLAG_HAS_ADDR,
+    )
+
+
+def pack_list_record(list_id: int, rec) -> bytes:
+    """The checkpoint row of a persistent list record."""
+    return _LIST.pack(
+        list_id, rec.first or 0, rec.last or 0, rec.count, rec.timestamp
+    )
+
+
+class PackedRows:
+    """One table's checkpoint rows, kept packed between checkpoints.
+
+    One row per identifier with a persistent record, packed by
+    ``pack(ident, record)``.  :meth:`section` repacks the identifiers
+    the table marked changed since the last call — all of them when
+    the table says every one changed, which makes the first build the
+    same code as every later one — and returns the table's section of
+    the image: dense identifiers ascending, then sparse ones
+    ascending, the order :meth:`~repro.core.tables._RootTable.items`
+    walks.  Nothing is packed until a checkpoint asks.
+    """
+
+    __slots__ = ("_table", "pack", "_dense", "_sparse")
+
+    def __init__(self, table, pack: Callable[[int, object], bytes]) -> None:
+        self._table = table
+        self.pack = pack
+        #: Row by identifier over the table's dense range; ``b""``
+        #: where there is no persistent record.
+        self._dense: List[bytes] = []
+        self._sparse: Dict[int, bytes] = {}
+
+    def section(self) -> bytes:
+        """Bring the rows up to date and return them joined."""
+        table = self._table
+        pack = self.pack
+        changed = table.changed
+        if changed is None:
+            self._dense, self._sparse = [], {}
+            changed = [ident for ident, _root in table.items()]
+        dense, sparse = self._dense, self._sparse
+        limit = table.dense_size
+        dense.extend([b""] * (limit - len(dense)))
+        root_of = table.root
+        for ident in changed:
+            root = root_of(ident)
+            record = None if root is None else root.persistent
+            row = b"" if record is None else pack(ident, record)
+            if 0 <= ident < limit:
+                dense[ident] = row
+            elif row:
+                sparse[ident] = row
+            else:
+                sparse.pop(ident, None)
+        table.changed = set()
+        rows = b"".join(dense)
+        if sparse:
+            rows += b"".join([sparse[ident] for ident in sorted(sparse)])
+        return rows
+
+    def rows(self) -> Dict[int, bytes]:
+        """Identifier -> the row held for it (for the checker)."""
+        held = {ident: row for ident, row in enumerate(self._dense) if row}
+        held.update(self._sparse)
+        return held
+
+
 @dataclasses.dataclass
 class CheckpointData:
-    """A fully parsed checkpoint."""
+    """A checkpoint's contents: the counters, both tables as packed
+    rows in wire order, the segment roster and the decided xids."""
 
     ckpt_seq: int
     last_log_seq: int
     next_block_id: int
     next_list_id: int
     next_aru_id: int
-    blocks: List[BlockRow]
-    lists: List[ListRow]
+    #: One :data:`BlockRow` per persistent block, packed.
+    block_rows: bytes
+    #: One :data:`ListRow` per persistent list, packed.
+    list_rows: bytes
     #: segment -> (log seq, live slots, total slots)
     segments: Dict[int, Tuple[int, int, int]]
     #: Coordinator transaction ids (cross-volume commits) decided by
@@ -89,12 +188,22 @@ class CheckpointData:
     decided_xids: List[int] = dataclasses.field(default_factory=list)
 
     @property
+    def blocks(self) -> List[BlockRow]:
+        """The block rows, unpacked."""
+        return list(_BLOCK.iter_unpack(self.block_rows))
+
+    @property
+    def lists(self) -> List[ListRow]:
+        """The list rows, unpacked."""
+        return list(_LIST.iter_unpack(self.list_rows))
+
+    @property
     def total_len(self) -> int:
         """Bytes the serialized checkpoint occupies, header included."""
         return (
             _HEADER.size
-            + len(self.blocks) * _BLOCK.size
-            + len(self.lists) * _LIST.size
+            + len(self.block_rows)
+            + len(self.list_rows)
             + len(self.segments) * _SEG.size
             + len(self.decided_xids) * _DECIDED.size
         )
@@ -108,8 +217,8 @@ class CheckpointData:
             next_block_id=1,
             next_list_id=1,
             next_aru_id=1,
-            blocks=[],
-            lists=[],
+            block_rows=b"",
+            list_rows=b"",
             segments={},
             decided_xids=[],
         )
@@ -202,9 +311,8 @@ class CheckpointManager:
         return len(payload), written
 
     def _serialize(self, data: CheckpointData) -> bytes:
-        block, lst, seg = _BLOCK.pack, _LIST.pack, _SEG.pack
-        parts = [block(*row) for row in data.blocks]
-        parts += [lst(*row) for row in data.lists]
+        seg = _SEG.pack
+        parts = [data.block_rows, data.list_rows]
         parts += [
             seg(number, *entry) for number, entry in sorted(data.segments.items())
         ]
@@ -219,8 +327,8 @@ class CheckpointManager:
             data.next_block_id,
             data.next_list_id,
             data.next_aru_id,
-            len(data.blocks),
-            len(data.lists),
+            len(data.block_rows) // _BLOCK.size,
+            len(data.list_rows) // _LIST.size,
             len(data.segments),
             len(data.decided_xids),
             _HEADER.size + len(body),
@@ -307,8 +415,8 @@ class CheckpointManager:
             next_block_id=next_block,
             next_list_id=next_list,
             next_aru_id=next_aru,
-            blocks=list(_BLOCK.iter_unpack(body[:blocks_end])),
-            lists=list(_LIST.iter_unpack(body[blocks_end:lists_end])),
+            block_rows=bytes(body[:blocks_end]),
+            list_rows=bytes(body[blocks_end:lists_end]),
             segments={
                 seg: (seq, live, total)
                 for seg, seq, live, total in _SEG.iter_unpack(

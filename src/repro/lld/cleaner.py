@@ -285,7 +285,7 @@ class SegmentCleaner:
         copied = 0
         seen = set()
         # Hot loop: raw entry tuples (no SummaryEntry objects) and
-        # zero-copy slot views — add_block consumes the view into the
+        # zero-copy slot views — log_write consumes the view into the
         # new segment image immediately, so the only byte copy per
         # evacuated block is the one into the destination buffer.
         for fields in decoded.entry_tuples:
@@ -313,5 +313,6 @@ class SegmentCleaner:
             ts = lld.clock.tick()
             addr = lld.log_write(block_id, data, 0, ts)
             persistent.address = addr
+            lld.bmap.mark_changed(block_id)
             copied += 1
         return copied

@@ -63,10 +63,12 @@ from repro.ld.types import (
 from repro.lld.cache import BlockCache, ReadStream
 from repro.lld.config import LLDConfig
 from repro.lld.checkpoint import (
-    FLAG_HAS_ADDR,
     CheckpointData,
     CheckpointManager,
+    PackedRows,
     default_slot_segments,
+    pack_block_record,
+    pack_list_record,
 )
 from repro.lld.logwriter import LogWriter
 from repro.lld.summary import EntryKind, SummaryEntry
@@ -149,6 +151,9 @@ class LLD(LogWriter, LogicalDisk):
 
         self.bmap = BlockNumberMap()
         self.ltable = ListTable()
+        #: The tables' checkpoint rows, kept between checkpoints.
+        self._block_rows = PackedRows(self.bmap, pack_block_record)
+        self._list_rows = PackedRows(self.ltable, pack_list_record)
         self.arus = ARUTable(concurrent=cfg.aru_mode == "concurrent")
         self.engine = VersionEngine(
             self.bmap,
@@ -604,6 +609,10 @@ class LLD(LogWriter, LogicalDisk):
         self, block_id: BlockId, data: bytes, aru: Optional[ARUId] = None
     ) -> None:
         """Write one block (shadow for ARUs, committed otherwise)."""
+        if data.__class__ is not bytes:
+            # The caller keeps its buffer: what is written is the bytes
+            # it held at the call.
+            data = memoryview(data).tobytes()
         with self._lock:
             if self._dead or self.disk.crashed:
                 self._check_alive()
@@ -1098,38 +1107,17 @@ class LLD(LogWriter, LogicalDisk):
     # ==================================================================
 
     def _snapshot_checkpoint(self) -> CheckpointData:
-        """The persistent state as checkpoint rows (call only after a
-        flush)."""
-        # One literal tuple per row (no concatenation): this loop
-        # visits every persistent record on every checkpoint.
-        blocks = [
-            (
-                block_id,
-                rec.successor or 0,
-                rec.list_id or 0,
-                rec.timestamp,
-                addr.segment,
-                addr.slot,
-                FLAG_HAS_ADDR,
-            )
-            if (addr := rec.address) is not None
-            else (
-                block_id, rec.successor or 0, rec.list_id or 0, rec.timestamp, 0, 0, 0
-            )
-            for block_id, rec in self.bmap.persistent_blocks()
-        ]
-        lists = [
-            (list_id, rec.first or 0, rec.last or 0, rec.count, rec.timestamp)
-            for list_id, rec in self.ltable.persistent_lists()
-        ]
+        """The persistent state as a checkpoint (call only after a
+        flush): the rows of the records that changed since the last
+        one are repacked, the others are reused."""
         return CheckpointData(
             ckpt_seq=self._ckpt_seq,
             last_log_seq=self._last_written_seq,
             next_block_id=self._next_block_id,
             next_list_id=self._next_list_id,
             next_aru_id=self.arus.next_id,
-            blocks=blocks,
-            lists=lists,
+            block_rows=self._block_rows.section(),
+            list_rows=self._list_rows.section(),
             segments=self.usage.snapshot(),
             decided_xids=sorted(self._decided_xids),
         )

@@ -19,11 +19,9 @@ from typing import List, Optional, Set, Tuple
 from repro.errors import DiskCrashedError, DiskFullError, SegmentOverflowError
 from repro.ld.types import PhysAddr
 from repro.lld.segment import SegmentBuffer
-from repro.lld.summary import EntryKind, SummaryEntry, entry_size
+from repro.lld.summary import EntryKind, SummaryEntry
 from repro.lld.usage import SegmentState
 from repro.lld.writeback import WritebackQueue
-
-_WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
 
 
 class LogWriter:
@@ -100,18 +98,17 @@ class LogWriter:
         return self._buffer.seq
 
     def log_write(self, block_id, data, aru_tag, ts) -> PhysAddr:
-        """Place data in the current segment buffer (rolling it if
-        full) and emit the WRITE summary entry."""
-        self._ensure_buffer()
-        new_blocks = 0 if self._buffer.contains_block(block_id) else 1
-        if not self._buffer.has_room(new_blocks, _WRITE_ENTRY_SIZE):
+        """Place data and its WRITE summary entry in the current
+        segment buffer, rolling it if they do not fit."""
+        if self._buffer is None:
+            self._ensure_buffer()
+        addr = self._buffer.append_write(block_id, data, aru_tag, ts)
+        while addr is None:
             self._roll_buffer()
-        addr = self._buffer.add_block(block_id, data)
-        self._charge("block_copy_us")
-        self._buffer.add_entry(
-            SummaryEntry(EntryKind.WRITE, aru_tag, ts, int(block_id), addr.slot)
-        )
-        self._charge("summary_entry_us")
+            addr = self._buffer.append_write(block_id, data, aru_tag, ts)
+        charge = self._charge
+        charge("block_copy_us")
+        charge("summary_entry_us")
         return addr
 
     def log_link(self, aru_tag, ts, list_id, block_id, predecessor) -> None:
@@ -354,7 +351,7 @@ class LogWriter:
             # for free while in memory; dropping them at the write
             # boundary would charge phantom re-reads for hot
             # meta-data).
-            for _block_id, slot, data in buffer.unwritten_blocks():
+            for slot, data in buffer.unwritten_slots():
                 self.cache.put(PhysAddr(segment_no, slot), data)
             for entry in buffer.unwritten_entries():
                 if entry.kind is EntryKind.COMMIT:

@@ -281,6 +281,7 @@ class Scrubber:
         ts = lld.clock.tick()
         new_addr = lld.log_write(block_id, data, aru_tag, ts)
         version.address = new_addr
+        lld.bmap.mark_changed(block_id)
         if version.state is VersionState.COMMITTED:
             # Folding must wait until the relocated copy is durable.
             version.pending_segment = lld._buffer.seq

@@ -50,7 +50,7 @@ Wall-clock fast path
 --------------------
 
 The buffer owns a preallocated ``bytearray`` segment image and fills
-it *as blocks arrive*: :meth:`SegmentBuffer.add_block` slice-assigns
+it *as blocks arrive*: :meth:`SegmentBuffer.append_write` slice-assigns
 the caller's data (``bytes`` or ``memoryview``) straight into the
 image, so :meth:`SegmentBuffer.seal` only has to append the chunk in
 place and hand the image out — no assembly copy of the data region at
@@ -71,10 +71,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.disk.geometry import SECTOR_SIZE, TRAILER_SIZE, DiskGeometry
 from repro.ld.types import BlockId, PhysAddr
 from repro.lld.summary import (
+    EntryKind,
     SummaryEntry,
     decode_entries,
     decode_entry_tuples,
     encode_entries_into,
+    entry_size,
 )
 
 #: magic(4s) version(H) flags(H) seq(Q) nentries(I) nblocks(I)
@@ -93,6 +95,9 @@ _CRC_STRUCT = struct.Struct("<Q")
 _SUMMARY_CRC_STRUCT = struct.Struct("<I")
 
 assert TRAILER_STRUCT.size == TRAILER_SIZE
+
+_WRITE = EntryKind.WRITE
+_WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
 
 #: Offset (from the chunk end) of the whole-chunk CRC field and the
 #: summary CRC field.  For a chunk ``[start, end)`` the whole-chunk CRC
@@ -153,9 +158,9 @@ class SegmentBuffer:
         "geometry",
         "seq",
         "segment_no",
+        "_block_size",
         "_image",
         "_slot_data",
-        "_slot_owner",
         "_block_slot",
         "entries",
         "_summary_bytes",
@@ -171,6 +176,7 @@ class SegmentBuffer:
         self.geometry = geometry
         self.seq = seq
         self.segment_no = segment_no
+        self._block_size = geometry.block_size
         #: The segment image, filled in place as blocks arrive.
         self._image = bytearray(geometry.segment_size)
         #: Per-slot source object: the caller's ``bytes`` (kept so
@@ -178,7 +184,6 @@ class SegmentBuffer:
         #: as a borrowed buffer (e.g. a cleaner memoryview) — those
         #: reads materialize from the image on demand.
         self._slot_data: List[Optional[bytes]] = []
-        self._slot_owner: List[BlockId] = []
         self._block_slot: Dict[BlockId, int] = {}
         self.entries: List[SummaryEntry] = []
         self._summary_bytes = 0
@@ -268,37 +273,46 @@ class SegmentBuffer:
     # Filling
     # ------------------------------------------------------------------
 
-    def add_block(self, block_id: BlockId, data) -> PhysAddr:
-        """Place one block of data, deduplicating within this buffer.
+    def append_write(
+        self, block_id: BlockId, data, aru_tag: int, ts: int
+    ) -> Optional[PhysAddr]:
+        """Place one block of data and its WRITE summary entry.
 
-        ``data`` may be ``bytes`` or any buffer (``memoryview``,
-        ``bytearray``): it is slice-assigned into the segment image
-        immediately, so borrowed views are consumed before return and
-        never retained.  The caller must have checked :meth:`has_room`
-        first when the block is new to this buffer
-        (:meth:`contains_block`).
+        One room check covers both.  A block whose slot in this buffer
+        is not on disk yet is overwritten in that slot; otherwise it
+        takes the next slot.  ``data`` is exactly one block, ``bytes``
+        or any buffer (``memoryview``, ``bytearray``): it is
+        slice-assigned into the segment image immediately, so borrowed
+        views are consumed before return and never retained.
+
+        Returns the block's address, or None when the block and its
+        entry do not fit; nothing is placed then.
         """
         if self._sealed:
             raise RuntimeError("segment buffer is sealed")
-        if len(data) != self.geometry.block_size:
+        block_size = self._block_size
+        if len(data) != block_size:
             raise ValueError(
-                f"block data must be {self.geometry.block_size} bytes, "
-                f"got {len(data)}"
+                f"block data must be {block_size} bytes, got {len(data)}"
             )
+        slot_data = self._slot_data
         slot = self._block_slot.get(block_id, -1)
-        if slot < self._written_slots:
+        fresh = slot < self._written_slots
+        if _WRITE_ENTRY_SIZE + (block_size if fresh else 0) > self.bytes_free():
+            return None
+        if fresh:
             # New to the buffer, or its slot is already on disk.
-            slot = len(self._slot_data)
-            if not self.has_room(1, 0):
-                raise RuntimeError("segment buffer overflow (missing room check)")
-            self._slot_data.append(data if type(data) is bytes else None)
-            self._slot_owner.append(block_id)
+            slot = len(slot_data)
+            slot_data.append(data if type(data) is bytes else None)
             self._block_slot[block_id] = slot
         else:
-            self._slot_data[slot] = data if type(data) is bytes else None
-        offset = slot * self.geometry.block_size
-        self._image[offset : offset + self.geometry.block_size] = data
-        return PhysAddr(self.segment_no, slot)
+            slot_data[slot] = data if type(data) is bytes else None
+        offset = slot * block_size
+        self._image[offset : offset + block_size] = data
+        self.entries.append(SummaryEntry(_WRITE, aru_tag, ts, int(block_id), slot))
+        self._summary_bytes += _WRITE_ENTRY_SIZE
+        # A slot this buffer numbered: no range check to pay.
+        return tuple.__new__(PhysAddr, (self.segment_no, slot))
 
     def add_entry(self, entry: SummaryEntry) -> None:
         """Append one summary entry (room must have been checked)."""
@@ -334,11 +348,12 @@ class SegmentBuffer:
         """Read a data slot out of the buffer."""
         return self._slot_bytes(slot)
 
-    def unwritten_blocks(self) -> Iterator[Tuple[BlockId, int, bytes]]:
-        """Yield (block id, slot, data) for every slot no chunk has
-        put on disk yet."""
+    def unwritten_slots(self) -> Iterator[Tuple[int, bytes]]:
+        """Yield (slot, data) for every slot no chunk has put on disk
+        yet."""
+        slot_bytes = self._slot_bytes
         for slot in range(self._written_slots, len(self._slot_data)):
-            yield self._slot_owner[slot], slot, self._slot_bytes(slot)
+            yield slot, slot_bytes(slot)
 
     def unwritten_entries(self) -> List[SummaryEntry]:
         """The summary entries no chunk has put on disk yet."""
@@ -361,7 +376,7 @@ class SegmentBuffer:
 
         With ``last`` (the default) the segment is closed: the chunk
         carries :data:`FLAG_LAST` and the buffer is frozen — any further
-        ``add_block``/``add_entry`` raises — which is what makes
+        ``append_write``/``add_entry`` raises — which is what makes
         handing out the alias safe; the disk layer copies whatever it is
         handed (a whole image into an immutable ``bytes`` snapshot, an
         in-place range into its own copy of the segment).  Without it
@@ -596,7 +611,7 @@ class DecodedSegment:
         """Return slot ``slot`` as a zero-copy read-only view.
 
         For hot consumers (cleaner evacuation, salvage) that hand the
-        data straight to :meth:`SegmentBuffer.add_block`, which
+        data straight to :meth:`SegmentBuffer.append_write`, which
         consumes the view immediately; do not retain the view anywhere
         user-visible (caches and read results must hold ``bytes``).
         """

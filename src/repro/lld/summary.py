@@ -16,10 +16,9 @@ segments.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import struct
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 
 class EntryKind(enum.IntEnum):
@@ -115,12 +114,13 @@ KIND_PREPARE = int(EntryKind.PREPARE)
 KIND_DECIDE = int(EntryKind.DECIDE)
 
 
-@dataclasses.dataclass(frozen=True)
-class SummaryEntry:
+class SummaryEntry(NamedTuple):
     """One segment-summary entry.
 
     The meaning of fields ``a``/``b``/``c`` depends on ``kind``; see
-    :class:`EntryKind`.  ``aru_tag`` is 0 for simple operations.
+    :class:`EntryKind`.  ``aru_tag`` is 0 for simple operations.  An
+    immutable tuple: one is built for every logged operation, and a
+    tuple costs a third of a frozen dataclass to make.
     """
 
     kind: EntryKind
@@ -132,11 +132,11 @@ class SummaryEntry:
 
     def encoded_size(self) -> int:
         """Size of this entry's on-disk encoding in bytes."""
-        return _ENTRY_STRUCTS[int(self.kind)].size
+        return _ENTRY_STRUCTS[self.kind].size
 
     def encode(self) -> bytes:
         """Serialize to the on-disk representation."""
-        codec = _ENTRY_STRUCTS[int(self.kind)]
+        codec = _ENTRY_STRUCTS[self.kind]
         fields = (self.a, self.b, self.c)[: _PAYLOAD_FIELDS[self.kind]]
         return codec.pack(self.kind, self.aru_tag, self.timestamp, *fields)
 
@@ -167,7 +167,7 @@ def encode_entries_into(
     structs = _ENTRY_STRUCTS
     nfields = _PAYLOAD_FIELDS
     for entry in entries:
-        codec = structs[int(entry.kind)]
+        codec = structs[entry.kind]
         fields = (entry.a, entry.b, entry.c)[: nfields[entry.kind]]
         codec.pack_into(
             buf, offset, entry.kind, entry.aru_tag, entry.timestamp, *fields
@@ -182,7 +182,7 @@ def decode_entries(raw) -> Iterator[SummaryEntry]:
     ``raw`` may be ``bytes`` or any buffer (e.g. a ``memoryview`` into
     a segment image); decoding never copies the underlying bytes.
 
-    This is the *reference* codec: it materializes one frozen
+    This is the *reference* codec: it materializes one
     :class:`SummaryEntry` (with its :class:`EntryKind`) per entry,
     which is convenient but expensive.  Hot paths use
     :func:`decode_entry_tuples` instead; the differential tests in
@@ -224,7 +224,7 @@ def decode_entry_tuples(raw) -> List[Tuple[int, ...]]:
     raw int byte — compare against the ``KIND_*`` constants.
 
     This is the wall-clock fast path: one dict lookup and one
-    ``unpack_from`` per entry, no dataclass or ``EntryKind``
+    ``unpack_from`` per entry, no :class:`SummaryEntry` or ``EntryKind``
     construction, the whole summary in a single pass.  It accepts and
     rejects byte-for-byte the same streams as :func:`decode_entries`
     (same ``ValueError`` cases), which the differential tests enforce.

@@ -14,7 +14,10 @@ other and returns a list of human-readable violations (empty = sound):
 4. ARU shadow chains contain only SHADOW records owned by that ARU,
 5. the free pool hands out the lowest free segment, and no batch of
    free segments lies below one written since the last checkpoint —
-   the allocation order the next recovery's walk relies on.
+   the allocation order the next recovery's walk relies on,
+6. the checkpoint rows kept between checkpoints are the rows a fresh
+   pack would give, for every identifier its table has not marked
+   changed — so the next checkpoint equals one packed from scratch.
 
 Tests and the torture example run this after workloads; it is also a
 useful debugging aid for anyone extending the write path.
@@ -40,6 +43,7 @@ def verify_lld(lld) -> List[str]:
     problems += _verify_segment_states(lld)
     problems += _verify_allocation_order(lld)
     problems += _verify_restore(lld)
+    problems += _verify_packed_rows(lld)
     if problems:
         obs = getattr(lld, "obs", None)
         if obs is not None:
@@ -60,6 +64,43 @@ def _verify_restore(lld) -> List[str]:
     if controller is None:
         return []
     return list(controller.violations)
+
+
+def _verify_packed_rows(lld) -> List[str]:
+    """The checkpoint row cache against a fresh pack.
+
+    Outside the identifiers a table marked changed since the last
+    checkpoint, the cache holds a row for exactly the identifiers with
+    a persistent record, and each row is what packing that record
+    gives now.  A table that counts as all-changed has nothing to
+    check: its next checkpoint repacks every row."""
+    problems: List[str] = []
+    for name, table, packed in (
+        ("block", lld.bmap, lld._block_rows),
+        ("list", lld.ltable, lld._list_rows),
+    ):
+        changed = table.changed
+        if changed is None:
+            continue
+        held = packed.rows()
+        records = dict(table.persistent_items())
+        for ident in sorted((held.keys() | records.keys()) - changed):
+            if ident not in records:
+                problems.append(
+                    f"checkpoint row kept for {name} {ident}, which has no "
+                    "persistent record and is not marked changed"
+                )
+            elif ident not in held:
+                problems.append(
+                    f"no checkpoint row for {name} {ident}, and it is not "
+                    "marked changed"
+                )
+            elif held[ident] != packed.pack(ident, records[ident]):
+                problems.append(
+                    f"stale checkpoint row for {name} {ident}: its record "
+                    "changed and it is not marked changed"
+                )
+    return problems
 
 
 def _verify_segment_states(lld) -> List[str]:

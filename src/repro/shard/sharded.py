@@ -942,6 +942,9 @@ class ShardedLLD(LogicalDisk):
     def write(
         self, block_id: BlockId, data: bytes, aru: Optional[ARUId] = None
     ) -> None:
+        if data.__class__ is not bytes:
+            # Once for every replica: each member then takes it as is.
+            data = memoryview(data).tobytes()
         with self._lock:
             gid = int(block_id)
             self._mutate(

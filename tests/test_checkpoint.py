@@ -19,6 +19,8 @@ from repro.lld.checkpoint import (
     CheckpointData,
     CheckpointManager,
     default_slot_segments,
+    pack_block_rows,
+    pack_list_rows,
 )
 from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
@@ -51,8 +53,8 @@ def sample_data(seq=1, n_blocks=2):
         next_block_id=100,
         next_list_id=50,
         next_aru_id=7,
-        blocks=blocks,
-        lists=[(3, 1, 2, 2, 12)],
+        block_rows=pack_block_rows(blocks),
+        list_rows=pack_list_rows([(3, 1, 2, 2, 12)]),
         segments={4: (9, 3, 8), 5: (10, 0, 2)},
     )
 
@@ -112,7 +114,9 @@ class TestRoundTrip:
     def test_oversized_checkpoint_rejected(self, disk):
         mgr = CheckpointManager(disk, slot_segments=1)
         data = sample_data()
-        data.blocks = [(index, 0, 0, 0, 0, 0, 0) for index in range(100_000)]
+        data.block_rows = pack_block_rows(
+            (index, 0, 0, 0, 0, 0, 0) for index in range(100_000)
+        )
         with pytest.raises(DiskFullError):
             mgr.write(data)
 
@@ -145,10 +149,11 @@ class TestWrittenAtRealSize:
         seg_size = disk.geometry.segment_size
         header, block, decided = 96, 41, 8
         exact = sample_data()
-        exact.blocks, exact.lists, exact.segments = [], [], {}
+        exact.block_rows, exact.list_rows, exact.segments = b"", b"", {}
         exact.decided_xids = list(range((whole * seg_size - header) // decided))
         longer = sample_data(seq=2)
-        longer.blocks, longer.lists, longer.segments = [(1, 0, 0, 0, 0, 0, 0)], [], {}
+        longer.block_rows = pack_block_rows([(1, 0, 0, 0, 0, 0, 0)])
+        longer.list_rows, longer.segments = b"", {}
         # 41 = 5 * 8 + 1: one block row and five fewer xids is +1 byte.
         longer.decided_xids = exact.decided_xids[5:]
         assert exact.total_len == whole * seg_size
@@ -613,3 +618,84 @@ class TestSizing:
     def test_default_never_eats_partition(self):
         geo = DiskGeometry.small(num_segments=16)
         assert 2 * default_slot_segments(geo) < geo.num_segments
+
+
+# ----------------------------------------------------------------------
+# Rows repacked only where they changed
+# ----------------------------------------------------------------------
+
+
+def scratch_rows(lld):
+    """Both table sections packed from nothing, the reference way."""
+    blocks, lists = reference_lld_rows(lld)
+    return (
+        pack_block_rows(row[:-1] + (FLAG_HAS_ADDR if row[-1] else 0,) for row in blocks),
+        pack_list_rows(lists),
+    )
+
+
+class TestRowsRepackedWhereChanged:
+    def make(self):
+        disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
+        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
+        lists = [ld.new_list() for _ in range(3)]
+        blocks = [ld.new_block(lists[index % 3]) for index in range(30)]
+        for index, block in enumerate(blocks):
+            ld.write(block, bytes([index]) * 64)
+        far = ld.new_list(list_id=SYSTEM_ID_BASE + 3)
+        ld.new_block(far, block_id=SYSTEM_ID_BASE + 4)
+        ld.write_checkpoint()
+        return disk, ld, lists, blocks
+
+    def test_only_the_changed_rows_are_packed(self):
+        _disk, ld, lists, blocks = self.make()
+        assert ld.bmap.changed == set() and ld.ltable.changed == set()
+        ld.write(blocks[4], b"again")
+        ld.delete_block(blocks[7])
+        extra = ld.new_block(lists[1])
+        ld.flush()
+        # blocks[10] precedes blocks[7] in their list: its successor moved.
+        assert ld.bmap.changed == {blocks[4], blocks[7], blocks[10], extra}
+        assert ld.ltable.changed == {lists[1]}
+        packed = []
+        for rows in (ld._block_rows, ld._list_rows):
+            pack = rows.pack
+            rows.pack = lambda ident, rec, pack=pack: packed.append(ident) or pack(
+                ident, rec
+            )
+        ld.write_checkpoint()
+        assert sorted(packed) == sorted([blocks[4], blocks[10], extra, lists[1]])
+        assert verify_lld(ld) == []
+        loaded = ld.checkpoints.load()
+        assert (loaded.block_rows, loaded.list_rows) == scratch_rows(ld)
+
+    def test_verify_finds_a_change_nobody_marked(self):
+        _disk, ld, _lists, blocks = self.make()
+        ld.bmap.root(blocks[2]).persistent.timestamp += 1
+        assert verify_lld(ld) == [
+            f"stale checkpoint row for block {blocks[2]}: its record "
+            "changed and it is not marked changed"
+        ]
+        ld.bmap.mark_changed(blocks[2])
+        assert verify_lld(ld) == []
+
+    @pytest.mark.parametrize("mode", ["eager", "instant"])
+    def test_first_checkpoint_after_recovery_is_packed_from_scratch(self, mode):
+        disk, ld, lists, blocks = self.make()
+        for block in blocks[::3]:
+            ld.write(block, b"after the checkpoint")
+        ld.delete_list(lists[2])
+        ld.flush()
+        recovered, _report = recover(
+            disk.power_cycle(),
+            mode=mode,
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
+        assert recovered.bmap.changed is None
+        recovered.write(blocks[0], b"restored")
+        recovered.write_checkpoint()
+        assert not recovered.restore_active
+        assert recovered.bmap.changed == set()
+        assert verify_lld(recovered) == []
+        loaded = recovered.checkpoints.load()
+        assert (loaded.block_rows, loaded.list_rows) == scratch_rows(recovered)

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from repro.disk.geometry import TRAILER_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.ld.types import BlockId
-from repro.lld.checkpoint import CheckpointData, CheckpointManager
+from repro.lld.checkpoint import (
+    CheckpointData,
+    CheckpointManager,
+    pack_block_rows,
+    pack_list_rows,
+)
 from repro.lld.segment import SegmentBuffer, decode_segment
 from repro.lld.summary import EntryKind, SummaryEntry
 
@@ -47,12 +52,10 @@ class TestSegmentCodecProperties:
         expected_data = {}
         for block_id, data in blocks:
             padded = data + b"\x00" * (GEO.block_size - len(data))
-            if not buffer.contains_block(BlockId(block_id)):
-                if not buffer.has_room(1, 0):
-                    break
-            buffer.add_block(BlockId(block_id), padded)
+            if buffer.append_write(BlockId(block_id), padded, 0, 1) is None:
+                break
             expected_data[block_id] = padded
-        kept_entries = []
+        kept_entries = list(buffer.entries)
         for entry in entries:
             if not buffer.has_room(0, entry.encoded_size()):
                 break
@@ -84,10 +87,8 @@ class TestSegmentCodecProperties:
         buffer = SegmentBuffer(GEO, seq=9, segment_no=0)
         for block_id, data in blocks:
             padded = data + b"\x00" * (GEO.block_size - len(data))
-            if not buffer.contains_block(BlockId(block_id)):
-                if not buffer.has_room(1, 0):
-                    break
-            buffer.add_block(BlockId(block_id), padded)
+            if buffer.append_write(BlockId(block_id), padded, 0, 1) is None:
+                break
         data_end = buffer.block_count * GEO.block_size
         chunk_start = GEO.segment_size - TRAILER_SIZE - buffer.summary_bytes
         image = bytearray(buffer.seal())
@@ -151,8 +152,8 @@ class TestCheckpointProperties:
             next_block_id=11,
             next_list_id=13,
             next_aru_id=17,
-            blocks=blocks,
-            lists=lists,
+            block_rows=pack_block_rows(blocks),
+            list_rows=pack_list_rows(lists),
             segments=segments,
         )
         manager.write(data)

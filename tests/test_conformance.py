@@ -57,6 +57,32 @@ class TestBlockSemantics:
         data = ld.read(block)
         assert data[:2] == b"ab" and set(data[2:]) == {0}
 
+    @pytest.mark.parametrize("in_aru", [False, True])
+    def test_buffer_changed_after_write_is_not_written(self, make, in_aru):
+        """A write takes the bytes the caller's buffer held at the
+        call: changing the buffer afterwards, before the ARU commits
+        or the data reaches the disk, changes nothing."""
+        ld = make()
+        lst = ld.new_list()
+        block = ld.new_block(lst)
+        size = ld.geometry.block_size
+        buf = bytearray(b"A" * size)
+        aru = ld.begin_aru() if in_aru else None
+        ld.write(block, buf, aru=aru)
+        buf[:4] = b"ZZZZ"
+        if aru is not None:
+            ld.end_aru(aru)
+        assert ld.read(block) == b"A" * size
+        ld.flush()
+        assert ld.read(block) == b"A" * size
+
+    def test_short_memoryview_is_padded(self, make):
+        ld = make()
+        lst = ld.new_list()
+        block = ld.new_block(lst)
+        ld.write(block, memoryview(b"ab"))
+        assert ld.read(block) == b"ab" + bytes(ld.geometry.block_size - 2)
+
     def test_last_write_wins(self, make):
         ld = make()
         lst = ld.new_list()

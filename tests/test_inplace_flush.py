@@ -272,11 +272,12 @@ class TestChunkStackProperty:
         for kind, a, b in ops:
             if kind == "block":
                 fresh = not buffer.contains_block(BlockId(a))
-                if not buffer.has_room(1 if fresh else 0, 0):
-                    break
                 data = bytes([b]) * GEO.block_size
                 written = buffer.block_count - buffer.unwritten_block_count
-                addr = buffer.add_block(BlockId(a), data)
+                addr = buffer.append_write(BlockId(a), data, 0, len(entries))
+                if addr is None:
+                    break
+                entries.append(buffer.entries[-1])
                 # A slot that reached the disk is never written again.
                 assert addr.slot >= written
                 if addr.slot == len(slots):

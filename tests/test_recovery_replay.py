@@ -14,7 +14,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.ld.types import SYSTEM_ID_BASE
-from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
+from repro.lld.checkpoint import (
+    FLAG_HAS_ADDR,
+    CheckpointData,
+    pack_block_rows,
+    pack_list_rows,
+)
 from repro.core.tables import BlockNumberMap, ListTable
 from repro.lld.recovery import (
     RecoveryReport,
@@ -193,8 +198,8 @@ class TestSweep:
             next_block_id=50,
             next_list_id=9,
             next_aru_id=3,
-            blocks=[(4, 0, 2, 7, 1, 3, FLAG_HAS_ADDR)],
-            lists=[(2, 4, 4, 1, 7)],
+            block_rows=pack_block_rows([(4, 0, 2, 7, 1, 3, FLAG_HAS_ADDR)]),
+            list_rows=pack_list_rows([(2, 4, 4, 1, 7)]),
             segments={},
         )
         state = self.make_rules()

@@ -20,6 +20,7 @@ from repro.errors import BadARUError, DiskCrashedError
 from repro.lld.config import LLDConfig
 from repro.lld.recovery import recover as recover_volume
 from repro.shard import (
+    ArrayConfig,
     ShardedLLD,
     build_sharded,
     shard_of,
@@ -187,6 +188,31 @@ class TestShardedBasics:
         )
         for block in blocks:
             assert vol2.read(block).startswith(b"decided")
+
+
+class TestCallerBuffers:
+    """A sharded write takes the bytes the caller's buffer held at the
+    call, on the home shard and on its mirror alike."""
+
+    def test_buffer_changed_after_an_aru_write(self):
+        vol = build_sharded(
+            2,
+            geometry=DiskGeometry.small(num_segments=32),
+            config=LLDConfig(checkpoint_slot_segments=2),
+            array_config=ArrayConfig(replication_factor=2),
+        )
+        lst = vol.new_list()
+        block = vol.new_block(lst)
+        size = DiskGeometry.small().block_size
+        buf = bytearray(b"A" * size)
+        aru = vol.begin_aru()
+        vol.write(block, buf, aru=aru)
+        buf[:4] = b"ZZZZ"
+        vol.end_aru(aru)
+        vol.flush()
+        assert vol.read(block) == b"A" * size
+        vol.write(block, memoryview(b"short"))
+        assert vol.read(block) == b"short" + bytes(size - 5)
 
 
 class TestPrepareDecideHooks:

@@ -32,7 +32,10 @@ tails are written in place, so they pin what ``SimulatedDisk.write_at``
 leaves on the platter.  For every member disk they check the clock,
 the meter, ``write_count`` and the SHA-256 of the platter (segment
 number, then bytes, in segment order); those constants were captured
-before the platter became writable in place.
+before the platter became writable in place.  A third platter pin is
+one volume whose checkpoints the cleaner and the scrubber write, and
+one instant recovery checkpointing it; its constants were captured
+before checkpoint rows were repacked only where they changed.
 """
 
 import hashlib
@@ -42,12 +45,15 @@ import pytest
 
 from repro.core.visibility import Visibility
 from repro.disk.clock import CostMeter
+from repro.disk.faults import MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.jld import JLD
+from repro.ld.types import SYSTEM_ID_BASE
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
+from repro.lld.recovery import recover
 from repro.shard import ArrayConfig, build_sharded
 
 from tests.oracle import platter_bytes
@@ -270,6 +276,66 @@ def jld_apply():
     return [(disk, jld.meter)]
 
 
+#: The knobs of :func:`cleaner_checkpoints`, before and after the crash.
+CLEANER_CONFIG = LLDConfig(cache_blocks=32, checkpoint_slot_segments=2)
+
+
+def cleaner_checkpoints():
+    """One volume whose log wraps, so the cleaner writes its
+    checkpoints: evacuating passes over a working set of 281 blocks
+    (one of them, and one list, in the sparse id range), ARUs that
+    allocate, a list deleted every sixth round, a scrub that relocates
+    what a corrupt segment held, then a power cut, an instant recovery
+    and a checkpoint taken before the restore has drained.  Pinned:
+    the volume before the cut and the one recovery opened, on one
+    platter."""
+    disk = SimulatedDisk(DiskGeometry.small(num_segments=40))
+    ld = LLD(disk, config=CLEANER_CONFIG)
+    rng = random.Random(30)
+    lists = [ld.new_list() for _ in range(4)]
+    blocks = [ld.new_block(lists[index % 4]) for index in range(280)]
+    spare = ld.new_list(list_id=SYSTEM_ID_BASE + 5)
+    blocks.append(ld.new_block(spare, block_id=SYSTEM_ID_BASE + 9))
+    for index, block in enumerate(blocks):
+        ld.write(block, bytes([index % 251]) * 4096)
+    ld.flush()
+    doomed = ld.new_list()
+    for round_no in range(24):
+        for block in rng.sample(blocks, 40):
+            ld.write(block, bytes([round_no]) * rng.randrange(64, 4096))
+        aru = ld.begin_aru()
+        fresh = ld.new_block(doomed, aru=aru)
+        ld.write(fresh, bytes([round_no]) * 500, aru=aru)
+        ld.write(rng.choice(blocks), b"aru" * 100, aru=aru)
+        ld.end_aru(aru)
+        if round_no % 6 == 5:
+            ld.delete_list(doomed)
+            doomed = ld.new_list()
+        ld.flush()
+    stats = ld.stats()
+    assert stats["checkpoint"]["writes"] >= 5
+    assert stats["cleaner"]["blocks_copied"] > 0
+    # The newest segment with live slots: its blocks are still cached,
+    # so the scrub relocates them rather than losing them, and after
+    # this checkpoint their rows change only by that relocation.
+    ld.write_checkpoint()
+    victim = max(
+        (seq, seg) for seg, live, seq in ld.usage.dirty_segments() if live
+    )[1]
+    disk.injector.add_media_fault(MediaFault(victim, "corrupt"))
+    report = ld.scrub([victim])
+    assert report.blocks_salvaged > 0 and report.blocks_lost == 0
+    for block in rng.sample(blocks, 30):
+        ld.write(block, b"after scrub" * 50)
+    ld.flush()
+    survivor = disk.power_cycle()
+    restored, _report = recover(survivor, mode="instant", config=CLEANER_CONFIG)
+    restored.read(blocks[3])
+    restored.write(blocks[4], b"restored" * 64)
+    restored.write_checkpoint()
+    return [(disk, ld.meter), (survivor, restored.meter)]
+
+
 def charge_stream_sha256(run, monkeypatch):
     """SHA-256 of every charge ``run`` makes, in order: one line of
     ``category count lanes`` each, recorded before the meter sees it
@@ -441,6 +507,8 @@ ARRAY_MEMBER_COUNTERS = {
     "summary_entry_us": 226,
     "table_access_us": 304,
 }
+#: Both members of :func:`cleaner_checkpoints` are one platter.
+CLEANER_PLATTER = "616123cadd599d4507840a4fa6a78950437213e12982925898480c9b194c2c1d"
 ARRAY_MEMBER_CHARGED_US = {
     "aru_begin_us": 540.0,
     "aru_commit_us": 900.0,
@@ -488,6 +556,49 @@ PLATTER_PINS = {
                 },
                 68,
                 "842179071f8eae2f0e56948d9d97a9ce0f84bbcb81296b13fc26f4fd35f462c3",
+            ),
+        ],
+    ),
+    "cleaner_checkpoints": (
+        cleaner_checkpoints,
+        [
+            (
+                "0x1.51b2f83871c5fp+23",
+                {
+                    "aru_alloc_us": 24,
+                    "aru_begin_us": 24,
+                    "aru_commit_us": 24,
+                    "block_copy_us": 1954,
+                    "block_dealloc_us": 24,
+                    "chain_hop_us": 1684,
+                    "crc_kb_us": 7040.0,
+                    "decode_entry_us": 2133,
+                    "ld_call_us": 1749,
+                    "listop_log_us": 24,
+                    "listop_replay_us": 24,
+                    "record_create_us": 1717,
+                    "record_transition_us": 1717,
+                    "summary_entry_us": 2554,
+                    "table_access_us": 2653,
+                },
+                158,
+                CLEANER_PLATTER,
+            ),
+            (
+                "0x1.51b2f83871c5fp+23",
+                {
+                    "block_copy_us": 1,
+                    "block_read_us": 1,
+                    "crc_kb_us": 0.4638671875,
+                    "decode_entry_us": 15,
+                    "ld_call_us": 3,
+                    "record_create_us": 1,
+                    "record_transition_us": 1,
+                    "summary_entry_us": 1,
+                    "table_access_us": 1,
+                },
+                2,
+                CLEANER_PLATTER,
             ),
         ],
     ),
@@ -585,6 +696,36 @@ CHARGED_US = {
         "table_access_us": 236.0,
     },
     "replicated_array": [ARRAY_MEMBER_CHARGED_US, ARRAY_MEMBER_CHARGED_US],
+    "cleaner_checkpoints": [
+        {
+            "aru_alloc_us": 1920.0,
+            "aru_begin_us": 432.0,
+            "aru_commit_us": 720.0,
+            "block_copy_us": 107470.0,
+            "block_dealloc_us": 360.0,
+            "chain_hop_us": 2526.0,
+            "crc_kb_us": 281600.0,
+            "decode_entry_us": 4266.0,
+            "ld_call_us": 3498.0,
+            "listop_log_us": 72.0,
+            "listop_replay_us": 144.0,
+            "record_create_us": 13736.0,
+            "record_transition_us": 10302.0,
+            "summary_entry_us": 7662.0,
+            "table_access_us": 2653.0,
+        },
+        {
+            "block_copy_us": 55.0,
+            "block_read_us": 40.0,
+            "crc_kb_us": 18.5546875,
+            "decode_entry_us": 30.0,
+            "ld_call_us": 6.0,
+            "record_create_us": 8.0,
+            "record_transition_us": 6.0,
+            "summary_entry_us": 3.0,
+            "table_access_us": 1.0,
+        },
+    ],
     "jld_apply": [
         {
             "aru_begin_us": 72.0,
@@ -659,6 +800,10 @@ def test_replicated_array_platter():
 
 def test_jld_apply_platter():
     check_platter("jld_apply")
+
+
+def test_cleaner_checkpoints_platter():
+    check_platter("cleaner_checkpoints")
 
 
 @pytest.mark.parametrize("name", sorted(CHARGE_STREAMS))

@@ -101,3 +101,17 @@ class TestProperties:
     @given(_entry_strategy)
     def test_size_always_matches(self, entry):
         assert len(entry.encode()) == entry.encoded_size()
+
+
+class TestEntryRecord:
+    def test_fields_by_name_and_immutable(self):
+        entry = SummaryEntry(EntryKind.LINK, 3, 9, 1, 2)
+        assert (entry.kind, entry.aru_tag, entry.timestamp) == (
+            EntryKind.LINK,
+            3,
+            9,
+        )
+        assert (entry.a, entry.b, entry.c) == (1, 2, 0)
+        with pytest.raises(AttributeError):
+            entry.a = 5
+        assert entry == SummaryEntry(EntryKind.LINK, 3, 9, 1, 2, 0)

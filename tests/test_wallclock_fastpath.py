@@ -64,20 +64,16 @@ def _filled_buffer(geometry, seed=7):
             payload = bytearray(data)
         else:
             payload = memoryview(data)
-        buf.add_block(BlockId(block_id), payload)
-        buf.add_entry(
-            SummaryEntry(
-                EntryKind.WRITE, block_id % 5, block_id * 10, block_id,
-                buf.block_count - 1,
-            )
-        )
+        buf.append_write(BlockId(block_id), payload, block_id % 5, block_id * 10)
         if block_id % 7 == 0:
             buf.add_entry(
                 SummaryEntry(EntryKind.COMMIT, block_id % 5, block_id * 10 + 1, 3)
             )
         if block_id % 11 == 0:
             # Overwrite-in-place of an earlier block (dedup path).
-            buf.add_block(BlockId(max(1, block_id // 2)), memoryview(data))
+            buf.append_write(
+                BlockId(max(1, block_id // 2)), memoryview(data), 0, block_id
+            )
         block_id += 1
     return buf
 
@@ -108,9 +104,9 @@ class TestZeroCopyAssembly:
         assert buf.is_sealed
         block = bytes(geometry.block_size)
         with pytest.raises(RuntimeError):
-            buf.add_block(BlockId(1), block)
+            buf.append_write(BlockId(1), block, 0, 1)
         with pytest.raises(RuntimeError):
-            buf.add_block(BlockId(10_000), block)  # new block, same answer
+            buf.append_write(BlockId(10_000), block, 0, 1)  # new block too
         with pytest.raises(RuntimeError):
             buf.add_entry(SummaryEntry(EntryKind.COMMIT, 1, 2, 3))
         with pytest.raises(RuntimeError):
@@ -119,14 +115,13 @@ class TestZeroCopyAssembly:
         assert bytes(image) == snapshot == reference
 
     def test_borrowed_views_are_consumed_not_retained(self):
-        """A memoryview handed to add_block must be fully consumed
+        """A memoryview handed to append_write must be fully consumed
         before return: mutating the source afterwards cannot reach the
         buffer or the sealed image."""
         geometry = DiskGeometry.small(block_size=1024)
         buf = SegmentBuffer(geometry, seq=1, segment_no=0)
         source = bytearray(b"\xaa" * geometry.block_size)
-        buf.add_block(BlockId(1), memoryview(source))
-        buf.add_entry(SummaryEntry(EntryKind.WRITE, 0, 1, 1, 0))
+        buf.append_write(BlockId(1), memoryview(source), 0, 1)
         source[:] = b"\xbb" * geometry.block_size  # mutate after handoff
         assert buf.get_block(BlockId(1)) == b"\xaa" * geometry.block_size
         image = buf.seal()
