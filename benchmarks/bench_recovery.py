@@ -4,7 +4,8 @@ The paper notes that with ARUs "file systems do not need specialized
 recovery procedures"; the cost that remains is LLD's own summary
 scan.  This bench measures simulated recovery time as the log grows,
 with and without a checkpoint, and reports the speedup — plus the
-production scan pipeline (batched reads, pooled decode) against the
+production scan pipeline (batched reads, decode charged for its
+simulated lanes) against the
 serial reference recovery on a large log, which is the headline
 number for the fast-path work.
 

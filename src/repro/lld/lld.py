@@ -848,7 +848,7 @@ class LLD(LogWriter, LogicalDisk):
             while cursor is not None:
                 blocks.append(cursor)
                 block_view = engine.visible(self.bmap, cursor, shadow_aru)
-                if block_view is None:
+                if block_view is None or not block_view.allocated:
                     raise BadBlockError(
                         int(cursor), f"list {list_id} references missing block"
                     )

@@ -28,12 +28,13 @@ written once: :func:`_scan` (steps 1–2) → :func:`_resolve_outcomes`
 (step 3) → :class:`ReplayRules` (steps 4 and 6) → :func:`_install`
 (step 5).  ``mode`` changes two things and nothing else: *what the
 scan reads of a segment and how it decodes* (eager: the whole body,
-whole-segment CRC, decoded on a thread pool and charged at the
-critical-path share; instant: one tail window, summary CRC), and *where
-the records live and when replay runs* (eager: plain dicts, replayed
-before the volume opens, then bulk-installed; instant: the checkpoint
-bulk-installed, then the live tables, replayed on demand by a
-:class:`RestoreController` behind a log-order watermark).
+whole-segment CRC, decoded on the calling thread and charged at the
+critical-path share of ``workers`` simulated lanes; instant: one tail
+window, summary CRC), and *where the records live and when replay
+runs* (eager: plain dicts, replayed before the volume opens, then
+bulk-installed; instant: the checkpoint bulk-installed, then the live
+tables, replayed on demand by a :class:`RestoreController` behind a
+log-order watermark).
 docs/RECOVERY.md tells the whole story;
 :func:`repro.lld.recovery_reference.reference_recover` is the
 differential oracle and shares none of this module's rule code.
@@ -41,10 +42,12 @@ differential oracle and shares none of this module's rule code.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
+import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.records import BlockVersion, ListVersion
@@ -77,10 +80,48 @@ from repro.lld.summary import (
 from repro.lld.usage import QUARANTINE_SEQ, WALK_BATCH, SegmentState
 
 
-#: Decode lanes of the recovery scan unless ``recover(workers=)`` says
-#: otherwise: host threads for the CRC + summary decode, and the
-#: overlap the cost model charges.
+#: Simulated decode lanes of the recovery scan unless
+#: ``recover(workers=)`` says otherwise: the cost model charges the
+#: CRC + summary decode at ``1 / lanes``.  The decode itself runs on
+#: the calling thread.
 DEFAULT_WORKERS = 4
+
+
+class _CollectorPause(contextlib.ContextDecorator):
+    """Keep the cyclic garbage collector off while recovery builds its
+    tables.
+
+    Everything recovery allocates — a ``BlockVersion``, a ``PhysAddr``
+    and a table root per block — is the state it returns, so a
+    collector pass during the build frees nothing and only walks the
+    growing tables.  Reentrant and thread-safe (an array recovers its
+    participants on threads): the first caller in pauses the collector,
+    the last one out puts back the state the first one found, on every
+    exit path.  A caller that had the collector off keeps it off.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> "_CollectorPause":
+        with self._lock:
+            if not self._depth:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._was_enabled:
+                gc.enable()
+        return False
+
+
+_collector_paused = _CollectorPause()
 
 
 @dataclasses.dataclass
@@ -133,8 +174,8 @@ class RecoveryReport:
     max_xid: int = 0
     orphan_blocks_freed: List[int] = dataclasses.field(default_factory=list)
     recovery_time_us: float = 0.0
-    #: Decode lanes the scan was allowed (host threads, and the
-    #: simulated overlap charged for them).
+    #: Simulated decode lanes the scan was charged for (the decode
+    #: runs on the calling thread whatever the value).
     workers: int = 1
     #: Simulated microseconds per phase: ``scan`` (classification
     #: reads), ``decode`` (CRC + summary decode), ``replay`` (the two
@@ -641,27 +682,17 @@ def _decode_bodies(
     report: RecoveryReport,
 ) -> List[DecodedSegment]:
     """Eager decoder: whole-segment CRC + summary parse per candidate,
-    overlapped across a thread pool.
+    on the calling thread.
 
-    :func:`decode_segment` is pure, so the threads share nothing;
-    results are collected in submission order.  ``lanes`` > 1 models
-    the pool overlapping the work in simulated time: the counters
-    record everything, the clock only advances the critical-path
-    share.
+    ``lanes`` > 1 models ``workers`` decoders overlapping the work in
+    simulated time: the counters record everything, the clock only
+    advances the critical-path share.
     """
     geometry = lld.disk.geometry
     lanes = max(1, min(workers, len(bodies)))
-
-    def decode(seg: int) -> Optional[DecodedSegment]:
-        return decode_segment(bodies[seg], geometry, seg)
-
-    if lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            results = list(pool.map(decode, bodies))
-    else:
-        results = [decode(seg) for seg in bodies]
     decoded: List[DecodedSegment] = []
-    for seg, result in zip(bodies, results):
+    for seg, body in bodies.items():
+        result = decode_segment(body, geometry, seg)
         if result is None:
             # Valid-looking trailer but a torn/corrupt body.
             report.segments_invalid += 1
@@ -864,6 +895,7 @@ def _install(
         pass
 
 
+@_collector_paused
 def recover(
     disk: SimulatedDisk,
     sweep_orphans: bool = True,
@@ -895,9 +927,13 @@ def recover(
     transaction id appears in its own log/checkpoint or in this set,
     and discards it otherwise (presumed abort).
 
-    ``workers`` bounds the scan's decode pool and the simulated
-    overlap charged for it (default :data:`DEFAULT_WORKERS`); the
-    rebuilt state is the same for any value.
+    ``workers`` is the number of simulated decode lanes the scan is
+    charged for (default :data:`DEFAULT_WORKERS`): it changes the
+    simulated decode time, never the rebuilt state, and starts no
+    thread.
+
+    The cyclic garbage collector stays off while this runs
+    (:class:`_CollectorPause`).
     """
     if workers is None:
         workers = DEFAULT_WORKERS

@@ -3,7 +3,7 @@ implementation would write it.
 
 :func:`reference_recover` is the differential oracle for
 :func:`repro.lld.recovery.recover`.  It peeks and decodes **one
-segment at a time** (no batched reads, no decode pool), replays the
+segment at a time** (no batched reads, no decode lanes), replays the
 ``SummaryEntry`` *objects* of the reference codec onto plain
 dict-of-lists state, and installs the result itself.  It shares no
 rule code with production — classification, COMMIT/PREPARE/DECIDE

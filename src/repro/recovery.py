@@ -55,9 +55,13 @@ def recover(
         array_config: Array-level :class:`ArrayConfig` (replication
             factor, repair pacing).  Only meaningful for a sequence
             of images; rejected for a single one.
-        workers: Host threads for concurrent member recoveries (and
-            for a single volume's decode lanes).  Host-side only —
-            simulated results are identical for any value.
+        workers: For a single volume, the simulated decode lanes of
+            its scan: the decode time is charged at ``1 / workers``
+            (default 4), and no thread is started.  For an array, the
+            host threads that recover the participants (default: one
+            per participant); each member is charged the default
+            lanes, so the simulated results do not depend on it.
+            Must be >= 1 for both shapes.
         cost_model: CPU cost model of every recovered volume.
         sweep_orphans: ``False`` skips the per-volume consistency
             sweep (see :func:`repro.lld.recovery.recover`).
@@ -69,6 +73,8 @@ def recover(
         :class:`~repro.shard.recovery.ShardRecoveryReport` for a
         sequence; both reports expose the shared surface above.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(image_or_images, SimulatedDisk):
         if array_config is not None and array_config != ArrayConfig():
             raise ValueError(

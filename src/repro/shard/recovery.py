@@ -122,8 +122,10 @@ def _recover_sharded(
             the fault injector has destroyed — is a lost member: the
             array assembles degraded around it.
         workers: Host threads for the participant recoveries
-            (default: one per participant).  Purely a host-side
-            knob — simulated results and simulated times are
+            (default: one per participant; checked by
+            :func:`repro.recovery.recover`).  Purely a host-side knob
+            here — every member is recovered with the default
+            simulated decode lanes, so simulated results and times are
             identical for any value.
         array_config: The array's :class:`ArrayConfig`.  Must match
             the configuration the array ran with (in particular the
@@ -180,7 +182,7 @@ def _recover_sharded(
     participants = [i for i in range(n) if i not in decision]
     if participants:
         pool = workers if workers is not None else len(participants)
-        with ThreadPoolExecutor(max_workers=max(1, pool)) as executor:
+        with ThreadPoolExecutor(max_workers=pool) as executor:
             list(executor.map(lambda i: _one(i, decided), participants))
 
     if all(shard is None for shard in shards):

@@ -9,7 +9,7 @@ violates the semantics of Section 3.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
@@ -134,6 +134,21 @@ _op_strategy = st.one_of(
 )
 
 
+#: ``new_list``; ``begin`` A; simple ``new_block`` (1); ``new_block``
+#: in A (2, linked ahead of 1 in A's view of the list); simple
+#: ``delete_block(1)``; ``list_blocks`` under A.  A's list still links
+#: to 1, which is deallocated: both disks must raise ``BadBlockError``,
+#: whether or not a flush came first.
+DELETED_OUTSIDE_ARU = [
+    ("new_list",),
+    ("begin",),
+    ("new_block", 0, 0),
+    ("new_block", 0, 1),
+    ("delete_block", 0, 0),
+    ("list_blocks", 0, 1),
+]
+
+
 class TestDifferential:
     @settings(
         max_examples=60,
@@ -141,6 +156,7 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.data_too_large],
     )
     @given(ops=st.lists(_op_strategy, max_size=60))
+    @example(ops=DELETED_OUTSIDE_ARU)
     def test_lld_and_jld_agree(self, ops):
         lld, jld = build_pair()
         lld_state = {"lists": [], "blocks": [], "arus": []}
@@ -178,3 +194,13 @@ class TestDifferential:
             int(x) for x in jld.list_blocks(lst)
         ]
         assert lld.read(b) == jld.read(b)
+
+    @pytest.mark.parametrize("flush", [False, True])
+    def test_list_blocks_in_aru_rejects_block_deleted_outside(self, flush):
+        ops = list(DELETED_OUTSIDE_ARU)
+        if flush:
+            ops.insert(-1, ("flush",))
+        for ld in build_pair():
+            state = {"lists": [], "blocks": [], "arus": []}
+            outcomes = [run_op(ld, op, state) for op in ops]
+            assert outcomes[-1] == ("error", "BadBlockError"), type(ld)

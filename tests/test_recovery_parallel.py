@@ -1,5 +1,6 @@
-"""Differential test: production recovery (batched scan, pooled decode,
-tuple replay) must rebuild byte-identical logical-disk state to
+"""Differential test: production recovery (batched scan, decode charged
+at the critical-path share of ``workers`` simulated lanes, tuple replay)
+must rebuild byte-identical logical-disk state to
 :func:`~repro.lld.recovery_reference.reference_recover` (serial scan,
 object replay, no shared rule code).
 
@@ -11,19 +12,29 @@ of a canonical meta-data-heavy workload (whole-write drops and torn
 writes alike).  How much of the disk each read to get there is not
 compared: the reference reads every segment, production rolls forward
 from the checkpoint.
+
+``TestHostCost`` holds what recovery must not spend host time on: the
+decode starts no thread, and the cyclic garbage collector stays off
+while the tables are built — and comes back as the caller left it.
 """
+
+import gc
+import threading
 
 import pytest
 
+import repro
 from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
+from repro.lld import recovery as lld_recovery
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
+from repro.shard.sharded import build_sharded
 
 from tests.oracle import state_fingerprint
 
@@ -141,3 +152,131 @@ class TestParallelSerialEquivalence:
         ld.flush()
         with pytest.raises(ValueError):
             recover(disk.power_cycle(), workers=0)
+
+
+def crashed_array(shards=3):
+    """A flushed array of ``shards`` members: shard 0 decides, the
+    others recover as participants on host threads."""
+    volume = build_sharded(
+        shards, DiskGeometry.small(num_segments=32), config=CONFIG
+    )
+    lst = volume.new_list()
+    for index in range(2 * shards):
+        volume.write(volume.new_block(lst), b"block-%d" % index)
+    volume.flush()
+    return [shard.disk.power_cycle() for shard in volume.shards]
+
+
+@pytest.fixture(scope="module")
+def platter():
+    """The canonical workload's platter, recovered many times over."""
+    disk, ld = build()
+    workload(MinixFS.mkfs(ld, n_inodes=256))
+    return disk
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Record, per recovery scan, whether it ran on the main thread and
+    whether the collector was on."""
+    seen = []
+    real_scan = lld_recovery._scan
+
+    def spy(*args, **kwargs):
+        seen.append(
+            (threading.current_thread() is threading.main_thread(),
+             gc.isenabled())
+        )
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(lld_recovery, "_scan", spy)
+    return seen
+
+
+class TestHostCost:
+    @pytest.mark.parametrize("mode", ["eager", "instant"])
+    def test_collector_paused_while_one_volume_recovers(
+        self, platter, scans, mode
+    ):
+        before = gc.isenabled()
+        volume, _report = repro.recover(
+            platter.power_cycle(), mode=mode, config=CONFIG
+        )
+        assert gc.isenabled() == before
+        assert scans == [(True, False)]
+        volume.complete_restore()
+
+    def test_collector_paused_for_participants_on_threads(self, scans):
+        before = gc.isenabled()
+        repro.recover(crashed_array(), config=CONFIG)
+        assert gc.isenabled() == before
+        assert len(scans) == 3
+        assert not any(enabled for _on_main, enabled in scans)
+        assert not all(on_main for on_main, _enabled in scans)
+
+    def test_collector_restored_when_the_scan_raises(self, monkeypatch):
+        disk, ld = build()
+        ld.flush()
+
+        def failing_scan(*args, **kwargs):
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(lld_recovery, "_scan", failing_scan)
+        before = gc.isenabled()
+        with pytest.raises(RuntimeError, match="scan failed"):
+            repro.recover(disk.power_cycle(), config=CONFIG)
+        assert gc.isenabled() == before
+
+    def test_caller_disabled_collector_stays_disabled(self, platter):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            repro.recover(platter.power_cycle(), config=CONFIG)
+            repro.recover(crashed_array(), config=CONFIG)
+            assert not gc.isenabled()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_pause_is_reentrant(self):
+        pause = lld_recovery._collector_paused
+        before = gc.isenabled()
+        with pause:
+            with pause:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == before
+
+    def test_single_volume_starts_no_thread(self, platter, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"recovery started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for workers in (1, 4, 8):
+            _lld, report = recover(
+                platter.power_cycle(), workers=workers, config=CONFIG
+            )
+            assert report.segments_replayed > workers
+
+    def test_decode_lanes_are_charged_as_before(self, platter):
+        """``workers`` keeps its simulated meaning: the decode phase is
+        charged at ``1 / lanes``.  Values captured while the decode
+        still ran on a thread pool."""
+        decode = {}
+        for workers in (1, 4):
+            _lld, report = recover(
+                platter.power_cycle(), workers=workers, config=CONFIG
+            )
+            decode[workers] = report.phase_us["decode"].hex()
+        assert decode == {
+            1: "0x1.c0ec000000000p+15",
+            4: "0x1.c0ec000000000p+13",
+        }
+
+    def test_invalid_workers_rejected_for_both_shapes(self):
+        disk, ld = build()
+        ld.flush()
+        with pytest.raises(ValueError, match="workers"):
+            repro.recover(disk.power_cycle(), workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            repro.recover(crashed_array(), workers=0)
