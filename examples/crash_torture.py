@@ -85,7 +85,7 @@ def torture_round(round_no: int) -> dict:
     # every live block has a byte-identical salvage source.
     victims = []
     if rng.random() < 0.7:
-        live_blocks = [bid for bid, _v in ld2.bmap.persistent_blocks()]
+        live_blocks = sorted(ld2.bmap.persistent)
         ld2.read_many(live_blocks)
         dirty = sorted(
             (seg for seg, _live, _seq in ld2.usage.dirty_segments()),

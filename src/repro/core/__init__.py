@@ -13,7 +13,7 @@ implementations "will have to utilize at least a meta-data update log
 
 from repro.core.aru import ARURecord, ARUTable
 from repro.core.oplog import ListOp, ListOpKind, ListOpLog
-from repro.core.records import BlockVersion, ChainRoot, ListVersion, StateChain
+from repro.core.records import BlockVersion, ListVersion, StateChain
 from repro.core.versions import VersionState
 from repro.core.visibility import Visibility
 
@@ -21,7 +21,6 @@ __all__ = [
     "ARURecord",
     "ARUTable",
     "BlockVersion",
-    "ChainRoot",
     "ListOp",
     "ListOpKind",
     "ListOpLog",

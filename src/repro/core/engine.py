@@ -66,7 +66,7 @@ class LogSink(Protocol):
 
 class VersionEngine:
     """Version lookup, alternative records, list-operation replay,
-    commit and fold over two chain-root tables.
+    commit and fold over the block and list tables.
 
     One ``view`` / ``visible`` / ``for_update`` serves blocks and
     lists alike: the caller names the table (``engine.blocks`` or
@@ -138,16 +138,17 @@ class VersionEngine:
         """Modification view: shadow (if in ARU) -> committed -> persistent.
 
         Each walk of the same-identifier chain charges one hop per
-        record it visits (:meth:`ChainRoot.find`'s walks, written out)."""
-        root = table.root(ident)
-        if root is None:
-            return None
-        charge = self._charge
-        charge("table_access_us")
-        head = root.alt_head
+        record it visits (:func:`~repro.core.records.find_alt`'s walks,
+        written out)."""
+        head = table.alts.get(ident)
         if head is None:
             # No alternative record: no chain to walk, no hop to charge.
-            return root.persistent
+            persistent = table.persistent.get(ident)
+            if persistent is not None:
+                self._charge("table_access_us")
+            return persistent
+        charge = self._charge
+        charge("table_access_us")
         if ctx is not None:
             owner = ctx.aru_id
             node = head
@@ -162,14 +163,17 @@ class VersionEngine:
             if node.state is _COMMITTED:
                 return node
             node = node.next_same_id
-        return root.persistent
+        return table.persistent.get(ident)
 
     def visible(self, table, ident: int, aru: Optional[ARUId]):
         """Read view under the configured visibility policy."""
-        root = table.root(ident)
-        if root is None:
-            return None
-        candidates = read_versions(root, aru, self.visibility, self.meter)
+        head = table.alts.get(ident)
+        persistent = table.persistent.get(ident)
+        if head is None:
+            return persistent
+        candidates = read_versions(
+            head, persistent, aru, self.visibility, self.meter
+        )
         return candidates[0] if candidates else None
 
     def for_update(self, table, ident: int, ctx: Optional[ARURecord]):
@@ -179,12 +183,12 @@ class VersionEngine:
         persistent) per the standardized search of Section 3.3.  The
         walks charge one hop per record visited, as :meth:`view`'s.
         """
-        root = table.root(ident, create=True)
+        head = table.alts.get(ident)
         charge = self._charge
-        base = root.persistent
+        base = table.persistent.get(ident)
         if ctx is None:
             state, owner = _COMMITTED, ARU_NONE
-            node = root.alt_head
+            node = head
             while node is not None:
                 charge("chain_hop_us")
                 if node.state is _COMMITTED:
@@ -192,13 +196,13 @@ class VersionEngine:
                 node = node.next_same_id
         else:
             state, owner = _SHADOW, ctx.aru_id
-            node = root.alt_head
+            node = head
             while node is not None:
                 charge("chain_hop_us")
                 if node.state is _SHADOW and node.aru_id == owner:
                     return node
                 node = node.next_same_id
-            node = root.alt_head
+            node = head
             while node is not None:
                 charge("chain_hop_us")
                 if node.state is _COMMITTED:
@@ -214,7 +218,7 @@ class VersionEngine:
         if base is not None:
             version.copy_from(base)
         charge(self._record_create)
-        root.push_alt(version)
+        table.push_alt(ident, version)
         chain.push(version)
         return version
 
@@ -247,7 +251,7 @@ class VersionEngine:
         addr = self.sink.log_write(block_id, data, aru_tag, ts)
         version = self.for_update(self.blocks, block_id, None)
         if version.address is not None and version.address != addr:
-            persistent = self.blocks.root(block_id).persistent
+            persistent = self.blocks.persistent.get(block_id)
             if persistent is None or persistent.address != version.address:
                 self.sink.retire_address(version.address)
         version.allocated = True
@@ -462,8 +466,7 @@ class VersionEngine:
     def _drop_shadow_lists(self, record: ARURecord) -> None:
         charge = self._charge
         for shadow in record.shadow_lists.drain():
-            self.lists.root(shadow.list_id).remove_alt(shadow)
-            self.lists.drop_if_empty(shadow.list_id)
+            self.lists.remove_alt(shadow.list_id, shadow)
             charge("record_transition_us")
 
     def merge(self, record: ARURecord) -> None:
@@ -474,7 +477,7 @@ class VersionEngine:
         #    ARU deleted or only re-linked are reconstructed by the
         #    list-operation log replay below.
         for shadow in record.shadow_blocks.drain():
-            self.blocks.root(shadow.block_id).remove_alt(shadow)
+            self.blocks.remove_alt(shadow.block_id, shadow)
             charge("record_transition_us")
             if not shadow.allocated or shadow.data is None:
                 continue
@@ -504,8 +507,7 @@ class VersionEngine:
         """Drop an aborted ARU's shadow state."""
         charge = self._charge
         for shadow in record.shadow_blocks.drain():
-            self.blocks.root(shadow.block_id).remove_alt(shadow)
-            self.blocks.drop_if_empty(shadow.block_id)
+            self.blocks.remove_alt(shadow.block_id, shadow)
             charge("record_transition_us")
         self._drop_shadow_lists(record)
         record.oplog.clear()
@@ -529,12 +531,12 @@ class VersionEngine:
     def _fold(self, table, chain: StateChain, version) -> None:
         is_block = table is self.blocks
         ident = version.block_id if is_block else version.list_id
-        root = table.root(ident)
-        root.remove_alt(version)
+        table.remove_alt(ident, version)
         chain.remove(version)
         self._charge(self._record_transition)
         table.mark_changed(ident)
-        old = root.persistent
+        persistent = table.persistent
+        old = persistent.get(ident)
         if is_block:
             # A dying record retires the data slot it occupies itself
             # (its write was counted live at seal time); either way
@@ -548,10 +550,8 @@ class VersionEngine:
             ):
                 self.sink.retire_address(old.address)
         if not version.allocated:
-            root.persistent = None
-            table.drop_if_empty(ident)
+            persistent.pop(ident, None)
             return
         if old is None:
-            old = type(version)(ident, VersionState.PERSISTENT)
-            root.persistent = old
+            old = persistent[ident] = type(version)(ident, VersionState.PERSISTENT)
         old.copy_from(version)

@@ -177,88 +177,56 @@ class ListVersion:
         )
 
 
-class ChainRoot:
-    """Table entry for one logical identifier: the same-id chain root.
+# A same-identifier chain is reached through its head, the newest
+# alternative record (a table's ``alts`` entry); the walks below are
+# generic over BlockVersion/ListVersion, which carry the same chain
+# attributes.
 
-    Holds the persistent version (if any) and the head of the
-    same-identifier chain of alternative records, newest first.
+
+def iter_chain(head) -> Iterator:
+    """Yield the records of a same-identifier chain, newest first (no
+    cost charging)."""
+    node = head
+    while node is not None:
+        yield node
+        node = node.next_same_id
+
+
+def find_alt(head, state: VersionState, aru_id: ARUId, meter=None):
+    """Find the alternative record in ``state`` (for ``aru_id``) on the
+    chain starting at ``head``.
+
+    For shadow lookups ``aru_id`` selects whose shadow; for committed
+    lookups ``aru_id`` is ignored.  Charges one chain hop per record
+    visited when a meter is supplied.  ``VersionEngine.view`` and
+    ``for_update`` write this walk out inline and must charge exactly
+    as it does.
     """
+    node = head
+    while node is not None:
+        if meter is not None:
+            meter.charge("chain_hop_us")
+        if node.state is state and (
+            state is not VersionState.SHADOW or node.aru_id == aru_id
+        ):
+            return node
+        node = node.next_same_id
+    return None
 
-    __slots__ = ("persistent", "alt_head")
 
-    def __init__(self) -> None:
-        self.persistent = None
-        self.alt_head = None
-
-    # The chain is generic over BlockVersion/ListVersion; both carry
-    # the same chain attributes.
-
-    def push_alt(self, version) -> None:
-        """Insert an alternative record at the head of the id chain."""
-        version.next_same_id = self.alt_head
-        self.alt_head = version
-
-    def remove_alt(self, version) -> None:
-        """Unlink an alternative record from the id chain."""
-        prev = None
-        node = self.alt_head
-        while node is not None:
-            if node is version:
-                if prev is None:
-                    self.alt_head = node.next_same_id
-                else:
-                    prev.next_same_id = node.next_same_id
-                node.next_same_id = None
-                return
-            prev = node
-            node = node.next_same_id
-        raise ValueError(f"record {version!r} not on its id chain")
-
-    def iter_alts(self) -> Iterator:
-        """Yield alternative records newest-first (no cost charging)."""
-        node = self.alt_head
-        while node is not None:
-            yield node
-            node = node.next_same_id
-
-    def find(self, state: VersionState, aru_id: ARUId, meter=None):
-        """Find the alternative record in ``state`` (for ``aru_id``).
-
-        For shadow lookups ``aru_id`` selects whose shadow; for
-        committed lookups ``aru_id`` is ignored.  Charges one chain
-        hop per record visited when a meter is supplied.
-        ``VersionEngine.view`` and ``for_update`` write this walk out
-        inline and must charge exactly as it does.
-        """
-        node = self.alt_head
-        while node is not None:
-            if meter is not None:
-                meter.charge("chain_hop_us")
-            if node.state is state and (
-                state is not VersionState.SHADOW or node.aru_id == aru_id
-            ):
-                return node
-            node = node.next_same_id
-        return None
-
-    def newest_shadow(self, meter=None):
-        """The most recent shadow record across all ARUs (option 1)."""
-        best = None
-        node = self.alt_head
-        while node is not None:
-            if meter is not None:
-                meter.charge("chain_hop_us")
-            if node.state is VersionState.SHADOW and (
-                best is None or node.timestamp > best.timestamp
-            ):
-                best = node
-            node = node.next_same_id
-        return best
-
-    @property
-    def empty(self) -> bool:
-        """True when neither a persistent nor any alternative exists."""
-        return self.persistent is None and self.alt_head is None
+def newest_shadow(head, meter=None):
+    """The most recent shadow record across all ARUs (option 1)."""
+    best = None
+    node = head
+    while node is not None:
+        if meter is not None:
+            meter.charge("chain_hop_us")
+        if node.state is VersionState.SHADOW and (
+            best is None or node.timestamp > best.timestamp
+        ):
+            best = node
+        node = node.next_same_id
+    return best
 
 
 class StateChain:

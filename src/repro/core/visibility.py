@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.core.records import ChainRoot
+from repro.core.records import find_alt, newest_shadow
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE, ARUId
 
@@ -40,32 +40,35 @@ class Visibility(enum.Enum):
 
 
 def read_versions(
-    root: ChainRoot,
+    head,
+    persistent,
     aru_id: Optional[ARUId],
     policy: Visibility,
     meter=None,
 ):
-    """Yield candidate versions for a Read, strongest-match first.
+    """Return candidate versions for a Read, strongest-match first.
 
-    The caller walks the candidates and serves from the first one
-    that can satisfy the read (carries data, an address, or proves
-    the block deallocated).  The final candidate is always the
-    persistent version if one exists.
+    ``head`` is the newest alternative record of the identifier (its
+    table's ``alts`` entry, or None) and ``persistent`` its persistent
+    record (or None).  The caller walks the candidates and serves from
+    the first one that can satisfy the read (carries data, an address,
+    or proves the block deallocated).  The final candidate is always
+    the persistent version if one exists.
     """
     candidates = []
     if policy is Visibility.MOST_RECENT_SHADOW:
-        shadow = root.newest_shadow(meter)
+        shadow = newest_shadow(head, meter)
         if shadow is not None:
             candidates.append(shadow)
     elif policy is Visibility.ARU_LOCAL:
         if aru_id is not None and aru_id != ARU_NONE:
-            shadow = root.find(VersionState.SHADOW, aru_id, meter)
+            shadow = find_alt(head, VersionState.SHADOW, aru_id, meter)
             if shadow is not None:
                 candidates.append(shadow)
     # COMMITTED_ONLY adds no shadow candidate.
-    committed = root.find(VersionState.COMMITTED, ARU_NONE, meter)
+    committed = find_alt(head, VersionState.COMMITTED, ARU_NONE, meter)
     if committed is not None:
         candidates.append(committed)
-    if root.persistent is not None:
-        candidates.append(root.persistent)
+    if persistent is not None:
+        candidates.append(persistent)
     return candidates

@@ -113,54 +113,52 @@ class PackedRows:
     the table marked changed since the last call — all of them when
     the table says every one changed, which makes the first build the
     same code as every later one — and returns the table's section of
-    the image: dense identifiers ascending, then sparse ones
-    ascending, the order :meth:`~repro.core.tables._RootTable.items`
-    walks.  Nothing is packed until a checkpoint asks.
+    the image, identifiers ascending.  The order is sorted again only
+    when the set of identifiers changed.  Nothing is packed until a
+    checkpoint asks.
     """
 
-    __slots__ = ("_table", "pack", "_dense", "_sparse")
+    __slots__ = ("_table", "pack", "_rows", "_order")
 
     def __init__(self, table, pack: Callable[[int, object], bytes]) -> None:
         self._table = table
         self.pack = pack
-        #: Row by identifier over the table's dense range; ``b""``
-        #: where there is no persistent record.
-        self._dense: List[bytes] = []
-        self._sparse: Dict[int, bytes] = {}
+        #: Identifier -> its row, for every persistent record.
+        self._rows: Dict[int, bytes] = {}
+        #: The identifiers of ``_rows`` ascending; None once the set of
+        #: identifiers changed.
+        self._order: Optional[List[int]] = None
 
     def section(self) -> bytes:
         """Bring the rows up to date and return them joined."""
         table = self._table
         pack = self.pack
+        persistent = table.persistent
         changed = table.changed
         if changed is None:
-            self._dense, self._sparse = [], {}
-            changed = [ident for ident, _root in table.items()]
-        dense, sparse = self._dense, self._sparse
-        limit = table.dense_size
-        dense.extend([b""] * (limit - len(dense)))
-        root_of = table.root
-        for ident in changed:
-            root = root_of(ident)
-            record = None if root is None else root.persistent
-            row = b"" if record is None else pack(ident, record)
-            if 0 <= ident < limit:
-                dense[ident] = row
-            elif row:
-                sparse[ident] = row
-            else:
-                sparse.pop(ident, None)
+            rows = self._rows = {
+                ident: pack(ident, record) for ident, record in persistent.items()
+            }
+            self._order = None
+        else:
+            rows = self._rows
+            for ident in changed:
+                record = persistent.get(ident)
+                if record is not None:
+                    if ident not in rows:
+                        self._order = None
+                    rows[ident] = pack(ident, record)
+                elif rows.pop(ident, None) is not None:
+                    self._order = None
         table.changed = set()
-        rows = b"".join(dense)
-        if sparse:
-            rows += b"".join([sparse[ident] for ident in sorted(sparse)])
-        return rows
+        order = self._order
+        if order is None:
+            order = self._order = sorted(rows)
+        return b"".join(map(rows.__getitem__, order))
 
     def rows(self) -> Dict[int, bytes]:
         """Identifier -> the row held for it (for the checker)."""
-        held = {ident: row for ident, row in enumerate(self._dense) if row}
-        held.update(self._sparse)
-        return held
+        return dict(self._rows)
 
 
 @dataclasses.dataclass

@@ -35,6 +35,7 @@ import dataclasses
 import heapq
 from typing import List, Optional
 
+from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE, BlockId
 from repro.lld.segment import decode_segment
@@ -282,6 +283,7 @@ class SegmentCleaner:
         if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
             return None
         lld.meter.charge("decode_entry_us", decoded.entry_count)
+        bmap = lld.bmap
         copied = 0
         seen = set()
         # Hot loop: raw entry tuples (no SummaryEntry objects) and
@@ -296,10 +298,9 @@ class SegmentCleaner:
             if (block_id, slot) in seen:
                 continue
             seen.add((block_id, slot))
-            root = lld.bmap.root(block_id)
-            if root is None or root.persistent is None:
+            persistent = bmap.persistent.get(block_id)
+            if persistent is None:
                 continue
-            persistent = root.persistent
             if persistent.address is None or persistent.address.segment != seg:
                 continue
             if persistent.address.slot != slot:
@@ -307,12 +308,15 @@ class SegmentCleaner:
             # A committed record means a newer copy is already in the
             # stream ahead of us; the flush below makes it durable,
             # so the old slot need not move.
-            if root.find(VersionState.COMMITTED, ARU_NONE) is not None:
+            if (
+                find_alt(bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE)
+                is not None
+            ):
                 continue
             data = decoded.slot_view(slot)
             ts = lld.clock.tick()
             addr = lld.log_write(block_id, data, 0, ts)
             persistent.address = addr
-            lld.bmap.mark_changed(block_id)
+            bmap.mark_changed(block_id)
             copied += 1
         return copied

@@ -657,11 +657,10 @@ class LLD(LogWriter, LogicalDisk):
         self._ops["read"].inc()
         if aru is not None:
             self.arus.get(aru)  # validates the ARU
-        root = self.bmap.root(block_id)
-        if root is None:
-            raise BadBlockError(int(block_id))
-        if root.alt_head is None:
-            version = root.persistent
+        bmap = self.bmap
+        head = bmap.alts.get(block_id)
+        if head is None:
+            version = bmap.persistent.get(block_id)
             if version is None:
                 raise BadBlockError(int(block_id))
             if not version.allocated:
@@ -670,7 +669,9 @@ class LLD(LogWriter, LogicalDisk):
             if version.data is not None:
                 return version.data, None
             return None, version.address
-        candidates = read_versions(root, aru, self.visibility, self.meter)
+        candidates = read_versions(
+            head, bmap.persistent.get(block_id), aru, self.visibility, self.meter
+        )
         if not candidates:
             raise BadBlockError(int(block_id))
         if not candidates[0].allocated:
@@ -844,6 +845,8 @@ class LLD(LogWriter, LogicalDisk):
             if view is None or not view.allocated:
                 raise BadListError(int(list_id))
             blocks: List[BlockId] = []
+            # No list holds more blocks than the map has entries.
+            bound = len(self.bmap.persistent) + len(self.bmap.alts) + 1
             cursor = view.first
             while cursor is not None:
                 blocks.append(cursor)
@@ -853,7 +856,7 @@ class LLD(LogWriter, LogicalDisk):
                         int(cursor), f"list {list_id} references missing block"
                     )
                 cursor = block_view.successor
-                if len(blocks) > len(self.bmap) + 1:
+                if len(blocks) > bound:
                     raise LDError(f"cycle detected in list {list_id}")
             return blocks
 
@@ -936,7 +939,7 @@ class LLD(LogWriter, LogicalDisk):
                     "cannot sweep orphans while ARUs are active"
                 )
             members: Set[int] = set()
-            for list_id, _root in list(self.ltable.items()):
+            for list_id in self.ltable.ids():
                 view = self.engine.view(self.ltable, list_id, None)
                 if view is None or not view.allocated:
                     continue
@@ -946,7 +949,7 @@ class LLD(LogWriter, LogicalDisk):
                     block_view = self.engine.view(self.bmap, cursor, None)
                     cursor = block_view.successor if block_view else None
             orphans: List[BlockId] = []
-            for block_id, _root in list(self.bmap.items()):
+            for block_id in self.bmap.ids():
                 view = self.engine.view(self.bmap, block_id, None)
                 if view is None or not view.allocated:
                     continue

@@ -225,47 +225,19 @@ class RecoveryReport:
 
 
 # ======================================================================
-# Replay: the per-entry rules, and the two places records can live
+# Replay: the per-entry rules
 # ======================================================================
-
-
-class _PersistentRecords:
-    """Mapping view (id -> record) of a live table's persistent slots.
-
-    Instant restore's record store once the checkpoint is installed:
-    the volume serves from these very tables while replay catches up,
-    so a replayed entry is visible to traffic the moment it is applied.
-    Alternative records chained off the same roots by live traffic are
-    never touched.  (Until the volume opens nothing observes the
-    records, so both modes build them in a plain ``dict`` and install
-    the lot at once.)
-    """
-
-    def __init__(self, table) -> None:
-        self._table = table
-        self.items = table.persistent_items
-
-    def get(self, ident: int):
-        root = self._table.root(ident)
-        return root.persistent if root is not None else None
-
-    def __setitem__(self, ident: int, record) -> None:
-        self._table.root(ident, create=True).persistent = record
-
-    def __delitem__(self, ident: int) -> None:
-        root = self._table.root(ident)
-        root.persistent = None
-        self._table.drop_if_empty(ident)
 
 
 class ReplayRules:
     """The log replay rules, written once.
 
-    ``blocks`` and ``lists`` map ids to persistent
-    :class:`BlockVersion` / :class:`ListVersion` records and say where
-    those live — two plain dicts, or :class:`_PersistentRecords` views
-    of the live tables; the rules themselves (one per summary entry
-    kind, plus the orphan sweep) do not care.  A persistent record is
+    ``blocks`` and ``lists`` are dicts mapping ids to persistent
+    :class:`BlockVersion` / :class:`ListVersion` records.  Recovery
+    hands them over as the volume's tables
+    (:meth:`~repro.core.tables._RootTable.adopt`), so an instant
+    restore's on-demand replay keeps applying entries to the very
+    dicts the volume serves from.  A persistent record is
     always allocated — deallocation removes it — so presence is the
     allocation test.  Entries arrive as the raw field tuples of
     :func:`~repro.lld.summary.decode_entry_tuples`:
@@ -984,12 +956,11 @@ def recover(
     report.phase_us["replay"] = clock.now_us - replay_start
 
     install_start = clock.now_us
-    lld.bmap.install_all(rules.blocks.values())
-    lld.ltable.install_all(rules.lists.values())
+    # The replayed records become the tables; an instant restore's
+    # replay goes on, later and on demand, in the same dicts.
+    lld.bmap.adopt(rules.blocks)
+    lld.ltable.adopt(rules.lists)
     if instant:
-        # Replay runs later, on demand, on the live tables.
-        rules.blocks = _PersistentRecords(lld.bmap)
-        rules.lists = _PersistentRecords(lld.ltable)
         # Provisional live counts — the roster's for checkpointed
         # segments, every written slot for pending ones — until the
         # restore completes and recounts from the final addresses

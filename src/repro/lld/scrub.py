@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.errors import MediaError
 from repro.ld.types import ARU_NONE, BlockId
@@ -218,9 +219,12 @@ class Scrubber:
     def _repair(self, damaged: Set[int], report: ScrubReport) -> None:
         """Salvage and relocate every live block of ``damaged``."""
         lld = self.lld
-        for block_id, root in list(lld.bmap.items()):
-            committed = root.find(VersionState.COMMITTED, ARU_NONE)
-            persistent = root.persistent
+        bmap = lld.bmap
+        for block_id in bmap.ids():
+            committed = find_alt(
+                bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE
+            )
+            persistent = bmap.persistent.get(block_id)
             if (
                 committed is not None
                 and committed.address is not None

@@ -3,11 +3,15 @@
 :func:`verify_lld` cross-checks the in-memory structures against each
 other and returns a list of human-readable violations (empty = sound):
 
-1. every alternative record hangs off the correct same-identifier
+1. each table's ``persistent`` dict holds only allocated PERSISTENT
+   records keyed by their own identifier, its ``alts`` dict only
+   non-empty chains of that identifier's alternative records, and
+   every alternative record hangs off the correct same-identifier
    chain *and* the correct same-state chain (the perpendicular mesh
    of Section 4),
 2. persistent block addresses point into on-disk (or current-buffer)
-   segments, and the per-segment live counts match the map exactly,
+   segments, and the per-segment live counts match exactly the slots
+   the map and the not-yet-folded committed records hold,
 3. every list version is well-formed in its own view: walking
    ``first`` by successors visits ``count`` distinct members, each
    claiming membership of that list, ending at ``last``,
@@ -25,9 +29,10 @@ useful debugging aid for anyone extending the write path.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
-from repro.core.records import BlockVersion, ListVersion
+from repro.core.records import ListVersion, find_alt, iter_chain
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE
 from repro.lld.usage import WALK_BATCH, SegmentState
@@ -36,6 +41,7 @@ from repro.lld.usage import WALK_BATCH, SegmentState
 def verify_lld(lld) -> List[str]:
     """Return a list of invariant violations (empty when sound)."""
     problems: List[str] = []
+    problems += _verify_tables(lld)
     problems += _verify_block_mesh(lld)
     problems += _verify_list_mesh(lld)
     problems += _verify_usage(lld)
@@ -83,7 +89,7 @@ def _verify_packed_rows(lld) -> List[str]:
         if changed is None:
             continue
         held = packed.rows()
-        records = dict(table.persistent_items())
+        records = table.persistent
         for ident in sorted((held.keys() | records.keys()) - changed):
             if ident not in records:
                 problems.append(
@@ -185,29 +191,51 @@ def _collect_state_members(lld):
     return committed_blocks, committed_lists, shadow_blocks, shadow_lists
 
 
+def _verify_tables(lld) -> List[str]:
+    """The two dicts of each table hold no entry they should not:
+    every ``persistent`` value is an allocated PERSISTENT record keyed
+    by its own identifier, and every ``alts`` value heads a non-empty
+    chain of non-PERSISTENT records of that identifier."""
+    problems: List[str] = []
+    for name, table, id_of in (
+        ("block", lld.bmap, attrgetter("block_id")),
+        ("list", lld.ltable, attrgetter("list_id")),
+    ):
+        for ident, record in sorted(table.persistent.items()):
+            if record.state is not VersionState.PERSISTENT:
+                problems.append(
+                    f"{name} {ident}: map entry in state {record.state.name}"
+                )
+            if not record.allocated:
+                problems.append(
+                    f"{name} {ident}: deallocated record kept in the map"
+                )
+            if id_of(record) != ident:
+                problems.append(
+                    f"{name} {ident}: persistent record names {id_of(record)}"
+                )
+        for ident, head in sorted(table.alts.items()):
+            if head is None:
+                problems.append(f"{name} {ident}: empty alternative chain kept")
+            for alt in iter_chain(head):
+                if id_of(alt) != ident:
+                    problems.append(
+                        f"{name} {ident}: chained record names {id_of(alt)}"
+                    )
+                if alt.state is VersionState.PERSISTENT:
+                    problems.append(
+                        f"{name} {ident}: persistent record on the alt chain"
+                    )
+    return problems
+
+
 def _verify_block_mesh(lld) -> List[str]:
     problems: List[str] = []
     committed, _cl, shadows, _sl = _collect_state_members(lld)
     seen_alt_ids: Set[int] = set()
-    for block_id, root in lld.bmap.items():
-        persistent = root.persistent
-        if persistent is not None:
-            if persistent.state is not VersionState.PERSISTENT:
-                problems.append(
-                    f"block {block_id}: map entry in state "
-                    f"{persistent.state.name}"
-                )
-            if not persistent.allocated:
-                problems.append(
-                    f"block {block_id}: deallocated record kept in the map"
-                )
-        for alt in root.iter_alts():
+    for block_id, head in sorted(lld.bmap.alts.items()):
+        for alt in iter_chain(head):
             seen_alt_ids.add(id(alt))
-            if alt.block_id != block_id:
-                problems.append(
-                    f"block {block_id}: chained record names "
-                    f"{alt.block_id}"
-                )
             if alt.state is VersionState.COMMITTED:
                 if id(alt) not in committed:
                     problems.append(
@@ -226,10 +254,6 @@ def _verify_block_mesh(lld) -> List[str]:
                         f"block {block_id}: shadow record owned by ARU "
                         f"{alt.aru_id} chained under ARU {owner}"
                     )
-            else:
-                problems.append(
-                    f"block {block_id}: persistent record on the alt chain"
-                )
     # Reverse direction: every state-chain member must be in the mesh.
     for version in lld.committed_blocks:
         if id(version) not in seen_alt_ids:
@@ -244,20 +268,9 @@ def _verify_list_mesh(lld) -> List[str]:
     problems: List[str] = []
     _cb, committed, _sb, shadows = _collect_state_members(lld)
     seen_alt_ids: Set[int] = set()
-    for list_id, root in lld.ltable.items():
-        persistent = root.persistent
-        if persistent is not None and persistent.state is not (
-            VersionState.PERSISTENT
-        ):
-            problems.append(
-                f"list {list_id}: table entry in state {persistent.state.name}"
-            )
-        for alt in root.iter_alts():
+    for list_id, head in sorted(lld.ltable.alts.items()):
+        for alt in iter_chain(head):
             seen_alt_ids.add(id(alt))
-            if alt.list_id != list_id:
-                problems.append(
-                    f"list {list_id}: chained record names {alt.list_id}"
-                )
             if alt.state is VersionState.COMMITTED and id(alt) not in committed:
                 problems.append(
                     f"list {list_id}: committed record missing from the "
@@ -279,7 +292,7 @@ def _verify_list_mesh(lld) -> List[str]:
 def _verify_usage(lld) -> List[str]:
     problems: List[str] = []
     live: Dict[int, int] = {}
-    for block_id, persistent in lld.bmap.persistent_blocks():
+    for block_id, persistent in sorted(lld.bmap.persistent.items()):
         addr = persistent.address
         if addr is None:
             continue
@@ -302,6 +315,23 @@ def _verify_usage(lld) -> List[str]:
                 f"{state.value} segment"
             )
         live[addr.segment] = live.get(addr.segment, 0) + 1
+    # A committed record that has not folded yet (its ARU's commit
+    # record is not on disk) holds a slot of its own, counted when its
+    # chunk was written: LogWriter.retire_address's rule.
+    usage = lld.usage
+    for version in lld.committed_blocks:
+        addr = version.address
+        if addr is None:
+            continue
+        persistent = lld.bmap.persistent.get(version.block_id)
+        if persistent is not None and persistent.address == addr:
+            continue
+        state = usage.state(addr.segment)
+        if state is SegmentState.DIRTY or state is SegmentState.QUEUED or (
+            state is SegmentState.CURRENT
+            and addr.slot < usage.total_slots(addr.segment)
+        ):
+            live[addr.segment] = live.get(addr.segment, 0) + 1
     restore = getattr(lld, "_restore", None)
     counted = list(lld.usage.dirty_segments())
     if lld._buffer is not None and lld._buffer.in_place:
@@ -334,24 +364,21 @@ def _walk_view(lld, list_version: ListVersion, state: VersionState,
             return None  # cycle
         seen.add(int(cursor))
         members.append(int(cursor))
-        root = lld.bmap.root(cursor)
-        if root is None:
-            return None
+        head = lld.bmap.alts.get(cursor)
+        persistent = lld.bmap.persistent.get(cursor)
         if state is VersionState.SHADOW:
-            block = root.find(VersionState.SHADOW, aru_id) or root.find(
-                VersionState.COMMITTED, ARU_NONE
-            ) or root.persistent
+            block = find_alt(head, VersionState.SHADOW, aru_id) or find_alt(
+                head, VersionState.COMMITTED, ARU_NONE
+            ) or persistent
         elif state is VersionState.COMMITTED:
-            block = root.find(VersionState.COMMITTED, ARU_NONE) or (
-                root.persistent
+            block = find_alt(head, VersionState.COMMITTED, ARU_NONE) or (
+                persistent
             )
         else:
             # Persistent view.  A member may transiently lack a
             # persistent record while its committed record waits for a
             # later segment (the link folded first); fall back to it.
-            block = root.persistent or root.find(
-                VersionState.COMMITTED, ARU_NONE
-            )
+            block = persistent or find_alt(head, VersionState.COMMITTED, ARU_NONE)
         if block is None:
             return None
         cursor = block.successor
@@ -360,11 +387,13 @@ def _walk_view(lld, list_version: ListVersion, state: VersionState,
 
 def _verify_lists_well_formed(lld) -> List[str]:
     problems: List[str] = []
-    for list_id, root in lld.ltable.items():
+    ltable = lld.ltable
+    for list_id in ltable.ids():
         views = []
-        if root.persistent is not None:
-            views.append((root.persistent, VersionState.PERSISTENT, ARU_NONE))
-        for alt in root.iter_alts():
+        persistent = ltable.persistent.get(list_id)
+        if persistent is not None:
+            views.append((persistent, VersionState.PERSISTENT, ARU_NONE))
+        for alt in iter_chain(ltable.alts.get(list_id)):
             views.append((alt, alt.state, alt.aru_id))
         for version, state, aru_id in views:
             if not version.allocated:

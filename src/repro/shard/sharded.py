@@ -546,8 +546,8 @@ class ShardedLLD(LogicalDisk):
             shard = self.shards[p]
             if shard is None:
                 continue
-            block_ids = {k for k, _ in shard.bmap.items()}
-            list_ids = {k for k, _ in shard.ltable.items()}
+            block_ids = set(shard.bmap.ids())
+            list_ids = set(shard.ltable.ids())
             if shard._restore is not None:
                 block_ids.update(shard._restore.block_index)
                 list_ids.update(shard._restore.list_index)
@@ -744,7 +744,7 @@ class ShardedLLD(LogicalDisk):
 
     def _list_ids_on(self, shard_index: int) -> Set[int]:
         shard = self.shards[shard_index]
-        ids = {int(k) for k, _ in shard.ltable.items()}
+        ids = set(shard.ltable.ids())
         if shard._restore is not None:
             ids.update(int(k) for k in shard._restore.list_index)
         return ids
@@ -1437,7 +1437,7 @@ class ShardedLLD(LogicalDisk):
         # Mirror blocks orphaned by an ARU that never committed:
         # allocation commits immediately, so sweep them like the
         # paper's disk consistency check sweeps user orphans.
-        for block_id, _root in list(shard.bmap.items()):
+        for block_id in shard.bmap.ids():
             if block_id < SYSTEM_ID_BASE:
                 continue
             view = shard.engine.view(shard.bmap, BlockId(block_id), None)

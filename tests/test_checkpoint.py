@@ -405,7 +405,7 @@ def reference_lld_rows(lld):
             rec.address.slot if rec.address else 0,
             rec.address is not None,
         )
-        for block_id, rec in lld.bmap.persistent_blocks()
+        for block_id, rec in sorted(lld.bmap.persistent.items())
     ]
     lists = [
         (
@@ -415,7 +415,7 @@ def reference_lld_rows(lld):
             rec.count,
             rec.timestamp,
         )
-        for list_id, rec in lld.ltable.persistent_lists()
+        for list_id, rec in sorted(lld.ltable.persistent.items())
     ]
     return blocks, lists
 
@@ -671,7 +671,7 @@ class TestRowsRepackedWhereChanged:
 
     def test_verify_finds_a_change_nobody_marked(self):
         _disk, ld, _lists, blocks = self.make()
-        ld.bmap.root(blocks[2]).persistent.timestamp += 1
+        ld.bmap.persistent[blocks[2]].timestamp += 1
         assert verify_lld(ld) == [
             f"stale checkpoint row for block {blocks[2]}: its record "
             "changed and it is not marked changed"

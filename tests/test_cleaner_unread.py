@@ -55,7 +55,7 @@ def mixed_volume(config=CONFIG, injector=None):
     ld.flush()
     by_segment = {}
     for block in blocks:
-        segment = ld.bmap.root(block).persistent.address.segment
+        segment = ld.bmap.persistent[block].address.segment
         by_segment.setdefault(segment, []).append(block)
     partly = sorted(by_segment)[1 : 1 + PARTLY_LIVE]
     kept = {block for seg in partly for block in by_segment[seg][-KEPT:]}

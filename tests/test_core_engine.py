@@ -16,6 +16,7 @@ import pytest
 from repro.core.aru import ARUTable
 from repro.core.engine import VersionEngine
 from repro.core.oplog import ListOp, ListOpKind
+from repro.core.records import iter_chain
 from repro.core.tables import BlockNumberMap, ListTable
 from repro.core.versions import VersionState
 from repro.core.visibility import Visibility
@@ -129,11 +130,9 @@ class Volume:
 
     def chain(self, table, ident):
         """Every version of one id: alternatives, then persistent."""
-        root = table.root(ident)
-        if root is None:
-            return []
-        return list(root.iter_alts()) + [root.persistent] * (
-            root.persistent is not None
+        persistent = table.persistent.get(ident)
+        return list(iter_chain(table.alts.get(ident))) + [persistent] * (
+            persistent is not None
         )
 
 
@@ -144,7 +143,7 @@ def table_state(volume):
         [
             (ident, [repr(v) for v in volume.chain(table, ident)])
             for table in (engine.blocks, engine.lists)
-            for ident, _root in table.items()
+            for ident in table.ids()
         ],
         [repr(v) for v in engine.committed_blocks],
         [repr(v) for v in engine.committed_lists],
@@ -280,8 +279,7 @@ class TestFold:
         volume.end_aru(aru)
 
         def persistent(block):
-            root = engine.blocks.root(block)
-            return root is not None and root.persistent is not None
+            return block in engine.blocks.persistent
 
         # Nothing written yet: nothing folds, whatever is committed.
         engine.fold(sink.written_seq, {int(aru)})
@@ -292,7 +290,7 @@ class TestFold:
         sink.written_seq = sink.log_seq
         engine.fold(sink.written_seq, set())
         assert persistent(simple)
-        assert engine.blocks.root(simple).persistent.address is not None
+        assert engine.blocks.persistent[simple].address is not None
         assert [int(v.origin_aru) for v in engine.committed_blocks] == [int(aru)]
         assert [int(v.origin_aru) for v in engine.committed_lists] == [int(aru)]
         # A commit record for somebody else changes nothing.
@@ -301,23 +299,23 @@ class TestFold:
         # Both: the ARU's records fold.
         engine.fold(sink.written_seq, {int(aru)})
         assert len(engine.committed_blocks) == len(engine.committed_lists) == 0
-        assert engine.blocks.root(tagged).persistent.list_id == lst
-        assert engine.lists.root(lst).persistent.count == 2
+        assert engine.blocks.persistent[tagged].list_id == lst
+        assert engine.lists.persistent[lst].count == 2
 
     def test_fold_retires_superseded_and_dead_addresses(self):
         volume = Volume()
         block = volume.new_block(volume.new_list())
         volume.write(block, b"one")
         volume.flush()
-        first = volume.engine.blocks.root(block).persistent.address
+        first = volume.engine.blocks.persistent[block].address
         volume.write(block, b"two")
         volume.flush()
         assert volume.sink.retired == [first]
-        second = volume.engine.blocks.root(block).persistent.address
+        second = volume.engine.blocks.persistent[block].address
         volume.delete_block(block)
         volume.flush()
         assert volume.sink.retired == [first, second]
-        assert volume.engine.blocks.root(block) is None
+        assert block not in volume.engine.blocks.ids()
 
 
 class TestAgainstLLD:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import errors
-from repro.core.records import BlockVersion, ChainRoot
+from repro.core.records import BlockVersion
+from repro.core.tables import BlockNumberMap
 from repro.core.versions import VersionState
 from repro.core.visibility import Visibility, read_versions
 from repro.ld.types import ARU_NONE, ARUId, BlockId
@@ -43,27 +44,30 @@ class TestErrorHierarchy:
 
 
 def _root_with(persistent=False, committed=False, shadows=()):
-    root = ChainRoot()
+    """``(head, persistent)`` of one block id: its chain of alternative
+    records as the table's ``alts`` entry heads it, and its persistent
+    record."""
+    table = BlockNumberMap()
     if persistent:
-        root.persistent = BlockVersion(BlockId(1), VersionState.PERSISTENT)
+        table.install_persistent(BlockVersion(BlockId(1), VersionState.PERSISTENT))
     if committed:
-        root.push_alt(BlockVersion(BlockId(1), VersionState.COMMITTED))
+        table.push_alt(1, BlockVersion(BlockId(1), VersionState.COMMITTED))
     for aru, timestamp in shadows:
         version = BlockVersion(
             BlockId(1), VersionState.SHADOW, aru_id=ARUId(aru),
             timestamp=timestamp,
         )
-        root.push_alt(version)
-    return root
+        table.push_alt(1, version)
+    return table.alts.get(1), table.persistent.get(1)
 
 
 class TestReadVersions:
     def test_empty_root(self):
-        assert read_versions(ChainRoot(), None, Visibility.ARU_LOCAL) == []
+        assert read_versions(None, None, None, Visibility.ARU_LOCAL) == []
 
     def test_persistent_always_last(self):
         root = _root_with(persistent=True, committed=True, shadows=[(1, 5)])
-        candidates = read_versions(root, ARUId(1), Visibility.ARU_LOCAL)
+        candidates = read_versions(*root, ARUId(1), Visibility.ARU_LOCAL)
         assert [c.state for c in candidates] == [
             VersionState.SHADOW,
             VersionState.COMMITTED,
@@ -72,23 +76,23 @@ class TestReadVersions:
 
     def test_aru_local_without_aru_skips_shadows(self):
         root = _root_with(persistent=True, shadows=[(1, 5)])
-        candidates = read_versions(root, None, Visibility.ARU_LOCAL)
+        candidates = read_versions(*root, None, Visibility.ARU_LOCAL)
         assert [c.state for c in candidates] == [VersionState.PERSISTENT]
 
     def test_aru_local_foreign_shadow_invisible(self):
         root = _root_with(persistent=True, shadows=[(1, 5)])
-        candidates = read_versions(root, ARUId(2), Visibility.ARU_LOCAL)
+        candidates = read_versions(*root, ARUId(2), Visibility.ARU_LOCAL)
         assert [c.state for c in candidates] == [VersionState.PERSISTENT]
 
     def test_committed_only_ignores_own_shadow(self):
         root = _root_with(committed=True, shadows=[(1, 5)])
-        candidates = read_versions(root, ARUId(1), Visibility.COMMITTED_ONLY)
+        candidates = read_versions(*root, ARUId(1), Visibility.COMMITTED_ONLY)
         assert [c.state for c in candidates] == [VersionState.COMMITTED]
 
     def test_most_recent_shadow_orders_by_timestamp(self):
         root = _root_with(persistent=True, shadows=[(1, 5), (2, 9), (3, 2)])
         candidates = read_versions(
-            root, None, Visibility.MOST_RECENT_SHADOW
+            *root, None, Visibility.MOST_RECENT_SHADOW
         )
         assert candidates[0].aru_id == ARUId(2)
 
@@ -97,5 +101,5 @@ class TestReadVersions:
 
         meter = CostMeter(SimClock(), CostModel(chain_hop_us=1.0))
         root = _root_with(committed=True, shadows=[(1, 5), (2, 6)])
-        read_versions(root, ARUId(1), Visibility.ARU_LOCAL, meter)
+        read_versions(*root, ARUId(1), Visibility.ARU_LOCAL, meter)
         assert meter.counters["chain_hop_us"] > 0

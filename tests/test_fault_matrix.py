@@ -77,7 +77,7 @@ class TestLLDFaultMatrix:
     def test_damaged_log_segment_drops_only_its_history(self, kind):
         disk, lld, lst, blocks, post = populated_lld()
         # Find the post-checkpoint log segment that holds `post`.
-        victim = lld.bmap.root(post).persistent.address.segment
+        victim = lld.bmap.persistent[post].address.segment
         disk.injector.add_media_fault(MediaFault(victim, kind))
         lld2, report = recover(
             disk.power_cycle(),

@@ -480,7 +480,7 @@ class TestSegmentLifecycle:
         assert ld.usage.state(segment) is SegmentState.DIRTY
         assert disk.write_count == writes + 1
         second = committed_write(ld, lst, 2)
-        assert ld.bmap.root(second).persistent.address.segment != segment
+        assert ld.bmap.persistent[second].address.segment != segment
         assert ld.stats()["segments"]["sealed"] == 1
         # Crash right after: both flushed writes are there.
         survivor, report = recoveries_agree(disk)
@@ -516,7 +516,7 @@ class TestSegmentLifecycle:
         # The third block survives in the cache, the second nowhere.
         ld.cache.invalidate_segment(segment)
         ld.cache.put(
-            ld.bmap.root(blocks[2]).persistent.address, b"\x03" * block_size
+            ld.bmap.persistent[blocks[2]].address, b"\x03" * block_size
         )
         report = SegmentCleaner(ld, policy="greedy").clean(
             target_free=ld.usage.free_count + 1
@@ -527,7 +527,7 @@ class TestSegmentLifecycle:
         assert ld.read(blocks[2])[0] == 3
         with pytest.raises(UnrecoverableBlockError):
             ld.read(blocks[1])
-        moved = ld.bmap.root(blocks[2]).persistent.address.segment
+        moved = ld.bmap.persistent[blocks[2]].address.segment
         assert ld.usage.state(moved) is not SegmentState.QUARANTINED
         assert verify_lld(ld) == []
 

@@ -7,6 +7,7 @@ pin them down directly in addition to the black-box recovery tests.
 
 import pytest
 
+from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE
 
@@ -28,11 +29,10 @@ class TestFolding:
         block = lld.new_block(lst)
         lld.write(block, b"x")
         lld.flush()
-        root = lld.bmap.root(block)
-        assert root.persistent is not None
-        assert root.persistent.allocated
-        assert root.persistent.address is not None
-        assert root.alt_head is None
+        persistent = lld.bmap.persistent[block]
+        assert persistent.allocated
+        assert persistent.address is not None
+        assert block not in lld.bmap.alts
 
     def test_shadow_state_not_written_by_flush(self, lld):
         """Section 3: 'Shadow state (uncommitted ARUs) is not
@@ -43,10 +43,9 @@ class TestFolding:
         aru = lld.begin_aru()
         lld.write(block, b"shadow", aru=aru)
         lld.flush()
-        root = lld.bmap.root(block)
-        shadow = root.find(VersionState.SHADOW, aru)
+        shadow = find_alt(lld.bmap.alts.get(block), VersionState.SHADOW, aru)
         assert shadow is not None  # survived the flush, in memory only
-        assert root.persistent is not None
+        assert block in lld.bmap.persistent
         lld.abort_aru(aru)
 
     def test_deleted_block_leaves_no_persistent_record(self, lld):
@@ -56,15 +55,14 @@ class TestFolding:
         lld.flush()
         lld.delete_block(block)
         lld.flush()
-        assert lld.bmap.root(block) is None
+        assert block not in lld.bmap.ids()
 
     def test_usage_retired_on_overwrite(self, lld):
         lst = lld.new_list()
         block = lld.new_block(lst)
         lld.write(block, b"v1")
         lld.flush()
-        root = lld.bmap.root(block)
-        old_segment = root.persistent.address.segment
+        old_segment = lld.bmap.persistent[block].address.segment
         assert lld.usage.live_slots(old_segment) == 1
         lld.write(block, b"v2")
         lld.flush()
@@ -75,7 +73,7 @@ class TestFolding:
         block = lld.new_block(lst)
         lld.write(block, b"x")
         lld.flush()
-        segment = lld.bmap.root(block).persistent.address.segment
+        segment = lld.bmap.persistent[block].address.segment
         lld.delete_block(block)
         lld.flush()
         assert lld.usage.live_slots(segment) == 0
@@ -140,4 +138,4 @@ class TestFolding:
         lld.flush()
         assert len(lld.committed_blocks) == 0
         for block in blocks:
-            assert lld.bmap.root(block).persistent is not None
+            assert lld.bmap.persistent[block] is not None

@@ -294,7 +294,7 @@ def crash_budget():
     disk = SimulatedDisk(DiskGeometry.small(num_segments=96))
     ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     crash_workload(ld)
-    list_id = next(iter(ld.ltable.persistent_lists()))[0]
+    list_id = min(ld.ltable.persistent)
     return disk.write_count, list_id
 
 
@@ -348,8 +348,8 @@ class TestCrashDump:
             assert verify_lld(rec_a) == []
             assert report_a.segments_replayed == report_b.segments_replayed
             assert report_a.arus_committed == report_b.arus_committed
-            surviving_a = dict(rec_a.ltable.persistent_lists())
-            surviving_b = dict(rec_b.ltable.persistent_lists())
+            surviving_a = rec_a.ltable.persistent
+            surviving_b = rec_b.ltable.persistent
             assert surviving_a.keys() == surviving_b.keys(), crash_after
             if list_id in surviving_a:
                 blocks_a = rec_a.list_blocks(list_id)
@@ -386,7 +386,7 @@ class TestCrashDump:
         ld.write(block, b"data")
         ld.flush()
         # Seed a mesh corruption so verification fails.
-        ld.bmap.root(block).persistent.successor = BlockId(999)
+        ld.bmap.persistent[block].successor = BlockId(999)
         problems = verify_lld(ld)
         assert problems
         events = [

@@ -129,7 +129,7 @@ def payload(index):
 
 
 def address(ld, block):
-    return ld.bmap.root(block).persistent.address
+    return ld.bmap.persistent[block].address
 
 
 def write_blocks(ld, count):

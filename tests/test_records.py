@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core.records import BlockVersion, ChainRoot, ListVersion, StateChain
+from repro.core.records import (
+    BlockVersion,
+    ListVersion,
+    StateChain,
+    find_alt,
+    iter_chain,
+    newest_shadow,
+)
+from repro.core.tables import BlockNumberMap
 from repro.core.versions import VersionState
 from repro.disk.clock import CostMeter, CostModel, SimClock
 from repro.ld.types import ARU_NONE, ARUId, BlockId, ListId, PhysAddr
@@ -19,68 +27,72 @@ def _committed(block_id, ts=0):
 
 
 class TestChainRoot:
+    """One identifier's entry: the persistent record in the table's
+    ``persistent`` dict, the same-identifier chain headed in ``alts``."""
+
     def test_empty(self):
-        root = ChainRoot()
-        assert root.empty
-        assert root.find(VersionState.COMMITTED, ARU_NONE) is None
+        table = BlockNumberMap()
+        assert BlockId(1) not in table.ids()
+        assert find_alt(table.alts.get(BlockId(1)), VersionState.COMMITTED, ARU_NONE) is None
 
     def test_push_and_find_committed(self):
-        root = ChainRoot()
+        table = BlockNumberMap()
         version = _committed(1)
-        root.push_alt(version)
-        assert root.find(VersionState.COMMITTED, ARU_NONE) is version
-        assert not root.empty
+        table.push_alt(BlockId(1), version)
+        assert find_alt(table.alts[1], VersionState.COMMITTED, ARU_NONE) is version
+        assert BlockId(1) in table.ids()
 
     def test_find_shadow_by_aru(self):
-        root = ChainRoot()
+        table = BlockNumberMap()
         a = _shadow(1, aru=1)
         b = _shadow(1, aru=2)
-        root.push_alt(a)
-        root.push_alt(b)
-        assert root.find(VersionState.SHADOW, ARUId(1)) is a
-        assert root.find(VersionState.SHADOW, ARUId(2)) is b
-        assert root.find(VersionState.SHADOW, ARUId(3)) is None
+        table.push_alt(1, a)
+        table.push_alt(1, b)
+        head = table.alts[1]
+        assert find_alt(head, VersionState.SHADOW, ARUId(1)) is a
+        assert find_alt(head, VersionState.SHADOW, ARUId(2)) is b
+        assert find_alt(head, VersionState.SHADOW, ARUId(3)) is None
 
     def test_n_plus_2_versions(self):
         """Section 3.3: n active ARUs -> up to n+2 versions coexist."""
-        root = ChainRoot()
-        root.persistent = BlockVersion(BlockId(1), VersionState.PERSISTENT)
-        root.push_alt(_committed(1))
+        table = BlockNumberMap()
+        table.install_persistent(BlockVersion(BlockId(1), VersionState.PERSISTENT))
+        table.push_alt(1, _committed(1))
         for aru in range(1, 6):
-            root.push_alt(_shadow(1, aru=aru))
-        assert len(list(root.iter_alts())) == 6  # 5 shadows + 1 committed
-        assert root.persistent is not None  # + persistent = n + 2
+            table.push_alt(1, _shadow(1, aru=aru))
+        assert len(list(iter_chain(table.alts[1]))) == 6  # 5 shadows + 1 committed
+        assert 1 in table.persistent  # + persistent = n + 2
 
     def test_remove_alt(self):
-        root = ChainRoot()
+        table = BlockNumberMap()
         a, b, c = _shadow(1, 1), _committed(1), _shadow(1, 2)
         for version in (a, b, c):
-            root.push_alt(version)
-        root.remove_alt(b)
-        assert list(root.iter_alts()) == [c, a]
-        root.remove_alt(c)
-        root.remove_alt(a)
-        assert root.empty
+            table.push_alt(1, version)
+        table.remove_alt(1, b)
+        assert list(iter_chain(table.alts[1])) == [c, a]
+        table.remove_alt(1, c)
+        table.remove_alt(1, a)
+        assert 1 not in table.ids()
 
     def test_remove_missing_raises(self):
-        root = ChainRoot()
+        table = BlockNumberMap()
         with pytest.raises(ValueError):
-            root.remove_alt(_committed(1))
+            table.remove_alt(1, _committed(1))
 
     def test_newest_shadow_by_timestamp(self):
-        root = ChainRoot()
         old = _shadow(1, aru=1, ts=5)
         new = _shadow(1, aru=2, ts=9)
-        root.push_alt(new)
-        root.push_alt(old)
-        assert root.newest_shadow() is new
+        table = BlockNumberMap()
+        table.push_alt(1, new)
+        table.push_alt(1, old)
+        assert newest_shadow(table.alts[1]) is new
 
     def test_find_charges_chain_hops(self):
         meter = CostMeter(SimClock(), CostModel(chain_hop_us=1.0))
-        root = ChainRoot()
+        table = BlockNumberMap()
         for aru in range(1, 4):
-            root.push_alt(_shadow(1, aru=aru))
-        root.find(VersionState.COMMITTED, ARU_NONE, meter)
+            table.push_alt(1, _shadow(1, aru=aru))
+        find_alt(table.alts[1], VersionState.COMMITTED, ARU_NONE, meter)
         assert meter.counters["chain_hop_us"] == 3
 
 

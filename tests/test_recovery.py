@@ -226,7 +226,7 @@ class TestTornWrites:
         block = lld.new_block(lst)
         lld.write(block, b"doomed")
         lld.flush()
-        segment = lld.bmap.root(block).persistent.address.segment
+        segment = lld.bmap.persistent[block].address.segment
         disk.injector.add_media_fault(MediaFault(segment, "unreadable"))
         lld2, report = reboot(disk)
         assert report.segments_unreadable == 1
@@ -240,7 +240,7 @@ class TestTornWrites:
         block = lld.new_block(lst)
         lld.write(block, b"doomed")
         lld.flush()
-        segment = lld.bmap.root(block).persistent.address.segment
+        segment = lld.bmap.persistent[block].address.segment
         disk.injector.add_media_fault(MediaFault(segment, "corrupt"))
         lld2, report = reboot(disk)
         assert report.segments_invalid >= 1

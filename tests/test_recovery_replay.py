@@ -3,10 +3,11 @@
 The black-box recovery tests cover whole-system behaviour; these pin
 down the per-entry transition function — including the conflict
 (return-False) branches a healthy log never exercises but a damaged
-one might.  No disk is involved: :class:`ReplayRules` only needs to
-be told where the records live, so every case runs against both
-stores — the plain dicts eager recovery replays into, and the live
-block-number-map/list-table an instant restore replays into.
+one might.  No disk is involved: :class:`ReplayRules` replays into
+two dicts, so every case runs twice — on fresh dicts, as eager
+recovery replays, and on the persistent dicts of live tables that
+chain alternative records off the same ids, as an instant restore
+replays.
 """
 
 from types import SimpleNamespace
@@ -20,11 +21,12 @@ from repro.lld.checkpoint import (
     pack_block_rows,
     pack_list_rows,
 )
+from repro.core.records import BlockVersion, ListVersion
 from repro.core.tables import BlockNumberMap, ListTable
+from repro.core.versions import VersionState
 from repro.lld.recovery import (
     RecoveryReport,
     ReplayRules,
-    _PersistentRecords,
     _resolve_outcomes,
 )
 from repro.lld.summary import (
@@ -43,12 +45,12 @@ def dicts():
 
 
 def live_tables():
-    return ReplayRules(
-        _PersistentRecords(BlockNumberMap()),
-        _PersistentRecords(ListTable()),
-        set(),
-        RecoveryReport(0),
-    )
+    """Rules whose dicts are live tables' persistent dicts, with
+    alternative records chained off ids the cases replay."""
+    blocks, lists = BlockNumberMap(), ListTable()
+    blocks.push_alt(10, BlockVersion(10, VersionState.COMMITTED))
+    lists.push_alt(1, ListVersion(1, VersionState.COMMITTED))
+    return ReplayRules(blocks.persistent, lists.persistent, set(), RecoveryReport(0))
 
 
 def apply(rules, kind, tag=0, ts=1, a=0, b=0, c=0, seg=5):
@@ -212,7 +214,7 @@ class TestSweep:
         assert state.sweep_orphans() == []
 
 
-# The same cases, with the records in the live tables.
+# The same cases, with the records in live tables' dicts.
 
 
 class TestHappyPathLiveTables(TestHappyPath):

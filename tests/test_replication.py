@@ -632,11 +632,11 @@ class TestReadManyReplicated:
         victim = next(iter(contents))
         home = shard_of(victim, arr.n)
         member = arr.shards[home]
-        root = member.bmap.root(to_local(victim, arr.n), create=False)
+        persistent = member.bmap.persistent[to_local(victim, arr.n)]
         member.cache.invalidate_all()
         member.disk.injector.add_media_fault(
             MediaFault(
-                segment_no=root.persistent.address.segment,
+                segment_no=persistent.address.segment,
                 kind="unreadable",
                 shard=home,
             )
@@ -843,8 +843,7 @@ class TestRepair:
         victim = next(iter(contents))
         home = shard_of(victim, arr.n)
         shard = arr.shards[home]
-        root = shard.bmap.root(int((victim - 1) // arr.n + 1), create=False)
-        seg = root.persistent.address.segment
+        seg = shard.bmap.persistent[int((victim - 1) // arr.n + 1)].address.segment
         shard.cache.invalidate_all()
         shard.disk.injector.add_media_fault(
             MediaFault(segment_no=seg, kind="unreadable", shard=home)

@@ -50,7 +50,7 @@ def fill(lld, count, seed=0):
 
 
 def segment_of(lld, block):
-    return lld.bmap.root(block).persistent.address.segment
+    return lld.bmap.persistent[block].address.segment
 
 
 class TestScrubClean:

@@ -127,7 +127,7 @@ class TestInspect:
             lld.write(block, b"x" * geo.block_size)
         lld.flush()
         lld.read_many(blocks)
-        victim = lld.bmap.root(blocks[0]).persistent.address.segment
+        victim = lld.bmap.persistent[blocks[0]].address.segment
         disk.injector.add_media_fault(MediaFault(victim, "corrupt"))
         lld.scrub()
         image = tmp_path / "scrubbed.img"

@@ -88,38 +88,38 @@ class TestVerifierDetectsDamage:
 
     def test_detects_broken_successor(self):
         lld, _lst, a, _b = self._ready()
-        lld.bmap.root(a).persistent.successor = BlockId(999)
+        lld.bmap.persistent[a].successor = BlockId(999)
         assert any("broken" in p for p in verify_lld(lld))
 
     def test_detects_wrong_count(self):
         lld, lst, _a, _b = self._ready()
-        lld.ltable.root(lst).persistent.count = 7
+        lld.ltable.persistent[lst].count = 7
         assert any("claims 7" in p for p in verify_lld(lld))
 
     def test_detects_wrong_last(self):
         lld, lst, a, _b = self._ready()
-        lld.ltable.root(lst).persistent.last = a
+        lld.ltable.persistent[lst].last = a
         assert any("last" in p for p in verify_lld(lld))
 
     def test_detects_cycle(self):
         lld, _lst, a, b = self._ready()
-        lld.bmap.root(b).persistent.successor = a
-        lld.bmap.root(a).persistent.successor = b
+        lld.bmap.persistent[b].successor = a
+        lld.bmap.persistent[a].successor = b
         assert any("cyclic" in p or "broken" in p for p in verify_lld(lld))
 
     def test_detects_usage_mismatch(self):
         lld, _lst, a, _b = self._ready()
-        addr = lld.bmap.root(a).persistent.address
+        addr = lld.bmap.persistent[a].address
         lld.usage.set_live(addr.segment, 9)
         assert any("usage table" in p for p in verify_lld(lld))
 
     def test_detects_orphaned_chain_record(self):
         lld, _lst, a, _b = self._ready()
         stray = BlockVersion(a, VersionState.COMMITTED)
-        lld.bmap.root(a).push_alt(stray)  # not on the committed chain
+        lld.bmap.push_alt(a, stray)  # not on the committed chain
         assert any("missing from" in p for p in verify_lld(lld))
 
     def test_detects_mislabeled_map_entry(self):
         lld, _lst, a, _b = self._ready()
-        lld.bmap.root(a).persistent.state = VersionState.COMMITTED
+        lld.bmap.persistent[a].state = VersionState.COMMITTED
         assert any("map entry in state" in p for p in verify_lld(lld))

@@ -2,7 +2,7 @@
 reference implementations.
 
 The fast paths (zero-copy segment assembly, the tuple summary
-decoder, tuple-dispatch replay, the dense root tables) exist purely
+decoder, tuple-dispatch replay) exist purely
 for wall-clock speed; every observable — platter bytes, decoded
 fields, recovered state — must be byte-identical to the original
 code, which is kept in-tree as oracles
@@ -15,14 +15,15 @@ import random
 
 import pytest
 
-from repro.core.records import ChainRoot
+from repro.core.records import BlockVersion, ListVersion
+from repro.core.versions import VersionState
 from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.errors import DiskCrashedError
 from repro.fs import MinixFS
 from repro.ld.types import BlockId
 from repro.lld.config import LLDConfig
-from repro.core.tables import _DENSE_SLACK, BlockNumberMap, ListTable
+from repro.core.tables import BlockNumberMap, ListTable
 from repro.lld.recovery import recover
 from repro.lld.segment import SegmentBuffer, decode_segment, reference_seal
 from repro.lld.summary import (
@@ -217,63 +218,61 @@ class TestDecoderDifferential:
 
 
 # ----------------------------------------------------------------------
-# Dense root tables
+# Root tables: ids allocated densely from 1, plus far outliers
 # ----------------------------------------------------------------------
+
+
+def _alt(ident):
+    return BlockVersion(BlockId(ident), VersionState.COMMITTED)
 
 
 class TestDenseRootTables:
     def test_create_lookup_len_contains(self):
         table = BlockNumberMap()
-        assert len(table) == 0
-        assert 5 not in table
-        assert table.root(5) is None
-        root = table.root(5, create=True)
-        assert isinstance(root, ChainRoot)
-        assert table.root(5) is root
-        assert len(table) == 1
-        assert 5 in table and 4 not in table
+        assert len(table.ids()) == 0
+        assert 5 not in table.ids()
+        record = _alt(5)
+        table.push_alt(5, record)
+        assert table.alts[5] is record
+        assert len(table.ids()) == 1
+        assert 5 in table.ids() and 4 not in table.ids()
 
     def test_sparse_spill_for_huge_identifiers(self):
         table = ListTable()
-        near = table.root(10, create=True)
-        far_id = 10 + _DENSE_SLACK + 100  # beyond the dense growth window
-        far = table.root(far_id, create=True)
-        assert table.root(far_id) is far
-        assert far_id in table
-        assert len(table) == 2
-        # The dense array must not have been grown out to the outlier.
-        assert len(table._dense) <= 10 + _DENSE_SLACK + 1
-        assert far_id in table._sparse
-        assert table.root(10) is near
+        far_id = 2**40 + 100
+        for ident in (10, far_id):
+            table.install_persistent(ListVersion(ident, VersionState.PERSISTENT))
+        assert far_id in table.ids() and 10 in table.ids()
+        assert len(table.ids()) == 2
+        assert table.persistent[far_id].list_id == far_id
 
     def test_iteration_is_ascending_across_dense_and_sparse(self):
         table = BlockNumberMap()
         huge = [2**40 + 7, 2**40 + 3]
         idents = [9, 2, 5, *huge, 1]
-        for ident in idents:
-            table.root(ident, create=True)
-        seen = [ident for ident, _root in table.items()]
-        assert seen == [1, 2, 5, 9, *sorted(huge)]
+        for ident in idents[::2]:
+            table.push_alt(ident, _alt(ident))
+        for ident in idents[1::2]:
+            table.install_persistent(BlockVersion(ident, VersionState.PERSISTENT))
+        assert table.ids() == [1, 2, 5, 9, *sorted(huge)]
 
     def test_drop_if_empty(self):
         table = BlockNumberMap()
-        dense_id, sparse_id = 3, 2**40
-        for ident in (dense_id, sparse_id):
-            table.root(ident, create=True)
-        assert len(table) == 2
-        for ident in (dense_id, sparse_id):
-            table.drop_if_empty(ident)  # roots are empty: both go
-            assert ident not in table
-        assert len(table) == 0
-        table.drop_if_empty(999)  # never-seen ident is a no-op
+        near_id, far_id = 3, 2**40
+        for ident in (near_id, far_id):
+            table.push_alt(ident, _alt(ident))
+        assert len(table.ids()) == 2
+        for ident in (near_id, far_id):
+            table.remove_alt(ident, table.alts[ident])  # chain empties: entry goes
+            assert ident not in table.ids()
+        assert len(table.ids()) == 0 and table.alts == {}
 
     def test_drop_keeps_nonempty_roots(self):
         table = BlockNumberMap()
-        root = table.root(4, create=True)
-        root.persistent = object()
-        assert not root.empty
-        table.drop_if_empty(4)
-        assert 4 in table and len(table) == 1
+        table.install_persistent(BlockVersion(4, VersionState.PERSISTENT))
+        table.push_alt(4, _alt(4))
+        table.remove_alt(4, table.alts[4])
+        assert 4 in table.ids() and len(table.ids()) == 1
 
 
 # ----------------------------------------------------------------------
