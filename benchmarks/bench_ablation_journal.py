@@ -36,27 +36,40 @@ def build(journal_segments: int) -> JLD:
     )
 
 
-def largest_commitable_aru(journal_segments: int) -> int:
-    """Blocks a single ARU can write before JournalFullError."""
+def commits(journal_segments: int, size: int) -> bool:
+    """True when one ARU that writes ``size`` whole blocks commits."""
     jld = build(journal_segments)
     lst = jld.new_list()
     blocks = []
     previous = FIRST
-    for _ in range(journal_segments * 40):
-        block = jld.new_block(lst, predecessor=previous)
-        blocks.append(block)
-        previous = block
+    for _ in range(size):
+        previous = jld.new_block(lst, predecessor=previous)
+        blocks.append(previous)
     jld.apply()
     aru = jld.begin_aru()
-    written = 0
+    for block in blocks:
+        jld.write(block, b"x" * 4096, aru=aru)
     try:
-        for block in blocks:
-            jld.write(block, b"x" * 4096, aru=aru)
-            written += 1
         jld.end_aru(aru)
     except JournalFullError:
-        pass
-    return written
+        return False
+    return True
+
+
+def largest_commitable_aru(journal_segments: int) -> int:
+    """The most blocks one ARU can write and still commit: shadow
+    writes never fill the ring, so only a returned ``end_aru`` counts.
+    Commitability is monotone in the size, so bisect."""
+    low, high = 0, journal_segments * 40
+    while commits(journal_segments, high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if commits(journal_segments, middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 @pytest.mark.benchmark(group="ablation-journal")

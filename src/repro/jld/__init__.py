@@ -3,24 +3,12 @@
 The paper's conclusion (Section 5.4) predicts that non-log-structured
 LD implementations "will have to utilize at least a meta-data update
 log to achieve similar performance and to fully support multiple
-shadow states."  This package is that other implementation: blocks
-live at fixed *home locations* and are updated in place, with a
-write-ahead **redo journal** providing the failure atomicity ARUs
-require — every write (data and meta-data) is journaled before any
-home location changes, commit records gate redo at recovery, and a
-checkpoint + apply pass bounds the journal.
-
-It implements the same :class:`repro.ld.interface.LogicalDisk`
-interface with the same ARU semantics (immediate-commit allocation,
-ARU-local shadow state, list-operation replay at commit), so the
-Minix file system and the transaction layer run on it unchanged —
-the interface separation the Logical Disk design promises.
-
-Use it to study the substrate trade-off the paper's design choices
-imply: LLD turns random writes into sequential segment writes but
-scatters sequential reads; JLD keeps read locality but pays seeks
-(and double writes) on the write path.  See
-``benchmarks/bench_ablation_substrate.py``.
+shadow states."  This package is that other substrate: blocks live at
+fixed *home locations* updated in place, behind a write-ahead **redo
+journal**.  Its ARUs are LLD's version engine, so the Minix file
+system and the transaction layer run on it unchanged, and
+``benchmarks/bench_ablation_substrate.py`` compares the substrates
+alone: LLD's sequential writes against JLD's read locality.
 """
 
 from repro.jld.jld import JLD, JournalFullError, recover_jld

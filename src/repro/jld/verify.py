@@ -1,126 +1,68 @@
 """Internal consistency verification for a live JLD instance.
 
-The JLD analogue of :mod:`repro.lld.verify`: cross-checks the
-committed tables, the pending-redo map, the home free list and the
-shadow overlays, returning a list of violations (empty = sound).
+The JLD analogue of :mod:`repro.lld.verify`.  JLD's version tables
+are the engine's, so they are checked by the same code as LLD's
+(tables, the mesh of alternative records, every list view); what is
+JLD's own is checked here: the homes, their free list and the
+pending-redo map.  Returns a list of violations (empty = sound).
 """
 
 from __future__ import annotations
 
 from typing import List, Set
 
+from repro.jld.jld import _committed_view
 from repro.ld.types import PhysAddr
+from repro.lld.verify import _verify_versions
 
 
 def verify_jld(jld) -> List[str]:
     """Return a list of invariant violations (empty when sound)."""
-    problems: List[str] = []
+    problems = _verify_versions(jld.engine)
     problems += _verify_homes(jld)
     problems += _verify_pending(jld)
-    problems += _verify_lists(jld)
-    problems += _verify_shadows(jld)
     return problems
 
 
 def _verify_homes(jld) -> List[str]:
     problems: List[str] = []
+    homes = jld.homes
+    allocated = set()
+    for block_id in jld.bmap.ids():
+        view = _committed_view(jld.bmap, block_id)
+        if view is not None and view.allocated:
+            allocated.add(block_id)
+    if allocated != homes.keys():
+        problems.append(
+            f"homes kept for deallocated blocks {sorted(homes.keys() - allocated)}"
+            f", missing for allocated {sorted(allocated - homes.keys())}"
+        )
     used: dict = {}
-    for block_id, block in jld.blocks.items():
-        home = block.home
+    for block_id, home in homes.items():
         if home.segment < jld.home_base:
-            problems.append(
-                f"block {block_id}: home {home} inside the journal or "
-                "checkpoint region"
-            )
+            problems.append(f"block {block_id}: home {home} inside the journal or "
+                            "checkpoint region")
         if home in used:
-            problems.append(
-                f"blocks {used[home]} and {block_id} share home {home}"
-            )
+            problems.append(f"blocks {used[home]} and {block_id} share home {home}")
         used[home] = block_id
     free: Set[PhysAddr] = set(jld._home_free)
     if len(free) != len(jld._home_free):
         problems.append("duplicate entries on the home free list")
     overlap = free & set(used)
     if overlap:
-        problems.append(
-            f"{len(overlap)} home slots are both free and allocated "
-            f"(e.g. {next(iter(overlap))})"
-        )
+        problems.append(f"{len(overlap)} home slots are both free and allocated "
+                        f"(e.g. {next(iter(overlap))})")
     return problems
 
 
 def _verify_pending(jld) -> List[str]:
     problems: List[str] = []
+    known = jld._commit_on_disk | jld._pending_commit_arus
     for block_id, (_data, origin) in jld.pending.items():
-        if block_id not in jld.blocks:
+        if block_id not in jld.homes:
+            problems.append(f"pending redo for unallocated block {block_id}")
+        if origin and origin not in known:
             problems.append(
-                f"pending redo for unallocated block {block_id}"
+                f"pending redo for block {block_id} tagged with unknown ARU {origin}"
             )
-        if origin and origin not in jld._commit_on_disk and (
-            origin not in jld._pending_commit_arus
-        ):
-            problems.append(
-                f"pending redo for block {block_id} tagged with unknown "
-                f"ARU {origin}"
-            )
-    return problems
-
-
-def _verify_lists(jld) -> List[str]:
-    problems: List[str] = []
-    seen_members: Set[int] = set()
-    for list_id, lst in jld.lists.items():
-        members = []
-        cursor = lst.first
-        hops = 0
-        while cursor is not None:
-            if hops > len(jld.blocks) + 1:
-                problems.append(f"list {list_id}: cycle")
-                break
-            block = jld.blocks.get(cursor)
-            if block is None:
-                problems.append(
-                    f"list {list_id}: member {cursor} is not allocated"
-                )
-                break
-            if block.list_id != list_id:
-                problems.append(
-                    f"list {list_id}: member {cursor} claims list "
-                    f"{block.list_id}"
-                )
-            if int(cursor) in seen_members:
-                problems.append(
-                    f"block {cursor} appears in more than one list"
-                )
-            seen_members.add(int(cursor))
-            members.append(cursor)
-            cursor = block.successor
-            hops += 1
-        else:
-            if len(members) != lst.count:
-                problems.append(
-                    f"list {list_id}: walk found {len(members)}, record "
-                    f"claims {lst.count}"
-                )
-            expected_last = members[-1] if members else None
-            if lst.last != expected_last:
-                problems.append(
-                    f"list {list_id}: last is {lst.last}, walk ends at "
-                    f"{expected_last}"
-                )
-    return problems
-
-
-def _verify_shadows(jld) -> List[str]:
-    problems: List[str] = []
-    active = set(int(a) for a in jld.arus.active_ids())
-    for key in jld.shadow_blocks:
-        if key not in active:
-            problems.append(f"shadow block overlay for inactive ARU {key}")
-    for key in jld.shadow_lists:
-        if key not in active:
-            problems.append(f"shadow list overlay for inactive ARU {key}")
-    for key in active:
-        if key not in jld.shadow_blocks or key not in jld.shadow_lists:
-            problems.append(f"active ARU {key} is missing its overlays")
     return problems

@@ -94,8 +94,8 @@ class _CollectorPause(contextlib.ContextDecorator):
     Everything recovery allocates — a ``BlockVersion``, a ``PhysAddr``
     and a table root per block — is the state it returns, so a
     collector pass during the build frees nothing and only walks the
-    growing tables.  Reentrant and thread-safe (an array recovers its
-    participants on threads): the first caller in pauses the collector,
+    growing tables.  Reentrant and thread-safe (callers may recover
+    volumes on threads of their own): the first caller in pauses the collector,
     the last one out puts back the state the first one found, on every
     exit path.  A caller that had the collector off keeps it off.
     """

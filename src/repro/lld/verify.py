@@ -23,6 +23,8 @@ other and returns a list of human-readable violations (empty = sound):
    pack would give, for every identifier its table has not marked
    changed — so the next checkpoint equals one packed from scratch.
 
+Checks 1, 3 and 4 read only the version engine's tables and chains,
+so :func:`repro.jld.verify.verify_jld` runs them on JLD as well.
 Tests and the torture example run this after workloads; it is also a
 useful debugging aid for anyone extending the write path.
 """
@@ -40,12 +42,8 @@ from repro.lld.usage import WALK_BATCH, SegmentState
 
 def verify_lld(lld) -> List[str]:
     """Return a list of invariant violations (empty when sound)."""
-    problems: List[str] = []
-    problems += _verify_tables(lld)
-    problems += _verify_block_mesh(lld)
-    problems += _verify_list_mesh(lld)
+    problems = _verify_versions(lld.engine)
     problems += _verify_usage(lld)
-    problems += _verify_lists_well_formed(lld)
     problems += _verify_segment_states(lld)
     problems += _verify_allocation_order(lld)
     problems += _verify_restore(lld)
@@ -55,6 +53,17 @@ def verify_lld(lld) -> List[str]:
         if obs is not None:
             obs.record("verify.failed", problems=len(problems))
             obs.crash_dump("verify_failed")
+    return problems
+
+
+def _verify_versions(engine) -> List[str]:
+    """Checks 1, 3 and 4: the engine's tables, the mesh of its
+    alternative records and every list view, on any substrate the
+    engine runs over."""
+    problems = _verify_tables(engine)
+    problems += _verify_block_mesh(engine)
+    problems += _verify_list_mesh(engine)
+    problems += _verify_lists_well_formed(engine)
     return problems
 
 
@@ -177,13 +186,13 @@ def _verify_allocation_order(lld) -> List[str]:
     return problems
 
 
-def _collect_state_members(lld):
-    committed_blocks = set(map(id, lld.committed_blocks))
-    committed_lists = set(map(id, lld.committed_lists))
+def _collect_state_members(engine):
+    committed_blocks = set(map(id, engine.committed_blocks))
+    committed_lists = set(map(id, engine.committed_lists))
     shadow_blocks: Dict[int, int] = {}
     shadow_lists: Dict[int, int] = {}
-    for aru_id in list(lld.arus.active_ids()):
-        record = lld.arus.get(aru_id)
+    for aru_id in list(engine.arus.active_ids()):
+        record = engine.arus.get(aru_id)
         for version in record.shadow_blocks:
             shadow_blocks[id(version)] = int(aru_id)
         for version in record.shadow_lists:
@@ -191,15 +200,15 @@ def _collect_state_members(lld):
     return committed_blocks, committed_lists, shadow_blocks, shadow_lists
 
 
-def _verify_tables(lld) -> List[str]:
+def _verify_tables(engine) -> List[str]:
     """The two dicts of each table hold no entry they should not:
     every ``persistent`` value is an allocated PERSISTENT record keyed
     by its own identifier, and every ``alts`` value heads a non-empty
     chain of non-PERSISTENT records of that identifier."""
     problems: List[str] = []
     for name, table, id_of in (
-        ("block", lld.bmap, attrgetter("block_id")),
-        ("list", lld.ltable, attrgetter("list_id")),
+        ("block", engine.blocks, attrgetter("block_id")),
+        ("list", engine.lists, attrgetter("list_id")),
     ):
         for ident, record in sorted(table.persistent.items()):
             if record.state is not VersionState.PERSISTENT:
@@ -229,11 +238,11 @@ def _verify_tables(lld) -> List[str]:
     return problems
 
 
-def _verify_block_mesh(lld) -> List[str]:
+def _verify_block_mesh(engine) -> List[str]:
     problems: List[str] = []
-    committed, _cl, shadows, _sl = _collect_state_members(lld)
+    committed, _cl, shadows, _sl = _collect_state_members(engine)
     seen_alt_ids: Set[int] = set()
-    for block_id, head in sorted(lld.bmap.alts.items()):
+    for block_id, head in sorted(engine.blocks.alts.items()):
         for alt in iter_chain(head):
             seen_alt_ids.add(id(alt))
             if alt.state is VersionState.COMMITTED:
@@ -255,7 +264,7 @@ def _verify_block_mesh(lld) -> List[str]:
                         f"{alt.aru_id} chained under ARU {owner}"
                     )
     # Reverse direction: every state-chain member must be in the mesh.
-    for version in lld.committed_blocks:
+    for version in engine.committed_blocks:
         if id(version) not in seen_alt_ids:
             problems.append(
                 f"committed block record {version.block_id} missing from "
@@ -264,11 +273,11 @@ def _verify_block_mesh(lld) -> List[str]:
     return problems
 
 
-def _verify_list_mesh(lld) -> List[str]:
+def _verify_list_mesh(engine) -> List[str]:
     problems: List[str] = []
-    _cb, committed, _sb, shadows = _collect_state_members(lld)
+    _cb, committed, _sb, shadows = _collect_state_members(engine)
     seen_alt_ids: Set[int] = set()
-    for list_id, head in sorted(lld.ltable.alts.items()):
+    for list_id, head in sorted(engine.lists.alts.items()):
         for alt in iter_chain(head):
             seen_alt_ids.add(id(alt))
             if alt.state is VersionState.COMMITTED and id(alt) not in committed:
@@ -280,7 +289,7 @@ def _verify_list_mesh(lld) -> List[str]:
                 problems.append(
                     f"list {list_id}: shadow record missing from any ARU"
                 )
-    for version in lld.committed_lists:
+    for version in engine.committed_lists:
         if id(version) not in seen_alt_ids:
             problems.append(
                 f"committed list record {version.list_id} missing from its "
@@ -353,7 +362,7 @@ def _verify_usage(lld) -> List[str]:
     return problems
 
 
-def _walk_view(lld, list_version: ListVersion, state: VersionState,
+def _walk_view(engine, list_version: ListVersion, state: VersionState,
                aru_id) -> Optional[List[int]]:
     """Walk one list view via that view's successor fields."""
     members: List[int] = []
@@ -364,8 +373,8 @@ def _walk_view(lld, list_version: ListVersion, state: VersionState,
             return None  # cycle
         seen.add(int(cursor))
         members.append(int(cursor))
-        head = lld.bmap.alts.get(cursor)
-        persistent = lld.bmap.persistent.get(cursor)
+        head = engine.blocks.alts.get(cursor)
+        persistent = engine.blocks.persistent.get(cursor)
         if state is VersionState.SHADOW:
             block = find_alt(head, VersionState.SHADOW, aru_id) or find_alt(
                 head, VersionState.COMMITTED, ARU_NONE
@@ -385,9 +394,9 @@ def _walk_view(lld, list_version: ListVersion, state: VersionState,
     return members
 
 
-def _verify_lists_well_formed(lld) -> List[str]:
+def _verify_lists_well_formed(engine) -> List[str]:
     problems: List[str] = []
-    ltable = lld.ltable
+    ltable = engine.lists
     for list_id in ltable.ids():
         views = []
         persistent = ltable.persistent.get(list_id)
@@ -398,7 +407,7 @@ def _verify_lists_well_formed(lld) -> List[str]:
         for version, state, aru_id in views:
             if not version.allocated:
                 continue
-            members = _walk_view(lld, version, state, aru_id)
+            members = _walk_view(engine, version, state, aru_id)
             if members is None:
                 problems.append(
                     f"list {list_id} ({state.name}): broken or cyclic chain"

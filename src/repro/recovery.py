@@ -55,13 +55,11 @@ def recover(
         array_config: Array-level :class:`ArrayConfig` (replication
             factor, repair pacing).  Only meaningful for a sequence
             of images; rejected for a single one.
-        workers: For a single volume, the simulated decode lanes of
-            its scan: the decode time is charged at ``1 / workers``
-            (default 4), and no thread is started.  For an array, the
-            host threads that recover the participants (default: one
-            per participant); each member is charged the default
-            lanes, so the simulated results do not depend on it.
-            Must be >= 1 for both shapes.
+        workers: The simulated decode lanes of each volume's scan:
+            the decode time is charged at ``1 / workers`` (default 4),
+            for every member of an array alike.  No thread is started;
+            an array's members recover one after another.  Must be
+            >= 1.
         cost_model: CPU cost model of every recovered volume.
         sweep_orphans: ``False`` skips the per-volume consistency
             sweep (see :func:`repro.lld.recovery.recover`).

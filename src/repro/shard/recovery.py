@@ -6,7 +6,7 @@ array (this module is its sharded half).  The decision shards —
 shard 0 for an unreplicated array; shards ``0 .. k-1`` with
 replication factor k — are recovered first, in ascending order, each
 fed the union of the decided-xid sets surfaced so far; participants
-then recover concurrently against the full union, each rolling a
+then recover against the full union, each rolling a
 PREPARE-tagged ARU forward iff its transaction id was decided and
 discarding it otherwise (presumed abort).
 
@@ -27,8 +27,8 @@ the shard marked lost) are skipped: the array assembles degraded,
 serving their entities from the surviving replicas, and
 :meth:`~repro.shard.sharded.ShardedLLD.repair` rebuilds them online.
 
-Timing: each shard owns a private simulated clock, so running the
-per-shard recoveries on host threads in any order still yields the
+Timing: each shard owns a private simulated clock, so recovering the
+members one after another on the calling thread still yields the
 parallel-array simulated time — every shard's clock advances by its
 own recovery cost only, and the array's "now" is the furthest shard.
 The report additionally breaks out the modelled critical path
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.clock import CostModel
@@ -121,18 +120,15 @@ def _recover_sharded(
             power-cycled).  A ``None`` entry — or a disk whose shard
             the fault injector has destroyed — is a lost member: the
             array assembles degraded around it.
-        workers: Host threads for the participant recoveries
-            (default: one per participant; checked by
-            :func:`repro.recovery.recover`).  Purely a host-side knob
-            here — every member is recovered with the default
-            simulated decode lanes, so simulated results and times are
-            identical for any value.
+        workers: The simulated decode lanes of every member's scan
+            (checked by :func:`repro.recovery.recover`).
         array_config: The array's :class:`ArrayConfig`.  Must match
             the configuration the array ran with (in particular the
             replication factor, which determines the decision
             shards); ``None`` means unreplicated.
-        mode, config, cost_model, sweep_orphans: Passed to every
-            per-shard :func:`repro.lld.recovery.recover` call alike.
+        mode, config, cost_model, sweep_orphans: Passed, as
+            ``workers`` is, to every per-shard
+            :func:`repro.lld.recovery.recover` call alike.
 
     Returns:
         The reassembled volume and a :class:`ShardRecoveryReport`.
@@ -158,6 +154,7 @@ def _recover_sharded(
             lld, report = recover(
                 disk,
                 decided_xids=set(decided_now),
+                workers=workers,
                 mode=mode,
                 config=config,
                 cost_model=cost_model,
@@ -179,11 +176,9 @@ def _recover_sharded(
         if shard is not None:
             decided.update(shard._decided_xids)
 
-    participants = [i for i in range(n) if i not in decision]
-    if participants:
-        pool = workers if workers is not None else len(participants)
-        with ThreadPoolExecutor(max_workers=pool) as executor:
-            list(executor.map(lambda i: _one(i, decided), participants))
+    for index in range(n):
+        if index not in decision:
+            _one(index, decided)
 
     if all(shard is None for shard in shards):
         raise ShardLostError(0, "every member of the array is lost")

@@ -427,11 +427,11 @@ def reference_jld_rows(jld):
             int(block.successor) if block.successor else 0,
             int(block.list_id) if block.list_id else 0,
             block.timestamp,
-            block.home.segment,
-            block.home.slot,
-            block.written,
+            jld.homes[block_id].segment,
+            jld.homes[block_id].slot,
+            block.address is not None,
         )
-        for block_id, block in jld.blocks.items()
+        for block_id, block in sorted(jld.bmap.persistent.items())
     ]
     lists = [
         (
@@ -441,7 +441,7 @@ def reference_jld_rows(jld):
             lst.count,
             lst.timestamp,
         )
-        for list_id, lst in jld.lists.items()
+        for list_id, lst in sorted(jld.ltable.persistent.items())
     ]
     return blocks, lists
 

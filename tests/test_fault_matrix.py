@@ -136,7 +136,7 @@ class TestJLDFaultMatrix:
 
     def test_damaged_home_segment_loses_only_those_blocks(self):
         disk, jld, lst, blocks, post = self._populated()
-        victim = jld.blocks[blocks[0]].home.segment
+        victim = jld.homes[blocks[0]].segment
         disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
         jld2, _report = recover_jld(
             disk.power_cycle(), journal_segments=4,
@@ -147,7 +147,7 @@ class TestJLDFaultMatrix:
         from repro.errors import MediaError
 
         affected = [
-            b for b in blocks if jld2.blocks[b].home.segment == victim
+            b for b in blocks if jld2.homes[b].segment == victim
         ]
         unaffected = [b for b in blocks if b not in affected]
         assert affected

@@ -78,10 +78,10 @@ class TestBasics:
         jld.write(a, b"old-tenant")
         jld.apply()  # home written, cache warm
         assert jld.read(a).startswith(b"old-tenant")
-        home = jld.blocks[a].home
+        home = jld.homes[a]
         jld.delete_block(a)
         b = jld.new_block(lst)
-        assert jld.blocks[b].home == home  # LIFO free list reuses it
+        assert jld.homes[b] == home  # LIFO free list reuses it
         assert jld.read(b) == b"\x00" * jld.geometry.block_size
 
     def test_reads_after_apply_come_from_home(self):
@@ -299,6 +299,27 @@ class TestJournalBounds:
             for index, block in enumerate(blocks):
                 jld.write(block, bytes([index]) * 4096, aru=aru)
             jld.end_aru(aru)
+
+
+    def test_reported_largest_aru_is_the_largest_that_commits(self):
+        """Ablation G's "max ARU" row: on a 2-segment ring an ARU of
+        the reported size commits, and one block more does not."""
+        from benchmarks.bench_ablation_journal import build, largest_commitable_aru
+
+        def aru_of(size):
+            jld = build(2)
+            lst = jld.new_list()
+            blocks = [jld.new_block(lst) for _ in range(size)]
+            jld.apply()
+            aru = jld.begin_aru()
+            for block in blocks:
+                jld.write(block, b"x" * 4096, aru=aru)
+            jld.end_aru(aru)
+
+        size = largest_commitable_aru(2)
+        aru_of(size)
+        with pytest.raises(JournalFullError):
+            aru_of(size + 1)
 
 
 class TestClientsRunUnchanged:

@@ -3,12 +3,14 @@ after every workload shape)."""
 
 import pytest
 
+from repro.core.records import BlockVersion
+from repro.core.versions import VersionState
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.jld import JLD, recover_jld
 from repro.jld.verify import verify_jld
-from repro.ld.types import FIRST, PhysAddr
+from repro.ld.types import FIRST, ARUId, PhysAddr
 from repro.workloads.generator import random_fs_ops
 
 
@@ -66,22 +68,22 @@ class TestDetectsDamage:
 
     def test_detects_shared_home(self):
         jld, _lst, a, b = self._ready()
-        jld.blocks[b].home = jld.blocks[a].home
+        jld.homes[b] = jld.homes[a]
         assert any("share home" in p for p in verify_jld(jld))
 
     def test_detects_free_list_overlap(self):
         jld, _lst, a, _b = self._ready()
-        jld._home_free.append(jld.blocks[a].home)
+        jld._home_free.append(jld.homes[a])
         assert any("both free and allocated" in p for p in verify_jld(jld))
 
     def test_detects_home_in_journal_region(self):
         jld, _lst, a, _b = self._ready()
-        jld.blocks[a].home = PhysAddr(0, 0)
+        jld.homes[a] = PhysAddr(0, 0)
         assert any("journal or" in p for p in verify_jld(jld))
 
     def test_detects_broken_count(self):
         jld, lst, _a, _b = self._ready()
-        jld.lists[lst].count = 9
+        jld.ltable.persistent[lst].count = 9
         assert any("claims 9" in p for p in verify_jld(jld))
 
     def test_detects_orphan_pending(self):
@@ -92,6 +94,10 @@ class TestDetectsDamage:
         assert any("unallocated block 999" in p for p in verify_jld(jld))
 
     def test_detects_stale_overlay(self):
-        jld, _lst, _a, _b = self._ready()
-        jld.shadow_blocks[42] = {}
-        assert any("inactive ARU 42" in p for p in verify_jld(jld))
+        """A shadow version of an ARU that is not active: a stale
+        record on the block's chain, which no ARU's shadow chain holds."""
+        jld, _lst, a, _b = self._ready()
+        jld.bmap.push_alt(a, BlockVersion(a, VersionState.SHADOW, ARUId(42)))
+        assert any(
+            "shadow record missing from any ARU" in p for p in verify_jld(jld)
+        )

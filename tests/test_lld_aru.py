@@ -9,6 +9,10 @@ from repro.errors import (
     ConcurrencyError,
     DiskCrashedError,
 )
+from repro.disk.geometry import DiskGeometry
+from repro.disk.simdisk import SimulatedDisk
+from repro.jld import JLD, recover_jld
+from repro.jld.verify import verify_jld
 from repro.lld.config import LLDConfig
 from repro.lld.recovery import recover
 from repro.lld.verify import verify_lld
@@ -225,36 +229,59 @@ class TestConflicts:
         reason="ROADMAP item 1(c): ConcurrencyError leaves the merge half "
         "done — the loser's writes show and the volume never checkpoints",
     )
-    def test_conflict_at_commit_shows_no_half_aru(self, setup):
+    @pytest.mark.parametrize("substrate", ["lld", "jld"])
+    def test_conflict_at_commit_shows_no_half_aru(self, substrate):
         """The loser of a conflict is refused *whole*.  B's write is
         merged before the replay of its delete meets A's; whichever
         way that is fixed (fail-stop, validate first, unwind), nothing
-        of B may show afterwards and the volume must stay sound."""
-        lld, lst, block = setup
-        other = lld.new_block(lst)
-        lld.write(other, b"before")
-        lld.flush()
-        a = lld.begin_aru()
-        b = lld.begin_aru()
-        lld.delete_block(block, aru=a)
-        lld.write(other, b"half of B", aru=b)
-        lld.delete_block(block, aru=b)
-        lld.end_aru(a)
+        of B may show afterwards and the volume must stay sound.  Both
+        substrates run the one version engine, so one fix serves both."""
+        if substrate == "lld":
+            ld = make_lld()
+            verify, checkpoint = verify_lld, lambda ld: ld.write_checkpoint()
+
+            def restart(ld):
+                return recover(
+                    ld.disk.power_cycle(),
+                    config=LLDConfig(checkpoint_slot_segments=2),
+                )[0]
+        else:
+            geo = DiskGeometry.small(num_segments=64)
+            ld = JLD(SimulatedDisk(geo), checkpoint_slot_segments=2)
+            verify = verify_jld
+
+            def checkpoint(ld):
+                ld.apply()
+                assert ld.checkpoint_safe()
+
+            def restart(ld):
+                return recover_jld(
+                    ld.disk.power_cycle(), checkpoint_slot_segments=2
+                )[0]
+        lst = ld.new_list()
+        block = ld.new_block(lst)
+        ld.write(block, b"base")
+        other = ld.new_block(lst)
+        ld.write(other, b"before")
+        ld.flush()
+        a = ld.begin_aru()
+        b = ld.begin_aru()
+        ld.delete_block(block, aru=a)
+        ld.write(other, b"half of B", aru=b)
+        ld.delete_block(block, aru=b)
+        ld.end_aru(a)
         with pytest.raises(ConcurrencyError):
-            lld.end_aru(b)
+            ld.end_aru(b)
         try:
-            seen = lld.read(other)
+            seen = ld.read(other)
         except DiskCrashedError:
             # A fail-stop fix: recovery speaks for the volume.
-            lld, _report = recover(
-                lld.disk.power_cycle(),
-                config=LLDConfig(checkpoint_slot_segments=2),
-            )
-            seen = lld.read(other)
+            ld = restart(ld)
+            seen = ld.read(other)
         assert seen.startswith(b"before")
-        lld.flush()
-        assert verify_lld(lld) == []
-        lld.write_checkpoint()
+        ld.flush()
+        assert verify(ld) == []
+        checkpoint(ld)
 
 
 class TestSequentialMode:

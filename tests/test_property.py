@@ -3,7 +3,7 @@
 Three models are checked against reference implementations:
 
 * LD list operations against a plain-Python list model,
-* ARU visibility against a dict model with explicit shadow buffers,
+* ARU visibility against the reference model (``tests/model.py``),
 * crash recovery against the set of flushed-and-committed operations
   for arbitrary operation interleavings and crash points.
 """
@@ -19,6 +19,8 @@ from repro.ld.types import FIRST
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
+
+from tests.model import Model
 
 
 def build_lld(num_segments=48, injector=None, **kwargs):
@@ -120,53 +122,47 @@ class TestVisibilityModel:
     )
     @given(ops=rw_ops)
     def test_aru_local_reads_match_model(self, ops):
-        """Two ARU streams + one simple stream against a model of
-        committed contents + per-ARU shadow overlays."""
+        """Two ARU streams + one simple stream against the reference
+        model (``tests/model.py``): every view after every operation."""
         _disk, lld = build_lld()
-        lst = lld.new_list()
+        model = Model(lld.geometry.block_size)
+        lds = (lld, model)
+        lists = [ld.new_list() for ld in lds]
         blocks = []
-        previous = FIRST
+        previous = [FIRST, FIRST]
         for _ in range(6):
-            block = lld.new_block(lst, predecessor=previous)
-            previous = block
-            blocks.append(block)
-        arus = [lld.begin_aru(), lld.begin_aru()]
+            previous = [
+                ld.new_block(lst, predecessor=pred)
+                for ld, lst, pred in zip(lds, lists, previous)
+            ]
+            blocks.append(previous[0])
+        arus = [[ld.begin_aru() for ld in lds] for _stream in range(2)]
         alive = [True, True]
-        committed = {}
-        shadows = [{}, {}]
-        block_size = lld.geometry.block_size
-
-        def pad(data):
-            return data + b"\x00" * (block_size - len(data))
 
         for kind, which, data in ops:
             block = blocks[which]
+            stream = int(kind[-1])
             if kind == "w2":
-                lld.write(block, data)
-                committed[block] = pad(data)
-            elif kind in ("w0", "w1"):
-                stream = int(kind[1])
-                if not alive[stream]:
-                    continue
-                lld.write(block, data, aru=arus[stream])
-                shadows[stream][block] = pad(data)
+                for ld in lds:
+                    ld.write(block, data)
+            elif not alive[stream]:
+                continue
+            elif kind.startswith("w"):
+                for ld, aru in zip(lds, arus[stream]):
+                    ld.write(block, data, aru=aru)
             else:
-                stream = int(kind[-1])
-                if not alive[stream]:
-                    continue
-                lld.end_aru(arus[stream])
+                for ld, aru in zip(lds, arus[stream]):
+                    ld.end_aru(aru)
                 alive[stream] = False
-                committed.update(shadows[stream])
-                shadows[stream] = {}
             # Check every view after every operation.
             for block_id in blocks:
-                expected_simple = committed.get(block_id, pad(b""))
-                assert lld.read(block_id) == expected_simple
+                assert lld.read(block_id) == model.read(block_id)
                 for stream in range(2):
-                    if not alive[stream]:
-                        continue
-                    expected = shadows[stream].get(block_id, expected_simple)
-                    assert lld.read(block_id, aru=arus[stream]) == expected
+                    if alive[stream]:
+                        lld_aru, model_aru = arus[stream]
+                        assert lld.read(block_id, aru=lld_aru) == model.read(
+                            block_id, aru=model_aru
+                        )
 
 
 # ----------------------------------------------------------------------

@@ -512,7 +512,7 @@ class TestOnALog:
         jld.flush()
         jld.apply()
         jld.cache.invalidate_all()
-        homes = [jld.blocks[block].home for block in blocks]
+        homes = [jld.homes[block] for block in blocks]
         assert homes == [PhysAddr(homes[0].segment, i) for i in range(80)]
         log = log_requests(disk)
         for index in range(0, 80, 2):

@@ -14,7 +14,7 @@ compared: the reference reads every segment, production rolls forward
 from the checkpoint.
 
 ``TestHostCost`` holds what recovery must not spend host time on: the
-decode starts no thread, and the cyclic garbage collector stays off
+recovery starts no thread, and the cyclic garbage collector stays off
 while the tables are built — and comes back as the caller left it.
 """
 
@@ -154,15 +154,19 @@ class TestParallelSerialEquivalence:
             recover(disk.power_cycle(), workers=0)
 
 
-def crashed_array(shards=3):
+def crashed_array(shards=3, blocks=2, flushes=1):
     """A flushed array of ``shards`` members: shard 0 decides, the
-    others recover as participants on host threads."""
+    others recover as participants.  ``blocks`` per member are written
+    in ``flushes`` rounds, each ending in a flush."""
     volume = build_sharded(
         shards, DiskGeometry.small(num_segments=32), config=CONFIG
     )
-    lst = volume.new_list()
-    for index in range(2 * shards):
-        volume.write(volume.new_block(lst), b"block-%d" % index)
+    lists = [volume.new_list() for _ in range(shards)]
+    for index in range(blocks * shards):
+        block = volume.new_block(lists[index % shards])
+        volume.write(block, b"block-%d" % index)
+        if (index + 1) % (blocks * shards // flushes) == 0:
+            volume.flush()
     volume.flush()
     return [shard.disk.power_cycle() for shard in volume.shards]
 
@@ -206,13 +210,12 @@ class TestHostCost:
         assert scans == [(True, False)]
         volume.complete_restore()
 
-    def test_collector_paused_for_participants_on_threads(self, scans):
+    def test_collector_paused_while_an_array_recovers(self, scans):
         before = gc.isenabled()
         repro.recover(crashed_array(), config=CONFIG)
         assert gc.isenabled() == before
-        assert len(scans) == 3
-        assert not any(enabled for _on_main, enabled in scans)
-        assert not all(on_main for on_main, _enabled in scans)
+        # Every member, one after another on the calling thread.
+        assert scans == [(True, False)] * 3
 
     def test_collector_restored_when_the_scan_raises(self, monkeypatch):
         disk, ld = build()
@@ -272,6 +275,22 @@ class TestHostCost:
             1: "0x1.c0ec000000000p+15",
             4: "0x1.c0ec000000000p+13",
         }
+
+    def test_array_members_decode_at_the_share_of_workers(self):
+        """For an array ``workers`` means what it means for one volume:
+        every member's decode phase is charged at ``1 / workers``."""
+        platters = crashed_array(blocks=40, flushes=8)
+        decode = {}
+        for workers in (1, 4):
+            _volume, report = repro.recover(
+                [platter.power_cycle() for platter in platters],
+                workers=workers,
+                config=CONFIG,
+            )
+            assert [member.workers for member in report.reports] == [workers] * 3
+            decode[workers] = [m.phase_us["decode"] for m in report.reports]
+        assert all(share > 0 for share in decode[4])
+        assert decode[1] == [4 * share for share in decode[4]]
 
     def test_invalid_workers_rejected_for_both_shapes(self):
         disk, ld = build()

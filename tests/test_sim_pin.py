@@ -542,20 +542,21 @@ PLATTER_PINS = {
         jld_apply,
         [
             (
-                "0x1.7463c00000005p+20",
+                "0x1.78f338e38e393p+20",
                 {
                     "aru_begin_us": 4,
                     "aru_commit_us": 4,
                     "block_copy_us": 138,
                     "block_read_us": 8,
+                    "chain_hop_us": 260,
                     "ld_call_us": 125,
-                    "record_create_us": 16,
-                    "record_transition_us": 16,
+                    "record_create_us": 103,
+                    "record_transition_us": 103,
                     "summary_entry_us": 149,
-                    "table_access_us": 225,
+                    "table_access_us": 241,
                 },
                 68,
-                "842179071f8eae2f0e56948d9d97a9ce0f84bbcb81296b13fc26f4fd35f462c3",
+                "e41d7cf7a9c6e0084bd35c439ff7624569ae6bcef53118be49b5fe8942f66390",
             ),
         ],
     ),
@@ -732,11 +733,12 @@ CHARGED_US = {
             "aru_commit_us": 120.0,
             "block_copy_us": 7590.0,
             "block_read_us": 320.0,
+            "chain_hop_us": 390.0,
             "ld_call_us": 250.0,
-            "record_create_us": 128.0,
-            "record_transition_us": 96.0,
+            "record_create_us": 824.0,
+            "record_transition_us": 618.0,
             "summary_entry_us": 447.0,
-            "table_access_us": 225.0,
+            "table_access_us": 241.0,
         },
     ],
 }
