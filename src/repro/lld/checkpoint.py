@@ -12,22 +12,38 @@ identifier counters) so that:
 * the cleaner may free any segment whose summary entries are covered
   by a checkpoint.
 
-Two checkpoint slots at the front of the partition are written
-alternately (classic LFS style), so a torn checkpoint write always
-leaves the previous checkpoint intact.  Each slot spans a fixed
-number of reserved segments sized at initialization for the
-worst-case table size; a write covers only the bytes the checkpoint
-occupies (see :meth:`CheckpointManager.write`).
+Two checkpoint slots at the front of the partition each hold a
+**base** image followed by an append-only **chain of deltas**.  A
+base is the whole state; a delta carries the rows whose records
+changed since the previous checkpoint, the identifiers deleted since
+then, and the roster, counters and decided xids in full.  A delta is
+appended after the chain and never overwrites a byte of it; a new
+base goes to the other slot, so a torn write always leaves the
+previous checkpoint intact.  One fixed rule picks the kind: a base
+when the deltas since the current base would add up to more than the
+base itself, or would not fit in the slot (so a load reads at most
+about two bases' worth), a delta otherwise — and a base whenever the
+caller cannot say what changed (:attr:`CheckpointData.changes`).
+Each slot spans a fixed number of reserved segments sized at
+initialization for the worst-case table size; a write covers only
+the bytes its record occupies (see :meth:`CheckpointManager.write`).
+
+Every record is followed on the platter by zeros, which is how the
+loader knows the chain ended; anything else after a record — another
+base's delta, a record out of sequence, a failed CRC, an I/O error —
+makes the slot damaged, and recovery then takes its full scan plan.
 
 The tables travel packed, as they lie in the image: one row per
 persistent record, in wire order (:data:`BlockRow`, :data:`ListRow`).
 A live volume keeps each table's rows between checkpoints
 (:class:`PackedRows`) and repacks only the rows whose records changed
-since the last one; a load hands back the bytes it read.
+since the last one; those rows are the next delta.  A load hands back
+the bytes it read, with the chain applied.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import struct
 import zlib
@@ -44,10 +60,35 @@ CKPT_VERSION = 2
 #: next_list(Q) next_aru(Q) n_blocks(Q) n_lists(Q) n_segs(Q) n_decided(Q)
 #: total_len(Q) crc(Q)
 _HEADER = struct.Struct("<4sHHQQQQQQQQQQQ")
+_BaseHead = collections.namedtuple(
+    "_BaseHead",
+    "magic version pad ckpt_seq last_log_seq next_block next_list next_aru "
+    "n_blocks n_lists n_segs n_decided total_len crc",
+)
 _CRC = struct.Struct("<Q")
 
-#: one decided coordinator transaction id (cross-volume commit)
-_DECIDED = struct.Struct("<Q")
+DELTA_MAGIC = b"LCKD"
+DELTA_VERSION = 1
+
+#: magic(4s) version(H) pad(H) base_seq(Q) base_crc(Q) ckpt_seq(Q)
+#: last_log_seq(Q) next_block(Q) next_list(Q) next_aru(Q) n_blocks(Q)
+#: n_gone_blocks(Q) n_lists(Q) n_gone_lists(Q) n_segs(Q) n_decided(Q)
+#: total_len(Q) crc(Q)
+_DELTA = struct.Struct("<4sHHQQQQQQQQQQQQQQQ")
+_DeltaHead = collections.namedtuple(
+    "_DeltaHead",
+    "magic version pad base_seq base_crc ckpt_seq last_log_seq next_block "
+    "next_list next_aru n_blocks n_gone_blocks n_lists n_gone_lists n_segs "
+    "n_decided total_len crc",
+)
+
+#: Bytes after a record that are zero when the chain ends there: a
+#: record header's magic, version and pad.
+_PROBE = 8
+
+#: one decided coordinator transaction id (cross-volume commit), or
+#: one identifier a delta deletes
+_ID = _DECIDED = struct.Struct("<Q")
 
 #: block_id succ list_id timestamp segment slot flags
 _BLOCK = struct.Struct("<QQQQIIB")
@@ -59,6 +100,13 @@ _LIST = struct.Struct("<QQQQQ")
 
 #: segment seq live total
 _SEG = struct.Struct("<IQII")
+
+#: Row sizes of a base's sections: block rows, list rows, roster,
+#: decided xids.
+_BASE_ROWS = (_BLOCK.size, _LIST.size, _SEG.size, _DECIDED.size)
+#: Row sizes of a delta's sections: block rows, deleted block ids, list
+#: rows, deleted list ids, roster, decided xids.
+_DELTA_ROWS = (_BLOCK.size, _ID.size, _LIST.size, _ID.size, _SEG.size, _DECIDED.size)
 
 #: One persistent block record in wire order: ``(block_id, successor,
 #: list_id, timestamp, segment, slot, flags)``; 0 stands for "none".
@@ -116,9 +164,13 @@ class PackedRows:
     the image, identifiers ascending.  The order is sorted again only
     when the set of identifiers changed.  Nothing is packed until a
     checkpoint asks.
+
+    The identifiers repacked since the last checkpoint that reached
+    the disk (:meth:`written`) are that checkpoint's delta
+    (:meth:`changes`).
     """
 
-    __slots__ = ("_table", "pack", "_rows", "_order")
+    __slots__ = ("_table", "pack", "_rows", "_order", "_since")
 
     def __init__(self, table, pack: Callable[[int, object], bytes]) -> None:
         self._table = table
@@ -128,6 +180,9 @@ class PackedRows:
         #: The identifiers of ``_rows`` ascending; None once the set of
         #: identifiers changed.
         self._order: Optional[List[int]] = None
+        #: Identifiers repacked or dropped since the last checkpoint
+        #: written; None while every row counts as changed.
+        self._since: Optional[set] = None
 
     def section(self) -> bytes:
         """Bring the rows up to date and return them joined."""
@@ -140,6 +195,7 @@ class PackedRows:
                 ident: pack(ident, record) for ident, record in persistent.items()
             }
             self._order = None
+            self._since = None
         else:
             rows = self._rows
             for ident in changed:
@@ -150,15 +206,52 @@ class PackedRows:
                     rows[ident] = pack(ident, record)
                 elif rows.pop(ident, None) is not None:
                     self._order = None
+            if self._since is not None:
+                self._since.update(changed)
         table.changed = set()
         order = self._order
         if order is None:
             order = self._order = sorted(rows)
         return b"".join(map(rows.__getitem__, order))
 
+    def changes(self) -> Optional[Tuple[bytes, List[int]]]:
+        """``(rows, gone)`` since the last checkpoint written: the rows
+        repacked since, joined, and the identifiers whose rows went,
+        both ascending; None when every row counts as changed.  Call
+        after :meth:`section`."""
+        since = self._since
+        if since is None:
+            return None
+        rows = self._rows
+        kept: List[bytes] = []
+        gone: List[int] = []
+        for ident in sorted(since):
+            row = rows.get(ident)
+            if row is None:
+                gone.append(ident)
+            else:
+                kept.append(row)
+        return b"".join(kept), gone
+
+    def written(self) -> None:
+        """A checkpoint of the current rows reached the disk."""
+        self._since = set()
+
     def rows(self) -> Dict[int, bytes]:
         """Identifier -> the row held for it (for the checker)."""
         return dict(self._rows)
+
+
+@dataclasses.dataclass
+class RowChanges:
+    """What a delta carries of the tables: the rows of the records
+    that changed since the previous checkpoint and the identifiers
+    whose records went, each ascending."""
+
+    block_rows: bytes
+    gone_blocks: List[int]
+    list_rows: bytes
+    gone_lists: List[int]
 
 
 @dataclasses.dataclass
@@ -184,6 +277,11 @@ class CheckpointData:
     #: global (all-shard) checkpoint proves every prepare is covered.
     #: Empty on non-coordinator and single-volume disks.
     decided_xids: List[int] = dataclasses.field(default_factory=list)
+    #: The tables' changes since checkpoint ``ckpt_seq - 1``, when the
+    #: writer knows them: what a delta would carry.  None (a load's
+    #: result, JLD's snapshots) means the checkpoint is written as a
+    #: base.  Not part of the state, so equality ignores it.
+    changes: Optional[RowChanges] = dataclasses.field(default=None, compare=False)
 
     @property
     def blocks(self) -> List[BlockRow]:
@@ -197,7 +295,7 @@ class CheckpointData:
 
     @property
     def total_len(self) -> int:
-        """Bytes the serialized checkpoint occupies, header included."""
+        """Bytes the serialized base image occupies, header included."""
         return (
             _HEADER.size
             + len(self.block_rows)
@@ -222,6 +320,56 @@ class CheckpointData:
         )
 
 
+@dataclasses.dataclass
+class ChainRecord:
+    """One record of a slot's chain, as written or read."""
+
+    kind: str  # "base" or "delta"
+    ckpt_seq: int
+    #: Block and list rows the record carries.
+    block_rows: int
+    list_rows: int
+    #: Block and list identifiers it deletes (0 for a base).
+    gone: int
+    #: Bytes it occupies, header included.
+    nbytes: int
+
+    @classmethod
+    def of(cls, head) -> "ChainRecord":
+        """The record a base or delta header describes."""
+        delta = head.magic == DELTA_MAGIC
+        return cls(
+            "delta" if delta else "base",
+            head.ckpt_seq,
+            head.n_blocks,
+            head.n_lists,
+            head.n_gone_blocks + head.n_gone_lists if delta else 0,
+            head.total_len,
+        )
+
+
+@dataclasses.dataclass
+class SlotChain:
+    """One slot's base and the deltas after it."""
+
+    slot: int
+    #: The base's CRC: every delta of the chain names it.
+    base_crc: int = 0
+    #: The valid records, base first; empty when no base is valid.
+    records: List[ChainRecord] = dataclasses.field(default_factory=list)
+    #: Something other than zeros or a valid record was found (or an
+    #: I/O error hit) where a record could be.
+    damaged: bool = False
+    #: The checkpoint the valid records give, the chain applied (set
+    #: by the loader).
+    data: Optional[CheckpointData] = None
+
+    @property
+    def end(self) -> int:
+        """Slot offset just past the last valid record."""
+        return sum(record.nbytes for record in self.records)
+
+
 def default_slot_segments(geometry: DiskGeometry) -> int:
     """Segments to reserve per checkpoint slot for worst-case tables.
 
@@ -239,8 +387,75 @@ def default_slot_segments(geometry: DiskGeometry) -> int:
     return max(1, min(slots, geometry.num_segments // 4 or 1))
 
 
+class _SlotReader:
+    """A slot's bytes, read from the disk a whole segment at a time,
+    as far as they are asked for."""
+
+    def __init__(self, disk: SimulatedDisk, first: int, segments: int) -> None:
+        self._disk = disk
+        self._first = first
+        self._segment_size = disk.geometry.segment_size
+        self.size = segments * self._segment_size
+        self._chunks: List[bytes] = []
+        self._bytes: Optional[memoryview] = None
+
+    def read(self, offset: int, nbytes: int) -> memoryview:
+        """The slot's bytes ``[offset, offset + nbytes)``."""
+        while len(self._chunks) * self._segment_size < offset + nbytes:
+            self._chunks.append(
+                self._disk.read_segment(self._first + len(self._chunks))
+            )
+            self._bytes = None
+        if self._bytes is None:
+            self._bytes = memoryview(b"".join(self._chunks))
+        return self._bytes[offset : offset + nbytes]
+
+
+def _row_dict(rows: bytes, size: int) -> Dict[int, bytes]:
+    """Packed rows -> identifier (each row's first field) -> row."""
+    ident = _ID.unpack_from
+    return {
+        ident(rows, start)[0]: rows[start : start + size]
+        for start in range(0, len(rows), size)
+    }
+
+
+def _joined(rows: Dict[int, bytes]) -> bytes:
+    return b"".join([rows[ident] for ident in sorted(rows)])
+
+
+def _ids(raw) -> List[int]:
+    return [ident for (ident,) in _ID.iter_unpack(raw)]
+
+
+def _head(record):
+    """A serialized record's header, by name."""
+    if record[:4] == DELTA_MAGIC:
+        return _DeltaHead._make(_DELTA.unpack_from(record))
+    return _BaseHead._make(_HEADER.unpack_from(record))
+
+
+def _sections(reader, start: int, layout: struct.Struct, head, sizes):
+    """The body of the record at ``start`` cut into sections, ``sizes``
+    giving each one's ``(count, row size)``; None unless the record's
+    length fits the slot, its CRC holds and the sections fill the
+    body exactly."""
+    if not layout.size <= head.total_len <= reader.size - start:
+        return None
+    raw = reader.read(start, head.total_len)
+    body = raw[layout.size :]
+    if zlib.crc32(body, zlib.crc32(raw[: layout.size - _CRC.size])) != head.crc:
+        return None
+    parts = []
+    cut = 0
+    for count, size in sizes:
+        parts.append(body[cut : cut + count * size])
+        cut += count * size
+    return parts if cut == len(body) else None
+
+
 class CheckpointManager:
-    """Writes and loads alternating checkpoints on reserved segments."""
+    """Writes and loads checkpoint chains on reserved segments."""
 
     def __init__(self, disk: SimulatedDisk, slot_segments: int) -> None:
         self.disk = disk
@@ -250,72 +465,123 @@ class CheckpointManager:
         #: ``last_log_seq`` of that checkpoint: segments numbered above
         #: it were written since.
         self.last_log_seq = 0
-        #: Slots the last :meth:`load` found written but not valid.
+        #: Slots the last :meth:`load` found damaged (:meth:`read_slot`).
         self.damaged_slots: List[int] = []
+        #: The slot holding the newest checkpoint (a virgin disk's
+        #: implicit one counts as slot 0, so bases go 1, 0, 1, ...).
+        self.slot = 0
+        #: The kind of record the last :meth:`write` wrote.
+        self.last_kind = ""
+        #: The chain in :attr:`slot` while a delta may be appended to
+        #: it; None when the next write must be a base.
+        self._chain: Optional[SlotChain] = None
+        #: Per slot: the offset past which the platter holds zeros.  A
+        #: new volume's slots are blank; after a load nothing is known.
+        self._dirty = [0, 0]
 
     @property
     def reserved_segments(self) -> int:
         """Total segments reserved at the front of the partition."""
         return 2 * self.slot_segments
 
-    def _slot_base(self, ckpt_seq: int) -> int:
-        return (ckpt_seq % 2) * self.slot_segments
+    @property
+    def slot_bytes(self) -> int:
+        return self.slot_segments * self.geometry.segment_size
+
+    def slot_segment(self, slot: int) -> int:
+        """The first segment of ``slot``."""
+        return slot * self.slot_segments
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
 
     def write(self, data: CheckpointData) -> Tuple[int, int]:
-        """Serialize and write a checkpoint to the next slot.
+        """Serialize and write a checkpoint: a delta appended to the
+        current chain, or a base in the other slot.
 
-        Only the bytes the checkpoint occupies are written: whole
-        segments first, then the tail rounded up to a sector.  The
-        slot is reserved for the worst case, so whatever an older,
-        longer checkpoint (or a torn write) left beyond ``total_len``
-        stays on the platter; the loader never reads it, and the CRC
-        covers exactly ``[0, total_len)``, so a write torn anywhere
-        leaves a slot that fails its CRC and the other slot wins.
+        A delta is written when ``data.changes`` holds the changes
+        since the checkpoint last written, this manager wrote or
+        loaded that checkpoint's chain undamaged, and the rebase rule
+        allows: the deltas since the base, this one included, add up
+        to no more than the base and fit in the slot.
+
+        Only the bytes the record occupies are written, from where it
+        starts to the end of its last sector: whole segments as such,
+        the rest in place.  Whatever an older chain (or a torn write)
+        left beyond stays on the platter, except that the bytes just
+        past the record must read as zeros — the end of the chain — so
+        when its own sector padding cannot provide them and the slot
+        may hold something there, one more sector of zeros goes with
+        it.  The CRC covers exactly the record, so a write torn
+        anywhere leaves a record that fails it (or zeros, for a
+        dropped one), and the previous checkpoint stands.
 
         Returns:
             ``(payload bytes, bytes handed to the disk)``.
 
         Raises:
-            DiskFullError: If the serialized checkpoint exceeds the
-                reserved slot (tables larger than provisioned).
+            DiskFullError: If a base exceeds the reserved slot (tables
+                larger than provisioned).
         """
-        payload = self._serialize(data)
-        seg_size = self.geometry.segment_size
-        slot_bytes = self.slot_segments * seg_size
-        if len(payload) > slot_bytes:
-            raise DiskFullError(
-                f"checkpoint needs {len(payload)} bytes but the slot holds "
-                f"{slot_bytes}; reserve more checkpoint segments"
-            )
-        base = self._slot_base(data.ckpt_seq)
-        whole, tail = divmod(len(payload), seg_size)
-        for index in range(whole):
-            self.disk.write_segment(
-                base + index, payload[index * seg_size : (index + 1) * seg_size]
-            )
-        written = whole * seg_size
-        if tail:
-            padded = min(-(-tail // SECTOR_SIZE) * SECTOR_SIZE, seg_size)
-            self.disk.write_at(
-                base + whole, 0, payload[written:] + bytes(padded - tail)
-            )
-            written += padded
+        chain, self._chain = self._chain, None
+        record = None
+        if (
+            data.changes is not None
+            and chain is not None
+            and data.ckpt_seq == self.last_written_seq + 1
+        ):
+            base = chain.records[0]
+            record = self._serialize_delta(data, base.ckpt_seq, chain.base_crc)
+            deltas = chain.end - base.nbytes + len(record)
+            if deltas > base.nbytes or chain.end + len(record) > self.slot_bytes:
+                record = None
+        if record is None:
+            record = self._serialize(data)
+            if len(record) > self.slot_bytes:
+                raise DiskFullError(
+                    f"checkpoint needs {len(record)} bytes but the slot holds "
+                    f"{self.slot_bytes}; reserve more checkpoint segments"
+                )
+            chain = SlotChain(1 - self.slot, _head(record).crc)
+        entry = ChainRecord.of(_head(record))
+        written = self._put(chain.slot, chain.end, record)
+        chain.records.append(entry)
+        self._chain = chain
+        self.slot = chain.slot
+        self.last_kind = entry.kind
         self.last_written_seq = data.ckpt_seq
         self.last_log_seq = data.last_log_seq
-        return len(payload), written
+        return len(record), written
+
+    def _put(self, slot: int, start: int, record: bytes) -> int:
+        """Write ``record`` at slot offset ``start``, padded with zeros
+        to a sector, and the zeros that end the chain; returns the
+        bytes handed to the disk."""
+        seg_size = self.geometry.segment_size
+        end = start + len(record)
+        stop = min(-(-end // SECTOR_SIZE) * SECTOR_SIZE, self.slot_bytes)
+        if end + _PROBE > stop and stop < self._dirty[slot]:
+            stop = min(stop + SECTOR_SIZE, self.slot_bytes)
+        first = self.slot_segment(slot)
+        pos = start
+        while pos < stop:
+            index, offset = divmod(pos, seg_size)
+            cut = min(stop, (index + 1) * seg_size)
+            piece = record[pos - start : cut - start]
+            if cut > end:
+                piece += bytes(cut - max(pos, end))
+            if len(piece) == seg_size:
+                self.disk.write_segment(first + index, piece)
+            else:
+                self.disk.write_at(first + index, offset, piece)
+            pos += len(piece)
+        self._dirty[slot] = max(self._dirty[slot], stop)
+        return stop - start
 
     def _serialize(self, data: CheckpointData) -> bytes:
-        seg = _SEG.pack
-        parts = [data.block_rows, data.list_rows]
-        parts += [
-            seg(number, *entry) for number, entry in sorted(data.segments.items())
-        ]
-        parts += map(_DECIDED.pack, sorted(data.decided_xids))
-        body = b"".join(parts)
+        """``data`` as a base image."""
+        body = b"".join([data.block_rows, data.list_rows, *self._tail(data)])
         head = _HEADER.pack(
             CKPT_MAGIC,
             CKPT_VERSION,
@@ -335,6 +601,51 @@ class CheckpointManager:
         crc = zlib.crc32(body, zlib.crc32(head))
         return b"".join((head, _CRC.pack(crc), body))
 
+    def _serialize_delta(
+        self, data: CheckpointData, base_seq: int, base_crc: int
+    ) -> bytes:
+        """``data.changes`` as a delta of the base ``base_seq``."""
+        changes = data.changes
+        body = b"".join(
+            [
+                changes.block_rows,
+                *map(_ID.pack, changes.gone_blocks),
+                changes.list_rows,
+                *map(_ID.pack, changes.gone_lists),
+                *self._tail(data),
+            ]
+        )
+        head = _DELTA.pack(
+            DELTA_MAGIC,
+            DELTA_VERSION,
+            0,
+            base_seq,
+            base_crc,
+            data.ckpt_seq,
+            data.last_log_seq,
+            data.next_block_id,
+            data.next_list_id,
+            data.next_aru_id,
+            len(changes.block_rows) // _BLOCK.size,
+            len(changes.gone_blocks),
+            len(changes.list_rows) // _LIST.size,
+            len(changes.gone_lists),
+            len(data.segments),
+            len(data.decided_xids),
+            _DELTA.size + len(body),
+            0,
+        )[: -_CRC.size]
+        crc = zlib.crc32(body, zlib.crc32(head))
+        return b"".join((head, _CRC.pack(crc), body))
+
+    @staticmethod
+    def _tail(data: CheckpointData) -> List[bytes]:
+        """The roster and the decided xids, which every record carries."""
+        seg = _SEG.pack
+        parts = [seg(number, *entry) for number, entry in sorted(data.segments.items())]
+        parts += map(_DECIDED.pack, sorted(data.decided_xids))
+        return parts
+
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
@@ -345,87 +656,164 @@ class CheckpointManager:
         # survivor's roster attests may have been freed and rewritten
         # since, so recovery reads them all when this is not empty.
         self.damaged_slots = []
-        best = CheckpointData.empty()
+        best: Optional[SlotChain] = None
         for slot in range(2):
-            parsed = self._load_slot(slot)
-            if parsed is not None and parsed.ckpt_seq > best.ckpt_seq:
-                best = parsed
-        self.last_written_seq = best.ckpt_seq
-        self.last_log_seq = best.last_log_seq
-        return best
+            chain = self.read_slot(slot)
+            if chain.damaged:
+                self.damaged_slots.append(slot)
+            if chain.data is not None and (
+                best is None or chain.data.ckpt_seq > best.data.ckpt_seq
+            ):
+                best = chain
+        data = best.data if best is not None else CheckpointData.empty()
+        self.slot = best.slot if best is not None else 0
+        self._chain = best if best is not None and not best.damaged else None
+        self._dirty = [self.slot_bytes, self.slot_bytes]
+        self.last_written_seq = data.ckpt_seq
+        self.last_log_seq = data.last_log_seq
+        return data
 
-    def _load_slot(self, slot: int) -> Optional[CheckpointData]:
-        """Parse one slot; None when it holds no valid checkpoint —
-        never written (a header of zeros), or damaged and then listed
-        in :attr:`damaged_slots`.
+    def read_slot(self, slot: int) -> SlotChain:
+        """Read one slot's chain: its base, then each delta up to the
+        zeros that end the chain.
+
+        Not a checkpoint at all: a header of zeros (never written).
+        Damaged: the base fails any check, or something other than
+        zeros or the next valid delta of this base follows a record,
+        or a read raises :class:`MediaError`.  A chain damaged after
+        its base still gives the checkpoint its valid records make,
+        with ``damaged`` set, so it never passes for a shorter chain.
 
         Only a media fault makes a slot "not a checkpoint"; a retired
         handle, a lost shard or a bug must not look like an empty disk.
         """
-        base = slot * self.slot_segments
-        seg_size = self.geometry.segment_size
+        chain = SlotChain(slot)
+        reader = _SlotReader(self.disk, self.slot_segment(slot), self.slot_segments)
         try:
-            first = self.disk.read_segment(base)
+            head = reader.read(0, _HEADER.size)
+            if not any(head):
+                return chain
+            data = self._parse_base(reader, head, chain)
         except MediaError:
-            return self._damaged(slot)
-        if len(first) < _HEADER.size:
-            return self._damaged(slot)
-        if not any(first[: _HEADER.size]):
-            return None
-        (
-            magic,
-            version,
-            _pad,
-            ckpt_seq,
-            last_log_seq,
-            next_block,
-            next_list,
-            next_aru,
-            n_blocks,
-            n_lists,
-            n_segs,
-            n_decided,
-            total_len,
-            crc,
-        ) = _HEADER.unpack_from(first)
-        if magic != CKPT_MAGIC or version != CKPT_VERSION:
-            return self._damaged(slot)
-        if not _HEADER.size <= total_len <= self.slot_segments * seg_size:
-            return self._damaged(slot)
-        chunks = [first]
-        try:
-            for index in range(1, -(-total_len // seg_size)):
-                chunks.append(self.disk.read_segment(base + index))
-        except MediaError:
-            return self._damaged(slot)
-        raw = memoryview(b"".join(chunks))[:total_len]
-        body = raw[_HEADER.size :]
-        if zlib.crc32(body, zlib.crc32(raw[: _HEADER.size - _CRC.size])) != crc:
-            return self._damaged(slot)
-        blocks_end = n_blocks * _BLOCK.size
-        lists_end = blocks_end + n_lists * _LIST.size
-        segs_end = lists_end + n_segs * _SEG.size
-        if segs_end + n_decided * _DECIDED.size != len(body):
-            return self._damaged(slot)
-        return CheckpointData(
-            ckpt_seq=ckpt_seq,
-            last_log_seq=last_log_seq,
-            next_block_id=next_block,
-            next_list_id=next_list,
-            next_aru_id=next_aru,
-            block_rows=bytes(body[:blocks_end]),
-            list_rows=bytes(body[blocks_end:lists_end]),
-            segments={
-                seg: (seq, live, total)
-                for seg, seq, live, total in _SEG.iter_unpack(
-                    body[lists_end:segs_end]
+            data = None
+        if data is None:
+            chain.damaged = True
+            return chain
+        deltas: List[CheckpointData] = []
+        while True:
+            end = chain.end
+            if end + _PROBE > reader.size:
+                break
+            try:
+                if not any(reader.read(end, _PROBE)):
+                    break
+                delta = self._parse_delta(
+                    reader, end, chain, data.ckpt_seq + len(deltas)
                 )
-            },
-            decided_xids=[
-                xid for (xid,) in _DECIDED.iter_unpack(body[segs_end:])
-            ],
+            except MediaError:
+                delta = None
+            if delta is None:
+                chain.damaged = True
+                break
+            deltas.append(delta)
+        chain.data = self._apply(data, deltas) if deltas else data
+        return chain
+
+    def _parse_base(
+        self, reader: _SlotReader, raw: memoryview, chain: SlotChain
+    ) -> Optional[CheckpointData]:
+        head = _BaseHead._make(_HEADER.unpack(raw))
+        if head.magic != CKPT_MAGIC or head.version != CKPT_VERSION:
+            return None
+        counts = (head.n_blocks, head.n_lists, head.n_segs, head.n_decided)
+        parts = _sections(reader, 0, _HEADER, head, zip(counts, _BASE_ROWS))
+        if parts is None:
+            return None
+        blocks, lists, roster, decided = parts
+        chain.base_crc = head.crc
+        chain.records.append(ChainRecord.of(head))
+        return CheckpointData(
+            ckpt_seq=head.ckpt_seq,
+            last_log_seq=head.last_log_seq,
+            next_block_id=head.next_block,
+            next_list_id=head.next_list,
+            next_aru_id=head.next_aru,
+            block_rows=bytes(blocks),
+            list_rows=bytes(lists),
+            segments=self._roster(roster),
+            decided_xids=_ids(decided),
         )
 
-    def _damaged(self, slot: int) -> None:
-        self.damaged_slots.append(slot)
-        return None
+    def _parse_delta(
+        self, reader: _SlotReader, start: int, chain: SlotChain, prev_seq: int
+    ) -> Optional[CheckpointData]:
+        """The delta at ``start``, as a :class:`CheckpointData` whose
+        rows are empty and whose :attr:`~CheckpointData.changes` are
+        the delta's; None unless it is the next delta of this base."""
+        if start + _DELTA.size > reader.size:
+            return None
+        head = _DeltaHead._make(_DELTA.unpack(reader.read(start, _DELTA.size)))
+        if (
+            head.magic != DELTA_MAGIC
+            or head.version != DELTA_VERSION
+            or head.base_seq != chain.records[0].ckpt_seq
+            or head.base_crc != chain.base_crc
+            or head.ckpt_seq != prev_seq + 1
+        ):
+            return None
+        counts = (
+            head.n_blocks,
+            head.n_gone_blocks,
+            head.n_lists,
+            head.n_gone_lists,
+            head.n_segs,
+            head.n_decided,
+        )
+        parts = _sections(reader, start, _DELTA, head, zip(counts, _DELTA_ROWS))
+        if parts is None:
+            return None
+        blocks, gone_blocks, lists, gone_lists, roster, decided = parts
+        chain.records.append(ChainRecord.of(head))
+        return CheckpointData(
+            ckpt_seq=head.ckpt_seq,
+            last_log_seq=head.last_log_seq,
+            next_block_id=head.next_block,
+            next_list_id=head.next_list,
+            next_aru_id=head.next_aru,
+            block_rows=b"",
+            list_rows=b"",
+            segments=self._roster(roster),
+            decided_xids=_ids(decided),
+            changes=RowChanges(
+                bytes(blocks), _ids(gone_blocks), bytes(lists), _ids(gone_lists)
+            ),
+        )
+
+    @staticmethod
+    def _roster(raw) -> Dict[int, Tuple[int, int, int]]:
+        return {
+            seg: (seq, live, total)
+            for seg, seq, live, total in _SEG.iter_unpack(raw)
+        }
+
+    @staticmethod
+    def _apply(base: CheckpointData, deltas: List[CheckpointData]) -> CheckpointData:
+        """The base with each delta's rows applied in order, under the
+        last delta's counters, roster and decided xids."""
+        blocks = _row_dict(base.block_rows, _BLOCK.size)
+        lists = _row_dict(base.list_rows, _LIST.size)
+        for delta in deltas:
+            changes = delta.changes
+            for rows, gone, packed, size in (
+                (blocks, changes.gone_blocks, changes.block_rows, _BLOCK.size),
+                (lists, changes.gone_lists, changes.list_rows, _LIST.size),
+            ):
+                for ident in gone:
+                    rows.pop(ident, None)
+                rows.update(_row_dict(packed, size))
+        return dataclasses.replace(
+            deltas[-1],
+            block_rows=_joined(blocks),
+            list_rows=_joined(lists),
+            changes=None,
+        )

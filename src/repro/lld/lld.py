@@ -37,6 +37,7 @@ from repro.core.aru import ARUTable
 from repro.core.engine import VersionEngine
 from repro.core.oplog import ListOp, ListOpKind
 from repro.core.tables import BlockNumberMap, ListTable
+from repro.core.versions import VersionState
 from repro.core.visibility import read_versions
 from repro.disk.clock import CostMeter, CostModel
 from repro.disk.simdisk import SimulatedDisk
@@ -66,6 +67,7 @@ from repro.lld.checkpoint import (
     CheckpointData,
     CheckpointManager,
     PackedRows,
+    RowChanges,
     default_slot_segments,
     pack_block_record,
     pack_list_record,
@@ -74,6 +76,8 @@ from repro.lld.logwriter import LogWriter
 from repro.lld.summary import EntryKind, SummaryEntry
 from repro.lld.usage import SegmentState, SegmentUsage
 from repro.obs import Observability
+
+_SHADOW = VersionState.SHADOW
 
 
 class _OpCounters(dict):
@@ -218,7 +222,9 @@ class LLD(LogWriter, LogicalDisk):
         }
         self._ckpt_counters = {
             name: m.counter(f"lld.checkpoint.{name}")
-            for name in ("writes", "payload_bytes", "bytes_written")
+            for name in (
+                "writes", "bases", "deltas", "payload_bytes", "bytes_written"
+            )
         }
         self._scrub_counters = {
             name: m.counter(f"lld.scrub.{name}")
@@ -682,7 +688,9 @@ class LLD(LogWriter, LogicalDisk):
                 break
             if version.data is not None:
                 return version.data, None
-            if version.address is not None:
+            # A shadow holds data only where its ARU wrote; one made
+            # by a list operation copied an address it must not serve.
+            if version.address is not None and version.state is not _SHADOW:
                 return None, version.address
         return None, None
 
@@ -1112,17 +1120,27 @@ class LLD(LogWriter, LogicalDisk):
     def _snapshot_checkpoint(self) -> CheckpointData:
         """The persistent state as a checkpoint (call only after a
         flush): the rows of the records that changed since the last
-        one are repacked, the others are reused."""
+        one are repacked, the others are reused; the repacked rows
+        since the last checkpoint written are its ``changes``."""
+        block_rows = self._block_rows.section()
+        list_rows = self._list_rows.section()
+        blocks = self._block_rows.changes()
+        lists = self._list_rows.changes()
         return CheckpointData(
             ckpt_seq=self._ckpt_seq,
             last_log_seq=self._last_written_seq,
             next_block_id=self._next_block_id,
             next_list_id=self._next_list_id,
             next_aru_id=self.arus.next_id,
-            block_rows=self._block_rows.section(),
-            list_rows=self._list_rows.section(),
+            block_rows=block_rows,
+            list_rows=list_rows,
             segments=self.usage.snapshot(),
             decided_xids=sorted(self._decided_xids),
+            changes=(
+                None
+                if blocks is None or lists is None
+                else RowChanges(*blocks, *lists)
+            ),
         )
 
     def _write_checkpoint(self) -> None:
@@ -1155,10 +1173,17 @@ class LLD(LogWriter, LogicalDisk):
         except DiskCrashedError:
             self._mark_dead("disk_crashed_mid_checkpoint")
             raise
-        self._ckpt_counters["writes"].inc()
-        self._ckpt_counters["payload_bytes"].add(payload)
-        self._ckpt_counters["bytes_written"].add(written)
-        self.obs.record("checkpoint", ckpt_seq=self._ckpt_seq, bytes=written)
+        self._block_rows.written()
+        self._list_rows.written()
+        kind = self.checkpoints.last_kind
+        counters = self._ckpt_counters
+        counters["writes"].inc()
+        counters[f"{kind}s"].inc()
+        counters["payload_bytes"].add(payload)
+        counters["bytes_written"].add(written)
+        self.obs.record(
+            "checkpoint", ckpt_seq=self._ckpt_seq, kind=kind, bytes=written
+        )
 
     def _check_alive(self) -> None:
         if self._dead or self.disk.crashed:

@@ -73,10 +73,14 @@ STATS_SCHEMA = {
         "blocks_copied": INT,
         "damaged": INT,
     },
-    # ``payload_bytes`` is what the checkpoints occupy, ``bytes_written``
-    # what reached the disk (payload rounded up to a sector).
+    # ``writes`` = ``bases`` + ``deltas`` (base images and the delta
+    # records chained behind them); ``payload_bytes`` is what the
+    # checkpoints occupy, ``bytes_written`` what reached the disk
+    # (payload rounded up to a sector).
     "checkpoint": {
         "writes": INT,
+        "bases": INT,
+        "deltas": INT,
         "payload_bytes": INT,
         "bytes_written": INT,
         "last_seq": INT,

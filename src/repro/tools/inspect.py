@@ -46,7 +46,8 @@ def describe_disk(disk: SimulatedDisk) -> str:
 def describe_checkpoints(
     disk: SimulatedDisk, slot_segments: Optional[int] = None
 ) -> str:
-    """Both checkpoint slots: validity, sequence, table sizes."""
+    """Both checkpoint slots: validity, the checkpoint each chain
+    gives, and each record of the chain (base, then deltas)."""
     slots = (
         slot_segments
         if slot_segments is not None
@@ -56,9 +57,10 @@ def describe_checkpoints(
     reserved = slots * disk.geometry.segment_size
     lines = [f"checkpoint region: 2 slots x {slots} segment(s)"]
     for slot in range(2):
-        parsed = manager._load_slot(slot)
+        chain = manager.read_slot(slot)
+        parsed = chain.data
         if parsed is None:
-            state = "damaged" if slot in manager.damaged_slots else "never written"
+            state = "damaged" if chain.damaged else "never written"
             lines.append(f"  slot {slot}: {state}")
             continue
         decided = (
@@ -66,13 +68,20 @@ def describe_checkpoints(
             if parsed.decided_xids
             else ""
         )
+        state = f"damaged after seq {parsed.ckpt_seq}: " if chain.damaged else ""
         lines.append(
-            f"  slot {slot}: ckpt_seq={parsed.ckpt_seq} "
+            f"  slot {slot}: {state}ckpt_seq={parsed.ckpt_seq} "
             f"last_log_seq={parsed.last_log_seq} "
             f"blocks={len(parsed.blocks)} lists={len(parsed.lists)} "
             f"segments={len(parsed.segments)}{decided} "
-            f"total_len={parsed.total_len} of {reserved} reserved"
+            f"total_len={chain.end} of {reserved} reserved"
         )
+        for record in chain.records:
+            lines.append(
+                f"    {record.kind:<5} seq={record.ckpt_seq} "
+                f"block_rows={record.block_rows} list_rows={record.list_rows} "
+                f"deleted={record.gone} bytes={record.nbytes}"
+            )
     best = manager.load()
     lines.append(f"  newest valid checkpoint: seq {best.ckpt_seq}")
     return "\n".join(lines)

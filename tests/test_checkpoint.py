@@ -1,12 +1,13 @@
 """Unit tests for the checkpoint format and manager."""
 
+import dataclasses
 import struct
 import zlib
 
 import pytest
 
 from repro import recover
-from repro.disk.faults import FaultInjector, MediaFault, PowerCut
+from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, DiskFullError, ShardLostError
@@ -18,6 +19,7 @@ from repro.lld.checkpoint import (
     FLAG_HAS_ADDR,
     CheckpointData,
     CheckpointManager,
+    RowChanges,
     default_slot_segments,
     pack_block_rows,
     pack_list_rows,
@@ -27,9 +29,11 @@ from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.usage import QUARANTINE_SEQ
 from repro.lld.verify import verify_lld
+from repro.tools.inspect import describe_checkpoints
 from repro.workloads.generator import overwrite_pressure
 
 from tests.oracle import state_fingerprint
+from tests.test_rollforward_scan import recoveries_agree
 
 SECTOR = 512
 
@@ -99,15 +103,19 @@ class TestRoundTrip:
 
     def test_slots_alternate(self, disk):
         mgr = CheckpointManager(disk, slot_segments=1)
-        assert mgr._slot_base(1) != mgr._slot_base(2)
-        assert mgr._slot_base(1) == mgr._slot_base(3)
+        slots = []
+        for seq in (1, 2, 3):
+            mgr.write(sample_data(seq=seq))
+            slots.append(mgr.slot)
+        assert slots == [1, 0, 1]
+        assert mgr.slot_segment(0) != mgr.slot_segment(1)
 
     def test_corrupt_new_slot_falls_back(self, disk):
         mgr = CheckpointManager(disk, slot_segments=1)
         mgr.write(sample_data(seq=1))
         mgr.write(sample_data(seq=2))
         # Smash the slot holding checkpoint 2.
-        base = mgr._slot_base(2)
+        base = mgr.slot_segment(mgr.slot)
         disk.write_segment(base, b"\xff" * disk.geometry.segment_size)
         assert mgr.load().ckpt_seq == 1
 
@@ -184,7 +192,7 @@ class TestWrittenAtRealSize:
         mgr.write(sample_data(seq=2))
         short = sample_data(seq=3, n_blocks=5)
         mgr.write(short)
-        base = mgr._slot_base(3)
+        base = mgr.slot_segment(mgr.slot)
         stale = mgr._serialize(long_data)
         assert disk._segments[base + 1] == stale[seg_size : 2 * seg_size]
         assert disk._segments[base][short.total_len + SECTOR :] == (
@@ -195,7 +203,7 @@ class TestWrittenAtRealSize:
         read_segment = disk.read_segment
         disk.read_segment = lambda seg: reads.append(seg) or read_segment(seg)
         assert mgr.load() == short
-        assert sorted(reads) == [mgr._slot_base(2), base]
+        assert sorted(reads) == [mgr.slot_segment(1 - mgr.slot), base]
 
     def test_short_over_long_torn_anywhere_keeps_previous(self):
         """A short write into a long slot torn at any sector boundary
@@ -221,7 +229,7 @@ class TestLoadErrors:
         mgr = CheckpointManager(disk, slot_segments=1)
         mgr.write(sample_data(seq=1))
         mgr.write(sample_data(seq=2))
-        disk.injector.add_media_fault(MediaFault(mgr._slot_base(2)))
+        disk.injector.add_media_fault(MediaFault(mgr.slot_segment(mgr.slot)))
         assert mgr.load().ckpt_seq == 1
 
     def test_media_fault_in_a_later_segment_of_the_slot(self, disk):
@@ -229,7 +237,9 @@ class TestLoadErrors:
         mgr.write(sample_data(seq=1))
         count = disk.geometry.segment_size // 41 + 50
         mgr.write(sample_data(seq=2, n_blocks=count))
-        disk.injector.add_media_fault(MediaFault(mgr._slot_base(2) + 1))
+        disk.injector.add_media_fault(
+            MediaFault(mgr.slot_segment(mgr.slot) + 1)
+        )
         assert mgr.load().ckpt_seq == 1
 
     def test_retired_handle_raises_instead_of_loading_empty(self, disk):
@@ -263,6 +273,204 @@ class TestLoadErrors:
 
 
 # ----------------------------------------------------------------------
+# Delta chains
+# ----------------------------------------------------------------------
+
+
+def advance(data, seq, rows=(), gone=()):
+    """Checkpoint ``seq``: ``data`` with the block ``rows`` put and the
+    blocks ``gone`` deleted, carrying those changes for a delta."""
+    blocks = {row[0]: row for row in data.blocks}
+    for ident in gone:
+        del blocks[ident]
+    for row in rows:
+        blocks[row[0]] = row
+    return dataclasses.replace(
+        data,
+        ckpt_seq=seq,
+        last_log_seq=data.last_log_seq + 1,
+        next_block_id=data.next_block_id + len(rows),
+        block_rows=pack_block_rows(blocks[ident] for ident in sorted(blocks)),
+        segments={**data.segments, 6 + seq: (50 + seq, 1, 2)},
+        decided_xids=[*data.decided_xids, seq],
+        changes=RowChanges(pack_block_rows(sorted(rows)), sorted(gone), b"", []),
+    )
+
+
+def new_row(ident, seq):
+    return (ident, 0, 3, seq, 4, ident % 7, FLAG_HAS_ADDR)
+
+
+def chain_of(disk, deltas, n_blocks=60, slot_segments=1):
+    """A manager with base 1 and ``deltas`` deltas after it, each
+    putting one row and deleting one; returns it and every checkpoint
+    written."""
+    mgr = CheckpointManager(disk, slot_segments=slot_segments)
+    written = [sample_data(n_blocks=n_blocks)]
+    mgr.write(written[0])
+    for seq in range(2, deltas + 2):
+        written.append(advance(written[-1], seq, [new_row(100 + seq, seq)], [seq]))
+        mgr.write(written[-1])
+        assert mgr.last_kind == "delta"
+    return mgr, written
+
+
+def fresh_load(disk, slot_segments=1):
+    loader = CheckpointManager(disk, slot_segments)
+    return loader.load(), loader.damaged_slots
+
+
+class TestDeltaChains:
+    def test_deltas_append_behind_the_base_and_load_as_one_image(self, disk):
+        mgr, written = chain_of(disk, 3)
+        assert mgr.slot == 1
+        assert fresh_load(disk) == (written[-1], [])
+        chain = mgr.read_slot(1)
+        assert [(r.kind, r.ckpt_seq, r.block_rows, r.gone) for r in chain.records] == [
+            ("base", 1, 60, 0),
+            ("delta", 2, 1, 1),
+            ("delta", 3, 1, 1),
+            ("delta", 4, 1, 1),
+        ]
+        assert chain.records[0].nbytes == written[0].total_len
+        assert not chain.damaged and mgr.read_slot(0).records == []
+
+    def test_a_delta_never_overwrites_the_chain(self, disk):
+        mgr = CheckpointManager(disk, slot_segments=1)
+        data = sample_data(n_blocks=60)
+        mgr.write(data)
+        for seq in range(2, 5):
+            before = bytes(disk._segments[mgr.slot_segment(1)])
+            end = mgr.read_slot(1).end
+            data = advance(data, seq, [new_row(100 + seq, seq)], [seq])
+            payload, written = mgr.write(data)
+            after = disk._segments[mgr.slot_segment(1)]
+            assert after[:end] == before[:end]
+            assert after[end : end + payload] == mgr._serialize_delta(
+                data, 1, mgr.read_slot(1).base_crc
+            )
+            assert (end + written) % SECTOR == 0
+
+    def test_rebase_when_the_deltas_would_outgrow_the_base(self, disk):
+        mgr = CheckpointManager(disk, slot_segments=1)
+        data = sample_data(n_blocks=40)
+        mgr.write(data)
+        while mgr.slot == 1:
+            chain = mgr.read_slot(1)
+            data = advance(data, data.ckpt_seq + 1, [new_row(data.ckpt_seq, 0)])
+            mgr.write(data)
+            assert fresh_load(disk) == (data, [])
+        # The deltas of slot 1's chain fit under its base; the next one
+        # would not have, so checkpoint ``data`` is a base in slot 0.
+        assert mgr.last_kind == "base" and data.ckpt_seq >= 5
+        base, *deltas = [record.nbytes for record in chain.records]
+        assert sum(deltas) <= base
+        assert sum(deltas) + len(mgr._serialize_delta(data, 1, 0)) > base
+
+    def test_rebase_when_a_delta_would_not_fit_the_slot(self, disk):
+        mgr = CheckpointManager(disk, slot_segments=1)
+        data = sample_data(n_blocks=1590)
+        mgr.write(data)
+        assert data.total_len + 237 > disk.geometry.segment_size
+        data = advance(data, 2, [new_row(5000, 2)])
+        mgr.write(data)
+        assert (mgr.last_kind, mgr.slot) == ("base", 0)
+        assert fresh_load(disk) == (data, [])
+
+    def test_no_changes_or_a_gap_in_sequence_writes_a_base(self, disk):
+        mgr = CheckpointManager(disk, slot_segments=1)
+        data = sample_data()
+        mgr.write(data)
+        mgr.write(dataclasses.replace(advance(data, 2), changes=None))
+        assert (mgr.last_kind, mgr.slot) == ("base", 0)
+        mgr.write(advance(data, 4, [new_row(9, 4)]))
+        assert (mgr.last_kind, mgr.slot) == ("base", 1)
+
+    def test_a_delta_of_another_base_is_damage(self, disk):
+        mgr, written = chain_of(disk, 1)
+        # Another checkpoint 1 of the same length: the old delta now
+        # follows a base it does not name.
+        other = dataclasses.replace(written[0], next_block_id=101)
+        image = mgr._serialize(other)
+        assert len(image) == written[0].total_len
+        disk.write_at(mgr.slot_segment(1), 0, image)
+        assert fresh_load(disk) == (other, [1])
+
+    def test_a_record_out_of_sequence_is_damage(self, disk):
+        mgr, written = chain_of(disk, 2)
+        chain = mgr.read_slot(1)
+        start = chain.records[0].nbytes
+        raw = disk._segments[mgr.slot_segment(1)]
+        second = bytes(raw[start + chain.records[1].nbytes : chain.end])
+        # Delta 3 moved up to where delta 2 was: a chain of 1, 3.
+        disk.write_at(mgr.slot_segment(1), start, second + bytes(SECTOR))
+        assert fresh_load(disk) == (written[0], [1])
+
+    def test_a_torn_delta_keeps_the_previous_checkpoint(self):
+        for kept in range(0, 600, 37):
+            disk = SimulatedDisk(DiskGeometry.small(num_segments=16))
+            mgr, written = chain_of(disk, 2)
+            nxt = advance(
+                written[-1], 4, [new_row(200 + n, 4) for n in range(9)], [4, 5]
+            )
+            assert len(mgr._serialize_delta(nxt, 1, 0)) > kept
+            tear_next_write(disk, kept)
+            with pytest.raises(DiskCrashedError):
+                mgr.write(nxt)
+            loaded, damaged = fresh_load(disk.power_cycle())
+            # A dropped write leaves zeros: the chain simply ends.
+            assert (loaded, damaged) == (written[-1], [1] if kept else []), kept
+
+    @pytest.mark.parametrize("kind", ["corrupt", "unreadable"])
+    def test_a_damaged_mid_chain_delta_is_no_shorter_chain(self, kind):
+        """The chain crosses into the slot's second segment; a fault
+        there leaves the records wholly before it, and says the slot
+        is damaged."""
+        disk = SimulatedDisk(DiskGeometry.small(num_segments=16, block_size=512))
+        seg_size = disk.geometry.segment_size
+        mgr, written = chain_of(disk, 8, n_blocks=150, slot_segments=2)
+        chain = mgr.read_slot(1)
+        offsets = [0]
+        for record in chain.records:
+            offsets.append(offsets[-1] + record.nbytes)
+        # The first record reaching into the second segment.
+        index = next(i for i, end in enumerate(offsets[1:]) if end > seg_size)
+        assert 1 < index < len(chain.records) - 1
+        span = (0, 8) if kind == "corrupt" else None
+        disk.injector.add_media_fault(
+            MediaFault(mgr.slot_segment(1) + 1, kind, span=span)
+        )
+        loaded, damaged = fresh_load(disk, slot_segments=2)
+        assert (loaded, damaged) == (written[index - 1], [1])
+
+    def test_zeros_follow_a_short_record_over_a_longer_one(self, disk):
+        """A base whose sector padding is under the probe's 8 bytes,
+        written where a longer one lay: one more sector of zeros."""
+        mgr = CheckpointManager(disk, slot_segments=1)
+        mgr.write(sample_data(seq=1, n_blocks=300))
+        mgr.write(sample_data(seq=2))
+        short = sample_data(seq=3, n_blocks=12)
+        short.decided_xids = list(range(1, 45))
+        assert short.total_len % SECTOR > SECTOR - 8
+        payload, written = mgr.write(short)
+        assert written == -(-payload // SECTOR) * SECTOR + SECTOR
+        assert fresh_load(disk) == (short, [])
+
+    def test_jld_writes_bases_only(self):
+        jld = JLD(
+            SimulatedDisk(DiskGeometry.small(num_segments=96)),
+            journal_segments=6,
+            checkpoint_slot_segments=2,
+        )
+        lst = jld.new_list()
+        block = jld.new_block(lst)
+        for round_no in range(3):
+            jld.write(block, bytes([round_no]) * 100)
+            jld.apply()
+            assert jld.checkpoints.last_kind == "base"
+
+
+# ----------------------------------------------------------------------
 # Torn checkpoint writes under a live LLD
 # ----------------------------------------------------------------------
 
@@ -272,7 +480,9 @@ TEAR_SLOTS = 3
 
 def checkpointed_lld(n_blocks):
     """An LLD with ``n_blocks`` blocks, checkpoint 1 on disk and a
-    flushed log suffix after it: what checkpoint 2 is written over."""
+    flushed log suffix after it: what checkpoint 2 is written over.
+    Every block is rewritten, so checkpoint 2 is a base (a delta of
+    every row would outgrow the base)."""
     disk = SimulatedDisk(TEAR_GEO)
     ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=TEAR_SLOTS))
     lst = ld.new_list()
@@ -283,7 +493,8 @@ def checkpointed_lld(n_blocks):
     aru = ld.begin_aru()
     extra = ld.new_block(lst, aru=aru)
     ld.write(extra, b"after checkpoint 1", aru=aru)
-    ld.write(blocks[0], b"rewritten", aru=aru)
+    for block in blocks:
+        ld.write(block, b"rewritten", aru=aru)
     ld.end_aru(aru)
     ld.delete_block(blocks[-1])
     ld.flush()
@@ -311,6 +522,9 @@ def fingerprints_from_checkpoint_1(n_blocks):
     disk, _ld = checkpointed_lld(n_blocks)
     eager, instant = recovered_fingerprints(disk)
     assert eager == instant
+    _disk, ld = checkpointed_lld(n_blocks)
+    ld.write_checkpoint()
+    assert ld.checkpoints.last_kind == "base"
     return eager
 
 
@@ -385,6 +599,126 @@ class TestTornCheckpointWrite:
             overwrite_pressure(ld, working_set_blocks=40, n_writes=600, seed=3)
         dead = [e for e in ld.obs.recorder.events() if e["event"] == "lld.dead"]
         assert [e["reason"] for e in dead] == ["disk_crashed_mid_checkpoint"]
+
+
+# ----------------------------------------------------------------------
+# Crashes and media faults in a chain under a live LLD
+# ----------------------------------------------------------------------
+
+CHAIN_GEO = DiskGeometry.small(num_segments=32, block_size=512)
+CHAIN_CONFIG = LLDConfig(checkpoint_slot_segments=1)
+
+
+def chained_run(disk, in_flight):
+    """Checkpoint 1 is a base; each of six rounds (an ARU that
+    rewrites a block and allocates one, a simple delete, a flush) ends
+    in a checkpoint: three deltas, a rebase, two deltas.  ``in_flight``
+    says, as each step starts, the newest checkpoint on disk when the
+    step writes a checkpoint, None when it writes anything else."""
+    in_flight.append(None)
+    ld = LLD(disk, config=CHAIN_CONFIG)
+    lst = ld.new_list()
+    blocks = [ld.new_block(lst) for _ in range(24)]
+    for index, block in enumerate(blocks):
+        ld.write(block, bytes([index + 1]) * 64)
+    for round_no in range(7):
+        in_flight.append(None)
+        if round_no:
+            aru = ld.begin_aru()
+            ld.write(blocks[round_no], b"round %d" % round_no, aru=aru)
+            ld.write(ld.new_block(lst, aru=aru), b"new %d" % round_no, aru=aru)
+            ld.end_aru(aru)
+            ld.delete_block(blocks[-round_no])
+        ld.flush()
+        in_flight.append(ld.checkpoints.last_written_seq)
+        ld.write_checkpoint()
+    return ld
+
+
+def checkpoint_kinds(ld):
+    return [
+        event["kind"]
+        for event in ld.obs.recorder.events()
+        if event["event"] == "checkpoint"
+    ]
+
+
+class TestChainCrashes:
+    def test_the_run_holds_a_base_deltas_and_a_rebase(self):
+        ld = chained_run(SimulatedDisk(CHAIN_GEO), [])
+        assert checkpoint_kinds(ld) == ["base"] + ["delta"] * 3 + [
+            "base",
+            "delta",
+            "delta",
+        ]
+        assert ld.cleanings == 0
+
+    def test_power_cut_at_every_write(self):
+        clean = chained_run(SimulatedDisk(CHAIN_GEO), [])
+        kinds = checkpoint_kinds(clean)
+        torn_deltas = 0
+        for cut in range(clean.disk.write_count):
+            plan = FaultPlan(
+                power_cut=PowerCut(
+                    after_writes=cut, torn=True, seed=cut, granularity="byte"
+                )
+            )
+            disk = SimulatedDisk(CHAIN_GEO, injector=FaultInjector(plan=plan))
+            in_flight = []
+            with pytest.raises(DiskCrashedError):
+                chained_run(disk, in_flight)
+            volume, report = recoveries_agree(disk.power_cycle(), CHAIN_CONFIG)
+            previous = in_flight[-1]
+            if previous is not None:
+                # Cut inside a checkpoint write: the previous checkpoint
+                # stands, unless the surviving prefix held all of the
+                # new record and only some of its padding.
+                assert report.checkpoint_seq in (previous, previous + 1), cut
+                torn_deltas += (
+                    report.checkpoint_seq == previous and kinds[previous] == "delta"
+                )
+        assert torn_deltas >= 3
+
+    @pytest.mark.parametrize("kind", ["corrupt", "unreadable"])
+    def test_media_fault_on_a_mid_chain_delta_takes_the_full_scan(self, kind):
+        disk = SimulatedDisk(CHAIN_GEO)
+        ld = chained_run(disk, [])
+        manager = ld.checkpoints
+        # The newest chain: base 5, deltas 6 and 7.  Rot delta 6.
+        chain = manager.read_slot(manager.slot)
+        assert [(r.kind, r.ckpt_seq) for r in chain.records] == [
+            ("base", 5),
+            ("delta", 6),
+            ("delta", 7),
+        ]
+        start = chain.records[0].nbytes
+        span = (start, start + 8) if kind == "corrupt" else None
+        disk.injector.add_media_fault(
+            MediaFault(manager.slot_segment(chain.slot), kind, span=span)
+        )
+        _volume, report = recoveries_agree(disk.power_cycle(), CHAIN_CONFIG)
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == f"checkpoint slot {chain.slot} is damaged"
+        # A rotted delta leaves its base; an unreadable segment, the
+        # whole one-segment slot, and the other chain's checkpoint 4.
+        assert report.checkpoint_seq == (5 if kind == "corrupt" else 4)
+        state = "damaged after seq 5: ckpt_seq=5" if kind == "corrupt" else "damaged"
+        text = describe_checkpoints(disk.power_cycle(), 1)
+        assert f"slot {chain.slot}: {state}" in text
+
+    def test_lddump_lists_each_chain(self):
+        disk = SimulatedDisk(CHAIN_GEO)
+        chained_run(disk, [])
+        lines = describe_checkpoints(disk.power_cycle(), 1).splitlines()
+        assert lines[1].startswith("  slot 0: ckpt_seq=7 ")
+        assert [line.split()[:2] for line in lines[2:5]] == [
+            ["base", "seq=5"],
+            ["delta", "seq=6"],
+            ["delta", "seq=7"],
+        ]
+        assert "block_rows=3 list_rows=1 deleted=1 bytes=" in lines[3]
+        assert lines[5].startswith("  slot 1: ckpt_seq=4 ")
+        assert len(lines) == 11 and lines[-1].endswith("seq 7")
 
 
 # ----------------------------------------------------------------------

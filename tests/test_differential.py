@@ -123,9 +123,11 @@ def run_op(ld, op, state):
 
 
 def _aru(state, op):
-    """Deterministically choose an active ARU (or None) for the op."""
+    """Deterministically choose an active ARU (or None) for the op: an
+    odd ``op[2]`` picks one, ``op[2] // 2`` which, so any of up to four
+    active ARUs can be reached."""
     if len(op) > 2 and op[2] % 2 and state["arus"]:
-        return state["arus"][op[2] % len(state["arus"])]
+        return state["arus"][op[2] // 2 % len(state["arus"])]
     return None
 
 
@@ -185,11 +187,40 @@ REFUSED_ARU = [
     ("begin",),
     ("delete_block", 0, 1),
     ("begin",),
-    ("write", 1, 1, b"half of B"),
-    ("delete_block", 0, 1),
+    ("write", 1, 3, b"half of B"),
+    ("delete_block", 0, 3),
     ("end", 0),
     ("end", 0),
     ("read", 1, 0),
+]
+
+
+#: ROADMAP item 1(d): block 1 is written; A inserts block 2 after it,
+#: which copies block 1's record into A's shadow; a simple
+#: ``delete_block(1)``; then 1 is read under A.  The shadow holds no
+#: data of its own, so the read sees the committed state: the block is
+#: gone, and reads as zeros.
+SHADOW_OF_DELETED_BLOCK = [
+    ("new_list",),
+    ("new_block", 0, 0),
+    ("write", 0, 0, b"before"),
+    ("begin",),
+    ("new_block", 0, 3),
+    ("delete_block", 0, 0),
+    ("read", 0, 1),
+]
+
+#: The same copy, then a flush and a simple overwrite of block 1: the
+#: read under A returns the new bytes, not the address A copied.
+SHADOW_OF_OVERWRITTEN_BLOCK = [
+    ("new_list",),
+    ("new_block", 0, 0),
+    ("write", 0, 0, b"before"),
+    ("flush",),
+    ("begin",),
+    ("new_block", 0, 3),
+    ("write", 0, 0, b"after"),
+    ("read", 0, 1),
 ]
 
 
@@ -225,6 +256,8 @@ class TestDifferential:
     @example(ops=DELETED_OUTSIDE_ARU, visibility=Visibility.ARU_LOCAL)
     @example(ops=WRITTEN_THEN_DELETED_OUTSIDE, visibility=Visibility.ARU_LOCAL)
     @example(ops=REFUSED_ARU[:-1], visibility=Visibility.ARU_LOCAL)
+    @example(ops=SHADOW_OF_DELETED_BLOCK, visibility=Visibility.ARU_LOCAL)
+    @example(ops=SHADOW_OF_OVERWRITTEN_BLOCK, visibility=Visibility.ARU_LOCAL)
     def test_lld_and_jld_agree(self, ops, visibility):
         agree(ops, visibility)
 

@@ -42,9 +42,8 @@ class TestLLDFaultMatrix:
     @pytest.mark.parametrize("kind", ["unreadable", "corrupt"])
     def test_damaged_stale_checkpoint_slot_is_harmless(self, kind):
         disk, lld, lst, blocks, post = populated_lld()
-        # Slot for the *next* checkpoint (the stale one) is slot 0 for
-        # ckpt_seq 1 -> it wrote slot 1; damage slot 0.
-        victim = lld.checkpoints._slot_base(lld._ckpt_seq + 1)
+        # Checkpoint 1 went to slot 1; damage the other, stale, slot.
+        victim = lld.checkpoints.slot_segment(1 - lld.checkpoints.slot)
         disk.injector.add_media_fault(MediaFault(victim, kind))
         lld2, report = recover(
             disk.power_cycle(),
@@ -59,7 +58,7 @@ class TestLLDFaultMatrix:
         (their log segments may be cleaned), but recovery must still
         come up and serve the post-checkpoint log."""
         disk, lld, lst, blocks, post = populated_lld()
-        live_slot = lld.checkpoints._slot_base(lld._ckpt_seq)
+        live_slot = lld.checkpoints.slot_segment(lld.checkpoints.slot)
         disk.injector.add_media_fault(MediaFault(live_slot, kind))
         lld2, report = recover(
             disk.power_cycle(),

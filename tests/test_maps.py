@@ -31,6 +31,7 @@ from repro.core.versions import VersionState
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.ld.types import SYSTEM_ID_BASE, BlockId, ListId, PhysAddr
+from repro.lld.checkpoint import CheckpointData, pack_block_record, pack_list_record
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
@@ -200,6 +201,28 @@ class TestInstallAll:
     def test_rejects_non_persistent(self):
         with pytest.raises(ValueError):
             ListTable().adopt({1: ListVersion(ListId(1), VersionState.SHADOW)})
+
+
+def _full_image(volume):
+    """The volume's checkpointable state as one base image, packed
+    from its tables: what loading its checkpoint chain must give."""
+    return CheckpointData(
+        ckpt_seq=volume._ckpt_seq,
+        last_log_seq=volume._last_written_seq,
+        next_block_id=volume._next_block_id,
+        next_list_id=volume._next_list_id,
+        next_aru_id=volume.arus.next_id,
+        block_rows=b"".join(
+            pack_block_record(ident, record)
+            for ident, record in sorted(volume.bmap.persistent.items())
+        ),
+        list_rows=b"".join(
+            pack_list_record(ident, record)
+            for ident, record in sorted(volume.ltable.persistent.items())
+        ),
+        segments=volume.usage.snapshot(),
+        decided_xids=sorted(volume._decided_xids),
+    )
 
 
 def _assert_rows_ascending(volume):
@@ -416,6 +439,10 @@ class TableMachine(RuleBasedStateMachine):
     def checkpoint(self):
         self.ld.write_checkpoint()
         _assert_rows_ascending(self.ld)
+        # The loader against an image packed from the tables: rows,
+        # deletions, roster, counters and decided xids, whether the
+        # checkpoint was a base or a delta of one.
+        assert self.ld.checkpoints.load() == _full_image(self.ld)
 
     @rule(mode=st.sampled_from(["eager", "instant"]))
     def restart(self, mode):

@@ -510,13 +510,28 @@ class TestFallback:
 
     def test_rotted_newest_checkpoint_slot(self):
         disk, ld = self.newest_checkpoint_is_the_second()
-        slot_base = ld.checkpoints._slot_base(2)
-        disk.injector.add_media_fault(MediaFault(slot_base, "corrupt"))
+        # Rot the newest record's header: a delta after checkpoint 1's
+        # base, or a base in the other slot.
+        manager = ld.checkpoints
+        slot = manager.slot
+        chain = manager.read_slot(slot)
+        segment, start = divmod(
+            chain.end - chain.records[-1].nbytes, disk.geometry.segment_size
+        )
+        disk.injector.add_media_fault(
+            MediaFault(
+                manager.slot_segment(slot) + segment,
+                "corrupt",
+                span=(start, start + 16),
+            )
+        )
         _volume, report = recoveries_agree(disk, ld.config)
         assert report.checkpoint_seq == 1
         assert report.scan_plan == "full"
-        assert report.scan_fallback == "checkpoint slot 0 is damaged"
-        assert "slot 0: damaged" in describe_checkpoints(disk.power_cycle(), 2)
+        assert report.scan_fallback == f"checkpoint slot {slot} is damaged"
+        assert f"slot {slot}: damaged" in describe_checkpoints(
+            disk.power_cycle(), 2
+        )
 
     def test_torn_newest_checkpoint_slot(self):
         disk = small_disk(64)

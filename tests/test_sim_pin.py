@@ -508,7 +508,7 @@ ARRAY_MEMBER_COUNTERS = {
     "table_access_us": 304,
 }
 #: Both members of :func:`cleaner_checkpoints` are one platter.
-CLEANER_PLATTER = "616123cadd599d4507840a4fa6a78950437213e12982925898480c9b194c2c1d"
+CLEANER_PLATTER = "8fcd2c911d486bc7c3c088b48b46307c1f1c68cd194749d8783d06d1e4d297e3"
 ARRAY_MEMBER_CHARGED_US = {
     "aru_begin_us": 540.0,
     "aru_commit_us": 900.0,
@@ -564,7 +564,7 @@ PLATTER_PINS = {
         cleaner_checkpoints,
         [
             (
-                "0x1.51b2f83871c5fp+23",
+                "0x1.501cc9b871c61p+23",
                 {
                     "aru_alloc_us": 24,
                     "aru_begin_us": 24,
@@ -586,7 +586,7 @@ PLATTER_PINS = {
                 CLEANER_PLATTER,
             ),
             (
-                "0x1.51b2f83871c5fp+23",
+                "0x1.501cc9b871c61p+23",
                 {
                     "block_copy_us": 1,
                     "block_read_us": 1,

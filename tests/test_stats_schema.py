@@ -25,7 +25,9 @@ FROZEN_PATHS = [
     "arus_committed:int",
     "cache_hits:int",
     "cache_misses:int",
+    "checkpoint.bases:int",
     "checkpoint.bytes_written:int",
+    "checkpoint.deltas:int",
     "checkpoint.last_seq:int",
     "checkpoint.payload_bytes:int",
     "checkpoint.writes:int",
