@@ -8,13 +8,13 @@ prototype: 78.47 microseconds per ARU pair, with 24 segments written
 import pytest
 
 from repro.harness.reporting import format_table
-from repro.harness.runner import run_aru_latency_experiment
+from repro.harness.runner import experiment_sizes, run_aru_latency_experiment
 from repro.harness.variants import VARIANTS, build_variant, paper_geometry
 from repro.workloads.arulat import run_aru_latency
 
 from benchmarks.conftest import full_scale, report_table
 
-ITERATIONS = 500_000 if full_scale() else 60_000
+ITERATIONS = experiment_sizes(full_scale())["iterations"]
 
 
 @pytest.mark.benchmark(group="aru-latency")

@@ -13,23 +13,12 @@ in the printed table.
 
 import pytest
 
-from repro.harness.runner import run_figure5
-from repro.harness.variants import paper_geometry
+from repro.harness.runner import experiment_sizes, run_figure5
 
 from benchmarks.conftest import full_scale, report_table
 
-if full_scale():
-    SIZE_CLASSES = [
-        {"n_files": 10_000, "file_size": 1024},
-        {"n_files": 1_000, "file_size": 10 * 1024},
-    ]
-    GEOMETRY = paper_geometry(1.0)
-else:
-    SIZE_CLASSES = [
-        {"n_files": 1_500, "file_size": 1024},
-        {"n_files": 600, "file_size": 10 * 1024},
-    ]
-    GEOMETRY = paper_geometry(0.4)
+SIZES = experiment_sizes(full_scale())
+SIZE_CLASSES = SIZES["size_classes"]
 
 #: Segment-boundary quantization tolerance for the ordering asserts
 #: at reduced scale; the full-size run is held to the strict bound.
@@ -39,7 +28,7 @@ _RESULT = {}
 
 
 def _run():
-    result = run_figure5(size_classes=SIZE_CLASSES, geometry=GEOMETRY)
+    result = run_figure5(size_classes=SIZE_CLASSES, geometry=SIZES["geometry"])
     _RESULT["figure5"] = result
     return result
 

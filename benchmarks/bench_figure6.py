@@ -12,11 +12,11 @@ seek-bound after the random rewrite.
 import pytest
 
 from repro.harness.reporting import percent_difference
-from repro.harness.runner import run_figure6
+from repro.harness.runner import experiment_sizes, run_figure6
 
 from benchmarks.conftest import full_scale, report_json, report_table
 
-FILE_SIZE = 20_000 * 4096 if full_scale() else 16 * 1024 * 1024
+FILE_SIZE = experiment_sizes(full_scale())["file_size"]
 
 
 @pytest.mark.benchmark(group="figure6")

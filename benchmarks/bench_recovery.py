@@ -212,7 +212,6 @@ def test_parallel_scan_speedup(benchmark):
         "entries_replayed": serial_report.entries_replayed,
         "read_batches": parallel_report.read_batches,
         "batched_runs": parallel_report.batched_runs,
-        "workers": parallel_report.workers,
         "states_identical": parallel_state == serial_state,
     }
     _save()
@@ -230,8 +229,8 @@ def test_parallel_scan_speedup(benchmark):
 #: summary tail window (~30 ms each) and reads nothing else.
 RESTORE_SEGMENTS = 120 if full_scale() else 48
 RESTORE_SEGMENT_SIZE = 2 * 1024 * 1024
+#: The instant scan reads one block of each segment's tail.
 RESTORE_BLOCK_SIZE = 16 * 1024
-RESTORE_TAIL_WINDOW = 16 * 1024
 
 
 @pytest.mark.benchmark(group="recovery")
@@ -274,7 +273,6 @@ def test_instant_restore_ttfr(benchmark):
             config=LLDConfig(
                 checkpoint_slot_segments=2,
                 restore_drain_segments=0,
-                restore_tail_window=RESTORE_TAIL_WINDOW,
             ),
         )
         before_us = instant_lld.clock.now_us
@@ -320,7 +318,7 @@ def test_instant_restore_ttfr(benchmark):
         "log_segments": RESTORE_SEGMENTS,
         "segment_kb": RESTORE_SEGMENT_SIZE // 1024,
         "block_kb": RESTORE_BLOCK_SIZE // 1024,
-        "tail_window_kb": RESTORE_TAIL_WINDOW // 1024,
+        "tail_window_kb": RESTORE_BLOCK_SIZE // 1024,
         "eager_ttfr_ms": round(eager_ttfr_ms, 1),
         "instant_ttfr_ms": round(instant_ttfr_ms, 1),
         "ttfr_speedup": round(ttfr_speedup, 1),

@@ -80,6 +80,11 @@ from repro.txn.transactions import (
 )
 
 
+#: How often a blocked submit re-samples the storage saturation
+#: signals (they have no wakeup hook).
+_ADMISSION_POLL_S = 0.002
+
+
 class RequestRejected(LDError):
     """The front end shed this request (admission control)."""
 
@@ -87,6 +92,9 @@ class RequestRejected(LDError):
 @dataclasses.dataclass(frozen=True)
 class FrontendConfig:
     """Knobs for the scheduler (see module docstring for semantics).
+
+    A commit does not flush: it is durable at the volume's next flush,
+    and :meth:`FrontEnd.close` flushes by default.
 
     Attributes:
         workers_per_lane: Worker threads per shard lane.  More than
@@ -106,11 +114,6 @@ class FrontendConfig:
         max_attempts: Wait-die retry budget per request.
         retry_backoff_s: Linear retry backoff unit (see
             :func:`~repro.txn.transactions.run_transaction`).
-        durable: Flush on every commit.  Off by default: the bench
-            measures the group-commit pipeline, and the final
-            :meth:`FrontEnd.close` flush makes the run durable.
-        admission_poll_s: How often a blocked submit re-samples the
-            storage saturation signals (they have no wakeup hook).
     """
 
     workers_per_lane: int = 2
@@ -121,8 +124,6 @@ class FrontendConfig:
     lock_timeout_s: float = 2.0
     max_attempts: int = 64
     retry_backoff_s: float = 0.001
-    durable: bool = False
-    admission_poll_s: float = 0.002
 
     def validate(self) -> None:
         if self.workers_per_lane < 1:
@@ -368,7 +369,7 @@ class FrontEnd:
                     raise self._shed(
                         f"front end saturated ({self._inflight} in flight)"
                     )
-                budget = self.config.admission_poll_s
+                budget = _ADMISSION_POLL_S
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -420,7 +421,7 @@ class FrontEnd:
                 self.manager,
                 request.body,
                 max_attempts=self.config.max_attempts,
-                durable=self.config.durable,
+                durable=False,
                 retry_backoff_s=self.config.retry_backoff_s,
                 breakdown=request.breakdown,
             )

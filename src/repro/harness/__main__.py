@@ -20,13 +20,23 @@ import sys
 from typing import Callable, List, Optional, TypeVar
 
 from repro.harness.runner import (
+    experiment_sizes,
     run_aru_latency_experiment,
     run_figure5,
     run_figure6,
 )
-from repro.harness.variants import paper_geometry
 
 EXPERIMENTS = ("figure5", "figure6", "aru")
+
+#: What the paper reports for each experiment, printed under its table.
+_PAPER_REPORTS = {
+    "figure5": "paper reports: C+W 7.2% (1KB) / 4.0% (10KB); D 24.6%/25.5% "
+    "for 'new',\nimproved to 20.5%/17.9% by 'new, delete'; reads near-equal.",
+    "figure6": "paper reports: write1 differs 2.9%, all other phases "
+    "0.2-0.7%;\nthe log absorbs random writes; reads after the random "
+    "rewrite\nare seek-bound.",
+    "aru": "paper reports: 78.47 us per ARU pair, 24 segments per 500k.",
+}
 
 T = TypeVar("T")
 
@@ -118,60 +128,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    chosen = args.experiments or list(EXPERIMENTS)
+    chosen = [e for e in EXPERIMENTS if e in (args.experiments or EXPERIMENTS)]
 
-    if args.full:
-        size_classes = [
-            {"n_files": 10_000, "file_size": 1024},
-            {"n_files": 1_000, "file_size": 10 * 1024},
-        ]
-        geometry = paper_geometry(1.0)
-        file_size = 20_000 * 4096
-        iterations = 500_000
-    else:
-        size_classes = [
-            {"n_files": 1_500, "file_size": 1024},
-            {"n_files": 600, "file_size": 10 * 1024},
-        ]
-        geometry = paper_geometry(0.4)
-        file_size = 16 * 1024 * 1024
-        iterations = 60_000
-
-    def emitted(experiment: str, metrics: dict) -> None:
-        if args.metrics is not None:
-            path = emit_metrics(args.metrics, experiment, metrics)
-            print(f"[metrics -> {path}]")
-
+    sizes = experiment_sizes(args.full)
+    runners = {
+        "figure5": lambda: run_figure5(
+            sizes["size_classes"], geometry=sizes["geometry"]
+        ),
+        "figure6": lambda: run_figure6(sizes["file_size"]),
+        "aru": lambda: run_aru_latency_experiment(sizes["iterations"]),
+    }
     profile_dir = args.metrics if args.metrics is not None else os.curdir
-
-    def run(experiment: str, thunk: Callable[[], T]) -> T:
-        if args.profile:
-            return profile_to(profile_dir, experiment, thunk)
-        return thunk()
-
-    if "figure5" in chosen:
-        result5 = run(
-            "figure5",
-            lambda: run_figure5(size_classes=size_classes, geometry=geometry),
+    for experiment in chosen:
+        thunk = runners[experiment]
+        result = (
+            profile_to(profile_dir, experiment, thunk) if args.profile else thunk()
         )
-        print(result5.table)
-        emitted("figure5", result5.metrics)
+        if experiment == "aru":
+            print(
+                f"ARU begin/end: {result.latency_us:.2f} us per pair "
+                f"({result.scaled_segments(500_000):.1f} segments per 500k)"
+            )
+        else:
+            print(result.table)
+            print()
+        print(_PAPER_REPORTS[experiment])
+        if args.metrics is not None:
+            path = emit_metrics(args.metrics, experiment, result.metrics)
+            print(f"[metrics -> {path}]")
         print()
-    if "figure6" in chosen:
-        result6 = run("figure6", lambda: run_figure6(file_size=file_size))
-        print(result6.table)
-        emitted("figure6", result6.metrics)
-        print()
-    if "aru" in chosen:
-        result = run(
-            "aru", lambda: run_aru_latency_experiment(iterations=iterations)
-        )
-        print(
-            f"ARU begin/end: {result.latency_us:.2f} us per pair "
-            f"({result.scaled_segments(500_000):.1f} segments per 500k; "
-            "paper: 78.47 us, 24 segments)"
-        )
-        emitted("aru", result.metrics)
     return 0
 
 

@@ -3,15 +3,15 @@ and 6, and the Section 5.3 begin/end microbenchmark).
 
 Each runner builds fresh systems for the requested variants, executes
 the workload, and returns both the raw per-variant results and a
-rendered, paper-style table.  Scale parameters default to sizes that
-run in seconds; the benchmark suite passes the paper's full sizes
-when ``REPRO_FULL_SCALE`` is set.
+rendered, paper-style table.  :func:`experiment_sizes` holds the two
+scales, the one that runs in seconds and the paper's, for
+``python -m repro.harness`` and the paper benches alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.disk.geometry import DiskGeometry
 from repro.harness.reporting import format_deltas, format_table
@@ -20,6 +20,24 @@ from repro.lld.config import LLDConfig
 from repro.workloads.arulat import ARULatencyResult, run_aru_latency
 from repro.workloads.largefile import LargeFileResult, run_large_file
 from repro.workloads.smallfile import SmallFileResult, run_small_files
+
+
+def experiment_sizes(full: bool) -> Dict[str, Any]:
+    """The evaluation's sizes: the paper's when ``full``, else scaled.
+
+    ``size_classes`` and ``geometry`` are Figure 5's, ``file_size``
+    Figure 6's, ``iterations`` the Section 5.3 microbenchmark's.
+    """
+    small, large = (10_000, 1_000) if full else (1_500, 600)
+    return {
+        "size_classes": [
+            {"n_files": small, "file_size": 1024},
+            {"n_files": large, "file_size": 10 * 1024},
+        ],
+        "geometry": paper_geometry(1.0 if full else 0.4),
+        "file_size": 20_000 * 4096 if full else 16 * 1024 * 1024,
+        "iterations": 500_000 if full else 60_000,
+    }
 
 
 def capture_metrics(ld) -> Dict[str, dict]:
@@ -53,10 +71,7 @@ class Figure6Result:
 
 
 def run_figure5(
-    size_classes: Sequence[Dict] = (
-        {"n_files": 10_000, "file_size": 1024},
-        {"n_files": 1_000, "file_size": 10 * 1024},
-    ),
+    size_classes: Sequence[Dict],
     variants: Sequence[str] = ("old", "new", "new_delete"),
     geometry: Optional[DiskGeometry] = None,
 ) -> Figure5Result:
@@ -108,7 +123,7 @@ def run_figure5(
 
 
 def run_figure6(
-    file_size: int = 20_000 * 4096,
+    file_size: int,
     variants: Sequence[str] = ("old", "new"),
     geometry: Optional[DiskGeometry] = None,
 ) -> Figure6Result:
@@ -149,7 +164,7 @@ def run_figure6(
 
 
 def run_aru_latency_experiment(
-    iterations: int = 500_000,
+    iterations: int,
     geometry: Optional[DiskGeometry] = None,
 ) -> ARULatencyResult:
     """The Section 5.3 microbenchmark on the new (concurrent) LLD."""

@@ -539,7 +539,7 @@ class JLD(LogicalDisk):
         }
 
 
-def recover_jld(disk: SimulatedDisk, sweep_orphans: bool = True, **kwargs):
+def recover_jld(disk: SimulatedDisk, **kwargs):
     """Recover a :class:`JLD`: the newest checkpoint, then the newer
     journal segments, commit-record gated, then the orphan sweep.
     Returns ``(jld, report)``, report a small dict of what was found."""
@@ -615,6 +615,5 @@ def recover_jld(disk: SimulatedDisk, sweep_orphans: bool = True, **kwargs):
     jld.cache.invalidate_all()
     # Re-open a fresh buffer now that ring state is known.
     jld._buffer = jld._open_buffer()
-    if sweep_orphans:
-        report["orphans_freed"] = [int(b) for b in jld.sweep_orphan_blocks()]
+    report["orphans_freed"] = [int(b) for b in jld.sweep_orphan_blocks()]
     return jld, report

@@ -19,7 +19,6 @@ import dataclasses
 from typing import Optional
 
 from repro.core.visibility import Visibility
-from repro.disk.geometry import TRAILER_SIZE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,10 +34,9 @@ class LLDConfig:
       ``cleaner_policy``
     * write pipeline: ``writeback_depth``, ``group_commit``,
       ``group_commit_max_parked``, ``group_commit_timeout_us``
-    * recovery: ``restore_tail_window``, ``restore_drain_segments``
-      (mode and decode lanes are arguments of ``recover()``)
-    * observability: ``metrics``, ``recorder_events``,
-      ``flight_dump_path``
+    * recovery: ``restore_drain_segments`` (the mode is an argument
+      of ``recover()``)
+    * observability: ``metrics``, ``flight_dump_path``
     """
 
     aru_mode: str = "concurrent"
@@ -53,15 +51,10 @@ class LLDConfig:
     group_commit: bool = False
     group_commit_max_parked: int = 8
     group_commit_timeout_us: float = 10_000.0
-    #: Bytes read from each segment's tail during the instant-restore
-    #: scan (must cover the trailer; summaries longer than the window
-    #: trigger a follow-up batched read of exactly the missing bytes).
-    restore_tail_window: int = 4096
     #: Segments the background sweep drains per public operation while
     #: a restore is in progress (0 = only on-demand + explicit drain).
     restore_drain_segments: int = 1
     metrics: bool = True
-    recorder_events: int = 256
     flight_dump_path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -102,19 +95,10 @@ class LLDConfig:
                 "group_commit_timeout_us must be > 0, got "
                 f"{self.group_commit_timeout_us}"
             )
-        if self.restore_tail_window < TRAILER_SIZE:
-            raise ValueError(
-                f"restore_tail_window must be >= {TRAILER_SIZE}, got "
-                f"{self.restore_tail_window}"
-            )
         if self.restore_drain_segments < 0:
             raise ValueError(
                 "restore_drain_segments must be >= 0, got "
                 f"{self.restore_drain_segments}"
-            )
-        if self.recorder_events < 1:
-            raise ValueError(
-                f"recorder_events must be >= 1, got {self.recorder_events}"
             )
         return self
 

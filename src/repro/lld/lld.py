@@ -121,7 +121,6 @@ class LLD(LogWriter, LogicalDisk):
         # on/off cannot change any simulated result.
         obs = Observability(
             metrics=cfg.metrics,
-            recorder_events=cfg.recorder_events,
             dump_path=cfg.flight_dump_path,
         )
         obs.bind_clock(disk.clock)

@@ -29,12 +29,12 @@ written once: :func:`_scan` (steps 1–2) → :func:`_resolve_outcomes`
 (step 5).  ``mode`` changes two things and nothing else: *what the
 scan reads of a segment and how it decodes* (eager: the whole body,
 whole-segment CRC, decoded on the calling thread and charged at the
-critical-path share of ``workers`` simulated lanes; instant: one tail
-window, summary CRC), and *where the records live and when replay
-runs* (eager: plain dicts, replayed before the volume opens, then
-bulk-installed; instant: the checkpoint bulk-installed, then the live
-tables, replayed on demand by a :class:`RestoreController` behind a
-log-order watermark).
+critical-path share of :data:`DEFAULT_WORKERS` simulated lanes;
+instant: one block-sized tail window, summary CRC), and *where the
+records live and when replay runs* (eager: plain dicts, replayed
+before the volume opens, then bulk-installed; instant: the checkpoint
+bulk-installed, then the live tables, replayed on demand by a
+:class:`RestoreController` behind a log-order watermark).
 docs/RECOVERY.md tells the whole story;
 :func:`repro.lld.recovery_reference.reference_recover` is the
 differential oracle and shares none of this module's rule code.
@@ -80,10 +80,9 @@ from repro.lld.summary import (
 from repro.lld.usage import QUARANTINE_SEQ, WALK_BATCH, SegmentState
 
 
-#: Simulated decode lanes of the recovery scan unless
-#: ``recover(workers=)`` says otherwise: the cost model charges the
-#: CRC + summary decode at ``1 / lanes``.  The decode itself runs on
-#: the calling thread.
+#: Simulated decode lanes of the recovery scan: the cost model charges
+#: the CRC + summary decode at ``1 / lanes``.  The decode itself runs
+#: on the calling thread.
 DEFAULT_WORKERS = 4
 
 
@@ -174,9 +173,6 @@ class RecoveryReport:
     max_xid: int = 0
     orphan_blocks_freed: List[int] = dataclasses.field(default_factory=list)
     recovery_time_us: float = 0.0
-    #: Simulated decode lanes the scan was charged for (the decode
-    #: runs on the calling thread whatever the value).
-    workers: int = 1
     #: Simulated microseconds per phase: ``scan`` (classification
     #: reads), ``decode`` (CRC + summary decode), ``replay`` (the two
     #: passes and the orphan sweep), ``install`` (tables, usage,
@@ -454,11 +450,10 @@ class ReplayRules:
             del self.blocks[bid]
         return orphans
 
-    def finish(self, sweep_orphans: bool, below: Optional[int] = None) -> None:
+    def finish(self, below: Optional[int] = None) -> None:
         """Close the books once the last segment is replayed: run the
         consistency sweep and report what was undone and freed."""
-        if sweep_orphans:
-            self.orphans_freed.update(self.sweep_orphans(below))
+        self.orphans_freed.update(self.sweep_orphans(below))
         self.report.arus_discarded = len(self.discarded_arus)
         self.report.discarded_aru_ids = sorted(self.discarded_arus)
         self.report.orphan_blocks_freed = sorted(self.orphans_freed)
@@ -498,7 +493,6 @@ def _scan(
     ckpt: CheckpointData,
     report: RecoveryReport,
     instant: bool,
-    workers: int,
 ) -> _Scan:
     """Find and decode the segments written since the checkpoint.
 
@@ -513,8 +507,8 @@ def _scan(
 
     ``instant`` picks the window and the decoder, never the plan or
     the classification: eager must end up holding whole bodies
-    (checked by the whole-segment CRC), instant reads one tail window
-    per segment (checked by the summary CRC).
+    (checked by the whole-segment CRC), instant reads one block of
+    each segment's tail (checked by the summary CRC).
     """
     disk = lld.disk
     clock = disk.clock
@@ -539,7 +533,7 @@ def _scan(
             attested.append(seg)
 
     if instant:
-        window = min(size, max(TRAILER_SIZE, lld.config.restore_tail_window))
+        window = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
     else:
         # Streaming a segment costs its transfer time; skipping to the
         # next trailer costs a seek.  When the transfer is cheaper, the
@@ -612,7 +606,7 @@ def _scan(
                     candidates[seg] = body
         decode_start = clock.now_us
         decode = _decode_tails if instant else _decode_bodies
-        decoded = decode(lld, candidates, workers, scan, report)
+        decoded = decode(lld, candidates, scan, report)
         decode_us += clock.now_us - decode_start
         scan.replayable += decoded
         return min(wanted.difference(d.segment_no for d in decoded), default=None)
@@ -649,19 +643,18 @@ def _scan(
 def _decode_bodies(
     lld: LLD,
     bodies: Dict[int, bytes],
-    workers: int,
     scan: _Scan,
     report: RecoveryReport,
 ) -> List[DecodedSegment]:
     """Eager decoder: whole-segment CRC + summary parse per candidate,
     on the calling thread.
 
-    ``lanes`` > 1 models ``workers`` decoders overlapping the work in
-    simulated time: the counters record everything, the clock only
-    advances the critical-path share.
+    ``lanes`` > 1 models :data:`DEFAULT_WORKERS` decoders overlapping
+    the work in simulated time: the counters record everything, the
+    clock only advances the critical-path share.
     """
     geometry = lld.disk.geometry
-    lanes = max(1, min(workers, len(bodies)))
+    lanes = max(1, min(DEFAULT_WORKERS, len(bodies)))
     decoded: List[DecodedSegment] = []
     for seg, body in bodies.items():
         result = decode_segment(body, geometry, seg)
@@ -683,7 +676,6 @@ def _decode_bodies(
 def _decode_tails(
     lld: LLD,
     tails: Dict[int, bytes],
-    workers: int,
     scan: _Scan,
     report: RecoveryReport,
 ) -> List[DecodedSegment]:
@@ -728,7 +720,7 @@ def _decode_tails(
         (d.summary_len + d.chunk_count * TRAILER_SIZE) / 1024.0 for d in decoded
     )
     if tail_kb:
-        lanes = max(1, min(workers, len(decoded)))
+        lanes = max(1, min(DEFAULT_WORKERS, len(decoded)))
         lld.meter.charge("crc_kb_us", tail_kb, lanes=lanes)
     return decoded
 
@@ -870,8 +862,6 @@ def _install(
 @_collector_paused
 def recover(
     disk: SimulatedDisk,
-    sweep_orphans: bool = True,
-    workers: Optional[int] = None,
     config: Optional[LLDConfig] = None,
     decided_xids: Optional[Set[int]] = None,
     mode: Optional[str] = None,
@@ -879,10 +869,9 @@ def recover(
 ) -> Tuple[LLD, RecoveryReport]:
     """Recover an :class:`LLD` instance from a (crashed) disk.
 
-    ``config`` and ``cost_model`` are what :class:`LLD` takes.
-    ``sweep_orphans=False`` skips the consistency sweep, exposing the
-    paper's intermediate state where blocks allocated by undone ARUs
-    remain allocated.
+    ``config`` and ``cost_model`` are what :class:`LLD` takes.  The
+    consistency sweep always runs: blocks allocated by undone ARUs are
+    freed.
 
     ``mode`` is ``"eager"`` (the default, also for ``None``)
     — replay the whole log, then return — or ``"instant"`` — return an
@@ -899,18 +888,12 @@ def recover(
     transaction id appears in its own log/checkpoint or in this set,
     and discards it otherwise (presumed abort).
 
-    ``workers`` is the number of simulated decode lanes the scan is
-    charged for (default :data:`DEFAULT_WORKERS`): it changes the
-    simulated decode time, never the rebuilt state, and starts no
-    thread.
+    The scan's decode is charged for :data:`DEFAULT_WORKERS`
+    simulated lanes and starts no thread.
 
     The cyclic garbage collector stays off while this runs
     (:class:`_CollectorPause`).
     """
-    if workers is None:
-        workers = DEFAULT_WORKERS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if mode is None:
         mode = "eager"
     if mode not in ("eager", "instant"):
@@ -923,18 +906,16 @@ def recover(
     batches_before = disk.timer.batches
     runs_before = disk.timer.batched_runs
     lld = LLD(disk, cost_model=cost_model, config=config, _defer_init=True)
-    lld.obs.record("recovery.start", mode=mode, workers=workers)
+    lld.obs.record("recovery.start", mode=mode)
     metrics = lld.obs.metrics
     metrics.counter("lld.recovery.recoveries").inc()
     if instant:
         metrics.counter("lld.recovery.instant_restores").inc()
     ckpt = lld.checkpoints.load()
-    report = RecoveryReport(
-        checkpoint_seq=ckpt.ckpt_seq, workers=workers, mode=mode
-    )
+    report = RecoveryReport(checkpoint_seq=ckpt.ckpt_seq, mode=mode)
 
     lld._recovery_report = report
-    scan = _scan(lld, ckpt, report, instant, workers)
+    scan = _scan(lld, ckpt, report, instant)
     report.segments_quarantined = len(scan.quarantined)
     lld.obs.record(
         "recovery.scan",
@@ -952,7 +933,7 @@ def recover(
     if not instant:
         for decoded in scan.replayable:
             rules.replay_segment(decoded)
-        rules.finish(sweep_orphans)
+        rules.finish()
     report.phase_us["replay"] = clock.now_us - replay_start
 
     install_start = clock.now_us
@@ -975,7 +956,7 @@ def recover(
     _install(lld, ckpt, scan, outcomes, live_counts)
     if instant:
         lld._restore = RestoreController(
-            lld, rules, scan.replayable, sweep_orphans, set(live_counts)
+            lld, rules, scan.replayable, set(live_counts)
         )
     report.phase_us["install"] = clock.now_us - install_start
 
@@ -1044,14 +1025,12 @@ class RestoreController:
         lld: LLD,
         rules: ReplayRules,
         pending: List[DecodedSegment],
-        sweep_orphans: bool,
         restore_era: Set[int],
     ) -> None:
         self.lld = weakref.proxy(lld)
         self.rules = rules
         self.report = rules.report
         self.pending = pending
-        self.sweep_orphans = sweep_orphans
         #: Pending segments fully applied (index of the next to apply).
         self.watermark = 0
         self.done = False
@@ -1140,7 +1119,7 @@ class RestoreController:
         if rec is not None and rec.list_id is not None:
             advanced |= self._advance(self.list_index.get(rec.list_id, -1))
         self._served("block", bid, self.block_index, advanced)
-        if self.sweep_orphans and bid < self.open_next_block:
+        if bid < self.open_next_block:
             rec = blocks.get(bid)
             if (
                 rec is not None
@@ -1191,7 +1170,7 @@ class RestoreController:
         lld = self.lld
         self._advance(len(self.pending) - 1)
         start = lld.clock.now_us
-        self.rules.finish(self.sweep_orphans, below=self.open_next_block)
+        self.rules.finish(below=self.open_next_block)
         live_counts = self.rules.live_counts()
         for seg in self.restore_era:
             if lld.usage.state(seg) is SegmentState.DIRTY:

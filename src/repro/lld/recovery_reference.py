@@ -186,12 +186,11 @@ def reference_recover(
     disk: SimulatedDisk,
     config: Optional[LLDConfig] = None,
     decided_xids: Optional[Set[int]] = None,
-    sweep_orphans: bool = True,
 ) -> Tuple[LLD, RecoveryReport]:
     """Recover an :class:`LLD` from ``disk`` the slow, obvious way.
 
     Same contract as eager :func:`repro.lld.recovery.recover` (see
-    there for ``decided_xids`` and ``sweep_orphans``); recovery writes
+    there for ``decided_xids``); recovery writes
     nothing, so the same platter can be recovered by both and the
     results compared.
     """
@@ -316,8 +315,7 @@ def reference_recover(
                 report.replay_conflicts += 1
     report.arus_discarded = len(discarded_arus)
     report.discarded_aru_ids = sorted(discarded_arus)
-    if sweep_orphans:
-        report.orphan_blocks_freed = sorted(state.sweep_orphans())
+    report.orphan_blocks_freed = sorted(state.sweep_orphans())
     report.phase_us["replay"] = clock.now_us - replay_start
 
     # ---- install tables, usage, counters ------------------------------

@@ -60,11 +60,10 @@ class Observability:
     def __init__(
         self,
         metrics: bool = True,
-        recorder_events: int = 256,
         dump_path: Optional[str] = None,
     ) -> None:
         self.metrics = MetricsRegistry(enabled=metrics)
-        self.recorder = FlightRecorder(capacity=recorder_events)
+        self.recorder = FlightRecorder()
         #: Where :meth:`crash_dump` writes the event tail (None
         #: disables automatic dumps).
         self.dump_path = dump_path

@@ -36,9 +36,7 @@ def recover(
     mode: Optional[str] = None,
     config: Optional[LLDConfig] = None,
     array_config: Optional[ArrayConfig] = None,
-    workers: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
-    sweep_orphans: bool = True,
 ) -> Tuple[object, object]:
     """Recover a volume — single or sharded — from crashed media.
 
@@ -55,14 +53,10 @@ def recover(
         array_config: Array-level :class:`ArrayConfig` (replication
             factor, repair pacing).  Only meaningful for a sequence
             of images; rejected for a single one.
-        workers: The simulated decode lanes of each volume's scan:
-            the decode time is charged at ``1 / workers`` (default 4),
-            for every member of an array alike.  No thread is started;
-            an array's members recover one after another.  Must be
-            >= 1.
         cost_model: CPU cost model of every recovered volume.
-        sweep_orphans: ``False`` skips the per-volume consistency
-            sweep (see :func:`repro.lld.recovery.recover`).
+
+    No thread is started: an array's members recover one after
+    another on the calling thread.
 
     Returns:
         ``(volume, report)`` — :class:`~repro.lld.lld.LLD` +
@@ -71,8 +65,6 @@ def recover(
         :class:`~repro.shard.recovery.ShardRecoveryReport` for a
         sequence; both reports expose the shared surface above.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if isinstance(image_or_images, SimulatedDisk):
         if array_config is not None and array_config != ArrayConfig():
             raise ValueError(
@@ -83,9 +75,7 @@ def recover(
             image_or_images,
             mode=mode,
             config=config,
-            workers=workers,
             cost_model=cost_model,
-            sweep_orphans=sweep_orphans,
         )
     images = list(image_or_images)
     if any(
@@ -98,10 +88,8 @@ def recover(
         )
     return _recover_sharded(
         images,
-        workers=workers,
         array_config=array_config,
         mode=mode,
         config=config,
         cost_model=cost_model,
-        sweep_orphans=sweep_orphans,
     )

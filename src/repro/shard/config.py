@@ -1,8 +1,8 @@
 """`ArrayConfig`: every knob of a sharded array, in one frozen place.
 
 The array-level counterpart of :class:`~repro.lld.config.LLDConfig`:
-replication factor and repair pacing live here (per-volume knobs
-stay in ``LLDConfig``), with the same contract — an unknown knob is
+the replication factor lives here (per-volume knobs stay in
+``LLDConfig``), with the same contract — an unknown knob is
 the constructor's ``TypeError``, a bad value raises ``ValueError`` at
 construction, never deep inside a write path.
 """
@@ -25,15 +25,9 @@ class ArrayConfig:
             tolerates the loss of any ``k - 1`` shards with no
             committed-ARU loss.  Requires at least
             ``replication_factor`` shards.
-        repair_batch_ops: How many admit/copy operations one
-            :meth:`~repro.shard.sharded.ShardedLLD.repair_step` call
-            performs — the pacing knob that lets repair run in the
-            background between foreground requests instead of
-            stop-the-world.
     """
 
     replication_factor: int = 1
-    repair_batch_ops: int = 64
 
     def __post_init__(self) -> None:
         self.validate()
@@ -44,10 +38,6 @@ class ArrayConfig:
             raise ValueError(
                 "replication_factor must be >= 1, got "
                 f"{self.replication_factor}"
-            )
-        if self.repair_batch_ops < 1:
-            raise ValueError(
-                f"repair_batch_ops must be >= 1, got {self.repair_batch_ops}"
             )
         return self
 

@@ -105,12 +105,10 @@ def _scan_decode_us(report: RecoveryReport) -> float:
 
 def _recover_sharded(
     disks: Sequence[Optional[SimulatedDisk]],
-    workers: Optional[int] = None,
     array_config: Optional[ArrayConfig] = None,
     mode: Optional[str] = None,
     config: Optional[LLDConfig] = None,
     cost_model: Optional[CostModel] = None,
-    sweep_orphans: bool = True,
 ) -> Tuple[ShardedLLD, ShardRecoveryReport]:
     """Recover every surviving shard and reassemble the array.
 
@@ -120,14 +118,11 @@ def _recover_sharded(
             power-cycled).  A ``None`` entry — or a disk whose shard
             the fault injector has destroyed — is a lost member: the
             array assembles degraded around it.
-        workers: The simulated decode lanes of every member's scan
-            (checked by :func:`repro.recovery.recover`).
         array_config: The array's :class:`ArrayConfig`.  Must match
             the configuration the array ran with (in particular the
             replication factor, which determines the decision
             shards); ``None`` means unreplicated.
-        mode, config, cost_model, sweep_orphans: Passed, as
-            ``workers`` is, to every per-shard
+        mode, config, cost_model: Passed to every per-shard
             :func:`repro.lld.recovery.recover` call alike.
 
     Returns:
@@ -154,11 +149,9 @@ def _recover_sharded(
             lld, report = recover(
                 disk,
                 decided_xids=set(decided_now),
-                workers=workers,
                 mode=mode,
                 config=config,
                 cost_model=cost_model,
-                sweep_orphans=sweep_orphans,
             )
         except ShardLostError as exc:
             dead[index] = str(exc)

@@ -67,8 +67,8 @@ local ids from a snapshot of its counters so global ids stay dense
 and unique.  :meth:`ShardedLLD.start_repair` /
 :meth:`ShardedLLD.repair_step` rebuild the lost member onto fresh
 media from the newest *committed* peer copies — repair never copies
-uncommitted data — paced by ``ArrayConfig.repair_batch_ops`` so it
-runs in the background; lists mutated while their copy is in flight
+uncommitted data — a paced slice of admit/copy operations per
+``repair_step`` call, so it runs in the background; lists mutated while their copy is in flight
 are re-copied during the final quiescent step, so repair converges.
 
 Cross-shard atomicity
@@ -1161,11 +1161,10 @@ class ShardedLLD(LogicalDisk):
             self._repair = _RepairJob(self, shard_index)
             return len(self._repair.queue)
 
-    def repair_step(self, max_ops: Optional[int] = None) -> bool:
+    def repair_step(self, max_ops: int = 64) -> bool:
         """Run one paced slice of the active repair.
 
-        Copies up to ``max_ops`` (default: the config's
-        ``repair_batch_ops``) admit/copy operations, then returns
+        Copies up to ``max_ops`` admit/copy operations, then returns
         whether the repair has *completed*.  Completion — re-copying
         lists dirtied while the job ran, then installing the rebuilt
         volume — requires a quiescent moment (no active ARUs); until
@@ -1180,11 +1179,9 @@ class ShardedLLD(LogicalDisk):
         sources.
         """
         with self._lock:
-            budget = (
-                max_ops if max_ops is not None else self.config.repair_batch_ops
-            )
-            if budget < 1:
-                raise ValueError(f"max_ops must be >= 1, got {budget}")
+            if max_ops < 1:
+                raise ValueError(f"max_ops must be >= 1, got {max_ops}")
+            budget = max_ops
             job = self._repair
             if job is None:
                 return True

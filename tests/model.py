@@ -307,6 +307,10 @@ class Model:
             record = self.blocks.get(block_id, record)
         return record.data or b"\x00" * self.block_size
 
+    def read_many(self, block_ids, aru=None):
+        """``LogicalDisk.read_many``'s contract: one read per id."""
+        return [self.read(block_id, aru) for block_id in block_ids]
+
     def list_blocks(self, list_id, aru=None):
         self._overlay(aru)
         record = self.visible(self, "lists", list_id, aru)

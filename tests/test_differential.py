@@ -6,7 +6,8 @@ substrates, so their agreement checks the substrates; the model
 (``tests/model.py``) shares nothing with either but the interface and
 docs/SEMANTICS.md, so agreement with it checks the engine.  Identical
 operation sequences must give identical outcomes on all three: data
-read, list members, error type names.
+read (one block at a time and through ``read_many``), list members,
+error type names.
 
 One stop: when the model refuses an EndARU, all three must raise
 ``ConcurrencyError``, and the sequence ends there, because both
@@ -78,6 +79,11 @@ def run_op(ld, op, state):
                 return ("skip", None)
             bid = state["blocks"][op[1] % len(state["blocks"])]
             return ("data", ld.read(bid, aru=_aru(state, op)))
+        if kind == "read_many":
+            if not state["blocks"]:
+                return ("skip", None)
+            bids = [state["blocks"][i % len(state["blocks"])] for i in op[1]]
+            return ("data", ld.read_many(bids, aru=_aru(state, op)))
         if kind == "delete_block":
             if not state["blocks"]:
                 return ("skip", None)
@@ -141,6 +147,11 @@ _op_strategy = st.one_of(
         st.binary(min_size=1, max_size=12),
     ),
     st.tuples(st.just("read"), st.integers(0, 30), st.integers(0, 7)),
+    st.tuples(
+        st.just("read_many"),
+        st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        st.integers(0, 7),
+    ),
     st.tuples(st.just("delete_block"), st.integers(0, 30), st.integers(0, 7)),
     st.tuples(st.just("delete_list"), st.integers(0, 30), st.integers(0, 7)),
     st.tuples(st.just("list_blocks"), st.integers(0, 30), st.integers(0, 7)),
@@ -224,6 +235,28 @@ SHADOW_OF_OVERWRITTEN_BLOCK = [
 ]
 
 
+#: ``read_many`` with a repeated id, then under an ARU (its own shadow
+#: and the committed bytes in one batch) and outside it, then with a
+#: deleted id in the batch.
+READ_MANY = [
+    ("new_list",),
+    ("new_block", 0, 0),
+    ("new_block", 0, 0),
+    ("new_block", 0, 0),
+    ("write", 0, 0, b"one"),
+    ("write", 1, 0, b"two"),
+    ("flush",),
+    ("read_many", [0, 1, 2, 1], 0),
+    ("begin",),
+    ("write", 0, 1, b"shadow"),
+    ("read_many", [0, 1, 0], 1),
+    ("read_many", [0, 1], 0),
+    ("delete_block", 2, 0),
+    ("read_many", [0, 2], 0),
+    ("end", 0),
+]
+
+
 REFUSED = ("error", "ConcurrencyError")
 
 
@@ -258,6 +291,7 @@ class TestDifferential:
     @example(ops=REFUSED_ARU[:-1], visibility=Visibility.ARU_LOCAL)
     @example(ops=SHADOW_OF_DELETED_BLOCK, visibility=Visibility.ARU_LOCAL)
     @example(ops=SHADOW_OF_OVERWRITTEN_BLOCK, visibility=Visibility.ARU_LOCAL)
+    @example(ops=READ_MANY, visibility=Visibility.ARU_LOCAL)
     def test_lld_and_jld_agree(self, ops, visibility):
         agree(ops, visibility)
 

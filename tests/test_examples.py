@@ -17,7 +17,7 @@ CASES = [
     ("quickstart.py", []),
     ("visibility_options.py", []),
     ("bank_transactions.py", []),
-    ("trace_and_inspect.py", []),
+    ("inspect_image.py", []),
     ("crash_torture.py", ["10"]),
     ("filesystem_no_fsck.py", []),
 ]
@@ -38,15 +38,3 @@ def test_example_runs(script, args):
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "example produced no output"
 
-
-def test_reproduce_paper_help():
-    """The flagship script is exercised by the benchmark suite; here
-    we only check its CLI wiring."""
-    completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "reproduce_paper.py"), "--help"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert completed.returncode == 0
-    assert "--full" in completed.stdout

@@ -550,7 +550,7 @@ def test_second_scheduler_stays_removed():
     ):
         with pytest.raises(TypeError):
             FrontendConfig(**removed)
-    assert len(dataclasses.fields(FrontendConfig)) == 10
+    assert len(dataclasses.fields(FrontendConfig)) == 8
     assert "AsyncFrontEnd" not in repro.frontend.__all__
     assert not {
         "AsyncTransaction",

@@ -306,11 +306,8 @@ class TestCrashDump:
         byte-identical disks and recover identically."""
         limit, list_id = crash_budget()
         assert limit > 5, "workload too small to be interesting"
-        capacity = 16
         for crash_after in range(1, limit + 1):
-            disk_a, ld_a, crashed = run_to_crash(
-                crash_after, tmp_path=tmp_path, recorder_events=capacity
-            )
+            disk_a, ld_a, crashed = run_to_crash(crash_after, tmp_path=tmp_path)
             disk_b, _ld_b, crashed_b = run_to_crash(
                 crash_after, metrics=False
             )
@@ -328,7 +325,7 @@ class TestCrashDump:
                 json.loads(line)
                 for line in dump.read_text().splitlines()
             ]
-            assert 0 < len(events) <= capacity, crash_after
+            assert 0 < len(events) <= ld_a.obs.recorder.capacity, crash_after
             assert events[-1]["event"] == "crash_dump"
             seqs = [event["seq"] for event in events]
             assert seqs == list(

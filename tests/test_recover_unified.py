@@ -163,8 +163,6 @@ class TestArrayConfigValidation:
             ArrayConfig(replication_factor=0)
         with pytest.raises(TypeError):  # option removed: ring is the rule
             ArrayConfig(placement="scatter")
-        with pytest.raises(ValueError):
-            ArrayConfig(repair_batch_ops=0)
 
     def test_frozen(self):
         config = ArrayConfig()

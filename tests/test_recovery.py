@@ -26,13 +26,9 @@ def fresh(num_segments=64, injector=None, **kwargs):
     return disk, LLD(disk, config=LLDConfig(**kwargs))
 
 
-def reboot(disk, sweep_orphans=True, **kwargs):
+def reboot(disk, **kwargs):
     kwargs.setdefault("checkpoint_slot_segments", 2)
-    return recover(
-        disk.power_cycle(),
-        sweep_orphans=sweep_orphans,
-        config=LLDConfig(**kwargs),
-    )
+    return recover(disk.power_cycle(), config=LLDConfig(**kwargs))
 
 
 class TestBasicRecovery:
@@ -149,20 +145,6 @@ class TestARUAtomicity:
         # No flush: the commit record sits in the segment buffer.
         lld2, _report = reboot(disk)
         assert lld2.read(base).startswith(b"base")
-
-    def test_sweep_can_be_skipped(self):
-        disk, lld = fresh()
-        lst = lld.new_list()
-        aru = lld.begin_aru()
-        orphan = lld.new_block(lst, aru=aru)
-        lld.flush()
-        lld2, report = reboot(disk, sweep_orphans=False)
-        assert report.orphan_blocks_freed == []
-        # The paper's intermediate state: allocated, in no list.
-        assert lld2.read(orphan) == b"\x00" * lld2.geometry.block_size
-        assert lld2.list_blocks(lst) == []
-        # The explicit sweep reclaims it.
-        assert orphan in lld2.sweep_orphan_blocks()
 
     def test_one_aru_committed_one_not(self):
         disk, lld = fresh()

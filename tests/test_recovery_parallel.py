@@ -1,5 +1,5 @@
 """Differential test: production recovery (batched scan, decode charged
-at the critical-path share of ``workers`` simulated lanes, tuple replay)
+at the critical-path share of four simulated lanes, tuple replay)
 must rebuild byte-identical logical-disk state to
 :func:`~repro.lld.recovery_reference.reference_recover` (serial scan,
 object replay, no shared rule code).
@@ -135,38 +135,17 @@ class TestParallelSerialEquivalence:
         for name in mounted.listdir("/"):
             mounted.read_file(f"/{name}")
 
-    def test_worker_count_does_not_change_state(self):
-        disk, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        states = []
-        for workers in (1, 2, 8):
-            lld, report = recover(
-                disk.power_cycle(), workers=workers, config=CONFIG
-            )
-            states.append(state_fingerprint(lld, report))
-        assert states[0] == states[1] == states[2]
 
-    def test_invalid_workers_rejected(self):
-        disk, ld = build()
-        ld.flush()
-        with pytest.raises(ValueError):
-            recover(disk.power_cycle(), workers=0)
-
-
-def crashed_array(shards=3, blocks=2, flushes=1):
-    """A flushed array of ``shards`` members: shard 0 decides, the
-    others recover as participants.  ``blocks`` per member are written
-    in ``flushes`` rounds, each ending in a flush."""
+def crashed_array(shards=3):
+    """A flushed array of ``shards`` members, two blocks each: shard 0
+    decides, the others recover as participants."""
     volume = build_sharded(
         shards, DiskGeometry.small(num_segments=32), config=CONFIG
     )
     lists = [volume.new_list() for _ in range(shards)]
-    for index in range(blocks * shards):
+    for index in range(2 * shards):
         block = volume.new_block(lists[index % shards])
         volume.write(block, b"block-%d" % index)
-        if (index + 1) % (blocks * shards // flushes) == 0:
-            volume.flush()
     volume.flush()
     return [shard.disk.power_cycle() for shard in volume.shards]
 
@@ -255,47 +234,12 @@ class TestHostCost:
             raise AssertionError(f"recovery started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        for workers in (1, 4, 8):
-            _lld, report = recover(
-                platter.power_cycle(), workers=workers, config=CONFIG
-            )
-            assert report.segments_replayed > workers
+        _lld, report = recover(platter.power_cycle(), config=CONFIG)
+        assert report.segments_replayed > 4
 
     def test_decode_lanes_are_charged_as_before(self, platter):
-        """``workers`` keeps its simulated meaning: the decode phase is
-        charged at ``1 / lanes``.  Values captured while the decode
-        still ran on a thread pool."""
-        decode = {}
-        for workers in (1, 4):
-            _lld, report = recover(
-                platter.power_cycle(), workers=workers, config=CONFIG
-            )
-            decode[workers] = report.phase_us["decode"].hex()
-        assert decode == {
-            1: "0x1.c0ec000000000p+15",
-            4: "0x1.c0ec000000000p+13",
-        }
-
-    def test_array_members_decode_at_the_share_of_workers(self):
-        """For an array ``workers`` means what it means for one volume:
-        every member's decode phase is charged at ``1 / workers``."""
-        platters = crashed_array(blocks=40, flushes=8)
-        decode = {}
-        for workers in (1, 4):
-            _volume, report = repro.recover(
-                [platter.power_cycle() for platter in platters],
-                workers=workers,
-                config=CONFIG,
-            )
-            assert [member.workers for member in report.reports] == [workers] * 3
-            decode[workers] = [m.phase_us["decode"] for m in report.reports]
-        assert all(share > 0 for share in decode[4])
-        assert decode[1] == [4 * share for share in decode[4]]
-
-    def test_invalid_workers_rejected_for_both_shapes(self):
-        disk, ld = build()
-        ld.flush()
-        with pytest.raises(ValueError, match="workers"):
-            repro.recover(disk.power_cycle(), workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            repro.recover(crashed_array(), workers=0)
+        """The decode phase is charged at the share of four lanes.  The
+        value was captured while the decode still ran on a thread pool
+        of four."""
+        _lld, report = recover(platter.power_cycle(), config=CONFIG)
+        assert report.phase_us["decode"].hex() == "0x1.c0ec000000000p+13"

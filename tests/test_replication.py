@@ -343,7 +343,6 @@ class TestReplicatedBasics:
             ArrayConfig(placement="ring")
         assert [f.name for f in dataclasses.fields(ArrayConfig)] == [
             "replication_factor",
-            "repair_batch_ops",
         ]
 
     def test_stats_schema_includes_replication_counters(self):
@@ -762,8 +761,7 @@ class TestRepair:
     @pytest.mark.parametrize("max_ops", [0, -3])
     def test_repair_step_rejects_a_non_positive_budget(self, max_ops):
         """``while not repair_step(max_ops=n)`` with n == 0 would
-        spin forever; the per-call override is validated like
-        ``ArrayConfig.repair_batch_ops``."""
+        spin forever, so the per-call budget is validated."""
         arr = build_array(3, rf=2)
         populate(arr)
         arr.lose_shard(0)

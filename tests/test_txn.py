@@ -4,7 +4,10 @@ import threading
 
 import pytest
 
+import repro
 from repro.errors import (
+    BadBlockError,
+    ConcurrencyError,
     DeadlockError,
     LockError,
     TransactionAborted,
@@ -14,6 +17,7 @@ from repro.txn.locks import LockManager, LockMode
 from repro.txn.transactions import TransactionManager, run_transaction
 
 from tests.conftest import make_lld
+from tests.oracle import state_fingerprint
 
 
 class TestLockManager:
@@ -221,3 +225,51 @@ class TestTransactions:
         run_transaction(mgr, transfer)
         assert int.from_bytes(mgr.ld.read(alice)[:8], "little") == 70
         assert int.from_bytes(mgr.ld.read(bob)[:8], "little") == 80
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP items 1(c) and 17: T1 never locks its "
+        "predecessor, T2 deletes it, and T1's refused EndARU leaves "
+        "half of T1 on the live volume",
+    )
+    def test_refused_commit_leaves_no_half_transaction(self, mgr):
+        """T1 inserts block n after b, locking the list and n but not
+        b; T2 deletes b and commits; T1's commit is refused.  A correct
+        fix either keeps T2 out (T1 holds b) or refuses T1 whole; both
+        must leave a sound volume that recovery agrees with."""
+        ld = mgr.ld
+        lst = ld.new_list()
+        b = ld.new_block(lst)
+        ld.write(b, b"b")
+        ld.flush()
+        t1 = mgr.begin()
+        n = t1.new_block(lst, predecessor=b)
+        t1.write(n, b"T1")
+        t2 = mgr.begin()
+        try:
+            t2.delete_block(b)
+            t2.commit()
+        except LockError:
+            t2.abort()
+        try:
+            t1.commit()
+        except ConcurrencyError:
+            pass
+        try:
+            visible = ld.read(n).startswith(b"T1")
+        except BadBlockError:
+            visible = False
+        assert not visible or n in ld.list_blocks(lst)
+        assert ld.checkpoint_safe()
+        ld.flush()
+        recovered, report = repro.recover(
+            ld.disk.power_cycle(), config=ld.config
+        )
+        # The checkpoint image is left out: its rows carry logical
+        # timestamps, which the live volume takes from its clock and
+        # recovery from the log, so they differ on a healthy run too.
+        live, rebuilt = (
+            state_fingerprint(volume, report) for volume in (ld, recovered)
+        )
+        del live["checkpoint"], rebuilt["checkpoint"]
+        assert live == rebuilt
