@@ -4,10 +4,11 @@ Recovery is always to the most recent *persistent* version
 (Section 3.1).  The procedure:
 
 1. Load the newest valid checkpoint (or start from the empty state).
-2. Roll forward from it: read the segments its roster does not list,
-   lowest first, until none is newer than the checkpoint; keep those
-   whose trailer and CRC validate, the rest is free space.  Damage a
-   power cut alone cannot cause makes the scan read every segment.
+2. Roll forward from it: read the tails of the segments its roster
+   does not list, lowest first, until none is newer than the
+   checkpoint; keep those whose trailer and summary CRC validate, the
+   rest is free space.  Damage a power cut alone cannot cause makes
+   the scan read every segment.
 3. First pass over the surviving summaries: collect the set of ARU
    identifiers with a flushed COMMIT record.
 4. Second pass, in log order: replay entries.  Simple entries
@@ -24,17 +25,14 @@ The result is a fully operational :class:`~repro.lld.lld.LLD` plus a
 :class:`RecoveryReport` describing what was found.
 
 :func:`recover` runs that procedure as **one pipeline**, each rule
-written once: :func:`_scan` (steps 1–2) → :func:`_resolve_outcomes`
-(step 3) → :class:`ReplayRules` (steps 4 and 6) → :func:`_install`
-(step 5).  ``mode`` changes two things and nothing else: *what the
-scan reads of a segment and how it decodes* (eager: the whole body,
-whole-segment CRC, decoded on the calling thread and charged at the
-critical-path share of :data:`DEFAULT_WORKERS` simulated lanes;
-instant: one block-sized tail window, summary CRC), and *where the
-records live and when replay runs* (eager: plain dicts, replayed
-before the volume opens, then bulk-installed; instant: the checkpoint
-bulk-installed, then the live tables, replayed on demand by a
-:class:`RestoreController` behind a log-order watermark).
+written once: :func:`_scan` (steps 1–2, one tail window per segment,
+one decoder) → :func:`_resolve_outcomes` (step 3) → :func:`_install`
+(step 5, live counts provisional) → a :class:`RestoreController`,
+which replays by :class:`ReplayRules` behind a log-order watermark
+(steps 4 and 6).  ``mode`` decides only what happens before
+:func:`recover` returns: eager runs the controller to completion and
+audits the pending segments' data slots (:func:`_audit`); instant
+returns the volume open and replays on demand.
 docs/RECOVERY.md tells the whole story;
 :func:`repro.lld.recovery_reference.reference_recover` is the
 differential oracle and shares none of this module's rule code.
@@ -60,12 +58,7 @@ from repro.ld.types import ARU_NONE, SYSTEM_ID_BASE, PhysAddr
 from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
-from repro.lld.segment import (
-    DecodedSegment,
-    decode_segment,
-    decode_segment_tail,
-    parse_trailer,
-)
+from repro.lld.segment import DecodedSegment, decode_segment_tail, parse_trailer
 from repro.lld.summary import (
     KIND_ALLOC_BLOCK,
     KIND_COMMIT,
@@ -173,18 +166,20 @@ class RecoveryReport:
     max_xid: int = 0
     orphan_blocks_freed: List[int] = dataclasses.field(default_factory=list)
     recovery_time_us: float = 0.0
-    #: Simulated microseconds per phase: ``scan`` (classification
-    #: reads), ``decode`` (CRC + summary decode), ``replay`` (the two
-    #: passes and the orphan sweep), ``install`` (tables, usage,
-    #: fresh buffer).
+    #: Simulated microseconds per phase, summing to
+    #: ``recovery_time_us``: ``checkpoint`` (loading it), ``scan``
+    #: (tail reads), ``decode`` (summary CRCs and longer tails),
+    #: ``replay`` (outcomes; for eager also the redo and the orphan
+    #: sweep), ``install`` (tables, usage, fresh buffer) and, eager
+    #: only, ``audit`` (body reads, whole-chunk CRCs, any scrub).
     phase_us: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Host wall-clock seconds for the whole recovery.
     wall_seconds: float = 0.0
     #: Batched-read statistics (deltas over this recovery).
     read_batches: int = 0
     batched_runs: int = 0
-    #: Recovery mode: ``"eager"`` (full scan before the volume opens)
-    #: or ``"instant"`` (open immediately, redo-on-demand).
+    #: Recovery mode: ``"eager"`` (replayed and audited before the
+    #: volume opens) or ``"instant"`` (open at once, redo-on-demand).
     mode: str = "eager"
     #: Instant restore: requests that had to synchronously replay a
     #: log suffix before they could be served.
@@ -424,10 +419,10 @@ class ReplayRules:
         """Free allocated blocks that are members of no list.
 
         Such blocks were allocated by ARUs that never committed.
-        ``below`` restricts the sweep to ids under it: an instant
-        restore passes the block counter at open, because ids handed
-        out by live traffic since then may legitimately sit in
-        unfolded committed versions the persistent walk cannot see.
+        ``below`` restricts the sweep to ids under it: recovery passes
+        the block counter at open, because ids handed out by live
+        traffic since then may legitimately sit in unfolded committed
+        versions the persistent walk cannot see.
         (Traffic can never link an older block into a list — blocks
         are only ever inserted at allocation — so membership computed
         from the persistent chains is exact for the ids considered.)
@@ -450,7 +445,7 @@ class ReplayRules:
             del self.blocks[bid]
         return orphans
 
-    def finish(self, below: Optional[int] = None) -> None:
+    def finish(self, below: int) -> None:
         """Close the books once the last segment is replayed: run the
         consistency sweep and report what was undone and freed."""
         self.orphans_freed.update(self.sweep_orphans(below))
@@ -488,12 +483,7 @@ class _Scan:
     quarantined: List[int]
 
 
-def _scan(
-    lld: LLD,
-    ckpt: CheckpointData,
-    report: RecoveryReport,
-    instant: bool,
-) -> _Scan:
+def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
     """Find and decode the segments written since the checkpoint.
 
     One classification rule, two read plans.  The **walk** rolls
@@ -504,11 +494,8 @@ def _scan(
     space, unread.  Anything a crash could not have left falls back to
     the **full** plan, which classifies every segment not yet read,
     attested ones included (docs/RECOVERY.md, "The roll-forward walk").
-
-    ``instant`` picks the window and the decoder, never the plan or
-    the classification: eager must end up holding whole bodies
-    (checked by the whole-segment CRC), instant reads one block of
-    each segment's tail (checked by the summary CRC).
+    Either plan reads one block of each segment's tail and trusts its
+    summaries on the summary CRC; the data is eager's :func:`_audit`'s.
     """
     disk = lld.disk
     clock = disk.clock
@@ -532,20 +519,7 @@ def _scan(
         else:
             attested.append(seg)
 
-    if instant:
-        window = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
-    else:
-        # Streaming a segment costs its transfer time; skipping to the
-        # next trailer costs a seek.  When the transfer is cheaper, the
-        # fastest scan reads *everything* in one sequential sweep (and
-        # the replay candidates then need no second read at all).
-        model = disk.timer.model
-        random_cost = (
-            model.avg_seek_us
-            + model.avg_rotational_us
-            + model.controller_overhead_us
-        )
-        window = size if model.transfer_us(size) <= random_cost else TRAILER_SIZE
+    window = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
 
     def classify(segs: List[int]) -> Tuple[Dict[int, bytes], str]:
         """Read the tails of ``segs`` as one batch and sort them into
@@ -587,29 +561,15 @@ def _scan(
         return candidates, anomaly
 
     def decode_candidates(candidates: Dict[int, bytes]) -> Optional[int]:
-        """Fetch (eager) and decode ``candidates`` into
-        ``scan.replayable``; returns a segment lost on the way, if any."""
+        """Decode ``candidates`` into ``scan.replayable``; returns a
+        segment lost on the way, if any."""
         nonlocal decode_us
-        wanted = set(candidates)
-        if candidates and not instant and window < size:
-            # Candidate bodies, as one batch whose contiguous runs
-            # coalesce into sequential transfers.
-            bodies = disk.read_many(
-                [(seg, 0, size) for seg in candidates], errors="none"
-            )
-            for seg, body in zip(list(candidates), bodies):
-                if body is None:
-                    report.segments_unreadable += 1
-                    scan.quarantined.append(seg)
-                    del candidates[seg]
-                else:
-                    candidates[seg] = body
         decode_start = clock.now_us
-        decode = _decode_tails if instant else _decode_bodies
-        decoded = decode(lld, candidates, scan, report)
+        decoded = _decode_tails(lld, candidates, scan, report)
         decode_us += clock.now_us - decode_start
         scan.replayable += decoded
-        return min(wanted.difference(d.segment_no for d in decoded), default=None)
+        lost = set(candidates).difference(d.segment_no for d in decoded)
+        return min(lost, default=None)
 
     damaged = lld.checkpoints.damaged_slots
     fallback = f"checkpoint slot {damaged[0]} is damaged" if damaged else ""
@@ -640,53 +600,20 @@ def _scan(
     return scan
 
 
-def _decode_bodies(
-    lld: LLD,
-    bodies: Dict[int, bytes],
-    scan: _Scan,
-    report: RecoveryReport,
-) -> List[DecodedSegment]:
-    """Eager decoder: whole-segment CRC + summary parse per candidate,
-    on the calling thread.
-
-    ``lanes`` > 1 models :data:`DEFAULT_WORKERS` decoders overlapping
-    the work in simulated time: the counters record everything, the
-    clock only advances the critical-path share.
-    """
-    geometry = lld.disk.geometry
-    lanes = max(1, min(DEFAULT_WORKERS, len(bodies)))
-    decoded: List[DecodedSegment] = []
-    for seg, body in bodies.items():
-        result = decode_segment(body, geometry, seg)
-        if result is None:
-            # Valid-looking trailer but a torn/corrupt body.
-            report.segments_invalid += 1
-        else:
-            decoded.append(result)
-    if bodies:
-        raw_kb = len(bodies) * geometry.segment_size / 1024.0
-        lld.meter.charge("crc_kb_us", raw_kb, lanes=lanes)
-    entries = sum(d.entry_count for d in decoded)
-    if entries:
-        lld.meter.charge("decode_entry_us", entries, lanes=lanes)
-    decoded.sort(key=lambda d: d.seq)
-    return decoded
-
-
 def _decode_tails(
     lld: LLD,
     tails: Dict[int, bytes],
     scan: _Scan,
     report: RecoveryReport,
 ) -> List[DecodedSegment]:
-    """Instant decoder: summaries from the tail windows alone.
+    """The scan's decoder: summaries from the tail windows alone.
 
     A chunk stack longer than its window costs a follow-up batched
     read — one per round, for every still-unresolved segment at once —
     of the longer tail the walk asked for; a closed segment asks for
     exactly its missing bytes.  Only the summary CRCs are charged
     here; the per-entry decode cost is charged when a segment is
-    replayed, to whoever triggers that.
+    replayed, to whoever triggers that (:meth:`RestoreController._advance`).
     """
     disk = lld.disk
     geometry = disk.geometry
@@ -716,9 +643,7 @@ def _decode_tails(
             else:
                 tails[seg] = tail
     decoded.sort(key=lambda d: d.seq)
-    tail_kb = sum(
-        (d.summary_len + d.chunk_count * TRAILER_SIZE) / 1024.0 for d in decoded
-    )
+    tail_kb = sum(d.stack_len / 1024.0 for d in decoded)
     if tail_kb:
         lanes = max(1, min(DEFAULT_WORKERS, len(decoded)))
         lld.meter.charge("crc_kb_us", tail_kb, lanes=lanes)
@@ -815,27 +740,25 @@ def _install(
     ckpt: CheckpointData,
     scan: _Scan,
     outcomes: _Outcomes,
-    live_counts: Dict[int, int],
 ) -> None:
-    """Rebuild the usage table, the counters and the fresh buffer."""
+    """Rebuild the usage table, the counters and the fresh buffer.
+
+    Live counts are provisional — the roster's, or every written slot
+    of a pending segment — until the restore completes and recounts
+    them from the final addresses (verify_lld knows)."""
     usage = lld.usage  # fresh: every log segment starts out free
     for seg in scan.quarantined:
         # Failed media stays retired; addresses still pointing here
         # are tombstones for lost blocks (reads raise
         # UnrecoverableBlockError instead of returning garbage).
         usage.restore(seg, SegmentState.QUARANTINED, -1, 0, 0)
-    for seg, (seq, _live, total) in scan.ckpt_segments.items():
-        usage.restore(
-            seg, SegmentState.DIRTY, seq, live_counts.get(seg, 0), total
-        )
+    for seg, (seq, live, total) in scan.ckpt_segments.items():
+        usage.restore(seg, SegmentState.DIRTY, seq, live, total)
     max_seq = ckpt.last_log_seq
     for decoded in scan.replayable:
+        slots = decoded.block_count
         usage.restore(
-            decoded.segment_no,
-            SegmentState.DIRTY,
-            decoded.seq,
-            live_counts.get(decoded.segment_no, 0),
-            decoded.block_count,
+            decoded.segment_no, SegmentState.DIRTY, decoded.seq, slots, slots
         )
         max_seq = max(max_seq, decoded.last_seq)
 
@@ -859,6 +782,47 @@ def _install(
         pass
 
 
+def _audit(lld: LLD, pending: List[DecodedSegment]) -> None:
+    """Hold the pending segments' data slots to their whole-chunk CRCs.
+
+    The scan trusted each accepted chunk on its summary CRC, which
+    does not cover the data.  One batched read fetches the pending
+    bodies, :meth:`~repro.lld.segment.DecodedSegment.body_holds`
+    checks every accepted chunk without decoding an entry again, and
+    the CRC work is charged at the share of :data:`DEFAULT_WORKERS`
+    lanes.  A failure is media rot a crash cannot leave (every chunk
+    the walk accepted was written whole), so it takes the media-fault
+    path: the scrubber salvages what it can and quarantines the rest.
+    """
+    if not pending:
+        return
+    geometry = lld.disk.geometry
+    bodies = lld.disk.read_many(
+        [(decoded.segment_no, 0, geometry.segment_size) for decoded in pending],
+        errors="none",
+    )
+    failed = [
+        decoded.segment_no
+        for decoded, body in zip(pending, bodies)
+        if body is None or not decoded.body_holds(body)
+    ]
+    block_size = geometry.block_size
+    checked_kb = sum(
+        (d.block_count * block_size + d.stack_len) / 1024.0 for d in pending
+    )
+    lanes = min(DEFAULT_WORKERS, len(pending))
+    lld.meter.charge("crc_kb_us", checked_kb, lanes=lanes)
+    lld.obs.record("recovery.audit", segments=len(pending), failed=len(failed))
+    if failed:
+        try:
+            lld.scrub(failed)
+        except DiskFullError:
+            # No room to relocate the salvage: retire the media all the
+            # same, so its blocks take the degraded read path.
+            for seg in failed:
+                lld.usage.quarantine(seg)
+
+
 @_collector_paused
 def recover(
     disk: SimulatedDisk,
@@ -873,14 +837,15 @@ def recover(
     consistency sweep always runs: blocks allocated by undone ARUs are
     freed.
 
-    ``mode`` is ``"eager"`` (the default, also for ``None``)
-    — replay the whole log, then return — or ``"instant"`` — return an
-    *open* volume right after the scan; requests replay the log prefix
-    they need on demand and a background sweep
-    (``restore_drain_segments`` per operation,
+    ``mode`` is ``"eager"`` (the default, also for ``None``) — run
+    the restore to completion, audit the pending segments' data slots
+    (:func:`_audit`), then return — or ``"instant"`` — return the
+    volume open; requests replay the log prefix they need on demand
+    and a background sweep (``restore_drain_segments`` per operation,
     :meth:`~repro.lld.lld.LLD.restore_drain`,
     :meth:`~repro.lld.lld.LLD.complete_restore`) drains the rest.
-    Once drained the state is byte-identical to eager recovery.
+    Once drained the state is byte-identical to eager recovery; the
+    data slots stay unaudited until a scrub reads them.
 
     ``decided_xids`` supplies coordinator decisions from *another*
     volume's log: a participant shard of a sharded volume
@@ -888,8 +853,8 @@ def recover(
     transaction id appears in its own log/checkpoint or in this set,
     and discards it otherwise (presumed abort).
 
-    The scan's decode is charged for :data:`DEFAULT_WORKERS`
-    simulated lanes and starts no thread.
+    The scan and the audit charge their CRC work for
+    :data:`DEFAULT_WORKERS` simulated lanes and start no thread.
 
     The cyclic garbage collector stays off while this runs
     (:class:`_CollectorPause`).
@@ -898,7 +863,6 @@ def recover(
         mode = "eager"
     if mode not in ("eager", "instant"):
         raise ValueError(f"unknown recovery mode: {mode!r}")
-    instant = mode == "instant"
 
     wall_start = time.perf_counter()
     clock = disk.clock
@@ -909,13 +873,14 @@ def recover(
     lld.obs.record("recovery.start", mode=mode)
     metrics = lld.obs.metrics
     metrics.counter("lld.recovery.recoveries").inc()
-    if instant:
+    if mode == "instant":
         metrics.counter("lld.recovery.instant_restores").inc()
     ckpt = lld.checkpoints.load()
     report = RecoveryReport(checkpoint_seq=ckpt.ckpt_seq, mode=mode)
+    report.phase_us["checkpoint"] = clock.now_us - start_us
 
     lld._recovery_report = report
-    scan = _scan(lld, ckpt, report, instant)
+    scan = _scan(lld, ckpt, report)
     report.segments_quarantined = len(scan.quarantined)
     lld.obs.record(
         "recovery.scan",
@@ -930,35 +895,26 @@ def recover(
     outcomes = _resolve_outcomes(ckpt, scan.replayable, decided_xids, report)
     rules = ReplayRules({}, {}, outcomes.committed, report)
     rules.load_checkpoint(ckpt)
-    if not instant:
-        for decoded in scan.replayable:
-            rules.replay_segment(decoded)
-        rules.finish()
     report.phase_us["replay"] = clock.now_us - replay_start
 
     install_start = clock.now_us
-    # The replayed records become the tables; an instant restore's
-    # replay goes on, later and on demand, in the same dicts.
+    # The checkpoint's records become the tables; the replay goes on
+    # in the same dicts.
     lld.bmap.adopt(rules.blocks)
     lld.ltable.adopt(rules.lists)
-    if instant:
-        # Provisional live counts — the roster's for checkpointed
-        # segments, every written slot for pending ones — until the
-        # restore completes and recounts from the final addresses
-        # (verify_lld knows).
-        live_counts = {
-            seg: roster[1] for seg, roster in scan.ckpt_segments.items()
-        }
-        for decoded in scan.replayable:
-            live_counts[decoded.segment_no] = decoded.block_count
-    else:
-        live_counts = rules.live_counts()
-    _install(lld, ckpt, scan, outcomes, live_counts)
-    if instant:
-        lld._restore = RestoreController(
-            lld, rules, scan.replayable, set(live_counts)
-        )
+    _install(lld, ckpt, scan, outcomes)
+    restore = RestoreController(lld, rules, scan.replayable)
     report.phase_us["install"] = clock.now_us - install_start
+
+    if mode == "eager":
+        replay_start = clock.now_us
+        restore.complete()
+        report.phase_us["replay"] += clock.now_us - replay_start
+        audit_start = clock.now_us
+        _audit(lld, scan.replayable)
+        report.phase_us["audit"] = clock.now_us - audit_start
+    else:
+        lld._restore = restore
 
     report.recovery_time_us = clock.now_us - start_us
     report.ttfr_us = report.recovery_time_us
@@ -968,7 +924,7 @@ def recover(
     for phase, us in report.phase_us.items():
         metrics.counter(f"lld.recovery.{phase}_us").add(us)
         lld.obs.record("recovery.phase", phase=phase, us=round(us, 3))
-    if instant:
+    if mode == "instant":
         lld.obs.record(
             "restore.open",
             pending_segments=len(scan.replayable),
@@ -981,10 +937,10 @@ def recover(
         arus_discarded=report.arus_discarded,
         total_us=round(report.recovery_time_us, 3),
     )
-    if instant and not scan.replayable:
+    if mode == "instant" and not scan.replayable:
         # Nothing to drain: run the consistency sweep and collapse to
         # normal operation before the first request.
-        lld._restore.complete()
+        restore.complete()
     return lld, report
 
 
@@ -994,19 +950,20 @@ def recover(
 
 
 class RestoreController:
-    """Redo-on-demand replay engine behind an instantly-restored LLD.
+    """Redo-on-demand replay engine behind a recovered LLD.
 
-    ``recover(mode="instant")`` installs the checkpoint tables and
-    decodes every pending segment's *summary* from a tail window;
-    this controller then owns the pending suffix.  The **watermark**
-    is the number of pending segments (in log-sequence order) whose
-    entries have been applied to the live persistent records.  The
-    invariant served to traffic: before any block or list id is read
-    or modified, every pending entry naming it lies below the
-    watermark — enforced by :meth:`ensure_block` / :meth:`ensure_list`
-    hooks in the LLD operations, which advance the watermark as a
-    strict log-order prefix (never cherry-picking entries, so replay
-    order is exactly eager recovery's).
+    :func:`recover` installs the checkpoint tables and decodes every
+    pending segment's *summary* from a tail window; this controller
+    then owns the pending suffix (an eager recovery completes it
+    before the volume opens).  The **watermark** is the number of
+    pending segments (in log-sequence order) whose entries have been
+    applied to the live persistent records.  The invariant served to
+    traffic: before any block or list id is read or modified, every
+    pending entry naming it lies below the watermark — enforced by
+    :meth:`ensure_block` / :meth:`ensure_list` hooks in the LLD
+    operations, which advance the watermark as a strict log-order
+    prefix (never cherry-picking entries, so replay order is the
+    log's, whoever triggers it).
 
     Why a prefix per-id ensure suffices: ``block_index[b]`` is the
     *last* pending position naming ``b``, so once the watermark passes
@@ -1025,7 +982,6 @@ class RestoreController:
         lld: LLD,
         rules: ReplayRules,
         pending: List[DecodedSegment],
-        restore_era: Set[int],
     ) -> None:
         self.lld = weakref.proxy(lld)
         self.rules = rules
@@ -1042,7 +998,7 @@ class RestoreController:
         self.open_next_block = lld._next_block_id
         #: Dirty segments whose live counts are provisional until the
         #: sweep completes (checkpoint roster + pending suffix).
-        self.restore_era = restore_era
+        self.restore_era = {seg for seg, _live, _seq in lld.usage.dirty_segments()}
         #: Simulated µs spent applying entries after the volume opened.
         self.apply_us = 0.0
         #: Watermark-invariant violations (must stay empty; verify_lld
@@ -1106,9 +1062,9 @@ class RestoreController:
         which covers membership-changing entries (``DELETE_LIST`` of
         its list, unlinks by neighbors).  Afterwards the block's
         persistent record is final with respect to the log, so the
-        orphan rule eager recovery applies at the end is applied here,
-        lazily: a still-unlinked restore-era block is freed before it
-        can be served.
+        orphan rule :meth:`complete` applies at the end is applied
+        here, lazily: a still-unlinked restore-era block is freed
+        before it can be served.
         """
         if self.done:
             return
@@ -1158,12 +1114,11 @@ class RestoreController:
     def complete(self) -> None:
         """Drain everything and collapse to normal operation.
 
-        Runs eager recovery's consistency sweep (silently, on the
-        persistent records — never the logging public
-        ``sweep_orphan_blocks``) and replaces the provisional live
-        counts of every restore-era segment with counts derived from
-        the final persistent addresses, exactly what eager recovery's
-        usage rebuild computes.
+        Runs the consistency sweep (silently, on the persistent
+        records — never the logging public ``sweep_orphan_blocks``)
+        and replaces the provisional live counts of every restore-era
+        segment with counts derived from the final persistent
+        addresses.
         """
         if self.done:
             return
@@ -1176,27 +1131,30 @@ class RestoreController:
             if lld.usage.state(seg) is SegmentState.DIRTY:
                 lld.usage.set_live(seg, live_counts.get(seg, 0))
         self.apply_us += lld.clock.now_us - start
-        self.report.background_sweep_us = self.apply_us
         self.done = True
         self._g_pending.set(0)
         self._g_watermark.set(self.watermark)
-        lld._restore = None
-        lld.obs.record(
-            "restore.complete",
-            on_demand_replays=self.report.on_demand_replays,
-            sweep_us=round(self.apply_us, 3),
-        )
+        if lld._restore is self:
+            # The volume was open: what was applied since is the
+            # background sweep's.  An eager recovery completes before
+            # it opens, and its replay is the replay phase.
+            self.report.background_sweep_us = self.apply_us
+            lld._restore = None
+            lld.obs.record(
+                "restore.complete",
+                on_demand_replays=self.report.on_demand_replays,
+                sweep_us=round(self.apply_us, 3),
+            )
 
     def _advance(self, pos: int) -> bool:
         """Apply pending segments through position ``pos`` (inclusive);
         False when the watermark is already past it.
 
         Strict log-order prefix: segments are applied whole, in
-        sequence order, by the same :class:`ReplayRules` eager
-        recovery runs (commit filtering included).  The
-        summary-decode CPU cost is charged here, to whoever triggered
-        the advance — a foreground requester pays for its own
-        redo-on-demand.
+        sequence order, by :class:`ReplayRules` (commit filtering
+        included).  The summary-decode CPU cost is charged here, to
+        whoever triggered the advance — a foreground requester pays
+        for its own redo-on-demand, an eager recovery for all of it.
         """
         if pos < self.watermark or self.done:
             return False

@@ -30,7 +30,8 @@ the chunk it was writing:
   the data slots it describes, and its summary CRC is the *last*
   field of its trailer and covers everything before it: a valid
   summary CRC implies the whole chunk and its data were written, which
-  is why instant restore may trust a summary without reading data.
+  is why recovery may trust a summary without reading data (and
+  audits the data for rot separately, :meth:`DecodedSegment.body_holds`).
 * **Published slots are never overwritten.**  Rewriting a block whose
   slot is still unwritten overwrites it in the buffer — its physical
   address has not been published to disk yet, so this is not a log
@@ -106,6 +107,14 @@ _WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
 #: included.
 _CRC_END = 12
 _SUMMARY_CRC_END = 4
+
+
+def chunk_crc_holds(chunk, data, crc: int) -> bool:
+    """The whole-chunk CRC rule: ``crc`` (the chunk's trailer field)
+    covers ``data`` — the data slots the chunk describes — followed by
+    the chunk's own bytes up to that field.  Shared by the chunk walk
+    and recovery's body audit, so both check one rule."""
+    return zlib.crc32(chunk[: len(chunk) - _CRC_END], zlib.crc32(data)) == crc
 
 
 def chunk_end_below(start: int) -> int:
@@ -600,6 +609,35 @@ class DecodedSegment:
         """Encoded size of all valid chunks' entries together."""
         return sum(length for _offset, length in self._summaries)
 
+    @property
+    def stack_len(self) -> int:
+        """Bytes of the valid chunks: their entries and trailers."""
+        return self.summary_len + self.chunk_count * TRAILER_SIZE
+
+    def body_holds(self, body) -> bool:
+        """True if ``body`` — the whole segment image, read again —
+        still matches the whole-chunk CRC of every chunk the walk
+        accepted (:func:`chunk_crc_holds`).
+
+        Checks the data slots against the chunk stack this object
+        already holds; no entry is decoded again.  A segment decoded
+        from a tail window trusted its data on the summary CRC alone,
+        and this is how eager recovery audits that trust.
+        """
+        view = memoryview(self.raw)
+        data = memoryview(body)
+        block_size = self.geometry.block_size
+        slots = 0
+        for offset, length in self._summaries:
+            end = offset + length + TRAILER_SIZE
+            fields = TRAILER_STRUCT.unpack_from(view, end - TRAILER_SIZE)
+            nblocks, crc = fields[5], fields[7]
+            chunk_data = data[slots * block_size : (slots + nblocks) * block_size]
+            if not chunk_crc_holds(view[offset:end], chunk_data, crc):
+                return False
+            slots += nblocks
+        return True
+
     def slot_data(self, slot: int) -> bytes:
         """Return the data of slot ``slot`` as ``bytes`` (a copy)."""
         if not 0 <= slot < self.block_count:
@@ -679,10 +717,10 @@ def _walk_chunks(tail, geometry: DiskGeometry, segment_no: int, check_data: bool
         chunk = view[chunk_start - base : end - base]
         if zlib.crc32(chunk[: len(chunk) - _SUMMARY_CRC_END]) != summary_crc:
             break
-        if check_data:
-            data = view[slots * block_size : (slots + nblocks) * block_size]
-            if zlib.crc32(chunk[: len(chunk) - _CRC_END], zlib.crc32(data)) != crc:
-                break
+        if check_data and not chunk_crc_holds(
+            chunk, view[slots * block_size : (slots + nblocks) * block_size], crc
+        ):
+            break
         try:
             tuples = decode_entry_tuples(chunk[:summary_len])
         except ValueError:
@@ -750,10 +788,11 @@ def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
       the chunk stack, so ``entry_tuples``/``entries`` work but
       ``slot_data``/``slot_view`` must not be called.
 
-    This is instant restore's scan primitive: one small tail read per
-    segment replaces streaming the whole body through the CRC.  It is
-    sound because a chunk is written after the data it describes and
-    its summary CRC is the last thing written.
+    This is recovery's scan primitive: one small tail read per segment
+    replaces streaming the whole body through the CRC.  It is sound
+    against a crash because a chunk is written after the data it
+    describes and its summary CRC is the last thing written; against
+    rot in the data, :meth:`DecodedSegment.body_holds` audits it.
     """
     if len(tail) < TRAILER_SIZE or len(tail) > geometry.segment_size:
         return None

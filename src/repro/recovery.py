@@ -45,9 +45,11 @@ def recover(
             or a sequence of member disks in shard order (sharded
             array; a ``None`` entry is a lost member the replicated
             array assembles around).
-        mode: ``"eager"`` (default) scans and replays everything
-            before the volume opens; ``"instant"`` opens immediately
-            and replays on demand (see docs/RECOVERY.md).
+        mode: What happens before the call returns.  Both modes
+            scan the summaries and open the volume the same way;
+            ``"eager"`` (default) then replays everything and audits
+            the replayed segments' data, ``"instant"`` returns at
+            once and replays on demand (see docs/RECOVERY.md).
         config: Per-volume :class:`~repro.lld.config.LLDConfig`,
             applied to every member alike.
         array_config: Array-level :class:`ArrayConfig` (replication

@@ -1,8 +1,9 @@
 """What recoveries of one platter must agree on.
 
 The start of the single oracle module ROADMAP item 1 asks for: the
-comparisons every recovery test makes, written once.  Two views of a
-``(volume, report)`` pair:
+comparisons every recovery test makes, written once.
+:func:`recoveries_agree` makes all of them on one platter.  Two views
+of a ``(volume, report)`` pair:
 
 * :func:`state_fingerprint` — everything recovery *rebuilds*.  Equal
   across implementations (``recover`` in either mode,
@@ -17,6 +18,10 @@ comparisons every recovery test makes, written once.  Two views of a
 written in place is a live ``bytearray`` on the disk, so a copy taken
 with ``dict(disk._segments)`` would change along with the disk.
 """
+
+from repro.lld.recovery import recover
+from repro.lld.recovery_reference import reference_recover
+from repro.lld.verify import verify_lld
 
 
 def platter_bytes(disk):
@@ -62,3 +67,36 @@ def read_plan(report):
         report.scan_last_segment,
         report.segments_invalid,
     )
+
+
+def recoveries_agree(disk, config):
+    """Reference, eager and instant recovery (drained with
+    ``complete_restore``) rebuild one sound state from one platter and
+    leave the platter as they found it; eager and instant read the
+    disk the same way, and an eager volume shows no trace of the
+    restore it ran to completion.  Returns the eager volume and its
+    report."""
+    platter = platter_bytes(disk)
+    reference, reference_report = reference_recover(
+        disk.power_cycle(), config=config
+    )
+    eager, eager_report = recover(disk.power_cycle(), config=config)
+    instant, instant_report = recover(
+        disk.power_cycle(), mode="instant", config=config
+    )
+    instant.complete_restore()
+    assert (eager_report.mode, instant_report.mode) == ("eager", "instant")
+    assert not instant.restore_active
+    want = state_fingerprint(reference, reference_report)
+    for volume, report in ((eager, eager_report), (instant, instant_report)):
+        assert state_fingerprint(volume, report) == want
+        assert verify_lld(volume) == []
+    assert read_plan(instant_report) == read_plan(eager_report)
+    assert verify_lld(reference) == []
+    assert platter_bytes(disk) == platter
+    stats = eager.stats()["recovery"]
+    assert stats["instant_restores"] == stats["on_demand_replays"] == 0
+    assert not stats["restoring"]
+    events = {e["event"] for e in eager.obs.recorder.events()}
+    assert not events & {"restore.open", "restore.complete"}
+    return eager, eager_report

@@ -32,8 +32,8 @@ from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_checkpoints
 from repro.workloads.generator import overwrite_pressure
 
-from tests.oracle import state_fingerprint
-from tests.test_rollforward_scan import recoveries_agree
+from tests.oracle import recoveries_agree, state_fingerprint
+from tests.test_rollforward_scan import recover_twice
 
 SECTOR = 512
 
@@ -501,37 +501,30 @@ def checkpointed_lld(n_blocks):
     return disk, ld
 
 
-def recovered_fingerprints(disk):
-    """``state_fingerprint`` of the platter recovered in both modes."""
-    prints = []
-    for mode in ("eager", "instant"):
-        ld, report = recover(
-            disk.power_cycle(),
-            mode=mode,
-            config=LLDConfig(checkpoint_slot_segments=TEAR_SLOTS),
-        )
-        ld.complete_restore()
-        assert report.checkpoint_seq == 1
-        assert verify_lld(ld) == []
-        prints.append(state_fingerprint(ld, report))
-    return prints
+def recovered_from_checkpoint_1(disk):
+    """The recovery oracle's state of ``disk``, rebuilt from checkpoint
+    1."""
+    volume, report = recoveries_agree(
+        disk, LLDConfig(checkpoint_slot_segments=TEAR_SLOTS)
+    )
+    assert report.checkpoint_seq == 1
+    return state_fingerprint(volume, report)
 
 
-def fingerprints_from_checkpoint_1(n_blocks):
+def fingerprint_from_checkpoint_1(n_blocks):
     """The reference: checkpoint 2 never started."""
     disk, _ld = checkpointed_lld(n_blocks)
-    eager, instant = recovered_fingerprints(disk)
-    assert eager == instant
+    expected = recovered_from_checkpoint_1(disk)
     _disk, ld = checkpointed_lld(n_blocks)
     ld.write_checkpoint()
     assert ld.checkpoints.last_kind == "base"
-    return eager
+    return expected
 
 
 class TestTornCheckpointWrite:
     def test_short_checkpoint_torn_at_every_sector_boundary(self):
         n_blocks = 60
-        expected = fingerprints_from_checkpoint_1(n_blocks)
+        expected = fingerprint_from_checkpoint_1(n_blocks)
         disk, ld = checkpointed_lld(n_blocks)
         total_len = ld._snapshot_checkpoint().total_len
         sectors = -(-total_len // SECTOR)
@@ -544,11 +537,11 @@ class TestTornCheckpointWrite:
             assert ld.checkpoints.last_written_seq == 1
             loader = CheckpointManager(disk.power_cycle(), TEAR_SLOTS)
             assert loader.load().ckpt_seq == 1, kept
-            assert recovered_fingerprints(disk) == [expected, expected], kept
+            assert recovered_from_checkpoint_1(disk) == expected, kept
 
     def test_multi_segment_checkpoint_torn_at_every_segment_boundary(self):
         n_blocks = 450
-        expected = fingerprints_from_checkpoint_1(n_blocks)
+        expected = fingerprint_from_checkpoint_1(n_blocks)
         disk, ld = checkpointed_lld(n_blocks)
         seg_size = TEAR_GEO.segment_size
         whole, tail = divmod(ld._snapshot_checkpoint().total_len, seg_size)
@@ -566,7 +559,7 @@ class TestTornCheckpointWrite:
             assert disk.write_count == injector.writes_seen
             loader = CheckpointManager(disk.power_cycle(), TEAR_SLOTS)
             assert loader.load().ckpt_seq == 1, durable
-            assert recovered_fingerprints(disk) == [expected, expected], durable
+            assert recovered_from_checkpoint_1(disk) == expected, durable
 
     def test_crash_inside_a_cleaner_checkpoint_is_attributed(self):
         """A power cut inside the cleaner's checkpoint marks the
@@ -667,7 +660,7 @@ class TestChainCrashes:
             in_flight = []
             with pytest.raises(DiskCrashedError):
                 chained_run(disk, in_flight)
-            volume, report = recoveries_agree(disk.power_cycle(), CHAIN_CONFIG)
+            volume, report = recover_twice(disk.power_cycle(), CHAIN_CONFIG)
             previous = in_flight[-1]
             if previous is not None:
                 # Cut inside a checkpoint write: the previous checkpoint
@@ -696,7 +689,7 @@ class TestChainCrashes:
         disk.injector.add_media_fault(
             MediaFault(manager.slot_segment(chain.slot), kind, span=span)
         )
-        _volume, report = recoveries_agree(disk.power_cycle(), CHAIN_CONFIG)
+        _volume, report = recover_twice(disk.power_cycle(), CHAIN_CONFIG)
         assert report.scan_plan == "full"
         assert report.scan_fallback == f"checkpoint slot {chain.slot} is damaged"
         # A rotted delta leaves its base; an unreadable segment, the

@@ -25,7 +25,7 @@ from repro.lld.lld import LLD
 from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
 
-from tests.test_rollforward_scan import recoveries_agree
+from tests.test_rollforward_scan import recover_twice
 
 CONFIG = LLDConfig(checkpoint_slot_segments=1)
 #: Segments `mixed_volume` leaves partly live, and blocks live in each.
@@ -172,7 +172,7 @@ class TestCrashInsideAMixedPass:
         ]
         for cut in cuts:
             disk, expected, unflushed, _writes = self.run_pass(config, cut)
-            survivor, _report = recoveries_agree(disk, config)
+            survivor, _report = recover_twice(disk, config)
             for block, data in expected.items():
                 if block == unflushed and cut[0] == 0:
                     continue  # cut before it was ever flushed

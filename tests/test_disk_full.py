@@ -1,7 +1,10 @@
 """ENOSPC semantics: a full logical disk degrades, never corrupts."""
 
+import itertools
+
 import pytest
 
+from repro.disk.faults import MediaFault
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError, DiskFullError
@@ -9,6 +12,7 @@ from repro.ld.types import FIRST
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
+from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
 
 
@@ -103,3 +107,26 @@ class TestDiskFull:
             except LDError:
                 continue
             assert not data.startswith(b"z" * 16)
+
+    def test_rot_the_audit_finds_on_a_full_disk(self):
+        """No room to relocate what the scrubber salvages: eager
+        recovery still returns, the rotten segment is retired, and its
+        block reads an older copy, never the rot."""
+        disk, lld = tiny()
+        lst = lld.new_list()
+        kept = lld.new_block(lst)
+        with pytest.raises(DiskFullError):
+            for number in itertools.count():
+                lld.write(lld.new_block(lst), b"fill")
+                lld.write(kept, b"kept-%d" % number)
+        seg, slot = lld.bmap.persistent[kept].address
+        start = slot * disk.geometry.block_size
+        disk.injector.add_media_fault(
+            MediaFault(seg, "corrupt", span=(start, start + 64))
+        )
+        volume, _report = recover(
+            disk.power_cycle(), config=LLDConfig(checkpoint_slot_segments=1)
+        )
+        assert volume.usage.state(seg) is SegmentState.QUARANTINED
+        assert volume.read(kept).startswith(b"kept-")
+        assert verify_lld(volume) == []

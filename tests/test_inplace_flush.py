@@ -44,7 +44,6 @@ from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
-from repro.lld.recovery_reference import reference_recover
 from repro.lld.segment import (
     SegmentBuffer,
     decode_segment,
@@ -55,7 +54,7 @@ from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_segments
 
-from tests.oracle import platter_bytes, read_plan, state_fingerprint
+from tests.oracle import platter_bytes, recoveries_agree
 
 #: Coming back to a segment costs nothing on this disk, so every flush
 #: is written in place — also on the small test geometry, which the
@@ -148,30 +147,6 @@ def workload(disk, config, model):
             del live[old]
             op(fs.unlink, old)
     return ld
-
-
-def recoveries_agree(disk, config=SERIAL):
-    """The three recoveries rebuild one sound state from one platter,
-    and leave it as they found it.  Returns the instantly restored
-    volume (swept, on the live disk handle) and the eager report."""
-    platter = platter_bytes(disk)
-    reference, reference_report = reference_recover(
-        disk.power_cycle(), config=config
-    )
-    eager, eager_report = recover(disk.power_cycle(), config=config)
-    instant, instant_report = recover(
-        disk.power_cycle(), mode="instant", config=config
-    )
-    instant.complete_restore()
-    want = state_fingerprint(reference, reference_report)
-    assert state_fingerprint(eager, eager_report) == want
-    assert state_fingerprint(instant, instant_report) == want
-    assert read_plan(instant_report) == read_plan(eager_report)
-    # Recovery writes nothing, so recovering twice is recovering once.
-    assert platter_bytes(disk) == platter
-    for ld in (reference, eager, instant):
-        assert verify_lld(ld) == []
-    return instant, eager_report
 
 
 def check_recovered(disk, config, model):
@@ -320,6 +295,11 @@ class TestChunkStackProperty:
             decoded.block_count,
             decoded.last_seq,
         )
+        # The audit's rule: the data matches, and a rotten byte does not.
+        assert from_tail.body_holds(bytes(platter))
+        if slots:
+            rotten = bytes([platter[0] ^ 0xFF]) + bytes(platter[1:])
+            assert not from_tail.body_holds(rotten)
 
         # Cut the stack at any chunk boundary: the prefix decodes.
         for chunks, (start, n_entries, n_slots) in enumerate(prefixes, 1):
@@ -379,13 +359,13 @@ class TestTornTrailer:
         assert (end == len(after)) != in_place
         for cut in range(end - TRAILER_SIZE, end + 1):
             disk._segments[seg] = after[:cut] + old[cut:]
-            survivor, report = recoveries_agree(disk)
+            survivor, report = recoveries_agree(disk, SERIAL)
             if cut == end:
                 assert survivor.read(block)[0] == 2
                 assert report.arus_committed == 2
         # What the issue measured: zero the final 6 bytes.
         disk._segments[seg] = after[: end - 6] + bytes(6) + after[end:]
-        recoveries_agree(disk)
+        recoveries_agree(disk, SERIAL)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +414,7 @@ class TestSegmentLifecycle:
         assert "chain ends after chunk 1 (torn or stale below)" in (
             describe_segments(disk, slot_segments=2)
         )
-        survivor, _report = recoveries_agree(disk)
+        survivor, _report = recoveries_agree(disk, SERIAL)
         assert survivor.read(blocks[0])[0] == 2
         assert verify_lld(survivor) == []
 
@@ -483,7 +463,7 @@ class TestSegmentLifecycle:
         assert ld.bmap.persistent[second].address.segment != segment
         assert ld.stats()["segments"]["sealed"] == 1
         # Crash right after: both flushed writes are there.
-        survivor, report = recoveries_agree(disk)
+        survivor, report = recoveries_agree(disk, SERIAL)
         assert report.checkpoint_seq == 1
         assert survivor.read(first)[0] == 1
         assert survivor.read(second)[0] == 2

@@ -32,39 +32,17 @@ from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 from repro.obs.schema import validate_stats
 
-from tests.oracle import read_plan, state_fingerprint
-from tests.test_recovery_parallel import build, total_writes, workload
+from tests.oracle import read_plan, recoveries_agree, state_fingerprint
+from tests.test_recovery_parallel import CONFIG, build, total_writes, workload
 
 
 def recover_eager(disk):
-    return recover(
-        disk.power_cycle(),
-        config=LLDConfig(checkpoint_slot_segments=2),
-    )
+    return recover(disk.power_cycle(), config=CONFIG)
 
 
 def recover_instant(disk, **kwargs):
-    return recover(
-        disk.power_cycle(),
-        mode="instant",
-        config=LLDConfig(checkpoint_slot_segments=2, **kwargs),
-    )
-
-
-def assert_identical_after_sweep(disk):
-    """Instant restore, fully drained, equals eager recovery."""
-    eager_lld, eager_report = recover_eager(disk)
-    instant_lld, instant_report = recover_instant(disk)
-    assert eager_report.mode == "eager"
-    assert instant_report.mode == "instant"
-    instant_lld.complete_restore()
-    assert not instant_lld.restore_active
-    assert state_fingerprint(instant_lld, instant_report) == (
-        state_fingerprint(eager_lld, eager_report)
-    )
-    assert read_plan(instant_report) == read_plan(eager_report)
-    assert verify_lld(instant_lld) == []
-    return eager_lld, instant_lld
+    config = CONFIG.replace(**kwargs)
+    return recover(disk.power_cycle(), mode="instant", config=config)
 
 
 class TestInstantEagerIdentity:
@@ -72,7 +50,7 @@ class TestInstantEagerIdentity:
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        assert_identical_after_sweep(disk)
+        recoveries_agree(disk, CONFIG)
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_every_crash_point(self, torn):
@@ -90,7 +68,7 @@ class TestInstantEagerIdentity:
                 continue  # the budget outlived the workload
             except DiskCrashedError:
                 pass
-            assert_identical_after_sweep(disk)
+            recoveries_agree(disk, CONFIG)
 
     def test_media_faulted_segments_classified_identically(self):
         disk, ld = build()
@@ -108,7 +86,7 @@ class TestInstantEagerIdentity:
         disk.injector.add_media_fault(
             MediaFault(segment_no=written[len(written) // 2], kind="corrupt")
         )
-        assert_identical_after_sweep(disk)
+        recoveries_agree(disk, CONFIG)
 
     def test_reads_during_restore_match_eager(self):
         """Every file readable mid-restore, byte-for-byte."""
@@ -150,7 +128,7 @@ class TestOnDemandReplay:
         """A few multi-segment lists written directly through LLD."""
         geo = DiskGeometry.small(num_segments=64)
         disk = SimulatedDisk(geo)
-        ld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
+        ld = LLD(disk, config=CONFIG)
         lists, blocks = [], {}
         for l_index in range(4):
             lst = ld.new_list()
@@ -265,10 +243,7 @@ class TestSecondCrashDuringSweep:
                 mid.restore_drain(max(1, mid._restore.pending_count // 2))
             # Second crash, mid-sweep: power-cycle the half-restored
             # volume's disk and recover it eagerly.
-            again_lld, again_report = recover(
-                survivor.power_cycle(),
-                config=LLDConfig(checkpoint_slot_segments=2),
-            )
+            again_lld, again_report = recover(survivor.power_cycle(), config=CONFIG)
             assert state_fingerprint(again_lld, again_report) == baseline
 
     def test_traffic_then_crash_matches_eager_plus_same_traffic(self):
@@ -288,10 +263,7 @@ class TestSecondCrashDuringSweep:
         disk = self.crashed_disk(60)
 
         eager_side = disk.power_cycle()
-        eager_lld, _ = recover(
-            eager_side,
-            config=LLDConfig(checkpoint_slot_segments=2),
-        )
+        eager_lld, _ = recover(eager_side, config=CONFIG)
         traffic(eager_lld)
 
         instant_side = disk.power_cycle()
@@ -305,14 +277,8 @@ class TestSecondCrashDuringSweep:
         )
         traffic(instant_lld)
 
-        final_eager, re1 = recover(
-            eager_side.power_cycle(),
-            config=LLDConfig(checkpoint_slot_segments=2),
-        )
-        final_instant, re2 = recover(
-            instant_side.power_cycle(),
-            config=LLDConfig(checkpoint_slot_segments=2),
-        )
+        final_eager, re1 = recover(eager_side.power_cycle(), config=CONFIG)
+        final_instant, re2 = recover(instant_side.power_cycle(), config=CONFIG)
         assert state_fingerprint(final_instant, re2) == state_fingerprint(
             final_eager, re1
         )
@@ -389,7 +355,7 @@ class TestShardedInstantRestore:
         vol = build_sharded(
             shards,
             geometry=DiskGeometry.small(num_segments=48),
-            config=LLDConfig(checkpoint_slot_segments=2),
+            config=CONFIG,
         )
         lists = [vol.new_list() for _ in range(6)]
         blocks = [vol.new_block(lst) for lst in lists]

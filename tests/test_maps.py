@@ -40,7 +40,7 @@ from repro.lld.verify import verify_lld
 from repro.shard import ArrayConfig, build_sharded
 from repro.shard.sharded import shard_of
 
-from tests.oracle import state_fingerprint
+from tests.oracle import recoveries_agree, state_fingerprint
 
 #: An ordinary-range identifier far past anything the counter hands
 #: out in these tests.
@@ -318,20 +318,7 @@ class TestOutOfOrderIds:
             assert arr.read(block).rstrip(b"\0") == data, block
         member = arr.shards[0]
         assert verify_lld(member) == []
-        config = member.config
-        disk = member.disk
-        prints = []
-        for recover_fn in (
-            lambda d: reference_recover(d, config=config),
-            lambda d: recover(d, mode="eager", config=config),
-            lambda d: recover(d, mode="instant", config=config),
-        ):
-            disk = disk.power_cycle()
-            volume, report = recover_fn(disk)
-            volume.complete_restore()
-            prints.append(state_fingerprint(volume, report))
-            disk = volume.disk
-        assert prints[0] == prints[1] == prints[2]
+        recoveries_agree(member.disk, member.config)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Differential test: production recovery (batched scan, decode charged
-at the critical-path share of four simulated lanes, tuple replay)
-must rebuild byte-identical logical-disk state to
+"""Differential test: production recovery, eager and instant (batched
+tail scan, CRCs charged at the critical-path share of four simulated
+lanes, tuple replay), must rebuild byte-identical logical-disk state to
 :func:`~repro.lld.recovery_reference.reference_recover` (serial scan,
 object replay, no shared rule code).
 
 Recovery performs no disk writes, so the same crashed platter can be
-recovered repeatedly; we recover it once with each implementation and
-compare the serialized persistent state, the rebuilt usage table, and
-the report's replay counters (``tests/oracle.py``) at every crash point
+recovered repeatedly; ``tests/oracle.py``'s ``recoveries_agree``
+recovers it with each and compares the serialized persistent state,
+the rebuilt usage table, and the report's replay counters at every crash point
 of a canonical meta-data-heavy workload (whole-write drops and torn
 writes alike).  How much of the disk each read to get there is not
 compared: the reference reads every segment, production rolls forward
@@ -33,10 +33,9 @@ from repro.lld import recovery as lld_recovery
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
-from repro.lld.recovery_reference import reference_recover
 from repro.shard.sharded import build_sharded
 
-from tests.oracle import state_fingerprint
+from tests.oracle import recoveries_agree
 
 CONFIG = LLDConfig(checkpoint_slot_segments=2)
 
@@ -64,19 +63,6 @@ def workload(fs):
     fs.sync()
 
 
-def assert_equivalent(disk):
-    """Recover twice (reference, production) and compare the rebuilt
-    state."""
-    reference_lld, reference_report = reference_recover(
-        disk.power_cycle(), config=CONFIG
-    )
-    lld, report = recover(disk.power_cycle(), config=CONFIG)
-    assert state_fingerprint(lld, report) == state_fingerprint(
-        reference_lld, reference_report
-    )
-    return reference_lld, lld
-
-
 def total_writes():
     disk, ld = build()
     fs = MinixFS.mkfs(ld, n_inodes=256)
@@ -89,7 +75,7 @@ class TestParallelSerialEquivalence:
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        assert_equivalent(disk)
+        recoveries_agree(disk, CONFIG)
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_every_crash_point(self, torn):
@@ -107,7 +93,7 @@ class TestParallelSerialEquivalence:
                 continue  # the budget outlived the workload
             except DiskCrashedError:
                 pass
-            assert_equivalent(disk)
+            recoveries_agree(disk, CONFIG)
 
     def test_media_faulted_segments_classified_identically(self):
         disk, ld = build()
@@ -124,13 +110,13 @@ class TestParallelSerialEquivalence:
         disk.injector.add_media_fault(
             MediaFault(segment_no=written[len(written) // 2], kind="corrupt")
         )
-        assert_equivalent(disk)
+        recoveries_agree(disk, CONFIG)
 
     def test_parallel_data_readable(self):
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        _reference, lld = assert_equivalent(disk)
+        lld, _report = recoveries_agree(disk, CONFIG)
         mounted = MinixFS.mount(lld)
         for name in mounted.listdir("/"):
             mounted.read_file(f"/{name}")
@@ -238,8 +224,8 @@ class TestHostCost:
         assert report.segments_replayed > 4
 
     def test_decode_lanes_are_charged_as_before(self, platter):
-        """The decode phase is charged at the share of four lanes.  The
-        value was captured while the decode still ran on a thread pool
-        of four."""
+        """The body audit's CRC is charged at the share of four lanes,
+        as the whole-body decode it replaced was (captured while that
+        decode still ran on a thread pool of four)."""
         _lld, report = recover(platter.power_cycle(), config=CONFIG)
-        assert report.phase_us["decode"].hex() == "0x1.c0ec000000000p+13"
+        assert report.phase_us["audit"].hex() == "0x1.3014a1cc71c70p+19"

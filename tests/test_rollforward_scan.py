@@ -36,13 +36,13 @@ from hypothesis.stateful import (
 from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import SECTOR_SIZE, TRAILER_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
-from repro.errors import DiskCrashedError
+from repro.errors import DiskCrashedError, UnrecoverableBlockError
 from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
-from repro.lld.segment import parse_trailer
+from repro.lld.segment import decode_segment, parse_trailer
 from repro.lld.usage import (
     QUARANTINE_SEQ,
     WALK_BATCH,
@@ -52,7 +52,12 @@ from repro.lld.usage import (
 from repro.lld.verify import verify_lld
 from repro.tools.inspect import describe_checkpoints, describe_restore
 
-from tests.oracle import platter_bytes, read_plan, state_fingerprint
+from tests.oracle import (
+    platter_bytes,
+    read_plan,
+    recoveries_agree,
+    state_fingerprint,
+)
 from tests.test_inplace_flush import FREE_POSITIONING
 
 CONFIG = LLDConfig(checkpoint_slot_segments=2)
@@ -66,34 +71,16 @@ def small_disk(num_segments=64, injector=None, model=None):
     return SimulatedDisk(geometry, injector=injector, model=model)
 
 
-def recoveries_agree(disk, config=CONFIG):
-    """Reference, eager (twice) and instant recovery rebuild one sound
-    state from one platter and leave it as they found it; eager and
-    instant read the disk the same way.  Returns the second eager
-    volume and its report."""
-    platter = platter_bytes(disk)
-    reference, reference_report = reference_recover(
-        disk.power_cycle(), config=config
-    )
-    want = state_fingerprint(reference, reference_report)
-    eager, eager_report = recover(disk.power_cycle(), config=config)
-    instant, instant_report = recover(
-        disk.power_cycle(), mode="instant", config=config
-    )
-    instant.complete_restore()
-    again, again_report = recover(disk.power_cycle(), config=config)
-    for volume, report in (
-        (eager, eager_report),
-        (instant, instant_report),
-        (again, again_report),
-    ):
-        assert state_fingerprint(volume, report) == want
-        assert read_plan(report) == read_plan(eager_report)
-        assert verify_lld(volume) == []
-    assert verify_lld(reference) == []
-    assert platter_bytes(disk) == platter
-    accounts_for_the_partition(again, again_report)
-    return again, again_report
+def recover_twice(disk, config=CONFIG):
+    """The recovery oracle, and recovering again is recovering once:
+    a second eager recovery rebuilds the same state, reads the disk
+    the same way and accounts for the partition.  Returns it."""
+    first = recoveries_agree(disk, config)
+    again = recover(disk.power_cycle(), config=config)
+    assert state_fingerprint(*again) == state_fingerprint(*first)
+    assert read_plan(again[1]) == read_plan(first[1])
+    accounts_for_the_partition(*again)
+    return again
 
 
 def accounts_for_the_partition(volume, report):
@@ -228,7 +215,7 @@ class TestLowestFirst:
             fill(ld, blocks, 1)
         self.next_three_are_the_lowest(ld, blocks)
         ld.flush()
-        survivor, _report = recoveries_agree(disk, ld.config)
+        survivor, _report = recover_twice(disk, ld.config)
         self.next_three_are_the_lowest(survivor, blocks)
 
     def next_three_are_the_lowest(self, volume, blocks):
@@ -280,7 +267,7 @@ class TestCheckpointLeavesNoSegmentOpen:
         the freed victims: the walk stops after segments 4-11 and the
         flushed write is lost."""
         disk, ld, hot = self.crashed_after_first_cleaner_checkpoint(seed)
-        survivor, report = recoveries_agree(disk, self.CLEANING)
+        survivor, report = recover_twice(disk, self.CLEANING)
         assert report.scan_plan == "walk"
         assert report.segments_replayed == 1
         assert survivor.read(hot[0]) == b"\xab" * disk.geometry.block_size
@@ -289,14 +276,14 @@ class TestCheckpointLeavesNoSegmentOpen:
         """A recovery writes no checkpoint, so the second walk starts
         from the same roster and must find what both lives wrote."""
         disk, _ld, hot = self.crashed_after_first_cleaner_checkpoint(3)
-        survivor, first = recoveries_agree(disk, self.CLEANING)
+        survivor, first = recover_twice(disk, self.CLEANING)
         size = disk.geometry.block_size
         checkpoints = survivor.stats()["checkpoint"]["last_seq"]
         for number in range(5 * 15):
             survivor.write(hot[number % 30], bytes([number % 199]) * size)
         survivor.flush()
         assert survivor.stats()["checkpoint"]["last_seq"] == checkpoints
-        again, second = recoveries_agree(survivor.disk, self.CLEANING)
+        again, second = recover_twice(survivor.disk, self.CLEANING)
         assert second.scan_plan == "walk"
         assert second.checkpoint_seq == first.checkpoint_seq
         assert second.segments_replayed >= first.segments_replayed + 5
@@ -342,12 +329,12 @@ class TestCheckpointLeavesNoSegmentOpen:
 
 class TestWalk:
     def test_never_written_disk(self):
-        _volume, report = recoveries_agree(small_disk(64))
+        _volume, report = recover_twice(small_disk(64))
         assert read_plan(report) == ("walk", "", WALK_BATCH, 0, RESERVED + 7, 8)
 
     def test_batch_covers_a_write_behind_drain(self):
         config = CONFIG.replace(writeback_depth=11)
-        _volume, report = recoveries_agree(small_disk(64), config)
+        _volume, report = recover_twice(small_disk(64), config)
         assert report.segments_scanned == 12
 
     def test_clean_shutdown(self):
@@ -355,7 +342,7 @@ class TestWalk:
         ld, _blocks = volume_with_suffix(disk)
         ld.write_checkpoint()
         dirty = len(list(ld.usage.dirty_segments()))
-        _volume, report = recoveries_agree(disk)
+        _volume, report = recover_twice(disk)
         assert report.scan_plan == "walk"
         assert report.segments_attested == dirty
         assert report.segments_scanned == WALK_BATCH
@@ -364,7 +351,7 @@ class TestWalk:
     def test_log_suffix_after_a_checkpoint(self):
         disk = small_disk(64)
         volume_with_suffix(disk)
-        volume, report = recoveries_agree(disk)
+        volume, report = recover_twice(disk)
         written = newer_than_checkpoint(disk, volume)
         assert report.scan_plan == "walk"
         assert report.segments_replayed == written >= 3
@@ -384,7 +371,7 @@ class TestWalk:
         disk = small_disk(64, FaultInjector(plan=FaultPlan(power_cut=cut)))
         with pytest.raises(DiskCrashedError):
             volume_with_suffix(disk, suffix_rounds=30)
-        volume, report = recoveries_agree(disk)
+        volume, report = recover_twice(disk)
         assert report.scan_plan == "walk" and report.checkpoint_seq == 1
         written = newer_than_checkpoint(disk, volume)
         assert written == crash_after - 5 == report.segments_replayed
@@ -404,7 +391,7 @@ class TestWalk:
             ld.flush()
         assert ld._buffer.in_place
         assert ld.stats()["segments"]["in_place_writes"] >= 4
-        volume, report = recoveries_agree(disk)
+        volume, report = recover_twice(disk)
         assert report.scan_plan == "walk"
         assert report.segments_replayed == 1
         assert report.segments_scanned == 2 * WALK_BATCH
@@ -423,7 +410,7 @@ class TestFallback:
         ld, _blocks = volume_with_suffix(disk)
         victim = self.suffix_segments(disk, ld)[1]
         disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
-        volume, report = recoveries_agree(disk)
+        volume, report = recover_twice(disk)
         assert report.scan_plan == "full"
         assert report.scan_fallback == f"segment {victim} is unreadable"
         assert report.segments_scanned == 60
@@ -440,27 +427,64 @@ class TestFallback:
         disk.injector.add_media_fault(
             MediaFault(victim, "corrupt", span=(size - TRAILER_SIZE, size))
         )
-        _volume, report = recoveries_agree(disk)
+        _volume, report = recover_twice(disk)
         assert report.scan_plan == "full"
         assert report.scan_fallback == (
             f"segment {victim} ends in neither zeros nor a trailer"
         )
 
-    def test_rot_in_the_body_of_a_newer_segment(self):
-        disk = small_disk(64)
-        ld, _blocks = volume_with_suffix(disk)
-        victim = self.suffix_segments(disk, ld)[1]
-        disk.injector.add_media_fault(MediaFault(victim, "corrupt", span=(0, 64)))
-        reference, _ = reference_recover(disk.power_cycle(), config=CONFIG)
-        eager, report = recover(disk.power_cycle(), config=CONFIG)
-        assert state_fingerprint(eager, report) == state_fingerprint(
-            reference, _
+    @pytest.mark.parametrize("in_place", [False, True], ids=["whole", "in_place"])
+    def test_rot_in_the_body_of_a_newer_segment(self, in_place):
+        """Rot in the data of a segment written since the checkpoint —
+        of a whole image, or of the second chunk of a stack written in
+        place.  The summary CRCs hold, so the walk takes the segment;
+        eager recovery's body audit finds the rot and hands the
+        segment to the scrubber, which salvages what has an older copy
+        and quarantines it."""
+        disk = small_disk(64, model=FREE_POSITIONING if in_place else None)
+        ld, blocks = volume_with_suffix(disk)
+        ld.write_checkpoint()  # the victim is the one segment after it
+        size = disk.geometry.block_size
+        lst = ld.new_list()
+        sole = []
+        for fill in (201, 202):
+            sole.append(ld.new_block(lst))
+            for block in (sole[-1], blocks[0]):
+                ld.write(block, bytes([fill]) * size)
+            if in_place:
+                ld.flush()
+        ld.flush()
+        victim, slot = ld.bmap.persistent[sole[1]].address
+        if in_place:
+            stack = decode_segment(disk.read_segment(victim), disk.geometry, victim)
+            assert stack.chunk_count == 2 and slot == 2
+        disk.injector.add_media_fault(
+            MediaFault(victim, "corrupt", span=(slot * size, slot * size + 64))
         )
-        assert report.scan_plan == "full"
-        assert report.scan_fallback == (
-            f"segment {victim} is newer than the checkpoint but damaged"
-        )
-        accounts_for_the_partition(eager, report)
+        crashed = disk.power_cycle()
+        eager, report = recover(crashed.snapshot(), config=CONFIG)
+        instant, drained = recover(crashed.snapshot(), mode="instant", config=CONFIG)
+        instant.complete_restore()
+        instant.scrub([victim])
+        assert state_fingerprint(eager, report) == state_fingerprint(instant, drained)
+        assert report.scan_plan == "walk"
+        for volume in (eager, instant):
+            assert volume.usage.state(victim) is SegmentState.QUARANTINED
+            scrub = volume.stats()["scrub"]
+            assert (scrub["blocks_lost"], scrub["blocks_salvaged_stale"]) == (2, 1)
+            for block in sole:
+                with pytest.raises(UnrecoverableBlockError):
+                    volume.read(block)
+            # blocks[0] is salvaged stale: its copy from before the victim.
+            for block in blocks:
+                assert volume.read(block) == bytes([104]) * size
+            assert verify_lld(volume) == []
+        again, again_report = recover_twice(eager.disk)
+        assert again.usage.state(victim) is SegmentState.QUARANTINED
+        assert again_report.segments_quarantined == 1
+        assert again.read(blocks[0]) == bytes([104]) * size
+        with pytest.raises(UnrecoverableBlockError):
+            again.read(sole[0])
 
     def test_every_cut_inside_the_last_trailer_of_the_log(self):
         """A byte-granular tear — which no real disk produces — inside
@@ -479,7 +503,7 @@ class TestFallback:
         end = len(after)
         for cut in range(end - TRAILER_SIZE, end + 1):
             disk._segments[seg] = after[:cut] + bytes(end - cut)
-            _volume, report = recoveries_agree(disk)
+            _volume, report = recover_twice(disk)
             clean = cut in (end - TRAILER_SIZE, end)
             assert report.scan_plan == ("walk" if clean else "full"), cut
             if not clean:
@@ -525,7 +549,7 @@ class TestFallback:
                 span=(start, start + 16),
             )
         )
-        _volume, report = recoveries_agree(disk, ld.config)
+        _volume, report = recover_twice(disk, ld.config)
         assert report.checkpoint_seq == 1
         assert report.scan_plan == "full"
         assert report.scan_fallback == f"checkpoint slot {slot} is damaged"
@@ -541,7 +565,7 @@ class TestFallback:
         injector._tear_point = lambda nbytes: SECTOR_SIZE
         with pytest.raises(DiskCrashedError):
             ld.write_checkpoint()
-        _volume, report = recoveries_agree(disk)
+        _volume, report = recover_twice(disk)
         assert report.checkpoint_seq == 1
         assert report.scan_plan == "full"
         assert report.scan_fallback == "checkpoint slot 0 is damaged"
@@ -555,7 +579,7 @@ class TestFallback:
         injector.crash_plan = PowerCut(after_writes=injector.writes_seen)
         with pytest.raises(DiskCrashedError):
             ld.write_checkpoint()
-        _volume, report = recoveries_agree(disk)
+        _volume, report = recover_twice(disk)
         assert report.scan_plan == "walk"
         assert "slot 0: never written" in describe_checkpoints(
             disk.power_cycle(), 2
@@ -569,13 +593,13 @@ class TestFallback:
         ld, blocks = volume_with_suffix(disk)
         victim = self.suffix_segments(disk, ld)[1]
         disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
-        survivor, first = recoveries_agree(disk)
+        survivor, first = recover_twice(disk)
         assert first.scan_plan == "full"
         assert victim not in survivor.checkpoints.load().segments
         fill(survivor, blocks, 5, tag=200)
         survivor.flush()
         assert survivor.stats()["checkpoint"]["last_seq"] == first.checkpoint_seq
-        again, second = recoveries_agree(survivor.disk)
+        again, second = recover_twice(survivor.disk)
         assert second.scan_plan == "full"
         assert second.scan_fallback == f"segment {victim} is unreadable"
         assert second.segments_replayed > first.segments_replayed
@@ -673,7 +697,7 @@ class RollForwardMachine(RuleBasedStateMachine):
         self.recover()
 
     def recover(self):
-        self.ld, report = recoveries_agree(self.disk, self.config)
+        self.ld, report = recover_twice(self.disk, self.config)
         self.disk = self.ld.disk
         self.recoveries += 1
         size = self.ld.geometry.block_size

@@ -34,12 +34,8 @@ from repro.lld.summary import (
     encode_entries,
 )
 
-from tests.test_recovery_parallel import (
-    CONFIG,
-    assert_equivalent,
-    build,
-    workload,
-)
+from tests.oracle import recoveries_agree
+from tests.test_recovery_parallel import CONFIG, build, workload
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +281,7 @@ class TestReplayByteIdentity:
         disk, ld = build()
         fs = MinixFS.mkfs(ld, n_inodes=256)
         workload(fs)
-        assert_equivalent(disk)
+        recoveries_agree(disk, CONFIG)
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_crash_sweep_tuple_vs_object(self, torn):
@@ -311,7 +307,7 @@ class TestReplayByteIdentity:
                 continue  # the budget outlived the workload
             except DiskCrashedError:
                 pass
-            assert_equivalent(disk)
+            recoveries_agree(disk, CONFIG)
 
     def test_data_readable_after_tuple_replay(self):
         disk, ld = build()
