@@ -12,7 +12,8 @@ can be reconstructed after a crash.  This package contains:
   writer (:mod:`repro.lld.logwriter`),
 * the logical disk itself (:mod:`repro.lld.lld`), supporting both the
   paper's "new" prototype (concurrent ARUs) and the "old" baseline
-  (sequential ARUs) via ``aru_mode``,
+  (sequential ARUs) via ``aru_mode``, and its half of an array's
+  two-phase commit (:mod:`repro.lld.participant`),
 * crash recovery (:mod:`repro.lld.recovery`) and the segment cleaner
   (:mod:`repro.lld.cleaner`).
 """

@@ -6,7 +6,9 @@ cleaner, scrub and instant-restore entry points.  The two jobs
 underneath it live elsewhere: :class:`~repro.core.engine.VersionEngine`
 keeps the shadow / committed / persistent versions and never sees the
 disk, and :class:`~repro.lld.logwriter.LogWriter` (this class's base,
-and the engine's log sink) fills segments and writes them out.
+and the engine's log sink) fills segments and writes them out.  Its
+other base, :class:`~repro.lld.participant.Participant`, is one
+volume's half of the array's two-phase commit.
 
 Two modes, chosen by ``aru_mode``:
 
@@ -46,7 +48,6 @@ from repro.errors import (
     BadListError,
     ConcurrencyError,
     DiskCrashedError,
-    DiskFullError,
     LDError,
     MediaError,
     UnrecoverableBlockError,
@@ -73,6 +74,7 @@ from repro.lld.checkpoint import (
     pack_list_record,
 )
 from repro.lld.logwriter import LogWriter
+from repro.lld.participant import Participant
 from repro.lld.summary import EntryKind, SummaryEntry
 from repro.lld.usage import SegmentState, SegmentUsage
 from repro.obs import Observability
@@ -93,7 +95,7 @@ class _OpCounters(dict):
         return counter
 
 
-class LLD(LogWriter, LogicalDisk):
+class LLD(LogWriter, Participant, LogicalDisk):
     """Log-structured logical disk (LLD) with ARU support.
 
     Args:
@@ -179,15 +181,7 @@ class LLD(LogWriter, LogicalDisk):
         self._next_block_id = 1
         self._next_list_id = 1
         self._ckpt_seq = 0
-        #: ARU tag -> coordinator transaction id for ARUs that emitted
-        #: a PREPARE record and are awaiting the coordinator decision
-        #: (cross-volume commits; see :meth:`prepare_commit`).
-        self._prepared_xids: Dict[int, int] = {}
-        #: Coordinator transaction ids this volume has decided
-        #: committed (shard 0 of a sharded volume; empty elsewhere).
-        #: Persisted in checkpoints so cleaning the segment that holds
-        #: a DECIDE record never loses the decision.
-        self._decided_xids: Set[int] = set()
+        Participant.__init__(self)
         self._dead = False
         self._lock = threading.RLock()
         #: Segments a foreground read or the cleaner found damaged;
@@ -360,35 +354,18 @@ class LLD(LogWriter, LogicalDisk):
             tag = int(aru)
             cfg = self.config
             park = cfg.group_commit and not prepare
-            # Commits may dip into the segment reserve: an interrupted
-            # merge cannot be unwound, so completion beats headroom.
-            self._emergency = True
-            try:
-                if self.concurrent:
-                    self.engine.merge(record)
-                op_count = record.op_count
-                ts = self.clock.tick()
-                if park:
-                    self._park_commit(tag, op_count, ts)
-                elif prepare:
-                    self._emit_entry(
-                        SummaryEntry(EntryKind.PREPARE, tag, ts, op_count, xid)
-                    )
-                else:
-                    self._emit_entry(
-                        SummaryEntry(EntryKind.COMMIT, tag, ts, op_count)
-                    )
-            except DiskFullError:
-                # A half-merged commit cannot be unwound in memory;
-                # fail the instance (recovery from disk restores the
-                # consistent pre-commit state, since no commit record
-                # was written).
-                self._mark_dead(
-                    "prepare_disk_full" if prepare else "commit_disk_full"
-                )
-                raise
-            finally:
-                self._emergency = False
+            op_count = record.op_count
+            kind = EntryKind.PREPARE if prepare else EntryKind.COMMIT
+            ts = self._log_in_reserve(
+                "prepare_disk_full" if prepare else "commit_disk_full",
+                None if park else kind,
+                tag,
+                op_count,
+                xid or 0,
+                merge=record,
+            )
+            if park:
+                self._park_commit(tag, op_count, ts)
             self._pending_commit_arus.add(tag)
             if prepare:
                 self._prepared_xids[tag] = xid
@@ -419,93 +396,6 @@ class LLD(LogWriter, LogicalDisk):
                 )
             self.engine.discard(self.arus.finish(aru, committed=False))
             self.obs.record("aru.abort", aru=int(aru))
-
-    # ==================================================================
-    # Cross-volume commit hooks (sharded volumes; repro.shard)
-    # ==================================================================
-
-    def prepare_commit(self, aru: ARUId, xid: int) -> None:
-        """First phase of a cross-volume commit: park the ARU prepared.
-
-        Like :meth:`end_aru`, the ARU's shadow state merges into the
-        committed stream and the ARU is finished — but a PREPARE
-        record carrying the coordinator transaction id ``xid`` is
-        emitted instead of a COMMIT record.  The ARU's effects become
-        persistent only once a DECIDE record for ``xid`` is durable on
-        the coordinator volume *and* :meth:`finish_prepared` releases
-        the parked state; recovery discards a prepared ARU whose xid
-        was never decided.  Callers must flush this volume before
-        logging the decision, so a durable DECIDE implies every
-        participant's PREPARE (and data) is durable.
-        """
-        self._commit(aru, int(xid))
-
-    def log_decision(self, xid: int) -> None:
-        """Coordinator hook: append a DECIDE record for ``xid``.
-
-        Called on shard 0 after every participant's PREPARE is
-        durable; the caller flushes afterwards, and that flush is the
-        commit point of the whole cross-volume ARU.  The decision is
-        also remembered in memory (and rides in checkpoints) so the
-        cleaner superseding the segment that holds the record never
-        loses it while a participant might still need it.
-        """
-        with self._lock:
-            self._check_alive()
-            self._charge("ld_call_us")
-            self._ops["log_decision"].inc()
-            self._emergency = True
-            try:
-                self._emit_entry(
-                    SummaryEntry(
-                        EntryKind.DECIDE, 0, self.clock.tick(), int(xid)
-                    )
-                )
-            except DiskFullError:
-                self._mark_dead("decide_disk_full")
-                raise
-            finally:
-                self._emergency = False
-            self._decided_xids.add(int(xid))
-            self._charge("summary_entry_us")
-            self.obs.record("aru.decide", xid=int(xid))
-
-    def finish_prepared(self, aru_tag: int) -> None:
-        """Second phase: release a prepared ARU as committed.
-
-        Called once the coordinator's DECIDE record for the ARU's xid
-        is durable (so by the durability ordering the PREPARE and all
-        the ARU's effects are too).  The tag joins
-        ``_commit_on_disk`` — exactly what recovery computes when it
-        rolls a decided PREPARE forward — and folding proceeds.
-        """
-        with self._lock:
-            self._check_alive()
-            self._charge("ld_call_us")
-            self._ops["finish_prepared"].inc()
-            tag = int(aru_tag)
-            self._prepared_xids.pop(tag, None)
-            self._commit_on_disk.add(tag)
-            self._pending_commit_arus.discard(tag)
-            self.engine.fold(self._last_written_seq, self._commit_on_disk)
-            # The release is when checkpointing becomes safe again
-            # (no pending commits), so space reclaimed here — unlike
-            # during prepare_commit — can actually be freed.
-            self._clean_if_low()
-
-    def clear_decisions(self) -> None:
-        """Forget the coordinator's decided transaction ids.
-
-        Only safe when every participant volume has a durable
-        checkpoint covering all of its PREPARE records — i.e. from
-        :meth:`repro.shard.ShardedLLD.write_checkpoint`, after the
-        other shards checkpointed and before this volume does.  The
-        shrunken set becomes durable with this volume's next
-        checkpoint; until then the old checkpoint's superset remains,
-        which is always safe (stale decisions are never harmful).
-        """
-        with self._lock:
-            self._decided_xids.clear()
 
     # ==================================================================
     # Public interface: blocks

@@ -52,9 +52,9 @@ def recover(
             once and replays on demand (see docs/RECOVERY.md).
         config: Per-volume :class:`~repro.lld.config.LLDConfig`,
             applied to every member alike.
-        array_config: Array-level :class:`ArrayConfig` (replication
-            factor, repair pacing).  Only meaningful for a sequence
-            of images; rejected for a single one.
+        array_config: Array-level :class:`ArrayConfig` (the
+            replication factor).  Only meaningful for a sequence of
+            images; rejected for a single one.
         cost_model: CPU cost model of every recovered volume.
 
     No thread is started: an array's members recover one after

@@ -10,9 +10,10 @@ volumes via a two-phase coordinator commit, and — with an
 entity on ring peer shards so the array serves reads and writes
 through the loss of any ``replication_factor - 1`` members and
 rebuilds them online (:meth:`ShardedLLD.repair`).
-:func:`repro.recovery.recover` scans every surviving shard in
-parallel and rolls each shard's prepared state forward or discards it
-according to the union of the decision shards' DECIDE records.  See
+:func:`repro.recovery.recover` recovers the surviving shards one
+after another and rolls each shard's prepared state forward or
+discards it according to the union of the decision shards' DECIDE
+records (:mod:`repro.shard.twophase` states the protocol).  See
 ``docs/SHARDING.md``.
 """
 

@@ -2,24 +2,13 @@
 
 :func:`repro.recovery.recover`, given a sequence of member disks,
 rebuilds a :class:`~repro.shard.sharded.ShardedLLD` from a crashed
-array (this module is its sharded half).  The decision shards —
-shard 0 for an unreplicated array; shards ``0 .. k-1`` with
-replication factor k — are recovered first, in ascending order, each
-fed the union of the decided-xid sets surfaced so far; participants
-then recover against the full union, each rolling a
-PREPARE-tagged ARU forward iff its transaction id was decided and
-discarding it otherwise (presumed abort).
-
-Because a durable DECIDE implies every participant's PREPARE (and all
-of the transaction's effects) were durable first, this resolves every
-crash point to all-or-nothing across the whole array; because an
-undecided PREPARE is discarded *everywhere*, no shard can expose half
-a transaction.  With replication the same argument survives member
-loss: DECIDEs are logged to the decision shards in ascending order
-and a commit is acknowledged only once every surviving decision shard
-holds it, so the union over any ``n - (k-1)`` surviving decision
-shards is consistent — an unacknowledged commit may resolve either
-way, but it resolves the *same* way on every surviving shard.
+array (this module is its sharded half).  It recovers the decision
+shards first, in ascending order, each fed the union of the
+decided-xid sets surfaced so far, then every other member against the
+full union: a PREPARE-tagged ARU rolls forward iff its transaction id
+was decided.  Why that is all-or-nothing at every crash point, with
+and without member loss, is the protocol's argument in
+:mod:`repro.shard.twophase`.
 
 Members whose media is gone (``disks[i] is None``, or the scan raises
 :class:`~repro.errors.ShardLostError` because the shared injector has
@@ -51,6 +40,7 @@ from repro.lld.config import LLDConfig
 from repro.lld.recovery import RecoveryReport, recover
 from repro.shard.config import ArrayConfig
 from repro.shard.sharded import ShardedLLD
+from repro.shard.twophase import decision_shards
 
 
 @dataclasses.dataclass
@@ -133,7 +123,7 @@ def _recover_sharded(
     wall_start = time.perf_counter()
     n = len(disks)
     acfg = array_config or ArrayConfig()
-    decision = list(range(min(max(acfg.replication_factor, 1), n)))
+    decision = decision_shards(n, acfg.replication_factor)
 
     shards: List[Optional[object]] = [None] * n
     reports_by_shard: Dict[int, RecoveryReport] = {}

@@ -1,8 +1,5 @@
 """``ShardedLLD``: one logical disk striped over N LLD volumes.
 
-Identifier striping
--------------------
-
 Global and per-shard ("local") identifiers are related by a fixed
 bijection for both blocks and lists::
 
@@ -10,110 +7,39 @@ bijection for both blocks and lists::
     to_local(g)  = (g - 1) // N + 1
     to_global(l, s) = (l - 1) * N + s + 1
 
-Each shard's LLD allocates its local identifiers densely from 1, so
-global identifiers are unique by construction (a global id is
-congruent to its shard modulo N).  New lists are placed round-robin
-starting at shard 0 — which keeps the well-known bootstrap list ids
-(1 and 2, used by :class:`~repro.fs.filesystem.MinixFS`) stable for
-any shard count — and a block always lives on its list's shard, so
-every list (and therefore every predecessor search, link record and
-cleaner decision) is wholly local to one volume.
-
-Replication
------------
+Each shard allocates its local identifiers densely from 1, so global
+identifiers are unique by construction.  New lists go round-robin from
+shard 0, which keeps the bootstrap list ids of
+:class:`~repro.fs.filesystem.MinixFS` (1 and 2) stable for any shard
+count, and a block lives on its list's shard, so every list is wholly
+local to one volume.
 
 With :class:`~repro.shard.config.ArrayConfig` ``replication_factor``
-k > 1, every entity homed on shard *s* is mirrored on the next k-1
-ring peers ``(s + 1) % N .. (s + k - 1) % N``.  The mirror of global
-entity *g* is a perfectly deterministic local entity on each peer:
-its forced local identifier is ``SYSTEM_ID_BASE + g``, so no replica
-map or manifest is ever stored — placement is pure arithmetic, and
-the system id range (:data:`~repro.ld.types.SYSTEM_ID_BASE`) never
-collides with, or perturbs the striping of, client-visible ids.
+k > 1, an entity homed on shard *s* is mirrored on the ring peers
+``(s + 1) % N .. (s + k - 1) % N`` under the forced local id
+:func:`mirror_id`, ``SYSTEM_ID_BASE + g``: placement is arithmetic,
+and no map is stored.  Mirror operations ride the same ARU as the home
+one, so an acknowledged commit is durable on k volumes and survives
+the loss of any k - 1.  :mod:`repro.shard.twophase` states the
+cross-shard commit protocol.  Simple operations are mirrored with
+single-volume durability (the next flush), like the home copy.
 
-Mirror operations ride the *same* ARU as the home operation: a
-mutating ARU on a replicated array always touches at least two
-shards, so it always commits through the two-phase protocol below,
-and the PREPARE flush that makes the home effects durable makes the
-mirror effects durable in the same step.  That is the whole
-correctness argument for "no committed ARU is lost while at most
-k-1 shards fail": every committed effect is durable on k volumes
-before the commit is acknowledged.  Non-ARU (simple) operations are
-mirrored too, but with ordinary single-volume durability (the next
-flush) — replication is synchronous in order, asynchronous in
-durability, exactly like the home copy itself.
+Every routed operation works on the live copies of a global id, home
+first (:meth:`ShardedLLD._copies`): mutations through
+:meth:`ShardedLLD._mutate`, queries through :meth:`ShardedLLD._lookup`,
+whole-array operations through :meth:`ShardedLLD._each`, and repair
+and resync through one list copier, :meth:`ShardedLLD._copy_list`.  A
+member that raises :class:`~repro.errors.ShardLostError` is failed
+over where it is met, and :meth:`ShardedLLD.repair` rebuilds it from
+the committed copies on its peers.
 
-Routing: one replica set
-------------------------
-
-Every routed operation works on *the live copies of a global id,
-home first*: ``(home, to_local(g))``, then ``(peer, mirror_id(g))``
-for each live ring peer.  An unreplicated, fully-live array is the
-case where that set has one member; there is no single-copy path.
-Mutations go through :meth:`ShardedLLD._mutate` (every live copy,
-home first), queries through :meth:`ShardedLLD._lookup` (the first
-live copy that can answer), whole-array operations and every phase
-of the commit protocol through :meth:`ShardedLLD._each`, and repair
-and resync through one list copier, :meth:`ShardedLLD._copy_list` —
-rebuilding a lost replica is the same read-the-survivors /
-write-the-target step, not a second protocol.
-
-A member that raises :class:`~repro.errors.ShardLostError` (injected
-with :class:`~repro.disk.faults.ShardLoss` or forced with
-:meth:`ShardedLLD.lose_shard`) is failed over where it is met: reads
-are served from mirrors (counted as ``degraded_reads``), writes
-update the surviving copies only, and allocations homed on it draw
-local ids from a snapshot of its counters so global ids stay dense
-and unique.  :meth:`ShardedLLD.start_repair` /
-:meth:`ShardedLLD.repair_step` rebuild the lost member onto fresh
-media from the newest *committed* peer copies — repair never copies
-uncommitted data — a paced slice of admit/copy operations per
-``repair_step`` call, so it runs in the background; lists mutated while their copy is in flight
-are re-copied during the final quiescent step, so repair converges.
-
-Cross-shard atomicity
----------------------
-
-An ARU that touched a single shard commits through the ordinary
-:meth:`~repro.lld.lld.LLD.end_aru` — nothing new, and nothing extra
-durable.  An ARU that touched several shards commits with a
-two-phase, presumed-abort protocol whose phases are:
-
-1. **Prepare.** Every participant merges the ARU's shadow state and
-   emits a PREPARE record carrying a fresh coordinator transaction id
-   (xid); every participant is then flushed, so all effects and
-   PREPAREs are durable.
-2. **Decide.** Each decision shard (shard 0 for an unreplicated
-   array; shards ``0 .. min(k, N) - 1`` with replication factor k)
-   logs a DECIDE record for the xid and is flushed (issued in
-   ascending order; acknowledged once all hold it).  The first
-   durable DECIDE is the commit point: recovery unions the decided
-   sets of every surviving decision shard, so the decision survives
-   the loss of any k-1 shards.
-3. **Release.** Each participant's parked state is released
-   (:meth:`~repro.lld.lld.LLD.finish_prepared`) and folds to
-   persistent.
-
-A crash strictly before any DECIDE record is durable leaves every
-shard's PREPARE undecided — recovery discards them all; a crash at or
-after it rolls every shard forward — all-or-nothing at every torn
-write point (``tests/test_shard.py`` sweeps them exhaustively).
-
-Time and failures
------------------
-
-Each shard owns a private :class:`~repro.disk.clock.SimClock` (an
-array of disks, each charging its own latencies); array time is the
-furthest member's.  A call that touches several members costs its
-**critical path**, not the sum (:class:`_FanOut`): one host CPU issues
-the calls in program order — the order every disk write and crash
-point keeps — and the disks work side by side; consecutive calls do
-not overlap.  Array time never runs backwards: a lost member's last
-reading stays a floor under ``clock.now_us``.
-:func:`build_sharded` shares a single
-:class:`~repro.disk.faults.FaultInjector` across all shard disks, so
-a fault plan's ``after_writes`` counts one global write index over
-the whole array and a power failure halts every shard at once.
+Each shard owns a private :class:`~repro.disk.clock.SimClock`; array
+time is the furthest member's, and a call that touches several
+members costs its critical path, not the sum (:class:`_FanOut`).
+:func:`build_sharded` shares one
+:class:`~repro.disk.faults.FaultInjector` across the members, so a
+fault plan counts one global write index and a power failure halts
+every shard at once.  docs/SHARDING.md tells each of these at length.
 """
 
 from __future__ import annotations
@@ -145,6 +71,7 @@ from repro.ld.types import (
 )
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
+from repro.shard import twophase
 from repro.shard.config import ArrayConfig
 
 
@@ -242,7 +169,7 @@ def _holds_list(volume: LLD, local: int) -> bool:
     return view is not None and view.allocated
 
 
-# Member-loop steps that are two calls on one volume.  They go through
+# A member-loop step that is two calls on one volume.  It goes through
 # the instance, so a method patched on the LLD class (the benchmark's
 # tracer does that) is the one that runs.
 
@@ -250,16 +177,6 @@ def _holds_list(volume: LLD, local: int) -> bool:
 def _end_aru_durably(volume: LLD, local: ARUId) -> None:
     volume.end_aru(local)
     volume.flush()
-
-
-def _decide(volume: LLD, xid: int) -> None:
-    volume.log_decision(xid)
-    volume.flush()
-
-
-def _forget_and_checkpoint(volume: LLD) -> None:
-    volume.clear_decisions()
-    volume.write_checkpoint()
 
 
 class _RepairJob:
@@ -335,13 +252,12 @@ class ShardedLLD(LogicalDisk):
 
     Args:
         shards: The member volumes, in shard order (``None`` entries
-            are lost members of a degraded array).  Shard 0 is the
-            primary coordinator: its log (and checkpoints) carry the
-            DECIDE records that make cross-shard commits atomic;
-            with replication, shards ``1 .. k-1`` carry copies.
+            are lost members of a degraded array).  The decision
+            shards (:func:`repro.shard.twophase.decision_shards`)
+            carry the DECIDE records of cross-shard commits.
         array_config: :class:`~repro.shard.config.ArrayConfig`
-            (replication factor, repair pacing); ``None`` means the
-            unreplicated default.
+            (the replication factor); ``None`` means the unreplicated
+            default.
         dead: shard index -> reason for members lost before assembly
             (recovery passes this for shards whose media is gone).
         dead_counters: shard index -> ``[next_block_id,
@@ -469,11 +385,6 @@ class ShardedLLD(LogicalDisk):
         if local_id >= SYSTEM_ID_BASE:
             return local_id - SYSTEM_ID_BASE
         return to_global(local_id, shard_index, self.n)
-
-    def _decision_shards(self) -> List[int]:
-        """Shards carrying DECIDE records: 0 plus, with replication,
-        enough ring successors to survive k-1 losses."""
-        return list(range(min(max(self.rf, 1), self.n)))
 
     def _sync_clock(self, volume: LLD) -> None:
         """Advance one volume's clock to the array-wide 'now' before
@@ -808,17 +719,13 @@ class ShardedLLD(LogicalDisk):
     def end_aru(self, aru: ARUId) -> None:
         """Commit an ARU across every shard it touched.
 
-        Single-participant ARUs take the local fast path (ordinary
-        ``end_aru`` — durable at the next flush, like any single
-        volume; on a *replicated* array the lone participant is
-        flushed immediately, so an acknowledged commit is always
-        durable).  Multi-participant ARUs run the two-phase protocol
-        and return *durable*: prepare+flush every participant, log
-        and flush the decision on every decision shard, release the
-        parked state.  Participants or decision shards lost along the
-        way are failed over; the commit succeeds as long as one
-        replica of everything (including the decision) survives — a
-        participant lost with no copy left (:meth:`_covered`) raises.
+        A lone participant commits through its own ``end_aru``
+        (durable at the next flush, like any single volume; flushed at
+        once on a *replicated* array, so an acknowledged commit is
+        durable); several commit durably through
+        :func:`repro.shard.twophase.commit`.  Members lost on the way
+        are failed over; a participant lost with no copy left
+        (:meth:`_covered`) raises.
         """
         with self._lock:
             participants = self._arus.get(int(aru))
@@ -847,40 +754,7 @@ class ShardedLLD(LogicalDisk):
                     )
                 self._commits_single += 1
                 return
-            xid = self._next_xid
-            self._next_xid += 1
-            # Phase 1: prepare and flush every participant.  After
-            # this all the ARU's effects and every PREPARE are
-            # durable; none of them is committed.  A participant lost
-            # here is dropped if its effects survive on its mirrors;
-            # if not (all of them lost is the extreme case), no
-            # DECIDE is written: presumed abort.
-            prepared = self._each(
-                LLD.prepare_commit, alive, xid, arus=participants
-            )
-            flushed = self._each(LLD.flush, prepared)
-            lost = [s for s in alive if s not in flushed]
-            if not all(map(self._covered, lost)):
-                del self._arus[int(aru)]
-                raise ShardLostError(
-                    min(self._dead),
-                    f"ARU {int(aru)}: participants lost before commit",
-                )
-            # Phase 2: the commit point — a durable DECIDE record on
-            # each surviving decision shard, ascending order.
-            if not self._each(_decide, self._decision_shards(), xid):
-                del self._arus[int(aru)]
-                raise ShardLostError(
-                    min(self._dead),
-                    f"xid {xid}: every decision shard lost (presumed abort)",
-                )
-            # Phase 3: release.  Pure in-memory bookkeeping; a crash
-            # from here on changes nothing (recovery rolls forward).
-            for s in flushed:
-                if self._alive(s):
-                    self.shards[s].finish_prepared(int(participants[s]))
-            self._commits_cross += 1
-            del self._arus[int(aru)]
+            twophase.commit(self, aru, participants, alive)
 
     def abort_aru(self, aru: ARUId) -> None:
         with self._lock:
@@ -1087,28 +961,12 @@ class ShardedLLD(LogicalDisk):
                 self.resync()
 
     def write_checkpoint(self) -> None:
-        """Checkpoint every shard (a global recovery bound).
-
-        Ordering matters for the coordinator's decision memory: the
-        non-decision shards checkpoint first, after which every
-        PREPARE they ever logged is covered by a durable checkpoint
-        and no decision can be needed again; only then are the
-        decision shards' decided-xid sets cleared and checkpointed,
-        highest shard first so shard 0 — the first recovery reads —
-        holds a superset until the very end.  A crash anywhere in
-        between leaves a superset of the needed decisions
-        recoverable, which is always safe — so the decision shards
-        go one per fan-out, ordered in time; the others overlap.
-        """
+        """Checkpoint every shard (a global recovery bound), in the
+        order that prunes the decided xids last
+        (:func:`repro.shard.twophase.checkpoint`)."""
         with self._lock:
             self.flush()
-            decision = self._decision_shards()
-            self._each(
-                LLD.write_checkpoint,
-                [s for s in range(self.n) if s not in decision],
-            )
-            for s in reversed(decision):
-                self._each(_forget_and_checkpoint, (s,))
+            twophase.checkpoint(self)
 
     # ------------------------------------------------------------------
     # Failure, repair and replica maintenance
@@ -1453,17 +1311,13 @@ class ShardedLLD(LogicalDisk):
     def sharding_info(self) -> dict:
         """Striping, commit-protocol and replication counters (see
         the stats schema's ``sharding`` section)."""
-        decided = 0
-        for s in self._decision_shards():
-            if self._alive(s):
-                decided = max(decided, len(self.shards[s]._decided_xids))
         return {
             "shards": self.n,
             "replication_factor": self.rf,
             "xids_issued": self._next_xid - 1,
             "commits_single_shard": self._commits_single,
             "commits_cross_shard": self._commits_cross,
-            "decided_pending": decided,
+            "decided_pending": twophase.decided_pending(self),
             "dead_shards": len(self._dead),
             "degraded_reads": self._degraded_reads,
             "repairs_completed": self._repairs_completed,
@@ -1523,8 +1377,8 @@ def build_sharded(
     simultaneous across the array; each disk knows its shard index,
     so shard-scoped faults and whole-shard loss hit the right member.
     Each shard gets a private clock.  ``config`` configures every
-    member LLD alike; ``array_config`` the array (replication factor,
-    repair pacing).
+    member LLD alike; ``array_config`` the array (its replication
+    factor).
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")

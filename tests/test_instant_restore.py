@@ -7,7 +7,9 @@ pinned here:
 
 1. After the sweep completes, the rebuilt state is byte-identical to
    eager recovery — at every crash point of the canonical workload,
-   whole-write drops and torn writes alike, media faults included.
+   whole-write drops and torn writes alike, media faults included
+   (``tests/test_recovery_parallel.py`` checks that through
+   ``tests.oracle.recoveries_agree``).
 2. Requests served *during* the restore return exactly what eager
    recovery would have served, and the watermark invariant (no id
    served while a pending segment still names it) holds throughout.
@@ -22,7 +24,7 @@ pinned here:
 import pytest
 
 from repro import recover
-from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
+from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import DiskCrashedError
@@ -32,8 +34,8 @@ from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 from repro.obs.schema import validate_stats
 
-from tests.oracle import read_plan, recoveries_agree, state_fingerprint
-from tests.test_recovery_parallel import CONFIG, build, total_writes, workload
+from tests.oracle import state_fingerprint
+from tests.test_recovery_parallel import CONFIG, build, workload
 
 
 def recover_eager(disk):
@@ -46,48 +48,6 @@ def recover_instant(disk, **kwargs):
 
 
 class TestInstantEagerIdentity:
-    def test_clean_shutdown(self):
-        disk, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        recoveries_agree(disk, CONFIG)
-
-    @pytest.mark.parametrize("torn", [False, True])
-    def test_every_crash_point(self, torn):
-        limit = total_writes()
-        assert limit > 10, "workload too small to be interesting"
-        for crash_after in range(1, limit + 1):
-            cut = PowerCut(
-                after_writes=crash_after, torn=torn, seed=crash_after
-            )
-            injector = FaultInjector(plan=FaultPlan(power_cut=cut))
-            disk, ld = build(injector=injector)
-            fs = MinixFS.mkfs(ld, n_inodes=256)
-            try:
-                workload(fs)
-                continue  # the budget outlived the workload
-            except DiskCrashedError:
-                pass
-            recoveries_agree(disk, CONFIG)
-
-    def test_media_faulted_segments_classified_identically(self):
-        disk, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        written = sorted(
-            seg
-            for seg in disk._segments
-            if seg >= ld.checkpoints.reserved_segments
-        )
-        for seg in written[-3:]:
-            disk.injector.add_media_fault(
-                MediaFault(segment_no=seg, kind="unreadable")
-            )
-        disk.injector.add_media_fault(
-            MediaFault(segment_no=written[len(written) // 2], kind="corrupt")
-        )
-        recoveries_agree(disk, CONFIG)
-
     def test_reads_during_restore_match_eager(self):
         """Every file readable mid-restore, byte-for-byte."""
         disk, ld = build()

@@ -35,7 +35,13 @@ number, then bytes, in segment order); those constants were captured
 before the platter became writable in place.  A third platter pin is
 one volume whose checkpoints the cleaner and the scrubber write, and
 one instant recovery checkpointing it; its constants were captured
-before checkpoint rows were repacked only where they changed.
+before checkpoint rows were repacked only where they changed.  A
+fourth is an unreplicated three-shard array, the two-phase commit's
+paths the replicated pin skips: a lone decision shard, the checkpoint
+order [1, 2, 0], and an array recovery whose restored xid counter the
+next commits write; its constants were captured before the
+coordinator and the participant of that commit moved into modules of
+their own.
 """
 
 import hashlib
@@ -43,6 +49,7 @@ import random
 
 import pytest
 
+import repro
 from repro.core.visibility import Visibility
 from repro.disk.clock import CostMeter
 from repro.disk.faults import MediaFault
@@ -250,6 +257,46 @@ def replicated_array():
     for shard in volume.shards:
         assert shard.stats()["segments"]["in_place_writes"] > 0
     return [(shard.disk, shard.meter) for shard in volume.shards]
+
+
+def unreplicated_array():
+    """Cross-shard ARUs on an unreplicated three-shard array, whose
+    one decision shard is shard 0 and whose checkpoint order is
+    [1, 2, 0]: commits around one checkpoint, a power cut, an array
+    recovery, then more commits, so the restored xid counter lands in
+    PREPARE and DECIDE records.  Pinned: the members before the cut
+    and the members recovery opened, on the same platters."""
+    config = LLDConfig(checkpoint_slot_segments=2)
+    volume = build_sharded(3, geometry=IN_PLACE_GEOMETRY, config=config)
+    rng = random.Random(38)
+    lists = [volume.new_list() for _ in range(6)]
+    blocks = [volume.new_block(lists[index % 6]) for index in range(30)]
+    for index, block in enumerate(blocks):
+        volume.write(block, bytes([index]) * 2048)
+    volume.flush()
+    for number in range(20):
+        aru = volume.begin_aru()
+        for block in rng.sample(blocks, 3):
+            volume.write(block, bytes([number]) * (200 + 53 * number), aru=aru)
+        volume.end_aru(aru)
+        if number == 9:
+            volume.write_checkpoint()
+    before = volume.sharding_info()
+    assert before["commits_cross_shard"] > 0
+    recovered, _report = repro.recover(
+        [shard.disk.power_cycle() for shard in volume.shards], config=config
+    )
+    assert recovered._next_xid == before["xids_issued"] + 1
+    for number in range(10):
+        aru = recovered.begin_aru()
+        for block in rng.sample(blocks, 3):
+            recovered.write(block, bytes([50 + number]) * 700, aru=aru)
+        recovered.end_aru(aru)
+    recovered.flush()
+    assert recovered.sharding_info()["commits_cross_shard"] > 0
+    return [(shard.disk, shard.meter) for shard in volume.shards] + [
+        (shard.disk, shard.meter) for shard in recovered.shards
+    ]
 
 
 def jld_apply():
@@ -520,6 +567,120 @@ ARRAY_MEMBER_CHARGED_US = {
     "summary_entry_us": 678.0,
     "table_access_us": 304.0,
 }
+#: :func:`unreplicated_array`'s members, before the cut and after the
+#: recovery: (clock, write_count, platter SHA-256).  The recovered
+#: members run on the survivors of the same platters and clocks.
+UNREPLICATED_MEMBERS = [
+    [
+        (
+            "0x1.e99b7e9c71c80p+20",
+            42,
+            "edd0291352faa823c2e4394cd38a927f910ea2c1761093df129f8b6f3952ddc8",
+        ),
+        (
+            "0x1.e99b9e9c71c80p+20",
+            23,
+            "681040b49163b514686b3faac1a3a87bde3a6d25229af4f8042206e41056b69a",
+        ),
+        (
+            "0x1.e99bbe9c71c80p+20",
+            29,
+            "690d8488b5be48a898114dc8ab46a35823ed6fc47924471999968e8d82fd6438",
+        ),
+    ],
+    [
+        (
+            "0x1.e99b7e9c71c80p+20",
+            18,
+            "edd0291352faa823c2e4394cd38a927f910ea2c1761093df129f8b6f3952ddc8",
+        ),
+        (
+            "0x1.e99b9e9c71c80p+20",
+            12,
+            "681040b49163b514686b3faac1a3a87bde3a6d25229af4f8042206e41056b69a",
+        ),
+        (
+            "0x1.e99bbe9c71c80p+20",
+            14,
+            "690d8488b5be48a898114dc8ab46a35823ed6fc47924471999968e8d82fd6438",
+        ),
+    ],
+]
+UNREPLICATED_COUNTERS = [
+    [
+        {
+            "aru_begin_us": 12,
+            "aru_commit_us": 12,
+            "block_copy_us": 50,
+            "chain_hop_us": 70,
+            "ld_call_us": 123,
+            "record_create_us": 52,
+            "record_transition_us": 52,
+            "summary_entry_us": 80,
+            "table_access_us": 92,
+        },
+        {
+            "aru_begin_us": 12,
+            "aru_commit_us": 12,
+            "block_copy_us": 50,
+            "chain_hop_us": 76,
+            "ld_call_us": 89,
+            "record_create_us": 51,
+            "record_transition_us": 51,
+            "summary_entry_us": 64,
+            "table_access_us": 92,
+        },
+        {
+            "aru_begin_us": 14,
+            "aru_commit_us": 14,
+            "block_copy_us": 50,
+            "chain_hop_us": 70,
+            "ld_call_us": 99,
+            "record_create_us": 52,
+            "record_transition_us": 52,
+            "summary_entry_us": 66,
+            "table_access_us": 92,
+        },
+    ],
+    [
+        {
+            "aru_begin_us": 6,
+            "aru_commit_us": 6,
+            "block_copy_us": 18,
+            "crc_kb_us": 46.63671875,
+            "decode_entry_us": 26,
+            "ld_call_us": 48,
+            "record_create_us": 18,
+            "record_transition_us": 18,
+            "summary_entry_us": 23,
+            "table_access_us": 18,
+        },
+        {
+            "aru_begin_us": 6,
+            "aru_commit_us": 6,
+            "block_copy_us": 16,
+            "crc_kb_us": 41.328125,
+            "decode_entry_us": 16,
+            "ld_call_us": 33,
+            "record_create_us": 16,
+            "record_transition_us": 16,
+            "summary_entry_us": 14,
+            "table_access_us": 16,
+        },
+        {
+            "aru_begin_us": 8,
+            "aru_commit_us": 8,
+            "block_copy_us": 26,
+            "crc_kb_us": 37.271484375,
+            "decode_entry_us": 15,
+            "ld_call_us": 44,
+            "record_create_us": 26,
+            "record_transition_us": 26,
+            "summary_entry_us": 21,
+            "table_access_us": 26,
+        },
+    ],
+]
 PLATTER_PINS = {
     "replicated_array": (
         replicated_array,
@@ -536,6 +697,14 @@ PLATTER_PINS = {
                 96,
                 "91ee97abc79622f8a33737772d0704c2bb191055fe28ba648bc9dead20f5cde1",
             ),
+        ],
+    ),
+    "unreplicated_array": (
+        unreplicated_array,
+        [
+            (clock, UNREPLICATED_COUNTERS[when][shard], writes, platter)
+            for when, per_shard in enumerate(UNREPLICATED_MEMBERS)
+            for shard, (clock, writes, platter) in enumerate(per_shard)
         ],
     ),
     "jld_apply": (
@@ -697,6 +866,77 @@ CHARGED_US = {
         "table_access_us": 236.0,
     },
     "replicated_array": [ARRAY_MEMBER_CHARGED_US, ARRAY_MEMBER_CHARGED_US],
+    "unreplicated_array": [
+        {
+            "aru_begin_us": 216.0,
+            "aru_commit_us": 360.0,
+            "block_copy_us": 2750.0,
+            "chain_hop_us": 105.0,
+            "ld_call_us": 246.0,
+            "record_create_us": 416.0,
+            "record_transition_us": 312.0,
+            "summary_entry_us": 240.0,
+            "table_access_us": 92.0,
+        },
+        {
+            "aru_begin_us": 216.0,
+            "aru_commit_us": 360.0,
+            "block_copy_us": 2750.0,
+            "chain_hop_us": 114.0,
+            "ld_call_us": 178.0,
+            "record_create_us": 408.0,
+            "record_transition_us": 306.0,
+            "summary_entry_us": 192.0,
+            "table_access_us": 92.0,
+        },
+        {
+            "aru_begin_us": 252.0,
+            "aru_commit_us": 420.0,
+            "block_copy_us": 2750.0,
+            "chain_hop_us": 105.0,
+            "ld_call_us": 198.0,
+            "record_create_us": 416.0,
+            "record_transition_us": 312.0,
+            "summary_entry_us": 198.0,
+            "table_access_us": 92.0,
+        },
+        {
+            "aru_begin_us": 108.0,
+            "aru_commit_us": 180.0,
+            "block_copy_us": 990.0,
+            "crc_kb_us": 1865.46875,
+            "decode_entry_us": 52.0,
+            "ld_call_us": 96.0,
+            "record_create_us": 144.0,
+            "record_transition_us": 108.0,
+            "summary_entry_us": 69.0,
+            "table_access_us": 18.0,
+        },
+        {
+            "aru_begin_us": 108.0,
+            "aru_commit_us": 180.0,
+            "block_copy_us": 880.0,
+            "crc_kb_us": 1653.125,
+            "decode_entry_us": 32.0,
+            "ld_call_us": 66.0,
+            "record_create_us": 128.0,
+            "record_transition_us": 96.0,
+            "summary_entry_us": 42.0,
+            "table_access_us": 16.0,
+        },
+        {
+            "aru_begin_us": 144.0,
+            "aru_commit_us": 240.0,
+            "block_copy_us": 1430.0,
+            "crc_kb_us": 1490.859375,
+            "decode_entry_us": 30.0,
+            "ld_call_us": 88.0,
+            "record_create_us": 208.0,
+            "record_transition_us": 156.0,
+            "summary_entry_us": 63.0,
+            "table_access_us": 26.0,
+        },
+    ],
     "cleaner_checkpoints": [
         {
             "aru_alloc_us": 1920.0,
@@ -798,6 +1038,10 @@ def check_platter(name):
 
 def test_replicated_array_platter():
     check_platter("replicated_array")
+
+
+def test_unreplicated_array_platter():
+    check_platter("unreplicated_array")
 
 
 def test_jld_apply_platter():
