@@ -212,6 +212,8 @@ def test_parallel_scan_speedup(benchmark):
         "entries_replayed": serial_report.entries_replayed,
         "read_batches": parallel_report.read_batches,
         "batched_runs": parallel_report.batched_runs,
+        "segments_read_whole": parallel_report.segments_read_whole,
+        "bodies_reread": parallel_report.bodies_reread,
         "states_identical": parallel_state == serial_state,
     }
     _save()
@@ -226,10 +228,10 @@ def test_parallel_scan_speedup(benchmark):
 #: segments put recovery where the paper's disk model is transfer-
 #: bound: eager recovery must stream every segment body past the
 #: head (~850 ms each at 2.4 MB/s), instant restore seeks to each
-#: summary tail window (~30 ms each) and reads nothing else.
+#: summary tail window (~24 ms each) and reads nothing else.
 RESTORE_SEGMENTS = 120 if full_scale() else 48
 RESTORE_SEGMENT_SIZE = 2 * 1024 * 1024
-#: The instant scan reads one block of each segment's tail.
+#: A tail window is one block; eager's walk reads whole after 35 tails.
 RESTORE_BLOCK_SIZE = 16 * 1024
 
 
@@ -237,7 +239,7 @@ RESTORE_BLOCK_SIZE = 16 * 1024
 def test_instant_restore_ttfr(benchmark):
     """Time to first request: eager recovery vs instant restore.
 
-    The same dirty 512 KB-segment log is recovered both ways.  Eager
+    The same dirty 2 MB-segment log is recovered both ways.  Eager
     recovery serves nothing until the whole log is replayed; instant
     restore opens after the checkpoint + tail-window scan and replays
     on demand.  Gate: TTFR at least 10x smaller, final state
@@ -318,7 +320,12 @@ def test_instant_restore_ttfr(benchmark):
         "log_segments": RESTORE_SEGMENTS,
         "segment_kb": RESTORE_SEGMENT_SIZE // 1024,
         "block_kb": RESTORE_BLOCK_SIZE // 1024,
-        "tail_window_kb": RESTORE_BLOCK_SIZE // 1024,
+        # How each mode read the log: instant by tails alone, eager's
+        # walk whole once renting tails cost a transfer, and its audit
+        # re-reading the bodies the scan did not hold.
+        "instant_segments_read_whole": instant_report.segments_read_whole,
+        "eager_segments_read_whole": eager_report.segments_read_whole,
+        "eager_bodies_reread": eager_report.bodies_reread,
         "eager_ttfr_ms": round(eager_ttfr_ms, 1),
         "instant_ttfr_ms": round(instant_ttfr_ms, 1),
         "ttfr_speedup": round(ttfr_speedup, 1),

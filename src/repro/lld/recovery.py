@@ -25,11 +25,11 @@ The result is a fully operational :class:`~repro.lld.lld.LLD` plus a
 :class:`RecoveryReport` describing what was found.
 
 :func:`recover` runs that procedure as **one pipeline**, each rule
-written once: :func:`_scan` (steps 1–2, one tail window per segment,
-one decoder) → :func:`_resolve_outcomes` (step 3) → :func:`_install`
-(step 5, live counts provisional) → a :class:`RestoreController`,
-which replays by :class:`ReplayRules` behind a log-order watermark
-(steps 4 and 6).  ``mode`` decides only what happens before
+written once: :func:`_scan` (steps 1–2, one read window per segment,
+picked by the disk model, one decoder) → :func:`_resolve_outcomes`
+(step 3) → :func:`_install` (step 5, live counts provisional) → a
+:class:`RestoreController`, which replays by :class:`ReplayRules`
+behind a log-order watermark (steps 4 and 6).  ``mode`` decides only what happens before
 :func:`recover` returns: eager runs the controller to completion and
 audits the pending segments' data slots (:func:`_audit`); instant
 returns the volume open and replays on demand.
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import threading
 import time
@@ -129,7 +130,8 @@ class RecoveryReport:
     scan_plan: str = ""
     scan_fallback: str = ""
     #: How the scan accounts for the partition: ``segments_scanned``
-    #: tails were read, ``segments_attested`` segments were taken from
+    #: segments were read (``segments_read_whole`` of them whole, the
+    #: rest by a tail window), ``segments_attested`` were taken from
     #: the checkpoint roster unread, the roster's quarantined segments
     #: (``segments_quarantined - segments_unreadable``) are never
     #: read, and the rest — all above ``scan_last_segment``, the
@@ -139,6 +141,7 @@ class RecoveryReport:
     #: an I/O error; the others are newer than the checkpoint and
     #: sound, or (full plan only) match the roster.
     segments_scanned: int = 0
+    segments_read_whole: int = 0
     segments_attested: int = 0
     scan_last_segment: int = -1
     segments_replayed: int = 0
@@ -168,11 +171,14 @@ class RecoveryReport:
     recovery_time_us: float = 0.0
     #: Simulated microseconds per phase, summing to
     #: ``recovery_time_us``: ``checkpoint`` (loading it), ``scan``
-    #: (tail reads), ``decode`` (summary CRCs and longer tails),
+    #: (the read windows), ``decode`` (summary CRCs and longer tails),
     #: ``replay`` (outcomes; for eager also the redo and the orphan
     #: sweep), ``install`` (tables, usage, fresh buffer) and, eager
-    #: only, ``audit`` (body reads, whole-chunk CRCs, any scrub).
+    #: only, ``audit`` (whole-chunk CRCs, the ``bodies_reread`` body
+    #: reads the scan did not hold, any scrub).
     phase_us: Dict[str, float] = dataclasses.field(default_factory=dict)
+    #: Eager only: pending bodies the audit read (the scan held the rest).
+    bodies_reread: int = 0
     #: Host wall-clock seconds for the whole recovery.
     wall_seconds: float = 0.0
     #: Batched-read statistics (deltas over this recovery).
@@ -481,21 +487,30 @@ class _Scan:
     ckpt_segments: Dict[int, Tuple[int, int, int]]
     #: Retired media (roster sentinel or I/O error now).
     quarantined: List[int]
+    #: Eager: a replayable segment read whole -> its body holds its CRCs.
+    bodies_hold: Dict[int, bool] = dataclasses.field(default_factory=dict)
 
 
-def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
+def _scan(
+    lld: LLD, ckpt: CheckpointData, report: RecoveryReport, eager: bool
+) -> _Scan:
     """Find and decode the segments written since the checkpoint.
 
     One classification rule, two read plans.  The **walk** rolls
     forward from the checkpoint: segments its roster attests are taken
     on its word, unread; the others are read lowest first — the order
-    the allocator hands them out — a batch of tails at a time, until a
+    the allocator hands them out — a batch at a time, until a
     batch holds nothing newer than the checkpoint; the rest is free
     space, unread.  Anything a crash could not have left falls back to
     the **full** plan, which classifies every segment not yet read,
     attested ones included (docs/RECOVERY.md, "The roll-forward walk").
-    Either plan reads one block of each segment's tail and trusts its
-    summaries on the summary CRC; the data is eager's :func:`_audit`'s.
+
+    The disk model picks the windows.  A segment that streams in no
+    more than the positioning for its tail is read whole; otherwise a
+    read is one block of the tail, but an eager walk rents tails only
+    until they would cost the run of pending segments a whole transfer,
+    then buys whole reads.  Summaries are trusted on the summary CRC;
+    the data is :func:`_audit`'s, a body read whole checked here.
     """
     disk = lld.disk
     clock = disk.clock
@@ -503,6 +518,11 @@ def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
     scan_start = clock.now_us
     decode_us = 0.0
     scan = _Scan([], {}, [])
+    model = disk.timer.model
+    tail = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
+    whole_us = model.transfer_us(size)
+    tail_us = model.request_us(tail, sequential=False)
+    streams = whole_us <= model.request_us(0, sequential=False)
 
     # The roster settles some segments without a read: the ones it
     # records as quarantined (whatever the platter holds must not be
@@ -519,19 +539,19 @@ def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
         else:
             attested.append(seg)
 
-    window = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
-
-    def classify(segs: List[int]) -> Tuple[Dict[int, bytes], str]:
-        """Read the tails of ``segs`` as one batch and sort them into
+    def classify(segs: List[int], whole=False) -> Tuple[Dict[int, bytes], str]:
+        """Read the windows of ``segs`` as one batch and sort them into
         ``scan``; returns the replay candidates and the first anomaly."""
-        windows = disk.read_many(
+        window = size if streams or whole else tail
+        raws = disk.read_many(
             [(seg, size - window, window) for seg in segs], errors="none"
         )
         report.segments_scanned += len(segs)
+        report.segments_read_whole += len(segs) if window == size else 0
         report.scan_last_segment = max([report.scan_last_segment, *segs])
         candidates: Dict[int, bytes] = {}
         anomaly = ""
-        for seg, raw in zip(segs, windows):
+        for seg, raw in zip(segs, raws):
             if raw is None:
                 # Hardware-reported fault: retire the segment
                 # permanently (a failed CRC could just be a torn
@@ -540,7 +560,7 @@ def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
                 scan.quarantined.append(seg)
                 anomaly = anomaly or f"segment {seg} is unreadable"
                 continue
-            trailer = raw[window - TRAILER_SIZE :]
+            trailer = raw[len(raw) - TRAILER_SIZE :]
             parsed = parse_trailer(trailer)
             roster = ckpt.segments.get(seg)
             if parsed is None or not parsed[0]:
@@ -568,6 +588,10 @@ def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
         decoded = _decode_tails(lld, candidates, scan, report)
         decode_us += clock.now_us - decode_start
         scan.replayable += decoded
+        for d in decoded if eager else ():
+            body = candidates[d.segment_no]
+            if len(body) == size:  # read whole: audit now, keep the verdict
+                scan.bodies_hold[d.segment_no] = d.body_holds(body)
         lost = set(candidates).difference(d.segment_no for d in decoded)
         return min(lost, default=None)
 
@@ -576,9 +600,21 @@ def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
     batch = max(WALK_BATCH, lld.config.writeback_depth + 1)
     candidates: Dict[int, bytes] = {}
     walked = 0
+    run = 0
     while not fallback and walked < len(unattested):
-        found, fallback = classify(unattested[walked : walked + batch])
+        segs = unattested[walked : walked + batch]
         walked += batch
+        if not eager or streams:
+            found, fallback = classify(segs)
+        else:
+            # A segment at a time: ``run`` counts the pending segments
+            # just read; a read that ends the run goes back to tails.
+            found = {}
+            for seg in segs:
+                got, anomaly = classify([seg], (run + 1) * tail_us >= whole_us)
+                run = run + 1 if got else 0
+                found.update(got)
+                fallback = fallback or anomaly
         candidates.update(found)
         if not found:
             break
@@ -782,37 +818,43 @@ def _install(
         pass
 
 
-def _audit(lld: LLD, pending: List[DecodedSegment]) -> None:
+def _audit(lld: LLD, scan: _Scan, report: RecoveryReport) -> None:
     """Hold the pending segments' data slots to their whole-chunk CRCs.
 
     The scan trusted each accepted chunk on its summary CRC, which
-    does not cover the data.  One batched read fetches the pending
-    bodies, :meth:`~repro.lld.segment.DecodedSegment.body_holds`
+    does not cover the data.  One batched read fetches the bodies the
+    scan did not hold, :meth:`~repro.lld.segment.DecodedSegment.body_holds`
     checks every accepted chunk without decoding an entry again, and
-    the CRC work is charged at the share of :data:`DEFAULT_WORKERS`
-    lanes.  A failure is media rot a crash cannot leave (every chunk
-    the walk accepted was written whole), so it takes the media-fault
-    path: the scrubber salvages what it can and quarantines the rest.
+    all the CRC work is charged here at the share of
+    :data:`DEFAULT_WORKERS` lanes.  A failure is media rot a crash
+    cannot leave (every chunk the walk accepted was written whole), so
+    it takes the media-fault path: the scrubber salvages what it can
+    and quarantines the rest.
     """
+    pending = scan.replayable
     if not pending:
         return
     geometry = lld.disk.geometry
+    holds = scan.bodies_hold
+    reread = [d for d in pending if d.segment_no not in holds]
     bodies = lld.disk.read_many(
-        [(decoded.segment_no, 0, geometry.segment_size) for decoded in pending],
+        [(decoded.segment_no, 0, geometry.segment_size) for decoded in reread],
         errors="none",
     )
-    failed = [
-        decoded.segment_no
-        for decoded, body in zip(pending, bodies)
-        if body is None or not decoded.body_holds(body)
-    ]
+    for decoded, body in zip(reread, bodies):
+        holds[decoded.segment_no] = body is not None and decoded.body_holds(body)
+    failed = [d.segment_no for d in pending if not holds[d.segment_no]]
+    report.bodies_reread = len(reread)
     block_size = geometry.block_size
     checked_kb = sum(
         (d.block_count * block_size + d.stack_len) / 1024.0 for d in pending
     )
     lanes = min(DEFAULT_WORKERS, len(pending))
     lld.meter.charge("crc_kb_us", checked_kb, lanes=lanes)
-    lld.obs.record("recovery.audit", segments=len(pending), failed=len(failed))
+    lld.obs.record(
+        "recovery.audit", segments=len(pending), failed=len(failed),
+        bodies_reread=len(reread),
+    )
     if failed:
         try:
             lld.scrub(failed)
@@ -880,13 +922,14 @@ def recover(
     report.phase_us["checkpoint"] = clock.now_us - start_us
 
     lld._recovery_report = report
-    scan = _scan(lld, ckpt, report)
+    scan = _scan(lld, ckpt, report, eager=mode == "eager")
     report.segments_quarantined = len(scan.quarantined)
     lld.obs.record(
         "recovery.scan",
         plan=report.scan_plan,
         fallback=report.scan_fallback,
         tails_read=report.segments_scanned,
+        segments_read_whole=report.segments_read_whole,
         attested=report.segments_attested,
         last_segment=report.scan_last_segment,
     )
@@ -911,7 +954,7 @@ def recover(
         restore.complete()
         report.phase_us["replay"] += clock.now_us - replay_start
         audit_start = clock.now_us
-        _audit(lld, scan.replayable)
+        _audit(lld, scan, report)
         report.phase_us["audit"] = clock.now_us - audit_start
     else:
         lld._restore = restore
@@ -990,9 +1033,6 @@ class RestoreController:
         #: Pending segments fully applied (index of the next to apply).
         self.watermark = 0
         self.done = False
-        #: id -> last pending position whose entries name the id.
-        self.block_index: Dict[int, int] = {}
-        self.list_index: Dict[int, int] = {}
         #: Block counter at open: ids at or above it were handed out
         #: by live traffic and are never restore-era state.
         self.open_next_block = lld._next_block_id
@@ -1010,9 +1050,17 @@ class RestoreController:
             "lld.recovery.pending_segments", initial=len(pending)
         )
         self._g_watermark = m.gauge("lld.recovery.watermark", initial=0)
-        bindex = self.block_index
-        lindex = self.list_index
-        for pos, decoded in enumerate(pending):
+
+    block_index = property(lambda self: self._indexes[0])
+    list_index = property(lambda self: self._indexes[1])
+
+    @functools.cached_property
+    def _indexes(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Block and list id -> last pending position naming the id;
+        built on first use (an eager recovery never reads them)."""
+        bindex: Dict[int, int] = {}
+        lindex: Dict[int, int] = {}
+        for pos, decoded in enumerate(self.pending):
             for fields in decoded.entry_tuples:
                 kind = fields[0]
                 if kind == KIND_WRITE or kind == KIND_ALLOC_BLOCK:
@@ -1028,6 +1076,7 @@ class RestoreController:
                     bindex[fields[4]] = pos
                     if fields[5]:
                         bindex[fields[5]] = pos
+        return bindex, lindex
 
     # -- public surface ----------------------------------------------
 

@@ -242,7 +242,8 @@ def describe_scan(ld, report) -> str:
         return f"full ({report.scan_fallback})"
     log_segments = ld.usage.num_segments - ld.usage.reserved_count
     return (
-        f"walk, {report.segments_scanned} of {log_segments} tails read, "
+        f"walk, {report.segments_scanned} of {log_segments} read "
+        f"({report.segments_read_whole} whole), "
         f"{report.segments_attested} attested, ended after segment "
         f"{report.scan_last_segment}"
     )

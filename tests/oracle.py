@@ -17,6 +17,9 @@ of a ``(volume, report)`` pair:
 :func:`platter_bytes` is the platter as a test may keep it: a segment
 written in place is a live ``bytearray`` on the disk, so a copy taken
 with ``dict(disk._segments)`` would change along with the disk.
+
+:func:`assert_live` is ROADMAP item 1's liveness half: a recovered
+volume can go on, and its cleaner can free segments again.
 """
 
 from repro.lld.recovery import recover
@@ -69,13 +72,24 @@ def read_plan(report):
     )
 
 
+def assert_live(volume):
+    """With no ARU active the tables capture the log
+    (``checkpoint_safe()``), and a flush and a cleaner pass run without
+    raising and leave it so.  Writes to the volume's platter."""
+    assert volume.arus.active_count == 0
+    assert volume.checkpoint_safe()
+    volume.flush()
+    volume.clean()
+    assert volume.checkpoint_safe()
+
+
 def recoveries_agree(disk, config):
     """Reference, eager and instant recovery (drained with
     ``complete_restore``) rebuild one sound state from one platter and
     leave the platter as they found it; eager and instant read the
-    disk the same way, and an eager volume shows no trace of the
-    restore it ran to completion.  Returns the eager volume and its
-    report."""
+    disk the same way, an eager volume shows no trace of the restore it
+    ran to completion, and every volume is live (:func:`assert_live`).
+    Returns the eager volume and its report, as recovered."""
     platter = platter_bytes(disk)
     reference, reference_report = reference_recover(
         disk.power_cycle(), config=config
@@ -99,4 +113,11 @@ def recoveries_agree(disk, config):
     assert not stats["restoring"]
     events = {e["event"] for e in eager.obs.recorder.events()}
     assert not events & {"restore.open", "restore.complete"}
+    # The liveness check writes: each volume goes on over a platter of
+    # its own, and the eager volume checked is a twin, so the one
+    # returned stays as recovered.
+    twin, _report = recover(disk.power_cycle(), config=config)
+    for volume in (reference, twin, instant):
+        volume.disk._segments = platter_bytes(volume.disk)
+        assert_live(volume)
     return eager, eager_report

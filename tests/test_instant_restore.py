@@ -109,12 +109,15 @@ class TestOnDemandReplay:
         stats = ld.stats()["recovery"]
         assert stats["restoring"] and stats["watermark"] == 0
         assert stats["pending_segments"] > 0
-        # Nothing touched yet: the open itself replayed nothing.
+        # Nothing touched yet: the open itself replayed nothing, and
+        # the per-id indexes wait for the first request.
         assert report.on_demand_replays == 0
+        assert "_indexes" not in vars(ld._restore)
         target = blocks[lists[-1]][-1]
         before_us = ld.clock.now_us
         first = ld.read(target)
         assert report.on_demand_replays == 1
+        assert "_indexes" in vars(ld._restore)
         paid_us = ld.clock.now_us - before_us
         assert paid_us > 0  # the requester paid for its replay
         # Same id again: covered by the watermark, no further replay.

@@ -24,6 +24,7 @@ import threading
 import pytest
 
 import repro
+from repro.disk.clock import CostMeter, CostModel
 from repro.disk.faults import FaultInjector, FaultPlan, MediaFault, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
@@ -223,9 +224,20 @@ class TestHostCost:
         _lld, report = recover(platter.power_cycle(), config=CONFIG)
         assert report.segments_replayed > 4
 
-    def test_decode_lanes_are_charged_as_before(self, platter):
+    def test_decode_lanes_are_charged_as_before(self, platter, monkeypatch):
         """The body audit's CRC is charged at the share of four lanes,
         as the whole-body decode it replaced was (captured while that
-        decode still ran on a thread pool of four)."""
-        _lld, report = recover(platter.power_cycle(), config=CONFIG)
-        assert report.phase_us["audit"].hex() == "0x1.3014a1cc71c70p+19"
+        decode still ran on a thread pool of four).  It is the last CRC
+        charge of an eager recovery; the body reads are the disk's."""
+        charges = []
+        charge = CostMeter.charge
+
+        def recording(meter, category, count=1, lanes=1):
+            charges.append((category, count, lanes))
+            charge(meter, category, count, lanes)
+
+        monkeypatch.setattr(CostMeter, "charge", recording)
+        recover(platter.power_cycle(), config=CONFIG)
+        *_, (_crc, kb, lanes) = [c for c in charges if c[0] == "crc_kb_us"]
+        assert lanes == 4
+        assert (CostModel().crc_kb_us * kb / lanes).hex() == "0x1.166d580000000p+12"

@@ -8,7 +8,7 @@ every segment) wherever state is compared:
    out the lowest free segment, a checkpoint leaves no segment open —
    and the lost flushed write that the second one prevents.
 2. Every way the walk gives way to the full scan, and the clean cases
-   in which it must not.
+   in which it must not; the read window the disk model picks.
 3. A state machine over write / flush / checkpoint / clean / crash /
    recover: eager, instant and reference recovery agree, recovering
    twice is recovering once, ``verify_lld`` is clean, and segments are
@@ -604,6 +604,131 @@ class TestFallback:
         assert second.scan_fallback == f"segment {victim} is unreadable"
         assert second.segments_replayed > first.segments_replayed
         assert again.read(blocks[0])[0] == 204
+
+
+class TestReadWindows:
+    """The disk model picks each scan read's window: 128 KB segments on
+    the default disk are read by a one-block tail, except that an eager
+    walk buys whole reads once renting tails would cost the run of
+    pending segments a transfer (after two); 16 KB segments stream in
+    less than a seek and are read whole in both modes."""
+
+    SUFFIX = 24
+
+    def long_log(self, segment_kb=128, block_size=4096):
+        """A checkpoint, then ``SUFFIX`` segments that write each block
+        once; the first 40 blocks have an older copy under the
+        checkpoint."""
+        geometry = DiskGeometry(
+            block_size=block_size,
+            segment_size=segment_kb * 1024,
+            num_segments=self.SUFFIX + 24,
+        )
+        disk = SimulatedDisk(geometry)
+        ld = LLD(disk, config=CONFIG)
+        lst = ld.new_list()
+        slots = geometry.segment_size // block_size
+        blocks = [ld.new_block(lst) for _ in range(self.SUFFIX * (slots - 1))]
+        fill(ld, blocks[:40], 1)
+        ld.write_checkpoint()
+        for number, block in enumerate(blocks):
+            ld.write(block, bytes([number % 251]) * block_size)
+        ld.flush()
+        return disk, ld
+
+    def pending(self, ld):
+        since = ld.checkpoints.last_log_seq
+        return sorted(
+            (seq, seg) for seg, _live, seq in ld.usage.dirty_segments() if seq > since
+        )
+
+    def recover_both(self, disk):
+        """Eager and instant recovery of one platter, each measured in
+        bytes read; the oracle holds for both."""
+        recoveries_agree(disk, CONFIG)
+        out = []
+        for mode in ("eager", "instant"):
+            crashed = disk.power_cycle()
+            volume, report = recover(crashed, mode=mode, config=CONFIG)
+            out.append((volume, report, crashed.timer.bytes_transferred))
+        return out
+
+    def test_eager_reads_each_segment_about_once(self):
+        disk, ld = self.long_log()
+        pending = self.pending(ld)
+        (eager, report, read), instant_run = self.recover_both(disk)
+        _instant, tails, tails_read = instant_run
+        size, block = disk.geometry.segment_size, disk.geometry.block_size
+        assert report.scan_plan == "walk"
+        assert report.segments_replayed == len(pending) >= self.SUFFIX
+        assert (tails.segments_read_whole, tails.bodies_reread) == (0, 0)
+        checkpoint = tails_read - tails.segments_scanned * block
+        assert read <= report.segments_scanned * size + checkpoint
+        # One run of pending segments: two tails, then whole reads to
+        # its end and at most one past it; the audit re-reads the two.
+        assert report.bodies_reread == 2
+        assert len(pending) - 2 <= report.segments_read_whole <= len(pending) - 1
+        (audit,) = [
+            e for e in eager.obs.recorder.events() if e["event"] == "recovery.audit"
+        ]
+        assert (audit["bodies_reread"], audit["failed"]) == (2, 0)
+        (scan,) = [
+            e for e in eager.obs.recorder.events() if e["event"] == "recovery.scan"
+        ]
+        assert scan["segments_read_whole"] == report.segments_read_whole
+        assert sum(report.phase_us.values()) == pytest.approx(report.recovery_time_us)
+
+    @pytest.mark.parametrize("position", [1, 5], ids=["tail", "whole"])
+    def test_rot_in_a_data_slot(self, position):
+        """Rot in a data slot of a pending segment the scan read by its
+        tail (the run's second) or whole (its sixth): the audit finds it
+        either way and the scrubber gets the segment, as an instant
+        restore's scrub would."""
+        disk, ld = self.long_log()
+        _seq, victim = self.pending(ld)[position]
+        disk.injector.add_media_fault(MediaFault(victim, "corrupt", span=(0, 64)))
+        crashed = disk.power_cycle()
+        eager, report = recover(crashed.snapshot(), config=CONFIG)
+        instant, drained = recover(crashed.snapshot(), mode="instant", config=CONFIG)
+        instant.complete_restore()
+        instant.scrub([victim])
+        assert report.bodies_reread == 2
+        assert state_fingerprint(eager, report) == state_fingerprint(instant, drained)
+        (audit,) = [
+            e for e in eager.obs.recorder.events() if e["event"] == "recovery.audit"
+        ]
+        assert audit["failed"] == 1
+        for volume in (eager, instant):
+            assert volume.usage.state(victim) is SegmentState.QUARANTINED
+            assert volume.stats()["scrub"]["blocks_lost"] > 0
+            assert verify_lld(volume) == []
+        assert eager.stats()["scrub"] == instant.stats()["scrub"]
+
+    def test_full_plan_reads_tails_and_audits_every_body(self):
+        disk, ld = self.long_log()
+        injector = disk.injector
+        injector.crash_plan = PowerCut(after_writes=injector.writes_seen, torn=True)
+        injector._tear_point = lambda nbytes: SECTOR_SIZE
+        with pytest.raises(DiskCrashedError):
+            ld.write_checkpoint()
+        (_eager, report, _read), _instant = self.recover_both(disk)
+        assert report.scan_plan == "full"
+        assert report.scan_fallback == "checkpoint slot 0 is damaged"
+        assert report.segments_read_whole == 0
+        assert report.bodies_reread == report.segments_replayed >= self.SUFFIX
+
+    #: Simulated µs to the first request of the instant restore below
+    #: when every scan read was a one-block tail.
+    TAIL_TTFR_US = 311_951.3
+
+    def test_small_segments_stream_in_both_modes(self):
+        disk, _ld = self.long_log(segment_kb=16, block_size=1024)
+        (_eager, eager, _read), (_instant, instant, _tails) = self.recover_both(disk)
+        for report in (eager, instant):
+            assert report.segments_read_whole == report.segments_scanned
+        assert eager.bodies_reread == 0
+        assert read_plan(eager) == read_plan(instant)
+        assert instant.ttfr_us < self.TAIL_TTFR_US
 
 
 # ----------------------------------------------------------------------
