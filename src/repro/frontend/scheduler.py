@@ -111,9 +111,9 @@ class FrontendConfig:
             least this many group-commit records parked (0 disables).
         lock_timeout_s: Lock-wait budget per acquire (a timeout is a
             deadlock symptom; the transaction layer retries it).
-        max_attempts: Wait-die retry budget per request.
-        retry_backoff_s: Linear retry backoff unit (see
-            :func:`~repro.txn.transactions.run_transaction`).
+        max_attempts: Wait-die retry budget per request (retries back
+            off as :func:`~repro.txn.transactions.run_transaction`
+            does by default).
     """
 
     workers_per_lane: int = 2
@@ -123,7 +123,6 @@ class FrontendConfig:
     parked_high_water: int = 0
     lock_timeout_s: float = 2.0
     max_attempts: int = 64
-    retry_backoff_s: float = 0.001
 
     def validate(self) -> None:
         if self.workers_per_lane < 1:
@@ -422,7 +421,6 @@ class FrontEnd:
                 request.body,
                 max_attempts=self.config.max_attempts,
                 durable=False,
-                retry_backoff_s=self.config.retry_backoff_s,
                 breakdown=request.breakdown,
             )
             request.state = "done"

@@ -198,8 +198,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
 
         # Statistics — registry-backed (docs/OBSERVABILITY.md names
         # every instrument).  The historical attributes (`op_counts`,
-        # `segments_flushed`, `scrub_stats`, …) are read-only
-        # properties over these counters.
+        # `segments_flushed`, …) are read-only properties over these
+        # counters.
         m = self.obs.metrics
         self._ops = _OpCounters(m)
         self._cleaner_counters = {
@@ -1120,17 +1120,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
     def cleanings(self) -> int:
         return self._cleaner_counters["runs"].value
 
-    @property
-    def scrub_stats(self) -> Dict[str, int]:
-        return {
-            name: counter.value
-            for name, counter in self._scrub_counters.items()
-        }
-
-    def metrics_snapshot(self) -> dict:
-        """The full registry + recorder snapshot (JSON-ready)."""
-        return self.obs.snapshot()
-
     def stats(self) -> dict:
         """Operation, CPU, disk and cache statistics for the harness.
 
@@ -1164,7 +1153,10 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "last_seq": self._ckpt_seq,
             },
             "scrub": {
-                **self.scrub_stats,
+                **{
+                    name: counter.value
+                    for name, counter in self._scrub_counters.items()
+                },
                 "pending_segments": len(self._scrub_pending),
                 "quarantined_segments": len(
                     self.usage.quarantined_segments()

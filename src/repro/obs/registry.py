@@ -1,6 +1,6 @@
 """The metrics registry: counters, gauges and latency histograms.
 
-Every subsystem used to keep its own ad-hoc counters (``scrub_stats``
+Every subsystem used to keep its own ad-hoc counters (per-subsystem
 dicts, bare integer attributes, per-queue stat methods); this module
 replaces them with one registry of named instruments so ``stats()``
 views, JSON artifacts and the harness all read from the same place.

@@ -27,11 +27,12 @@ single-volume durability (the next flush), like the home copy.
 Every routed operation works on the live copies of a global id, home
 first (:meth:`ShardedLLD._copies`): mutations through
 :meth:`ShardedLLD._mutate`, queries through :meth:`ShardedLLD._lookup`,
-whole-array operations through :meth:`ShardedLLD._each`, and repair
-and resync through one list copier, :meth:`ShardedLLD._copy_list`.  A
+and whole-array operations through :meth:`ShardedLLD._each`.  A
 member that raises :class:`~repro.errors.ShardLostError` is failed
-over where it is met, and :meth:`ShardedLLD.repair` rebuilds it from
-the committed copies on its peers.
+over where it is met.  Bringing a copy up to date is
+:mod:`repro.shard.replicas`: repair rebuilds a lost member from the
+committed copies on its peers, resync reconciles mirrors after a
+recovery, and scrub heals a lost block, all by one reconcile rule.
 
 Each shard owns a private :class:`~repro.disk.clock.SimClock`; array
 time is the furthest member's, and a call that touches several
@@ -45,7 +46,7 @@ every shard at once.  docs/SHARDING.md tells each of these at length.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.clock import CostModel, SimClock
 from repro.disk.faults import FaultInjector
@@ -56,7 +57,6 @@ from repro.errors import (
     BadARUError,
     BadBlockError,
     BadListError,
-    ConcurrencyError,
     ShardLostError,
     UnrecoverableBlockError,
 )
@@ -71,7 +71,7 @@ from repro.ld.types import (
 )
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
-from repro.shard import twophase
+from repro.shard import replicas, twophase
 from repro.shard.config import ArrayConfig
 
 
@@ -162,13 +162,6 @@ class _FanOut:
             array._fanout_elapsed_us += array.clock.now_us - self._t0
 
 
-def _holds_list(volume: LLD, local: int) -> bool:
-    """Whether a volume's committed view has the list."""
-    volume._restore_list(ListId(local))
-    view = volume.engine.view(volume.ltable, ListId(local), None)
-    return view is not None and view.allocated
-
-
 # A member-loop step that is two calls on one volume.  It goes through
 # the instance, so a method patched on the LLD class (the benchmark's
 # tracer does that) is the one that runs.
@@ -177,74 +170,6 @@ def _holds_list(volume: LLD, local: int) -> bool:
 def _end_aru_durably(volume: LLD, local: ARUId) -> None:
     volume.end_aru(local)
     volume.flush()
-
-
-class _RepairJob:
-    """Incremental rebuild of one lost shard onto fresh media.
-
-    The job copies, list by list, (a) the lost shard's *home* lists
-    from their surviving mirrors and (b) the mirror lists the shard
-    held for its ring predecessors, from the live home copies — both
-    through :meth:`ShardedLLD._copy_list`, which reads the committed
-    view only: repair never copies uncommitted data.  Lists mutated
-    while the job is in flight are recorded in ``dirty`` and
-    re-copied during the final step, which runs at a quiescent moment
-    (no active ARUs) so the committed view it sees is final.  A crash
-    mid-repair — or the loss of the replacement itself — simply
-    discards the half-built volume; repair restarts from scratch and
-    is idempotent.
-    """
-
-    def __init__(self, array: "ShardedLLD", shard: int) -> None:
-        self.array = array
-        self.shard = shard
-        self.dirty: Set[int] = set()
-        self.lists_copied = 0
-        self.blocks_copied = 0
-        template = array.shards[array._first_alive()]
-        injector = template.disk.injector
-        injector.replace_shard(shard)
-        disk = SimulatedDisk(
-            template.geometry,
-            model=template.disk.timer.model,
-            injector=injector,
-            shard_index=shard,
-        )
-        self.lld = LLD(
-            disk, cost_model=template.meter.model, config=template.config
-        )
-        self.queue: List[int] = self._plan()
-
-    def _plan(self) -> List[int]:
-        """Every list whose replica set includes the lost shard, home
-        lists first (so degraded data regains redundancy earliest)."""
-        arr = self.array
-        s = self.shard
-        home_lists: Set[int] = set()
-        for p in arr._alive_peers(s):
-            home_lists |= arr._mirror_lists_on(p, s)
-        mirror_lists: Set[int] = set()
-        for h in range(arr.n):
-            if h == s or not arr._alive(h):
-                continue
-            if s in arr._peers(h):
-                mirror_lists |= arr._user_lists_on(h)
-        return sorted(home_lists) + sorted(mirror_lists)
-
-    def copy_list(self, list_gid: int) -> int:
-        """Copy one list (home or mirror kind) from its live copies;
-        returns ops spent."""
-        arr = self.array
-        if shard_of(list_gid, arr.n) == self.shard:
-            target_list = to_local(list_gid, arr.n)
-        else:
-            target_list = mirror_id(list_gid)
-        copied = arr._copy_list(arr._copies(list_gid), self.lld, target_list)
-        if copied is None:
-            return 1  # deleted (or no surviving copy): nothing to admit
-        self.lists_copied += 1
-        self.blocks_copied += copied
-        return 1 + 2 * copied
 
 
 class ShardedLLD(LogicalDisk):
@@ -259,10 +184,9 @@ class ShardedLLD(LogicalDisk):
             (the replication factor); ``None`` means the unreplicated
             default.
         dead: shard index -> reason for members lost before assembly
-            (recovery passes this for shards whose media is gone).
-        dead_counters: shard index -> ``[next_block_id,
-            next_list_id]`` allocation counters of a dead member, if
-            known; derived from the surviving mirrors otherwise.
+            (recovery passes this for shards whose media is gone);
+            their allocation counters are derived from the surviving
+            mirrors.
 
     Build fresh arrays with :func:`build_sharded`; reassemble crashed
     ones with :func:`repro.recovery.recover`.
@@ -273,7 +197,6 @@ class ShardedLLD(LogicalDisk):
         shards: Sequence[Optional[LLD]],
         array_config: Optional[ArrayConfig] = None,
         dead: Optional[Dict[int, str]] = None,
-        dead_counters: Optional[Dict[int, Sequence[int]]] = None,
     ) -> None:
         if not shards:
             raise ValueError("a sharded volume needs at least one shard")
@@ -309,12 +232,8 @@ class ShardedLLD(LogicalDisk):
         #: Allocation counters of dead shards, so ids handed out
         #: while a member is down stay dense and are never reused.
         self._dead_counters: Dict[int, List[int]] = {
-            int(k): [int(v[0]), int(v[1])]
-            for k, v in (dead_counters or {}).items()
+            index: self._derive_dead_counters(index) for index in self._dead
         }
-        for index in self._dead:
-            if index not in self._dead_counters:
-                self._dead_counters[index] = self._derive_dead_counters(index)
         # Round-robin pointer for new lists; derived from the shards'
         # allocation counters so a reassembled array keeps striping
         # where the crashed one stopped.
@@ -341,7 +260,7 @@ class ShardedLLD(LogicalDisk):
         self._fanouts = 0
         self._fanout_serial_us = 0.0
         self._fanout_elapsed_us = 0.0
-        self._repair: Optional[_RepairJob] = None
+        self._repair: Optional[replicas._RepairJob] = None
         self._resync_pending = False
 
     # ------------------------------------------------------------------
@@ -451,30 +370,18 @@ class ShardedLLD(LogicalDisk):
         surviving mirror names.  (Exact when the largest-id entity
         still exists; a real array would persist member metadata.)
         """
-        max_block = 0
-        max_list = 0
-        for p in self._peers(shard_index):
-            shard = self.shards[p]
-            if shard is None:
-                continue
-            block_ids = set(shard.bmap.ids())
-            list_ids = set(shard.ltable.ids())
-            if shard._restore is not None:
-                block_ids.update(shard._restore.block_index)
-                list_ids.update(shard._restore.list_index)
-            for k in block_ids:
-                if k < SYSTEM_ID_BASE:
-                    continue
-                gid = k - SYSTEM_ID_BASE
-                if shard_of(gid, self.n) == shard_index:
-                    max_block = max(max_block, to_local(gid, self.n))
-            for k in list_ids:
-                if k < SYSTEM_ID_BASE:
-                    continue
-                gid = k - SYSTEM_ID_BASE
-                if shard_of(gid, self.n) == shard_index:
-                    max_list = max(max_list, to_local(gid, self.n))
-        return [max_block + 1, max_list + 1]
+        top = [0, 0]
+        for p in self._alive_peers(shard_index):
+            volume = self.shards[p]
+            for slot, lists in enumerate((False, True)):
+                for local in replicas.held_ids(volume, lists):
+                    gid = local - SYSTEM_ID_BASE
+                    if (
+                        local >= SYSTEM_ID_BASE
+                        and shard_of(gid, self.n) == shard_index
+                    ):
+                        top[slot] = max(top[slot], to_local(gid, self.n))
+        return [top[0] + 1, top[1] + 1]
 
     # ------------------------------------------------------------------
     # The router: every routed operation is one of these three shapes
@@ -649,63 +556,6 @@ class ShardedLLD(LogicalDisk):
         return results
 
     # ------------------------------------------------------------------
-    # Table enumeration helpers (restore-aware: a shard mid instant
-    # restore names pending ids in its controller's indexes)
-    # ------------------------------------------------------------------
-
-    def _list_ids_on(self, shard_index: int) -> Set[int]:
-        shard = self.shards[shard_index]
-        ids = set(shard.ltable.ids())
-        if shard._restore is not None:
-            ids.update(int(k) for k in shard._restore.list_index)
-        return ids
-
-    def _user_lists_on(self, shard_index: int) -> Set[int]:
-        """Global ids of the client-visible lists homed on a shard."""
-        shard = self.shards[shard_index]
-        return {
-            to_global(local, shard_index, self.n)
-            for local in self._list_ids_on(shard_index)
-            if local < SYSTEM_ID_BASE and _holds_list(shard, local)
-        }
-
-    def _mirror_lists_on(self, peer: int, home: int) -> Set[int]:
-        """Global ids of ``home``'s lists that ``peer`` mirrors."""
-        return {
-            local - SYSTEM_ID_BASE
-            for local in self._list_ids_on(peer)
-            if local >= SYSTEM_ID_BASE
-            and shard_of(local - SYSTEM_ID_BASE, self.n) == home
-            and _holds_list(self.shards[peer], local)
-        }
-
-    def _list_of_block(self, gid: int) -> Optional[int]:
-        """The global list id a block belongs to (committed view),
-        resolved from the first live copy that knows it."""
-        for s, local in self._copies(gid):
-            shard = self.shards[s]
-            shard._restore_block(BlockId(local))
-            view = shard.engine.view(shard.bmap, BlockId(local), None)
-            if view is not None and view.allocated and view.list_id:
-                return self._global_id(int(view.list_id), s)
-        return None
-
-    def _repair_covers(self, gid: int) -> bool:
-        """Whether a repair is running whose target is in ``gid``'s
-        replica set (a block and its list share one)."""
-        job = self._repair
-        if job is None:
-            return False
-        home = shard_of(gid, self.n)
-        return job.shard == home or job.shard in self._peers(home)
-
-    def _note_dirty_list(self, list_gid: Optional[int]) -> None:
-        """Record that a list's replica set changed while its copy is
-        (or may be) in flight on the repair target."""
-        if list_gid is not None and self._repair_covers(list_gid):
-            self._repair.dirty.add(list_gid)
-
-    # ------------------------------------------------------------------
     # ARUs
     # ------------------------------------------------------------------
 
@@ -790,7 +640,8 @@ class ShardedLLD(LogicalDisk):
                 "list",
                 alloc="block",
             )
-            self._note_dirty_list(list_gid)
+            if self._repair is not None:
+                self._repair.mark(list_gid)
             return BlockId(gid)
 
     def delete_block(
@@ -800,9 +651,8 @@ class ShardedLLD(LogicalDisk):
             gid = int(block_id)
             # The block's list is unknowable once it is deleted, and
             # only a repair covering it wants to know.
-            list_gid = (
-                self._list_of_block(gid) if self._repair_covers(gid) else None
-            )
+            job = self._repair
+            list_gid = job.list_of(gid) if job is not None else None
             self._mutate(
                 LLD.delete_block,
                 aru,
@@ -811,7 +661,8 @@ class ShardedLLD(LogicalDisk):
                 (mirror_id(gid),),
                 "block",
             )
-            self._note_dirty_list(list_gid)
+            if job is not None:
+                job.mark(list_gid)
 
     def write(
         self, block_id: BlockId, data: bytes, aru: Optional[ARUId] = None
@@ -829,8 +680,9 @@ class ShardedLLD(LogicalDisk):
                 (mirror_id(gid), data),
                 "block",
             )
-            if self._repair_covers(gid):
-                self._note_dirty_list(self._list_of_block(gid))
+            job = self._repair
+            if job is not None:
+                job.mark(job.list_of(gid))
 
     def read(self, block_id: BlockId, aru: Optional[ARUId] = None) -> bytes:
         with self._lock:
@@ -894,7 +746,8 @@ class ShardedLLD(LogicalDisk):
             gid = self._mutate(
                 LLD.new_list, aru, home, (), (), "new list", alloc="list"
             )
-            self._note_dirty_list(gid)
+            if self._repair is not None:
+                self._repair.mark(gid)
             return ListId(gid)
 
     def delete_list(
@@ -910,7 +763,8 @@ class ShardedLLD(LogicalDisk):
                 (mirror_id(list_gid),),
                 "list",
             )
-            self._note_dirty_list(list_gid)
+            if self._repair is not None:
+                self._repair.mark(list_gid)
 
     def list_blocks(
         self, list_id: ListId, aru: Optional[ARUId] = None
@@ -998,175 +852,36 @@ class ShardedLLD(LogicalDisk):
             self._mark_shard_lost(shard_index, "lost by operator")
 
     def start_repair(self, shard_index: Optional[int] = None) -> int:
-        """Begin rebuilding a lost member onto fresh replacement
-        media.  Returns the number of lists queued for copy; drive
-        the copy with :meth:`repair_step` (paced) or :meth:`repair`
-        (synchronous)."""
+        """Begin rebuilding a lost member (the lowest lost one by
+        default) onto fresh replacement media.  Returns the number of
+        lists queued; drive the copy with :meth:`repair_step` (paced)
+        or :meth:`repair` (synchronous)."""
         with self._lock:
-            if self._repair is not None:
-                raise ConcurrencyError("a repair is already in progress")
-            if shard_index is None:
-                if not self._dead:
-                    raise ValueError("no shard is lost")
-                shard_index = min(self._dead)
-            if shard_index not in self._dead:
-                raise ValueError(f"shard {shard_index} is not lost")
-            if self.rf < 2:
-                raise ValueError(
-                    "an unreplicated array has no surviving copies to "
-                    "repair from"
-                )
-            self._repair = _RepairJob(self, shard_index)
-            return len(self._repair.queue)
+            return replicas.start_repair(self, shard_index)
 
     def repair_step(self, max_ops: int = 64) -> bool:
-        """Run one paced slice of the active repair.
-
-        Copies up to ``max_ops`` admit/copy operations, then returns
-        whether the repair has *completed*.  Completion — re-copying
-        lists dirtied while the job ran, then installing the rebuilt
-        volume — requires a quiescent moment (no active ARUs); until
-        one occurs the step keeps the job open and returns False.
-
-        If the replacement itself is lost mid-repair the half-built
-        volume is discarded and the step returns False with no repair
-        active: the member stays lost (reads keep being served from
-        its mirrors) and :meth:`start_repair` may be called afresh.
-        A *source* lost mid-copy is failed over; the interrupted list
-        stays queued and later steps copy it from the remaining
-        sources.
-        """
+        """Spend up to ``max_ops`` copy operations of the active
+        repair; True once it has completed, which needs a moment with
+        no active ARU (the dirty lists' last pass, then the install).
+        A lost source is failed over to the next copy; a lost
+        replacement ends the repair (False, none active) and the
+        member stays lost."""
         with self._lock:
-            if max_ops < 1:
-                raise ValueError(f"max_ops must be >= 1, got {max_ops}")
-            budget = max_ops
-            job = self._repair
-            if job is None:
-                return True
-            try:
-                while job.queue and budget > 0:
-                    budget -= job.copy_list(job.queue[0])
-                    del job.queue[0]
-                if job.queue or self._arus:
-                    return False  # dirty re-copy needs final committed state
-                while job.dirty:
-                    list_gid = next(iter(job.dirty))
-                    job.copy_list(list_gid)
-                    job.dirty.discard(list_gid)
-                self._install_repair(job)
-                return True
-            except ShardLostError as exc:
-                if exc.shard == job.shard:
-                    self._repair = None
-                else:
-                    self._mark_shard_lost(exc.shard)
-                return False
+            return replicas.repair_step(self, max_ops)
 
     def repair(self, shard_index: Optional[int] = None) -> dict:
         """Rebuild a lost member synchronously (start + run to
         completion).  Requires no active ARUs.  Returns copy counts.
         """
         with self._lock:
-            if self._repair is None:
-                self.start_repair(shard_index)
-            if self._arus:
-                raise ConcurrencyError(
-                    "cannot run synchronous repair with active ARUs; "
-                    "use repair_step"
-                )
-            job = self._repair
-            while not self.repair_step():
-                pass
-            if job.shard in self._dead:
-                raise ShardLostError(job.shard, "replacement lost mid-repair")
-            return {
-                "lists_copied": job.lists_copied,
-                "blocks_copied": job.blocks_copied,
-            }
-
-    def _install_repair(self, job: _RepairJob) -> None:
-        counters = self._dead_counters.get(job.shard)
-        if counters is not None:
-            # Ids handed out while the member was down must never be
-            # reallocated by the healed volume.
-            job.lld._next_block_id = max(
-                job.lld._next_block_id, counters[0]
-            )
-            job.lld._next_list_id = max(job.lld._next_list_id, counters[1])
-        self._sync_clock(job.lld)
-        job.lld.flush()
-        self.shards[job.shard] = job.lld
-        del self._dead[job.shard]
-        self._dead_counters.pop(job.shard, None)
-        self._repair = None
-        self._repairs_completed += 1
-
-    def _copy_list(
-        self,
-        sources: Sequence[Tuple[int, int]],
-        target: LLD,
-        target_list: int,
-    ) -> Optional[int]:
-        """Rebuild list ``target_list`` on ``target`` from the first
-        of ``sources`` (``(shard, list id)``) that holds an allocated
-        copy — the one copier behind repair and resync.
-
-        Every read uses the committed view (``aru=None``), so
-        uncommitted data is never copied.  A stale target list is
-        dropped first, then the list and each member are admitted
-        under forced ids (a home list's members get their local ids,
-        a mirror list's their ``mirror_id``) and the bytes copied.
-        Returns the number of blocks copied, or ``None`` when no
-        source has the list (deleted, or beyond the failure budget).
-        """
-        if _holds_list(target, target_list):
-            self._sync_clock(target)
-            target.delete_list(ListId(target_list))
-        for s, source_list in sources:
-            source = self.shards[s]
-            if _holds_list(source, source_list):
-                break
-        else:
-            return None
-        self._sync_clock(source)
-        members = source.list_blocks(ListId(source_list))
-        self._sync_clock(target)
-        target.new_list(list_id=ListId(target_list))
-        prev: Predecessor = FIRST
-        for member in members:
-            gid = self._global_id(int(member), s)
-            block = BlockId(
-                mirror_id(gid)
-                if target_list >= SYSTEM_ID_BASE
-                else to_local(gid, self.n)
-            )
-            stale = target.engine.view(target.bmap, block, None)
-            if stale is not None and stale.allocated:
-                target.delete_block(block)
-            target.new_block(
-                ListId(target_list), predecessor=prev, block_id=block
-            )
-            self._sync_clock(source)
-            data = source.read(member)
-            self._sync_clock(target)
-            target.write(block, data)
-            prev = block
-        self._lists_healed += 1
-        self._blocks_healed += len(members)
-        return len(members)
+            return replicas.repair(self, shard_index)
 
     def scrub(self, segments: Optional[Sequence[int]] = None) -> dict:
         """Scrub every live shard; blocks the per-volume scrubber
         declares lost are healed from their surviving replicas (each
         member's right after its own scrub)."""
         with self._lock:
-            reports: Dict[str, object] = {}
-            for s in range(self.n):
-                for report in self._each(LLD.scrub, (s,), segments).values():
-                    reports[str(s)] = report
-                    for local in list(report.lost_blocks):
-                        self._heal_lost_block(s, int(local))
-            return reports
+            return replicas.scrub(self, segments)
 
     def clean(self) -> None:
         """Run one segment-cleaner pass on every live shard (the
@@ -1175,134 +890,14 @@ class ShardedLLD(LogicalDisk):
         with self._lock:
             self._each(LLD.clean)
 
-    def _heal_lost_block(self, shard_index: int, local: int) -> bool:
-        """Rewrite one quarantined-beyond-salvage block from another
-        live copy (committed data only — a replica never holds
-        uncommitted bytes for a committed-elsewhere block)."""
-        for source, source_id in self._copies(
-            self._global_id(local, shard_index)
-        ):
-            if source == shard_index:
-                continue
-            try:
-                got = self._each(LLD.read, (source,), BlockId(source_id))
-            except (BadBlockError, UnrecoverableBlockError):
-                continue
-            if not got:
-                continue  # source lost along the way: try the next
-            if not self._each(
-                LLD.write, (shard_index,), BlockId(local), got[source]
-            ):
-                return False  # the damaged member itself is lost
-            self._blocks_healed += 1
-            return True
-        return False
-
     def resync(self) -> Dict[str, int]:
-        """Reconcile every mirror with its live home copy.
-
-        The home copy is authoritative: structurally diverged mirror
-        lists are rebuilt, byte-diverged mirror blocks rewritten, and
-        stray mirrors (their home entity is gone, or never existed)
-        deleted.  Recovering an unreplicated image under a
-        ``replication_factor`` > 1 config builds the mirrors here —
-        this is also how replication is enabled on an existing array.
-        Requires no active ARUs; mirrors of *dead* homes are never
-        touched (they are the surviving copy).
-        """
+        """Reconcile every mirror with its live home copy, and drop
+        the mirrors no live home backs (a lost home's are kept: they
+        are its surviving copy).  Recovery runs it; it also builds the
+        mirrors of an unreplicated image recovered at rf > 1.  Needs
+        no active ARU.  Returns what it mended."""
         with self._lock:
-            fixed = {
-                "mirror_lists_rebuilt": 0,
-                "mirror_blocks_rewritten": 0,
-                "stray_mirrors_deleted": 0,
-            }
-            if self.rf < 2:
-                return fixed
-            if self._arus:
-                raise ConcurrencyError("cannot resync with active ARUs")
-            for home in range(self.n):
-                if not self._alive(home):
-                    continue
-                for list_gid in sorted(self._user_lists_on(home)):
-                    self._sync_clock(self.shards[home])
-                    members = self.shards[home].list_blocks(
-                        ListId(to_local(list_gid, self.n))
-                    )
-                    gmembers = [
-                        to_global(int(b), home, self.n) for b in members
-                    ]
-                    for p in self._alive_peers(home):
-                        self._resync_mirror(home, p, list_gid, gmembers, fixed)
-            for p in range(self.n):
-                if not self._alive(p):
-                    continue
-                self._drop_stray_mirrors(p, fixed)
-            return fixed
-
-    def _resync_mirror(
-        self,
-        home: int,
-        peer: int,
-        list_gid: int,
-        gmembers: List[int],
-        fixed: Dict[str, int],
-    ) -> None:
-        shard = self.shards[peer]
-        target = ListId(mirror_id(list_gid))
-        matches = _holds_list(shard, target)
-        if matches:
-            self._sync_clock(shard)
-            mirrored = [
-                int(b) - SYSTEM_ID_BASE for b in shard.list_blocks(target)
-            ]
-            matches = mirrored == gmembers
-        if not matches:
-            self._copy_list(
-                [(home, to_local(list_gid, self.n))], shard, target
-            )
-            fixed["mirror_lists_rebuilt"] += 1
-            return
-        for gid in gmembers:
-            self._sync_clock(self.shards[home])
-            data = self.shards[home].read(BlockId(to_local(gid, self.n)))
-            try:
-                self._sync_clock(shard)
-                copy = shard.read(BlockId(mirror_id(gid)))
-            except UnrecoverableBlockError:
-                copy = None
-            if copy != data:
-                shard.write(BlockId(mirror_id(gid)), data)
-                fixed["mirror_blocks_rewritten"] += 1
-
-    def _drop_stray_mirrors(self, peer: int, fixed: Dict[str, int]) -> None:
-        shard = self.shards[peer]
-        for local in sorted(self._list_ids_on(peer)):
-            if local < SYSTEM_ID_BASE or not _holds_list(shard, local):
-                continue
-            list_gid = local - SYSTEM_ID_BASE
-            home = shard_of(list_gid, self.n)
-            if not self._alive(home):
-                continue  # surviving copy of a dead home: keep
-            if peer not in self._peers(home) or not _holds_list(
-                self.shards[home], to_local(list_gid, self.n)
-            ):
-                self._sync_clock(shard)
-                shard.delete_list(ListId(local))
-                fixed["stray_mirrors_deleted"] += 1
-        # Mirror blocks orphaned by an ARU that never committed:
-        # allocation commits immediately, so sweep them like the
-        # paper's disk consistency check sweeps user orphans.
-        for block_id in shard.bmap.ids():
-            if block_id < SYSTEM_ID_BASE:
-                continue
-            view = shard.engine.view(shard.bmap, BlockId(block_id), None)
-            if view is None or not view.allocated or view.list_id:
-                continue
-            gid = block_id - SYSTEM_ID_BASE
-            if self._alive(shard_of(gid, self.n)):
-                self._sync_clock(shard)
-                shard.delete_block(BlockId(block_id))
-                fixed["stray_mirrors_deleted"] += 1
+            return replicas.resync(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1348,14 +943,6 @@ class ShardedLLD(LogicalDisk):
             "shards": per_shard,
             "aggregate": aggregate_stats(list(per_shard.values())),
             "sharding": self.sharding_info(),
-        }
-
-    def metrics_snapshot(self) -> dict:
-        """Every live shard's registry + recorder snapshot."""
-        return {
-            str(index): shard.obs.snapshot()
-            for index, shard in enumerate(self.shards)
-            if shard is not None
         }
 
 

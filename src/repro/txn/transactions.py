@@ -151,9 +151,14 @@ class Transaction:
     def new_block(
         self, list_id: ListId, predecessor: Predecessor = FIRST
     ) -> BlockId:
-        """Allocate a block in a list under an exclusive list lock."""
+        """Allocate a block in a list under an exclusive list lock and
+        a shared lock on its predecessor: the commit replays the insert
+        against that block, so no other transaction may delete it
+        first."""
         self._check_active()
         self._lock_list(list_id, LockMode.EXCLUSIVE)
+        if predecessor is not FIRST:
+            self._lock_block(predecessor, LockMode.SHARED)
         block_id = self._ld_call(
             self.ld.new_block, list_id, predecessor, aru=self.aru
         )

@@ -20,11 +20,18 @@ with ``dict(disk._segments)`` would change along with the disk.
 
 :func:`assert_live` is ROADMAP item 1's liveness half: a recovered
 volume can go on, and its cleaner can free segments again.
+
+:func:`assert_replicas_agree` is the replica oracle of a replicated
+array: every mirror of a live home list is the home's list, member for
+member and byte for byte, and no member keeps a mirror its live home
+does not back.
 """
 
+from repro.ld.types import SYSTEM_ID_BASE
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
 from repro.lld.verify import verify_lld
+from repro.shard.sharded import mirror_id, shard_of, to_global, to_local
 
 
 def platter_bytes(disk):
@@ -121,3 +128,58 @@ def recoveries_agree(disk, config):
         volume.disk._segments = platter_bytes(volume.disk)
         assert_live(volume)
     return eager, eager_report
+
+
+def _holds(volume, table, local):
+    view = volume.engine.view(table, local, None)
+    return view is not None and view.allocated
+
+
+def assert_replicas_agree(array):
+    """Every live ring peer's mirror of a live home list holds the
+    home's members in order (as ``mirror_id``s) and the home's bytes,
+    and no live member holds a mirror list or a mirror block whose
+    live home lacks it.  Reads every list and block of the array; call
+    it with no ARU active and no restore pending."""
+    n = array.n
+    for home, volume in enumerate(array.shards):
+        if volume is None:
+            continue
+        for local in sorted(volume.ltable.ids()):
+            if local >= SYSTEM_ID_BASE or not _holds(
+                volume, volume.ltable, local
+            ):
+                continue
+            gid = to_global(local, home, n)
+            members = volume.list_blocks(local)
+            want = [mirror_id(to_global(b, home, n)) for b in members]
+            for peer in array._alive_peers(home):
+                mirror = array.shards[peer]
+                assert mirror.list_blocks(mirror_id(gid)) == want, (
+                    gid,
+                    peer,
+                )
+                for block, copy in zip(members, want):
+                    assert mirror.read(copy) == volume.read(block), (
+                        to_global(block, home, n),
+                        peer,
+                    )
+    for member, volume in enumerate(array.shards):
+        if volume is None:
+            continue
+        for table, kind in ((volume.ltable, "list"), (volume.bmap, "block")):
+            for local in sorted(table.ids()):
+                if local < SYSTEM_ID_BASE or not _holds(volume, table, local):
+                    continue
+                gid = local - SYSTEM_ID_BASE
+                home = shard_of(gid, n)
+                owner = array.shards[home]
+                if owner is None:
+                    continue  # the surviving copy of a lost home
+                home_table = owner.ltable if kind == "list" else owner.bmap
+                assert member in array._peers(home), (kind, gid, member)
+                assert _holds(owner, home_table, to_local(gid, n)), (
+                    kind,
+                    gid,
+                    member,
+                )

@@ -240,7 +240,7 @@ class TestFailurePropagation:
 
     def test_exhausted_retry_budget_is_gave_up(self):
         frontend, _block = provisioned_frontend(
-            FrontendConfig(max_attempts=2, retry_backoff_s=0.0)
+            FrontendConfig(max_attempts=2)
         )
 
         def dies(_txn):
@@ -547,10 +547,11 @@ def test_second_scheduler_stays_removed():
         {"lane_impl": "async"},
         {"async_txns_per_lane": 1},
         {"storage_threads": 1},
+        {"retry_backoff_s": 0.0},
     ):
         with pytest.raises(TypeError):
             FrontendConfig(**removed)
-    assert len(dataclasses.fields(FrontendConfig)) == 8
+    assert len(dataclasses.fields(FrontendConfig)) == 7
     assert "AsyncFrontEnd" not in repro.frontend.__all__
     assert not {
         "AsyncTransaction",

@@ -16,6 +16,7 @@ acknowledged ARU after failover and again after heal.
 
 import copy
 import random
+import sys
 
 import pytest
 
@@ -35,12 +36,15 @@ from repro.errors import (
     ShardLostError,
     UnrecoverableBlockError,
 )
+from repro.ld.types import SYSTEM_ID_BASE
 from repro.lld.lld import LLD
 from repro.lld.verify import verify_lld
 from repro.obs.schema import validate_sharded_stats
 from repro.recovery import recover
 from repro.shard import ArrayConfig, ShardedLLD, build_sharded, mirror_id
 from repro.shard.sharded import shard_of, to_global, to_local
+
+from tests.oracle import assert_replicas_agree
 
 
 def build_array(n=3, rf=2, num_segments=48, injector=None):
@@ -94,6 +98,46 @@ def assert_all_sound(arr):
     for index, shard in enumerate(arr.shards):
         problems = verify_lld(shard)
         assert not problems, (index, problems)
+
+
+def repair_and_check(arr, shard_index=None):
+    """A synchronous repair, then the replica oracle and
+    ``verify_lld`` on every member."""
+    counts = arr.repair(shard_index)
+    assert_replicas_agree(arr)
+    assert_all_sound(arr)
+    return counts
+
+
+def diverge(arr):
+    """Write four divergences straight onto the members of a
+    populated rf = 2 array, behind the router's back, and make them
+    durable: a mirror block with other bytes, a mirror list missing a
+    member, a stray mirror list of a list that does not exist and an
+    orphan mirror block (allocated by an ARU that aborted)."""
+    n = arr.n
+    lists = sorted(
+        to_global(local, home, n)
+        for home, shard in enumerate(arr.shards)
+        for local in shard.ltable.ids()
+        if local < SYSTEM_ID_BASE
+    )
+
+    def peer(gid):
+        return arr.shards[(shard_of(gid, n) + 1) % n]
+
+    first, second = (arr.list_blocks(lst) for lst in lists[:2])
+    peer(first[0]).write(mirror_id(first[0]), b"other bytes")
+    peer(second[-1]).delete_block(mirror_id(second[-1]))
+    ghost = to_global(40, 2, n)
+    peer(ghost).new_list(list_id=mirror_id(ghost))
+    orphan = to_global(90, shard_of(lists[0], n), n)
+    host = peer(lists[0])
+    aru = host.begin_aru()
+    host.new_block(mirror_id(lists[0]), block_id=mirror_id(orphan), aru=aru)
+    host.abort_aru(aru)
+    for shard in arr.shards:
+        shard.flush()
 
 
 class BareTwins:
@@ -328,17 +372,50 @@ class TestReplicatedBasics:
             build_array(2, rf=3)
 
     def test_removed_surface_stays_removed(self):
-        """One router, one copier, two knobs (ISSUE 15)."""
+        """One router, one reconcile rule, one copier, one knob; no
+        shim nothing calls."""
         import dataclasses
+        import inspect
 
-        from repro.shard.sharded import _RepairJob
+        import repro.shard.sharded as sharded
+        from repro.frontend.scheduler import FrontendConfig
+        from repro.shard.replicas import _RepairJob
 
         arr = build_array(rf=1)
-        for name in ("_plain", "_update_plain", "_rebuild_mirror_list"):
+        for name in (
+            "_plain",
+            "_update_plain",
+            "_rebuild_mirror_list",
+            "_copy_list",
+            "_heal_lost_block",
+            "_resync_mirror",
+            "_drop_stray_mirrors",
+            "_user_lists_on",
+            "_mirror_lists_on",
+            "_list_ids_on",
+            "_install_repair",
+            "_repair_covers",
+            "_note_dirty_list",
+            "metrics_snapshot",
+        ):
             assert not hasattr(ShardedLLD, name), name
             assert not hasattr(arr, name), name
-        for name in ("_copy_home", "_copy_mirror", "_force_block"):
+        for name in ("_holds_list", "_RepairJob"):
+            assert not hasattr(sharded, name), name
+        for name in (
+            "_copy_home",
+            "_copy_mirror",
+            "_force_block",
+            "_plan",
+            "copy_list",
+        ):
             assert not hasattr(_RepairJob, name), name
+        for name in ("metrics_snapshot", "scrub_stats"):
+            assert not hasattr(LLD, name), name
+        assert "dead_counters" not in inspect.signature(ShardedLLD).parameters
+        assert "retry_backoff_s" not in {
+            f.name for f in dataclasses.fields(FrontendConfig)
+        }
         with pytest.raises(TypeError):
             ArrayConfig(placement="ring")
         assert [f.name for f in dataclasses.fields(ArrayConfig)] == [
@@ -653,13 +730,69 @@ class TestReadManyReplicated:
         assert arr.sharding_info()["degraded_reads"] >= 1
 
 
+class TestResync:
+    """Recovery reconciles every mirror with its home: the four ways
+    a mirror can diverge, written onto the members before a crash,
+    are mended by the resync an eager recovery runs, and by the one
+    an instant recovery defers to ``complete_restore()``."""
+
+    @pytest.mark.parametrize("mode", ["eager", "instant"])
+    def test_recovery_mends_diverged_mirrors(self, mode):
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3, blocks_per_list=3)
+        diverge(arr)
+        with pytest.raises(AssertionError):
+            assert_replicas_agree(arr)
+        vol, _report = recover(
+            [shard.disk.power_cycle() for shard in arr.shards],
+            array_config=arr.config,
+            mode=mode,
+        )
+        if mode == "instant":
+            assert vol.restore_active
+            vol.complete_restore()
+        assert not vol.restore_active
+        assert_replicas_agree(vol)
+        assert_all_sound(vol)
+        assert_contents(vol, contents)
+        assert vol.resync() == {
+            "mirror_lists_rebuilt": 0,
+            "mirror_blocks_rewritten": 0,
+            "stray_mirrors_deleted": 0,
+        }
+
+    def test_resync_counts_what_it_mends(self):
+        arr = build_array(3, rf=2)
+        populate(arr, lists=3, blocks_per_list=3)
+        diverge(arr)
+        assert arr.resync() == {
+            "mirror_lists_rebuilt": 1,
+            "mirror_blocks_rewritten": 1,
+            "stray_mirrors_deleted": 2,
+        }
+        assert_replicas_agree(arr)
+        assert_all_sound(arr)
+
+    def test_mirrors_of_a_lost_home_are_kept(self):
+        """A lost home's mirrors are its surviving copy: resync leaves
+        them, and the repair that follows rebuilds the home from
+        them."""
+        arr = build_array(3, rf=2)
+        contents = populate(arr, lists=3, blocks_per_list=3)
+        arr.lose_shard(0)
+        assert arr.resync()["stray_mirrors_deleted"] == 0
+        assert_contents(arr, contents)
+        repair_and_check(arr, 0)
+        assert_contents(arr, contents)
+
+
 class TestRepair:
     def test_repair_restores_full_redundancy(self):
         arr = build_array(3, rf=2)
         contents = populate(arr)
         arr.lose_shard(0)
         assert_contents(arr, contents)
-        counts = arr.repair(0)
+        counts = repair_and_check(arr, 0)
         assert counts["lists_copied"] >= 1
         info = arr.sharding_info()
         assert info["repairs_completed"] == 1
@@ -680,13 +813,12 @@ class TestRepair:
             if shard_of(blk, arr.n) == 0:
                 arr.write(blk, b"updated-degraded")
                 contents[blk] = b"updated-degraded"
-        arr.repair(0)
+        repair_and_check(arr, 0)
         assert_contents(arr, contents)
-        assert_all_sound(arr)
 
     def test_paced_repair_with_concurrent_mutations(self):
-        """Lists mutated while their copy is in flight are re-copied
-        at the final quiescent step — repair converges."""
+        """Lists mutated while their copy is in flight are reconciled
+        again at the final quiescent step — repair converges."""
         arr = build_array(3, rf=2, num_segments=64)
         contents = populate(arr, lists=4, blocks_per_list=4)
         arr.lose_shard(0)
@@ -703,6 +835,30 @@ class TestRepair:
             assert step < 500, "repair did not converge"
         assert not arr.repair_active
         assert_contents(arr, contents)
+        assert_replicas_agree(arr)
+        assert_all_sound(arr)
+
+    def test_a_dirty_list_gets_only_its_changed_blocks_rewritten(self):
+        """A list written after its copy landed on the replacement is
+        reconciled again: the one changed block is rewritten, the list
+        is not rebuilt."""
+        arr = build_array(3, rf=2, num_segments=64)
+        contents = populate(arr, lists=4, blocks_per_list=4)
+        arr.lose_shard(0)
+        arr.start_repair(0)
+        queued = list(arr._repair.queue)
+        assert len(queued) > 1
+        assert not arr.repair_step(max_ops=1)  # the first list only
+        changed = arr.list_blocks(queued[0])[0]
+        arr.write(changed, b"changed")
+        contents[changed] = b"changed"
+        counts = arr.repair()
+        assert counts == {
+            "lists_copied": len(queued),
+            "blocks_copied": sum(len(arr.list_blocks(l)) for l in queued) + 1,
+        }
+        assert_contents(arr, contents)
+        assert_replicas_agree(arr)
         assert_all_sound(arr)
 
     def test_repair_waits_for_quiescence_with_active_arus(self):
@@ -722,6 +878,7 @@ class TestRepair:
         assert arr.repair_step()
         assert not arr.repair_active
         assert arr.list_blocks(lst) == []
+        assert_replicas_agree(arr)
         assert_all_sound(arr)
 
     def test_repair_never_copies_uncommitted_data(self):
@@ -740,6 +897,7 @@ class TestRepair:
             arr.abort_aru(aru)  # quiesce so the install can land
         assert not arr.repair_active
         assert_contents(arr, contents)  # committed bytes, not the aborted ones
+        assert_replicas_agree(arr)
         assert_all_sound(arr)
 
     def test_repair_requires_replication(self):
@@ -794,6 +952,7 @@ class TestRepair:
         assert arr.sharding_info()["redundancy_full"] is True
         assert arr.sharding_info()["repairs_completed"] == 1
         assert_contents(arr, contents)
+        assert_replicas_agree(arr)
         assert_all_sound(arr)
         assert validate_sharded_stats(arr.stats()) == []
 
@@ -825,10 +984,9 @@ class TestRepair:
             assert steps < 200, "repair did not converge"
         assert arr.dead_shards == [2]
         assert_contents(arr, contents)
-        arr.repair(2)
+        repair_and_check(arr, 2)
         assert arr.sharding_info()["redundancy_full"] is True
         assert_contents(arr, contents)
-        assert_all_sound(arr)
 
     def test_scrub_heals_lost_blocks_from_replicas(self):
         """The scrubber's per-volume 'lost' verdict is not final on a
@@ -851,52 +1009,139 @@ class TestRepair:
         assert arr.sharding_info()["blocks_healed"] >= 1
         assert_contents(arr, contents)
 
+    def test_scrub_leaves_a_block_no_copy_can_serve_lost(self):
+        """Both copies of a block lost to media faults: the scrub heals
+        what it can and leaves that block lost, without raising."""
+        from repro.disk.faults import MediaFault
+
+        arr = build_array(3, rf=2)
+        contents = populate(arr)
+        victim = next(iter(contents))
+        home = shard_of(victim, arr.n)
+        peer = (home + 1) % arr.n
+        copies = ((home, to_local(victim, arr.n)), (peer, mirror_id(victim)))
+        for s, local in copies:
+            shard = arr.shards[s]
+            seg = shard.bmap.persistent[local].address.segment
+            shard.cache.invalidate_all()
+            shard.disk.injector.add_media_fault(
+                MediaFault(segment_no=seg, kind="unreadable", shard=s)
+            )
+        reports = arr.scrub()
+        assert reports[str(home)].blocks_lost >= 1
+        assert arr.dead_shards == []
+        with pytest.raises(UnrecoverableBlockError):
+            arr.read(victim)
+
+
+def run_storm(arr, rounds=6):
+    """The sweep's transactional storm: one block on each of the
+    array's first lists, rewritten by one ARU a round.  Returns
+    {block: payload} of every acknowledged commit."""
+    contents = {}
+    lists = [arr.new_list() for _ in range(arr.n)]
+    blocks = {lst: arr.new_block(lst) for lst in lists}
+    arr.flush()
+    for round_no in range(rounds):
+        aru = arr.begin_aru()
+        payloads = {}
+        for lst in lists:
+            payload = f"r{round_no}-{int(lst)}".encode()
+            arr.write(blocks[lst], payload, aru=aru)
+            payloads[blocks[lst]] = payload
+        arr.end_aru(aru)
+        contents.update(payloads)
+    return contents
+
+
+def loss_case(shard, lose_after):
+    """Lose ``shard``'s media after ``lose_after`` writes of the storm:
+    every acknowledged ARU survives, on the mirrors and after a
+    repair."""
+    injector = FaultInjector(
+        plan=FaultPlan(
+            shard_losses=[ShardLoss(shard=shard, after_writes=lose_after)]
+        )
+    )
+    arr = build_array(3, rf=2, injector=injector)
+    contents = run_storm(arr)
+    # every end_aru above returned: all of them are acked, and all
+    # must survive whether the loss fired before, during or after
+    # their PREPARE flushes.
+    assert_contents(arr, contents)
+    if arr.dead_shards:
+        repair_and_check(arr)
+        assert_contents(arr, contents)
+        assert arr.sharding_info()["redundancy_full"] is True
+
+
+def cut_storm(arr):
+    """The compound sweep's workload: one block rewritten by ten ARUs.
+    Returns {block: payload} of the last acknowledged commit."""
+    acked = {}
+    lst = arr.new_list()
+    blk = arr.new_block(lst)
+    arr.flush()
+    for round_no in range(10):
+        aru = arr.begin_aru()
+        payload = b"round-%d" % round_no
+        arr.write(blk, payload, aru=aru)
+        arr.end_aru(aru)
+        # multi-shard commits are durable at ack
+        acked[blk] = payload
+    return acked
+
+
+def cut_case(shard, lose_after, cut_after):
+    """Lose ``shard``'s media after ``lose_after`` writes and cut the
+    power after ``cut_after``: recovery assembles degraded, keeps every
+    ARU acknowledged before the cut, and a repair restores it all."""
+    injector = FaultInjector(
+        plan=FaultPlan(
+            power_cut=PowerCut(after_writes=cut_after),
+            shard_losses=[ShardLoss(shard=shard, after_writes=lose_after)],
+        )
+    )
+    arr = build_array(3, rf=2, injector=injector)
+    acked = {}
+    try:
+        acked = cut_storm(arr)
+    except Exception:
+        pass
+    injector.power_cycle()
+    disks = [
+        arr.shards[i].disk if arr.shards[i] is not None else None
+        for i in range(arr.n)
+    ]
+    vol, report = recover(
+        disks, array_config=ArrayConfig(replication_factor=2)
+    )
+    for blk, payload in acked.items():
+        assert vol.read(blk).startswith(payload)
+    if report.dead_shards:
+        repair_and_check(vol)
+        for blk, payload in acked.items():
+            assert vol.read(blk).startswith(payload)
+
+
+def writes_of(workload):
+    """How many writes ``workload`` issues on a fault-free array."""
+    injector = FaultInjector()
+    workload(build_array(3, rf=2, injector=injector))
+    return injector.writes_seen
+
 
 class TestShardLossSweep:
-    """The crash-matrix extension: whole-shard loss at every write
-    index of a transactional storm, including during PREPARE."""
+    """The crash-matrix extension: whole-shard loss at sampled write
+    indexes of a transactional storm, including during PREPARE
+    (``python -m tests.test_replication`` runs every index)."""
 
     N = 3
-
-    def run_storm(self, arr, rounds=6):
-        contents = {}
-        lists = [arr.new_list() for _ in range(self.N)]
-        blocks = {lst: arr.new_block(lst) for lst in lists}
-        arr.flush()
-        acked = []
-        for round_no in range(rounds):
-            aru = arr.begin_aru()
-            payloads = {}
-            for lst in lists:
-                payload = f"r{round_no}-{int(lst)}".encode()
-                arr.write(blocks[lst], payload, aru=aru)
-                payloads[blocks[lst]] = payload
-            arr.end_aru(aru)
-            acked.append(payloads)
-            contents.update(payloads)
-        return contents
 
     @pytest.mark.parametrize("lose_after", [0, 3, 6, 9, 12, 16, 20])
     @pytest.mark.parametrize("shard", [0, 1])
     def test_no_acked_aru_lost_at_any_loss_point(self, lose_after, shard):
-        injector = FaultInjector(
-            plan=FaultPlan(
-                shard_losses=[
-                    ShardLoss(shard=shard, after_writes=lose_after)
-                ]
-            )
-        )
-        arr = build_array(self.N, rf=2, injector=injector)
-        contents = self.run_storm(arr)
-        # every end_aru above returned: all of them are acked, and
-        # all must survive whether the loss fired before, during or
-        # after their PREPARE flushes.
-        assert_contents(arr, contents)
-        if arr.dead_shards:
-            arr.repair()
-            assert_contents(arr, contents)
-            assert arr.sharding_info()["redundancy_full"] is True
-            assert_all_sound(arr)
+        loss_case(shard, lose_after)
 
     @pytest.mark.parametrize("cut_after", [8, 14, 22])
     def test_power_cut_plus_shard_loss_recovers_committed_state(
@@ -905,42 +1150,7 @@ class TestShardLossSweep:
         """The compound fault: shard 1's media destroyed early, power
         cut later.  Recovery must assemble degraded and keep every
         ARU whose commit was acknowledged before the cut."""
-        injector = FaultInjector(
-            plan=FaultPlan(
-                power_cut=PowerCut(after_writes=cut_after),
-                shard_losses=[ShardLoss(shard=1, after_writes=4)],
-            )
-        )
-        arr = build_array(self.N, rf=2, injector=injector)
-        acked = {}
-        try:
-            lst = arr.new_list()
-            blk = arr.new_block(lst)
-            arr.flush()
-            for round_no in range(10):
-                aru = arr.begin_aru()
-                payload = b"round-%d" % round_no
-                arr.write(blk, payload, aru=aru)
-                arr.end_aru(aru)
-                # multi-shard commits are durable at ack
-                acked[blk] = payload
-        except Exception:
-            pass
-        injector.power_cycle()
-        disks = [
-            arr.shards[i].disk if arr.shards[i] is not None else None
-            for i in range(arr.n)
-        ]
-        vol, report = recover(
-            disks, array_config=ArrayConfig(replication_factor=2)
-        )
-        for blk, payload in acked.items():
-            assert vol.read(blk).startswith(payload)
-        if report.dead_shards:
-            vol.repair()
-            for blk, payload in acked.items():
-                assert vol.read(blk).startswith(payload)
-            assert_all_sound(vol)
+        cut_case(1, 4, cut_after)
 
     def test_loss_mid_repair_then_power_cut_recovers(self):
         """Crash while a repair is in flight: the half-built member is
@@ -964,10 +1174,9 @@ class TestShardLossSweep:
         )
         assert report.dead_shards == [0]
         assert_contents(vol, contents)
-        vol.repair(0)
+        repair_and_check(vol, 0)
         assert_contents(vol, contents)
         assert vol.sharding_info()["redundancy_full"] is True
-        assert_all_sound(vol)
 
 
 class TestRecoveryComposition:
@@ -982,9 +1191,8 @@ class TestRecoveryComposition:
         assert report.dead_shards == [2]
         assert vol.dead_shards == [2]
         assert_contents(vol, contents)
-        vol.repair(2)
+        repair_and_check(vol, 2)
         assert_contents(vol, contents)
-        assert_all_sound(vol)
 
     def test_instant_recovery_with_dead_shard(self):
         """Instant restore and a lost member compose: reads fail over
@@ -1007,10 +1215,9 @@ class TestRecoveryComposition:
         vol.complete_restore()
         assert not vol.restore_active
         assert_contents(vol, contents)
-        vol.repair(1)
+        repair_and_check(vol, 1)
         assert_contents(vol, contents)
         assert vol.sharding_info()["redundancy_full"] is True
-        assert_all_sound(vol)
 
     def test_decision_survives_coordinator_loss(self):
         """With rf=2, shard 1 carries a copy of every DECIDE: a
@@ -1049,3 +1256,20 @@ class TestRecoveryComposition:
         vol.lose_shard(0)
         assert_contents(vol, contents)
         assert vol.sharding_info()["degraded_reads"] > 0
+
+
+if __name__ == "__main__":
+    # The exhaustive form: the loss at every write index of the storm
+    # for every shard, and for every shard lost after 4 writes, the
+    # power cut at every index after the loss.
+    storm, compound = writes_of(run_storm), writes_of(cut_storm)
+    for shard in range(3):
+        for lose_after in range(storm + 1):
+            loss_case(shard, lose_after)
+        for cut_after in range(5, compound + 1):
+            cut_case(shard, 4, cut_after)
+        print(
+            f"shard {shard}: {storm + 1} loss points and "
+            f"{compound - 4} power cuts after the loss ok"
+        )
+    sys.exit(0)

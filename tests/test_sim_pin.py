@@ -41,7 +41,11 @@ paths the replicated pin skips: a lone decision shard, the checkpoint
 order [1, 2, 0], and an array recovery whose restored xid counter the
 next commits write; its constants were captured before the
 coordinator and the participant of that commit moved into modules of
-their own.
+their own.  A fifth is the upkeep of a replicated three-shard array:
+the resync of four divergences written onto members after a power
+cut, a synchronous repair of a lost member, and a scrub healing from a
+mirror; its constants were captured before repair, resync and scrub
+healing moved into one module built on one reconcile rule.
 """
 
 import hashlib
@@ -61,7 +65,13 @@ from repro.ld.types import SYSTEM_ID_BASE
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
-from repro.shard import ArrayConfig, build_sharded
+from repro.shard import (
+    ArrayConfig,
+    build_sharded,
+    mirror_id,
+    shard_of,
+    to_global,
+)
 
 from tests.oracle import platter_bytes
 
@@ -296,6 +306,86 @@ def unreplicated_array():
     assert recovered.sharding_info()["commits_cross_shard"] > 0
     return [(shard.disk, shard.meter) for shard in volume.shards] + [
         (shard.disk, shard.meter) for shard in recovered.shards
+    ]
+
+
+def replica_upkeep():
+    """Everything that brings a replica up to date, on a replicated
+    three-shard array.  Four divergences are written straight onto
+    members: a mirror block with other bytes, a mirror list missing a
+    member, a stray mirror list of a list that does not exist and an
+    orphan mirror block.  A power cut and an array recovery follow, so
+    ``resync`` mends them; then a member is lost and rebuilt by a
+    synchronous ``repair()``, and an array ``scrub()`` heals a block
+    lost to a media fault from its mirror.  Pinned: the recovered
+    members at the end, the replacement among them, and the member
+    lost after the resync."""
+    config = LLDConfig(checkpoint_slot_segments=2)
+    array_config = ArrayConfig(replication_factor=2)
+    volume = build_sharded(
+        3, geometry=IN_PLACE_GEOMETRY, config=config, array_config=array_config
+    )
+    n = volume.n
+    rng = random.Random(42)
+    lists = [volume.new_list() for _ in range(6)]
+    blocks = [volume.new_block(lists[index % 6]) for index in range(30)]
+    for index, block in enumerate(blocks):
+        volume.write(block, bytes([index]) * 1500)
+    volume.flush()
+    rewritten = set()
+    for number in range(6):
+        aru = volume.begin_aru()
+        for block in rng.sample(blocks, 3):
+            volume.write(block, bytes([60 + number]) * 900, aru=aru)
+            rewritten.add(block)
+        volume.end_aru(aru)
+
+    def peer(gid):
+        return volume.shards[(shard_of(gid, n) + 1) % n]
+
+    peer(blocks[0]).write(mirror_id(blocks[0]), b"diverged" * 100)
+    peer(blocks[7]).delete_block(mirror_id(blocks[7]))
+    ghost = to_global(40, 2, n)
+    peer(ghost).new_list(list_id=mirror_id(ghost))
+    orphan = to_global(90, shard_of(lists[1], n), n)
+    host = peer(lists[1])
+    aru = host.begin_aru()
+    host.new_block(mirror_id(lists[1]), block_id=mirror_id(orphan), aru=aru)
+    host.abort_aru(aru)
+    for shard in volume.shards:
+        shard.flush()
+    recovered, _report = repro.recover(
+        [shard.disk.power_cycle() for shard in volume.shards],
+        config=config,
+        array_config=array_config,
+    )
+    recovered.flush()
+    lost = recovered.shards[1]
+    recovered.lose_shard(1)
+    recovered.repair()
+    # Written once, so the scrubber finds no older copy to salvage.
+    victim = next(
+        block
+        for block in blocks
+        if shard_of(block, n) == 0 and block not in rewritten
+    )
+    home = recovered.shards[shard_of(victim, n)]
+    local = (victim - 1) // n + 1
+    home.cache.invalidate_all()
+    home.disk.injector.add_media_fault(
+        MediaFault(
+            segment_no=home.bmap.persistent[local].address.segment,
+            kind="unreadable",
+            shard=shard_of(victim, n),
+        )
+    )
+    healed = recovered.sharding_info()["blocks_healed"]
+    recovered.scrub()
+    assert recovered.sharding_info()["blocks_healed"] > healed
+    assert recovered.sharding_info()["redundancy_full"]
+    recovered.flush()
+    return [(shard.disk, shard.meter) for shard in recovered.shards] + [
+        (lost.disk, lost.meter)
     ]
 
 
@@ -681,6 +771,129 @@ UNREPLICATED_COUNTERS = [
         },
     ],
 ]
+#: :func:`replica_upkeep`'s members at the end, shard order, then the
+#: member lost after the resync: (clock, meter.counters, write_count,
+#: platter SHA-256), and apart, ``meter.charged_us``.
+REPLICA_UPKEEP_MEMBERS = [
+    (
+        "0x1.a09efe2aaaab1p+21",
+        {
+            "block_copy_us": 11,
+            "block_read_us": 30,
+            "crc_kb_us": 1670.720703125,
+            "decode_entry_us": 389,
+            "ld_call_us": 52,
+            "record_create_us": 12,
+            "record_transition_us": 12,
+            "summary_entry_us": 12,
+            "table_access_us": 36,
+        },
+        4,
+        "6777d641e31447677b76a0bda122b82e4b1dd84cb66bc021085edcdff0362140",
+    ),
+    (
+        "0x1.9a047ff1c71cdp+21",
+        {
+            "block_copy_us": 20,
+            "block_read_us": 6,
+            "chain_hop_us": 188,
+            "crc_kb_us": 128.0,
+            "decode_entry_us": 64,
+            "ld_call_us": 53,
+            "record_create_us": 24,
+            "record_transition_us": 24,
+            "summary_entry_us": 64,
+            "table_access_us": 136,
+        },
+        1,
+        "558a5df724e33d68ee4a1971e72d7276e87bd2aa529905f0102901bbbaebc897",
+    ),
+    (
+        "0x1.9a048ff1c71cdp+21",
+        {
+            "block_copy_us": 5,
+            "block_dealloc_us": 5,
+            "block_read_us": 30,
+            "chain_hop_us": 67,
+            "crc_kb_us": 394.095703125,
+            "decode_entry_us": 170,
+            "ld_call_us": 52,
+            "record_create_us": 7,
+            "record_transition_us": 7,
+            "summary_entry_us": 18,
+            "table_access_us": 76,
+        },
+        2,
+        "9b6f94702f2007a9a18959d66ec55e808c01d4b2f524fe7fa2b8694ac7c8c7e4",
+    ),
+    (
+        "0x1.0237122aaaaaep+21",
+        {
+            "block_copy_us": 1,
+            "block_read_us": 20,
+            "chain_hop_us": 1,
+            "crc_kb_us": 134.671875,
+            "decode_entry_us": 88,
+            "ld_call_us": 27,
+            "record_create_us": 1,
+            "record_transition_us": 1,
+            "summary_entry_us": 1,
+            "table_access_us": 20,
+        },
+        2,
+        "2dc8eb4621824bb895acc0302d180e815301264a863e3032bd925b0d23ad31aa",
+    ),
+]
+REPLICA_UPKEEP_CHARGED_US = [
+    {
+        "block_copy_us": 605.0,
+        "block_read_us": 1200.0,
+        "crc_kb_us": 64134.4140625,
+        "decode_entry_us": 778.0,
+        "ld_call_us": 104.0,
+        "record_create_us": 96.0,
+        "record_transition_us": 72.0,
+        "summary_entry_us": 36.0,
+        "table_access_us": 36.0,
+    },
+    {
+        "block_copy_us": 1100.0,
+        "block_read_us": 240.0,
+        "chain_hop_us": 282.0,
+        "crc_kb_us": 5120.0,
+        "decode_entry_us": 128.0,
+        "ld_call_us": 106.0,
+        "record_create_us": 192.0,
+        "record_transition_us": 144.0,
+        "summary_entry_us": 192.0,
+        "table_access_us": 136.0,
+    },
+    {
+        "block_copy_us": 275.0,
+        "block_dealloc_us": 75.0,
+        "block_read_us": 1200.0,
+        "chain_hop_us": 100.5,
+        "crc_kb_us": 13001.9140625,
+        "decode_entry_us": 340.0,
+        "ld_call_us": 104.0,
+        "record_create_us": 56.0,
+        "record_transition_us": 42.0,
+        "summary_entry_us": 54.0,
+        "table_access_us": 76.0,
+    },
+    {
+        "block_copy_us": 55.0,
+        "block_read_us": 800.0,
+        "chain_hop_us": 1.5,
+        "crc_kb_us": 2693.4375,
+        "decode_entry_us": 176.0,
+        "ld_call_us": 54.0,
+        "record_create_us": 8.0,
+        "record_transition_us": 6.0,
+        "summary_entry_us": 3.0,
+        "table_access_us": 20.0,
+    },
+]
 PLATTER_PINS = {
     "replicated_array": (
         replicated_array,
@@ -707,6 +920,7 @@ PLATTER_PINS = {
             for shard, (clock, writes, platter) in enumerate(per_shard)
         ],
     ),
+    "replica_upkeep": (replica_upkeep, REPLICA_UPKEEP_MEMBERS),
     "jld_apply": (
         jld_apply,
         [
@@ -866,6 +1080,7 @@ CHARGED_US = {
         "table_access_us": 236.0,
     },
     "replicated_array": [ARRAY_MEMBER_CHARGED_US, ARRAY_MEMBER_CHARGED_US],
+    "replica_upkeep": REPLICA_UPKEEP_CHARGED_US,
     "unreplicated_array": [
         {
             "aru_begin_us": 216.0,
@@ -1042,6 +1257,10 @@ def test_replicated_array_platter():
 
 def test_unreplicated_array_platter():
     check_platter("unreplicated_array")
+
+
+def test_replica_upkeep_platter():
+    check_platter("replica_upkeep")
 
 
 def test_jld_apply_platter():

@@ -226,17 +226,11 @@ class TestTransactions:
         assert int.from_bytes(mgr.ld.read(alice)[:8], "little") == 70
         assert int.from_bytes(mgr.ld.read(bob)[:8], "little") == 80
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP items 1(c) and 17: T1 never locks its "
-        "predecessor, T2 deletes it, and T1's refused EndARU leaves "
-        "half of T1 on the live volume",
-    )
     def test_refused_commit_leaves_no_half_transaction(self, mgr):
-        """T1 inserts block n after b, locking the list and n but not
-        b; T2 deletes b and commits; T1's commit is refused.  A correct
-        fix either keeps T2 out (T1 holds b) or refuses T1 whole; both
-        must leave a sound volume that recovery agrees with."""
+        """T1 inserts block n after b, so it holds b shared; T2 wants
+        to delete b and dies under wait-die, so T1's commit goes
+        through.  Either way a correct volume is one recovery agrees
+        with, with no half of T1 on it."""
         ld = mgr.ld
         lst = ld.new_list()
         b = ld.new_block(lst)
