@@ -109,8 +109,6 @@ def run_point(
         FrontendConfig(
             workers_per_lane=2,
             max_inflight=MAX_INFLIGHT,
-            writeback_high_water=8,
-            parked_high_water=16,
             lock_timeout_s=2.0,
         ),
     )

@@ -23,21 +23,17 @@ only fill its own queue).
 Admission control
 -----------------
 
-:meth:`FrontEnd.submit` admits a request only while all of these
+:meth:`FrontEnd.submit` admits a request only while both of these
 hold, otherwise it blocks (or, with ``wait=False``, sheds the
 request — the open-loop generator counts those as load the system
 refused rather than queued):
 
 * total in-flight requests are below ``max_inflight``;
-* the tenant's lane queue is below ``max_tenant_queue``;
-* no shard's write-behind queue is at ``writeback_high_water``;
-* no shard's group-commit window has ``parked_high_water`` commits
-  parked.
+* the tenant's lane queue is below ``max_tenant_queue``.
 
-The last two read the cheap O(1) :attr:`~repro.lld.lld.LLD.
-writeback_queued` / :attr:`~repro.lld.lld.LLD.commits_parked` views —
-the storage layer's own saturation signals — so backpressure engages
-*before* the log falls behind rather than after latency explodes.
+The storage layer bounds itself: a write-behind queue drains at its
+depth and a commit group is flushed at its cap, so neither needs a
+mark of its own here.
 
 Time bases and latency decomposition
 ------------------------------------
@@ -69,7 +65,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import LDError, TransactionAborted
 from repro.obs import MetricsRegistry, latency_summary
@@ -80,8 +76,8 @@ from repro.txn.transactions import (
 )
 
 
-#: How often a blocked submit re-samples the storage saturation
-#: signals (they have no wakeup hook).
+#: How often a blocked submit re-samples its tenant's queue, which
+#: ``_Lane.pop`` shrinks without a wakeup.
 _ADMISSION_POLL_S = 0.002
 
 
@@ -104,11 +100,6 @@ class FrontendConfig:
             across the whole front end.
         max_tenant_queue: Per-tenant queued-request cap (fairness:
             a flooding tenant fills its own queue only).
-        writeback_high_water: Pause admission while any shard has at
-            least this many segments in its write-behind queue
-            (0 disables the check).
-        parked_high_water: Pause admission while any shard has at
-            least this many group-commit records parked (0 disables).
         lock_timeout_s: Lock-wait budget per acquire (a timeout is a
             deadlock symptom; the transaction layer retries it).
         max_attempts: Wait-die retry budget per request (retries back
@@ -119,8 +110,6 @@ class FrontendConfig:
     workers_per_lane: int = 2
     max_inflight: int = 128
     max_tenant_queue: int = 32
-    writeback_high_water: int = 0
-    parked_high_water: int = 0
     lock_timeout_s: float = 2.0
     max_attempts: int = 64
 
@@ -262,9 +251,7 @@ class FrontEnd:
         self.manager = TransactionManager(
             ld, lock_timeout_s=self.config.lock_timeout_s
         )
-        #: Member volumes whose saturation signals admission samples.
-        self._shards: List = list(getattr(ld, "shards", [ld]))
-        self.n_lanes = len(self._shards)
+        self.n_lanes = len(getattr(ld, "shards", [ld]))
         self._admit = threading.Condition()
         self._inflight = 0
         self._closed = False
@@ -310,24 +297,11 @@ class FrontEnd:
         ``hash``, so placement is reproducible across runs)."""
         return zlib.crc32(str(tenant).encode()) % self.n_lanes
 
-    def _storage_saturated(self) -> bool:
-        wb_hw = self.config.writeback_high_water
-        gc_hw = self.config.parked_high_water
-        if not wb_hw and not gc_hw:
-            return False
-        for shard in self._shards:
-            if wb_hw and getattr(shard, "writeback_queued", 0) >= wb_hw:
-                return True
-            if gc_hw and getattr(shard, "commits_parked", 0) >= gc_hw:
-                return True
-        return False
-
     def _admissible(self, tenant: str, lane_index: int) -> bool:
         return (
             self._inflight < self.config.max_inflight
             and self._lanes[lane_index].queued_for(tenant)
             < self.config.max_tenant_queue
-            and not self._storage_saturated()
         )
 
     def _shed(self, why: str) -> RequestRejected:
@@ -374,8 +348,9 @@ class FrontEnd:
                     if remaining <= 0:
                         raise self._shed("admission timed out")
                     budget = min(budget, remaining)
-                # Timed wait: the storage saturation signals have no
-                # notify hook, so a blocked submit re-samples them.
+                # Timed wait: ``_Lane.pop`` shrinks a tenant queue
+                # without notifying ``_admit``, so a submit blocked on
+                # ``max_tenant_queue`` re-samples it.
                 self._admit.wait(timeout=budget)
             self._inflight += 1
             self._g_inflight_max.update_max(self._inflight)

@@ -37,8 +37,9 @@ from typing import List, Optional
 
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
+from repro.errors import DiskFullError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.segment import decode_segment
+from repro.lld.scrub import Scrubber, decode_dirty_body
 from repro.lld.summary import KIND_WRITE
 
 
@@ -249,9 +250,6 @@ class SegmentCleaner:
             # we still hold whatever free space the pass recovered.
             # On a disk too full even for salvage copies, leave them
             # pending for a later scrub.
-            from repro.errors import DiskFullError
-            from repro.lld.scrub import Scrubber
-
             was_cleaning = lld._cleaning
             lld._cleaning = True
             try:
@@ -278,11 +276,9 @@ class SegmentCleaner:
         lld = self.lld
         if raw is None:
             raw = lld.disk.read_segment(seg)
-        lld.meter.charge("crc_kb_us", lld.geometry.segment_size / 1024.0)
-        decoded = decode_segment(raw, lld.geometry, seg)
-        if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
+        decoded = decode_dirty_body(lld, seg, raw)
+        if decoded is None:
             return None
-        lld.meter.charge("decode_entry_us", decoded.entry_count)
         bmap = lld.bmap
         copied = 0
         seen = set()

@@ -33,7 +33,10 @@ class LLDConfig:
     * cleaner: ``clean_low_water``, ``clean_high_water``,
       ``cleaner_policy``
     * write pipeline: ``writeback_depth``, ``group_commit``,
-      ``group_commit_max_parked``, ``group_commit_timeout_us``
+      ``group_commit_max_parked``, ``group_commit_timeout_us`` (every
+      commit record is logged at ``end_aru``; group commit flushes
+      once per group of that many commits, or when the oldest has
+      waited that long)
     * recovery: ``restore_drain_segments`` (the mode is an argument
       of ``recover()``)
     * observability: ``metrics``, ``flight_dump_path``

@@ -316,7 +316,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._charge("aru_begin_us")
-            self._maybe_release_parked()
+            self._maybe_release_group()
             self._ops["begin_aru"].inc()
             record = self.arus.begin(self.clock.tick())
             self.obs.record("aru.begin", aru=int(record.aru_id))
@@ -325,47 +325,45 @@ class LLD(LogWriter, Participant, LogicalDisk):
     def end_aru(self, aru: ARUId) -> None:
         """Commit an ARU (Section 3: ARUs serialize at EndARU time).
 
-        Under ``group_commit`` the ARU's data and link records are
-        merged into the committed stream as usual, but its commit
-        record is *parked* rather than emitted; the parked group is
-        released (and written out) at the next drain point, when the
-        parked-ARU cap is reached, or when the timer budget of the
-        oldest parked commit expires.  Until then the ARU is
-        committed in memory but not yet durable — exactly the window
-        a buffered commit record has in the serial path.
+        The ARU's records are merged into the committed stream and its
+        commit record is logged right after them, as the paper's
+        EndARU does.  Like any logged record it is durable at the next
+        flush.  ``group_commit`` only decides when that flush happens:
+        the commit joins the open group, which is flushed when it
+        holds ``group_commit_max_parked`` commits, when the timer
+        budget of its oldest commit expires, or at the next barrier.
         """
         self._commit(aru, None)
 
     def _commit(self, aru: ARUId, xid: Optional[int]) -> None:
-        """The one commit path.  ``end_aru`` (``xid`` None) emits a
-        COMMIT record, or parks it under group commit;
-        ``prepare_commit`` emits a PREPARE record carrying ``xid`` and
-        never parks it: the caller's flush must make that record
-        durable before the decision."""
+        """The one commit path.  ``end_aru`` (``xid`` None) logs a
+        COMMIT record and, under group commit, counts it into the open
+        group; ``prepare_commit`` logs a PREPARE record carrying
+        ``xid`` outside any group: the caller's flush must make that
+        record durable before the decision."""
         prepare = xid is not None
         with self._lock:
             self._check_alive()
             self._charge("ld_call_us")
             self._charge("aru_commit_us")
-            self._maybe_release_parked()
+            self._maybe_release_group()
             self._ops["prepare_commit" if prepare else "end_aru"].inc()
             commit_start_us = self.clock.now_us
             record = self.arus.get(aru)
             tag = int(aru)
             cfg = self.config
-            park = cfg.group_commit and not prepare
+            grouped = cfg.group_commit and not prepare
             op_count = record.op_count
-            kind = EntryKind.PREPARE if prepare else EntryKind.COMMIT
-            ts = self._log_in_reserve(
+            self._log_in_reserve(
                 "prepare_disk_full" if prepare else "commit_disk_full",
-                None if park else kind,
+                EntryKind.PREPARE if prepare else EntryKind.COMMIT,
                 tag,
                 op_count,
                 xid or 0,
                 merge=record,
             )
-            if park:
-                self._park_commit(tag, op_count, ts)
+            if grouped:
+                self._join_group()
             self._pending_commit_arus.add(tag)
             if prepare:
                 self._prepared_xids[tag] = xid
@@ -374,9 +372,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
             if prepare:
                 self.obs.record("aru.prepare", aru=tag, xid=xid, ops=op_count)
             else:
-                self.obs.record("aru.commit", aru=tag, ops=op_count, parked=park)
+                self.obs.record("aru.commit", aru=tag, ops=op_count, grouped=grouped)
             self._h_commit_us.observe(self.clock.now_us - commit_start_us)
-            if park and len(self._parked_commits) >= cfg.group_commit_max_parked:
+            if grouped and self._group_commits >= cfg.group_commit_max_parked:
                 self._release_group()
             # Commits are the moment space pressure builds (shadow
             # data lands in the log) and the moment it becomes safe
@@ -762,9 +760,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
     # ==================================================================
 
     def flush(self) -> None:
-        """Durability barrier: park nothing, queue nothing.
+        """Durability barrier: leave nothing buffered or queued.
 
-        Releases any parked commit group, sends what the current
+        Closes the open commit group, sends what the current
         segment buffer holds on its way (:meth:`_write_buffer`: the
         segment closed and written whole, or its new slots and one
         summary chunk written in place), then drains the write-behind
@@ -1102,21 +1100,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
         return self._c_segments_flushed.value
 
     @property
-    def writeback_queued(self) -> int:
-        """Sealed segments parked in the write-behind queue right now.
-
-        Cheap O(1) view for admission control (the front end polls it
-        on every submit; building the full ``stats()`` dict there
-        would dwarf the work being admitted).
-        """
-        return len(self._writeback)
-
-    @property
-    def commits_parked(self) -> int:
-        """ARU commit records parked by group commit right now."""
-        return len(self._parked_commits)
-
-    @property
     def cleanings(self) -> int:
         return self._cleaner_counters["runs"].value
 
@@ -1165,7 +1148,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
             "writeback": self._writeback.stats(),
             "group_commit": {
                 "enabled": self.config.group_commit,
-                "parked": len(self._parked_commits),
+                # Commits counted into the open group.
+                "parked": self._group_commits,
                 "groups_flushed": self._c_commit_groups_flushed.value,
                 "commits_grouped": self._c_commits_grouped.value,
             },

@@ -6,9 +6,9 @@ it turns the version engine's records into summary entries, places
 block data in the current :class:`~repro.lld.segment.SegmentBuffer`,
 rolls to the next segment when one is full, decides at a durability
 point whether a segment streams out whole or is written in place,
-parks commit records under group commit, and — in :meth:`_write_now`,
-the only place bytes reach the platter — advances what is durable and
-has the engine fold it into the persistent tables.
+flushes under group commit once per group of commits, and — in
+:meth:`_write_now`, the only place bytes reach the platter — advances
+what is durable and has the engine fold it into the persistent tables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional, Set, Tuple
 
-from repro.errors import DiskCrashedError, DiskFullError, SegmentOverflowError
+from repro.errors import DiskCrashedError, SegmentOverflowError
 from repro.ld.types import PhysAddr
 from repro.lld.segment import SegmentBuffer
 from repro.lld.summary import EntryKind, SummaryEntry
@@ -26,7 +26,7 @@ from repro.lld.writeback import WritebackQueue
 
 class LogWriter:
     """Owns ``_buffer``, ``_next_seq``, ``_last_written_seq``,
-    ``_commit_on_disk``, ``_pending_commit_arus``, the parked commit
+    ``_commit_on_disk``, ``_pending_commit_arus``, the open commit
     group and the write-behind queue.  :class:`~repro.lld.lld.LLD`
     extends it with the LD interface and supplies what it leaves
     open: ``engine`` (whose ``fold`` runs when a write lands),
@@ -65,12 +65,11 @@ class LogWriter:
             cfg.clean_high_water, self.clean_low_water + 1
         )
         self._writeback = WritebackQueue(weakref.proxy(self), cfg.writeback_depth)
-        #: Commit records parked by ``end_aru`` under group commit:
-        #: (aru tag, op count, commit timestamp) in commit order.
-        self._parked_commits: List[Tuple[int, int, int]] = []
-        #: Simulated deadline by which the oldest parked commit must
-        #: be released (None while nothing is parked).
-        self._parked_deadline_us: Optional[float] = None
+        #: Commits logged under group commit since the last flush.
+        self._group_commits = 0
+        #: Simulated deadline by which the open group must be flushed
+        #: (None while it is empty).
+        self._group_deadline_us: Optional[float] = None
 
         m = obs.metrics
         self._c_segments_flushed = m.counter("lld.segments.flushed")
@@ -229,7 +228,7 @@ class LogWriter:
             if model.transfer_us(buffer.bytes_free()) <= 2 * positioning_us:
                 self._roll_buffer()
                 return
-        # Log order: whatever is parked goes out ahead of this chunk.
+        # Log order: whatever is queued goes out ahead of this chunk.
         self._writeback.drain()
         self._write_now([(buffer, buffer.seal(last=False))])
 
@@ -383,64 +382,39 @@ class LogWriter:
             self.disk.write_many(images)
 
     # ==================================================================
-    # Group commit: parking and releasing commit records
+    # Group commit: when a flush happens
     # ==================================================================
 
-    def _park_commit(self, aru_tag: int, op_count: int, ts: int) -> None:
-        """Hold an ARU's commit record for the current group."""
-        if not self._parked_commits:
-            self._parked_deadline_us = (
+    def _join_group(self) -> None:
+        """Count a commit, already logged, into the open group."""
+        if not self._group_commits:
+            self._group_deadline_us = (
                 self.clock.now_us + self.config.group_commit_timeout_us
             )
-        self._parked_commits.append((aru_tag, op_count, ts))
+        self._group_commits += 1
 
-    def _maybe_release_parked(self) -> None:
-        """Release the parked group if its timer budget expired."""
+    def _maybe_release_group(self) -> None:
+        """Flush the open group if its timer budget expired."""
         if (
-            self._parked_deadline_us is not None
-            and self.clock.now_us >= self._parked_deadline_us
+            self._group_deadline_us is not None
+            and self.clock.now_us >= self._group_deadline_us
         ):
             self._release_group()
 
-    def _release_parked(self) -> None:
-        """Emit every parked commit record into the log stream.
-
-        The records land *after* all of their ARUs' data and link
-        entries (those were appended at ``end_aru`` time), so log
-        order still implies commit-after-data.  Does not by itself
-        make anything durable — callers that need durability follow
-        with a drain (see :meth:`_release_group` / ``flush``).
-        """
-        if not self._parked_commits:
-            return
-        parked, self._parked_commits = self._parked_commits, []
-        self._parked_deadline_us = None
-        self._c_commit_groups_flushed.inc()
-        self._c_commits_grouped.add(len(parked))
-        self.obs.record("group_commit.release", commits=len(parked))
-        self._emergency = True
-        try:
-            # (summary_entry_us was already charged at end_aru time;
-            # emitting here is the deferred half of the same work.)
-            for aru_tag, op_count, ts in parked:
-                self._emit_entry(
-                    SummaryEntry(EntryKind.COMMIT, aru_tag, ts, op_count)
-                )
-        except DiskFullError:
-            # Parked ARUs are already committed in memory; losing the
-            # ability to write their commit records cannot be unwound.
-            self._mark_dead("group_commit_disk_full")
-            raise
-        finally:
-            self._emergency = False
-
     def _release_group(self) -> None:
-        """Close the current commit group and make it durable — which
-        is all a ``flush`` is.
+        """Close the open commit group and make it durable — which is
+        all a ``flush`` is.
 
-        One segment write (plus a queue drain) now covers every
-        parked ARU — this is the N-commits-one-write payoff.
+        The group's commit records are in the log already, each after
+        its ARU's entries; one segment write (plus a queue drain) now
+        makes every one of them durable — the N-commits-one-write
+        payoff.
         """
-        self._release_parked()
+        if self._group_commits:
+            self._c_commit_groups_flushed.inc()
+            self._c_commits_grouped.add(self._group_commits)
+            self.obs.record("group_commit.release", commits=self._group_commits)
+            self._group_commits = 0
+            self._group_deadline_us = None
         self._write_buffer()
         self._writeback.drain()

@@ -7,7 +7,7 @@ is the coordinator that calls it and states the protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.errors import DiskFullError
 from repro.ld.types import ARUId
@@ -26,13 +26,12 @@ class Participant:
         self._decided_xids: Set[int] = set()
 
     def _log_in_reserve(
-        self, reason: str, kind: Optional[EntryKind], tag: int, a: int,
-        b: int = 0, merge=None,
-    ) -> int:
+        self, reason: str, kind: EntryKind, tag: int, a: int, b: int = 0,
+        merge=None,
+    ) -> None:
         """The one way a COMMIT, PREPARE or DECIDE reaches the log:
         merge the ARU record ``merge``, if given, then append one
-        ``kind`` entry stamped now (None: merge only, for a parked
-        COMMIT); return the stamp.  Both may use the segment reserve,
+        ``kind`` entry stamped now.  Both may use the segment reserve,
         since a half-merged commit cannot be unwound in memory; a full
         disk fails the volume with ``reason``, and recovery restores
         the state before, since no record was written."""
@@ -40,10 +39,7 @@ class Participant:
         try:
             if merge is not None and self.concurrent:
                 self.engine.merge(merge)
-            ts = self.clock.tick()
-            if kind is not None:
-                self._emit_entry(SummaryEntry(kind, tag, ts, a, b))
-            return ts
+            self._emit_entry(SummaryEntry(kind, tag, self.clock.tick(), a, b))
         except DiskFullError:
             self._mark_dead(reason)
             raise
@@ -52,8 +48,8 @@ class Participant:
 
     def prepare_commit(self, aru: ARUId, xid: int) -> None:
         """Phase 1: merge the ARU as :meth:`end_aru` does, but log a
-        PREPARE carrying ``xid``, never parked.  The caller flushes
-        this volume before any DECIDE is logged."""
+        PREPARE carrying ``xid``, never counted into a commit group.
+        The caller flushes this volume before any DECIDE is logged."""
         self._commit(aru, int(xid))
 
     def log_decision(self, xid: int) -> None:

@@ -50,7 +50,7 @@ from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.errors import MediaError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.segment import decode_segment
+from repro.lld.segment import DecodedSegment, decode_segment
 from repro.lld.summary import KIND_WRITE
 from repro.lld.usage import SegmentState
 
@@ -72,9 +72,25 @@ class ScrubReport:
     #: seg -> "unreadable" | "corrupt" for every damaged segment.
     damaged: Dict[int, str] = dataclasses.field(default_factory=dict)
     lost_blocks: List[int] = dataclasses.field(default_factory=list)
+    #: The blocks salvaged from an older copy: a replica may hold the
+    #: newest bytes.
+    stale_blocks: List[int] = dataclasses.field(default_factory=list)
     #: True when the pass ended with a checkpoint persisting the
     #: quarantine roster (requires a checkpoint-safe moment).
     checkpointed: bool = False
+
+
+def decode_dirty_body(lld, seg: int, raw) -> Optional[DecodedSegment]:
+    """The one rule for reading a DIRTY segment's body ``raw``: charge
+    its CRC and decode it; None when the check fails or the chunk walk
+    stops short of the slots the usage table counted (failed media, see
+    the module docstring), else charge the entry decode."""
+    lld.meter.charge("crc_kb_us", lld.geometry.segment_size / 1024.0)
+    decoded = decode_segment(raw, lld.geometry, seg)
+    if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
+        return None
+    lld.meter.charge("decode_entry_us", decoded.entry_count)
+    return decoded
 
 
 def find_log_copy(
@@ -99,19 +115,16 @@ def find_log_copy(
         ),
         reverse=True,
     )
-    geometry = lld.geometry
     for seq, seg in candidates:
         try:
             raw = lld.disk.read_segment(seg)
         except MediaError:
             lld._scrub_pending.add(seg)
             continue
-        lld.meter.charge("crc_kb_us", geometry.segment_size / 1024.0)
-        decoded = decode_segment(raw, geometry, seg)
-        if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
+        decoded = decode_dirty_body(lld, seg, raw)
+        if decoded is None:
             lld._scrub_pending.add(seg)
             continue
-        lld.meter.charge("decode_entry_us", decoded.entry_count)
         slot: Optional[int] = None
         want = int(block_id)
         for fields in decoded.entry_tuples:
@@ -188,13 +201,9 @@ class Scrubber:
             report.segments_checked += 1
             if raw is None:
                 report.damaged[seg] = "unreadable"
-                continue
-            lld.meter.charge("crc_kb_us", geometry.segment_size / 1024.0)
-            decoded = decode_segment(raw, geometry, seg)
-            if decoded is None or decoded.block_count < lld.usage.total_slots(seg):
+            elif decode_dirty_body(lld, seg, raw) is None:
                 report.damaged[seg] = "corrupt"
             else:
-                lld.meter.charge("decode_entry_us", decoded.entry_count)
                 lld._scrub_pending.discard(seg)
         report.segments_damaged = len(report.damaged)
         if not report.damaged:
@@ -291,5 +300,6 @@ class Scrubber:
             version.pending_segment = lld._buffer.seq
         if stale:
             report.blocks_salvaged_stale += 1
+            report.stale_blocks.append(int(block_id))
         else:
             report.blocks_salvaged += 1

@@ -402,14 +402,15 @@ def repair(array: "ShardedLLD", shard: Optional[int]) -> dict:
 
 
 def scrub(array: "ShardedLLD", segments) -> dict:
-    """Scrub each live member in a call of its own, then heal the
-    blocks its scrubber declared lost with :func:`copy_block`."""
+    """Scrub each live member in a call of its own, then heal with
+    :func:`copy_block` the blocks its scrubber declared lost and those
+    it salvaged from an older copy, which a replica may hold newer."""
     reports: Dict[str, object] = {}
     for s in range(array.n):
         for report in array._each(LLD.scrub, (s,), segments).values():
             reports[str(s)] = report
             volume = array.shards[s]
-            for local in report.lost_blocks:
+            for local in report.lost_blocks + report.stale_blocks:
                 gid = array._global_id(int(local), s)
                 try:
                     copy_block(array, gid, s, volume)
@@ -419,4 +420,8 @@ def scrub(array: "ShardedLLD", segments) -> dict:
                     if exc.shard == s:  # the damaged member itself
                         array._mark_shard_lost(s)
                         break
+            if report.stale_blocks:
+                # A stale copy reads back fine, so a crash that lost its
+                # heal would hand it to a home-first resync.
+                array._each(LLD.flush, (s,))
     return reports

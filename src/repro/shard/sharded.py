@@ -878,8 +878,9 @@ class ShardedLLD(LogicalDisk):
 
     def scrub(self, segments: Optional[Sequence[int]] = None) -> dict:
         """Scrub every live shard; blocks the per-volume scrubber
-        declares lost are healed from their surviving replicas (each
-        member's right after its own scrub)."""
+        declares lost or salvages from an older copy are healed from
+        their other replicas (each member's right after its own
+        scrub)."""
         with self._lock:
             return replicas.scrub(self, segments)
 

@@ -217,14 +217,14 @@ class TestAsksBeforeFlushing:
         assert report.segments_freed_unread == len(dead)
 
     def test_parked_commit_group_is_flushed_and_cleaned(self):
-        """A parked commit record is landed by the cleaner's own
-        flush: not a state to back out of."""
+        """A commit in the open group is made durable by the cleaner's
+        own flush: not a state to back out of."""
         config = CONFIG.replace(group_commit=True)
         _disk, ld, expected, dead, _partly = mixed_volume(config)
         aru = ld.begin_aru()
         ld.write(next(iter(expected)), b"parked", aru=aru)
         ld.end_aru(aru)
-        assert ld.commits_parked == 1
+        assert ld.stats()["group_commit"]["parked"] == 1
         report = SegmentCleaner(ld).clean(target_free=ld.usage.free_count + 2)
-        assert ld.commits_parked == 0
+        assert ld.stats()["group_commit"]["parked"] == 0
         assert report.segments_freed_unread == len(dead)

@@ -19,7 +19,6 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -190,31 +189,6 @@ class TestAdmissionControl:
             handle.wait(5.0)
         frontend.close()
         assert_no_leaks(frontend.stats())
-
-    def test_storage_saturation_pauses_admission(self):
-        frontend, block = provisioned_frontend(
-            FrontendConfig(writeback_high_water=4, parked_high_water=4)
-        )
-        # A fresh idle volume reports both signals clear.
-        assert frontend.ld.writeback_queued == 0
-        assert frontend.ld.commits_parked == 0
-        assert not frontend._storage_saturated()
-        # Swap in fake saturation signals: each high water alone
-        # must pause admission.
-        frontend._shards = [
-            SimpleNamespace(writeback_queued=10, commits_parked=0)
-        ]
-        assert frontend.try_submit(lambda txn: None) is None
-        frontend._shards = [
-            SimpleNamespace(writeback_queued=0, commits_parked=10)
-        ]
-        assert frontend.try_submit(lambda txn: None) is None
-        frontend._shards = [
-            SimpleNamespace(writeback_queued=0, commits_parked=0)
-        ]
-        frontend.submit(lambda txn: txn.read(block)).wait(5.0)
-        frontend.close()
-        assert frontend.stats()["shed"] == 2
 
 
 class TestFailurePropagation:
@@ -548,10 +522,12 @@ def test_second_scheduler_stays_removed():
         {"async_txns_per_lane": 1},
         {"storage_threads": 1},
         {"retry_backoff_s": 0.0},
+        {"writeback_high_water": 8},
+        {"parked_high_water": 16},
     ):
         with pytest.raises(TypeError):
             FrontendConfig(**removed)
-    assert len(dataclasses.fields(FrontendConfig)) == 7
+    assert len(dataclasses.fields(FrontendConfig)) == 5
     assert "AsyncFrontEnd" not in repro.frontend.__all__
     assert not {
         "AsyncTransaction",

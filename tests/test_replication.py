@@ -372,13 +372,15 @@ class TestReplicatedBasics:
             build_array(2, rf=3)
 
     def test_removed_surface_stays_removed(self):
-        """One router, one reconcile rule, one copier, one knob; no
-        shim nothing calls."""
+        """One router, one reconcile rule, one copier, one knob, one
+        commit path; no shim nothing calls and no admission signal
+        that cannot fire."""
         import dataclasses
         import inspect
 
+        import repro.lld.logwriter as logwriter
         import repro.shard.sharded as sharded
-        from repro.frontend.scheduler import FrontendConfig
+        from repro.frontend.scheduler import FrontEnd, FrontendConfig
         from repro.shard.replicas import _RepairJob
 
         arr = build_array(rf=1)
@@ -410,12 +412,28 @@ class TestReplicatedBasics:
             "copy_list",
         ):
             assert not hasattr(_RepairJob, name), name
-        for name in ("metrics_snapshot", "scrub_stats"):
+        for name in (
+            "metrics_snapshot",
+            "scrub_stats",
+            "writeback_queued",
+            "commits_parked",
+            "_park_commit",
+            "_maybe_release_parked",
+            "_release_parked",
+        ):
             assert not hasattr(LLD, name), name
+        for name in ("_parked_commits", "_parked_deadline_us"):
+            assert not hasattr(arr.shards[0], name), name
+        assert "group_commit_disk_full" not in inspect.getsource(logwriter)
+        assert not hasattr(FrontEnd, "_storage_saturated")
         assert "dead_counters" not in inspect.signature(ShardedLLD).parameters
-        assert "retry_backoff_s" not in {
-            f.name for f in dataclasses.fields(FrontendConfig)
-        }
+        frontend_fields = {f.name for f in dataclasses.fields(FrontendConfig)}
+        for name in (
+            "retry_backoff_s",
+            "writeback_high_water",
+            "parked_high_water",
+        ):
+            assert name not in frontend_fields, name
         with pytest.raises(TypeError):
             ArrayConfig(placement="ring")
         assert [f.name for f in dataclasses.fields(ArrayConfig)] == [
@@ -1032,6 +1050,34 @@ class TestRepair:
         assert arr.dead_shards == []
         with pytest.raises(UnrecoverableBlockError):
             arr.read(victim)
+
+    def test_scrub_heals_a_stale_salvage_from_replicas(self):
+        """A block the member scrubber salvages from an older copy is
+        rewritten from its mirror, which holds the newest committed
+        bytes: the newest acknowledged write survives the scrub and a
+        crash after it."""
+        from repro.disk.faults import MediaFault
+
+        arr = build_array(3, rf=2)
+        victim = arr.new_block(arr.new_list())
+        for payload in (b"old", b"new0", b"new1", b"new2"):
+            arr.write(victim, payload)
+            arr.flush()
+        home = shard_of(victim, arr.n)
+        local = to_local(victim, arr.n)
+        shard = arr.shards[home]
+        seg = shard.bmap.persistent[local].address.segment
+        shard.cache.invalidate_all()
+        shard.disk.injector.add_media_fault(
+            MediaFault(segment_no=seg, kind="unreadable", shard=home)
+        )
+        reports = arr.scrub()
+        assert reports[str(home)].stale_blocks == [local]
+        assert arr.read(victim).startswith(b"new2")
+        assert_replicas_agree(arr)
+        recovered = recover_survivors(arr)
+        assert recovered.read(victim).startswith(b"new2")
+        assert_replicas_agree(recovered)
 
 
 def run_storm(arr, rounds=6):

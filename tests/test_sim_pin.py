@@ -1,4 +1,4 @@
-"""Pins on the simulated clock: six small deterministic runs.
+"""Pins on the simulated clock: seven small deterministic runs.
 
 Each run ends by checking ``clock.now_us.hex()`` and the meter's
 per-category ``counters`` and ``charged_us`` against constants.  The
@@ -15,9 +15,15 @@ The runs are small (a few hundred LD operations each) and cover what
 the ledger's single-volume workloads charge: cache misses streamed
 from the head and read ahead, reads through every version state, an
 eight-ARU wave with aborts and a deleting ARU, and a MinixFS
-create/read/unlink cycle.  Three more cover the modes those skip: the
-sequential-ARU baseline, where a record costs a table access, and the
-two read-visibility options other than ``ARU_LOCAL``.
+create/read/unlink cycle.  Four more cover the modes those skip: the
+sequential-ARU baseline, where a record costs a table access, the
+two read-visibility options other than ``ARU_LOCAL``, and group
+commit over write-behind, whose constants were captured before the
+commit record was logged at ``end_aru`` under group commit.  Its
+burst of plain writes runs with no commit group open: since that
+change an open group's commit records ride the burst's segments to
+disk and are folded there, not at the group's flush, which moves two
+charges in the stream and nothing else.
 
 The clock alone rarely sees a reordering: the default model's units
 are multiples of 0.5 µs, so two CPU charges swapped between disk
@@ -210,6 +216,55 @@ def newest_shadow_reads():
 
 def committed_only_reads():
     return visibility_wave(Visibility.COMMITTED_ONLY)
+
+
+def group_commit():
+    """Group commit over write-behind: ARUs with aborts committed in
+    groups of three, a burst of plain writes that fills the queue to
+    its depth, and two groups released by the timer, one of them after
+    cold reads outlast it."""
+    disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
+    ld = LLD(
+        disk,
+        config=LLDConfig(
+            writeback_depth=4,
+            group_commit=True,
+            group_commit_max_parked=3,
+            group_commit_timeout_us=40_000.0,
+        ),
+    )
+    rng = random.Random(45)
+    lst = ld.new_list()
+    blocks = [ld.new_block(lst) for _ in range(32)]
+    for block in blocks:
+        ld.write(block, b"base")
+    ld.flush()
+    for number in range(24):
+        aru = ld.begin_aru()
+        for block in rng.sample(blocks, 3):
+            ld.write(block, bytes([number]) * (500 + 131 * number), aru=aru)
+        fresh = ld.new_block(lst, aru=aru)
+        ld.write(fresh, b"fresh", aru=aru)
+        if number % 5 == 4:
+            ld.abort_aru(aru)
+        else:
+            ld.end_aru(aru)
+        ld.read(rng.choice(blocks))
+        if number == 6:
+            assert ld.stats()["group_commit"]["parked"] == 0
+            for block in blocks * 2:
+                ld.write(block, bytes([number]) * 4000)
+        if number == 11:
+            assert ld.stats()["group_commit"]["parked"] == 1
+            ld.cache.invalidate_all()
+            ld.read_many(blocks)
+            ld.abort_aru(ld.begin_aru())
+            assert ld.stats()["group_commit"]["parked"] == 0
+    ld.flush()
+    stats = ld.stats()
+    assert stats["group_commit"]["groups_flushed"] == 8
+    assert stats["writeback"]["auto_drains"] == 1
+    return disk.clock, ld.meter
 
 
 def minixfs_cycle():
@@ -626,6 +681,26 @@ PINS = {
             "record_transition_us": 132,
             "summary_entry_us": 115,
             "table_access_us": 236,
+        },
+    ),
+    "group_commit": (
+        group_commit,
+        "0x1.169b055555555p+19",
+        {
+            "aru_alloc_us": 24,
+            "aru_begin_us": 25,
+            "aru_commit_us": 20,
+            "block_copy_us": 272,
+            "block_read_us": 56,
+            "chain_hop_us": 657,
+            "ld_call_us": 357,
+            "listop_log_us": 24,
+            "listop_replay_us": 20,
+            "record_create_us": 277,
+            "record_transition_us": 277,
+            "summary_entry_us": 305,
+            "table_access_us": 543,
+            "writeback_us": 15,
         },
     ),
 }
@@ -1079,6 +1154,22 @@ CHARGED_US = {
         "summary_entry_us": 345.0,
         "table_access_us": 236.0,
     },
+    "group_commit": {
+        "aru_alloc_us": 1920.0,
+        "aru_begin_us": 450.0,
+        "aru_commit_us": 600.0,
+        "block_copy_us": 14960.0,
+        "block_read_us": 2240.0,
+        "chain_hop_us": 985.5,
+        "ld_call_us": 714.0,
+        "listop_log_us": 72.0,
+        "listop_replay_us": 120.0,
+        "record_create_us": 2216.0,
+        "record_transition_us": 1662.0,
+        "summary_entry_us": 915.0,
+        "table_access_us": 543.0,
+        "writeback_us": 120.0,
+    },
     "replicated_array": [ARRAY_MEMBER_CHARGED_US, ARRAY_MEMBER_CHARGED_US],
     "replica_upkeep": REPLICA_UPKEEP_CHARGED_US,
     "unreplicated_array": [
@@ -1209,6 +1300,7 @@ CHARGE_STREAMS = {
     "sequential_arus": "b1ec93ec740d1cc61edd88b56674a38ead391d116173999bd9c470c395ccbaef",
     "newest_shadow_reads": "0a03854b6b10e781537a6b7bd6f95c0d93e1798f13634cf2142521c0e3cdd68b",
     "committed_only_reads": "1c6eaa48d528188cf42b2a431a671a63711a470dfd473cb422410c62bd77fccf",
+    "group_commit": "b2ef3822ad05df17409fcc51d3ffb546f4dc4d3c145bfb5819bc2a2217cb694f",
 }
 
 
@@ -1242,6 +1334,10 @@ def test_newest_shadow_reads():
 
 def test_committed_only_reads():
     check("committed_only_reads")
+
+
+def test_group_commit():
+    check("group_commit")
 
 
 def check_platter(name):

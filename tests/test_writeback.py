@@ -8,13 +8,15 @@ Three layers under test:
   and drain in log order; barriers (``flush``, ``write_checkpoint``)
   make everything durable; queued segments stay readable and invisible
   to the cleaner.
-* Group commit — ``end_aru`` parks commit records until a cap, a
-  simulated-time budget, or a drain point releases the group.
+* Group commit — ``end_aru`` logs its commit record as the serial
+  path does and counts it into the open group, which is flushed at a
+  cap, at a simulated-time budget, or at a barrier.
 
 The crash sweeps at the bottom are the correctness proof the write
 pipeline rides on: at *every* physical-write index, the write-behind
 configuration leaves the platter byte-identical to the serial writer,
-and group commit preserves ARU all-or-nothing atomicity.
+group commit leaves that of the serial writer flushing after every
+group, and group commit preserves ARU all-or-nothing atomicity.
 """
 
 import pytest
@@ -34,6 +36,8 @@ from repro.lld.recovery import recover
 from repro.lld.summary import EntryKind
 from repro.lld.usage import SegmentState
 from repro.lld.verify import verify_lld
+
+from tests.oracle import platter_bytes
 
 
 def make_disk(num_segments=64, injector=None):
@@ -299,7 +303,7 @@ class TestGroupCommit:
             assert ld.read(block).startswith(b"gc-%d" % i)
 
     def test_group_shares_one_commit_segment(self):
-        """N parked commits land through one drain, not N partial
+        """N grouped commits land through one drain, not N partial
         flushes — the N-commits-one-write payoff."""
         ld = make_lld(group_commit=True, group_commit_max_parked=4,
                       group_commit_timeout_us=1e9)
@@ -383,9 +387,9 @@ class TestGroupCommit:
         ld.write_checkpoint()
 
     def test_parked_commits_lost_on_crash_are_not_recovered(self):
-        """A crash before the group is released loses the parked
-        commits — exactly the window an unflushed commit record has in
-        the serial path — and recovery undoes those ARUs."""
+        """A crash before the group is flushed loses its commits —
+        exactly the window an unflushed commit record has in the
+        serial path — and recovery undoes those ARUs."""
         ld = make_lld(group_commit=True, group_commit_max_parked=100,
                       group_commit_timeout_us=1e9, writeback_depth=16)
         lst = ld.new_list()
@@ -400,6 +404,24 @@ class TestGroupCommit:
 
         with pytest.raises(BadBlockError):
             ld2.read(block)
+        assert verify_lld(ld2) == []
+
+    def test_open_group_commit_rides_a_segment_write(self):
+        """The commit record is in the log from ``end_aru`` on, so a
+        segment written before the group is flushed carries it: the
+        ARU survives a crash that comes before that flush."""
+        ld = make_lld(group_commit=True, group_commit_max_parked=100,
+                      group_commit_timeout_us=1e9)
+        lst = ld.new_list()
+        ld.flush()
+        block = run_aru(ld, lst, b"rides")
+        fill_blocks(ld, 40)  # rolls several segments, written through
+        assert ld.stats()["group_commit"]["parked"] == 1
+        ld2, _report = recover(
+            ld.disk.power_cycle(),
+            config=LLDConfig(checkpoint_slot_segments=2),
+        )
+        assert ld2.read(block).startswith(b"rides")
         assert verify_lld(ld2) == []
 
     def test_group_commit_many_arus_storm(self):
@@ -614,6 +636,69 @@ class TestCrashSweepByteIdentity:
                 config=LLDConfig(checkpoint_slot_segments=2),
             )
             assert verify_lld(recovered) == [], (torn, crash_after)
+
+
+def aru_sequence(ld, flush_every=0):
+    """Plain writes, then ARUs with aborts; with ``flush_every`` the
+    caller flushes after every that many ``end_aru``, where group
+    commit would release its group."""
+    lst = ld.new_list()
+    for index in range(12):
+        block = ld.new_block(lst)
+        ld.write(block, b"plain-%02d" % index)
+    commits = 0
+    for round_no in range(32):
+        aru = ld.begin_aru()
+        for i in range(6):
+            block = ld.new_block(lst, aru=aru)
+            ld.write(block, b"aru-%02d-%d" % (round_no, i), aru)
+        if round_no % 4 == 2:
+            ld.abort_aru(aru)
+            continue
+        ld.end_aru(aru)
+        commits += 1
+        if flush_every and commits % flush_every == 0:
+            ld.flush()
+    ld.flush()
+
+
+class TestCrashSweepGroupCommitIsSerialPlusFlushes:
+    """Group commit is the serial writer plus flushes: with the timer
+    out of reach, a group of three commits leaves at every crash index
+    the platter and write count of the serial writer flushing after
+    every third ``end_aru``."""
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_every_crash_point_matches_flushing_serial(self, torn):
+        grouped = LLDConfig(
+            checkpoint_slot_segments=2,
+            writeback_depth=4,
+            group_commit=True,
+            group_commit_max_parked=3,
+            group_commit_timeout_us=1e9,
+        )
+        serial = grouped.replace(group_commit=False)
+
+        def run(config, flush_every, crash_after=None):
+            injector = None
+            if crash_after is not None:
+                cut = PowerCut(
+                    after_writes=crash_after, torn=torn, seed=crash_after
+                )
+                injector = FaultInjector(plan=FaultPlan(power_cut=cut))
+            disk = make_disk(injector=injector)
+            try:
+                aru_sequence(LLD(disk, config=config), flush_every)
+            except DiskCrashedError:
+                pass
+            return disk.write_count, platter_bytes(disk)
+
+        limit, _platter = run(serial, 3)
+        assert limit > 10, "workload too small to be interesting"
+        for crash_after in [None, *range(1, limit + 1)]:
+            assert run(grouped, 0, crash_after) == run(
+                serial, 3, crash_after
+            ), (torn, crash_after)
 
 
 class TestCrashSweepGroupCommitAtomicity:
