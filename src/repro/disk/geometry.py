@@ -17,8 +17,12 @@ import dataclasses
 
 #: Bytes reserved at the very end of each segment for the trailer
 #: (magic, sequence number, entry count, block count, summary length,
-#: checksum).  See :mod:`repro.lld.segment` for the layout.
-TRAILER_SIZE = 40
+#: summary checksum).  See :mod:`repro.lld.segment` for the layout.
+TRAILER_SIZE = 32
+
+#: Most data slots one segment may hold: a WRITE summary entry names
+#: its slot as an unsigned 16-bit number.
+MAX_SLOTS = 0xFFFF
 
 #: The unit a disk writes atomically and a power cut tears on.  Writes
 #: smaller than a segment (checkpoint tails, in-place summary chunks)
@@ -47,6 +51,11 @@ class DiskGeometry:
         if self.segment_size < self.block_size + TRAILER_SIZE:
             raise ValueError(
                 "segment_size must hold at least one block plus the trailer"
+            )
+        if self.max_data_blocks > MAX_SLOTS:
+            raise ValueError(
+                f"a segment may hold at most {MAX_SLOTS} data slots, "
+                f"not {self.max_data_blocks}"
             )
         if self.segment_size % SECTOR_SIZE:
             raise ValueError(

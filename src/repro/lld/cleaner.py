@@ -16,9 +16,16 @@ live slot in has nothing to copy, and the checkpoint a pass ends in
 supersedes its summaries like any victim's, so it is freed without
 being read — every such segment, by whichever pass runs, since one
 checkpoint pays for all of them.  Only when the dead fall short of
-the target does the policy pick victims to copy from, and only those
-are read and validated (a fault under a dead segment is the
-scrubber's to find; docs/SIMULATION.md).
+the target does the policy pick victims to copy from, and of those
+the cleaner reads only what it copies: first every victim's summary
+stack, from tail windows (:func:`~repro.lld.segment.decode_stacks`,
+the loop recovery's scan uses), then, in one batch, just the live
+slots, each checked against the CRC its WRITE entry carries before it
+is copied.  A victim that cannot be read, whose summary fails its CRC
+or whose chunk walk stops short, or one of whose copied slots fails
+its CRC goes to the scrubber instead of being freed.  A fault under
+dead data — a dead segment, or a dead slot of a live victim — is the
+scrubber's to find (docs/SIMULATION.md): the cleaner never reads it.
 
 Correctness protocol: a block slot is copied only if the persistent
 record still points at it *and* no committed record supersedes it (a
@@ -33,13 +40,16 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import List, Optional
+import zlib
+from typing import List, Tuple
 
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
+from repro.disk.geometry import TRAILER_SIZE
 from repro.errors import DiskFullError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.scrub import Scrubber, decode_dirty_body
+from repro.lld.scrub import Scrubber
+from repro.lld.segment import decode_stacks
 from repro.lld.summary import KIND_WRITE
 
 
@@ -59,6 +69,9 @@ class CleanReport:
     #: Evacuation passes the run took (one, unless the workspace
     #: budget truncated a pass or a victim was damaged).
     passes: int = 0
+    #: Bytes the run's victim reads moved off the disk: summary
+    #: stacks, live slots and any gap the disk streamed between them.
+    bytes_read: int = 0
 
 
 class SegmentCleaner:
@@ -196,27 +209,11 @@ class SegmentCleaner:
             was_cleaning = lld._cleaning
             lld._cleaning = True
             try:
-                # One scatter-gather read fetches every body to copy
-                # from; victims clustered on disk coalesce into
-                # sequential runs instead of paying one seek each.
-                bodies = lld.disk.read_many(
-                    [(seg, 0, lld.geometry.segment_size) for seg in live],
-                    errors="none",
-                )
-                copied = 0
-                damaged_now = []
-                for seg, raw in zip(live, bodies):
-                    evacuated = (
-                        None if raw is None else self._evacuate(seg, raw)
-                    )
-                    if evacuated is None:
-                        # Unreadable or failing its CRC: not ours to
-                        # free — the scrubber must salvage what it can
-                        # and quarantine the segment.
-                        damaged_now.append(seg)
-                        continue
-                    copied += evacuated
+                copies, damaged_now = self._read_live(live, report)
                 if damaged_now:
+                    # Unreadable or failing a CRC: not ours to free —
+                    # the scrubber must salvage what it can and
+                    # quarantine the segment.
                     damaged_all.update(damaged_now)
                     lld._scrub_pending.update(damaged_now)
                     live = [s for s in live if s not in damaged_now]
@@ -224,9 +221,13 @@ class SegmentCleaner:
                         # Every victim was damaged; retry with the
                         # damaged set excluded from selection.
                         continue
+                for block_id, persistent, data in copies:
+                    ts = lld.clock.tick()
+                    persistent.address = lld.log_write(block_id, data, 0, ts)
+                    lld.bmap.mark_changed(block_id)
                 victims = dead + live
                 report.victims += victims
-                report.blocks_copied += copied
+                report.blocks_copied += len(copies)
                 # Make the copies durable, then supersede the victims'
                 # summary history with a checkpoint; only then is
                 # freeing them safe.
@@ -261,58 +262,82 @@ class SegmentCleaner:
             report.damaged = sorted(damaged_all)
         return report
 
-    def _evacuate(self, seg: int, raw: Optional[bytes] = None) -> Optional[int]:
-        """Copy every live block of ``seg`` into the current buffer.
+    def _read_live(
+        self, victims: List[int], report: CleanReport
+    ) -> Tuple[List[Tuple[BlockId, object, bytes]], List[int]]:
+        """Read what a pass copies out of ``victims``.
 
-        ``raw`` is the segment body when the caller already fetched it
-        (the batched victim read); otherwise it is read here.  Returns
-        the number of blocks copied, or None when the body fails
-        validation or its chunk walk stops short of the slots the
-        usage table counted — every chunk of a DIRTY segment reached
-        the disk through a successful write, so that means failed
-        media, and the caller must route the segment to the scrubber
-        rather than free it.
+        Two batched reads: every victim's summary stack from tail
+        windows, then only the live slots its entries name, each
+        checked against its WRITE entry's CRC.  Returns the copies as
+        ``(block id, persistent record, data)``, and the damaged
+        victims, of which nothing is copied: unreadable, a summary that
+        fails its CRC, a chunk walk that stops short of the slots the
+        usage table counted — every chunk of a DIRTY segment reached the
+        disk through a successful write, so that means failed media —
+        or a copied slot that fails its CRC.
         """
+        if not victims:
+            return [], []
         lld = self.lld
-        if raw is None:
-            raw = lld.disk.read_segment(seg)
-        decoded = decode_dirty_body(lld, seg, raw)
-        if decoded is None:
-            return None
+        disk = lld.disk
+        size = lld.geometry.segment_size
+        block_size = lld.geometry.block_size
+        transferred = disk.timer.bytes_transferred
+        window = min(size, max(TRAILER_SIZE, block_size))
+        tails = disk.read_many(
+            [(seg, size - window, window) for seg in victims], errors="none"
+        )
+        stacks, _invalid, _unreadable = decode_stacks(
+            disk, {seg: tail for seg, tail in zip(victims, tails) if tail is not None}
+        )
+        stacks = [
+            decoded
+            for decoded in stacks
+            if decoded.block_count >= lld.usage.total_slots(decoded.segment_no)
+        ]
         bmap = lld.bmap
-        copied = 0
-        seen = set()
-        # Hot loop: raw entry tuples (no SummaryEntry objects) and
-        # zero-copy slot views — log_write consumes the view into the
-        # new segment image immediately, so the only byte copy per
-        # evacuated block is the one into the destination buffer.
-        for fields in decoded.entry_tuples:
-            if fields[0] != KIND_WRITE:
-                continue
-            block_id = BlockId(fields[3])
-            slot = fields[4]
-            if (block_id, slot) in seen:
-                continue
-            seen.add((block_id, slot))
-            persistent = bmap.persistent.get(block_id)
-            if persistent is None:
-                continue
-            if persistent.address is None or persistent.address.segment != seg:
-                continue
-            if persistent.address.slot != slot:
-                continue
-            # A committed record means a newer copy is already in the
-            # stream ahead of us; the flush below makes it durable,
-            # so the old slot need not move.
-            if (
-                find_alt(bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE)
-                is not None
-            ):
-                continue
-            data = decoded.slot_view(slot)
-            ts = lld.clock.tick()
-            addr = lld.log_write(block_id, data, 0, ts)
-            persistent.address = addr
-            bmap.mark_changed(block_id)
-            copied += 1
-        return copied
+        wanted = []
+        planned = set()
+        for decoded in stacks:
+            seg = decoded.segment_no
+            for fields in decoded.entry_tuples:
+                if fields[0] != KIND_WRITE or fields[3] in planned:
+                    continue
+                block_id = BlockId(fields[3])
+                persistent = bmap.persistent.get(block_id)
+                # Live: the persistent record points at this slot, and
+                # no committed record has a newer copy in the stream
+                # ahead of us (the flush that ends the pass makes it
+                # durable, so the old slot need not move).
+                if (
+                    persistent is None
+                    or persistent.address != (seg, fields[4])
+                    or find_alt(
+                        bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE
+                    )
+                    is not None
+                ):
+                    continue
+                planned.add(block_id)
+                wanted.append((seg, block_id, persistent, fields[4], fields[5]))
+        datas = disk.read_many(
+            [(seg, slot * block_size, block_size) for seg, _b, _p, slot, _c in wanted],
+            errors="none",
+        )
+        report.bytes_read += disk.timer.bytes_transferred - transferred
+        stack_kb = sum(decoded.stack_len for decoded in stacks) / 1024.0
+        lld.meter.charge("crc_kb_us", stack_kb + len(wanted) * block_size / 1024.0)
+        lld.meter.charge(
+            "decode_entry_us", sum(decoded.entry_count for decoded in stacks)
+        )
+        good = {decoded.segment_no for decoded in stacks}
+        for (seg, _block, _persistent, _slot, crc), data in zip(wanted, datas):
+            if data is None or zlib.crc32(data) != crc:
+                good.discard(seg)
+        copies = [
+            (block_id, persistent, data)
+            for (seg, block_id, persistent, _slot, _crc), data in zip(wanted, datas)
+            if seg in good
+        ]
+        return copies, [seg for seg in victims if seg not in good]

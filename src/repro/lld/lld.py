@@ -858,8 +858,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
         """Invoke the segment cleaner (lazy import avoids a cycle)."""
         from repro.lld.cleaner import SegmentCleaner
 
-        # The cleaner reasons from live counts and full-CRC segment
-        # bodies; both are only final once the restore has drained.
+        # The cleaner reasons from live counts and from summaries an
+        # instant restore may not have applied yet; both are only
+        # final once the restore has drained.
         self.complete_restore()
         self._cleaning = True
         pass_start_us = self.clock.now_us
@@ -881,6 +882,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "cleaner.pass",
                 victims=len(report.victims),
                 unread=unread,
+                bytes_read=report.bytes_read,
                 **counts,
             )
             self._h_cleaner_us.observe(self.clock.now_us - pass_start_us)
@@ -921,8 +923,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
         Marks the segment for the next scrub pass, then tries to find
         a surviving copy of the block in older log segments (the cache
         and buffer were already consulted by the caller).  The salvage
-        is cached under the failed address so repeated reads do not
-        rescan the log.  Raises
+        is not cached under the failed address: it may be older than
+        the version that address holds, and the scrubber takes a cache
+        entry for a byte-identical copy.  Raises
         :class:`~repro.errors.UnrecoverableBlockError` when every copy
         is gone.
         """
@@ -947,7 +950,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
         self.obs.record(
             "scrub.salvage", block=int(block_id), segment=addr.segment
         )
-        self.cache.put(addr, data)
         return data
 
     def scrub(self, segments: Optional[Sequence[int]] = None):

@@ -59,7 +59,7 @@ from repro.ld.types import ARU_NONE, SYSTEM_ID_BASE, PhysAddr
 from repro.lld.checkpoint import FLAG_HAS_ADDR, CheckpointData
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
-from repro.lld.segment import DecodedSegment, decode_segment_tail, parse_trailer
+from repro.lld.segment import DecodedSegment, decode_stacks, parse_trailer
 from repro.lld.summary import (
     KIND_ALLOC_BLOCK,
     KIND_COMMIT,
@@ -174,7 +174,7 @@ class RecoveryReport:
     #: (the read windows), ``decode`` (summary CRCs and longer tails),
     #: ``replay`` (outcomes; for eager also the redo and the orphan
     #: sweep), ``install`` (tables, usage, fresh buffer) and, eager
-    #: only, ``audit`` (whole-chunk CRCs, the ``bodies_reread`` body
+    #: only, ``audit`` (slot CRCs, the ``bodies_reread`` body
     #: reads the scan did not hold, any scrub).
     phase_us: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Eager only: pending bodies the audit read (the scan held the rest).
@@ -642,43 +642,17 @@ def _decode_tails(
     scan: _Scan,
     report: RecoveryReport,
 ) -> List[DecodedSegment]:
-    """The scan's decoder: summaries from the tail windows alone.
+    """The scan's decoder: summaries from the tail windows alone
+    (:func:`~repro.lld.segment.decode_stacks`, which the cleaner shares).
 
-    A chunk stack longer than its window costs a follow-up batched
-    read — one per round, for every still-unresolved segment at once —
-    of the longer tail the walk asked for; a closed segment asks for
-    exactly its missing bytes.  Only the summary CRCs are charged
-    here; the per-entry decode cost is charged when a segment is
-    replayed, to whoever triggers that (:meth:`RestoreController._advance`).
+    Only the summary CRCs are charged here; the per-entry decode cost
+    is charged when a segment is replayed, to whoever triggers that
+    (:meth:`RestoreController._advance`).
     """
-    disk = lld.disk
-    geometry = disk.geometry
-    size = geometry.segment_size
-    decoded: List[DecodedSegment] = []
-    while tails:
-        short: List[Tuple[int, int]] = []
-        for seg, tail in tails.items():
-            result = decode_segment_tail(tail, geometry, seg)
-            if isinstance(result, int):
-                short.append((seg, result))
-            elif result is None:
-                report.segments_invalid += 1
-            else:
-                decoded.append(result)
-        if not short:
-            break
-        longer = disk.read_many(
-            [(seg, size - needed, needed) for seg, needed in short],
-            errors="none",
-        )
-        tails = {}
-        for (seg, _needed), tail in zip(short, longer):
-            if tail is None:
-                report.segments_unreadable += 1
-                scan.quarantined.append(seg)
-            else:
-                tails[seg] = tail
-    decoded.sort(key=lambda d: d.seq)
+    decoded, invalid, unreadable = decode_stacks(lld.disk, tails)
+    report.segments_invalid += len(invalid)
+    report.segments_unreadable += len(unreadable)
+    scan.quarantined += unreadable
     tail_kb = sum(d.stack_len / 1024.0 for d in decoded)
     if tail_kb:
         lanes = max(1, min(DEFAULT_WORKERS, len(decoded)))
@@ -819,12 +793,14 @@ def _install(
 
 
 def _audit(lld: LLD, scan: _Scan, report: RecoveryReport) -> None:
-    """Hold the pending segments' data slots to their whole-chunk CRCs.
+    """Hold the pending segments' data slots to the CRCs their WRITE
+    entries carry.
 
     The scan trusted each accepted chunk on its summary CRC, which
-    does not cover the data.  One batched read fetches the bodies the
-    scan did not hold, :meth:`~repro.lld.segment.DecodedSegment.body_holds`
-    checks every accepted chunk without decoding an entry again, and
+    covers the slot CRCs but not the data.  One batched read fetches
+    the bodies the scan did not hold,
+    :meth:`~repro.lld.segment.DecodedSegment.body_holds` checks every
+    slot a WRITE names without decoding an entry again, and
     all the CRC work is charged here at the share of
     :data:`DEFAULT_WORKERS` lanes.  A failure is media rot a crash
     cannot leave (every chunk the walk accepted was written whole), so

@@ -9,12 +9,13 @@ segment must never be reused.
 
 :class:`Scrubber` sweeps the log with one batched
 :meth:`~repro.disk.simdisk.SimulatedDisk.read_many` scan, validating
-that every on-disk log segment is readable and that its chunks' CRCs
-still cover every data slot the usage table counted.  Every chunk of
-a DIRTY segment reached the platter through a successful write —
-whole-segment or in place — so a failed CRC here, or a chunk walk
-that stops short of the counted slots, is media corruption, not a
-torn write — recovery cannot make that call (a reused-then-torn
+that every on-disk log segment is readable, that its chunks' summary
+CRCs hold over every data slot the usage table counted, and that each
+slot a WRITE entry names still has the CRC that entry carries.  Every
+chunk of a DIRTY segment reached the platter through a successful
+write — whole-segment or in place — so a failed CRC here, or a chunk
+walk that stops short of the counted slots, is media corruption, not
+a torn write — recovery cannot make that call (a reused-then-torn
 segment looks the same to it), but the live usage table can.
 
 For every damaged segment the scrubber salvages live blocks, in
@@ -36,9 +37,9 @@ and reading them raises :class:`~repro.errors.UnrecoverableBlockError`.
 
 A persistent copy superseded by a committed (post-EndARU) version is
 not relocated, mirroring the cleaner's rule: the newer copy is already
-in the stream ahead of us.  Note that a cache entry seeded by an
-earlier degraded-read salvage may itself be a stale copy; the scrubber
-cannot distinguish it from a pristine write-behind entry.
+in the stream ahead of us.  The cache holds only byte-identical
+copies: a degraded read never caches its salvage under the failed
+address (:meth:`~repro.lld.lld.LLD._degraded_read`).
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class ScrubReport:
 
 def decode_dirty_body(lld, seg: int, raw) -> Optional[DecodedSegment]:
     """The one rule for reading a DIRTY segment's body ``raw``: charge
-    its CRC and decode it; None when the check fails or the chunk walk
-    stops short of the slots the usage table counted (failed media, see
-    the module docstring), else charge the entry decode."""
+    its CRCs and decode it, each data slot checked against its WRITE
+    entry; None when a check fails or the chunk walk stops short of
+    the slots the usage table counted (failed media, see the module
+    docstring), else charge the entry decode."""
     lld.meter.charge("crc_kb_us", lld.geometry.segment_size / 1024.0)
     decoded = decode_segment(raw, lld.geometry, seg)
     if decoded is None or decoded.block_count < lld.usage.total_slots(seg):

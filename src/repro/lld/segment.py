@@ -6,7 +6,7 @@ full when the two regions would collide::
 
     0                                                  segment_size
     | slot 0 | slot 1 | .. | slot n-1 |  free  | chunk 2 | chunk 1 | chunk 0 |
-                                                 entries | 40-byte trailer
+                                                 entries | 32-byte trailer
 
 Every durability point adds one chunk ``[entries | trailer]`` below
 the previous one.  A segment that is never flushed early has exactly
@@ -28,10 +28,12 @@ the chunk it was writing:
   (:func:`chunk_end_below`).
 * **Data before chunk.**  A chunk is written after, and lies above,
   the data slots it describes, and its summary CRC is the *last*
-  field of its trailer and covers everything before it: a valid
-  summary CRC implies the whole chunk and its data were written, which
-  is why recovery may trust a summary without reading data (and
-  audits the data for rot separately, :meth:`DecodedSegment.body_holds`).
+  field of its trailer and covers everything before it — the WRITE
+  entries, each carrying the CRC-32 of the slot it names, included: a
+  valid summary CRC implies the whole chunk and its data were written,
+  which is why recovery may trust a summary without reading data.
+  Rot in a slot after that is caught by the slot's own CRC, by
+  whoever reads the slot and checks it (:func:`slots_hold`).
 * **Published slots are never overwritten.**  Rewriting a block whose
   slot is still unwritten overwrites it in the buffer — its physical
   address has not been published to disk yet, so this is not a log
@@ -42,10 +44,12 @@ the chunk it was writing:
 Trailer layout (see :data:`TRAILER_FMT`): magic, format version, flags
 (:data:`FLAG_LAST` = last chunk, segment closed), sequence number,
 entry count, block count and summary length *of this chunk*, CRC-32 of
-the chunk's data slots followed by its own bytes up to this field,
-CRC-32 of the chunk's own bytes up to this field (the summary CRC).
-Neither checksum covers the free gap between data and chunks, which
-after an in-place write holds stale platter bytes.
+the chunk's own bytes up to this field (the summary CRC).  Each byte
+has one check: a data slot its WRITE entry's CRC, computed at
+:meth:`SegmentBuffer.seal` from the slot's final bytes; the entries
+and the trailer the summary CRC.  No checksum covers the free
+gap between data and chunks, which after an in-place write holds stale
+platter bytes.
 
 Wall-clock fast path
 --------------------
@@ -67,11 +71,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.disk.geometry import SECTOR_SIZE, TRAILER_SIZE, DiskGeometry
 from repro.ld.types import BlockId, PhysAddr
 from repro.lld.summary import (
+    KIND_WRITE,
     EntryKind,
     SummaryEntry,
     decode_entries,
@@ -81,10 +86,10 @@ from repro.lld.summary import (
 )
 
 #: magic(4s) version(H) flags(H) seq(Q) nentries(I) nblocks(I)
-#: summary_len(I) crc(Q) summary_crc(I)
-TRAILER_FMT = "<4sHHQIIIQI"
+#: summary_len(I) summary_crc(I)
+TRAILER_FMT = "<4sHHQIIII"
 TRAILER_MAGIC = b"LLDS"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Trailer flag: this is the segment's last chunk (the segment was
 #: closed); a walker need not look below it.
@@ -92,7 +97,6 @@ FLAG_LAST = 0x1
 
 #: Precompiled trailer codec (hot on the seal and recovery paths).
 TRAILER_STRUCT = struct.Struct(TRAILER_FMT)
-_CRC_STRUCT = struct.Struct("<Q")
 _SUMMARY_CRC_STRUCT = struct.Struct("<I")
 
 assert TRAILER_STRUCT.size == TRAILER_SIZE
@@ -100,27 +104,34 @@ assert TRAILER_STRUCT.size == TRAILER_SIZE
 _WRITE = EntryKind.WRITE
 _WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
 
-#: Offset (from the chunk end) of the whole-chunk CRC field and the
-#: summary CRC field.  For a chunk ``[start, end)`` the whole-chunk CRC
-#: covers the chunk's data slots, then ``[start, end - 12)``; the
-#: summary CRC covers ``[start, end - 4)``, the whole-chunk CRC
-#: included.
-_CRC_END = 12
+#: Offset (from the chunk end) of the summary CRC field: for a chunk
+#: ``[start, end)`` it covers ``[start, end - 4)``.
 _SUMMARY_CRC_END = 4
 
 
-def chunk_crc_holds(chunk, data, crc: int) -> bool:
-    """The whole-chunk CRC rule: ``crc`` (the chunk's trailer field)
-    covers ``data`` — the data slots the chunk describes — followed by
-    the chunk's own bytes up to that field.  Shared by the chunk walk
-    and recovery's body audit, so both check one rule."""
-    return zlib.crc32(chunk[: len(chunk) - _CRC_END], zlib.crc32(data)) == crc
+def slots_hold(entry_tuples: Iterable[Tuple[int, ...]], data, block_size: int) -> bool:
+    """The slot CRC rule: True if every data slot a WRITE entry of
+    ``entry_tuples`` names still has the CRC-32 the entry carries.
+
+    ``data`` holds the segment's data slots from slot 0 on.  Each slot
+    is checked once, however many entries name it (a block rewritten
+    in the buffer before its chunk was sealed; every such entry carries
+    the slot's final CRC).  Shared by the chunk walk, recovery's body
+    audit and the cleaner's slot reads, so all check one rule.
+    """
+    crcs = {fields[4]: fields[5] for fields in entry_tuples if fields[0] == KIND_WRITE}
+    crc32 = zlib.crc32
+    for slot, crc in crcs.items():
+        offset = slot * block_size
+        if crc32(data[offset : offset + block_size]) != crc:
+            return False
+    return True
 
 
 def chunk_end_below(start: int) -> int:
     """Where the chunk stacked below one starting at ``start`` ends.
 
-    Right at ``start``, unless its trailer — the 40 bytes ending
+    Right at ``start``, unless its trailer — the 32 bytes ending
     there — would then cross a sector boundary: a trailer must reach
     the disk atomically, so the chunk ends at that boundary instead.
     The writer and every walker apply this same function, so the pad
@@ -130,25 +141,25 @@ def chunk_end_below(start: int) -> int:
     return boundary if start - TRAILER_SIZE < boundary else start
 
 
-def parse_trailer(trailer) -> Optional[Tuple[int, int, int, int, int, int, int]]:
+def parse_trailer(trailer) -> Optional[Tuple[int, int, int, int, int, int]]:
     """Parse a raw chunk trailer, validating magic and version.
 
     ``trailer`` is the final :data:`TRAILER_SIZE` bytes of a chunk
     (bytes or memoryview) — for the last bytes of a segment, its
     oldest chunk, whose sequence number classifies the segment.
-    Returns ``(seq, flags, nentries, nblocks, summary_len, crc,
+    Returns ``(seq, flags, nentries, nblocks, summary_len,
     summary_crc)`` or None if this is not an LLD trailer.  Shared by
     the decoders and recovery's trailer peek so all classify segments
     identically.
     """
     if len(trailer) != TRAILER_SIZE:
         return None
-    magic, version, flags, seq, nentries, nblocks, summary_len, crc, summary_crc = (
+    magic, version, flags, seq, nentries, nblocks, summary_len, summary_crc = (
         TRAILER_STRUCT.unpack(trailer)
     )
     if magic != TRAILER_MAGIC or version != FORMAT_VERSION:
         return None
-    return seq, flags, nentries, nblocks, summary_len, crc, summary_crc
+    return seq, flags, nentries, nblocks, summary_len, summary_crc
 
 
 class SegmentBuffer:
@@ -289,7 +300,8 @@ class SegmentBuffer:
 
         One room check covers both.  A block whose slot in this buffer
         is not on disk yet is overwritten in that slot; otherwise it
-        takes the next slot.  ``data`` is exactly one block, ``bytes``
+        takes the next slot; :meth:`seal` gives the entry its slot's
+        CRC.  ``data`` is exactly one block, ``bytes``
         or any buffer (``memoryview``, ``bytearray``): it is
         slice-assigned into the segment image immediately, so borrowed
         views are consumed before return and never retained.
@@ -324,9 +336,12 @@ class SegmentBuffer:
         return tuple.__new__(PhysAddr, (self.segment_no, slot))
 
     def add_entry(self, entry: SummaryEntry) -> None:
-        """Append one summary entry (room must have been checked)."""
+        """Append one summary entry (room must have been checked).  A
+        WRITE enters with its data, through :meth:`append_write`."""
         if self._sealed:
             raise RuntimeError("segment buffer is sealed")
+        if entry.kind == _WRITE:
+            raise ValueError("a WRITE entry is placed by append_write")
         size = entry.encoded_size()
         if size > self.bytes_free():
             raise RuntimeError("segment summary overflow (missing room check)")
@@ -378,8 +393,10 @@ class SegmentBuffer:
         """Finish the next chunk in the image in place; return the image.
 
         The chunk — every entry added since the previous chunk, then
-        the trailer with both CRCs — goes right below the previous one
-        (at the segment end for the first).  The image is exactly
+        the trailer with the summary CRC — goes right below the previous
+        one (at the segment end for the first).  Each WRITE entry gets
+        the CRC-32 of its slot's final bytes here, in the buffer's
+        entries as well as in the image.  The image is exactly
         ``geometry.segment_size`` bytes and the returned object is the
         buffer's own ``bytearray`` — no copy.
 
@@ -395,9 +412,23 @@ class SegmentBuffer:
         if self._sealed:
             raise RuntimeError("segment buffer is sealed")
         image = self._image
-        block_size = self.geometry.block_size
-        first_slot = self._written_slots
-        slots = len(self._slot_data)
+        view = memoryview(image)
+        size = self._block_size
+        crc32 = zlib.crc32
+        # Every WRITE came through append_write, so ``is`` finds them;
+        # tuple.__new__ skips SummaryEntry's argument parsing.
+        make = tuple.__new__
+        written = self._written_entries
+        self.entries[written:] = [
+            make(
+                SummaryEntry,
+                (_WRITE, entry[1], entry[2], entry[3], entry[4],
+                 crc32(view[entry[4] * size : (entry[4] + 1) * size])),
+            )
+            if entry[0] is _WRITE
+            else entry
+            for entry in self.entries[written:]
+        ]
         entries = self.unwritten_entries()
         summary_len = self._summary_bytes - self._written_summary
         end = self._chunk_end
@@ -413,17 +444,10 @@ class SegmentBuffer:
             FLAG_LAST if last else 0,
             self.seq,
             len(entries),
-            slots - first_slot,
+            len(self._slot_data) - self._written_slots,
             summary_len,
-            0,  # crc placeholder
             0,  # summary crc placeholder
         )
-        view = memoryview(image)
-        crc = zlib.crc32(
-            view[start : end - _CRC_END],
-            zlib.crc32(view[first_slot * block_size : slots * block_size]),
-        )
-        _CRC_STRUCT.pack_into(image, end - _CRC_END, crc)
         _SUMMARY_CRC_STRUCT.pack_into(
             image,
             end - _SUMMARY_CRC_END,
@@ -469,8 +493,9 @@ def reference_seal(buffer: SegmentBuffer) -> bytes:
     """The pre-fast-path segment assembly, kept as a differential oracle.
 
     Builds the whole-segment image the original way — fresh
-    ``bytearray``, one copy per data slot at seal time, then summary,
-    trailer and CRCs — without touching ``buffer``'s own image or
+    ``bytearray``, one copy per data slot at seal time, each WRITE
+    entry re-encoded with the CRC of that copy, then summary, trailer
+    and CRC — without touching ``buffer``'s own image, entries or
     sealed flag.  Must produce a byte-identical image to
     :meth:`SegmentBuffer.seal` on a buffer no chunk of which is on
     disk; ``bench_wallclock.py`` gates the fast path against it and
@@ -482,10 +507,15 @@ def reference_seal(buffer: SegmentBuffer) -> bytes:
     for slot in range(buffer.block_count):
         offset = slot * block_size
         image[offset : offset + block_size] = buffer._slot_bytes(slot)
-    data_end = buffer.block_count * block_size
+    entries = [
+        entry._replace(c=zlib.crc32(buffer._slot_bytes(entry.b)))
+        if entry.kind is EntryKind.WRITE
+        else entry
+        for entry in buffer.entries
+    ]
     summary_len = buffer.summary_bytes
     summary_start = geo.segment_size - TRAILER_SIZE - summary_len
-    end = encode_entries_into(buffer.entries, image, summary_start)
+    end = encode_entries_into(entries, image, summary_start)
     if end != summary_start + summary_len:
         raise RuntimeError("summary size accounting is inconsistent")
     TRAILER_STRUCT.pack_into(
@@ -495,20 +525,13 @@ def reference_seal(buffer: SegmentBuffer) -> bytes:
         FORMAT_VERSION,
         FLAG_LAST,
         buffer.seq,
-        len(buffer.entries),
+        len(entries),
         buffer.block_count,
         summary_len,
-        0,  # crc placeholder
         0,  # summary crc placeholder
     )
-    view = memoryview(image)
-    crc = zlib.crc32(
-        view[summary_start : geo.segment_size - _CRC_END],
-        zlib.crc32(view[:data_end]),
-    )
-    _CRC_STRUCT.pack_into(image, geo.segment_size - _CRC_END, crc)
     summary_crc = zlib.crc32(
-        view[summary_start : geo.segment_size - _SUMMARY_CRC_END]
+        memoryview(image)[summary_start : geo.segment_size - _SUMMARY_CRC_END]
     )
     _SUMMARY_CRC_STRUCT.pack_into(
         image, geo.segment_size - _SUMMARY_CRC_END, summary_crc
@@ -616,27 +639,15 @@ class DecodedSegment:
 
     def body_holds(self, body) -> bool:
         """True if ``body`` — the whole segment image, read again —
-        still matches the whole-chunk CRC of every chunk the walk
-        accepted (:func:`chunk_crc_holds`).
+        still matches the slot CRC every WRITE entry of the accepted
+        chunks carries (:func:`slots_hold`).
 
-        Checks the data slots against the chunk stack this object
-        already holds; no entry is decoded again.  A segment decoded
-        from a tail window trusted its data on the summary CRC alone,
-        and this is how eager recovery audits that trust.
+        Checks the data slots against the entries this object already
+        holds; no entry is decoded again.  A segment decoded from a
+        tail window trusted its data on the summary CRC alone, and this
+        is how eager recovery audits that trust.
         """
-        view = memoryview(self.raw)
-        data = memoryview(body)
-        block_size = self.geometry.block_size
-        slots = 0
-        for offset, length in self._summaries:
-            end = offset + length + TRAILER_SIZE
-            fields = TRAILER_STRUCT.unpack_from(view, end - TRAILER_SIZE)
-            nblocks, crc = fields[5], fields[7]
-            chunk_data = data[slots * block_size : (slots + nblocks) * block_size]
-            if not chunk_crc_holds(view[offset:end], chunk_data, crc):
-                return False
-            slots += nblocks
-        return True
+        return slots_hold(self.entry_tuples, memoryview(body), self.geometry.block_size)
 
     def slot_data(self, slot: int) -> bytes:
         """Return the data of slot ``slot`` as ``bytes`` (a copy)."""
@@ -668,12 +679,12 @@ def _walk_chunks(tail, geometry: DiskGeometry, segment_no: int, check_data: bool
     of it when ``check_data``).  A chunk is accepted only if its
     trailer parses, its sequence number is its predecessor's plus one,
     it does not reach into the data slots counted so far, its summary
-    CRC holds — and, with ``check_data``, its whole-chunk CRC over the
-    data slots it describes — and its entries decode to the promised
-    count.  The walk stops at the first chunk that fails any of these
-    (a torn or corrupted chunk ends its segment's history; so does a
-    stale one from an earlier incarnation of the physical segment) or
-    below a chunk flagged last.
+    CRC holds, its entries decode to the promised count — and, with
+    ``check_data``, every slot a WRITE entry names holds its CRC
+    (:func:`slots_hold`).  The walk stops at the first chunk that fails
+    any of these (a torn or corrupted chunk ends its segment's history;
+    so does a stale one from an earlier incarnation of the physical
+    segment) or below a chunk flagged last.
 
     Returns a :class:`DecodedSegment` of the accepted chunks, ``None``
     if not even the first was valid, or — when the walk ran off the
@@ -702,7 +713,7 @@ def _walk_chunks(tail, geometry: DiskGeometry, segment_no: int, check_data: bool
         parsed = parse_trailer(view[trailer - base : end - base])
         if parsed is None:
             break
-        seq, flags, nentries, nblocks, summary_len, crc, summary_crc = parsed
+        seq, flags, nentries, nblocks, summary_len, summary_crc = parsed
         if last_seq is not None and seq != last_seq + 1:
             break
         chunk_start = trailer - summary_len
@@ -717,15 +728,13 @@ def _walk_chunks(tail, geometry: DiskGeometry, segment_no: int, check_data: bool
         chunk = view[chunk_start - base : end - base]
         if zlib.crc32(chunk[: len(chunk) - _SUMMARY_CRC_END]) != summary_crc:
             break
-        if check_data and not chunk_crc_holds(
-            chunk, view[slots * block_size : (slots + nblocks) * block_size], crc
-        ):
-            break
         try:
             tuples = decode_entry_tuples(chunk[:summary_len])
         except ValueError:
             break
         if len(tuples) != nentries:
+            break
+        if check_data and not slots_hold(tuples, view, block_size):
             break
         entry_tuples += tuples
         summaries.append((chunk_start - base, summary_len))
@@ -763,10 +772,11 @@ def decode_segment(
     written, or its first chunk torn or corrupted) — recovery treats
     such segments as free space.  Otherwise the result covers every
     chunk up to the first invalid one (see :func:`_walk_chunks`); each
-    is validated by a CRC-32 pass (C-backed ``zlib.crc32``) over its
-    data slots and its own bytes (:func:`decode_segment_tail` is the
-    summary-CRC-only variant that needs no body), and its summary is
-    batch-decoded into field tuples in a single pass.
+    is validated by its summary CRC and by one CRC-32 pass (C-backed
+    ``zlib.crc32``) over each data slot a WRITE entry names
+    (:func:`decode_segment_tail` is the summary-CRC-only variant that
+    needs no body), and its summary is batch-decoded into field tuples
+    in a single pass.
     """
     if len(raw) != geometry.segment_size:
         return None
@@ -792,8 +802,56 @@ def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
     replaces streaming the whole body through the CRC.  It is sound
     against a crash because a chunk is written after the data it
     describes and its summary CRC is the last thing written; against
-    rot in the data, :meth:`DecodedSegment.body_holds` audits it.
+    rot in the data, each slot's CRC in its WRITE entry
+    (:meth:`DecodedSegment.body_holds`, or one slot at a time).
     """
     if len(tail) < TRAILER_SIZE or len(tail) > geometry.segment_size:
         return None
     return _walk_chunks(tail, geometry, segment_no, check_data=False)
+
+
+def decode_stacks(disk, tails: Dict[int, bytes]):
+    """Decode the chunk stacks of several segments from tail windows.
+
+    ``tails`` maps a segment to the last bytes of its image, read by
+    the caller.  A stack longer than its window costs a follow-up
+    batched read — one per round, for every still-unresolved segment
+    at once — of the longer tail :func:`decode_segment_tail` asked
+    for; a closed segment asks for exactly its missing bytes.  Charges
+    nothing to the meter: the callers (recovery's scan, the cleaner)
+    charge the CRC and decode work at their own lane counts.
+
+    Returns ``(decoded, invalid, unreadable)``: the segments whose
+    first chunk holds, as bodiless :class:`DecodedSegment` objects in
+    sequence order; the segments with no valid first chunk; and those
+    whose follow-up read hit a media fault.
+    """
+    geometry = disk.geometry
+    size = geometry.segment_size
+    decoded: List[DecodedSegment] = []
+    invalid: List[int] = []
+    unreadable: List[int] = []
+    while tails:
+        short: List[Tuple[int, int]] = []
+        for seg, tail in tails.items():
+            result = decode_segment_tail(tail, geometry, seg)
+            if isinstance(result, int):
+                short.append((seg, result))
+            elif result is None:
+                invalid.append(seg)
+            else:
+                decoded.append(result)
+        if not short:
+            break
+        longer = disk.read_many(
+            [(seg, size - needed, needed) for seg, needed in short],
+            errors="none",
+        )
+        tails = {}
+        for (seg, _needed), tail in zip(short, longer):
+            if tail is None:
+                unreadable.append(seg)
+            else:
+                tails[seg] = tail
+    decoded.sort(key=lambda d: d.seq)
+    return decoded, invalid, unreadable

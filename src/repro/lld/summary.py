@@ -24,7 +24,9 @@ from typing import Iterator, List, NamedTuple, Tuple
 class EntryKind(enum.IntEnum):
     """Operation kinds recorded in segment summaries."""
 
-    #: Block data written: ``a`` = block id, ``b`` = data slot.
+    #: Block data written: ``a`` = block id, ``b`` = data slot (u16),
+    #: ``c`` = CRC-32 of the slot's final bytes, computed when the
+    #: chunk is sealed (:meth:`repro.lld.segment.SegmentBuffer.seal`).
     WRITE = 1
     #: Block allocated (always committed immediately): ``a`` = block
     #: id, ``b`` = the list it was allocated for (informational).
@@ -62,7 +64,7 @@ _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 #: Per-kind payload formats (fields a, b, c as needed).
 _PAYLOAD_FMT = {
-    EntryKind.WRITE: "<QI",
+    EntryKind.WRITE: "<QHI",
     EntryKind.ALLOC_BLOCK: "<QQ",
     EntryKind.DELETE_BLOCK: "<QQ",
     EntryKind.NEW_LIST: "<Q",
@@ -74,7 +76,7 @@ _PAYLOAD_FMT = {
 }
 
 _PAYLOAD_FIELDS = {
-    EntryKind.WRITE: 2,
+    EntryKind.WRITE: 3,
     EntryKind.ALLOC_BLOCK: 2,
     EntryKind.DELETE_BLOCK: 2,
     EntryKind.NEW_LIST: 1,

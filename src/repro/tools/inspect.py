@@ -188,10 +188,14 @@ def describe_segments(
         shown += 1
         if entries:
             for entry in decoded.entries:
+                fields = (
+                    f"block={entry.a} slot={entry.b} crc={entry.c:#010x}"
+                    if entry.kind is EntryKind.WRITE
+                    else f"a={entry.a} b={entry.b} c={entry.c}"
+                )
                 lines.append(
                     f"      {entry.kind.name:<12s} tag={entry.aru_tag:<6d} "
-                    f"ts={entry.timestamp:<8d} a={entry.a} b={entry.b} "
-                    f"c={entry.c}"
+                    f"ts={entry.timestamp:<8d} {fields}"
                 )
     if shown == 0:
         lines.append("  (none written)")

@@ -12,7 +12,8 @@ JSON object keyed by shard index.
 
 Options:
     --segments         list every written log segment
-    --entries          ... including every summary entry (verbose)
+    --entries          ... including every summary entry (verbose; a
+                       WRITE shows its block, slot and slot CRC)
     --limit N          cap the number of segments listed
     --checkpoints      show both checkpoint slots
     --restore          preview instant restore: replay watermark and

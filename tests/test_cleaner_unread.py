@@ -1,11 +1,12 @@
 """The cleaner reads only what it copies.
 
 A segment with no live slot is freed unread, every such segment under
-the one checkpoint of whichever pass is running; victims that hold
-live data are read and validated as before.  What this file pins:
+the one checkpoint of whichever pass is running; of a victim that holds
+live data the cleaner reads its summary stack and the live slots it
+copies, nothing else.  What this file pins:
 
-1. The counts: reads, checkpoints and frees of dead-only and mixed
-   passes.
+1. The counts: reads, bytes read, checkpoints and frees of dead-only
+   and mixed passes.
 2. A power cut at every write of a mixed pass, torn at byte
    granularity, with and without write-behind — through the recovery
    oracle of ``tests/test_rollforward_scan.py``.
@@ -109,7 +110,12 @@ class TestCounts:
         report = SegmentCleaner(ld, policy).clean(target_free=free + len(dead) + 1)
         copied_from = [seg for seg in report.victims if live[seg]]
         assert set(partly) <= set(copied_from)
-        assert disk.stats()["reads"] == reads + len(copied_from)
+        # One tail window per victim (a small segment's stack fits in
+        # one block), then one request per live slot.
+        copied = report.blocks_copied
+        assert disk.stats()["reads"] == reads + len(copied_from) + copied
+        block_size = disk.geometry.block_size
+        assert report.bytes_read == (len(copied_from) + copied) * block_size
         assert checkpoints(ld) == written + 1
         assert report.passes == 1
         assert report.segments_freed == len(dead) + len(copied_from)
@@ -131,6 +137,11 @@ class TestCounts:
         ]
         assert event["unread"] == len(dead)
         assert event["segments_freed"] == stats["segments_freed"]
+        # A summary window and a slot per copy, each one block.
+        copied_from = stats["segments_freed"] - len(dead)
+        assert event["bytes_read"] == (
+            (copied_from + stats["blocks_copied"]) * disk.geometry.block_size
+        )
 
 
 class TestCrashInsideAMixedPass:

@@ -19,8 +19,15 @@ class TestDiskGeometry:
 
     def test_max_data_blocks(self):
         geo = DiskGeometry(block_size=4096, segment_size=512 * 1024, num_segments=4)
-        # 524288 - 40 trailer = 524248 -> 127 whole blocks
+        # 524288 - 32 trailer = 524256 -> 127 whole blocks
         assert geo.max_data_blocks == 127
+
+    def test_no_more_slots_than_a_write_entry_can_name(self):
+        """A WRITE entry names its slot as a u16."""
+        most = DiskGeometry(block_size=512, segment_size=65536 * 512, num_segments=1)
+        assert most.max_data_blocks == 65535
+        with pytest.raises(ValueError, match="65535"):
+            DiskGeometry(block_size=512, segment_size=65537 * 512, num_segments=1)
 
     def test_segment_offset(self):
         geo = DiskGeometry.small(num_segments=8)

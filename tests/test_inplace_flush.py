@@ -24,6 +24,7 @@ slots and one summary chunk, and the segment keeps filling
 """
 
 import sys
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,13 @@ class TestChunkStackProperty:
             else:
                 platter[:] = image
             prefixes.append((buffer._chunk_start, len(entries), len(slots)))
+        # Every WRITE carries the CRC of its slot's final bytes.
+        entries = [
+            entry._replace(c=zlib.crc32(slots[entry.b]))
+            if entry.kind is EntryKind.WRITE
+            else entry
+            for entry in entries
+        ]
 
         decoded = decode_segment(bytes(platter), GEO, 0)
         assert decoded.seq == 7
@@ -422,11 +430,12 @@ class TestSegmentLifecycle:
         """Only the sequence rule can reject it: its summary CRC holds,
         and instant restore reads no data."""
         size = GEO.segment_size
-        # 472 bytes of entries + the trailer: exactly one sector.
-        entries = [SummaryEntry(EntryKind.LINK, 0, 1, 2, 3, 4)] * 10 + [
-            SummaryEntry(EntryKind.ALLOC_BLOCK, 0, 1, 2, 3),
-            SummaryEntry(EntryKind.WRITE, 0, 1, 2, 0),
-        ]
+        # 480 bytes of entries + the trailer: exactly one sector.
+        entries = (
+            [SummaryEntry(EntryKind.LINK, 0, 1, 2, 3, 4)] * 4
+            + [SummaryEntry(EntryKind.ALLOC_BLOCK, 0, 1, 2, 3)] * 2
+            + [SummaryEntry(EntryKind.COMMIT, 5, 1, 2)] * 10
+        )
         platter = bytearray(size)
         for first_seq, chunks in ((10, 3), (20, 1)):
             buffer = SegmentBuffer(GEO, seq=first_seq, segment_no=0)
@@ -523,7 +532,7 @@ class TestPolicyBoundary:
     THRESHOLD = 84_266
 
     @pytest.mark.parametrize(
-        "rewrites,lists,in_place", [(0, 350, False), (6, 343, True)]
+        "rewrites,lists,in_place", [(1, 349, False), (5, 344, True)]
     )
     def test_first_flush_at_the_threshold(self, rewrites, lists, in_place):
         geometry = DiskGeometry(

@@ -1056,21 +1056,7 @@ class TestRepair:
         rewritten from its mirror, which holds the newest committed
         bytes: the newest acknowledged write survives the scrub and a
         crash after it."""
-        from repro.disk.faults import MediaFault
-
-        arr = build_array(3, rf=2)
-        victim = arr.new_block(arr.new_list())
-        for payload in (b"old", b"new0", b"new1", b"new2"):
-            arr.write(victim, payload)
-            arr.flush()
-        home = shard_of(victim, arr.n)
-        local = to_local(victim, arr.n)
-        shard = arr.shards[home]
-        seg = shard.bmap.persistent[local].address.segment
-        shard.cache.invalidate_all()
-        shard.disk.injector.add_media_fault(
-            MediaFault(segment_no=seg, kind="unreadable", shard=home)
-        )
+        arr, victim, home, local = stale_salvage_case()
         reports = arr.scrub()
         assert reports[str(home)].stale_blocks == [local]
         assert arr.read(victim).startswith(b"new2")
@@ -1078,6 +1064,45 @@ class TestRepair:
         recovered = recover_survivors(arr)
         assert recovered.read(victim).startswith(b"new2")
         assert_replicas_agree(recovered)
+
+    def test_a_read_before_the_scrub_leaves_the_heal_to_run(self):
+        """The same case with one read of the block between the media
+        fault and the scrub (the test above is the other order).  The
+        read serves an older copy, but does not cache it under the
+        failed address, so the scrubber still sees the salvage as stale
+        and the mirror heals it: no acknowledged write is lost."""
+        arr, victim, home, local = stale_salvage_case()
+        arr.read(victim)
+        reports = arr.scrub()
+        assert reports[str(home)].stale_blocks == [local]
+        assert arr.read(victim).startswith(b"new2")
+        assert_replicas_agree(arr)
+        recovered = recover_survivors(arr)
+        assert recovered.read(victim).startswith(b"new2")
+        assert_replicas_agree(recovered)
+
+
+def stale_salvage_case():
+    """An rf = 2 array whose block was written four times, the newest
+    copy's segment on its home member unreadable: only older copies
+    remain there, while the mirror holds the newest bytes.  Returns
+    (array, block, home shard, the block's id on its home)."""
+    from repro.disk.faults import MediaFault
+
+    arr = build_array(3, rf=2)
+    victim = arr.new_block(arr.new_list())
+    for payload in (b"old", b"new0", b"new1", b"new2"):
+        arr.write(victim, payload)
+        arr.flush()
+    home = shard_of(victim, arr.n)
+    local = to_local(victim, arr.n)
+    shard = arr.shards[home]
+    seg = shard.bmap.persistent[local].address.segment
+    shard.cache.invalidate_all()
+    shard.disk.injector.add_media_fault(
+        MediaFault(segment_no=seg, kind="unreadable", shard=home)
+    )
+    return arr, victim, home, local
 
 
 def run_storm(arr, rounds=6):

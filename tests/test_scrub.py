@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.disk.faults import FaultInjector, MediaFault
-from repro.disk.geometry import DiskGeometry
+from repro.disk.geometry import TRAILER_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import MediaError, UnrecoverableBlockError
 from repro.lld.cleaner import SegmentCleaner
@@ -409,4 +409,74 @@ class TestCleanerDamagedVictims:
         assert lld.usage.state(dead[0]) is SegmentState.FREE
         for block in blocks:
             lld.read(block)
+        assert verify_lld(lld) == []
+
+
+class TestCleanerReadsWhatItCopies:
+    """The cleaner reads a live victim's summary stack and the live
+    slots it copies, each checked against its WRITE entry's CRC; rot
+    anywhere else in the victim is the scrubber's to find."""
+
+    def rotten(self, span):
+        """:meth:`TestCleanerDamagedVictims.churned`, the five blocks
+        its victim keeps read into the cache, and one byte of that
+        victim rotten: ``span(volume, victim, kept)`` picks the offset.
+        Returns (disk, volume, blocks, the five and their bytes,
+        victim, the cleaner's report)."""
+        disk, lld, blocks, dead = TestCleanerDamagedVictims().churned()
+        kept = {block: lld.read(block) for block in blocks[-5:]}
+        victim = segment_of(lld, blocks[-1])
+        offset = span(lld, victim, kept)
+        disk.injector.add_media_fault(
+            MediaFault(victim, "corrupt", span=(offset, offset + 1))
+        )
+        report = SegmentCleaner(lld, policy="greedy").clean(
+            target_free=lld.usage.free_count + len(dead) + 1
+        )
+        return disk, lld, blocks, kept, victim, report
+
+    def test_rot_in_a_copied_slot_is_never_copied(self):
+        def live_slot(lld, victim, kept):
+            block = next(iter(kept))
+            return lld.bmap.persistent[block].address.slot * lld.geometry.block_size
+
+        disk, lld, blocks, kept, victim, report = self.rotten(live_slot)
+        assert report.damaged == [victim]
+        assert lld.usage.state(victim) is SegmentState.QUARANTINED
+        # Salvaged from the cache: each moved copy on the platter is
+        # the block's own bytes, none the rotten ones.
+        platter = platter_bytes(disk)
+        size = lld.geometry.block_size
+        for block, data in kept.items():
+            moved = lld.bmap.persistent[block].address
+            assert moved.segment != victim
+            start = moved.slot * size
+            assert platter[moved.segment][start : start + size] == data
+            assert lld.read(block) == data
+        assert verify_lld(lld) == []
+
+    def test_rot_in_a_dead_slot_of_a_live_victim_is_not_read(self):
+        def dead_slot(lld, victim, kept):
+            live = {lld.bmap.persistent[block].address.slot for block in kept}
+            slot = min(set(range(lld.usage.total_slots(victim))) - live)
+            return slot * lld.geometry.block_size
+
+        disk, lld, blocks, kept, victim, report = self.rotten(dead_slot)
+        assert report.damaged == []
+        assert victim in report.victims
+        assert lld.usage.state(victim) is SegmentState.FREE
+        for block, data in kept.items():
+            assert lld.read(block) == data
+        assert verify_lld(lld) == []
+
+    def test_rot_in_a_summary_byte_routes_the_victim_to_the_scrubber(self):
+        def last_entry_byte(lld, victim, kept):
+            return lld.geometry.segment_size - TRAILER_SIZE - 1
+
+        disk, lld, blocks, kept, victim, report = self.rotten(last_entry_byte)
+        assert report.damaged == [victim]
+        assert lld.usage.state(victim) is SegmentState.QUARANTINED
+        for block, data in kept.items():
+            assert segment_of(lld, block) != victim
+            assert lld.read(block) == data
         assert verify_lld(lld) == []

@@ -52,6 +52,15 @@ the resync of four divergences written onto members after a power
 cut, a synchronous repair of a lost member, and a scrub healing from a
 mirror; its constants were captured before repair, resync and scrub
 healing moved into one module built on one reconcile rule.
+
+Every platter pin was recaptured when each WRITE entry gained the CRC
+of its slot and the trailer lost the whole-chunk CRC (format version
+4): the summaries' bytes changed, so every platter's SHA-256 did, and
+where summary bytes are read or written in place the clock and the
+``crc_kb_us`` charges moved with them.  ``cleaner_checkpoints`` moved
+most, as the cleaner began reading its victims' summaries and live
+slots instead of their whole bodies.  The single-volume runs' clocks,
+meters and charge streams held.
 """
 
 import hashlib
@@ -720,7 +729,7 @@ ARRAY_MEMBER_COUNTERS = {
     "table_access_us": 304,
 }
 #: Both members of :func:`cleaner_checkpoints` are one platter.
-CLEANER_PLATTER = "8fcd2c911d486bc7c3c088b48b46307c1f1c68cd194749d8783d06d1e4d297e3"
+CLEANER_PLATTER = "4b78916713f87aee0a6dbbf60258f59e8e6aad92addb9c41b7cfaea5ef0f1b15"
 ARRAY_MEMBER_CHARGED_US = {
     "aru_begin_us": 540.0,
     "aru_commit_us": 900.0,
@@ -738,36 +747,36 @@ ARRAY_MEMBER_CHARGED_US = {
 UNREPLICATED_MEMBERS = [
     [
         (
-            "0x1.e99b7e9c71c80p+20",
+            "0x1.e9b5cec71c72bp+20",
             42,
-            "edd0291352faa823c2e4394cd38a927f910ea2c1761093df129f8b6f3952ddc8",
+            "784a1ff23645969129017f08b36c44c8b03c57ba625edb828eb63b4438399d74",
         ),
         (
-            "0x1.e99b9e9c71c80p+20",
+            "0x1.e9b5eec71c72bp+20",
             23,
-            "681040b49163b514686b3faac1a3a87bde3a6d25229af4f8042206e41056b69a",
+            "5dc7ac67a67ff60f087541220d3a1731eb3c391ec0ca89f9cef0ee2f97242368",
         ),
         (
-            "0x1.e99bbe9c71c80p+20",
+            "0x1.e9b60ec71c72bp+20",
             29,
-            "690d8488b5be48a898114dc8ab46a35823ed6fc47924471999968e8d82fd6438",
+            "e7b3c01b8672eb8e527edbd599419f0e90596a6b906119450dd80c8e5295eb05",
         ),
     ],
     [
         (
-            "0x1.e99b7e9c71c80p+20",
+            "0x1.e9b5cec71c72bp+20",
             18,
-            "edd0291352faa823c2e4394cd38a927f910ea2c1761093df129f8b6f3952ddc8",
+            "784a1ff23645969129017f08b36c44c8b03c57ba625edb828eb63b4438399d74",
         ),
         (
-            "0x1.e99b9e9c71c80p+20",
+            "0x1.e9b5eec71c72bp+20",
             12,
-            "681040b49163b514686b3faac1a3a87bde3a6d25229af4f8042206e41056b69a",
+            "5dc7ac67a67ff60f087541220d3a1731eb3c391ec0ca89f9cef0ee2f97242368",
         ),
         (
-            "0x1.e99bbe9c71c80p+20",
+            "0x1.e9b60ec71c72bp+20",
             14,
-            "690d8488b5be48a898114dc8ab46a35823ed6fc47924471999968e8d82fd6438",
+            "e7b3c01b8672eb8e527edbd599419f0e90596a6b906119450dd80c8e5295eb05",
         ),
     ],
 ]
@@ -812,7 +821,7 @@ UNREPLICATED_COUNTERS = [
             "aru_begin_us": 6,
             "aru_commit_us": 6,
             "block_copy_us": 18,
-            "crc_kb_us": 46.63671875,
+            "crc_kb_us": 46.4453125,
             "decode_entry_us": 26,
             "ld_call_us": 48,
             "record_create_us": 18,
@@ -824,7 +833,7 @@ UNREPLICATED_COUNTERS = [
             "aru_begin_us": 6,
             "aru_commit_us": 6,
             "block_copy_us": 16,
-            "crc_kb_us": 41.328125,
+            "crc_kb_us": 41.2890625,
             "decode_entry_us": 16,
             "ld_call_us": 33,
             "record_create_us": 16,
@@ -836,7 +845,7 @@ UNREPLICATED_COUNTERS = [
             "aru_begin_us": 8,
             "aru_commit_us": 8,
             "block_copy_us": 26,
-            "crc_kb_us": 37.271484375,
+            "crc_kb_us": 37.228515625,
             "decode_entry_us": 15,
             "ld_call_us": 44,
             "record_create_us": 26,
@@ -851,11 +860,11 @@ UNREPLICATED_COUNTERS = [
 #: platter SHA-256), and apart, ``meter.charged_us``.
 REPLICA_UPKEEP_MEMBERS = [
     (
-        "0x1.a09efe2aaaab1p+21",
+        "0x1.a09eef2aaaab1p+21",
         {
             "block_copy_us": 11,
             "block_read_us": 30,
-            "crc_kb_us": 1670.720703125,
+            "crc_kb_us": 1670.626953125,
             "decode_entry_us": 389,
             "ld_call_us": 52,
             "record_create_us": 12,
@@ -864,10 +873,10 @@ REPLICA_UPKEEP_MEMBERS = [
             "table_access_us": 36,
         },
         4,
-        "6777d641e31447677b76a0bda122b82e4b1dd84cb66bc021085edcdff0362140",
+        "5d551477a649c9505688251c17ad59c0844e5f0da20d68d1d9000efbb82dafcc",
     ),
     (
-        "0x1.9a047ff1c71cdp+21",
+        "0x1.9a0470f1c71cdp+21",
         {
             "block_copy_us": 20,
             "block_read_us": 6,
@@ -881,16 +890,16 @@ REPLICA_UPKEEP_MEMBERS = [
             "table_access_us": 136,
         },
         1,
-        "558a5df724e33d68ee4a1971e72d7276e87bd2aa529905f0102901bbbaebc897",
+        "ad381e8966fbc1f1fb7fcc75ddff2ac09648dcc1da350230a36db282b8d06a0b",
     ),
     (
-        "0x1.9a048ff1c71cdp+21",
+        "0x1.9a0480f1c71cdp+21",
         {
             "block_copy_us": 5,
             "block_dealloc_us": 5,
             "block_read_us": 30,
             "chain_hop_us": 67,
-            "crc_kb_us": 394.095703125,
+            "crc_kb_us": 394.099609375,
             "decode_entry_us": 170,
             "ld_call_us": 52,
             "record_create_us": 7,
@@ -899,15 +908,15 @@ REPLICA_UPKEEP_MEMBERS = [
             "table_access_us": 76,
         },
         2,
-        "9b6f94702f2007a9a18959d66ec55e808c01d4b2f524fe7fa2b8694ac7c8c7e4",
+        "f5469f0a9cb8041eea90de1045a8935a65ed3c61fce1fabe3b1f301a7dff2ebe",
     ),
     (
-        "0x1.0237122aaaaaep+21",
+        "0x1.0237032aaaaaep+21",
         {
             "block_copy_us": 1,
             "block_read_us": 20,
             "chain_hop_us": 1,
-            "crc_kb_us": 134.671875,
+            "crc_kb_us": 134.578125,
             "decode_entry_us": 88,
             "ld_call_us": 27,
             "record_create_us": 1,
@@ -916,14 +925,14 @@ REPLICA_UPKEEP_MEMBERS = [
             "table_access_us": 20,
         },
         2,
-        "2dc8eb4621824bb895acc0302d180e815301264a863e3032bd925b0d23ad31aa",
+        "15b4ec9953402565db793abd50190bddb9d675464e6d4c4c2f1794c41f80c33b",
     ),
 ]
 REPLICA_UPKEEP_CHARGED_US = [
     {
         "block_copy_us": 605.0,
         "block_read_us": 1200.0,
-        "crc_kb_us": 64134.4140625,
+        "crc_kb_us": 64132.5390625,
         "decode_entry_us": 778.0,
         "ld_call_us": 104.0,
         "record_create_us": 96.0,
@@ -948,7 +957,7 @@ REPLICA_UPKEEP_CHARGED_US = [
         "block_dealloc_us": 75.0,
         "block_read_us": 1200.0,
         "chain_hop_us": 100.5,
-        "crc_kb_us": 13001.9140625,
+        "crc_kb_us": 13001.9921875,
         "decode_entry_us": 340.0,
         "ld_call_us": 104.0,
         "record_create_us": 56.0,
@@ -960,7 +969,7 @@ REPLICA_UPKEEP_CHARGED_US = [
         "block_copy_us": 55.0,
         "block_read_us": 800.0,
         "chain_hop_us": 1.5,
-        "crc_kb_us": 2693.4375,
+        "crc_kb_us": 2691.5625,
         "decode_entry_us": 176.0,
         "ld_call_us": 54.0,
         "record_create_us": 8.0,
@@ -974,16 +983,16 @@ PLATTER_PINS = {
         replicated_array,
         [
             (
-                "0x1.dada8aaaaaab2p+20",
+                "0x1.dabfe00000007p+20",
                 ARRAY_MEMBER_COUNTERS,
                 96,
-                "8f89228b8a8abdf61ce33b6937a384d8c644977ffac5da8b2056b60dd4447007",
+                "18d0287ac2c4d5067ded0a6c1dc9c2042101096449a518cb481135af798af031",
             ),
             (
-                "0x1.dadaaaaaaaab2p+20",
+                "0x1.dac0000000007p+20",
                 ARRAY_MEMBER_COUNTERS,
                 96,
-                "91ee97abc79622f8a33737772d0704c2bb191055fe28ba648bc9dead20f5cde1",
+                "804ad787ac52b7f770fb2345e1959922f8ce318da924f1305329338bf1b2b6d5",
             ),
         ],
     ),
@@ -1014,7 +1023,7 @@ PLATTER_PINS = {
                     "table_access_us": 241,
                 },
                 68,
-                "e41d7cf7a9c6e0084bd35c439ff7624569ae6bcef53118be49b5fe8942f66390",
+                "225e75d98bee5e2f9ef1a191e7511347b9518a92c56822e3c8b5ae8e2e06c0d9",
             ),
         ],
     ),
@@ -1022,34 +1031,34 @@ PLATTER_PINS = {
         cleaner_checkpoints,
         [
             (
-                "0x1.501cc9b871c61p+23",
+                "0x1.710805671c705p+23",
                 {
                     "aru_alloc_us": 24,
                     "aru_begin_us": 24,
                     "aru_commit_us": 24,
-                    "block_copy_us": 1954,
+                    "block_copy_us": 1936,
                     "block_dealloc_us": 24,
                     "chain_hop_us": 1684,
-                    "crc_kb_us": 7040.0,
-                    "decode_entry_us": 2133,
+                    "crc_kb_us": 2365.9287109375,
+                    "decode_entry_us": 2091,
                     "ld_call_us": 1749,
                     "listop_log_us": 24,
                     "listop_replay_us": 24,
                     "record_create_us": 1717,
                     "record_transition_us": 1717,
-                    "summary_entry_us": 2554,
+                    "summary_entry_us": 2536,
                     "table_access_us": 2653,
                 },
-                158,
+                155,
                 CLEANER_PLATTER,
             ),
             (
-                "0x1.501cc9b871c61p+23",
+                "0x1.710805671c705p+23",
                 {
                     "block_copy_us": 1,
                     "block_read_us": 1,
-                    "crc_kb_us": 0.4638671875,
-                    "decode_entry_us": 15,
+                    "crc_kb_us": 0.970703125,
+                    "decode_entry_us": 30,
                     "ld_call_us": 3,
                     "record_create_us": 1,
                     "record_transition_us": 1,
@@ -1210,7 +1219,7 @@ CHARGED_US = {
             "aru_begin_us": 108.0,
             "aru_commit_us": 180.0,
             "block_copy_us": 990.0,
-            "crc_kb_us": 1865.46875,
+            "crc_kb_us": 1857.8125,
             "decode_entry_us": 52.0,
             "ld_call_us": 96.0,
             "record_create_us": 144.0,
@@ -1222,7 +1231,7 @@ CHARGED_US = {
             "aru_begin_us": 108.0,
             "aru_commit_us": 180.0,
             "block_copy_us": 880.0,
-            "crc_kb_us": 1653.125,
+            "crc_kb_us": 1651.5625,
             "decode_entry_us": 32.0,
             "ld_call_us": 66.0,
             "record_create_us": 128.0,
@@ -1234,7 +1243,7 @@ CHARGED_US = {
             "aru_begin_us": 144.0,
             "aru_commit_us": 240.0,
             "block_copy_us": 1430.0,
-            "crc_kb_us": 1490.859375,
+            "crc_kb_us": 1489.140625,
             "decode_entry_us": 30.0,
             "ld_call_us": 88.0,
             "record_create_us": 208.0,
@@ -1248,24 +1257,24 @@ CHARGED_US = {
             "aru_alloc_us": 1920.0,
             "aru_begin_us": 432.0,
             "aru_commit_us": 720.0,
-            "block_copy_us": 107470.0,
+            "block_copy_us": 106480.0,
             "block_dealloc_us": 360.0,
             "chain_hop_us": 2526.0,
-            "crc_kb_us": 281600.0,
-            "decode_entry_us": 4266.0,
+            "crc_kb_us": 94637.1484375,
+            "decode_entry_us": 4182.0,
             "ld_call_us": 3498.0,
             "listop_log_us": 72.0,
             "listop_replay_us": 144.0,
             "record_create_us": 13736.0,
             "record_transition_us": 10302.0,
-            "summary_entry_us": 7662.0,
+            "summary_entry_us": 7608.0,
             "table_access_us": 2653.0,
         },
         {
             "block_copy_us": 55.0,
             "block_read_us": 40.0,
-            "crc_kb_us": 18.5546875,
-            "decode_entry_us": 30.0,
+            "crc_kb_us": 19.4140625,
+            "decode_entry_us": 60.0,
             "ld_call_us": 6.0,
             "record_create_us": 8.0,
             "record_transition_us": 6.0,

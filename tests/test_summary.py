@@ -70,15 +70,22 @@ class TestRoundTrip:
             list(decode_entries(bytes(raw)))
 
 
-_entry_strategy = st.builds(
-    SummaryEntry,
-    kind=st.sampled_from(list(EntryKind)),
-    aru_tag=st.integers(min_value=0, max_value=2**64 - 1),
-    timestamp=st.integers(min_value=0, max_value=2**64 - 1),
-    a=st.integers(min_value=0, max_value=2**64 - 1),
-    b=st.integers(min_value=0, max_value=2**32 - 1),
-    c=st.integers(min_value=0, max_value=2**64 - 1),
-)
+def _entries_of(kind: EntryKind):
+    """Entries of ``kind`` with every field in its encoded range: a
+    WRITE's slot is a u16 and its slot CRC a u32."""
+    write = kind is EntryKind.WRITE
+    return st.builds(
+        SummaryEntry,
+        kind=st.just(kind),
+        aru_tag=st.integers(min_value=0, max_value=2**64 - 1),
+        timestamp=st.integers(min_value=0, max_value=2**64 - 1),
+        a=st.integers(min_value=0, max_value=2**64 - 1),
+        b=st.integers(min_value=0, max_value=2**16 - 1 if write else 2**32 - 1),
+        c=st.integers(min_value=0, max_value=2**32 - 1 if write else 2**64 - 1),
+    )
+
+
+_entry_strategy = st.one_of([_entries_of(kind) for kind in EntryKind])
 
 
 def _canonical(entry: SummaryEntry) -> tuple:

@@ -108,6 +108,16 @@ class TestInspect:
         assert "WRITE" in text or "ALLOC_BLOCK" in text
         assert "limited to 1" in text
 
+    def test_entries_show_each_writes_slot_crc(self, populated):
+        disk, _image = populated
+        text = describe_segments(disk, slot_segments=2, entries=True)
+        writes = [line for line in text.splitlines() if "WRITE " in line]
+        assert writes
+        for line in writes:
+            fields = dict(field.split("=") for field in line.split()[1:])
+            assert set(fields) == {"tag", "ts", "block", "slot", "crc"}
+            assert fields["crc"].startswith("0x") and len(fields["crc"]) == 10
+
     def test_describe_fs(self, populated):
         disk, _image = populated
         text = describe_fs(disk, slot_segments=2)

@@ -12,6 +12,7 @@ code, which is kept in-tree as oracles
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -90,6 +91,25 @@ class TestZeroCopyAssembly:
         assert fast.entry_tuples == ref.entry_tuples
         assert fast.seq == ref.seq == 42
 
+    def test_every_write_carries_its_slots_final_crc(self):
+        """Both assemblies put the CRC-32 of a slot's final bytes in
+        every WRITE entry naming it, those of a block rewritten in its
+        unpublished slot included, and stay byte-identical."""
+        geometry = DiskGeometry.small(block_size=1024)
+        buf = _filled_buffer(geometry, seed=3)
+        rewritten = BlockId(1)
+        buf.append_write(rewritten, b"\x5a" * geometry.block_size, 0, 999)
+        reference = reference_seal(buf)
+        image = buf.seal()
+        assert bytes(image) == reference
+        decoded = decode_segment(reference, geometry, 3)
+        writes = [e for e in decoded.entries if e.kind is EntryKind.WRITE]
+        assert [e for e in buf.entries if e.kind is EntryKind.WRITE] == writes
+        for entry in writes:
+            assert entry.c == zlib.crc32(decoded.slot_data(entry.b))
+        slot = buf._block_slot[rewritten]
+        assert sum(1 for e in writes if e.b == slot) >= 2
+
     def test_sealed_buffer_is_frozen_and_not_aliased(self):
         """seal() returns the internal bytearray; safety of that alias
         rests on the buffer refusing every mutation afterwards."""
@@ -133,7 +153,7 @@ class TestZeroCopyAssembly:
 
 
 _PAYLOAD_FIELD_COUNT = {
-    EntryKind.WRITE: 2,
+    EntryKind.WRITE: 3,
     EntryKind.ALLOC_BLOCK: 2,
     EntryKind.DELETE_BLOCK: 2,
     EntryKind.NEW_LIST: 1,
@@ -149,17 +169,17 @@ def _random_entries(rng, count):
     entries = []
     for _ in range(count):
         kind = rng.choice(list(EntryKind))
-        # WRITE's second payload field is a 32-bit slot; everything
-        # else is 64-bit.
-        b_max = 2**32 - 1 if kind is EntryKind.WRITE else 2**63
+        # WRITE's second payload field is a 16-bit slot and its third
+        # a 32-bit slot CRC; everything else is 64-bit.
+        write = kind is EntryKind.WRITE
         entries.append(
             SummaryEntry(
                 kind,
                 aru_tag=rng.randrange(2**63),
                 timestamp=rng.randrange(2**63),
                 a=rng.randrange(2**63),
-                b=rng.randrange(b_max),
-                c=rng.randrange(2**63),
+                b=rng.randrange(2**16 if write else 2**63),
+                c=rng.randrange(2**32 if write else 2**63),
             )
         )
     return entries
