@@ -354,6 +354,10 @@ def run_swarm(
         hot_fraction=hot_fraction,
         seed=seed,
         pace=False,
+        # The whole flood is admitted before the lanes take work, so
+        # ``inflight_max`` measures admission, not a race between the
+        # generator and eight workers on a loaded host.
+        hold_lanes=True,
     )
     driver = (
         MaintenanceDriver(volume, interval_s=0.005).start()

@@ -11,10 +11,10 @@ none until one is armed on it):
   :class:`PowerCut`, any number of :class:`MediaFault` entries
   (optionally scoped to one shard of an array), and any number of
   :class:`ShardLoss` entries (whole-shard media destruction).
-* :class:`PowerCut` cuts power after a chosen number of segment
-  writes, optionally *tearing* the final write so only a prefix of
-  the segment reaches the platter — the classic interrupted-write
-  failure a log-structured recovery scan must tolerate.
+* :class:`PowerCut` cuts power after a chosen number of writes,
+  optionally *tearing* the final write so only a prefix of it
+  reaches the platter — the classic interrupted-write failure a
+  log-structured recovery scan must tolerate.
 * :class:`MediaFault` marks individual segments as unreadable or
   silently corrupted, modelling partial media failures.  With a
   ``shard`` it applies to one member disk of a sharded array only.
@@ -47,8 +47,8 @@ class PowerCut:
     """Deterministic power-failure schedule.
 
     Attributes:
-        after_writes: Crash when this many segment writes have
-            completed.  The write that crosses the budget is the
+        after_writes: Crash when this many writes (byte ranges, see
+            :meth:`FaultInjector.on_write`) have completed.  The write that crosses the budget is the
             *crashing* write.
         torn: If True, the crashing write is partially applied (a
             random prefix survives); if False it is dropped whole.
@@ -256,14 +256,15 @@ class FaultInjector:
     def on_write(
         self, segment_no: int, nbytes: int, shard: Optional[int] = None
     ) -> Optional[int]:
-        """Gate one segment write.
+        """Gate one write: one byte range of one segment.
 
-        Batched writes (:meth:`~repro.disk.simdisk.SimulatedDisk.
-        write_many`) call this once per physical segment, in
-        submission order, so ``after_writes`` counts identically
-        whether the log is written one segment at a time or drained
-        through the write-behind queue — crash sweeps enumerate the
-        same tear points either way.
+        Every write the disk is handed calls this once, in submission
+        order, batched (:meth:`~repro.disk.simdisk.SimulatedDisk.batch`)
+        or not: a closed log segment is two ticks, its data slots and
+        then its chunk, so ``after_writes`` can cut between them, and
+        counts identically whether the log is written one segment at a
+        time or drained through the write-behind queue — crash sweeps
+        enumerate the same tear points either way.
 
         Returns:
             None for a normal write; otherwise the number of bytes of

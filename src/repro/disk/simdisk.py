@@ -2,18 +2,23 @@
 
 LLD's write path is segment-at-a-time by construction ("segments that
 are filled in main memory and written to disk in single disk
-operations"), so the simulated disk exposes exactly that interface:
-whole-segment writes (plus :meth:`SimulatedDisk.write_at` for the few
-writes smaller than one), whole-segment or intra-segment reads.  Contents
-are stored sparsely per segment: a segment last written whole is one
-immutable ``bytes`` snapshot, so a whole-segment read hands it out
-without a copy; the first :meth:`~SimulatedDisk.write_at` into a segment
-turns it into a ``bytearray`` that this and every later in-place write
-update where they land, so a write costs the bytes it writes.  Reads
-always return ``bytes``; a reboot (:meth:`~SimulatedDisk.power_cycle`,
-:meth:`~SimulatedDisk.snapshot`) sees ``bytes`` entries only.  Latency
-is charged to the shared
-:class:`~repro.disk.clock.SimClock` through a
+operations"), so the simulated disk is segment-addressed: whole-segment
+writes, byte-range writes within a segment
+(:meth:`SimulatedDisk.write_at`, what LLD's log uses: a segment's data
+slots and then its summary chunk, never the free gap between them),
+whole-segment or intra-segment reads.  The three write calls share one
+range writer; a :meth:`SimulatedDisk.batch` groups writes into one
+scatter-gather operation, which defers only their timing charge.
+Contents are stored sparsely per segment: a segment last written whole
+is one immutable ``bytes`` snapshot, so a whole-segment read hands it
+out without a copy; the first range written into a segment turns it
+into a ``bytearray`` that this and every later range write update
+where they land, so a write costs the bytes it writes and the bytes it
+skips keep whatever an earlier write left there.  Reads always return
+``bytes``; a whole-segment read turns a ``bytearray`` entry back into
+a ``bytes`` snapshot first, so later whole reads are uncopied, and
+:meth:`~SimulatedDisk.snapshot` copies ``bytes`` entries only.  Latency
+is charged to the shared :class:`~repro.disk.clock.SimClock` through a
 :class:`~repro.disk.timing.DiskTimer`.
 
 Failure injection is delegated to a
@@ -65,10 +70,15 @@ class SimulatedDisk:
         self.injector = injector if injector is not None else FaultInjector()
         self.shard_index = shard_index
         #: Written segments: ``bytes`` if last written whole, a
-        #: ``bytearray`` once written in place.
+        #: ``bytearray`` once a smaller range was written into it.
         self._segments: Dict[int, Union[bytes, bytearray]] = {}
         self.write_count = 0
         self.read_count = 0
+        #: Open :meth:`batch` contexts, and the ranges written inside
+        #: them, charged when the outermost one ends.
+        self._batch_depth = 0
+        self._batch: List[Tuple[int, int]] = []
+        self._batcher = _WriteBatch(self)
         #: Set when :meth:`power_cycle` hands the platter to a
         #: successor disk; all I/O through this handle then raises.
         self._retired = False
@@ -106,133 +116,110 @@ class SimulatedDisk:
         is raised *after* the surviving prefix is recorded — exactly
         the situation recovery must cope with.
         """
-        offset = self.geometry.segment_offset(segment_no)
         if len(data) != self.geometry.segment_size:
             raise ValueError(
                 f"segment write must be exactly {self.geometry.segment_size} "
                 f"bytes, got {len(data)}"
             )
-        self._check_retired(f"write to segment {segment_no}")
-        surviving = self.injector.on_write(segment_no, len(data), shard=self.shard_index)
-        if surviving is None:
-            self._h_write_us.observe(self.timer.access(offset, len(data)))
-            self._segments[segment_no] = bytes(data)
-            self.write_count += 1
-            return
-        # Crashing write: record the torn prefix (padding the rest of
-        # the segment with stale bytes), then report the power loss.
-        if surviving > 0:
-            old = self._segments.get(segment_no, b"\x00" * len(data))
-            # bytes(...) also normalizes bytearray images (the sealed
-            # buffer's own image) to the immutable platter snapshot.
-            self._segments[segment_no] = bytes(
-                data[:surviving] + old[surviving:]
-            )
-        from repro.errors import DiskCrashedError
-
-        raise DiskCrashedError(
-            f"power failure during write of segment {segment_no}"
-        )
+        self._write_range(segment_no, 0, data)
 
     def write_many(self, writes: Sequence[Tuple[int, bytes]]) -> None:
         """Scatter-gather write: many whole segments in one batch.
 
         Mirrors :meth:`read_many`: each element of ``writes`` is a
         ``(segment_no, data)`` pair of one full segment image.  The
-        batch is charged to the timing model as coalesced contiguous
-        runs — adjacent segments cost one seek plus a single streamed
-        transfer — which is what lets a write-behind queue drain at
-        media bandwidth instead of paying a seek per segment.
-
-        Failure semantics are identical to issuing the writes one at
-        a time with :meth:`write_segment`: the fault injector gates
-        every physical write individually, in submission order, so an
-        active :class:`~repro.disk.faults.PowerCut` ticks once per
-        segment and the crashing write is dropped or torn exactly as
-        it would be un-batched.  Writes earlier in the batch are
-        durable (and charged to the clock) before the power loss is
-        reported; later writes never reach the platter.
+        segments are written as one :meth:`batch`: adjacent segments
+        cost one seek plus a single streamed transfer.
         """
-        geometry = self.geometry
-        segment_size = geometry.segment_size
+        segment_size = self.geometry.segment_size
         for segment_no, data in writes:
-            geometry.segment_offset(segment_no)  # bounds-check segment
+            self.geometry.segment_offset(segment_no)  # bounds-check segment
             if len(data) != segment_size:
                 raise ValueError(
                     f"segment write must be exactly {segment_size} bytes, "
                     f"got {len(data)} for segment {segment_no}"
                 )
-        self._check_retired("batched write")
-        ranges: List[Tuple[int, int]] = []
-        try:
+        with self.batch():
             for segment_no, data in writes:
-                surviving = self.injector.on_write(segment_no, len(data), shard=self.shard_index)
-                if surviving is None:
-                    self._segments[segment_no] = bytes(data)
-                    self.write_count += 1
-                    ranges.append(
-                        (geometry.segment_offset(segment_no), len(data))
-                    )
-                    continue
-                if surviving > 0:
-                    old = self._segments.get(segment_no, b"\x00" * len(data))
-                    self._segments[segment_no] = bytes(
-                        data[:surviving] + old[surviving:]
-                    )
-                from repro.errors import DiskCrashedError
-
-                raise DiskCrashedError(
-                    f"power failure during batched write of segment "
-                    f"{segment_no}"
-                )
-        finally:
-            # The writes that completed were serviced before the power
-            # loss; charge them even when the batch ends in a crash.
-            if ranges:
-                self._h_batch_write_us.observe(
-                    self.timer.access_batch(
-                        ranges, requests=len(ranges), is_write=True
-                    )
-                )
+                self._write_range(segment_no, 0, data)
 
     def write_at(self, segment_no: int, offset: int, data: bytes) -> None:
         """Write a byte range within a segment, in place.
 
-        LLD uses it for what is smaller than a segment: a flush
-        written in place (new data slots, then one summary chunk) and
-        a checkpoint's tail; overwrite-in-place clients such as
-        :class:`repro.jld.JLD` update home locations at block
-        granularity.  The write counts against crash plans like any
-        other; a torn write keeps a prefix.  Only the bytes written are
-        copied: they are assigned into the segment's ``bytearray``.
+        LLD writes its log this way, a segment's new data slots and
+        then its summary chunk, never the free gap between them; a
+        checkpoint writes its tail this way; overwrite-in-place
+        clients such as :class:`repro.jld.JLD` update home locations
+        at block granularity.  The write counts against crash plans
+        like any other; a torn write keeps a prefix.  Only the bytes
+        written are copied: they are assigned into the segment's
+        ``bytearray``.
         """
-        base = self.geometry.segment_offset(segment_no)  # bounds-check segment
         end = offset + len(data)
         if offset < 0 or end > self.geometry.segment_size:
             raise ValueError(f"write [{offset}, {end}) out of segment bounds")
-        self._check_retired(f"write into segment {segment_no}")
-        surviving = self.injector.on_write(segment_no, len(data), shard=self.shard_index)
+        self._write_range(segment_no, offset, data)
+
+    def batch(self) -> "_WriteBatch":
+        """Issue every write made inside (``with disk.batch(): ...``)
+        as one scatter-gather batch.
+
+        A batch defers only the timing charge: the writes are charged
+        together, when the batch ends, as one
+        :meth:`~repro.disk.timing.DiskTimer.access_batch` (adjacent
+        ranges coalesce, and a gap cheaper to stream past than to seek
+        over is streamed).  Everything else happens at each write, in
+        submission order: the fault injector gates every range
+        individually, so an active
+        :class:`~repro.disk.faults.PowerCut` ticks once per range, and
+        a range submitted before another reaches the platter before it.
+        Writes earlier in the batch are durable (and charged) before a
+        power loss is reported; later ones never reach the platter.  A
+        batch opened inside another joins it.
+        """
+        return self._batcher
+
+    def _write_range(self, segment_no: int, offset: int, data) -> None:
+        """The one write path under the three public write calls: gate
+        the range through the fault injector, land it (or the torn
+        prefix that survives) on the platter, charge it — now, or at
+        the end of the open :meth:`batch`."""
+        start = self.geometry.segment_offset(segment_no) + offset
+        self._check_retired(f"write to segment {segment_no}")
+        nbytes = len(data)
+        surviving = self.injector.on_write(
+            segment_no, nbytes, shard=self.shard_index
+        )
         if surviving is None:
-            self._h_write_us.observe(self.timer.access(base + offset, len(data)))
-            self._writable(segment_no)[offset:end] = data
+            self._land(segment_no, offset, data)
             self.write_count += 1
+            if self._batch_depth:
+                self._batch.append((start, nbytes))
+            else:
+                self._h_write_us.observe(self.timer.access(start, nbytes))
             return
         if surviving > 0:
-            self._writable(segment_no)[offset : offset + surviving] = data[:surviving]
+            self._land(segment_no, offset, data[:surviving])
         from repro.errors import DiskCrashedError
 
         raise DiskCrashedError(
-            f"power failure during write into segment {segment_no}"
+            f"power failure during write to segment {segment_no}"
         )
 
-    def _writable(self, segment_no: int) -> bytearray:
-        """The segment's platter entry as a ``bytearray``, turned into
-        one (zero-filled if never written) on the first in-place write."""
+    def _land(self, segment_no: int, offset: int, data) -> None:
+        """Put ``data`` on the platter at ``offset``: a whole segment
+        as an immutable ``bytes`` snapshot, anything smaller into the
+        segment's ``bytearray``, made (zero-filled if never written) by
+        the first such write."""
+        size = self.geometry.segment_size
+        if offset == 0 and len(data) == size:
+            self._segments[segment_no] = bytes(data)
+            return
         raw = self._segments.get(segment_no)
         if raw.__class__ is not bytearray:
-            raw = bytearray(self.geometry.segment_size if raw is None else raw)
+            raw = bytearray(size if raw is None else raw)
             self._segments[segment_no] = raw
-        return raw
+        raw[offset : offset + len(data)] = data
 
     def read_segment(self, segment_no: int) -> bytes:
         """Read one whole segment (zero-filled if never written)."""
@@ -249,6 +236,8 @@ class SimulatedDisk:
         raw = self._segments.get(segment_no)
         if raw is None:
             raw = b"\x00" * self.geometry.segment_size
+        elif nbytes == self.geometry.segment_size:
+            raw = self._snapshot_entry(segment_no, raw)
         raw = self.injector.on_read(segment_no, raw, shard=self.shard_index)
         self._h_read_us.observe(self.timer.access(base + offset, nbytes))
         self.read_count += 1
@@ -257,6 +246,14 @@ class SimulatedDisk:
         # one already (a whole-segment slice is the entry itself), a
         # slice of a ``bytearray`` entry is copied out.
         return chunk if chunk.__class__ is bytes else bytes(chunk)
+
+    def _snapshot_entry(self, segment_no: int, raw):
+        """A segment read whole: a ``bytearray`` entry becomes an
+        immutable ``bytes`` snapshot, once, so this read and every later
+        whole read until the next range write hand it out uncopied."""
+        if raw.__class__ is bytearray:
+            raw = self._segments[segment_no] = bytes(raw)
+        return raw
 
     def read_many(
         self,
@@ -301,6 +298,8 @@ class SimulatedDisk:
                 if zeros is None:
                     zeros = b"\x00" * segment_size
                 raw = zeros
+            elif nbytes == segment_size:
+                raw = self._snapshot_entry(segment_no, raw)
             try:
                 raw = self.injector.on_read(segment_no, raw, shard=self.shard_index)
             except MediaError:
@@ -355,16 +354,13 @@ class SimulatedDisk:
         through it raises :class:`DiskCrashedError` (power-cycling it
         again is allowed and yields another fresh view).
 
-        Segments written in place become ``bytes`` snapshots again, in
-        the shared dict: recovery reads whole segments, and those reads
-        stay uncopied.
+        A segment written by ranges stays a ``bytearray`` in the shared
+        dict until something reads it whole (:meth:`_snapshot_entry`):
+        recovery reads only the segments it needs whole, so a reboot
+        copies only those, once.
         """
         self.injector.power_cycle()
-        segments = self._segments
-        for seg, raw in segments.items():
-            if raw.__class__ is bytearray:
-                segments[seg] = bytes(raw)
-        survivor = self._view(self.clock, segments)
+        survivor = self._view(self.clock, self._segments)
         self._retired = True
         return survivor
 
@@ -498,3 +494,28 @@ class SimulatedDisk:
                     raise CorruptionError(f"{path}: truncated segment {seg}")
                 disk._segments[seg] = data
         return disk
+
+
+class _WriteBatch:
+    """The context :meth:`SimulatedDisk.batch` hands out, one per disk
+    (opening a batch allocates nothing): the outermost exit charges
+    the ranges written inside, crash or not."""
+
+    __slots__ = ("_disk",)
+
+    def __init__(self, disk: SimulatedDisk) -> None:
+        self._disk = disk
+
+    def __enter__(self) -> None:
+        self._disk._batch_depth += 1
+
+    def __exit__(self, *_exc) -> None:
+        disk = self._disk
+        disk._batch_depth -= 1
+        ranges = disk._batch
+        if disk._batch_depth or not ranges:
+            return
+        disk._h_batch_write_us.observe(
+            disk.timer.access_batch(ranges, requests=len(ranges), is_write=True)
+        )
+        ranges.clear()

@@ -60,12 +60,13 @@ from exactly those instruments.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Iterator, Optional
 
 from repro.errors import LDError, TransactionAborted
 from repro.obs import MetricsRegistry, latency_summary
@@ -185,6 +186,8 @@ class _Lane:
         #: Tenants with queued work, in service order.
         self._ring: Deque[str] = deque()
         self._stopped = False
+        #: While set, workers take no request (:meth:`FrontEnd.held`).
+        self._held = False
 
     def queued_for(self, tenant: str) -> int:
         with self._cond:
@@ -205,7 +208,7 @@ class _Lane:
         """Next request, round-robin across tenants; None on stop."""
         with self._cond:
             while True:
-                if self._ring:
+                if self._ring and not self._held:
                     tenant = self._ring.popleft()
                     queue = self._queues[tenant]
                     request = queue.popleft()
@@ -215,6 +218,11 @@ class _Lane:
                 if self._stopped:
                     return None
                 self._cond.wait()
+
+    def hold(self, held: bool) -> None:
+        with self._cond:
+            self._held = held
+            self._cond.notify_all()
 
     def stop(self) -> None:
         with self._cond:
@@ -441,6 +449,21 @@ class FrontEnd:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+
+    @contextlib.contextmanager
+    def held(self) -> Iterator[None]:
+        """Admit without serving: inside the block the lanes take no
+        request, so everything admitted waits in its FIFO; the workers
+        start on the queues when it ends.  A flood submitted inside
+        measures admission, not how far the lanes got meanwhile.  Do
+        not :meth:`drain` inside."""
+        for lane in self._lanes:
+            lane.hold(True)
+        try:
+            yield
+        finally:
+            for lane in self._lanes:
+                lane.hold(False)
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every admitted request has finished."""

@@ -424,9 +424,12 @@ class JLD(LogicalDisk):
         # Detach first: the ring-slot reservation below may invoke
         # apply(), whose journal flush must see no active buffer.
         self._buffer = None
-        image = buffer.seal()
+        buffer.seal()
         try:
-            self.disk.write_segment(buffer.segment_no, image)
+            # LLD's write rule: the data slots, then the chunk, as one
+            # batch; never the free gap between them.
+            with self.disk.batch():
+                buffer.write_unwritten(self.disk)
         except DiskCrashedError:
             self._dead = True
             raise

@@ -763,10 +763,10 @@ class LLD(LogWriter, Participant, LogicalDisk):
         """Durability barrier: leave nothing buffered or queued.
 
         Closes the open commit group, sends what the current
-        segment buffer holds on its way (:meth:`_write_buffer`: the
-        segment closed and written whole, or its new slots and one
-        summary chunk written in place), then drains the write-behind
-        queue — after which everything committed is persistent.  A
+        segment buffer holds on its way (:meth:`_write_buffer`: its new
+        slots and one summary chunk, the segment closed or not), then
+        drains the write-behind queue — after which everything
+        committed is persistent.  A
         buffer with nothing new and an empty queue is a no-op: no
         phantom segment is consumed, no empty chunk written.
         """

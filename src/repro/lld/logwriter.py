@@ -5,16 +5,17 @@ its contents reach the disk.
 it turns the version engine's records into summary entries, places
 block data in the current :class:`~repro.lld.segment.SegmentBuffer`,
 rolls to the next segment when one is full, decides at a durability
-point whether a segment streams out whole or is written in place,
-flushes under group commit once per group of commits, and — in
-:meth:`_write_now`, the only place bytes reach the platter — advances
+point whether a segment is closed or keeps filling behind a chunk
+written in place, flushes under group commit once per group of
+commits, and — in :meth:`_write_now`, the only place bytes reach the
+platter, always as the new data slots and then their chunk — advances
 what is durable and has the engine fold it into the persistent tables.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.errors import DiskCrashedError, SegmentOverflowError
 from repro.ld.types import PhysAddr
@@ -209,15 +210,17 @@ class LogWriter:
         """Durability point: send what the buffer holds and the disk
         does not on its way.
 
-        A segment no chunk of which is on disk yet is closed and
-        written whole iff streaming out the rest of it costs no more
-        than the two positionings that coming back to it will (one for
-        the next data slots, one for the chunk describing them) — asked
-        of the disk model, once per segment.  Otherwise the flush
-        writes in place — the new data slots, then one summary chunk —
-        and the buffer keeps filling behind it; every later flush of
-        that segment is then in place by necessity, the closing write
-        being chunk-sized itself.
+        A segment no chunk of which is on disk yet is closed iff its
+        free space would take no longer to stream than the two
+        positionings that coming back to it will cost (one for the next
+        data slots, one for the chunk describing them) — asked of the
+        disk model, once per segment.  Closing does not stream that
+        space out (the disk gets the data slots and the chunk, never
+        the gap), so the rule trades the space a closed segment gives
+        up against two positionings later.  Otherwise the flush writes
+        in place, the same two ranges, and the buffer keeps filling
+        behind its chunk; every later flush of that segment is then in
+        place by necessity.
         """
         buffer = self._buffer
         if buffer is None or not buffer.has_unwritten:
@@ -228,9 +231,12 @@ class LogWriter:
             if model.transfer_us(buffer.bytes_free()) <= 2 * positioning_us:
                 self._roll_buffer()
                 return
-        # Log order: whatever is queued goes out ahead of this chunk.
-        self._writeback.drain()
-        self._write_now([(buffer, buffer.seal(last=False))])
+        # Log order: whatever is queued goes out ahead of this chunk,
+        # in the same batch.
+        with self.disk.batch():
+            self._writeback.drain()
+            buffer.seal(last=False)
+            self._write_now([buffer])
 
     def _close_buffer(self) -> None:
         """The current segment stops growing.
@@ -248,7 +254,8 @@ class LogWriter:
         self._buffer = None
         self._account_fill(buffer)
         if buffer.has_unwritten:
-            self._writeback.submit(buffer, buffer.seal())
+            buffer.seal()
+            self._writeback.submit(buffer)
         else:
             # Every chunk is on disk already; nothing more to write.
             self.usage.mark_written(buffer.segment_no, buffer.seq, 0)
@@ -292,44 +299,36 @@ class LogWriter:
     # Reaching the disk
     # ==================================================================
 
-    def _write_now(self, batch: List[Tuple[SegmentBuffer, bytearray]]) -> None:
+    def _write_now(self, batch: List[SegmentBuffer]) -> None:
         """Write sealed chunks to the disk — the only durability
         point of the write path.
 
         ``batch`` is in log-sequence order (enforced by construction:
-        buffers are sealed in order and the queue is FIFO), so an
-        ARU's data always precedes the chunk carrying its commit
-        record.  A closed segment none of which is on disk goes out as
-        its whole image, consecutive ones as one scatter-gather batch;
-        anything else is written in place.  Only here do
-        ``_last_written_seq``, ``_commit_on_disk`` and the
-        committed→persistent fold advance; nothing queued is ever
-        treated as durable.
+        buffers are sealed in order and the queue is FIFO).  Every
+        buffer goes out by one rule, closed or not: its
+        :meth:`~repro.lld.segment.SegmentBuffer.unwritten_ranges`, the
+        new data slots and then the chunk describing them, never the
+        free gap between.  All of them go to the disk as one
+        scatter-gather batch, submitted in that order, so an ARU's data
+        always reaches the platter before the chunk carrying its commit
+        record.  Only here do ``_last_written_seq``,
+        ``_commit_on_disk`` and the committed→persistent fold advance;
+        nothing queued is ever treated as durable.
         """
         if not batch:
             return
         queued = len(batch) > 1 or (
-            self.usage.state(batch[0][0].segment_no) is SegmentState.QUEUED
+            self.usage.state(batch[0].segment_no) is SegmentState.QUEUED
         )
+        disk = self.disk
         try:
-            whole: List[Tuple[int, bytearray]] = []
-            for buffer, image in batch:
-                if buffer.in_place or not buffer.is_sealed:
-                    self._write_whole(whole)
-                    whole = []
-                    # Data first: a chunk on disk vouches for its slots.
-                    view = memoryview(image)
-                    for start, end in buffer.unwritten_ranges():
-                        self.disk.write_at(
-                            buffer.segment_no, start, view[start:end]
-                        )
-                else:
-                    whole.append((buffer.segment_no, image))
-            self._write_whole(whole)
+            with disk.batch():
+                for buffer in batch:
+                    buffer.write_unwritten(disk)
         except DiskCrashedError:
             self._mark_dead("disk_crashed_mid_write")
             raise
-        for buffer, _image in batch:
+        for buffer in batch:
             segment_no = buffer.segment_no
             self._c_segments_flushed.inc()
             self._last_written_seq = max(self._last_written_seq, buffer.seq)
@@ -372,14 +371,6 @@ class LogWriter:
             # the rest of the batch: charge the critical-path share.
             self._charge("writeback_us", count=len(batch), lanes=len(batch))
         self.engine.fold(self._last_written_seq, self._commit_on_disk)
-
-    def _write_whole(self, images: List[Tuple[int, bytearray]]) -> None:
-        """Write whole-segment images: one plain write, or one
-        scatter-gather batch for several."""
-        if len(images) == 1:
-            self.disk.write_segment(*images[0])
-        elif images:
-            self.disk.write_many(images)
 
     # ==================================================================
     # Group commit: when a flush happens

@@ -803,7 +803,8 @@ def _audit(lld: LLD, scan: _Scan, report: RecoveryReport) -> None:
     slot a WRITE names without decoding an entry again, and
     all the CRC work is charged here at the share of
     :data:`DEFAULT_WORKERS` lanes.  A failure is media rot a crash
-    cannot leave (every chunk the walk accepted was written whole), so
+    cannot leave (every chunk the walk accepted was written after its
+    data, and its write completed), so
     it takes the media-fault path: the scrubber salvages what it can
     and quarantines the rest.
     """

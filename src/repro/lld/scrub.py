@@ -12,10 +12,10 @@ segment must never be reused.
 that every on-disk log segment is readable, that its chunks' summary
 CRCs hold over every data slot the usage table counted, and that each
 slot a WRITE entry names still has the CRC that entry carries.  Every
-chunk of a DIRTY segment reached the platter through a successful
-write — whole-segment or in place — so a failed CRC here, or a chunk
-walk that stops short of the counted slots, is media corruption, not
-a torn write — recovery cannot make that call (a reused-then-torn
+chunk of a DIRTY segment reached the platter through successful writes
+of its data slots and then of the chunk, so a failed CRC here, or a
+chunk walk that stops short of the counted slots, is media corruption,
+not a torn write — recovery cannot make that call (a reused-then-torn
 segment looks the same to it), but the live usage table can.
 
 For every damaged segment the scrubber salvages live blocks, in
@@ -49,9 +49,15 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
+from repro.disk.geometry import TRAILER_SIZE
 from repro.errors import MediaError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.segment import DecodedSegment, decode_segment
+from repro.lld.segment import (
+    DecodedSegment,
+    decode_segment,
+    decode_stacks,
+    slots_hold,
+)
 from repro.lld.summary import KIND_WRITE
 from repro.lld.usage import SegmentState
 
@@ -101,13 +107,19 @@ def find_log_copy(
     """Search the log for the newest readable copy of ``block_id``.
 
     Walks DIRTY segments newest-first, skipping ``exclude`` (the
-    damaged segments); the first decodable segment containing a WRITE
-    entry for the block wins (the last such entry within a segment is
-    the newest).  Entries tagged with an ARU whose commit record is
+    damaged segments); the first segment whose summary stack names the
+    block in a WRITE entry wins (the last such entry within a segment
+    is the newest).  Of each candidate it reads the summary stack from
+    a tail window (:func:`~repro.lld.segment.decode_stacks`, as the
+    cleaner does), and of the winner only the slot that entry names,
+    checked against the entry's CRC (:func:`slots_hold`).  An
+    unreadable tail or slot, a summary that fails its CRC, a chunk walk
+    that stops short of the slots the usage table counted or a slot
+    that fails its CRC marks the segment for the scrubber, and the
+    search goes on.  Entries tagged with an ARU whose commit record is
     unknown are ignored — salvage must never resurrect uncommitted
     data.  Returns ``(data, seq)`` or None.  Charges CRC and decode
-    CPU per segment inspected: degraded reads are expensive, which is
-    what a real implementation would pay too.
+    CPU for what it reads.
     """
     candidates = sorted(
         (
@@ -117,18 +129,23 @@ def find_log_copy(
         ),
         reverse=True,
     )
+    disk = lld.disk
+    size = lld.geometry.segment_size
+    block_size = lld.geometry.block_size
+    window = min(size, max(TRAILER_SIZE, block_size))
+    want = int(block_id)
     for seq, seg in candidates:
-        try:
-            raw = lld.disk.read_segment(seg)
-        except MediaError:
+        (tail,) = disk.read_many([(seg, size - window, window)], errors="none")
+        stacks = (
+            decode_stacks(disk, {seg: tail})[0] if tail is not None else []
+        )
+        if not stacks or stacks[0].block_count < lld.usage.total_slots(seg):
             lld._scrub_pending.add(seg)
             continue
-        decoded = decode_dirty_body(lld, seg, raw)
-        if decoded is None:
-            lld._scrub_pending.add(seg)
-            continue
-        slot: Optional[int] = None
-        want = int(block_id)
+        decoded = stacks[0]
+        lld.meter.charge("crc_kb_us", decoded.stack_len / 1024.0)
+        lld.meter.charge("decode_entry_us", decoded.entry_count)
+        chosen = None
         for fields in decoded.entry_tuples:
             if fields[0] != KIND_WRITE or fields[3] != want:
                 continue
@@ -139,11 +156,20 @@ def find_log_copy(
                 and tag not in lld._pending_commit_arus
             ):
                 continue
-            slot = fields[4]
-        if slot is not None:
-            # slot_data (bytes, a copy): the result is cached and
-            # handed to readers, so it must not be a view.
-            return decoded.slot_data(slot), seq
+            chosen = fields
+        if chosen is None:
+            continue
+        slot = chosen[4]
+        try:
+            data = disk.read(seg, slot * block_size, block_size)
+        except MediaError:
+            lld._scrub_pending.add(seg)
+            continue
+        lld.meter.charge("crc_kb_us", block_size / 1024.0)
+        if not slots_hold([chosen], data, block_size, first_slot=slot):
+            lld._scrub_pending.add(seg)
+            continue
+        return data, seq
     return None
 
 

@@ -9,13 +9,15 @@ full when the two regions would collide::
                                                  entries | 32-byte trailer
 
 Every durability point adds one chunk ``[entries | trailer]`` below
-the previous one.  A segment that is never flushed early has exactly
-one chunk, ending at the segment end, and is written as one whole
-image; a flush that writes *in place* (see
-:meth:`repro.lld.lld.LLD.flush`) puts its new data slots and its one
-new chunk on disk with two small writes and the buffer keeps filling
-behind it.  Four invariants make a torn in-place write cost exactly
-the chunk it was writing:
+the previous one, and puts on disk exactly what it adds: its new data
+slots, then its one new chunk (:meth:`SegmentBuffer.unwritten_ranges`),
+never the free gap.  A segment that is never flushed early has
+exactly one chunk, ending at the segment end; after a flush that
+writes *in place* (see :meth:`repro.lld.lld.LLD.flush`) the buffer
+keeps filling behind the chunk.  The gap of a segment on disk holds
+whatever an older incarnation of the physical segment left there.
+Four invariants make a torn write cost exactly the chunk it was
+writing:
 
 * **Consecutive sequence numbers.**  Every chunk takes its own log
   sequence number and the chunks of one segment are numbered
@@ -48,7 +50,7 @@ the chunk's own bytes up to this field (the summary CRC).  Each byte
 has one check: a data slot its WRITE entry's CRC, computed at
 :meth:`SegmentBuffer.seal` from the slot's final bytes; the entries
 and the trailer the summary CRC.  No checksum covers the free
-gap between data and chunks, which after an in-place write holds stale
+gap between data and chunks, which is never written and holds stale
 platter bytes.
 
 Wall-clock fast path
@@ -109,20 +111,23 @@ _WRITE_ENTRY_SIZE = entry_size(EntryKind.WRITE)
 _SUMMARY_CRC_END = 4
 
 
-def slots_hold(entry_tuples: Iterable[Tuple[int, ...]], data, block_size: int) -> bool:
+def slots_hold(
+    entry_tuples: Iterable[Tuple[int, ...]], data, block_size: int, first_slot: int = 0
+) -> bool:
     """The slot CRC rule: True if every data slot a WRITE entry of
     ``entry_tuples`` names still has the CRC-32 the entry carries.
 
-    ``data`` holds the segment's data slots from slot 0 on.  Each slot
-    is checked once, however many entries name it (a block rewritten
-    in the buffer before its chunk was sealed; every such entry carries
-    the slot's final CRC).  Shared by the chunk walk, recovery's body
-    audit and the cleaner's slot reads, so all check one rule.
+    ``data`` holds the segment's data slots from ``first_slot`` on.
+    Each slot is checked once, however many entries name it (a block
+    rewritten in the buffer before its chunk was sealed; every such
+    entry carries the slot's final CRC).  Shared by the chunk walk,
+    recovery's body audit and a degraded read's log copy, so all check
+    one rule.
     """
     crcs = {fields[4]: fields[5] for fields in entry_tuples if fields[0] == KIND_WRITE}
     crc32 = zlib.crc32
     for slot, crc in crcs.items():
-        offset = slot * block_size
+        offset = (slot - first_slot) * block_size
         if crc32(data[offset : offset + block_size]) != crc:
             return False
     return True
@@ -249,8 +254,8 @@ class SegmentBuffer:
 
     @property
     def in_place(self) -> bool:
-        """True once a chunk of this segment is on disk: whatever is
-        written next goes beside it, not as a whole image."""
+        """True once a chunk of this segment is on disk: the next one
+        stacks below it."""
         return self._chunk_end < self.geometry.segment_size
 
     @property
@@ -403,10 +408,9 @@ class SegmentBuffer:
         With ``last`` (the default) the segment is closed: the chunk
         carries :data:`FLAG_LAST` and the buffer is frozen — any further
         ``append_write``/``add_entry`` raises — which is what makes
-        handing out the alias safe; the disk layer copies whatever it is
-        handed (a whole image into an immutable ``bytes`` snapshot, an
-        in-place range into its own copy of the segment).  Without it
-        the caller writes :meth:`unwritten_ranges` in place, calls
+        handing out the alias safe; the disk layer copies the ranges it
+        is handed (:meth:`write_unwritten`) into its own copy of the
+        segment.  Without it the caller writes the same ranges, calls
         :meth:`publish`, and the buffer keeps filling.
         """
         if self._sealed:
@@ -477,6 +481,17 @@ class SegmentBuffer:
             )
         )
         return ranges
+
+    def write_unwritten(self, disk) -> None:
+        """Hand ``disk`` the :meth:`unwritten_ranges` of the image, one
+        :meth:`~repro.disk.simdisk.SimulatedDisk.write_at` each, data
+        first: a chunk on disk vouches for its slots.  The free gap is
+        never written.  Callers make the writes part of a
+        :meth:`~repro.disk.simdisk.SimulatedDisk.batch`."""
+        view = memoryview(self._image)
+        segment_no = self.segment_no
+        for start, end in self.unwritten_ranges():
+            disk.write_at(segment_no, start, view[start:end])
 
     def publish(self) -> None:
         """The chunk sealed last is on disk: whatever arrives next forms

@@ -2,19 +2,19 @@
 
 LLD fills segments in main memory precisely so the disk can stream
 them.  The serial write path (:meth:`~repro.lld.logwriter.LogWriter._write_buffer`
-straight to :meth:`~repro.disk.simdisk.SimulatedDisk.write_segment`)
-still paid one synchronous disk operation per sealed segment; this
-queue decouples sealing from writing.  A sealed segment is *submitted*
-and parked here; when the queue reaches its depth — or a barrier
-(``flush()``, ``write_checkpoint()``, the cleaner's free-victims
-protocol) forces a drain — every parked segment is issued through one
-scatter-gather :meth:`~repro.disk.simdisk.SimulatedDisk.write_many`
-batch, in log-sequence order.  Consecutively allocated segments are
-physically adjacent, so the batch coalesces into long sequential runs:
-one seek, then media-bandwidth streaming.  (A segment that earlier
-flushes already wrote in place parks only its closing chunk; that one
-goes out in place, between the batches of whole images on either side
-of it.)
+straight to the disk) still paid one synchronous disk operation per
+sealed segment; this queue decouples sealing from writing.  A sealed
+segment is *submitted* and parked here; when the queue reaches its
+depth — or a barrier (``flush()``, ``write_checkpoint()``, the
+cleaner's free-victims protocol) forces a drain — every parked segment
+is issued in one scatter-gather
+:meth:`~repro.disk.simdisk.SimulatedDisk.batch`, in log-sequence
+order: each segment's data slots, then its chunk, never the free gap
+between them (a segment that earlier flushes already wrote in place
+parks only its closing slots and chunk).  Consecutively allocated
+segments are physically adjacent, so the batch coalesces into long
+sequential runs where the segments are full: one seek, then
+media-bandwidth streaming.
 
 Ordering invariants the queue is responsible for:
 
@@ -24,8 +24,8 @@ Ordering invariants the queue is responsible for:
   reaches the disk before its ARU's data segments.
 * **Durability only at drain points.**  ``_commit_on_disk``,
   ``_last_written_seq`` and the committed→persistent fold advance in
-  :meth:`~repro.lld.logwriter.LogWriter._write_now` — i.e. only when images actually reach the
-  platter.  Nothing queued is ever treated as durable.
+  :meth:`~repro.lld.logwriter.LogWriter._write_now` — i.e. only when the ranges actually
+  reach the platter.  Nothing queued is ever treated as durable.
 * **Readability while queued.**  A queued segment's blocks stay
   readable from the parked image (:meth:`get_buffer`); its usage
   state is :attr:`~repro.lld.usage.SegmentState.QUEUED`, which keeps
@@ -33,16 +33,17 @@ Ordering invariants the queue is responsible for:
   ``dirty_segments()`` — from reading the not-yet-written platter
   bytes underneath it.
 
-Crash semantics: the fault injector gates every physical write of the
-drain batch individually, so a crash plan tears exactly one segment
-write, the queued successors simply never reach the disk, and
+Crash semantics: the fault injector gates every range of the drain
+batch individually, so a crash plan tears exactly one range (a
+segment's data or its chunk), the ranges behind it never reach the
+disk, and
 recovery sees the same reachable platter states a serial writer
 produces (``tests/test_writeback.py`` proves byte-identity).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.lld.segment import SegmentBuffer
 
@@ -63,10 +64,10 @@ class WritebackQueue:
             raise ValueError(f"writeback depth must be >= 0, got {depth}")
         self.lld = lld
         self.depth = depth
-        # Parked (buffer, sealed image) pairs.  The image is the
-        # buffer's own frozen bytearray (seal() is zero-copy); the
-        # disk layer snapshots it to immutable bytes at write time.
-        self._pending: List[Tuple[SegmentBuffer, bytearray]] = []
+        # Parked sealed buffers.  Each keeps its own frozen image
+        # (seal() is zero-copy); the disk layer copies the ranges it
+        # is handed at write time.
+        self._pending: List[SegmentBuffer] = []
         self._by_segment: Dict[int, SegmentBuffer] = {}
         # Statistics (surfaced via lld.stats()["writeback"]), kept in
         # the owner's metrics registry.
@@ -104,7 +105,7 @@ class WritebackQueue:
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(self, buffer: SegmentBuffer, image: bytearray) -> None:
+    def submit(self, buffer: SegmentBuffer) -> None:
         """Accept one sealed segment.
 
         With write-behind disabled this degenerates to the serial
@@ -113,9 +114,9 @@ class WritebackQueue:
         itself when it reaches its depth.
         """
         if not self.enabled:
-            self.lld._write_now([(buffer, image)])
+            self.lld._write_now([buffer])
             return
-        self._pending.append((buffer, image))
+        self._pending.append(buffer)
         self._by_segment[buffer.segment_no] = buffer
         self.lld.usage.mark_queued(
             buffer.segment_no, buffer.seq, buffer.unwritten_block_count

@@ -25,6 +25,7 @@ counts depend on host speed, which is the nature of an open-loop rig.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 import time
@@ -58,6 +59,7 @@ class OpenLoopConfig:
     payload: int = 64
     seed: int = 2026
     pace: bool = True              # False: fire arrivals immediately
+    hold_lanes: bool = False       # True: serve only once all are offered
 
     def validate(self) -> None:
         if self.rate <= 0:
@@ -172,7 +174,12 @@ def run_openloop(
     Arrivals follow a uniform schedule (arrival *i* at ``i/rate``
     seconds); a generator running behind schedule fires immediately
     rather than stretching the experiment — bursts are part of the
-    offered load.  Saturated arrivals are shed, not queued.
+    offered load.  Saturated arrivals are shed, not queued.  With
+    ``hold_lanes`` every arrival is offered before the lanes take any
+    work (:meth:`~repro.frontend.scheduler.FrontEnd.held`), so what is
+    in flight measures admission, not how far the lanes got while the
+    generator ran; without it the lanes serve meanwhile, and contend
+    with the generator for the interpreter.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -181,22 +188,23 @@ def run_openloop(
     interval = 1.0 / config.rate
     shed = 0
     handles = []
-    for index in range(config.n_requests):
-        if config.pace:
-            due = start + index * interval
-            delay = due - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        tenant = tenants[names[rng.randrange(len(names))]]
-        handle = frontend.try_submit(
-            _make_body(tenant, hot_block, rng, config, index),
-            tenant.name,
-            shard=tenant.shard,
-        )
-        if handle is None:
-            shed += 1
-        else:
-            handles.append(handle)
+    with frontend.held() if config.hold_lanes else contextlib.nullcontext():
+        for index in range(config.n_requests):
+            if config.pace:
+                due = start + index * interval
+                delay = due - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+            tenant = tenants[names[rng.randrange(len(names))]]
+            handle = frontend.try_submit(
+                _make_body(tenant, hot_block, rng, config, index),
+                tenant.name,
+                shard=tenant.shard,
+            )
+            if handle is None:
+                shed += 1
+            else:
+                handles.append(handle)
     frontend.drain()
     wall_s = time.monotonic() - start
     stats = frontend.stats()

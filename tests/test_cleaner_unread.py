@@ -149,13 +149,26 @@ class TestCrashInsideAMixedPass:
     with write-behind, whatever the queue still held); the power fails
     at each of those writes in turn."""
 
-    def run_pass(self, config, cut=None):
+    def prepared(self, config):
         injector = FaultInjector(plan=FaultPlan())
-        disk, ld, expected, dead, partly = mixed_volume(config, injector)
+        disk, ld, expected, dead, _partly = mixed_volume(config, injector)
         # A write the pass's opening flush has to land.
         block = next(iter(expected))
         expected[block] = payload(disk.geometry.block_size, 3, 0)
         ld.write(block, expected[block])
+        return injector, disk, ld, expected, dead, block
+
+    def opening_flush_writes(self, config):
+        """How many writes the pass's opening flush makes, counted on
+        an uncut run: a cut before the last of them leaves the block
+        it lands unflushed."""
+        injector, _disk, ld, _expected, _dead, _block = self.prepared(config)
+        before = injector.writes_seen
+        ld.flush()
+        return injector.writes_seen - before
+
+    def run_pass(self, config, cut=None):
+        injector, disk, ld, expected, dead, block = self.prepared(config)
         before = injector.writes_seen
         if cut is not None:
             after, torn, seed = cut
@@ -176,7 +189,9 @@ class TestCrashInsideAMixedPass:
     def test_power_cut_at_every_write(self, writeback_depth):
         config = CONFIG.replace(writeback_depth=writeback_depth)
         _disk, _expected, _block, writes = self.run_pass(config)
-        assert writes >= 3  # opening flush, copies, checkpoint
+        flush_writes = self.opening_flush_writes(config)
+        # Opening flush (data, then its chunk), copies, checkpoint.
+        assert writes >= flush_writes + 2
         cuts = [(after, False, 0) for after in range(writes + 1)]
         cuts += [
             (after, True, seed) for after in range(writes) for seed in range(6)
@@ -185,7 +200,7 @@ class TestCrashInsideAMixedPass:
             disk, expected, unflushed, _writes = self.run_pass(config, cut)
             survivor, _report = recover_twice(disk, config)
             for block, data in expected.items():
-                if block == unflushed and cut[0] == 0:
+                if block == unflushed and cut[0] < flush_writes:
                     continue  # cut before it was ever flushed
                 assert survivor.read(block) == data, cut
 

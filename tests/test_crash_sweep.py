@@ -67,21 +67,24 @@ def workload(fs):
     return dict(live)
 
 
-def total_writes(substrate):
-    """Writes the workload produces with no crash plan."""
-    disk, ld = build(substrate)
+def write_span(substrate):
+    """Writes ``mkfs`` makes, and writes in all once the workload is
+    done, counted on a run with no crash plan."""
+    injector = FaultInjector(plan=FaultPlan())
+    _disk, ld = build(substrate, injector)
     fs = MinixFS.mkfs(ld, n_inodes=256)
+    formatted = injector.writes_seen
     workload(fs)
-    return disk.write_count
+    return formatted, injector.writes_seen
 
 
 class TestExhaustiveCrashSweep:
     @pytest.mark.parametrize("substrate", ["lld", "jld"])
     @pytest.mark.parametrize("torn", [False, True])
     def test_every_crash_point(self, substrate, torn):
-        limit = total_writes(substrate)
-        assert limit > 10, "workload too small to be interesting"
-        for crash_after in range(1, limit + 1):
+        formatted, limit = write_span(substrate)
+        assert limit - formatted > 10, "workload too small to be interesting"
+        for crash_after in range(formatted, limit + 1):
             cut = PowerCut(
                 after_writes=crash_after, torn=torn, seed=crash_after
             )

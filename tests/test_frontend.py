@@ -191,6 +191,26 @@ class TestAdmissionControl:
         assert_no_leaks(frontend.stats())
 
 
+    def test_held_lanes_admit_without_serving(self):
+        """Inside ``held()`` everything admitted waits queued; the lanes
+        start on it when the block ends."""
+        frontend, block = provisioned_frontend()
+        with frontend:
+            with frontend.held():
+                handles = [
+                    frontend.submit(
+                        lambda txn: txn.write(block, b"x"), f"tenant{i % 3}"
+                    )
+                    for i in range(12)
+                ]
+                time.sleep(0.02)
+                assert [h.state for h in handles] == ["queued"] * 12
+                assert frontend.stats()["inflight_max"] == 12
+            frontend.drain(timeout=5.0)
+            assert all(h.state == "done" for h in handles)
+        assert_no_leaks(frontend.stats())
+
+
 class TestFailurePropagation:
     def test_body_exception_fails_the_request_only(self):
         frontend, block = provisioned_frontend()

@@ -19,13 +19,22 @@ from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 
 
-def crashy_fs(after_writes, torn=False, seed=0, num_segments=96):
+def formatted_fs(injector, num_segments=96):
     geo = DiskGeometry.small(num_segments=num_segments)
-    cut = PowerCut(after_writes=after_writes, torn=torn, seed=seed)
-    injector = FaultInjector(plan=FaultPlan(power_cut=cut))
     disk = SimulatedDisk(geo, injector=injector)
     lld = LLD(disk, config=LLDConfig(checkpoint_slot_segments=2))
     return disk, MinixFS.mkfs(lld, n_inodes=256)
+
+
+def crashy_fs(after_writes, torn=False, seed=0, num_segments=96):
+    """A fresh file system whose power fails at the ``after_writes``-th
+    write after the ones ``mkfs`` makes (counted on an uncut run)."""
+    uncut = FaultInjector(plan=FaultPlan())
+    formatted_fs(uncut, num_segments)
+    cut = PowerCut(
+        after_writes=uncut.writes_seen + after_writes - 1, torn=torn, seed=seed
+    )
+    return formatted_fs(FaultInjector(plan=FaultPlan(power_cut=cut)), num_segments)
 
 
 def recover_and_mount(disk):

@@ -14,7 +14,7 @@ import pytest
 from repro.disk.faults import FaultInjector, FaultPlan, PowerCut
 from repro.disk.geometry import DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
-from repro.errors import ConcurrencyError, DiskCrashedError
+from repro.errors import BadListError, ConcurrencyError, DiskCrashedError
 from repro.fs import MinixFS, fsck
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
@@ -126,7 +126,23 @@ class TestSequentialRecovery:
         assert int(extra) in report.orphan_blocks_freed
         assert report.arus_discarded == 1
 
+    @staticmethod
+    def rounds(lld, lst, committed, count):
+        for round_no in range(count):
+            aru = lld.begin_aru()
+            block = lld.new_block(lst, aru=aru)
+            lld.write(block, f"r{round_no}".encode(), aru=aru)
+            lld.end_aru(aru)
+            lld.flush()
+            committed.append((block, f"r{round_no}".encode()))
+
     def test_crash_mid_aru_sweep_over_many_points(self):
+        # Writes up to and including the first flush's chunk, counted
+        # on an uncut run: a cut before it leaves no list.
+        uncut = FaultInjector(plan=FaultPlan())
+        _disk, lld = build(injector=uncut)
+        self.rounds(lld, lld.new_list(), [], 1)
+        first_chunk = uncut.writes_seen
         for crash_after in range(1, 12):
             cut = PowerCut(after_writes=crash_after)
             injector = FaultInjector(plan=FaultPlan(power_cut=cut))
@@ -134,13 +150,7 @@ class TestSequentialRecovery:
             lst = lld.new_list()
             committed = []
             try:
-                for round_no in range(100):
-                    aru = lld.begin_aru()
-                    block = lld.new_block(lst, aru=aru)
-                    lld.write(block, f"r{round_no}".encode(), aru=aru)
-                    lld.end_aru(aru)
-                    lld.flush()
-                    committed.append((block, f"r{round_no}".encode()))
+                self.rounds(lld, lst, committed, 100)
             except DiskCrashedError:
                 pass
             lld2, _report = recover(
@@ -150,6 +160,11 @@ class TestSequentialRecovery:
                     checkpoint_slot_segments=2,
                 ),
             )
+            if crash_after < first_chunk:
+                assert committed == []
+                with pytest.raises(BadListError):
+                    lld2.list_blocks(lst)
+                continue
             survivors = lld2.list_blocks(lst)
             # Survivors are exactly a prefix of the committed rounds.
             expected = [block for block, _p in committed[: len(survivors)]]

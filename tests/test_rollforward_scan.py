@@ -137,26 +137,33 @@ def within_a_batch_of(scanned, written):
     return scanned == (-(-written // WALK_BATCH) + 1) * WALK_BATCH
 
 
-def fill(ld, blocks, rounds, tag=0):
+def fill(ld, blocks, rounds, tag=0, ends=None):
     """``rounds`` segments' worth of writes: a rewrite of a block still
     in the buffer takes no new slot, so each round is flushed (on this
-    disk model that closes the segment)."""
+    disk model that closes the segment).  ``ends``, if given, collects
+    the disk's write count after each flush."""
     size = ld.geometry.block_size
     for number in range(rounds):
         for block in blocks:
             ld.write(block, bytes([(tag + number) % 251]) * size)
         ld.flush()
+        if ends is not None:
+            ends.append(ld.disk.injector.writes_seen)
 
 
-def volume_with_suffix(disk, config=CONFIG, suffix_rounds=5):
+def volume_with_suffix(disk, config=CONFIG, suffix_rounds=5, ends=None):
     """A checkpoint with a few attested segments under it and a flushed
-    log suffix of a few segments after it."""
+    log suffix of a few segments after it.  ``ends``, if given,
+    collects the disk's write count after the checkpoint and after
+    each suffix segment."""
     ld = LLD(disk, config=config)
     lst = ld.new_list()
     blocks = [ld.new_block(lst) for _ in range(12)]
     fill(ld, blocks, 4)
     ld.write_checkpoint()
-    fill(ld, blocks, suffix_rounds, tag=100)
+    if ends is not None:
+        ends.append(disk.injector.writes_seen)
+    fill(ld, blocks, suffix_rounds, tag=100, ends=ends)
     ld.flush()
     return ld, blocks
 
@@ -364,18 +371,30 @@ class TestWalk:
 
     @pytest.mark.parametrize("crash_after", range(5, 12))
     def test_sector_torn_tail(self, crash_after):
-        """A torn whole-image write leaves the old tail in place — blank
-        or stale — which correctly ends the log: no fallback.  (Writes
-        0-3 are the segments under the checkpoint, 4 is the checkpoint.)"""
-        cut = PowerCut(after_writes=crash_after, torn=True, seed=crash_after)
-        disk = small_disk(64, FaultInjector(plan=FaultPlan(power_cut=cut)))
-        with pytest.raises(DiskCrashedError):
-            volume_with_suffix(disk, suffix_rounds=30)
-        volume, report = recover_twice(disk)
-        assert report.scan_plan == "walk" and report.checkpoint_seq == 1
-        written = newer_than_checkpoint(disk, volume)
-        assert written == crash_after - 5 == report.segments_replayed
-        assert within_a_batch_of(report.segments_scanned, written)
+        """A torn write of a suffix segment, its data or its chunk,
+        leaves the old tail in place — blank or stale — which correctly
+        ends the log: no fallback.  ``crash_after - 5`` numbers the
+        suffix segment cut (four segments under the checkpoint, then
+        the checkpoint, came before it); its writes are found on an
+        uncut run."""
+        segment = crash_after - 5
+        ends = []
+        volume_with_suffix(
+            small_disk(64, FaultInjector(plan=FaultPlan())),
+            suffix_rounds=segment + 1,
+            ends=ends,
+        )
+        assert ends[segment + 1] - ends[segment] == 2  # data, then chunk
+        for cut_at in range(ends[segment], ends[segment + 1]):
+            cut = PowerCut(after_writes=cut_at, torn=True, seed=crash_after)
+            disk = small_disk(64, FaultInjector(plan=FaultPlan(power_cut=cut)))
+            with pytest.raises(DiskCrashedError):
+                volume_with_suffix(disk, suffix_rounds=30)
+            volume, report = recover_twice(disk)
+            assert report.scan_plan == "walk" and report.checkpoint_seq == 1
+            written = newer_than_checkpoint(disk, volume)
+            assert written == segment == report.segments_replayed
+            assert within_a_batch_of(report.segments_scanned, written)
 
     def test_chunk_stack_as_newest_segment(self):
         """Flushes written in place: the newest segment is a stack of

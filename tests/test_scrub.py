@@ -243,6 +243,54 @@ class TestDegradedReads:
             assert data in (b"\x55" * len(data), old[int(block)])
         assert lld.stats()["scrub"]["salvaged_reads"] >= len(on_victim)
 
+    def test_log_copy_costs_summaries_and_one_slot(self):
+        """A degraded read reads each newer candidate's summary stack
+        from a tail window, and of the segment holding the copy only
+        its slot.  Reading every candidate whole cost 9 reads, 589,824
+        bytes and 427,570 simulated µs here."""
+        disk, lld = make()
+        size = lld.geometry.block_size
+        lst = lld.new_list()
+        target = lld.new_block(lst)
+        for stamp in (1, 2):
+            lld.write(target, bytes([stamp]) * size)
+            lld.flush()
+        newest = segment_of(lld, target)
+        for index in range(8 * lld.geometry.max_data_blocks):
+            lld.write(lld.new_block(lst), bytes([index % 251]) * size)
+        lld.flush()
+        lld.cache.invalidate_all()
+        disk.injector.add_media_fault(MediaFault(newest, "unreadable"))
+        reads, moved = disk.stats()["reads"], disk.timer.bytes_transferred
+        now = disk.clock.now_us
+        assert lld.read(target) == b"\x01" * size  # the older copy
+        # Nine one-block tail windows, then the copy's slot.
+        assert disk.stats()["reads"] - reads == 10
+        assert disk.timer.bytes_transferred - moved == 10 * size
+        assert disk.clock.now_us - now < 200_000
+        assert lld._scrub_pending == {newest}
+
+    def test_log_copy_skips_a_rotten_slot(self):
+        """A copy whose slot fails its CRC is not served; its segment
+        goes to the scrubber and an older copy is found."""
+        disk, lld = make()
+        size = lld.geometry.block_size
+        lst = lld.new_list()
+        target = lld.new_block(lst)
+        segments = []
+        for stamp in (1, 2, 3):
+            lld.write(target, bytes([stamp]) * size)
+            lld.flush()
+            segments.append(segment_of(lld, target))
+        lld.cache.invalidate_all()
+        disk.injector.add_media_fault(MediaFault(segments[2], "unreadable"))
+        # The second copy's slot rots; its summary still reads.
+        disk.injector.add_media_fault(
+            MediaFault(segments[1], "corrupt", span=(0, size))
+        )
+        assert lld.read(target) == b"\x01" * size
+        assert lld._scrub_pending == {segments[1], segments[2]}
+
     def test_read_many_isolates_faulted_blocks(self):
         disk, lld = make()
         blocks, expected = fill(lld, 30)

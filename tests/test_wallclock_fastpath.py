@@ -36,7 +36,7 @@ from repro.lld.summary import (
 )
 
 from tests.oracle import recoveries_agree
-from tests.test_recovery_parallel import CONFIG, build, workload
+from tests.test_recovery_parallel import CONFIG, build, workload, write_span
 
 
 # ----------------------------------------------------------------------
@@ -310,12 +310,9 @@ class TestReplayByteIdentity:
         rebuild identical state from the same platter
         (test_recovery_parallel.py runs the exhaustive sweep over the
         same workload)."""
-        probe, ld = build()
-        fs = MinixFS.mkfs(ld, n_inodes=256)
-        workload(fs)
-        limit = probe.write_count
-        assert limit > 10, "workload too small to be interesting"
-        for crash_after in range(1, limit + 1, 7):
+        formatted, limit = write_span()
+        assert limit - formatted > 10, "workload too small to be interesting"
+        for crash_after in range(formatted, limit + 1, 7):
             cut = PowerCut(
                 after_writes=crash_after, torn=torn, seed=crash_after
             )
