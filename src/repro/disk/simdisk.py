@@ -196,7 +196,7 @@ class SimulatedDisk:
             if self._batch_depth:
                 self._batch.append((start, nbytes))
             else:
-                self._h_write_us.observe(self.timer.access(start, nbytes))
+                self._h_write_us.observe(self.timer.access(start, nbytes, True))
             return
         if surviving > 0:
             self._land(segment_no, offset, data[:surviving])
@@ -407,6 +407,8 @@ class SimulatedDisk:
             "requests": self.timer.requests,
             "sequential_requests": self.timer.sequential_requests,
             "bytes_transferred": self.timer.bytes_transferred,
+            "bytes_read": self.timer.bytes_read,
+            "bytes_written": self.timer.bytes_written,
             "busy_us": self.timer.busy_us,
             "writes": self.write_count,
             "reads": self.read_count,

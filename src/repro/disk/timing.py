@@ -61,6 +61,33 @@ class DiskModel:
             latency += self.avg_seek_us + self.avg_rotational_us
         return latency
 
+    def batch_us(self, ranges: Sequence[Tuple[int, int]]) -> float:
+        """Service time of a batch of byte ranges that starts away
+        from the head: each of its runs (:meth:`batch_runs`) positioned."""
+        return sum(
+            self.request_us(nbytes, sequential=False)
+            for _offset, nbytes in self.batch_runs(ranges)
+        )
+
+    def batch_runs(self, ranges: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """The requests a scatter-gather batch of byte ranges is
+        serviced as: maximal contiguous runs (:func:`coalesce_runs`),
+        and runs separated by a gap cheaper to stream past than to seek
+        over fused too."""
+        seek_cost = (
+            self.avg_seek_us + self.avg_rotational_us + self.controller_overhead_us
+        )
+        runs: List[Tuple[int, int]] = []
+        for offset, nbytes in coalesce_runs(ranges):
+            if runs:
+                prev_offset, prev_len = runs[-1]
+                gap = offset - (prev_offset + prev_len)
+                if self.transfer_us(gap) <= seek_cost:
+                    runs[-1] = (prev_offset, offset + nbytes - prev_offset)
+                    continue
+            runs.append((offset, nbytes))
+        return runs
+
 
 def coalesce_runs(
     ranges: Sequence[Tuple[int, int]]
@@ -106,7 +133,11 @@ class DiskTimer:
         self._head_offset: int = -1
         self.requests = 0
         self.sequential_requests = 0
-        self.bytes_transferred = 0
+        #: Bytes the head moved over, by direction: a read request's
+        #: bytes, or a write request's (the gaps a write batch streams
+        #: past included).
+        self.bytes_read = 0
+        self.bytes_written = 0
         self.busy_us = 0.0
         self.batches = 0
         self.batched_requests = 0
@@ -121,8 +152,14 @@ class DiskTimer:
         first): a request that starts here pays no positioning."""
         return self._head_offset
 
-    def access(self, offset: int, nbytes: int) -> float:
-        """Charge one request at byte ``offset`` of size ``nbytes``.
+    @property
+    def bytes_transferred(self) -> int:
+        """Bytes read and written."""
+        return self.bytes_read + self.bytes_written
+
+    def access(self, offset: int, nbytes: int, is_write: bool = False) -> float:
+        """Charge one request at byte ``offset`` of size ``nbytes``
+        (a write if ``is_write``).
 
         Returns the simulated service time in microseconds.
         """
@@ -133,7 +170,10 @@ class DiskTimer:
         self.requests += 1
         if sequential:
             self.sequential_requests += 1
-        self.bytes_transferred += nbytes
+        if is_write:
+            self.bytes_written += nbytes
+        else:
+            self.bytes_read += nbytes
         self.busy_us += latency
         return latency
 
@@ -162,23 +202,10 @@ class DiskTimer:
 
         Returns the total simulated service time in microseconds.
         """
-        seek_cost = (
-            self.model.avg_seek_us
-            + self.model.avg_rotational_us
-            + self.model.controller_overhead_us
-        )
-        runs: List[Tuple[int, int]] = []
-        for offset, nbytes in coalesce_runs(ranges):
-            if runs:
-                prev_offset, prev_len = runs[-1]
-                gap = offset - (prev_offset + prev_len)
-                if self.model.transfer_us(gap) <= seek_cost:
-                    runs[-1] = (prev_offset, offset + nbytes - prev_offset)
-                    continue
-            runs.append((offset, nbytes))
+        runs = self.model.batch_runs(ranges)
         total = 0.0
         for offset, nbytes in runs:
-            total += self.access(offset, nbytes)
+            total += self.access(offset, nbytes, is_write)
         if is_write:
             self.write_batches += 1
             self.write_batched_requests += requests if requests else len(ranges)

@@ -20,9 +20,11 @@ randomly laid-out data stays seek-bound (read2, read3).
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Set
 
+from repro.errors import MediaError
 from repro.ld.types import PhysAddr
 
 #: Blocks one readahead window fetches.  Bounded so the cost quantum
@@ -151,12 +153,27 @@ class ReadStream:
     With ``readahead`` off every miss is the positioned read of one
     block.  The counters (``stats()``) are plain ints and touch no
     clock.
+
+    *Does a fetched slot hold?*  :attr:`slot_crcs` maps a segment whose
+    slots nobody has checked yet — one recovery trusted on its summary
+    CRC alone — to ``{slot: CRC-32}`` from its WRITE entries.  Every
+    slot fetched from such a segment, window slots included, is checked
+    (charged to ``meter`` as ``crc_kb_us``) before it is cached; one
+    that fails is never cached, and for the block asked for it is a
+    :class:`~repro.errors.MediaError`.  Recovery fills the map
+    (:meth:`check_on_read`); a segment leaves it when a scrub has read
+    it whole and every slot held (:meth:`checked`), or when it is
+    freed or quarantined (:meth:`forget`).
     """
 
-    def __init__(self, disk, cache: BlockCache, readahead: bool = True) -> None:
+    def __init__(
+        self, disk, cache: BlockCache, readahead: bool = True, meter=None
+    ) -> None:
         self.disk = disk
         self.cache = cache
         self.readahead = readahead
+        self.meter = meter
+        self.slot_crcs: Dict[int, Dict[int, int]] = {}
         self._block_size = disk.geometry.block_size
         self._segment_size = disk.geometry.segment_size
         # The largest gap worth streaming over: the inequality above,
@@ -219,16 +236,18 @@ class ReadStream:
 
         ``slot_limit`` is the number of slots of ``addr.segment`` that
         hold data.  Raises :class:`~repro.errors.MediaError` like the
-        disk does; a fault ends the evidence gathered so far.
+        disk does, or when the block fails its slot CRC; a fault ends
+        the evidence gathered so far.
         """
         block_size = self._block_size
+        crcs = self.slot_crcs.get(addr.segment)
         gap = self._gap(self.disk.head_offset, addr)
         ahead = self._gap(self._end, addr)
         window = ahead is not None and (ahead == 0 or self._continued)
         self._continued = False
-        if gap is None and not window:
+        if gap is None and not window and crcs is None:
             # The common miss of a random reader, kept short: nothing
-            # to stream over, nothing to read ahead.
+            # to stream over, nothing to read ahead, nothing to check.
             data = self.disk.read(
                 addr.segment, addr.slot * block_size, block_size
             )
@@ -248,10 +267,11 @@ class ReadStream:
             self.window_blocks += span
         for index in range(span):
             start = skip + index * block_size
-            self.cache.put(
-                PhysAddr(addr.segment, addr.slot + index),
-                raw[start : start + block_size],
-            )
+            slot = PhysAddr(addr.segment, addr.slot + index)
+            if crcs is None or self._holds(slot, raw[start : start + block_size]):
+                self.cache.put(slot, raw[start : start + block_size])
+            elif not index:  # rot: never cached, never served
+                raise MediaError(f"{addr} fails its slot CRC")
         return raw[skip : skip + block_size]
 
     def read_many(
@@ -260,11 +280,11 @@ class ReadStream:
         """Fetch several missing blocks as one scatter-gather batch.
 
         Maps each address to its data, or to ``None`` where the media
-        failed (what did arrive is cached).  The lowest address is
-        reached from the head under the rule of :meth:`read`; the disk
-        fuses the rest into runs by the same inequality, and each
-        block is counted by how it was reached.  A batch asks for what
-        it needs and opens no window.
+        failed or the slot fails its CRC (the rest is cached).  The
+        lowest address is reached from the head under the rule of
+        :meth:`read`; the disk fuses the rest into runs by the same
+        inequality, and each block is counted by how it was reached.  A
+        batch asks for what it needs and opens no window.
         """
         block_size = self._block_size
         ordered = sorted(addrs)
@@ -280,15 +300,41 @@ class ReadStream:
         if raws[0] is not None:
             raws[0] = raws[0][skip:]
         self._continued = False
-        for addr, raw in zip(ordered, raws):
+        for index, (addr, raw) in enumerate(zip(ordered, raws)):
             if raw is None:
                 continue
-            self.cache.put(addr, raw)
             self._fetched(
                 addr, 1, self._gap(head, addr), self._gap(self._end, addr)
             )
             head = self._end
+            if self.slot_crcs and not self._holds(addr, raw):
+                raws[index] = None  # rot: never cached, never served
+            else:
+                self.cache.put(addr, raw)
         return dict(zip(ordered, raws))
+
+    def check_on_read(self, slot_crcs: Dict[int, Dict[int, int]]) -> None:
+        """Check each slot of ``{segment: {slot: CRC-32}}`` when read."""
+        self.slot_crcs = slot_crcs
+
+    def checked(self, segment_no: int) -> None:
+        """Every slot of ``segment_no`` held: no read checks it again."""
+        self.slot_crcs.pop(segment_no, None)
+
+    def forget(self, segment_no: int) -> None:
+        """``segment_no`` is freed or quarantined: nothing read from it
+        stays cached, and no slot of it is checked any more."""
+        self.cache.invalidate_segment(segment_no)
+        self.checked(segment_no)
+
+    def _holds(self, addr: PhysAddr, data: bytes) -> bool:
+        """False if ``addr`` is an unchecked slot and ``data`` fails
+        its CRC; the check is charged."""
+        crc = self.slot_crcs.get(addr.segment, {}).get(addr.slot)
+        if crc is None:
+            return True
+        self.meter.charge("crc_kb_us", self._block_size / 1024.0)
+        return zlib.crc32(data) == crc
 
     def stats(self) -> Dict[str, int]:
         """The ``read_stream`` section of a logical disk's ``stats()``."""

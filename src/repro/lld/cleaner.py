@@ -41,14 +41,14 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import zlib
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.disk.geometry import TRAILER_SIZE
 from repro.errors import DiskFullError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.scrub import Scrubber
+from repro.lld.scrub import Scrubber, decode_dirty_body
 from repro.lld.segment import decode_stacks
 from repro.lld.summary import KIND_WRITE
 
@@ -70,8 +70,11 @@ class CleanReport:
     #: budget truncated a pass or a victim was damaged).
     passes: int = 0
     #: Bytes the run's victim reads moved off the disk: summary
-    #: stacks, live slots and any gap the disk streamed between them.
+    #: stacks, live slots, bodies read whole and any gap the disk
+    #: streamed between them.
     bytes_read: int = 0
+    #: The victims read whole, their tail and live slots dearer.
+    read_whole: List[int] = dataclasses.field(default_factory=list)
 
 
 class SegmentCleaner:
@@ -237,7 +240,7 @@ class SegmentCleaner:
                     # copies make the next pass free) and stop here.
                     break
                 for seg in victims:
-                    lld.cache.invalidate_segment(seg)
+                    lld._read_stream.forget(seg)
                     lld.usage.free_segment(seg)
                 lld._write_checkpoint()
             finally:
@@ -262,20 +265,34 @@ class SegmentCleaner:
             report.damaged = sorted(damaged_all)
         return report
 
+    def _read_whole(self, victims: List[int], window: int) -> Set[int]:
+        """The victims the disk model reads more cheaply whole than by
+        a tail window plus each live slot positioned: on small segments
+        a few live slots already cost more positioning than the body."""
+        lld = self.lld
+        model = lld.disk.timer.model
+        slot_us = model.request_us(lld.geometry.block_size, sequential=False)
+        whole_us = model.batch_us([(0, lld.geometry.segment_size)])
+        spare_us = whole_us - model.batch_us([(0, window)])
+        return {seg for seg in victims if lld.usage.live_slots(seg) * slot_us > spare_us}
+
     def _read_live(
         self, victims: List[int], report: CleanReport
     ) -> Tuple[List[Tuple[BlockId, object, bytes]], List[int]]:
         """Read what a pass copies out of ``victims``.
 
-        Two batched reads: every victim's summary stack from tail
-        windows, then only the live slots its entries name, each
-        checked against its WRITE entry's CRC.  Returns the copies as
-        ``(block id, persistent record, data)``, and the damaged
-        victims, of which nothing is copied: unreadable, a summary that
-        fails its CRC, a chunk walk that stops short of the slots the
-        usage table counted — every chunk of a DIRTY segment reached the
-        disk through a successful write, so that means failed media —
-        or a copied slot that fails its CRC.
+        One batched read fetches every victim's summary stack from a
+        tail window, or its whole body where the disk model says that
+        is cheaper (:meth:`_read_whole`); a second fetches only the
+        live slots of the victims read by their tails, each checked
+        against its WRITE entry's CRC.  A body read whole takes
+        :func:`~repro.lld.scrub.decode_dirty_body`, which checks every
+        slot.  Returns the copies as ``(block id, persistent record,
+        data)``, and the damaged victims, of which nothing is copied:
+        unreadable, a summary that fails its CRC, a chunk walk that
+        stops short of the slots the usage table counted — every chunk
+        of a DIRTY segment reached the disk through a successful write,
+        so that means failed media — or a slot that fails its CRC.
         """
         if not victims:
             return [], []
@@ -283,23 +300,37 @@ class SegmentCleaner:
         disk = lld.disk
         size = lld.geometry.segment_size
         block_size = lld.geometry.block_size
-        transferred = disk.timer.bytes_transferred
+        read_before = disk.timer.bytes_read
         window = min(size, max(TRAILER_SIZE, block_size))
-        tails = disk.read_many(
-            [(seg, size - window, window) for seg in victims], errors="none"
+        whole = self._read_whole(victims, window)
+        report.read_whole += sorted(whole)
+        raws = disk.read_many(
+            [
+                (seg, 0, size) if seg in whole else (seg, size - window, window)
+                for seg in victims
+            ],
+            errors="none",
         )
-        stacks, _invalid, _unreadable = decode_stacks(
-            disk, {seg: tail for seg, tail in zip(victims, tails) if tail is not None}
-        )
+        tails, bodies = {}, []
+        for seg, raw in zip(victims, raws):
+            if raw is not None and seg not in whole:
+                tails[seg] = raw
+            elif raw is not None:
+                bodies.append(decode_dirty_body(lld, seg, raw))
         stacks = [
             decoded
-            for decoded in stacks
+            for decoded in decode_stacks(disk, tails)[0]
             if decoded.block_count >= lld.usage.total_slots(decoded.segment_no)
         ]
+        decoded_all = sorted(
+            stacks + [decoded for decoded in bodies if decoded is not None],
+            key=lambda decoded: decoded.seq,
+        )
         bmap = lld.bmap
-        wanted = []
+        copies = []  # [segment, block id, persistent record, data]
+        reads = []  # (copy, slot, CRC) of each slot read apart
         planned = set()
-        for decoded in stacks:
+        for decoded in decoded_all:
             seg = decoded.segment_no
             for fields in decoded.entry_tuples:
                 if fields[0] != KIND_WRITE or fields[3] in planned:
@@ -320,24 +351,27 @@ class SegmentCleaner:
                 ):
                     continue
                 planned.add(block_id)
-                wanted.append((seg, block_id, persistent, fields[4], fields[5]))
+                copies.append([seg, block_id, persistent, None])
+                if seg in whole:
+                    copies[-1][3] = decoded.slot_data(fields[4])
+                else:
+                    reads.append((copies[-1], fields[4], fields[5]))
         datas = disk.read_many(
-            [(seg, slot * block_size, block_size) for seg, _b, _p, slot, _c in wanted],
+            [(copy[0], slot * block_size, block_size) for copy, slot, _crc in reads],
             errors="none",
         )
-        report.bytes_read += disk.timer.bytes_transferred - transferred
+        report.bytes_read += disk.timer.bytes_read - read_before
         stack_kb = sum(decoded.stack_len for decoded in stacks) / 1024.0
-        lld.meter.charge("crc_kb_us", stack_kb + len(wanted) * block_size / 1024.0)
+        lld.meter.charge("crc_kb_us", stack_kb + len(reads) * block_size / 1024.0)
         lld.meter.charge(
             "decode_entry_us", sum(decoded.entry_count for decoded in stacks)
         )
-        good = {decoded.segment_no for decoded in stacks}
-        for (seg, _block, _persistent, _slot, crc), data in zip(wanted, datas):
+        good = {decoded.segment_no for decoded in decoded_all}
+        for (copy, _slot, crc), data in zip(reads, datas):
             if data is None or zlib.crc32(data) != crc:
-                good.discard(seg)
-        copies = [
-            (block_id, persistent, data)
-            for (seg, block_id, persistent, _slot, _crc), data in zip(wanted, datas)
-            if seg in good
-        ]
-        return copies, [seg for seg in victims if seg not in good]
+                good.discard(copy[0])
+            copy[3] = data
+        return (
+            [tuple(copy[1:]) for copy in copies if copy[0] in good],
+            [seg for seg in victims if seg not in good],
+        )

@@ -175,7 +175,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
         self.committed_blocks = self.engine.committed_blocks
         self.committed_lists = self.engine.committed_lists
         self._read_stream = ReadStream(
-            self.disk, self.cache, readahead=cfg.readahead
+            self.disk, self.cache, readahead=cfg.readahead, meter=self.meter
         )
 
         self._next_block_id = 1
@@ -883,6 +883,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 victims=len(report.victims),
                 unread=unread,
                 bytes_read=report.bytes_read,
+                read_whole=len(report.read_whole),
                 **counts,
             )
             self._h_cleaner_us.observe(self.clock.now_us - pass_start_us)

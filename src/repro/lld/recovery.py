@@ -29,10 +29,10 @@ written once: :func:`_scan` (steps 1–2, one read window per segment,
 picked by the disk model, one decoder) → :func:`_resolve_outcomes`
 (step 3) → :func:`_install` (step 5, live counts provisional) → a
 :class:`RestoreController`, which replays by :class:`ReplayRules`
-behind a log-order watermark (steps 4 and 6).  ``mode`` decides only what happens before
-:func:`recover` returns: eager runs the controller to completion and
-audits the pending segments' data slots (:func:`_audit`); instant
-returns the volume open and replays on demand.
+behind a log-order watermark (steps 4 and 6).  ``mode`` decides only
+what happens before :func:`recover` returns: eager runs the controller
+to completion, instant returns the volume open and replays on demand.
+Neither reads a data slot: the first read of a pending slot checks it.
 docs/RECOVERY.md tells the whole story;
 :func:`repro.lld.recovery_reference.reference_recover` is the
 differential oracle and shares none of this module's rule code.
@@ -169,23 +169,18 @@ class RecoveryReport:
     max_xid: int = 0
     orphan_blocks_freed: List[int] = dataclasses.field(default_factory=list)
     recovery_time_us: float = 0.0
-    #: Simulated microseconds per phase, summing to
-    #: ``recovery_time_us``: ``checkpoint`` (loading it), ``scan``
-    #: (the read windows), ``decode`` (summary CRCs and longer tails),
-    #: ``replay`` (outcomes; for eager also the redo and the orphan
-    #: sweep), ``install`` (tables, usage, fresh buffer) and, eager
-    #: only, ``audit`` (slot CRCs, the ``bodies_reread`` body
-    #: reads the scan did not hold, any scrub).
+    #: Simulated microseconds per phase, summing to ``recovery_time_us``:
+    #: ``checkpoint``, ``scan`` (the read windows), ``decode`` (summary
+    #: CRCs and longer tails), ``replay`` (outcomes; for eager also the
+    #: redo and the orphan sweep) and ``install``.
     phase_us: Dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Eager only: pending bodies the audit read (the scan held the rest).
-    bodies_reread: int = 0
     #: Host wall-clock seconds for the whole recovery.
     wall_seconds: float = 0.0
     #: Batched-read statistics (deltas over this recovery).
     read_batches: int = 0
     batched_runs: int = 0
-    #: Recovery mode: ``"eager"`` (replayed and audited before the
-    #: volume opens) or ``"instant"`` (open at once, redo-on-demand).
+    #: Recovery mode: ``"eager"`` (replayed before the volume opens)
+    #: or ``"instant"`` (open at once, redo-on-demand).
     mode: str = "eager"
     #: Instant restore: requests that had to synchronously replay a
     #: log suffix before they could be served.
@@ -482,18 +477,13 @@ class _Scan:
 
     #: Decoded segments newer than the checkpoint, in log (seq) order.
     replayable: List[DecodedSegment]
-    #: Segments the checkpoint roster attests: seg -> (seq, live,
-    #: total).
+    #: Segments the checkpoint roster attests: seg -> (seq, live, total).
     ckpt_segments: Dict[int, Tuple[int, int, int]]
     #: Retired media (roster sentinel or I/O error now).
     quarantined: List[int]
-    #: Eager: a replayable segment read whole -> its body holds its CRCs.
-    bodies_hold: Dict[int, bool] = dataclasses.field(default_factory=dict)
 
 
-def _scan(
-    lld: LLD, ckpt: CheckpointData, report: RecoveryReport, eager: bool
-) -> _Scan:
+def _scan(lld: LLD, ckpt: CheckpointData, report: RecoveryReport) -> _Scan:
     """Find and decode the segments written since the checkpoint.
 
     One classification rule, two read plans.  The **walk** rolls
@@ -505,12 +495,10 @@ def _scan(
     the **full** plan, which classifies every segment not yet read,
     attested ones included (docs/RECOVERY.md, "The roll-forward walk").
 
-    The disk model picks the windows.  A segment that streams in no
-    more than the positioning for its tail is read whole; otherwise a
-    read is one block of the tail, but an eager walk rents tails only
-    until they would cost the run of pending segments a whole transfer,
-    then buys whole reads.  Summaries are trusted on the summary CRC;
-    the data is :func:`_audit`'s, a body read whole checked here.
+    The disk model picks the window.  A segment that streams in no
+    more than the positioning for its tail is read whole, any other by
+    one block of its tail.  Summaries are trusted on the summary CRC;
+    the data slots are checked by whoever first reads them.
     """
     disk = lld.disk
     clock = disk.clock
@@ -519,10 +507,9 @@ def _scan(
     decode_us = 0.0
     scan = _Scan([], {}, [])
     model = disk.timer.model
-    tail = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
-    whole_us = model.transfer_us(size)
-    tail_us = model.request_us(tail, sequential=False)
-    streams = whole_us <= model.request_us(0, sequential=False)
+    window = min(size, max(TRAILER_SIZE, disk.geometry.block_size))
+    if model.transfer_us(size) <= model.request_us(0, sequential=False):
+        window = size  # streams in no more than a positioning
 
     # The roster settles some segments without a read: the ones it
     # records as quarantined (whatever the platter holds must not be
@@ -539,10 +526,9 @@ def _scan(
         else:
             attested.append(seg)
 
-    def classify(segs: List[int], whole=False) -> Tuple[Dict[int, bytes], str]:
+    def classify(segs: List[int]) -> Tuple[Dict[int, bytes], str]:
         """Read the windows of ``segs`` as one batch and sort them into
         ``scan``; returns the replay candidates and the first anomaly."""
-        window = size if streams or whole else tail
         raws = disk.read_many(
             [(seg, size - window, window) for seg in segs], errors="none"
         )
@@ -588,33 +574,16 @@ def _scan(
         decoded = _decode_tails(lld, candidates, scan, report)
         decode_us += clock.now_us - decode_start
         scan.replayable += decoded
-        for d in decoded if eager else ():
-            body = candidates[d.segment_no]
-            if len(body) == size:  # read whole: audit now, keep the verdict
-                scan.bodies_hold[d.segment_no] = d.body_holds(body)
-        lost = set(candidates).difference(d.segment_no for d in decoded)
-        return min(lost, default=None)
+        return min(set(candidates) - {d.segment_no for d in decoded}, default=None)
 
     damaged = lld.checkpoints.damaged_slots
     fallback = f"checkpoint slot {damaged[0]} is damaged" if damaged else ""
     batch = max(WALK_BATCH, lld.config.writeback_depth + 1)
     candidates: Dict[int, bytes] = {}
     walked = 0
-    run = 0
     while not fallback and walked < len(unattested):
-        segs = unattested[walked : walked + batch]
+        found, fallback = classify(unattested[walked : walked + batch])
         walked += batch
-        if not eager or streams:
-            found, fallback = classify(segs)
-        else:
-            # A segment at a time: ``run`` counts the pending segments
-            # just read; a read that ends the run goes back to tails.
-            found = {}
-            for seg in segs:
-                got, anomaly = classify([seg], (run + 1) * tail_us >= whole_us)
-                run = run + 1 if got else 0
-                found.update(got)
-                fallback = fallback or anomaly
         candidates.update(found)
         if not found:
             break
@@ -673,6 +642,8 @@ class _Outcomes:
     next_block_id: int
     next_list_id: int
     next_aru_id: int
+    #: Pending segment -> {slot: CRC} of its WRITE entries.
+    slot_crcs: Dict[int, Dict[int, int]]
 
 
 def _resolve_outcomes(
@@ -681,7 +652,8 @@ def _resolve_outcomes(
     decided_xids: Optional[Set[int]],
     report: RecoveryReport,
 ) -> _Outcomes:
-    """First pass over the log suffix: who committed, and the counters.
+    """First pass over the log suffix: who committed, the counters,
+    and the slot CRCs the first read of each pending slot checks.
 
     COMMIT records commit their tag outright.  PREPARE records park
     their tag on a coordinator transaction id, which commits iff a
@@ -703,13 +675,17 @@ def _resolve_outcomes(
     max_aru = ckpt.next_aru_id - 1
     max_block = ckpt.next_block_id - 1
     max_list = ckpt.next_list_id - 1
+    slot_crcs: Dict[int, Dict[int, int]] = {}
     for decoded in replayable:
+        crcs = slot_crcs[decoded.segment_no] = {}
         for fields in decoded.entry_tuples:
             kind = fields[0]
             tag = fields[1]
             if tag > max_aru:
                 max_aru = tag
-            if kind == KIND_COMMIT:
+            if kind == KIND_WRITE:
+                crcs[fields[4]] = fields[5]
+            elif kind == KIND_COMMIT:
                 committed.add(tag)
             elif kind == KIND_PREPARE:
                 prepared[tag] = fields[4]
@@ -742,15 +718,11 @@ def _resolve_outcomes(
         next_block_id=max_block + 1,
         next_list_id=max_list + 1,
         next_aru_id=max_aru + 1,
+        slot_crcs=slot_crcs,
     )
 
 
-def _install(
-    lld: LLD,
-    ckpt: CheckpointData,
-    scan: _Scan,
-    outcomes: _Outcomes,
-) -> None:
+def _install(lld: LLD, ckpt: CheckpointData, scan: _Scan, outcomes: _Outcomes) -> None:
     """Rebuild the usage table, the counters and the fresh buffer.
 
     Live counts are provisional — the roster's, or every written slot
@@ -783,6 +755,8 @@ def _install(
     # set plus every DECIDE found in the log (never the borrowed
     # ``decided_xids`` — those belong to the volume that logged them).
     lld._decided_xids = outcomes.own_decided
+    # Trusted on their summary CRC alone: a read checks each slot first.
+    lld._read_stream.check_on_read(outcomes.slot_crcs)
     try:
         lld._open_new_buffer()
     except DiskFullError:
@@ -790,56 +764,6 @@ def _install(
         # lazy buffer machinery opens one when (and if) space allows
         # — deletions can still run via the emergency reserve.
         pass
-
-
-def _audit(lld: LLD, scan: _Scan, report: RecoveryReport) -> None:
-    """Hold the pending segments' data slots to the CRCs their WRITE
-    entries carry.
-
-    The scan trusted each accepted chunk on its summary CRC, which
-    covers the slot CRCs but not the data.  One batched read fetches
-    the bodies the scan did not hold,
-    :meth:`~repro.lld.segment.DecodedSegment.body_holds` checks every
-    slot a WRITE names without decoding an entry again, and
-    all the CRC work is charged here at the share of
-    :data:`DEFAULT_WORKERS` lanes.  A failure is media rot a crash
-    cannot leave (every chunk the walk accepted was written after its
-    data, and its write completed), so
-    it takes the media-fault path: the scrubber salvages what it can
-    and quarantines the rest.
-    """
-    pending = scan.replayable
-    if not pending:
-        return
-    geometry = lld.disk.geometry
-    holds = scan.bodies_hold
-    reread = [d for d in pending if d.segment_no not in holds]
-    bodies = lld.disk.read_many(
-        [(decoded.segment_no, 0, geometry.segment_size) for decoded in reread],
-        errors="none",
-    )
-    for decoded, body in zip(reread, bodies):
-        holds[decoded.segment_no] = body is not None and decoded.body_holds(body)
-    failed = [d.segment_no for d in pending if not holds[d.segment_no]]
-    report.bodies_reread = len(reread)
-    block_size = geometry.block_size
-    checked_kb = sum(
-        (d.block_count * block_size + d.stack_len) / 1024.0 for d in pending
-    )
-    lanes = min(DEFAULT_WORKERS, len(pending))
-    lld.meter.charge("crc_kb_us", checked_kb, lanes=lanes)
-    lld.obs.record(
-        "recovery.audit", segments=len(pending), failed=len(failed),
-        bodies_reread=len(reread),
-    )
-    if failed:
-        try:
-            lld.scrub(failed)
-        except DiskFullError:
-            # No room to relocate the salvage: retire the media all the
-            # same, so its blocks take the degraded read path.
-            for seg in failed:
-                lld.usage.quarantine(seg)
 
 
 @_collector_paused
@@ -857,14 +781,14 @@ def recover(
     freed.
 
     ``mode`` is ``"eager"`` (the default, also for ``None``) — run
-    the restore to completion, audit the pending segments' data slots
-    (:func:`_audit`), then return — or ``"instant"`` — return the
-    volume open; requests replay the log prefix they need on demand
+    the restore to completion, then return — or ``"instant"`` — return
+    the volume open; requests replay the log prefix they need on demand
     and a background sweep (``restore_drain_segments`` per operation,
     :meth:`~repro.lld.lld.LLD.restore_drain`,
     :meth:`~repro.lld.lld.LLD.complete_restore`) drains the rest.
-    Once drained the state is byte-identical to eager recovery; the
-    data slots stay unaudited until a scrub reads them.
+    Once drained the state is byte-identical to eager recovery.
+    Neither mode reads a data slot: the first read of a pending slot
+    checks it (:attr:`~repro.lld.cache.ReadStream.slot_crcs`).
 
     ``decided_xids`` supplies coordinator decisions from *another*
     volume's log: a participant shard of a sharded volume
@@ -872,11 +796,9 @@ def recover(
     transaction id appears in its own log/checkpoint or in this set,
     and discards it otherwise (presumed abort).
 
-    The scan and the audit charge their CRC work for
-    :data:`DEFAULT_WORKERS` simulated lanes and start no thread.
-
-    The cyclic garbage collector stays off while this runs
-    (:class:`_CollectorPause`).
+    The scan charges its CRC work for :data:`DEFAULT_WORKERS`
+    simulated lanes and starts no thread.  The cyclic garbage collector
+    stays off while this runs (:class:`_CollectorPause`).
     """
     if mode is None:
         mode = "eager"
@@ -899,7 +821,7 @@ def recover(
     report.phase_us["checkpoint"] = clock.now_us - start_us
 
     lld._recovery_report = report
-    scan = _scan(lld, ckpt, report, eager=mode == "eager")
+    scan = _scan(lld, ckpt, report)
     report.segments_quarantined = len(scan.quarantined)
     lld.obs.record(
         "recovery.scan",
@@ -930,9 +852,6 @@ def recover(
         replay_start = clock.now_us
         restore.complete()
         report.phase_us["replay"] += clock.now_us - replay_start
-        audit_start = clock.now_us
-        _audit(lld, scan, report)
-        report.phase_us["audit"] = clock.now_us - audit_start
     else:
         lld._restore = restore
 

@@ -233,6 +233,7 @@ class Scrubber:
                 report.damaged[seg] = "corrupt"
             else:
                 lld._scrub_pending.discard(seg)
+                lld._read_stream.checked(seg)
         report.segments_damaged = len(report.damaged)
         if not report.damaged:
             return report
@@ -243,7 +244,7 @@ class Scrubber:
         # source), then make the relocations durable and persist the
         # quarantine roster when a checkpoint is currently allowed.
         for seg in sorted(report.damaged):
-            lld.cache.invalidate_segment(seg)
+            lld._read_stream.forget(seg)
             lld.usage.quarantine(seg)
             lld._scrub_pending.discard(seg)
             report.segments_quarantined += 1

@@ -120,9 +120,8 @@ def slots_hold(
     ``data`` holds the segment's data slots from ``first_slot`` on.
     Each slot is checked once, however many entries name it (a block
     rewritten in the buffer before its chunk was sealed; every such
-    entry carries the slot's final CRC).  Shared by the chunk walk,
-    recovery's body audit and a degraded read's log copy, so all check
-    one rule.
+    entry carries the slot's final CRC).  Shared by the chunk walk and
+    a degraded read's log copy, so both check one rule.
     """
     crcs = {fields[4]: fields[5] for fields in entry_tuples if fields[0] == KIND_WRITE}
     crc32 = zlib.crc32
@@ -652,18 +651,6 @@ class DecodedSegment:
         """Bytes of the valid chunks: their entries and trailers."""
         return self.summary_len + self.chunk_count * TRAILER_SIZE
 
-    def body_holds(self, body) -> bool:
-        """True if ``body`` — the whole segment image, read again —
-        still matches the slot CRC every WRITE entry of the accepted
-        chunks carries (:func:`slots_hold`).
-
-        Checks the data slots against the entries this object already
-        holds; no entry is decoded again.  A segment decoded from a
-        tail window trusted its data on the summary CRC alone, and this
-        is how eager recovery audits that trust.
-        """
-        return slots_hold(self.entry_tuples, memoryview(body), self.geometry.block_size)
-
     def slot_data(self, slot: int) -> bytes:
         """Return the data of slot ``slot`` as ``bytes`` (a copy)."""
         if not 0 <= slot < self.block_count:
@@ -817,8 +804,8 @@ def decode_segment_tail(tail, geometry: DiskGeometry, segment_no: int):
     replaces streaming the whole body through the CRC.  It is sound
     against a crash because a chunk is written after the data it
     describes and its summary CRC is the last thing written; against
-    rot in the data, each slot's CRC in its WRITE entry
-    (:meth:`DecodedSegment.body_holds`, or one slot at a time).
+    rot in the data, each slot's CRC in its WRITE entry, checked
+    when the slot is read (:func:`slots_hold`).
     """
     if len(tail) < TRAILER_SIZE or len(tail) > geometry.segment_size:
         return None

@@ -140,6 +140,8 @@ STATS_SCHEMA = {
         "requests": INT,
         "sequential_requests": INT,
         "bytes_transferred": INT,
+        "bytes_read": INT,
+        "bytes_written": INT,
         "busy_us": NUM,
         "writes": INT,
         "reads": INT,

@@ -151,6 +151,14 @@ class TestDiskReadMany:
         assert stats["batched_requests"] == 2
         assert stats["batched_runs"] >= 1
 
+    def test_stats_split_bytes_by_direction(self):
+        disk = make_disk()
+        disk.write_at(3, 0, b"w" * 1024)
+        disk.read_many([(0, 0, 8), (1, 0, 8)])
+        stats = disk.stats()
+        assert (stats["bytes_read"], stats["bytes_written"]) == (16, 1024)
+        assert stats["bytes_transferred"] == 1040
+
 
 class TestReadManyMixedFaults:
     """``errors="none"`` under a mix of unreadable and corrupt media."""

@@ -30,7 +30,7 @@ from tests.test_rollforward_scan import recover_twice
 
 CONFIG = LLDConfig(checkpoint_slot_segments=1)
 #: Segments `mixed_volume` leaves partly live, and blocks live in each.
-PARTLY_LIVE, KEPT = 2, 3
+PARTLY_LIVE, KEPT = 2, 1
 
 
 def payload(block_size, tag, index):
@@ -110,12 +110,22 @@ class TestCounts:
         report = SegmentCleaner(ld, policy).clean(target_free=free + len(dead) + 1)
         copied_from = [seg for seg in report.victims if live[seg]]
         assert set(partly) <= set(copied_from)
-        # One tail window per victim (a small segment's stack fits in
-        # one block), then one request per live slot.
-        copied = report.blocks_copied
-        assert disk.stats()["reads"] == reads + len(copied_from) + copied
-        block_size = disk.geometry.block_size
-        assert report.bytes_read == (len(copied_from) + copied) * block_size
+        # One read per victim: a tail window (a small segment's stack
+        # fits in one block), or the whole body where the disk model
+        # prices that below the tail plus a positioned read per live
+        # slot, as it does the last segment's slots but not the one
+        # kept in each partly live one.  Then one request per live slot
+        # of the victims read by their tails.
+        whole = report.read_whole
+        assert whole == sorted(seg for seg in copied_from if live[seg] > KEPT)
+        assert len(whole) == 1
+        slots = report.blocks_copied - sum(live[seg] for seg in whole)
+        assert disk.stats()["reads"] == reads + len(copied_from) + slots
+        geometry = disk.geometry
+        assert report.bytes_read == (
+            len(whole) * geometry.segment_size
+            + (len(copied_from) - len(whole) + slots) * geometry.block_size
+        )
         assert checkpoints(ld) == written + 1
         assert report.passes == 1
         assert report.segments_freed == len(dead) + len(copied_from)
@@ -137,10 +147,14 @@ class TestCounts:
         ]
         assert event["unread"] == len(dead)
         assert event["segments_freed"] == stats["segments_freed"]
-        # A summary window and a slot per copy, each one block.
+        # The last segment's body read whole, and of each partly live
+        # one a summary window and its KEPT slots, each one block
+        # (test_mixed_pass_reads_exactly_the_live_victims).
         copied_from = stats["segments_freed"] - len(dead)
-        assert event["bytes_read"] == (
-            (copied_from + stats["blocks_copied"]) * disk.geometry.block_size
+        geometry = disk.geometry
+        assert event["read_whole"] == 1
+        assert event["bytes_read"] == geometry.segment_size + (
+            (copied_from - 1) * (1 + KEPT) * geometry.block_size
         )
 
 

@@ -108,10 +108,12 @@ class TestDiskFull:
                 continue
             assert not data.startswith(b"z" * 16)
 
-    def test_rot_the_audit_finds_on_a_full_disk(self):
-        """No room to relocate what the scrubber salvages: eager
-        recovery still returns, the rotten segment is retired, and its
-        block reads an older copy, never the rot."""
+    def test_rot_in_a_pending_slot_on_a_full_disk(self):
+        """Rot in a slot written since the checkpoint of a full disk:
+        recovery returns without reading it, the first read of the
+        block serves an older copy, never the rot, and a scrub with no
+        room to relocate what it salvages leaves the segment marked and
+        its slots still checked."""
         disk, lld = tiny()
         lst = lld.new_list()
         kept = lld.new_block(lst)
@@ -127,6 +129,18 @@ class TestDiskFull:
         volume, _report = recover(
             disk.power_cycle(), config=LLDConfig(checkpoint_slot_segments=1)
         )
-        assert volume.usage.state(seg) is SegmentState.QUARANTINED
-        assert volume.read(kept).startswith(b"kept-")
+        assert volume.usage.state(seg) is SegmentState.DIRTY
+        newest = b"kept-%d" % (number - 1)
+        older = volume.read(kept)
+        assert older.startswith(b"kept-") and not older.startswith(newest)
+        assert (seg, slot) not in volume.cache._entries
+        assert volume._scrub_pending == {seg}
         assert verify_lld(volume) == []
+        with pytest.raises(DiskFullError):
+            volume.scrub()
+        assert volume._scrub_pending == {seg}
+        # The failed scrub quarantined nothing, so the slot is still
+        # checked when read: the older copy again, the rot never cached.
+        assert volume.usage.state(seg) is SegmentState.DIRTY
+        assert volume.read(kept) == older
+        assert (seg, slot) not in volume.cache._entries

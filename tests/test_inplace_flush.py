@@ -49,6 +49,7 @@ from repro.lld.segment import (
     SegmentBuffer,
     decode_segment,
     decode_segment_tail,
+    slots_hold,
 )
 from repro.lld.summary import EntryKind, SummaryEntry
 from repro.lld.usage import SegmentState
@@ -303,11 +304,13 @@ class TestChunkStackProperty:
             decoded.block_count,
             decoded.last_seq,
         )
-        # The audit's rule: the data matches, and a rotten byte does not.
-        assert from_tail.body_holds(bytes(platter))
+        # The slot CRC rule over the tail's entries: the data matches,
+        # and a rotten byte does not.
+        block = GEO.block_size
+        assert slots_hold(from_tail.entry_tuples, bytes(platter), block)
         if slots:
             rotten = bytes([platter[0] ^ 0xFF]) + bytes(platter[1:])
-            assert not from_tail.body_holds(rotten)
+            assert not slots_hold(from_tail.entry_tuples, rotten, block)
 
         # Cut the stack at any chunk boundary: the prefix decodes.
         for chunks, (start, n_entries, n_slots) in enumerate(prefixes, 1):

@@ -77,9 +77,9 @@ def log_requests(disk):
     access = disk.timer.access
     size = disk.geometry.segment_size
 
-    def logged(offset, nbytes):
+    def logged(offset, nbytes, is_write=False):
         at_head = offset == disk.head_offset
-        cost = access(offset, nbytes)
+        cost = access(offset, nbytes, is_write)
         segment, within = divmod(offset, size)
         log.append(
             Request(segment, within // BLOCK, nbytes // BLOCK, at_head, cost)

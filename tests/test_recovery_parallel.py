@@ -229,13 +229,12 @@ class TestHostCost:
         assert report.segments_replayed > 4
 
     def test_decode_lanes_are_charged_as_before(self, platter, monkeypatch):
-        """The body audit's CRC is charged at the share of four lanes,
-        as the whole-body decode it replaced was (captured while that
-        decode still ran on a thread pool of four).  It is the last CRC
-        charge of an eager recovery; the body reads are the disk's.  The
-        value moved from 4,454.83 to 4,458.45 µs when each WRITE entry
-        gained its slot's CRC (two bytes more per entry) and the trailer
-        lost the whole-chunk one (eight fewer per chunk)."""
+        """The scan's summary CRCs are charged at the share of four
+        lanes, as the whole-body decode they replaced was (captured
+        while that decode still ran on a thread pool of four).  Since
+        no recovery reads a data slot, they are an eager recovery's one
+        CRC charge: 178.45 µs for the 22 pending segments' stacks, where
+        the body audit that went with the slot reads charged 4,458.45."""
         charges = []
         charge = CostMeter.charge
 
@@ -244,7 +243,8 @@ class TestHostCost:
             charge(meter, category, count, lanes)
 
         monkeypatch.setattr(CostMeter, "charge", recording)
-        recover(platter.power_cycle(), config=CONFIG)
-        *_, (_crc, kb, lanes) = [c for c in charges if c[0] == "crc_kb_us"]
+        _volume, report = recover(platter.power_cycle(), config=CONFIG)
+        assert report.segments_replayed == 22
+        ((_crc, kb, lanes),) = [c for c in charges if c[0] == "crc_kb_us"]
         assert lanes == 4
-        assert (CostModel().crc_kb_us * kb / lanes).hex() == "0x1.16a7280000000p+12"
+        assert (CostModel().crc_kb_us * kb / lanes).hex() == "0x1.64e5000000000p+7"

@@ -124,16 +124,18 @@ class TestHappyPath:
 
     def test_max_ids_tracked(self):
         """The id counters come from the outcome pass over the log,
-        never from replay; forced system-range ids do not move them."""
+        never from replay; forced system-range ids do not move them.
+        The same pass collects the slot CRCs of the WRITE entries."""
         log = SimpleNamespace(
+            segment_no=9,
             entry_tuples=[
                 (KIND_NEW_LIST, 0, 1, 1),
                 (KIND_ALLOC_BLOCK, 0, 1, 10, 1),
                 (KIND_ALLOC_BLOCK, 0, 1, 11, 1),
                 (KIND_ALLOC_BLOCK, 0, 1, SYSTEM_ID_BASE + 5, 1),
-                (KIND_WRITE, 4, 1, 10, 0),
+                (KIND_WRITE, 4, 1, 10, 0, 0x1234),
                 (KIND_COMMIT, 4, 1, 1),
-            ]
+            ],
         )
         outcomes = _resolve_outcomes(
             CheckpointData.empty(), [log], None, RecoveryReport(0)
@@ -142,6 +144,7 @@ class TestHappyPath:
         assert outcomes.next_list_id == 2
         assert outcomes.next_aru_id == 5
         assert outcomes.committed == {4}
+        assert outcomes.slot_crcs == {9: {0: 0x1234}}
 
 
 class TestConflictBranches:

@@ -43,6 +43,7 @@ from repro.lld.lld import LLD
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
 from repro.lld.segment import decode_segment, parse_trailer
+from repro.lld.summary import KIND_WRITE
 from repro.lld.usage import (
     QUARANTINE_SEQ,
     WALK_BATCH,
@@ -456,10 +457,12 @@ class TestFallback:
     def test_rot_in_the_body_of_a_newer_segment(self, in_place):
         """Rot in the data of a segment written since the checkpoint —
         of a whole image, or of the second chunk of a stack written in
-        place.  The summary CRCs hold, so the walk takes the segment;
-        eager recovery's body audit finds the rot and hands the
-        segment to the scrubber, which salvages what has an older copy
-        and quarantines it."""
+        place.  The summary CRCs hold, so the walk takes the segment
+        and neither mode reads its data.  The first read of the rotten
+        slot fails its CRC; the block has no older copy and is lost,
+        while the segment's sound slots read as written.  The scrub
+        the failed read asks for salvages those from the cache and
+        quarantines the segment, the same in both modes."""
         disk = small_disk(64, model=FREE_POSITIONING if in_place else None)
         ld, blocks = volume_with_suffix(disk)
         ld.write_checkpoint()  # the victim is the one segment after it
@@ -483,27 +486,28 @@ class TestFallback:
         crashed = disk.power_cycle()
         eager, report = recover(crashed.snapshot(), config=CONFIG)
         instant, drained = recover(crashed.snapshot(), mode="instant", config=CONFIG)
-        instant.complete_restore()
-        instant.scrub([victim])
-        assert state_fingerprint(eager, report) == state_fingerprint(instant, drained)
         assert report.scan_plan == "walk"
         for volume in (eager, instant):
+            assert volume.usage.state(victim) is SegmentState.DIRTY
+            assert volume.read(sole[0]) == bytes([201]) * size
+            assert volume.read(blocks[0]) == bytes([202]) * size
+            with pytest.raises(UnrecoverableBlockError):
+                volume.read(sole[1])
+            assert volume._scrub_pending == {victim}
+            volume.scrub()
             assert volume.usage.state(victim) is SegmentState.QUARANTINED
             scrub = volume.stats()["scrub"]
-            assert (scrub["blocks_lost"], scrub["blocks_salvaged_stale"]) == (2, 1)
-            for block in sole:
-                with pytest.raises(UnrecoverableBlockError):
-                    volume.read(block)
-            # blocks[0] is salvaged stale: its copy from before the victim.
-            for block in blocks:
-                assert volume.read(block) == bytes([104]) * size
+            assert (scrub["blocks_lost"], scrub["blocks_salvaged"]) == (1, 2)
             assert verify_lld(volume) == []
+        assert state_fingerprint(eager, report) == state_fingerprint(instant, drained)
+        assert eager.stats()["scrub"] == instant.stats()["scrub"]
         again, again_report = recover_twice(eager.disk)
         assert again.usage.state(victim) is SegmentState.QUARANTINED
         assert again_report.segments_quarantined == 1
-        assert again.read(blocks[0]) == bytes([104]) * size
+        assert again.read(sole[0]) == bytes([201]) * size
+        assert again.read(blocks[0]) == bytes([202]) * size
         with pytest.raises(UnrecoverableBlockError):
-            again.read(sole[0])
+            again.read(sole[1])
 
     def test_every_cut_inside_the_last_trailer_of_the_log(self):
         """A byte-granular tear — which no real disk produces — inside
@@ -626,18 +630,22 @@ class TestFallback:
 
 
 class TestReadWindows:
-    """The disk model picks each scan read's window: 128 KB segments on
-    the default disk are read by a one-block tail, except that an eager
-    walk buys whole reads once renting tails would cost the run of
-    pending segments a transfer (after two); 16 KB segments stream in
-    less than a seek and are read whole in both modes."""
+    """The disk model picks each scan read's window, the same in both
+    modes: 128 KB segments on the default disk are read by a one-block
+    tail, 16 KB segments stream in less than a seek and are read whole.
+    No recovery reads a data slot: the first read that fetches a
+    pending slot checks it against its WRITE entry's CRC."""
 
     SUFFIX = 24
+    #: (segment KB, block size) of every geometry the modes are held
+    #: to one read plan on: streamed whole, the default small disk, an
+    #: in-place one, the ledger's and the TTFR bench's.
+    GEOMETRIES = [(16, 1024), (64, 4096), (128, 4096), (512, 4096), (2048, 16384)]
 
     def long_log(self, segment_kb=128, block_size=4096):
         """A checkpoint, then ``SUFFIX`` segments that write each block
         once; the first 40 blocks have an older copy under the
-        checkpoint."""
+        checkpoint.  Returns the disk, the volume and the blocks."""
         geometry = DiskGeometry(
             block_size=block_size,
             segment_size=segment_kb * 1024,
@@ -653,7 +661,7 @@ class TestReadWindows:
         for number, block in enumerate(blocks):
             ld.write(block, bytes([number % 251]) * block_size)
         ld.flush()
-        return disk, ld
+        return disk, ld, blocks
 
     def pending(self, ld):
         since = ld.checkpoints.last_log_seq
@@ -662,92 +670,217 @@ class TestReadWindows:
         )
 
     def recover_both(self, disk):
-        """Eager and instant recovery of one platter, each measured in
-        bytes read; the oracle holds for both."""
+        """Eager and instant recovery of one platter, each with the
+        bytes it read; the oracle holds for both, and neither writes."""
         recoveries_agree(disk, CONFIG)
         out = []
         for mode in ("eager", "instant"):
             crashed = disk.power_cycle()
             volume, report = recover(crashed, mode=mode, config=CONFIG)
-            out.append((volume, report, crashed.timer.bytes_transferred))
+            assert crashed.stats()["bytes_written"] == 0
+            out.append((volume, report, crashed.stats()["bytes_read"]))
         return out
 
+    @staticmethod
+    def checkpoint_bytes(disk):
+        """Bytes loading the newest checkpoint of ``disk`` reads."""
+        crashed = disk.power_cycle()
+        LLD(crashed, config=CONFIG, _defer_init=True).checkpoints.load()
+        return crashed.stats()["bytes_read"]
+
     def test_eager_reads_each_segment_about_once(self):
-        disk, ld = self.long_log()
+        """Once, by its tail: an eager recovery reads the checkpoint
+        and one block per segment it scans, nothing else, exactly as
+        an instant restore does."""
+        disk, ld, _blocks = self.long_log()
         pending = self.pending(ld)
-        (eager, report, read), instant_run = self.recover_both(disk)
-        _instant, tails, tails_read = instant_run
-        size, block = disk.geometry.segment_size, disk.geometry.block_size
+        (eager, report, read), (_instant, tails, tails_read) = self.recover_both(disk)
         assert report.scan_plan == "walk"
         assert report.segments_replayed == len(pending) >= self.SUFFIX
-        assert (tails.segments_read_whole, tails.bodies_reread) == (0, 0)
-        checkpoint = tails_read - tails.segments_scanned * block
-        assert read <= report.segments_scanned * size + checkpoint
-        # One run of pending segments: two tails, then whole reads to
-        # its end and at most one past it; the audit re-reads the two.
-        assert report.bodies_reread == 2
-        assert len(pending) - 2 <= report.segments_read_whole <= len(pending) - 1
-        (audit,) = [
-            e for e in eager.obs.recorder.events() if e["event"] == "recovery.audit"
-        ]
-        assert (audit["bodies_reread"], audit["failed"]) == (2, 0)
+        assert report.segments_read_whole == tails.segments_read_whole == 0
+        block = disk.geometry.block_size
+        assert read == tails_read
+        assert read == self.checkpoint_bytes(disk) + report.segments_scanned * block
         (scan,) = [
             e for e in eager.obs.recorder.events() if e["event"] == "recovery.scan"
         ]
-        assert scan["segments_read_whole"] == report.segments_read_whole
+        assert scan["segments_read_whole"] == 0
+        assert sorted(report.phase_us) == [
+            "checkpoint", "decode", "install", "replay", "scan"
+        ]
         assert sum(report.phase_us.values()) == pytest.approx(report.recovery_time_us)
 
-    @pytest.mark.parametrize("position", [1, 5], ids=["tail", "whole"])
-    def test_rot_in_a_data_slot(self, position):
-        """Rot in a data slot of a pending segment the scan read by its
-        tail (the run's second) or whole (its sixth): the audit finds it
-        either way and the scrubber gets the segment, as an instant
-        restore's scrub would."""
-        disk, ld = self.long_log()
-        _seq, victim = self.pending(ld)[position]
-        disk.injector.add_media_fault(MediaFault(victim, "corrupt", span=(0, 64)))
+    @pytest.mark.parametrize(
+        "segment_kb, block_size", [(128, 4096), (16, 1024)], ids=["tail", "whole"]
+    )
+    def test_rot_in_a_data_slot(self, segment_kb, block_size):
+        """Rot in two data slots of a pending segment the scan read by
+        its tail, or whole: one block with an older copy under the
+        checkpoint, one without.  No recovery reads either slot, so
+        eager and instant agree and nothing is quarantined.  Then, in
+        either mode — instant before and after its restore drains —
+        each rotten slot fails its CRC at its first read, alone, in a
+        batch or in a readahead window: the older copy is served or the
+        read raises, the rot is never cached, and the segment waits for
+        the scrubber, which retires it."""
+        disk, ld, blocks = self.long_log(segment_kb, block_size)
+        stale, lost = blocks[39], blocks[40]
+        victim = ld.bmap.persistent[stale].address.segment
+        assert victim in [seg for _seq, seg in self.pending(ld)]
+        rotten = [ld.bmap.persistent[block].address for block in (stale, lost)]
+        assert rotten[1] == (victim, rotten[0].slot + 1)
+        start = rotten[0].slot * block_size
+        disk.injector.add_media_fault(
+            MediaFault(victim, "corrupt", span=(start, start + block_size + 64))
+        )
         crashed = disk.power_cycle()
         eager, report = recover(crashed.snapshot(), config=CONFIG)
         instant, drained = recover(crashed.snapshot(), mode="instant", config=CONFIG)
         instant.complete_restore()
-        instant.scrub([victim])
-        assert report.bodies_reread == 2
         assert state_fingerprint(eager, report) == state_fingerprint(instant, drained)
-        (audit,) = [
-            e for e in eager.obs.recorder.events() if e["event"] == "recovery.audit"
-        ]
-        assert audit["failed"] == 1
-        for volume in (eager, instant):
-            assert volume.usage.state(victim) is SegmentState.QUARANTINED
-            assert volume.stats()["scrub"]["blocks_lost"] > 0
-            assert verify_lld(volume) == []
-        assert eager.stats()["scrub"] == instant.stats()["scrub"]
+        older = bytes([0]) * block_size
+        neighbours = blocks[37:39] + blocks[41:43]
 
-    def test_full_plan_reads_tails_and_audits_every_body(self):
-        disk, ld = self.long_log()
+        def opened(mode, drained):
+            volume, _report = recover(crashed.snapshot(), mode=mode, config=CONFIG)
+            if drained:
+                volume.complete_restore()
+            assert volume.usage.state(victim) is SegmentState.DIRTY
+            assert victim in volume._read_stream.slot_crcs
+            return volume
+
+        def never_cached(volume):
+            for address in rotten:
+                assert address not in volume.cache._entries
+
+        for mode, drained in (("eager", True), ("instant", False), ("instant", True)):
+            # Alone.
+            volume = opened(mode, drained)
+            assert volume.read(stale) == older
+            with pytest.raises(UnrecoverableBlockError):
+                volume.read(lost)
+            never_cached(volume)
+            assert volume._scrub_pending == {victim}
+            # In a batch, with sound slots of the same segment.
+            volume = opened(mode, drained)
+            assert volume.read_many([stale, blocks[41]]) == [
+                older, bytes([41]) * block_size
+            ]
+            with pytest.raises(UnrecoverableBlockError):
+                volume.read_many([lost, blocks[42]])
+            never_cached(volume)
+            # In the readahead window two adjacent misses open.
+            volume = opened(mode, drained)
+            for number, block in zip((37, 38), blocks[37:39]):
+                assert volume.read(block) == bytes([number]) * block_size
+            assert volume.stats()["read_stream"]["windows"] == 1
+            never_cached(volume)
+            assert ld.bmap.persistent[blocks[41]].address in volume.cache._entries
+            assert volume.read(stale) == older
+            for number, block in zip((37, 38, 41, 42), neighbours):
+                assert volume.read(block) == bytes([number]) * block_size
+            # The scrubber retires the segment, salvaging the cached.
+            volume.scrub()
+            assert volume.usage.state(victim) is SegmentState.QUARANTINED
+            assert victim not in volume._read_stream.slot_crcs
+            assert volume.read(stale) == older
+            with pytest.raises(UnrecoverableBlockError):
+                volume.read(lost)
+            assert verify_lld(volume) == []
+
+    def test_full_plan_reads_tails_only(self):
+        disk, ld, _blocks = self.long_log()
         injector = disk.injector
         injector.crash_plan = PowerCut(after_writes=injector.writes_seen, torn=True)
         injector._tear_point = lambda nbytes: SECTOR_SIZE
         with pytest.raises(DiskCrashedError):
             ld.write_checkpoint()
-        (_eager, report, _read), _instant = self.recover_both(disk)
+        (_eager, report, read), (_instant, _tails, tails_read) = self.recover_both(
+            disk
+        )
         assert report.scan_plan == "full"
         assert report.scan_fallback == "checkpoint slot 0 is damaged"
         assert report.segments_read_whole == 0
-        assert report.bodies_reread == report.segments_replayed >= self.SUFFIX
+        assert report.segments_replayed >= self.SUFFIX
+        assert read == tails_read
 
     #: Simulated µs to the first request of the instant restore below
     #: when every scan read was a one-block tail.
     TAIL_TTFR_US = 311_951.3
 
     def test_small_segments_stream_in_both_modes(self):
-        disk, _ld = self.long_log(segment_kb=16, block_size=1024)
-        (_eager, eager, _read), (_instant, instant, _tails) = self.recover_both(disk)
+        disk, _ld, _blocks = self.long_log(segment_kb=16, block_size=1024)
+        (_eager, eager, read), (_instant, instant, tails_read) = self.recover_both(
+            disk
+        )
         for report in (eager, instant):
             assert report.segments_read_whole == report.segments_scanned
-        assert eager.bodies_reread == 0
+        assert read == tails_read
         assert read_plan(eager) == read_plan(instant)
         assert instant.ttfr_us < self.TAIL_TTFR_US
+
+    @pytest.mark.parametrize(
+        "segment_kb, block_size", GEOMETRIES, ids=[f"{kb}KB" for kb, _b in GEOMETRIES]
+    )
+    def test_modes_read_alike_on_every_geometry(self, segment_kb, block_size):
+        disk, _ld, _blocks = self.long_log(segment_kb, block_size)
+        (_eager, eager, read), (_instant, instant, tails_read) = self.recover_both(
+            disk
+        )
+        assert read_plan(eager) == read_plan(instant)
+        assert eager.segments_read_whole == instant.segments_read_whole
+        assert read == tails_read
+
+
+class TestSlotCrcs:
+    """The pending slots the read stream checks: the WRITE entries of
+    every segment a recovery trusted on its summary CRC alone, until
+    the cleaner frees the segment or a scrub checks it."""
+
+    def recovered(self, mode):
+        disk = small_disk(64)
+        ld, blocks = volume_with_suffix(disk)
+        since = ld.checkpoints.last_log_seq
+        pending = sorted(
+            (seq, seg) for seg, _live, seq in ld.usage.dirty_segments() if seq > since
+        )
+        volume, report = recover(disk.power_cycle(), mode=mode, config=CONFIG)
+        crcs = volume._read_stream.slot_crcs
+        assert sorted(crcs) == sorted(seg for _seq, seg in pending)
+        return volume, blocks, [seg for _seq, seg in pending], crcs
+
+    @pytest.mark.parametrize("mode", ["eager", "instant"])
+    def test_the_map_holds_the_write_entries_of_the_pending_segments(self, mode):
+        volume, _blocks, pending, crcs = self.recovered(mode)
+        disk = volume.disk
+        for seg in pending:
+            decoded = decode_segment(disk.read_segment(seg), disk.geometry, seg)
+            assert crcs[seg] == {
+                fields[4]: fields[5]
+                for fields in decoded.entry_tuples
+                if fields[0] == KIND_WRITE
+            }
+
+    def test_a_scrubbed_segment_leaves_the_map(self):
+        volume, _blocks, pending, crcs = self.recovered("instant")
+        volume.scrub([pending[0]])
+        assert pending[0] not in crcs
+        assert volume.usage.state(pending[0]) is SegmentState.DIRTY
+        assert sorted(crcs) == pending[1:]
+        volume.scrub()
+        assert crcs == {}
+
+    def test_a_cleaned_segment_leaves_the_map(self):
+        volume, blocks, pending, crcs = self.recovered("eager")
+        fill(volume, blocks, 2, tag=150)
+        report = SegmentCleaner(volume).clean(
+            target_free=volume.usage.free_count + 3
+        )
+        freed = set(pending) & set(report.victims)
+        assert freed
+        assert not freed & set(crcs)
+        for seg in freed:
+            assert volume.usage.state(seg) is not SegmentState.DIRTY
 
 
 # ----------------------------------------------------------------------

@@ -411,12 +411,12 @@ class TestScrubTorture:
 
 
 class TestCleanerDamagedVictims:
-    def churned(self):
-        """40 blocks, all but the last five overwritten: two dead
-        segments, and one that still holds the five."""
+    def churned(self, kept=5):
+        """40 blocks, all but the last ``kept`` overwritten: two dead
+        segments, and one that still holds the ``kept``."""
         disk, lld = make(num_segments=24)
         blocks, _expected = fill(lld, 40, seed=5)
-        for block in blocks[:-5]:
+        for block in blocks[:-kept]:
             lld.write(block, b"\x11" * lld.geometry.block_size)
         lld.flush()
         lld.read_many(blocks)
@@ -463,16 +463,19 @@ class TestCleanerDamagedVictims:
 class TestCleanerReadsWhatItCopies:
     """The cleaner reads a live victim's summary stack and the live
     slots it copies, each checked against its WRITE entry's CRC; rot
-    anywhere else in the victim is the scrubber's to find."""
+    anywhere else in the victim is the scrubber's to find.  Unless the
+    disk model prices the tail and the slots above the whole body: on
+    these 64 KB segments two live slots are, one is not, and a body
+    read whole has every slot checked."""
 
-    def rotten(self, span):
-        """:meth:`TestCleanerDamagedVictims.churned`, the five blocks
-        its victim keeps read into the cache, and one byte of that
-        victim rotten: ``span(volume, victim, kept)`` picks the offset.
-        Returns (disk, volume, blocks, the five and their bytes,
-        victim, the cleaner's report)."""
-        disk, lld, blocks, dead = TestCleanerDamagedVictims().churned()
-        kept = {block: lld.read(block) for block in blocks[-5:]}
+    def rotten(self, span, keep=5):
+        """:meth:`TestCleanerDamagedVictims.churned`, the ``keep``
+        blocks its victim keeps read into the cache, and one byte of
+        that victim rotten: ``span(volume, victim, kept)`` picks the
+        offset.  Returns (disk, volume, blocks, the kept blocks and
+        their bytes, victim, the cleaner's report)."""
+        disk, lld, blocks, dead = TestCleanerDamagedVictims().churned(keep)
+        kept = {block: lld.read(block) for block in blocks[-keep:]}
         victim = segment_of(lld, blocks[-1])
         offset = span(lld, victim, kept)
         disk.injector.add_media_fault(
@@ -503,17 +506,31 @@ class TestCleanerReadsWhatItCopies:
             assert lld.read(block) == data
         assert verify_lld(lld) == []
 
-    def test_rot_in_a_dead_slot_of_a_live_victim_is_not_read(self):
-        def dead_slot(lld, victim, kept):
-            live = {lld.bmap.persistent[block].address.slot for block in kept}
-            slot = min(set(range(lld.usage.total_slots(victim))) - live)
-            return slot * lld.geometry.block_size
+    @staticmethod
+    def dead_slot(lld, victim, kept):
+        live = {lld.bmap.persistent[block].address.slot for block in kept}
+        slot = min(set(range(lld.usage.total_slots(victim))) - live)
+        return slot * lld.geometry.block_size
 
-        disk, lld, blocks, kept, victim, report = self.rotten(dead_slot)
+    def test_rot_in_a_dead_slot_of_a_live_victim_is_not_read(self):
+        disk, lld, blocks, kept, victim, report = self.rotten(
+            self.dead_slot, keep=1
+        )
+        assert victim not in report.read_whole
         assert report.damaged == []
         assert victim in report.victims
         assert lld.usage.state(victim) is SegmentState.FREE
         for block, data in kept.items():
+            assert lld.read(block) == data
+        assert verify_lld(lld) == []
+
+    def test_rot_in_a_dead_slot_of_a_victim_read_whole_is_found(self):
+        disk, lld, blocks, kept, victim, report = self.rotten(self.dead_slot)
+        assert victim in report.read_whole
+        assert report.damaged == [victim]
+        assert lld.usage.state(victim) is SegmentState.QUARANTINED
+        for block, data in kept.items():
+            assert segment_of(lld, block) != victim
             assert lld.read(block) == data
         assert verify_lld(lld) == []
 

@@ -43,7 +43,9 @@ FROZEN_PATHS = [
     "disk.batched_requests:int",
     "disk.batched_runs:int",
     "disk.busy_us:number",
+    "disk.bytes_read:int",
     "disk.bytes_transferred:int",
+    "disk.bytes_written:int",
     "disk.read_batches:int",
     "disk.reads:int",
     "disk.requests:int",

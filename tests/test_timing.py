@@ -70,6 +70,17 @@ class TestDiskTimer:
         timer.access(100, 200)
         assert timer.bytes_transferred == 300
 
+    def test_bytes_split_by_direction(self):
+        """A write batch streams past the gap between its ranges, and
+        the gap counts on the write side; the total is the sum."""
+        timer = DiskTimer(SimClock(), HP_C3010)
+        timer.access_batch([(0, 4096), (8192, 4096)], is_write=True)
+        assert (timer.bytes_read, timer.bytes_written) == (0, 12288)
+        timer.access_batch([(0, 4096), (8192, 4096)])
+        timer.access(1 << 20, 100)
+        assert (timer.bytes_read, timer.bytes_written) == (12388, 12288)
+        assert timer.bytes_transferred == 24676
+
     def test_sequential_writes_reach_near_bandwidth(self):
         """Large sequential transfers should approach the sustained
         transfer rate — the property LLD's segment writes exploit."""
