@@ -60,8 +60,12 @@ class LogSink(Protocol):
     def log_delete_list(self, aru_tag, ts, list_id) -> None:
         """Record a list and its members deallocated."""
 
-    def retire_address(self, addr: PhysAddr) -> None:
-        """No version references ``addr`` any longer."""
+    def retire_address(
+        self, addr: PhysAddr, successor: Optional[PhysAddr] = None
+    ) -> None:
+        """No version references ``addr`` any longer; ``successor`` is
+        the address that now holds the same block's data, when a
+        rewrite superseded it."""
 
 
 class VersionEngine:
@@ -548,7 +552,9 @@ class VersionEngine:
                 and old.address is not None
                 and old.address != version.address
             ):
-                self.sink.retire_address(old.address)
+                self.sink.retire_address(
+                    old.address, version.address if version.allocated else None
+                )
         if not version.allocated:
             persistent.pop(ident, None)
             return

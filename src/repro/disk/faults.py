@@ -18,6 +18,8 @@ none until one is armed on it):
 * :class:`MediaFault` marks individual segments as unreadable or
   silently corrupted, modelling partial media failures.  With a
   ``shard`` it applies to one member disk of a sharded array only.
+  A segment keeps every fault it is given: an unreadable one wins,
+  else every corrupt span is flipped.
 * :class:`ShardLoss` destroys one member disk of an array outright:
   every subsequent read or write of that disk raises
   :class:`~repro.errors.ShardLostError`, and — unlike a power cut —
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.disk.geometry import SECTOR_SIZE
 from repro.errors import DiskCrashedError, MediaError, ShardLostError
@@ -162,10 +164,10 @@ class FaultInjector:
         #: The armed power cut (None: none, or already spent).  Tests
         #: re-arm a running disk by assigning a new :class:`PowerCut`.
         self.crash_plan: Optional[PowerCut] = plan.power_cut
-        #: Unscoped media faults, keyed by segment (shard-scoped
-        #: faults live in ``_scoped_faults``).
-        self.media_faults: Dict[int, MediaFault] = {}
-        self._scoped_faults: Dict[Tuple[int, int], MediaFault] = {}
+        #: Unscoped media faults, every one of a segment under its
+        #: number (shard-scoped faults live in ``_scoped_faults``).
+        self.media_faults: Dict[int, List[MediaFault]] = {}
+        self._scoped_faults: Dict[Tuple[int, int], List[MediaFault]] = {}
         #: Shard losses not yet triggered, keyed by shard.
         self._pending_losses: Dict[int, ShardLoss] = {}
         #: Shards whose media is destroyed; survives power_cycle().
@@ -189,29 +191,31 @@ class FaultInjector:
 
     def add_media_fault(self, fault: MediaFault) -> None:
         """Register a media fault for one segment (shard-scoped if the
-        fault carries a shard)."""
+        fault carries a shard), beside any it already has."""
         if fault.shard is None:
-            self.media_faults[fault.segment_no] = fault
+            self.media_faults.setdefault(fault.segment_no, []).append(fault)
         else:
-            self._scoped_faults[(fault.shard, fault.segment_no)] = fault
+            key = (fault.shard, fault.segment_no)
+            self._scoped_faults.setdefault(key, []).append(fault)
 
     def clear_media_fault(
         self, segment_no: int, shard: Optional[int] = None
     ) -> None:
-        """Remove a media fault, if present (repaired sector)."""
+        """Remove every media fault of a segment (repaired sectors)."""
         if shard is None:
             self.media_faults.pop(segment_no, None)
         else:
             self._scoped_faults.pop((shard, segment_no), None)
 
-    def _fault_for(
+    def _faults_for(
         self, segment_no: int, shard: Optional[int]
-    ) -> Optional[MediaFault]:
+    ) -> Sequence[MediaFault]:
+        faults = self.media_faults.get(segment_no, ())
         if shard is not None:
             scoped = self._scoped_faults.get((shard, segment_no))
-            if scoped is not None:
-                return scoped
-        return self.media_faults.get(segment_no)
+            if scoped:
+                faults = [*scoped, *faults]
+        return faults
 
     # ------------------------------------------------------------------
     # Shard loss
@@ -320,15 +324,23 @@ class FaultInjector:
         self._check_shard(segment_no, shard, "read")
         if self.crashed:
             raise DiskCrashedError(f"read of segment {segment_no} after crash")
-        fault = self._fault_for(segment_no, shard)
-        if fault is None:
+        faults = self._faults_for(segment_no, shard)
+        if not faults:
             return data
-        if fault.kind == "unreadable":
+        if any(fault.kind == "unreadable" for fault in faults):
             raise MediaError(f"segment {segment_no} is unreadable")
-        if fault.span is None:
-            return _flip_bits(data)
-        start, end = fault.span
-        return data[:start] + _flip_bits(data[start:end]) + data[end:]
+        spans = sorted((0, len(data)) if f.span is None else f.span for f in faults)
+        # Overlapping spans are merged, so every byte in one flips once.
+        merged = [list(spans[0])]
+        for start, end in spans[1:]:
+            if start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        rotten = bytearray(data)
+        for start, end in merged:
+            rotten[start:end] = _flip_bits(data[start:end])
+        return bytes(rotten)
 
     def power_cycle(self) -> None:
         """Restore power after a crash (the recovery path may now read).

@@ -375,8 +375,11 @@ class JLD(LogicalDisk):
             self._release(cursor)
             cursor = member.successor
 
-    def retire_address(self, addr: PhysAddr) -> None:
-        """Homes are released at deallocation (:meth:`_release`)."""
+    def retire_address(
+        self, addr: PhysAddr, successor: Optional[PhysAddr] = None
+    ) -> None:
+        """Homes are released at deallocation (:meth:`_release`); a
+        home never moves, so no standing has to follow it."""
 
     def _release(self, block_id) -> None:
         """A deallocation committed: drop the redo, free the home (and

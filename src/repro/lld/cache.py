@@ -4,7 +4,17 @@ Because LLD is append-only, a physical address never changes content
 while its segment is part of the log, so the cache is keyed by
 physical address and needs no version logic: new versions of a block
 get new addresses.  The cleaner invalidates a whole segment's entries
-when it frees the segment.
+when it frees the segment, and the log writer drops an address the
+moment no version references it any longer.
+
+Replacement is a segmented LRU (Karedla, Love & Wherry, IEEE Computer
+1994): a block enters on probation and earns a protected place by a
+second reference, so a pass over cold blocks (misses, readahead
+windows, write-behind slots) evicts other cold blocks, not the hot
+set.  Since every rewrite moves a block, the standing belongs to the
+block, not to the address: a protected address superseded by a
+rewrite hands its place to the address the data moved to
+(:meth:`BlockCache.invalidate` with a ``successor``).
 
 Every cache miss of a logical disk (LLD and the journaling baseline
 alike) reaches the platter through one :class:`ReadStream`, which asks
@@ -32,12 +42,24 @@ from repro.ld.types import PhysAddr
 #: throughput jumpy at small benchmark scales).
 READAHEAD_BLOCKS = 32
 
+#: Share of a cache's capacity its protected segment may fill; the
+#: rest is probation, where every new entry starts.
+PROTECTED_SHARE = 0.8
+
 
 class BlockCache:
-    """LRU cache of block data keyed by physical address (the
-    address itself: a tuple).
+    """Segmented-LRU cache of block data keyed by physical address
+    (the address itself: a tuple).
 
-    A per-segment key index mirrors the entry map so the cleaner's
+    Two LRU lists share ``capacity`` blocks.  :meth:`put` inserts at
+    probation's MRU end; a :meth:`get` that hits in probation promotes
+    the entry to protected, which holds at most
+    :data:`PROTECTED_SHARE` of the capacity; protected overflow is
+    demoted to probation's MRU end, not dropped, and eviction takes
+    probation's LRU end.  A hit in protected only refreshes it.
+    :meth:`peek` looks without counting or promoting.
+
+    A per-segment key index covers both lists so the cleaner's
     :meth:`invalidate_segment` touches only that segment's entries
     instead of scanning the whole cache.
     """
@@ -46,31 +68,57 @@ class BlockCache:
         if capacity_blocks < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity_blocks
-        self._entries: "OrderedDict[PhysAddr, bytes]" = OrderedDict()
+        self.protected_capacity = int(capacity_blocks * PROTECTED_SHARE)
+        self._probation: "OrderedDict[PhysAddr, bytes]" = OrderedDict()
+        self._protected: "OrderedDict[PhysAddr, bytes]" = OrderedDict()
         self._by_segment: Dict[int, Set[PhysAddr]] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, addr: PhysAddr) -> Optional[bytes]:
-        """Look up an address, refreshing its LRU position."""
-        data = self._entries.get(addr)
+        """Look up an address; a hit refreshes or promotes it."""
+        data = self._protected.get(addr)
+        if data is not None:
+            self._protected.move_to_end(addr)
+            self.hits += 1
+            return data
+        data = self._probation.pop(addr, None)
         if data is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(addr)
         self.hits += 1
+        self._protect(addr, data)
         return data
 
+    def peek(self, addr: PhysAddr) -> Optional[bytes]:
+        """Look up an address without counting or moving it."""
+        data = self._protected.get(addr)
+        return data if data is not None else self._probation.get(addr)
+
     def put(self, addr: PhysAddr, data: bytes) -> None:
-        """Insert (or refresh) an address."""
+        """Insert an address on probation, or refresh it where it is."""
         if self.capacity == 0:
             return
-        self._entries[addr] = data
-        self._entries.move_to_end(addr)
+        if addr in self._protected:
+            self._protected[addr] = data
+            self._protected.move_to_end(addr)
+            return
+        probation = self._probation
+        probation[addr] = data
+        probation.move_to_end(addr)
         self._by_segment.setdefault(addr.segment, set()).add(addr)
-        while len(self._entries) > self.capacity:
-            evicted, _data = self._entries.popitem(last=False)
+        while len(probation) + len(self._protected) > self.capacity:
+            evicted, _data = probation.popitem(last=False)
             self._forget(evicted)
+
+    def _protect(self, addr: PhysAddr, data: bytes) -> None:
+        """Place ``addr`` at protected's MRU end, demoting its overflow
+        to probation's MRU end."""
+        protected = self._protected
+        protected[addr] = data
+        if len(protected) > self.protected_capacity:
+            demoted, demoted_data = protected.popitem(last=False)
+            self._probation[demoted] = demoted_data
 
     def _forget(self, addr: PhysAddr) -> None:
         """Drop ``addr`` from the per-segment index."""
@@ -80,10 +128,23 @@ class BlockCache:
             if not keys:
                 del self._by_segment[addr.segment]
 
-    def invalidate(self, addr: PhysAddr) -> bool:
-        """Drop one cached address (e.g. its home slot was freed)."""
-        if self._entries.pop(addr, None) is None:
-            return False
+    def invalidate(
+        self, addr: PhysAddr, successor: Optional[PhysAddr] = None
+    ) -> bool:
+        """Drop one cached address (its slot died or was freed).
+
+        ``successor`` is where the same block's data now lives: if
+        ``addr`` was protected, a cached successor takes its protected
+        standing, so a rewrite does not send a hot block back through
+        probation."""
+        data = self._protected.pop(addr, None)
+        if data is None:
+            if self._probation.pop(addr, None) is None:
+                return False
+        elif successor is not None:
+            moved = self._probation.pop(successor, None)
+            if moved is not None:
+                self._protect(successor, moved)
         self._forget(addr)
         return True
 
@@ -96,16 +157,21 @@ class BlockCache:
         if not stale:
             return 0
         for key in stale:
-            del self._entries[key]
+            if self._probation.pop(key, None) is None:
+                del self._protected[key]
         return len(stale)
 
     def invalidate_all(self) -> None:
         """Empty the cache."""
-        self._entries.clear()
+        self._probation.clear()
+        self._protected.clear()
         self._by_segment.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._probation) + len(self._protected)
+
+    def __contains__(self, addr: PhysAddr) -> bool:
+        return addr in self._protected or addr in self._probation
 
     @property
     def hit_rate(self) -> float:

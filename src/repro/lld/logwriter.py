@@ -128,12 +128,17 @@ class LogWriter:
             SummaryEntry(EntryKind.DELETE_LIST, aru_tag, ts, list_id)
         )
 
-    def retire_address(self, addr: PhysAddr) -> None:
+    def retire_address(
+        self, addr: PhysAddr, successor: Optional[PhysAddr] = None
+    ) -> None:
         """One physical slot is no longer referenced by any version.
 
-        Only slots the usage table has counted are uncounted: all of
-        an on-disk or queued segment's, and of the segment still being
+        Its cache entry goes, handing its standing to ``successor``
+        (the block's new address, when a rewrite superseded it).  Only
+        slots the usage table has counted are uncounted: all of an
+        on-disk or queued segment's, and of the segment still being
         filled those a chunk written in place already published."""
+        self.cache.invalidate(addr, successor)
         state = self.usage.state(addr.segment)
         if state in (SegmentState.DIRTY, SegmentState.QUEUED) or (
             state is SegmentState.CURRENT

@@ -303,7 +303,7 @@ class Scrubber:
         lld = self.lld
         addr = version.address
         stale = False
-        data = lld.cache.get(addr)
+        data = lld.cache.peek(addr)
         if data is None and (
             lld._buffer is not None and lld._buffer.contains_block(block_id)
         ):

@@ -32,6 +32,8 @@ class ListSink:
     def __init__(self):
         self.records = []
         self.retired = []
+        #: ``successor`` of each :attr:`retired` address, in step.
+        self.successors = []
         self.log_seq = 1
         self.written_seq = 0
         self.committed_tags = set()
@@ -49,8 +51,9 @@ class ListSink:
     def log_delete_list(self, aru_tag, ts, list_id):
         self.records.append(("DELETE_LIST", aru_tag, ts, list_id))
 
-    def retire_address(self, addr):
+    def retire_address(self, addr, successor=None):
         self.retired.append(addr)
+        self.successors.append(successor)
 
 
 class Volume:
@@ -312,9 +315,13 @@ class TestFold:
         volume.flush()
         assert volume.sink.retired == [first]
         second = volume.engine.blocks.persistent[block].address
+        # A rewrite names where the block's data went ...
+        assert volume.sink.successors == [second]
         volume.delete_block(block)
         volume.flush()
         assert volume.sink.retired == [first, second]
+        # ... a deletion, nowhere.
+        assert volume.sink.successors == [second, None]
         assert block not in volume.engine.blocks.ids()
 
 

@@ -133,7 +133,7 @@ class TestDiskFull:
         newest = b"kept-%d" % (number - 1)
         older = volume.read(kept)
         assert older.startswith(b"kept-") and not older.startswith(newest)
-        assert (seg, slot) not in volume.cache._entries
+        assert (seg, slot) not in volume.cache
         assert volume._scrub_pending == {seg}
         assert verify_lld(volume) == []
         with pytest.raises(DiskFullError):
@@ -143,4 +143,4 @@ class TestDiskFull:
         # checked when read: the older copy again, the rot never cached.
         assert volume.usage.state(seg) is SegmentState.DIRTY
         assert volume.read(kept) == older
-        assert (seg, slot) not in volume.cache._entries
+        assert (seg, slot) not in volume.cache

@@ -101,6 +101,46 @@ class TestScopedMediaFaults:
                 disk.read(0, 0, 16)
 
 
+class TestFaultsOfOneSegment:
+    """A segment keeps every media fault it is given."""
+
+    def written(self):
+        disk = make_disk(injector=FaultInjector())
+        disk.write_segment(0, bytes(range(256)) * (disk.geometry.segment_size // 256))
+        return disk, disk.read(0, 0, 256)
+
+    def test_every_corrupt_span_is_flipped(self):
+        disk, clean = self.written()
+        for span in ((8, 16), (64, 72)):
+            disk.injector.add_media_fault(MediaFault(0, "corrupt", span=span))
+        rotten = disk.read(0, 0, 256)
+        flipped = [i for i in range(256) if rotten[i] != clean[i]]
+        assert flipped == list(range(8, 16)) + list(range(64, 72))
+
+    def test_overlapping_spans_flip_each_byte_once(self):
+        disk, clean = self.written()
+        for span in ((8, 16), (12, 20)):
+            disk.injector.add_media_fault(MediaFault(0, "corrupt", span=span))
+        rotten = disk.read(0, 0, 256)
+        assert [i for i in range(256) if rotten[i] != clean[i]] == list(range(8, 20))
+
+    @pytest.mark.parametrize("first", ["unreadable", "corrupt"])
+    def test_unreadable_wins(self, first):
+        disk, _clean = self.written()
+        second = "corrupt" if first == "unreadable" else "unreadable"
+        for kind in (first, second):
+            disk.injector.add_media_fault(MediaFault(0, kind, span=(0, 8)))
+        with pytest.raises(MediaError):
+            disk.read(0, 0, 16)
+
+    def test_clear_removes_them_all(self):
+        disk, clean = self.written()
+        disk.injector.add_media_fault(MediaFault(0, "corrupt", span=(0, 8)))
+        disk.injector.add_media_fault(MediaFault(0, "unreadable"))
+        disk.injector.clear_media_fault(0)
+        assert disk.read(0, 0, 256) == clean
+
+
 class TestShardLossSemantics:
     def test_immediate_loss_blocks_all_io(self):
         injector = FaultInjector(

@@ -261,7 +261,7 @@ class TestRule:
         stream.read(PhysAddr(2, 0), 127)
         stream.read(PhysAddr(2, 2), 127)
         stream.read(PhysAddr(2, 5), 127)
-        cached = sorted(slot for _segment, slot in stream.cache._entries)
+        cached = [slot for slot in range(127) if PhysAddr(2, slot) in stream.cache]
         assert cached == [0, 2] + list(range(5, 5 + READAHEAD_BLOCKS))
 
     def test_readahead_off_positions_every_miss(self):

@@ -710,6 +710,29 @@ class TestReadWindows:
         ]
         assert sum(report.phase_us.values()) == pytest.approx(report.recovery_time_us)
 
+    def test_two_rotten_slots_of_one_segment(self):
+        """Rot in two non-adjacent slots of one pending segment, given
+        as two media faults: each is caught at its first read, and
+        the older copy is served, never the rot."""
+        disk, ld, blocks = self.long_log()
+        block_size = disk.geometry.block_size
+        rotten = [ld.bmap.persistent[blocks[n]].address for n in (36, 39)]
+        victim = rotten[0].segment
+        assert rotten[1] == (victim, rotten[0].slot + 3)
+        for address in rotten:
+            start = address.slot * block_size
+            disk.injector.add_media_fault(
+                MediaFault(victim, "corrupt", span=(start, start + 64))
+            )
+        volume, _report = recover(disk.power_cycle(), config=CONFIG)
+        assert victim in volume._read_stream.slot_crcs
+        for number in (36, 39):
+            assert volume.read(blocks[number]) == bytes([0]) * block_size
+        for address in rotten:
+            assert address not in volume.cache
+        assert volume.read(blocks[37]) == bytes([37]) * block_size
+        assert volume._scrub_pending == {victim}
+
     @pytest.mark.parametrize(
         "segment_kb, block_size", [(128, 4096), (16, 1024)], ids=["tail", "whole"]
     )
@@ -751,7 +774,7 @@ class TestReadWindows:
 
         def never_cached(volume):
             for address in rotten:
-                assert address not in volume.cache._entries
+                assert address not in volume.cache
 
         for mode, drained in (("eager", True), ("instant", False), ("instant", True)):
             # Alone.
@@ -775,7 +798,7 @@ class TestReadWindows:
                 assert volume.read(block) == bytes([number]) * block_size
             assert volume.stats()["read_stream"]["windows"] == 1
             never_cached(volume)
-            assert ld.bmap.persistent[blocks[41]].address in volume.cache._entries
+            assert ld.bmap.persistent[blocks[41]].address in volume.cache
             assert volume.read(stale) == older
             for number, block in zip((37, 38, 41, 42), neighbours):
                 assert volume.read(block) == bytes([number]) * block_size

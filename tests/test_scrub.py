@@ -94,6 +94,21 @@ class TestSalvage:
         for block in blocks:
             assert lld.read(block) == expected[int(block)]
 
+    def test_salvage_from_cache_counts_no_hits(self):
+        """The scrubber looks in the cache without a lookup's side
+        effects: no hit is counted and nothing is promoted."""
+        disk, lld = make()
+        blocks, _expected = fill(lld, 30)
+        lld.read_many(blocks)
+        victim = segment_of(lld, blocks[0])
+        disk.injector.add_media_fault(MediaFault(victim, "corrupt"))
+        before = lld.stats()
+        report = lld.scrub()
+        assert report.blocks_salvaged > 0
+        after = lld.stats()
+        assert after["cache_hits"] == before["cache_hits"]
+        assert after["cache_misses"] == before["cache_misses"]
+
     def test_unreadable_segment_classified(self):
         disk, lld = make()
         blocks, _ = fill(lld, 30)
