@@ -220,26 +220,33 @@ class ReadStream:
     block.  The counters (``stats()``) are plain ints and touch no
     clock.
 
-    *Does a fetched slot hold?*  :attr:`slot_crcs` maps a segment whose
-    slots nobody has checked yet — one recovery trusted on its summary
-    CRC alone — to ``{slot: CRC-32}`` from its WRITE entries.  Every
-    slot fetched from such a segment, window slots included, is checked
-    (charged to ``meter`` as ``crc_kb_us``) before it is cached; one
+    *Does a fetched slot hold?*  :attr:`unchecked` holds the segments
+    whose slots nobody has checked yet — the ones recovery trusted on
+    their summary CRC alone.  Every slot fetched from such a segment,
+    window slots included, is checked against the CRC-32 its slot table
+    in ``usage`` holds (:meth:`~repro.lld.usage.SegmentUsage.slot_crc`;
+    charged to ``meter`` as ``crc_kb_us``) before it is cached; one
     that fails is never cached, and for the block asked for it is a
-    :class:`~repro.errors.MediaError`.  Recovery fills the map
+    :class:`~repro.errors.MediaError`.  Recovery fills the set
     (:meth:`check_on_read`); a segment leaves it when a scrub has read
     it whole and every slot held (:meth:`checked`), or when it is
     freed or quarantined (:meth:`forget`).
     """
 
     def __init__(
-        self, disk, cache: BlockCache, readahead: bool = True, meter=None
+        self,
+        disk,
+        cache: BlockCache,
+        readahead: bool = True,
+        meter=None,
+        usage=None,
     ) -> None:
         self.disk = disk
         self.cache = cache
         self.readahead = readahead
         self.meter = meter
-        self.slot_crcs: Dict[int, Dict[int, int]] = {}
+        self.usage = usage
+        self.unchecked: Set[int] = set()
         self._block_size = disk.geometry.block_size
         self._segment_size = disk.geometry.segment_size
         # The largest gap worth streaming over: the inequality above,
@@ -306,12 +313,12 @@ class ReadStream:
         the evidence gathered so far.
         """
         block_size = self._block_size
-        crcs = self.slot_crcs.get(addr.segment)
+        check = addr.segment in self.unchecked
         gap = self._gap(self.disk.head_offset, addr)
         ahead = self._gap(self._end, addr)
         window = ahead is not None and (ahead == 0 or self._continued)
         self._continued = False
-        if gap is None and not window and crcs is None:
+        if gap is None and not window and not check:
             # The common miss of a random reader, kept short: nothing
             # to stream over, nothing to read ahead, nothing to check.
             data = self.disk.read(
@@ -334,7 +341,7 @@ class ReadStream:
         for index in range(span):
             start = skip + index * block_size
             slot = PhysAddr(addr.segment, addr.slot + index)
-            if crcs is None or self._holds(slot, raw[start : start + block_size]):
+            if not check or self._holds(slot, raw[start : start + block_size]):
                 self.cache.put(slot, raw[start : start + block_size])
             elif not index:  # rot: never cached, never served
                 raise MediaError(f"{addr} fails its slot CRC")
@@ -373,19 +380,20 @@ class ReadStream:
                 addr, 1, self._gap(head, addr), self._gap(self._end, addr)
             )
             head = self._end
-            if self.slot_crcs and not self._holds(addr, raw):
+            if self.unchecked and not self._holds(addr, raw):
                 raws[index] = None  # rot: never cached, never served
             else:
                 self.cache.put(addr, raw)
         return dict(zip(ordered, raws))
 
-    def check_on_read(self, slot_crcs: Dict[int, Dict[int, int]]) -> None:
-        """Check each slot of ``{segment: {slot: CRC-32}}`` when read."""
-        self.slot_crcs = slot_crcs
+    def check_on_read(self, segments: Iterable[int]) -> None:
+        """Check each slot of ``segments`` against its slot table when
+        read."""
+        self.unchecked = set(segments)
 
     def checked(self, segment_no: int) -> None:
         """Every slot of ``segment_no`` held: no read checks it again."""
-        self.slot_crcs.pop(segment_no, None)
+        self.unchecked.discard(segment_no)
 
     def forget(self, segment_no: int) -> None:
         """``segment_no`` is freed or quarantined: nothing read from it
@@ -396,7 +404,9 @@ class ReadStream:
     def _holds(self, addr: PhysAddr, data: bytes) -> bool:
         """False if ``addr`` is an unchecked slot and ``data`` fails
         its CRC; the check is charged."""
-        crc = self.slot_crcs.get(addr.segment, {}).get(addr.slot)
+        if addr.segment not in self.unchecked:
+            return True
+        crc = self.usage.slot_crc(addr.segment, addr.slot)
         if crc is None:
             return True
         self.meter.charge("crc_kb_us", self._block_size / 1024.0)

@@ -17,15 +17,22 @@ supersedes its summaries like any victim's, so it is freed without
 being read — every such segment, by whichever pass runs, since one
 checkpoint pays for all of them.  Only when the dead fall short of
 the target does the policy pick victims to copy from, and of those
-the cleaner reads only what it copies: first every victim's summary
-stack, from tail windows (:func:`~repro.lld.segment.decode_stacks`,
-the loop recovery's scan uses), then, in one batch, just the live
-slots, each checked against the CRC its WRITE entry carries before it
-is copied.  A victim that cannot be read, whose summary fails its CRC
-or whose chunk walk stops short, or one of whose copied slots fails
-its CRC goes to the scrubber instead of being freed.  A fault under
-dead data — a dead segment, or a dead slot of a live victim — is the
-scrubber's to find (docs/SIMULATION.md): the cleaner never reads it.
+the cleaner reads only what it copies.  Which block each slot of a
+victim holds, and with what CRC, it takes from the victim's slot
+table (:meth:`~repro.lld.usage.SegmentUsage.slot_table`), the WRITE
+entries the volume copied in when it wrote the segment or recovery
+when it replayed it; then it reads, in one batch, just the live
+slots, each checked against its CRC before it is copied.  Only a
+victim no table covers — one the checkpoint attested at recovery —
+has its summary stack read first, from a tail window
+(:func:`~repro.lld.segment.decode_stacks`, the loop recovery's scan
+uses; ``CleanReport.summaries_read``).  A victim that cannot be read,
+whose summary fails its CRC or whose chunk walk stops short, or one
+of whose copied slots fails its CRC goes to the scrubber instead of
+being freed.  A fault under dead data — a dead segment, a dead slot
+of a live victim, or the summaries of a victim a table covers — is
+the scrubber's to find (docs/SIMULATION.md): the cleaner never reads
+it.
 
 Correctness protocol: a block slot is copied only if the persistent
 record still points at it *and* no committed record supersedes it (a
@@ -41,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import zlib
-from typing import List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
@@ -73,8 +80,11 @@ class CleanReport:
     #: stacks, live slots, bodies read whole and any gap the disk
     #: streamed between them.
     bytes_read: int = 0
-    #: The victims read whole, their tail and live slots dearer.
+    #: The victims read whole, their live slots (and tail) dearer.
     read_whole: List[int] = dataclasses.field(default_factory=list)
+    #: Victims read by a tail window because no slot table covers
+    #: them: the ones a checkpoint attested at recovery.
+    summaries_read: int = 0
 
 
 class SegmentCleaner:
@@ -267,75 +277,105 @@ class SegmentCleaner:
 
     def _read_whole(self, victims: List[int], window: int) -> Set[int]:
         """The victims the disk model reads more cheaply whole than by
-        a tail window plus each live slot positioned: on small segments
-        a few live slots already cost more positioning than the body."""
+        a positioned read per live slot, plus a tail window where no
+        slot table covers the victim: on small segments a few live
+        slots already cost more positioning than the body."""
         lld = self.lld
+        usage = lld.usage
         model = lld.disk.timer.model
         slot_us = model.request_us(lld.geometry.block_size, sequential=False)
         whole_us = model.batch_us([(0, lld.geometry.segment_size)])
-        spare_us = whole_us - model.batch_us([(0, window)])
-        return {seg for seg in victims if lld.usage.live_slots(seg) * slot_us > spare_us}
+        tail_spare_us = whole_us - model.batch_us([(0, window)])
+        return {
+            seg
+            for seg in victims
+            if usage.live_slots(seg) * slot_us
+            > (whole_us if usage.slot_table(seg) is not None else tail_spare_us)
+        }
 
     def _read_live(
         self, victims: List[int], report: CleanReport
     ) -> Tuple[List[Tuple[BlockId, object, bytes]], List[int]]:
         """Read what a pass copies out of ``victims``.
 
-        One batched read fetches every victim's summary stack from a
-        tail window, or its whole body where the disk model says that
-        is cheaper (:meth:`_read_whole`); a second fetches only the
-        live slots of the victims read by their tails, each checked
-        against its WRITE entry's CRC.  A body read whole takes
-        :func:`~repro.lld.scrub.decode_dirty_body`, which checks every
-        slot.  Returns the copies as ``(block id, persistent record,
-        data)``, and the damaged victims, of which nothing is copied:
-        unreadable, a summary that fails its CRC, a chunk walk that
-        stops short of the slots the usage table counted — every chunk
-        of a DIRTY segment reached the disk through a successful write,
-        so that means failed media — or a slot that fails its CRC.
+        A victim's slots — which block each holds, with what CRC — come
+        from its slot table (:meth:`~repro.lld.usage.SegmentUsage.slot_table`).
+        One batched read first fetches the bodies of the victims the
+        disk model prices cheaper read whole (:meth:`_read_whole`) and
+        the summary stack of each victim no table covers — one the
+        checkpoint attested at recovery — from a tail window; a second
+        fetches only the live slots of the victims not read whole, each
+        checked against its CRC.  A body read whole has every slot
+        checked: against the slot table, or, where none covers it, by
+        :func:`~repro.lld.scrub.decode_dirty_body`.  Returns the copies
+        as ``(block id, persistent record, data)``, and the damaged
+        victims, of which nothing is copied: unreadable, a summary that
+        fails its CRC, a chunk walk that stops short of the slots the
+        usage table counted — every chunk of a DIRTY segment reached
+        the disk through a successful write, so that means failed media
+        — or a slot that fails its CRC.
         """
         if not victims:
             return [], []
         lld = self.lld
         disk = lld.disk
+        usage = lld.usage
         size = lld.geometry.segment_size
         block_size = lld.geometry.block_size
         read_before = disk.timer.bytes_read
         window = min(size, max(TRAILER_SIZE, block_size))
         whole = self._read_whole(victims, window)
         report.read_whole += sorted(whole)
+        tables = {seg: usage.slot_table(seg) for seg in victims}
+        first = [seg for seg in victims if seg in whole or tables[seg] is None]
+        report.summaries_read += len(first) - len(whole)
         raws = disk.read_many(
             [
                 (seg, 0, size) if seg in whole else (seg, size - window, window)
-                for seg in victims
+                for seg in first
             ],
             errors="none",
         )
-        tails, bodies = {}, []
-        for seg, raw in zip(victims, raws):
-            if raw is not None and seg not in whole:
+        # The (block id, slot, CRC) triples of each victim whose slots
+        # are known and whose body, if read whole, held.
+        slots = {
+            seg: _table_triples(table)
+            for seg, table in tables.items()
+            if table is not None and seg not in whole
+        }
+        bodies, tails = {}, {}
+        for seg, raw in zip(first, raws):
+            if raw is None:
+                continue
+            if seg not in whole:
                 tails[seg] = raw
-            elif raw is not None:
-                bodies.append(decode_dirty_body(lld, seg, raw))
+                continue
+            table = tables[seg]
+            if table is None:
+                decoded = decode_dirty_body(lld, seg, raw)
+                if decoded is not None:
+                    slots[seg] = _write_triples(decoded)
+                    bodies[seg] = raw
+            elif self._body_holds(raw, table[1]):
+                slots[seg] = _table_triples(table)
+                bodies[seg] = raw
         stacks = [
             decoded
             for decoded in decode_stacks(disk, tails)[0]
-            if decoded.block_count >= lld.usage.total_slots(decoded.segment_no)
+            if decoded.block_count >= usage.total_slots(decoded.segment_no)
         ]
-        decoded_all = sorted(
-            stacks + [decoded for decoded in bodies if decoded is not None],
-            key=lambda decoded: decoded.seq,
-        )
+        for decoded in stacks:
+            slots[decoded.segment_no] = _write_triples(decoded)
         bmap = lld.bmap
         copies = []  # [segment, block id, persistent record, data]
         reads = []  # (copy, slot, CRC) of each slot read apart
         planned = set()
-        for decoded in decoded_all:
-            seg = decoded.segment_no
-            for fields in decoded.entry_tuples:
-                if fields[0] != KIND_WRITE or fields[3] in planned:
+        for seg in sorted(slots, key=usage.seq_of):
+            body = bodies.get(seg)
+            for block, slot, crc in slots[seg]:
+                if block in planned:
                     continue
-                block_id = BlockId(fields[3])
+                block_id = BlockId(block)
                 persistent = bmap.persistent.get(block_id)
                 # Live: the persistent record points at this slot, and
                 # no committed record has a newer copy in the stream
@@ -343,7 +383,7 @@ class SegmentCleaner:
                 # durable, so the old slot need not move).
                 if (
                     persistent is None
-                    or persistent.address != (seg, fields[4])
+                    or persistent.address != (seg, slot)
                     or find_alt(
                         bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE
                     )
@@ -352,10 +392,10 @@ class SegmentCleaner:
                     continue
                 planned.add(block_id)
                 copies.append([seg, block_id, persistent, None])
-                if seg in whole:
-                    copies[-1][3] = decoded.slot_data(fields[4])
+                if body is not None:
+                    copies[-1][3] = body[slot * block_size : (slot + 1) * block_size]
                 else:
-                    reads.append((copies[-1], fields[4], fields[5]))
+                    reads.append((copies[-1], slot, crc))
         datas = disk.read_many(
             [(copy[0], slot * block_size, block_size) for copy, slot, _crc in reads],
             errors="none",
@@ -366,7 +406,7 @@ class SegmentCleaner:
         lld.meter.charge(
             "decode_entry_us", sum(decoded.entry_count for decoded in stacks)
         )
-        good = {decoded.segment_no for decoded in decoded_all}
+        good = set(slots)
         for (copy, _slot, crc), data in zip(reads, datas):
             if data is None or zlib.crc32(data) != crc:
                 good.discard(copy[0])
@@ -375,3 +415,28 @@ class SegmentCleaner:
             [tuple(copy[1:]) for copy in copies if copy[0] in good],
             [seg for seg in victims if seg not in good],
         )
+
+    def _body_holds(self, raw: bytes, crcs) -> bool:
+        """True if every slot of the body ``raw`` has the CRC its slot
+        table holds; the check is charged."""
+        block_size = self.lld.geometry.block_size
+        self.lld.meter.charge("crc_kb_us", len(crcs) * block_size / 1024.0)
+        return all(
+            zlib.crc32(raw[slot * block_size : (slot + 1) * block_size]) == crc
+            for slot, crc in enumerate(crcs)
+        )
+
+
+def _table_triples(table) -> Iterator[Tuple[int, int, int]]:
+    """(block id, slot, CRC) of each slot of a slot table."""
+    blocks, crcs = table
+    return zip(blocks, range(len(blocks)), crcs)
+
+
+def _write_triples(decoded) -> List[Tuple[int, int, int]]:
+    """(block id, slot, CRC) of each WRITE entry of ``decoded``."""
+    return [
+        (fields[3], fields[4], fields[5])
+        for fields in decoded.entry_tuples
+        if fields[0] == KIND_WRITE
+    ]

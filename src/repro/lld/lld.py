@@ -175,7 +175,11 @@ class LLD(LogWriter, Participant, LogicalDisk):
         self.committed_blocks = self.engine.committed_blocks
         self.committed_lists = self.engine.committed_lists
         self._read_stream = ReadStream(
-            self.disk, self.cache, readahead=cfg.readahead, meter=self.meter
+            self.disk,
+            self.cache,
+            readahead=cfg.readahead,
+            meter=self.meter,
+            usage=self.usage,
         )
 
         self._next_block_id = 1
@@ -209,6 +213,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "passes",
                 "segments_freed",
                 "segments_freed_unread",
+                "summaries_read",
                 "blocks_copied",
                 "damaged",
             )
@@ -873,6 +878,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "segments_freed": report.segments_freed,
                 "blocks_copied": report.blocks_copied,
                 "damaged": len(report.damaged),
+                "summaries_read": report.summaries_read,
             }
             for name, count in counts.items():
                 self._cleaner_counters[name].add(count)

@@ -9,7 +9,8 @@ point whether a segment is closed or keeps filling behind a chunk
 written in place, flushes under group commit once per group of
 commits, and — in :meth:`_write_now`, the only place bytes reach the
 platter, always as the new data slots and then their chunk — advances
-what is durable and has the engine fold it into the persistent tables.
+what is durable, copies the chunk's WRITE entries into the segment's
+slot table and has the engine fold it into the persistent tables.
 """
 
 from __future__ import annotations
@@ -356,7 +357,10 @@ class LogWriter:
             # meta-data).
             for slot, data in buffer.unwritten_slots():
                 self.cache.put(PhysAddr(segment_no, slot), data)
-            for entry in buffer.unwritten_entries():
+            # The slot table the cleaner copies by: its one feed.
+            entries = buffer.unwritten_entries()
+            self.usage.add_slots(segment_no, entries)
+            for entry in entries:
                 if entry.kind is EntryKind.COMMIT:
                     self._commit_on_disk.add(entry.aru_tag)
                     self._pending_commit_arus.discard(entry.aru_tag)

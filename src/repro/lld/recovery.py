@@ -642,8 +642,6 @@ class _Outcomes:
     next_block_id: int
     next_list_id: int
     next_aru_id: int
-    #: Pending segment -> {slot: CRC} of its WRITE entries.
-    slot_crcs: Dict[int, Dict[int, int]]
 
 
 def _resolve_outcomes(
@@ -652,8 +650,7 @@ def _resolve_outcomes(
     decided_xids: Optional[Set[int]],
     report: RecoveryReport,
 ) -> _Outcomes:
-    """First pass over the log suffix: who committed, the counters,
-    and the slot CRCs the first read of each pending slot checks.
+    """First pass over the log suffix: who committed and the counters.
 
     COMMIT records commit their tag outright.  PREPARE records park
     their tag on a coordinator transaction id, which commits iff a
@@ -675,17 +672,13 @@ def _resolve_outcomes(
     max_aru = ckpt.next_aru_id - 1
     max_block = ckpt.next_block_id - 1
     max_list = ckpt.next_list_id - 1
-    slot_crcs: Dict[int, Dict[int, int]] = {}
     for decoded in replayable:
-        crcs = slot_crcs[decoded.segment_no] = {}
         for fields in decoded.entry_tuples:
             kind = fields[0]
             tag = fields[1]
             if tag > max_aru:
                 max_aru = tag
-            if kind == KIND_WRITE:
-                crcs[fields[4]] = fields[5]
-            elif kind == KIND_COMMIT:
+            if kind == KIND_COMMIT:
                 committed.add(tag)
             elif kind == KIND_PREPARE:
                 prepared[tag] = fields[4]
@@ -718,14 +711,14 @@ def _resolve_outcomes(
         next_block_id=max_block + 1,
         next_list_id=max_list + 1,
         next_aru_id=max_aru + 1,
-        slot_crcs=slot_crcs,
     )
 
 
 def _install(lld: LLD, ckpt: CheckpointData, scan: _Scan, outcomes: _Outcomes) -> None:
     """Rebuild the usage table, the counters and the fresh buffer.
 
-    Live counts are provisional — the roster's, or every written slot
+    Each pending segment's slot table is seeded from its WRITE entries;
+    an attested one gets none.  Live counts are provisional — the roster's, or every written slot
     of a pending segment — until the restore completes and recounts
     them from the final addresses (verify_lld knows)."""
     usage = lld.usage  # fresh: every log segment starts out free
@@ -742,6 +735,7 @@ def _install(lld: LLD, ckpt: CheckpointData, scan: _Scan, outcomes: _Outcomes) -
         usage.restore(
             decoded.segment_no, SegmentState.DIRTY, decoded.seq, slots, slots
         )
+        usage.add_slots(decoded.segment_no, decoded.entry_tuples)
         max_seq = max(max_seq, decoded.last_seq)
 
     lld._next_block_id = outcomes.next_block_id
@@ -755,8 +749,11 @@ def _install(lld: LLD, ckpt: CheckpointData, scan: _Scan, outcomes: _Outcomes) -
     # set plus every DECIDE found in the log (never the borrowed
     # ``decided_xids`` — those belong to the volume that logged them).
     lld._decided_xids = outcomes.own_decided
-    # Trusted on their summary CRC alone: a read checks each slot first.
-    lld._read_stream.check_on_read(outcomes.slot_crcs)
+    # Trusted on their summary CRC alone: a read checks each slot
+    # against the slot table first.
+    lld._read_stream.check_on_read(
+        decoded.segment_no for decoded in scan.replayable
+    )
     try:
         lld._open_new_buffer()
     except DiskFullError:

@@ -365,6 +365,7 @@ def reference_recover(
             live_counts.get(decoded.segment_no, 0),
             decoded.block_count,
         )
+        lld.usage.add_slots(decoded.segment_no, decoded.entry_tuples)
         max_seq = max(max_seq, decoded.last_seq)
     lld._next_block_id = state.max_block + 1
     lld._next_list_id = state.max_list + 1

@@ -4,16 +4,21 @@ Tracks, for every physical segment, whether it is reserved for
 checkpoints, free, the current in-memory buffer's target, or an
 on-disk log segment — and for on-disk segments, how many of their
 data slots are still *live* (pointed at by the block-number-map).
-The segment cleaner picks victims from this table.
+The segment cleaner picks victims from this table, and copies their
+live slots by its slot tables: the block id and slot CRC of every data
+slot a segment holds, copied in when the volume wrote it or when
+recovery replayed it (:meth:`SegmentUsage.add_slots`).
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DiskFullError
+from repro.lld.summary import KIND_WRITE
 
 
 class SegmentState(enum.Enum):
@@ -59,6 +64,13 @@ class SegmentUsage:
         self._live: List[int] = [0] * num_segments
         self._total: List[int] = [0] * num_segments
         self._seq: List[int] = [-1] * num_segments
+        #: Per segment, its slot table — the block id and the slot CRC
+        #: of each data slot, in slot order, 12 bytes a slot — or None
+        #: where none covers it: free, quarantined, or a segment the
+        #: checkpoint attested at recovery, whose summaries no one has
+        #: read since.
+        self._slot_blocks: List[Optional[array]] = [None] * num_segments
+        self._slot_crcs: List[Optional[array]] = [None] * num_segments
         #: Min-heap holding every free segment.  A free segment that is
         #: quarantined or restored to another state leaves a stale
         #: entry behind; :meth:`take_free` skips those by state.
@@ -101,6 +113,7 @@ class SegmentUsage:
                 self._live[seg] = 0
                 self._total[seg] = 0
                 self._seq[seg] = -1
+                self._drop_slots(seg)
                 self._free_count -= 1
                 return seg
         raise DiskFullError("no free segments remain")
@@ -166,6 +179,7 @@ class SegmentUsage:
         self._live[seg] = 0
         self._total[seg] = 0
         self._seq[seg] = -1
+        self._drop_slots(seg)
 
     def quarantined_segments(self) -> List[int]:
         """Segments retired by media failure, ascending."""
@@ -188,6 +202,7 @@ class SegmentUsage:
         self._live[seg] = 0
         self._total[seg] = 0
         self._seq[seg] = -1
+        self._drop_slots(seg)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -222,18 +237,57 @@ class SegmentUsage:
     def restore(
         self, seg: int, state: SegmentState, seq: int, live: int, total: int = 0
     ) -> None:
-        """Install a segment's state wholesale (recovery rebuild)."""
+        """Install a segment's state wholesale (recovery rebuild); no
+        slot table covers it until :meth:`add_slots` fills one."""
         was_free = self._state[seg] is SegmentState.FREE
         self._state[seg] = state
         self._seq[seg] = seq
         self._live[seg] = live
         self._total[seg] = total
+        self._drop_slots(seg)
         now_free = state is SegmentState.FREE and seg >= self.reserved_count
         if now_free and not was_free:
             heapq.heappush(self._free, seg)
             self._free_count += 1
         elif was_free and not now_free:
             self._free_count -= 1
+
+    # ------------------------------------------------------------------
+    # Slot tables
+    # ------------------------------------------------------------------
+
+    def add_slots(self, seg: int, entries: Iterable[Tuple[int, ...]]) -> None:
+        """Copy the WRITE entries of a chunk of ``seg`` into its slot
+        table, opening one if none covers it.
+
+        ``entries`` are summary entries or their field tuples
+        ``(kind, tag, ts, block, slot, CRC)``, in log order, so a
+        chunk's new slots come in slot order; an entry naming a slot
+        the table holds already (a block rewritten in the buffer before
+        its chunk was sealed) carries the same block and CRC."""
+        blocks = self._slot_blocks[seg]
+        if blocks is None:
+            blocks = self._slot_blocks[seg] = array("Q")
+            self._slot_crcs[seg] = array("I")
+        crcs = self._slot_crcs[seg]
+        for fields in entries:
+            if fields[0] == KIND_WRITE and fields[4] == len(blocks):
+                blocks.append(fields[3])
+                crcs.append(fields[5])
+
+    def slot_table(self, seg: int) -> Optional[Tuple[array, array]]:
+        """``(block ids, slot CRCs)`` of ``seg``'s slots, indexed by
+        slot, or None where no slot table covers ``seg``."""
+        blocks = self._slot_blocks[seg]
+        return None if blocks is None else (blocks, self._slot_crcs[seg])
+
+    def slot_crc(self, seg: int, slot: int) -> Optional[int]:
+        """The CRC-32 ``seg``'s slot table holds for ``slot``, if any."""
+        crcs = self._slot_crcs[seg]
+        return crcs[slot] if crcs is not None and slot < len(crcs) else None
+
+    def _drop_slots(self, seg: int) -> None:
+        self._slot_blocks[seg] = self._slot_crcs[seg] = None
 
     # ------------------------------------------------------------------
     # Cleaning support

@@ -21,7 +21,10 @@ other and returns a list of human-readable violations (empty = sound):
    the allocation order the next recovery's walk relies on,
 6. the checkpoint rows kept between checkpoints are the rows a fresh
    pack would give, for every identifier its table has not marked
-   changed — so the next checkpoint equals one packed from scratch.
+   changed — so the next checkpoint equals one packed from scratch,
+7. every slot table holds, slot for slot, the block id and CRC of the
+   WRITE entries in its segment's summaries on the platter — what the
+   cleaner copies by.
 
 Checks 1, 3 and 4 read only the version engine's tables and chains,
 so :func:`repro.jld.verify.verify_jld` runs them on JLD as well.
@@ -37,6 +40,8 @@ from typing import Dict, List, Optional, Set
 from repro.core.records import ListVersion, find_alt, iter_chain
 from repro.core.versions import VersionState
 from repro.ld.types import ARU_NONE
+from repro.lld.segment import decode_segment_tail
+from repro.lld.summary import KIND_WRITE
 from repro.lld.usage import WALK_BATCH, SegmentState
 
 
@@ -48,6 +53,7 @@ def verify_lld(lld) -> List[str]:
     problems += _verify_allocation_order(lld)
     problems += _verify_restore(lld)
     problems += _verify_packed_rows(lld)
+    problems += _verify_slot_tables(lld)
     if problems:
         obs = getattr(lld, "obs", None)
         if obs is not None:
@@ -115,6 +121,39 @@ def _verify_packed_rows(lld) -> List[str]:
                     f"stale checkpoint row for {name} {ident}: its record "
                     "changed and it is not marked changed"
                 )
+    return problems
+
+
+def _verify_slot_tables(lld) -> List[str]:
+    """Check 7: each slot table against the summaries on the platter,
+    read as they lie there (no clock, no fault injector)."""
+    problems: List[str] = []
+    usage = lld.usage
+    platter = lld.disk._segments
+    for seg in range(usage.reserved_count, usage.num_segments):
+        table = usage.slot_table(seg)
+        if table is None:
+            continue
+        raw = platter.get(seg)
+        decoded = (
+            None if raw is None else decode_segment_tail(raw, lld.geometry, seg)
+        )
+        written = {} if decoded is None else {
+            fields[4]: (fields[3], fields[5])
+            for fields in decoded.entry_tuples
+            if fields[0] == KIND_WRITE
+        }
+        held = dict(enumerate(zip(*table)))
+        if held != written:
+            slot = min(
+                slot
+                for slot in held.keys() | written.keys()
+                if held.get(slot) != written.get(slot)
+            )
+            problems.append(
+                f"segment {seg}: slot table holds {held.get(slot)} for slot "
+                f"{slot}, its WRITE entry on the platter {written.get(slot)}"
+            )
     return problems
 
 

@@ -64,12 +64,15 @@ STATS_SCHEMA = {
     # A run is one cleaner invocation (``cleanings`` == ``runs``), a
     # pass one evacuation round inside it; a pass that frees its
     # victims ends in exactly one checkpoint.  ``segments_freed_unread``
-    # are the victims among ``segments_freed`` that held no live slot.
+    # are the victims among ``segments_freed`` that held no live slot,
+    # ``summaries_read`` the victims read by a tail window because no
+    # slot table covered them.
     "cleaner": {
         "runs": INT,
         "passes": INT,
         "segments_freed": INT,
         "segments_freed_unread": INT,
+        "summaries_read": INT,
         "blocks_copied": INT,
         "damaged": INT,
     },

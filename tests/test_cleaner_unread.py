@@ -2,8 +2,11 @@
 
 A segment with no live slot is freed unread, every such segment under
 the one checkpoint of whichever pass is running; of a victim that holds
-live data the cleaner reads its summary stack and the live slots it
-copies, nothing else.  What this file pins:
+live data the cleaner reads the live slots it copies, nothing else.
+Which block each slot holds, and with what CRC, comes from the
+segment's slot table; only a victim no table covers (one a checkpoint
+attested at recovery) has its summary stack read.  What this file
+pins:
 
 1. The counts: reads, bytes read, checkpoints and frees of dead-only
    and mixed passes.
@@ -110,21 +113,22 @@ class TestCounts:
         report = SegmentCleaner(ld, policy).clean(target_free=free + len(dead) + 1)
         copied_from = [seg for seg in report.victims if live[seg]]
         assert set(partly) <= set(copied_from)
-        # One read per victim: a tail window (a small segment's stack
-        # fits in one block), or the whole body where the disk model
-        # prices that below the tail plus a positioned read per live
+        # No summary is read: each victim's slot table says which block
+        # each slot holds, with what CRC.  One read per victim the disk
+        # model prices cheaper whole than a positioned read per live
         # slot, as it does the last segment's slots but not the one
-        # kept in each partly live one.  Then one request per live slot
-        # of the victims read by their tails.
+        # kept in each partly live one; then one request per live slot
+        # of the others.
         whole = report.read_whole
         assert whole == sorted(seg for seg in copied_from if live[seg] > KEPT)
         assert len(whole) == 1
+        assert report.summaries_read == 0
         slots = report.blocks_copied - sum(live[seg] for seg in whole)
-        assert disk.stats()["reads"] == reads + len(copied_from) + slots
+        assert slots == (len(copied_from) - len(whole)) * KEPT
+        assert disk.stats()["reads"] == reads + len(whole) + slots
         geometry = disk.geometry
         assert report.bytes_read == (
-            len(whole) * geometry.segment_size
-            + (len(copied_from) - len(whole) + slots) * geometry.block_size
+            len(whole) * geometry.segment_size + slots * geometry.block_size
         )
         assert checkpoints(ld) == written + 1
         assert report.passes == 1
@@ -148,13 +152,14 @@ class TestCounts:
         assert event["unread"] == len(dead)
         assert event["segments_freed"] == stats["segments_freed"]
         # The last segment's body read whole, and of each partly live
-        # one a summary window and its KEPT slots, each one block
+        # one its KEPT slots, each one block, and no summary
         # (test_mixed_pass_reads_exactly_the_live_victims).
         copied_from = stats["segments_freed"] - len(dead)
         geometry = disk.geometry
         assert event["read_whole"] == 1
+        assert event["summaries_read"] == stats["summaries_read"] == 0
         assert event["bytes_read"] == geometry.segment_size + (
-            (copied_from - 1) * (1 + KEPT) * geometry.block_size
+            (copied_from - 1) * KEPT * geometry.block_size
         )
 
 

@@ -495,6 +495,11 @@ class TestSegmentLifecycle:
             for block in [blocks[0], *filler]:
                 ld.write(block, bytes([fill]) * block_size)
             ld.flush()
+        # Recovered, so the checkpoint attests the segment and no slot
+        # table covers it: the cleaner walks its chunk stack.
+        ld, _report = recover(disk.power_cycle(), config=ld.config)
+        disk = ld.disk
+        assert ld.usage.slot_table(segment) is None
         sound = decode_segment(disk.read_segment(segment), disk.geometry, segment)
         assert sound.chunk_count == 3
         offset, length = sound._summaries[1]

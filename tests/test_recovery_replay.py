@@ -124,8 +124,7 @@ class TestHappyPath:
 
     def test_max_ids_tracked(self):
         """The id counters come from the outcome pass over the log,
-        never from replay; forced system-range ids do not move them.
-        The same pass collects the slot CRCs of the WRITE entries."""
+        never from replay; forced system-range ids do not move them."""
         log = SimpleNamespace(
             segment_no=9,
             entry_tuples=[
@@ -144,7 +143,6 @@ class TestHappyPath:
         assert outcomes.next_list_id == 2
         assert outcomes.next_aru_id == 5
         assert outcomes.committed == {4}
-        assert outcomes.slot_crcs == {9: {0: 0x1234}}
 
 
 class TestConflictBranches:

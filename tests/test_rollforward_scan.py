@@ -725,7 +725,7 @@ class TestReadWindows:
                 MediaFault(victim, "corrupt", span=(start, start + 64))
             )
         volume, _report = recover(disk.power_cycle(), config=CONFIG)
-        assert victim in volume._read_stream.slot_crcs
+        assert victim in volume._read_stream.unchecked
         for number in (36, 39):
             assert volume.read(blocks[number]) == bytes([0]) * block_size
         for address in rotten:
@@ -769,7 +769,7 @@ class TestReadWindows:
             if drained:
                 volume.complete_restore()
             assert volume.usage.state(victim) is SegmentState.DIRTY
-            assert victim in volume._read_stream.slot_crcs
+            assert victim in volume._read_stream.unchecked
             return volume
 
         def never_cached(volume):
@@ -805,7 +805,7 @@ class TestReadWindows:
             # The scrubber retires the segment, salvaging the cached.
             volume.scrub()
             assert volume.usage.state(victim) is SegmentState.QUARANTINED
-            assert victim not in volume._read_stream.slot_crcs
+            assert victim not in volume._read_stream.unchecked
             assert volume.read(stale) == older
             with pytest.raises(UnrecoverableBlockError):
                 volume.read(lost)
@@ -856,9 +856,10 @@ class TestReadWindows:
 
 
 class TestSlotCrcs:
-    """The pending slots the read stream checks: the WRITE entries of
-    every segment a recovery trusted on its summary CRC alone, until
-    the cleaner frees the segment or a scrub checks it."""
+    """The pending slots the read stream checks: every slot of each
+    segment a recovery trusted on its summary CRC alone, against the
+    slot table recovery seeded from its WRITE entries, until the
+    cleaner frees the segment or a scrub checks it."""
 
     def recovered(self, mode):
         disk = small_disk(64)
@@ -868,7 +869,7 @@ class TestSlotCrcs:
             (seq, seg) for seg, _live, seq in ld.usage.dirty_segments() if seq > since
         )
         volume, report = recover(disk.power_cycle(), mode=mode, config=CONFIG)
-        crcs = volume._read_stream.slot_crcs
+        crcs = volume._read_stream.unchecked
         assert sorted(crcs) == sorted(seg for _seq, seg in pending)
         return volume, blocks, [seg for _seq, seg in pending], crcs
 
@@ -878,8 +879,9 @@ class TestSlotCrcs:
         disk = volume.disk
         for seg in pending:
             decoded = decode_segment(disk.read_segment(seg), disk.geometry, seg)
-            assert crcs[seg] == {
-                fields[4]: fields[5]
+            blocks, slot_crcs = volume.usage.slot_table(seg)
+            assert dict(enumerate(zip(blocks, slot_crcs))) == {
+                fields[4]: (fields[3], fields[5])
                 for fields in decoded.entry_tuples
                 if fields[0] == KIND_WRITE
             }
@@ -891,7 +893,7 @@ class TestSlotCrcs:
         assert volume.usage.state(pending[0]) is SegmentState.DIRTY
         assert sorted(crcs) == pending[1:]
         volume.scrub()
-        assert crcs == {}
+        assert crcs == set()
 
     def test_a_cleaned_segment_leaves_the_map(self):
         volume, blocks, pending, crcs = self.recovered("eager")

@@ -476,22 +476,31 @@ class TestCleanerDamagedVictims:
 
 
 class TestCleanerReadsWhatItCopies:
-    """The cleaner reads a live victim's summary stack and the live
-    slots it copies, each checked against its WRITE entry's CRC; rot
-    anywhere else in the victim is the scrubber's to find.  Unless the
-    disk model prices the tail and the slots above the whole body: on
-    these 64 KB segments two live slots are, one is not, and a body
-    read whole has every slot checked."""
+    """The cleaner reads the live slots a victim's slot table names,
+    each checked against the CRC the table holds; rot anywhere else in
+    the victim is the scrubber's to find.  Unless the disk model prices
+    the live slots above the whole body: on these 64 KB segments three
+    live slots are, two are not, and a body read whole has every slot
+    checked.  A victim no slot table covers — the checkpoint attested
+    it at recovery — has its summary stack read from a tail window
+    first, and there two live slots already tip the balance."""
 
-    def rotten(self, span, keep=5):
+    def rotten(self, span, keep=5, attested=False):
         """:meth:`TestCleanerDamagedVictims.churned`, the ``keep``
         blocks its victim keeps read into the cache, and one byte of
         that victim rotten: ``span(volume, victim, kept)`` picks the
-        offset.  Returns (disk, volume, blocks, the kept blocks and
-        their bytes, victim, the cleaner's report)."""
+        offset.  ``attested``: checkpointed, power-cycled and recovered
+        first, so no slot table covers the victim.  Returns (disk,
+        volume, blocks, the kept blocks and their bytes, victim, the
+        cleaner's report)."""
         disk, lld, blocks, dead = TestCleanerDamagedVictims().churned(keep)
+        if attested:
+            lld.write_checkpoint()
+            disk = disk.power_cycle()
+            lld, _report = recover(disk, config=lld.config)
         kept = {block: lld.read(block) for block in blocks[-keep:]}
         victim = segment_of(lld, blocks[-1])
+        assert (lld.usage.slot_table(victim) is None) == attested
         offset = span(lld, victim, kept)
         disk.injector.add_media_fault(
             MediaFault(victim, "corrupt", span=(offset, offset + 1))
@@ -549,14 +558,42 @@ class TestCleanerReadsWhatItCopies:
             assert lld.read(block) == data
         assert verify_lld(lld) == []
 
-    def test_rot_in_a_summary_byte_routes_the_victim_to_the_scrubber(self):
-        def last_entry_byte(lld, victim, kept):
-            return lld.geometry.segment_size - TRAILER_SIZE - 1
+    @staticmethod
+    def last_entry_byte(lld, victim, kept):
+        return lld.geometry.segment_size - TRAILER_SIZE - 1
 
-        disk, lld, blocks, kept, victim, report = self.rotten(last_entry_byte)
+    def test_rot_in_a_summary_byte_routes_the_victim_to_the_scrubber(self):
+        disk, lld, blocks, kept, victim, report = self.rotten(
+            self.last_entry_byte, attested=True
+        )
+        assert victim in report.read_whole
         assert report.damaged == [victim]
         assert lld.usage.state(victim) is SegmentState.QUARANTINED
         for block, data in kept.items():
             assert segment_of(lld, block) != victim
+            assert lld.read(block) == data
+        assert verify_lld(lld) == []
+
+    @pytest.mark.parametrize("keep", [1, 5], ids=["slots", "whole"])
+    def test_rot_in_a_summary_byte_of_a_self_written_victim_is_not_read(
+        self, keep
+    ):
+        """Its slot table says what each slot holds: the summary is
+        never read, read by its slots or whole, and every copy is the
+        block's own bytes."""
+        disk, lld, blocks, kept, victim, report = self.rotten(
+            self.last_entry_byte, keep=keep
+        )
+        assert (victim in report.read_whole) == (keep == 5)
+        assert report.damaged == [] and report.summaries_read == 0
+        assert victim in report.victims
+        assert lld.usage.state(victim) is SegmentState.FREE
+        platter = platter_bytes(disk)
+        size = lld.geometry.block_size
+        for block, data in kept.items():
+            moved = lld.bmap.persistent[block].address
+            assert moved.segment != victim
+            start = moved.slot * size
+            assert platter[moved.segment][start : start + size] == data
             assert lld.read(block) == data
         assert verify_lld(lld) == []

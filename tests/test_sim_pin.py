@@ -106,6 +106,27 @@ it out; the run takes 15 more misses, and each costs a disk read:
     ==============  =========  =========
 
 Its meter counts, charges and charge stream held.
+
+``cleaner_checkpoints`` was recaptured when the cleaner began to take
+a victim's slots from the slot table the volume kept as it wrote the
+segment, not from the summary stack on disk.  Every victim of the run
+is one the volume wrote, so no summary is read or decoded any more; a
+body read whole is checked slot by slot against the table, 60 KB of
+CRC where the whole 64 KB segment was before; and one victim of the
+105 is now read by its slots, the tail window no longer priced in:
+
+    ================  ==============  ==============
+    first volume      before          after
+    ================  ==============  ==============
+    clock (µs)        10,844,348.17   10,743,527.47
+    crc_kb_us         6,604.86        5,792.00
+    decode_entry_us   2,091           0
+    victims whole     102 of 105      101 of 105
+    bytes read        6,709,248       6,639,616
+    ================  ==============  ==============
+
+The recovered volume's counters, both write counts and the platter's
+SHA-256 held.
 """
 
 import hashlib
@@ -1076,7 +1097,7 @@ PLATTER_PINS = {
         cleaner_checkpoints,
         [
             (
-                "0x1.4af17857fffeep+23",
+                "0x1.47ddcef071c60p+23",
                 {
                     "aru_alloc_us": 24,
                     "aru_begin_us": 24,
@@ -1084,8 +1105,8 @@ PLATTER_PINS = {
                     "block_copy_us": 1936,
                     "block_dealloc_us": 24,
                     "chain_hop_us": 1684,
-                    "crc_kb_us": 6604.8564453125,
-                    "decode_entry_us": 2091,
+                    "crc_kb_us": 5792.0,
+                    "decode_entry_us": 0,
                     "ld_call_us": 1749,
                     "listop_log_us": 24,
                     "listop_replay_us": 24,
@@ -1098,7 +1119,7 @@ PLATTER_PINS = {
                 CLEANER_PLATTER,
             ),
             (
-                "0x1.4af17857fffeep+23",
+                "0x1.47ddcef071c60p+23",
                 {
                     "block_copy_us": 1,
                     "block_read_us": 1,
@@ -1305,8 +1326,8 @@ CHARGED_US = {
             "block_copy_us": 106480.0,
             "block_dealloc_us": 360.0,
             "chain_hop_us": 2526.0,
-            "crc_kb_us": 264194.2578125,
-            "decode_entry_us": 4182.0,
+            "crc_kb_us": 231680.0,
+            "decode_entry_us": 0.0,
             "ld_call_us": 3498.0,
             "listop_log_us": 72.0,
             "listop_replay_us": 144.0,

@@ -37,6 +37,7 @@ FROZEN_PATHS = [
     "cleaner.runs:int",
     "cleaner.segments_freed:int",
     "cleaner.segments_freed_unread:int",
+    "cleaner.summaries_read:int",
     "cleanings:int",
     "cpu_counts.*:number",
     "cpu_us.*:number",
