@@ -40,6 +40,9 @@ flood and interference client counts by 2).
 
 from __future__ import annotations
 
+import threading
+import time
+
 from benchmarks.conftest import (
     full_scale,
     merge_report_json,
@@ -86,14 +89,54 @@ def commit_latency_percentiles(volume) -> dict:
     }
 
 
+def meet_on_the_hot_block(frontend, tenants, hot_block, timeout_s=5.0):
+    """Submit two read-modify-writes of the hot block, on two lanes,
+    that meet by construction: the second touches the block only once
+    the first holds it, and the first keeps it until the lock manager
+    has counted a wait or a death.  Returns their handles."""
+    locks = frontend.manager.locks
+    before = locks.waits + locks.deaths
+    held = threading.Event()
+
+    def increment(txn):
+        counter = int.from_bytes(txn.read(hot_block)[:8], "little")
+        txn.write(hot_block, (counter + 1).to_bytes(8, "little").ljust(64, b"\0"))
+
+    def holder(txn):
+        increment(txn)
+        held.set()
+        deadline = time.monotonic() + timeout_s
+        while (
+            locks.waits + locks.deaths == before
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.0005)
+
+    def meeter(txn):
+        held.wait(timeout_s)
+        increment(txn)
+
+    first = {}
+    for name in sorted(tenants):
+        first.setdefault(tenants[name].shard, name)
+    (lane_a, name_a), (lane_b, name_b) = sorted(first.items())[:2]
+    return [
+        frontend.submit(holder, name_a, shard=lane_a),
+        frontend.submit(meeter, name_b, shard=lane_b),
+    ]
+
+
 def run_point(
     rate: float,
     n_requests: int,
     pace: bool = True,
     hot_fraction: float = 0.15,
     seed: int = 2026,
+    meet: bool = False,
 ) -> dict:
-    """One offered-load point on a fresh 4-shard array."""
+    """One offered-load point on a fresh 4-shard array; with ``meet``
+    two transactions meet on the hot block before the arrivals
+    (:func:`meet_on_the_hot_block`)."""
     volume = build_sharded(
         SHARDS,
         geometry=DiskGeometry.small(num_segments=128),
@@ -114,6 +157,7 @@ def run_point(
     )
     tenants = provision_tenants(volume, N_TENANTS, blocks_per_tenant=4)
     hot_block = provision_hot_block(volume)
+    met = meet_on_the_hot_block(frontend, tenants, hot_block) if meet else []
     result = run_openloop(
         frontend,
         tenants,
@@ -127,6 +171,8 @@ def run_point(
         ),
         hot_block=hot_block,
     )
+    for handle in met:
+        handle.wait()
     frontend.close()
     latency = commit_latency_percentiles(volume)
     stats = result.frontend
@@ -179,10 +225,12 @@ def test_frontend_saturation_sweep():
     # The flood point: every arrival offered at once, far past
     # saturation — admission control must shed rather than queue
     # without bound, and the lanes must genuinely hold >= 64
-    # concurrent clients.
+    # concurrent clients.  Its lock pressure is built in: workers
+    # under the interpreter lock can finish every hot-block
+    # transaction without one waiting, so two are made to meet.
     flood = run_point(
         rate=1e9, n_requests=4 * MAX_INFLIGHT * scale, pace=False,
-        hot_fraction=0.8,
+        hot_fraction=0.8, meet=True,
     )
     check_invariants(flood)
     assert flood["inflight_max"] >= MIN_CONCURRENT, flood

@@ -20,6 +20,7 @@ from repro.disk.simdisk import SimulatedDisk
 from repro.fs import MinixFS
 from repro.harness.reporting import format_table
 from repro.ld.types import FIRST
+from repro.lld.checkpoint import snapshot_checkpoint
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
@@ -151,7 +152,7 @@ def test_parallel_scan_speedup(benchmark):
         ):
             lld, report = recover_fn(disk.power_cycle(), config=config)
             out[label] = (
-                lld.checkpoints._serialize(lld._snapshot_checkpoint()),
+                lld.checkpoints._serialize(snapshot_checkpoint(lld)),
                 report,
             )
         return out
@@ -297,9 +298,9 @@ def test_instant_restore_ttfr(benchmark):
         on_demand = instant_report.on_demand_replays
         instant_lld.complete_restore()
         identical = instant_lld.checkpoints._serialize(
-            instant_lld._snapshot_checkpoint()
+            snapshot_checkpoint(instant_lld)
         ) == eager_lld.checkpoints._serialize(
-            eager_lld._snapshot_checkpoint()
+            snapshot_checkpoint(eager_lld)
         )
         tail_us = disk.timer.model.request_us(RESTORE_BLOCK_SIZE, sequential=False)
         return (

@@ -32,6 +32,7 @@ from repro.disk.geometry import TRAILER_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
 from repro.harness.reporting import format_table
 from repro.ld.types import FIRST, PhysAddr
+from repro.lld.checkpoint import snapshot_checkpoint
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
@@ -370,8 +371,8 @@ def test_recovery_scan_wallclock(benchmark):
     ref_lld, ref_report = run(reference_recover)
     fast_lld, fast_report = run(recover)
     identical = ref_lld.checkpoints._serialize(
-        ref_lld._snapshot_checkpoint()
-    ) == fast_lld.checkpoints._serialize(fast_lld._snapshot_checkpoint())
+        snapshot_checkpoint(ref_lld)
+    ) == fast_lld.checkpoints._serialize(snapshot_checkpoint(fast_lld))
     assert identical, "production recovery rebuilt different state"
     assert fast_report.entries_replayed == ref_report.entries_replayed
 

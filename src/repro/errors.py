@@ -109,6 +109,18 @@ class UnrecoverableBlockError(MediaError):
         )
 
 
+class StaleCopyError(UnrecoverableBlockError):
+    """A block's segment failed and only an older copy (``data``)
+    survives on its volume: raised instead of serving that copy where
+    a peer volume holds the block too (an array member with replicas),
+    so the array can serve the peer's newer one."""
+
+    def __init__(self, block_id: int, segment: int, data: bytes) -> None:
+        super().__init__(block_id, segment)
+        self.data = data
+        self.args = (f"block {block_id}: only an older copy survives",)
+
+
 class CorruptionError(LDError):
     """On-disk state failed validation (bad magic, checksum, format)."""
 

@@ -216,9 +216,7 @@ class ReadStream:
     near miss alone buys no window, a random reader has those by
     chance.
 
-    With ``readahead`` off every miss is the positioned read of one
-    block.  The counters (``stats()``) are plain ints and touch no
-    clock.
+    The counters (``stats()``) are plain ints and touch no clock.
 
     *Does a fetched slot hold?*  :attr:`unchecked` holds the segments
     whose slots nobody has checked yet — the ones recovery trusted on
@@ -237,13 +235,11 @@ class ReadStream:
         self,
         disk,
         cache: BlockCache,
-        readahead: bool = True,
         meter=None,
         usage=None,
     ) -> None:
         self.disk = disk
         self.cache = cache
-        self.readahead = readahead
         self.meter = meter
         self.usage = usage
         self.unchecked: Set[int] = set()
@@ -251,11 +247,10 @@ class ReadStream:
         self._segment_size = disk.geometry.segment_size
         # The largest gap worth streaming over: the inequality above,
         # solved once by bisection (the streamed request's cost only
-        # grows with the gap), so a miss compares integers.  Readahead
-        # off leaves the search empty: no gap (-1) is.
+        # grows with the gap), so a miss compares integers.
         request_us = disk.timer.model.request_us
         positioned_us = request_us(self._block_size, sequential=False)
-        worth, not_worth = -1, self._segment_size + 1 if readahead else 0
+        worth, not_worth = -1, self._segment_size + 1
         while not_worth - worth > 1:
             gap = (worth + not_worth) // 2
             if request_us(gap + self._block_size, sequential=True) <= positioned_us:

@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.disk.geometry import SECTOR_SIZE, DiskGeometry
 from repro.disk.simdisk import SimulatedDisk
-from repro.errors import DiskFullError, MediaError
+from repro.errors import DiskCrashedError, DiskFullError, MediaError
 
 CKPT_MAGIC = b"LCKP"
 CKPT_VERSION = 2
@@ -320,6 +320,62 @@ class CheckpointData:
         )
 
 
+#: The ``lld.checkpoint.*`` counters, in ``stats()["checkpoint"]``
+#: order.
+CHECKPOINT_COUNTERS = (
+    "writes", "bases", "deltas", "payload_bytes", "bytes_written"
+)
+
+
+def snapshot_checkpoint(lld) -> CheckpointData:
+    """A volume's persistent state as a checkpoint (call only after a
+    flush): the rows of the records that changed since the last one
+    are repacked, the others are reused; the repacked rows since the
+    last checkpoint written are its ``changes``."""
+    block_rows = lld._block_rows.section()
+    list_rows = lld._list_rows.section()
+    blocks = lld._block_rows.changes()
+    lists = lld._list_rows.changes()
+    return CheckpointData(
+        ckpt_seq=lld._ckpt_seq,
+        last_log_seq=lld._last_written_seq,
+        next_block_id=lld._next_block_id,
+        next_list_id=lld._next_list_id,
+        next_aru_id=lld.arus.next_id,
+        block_rows=block_rows,
+        list_rows=list_rows,
+        segments=lld.usage.snapshot(),
+        decided_xids=sorted(lld._decided_xids),
+        changes=(
+            None
+            if blocks is None or lists is None
+            else RowChanges(*blocks, *lists)
+        ),
+    )
+
+
+def checkpoint_volume(lld) -> None:
+    """Write ``lld``'s next checkpoint (:func:`snapshot_checkpoint`),
+    folded into the ``lld.checkpoint.*`` counters and the
+    ``checkpoint`` event; a disk crash under the write fails the
+    volume."""
+    lld._ckpt_seq += 1
+    try:
+        payload, written = lld.checkpoints.write(snapshot_checkpoint(lld))
+    except DiskCrashedError:
+        lld._mark_dead("disk_crashed_mid_checkpoint")
+        raise
+    lld._block_rows.written()
+    lld._list_rows.written()
+    kind = lld.checkpoints.last_kind
+    counters = lld._ckpt_counters
+    counters["writes"].inc()
+    counters[f"{kind}s"].inc()
+    counters["payload_bytes"].add(payload)
+    counters["bytes_written"].add(written)
+    lld.obs.record("checkpoint", ckpt_seq=lld._ckpt_seq, kind=kind, bytes=written)
+
+
 @dataclasses.dataclass
 class ChainRecord:
     """One record of a slot's chain, as written or read."""
@@ -457,9 +513,14 @@ def _sections(reader, start: int, layout: struct.Struct, head, sizes):
 class CheckpointManager:
     """Writes and loads checkpoint chains on reserved segments."""
 
-    def __init__(self, disk: SimulatedDisk, slot_segments: int) -> None:
+    def __init__(
+        self, disk: SimulatedDisk, slot_segments: Optional[int]
+    ) -> None:
+        """``slot_segments`` None: :func:`default_slot_segments`."""
         self.disk = disk
         self.geometry = disk.geometry
+        if slot_segments is None:
+            slot_segments = default_slot_segments(disk.geometry)
         self.slot_segments = slot_segments
         self.last_written_seq = 0
         #: ``last_log_seq`` of that checkpoint: segments numbered above

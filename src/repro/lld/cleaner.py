@@ -55,9 +55,16 @@ from repro.core.versions import VersionState
 from repro.disk.geometry import TRAILER_SIZE
 from repro.errors import DiskFullError
 from repro.ld.types import ARU_NONE, BlockId
-from repro.lld.scrub import Scrubber, decode_dirty_body
+from repro.lld.scrub import decode_dirty_body, scrub_segments
 from repro.lld.segment import decode_stacks
 from repro.lld.summary import KIND_WRITE
+
+
+#: The ``lld.cleaner.*`` counters, in ``stats()["cleaner"]`` order.
+CLEANER_COUNTERS = (
+    "runs", "passes", "segments_freed", "segments_freed_unread",
+    "summaries_read", "blocks_copied", "damaged",
+)
 
 
 @dataclasses.dataclass
@@ -267,7 +274,7 @@ class SegmentCleaner:
             was_cleaning = lld._cleaning
             lld._cleaning = True
             try:
-                Scrubber(lld).scrub(sorted(damaged_all))
+                scrub_segments(lld, sorted(damaged_all))
             except DiskFullError:
                 pass
             finally:
@@ -440,3 +447,42 @@ def _write_triples(decoded) -> List[Tuple[int, int, int]]:
         for fields in decoded.entry_tuples
         if fields[0] == KIND_WRITE
     ]
+
+
+def run_cleaner(lld) -> None:
+    """One cleaner run to ``clean_high_water``, folded into the
+    ``lld.cleaner.*`` counters, the ``cleaner.pass`` event and the
+    ``lld.cleaner.run_us`` histogram: the volume's cleaning hook
+    (``LLD._run_cleaner``)."""
+    # The cleaner reasons from live counts and from summaries an
+    # instant restore may not have applied yet; both are only final
+    # once the restore has drained.
+    lld.complete_restore()
+    lld._cleaning = True
+    pass_start_us = lld.clock.now_us
+    try:
+        cleaner = SegmentCleaner(lld, policy=lld.config.cleaner_policy)
+        report = cleaner.clean(target_free=lld.clean_high_water)
+        lld._cleaner_counters["runs"].inc()
+        counts = {
+            "passes": report.passes,
+            "segments_freed": report.segments_freed,
+            "blocks_copied": report.blocks_copied,
+            "damaged": len(report.damaged),
+            "summaries_read": report.summaries_read,
+        }
+        for name, count in counts.items():
+            lld._cleaner_counters[name].add(count)
+        unread = report.segments_freed_unread
+        lld._cleaner_counters["segments_freed_unread"].add(unread)
+        lld.obs.record(
+            "cleaner.pass",
+            victims=len(report.victims),
+            unread=unread,
+            bytes_read=report.bytes_read,
+            read_whole=len(report.read_whole),
+            **counts,
+        )
+        lld._h_cleaner_us.observe(lld.clock.now_us - pass_start_us)
+    finally:
+        lld._cleaning = False

@@ -28,7 +28,7 @@ class LLDConfig:
     Field groups, in rough subsystem order:
 
     * ARU semantics: ``aru_mode``, ``visibility``
-    * read path: ``cache_blocks``, ``readahead``
+    * read path: ``cache_blocks``
     * checkpointing: ``checkpoint_slot_segments``
     * cleaner: ``clean_low_water``, ``clean_high_water``,
       ``cleaner_policy``
@@ -45,7 +45,6 @@ class LLDConfig:
     aru_mode: str = "concurrent"
     visibility: Visibility = Visibility.ARU_LOCAL
     cache_blocks: int = 2048
-    readahead: bool = True
     checkpoint_slot_segments: Optional[int] = None
     clean_low_water: int = 4
     clean_high_water: int = 8

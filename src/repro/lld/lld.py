@@ -50,7 +50,6 @@ from repro.errors import (
     DiskCrashedError,
     LDError,
     MediaError,
-    UnrecoverableBlockError,
 )
 from repro.ld.interface import LogicalDisk
 from repro.ld.types import (
@@ -65,16 +64,17 @@ from repro.ld.types import (
 from repro.lld.cache import BlockCache, ReadStream
 from repro.lld.config import LLDConfig
 from repro.lld.checkpoint import (
-    CheckpointData,
+    CHECKPOINT_COUNTERS,
     CheckpointManager,
     PackedRows,
-    RowChanges,
-    default_slot_segments,
+    checkpoint_volume,
     pack_block_record,
     pack_list_record,
 )
+from repro.lld.cleaner import CLEANER_COUNTERS, run_cleaner
 from repro.lld.logwriter import LogWriter
 from repro.lld.participant import Participant
+from repro.lld.scrub import SCRUB_COUNTERS, degraded_read, run_scrub, scrub_stats
 from repro.lld.summary import EntryKind, SummaryEntry
 from repro.lld.usage import SegmentState, SegmentUsage
 from repro.obs import Observability
@@ -108,6 +108,12 @@ class LLD(LogWriter, Participant, LogicalDisk):
             per-knob documentation; ``None`` means the defaults.
     """
 
+    #: True when a peer volume holds a copy of every block (an array
+    #: with replicas sets it on its members): a read that can offer
+    #: only an older salvaged copy raises
+    #: :class:`~repro.errors.StaleCopyError` instead of serving it.
+    replicated = False
+
     def __init__(
         self,
         disk: SimulatedDisk,
@@ -132,12 +138,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
         if geometry.usable_size < geometry.block_size + 64:
             raise ValueError("segments too small to hold a block plus summary")
 
-        slot_segs = (
-            cfg.checkpoint_slot_segments
-            if cfg.checkpoint_slot_segments is not None
-            else default_slot_segments(geometry)
-        )
-        self.checkpoints = CheckpointManager(disk, slot_segs)
+        self.checkpoints = CheckpointManager(disk, cfg.checkpoint_slot_segments)
         reserved = self.checkpoints.reserved_segments
         if reserved >= geometry.num_segments - max(2, cfg.clean_low_water):
             raise ValueError(
@@ -175,11 +176,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
         self.committed_blocks = self.engine.committed_blocks
         self.committed_lists = self.engine.committed_lists
         self._read_stream = ReadStream(
-            self.disk,
-            self.cache,
-            readahead=cfg.readahead,
-            meter=self.meter,
-            usage=self.usage,
+            self.disk, self.cache, meter=self.meter, usage=self.usage
         )
 
         self._next_block_id = 1
@@ -206,37 +203,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
         # counters.
         m = self.obs.metrics
         self._ops = _OpCounters(m)
-        self._cleaner_counters = {
-            name: m.counter(f"lld.cleaner.{name}")
-            for name in (
-                "runs",
-                "passes",
-                "segments_freed",
-                "segments_freed_unread",
-                "summaries_read",
-                "blocks_copied",
-                "damaged",
-            )
-        }
-        self._ckpt_counters = {
-            name: m.counter(f"lld.checkpoint.{name}")
-            for name in (
-                "writes", "bases", "deltas", "payload_bytes", "bytes_written"
-            )
-        }
-        self._scrub_counters = {
-            name: m.counter(f"lld.scrub.{name}")
-            for name in (
-                "scrubs",
-                "segments_quarantined",
-                "blocks_salvaged",
-                "blocks_salvaged_stale",
-                "blocks_lost",
-                "degraded_reads",
-                "salvaged_reads",
-                "unrecoverable_reads",
-            )
-        }
+        self._cleaner_counters = m.counters("lld.cleaner.", CLEANER_COUNTERS)
+        self._ckpt_counters = m.counters("lld.checkpoint.", CHECKPOINT_COUNTERS)
+        self._scrub_counters = m.counters("lld.scrub.", SCRUB_COUNTERS)
         self._h_commit_us = m.histogram("lld.commit_us")
         self._h_flush_us = m.histogram("lld.flush_us")
         self._h_cleaner_us = m.histogram("lld.cleaner.run_us")
@@ -249,12 +218,13 @@ class LLD(LogWriter, Participant, LogicalDisk):
     # ==================================================================
     #
     # While ``recover(mode="instant")`` has pending log segments, every
-    # public operation funnels through one of these hooks before it
-    # touches the tables: the id-specific hooks drain exactly the log
+    # public operation calls the controller before it touches the
+    # tables (``RestoreController.ensure_block``/``ensure_list``/``tick``
+    # in lld/recovery.py): the id-specific hooks drain exactly the log
     # prefix covering the touched block/list (charged to the
     # requester), and every hook gives the background sweep its
-    # ``restore_drain_segments`` quantum.  All hooks are no-ops in
-    # normal operation (one attribute test).
+    # ``restore_drain_segments`` quantum.  In normal operation the
+    # hook is one attribute test.
 
     @property
     def restore_active(self) -> bool:
@@ -272,11 +242,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
         with self._lock:
             self._check_alive()
             controller = self._restore
-            if controller is None:
-                return 0
-            before = controller.watermark
-            controller.drain(max_segments)
-            return controller.watermark - before
+            return 0 if controller is None else controller.drain(max_segments)
 
     def complete_restore(self) -> None:
         """Finish an in-progress instant restore synchronously.
@@ -292,24 +258,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
             controller = self._restore
             if controller is not None:
                 controller.complete()
-
-    def _restore_tick(self) -> None:
-        if self._restore is not None:
-            self._restore.tick()
-
-    def _restore_block(self, block_id) -> None:
-        # Hold a local reference: the tick's background quantum may
-        # finish the sweep, complete the restore and null the field.
-        controller = self._restore
-        if controller is not None:
-            controller.tick()
-            controller.ensure_block(int(block_id))
-
-    def _restore_list(self, list_id) -> None:
-        controller = self._restore
-        if controller is not None:
-            controller.tick()
-            controller.ensure_list(int(list_id))
 
     # ==================================================================
     # Public interface: ARUs
@@ -426,9 +374,11 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["new_block"].inc()
-            self._restore_list(list_id)
-            if predecessor is not FIRST:
-                self._restore_block(predecessor)
+            restore = self._restore
+            if restore is not None:
+                restore.ensure_list(list_id)
+                if predecessor is not FIRST:
+                    restore.ensure_block(predecessor)
             engine = self.engine
             record, ctx, tag = engine.context(aru)
             list_view = engine.view(self.ltable, list_id, ctx)
@@ -449,7 +399,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 self._next_block_id += 1
             else:
                 block_id = BlockId(int(block_id))
-                self._restore_block(block_id)
+                if self._restore is not None:
+                    self._restore.ensure_block(block_id)
                 existing = engine.view(self.bmap, block_id, ctx)
                 if existing is not None and existing.allocated:
                     raise BadBlockError(
@@ -491,7 +442,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["delete_block"].inc()
-            self._restore_block(block_id)
+            if self._restore is not None:
+                self._restore.ensure_block(block_id)
             record, ctx, tag = self.engine.context(aru)
             view = self.engine.view(self.bmap, block_id, ctx)
             if view is None or not view.allocated:
@@ -517,7 +469,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._charge("ld_call_us")
             self._ops["write"].inc()
             if self._restore is not None:
-                self._restore_block(block_id)
+                self._restore.ensure_block(block_id)
             if len(data) > self.geometry.block_size:
                 raise ValueError(
                     f"data ({len(data)} bytes) exceeds block size "
@@ -549,7 +501,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
         block with no alternative record walks (and charges) no hop.
         """
         if self._restore is not None:
-            self._restore_block(block_id)
+            self._restore.ensure_block(block_id)
         charge = self._charge
         charge("ld_call_us")
         self._ops["read"].inc()
@@ -591,7 +543,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
 
         On a media fault (or an address tombstoned into a quarantined
         segment) the read degrades: salvage a surviving copy via
-        :meth:`_degraded_read`, or raise
+        :func:`~repro.lld.scrub.degraded_read`, or raise
         :class:`~repro.errors.UnrecoverableBlockError`.
         """
         with self._lock:
@@ -609,7 +561,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                         addr, self.usage.total_slots(addr.segment)
                     )
                 except MediaError:
-                    data = self._degraded_read(addr, block_id)
+                    data = degraded_read(self, addr, block_id)
             return data
 
     def read_many(
@@ -651,10 +603,34 @@ class LLD(LogWriter, Participant, LogicalDisk):
                         # Media fault mid-batch: salvage (or raise
                         # UnrecoverableBlockError) per block, exactly
                         # like the single-read path would.
-                        raw = self._degraded_read(addr, block_ids[indexes[0]])
+                        raw = degraded_read(self, addr, block_ids[indexes[0]])
                     for index in indexes:
                         results[index] = raw
             return results  # type: ignore[return-value]
+
+    def _read_resident(self, addr: PhysAddr, block_id: BlockId) -> Optional[bytes]:
+        """The lookup chain every read at ``addr`` takes before the
+        read stream: the open segment buffer, the cache, the
+        write-behind queue, and salvage for a quarantined segment.
+        ``None``: the block has to come off the platter."""
+        buffer = self._buffer
+        if buffer is not None and addr.segment == buffer.segment_no:
+            self._charge("table_access_us")
+            return buffer.get_slot(addr.slot)
+        cached = self.cache.get(addr)
+        if cached is not None:
+            return cached
+        queued = self._writeback.get_buffer(addr.segment)
+        if queued is not None:
+            # Sealed but not yet on disk: serve from the parked image
+            # (the platter holds stale bytes underneath it).
+            self._charge("table_access_us")
+            return queued.get_slot(addr.slot)
+        if self.usage.state(addr.segment) is SegmentState.QUARANTINED:
+            # The platter may return garbage for a quarantined segment
+            # (silent corruption); never read through the address.
+            return degraded_read(self, addr, block_id)
+        return None
 
     # ==================================================================
     # Public interface: lists
@@ -675,14 +651,16 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["new_list"].inc()
-            self._restore_tick()
+            if self._restore is not None:
+                self._restore.tick()
             record, ctx, _tag = self.engine.context(aru)
             if list_id is None:
                 list_id = ListId(self._next_list_id)
                 self._next_list_id += 1
             else:
                 list_id = ListId(int(list_id))
-                self._restore_list(list_id)
+                if self._restore is not None:
+                    self._restore.ensure_list(list_id)
                 existing = self.engine.view(self.ltable, list_id, ctx)
                 if existing is not None and existing.allocated:
                     raise BadListError(
@@ -711,7 +689,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["delete_list"].inc()
-            self._restore_list(list_id)
+            if self._restore is not None:
+                self._restore.ensure_list(list_id)
             record, ctx, tag = self.engine.context(aru)
             view = self.engine.view(self.ltable, list_id, ctx)
             if view is None or not view.allocated:
@@ -737,7 +716,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["list_blocks"].inc()
-            self._restore_list(list_id)
+            if self._restore is not None:
+                self._restore.ensure_list(list_id)
             engine = self.engine
             _record, ctx, _tag = engine.context(aru)
             shadow_aru = ctx.aru_id if ctx is not None else None
@@ -761,7 +741,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
             return blocks
 
     # ==================================================================
-    # Public interface: durability
+    # Public interface: durability and maintenance
     # ==================================================================
 
     def flush(self) -> None:
@@ -779,7 +759,8 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self._check_alive()
             self._charge("ld_call_us")
             self._ops["flush"].inc()
-            self._restore_tick()
+            if self._restore is not None:
+                self._restore.tick()
             flush_start_us = self.clock.now_us
             self._release_group()
             self._h_flush_us.observe(self.clock.now_us - flush_start_us)
@@ -859,106 +840,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 self.delete_block(block_id)
             return orphans
 
-    def _run_cleaner(self) -> None:
-        """Invoke the segment cleaner (lazy import avoids a cycle)."""
-        from repro.lld.cleaner import SegmentCleaner
-
-        # The cleaner reasons from live counts and from summaries an
-        # instant restore may not have applied yet; both are only
-        # final once the restore has drained.
-        self.complete_restore()
-        self._cleaning = True
-        pass_start_us = self.clock.now_us
-        try:
-            cleaner = SegmentCleaner(self, policy=self.config.cleaner_policy)
-            report = cleaner.clean(target_free=self.clean_high_water)
-            self._cleaner_counters["runs"].inc()
-            counts = {
-                "passes": report.passes,
-                "segments_freed": report.segments_freed,
-                "blocks_copied": report.blocks_copied,
-                "damaged": len(report.damaged),
-                "summaries_read": report.summaries_read,
-            }
-            for name, count in counts.items():
-                self._cleaner_counters[name].add(count)
-            unread = report.segments_freed_unread
-            self._cleaner_counters["segments_freed_unread"].add(unread)
-            self.obs.record(
-                "cleaner.pass",
-                victims=len(report.victims),
-                unread=unread,
-                bytes_read=report.bytes_read,
-                read_whole=len(report.read_whole),
-                **counts,
-            )
-            self._h_cleaner_us.observe(self.clock.now_us - pass_start_us)
-        finally:
-            self._cleaning = False
-
-    # ==================================================================
-    # The read path: cache and read stream
-    # ==================================================================
-
-    def _read_resident(self, addr: PhysAddr, block_id: BlockId) -> Optional[bytes]:
-        """The lookup chain every read at ``addr`` takes before the
-        read stream: the open segment buffer, the cache, the
-        write-behind queue, and salvage for a quarantined segment.
-        ``None``: the block has to come off the platter."""
-        buffer = self._buffer
-        if buffer is not None and addr.segment == buffer.segment_no:
-            self._charge("table_access_us")
-            return buffer.get_slot(addr.slot)
-        cached = self.cache.get(addr)
-        if cached is not None:
-            return cached
-        queued = self._writeback.get_buffer(addr.segment)
-        if queued is not None:
-            # Sealed but not yet on disk: serve from the parked image
-            # (the platter holds stale bytes underneath it).
-            self._charge("table_access_us")
-            return queued.get_slot(addr.slot)
-        if self.usage.state(addr.segment) is SegmentState.QUARANTINED:
-            # The platter may return garbage for a quarantined segment
-            # (silent corruption); never read through the address.
-            return self._degraded_read(addr, block_id)
-        return None
-
-    def _degraded_read(self, addr: PhysAddr, block_id: BlockId) -> bytes:
-        """Media-fault fallback for a foreground read.
-
-        Marks the segment for the next scrub pass, then tries to find
-        a surviving copy of the block in older log segments (the cache
-        and buffer were already consulted by the caller).  The salvage
-        is not cached under the failed address: it may be older than
-        the version that address holds, and the scrubber takes a cache
-        entry for a byte-identical copy.  Raises
-        :class:`~repro.errors.UnrecoverableBlockError` when every copy
-        is gone.
-        """
-        self._ops["degraded_reads"].inc()
-        self._scrub_counters["degraded_reads"].inc()
-        self.obs.record(
-            "media.degraded_read",
-            segment=addr.segment,
-            slot=addr.slot,
-            block=int(block_id),
-        )
-        if self.usage.state(addr.segment) is SegmentState.DIRTY:
-            self._scrub_pending.add(addr.segment)
-        from repro.lld.scrub import find_log_copy
-
-        found = find_log_copy(self, block_id, exclude={addr.segment})
-        if found is None:
-            self._scrub_counters["unrecoverable_reads"].inc()
-            raise UnrecoverableBlockError(int(block_id), addr.segment)
-        data, _seq = found
-        self._scrub_counters["salvaged_reads"].inc()
-        self.obs.record(
-            "scrub.salvage", block=int(block_id), segment=addr.segment
-        )
-        return data
-
     def scrub(self, segments: Optional[Sequence[int]] = None):
         """Run a scrub pass: validate, salvage, quarantine.
 
@@ -966,8 +847,6 @@ class LLD(LogWriter, Participant, LogicalDisk):
         after a degraded read); by default the whole log is swept.
         Returns a :class:`~repro.lld.scrub.ScrubReport`.
         """
-        from repro.lld.scrub import Scrubber
-
         with self._lock:
             self._check_alive()
             # Scrub salvage decisions compare against final addresses;
@@ -975,23 +854,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self.complete_restore()
             self._charge("ld_call_us")
             self._ops["scrub"].inc()
-            report = Scrubber(self).scrub(segments)
-            counters = self._scrub_counters
-            counters["scrubs"].inc()
-            counters["segments_quarantined"].add(report.segments_quarantined)
-            counters["blocks_salvaged"].add(report.blocks_salvaged)
-            counters["blocks_salvaged_stale"].add(report.blocks_salvaged_stale)
-            counters["blocks_lost"].add(report.blocks_lost)
-            for segment, kind in sorted(report.damaged.items()):
-                self.obs.record("scrub.quarantine", segment=segment, kind=kind)
-            self.obs.record(
-                "scrub.pass",
-                checked=report.segments_checked,
-                quarantined=report.segments_quarantined,
-                salvaged=report.blocks_salvaged,
-                lost=report.blocks_lost,
-            )
-            return report
+            return run_scrub(self, segments)
 
     def clean(self) -> None:
         """Run one segment-cleaner pass on demand.
@@ -1009,35 +872,12 @@ class LLD(LogWriter, Participant, LogicalDisk):
             if not self._cleaning:
                 self._run_cleaner()
 
+    #: The log writer's cleaning hook: a run folded into the counters.
+    _run_cleaner = run_cleaner
+
     # ==================================================================
     # Checkpointing and bookkeeping
     # ==================================================================
-
-    def _snapshot_checkpoint(self) -> CheckpointData:
-        """The persistent state as a checkpoint (call only after a
-        flush): the rows of the records that changed since the last
-        one are repacked, the others are reused; the repacked rows
-        since the last checkpoint written are its ``changes``."""
-        block_rows = self._block_rows.section()
-        list_rows = self._list_rows.section()
-        blocks = self._block_rows.changes()
-        lists = self._list_rows.changes()
-        return CheckpointData(
-            ckpt_seq=self._ckpt_seq,
-            last_log_seq=self._last_written_seq,
-            next_block_id=self._next_block_id,
-            next_list_id=self._next_list_id,
-            next_aru_id=self.arus.next_id,
-            block_rows=block_rows,
-            list_rows=list_rows,
-            segments=self.usage.snapshot(),
-            decided_xids=sorted(self._decided_xids),
-            changes=(
-                None
-                if blocks is None or lists is None
-                else RowChanges(*blocks, *lists)
-            ),
-        )
 
     def _write_checkpoint(self) -> None:
         """Write the next checkpoint from the current tables — the one
@@ -1063,23 +903,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
             self.usage.free_segment(buffer.segment_no)
         elif buffer is not None and buffer.in_place:
             self._close_buffer()
-        self._ckpt_seq += 1
-        try:
-            payload, written = self.checkpoints.write(self._snapshot_checkpoint())
-        except DiskCrashedError:
-            self._mark_dead("disk_crashed_mid_checkpoint")
-            raise
-        self._block_rows.written()
-        self._list_rows.written()
-        kind = self.checkpoints.last_kind
-        counters = self._ckpt_counters
-        counters["writes"].inc()
-        counters[f"{kind}s"].inc()
-        counters["payload_bytes"].add(payload)
-        counters["bytes_written"].add(written)
-        self.obs.record(
-            "checkpoint", ckpt_seq=self._ckpt_seq, kind=kind, bytes=written
-        )
+        checkpoint_volume(self)
 
     def _check_alive(self) -> None:
         if self._dead or self.disk.crashed:
@@ -1119,6 +943,9 @@ class LLD(LogWriter, Participant, LogicalDisk):
         key is declared in :data:`repro.obs.schema.STATS_SCHEMA`, and
         ``tests/test_stats_schema.py`` freezes the shape.
         """
+        # lld/recovery.py imports this module.
+        from repro.lld.recovery import restore_stats
+
         recorder = self.obs.recorder
         return {
             "ops": self.op_counts,
@@ -1144,16 +971,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 },
                 "last_seq": self._ckpt_seq,
             },
-            "scrub": {
-                **{
-                    name: counter.value
-                    for name, counter in self._scrub_counters.items()
-                },
-                "pending_segments": len(self._scrub_pending),
-                "quarantined_segments": len(
-                    self.usage.quarantined_segments()
-                ),
-            },
+            "scrub": scrub_stats(self),
             "writeback": self._writeback.stats(),
             "group_commit": {
                 "enabled": self.config.group_commit,
@@ -1163,7 +981,7 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "commits_grouped": self._c_commits_grouped.value,
             },
             "segments": self._segment_fill_stats(),
-            "recovery": self._restore_stats(),
+            "recovery": restore_stats(self),
             "disk": self.disk.stats(),
             "obs": {
                 "metrics_enabled": self.obs.metrics.enabled,
@@ -1171,31 +989,4 @@ class LLD(LogWriter, Participant, LogicalDisk):
                 "events_dropped": recorder.dropped,
                 "events_capacity": recorder.capacity,
             },
-        }
-
-    def _restore_stats(self) -> dict:
-        """How the recovery that built this volume read the disk
-        (blank and zeros on a formatted one) and instant-restore
-        progress (all zeros/False after eager recovery or once a
-        restore has completed)."""
-        m = self.obs.metrics
-        controller = self._restore
-        report = self._recovery_report
-        return {
-            "scan_plan": report.scan_plan if report else "",
-            "scan_fallback": report.scan_fallback if report else "",
-            "segments_scanned": report.segments_scanned if report else 0,
-            "segments_attested": report.segments_attested if report else 0,
-            "segments_invalid": report.segments_invalid if report else 0,
-            "restoring": controller is not None,
-            "watermark": controller.watermark if controller else 0,
-            "pending_segments": (
-                controller.pending_count if controller else 0
-            ),
-            "on_demand_replays": m.counter(
-                "lld.recovery.on_demand_replays"
-            ).value,
-            "instant_restores": m.counter(
-                "lld.recovery.instant_restores"
-            ).value,
         }

@@ -785,7 +785,7 @@ def recover(
     :meth:`~repro.lld.lld.LLD.complete_restore`) drains the rest.
     Once drained the state is byte-identical to eager recovery.
     Neither mode reads a data slot: the first read of a pending slot
-    checks it (:attr:`~repro.lld.cache.ReadStream.slot_crcs`).
+    checks it (:attr:`~repro.lld.cache.ReadStream.unchecked`).
 
     ``decided_xids`` supplies coordinator decisions from *another*
     volume's log: a participant shard of a sharded volume
@@ -878,6 +878,28 @@ def recover(
         # normal operation before the first request.
         restore.complete()
     return lld, report
+
+
+def restore_stats(lld: LLD) -> dict:
+    """``lld.stats()["recovery"]``: how the recovery that built the
+    volume read the disk (blank and zeros on a formatted one) and
+    instant-restore progress (all zeros/False after eager recovery or
+    once a restore has completed)."""
+    m = lld.obs.metrics
+    controller = lld._restore
+    report = lld._recovery_report
+    return {
+        "scan_plan": report.scan_plan if report else "",
+        "scan_fallback": report.scan_fallback if report else "",
+        "segments_scanned": report.segments_scanned if report else 0,
+        "segments_attested": report.segments_attested if report else 0,
+        "segments_invalid": report.segments_invalid if report else 0,
+        "restoring": controller is not None,
+        "watermark": controller.watermark if controller else 0,
+        "pending_segments": controller.pending_count if controller else 0,
+        "on_demand_replays": m.counter("lld.recovery.on_demand_replays").value,
+        "instant_restores": m.counter("lld.recovery.instant_restores").value,
+    }
 
 
 # ======================================================================
@@ -990,14 +1012,20 @@ class RestoreController:
             # normal operation without an explicit call.
             self.complete()
 
-    def drain(self, max_segments: Optional[int] = None) -> None:
-        """Apply up to ``max_segments`` pending segments in log order."""
+    def drain(self, max_segments: Optional[int] = None) -> int:
+        """Apply up to ``max_segments`` pending segments in log order;
+        the number applied."""
+        before = self.watermark
         if max_segments is None or max_segments > self.pending_count:
             max_segments = self.pending_count
         self._advance(self.watermark + max_segments - 1)
+        return self.watermark - before
 
-    def ensure_block(self, block_id: int) -> None:
-        """Drain every pending entry that could affect ``block_id``.
+    def ensure_block(self, block_id) -> None:
+        """The hook every operation on ``block_id`` calls first, behind
+        one ``lld._restore is not None`` test: the background sweep's
+        quantum (:meth:`tick`, which may complete the restore), then
+        every pending entry that could affect ``block_id`` drained.
 
         Two prefix advances: to the block's own last pending mention,
         then to the last mention of the list it (now) belongs to —
@@ -1008,6 +1036,7 @@ class RestoreController:
         here, lazily: a still-unlinked restore-era block is freed
         before it can be served.
         """
+        self.tick()
         if self.done:
             return
         bid = int(block_id)
@@ -1027,14 +1056,16 @@ class RestoreController:
                 del blocks[bid]
                 self.rules.orphans_freed.add(bid)
 
-    def ensure_list(self, list_id: int) -> None:
-        """Drain every pending entry that could affect ``list_id``.
+    def ensure_list(self, list_id) -> None:
+        """:meth:`ensure_block` for ``list_id``: the sweep's quantum,
+        then every pending entry that could affect the list drained.
 
         Every entry that changes a list's chain structure (LINK,
         DELETE_BLOCK of a member, DELETE_LIST, NEW_LIST) indexes the
         list id, so one prefix advance makes the whole chain — member
         successor fields included — final with respect to the log.
         """
+        self.tick()
         if self.done:
             return
         lid = int(list_id)

@@ -7,7 +7,7 @@ needs more: blocks whose only on-disk copy sits in a failed segment
 should be re-homed while surviving copies still exist, and the failed
 segment must never be reused.
 
-:class:`Scrubber` sweeps the log with one batched
+:func:`scrub_segments` sweeps the log with one batched
 :meth:`~repro.disk.simdisk.SimulatedDisk.read_many` scan, validating
 that every on-disk log segment is readable, that its chunks' summary
 CRCs hold over every data slot the usage table counted, and that each
@@ -38,8 +38,8 @@ and reading them raises :class:`~repro.errors.UnrecoverableBlockError`.
 A persistent copy superseded by a committed (post-EndARU) version is
 not relocated, mirroring the cleaner's rule: the newer copy is already
 in the stream ahead of us.  The cache holds only byte-identical
-copies: a degraded read never caches its salvage under the failed
-address (:meth:`~repro.lld.lld.LLD._degraded_read`).
+copies: a degraded read (:func:`degraded_read`, the foreground half of
+the same job) never caches its salvage under the failed address.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.records import find_alt
 from repro.core.versions import VersionState
 from repro.disk.geometry import TRAILER_SIZE
-from repro.errors import MediaError
-from repro.ld.types import ARU_NONE, BlockId
+from repro.errors import MediaError, StaleCopyError, UnrecoverableBlockError
+from repro.ld.types import ARU_NONE, BlockId, PhysAddr
 from repro.lld.segment import (
     DecodedSegment,
     decode_segment,
@@ -60,6 +60,14 @@ from repro.lld.segment import (
 )
 from repro.lld.summary import KIND_WRITE
 from repro.lld.usage import SegmentState
+
+
+#: The ``lld.scrub.*`` counters, in ``stats()["scrub"]`` order.
+SCRUB_COUNTERS = (
+    "scrubs", "segments_quarantined", "blocks_salvaged",
+    "blocks_salvaged_stale", "blocks_lost", "degraded_reads",
+    "salvaged_reads", "unrecoverable_reads",
+)
 
 
 @dataclasses.dataclass
@@ -173,162 +181,215 @@ def find_log_copy(
     return None
 
 
-class Scrubber:
-    """Sweeps the log, salvages live blocks, quarantines bad media."""
+def degraded_read(lld, addr: PhysAddr, block_id: BlockId) -> bytes:
+    """A foreground read of ``block_id`` whose copy at ``addr`` failed
+    (the cache and buffer were already consulted): mark the segment
+    for the next scrub and serve the newest older copy that survives
+    (:func:`find_log_copy`), never cached under ``addr`` (the scrubber
+    takes a cache entry for a byte-identical copy).  Where a peer
+    volume holds the block too (``lld.replicated``) that copy is raised
+    as :class:`~repro.errors.StaleCopyError` instead; with no copy
+    left, :class:`~repro.errors.UnrecoverableBlockError`."""
+    lld._ops["degraded_reads"].inc()
+    counters = lld._scrub_counters
+    counters["degraded_reads"].inc()
+    lld.obs.record(
+        "media.degraded_read",
+        segment=addr.segment,
+        slot=addr.slot,
+        block=int(block_id),
+    )
+    if lld.usage.state(addr.segment) is SegmentState.DIRTY:
+        lld._scrub_pending.add(addr.segment)
+    found = find_log_copy(lld, block_id, exclude={addr.segment})
+    if found is None:
+        counters["unrecoverable_reads"].inc()
+        raise UnrecoverableBlockError(int(block_id), addr.segment)
+    data, _seq = found
+    counters["salvaged_reads"].inc()
+    lld.obs.record("scrub.salvage", block=int(block_id), segment=addr.segment)
+    if lld.replicated:
+        raise StaleCopyError(int(block_id), addr.segment, data)
+    return data
 
-    def __init__(self, lld) -> None:
-        self.lld = lld
 
-    def scrub(self, segments: Optional[Iterable[int]] = None) -> ScrubReport:
-        """Check ``segments`` (default: every on-disk log segment).
+def run_scrub(lld, segments: Optional[Iterable[int]]) -> ScrubReport:
+    """One :meth:`~repro.lld.lld.LLD.scrub` pass: a
+    :func:`scrub_segments` sweep, folded into the ``lld.scrub.*``
+    counters and the ``scrub.quarantine`` / ``scrub.pass`` events."""
+    report = scrub_segments(lld, segments)
+    counters = lld._scrub_counters
+    counters["scrubs"].inc()
+    counters["segments_quarantined"].add(report.segments_quarantined)
+    counters["blocks_salvaged"].add(report.blocks_salvaged)
+    counters["blocks_salvaged_stale"].add(report.blocks_salvaged_stale)
+    counters["blocks_lost"].add(report.blocks_lost)
+    for segment, kind in sorted(report.damaged.items()):
+        lld.obs.record("scrub.quarantine", segment=segment, kind=kind)
+    lld.obs.record(
+        "scrub.pass",
+        checked=report.segments_checked,
+        quarantined=report.segments_quarantined,
+        salvaged=report.blocks_salvaged,
+        lost=report.blocks_lost,
+    )
+    return report
 
-        Damaged segments are repaired and quarantined as described in
-        the module docstring.  Safe to call at any time; relocations
-        may raise :class:`~repro.errors.DiskFullError` on a disk with
-        no workspace left (retry after deleting data).
-        """
-        lld = self.lld
-        with lld._lock:
-            if lld._restore is not None:
-                # Salvage compares platter blocks against the mapped
-                # addresses; those are final only after the restore.
-                lld.complete_restore()
-            return self._scrub_locked(segments)
 
-    def _scrub_locked(self, segments: Optional[Iterable[int]]) -> ScrubReport:
-        lld = self.lld
-        report = ScrubReport()
-        geometry = lld.geometry
-        if segments is None:
-            targets = [seg for seg, _live, _seq in lld.usage.dirty_segments()]
-            # A full sweep covers everything that can still need a
-            # scrub; pending marks on freed/quarantined segments are
-            # stale.
-            lld._scrub_pending.intersection_update(targets)
-        else:
-            targets = sorted(
-                seg
-                for seg in set(segments)
-                if lld.usage.state(seg) is SegmentState.DIRTY
-            )
-        # Requested segments that are no longer DIRTY (cleaned or
-        # already quarantined) need no scrub; drop any pending marks.
-        if segments is not None:
-            for seg in set(segments) - set(targets):
-                lld._scrub_pending.discard(seg)
-        if not targets:
-            return report
+def scrub_stats(lld) -> dict:
+    """``lld.stats()["scrub"]``: the ``lld.scrub.*`` counters, the
+    segments marked for the next pass and the quarantined ones."""
+    return {
+        **{name: counter.value for name, counter in lld._scrub_counters.items()},
+        "pending_segments": len(lld._scrub_pending),
+        "quarantined_segments": len(lld.usage.quarantined_segments()),
+    }
 
-        # One scatter-gather read fetches every body; holes are the
-        # unreadable segments.
-        bodies = lld.disk.read_many(
-            [(seg, 0, geometry.segment_size) for seg in targets],
-            errors="none",
+
+def scrub_segments(lld, segments: Optional[Iterable[int]] = None) -> ScrubReport:
+    """Check ``segments`` (default: every on-disk log segment).
+
+    Damaged segments are repaired and quarantined as described in the
+    module docstring.  Callers hold the volume's lock and have
+    completed any instant restore: salvage compares platter blocks
+    against the mapped addresses, which are final only after it.
+    Relocations may raise :class:`~repro.errors.DiskFullError` on a
+    disk with no workspace left (retry after deleting data).
+    """
+    report = ScrubReport()
+    geometry = lld.geometry
+    if segments is None:
+        targets = [seg for seg, _live, _seq in lld.usage.dirty_segments()]
+        # A full sweep covers everything that can still need a
+        # scrub; pending marks on freed/quarantined segments are
+        # stale.
+        lld._scrub_pending.intersection_update(targets)
+    else:
+        targets = sorted(
+            seg
+            for seg in set(segments)
+            if lld.usage.state(seg) is SegmentState.DIRTY
         )
-        for seg, raw in zip(targets, bodies):
-            report.segments_checked += 1
-            if raw is None:
-                report.damaged[seg] = "unreadable"
-            elif decode_dirty_body(lld, seg, raw) is None:
-                report.damaged[seg] = "corrupt"
-            else:
-                lld._scrub_pending.discard(seg)
-                lld._read_stream.checked(seg)
-        report.segments_damaged = len(report.damaged)
-        if not report.damaged:
-            return report
-
-        self._repair(set(report.damaged), report)
-
-        # Quarantine after salvage (the cache copies are a salvage
-        # source), then make the relocations durable and persist the
-        # quarantine roster when a checkpoint is currently allowed.
-        for seg in sorted(report.damaged):
-            lld._read_stream.forget(seg)
-            lld.usage.quarantine(seg)
+    # Requested segments that are no longer DIRTY (cleaned or
+    # already quarantined) need no scrub; drop any pending marks.
+    if segments is not None:
+        for seg in set(segments) - set(targets):
             lld._scrub_pending.discard(seg)
-            report.segments_quarantined += 1
-        lld.flush()
-        if lld.checkpoint_safe():
-            lld._write_checkpoint()
-            report.checkpointed = True
+    if not targets:
         return report
 
-    def _repair(self, damaged: Set[int], report: ScrubReport) -> None:
-        """Salvage and relocate every live block of ``damaged``."""
-        lld = self.lld
-        bmap = lld.bmap
-        for block_id in bmap.ids():
-            committed = find_alt(
-                bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE
-            )
-            persistent = bmap.persistent.get(block_id)
-            if (
-                committed is not None
-                and committed.address is not None
-                and committed.address.segment in damaged
-            ):
-                self._salvage(
-                    block_id,
-                    committed,
-                    aru_tag=int(committed.origin_aru),
-                    allow_stale=False,
-                    report=report,
-                )
-            if (
-                persistent is not None
-                and persistent.address is not None
-                and persistent.address.segment in damaged
-            ):
-                if committed is not None:
-                    # The cleaner's rule: a committed record means a
-                    # newer copy is already in the stream ahead of us.
-                    # Relocating the old copy would collide with it in
-                    # the buffer's per-block slot.
-                    report.blocks_superseded += 1
-                    continue
-                self._salvage(
-                    block_id,
-                    persistent,
-                    aru_tag=0,
-                    allow_stale=True,
-                    report=report,
-                )
-
-    def _salvage(
-        self, block_id: BlockId, version, aru_tag: int, allow_stale: bool,
-        report: ScrubReport,
-    ) -> None:
-        """Find a surviving copy of one version and relocate it."""
-        lld = self.lld
-        addr = version.address
-        stale = False
-        data = lld.cache.peek(addr)
-        if data is None and (
-            lld._buffer is not None and lld._buffer.contains_block(block_id)
-        ):
-            data = lld._buffer.get_block(block_id)
-        if data is None and allow_stale:
-            found = find_log_copy(lld, block_id, exclude=set(report.damaged))
-            if found is not None:
-                data, _seq = found
-                stale = True
-        if data is None:
-            report.blocks_lost += 1
-            report.lost_blocks.append(int(block_id))
-            return
-        # The cleaner's relocation path: append to the current buffer
-        # and repoint the version.  An uncommitted tag is re-attached
-        # so recovery keeps honoring the original commit record.
-        ts = lld.clock.tick()
-        new_addr = lld.log_write(block_id, data, aru_tag, ts)
-        version.address = new_addr
-        lld.bmap.mark_changed(block_id)
-        if version.state is VersionState.COMMITTED:
-            # Folding must wait until the relocated copy is durable.
-            version.pending_segment = lld._buffer.seq
-        if stale:
-            report.blocks_salvaged_stale += 1
-            report.stale_blocks.append(int(block_id))
+    # One scatter-gather read fetches every body; holes are the
+    # unreadable segments.
+    bodies = lld.disk.read_many(
+        [(seg, 0, geometry.segment_size) for seg in targets],
+        errors="none",
+    )
+    for seg, raw in zip(targets, bodies):
+        report.segments_checked += 1
+        if raw is None:
+            report.damaged[seg] = "unreadable"
+        elif decode_dirty_body(lld, seg, raw) is None:
+            report.damaged[seg] = "corrupt"
         else:
-            report.blocks_salvaged += 1
+            lld._scrub_pending.discard(seg)
+            lld._read_stream.checked(seg)
+    report.segments_damaged = len(report.damaged)
+    if not report.damaged:
+        return report
+
+    _repair(lld, set(report.damaged), report)
+
+    # Quarantine after salvage (the cache copies are a salvage
+    # source), then make the relocations durable and persist the
+    # quarantine roster when a checkpoint is currently allowed.
+    for seg in sorted(report.damaged):
+        lld._read_stream.forget(seg)
+        lld.usage.quarantine(seg)
+        lld._scrub_pending.discard(seg)
+        report.segments_quarantined += 1
+    lld.flush()
+    if lld.checkpoint_safe():
+        lld._write_checkpoint()
+        report.checkpointed = True
+    return report
+
+
+def _repair(lld, damaged: Set[int], report: ScrubReport) -> None:
+    """Salvage and relocate every live block of ``damaged``."""
+    bmap = lld.bmap
+    for block_id in bmap.ids():
+        committed = find_alt(
+            bmap.alts.get(block_id), VersionState.COMMITTED, ARU_NONE
+        )
+        persistent = bmap.persistent.get(block_id)
+        if (
+            committed is not None
+            and committed.address is not None
+            and committed.address.segment in damaged
+        ):
+            _salvage(
+                lld,
+                block_id,
+                committed,
+                aru_tag=int(committed.origin_aru),
+                allow_stale=False,
+                report=report,
+            )
+        if (
+            persistent is not None
+            and persistent.address is not None
+            and persistent.address.segment in damaged
+        ):
+            if committed is not None:
+                # The cleaner's rule: a committed record means a
+                # newer copy is already in the stream ahead of us.
+                # Relocating the old copy would collide with it in
+                # the buffer's per-block slot.
+                report.blocks_superseded += 1
+                continue
+            _salvage(
+                lld,
+                block_id,
+                persistent,
+                aru_tag=0,
+                allow_stale=True,
+                report=report,
+            )
+
+
+def _salvage(
+    lld, block_id: BlockId, version, aru_tag: int, allow_stale: bool,
+    report: ScrubReport,
+) -> None:
+    """Find a surviving copy of one version and relocate it."""
+    addr = version.address
+    stale = False
+    data = lld.cache.peek(addr)
+    if data is None and (
+        lld._buffer is not None and lld._buffer.contains_block(block_id)
+    ):
+        data = lld._buffer.get_block(block_id)
+    if data is None and allow_stale:
+        found = find_log_copy(lld, block_id, exclude=set(report.damaged))
+        if found is not None:
+            data, _seq = found
+            stale = True
+    if data is None:
+        report.blocks_lost += 1
+        report.lost_blocks.append(int(block_id))
+        return
+    # The cleaner's relocation path: append to the current buffer
+    # and repoint the version.  An uncommitted tag is re-attached
+    # so recovery keeps honoring the original commit record.
+    ts = lld.clock.tick()
+    new_addr = lld.log_write(block_id, data, aru_tag, ts)
+    version.address = new_addr
+    lld.bmap.mark_changed(block_id)
+    if version.state is VersionState.COMMITTED:
+        # Folding must wait until the relocated copy is durable.
+        version.pending_segment = lld._buffer.seq
+    if stale:
+        report.blocks_salvaged_stale += 1
+        report.stale_blocks.append(int(block_id))
+    else:
+        report.blocks_salvaged += 1

@@ -312,6 +312,10 @@ class MetricsRegistry:
             found = self._counters[name] = Counter(name)
         return found
 
+    def counters(self, prefix: str, names) -> Dict[str, Counter]:
+        """``{name: counter(prefix + name)}`` for ``names``, in order."""
+        return {name: self.counter(prefix + name) for name in names}
+
     def gauge(self, name: str, initial: Optional[Number] = 0) -> Gauge:
         if not self.enabled:
             return NULL_GAUGE  # type: ignore[return-value]

@@ -20,6 +20,7 @@ from repro.errors import (
     BadBlockError,
     ConcurrencyError,
     ShardLostError,
+    StaleCopyError,
     UnrecoverableBlockError,
 )
 from repro.ld.types import FIRST, SYSTEM_ID_BASE, BlockId, ListId, Predecessor
@@ -51,7 +52,8 @@ def held_ids(volume: LLD, lists: bool) -> Set[int]:
 
 def _holds_list(volume: LLD, local: int) -> bool:
     """Whether a volume's committed view has the list."""
-    volume._restore_list(ListId(local))
+    if volume._restore is not None:
+        volume._restore.ensure_list(local)
     view = volume.engine.view(volume.ltable, ListId(local), None)
     return view is not None and view.allocated
 
@@ -108,10 +110,12 @@ def copy_block(
     array: "ShardedLLD", gid: int, shard: int, volume: LLD, check: bool = False
 ) -> bool:
     """Write block ``gid`` onto ``volume`` (the copy at ``shard``) from
-    the first of :func:`_sources` that can serve it, else raise the
-    last one's error; with ``check``, a readable target with the same
+    the first of :func:`_sources` that can serve it — or, when none
+    has the current bytes, from the first that offers an older copy
+    (:class:`~repro.errors.StaleCopyError`) — else raise the last
+    one's error; with ``check``, a readable target with the same
     bytes is left alone.  Returns whether it wrote."""
-    failed = None
+    failed = older = None
     for s, local in _sources(array, gid, shard):
         source = array.shards[s]
         try:
@@ -121,14 +125,19 @@ def copy_block(
             array._mark_shard_lost(s)
             failed = exc
             continue
+        except StaleCopyError as exc:
+            older = exc.data if older is None else older
+            continue
         except (BadBlockError, UnrecoverableBlockError) as exc:
             failed = exc
             continue
         break
     else:
-        if failed is not None:
-            raise failed
-        return False
+        if older is None:
+            if failed is not None:
+                raise failed
+            return False
+        data = older
     target = BlockId(_local_id(array, gid, shard))
     array._sync_clock(volume)
     if check:
@@ -304,7 +313,8 @@ class _RepairJob:
             return None
         for s, local in self.array._copies(gid):
             volume = self.array.shards[s]
-            volume._restore_block(BlockId(local))
+            if volume._restore is not None:
+                volume._restore.ensure_block(local)
             view = volume.engine.view(volume.bmap, BlockId(local), None)
             if view is not None and view.allocated and view.list_id:
                 return self.array._global_id(int(view.list_id), s)
@@ -376,6 +386,7 @@ def _install(array: "ShardedLLD", job: _RepairJob) -> None:
         job.lld._next_list_id = max(job.lld._next_list_id, counters[1])
     array._sync_clock(job.lld)
     job.lld.flush()
+    job.lld.replicated = True
     array.shards[job.shard] = job.lld
     del array._dead[job.shard]
     array._dead_counters.pop(job.shard, None)

@@ -58,6 +58,7 @@ from repro.errors import (
     BadBlockError,
     BadListError,
     ShardLostError,
+    StaleCopyError,
     UnrecoverableBlockError,
 )
 from repro.ld.interface import LogicalDisk
@@ -219,6 +220,9 @@ class ShardedLLD(LogicalDisk):
                 self.shards[index] = None
         if len(self._dead) >= self.n:
             raise ValueError("every shard of the array is lost")
+        for shard in self.shards:
+            if shard is not None:  # a peer holds a copy of all it holds
+                shard.replicated = self.rf > 1
         self.geometry = self.shards[self._first_alive()].geometry
         self.clock = _MaxClock(self.shards)
         self._lock = threading.RLock()
@@ -488,8 +492,12 @@ class ShardedLLD(LogicalDisk):
         The home copy answers unless it is lost or — when a live peer
         exists — its data is gone (``UnrecoverableBlockError``, a
         quarantined segment); then the first mirror that has the
-        entity answers, counted in ``degraded_reads``.
+        entity answers, counted in ``degraded_reads``.  A member that
+        can offer only an older copy (``StaleCopyError``) is rewritten
+        from the one that answers; that older copy is served only if
+        no copy has the current bytes, as a single volume serves it.
         """
+        stale: List[Tuple[int, bytes]] = []
         volume = self.shards[home]
         if volume is not None:
             try:
@@ -501,6 +509,8 @@ class ShardedLLD(LogicalDisk):
                 )
             except ShardLostError:
                 self._mark_shard_lost(home)
+            except StaleCopyError as exc:
+                stale.append((home, exc.data))
             except UnrecoverableBlockError:
                 if not self._alive_peers(home):
                     raise
@@ -514,17 +524,33 @@ class ShardedLLD(LogicalDisk):
                     *mirror_args,
                     aru=self._local_aru(aru, p, create=False),
                 )
-                self._degraded_reads += 1
-                return p, result
             except ShardLostError:
                 self._mark_shard_lost(p)
+            except StaleCopyError as exc:
+                stale.append((p, exc.data))
             except (
                 BadBlockError, BadListError, UnrecoverableBlockError
             ) as exc:
                 last = exc
+            else:
+                self._degraded_reads += 1
+                for s, _older in stale:
+                    self._heal(to_global(home_args[0], home, self.n), s)
+                return p, result
+        if stale:
+            return stale[0]
         if last is not None:
             raise last
         raise self._no_replica(what, home, home_args)
+
+    def _heal(self, gid: int, s: int) -> None:
+        """Rewrite block ``gid`` on member ``s``, if it is still live,
+        from its other copies: the rule scrub healing uses."""
+        if self.shards[s] is not None:
+            try:
+                replicas.copy_block(self, gid, s, self.shards[s])
+            except ShardLostError as exc:
+                self._mark_shard_lost(exc.shard)
 
     def _each(
         self,

@@ -14,7 +14,7 @@ from repro.disk.geometry import TRAILER_SIZE
 from repro.disk.simdisk import SimulatedDisk
 from repro.errors import LDError, MediaError
 from repro.fs.filesystem import MinixFS
-from repro.lld.checkpoint import CheckpointManager, default_slot_segments
+from repro.lld.checkpoint import CheckpointManager
 from repro.lld.config import LLDConfig
 from repro.lld.recovery import recover
 from repro.lld.segment import decode_segment, parse_trailer
@@ -48,12 +48,8 @@ def describe_checkpoints(
 ) -> str:
     """Both checkpoint slots: validity, the checkpoint each chain
     gives, and each record of the chain (base, then deltas)."""
-    slots = (
-        slot_segments
-        if slot_segments is not None
-        else default_slot_segments(disk.geometry)
-    )
-    manager = CheckpointManager(disk, slots)
+    manager = CheckpointManager(disk, slot_segments)
+    slots = manager.slot_segments
     reserved = slots * disk.geometry.segment_size
     lines = [f"checkpoint region: 2 slots x {slots} segment(s)"]
     for slot in range(2):
@@ -98,19 +94,15 @@ def describe_segments(
 
     With ``entries=True`` every summary entry is listed (verbose).
     """
-    slots = (
-        slot_segments
-        if slot_segments is not None
-        else default_slot_segments(disk.geometry)
-    )
-    reserved = 2 * slots
+    manager = CheckpointManager(disk, slot_segments)
+    reserved = manager.reserved_segments
     geo = disk.geometry
     # The checkpoint roster records quarantined segments with a
     # sentinel sequence so the scrubber's verdict survives restarts;
     # surface that here rather than re-reading failed media.
     quarantined = set()
     try:
-        roster = CheckpointManager(disk, slots).load().segments
+        roster = manager.load().segments
         quarantined = {
             seg for seg, (seq, _l, _t) in roster.items()
             if seq == QUARANTINE_SEQ

@@ -28,6 +28,7 @@ does not back.
 """
 
 from repro.ld.types import SYSTEM_ID_BASE
+from repro.lld.checkpoint import snapshot_checkpoint
 from repro.lld.recovery import recover
 from repro.lld.recovery_reference import reference_recover
 from repro.lld.verify import verify_lld
@@ -42,7 +43,7 @@ def platter_bytes(disk):
 def state_fingerprint(lld, report):
     """Everything recovery rebuilds, in comparable form."""
     return {
-        "checkpoint": lld.checkpoints._serialize(lld._snapshot_checkpoint()),
+        "checkpoint": lld.checkpoints._serialize(snapshot_checkpoint(lld)),
         "free_count": lld.usage.free_count,
         "dirty": sorted(lld.usage.dirty_segments()),
         "buffer_segment": (

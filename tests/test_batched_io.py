@@ -266,7 +266,7 @@ class TestLLDReadMany:
         assert batched == single
 
     def test_batched_misses_are_one_disk_batch(self):
-        disk, lld = small_lld(readahead=False)
+        disk, lld = small_lld()
         blocks = build_sequential_blocks(lld, 48)
         lld.cache.invalidate_all()
         before = disk.timer.batches
@@ -276,7 +276,7 @@ class TestLLDReadMany:
     def test_batched_read_faster_than_serial_misses(self):
         # A scattered request order costs one seek per block read
         # serially; read_many sorts the misses back into one run.
-        disk, lld = small_lld(readahead=False)
+        disk, lld = small_lld()
         blocks = build_sequential_blocks(lld, 48)
         scattered = list(blocks)
         random.Random(11).shuffle(scattered)
@@ -304,7 +304,7 @@ class TestLLDReadMany:
         assert disk.read_count == reads_before
 
     def test_duplicate_ids_share_one_fetch(self):
-        disk, lld = small_lld(readahead=False)
+        disk, lld = small_lld()
         blocks = build_sequential_blocks(lld, 4)
         lld.cache.invalidate_all()
         reads_before = disk.read_count

@@ -218,7 +218,7 @@ class TestStandingInAVolume:
 
     def volume(self):
         disk = SimulatedDisk(DiskGeometry.small(num_segments=64))
-        ld = LLD(disk, config=LLDConfig(cache_blocks=10, readahead=False))
+        ld = LLD(disk, config=LLDConfig(cache_blocks=10))
         lst = ld.new_list()
         blocks = [ld.new_block(lst) for _ in range(40)]
         for number, block in enumerate(blocks):
@@ -237,7 +237,10 @@ class TestStandingInAVolume:
         ld.flush()
         new = ld.bmap.persistent[hot].address
         assert new != old and new in ld.cache
-        for block in cold:  # a scan far larger than probation
+        # A scan far larger than probation, run backwards: a forward
+        # one opens readahead windows whose slots it then hits, and a
+        # hit promotes.
+        for block in reversed(cold):
             ld.read(block)
         reads = disk.stats()["reads"]
         for _ in range(3):

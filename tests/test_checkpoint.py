@@ -23,6 +23,7 @@ from repro.lld.checkpoint import (
     default_slot_segments,
     pack_block_rows,
     pack_list_rows,
+    snapshot_checkpoint,
 )
 from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
@@ -526,7 +527,7 @@ class TestTornCheckpointWrite:
         n_blocks = 60
         expected = fingerprint_from_checkpoint_1(n_blocks)
         disk, ld = checkpointed_lld(n_blocks)
-        total_len = ld._snapshot_checkpoint().total_len
+        total_len = snapshot_checkpoint(ld).total_len
         sectors = -(-total_len // SECTOR)
         assert 4 < sectors and total_len < TEAR_GEO.segment_size
         for kept in range(sectors):
@@ -544,7 +545,7 @@ class TestTornCheckpointWrite:
         expected = fingerprint_from_checkpoint_1(n_blocks)
         disk, ld = checkpointed_lld(n_blocks)
         seg_size = TEAR_GEO.segment_size
-        whole, tail = divmod(ld._snapshot_checkpoint().total_len, seg_size)
+        whole, tail = divmod(snapshot_checkpoint(ld).total_len, seg_size)
         assert whole == 2 and tail
         for durable in range(whole + 1):
             disk, ld = checkpointed_lld(n_blocks)
@@ -832,7 +833,7 @@ class TestCodecMatchesReference:
         dirty = [seg for seg, _live, _seq in ld.usage.dirty_segments()]
         ld.usage.quarantine(dirty[0])
 
-        data = ld._snapshot_checkpoint()
+        data = snapshot_checkpoint(ld)
         assert data.decided_xids == [5, 77]
         assert data.segments[dirty[0]] == (QUARANTINE_SEQ, 0, 0)
         assert any(not row[-1] for row in data.blocks)

@@ -11,9 +11,9 @@ JLD alike):
    own end, never past the data slots of a segment; gap bytes are not
    cached; anything that moves the head in between makes the next read
    positioned; a media fault degrades a streamed read like a
-   positioned one; ``readahead=False`` issues single-block reads only.
+   positioned one.
 3. A state machine over write / flush / read / read_many / clean on a
-   volume and its ``readahead=False`` twin: same bytes, ``verify_lld``
+   volume and a model of its contents: the bytes written, ``verify_lld``
    clean, and no request that started at the head cost more simulated
    time than the positioned read of what it kept.
 
@@ -106,22 +106,22 @@ def gap_limit(model):
     return blocks
 
 
-def bare_stream(model=HP_C3010, segment_kb=512, readahead=True):
+def bare_stream(model=HP_C3010, segment_kb=512):
     geometry = DiskGeometry(
         block_size=BLOCK, segment_size=segment_kb * 1024, num_segments=8
     )
     disk = SimulatedDisk(geometry, model=model)
-    stream = ReadStream(disk, BlockCache(256), readahead=readahead)
+    stream = ReadStream(disk, BlockCache(256))
     return disk, stream, log_requests(disk)
 
 
-def volume(segment_kb=512, segments=12, readahead=True, **config):
+def volume(segment_kb=512, segments=12, **config):
     geometry = DiskGeometry(
         block_size=BLOCK, segment_size=segment_kb * 1024, num_segments=segments
     )
     disk = SimulatedDisk(geometry)
     config.setdefault("checkpoint_slot_segments", 1)
-    return disk, LLD(disk, config=LLDConfig(readahead=readahead, **config))
+    return disk, LLD(disk, config=LLDConfig(**config))
 
 
 def payload(index):
@@ -263,16 +263,6 @@ class TestRule:
         stream.read(PhysAddr(2, 5), 127)
         cached = [slot for slot in range(127) if PhysAddr(2, slot) in stream.cache]
         assert cached == [0, 2] + list(range(5, 5 + READAHEAD_BLOCKS))
-
-    def test_readahead_off_positions_every_miss(self):
-        disk, stream, log = bare_stream(readahead=False)
-        for slot in (0, 1, 2, 4, 6):
-            stream.read(PhysAddr(2, slot), 127)
-        stream.read_many([PhysAddr(2, 9), PhysAddr(2, 8), PhysAddr(2, 12)])
-        # The batch is the disk's to fuse; the stream asked for blocks.
-        assert shape(log) == [(0, 1), (1, 1), (2, 1), (4, 1), (6, 1), (8, 5)]
-        assert (stream.positioned, stream.streamed) == (8, 0)
-        assert len(stream.cache) == 8
 
     def test_batch_starts_at_the_head_and_counts_each_block(self):
         disk, stream, log = bare_stream()
@@ -422,30 +412,25 @@ class TestOnALog:
         assert shape(log) == [(0, 1), (1, total - 1)]
 
     def test_media_fault_degrades_a_streamed_read_like_a_positioned_one(self):
-        outcomes = []
-        for readahead in (True, False):
-            disk, ld = volume(readahead=readahead)
-            blocks = write_blocks(ld, 300)
-            for index in range(10):  # old copies stay in the first segment
-                ld.write(blocks[index], payload(200 + index))
-            write_blocks(ld, 140)
-            victim = address(ld, blocks[1]).segment
-            slot = address(ld, blocks[1]).slot
-            assert address(ld, blocks[299]) == PhysAddr(victim, slot - 2)
-            assert ld.usage.state(victim) is SegmentState.DIRTY
-            ld.read(blocks[299])  # the head is now two slots short
-            disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
-            reads = disk.read_count
-            salvaged = ld.read(blocks[1])
-            assert salvaged == payload(1)  # stale, from the first segment
-            assert victim in ld._scrub_pending
-            with pytest.raises(UnrecoverableBlockError):
-                ld.read(blocks[298])
-            scrub = ld.stats()["scrub"]
-            assert scrub["degraded_reads"] == 2
-            assert scrub["salvaged_reads"] == scrub["unrecoverable_reads"] == 1
-            outcomes.append((salvaged, scrub, disk.read_count - reads))
-        assert outcomes[0] == outcomes[1]
+        disk, ld = volume()
+        blocks = write_blocks(ld, 300)
+        for index in range(10):  # old copies stay in the first segment
+            ld.write(blocks[index], payload(200 + index))
+        write_blocks(ld, 140)
+        victim = address(ld, blocks[1]).segment
+        slot = address(ld, blocks[1]).slot
+        assert address(ld, blocks[299]) == PhysAddr(victim, slot - 2)
+        assert ld.usage.state(victim) is SegmentState.DIRTY
+        ld.read(blocks[299])  # the head is now two slots short
+        disk.injector.add_media_fault(MediaFault(victim, "unreadable"))
+        salvaged = ld.read(blocks[1])
+        assert salvaged == payload(1)  # stale, from the first segment
+        assert victim in ld._scrub_pending
+        with pytest.raises(UnrecoverableBlockError):
+            ld.read(blocks[298])
+        scrub = ld.stats()["scrub"]
+        assert scrub["degraded_reads"] == 2
+        assert scrub["salvaged_reads"] == scrub["unrecoverable_reads"] == 1
 
     def test_quarantined_segment_is_never_streamed_through(self):
         disk, ld = volume()
@@ -459,24 +444,6 @@ class TestOnALog:
         with pytest.raises(UnrecoverableBlockError):
             ld.read_many([blocks[3], blocks[4]])
         assert all(request.segment != victim for request in log)
-
-    def test_readahead_off_issues_single_block_reads(self):
-        disk, ld = volume(readahead=False)
-        blocks = fill(ld, 160)
-        log = log_requests(disk)
-        order = [0, 1, 2, 4, 6, 7, 40, 3]
-        for index in order:
-            assert ld.read(blocks[index]) == payload(index)
-        ld.read_many([blocks[12], blocks[10], blocks[11]])
-        assert shape(log) == [(index, 1) for index in order] + [(10, 3)]
-        stats = ld.stats()["read_stream"]
-        assert stats == {
-            "positioned": len(order) + 3,
-            "streamed": 0,
-            "windows": 0,
-            "window_blocks": 0,
-            "gap_blocks": 0,
-        }
 
     def test_counters_account_for_every_foreground_read(self):
         disk, ld = volume()
@@ -525,32 +492,29 @@ class TestOnALog:
 
 
 # ----------------------------------------------------------------------
-# 3. Against a twin with readahead off
+# 3. Against a model of the volume's contents
 # ----------------------------------------------------------------------
 
 
 class ReadStreamMachine(RuleBasedStateMachine):
-    """One op sequence on a volume and on its ``readahead=False`` twin."""
+    """One op sequence on a volume, every read checked against the
+    bytes last written."""
 
     BLOCKS = 90
 
     @initialize()
     def format(self):
-        self.disks, self.lds, self.blocks = [], [], []
-        for readahead in (True, False):
-            disk, ld = volume(
-                segment_kb=64,
-                segments=32,
-                readahead=readahead,
-                cache_blocks=24,
-                clean_low_water=4,
-                clean_high_water=8,
-            )
-            lst = ld.new_list()
-            self.blocks.append([ld.new_block(lst) for _ in range(self.BLOCKS)])
-            self.disks.append(disk)
-            self.lds.append(ld)
-            self.watch(disk, ld._read_stream)
+        self.disk, self.ld = volume(
+            segment_kb=64,
+            segments=32,
+            cache_blocks=24,
+            clean_low_water=4,
+            clean_high_water=8,
+        )
+        lst = self.ld.new_list()
+        self.blocks = [self.ld.new_block(lst) for _ in range(self.BLOCKS)]
+        self.model = [b""] * self.BLOCKS
+        self.watch(self.disk, self.ld._read_stream)
         self.value = 0
         self.write_run(0, self.BLOCKS, 1)
 
@@ -577,16 +541,16 @@ class ReadStreamMachine(RuleBasedStateMachine):
                 assert cost <= model.request_us(kept, sequential=False) + 1e-6
             assert kept % BLOCK == 0
             assert 1 <= kept // BLOCK <= max(1, slot_limit - addr.slot)
-            assert stream.readahead or kept == BLOCK
             return data
 
         stream.read = checked
 
     def write_run(self, start, count, stride):
         self.value = self.value % 250 + 1
-        for ld, blocks in zip(self.lds, self.blocks):
-            for index in range(start, min(self.BLOCKS, start + count * stride), stride):
-                ld.write(blocks[index], bytes([self.value]) * BLOCK)
+        data = bytes([self.value]) * BLOCK
+        for index in range(start, min(self.BLOCKS, start + count * stride), stride):
+            self.ld.write(self.blocks[index], data)
+            self.model[index] = data
 
     @rule(
         start=st.integers(0, BLOCKS - 1),
@@ -598,8 +562,7 @@ class ReadStreamMachine(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
-        for ld in self.lds:
-            ld.flush()
+        self.ld.flush()
 
     @rule(
         start=st.integers(0, BLOCKS - 1),
@@ -607,38 +570,24 @@ class ReadStreamMachine(RuleBasedStateMachine):
         stride=st.integers(-2, 4).filter(bool),
     )
     def read(self, start, count, stride):
-        indexes = [
-            index
-            for index in range(start, start + count * stride, stride)
-            if 0 <= index < self.BLOCKS
-        ]
-        got = [
-            [ld.read(blocks[index]) for index in indexes]
-            for ld, blocks in zip(self.lds, self.blocks)
-        ]
-        assert got[0] == got[1]
+        for index in range(start, start + count * stride, stride):
+            if 0 <= index < self.BLOCKS:
+                assert self.ld.read(self.blocks[index]) == self.model[index]
 
     @rule(indexes=st.lists(st.integers(0, BLOCKS - 1), min_size=2, max_size=8))
     def read_many(self, indexes):
-        got = [
-            ld.read_many([blocks[index] for index in indexes])
-            for ld, blocks in zip(self.lds, self.blocks)
-        ]
-        assert got[0] == got[1]
+        got = self.ld.read_many([self.blocks[index] for index in indexes])
+        assert got == [self.model[index] for index in indexes]
 
     @rule(extra=st.integers(1, 3))
     def clean(self, extra):
-        for ld in self.lds:
-            ld.flush()
-            SegmentCleaner(ld).clean(ld.usage.free_count + extra)
+        self.ld.flush()
+        SegmentCleaner(self.ld).clean(self.ld.usage.free_count + extra)
 
     @invariant()
-    def sound_and_accounted_for(self):
-        for ld in getattr(self, "lds", []):
-            assert verify_lld(ld) == []
-        if hasattr(self, "lds"):
-            off = self.lds[1].stats()["read_stream"]
-            assert off["streamed"] == off["windows"] == 0
+    def sound(self):
+        if hasattr(self, "ld"):
+            assert verify_lld(self.ld) == []
 
 
 MACHINE_SETTINGS = settings(

@@ -1068,13 +1068,29 @@ class TestRepair:
     def test_a_read_before_the_scrub_leaves_the_heal_to_run(self):
         """The same case with one read of the block between the media
         fault and the scrub (the test above is the other order).  The
-        read serves an older copy, but does not cache it under the
-        failed address, so the scrubber still sees the salvage as stale
-        and the mirror heals it: no acknowledged write is lost."""
+        home member can offer only an older copy, so the read serves
+        the mirror's newer one and heals the home from it: the replicas
+        agree at once, the scrub finds nothing stale, and no
+        acknowledged write is lost."""
         arr, victim, home, local = stale_salvage_case()
-        arr.read(victim)
+        assert arr.read(victim).startswith(b"new2")
+        self.check_healed_by_the_read(arr, victim, home)
+
+    def test_a_batched_read_before_the_scrub_heals_too(self):
+        """The same through ``read_many``: a stale salvage inside a
+        member's batch is not served either."""
+        arr, victim, home, local = stale_salvage_case()
+        got = arr.read_many([victim, victim])
+        assert [data[:4] for data in got] == [b"new2", b"new2"]
+        self.check_healed_by_the_read(arr, victim, home)
+
+    @staticmethod
+    def check_healed_by_the_read(arr, victim, home):
+        assert arr.sharding_info()["degraded_reads"] == 1
+        assert_replicas_agree(arr)
         reports = arr.scrub()
-        assert reports[str(home)].stale_blocks == [local]
+        assert reports[str(home)].stale_blocks == []
+        assert reports[str(home)].segments_quarantined == 1
         assert arr.read(victim).startswith(b"new2")
         assert_replicas_agree(arr)
         recovered = recover_survivors(arr)

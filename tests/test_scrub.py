@@ -20,7 +20,7 @@ from repro.lld.cleaner import SegmentCleaner
 from repro.lld.config import LLDConfig
 from repro.lld.lld import LLD
 from repro.lld.recovery import recover
-from repro.lld.scrub import Scrubber, find_log_copy
+from repro.lld.scrub import find_log_copy
 from repro.lld.usage import QUARANTINE_SEQ, SegmentState
 from repro.lld.verify import verify_lld
 
